@@ -140,6 +140,13 @@ impl NetworkMaintainer {
         &self.graph
     }
 
+    /// Mutable access to the maintained overlay, for damage applied behind the
+    /// maintainer's back (failure plans, heals). The maintainer caches nothing about
+    /// the graph, so any mutation the overlay's own API allows is safe here.
+    pub fn graph_mut(&mut self) -> &mut OverlayGraph {
+        &mut self.graph
+    }
+
     /// Consumes the maintainer and returns the overlay.
     #[must_use]
     pub fn into_graph(self) -> OverlayGraph {
@@ -177,6 +184,8 @@ impl NetworkMaintainer {
             return Err(ConstructionError::AlreadyPresent(position));
         }
         self.graph.insert_node(position);
+        // ℓ long links plus the two ring links, out and (in expectation) in.
+        self.graph.reserve_links(position, self.ell + 2);
         // Per-node change classification, accumulated as the event unfolds; the
         // most severe kind wins when a node plays several roles.
         let mut kinds: Vec<(NodeId, RowChangeKind)> = vec![(position, RowChangeKind::Structural)];
@@ -259,11 +268,12 @@ impl NetworkMaintainer {
             return Err(ConstructionError::NotPresent(position));
         }
         let (pred, succ) = self.neighbors_around(position);
-        // Collect sources whose long links dangle at the departing node before mutating.
+        // Collect sources whose long links dangle at the departing node before mutating:
+        // ascending, one entry per live long link, read off the reverse adjacency.
         let dangling: Vec<NodeId> = self
             .graph
-            .long_links()
-            .filter(|(_, link)| link.target == position)
+            .links_into(position)
+            .filter(|(_, link)| link.alive && link.is_long())
             .map(|(src, _)| src)
             .collect();
         let ring_sources: Vec<NodeId> = [pred, succ].into_iter().flatten().collect();
@@ -426,27 +436,22 @@ impl NetworkMaintainer {
     /// position itself), wrapping around on a ring.
     fn neighbors_around(&self, position: NodeId) -> (Option<NodeId>, Option<NodeId>) {
         let present = self.graph.present_nodes();
-        let others: Vec<NodeId> = present.iter().copied().filter(|&p| p != position).collect();
-        if others.is_empty() {
-            return (None, None);
-        }
+        // `present` is sorted: everything before `below` is smaller than `position`,
+        // everything from `above` on is larger, and `position` itself (if present)
+        // sits between the two.
+        let (below, above) = (
+            present.partition_point(|&p| p < position),
+            present.partition_point(|&p| p <= position),
+        );
+        let (smaller, larger) = (&present[..below], &present[above..]);
         let is_ring = self.graph.geometry().is_ring();
-        let idx = others.partition_point(|&p| p < position);
-        let pred = if idx > 0 {
-            Some(others[idx - 1])
-        } else if is_ring {
-            Some(others[others.len() - 1])
-        } else {
-            None
-        };
-        let succ = if idx < others.len() {
-            Some(others[idx])
-        } else if is_ring {
-            Some(others[0])
-        } else {
-            None
-        };
-        (pred, succ)
+        let pred = smaller
+            .last()
+            .or(if is_ring { larger.last() } else { None });
+        let succ = larger
+            .first()
+            .or(if is_ring { smaller.first() } else { None });
+        (pred.copied(), succ.copied())
     }
 }
 

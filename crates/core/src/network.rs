@@ -127,7 +127,7 @@ impl Network {
     /// Number of currently alive nodes.
     #[must_use]
     pub fn alive_count(&self) -> u64 {
-        self.graph().alive_nodes().len() as u64
+        self.graph().alive_count()
     }
 
     /// The alive node responsible for a metric-space point (the closest alive node).
@@ -293,16 +293,7 @@ impl Network {
 
     /// Applies a failure plan to the overlay (node crashes, link failures, …).
     pub fn apply_failure<R: Rng>(&mut self, plan: &dyn FailurePlan, rng: &mut R) -> FailureReport {
-        // The maintainer owns the graph; borrow it mutably through a temporary swap.
-        let geometry = self.graph().geometry();
-        let ell = self.maintainer.links_per_node();
-        let strategy = self.maintainer.strategy();
-        let placeholder = NetworkMaintainer::new(geometry, ell, strategy);
-        let maintainer = std::mem::replace(&mut self.maintainer, placeholder);
-        let mut graph = maintainer.into_graph();
-        let report = plan.apply(&mut graph, rng);
-        self.maintainer = NetworkMaintainer::from_graph(graph, ell, strategy);
-        report
+        plan.apply(self.maintainer.graph_mut(), rng)
     }
 
     /// Applies a failure plan while capturing the typed delta of every
@@ -315,15 +306,7 @@ impl Network {
         plan: &dyn FailurePlan,
         rng: &mut R,
     ) -> (FailureReport, faultline_overlay::ChurnDelta) {
-        let geometry = self.graph().geometry();
-        let ell = self.maintainer.links_per_node();
-        let strategy = self.maintainer.strategy();
-        let placeholder = NetworkMaintainer::new(geometry, ell, strategy);
-        let maintainer = std::mem::replace(&mut self.maintainer, placeholder);
-        let mut graph = maintainer.into_graph();
-        let result = plan.apply_with_delta(&mut graph, rng);
-        self.maintainer = NetworkMaintainer::from_graph(graph, ell, strategy);
-        result
+        plan.apply_with_delta(self.maintainer.graph_mut(), rng)
     }
 
     /// Revives previously crashed nodes (the healing half of a
@@ -331,15 +314,7 @@ impl Network {
     /// re-admits their rows and their in-neighbours' restored targets.
     /// Positions that are absent or already alive are no-ops.
     pub fn heal_nodes(&mut self, nodes: &[NodeId]) -> faultline_overlay::ChurnDelta {
-        let geometry = self.graph().geometry();
-        let ell = self.maintainer.links_per_node();
-        let strategy = self.maintainer.strategy();
-        let placeholder = NetworkMaintainer::new(geometry, ell, strategy);
-        let maintainer = std::mem::replace(&mut self.maintainer, placeholder);
-        let mut graph = maintainer.into_graph();
-        let delta = faultline_failure::revive_nodes_with_delta(&mut graph, nodes);
-        self.maintainer = NetworkMaintainer::from_graph(graph, ell, strategy);
-        delta
+        faultline_failure::revive_nodes_with_delta(self.maintainer.graph_mut(), nodes)
     }
 
     /// Lets a new node join at `position`, running the Section 5 maintenance heuristic.

@@ -635,10 +635,9 @@ impl QueryEngine {
             // same join/leave link regeneration).
             let mut membership_rng = trial_rng(master_seed ^ 0xAD5E_11A6_0B52_AD5E, epoch as u64);
             let conscripting = self.adversaries().is_some();
-            let present = network.graph().present_nodes().to_vec();
             let schedule = ChurnSchedule::generate(
                 n,
-                &present,
+                network.graph().present_nodes(),
                 events,
                 churn.join_probability,
                 &mut churn_rng,

@@ -26,28 +26,19 @@ pub fn usable_row(graph: &OverlayGraph, p: NodeId) -> Vec<u32> {
 
 /// Every node whose usable-neighbour row can change when `victims` flip
 /// liveness: the victims themselves plus all present nodes holding a live link
-/// (ring or long) to a victim. Sorted, deduplicated. One O(links) scan.
+/// (ring or long) to a victim. Sorted, deduplicated. Reads each victim's
+/// in-neighbours off the overlay's reverse adjacency, so the cost follows the
+/// victims' in-degree, not the size of the overlay.
 #[must_use]
 pub fn blast_radius(graph: &OverlayGraph, victims: &[NodeId]) -> Vec<NodeId> {
-    let n = graph.len() as usize;
-    let mut mask = vec![false; n];
-    for &v in victims {
-        if (v as usize) < n {
-            mask[v as usize] = true;
-        }
-    }
     let mut out: Vec<NodeId> = victims.to_vec();
-    for &q in graph.present_nodes() {
-        if mask[q as usize] {
-            continue;
-        }
-        if graph
-            .links(q)
-            .iter()
-            .any(|l| l.alive && (l.target as usize) < n && mask[l.target as usize])
-        {
-            out.push(q);
-        }
+    for &v in victims {
+        out.extend(
+            graph
+                .links_into(v)
+                .filter(|(_, l)| l.alive)
+                .map(|(source, _)| source),
+        );
     }
     out.sort_unstable();
     out.dedup();
@@ -187,6 +178,60 @@ mod tests {
                 radius.contains(&q),
                 q == 10 || points_at_victim,
                 "node {q} membership"
+            );
+        }
+    }
+
+    /// The whole-overlay scan `blast_radius` used before the reverse adjacency:
+    /// one pass over every present node's link table against a victim mask.
+    fn scan_blast_radius(graph: &OverlayGraph, victims: &[NodeId]) -> Vec<NodeId> {
+        let n = graph.len() as usize;
+        let mut mask = vec![false; n];
+        for &v in victims {
+            if (v as usize) < n {
+                mask[v as usize] = true;
+            }
+        }
+        let mut out: Vec<NodeId> = victims.to_vec();
+        for &q in graph.present_nodes() {
+            if mask[q as usize] {
+                continue;
+            }
+            if graph
+                .links(q)
+                .iter()
+                .any(|l| l.alive && (l.target as usize) < n && mask[l.target as usize])
+            {
+                out.push(q);
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    #[test]
+    fn blast_radius_equals_the_scan_on_damaged_graphs() {
+        use rand::Rng;
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(24..200u64);
+            let mut g = graph(n, rng.gen_range(1..6), seed);
+            // Failed links, crashed nodes and a departed node with dangling in-links.
+            g.fail_long_links_where(|_, _| rng.gen_bool(0.2));
+            for _ in 0..n / 8 {
+                g.fail_node(rng.gen_range(0..n));
+            }
+            g.remove_node(rng.gen_range(0..n));
+            // Victims: any mix of alive, crashed, departed and out-of-range labels,
+            // repeats included.
+            let victims: Vec<NodeId> = (0..rng.gen_range(0..12))
+                .map(|_| rng.gen_range(0..n + 2))
+                .collect();
+            assert_eq!(
+                blast_radius(&g, &victims),
+                scan_blast_radius(&g, &victims),
+                "seed {seed}, victims {victims:?}"
             );
         }
     }

@@ -54,6 +54,11 @@ impl ChurnSchedule {
             (0.0..=1.0).contains(&join_probability),
             "join probability must be in [0, 1]"
         );
+        if steps == 0 {
+            // Nothing to draw: skip the O(n) membership lists (no RNG is consumed
+            // either way, so zero-churn epochs stay bit-identical).
+            return Self { events: Vec::new() };
+        }
         let mut present = vec![false; n as usize];
         let mut present_list: Vec<NodeId> = Vec::new();
         let mut absent_list: Vec<NodeId> = Vec::new();
@@ -218,6 +223,15 @@ mod tests {
         // Tiny space, leave-heavy: the generator must keep at least one node present.
         let schedule = ChurnSchedule::generate(4, &[0, 1], 100, 0.1, &mut rng);
         assert_consistent(4, &[0, 1], &schedule);
+    }
+
+    #[test]
+    fn zero_steps_yield_an_empty_schedule_and_draw_nothing() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut untouched = rng.clone();
+        let schedule = ChurnSchedule::generate(1 << 20, &[0, 1], 0, 0.5, &mut rng);
+        assert!(schedule.is_empty());
+        assert_eq!(rng.gen::<u64>(), untouched.gen::<u64>());
     }
 
     #[test]

@@ -40,6 +40,11 @@ impl NodeRecord {
 /// adjacency list of outgoing [`Link`]s. Node and link failures are represented in place
 /// (no re-allocation), matching the paper's model where a failed node disappears "along
 /// with all its incident links" while the rest of the graph is untouched.
+///
+/// Besides the outgoing adjacency the graph keeps its *reverse*: per grid point, the
+/// sources holding a link to it ([`OverlayGraph::links_into`]). Every link mutation
+/// updates both sides, so a departure finds its dangling in-links in time proportional
+/// to their number instead of scanning every link table.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct OverlayGraph {
     geometry: Geometry,
@@ -47,6 +52,14 @@ pub struct OverlayGraph {
     next_birth: u64,
     /// Sorted list of present positions, for nearest-present queries.
     present_sorted: Vec<NodeId>,
+    /// Reverse adjacency: `incoming[t]` holds, ascending and once per link, the source
+    /// of every link in `nodes` whose target is `t` — any kind, failed links and links
+    /// dangling at a departed `t` included. Kind and liveness are never stored here:
+    /// queries read them from the source's own table. Being sorted, a row is a function
+    /// of the node records alone, which keeps the derived `PartialEq` order-free.
+    incoming: Vec<Vec<u32>>,
+    /// Number of alive nodes, kept in step by the four liveness mutators.
+    alive: u64,
 }
 
 impl OverlayGraph {
@@ -60,6 +73,8 @@ impl OverlayGraph {
             nodes: (0..n).map(|_| NodeRecord::present()).collect(),
             next_birth: 0,
             present_sorted: (0..n).collect(),
+            incoming: empty_index(n),
+            alive: n,
         }
     }
 
@@ -73,6 +88,8 @@ impl OverlayGraph {
             nodes: (0..n).map(|_| NodeRecord::absent()).collect(),
             next_birth: 0,
             present_sorted: Vec::new(),
+            incoming: empty_index(n),
+            alive: 0,
         }
     }
 
@@ -98,7 +115,9 @@ impl OverlayGraph {
             geometry,
             nodes,
             next_birth: 0,
+            alive: present_sorted.len() as u64,
             present_sorted,
+            incoming: empty_index(n),
         }
     }
 
@@ -140,6 +159,13 @@ impl OverlayGraph {
             .copied()
             .filter(|&p| self.is_alive(p))
             .collect()
+    }
+
+    /// Number of currently alive nodes, in O(1).
+    #[must_use]
+    pub fn alive_count(&self) -> u64 {
+        debug_assert_eq!(self.alive, self.alive_nodes().len() as u64);
+        self.alive
     }
 
     /// Returns `true` if a node exists at `p` (alive or crashed).
@@ -220,11 +246,12 @@ impl OverlayGraph {
         self.nodes[from as usize]
             .links
             .push(Link::new(to, kind, birth));
+        self.index_insert(to, from);
         birth
     }
 
-    /// Removes the first live link `from -> to` of the given kind. Returns `true` if a
-    /// link was removed.
+    /// Removes the first link `from -> to` of the given kind, whether or not the link
+    /// has failed. Returns `true` if a link was removed.
     pub fn remove_link(&mut self, from: NodeId, to: NodeId, kind: LinkKind) -> bool {
         let Some(node) = self.nodes.get_mut(from as usize) else {
             return false;
@@ -235,6 +262,7 @@ impl OverlayGraph {
             .position(|l| l.target == to && l.kind == kind)
         {
             node.links.swap_remove(idx);
+            self.index_remove(to, from);
             true
         } else {
             false
@@ -268,6 +296,8 @@ impl OverlayGraph {
             link.target = new_target;
             link.birth = birth;
             self.next_birth += 1;
+            self.index_remove(old_target, from);
+            self.index_insert(new_target, from);
             true
         } else {
             false
@@ -278,8 +308,9 @@ impl OverlayGraph {
     /// unusable), matching the paper's model where other nodes may still hold links to it.
     pub fn fail_node(&mut self, p: NodeId) {
         if let Some(node) = self.nodes.get_mut(p as usize) {
-            if node.present {
+            if node.alive {
                 node.alive = false;
+                self.alive -= 1;
             }
         }
     }
@@ -287,8 +318,9 @@ impl OverlayGraph {
     /// Revives a previously crashed node.
     pub fn revive_node(&mut self, p: NodeId) {
         if let Some(node) = self.nodes.get_mut(p as usize) {
-            if node.present {
+            if node.present && !node.alive {
                 node.alive = true;
+                self.alive += 1;
             }
         }
     }
@@ -368,18 +400,41 @@ impl OverlayGraph {
             return false;
         }
         self.nodes[p as usize] = NodeRecord::present();
+        self.alive += 1;
         let idx = self.present_sorted.partition_point(|&q| q < p);
         self.present_sorted.insert(idx, p);
         true
     }
 
+    /// Sizes `p`'s link table and its reverse-adjacency row for `links` entries each.
+    ///
+    /// A maintained node settles near `ℓ + 2` links out and about as many in; reserving
+    /// that once on arrival avoids the doubling growth that would otherwise leave both
+    /// vectors up to twice as large as their contents.
+    pub fn reserve_links(&mut self, p: NodeId, links: usize) {
+        if let Some(node) = self.nodes.get_mut(p as usize) {
+            node.links
+                .reserve_exact(links.saturating_sub(node.links.len()));
+            let row = &mut self.incoming[p as usize];
+            row.reserve_exact(links.saturating_sub(row.len()));
+        }
+    }
+
     /// Permanently removes the node at `p`: it is no longer present and every other
-    /// node's links to it remain dangling (unusable) until repaired.
+    /// node's links to it remain dangling (unusable) until repaired. Those dangling
+    /// links stay listed by [`OverlayGraph::links_into`], which is how the Section 5
+    /// maintainer finds them.
     pub fn remove_node(&mut self, p: NodeId) -> bool {
         if !self.is_present(p) {
             return false;
         }
-        self.nodes[p as usize] = NodeRecord::absent();
+        let departed = std::mem::replace(&mut self.nodes[p as usize], NodeRecord::absent());
+        for link in &departed.links {
+            self.index_remove(link.target, p);
+        }
+        if departed.alive {
+            self.alive -= 1;
+        }
         if let Ok(idx) = self.present_sorted.binary_search(&p) {
             self.present_sorted.remove(idx);
         }
@@ -395,6 +450,47 @@ impl OverlayGraph {
             .sum()
     }
 
+    /// Every link whose target is `target`, as `(source, link)` pairs: sources in
+    /// ascending order, a source's links in table order — the pairs a scan of all link
+    /// tables would yield, at the cost of `target`'s in-degree.
+    ///
+    /// The reverse adjacency only names the sources; each link is read from its source's
+    /// own table, so kind, liveness and birth are always current, failed links are
+    /// reported as failed, and links still dangling at a departed (or since re-occupied)
+    /// `target` are reported like any other.
+    pub fn links_into(&self, target: NodeId) -> impl Iterator<Item = (NodeId, &Link)> + '_ {
+        let row = self
+            .incoming
+            .get(target as usize)
+            .map_or(&[][..], Vec::as_slice);
+        // A source holding several links to `target` fills a run of the row; visit it
+        // once, since its table yields all of those links.
+        row.chunk_by(|a, b| a == b).flat_map(move |run| {
+            let source = NodeId::from(run[0]);
+            self.links(source)
+                .iter()
+                .filter(move |l| l.target == target)
+                .map(move |l| (source, l))
+        })
+    }
+
+    /// Records one more link `source -> target` in the reverse adjacency.
+    fn index_insert(&mut self, target: NodeId, source: NodeId) {
+        let source = source as u32;
+        let row = &mut self.incoming[target as usize];
+        let at = row.partition_point(|&s| s < source);
+        row.insert(at, source);
+    }
+
+    /// Forgets one link `source -> target` from the reverse adjacency.
+    fn index_remove(&mut self, target: NodeId, source: NodeId) {
+        let row = &mut self.incoming[target as usize];
+        let at = row
+            .binary_search(&(source as u32))
+            .expect("every link is mirrored in the reverse adjacency");
+        row.remove(at);
+    }
+
     /// Iterates over `(source, link)` pairs for every live long-distance link.
     pub fn long_links(&self) -> impl Iterator<Item = (NodeId, &Link)> + '_ {
         self.nodes.iter().enumerate().flat_map(|(idx, n)| {
@@ -404,6 +500,20 @@ impl OverlayGraph {
                 .map(move |l| (idx as NodeId, l))
         })
     }
+}
+
+/// An all-empty reverse adjacency over `n` grid points.
+///
+/// # Panics
+///
+/// Panics if the space has more points than a `u32` source label can name (far beyond
+/// any overlay that fits in memory).
+fn empty_index(n: u64) -> Vec<Vec<u32>> {
+    assert!(
+        n <= u64::from(u32::MAX),
+        "space too large for u32 source labels"
+    );
+    vec![Vec::new(); n as usize]
 }
 
 #[cfg(test)]
@@ -511,6 +621,111 @@ mod tests {
         assert_eq!(failed, 1);
         assert_eq!(g.long_degree(0), 1);
         assert_eq!(g.total_long_links(), 1);
+    }
+
+    /// The scan the reverse adjacency replaced, kept as the oracle.
+    fn scan_links_into(g: &OverlayGraph, target: NodeId) -> Vec<(NodeId, Link)> {
+        g.nodes
+            .iter()
+            .enumerate()
+            .flat_map(|(source, n)| {
+                n.links
+                    .iter()
+                    .filter(move |l| l.target == target)
+                    .map(move |l| (source as NodeId, *l))
+            })
+            .collect()
+    }
+
+    fn assert_index_matches_scan(g: &OverlayGraph) {
+        for target in 0..g.len() {
+            let indexed: Vec<_> = g.links_into(target).map(|(s, l)| (s, *l)).collect();
+            assert_eq!(indexed, scan_links_into(g, target), "links into {target}");
+        }
+    }
+
+    #[test]
+    fn links_into_mirrors_every_link_mutation() {
+        let mut g = small_graph();
+        assert_index_matches_scan(&g);
+        let sources = |g: &OverlayGraph, t| g.links_into(t).map(|(s, _)| s).collect::<Vec<_>>();
+        assert_eq!(sources(&g, 0), vec![1]);
+        assert_eq!(sources(&g, 5), vec![0]);
+
+        // A redirect onto an existing target gives one source two links to it.
+        g.add_link(3, 9, LinkKind::Long);
+        assert!(g.redirect_long_link(0, 5, 9));
+        assert_eq!(sources(&g, 9), vec![0, 0, 3]);
+        assert!(sources(&g, 5).is_empty());
+        assert_index_matches_scan(&g);
+
+        // Failed links stay listed, reported as failed.
+        assert!(g.fail_link(3, 9));
+        assert!(g.links_into(9).any(|(s, l)| s == 3 && !l.alive));
+        assert_index_matches_scan(&g);
+
+        // A departed node takes its out-links with it; links *to* it keep dangling,
+        // and a newcomer at the same label inherits them.
+        assert!(g.remove_node(0));
+        assert!(sources(&g, 9).iter().all(|&s| s != 0));
+        assert_eq!(sources(&g, 0), vec![1]);
+        assert_index_matches_scan(&g);
+        assert!(g.insert_node(0));
+        assert_eq!(sources(&g, 0), vec![1]);
+
+        assert!(g.remove_link(1, 0, LinkKind::Ring));
+        assert!(!g.remove_link(1, 0, LinkKind::Ring));
+        assert!(sources(&g, 0).is_empty());
+        assert_index_matches_scan(&g);
+        assert!(g.links_into(10).next().is_none(), "out of range is empty");
+    }
+
+    #[test]
+    fn equal_node_records_compare_equal_whatever_order_links_arrived_in() {
+        // Both graphs end with 2 -> 0 (birth 1) and 3 -> 0 (birth 2) and nothing else,
+        // but `a` saw 1 -> 0 come and go first, so its sources arrived as 1, 2, 3 and
+        // left a hole, while `b`'s arrived as 2, 3.
+        let mut a = OverlayGraph::fully_populated(Geometry::line(10));
+        a.add_link(1, 0, LinkKind::Long);
+        a.add_link(2, 0, LinkKind::Long);
+        a.add_link(3, 0, LinkKind::Long);
+        a.remove_link(1, 0, LinkKind::Long);
+        let mut b = OverlayGraph::fully_populated(Geometry::line(10));
+        b.add_link(1, 7, LinkKind::Long);
+        b.remove_link(1, 7, LinkKind::Long);
+        b.add_link(2, 0, LinkKind::Long);
+        b.add_link(3, 0, LinkKind::Long);
+        assert_eq!(a, b);
+        b.reserve_links(0, 32);
+        assert_eq!(a, b, "capacity is not state");
+        b.fail_link(3, 0);
+        assert_ne!(a, b);
+    }
+
+    #[test]
+    fn alive_count_follows_every_liveness_mutation() {
+        let mut g = OverlayGraph::with_present_nodes(Geometry::line(50), &[0, 10, 20]);
+        assert_eq!(g.alive_count(), 3);
+        g.fail_node(10);
+        g.fail_node(10);
+        g.fail_node(11); // absent: no-op
+        assert_eq!(g.alive_count(), 2);
+        g.revive_node(10);
+        g.revive_node(10);
+        g.revive_node(11);
+        assert_eq!(g.alive_count(), 3);
+        g.insert_node(30);
+        assert_eq!(g.alive_count(), 4);
+        g.fail_node(30);
+        g.remove_node(30); // crashed node departs: already uncounted
+        g.remove_node(0);
+        assert_eq!(g.alive_count(), 2);
+        assert_eq!(g.alive_count(), g.alive_nodes().len() as u64);
+        assert_eq!(OverlayGraph::empty(Geometry::ring(8)).alive_count(), 0);
+        assert_eq!(
+            OverlayGraph::fully_populated(Geometry::ring(8)).alive_count(),
+            8
+        );
     }
 
     #[test]
