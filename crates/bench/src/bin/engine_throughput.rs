@@ -7,15 +7,13 @@
 //! Under `--quick` (the CI smoke run) it also acts as a regression gate: the run
 //! fails if the frozen-kernel speedup, the SIMD-over-scalar kernel speedup (only
 //! when a vector ISA actually dispatched — scalar-only hosts auto-relax), the
-//! incremental snapshot-maintenance speedup,
-//! the typed-delta patch speedup, the rebuild-fallback-free fraction, the
+//! incremental snapshot-maintenance speedup, the rebuild-fallback-free fraction, the
 //! adversarial throughput, the adversarial success rate, the telemetry overhead
 //! ratio, the oracle-grounded survival rate or the failure-epoch
 //! rebuild-free fraction falls below a floor, or the heal-recovery latency rises
 //! above its ceiling (each overridable —
 //! `ENGINE_SMOKE_MIN_FROZEN_SPEEDUP`, `ENGINE_SMOKE_MIN_SIMD_SPEEDUP`,
-//! `ENGINE_SMOKE_MIN_PATCH_SPEEDUP`,
-//! `ENGINE_SMOKE_MIN_DELTA_SPEEDUP`, `ENGINE_SMOKE_MIN_PATCH_REBUILD_FREE`,
+//! `ENGINE_SMOKE_MIN_PATCH_SPEEDUP`, `ENGINE_SMOKE_MIN_PATCH_REBUILD_FREE`,
 //! `ENGINE_SMOKE_MIN_BYZANTINE_QPS`, `ENGINE_SMOKE_MIN_BYZANTINE_SUCCESS`,
 //! `ENGINE_SMOKE_MIN_TELEMETRY_RATIO`, `ENGINE_SMOKE_MIN_SURVIVAL`,
 //! `ENGINE_SMOKE_MIN_FAILURE_REBUILD_FREE`, `ENGINE_SMOKE_MAX_HEAL_RECOVERY_US` —
@@ -53,21 +51,12 @@ const MIN_FROZEN_SPEEDUP: f64 = 1.5;
 /// reading is a self-comparison and is skipped rather than gamed.
 const MIN_SIMD_SPEEDUP: f64 = 1.15;
 
-/// `--quick` floor for `headline.snapshot_patch_speedup`: patching O(touched · ℓ)
-/// rows must beat the O(nodes + links) rebuild per epoch; parity means the delta
-/// layer stopped paying for itself.
+/// `--quick` floor for `headline.snapshot_patch_speedup`: patching O(changed · ℓ)
+/// rows per epoch must beat the run's one O(nodes + links) freeze; parity means the
+/// delta layer stopped paying for itself.
 const MIN_PATCH_SPEEDUP: f64 = 1.0;
 
-/// `--quick` floor for `headline.delta_patch_speedup` (typed delta-apply vs the
-/// touched-list recompute on the identical trajectory). The smoke scale patches only
-/// a couple of hundred rows per epoch, so both sides sit in the tens of microseconds
-/// and the ratio carries timer noise; the floor sits below parity to absorb that
-/// while still catching the structural regression it exists for — `apply_delta`
-/// silently recomputing rows again (which would pin the ratio near 1.0 at full
-/// scale, but can read as ~0.9 here on a bad timer day).
-const MIN_DELTA_SPEEDUP: f64 = 0.7;
-
-/// `--quick` floor for the fraction of delta-maintenance epochs that stayed on the
+/// `--quick` floor for the fraction of maintenance epochs that stayed on the
 /// patch path (no structural rebuild fallback). Light churn must never trip the
 /// fallback: a single rebuild at smoke scale means the structural-only gating
 /// regressed.
@@ -394,12 +383,6 @@ fn main() {
                 "ENGINE_SMOKE_MIN_PATCH_SPEEDUP",
             ),
             GateReading::floor(
-                "delta_patch_speedup",
-                report.delta_patch_speedup(),
-                MIN_DELTA_SPEEDUP,
-                "ENGINE_SMOKE_MIN_DELTA_SPEEDUP",
-            ),
-            GateReading::floor(
                 "patch_rebuild_free",
                 report.patch_rebuild_free(),
                 MIN_PATCH_REBUILD_FREE,
@@ -443,8 +426,7 @@ fn main() {
             ),
         ]);
         let cadence = [
-            CadenceRow::of("maintenance (delta)", &report.maintenance_patch),
-            CadenceRow::of("maintenance (touched-list)", &report.maintenance_touched),
+            CadenceRow::of("maintenance", &report.maintenance_patch),
             CadenceRow::of("resilience (regional)", &report.resilience_regional),
             CadenceRow::of("resilience (partition)", &report.resilience_partition),
         ];

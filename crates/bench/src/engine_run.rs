@@ -11,7 +11,7 @@ use faultline_core::routing::{KernelIsa, RouteScratch};
 use faultline_core::{ConstructionMode, FrozenView, Network, NetworkConfig};
 use faultline_engine::{
     BatchReport, ByzantineConfig, ChurnMix, EngineConfig, FailureSchedule, InterleavedReport,
-    MetricsSnapshot, Phase, QueryBatch, QueryEngine, SnapshotMaintenance,
+    MetricsSnapshot, Phase, QueryBatch, QueryEngine,
 };
 use faultline_routing::FaultStrategy;
 use faultline_sim::{seed_for_trial, Summary};
@@ -77,17 +77,15 @@ pub struct EngineBenchConfig {
     pub epochs: usize,
     /// Fraction of the space churned per epoch (0.10 reproduces the headline number).
     pub churn_fraction: f64,
-    /// Churn fraction for the dedicated snapshot-maintenance comparison (delta-apply
-    /// vs touched-list patch vs rebuild per epoch). Kept an order of magnitude below
-    /// `churn_fraction`: light sustained churn is the regime incremental patching
-    /// exists for — under the 10% stress churn the blast radius covers most rows and
-    /// patching deliberately degrades to a rebuild.
+    /// Churn fraction for the dedicated snapshot-maintenance run (per-epoch
+    /// delta-apply cost against the run's one freeze). Kept an order of magnitude
+    /// below `churn_fraction`: light sustained churn is the regime incremental
+    /// patching exists for — under the 10% stress churn the blast radius covers most
+    /// rows and patching deliberately degrades to a rebuild.
     pub maintenance_churn_fraction: f64,
-    /// Churn fraction for the cache-invalidation comparison (row-level eviction vs
-    /// the old bucket bitmask). Kept another order of magnitude lighter still: this
-    /// is the steady-trickle regime where invalidation granularity decides the warm
-    /// hit rate — a 64-bit bucket mask saturates (flushes everything) once a few
-    /// dozen scattered nodes are touched, while row-level eviction keeps every walk
+    /// Churn fraction for the cache-invalidation run. Kept another order of
+    /// magnitude lighter still: this is the steady-trickle regime where eviction
+    /// granularity decides the warm hit rate — row-level eviction keeps every walk
     /// that dodged the blast radius.
     pub cache_churn_fraction: f64,
     /// Diversified walks per lookup in the byzantine phase (the redundancy factor).
@@ -341,27 +339,12 @@ pub struct EngineBenchReport {
     /// Routing epochs interleaved with churn of `churn_fraction` per epoch, with the
     /// snapshot incrementally patched (the default engine behaviour).
     pub interleaved: InterleavedReport,
-    /// Dedicated snapshot-maintenance run at `maintenance_churn_fraction` per epoch,
-    /// snapshot patched from the typed churn delta (the default engine behaviour).
+    /// Dedicated snapshot-maintenance run at `maintenance_churn_fraction` per epoch:
+    /// frozen once at epoch 0, then patched from each epoch's typed churn delta.
     pub maintenance_patch: InterleavedReport,
-    /// The identical maintenance trajectory patched from the flat touched-node list
-    /// (per-row usable-neighbour recompute — the PR 3 behaviour). Epoch reports
-    /// match `maintenance_patch` query for query; the per-epoch patch timings are
-    /// the `delta_patch_speedup` comparison.
-    pub maintenance_touched: InterleavedReport,
-    /// The identical maintenance trajectory with incremental patching disabled: the
-    /// snapshot is recompiled from scratch every epoch. Epoch reports match
-    /// `maintenance_patch` query for query; only the maintenance cost differs, which
-    /// is exactly what the `snapshot_maintenance` section compares.
-    pub maintenance_rebuild: InterleavedReport,
-    /// Cache-invalidation comparison at `cache_churn_fraction` per epoch: row-level
-    /// eviction (the default engine behaviour).
+    /// Cache-invalidation run at `cache_churn_fraction` per epoch: how warm
+    /// row-level eviction keeps the cache under trickle churn.
     pub cache_row: InterleavedReport,
-    /// The same trickle-churn trajectory with the old bucket-bitmask flush
-    /// (`EngineConfig::row_invalidation(false)`): identical topology and schedules,
-    /// coarser eviction — the warm-hit-rate baseline of the `cache_invalidation`
-    /// section.
-    pub cache_bucket: InterleavedReport,
     /// Resilience phase, regional scenario: failure epochs alternating one
     /// correlated region crash of `failure_region_width` nodes with a heal, on a
     /// backtrack-routing overlay under trickle churn. Every epoch classifies its
@@ -425,12 +408,12 @@ impl EngineBenchReport {
     }
 
     /// Headline: per-epoch snapshot maintenance speedup at the maintenance churn rate
-    /// — mean full-rebuild time (from the rebuild-baseline trajectory) over mean
-    /// delta-patch time (`0.0` when either side measured nothing).
+    /// — the maintenance run's one from-scratch compile (epoch 0's `rebuild_nanos`)
+    /// over its mean delta-patch time (`0.0` when either side measured nothing).
     #[must_use]
     pub fn snapshot_patch_speedup(&self) -> f64 {
         let patch = self.maintenance_patch.mean_patch_nanos();
-        let rebuild = self.maintenance_rebuild.mean_rebuild_nanos();
+        let rebuild = self.maintenance_patch.mean_rebuild_nanos();
         if patch > 0.0 && rebuild > 0.0 {
             rebuild / patch
         } else {
@@ -438,23 +421,9 @@ impl EngineBenchReport {
         }
     }
 
-    /// Headline: per-epoch speedup of typed delta patching over the touched-list
-    /// recompute it replaces — mean `apply_churn` time over mean `apply_delta` time
-    /// on the identical trajectory (`0.0` when either side measured nothing).
-    #[must_use]
-    pub fn delta_patch_speedup(&self) -> f64 {
-        let delta = self.maintenance_patch.mean_patch_nanos();
-        let touched = self.maintenance_touched.mean_patch_nanos();
-        if delta > 0.0 && touched > 0.0 {
-            touched / delta
-        } else {
-            0.0
-        }
-    }
-
-    /// Fraction of the delta-maintenance run's epochs that did **not** hit the
-    /// structural rebuild fallback (`1.0` = every epoch stayed on the patch path —
-    /// the acceptance bar for the light-churn pair run).
+    /// Fraction of the maintenance run's epochs that did **not** hit the structural
+    /// rebuild fallback (`1.0` = every epoch stayed on the patch path — the
+    /// acceptance bar for the light-churn run).
     #[must_use]
     pub fn patch_rebuild_free(&self) -> f64 {
         let epochs = self.maintenance_patch.epochs().len();
@@ -464,8 +433,7 @@ impl EngineBenchReport {
         1.0 - self.maintenance_patch.rebuild_fallbacks() as f64 / epochs as f64
     }
 
-    /// Headline: warm-cache hit rate under trickle churn with row-level invalidation
-    /// (the `cache_bucket` trajectory holds the old bucket-mask baseline).
+    /// Headline: warm-cache hit rate under trickle churn.
     #[must_use]
     pub fn cache_row_hit_rate(&self) -> f64 {
         self.cache_row.warm_hit_rate()
@@ -629,54 +597,31 @@ impl EngineBenchReport {
         )
     }
 
-    /// The `snapshot_maintenance` JSON section: per-epoch delta-apply vs
-    /// touched-list vs rebuild cost and the compaction/fallback cadence,
+    /// The `snapshot_maintenance` JSON section: the maintenance run's one freeze,
+    /// its per-epoch delta-apply cost and the compaction/fallback cadence,
     /// re-baselining the snapshot amortisation each PR.
     #[must_use]
     fn snapshot_maintenance_json(&self) -> String {
-        let us = |nanos: u64| -> String { format!("{:.1}", nanos as f64 / 1e3) };
-        let patch_us: Vec<String> = self
-            .maintenance_patch
-            .epochs()
+        let epochs = self.maintenance_patch.epochs();
+        let patch_us: Vec<String> = epochs
             .iter()
-            .map(|e| us(e.snapshot.patch_nanos))
+            .map(|e| format!("{:.1}", e.snapshot.patch_nanos as f64 / 1e3))
             .collect();
-        let apply_churn_us: Vec<String> = self
-            .maintenance_touched
-            .epochs()
-            .iter()
-            .map(|e| us(e.snapshot.patch_nanos))
-            .collect();
-        let rebuild_us: Vec<String> = self
-            .maintenance_rebuild
-            .epochs()
-            .iter()
-            .map(|e| us(e.snapshot.rebuild_nanos))
-            .collect();
-        let sum = |f: fn(&faultline_engine::EpochReport) -> usize| -> usize {
-            self.maintenance_patch.epochs().iter().map(f).sum()
-        };
-        let rows_patched = sum(|e| e.snapshot.rows_patched);
-        let rows_in_place = sum(|e| e.snapshot.rows_in_place);
+        let rows_patched: usize = epochs.iter().map(|e| e.snapshot.rows_patched).sum();
+        let rows_in_place: usize = epochs.iter().map(|e| e.snapshot.rows_in_place).sum();
         format!(
             concat!(
-                "{{\"churn_fraction\":{:.4},\"patch_us\":[{}],\"apply_churn_us\":[{}],",
-                "\"rebuild_us\":[{}],",
-                "\"mean_patch_us\":{:.1},\"mean_apply_churn_us\":{:.1},",
-                "\"mean_rebuild_us\":{:.1},",
-                "\"rebuild_over_patch\":{:.2},\"delta_over_touched\":{:.2},",
+                "{{\"churn_fraction\":{:.4},\"patch_us\":[{}],",
+                "\"mean_patch_us\":{:.1},\"freeze_us\":{:.1},",
+                "\"rebuild_over_patch\":{:.2},",
                 "\"rows_patched\":{},\"rows_in_place\":{},",
                 "\"compactions\":{},\"rebuild_fallbacks\":{}}}"
             ),
             self.config.maintenance_churn_fraction,
             patch_us.join(","),
-            apply_churn_us.join(","),
-            rebuild_us.join(","),
             self.maintenance_patch.mean_patch_nanos() / 1e3,
-            self.maintenance_touched.mean_patch_nanos() / 1e3,
-            self.maintenance_rebuild.mean_rebuild_nanos() / 1e3,
+            self.maintenance_patch.mean_rebuild_nanos() / 1e3,
             self.snapshot_patch_speedup(),
-            self.delta_patch_speedup(),
             rows_patched,
             rows_in_place,
             self.maintenance_patch.compactions(),
@@ -684,58 +629,29 @@ impl EngineBenchReport {
         )
     }
 
-    /// The `cache_invalidation` JSON section: warm-hit rate under trickle churn with
-    /// row-level eviction vs the old bucket mask, per-epoch rows invalidated vs what
-    /// the mask would have flushed, and the per-epoch delta-apply vs `apply_churn`
-    /// cost *at this section's own churn fraction* (the row run patches from the
-    /// delta, the bucket-baseline run from the touched list, over the identical
-    /// topology trajectory).
+    /// The `cache_invalidation` JSON section: warm-hit rate under trickle churn,
+    /// per-epoch rows changed vs cached routes evicted, and the per-epoch
+    /// delta-apply cost *at this section's own churn fraction*.
     #[must_use]
     fn cache_invalidation_json(&self) -> String {
-        let flushed: Vec<String> = self
-            .cache_row
-            .epochs()
+        let epochs = self.cache_row.epochs();
+        let flushed: Vec<String> = epochs
             .iter()
             .map(|e| e.flushed_routes.to_string())
             .collect();
-        let bucket_stale: Vec<String> = self
-            .cache_row
-            .epochs()
-            .iter()
-            .map(|e| e.bucket_stale_routes.to_string())
-            .collect();
-        let bucket_flushed: Vec<String> = self
-            .cache_bucket
-            .epochs()
-            .iter()
-            .map(|e| e.flushed_routes.to_string())
-            .collect();
-        let rows_changed: Vec<String> = self
-            .cache_row
-            .epochs()
-            .iter()
-            .map(|e| e.rows_changed.to_string())
-            .collect();
+        let rows_changed: Vec<String> = epochs.iter().map(|e| e.rows_changed.to_string()).collect();
         format!(
             concat!(
-                "{{\"churn_fraction\":{:.4},",
-                "\"warm_hit_rate_row\":{:.6},\"warm_hit_rate_bucket\":{:.6},",
+                "{{\"churn_fraction\":{:.4},\"warm_hit_rate_row\":{:.6},",
                 "\"rows_changed\":[{}],\"rows_invalidated\":[{}],",
-                "\"bucket_mask_stale\":[{}],\"bucket_mask_flushed\":[{}],",
-                "\"total_rows_invalidated\":{},\"total_bucket_mask_flushed\":{},",
-                "\"delta_apply_us\":{:.1},\"apply_churn_us\":{:.1}}}"
+                "\"total_rows_invalidated\":{},\"delta_apply_us\":{:.1}}}"
             ),
             self.config.cache_churn_fraction,
             self.cache_row.warm_hit_rate(),
-            self.cache_bucket.warm_hit_rate(),
             rows_changed.join(","),
             flushed.join(","),
-            bucket_stale.join(","),
-            bucket_flushed.join(","),
             self.cache_row.total_flushed_routes(),
-            self.cache_bucket.total_flushed_routes(),
             self.cache_row.mean_patch_nanos() / 1e3,
-            self.cache_bucket.mean_patch_nanos() / 1e3,
         )
     }
 
@@ -847,7 +763,7 @@ impl EngineBenchReport {
                 "\"headline\":{{\"queries_per_sec\":{:.1},\"p99_hops\":{:.1},",
                 "\"success_rate_under_churn\":{:.6},\"frozen_speedup\":{:.2},",
                 "\"simd_speedup\":{:.3},\"simd_isa\":\"{}\",",
-                "\"snapshot_patch_speedup\":{:.2},\"delta_patch_speedup\":{:.2},",
+                "\"snapshot_patch_speedup\":{:.2},",
                 "\"cache_row_hit_rate\":{:.6},\"byzantine_throughput\":{:.1},",
                 "\"byzantine_success_rate\":{:.6},\"stretch_p50\":{:.3},",
                 "\"stretch_p99\":{:.3},\"telemetry_overhead_ratio\":{:.4},",
@@ -874,7 +790,6 @@ impl EngineBenchReport {
             self.simd_speedup(),
             self.simd_isa,
             self.snapshot_patch_speedup(),
-            self.delta_patch_speedup(),
             self.cache_row_hit_rate(),
             self.byzantine_throughput(),
             self.byzantine_success_rate(),
@@ -1079,64 +994,26 @@ pub fn run(config: &EngineBenchConfig) -> EngineBenchReport {
     // the `InterleavedReport`; this is the cumulative view.
     let telemetry = cached_engine.telemetry().snapshot();
 
-    // Snapshot-maintenance comparison at light sustained churn: three identically
-    // seeded networks and engines walk the exact same trajectory — one patching its
-    // snapshot from the typed churn delta (the default), one recomputing the flat
-    // touched-node list (`apply_churn`, the PR 3 path), one recompiling from scratch.
-    // Epoch reports come out identical; the per-epoch maintenance timings are the
-    // comparison the `snapshot_maintenance` section publishes.
-    let maintenance_churn = ChurnMix::fraction_of(config.nodes, config.maintenance_churn_fraction);
-    let maintenance = |mode: SnapshotMaintenance| {
+    // Snapshot maintenance at light sustained churn and cache eviction under
+    // trickle churn: each a default engine on its own identically seeded network, so
+    // the trajectories are reproducible and independent of everything measured
+    // above. The first publishes the freeze-once / patch-per-epoch costs of the
+    // `snapshot_maintenance` section, the second the warm hit rate of the
+    // `cache_invalidation` section.
+    let churn_run = |fraction: f64, salt: u64| {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut network = Network::build(&network_config, &mut rng);
-        let mut engine = QueryEngine::new(
-            EngineConfig::default()
-                .threads(config.threads)
-                .maintenance(mode),
-        );
+        let mut engine = QueryEngine::new(EngineConfig::default().threads(config.threads));
         engine.run_interleaved(
             &mut network,
             config.epochs,
             per_epoch,
-            maintenance_churn,
-            config.seed ^ 0x5EED,
+            ChurnMix::fraction_of(config.nodes, fraction),
+            config.seed ^ salt,
         )
     };
-    let maintenance_patch = maintenance(SnapshotMaintenance::Delta);
-    let maintenance_touched = maintenance(SnapshotMaintenance::TouchedList);
-    let maintenance_rebuild = maintenance(SnapshotMaintenance::Rebuild);
-
-    // Cache-invalidation comparison under trickle churn: identical topology
-    // trajectories (churn schedules derive from the seed, not from the cache), one
-    // engine evicting at row granularity, the other with the old bucket bitmask.
-    // The baseline run also patches its snapshot from the touched list, so the pair
-    // yields delta-apply vs `apply_churn` timings at *this* churn fraction too
-    // (maintenance mode provably does not change the trajectory).
-    let cache_churn = ChurnMix::fraction_of(config.nodes, config.cache_churn_fraction);
-    let cache_run = |row_invalidation: bool| {
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut network = Network::build(&network_config, &mut rng);
-        let maintenance = if row_invalidation {
-            SnapshotMaintenance::Delta
-        } else {
-            SnapshotMaintenance::TouchedList
-        };
-        let mut engine = QueryEngine::new(
-            EngineConfig::default()
-                .threads(config.threads)
-                .maintenance(maintenance)
-                .row_invalidation(row_invalidation),
-        );
-        engine.run_interleaved(
-            &mut network,
-            config.epochs,
-            per_epoch,
-            cache_churn,
-            config.seed ^ 0xCACE,
-        )
-    };
-    let cache_row = cache_run(true);
-    let cache_bucket = cache_run(false);
+    let maintenance_patch = churn_run(config.maintenance_churn_fraction, 0x5EED);
+    let cache_row = churn_run(config.cache_churn_fraction, 0xCACE);
 
     // Resilience phase: failure epochs alternating correlated damage with heals,
     // over trickle churn, on overlays routing with the paper's backtrack strategy
@@ -1193,10 +1070,7 @@ pub fn run(config: &EngineBenchConfig) -> EngineBenchReport {
         byzantine,
         interleaved,
         maintenance_patch,
-        maintenance_touched,
-        maintenance_rebuild,
         cache_row,
-        cache_bucket,
         resilience_regional,
         resilience_partition,
         stretch_after_failures,
@@ -1293,13 +1167,11 @@ pub fn print(report: &EngineBenchReport) {
         report.interleaved.overall_success_rate(),
     );
     println!(
-        "snapshot maintenance ({:.1}% churn/epoch): delta {:.1} µs/epoch vs touched-list {:.1} µs vs rebuild {:.1} µs ({:.1}x over rebuild, {:.1}x over touched-list), {} compactions, {} rebuild fallbacks",
+        "snapshot maintenance ({:.1}% churn/epoch): delta {:.1} µs/epoch vs freeze {:.1} µs ({:.1}x), {} compactions, {} rebuild fallbacks",
         config.maintenance_churn_fraction * 100.0,
         report.maintenance_patch.mean_patch_nanos() / 1e3,
-        report.maintenance_touched.mean_patch_nanos() / 1e3,
-        report.maintenance_rebuild.mean_rebuild_nanos() / 1e3,
+        report.maintenance_patch.mean_rebuild_nanos() / 1e3,
         report.snapshot_patch_speedup(),
-        report.delta_patch_speedup(),
         report.maintenance_patch.compactions(),
         report.maintenance_patch.rebuild_fallbacks(),
     );
@@ -1331,12 +1203,10 @@ pub fn print(report: &EngineBenchReport) {
         report.stretch_p50(),
     );
     println!(
-        "cache invalidation ({:.2}% churn/epoch): warm hit rate {:.4} row-level vs {:.4} bucket-mask, {} routes flushed vs {} by the old mask",
+        "cache invalidation ({:.2}% churn/epoch): warm hit rate {:.4}, {} routes evicted",
         config.cache_churn_fraction * 100.0,
         report.cache_row.warm_hit_rate(),
-        report.cache_bucket.warm_hit_rate(),
         report.cache_row.total_flushed_routes(),
-        report.cache_bucket.total_flushed_routes(),
     );
 }
 
@@ -1481,23 +1351,19 @@ mod tests {
             "\"kernel_nodes\"",
             "\"uncached_scalar\"",
             "\"snapshot_patch_speedup\"",
-            "\"delta_patch_speedup\"",
             "\"cache_row_hit_rate\"",
             "\"byzantine_throughput\"",
             "\"byzantine_success_rate\"",
             "\"snapshot_maintenance\"",
             "\"patch_us\"",
-            "\"apply_churn_us\"",
-            "\"rebuild_us\"",
+            "\"freeze_us\"",
+            "\"rebuild_over_patch\"",
             "\"rows_in_place\"",
             "\"compactions\"",
             "\"rebuild_fallbacks\"",
             "\"cache_invalidation\"",
             "\"warm_hit_rate_row\"",
-            "\"warm_hit_rate_bucket\"",
             "\"rows_invalidated\"",
-            "\"bucket_mask_stale\"",
-            "\"bucket_mask_flushed\"",
             "\"byzantine\"",
             "\"redundancy\":4",
             "\"success_rate_curve\"",
@@ -1576,45 +1442,13 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_baseline_reproduces_the_incremental_trajectory() {
+    fn maintenance_run_freezes_once_and_patches_every_epoch() {
         let report = run(&tiny());
-        let digest = |r: &InterleavedReport| {
-            r.epochs()
-                .iter()
-                .map(|e| {
-                    (
-                        e.joins,
-                        e.leaves,
-                        e.flushed_routes,
-                        e.alive_after,
-                        e.batch.delivered(),
-                        e.batch.cache_hits(),
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(
-            digest(&report.maintenance_patch),
-            digest(&report.maintenance_touched),
-            "delta vs touched-list patching must not change the trajectory"
-        );
-        assert_eq!(
-            digest(&report.maintenance_patch),
-            digest(&report.maintenance_rebuild),
-            "maintenance mode must not change the trajectory"
-        );
-        // Maintenance shape: the incremental runs patch every epoch, the baseline
-        // rebuilds every epoch.
-        for patched in [&report.maintenance_patch, &report.maintenance_touched] {
-            assert!(patched.epochs().iter().all(|e| e.snapshot.patch_nanos > 0));
-        }
-        assert!(report
-            .maintenance_rebuild
-            .epochs()
-            .iter()
-            .all(|e| e.snapshot.rebuild_nanos > 0));
+        let epochs = report.maintenance_patch.epochs();
+        assert!(epochs[0].snapshot.rebuild_nanos > 0);
+        assert!(epochs.iter().skip(1).all(|e| e.snapshot.rebuild_nanos == 0));
+        assert!(epochs.iter().all(|e| e.snapshot.patch_nanos > 0));
         assert!(report.snapshot_patch_speedup() > 0.0);
-        assert!(report.delta_patch_speedup() > 0.0);
         assert_eq!(
             report.patch_rebuild_free(),
             1.0,
@@ -1655,29 +1489,10 @@ mod tests {
     }
 
     #[test]
-    fn cache_invalidation_pair_compares_row_level_against_the_bucket_mask() {
+    fn cache_run_evicts_under_trickle_churn_and_stays_warm() {
         let report = run(&tiny());
-        // Identical topology trajectories (schedules derive from the seed).
-        let topology = |r: &InterleavedReport| {
-            r.epochs()
-                .iter()
-                .map(|e| (e.joins, e.leaves, e.alive_after))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(topology(&report.cache_row), topology(&report.cache_bucket));
-        // Row-level eviction never flushes more than the bucket mask counted on the
-        // same cache.
-        for e in report.cache_row.epochs() {
-            assert!(
-                e.flushed_routes <= e.bucket_stale_routes,
-                "epoch {}: {} > {}",
-                e.epoch,
-                e.flushed_routes,
-                e.bucket_stale_routes
-            );
-        }
-        // And it keeps the warm cache at least as hot.
-        assert!(report.cache_row.warm_hit_rate() >= report.cache_bucket.warm_hit_rate());
+        assert!(report.cache_row.total_flushed_routes() > 0);
+        assert!(report.cache_row_hit_rate() > 0.0);
         assert_eq!(
             report.cache_row_hit_rate(),
             report.cache_row.warm_hit_rate()

@@ -167,26 +167,6 @@ impl FrozenView {
         self.routes.is_empty()
     }
 
-    /// Patches the snapshot in place after a churn epoch, given the union of the
-    /// maintainer reports' `touched_nodes`; see
-    /// [`FrozenRoutes::apply_churn`] for the blast-radius contract. O(touched · ℓ)
-    /// instead of the O(nodes + links) of a full [`NetworkView::freeze`].
-    pub fn apply_churn(&mut self, graph: &OverlayGraph, touched: &[NodeId]) -> PatchStats {
-        self.routes.apply_churn(graph, touched)
-    }
-
-    /// [`FrozenView::apply_churn`] with telemetry: times the patch (and any
-    /// triggered compaction) and records fallback/compaction events; see
-    /// [`FrozenRoutes::apply_churn_with`].
-    pub fn apply_churn_with(
-        &mut self,
-        graph: &OverlayGraph,
-        touched: &[NodeId],
-        telemetry: &Telemetry,
-    ) -> PatchStats {
-        self.routes.apply_churn_with(graph, touched, telemetry)
-    }
-
     /// Patches the snapshot in place from a typed [`ChurnDelta`] (the merged
     /// maintainer report deltas of a churn epoch): diffed rows are written directly,
     /// with **no** usable-neighbour recompute; see [`FrozenRoutes::apply_delta`] for

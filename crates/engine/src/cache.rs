@@ -4,37 +4,27 @@
 //! the failure/churn layer runs. A shard therefore caches the outcome of routing from a
 //! *source bucket* to a *target bucket* — the granularity at which a production router
 //! would memoise next-hop decisions — and replays it for subsequent queries in the same
-//! bucket pair. Invalidation comes in two granularities:
+//! bucket pair.
 //!
-//! * **Row-level** ([`RouteCache::invalidate_rows`]) — every entry remembers the exact
-//!   nodes its route visited (the rows the greedy walk read); churn expressed as a
-//!   typed row-diff ([`faultline_overlay::ChurnDelta`]) evicts precisely the entries
-//!   whose walk depends on a changed row. This check has **no false negatives** for
-//!   every fault strategy: an entry that survives is guaranteed to replay
-//!   bit-identically on the patched topology, because its walk read only unchanged
-//!   rows — walks that read anything more (a random-reroute recovery samples the
-//!   *global* alive set) are marked volatile at insert time and evicted by any
-//!   non-empty row invalidation.
-//! * **Bucket-level** ([`RouteCache::invalidate`]) — every entry also folds its
-//!   visited nodes into a 64-bucket bitmask; out-of-band mutations that cannot name
-//!   their exact blast radius (failure plans, manual `fail_node` sweeps) flush every
-//!   entry whose mask intersects the mutated buckets. Coarse: a handful of scattered
-//!   mutations dirties most buckets and flushes warm entries whose routes never
-//!   changed.
-//!
-//! Between flushes a cached route may go stale (its nodes failed) — exactly the
-//! staleness window a real route cache has, and the reason success rate under churn is
-//! an interesting measurement.
+//! Eviction is row-level ([`RouteCache::invalidate_rows`]): every entry remembers the
+//! exact nodes its route visited (the rows the greedy walk read), and a topology change
+//! expressed as a typed row-diff ([`faultline_overlay::ChurnDelta`]) evicts precisely
+//! the entries whose walk depends on a changed row. The check has **no false
+//! negatives** under every fault strategy: an entry that survives is guaranteed to
+//! replay bit-identically on the patched topology, because its walk read only unchanged
+//! rows — walks that read anything more (a random-reroute recovery samples the *global*
+//! alive set) are marked volatile at insert time and evicted by any non-empty row
+//! invalidation. Mutations that cannot name their changed rows (a failure plan applied
+//! without delta capture, manual `fail_node` sweeps) must [`RouteCache::clear`] instead;
+//! until they do, a cached route may be stale.
 
 use faultline_overlay::NodeId;
 use faultline_telemetry::ShardHandle;
 // xlint: allow(determinism) -- bucket-pair lookups are keyed, never ordered; the one iteration (eviction scan) minimises over the total order (last_used, key), so the victim is independent of iteration order
 use std::collections::HashMap;
 
-/// Number of buckets the metric space is divided into.
-///
-/// 64 buckets lets a route's bucket coverage be a single `u64` bitmask, making
-/// invalidation an AND per entry.
+/// Number of buckets the metric space is divided into: the cache key space is
+/// `NUM_BUCKETS²` bucket pairs, and queries are sharded by source bucket.
 pub const NUM_BUCKETS: u64 = 64;
 
 /// The bucket a metric-space position falls into (`0..NUM_BUCKETS`).
@@ -51,24 +41,6 @@ pub fn bucket_of(position: NodeId, n: u64) -> u64 {
     );
     // u128 arithmetic avoids overflow for spaces approaching 2^58 points.
     ((u128::from(position) * u128::from(NUM_BUCKETS)) / u128::from(n)) as u64
-}
-
-/// Folds positions into a bucket bitmask (single definition both widths share).
-fn mask_over(positions: impl Iterator<Item = NodeId>, n: u64) -> u64 {
-    positions.fold(0u64, |mask, p| mask | (1u64 << bucket_of(p, n)))
-}
-
-/// The bitmask with the bucket bits of every listed position set.
-#[must_use]
-pub fn buckets_mask(positions: &[NodeId], n: u64) -> u64 {
-    mask_over(positions.iter().copied(), n)
-}
-
-/// [`buckets_mask`] over `u32` positions — the width the frozen routing kernel records
-/// visited paths in.
-#[must_use]
-pub fn buckets_mask_u32(positions: &[u32], n: u64) -> u64 {
-    mask_over(positions.iter().map(|&p| u64::from(p)), n)
 }
 
 /// A dense bitset over node ids, used as the dirty set for row-level invalidation.
@@ -122,8 +94,9 @@ pub struct CachedRoute {
     pub hops: u64,
     /// Fault-strategy interventions along the route.
     pub recoveries: u64,
-    /// Bitmask of buckets the route's path traversed (always includes the source and
-    /// target buckets).
+    /// The bucket bits of the entry's key (source and target bucket) and nothing
+    /// else: the walk's path is not folded in, and nothing in the engine reads the
+    /// field. Eviction goes by the entry's row dependencies, never by this mask.
     pub touched: u64,
 }
 
@@ -276,17 +249,6 @@ impl RouteCache {
         self.published = (self.hits, self.misses, self.insertions);
     }
 
-    /// Drops every entry whose route traversed a bucket in `dirty_mask`. Returns the
-    /// number of entries flushed.
-    pub fn invalidate(&mut self, dirty_mask: u64) -> usize {
-        let before = self.entries.len();
-        self.entries
-            .retain(|_, entry| entry.route.touched & dirty_mask == 0);
-        let flushed = before - self.entries.len();
-        self.note_flushed(flushed);
-        flushed
-    }
-
     /// Drops every entry whose creating walk visited a node in `dirty` — plus every
     /// [volatile](RouteCache::insert) entry, whose walk read global membership state
     /// — row-level invalidation. Returns the number of entries flushed.
@@ -311,17 +273,6 @@ impl RouteCache {
             self.telemetry.invalidated(flushed as u64);
             self.telemetry.set_occupancy(self.entries.len() as u64);
         }
-    }
-
-    /// Counts (without evicting) the entries the bucket-granular
-    /// [`RouteCache::invalidate`] would flush for `dirty_mask` — the old-mask
-    /// baseline the benchmark compares row-level invalidation against.
-    #[must_use]
-    pub fn stale_count(&self, dirty_mask: u64) -> usize {
-        self.entries
-            .values()
-            .filter(|entry| entry.route.touched & dirty_mask != 0)
-            .count()
     }
 
     /// Drops everything.
@@ -379,12 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn mask_covers_listed_positions() {
-        let mask = buckets_mask(&[0, 999], 1000);
-        assert_eq!(mask, 1 | (1 << (NUM_BUCKETS - 1)));
-    }
-
-    #[test]
     fn get_insert_roundtrip_and_counters() {
         let mut cache = RouteCache::new(8);
         assert_eq!(cache.get(1, 2), None);
@@ -416,23 +361,9 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_flushes_only_touched_routes() {
-        let mut cache = RouteCache::new(8);
-        cache.insert(0, 1, route(0b0011), &[0, 5], false);
-        cache.insert(0, 2, route(0b1100), &[40, 60], false);
-        assert_eq!(cache.stale_count(0b0001), 1);
-        assert_eq!(cache.invalidate(0b0001), 1);
-        assert!(cache.get(0, 1).is_none());
-        assert!(cache.get(0, 2).is_some());
-        cache.clear();
-        assert!(cache.is_empty());
-    }
-
-    #[test]
     fn row_level_invalidation_flushes_exactly_the_dependent_entries() {
         let mut cache = RouteCache::new(8);
-        // Three entries whose walks visited disjoint node sets but (say) shared
-        // buckets: the bucket mask cannot tell them apart, the row set can.
+        // Three entries whose walks visited different node sets.
         cache.insert(0, 1, route(0b1), &[3, 7, 12], false);
         cache.insert(0, 2, route(0b1), &[3, 20], false);
         cache.insert(0, 3, route(0b1), &[40, 41], false);
@@ -448,12 +379,12 @@ mod tests {
         let mut clean = RowSet::with_space(64);
         clean.insert(63);
         assert_eq!(cache.invalidate_rows(&clean), 0);
-        // The bucket mask, by contrast, would have flushed every same-bucket entry.
-        assert_eq!(cache.stale_count(0b1), 2);
+        cache.clear();
+        assert!(cache.is_empty());
     }
 
     #[test]
-    fn volatile_entries_are_evicted_by_any_row_invalidation() {
+    fn volatile_entries_are_evicted_by_any_dirty_row() {
         let mut cache = RouteCache::new(8);
         // A recovered walk under a randomised strategy: its digest depends on the
         // global alive set, not just its visited rows.

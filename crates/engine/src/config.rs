@@ -102,27 +102,6 @@ impl ByzantineConfig {
     }
 }
 
-/// How [`run_interleaved`](crate::QueryEngine::run_interleaved) maintains its
-/// persistent routing snapshot across churn epochs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SnapshotMaintenance {
-    /// Patch the snapshot from the epoch's typed [`ChurnDelta`]
-    /// (maintainer-captured row diffs written directly; no usable-neighbour
-    /// recompute) — the default.
-    ///
-    /// [`ChurnDelta`]: faultline_overlay::ChurnDelta
-    #[default]
-    Delta,
-    /// Patch the snapshot from the flat touched-node list, recomputing every touched
-    /// row from the live graph
-    /// ([`FrozenRoutes::apply_churn`](faultline_overlay::FrozenRoutes::apply_churn))
-    /// — the PR 3 behaviour, kept as the delta layer's benchmark baseline.
-    TouchedList,
-    /// Recompile the snapshot from scratch every epoch — the pre-patching behaviour,
-    /// kept as the incremental layer's benchmark baseline.
-    Rebuild,
-}
-
 /// When a frozen-enabled batch compiles its routing snapshot (see
 /// [`EngineConfig::freeze_policy`]).
 ///
@@ -236,8 +215,6 @@ pub struct EngineConfig {
     cache_capacity: usize,
     max_hops: Option<u64>,
     frozen: bool,
-    maintenance: SnapshotMaintenance,
-    row_invalidation: bool,
     freeze: FreezePolicy,
     byzantine: Option<ByzantineConfig>,
     failures: Option<FailureSchedule>,
@@ -253,8 +230,6 @@ impl Default for EngineConfig {
             cache_capacity: 1024,
             max_hops: None,
             frozen: true,
-            maintenance: SnapshotMaintenance::Delta,
-            row_invalidation: true,
             freeze: FreezePolicy::Always,
             byzantine: None,
             failures: None,
@@ -311,49 +286,6 @@ impl EngineConfig {
         self
     }
 
-    /// Legacy boolean shorthand for [`EngineConfig::maintenance`]:
-    /// `incremental(true)` is `maintenance(SnapshotMaintenance::Delta)` and
-    /// `incremental(false)` is `maintenance(SnapshotMaintenance::Rebuild)`.
-    ///
-    /// The boolean predates [`SnapshotMaintenance`] growing its third mode and can
-    /// no longer express the full choice, so it survives one release as a
-    /// forwarding wrapper only.
-    #[deprecated(
-        note = "use maintenance(SnapshotMaintenance::Delta) / maintenance(SnapshotMaintenance::Rebuild)"
-    )]
-    #[must_use]
-    pub fn incremental(self, incremental: bool) -> Self {
-        self.maintenance(if incremental {
-            SnapshotMaintenance::Delta
-        } else {
-            SnapshotMaintenance::Rebuild
-        })
-    }
-
-    /// Selects how the interleaved runner maintains its persistent snapshot (default:
-    /// [`SnapshotMaintenance::Delta`]); see [`SnapshotMaintenance`].
-    #[must_use]
-    pub fn maintenance(mut self, maintenance: SnapshotMaintenance) -> Self {
-        self.maintenance = maintenance;
-        self
-    }
-
-    /// Enables or disables row-level cache invalidation in
-    /// [`run_interleaved`](crate::QueryEngine::run_interleaved) (default: enabled).
-    ///
-    /// When enabled, each epoch's churn delta evicts exactly the cache entries whose
-    /// cached walk visited a changed row
-    /// ([`QueryEngine::invalidate_delta`](crate::QueryEngine::invalidate_delta));
-    /// when disabled the runner falls back to the coarse bucket-bitmask flush
-    /// ([`QueryEngine::invalidate_nodes`](crate::QueryEngine::invalidate_nodes)) —
-    /// the PR 1–4 behaviour, kept as the benchmark baseline for warm-hit-rate
-    /// comparisons.
-    #[must_use]
-    pub fn row_invalidation(mut self, enabled: bool) -> Self {
-        self.row_invalidation = enabled;
-        self
-    }
-
     /// Selects when frozen-enabled batches compile their routing snapshot (default:
     /// [`FreezePolicy::Always`]). [`FreezePolicy::HitRate`] skips the freeze for
     /// batches a warm cache will absorb; [`FreezePolicy::Auto`] derives the skip
@@ -364,20 +296,6 @@ impl EngineConfig {
     pub fn freeze_policy(mut self, policy: FreezePolicy) -> Self {
         self.freeze = policy;
         self
-    }
-
-    /// Legacy spelling of `freeze_policy(FreezePolicy::HitRate(hit_rate_threshold))`.
-    #[deprecated(note = "use freeze_policy(FreezePolicy::HitRate(t))")]
-    #[must_use]
-    pub fn adaptive_freeze(self, hit_rate_threshold: f64) -> Self {
-        self.freeze_policy(FreezePolicy::HitRate(hit_rate_threshold))
-    }
-
-    /// Legacy spelling of `freeze_policy(FreezePolicy::Auto)`.
-    #[deprecated(note = "use freeze_policy(FreezePolicy::Auto)")]
-    #[must_use]
-    pub fn adaptive_freeze_auto(self) -> Self {
-        self.freeze_policy(FreezePolicy::Auto)
     }
 
     /// Configured worker threads (0 = available parallelism).
@@ -410,35 +328,10 @@ impl EngineConfig {
         self.frozen
     }
 
-    /// Whether interleaved runs patch one persistent snapshot instead of rebuilding.
-    #[must_use]
-    pub fn incremental_enabled(&self) -> bool {
-        self.maintenance != SnapshotMaintenance::Rebuild
-    }
-
-    /// The configured snapshot-maintenance mode for interleaved runs.
-    #[must_use]
-    pub fn maintenance_mode(&self) -> SnapshotMaintenance {
-        self.maintenance
-    }
-
-    /// Whether interleaved runs invalidate the route cache at row granularity.
-    #[must_use]
-    pub fn row_invalidation_enabled(&self) -> bool {
-        self.row_invalidation
-    }
-
     /// The configured snapshot-freeze policy (see [`EngineConfig::freeze_policy`]).
     #[must_use]
     pub fn freeze_policy_mode(&self) -> FreezePolicy {
         self.freeze
-    }
-
-    /// Whether an adaptive (non-[`Always`](FreezePolicy::Always)) freeze policy is
-    /// enabled.
-    #[must_use]
-    pub fn adaptive_freeze_enabled(&self) -> bool {
-        self.freeze != FreezePolicy::Always
     }
 
     /// Enables or disables the engine's telemetry subsystem (default: enabled).
@@ -591,37 +484,21 @@ mod tests {
             .cache_capacity(64)
             .max_hops(1000)
             .frozen(false)
-            .maintenance(SnapshotMaintenance::Rebuild)
             .freeze_policy(FreezePolicy::HitRate(0.95));
         assert_eq!(config.thread_count(), 8);
         assert_eq!(config.shard_count(), 32);
         assert_eq!(config.cache_capacity_entries(), 64);
         assert_eq!(config.max_hops_override(), Some(1000));
         assert!(!config.frozen_enabled());
-        assert!(!config.incremental_enabled());
         assert_eq!(config.freeze_policy_mode(), FreezePolicy::HitRate(0.95));
         assert!(
             EngineConfig::default().frozen_enabled(),
             "the fast path is the default"
         );
-        assert!(
-            EngineConfig::default().incremental_enabled(),
-            "incremental snapshot maintenance is the default"
-        );
-        assert_eq!(
-            EngineConfig::default().maintenance_mode(),
-            SnapshotMaintenance::Delta,
-            "delta patching is the default maintenance mode"
-        );
-        assert!(
-            EngineConfig::default().row_invalidation_enabled(),
-            "row-level cache invalidation is the default"
-        );
         assert_eq!(
             EngineConfig::default().freeze_policy_mode(),
             FreezePolicy::Always
         );
-        assert!(!EngineConfig::default().adaptive_freeze_enabled());
         assert!(
             EngineConfig::default().telemetry_enabled(),
             "telemetry is on by default"
@@ -635,29 +512,11 @@ mod tests {
     }
 
     #[test]
-    fn maintenance_and_invalidation_knobs() {
-        let config = EngineConfig::default()
-            .maintenance(SnapshotMaintenance::TouchedList)
-            .row_invalidation(false);
-        assert_eq!(config.maintenance_mode(), SnapshotMaintenance::TouchedList);
-        assert!(
-            config.incremental_enabled(),
-            "touched-list patching is still incremental"
-        );
-        assert!(!config.row_invalidation_enabled());
-        assert!(!EngineConfig::default()
-            .maintenance(SnapshotMaintenance::Rebuild)
-            .incremental_enabled());
-    }
-
-    #[test]
     fn freeze_policies_are_distinguishable() {
         let fixed = EngineConfig::default().freeze_policy(FreezePolicy::HitRate(0.9));
         assert_eq!(fixed.freeze_policy_mode(), FreezePolicy::HitRate(0.9));
-        assert!(fixed.adaptive_freeze_enabled());
         let auto = EngineConfig::default().freeze_policy(FreezePolicy::Auto);
         assert_eq!(auto.freeze_policy_mode(), FreezePolicy::Auto);
-        assert!(auto.adaptive_freeze_enabled());
     }
 
     #[test]

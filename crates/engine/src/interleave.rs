@@ -4,12 +4,13 @@
 //! arrive and depart. The interleaved runner reproduces that claim at traffic scale:
 //! each epoch routes a full query batch in parallel, then applies a burst of churn
 //! events through the maintenance heuristic (`Network::join` / `Network::leave`, which
-//! regenerate links per Section 5), then flushes exactly the cached routes the churn
-//! touched. Success rate and throughput are reported per epoch, so degradation and
+//! regenerate links per Section 5), then hands the epoch's one typed delta — the rows
+//! the heuristic rewired — to the two consumers that need it: the route cache evicts
+//! exactly the entries whose walk read a changed row, and the snapshot rewrites exactly
+//! those rows. Success rate and throughput are reported per epoch, so degradation and
 //! recovery are visible in the trajectory.
 
 use crate::batch::QueryBatch;
-use crate::config::SnapshotMaintenance;
 use crate::failures::{DownedSet, FailureEvent, FailureSchedule, FailureWork, SurvivabilitySplit};
 use crate::run::{saturate_u32, QueryEngine};
 use crate::stats::{BatchReport, QueryOutcome};
@@ -130,18 +131,15 @@ impl ChurnMix {
 /// Snapshot maintenance performed during one epoch of an interleaved run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SnapshotWork {
-    /// Nanoseconds spent compiling the snapshot from scratch (the first epoch, any
-    /// epoch after an adaptive skip, and every epoch when incremental maintenance is
-    /// disabled).
+    /// Nanoseconds spent compiling the snapshot from scratch (the first epoch, and
+    /// any epoch after an adaptive skip dropped the snapshot).
     pub rebuild_nanos: u64,
-    /// Nanoseconds spent patching the snapshot with the epoch's churn blast radius
-    /// (delta-apply time in the default mode, touched-list recompute time in
-    /// [`SnapshotMaintenance::TouchedList`]).
+    /// Nanoseconds spent applying the epoch's churn delta to the snapshot.
     pub patch_nanos: u64,
     /// Adjacency rows the patch rewrote.
     pub rows_patched: usize,
-    /// Rows rewritten in place (no tombstone, no overflow growth) — the slot-reuse
-    /// win of the delta layer; subset of `rows_patched`.
+    /// Rows rewritten in place (no tombstone, no overflow growth); subset of
+    /// `rows_patched`.
     pub rows_in_place: usize,
     /// Whether patching triggered a compaction back to a dense CSR.
     pub compacted: bool,
@@ -173,23 +171,17 @@ pub struct EpochReport {
     pub joins: usize,
     /// Leave events applied after the batch.
     pub leaves: usize,
-    /// Cached routes flushed by this epoch's churn (row-level eviction by default;
-    /// the bucket-mask flush when [`EngineConfig::row_invalidation`] is off).
-    ///
-    /// [`EngineConfig::row_invalidation`]: crate::EngineConfig::row_invalidation
+    /// Cached routes this epoch's churn delta evicted: the entries whose cached walk
+    /// read a changed row.
     pub flushed_routes: usize,
-    /// Cached routes the old bucket-granular mask *would* have flushed for the same
-    /// churn (counted before eviction) — the per-epoch baseline that makes the
-    /// row-level win visible without a second run.
-    pub bucket_stale_routes: usize,
-    /// Distinct rows the epoch's churn delta changed (the row-level dirty set).
+    /// Distinct rows the epoch's churn delta changed (the eviction dirty set).
     pub rows_changed: usize,
     /// Alive nodes once the epoch's churn settled.
     pub alive_after: u64,
     /// Byzantine nodes once the epoch's churn settled (0 on honest runs): leaves of
     /// adversarial nodes shrink the set, adversarial joins grow it.
     pub byzantine_after: usize,
-    /// Snapshot maintenance (rebuild / patch / skip) performed this epoch.
+    /// Snapshot maintenance (freeze / patch / skip) performed this epoch.
     pub snapshot: SnapshotWork,
     /// What the epoch's failure event did (damage or heal, delta size, patch and
     /// invalidation cost); `None` when the run has no failure schedule.
@@ -331,9 +323,8 @@ impl InterleavedReport {
     }
 
     /// Cache hit fraction over the *warm* epochs (epoch 0 always starts cold, so it
-    /// is excluded; `0.0` when fewer than two epochs ran). The number row-level
-    /// invalidation is designed to raise: finer eviction keeps more of each epoch's
-    /// cache warm through churn.
+    /// is excluded; `0.0` when fewer than two epochs ran): how much of each epoch's
+    /// cache row-level eviction keeps warm through churn.
     #[must_use]
     pub fn warm_hit_rate(&self) -> f64 {
         let (hits, queries) = self
@@ -354,13 +345,6 @@ impl InterleavedReport {
     #[must_use]
     pub fn total_flushed_routes(&self) -> usize {
         self.epochs.iter().map(|e| e.flushed_routes).sum()
-    }
-
-    /// Cached routes the bucket-granular mask would have flushed, summed over all
-    /// epochs (see [`EpochReport::bucket_stale_routes`]).
-    #[must_use]
-    pub fn total_bucket_stale_routes(&self) -> usize {
-        self.epochs.iter().map(|e| e.bucket_stale_routes).sum()
     }
 
     fn mean_nonzero<I: Iterator<Item = u64>>(values: I) -> f64 {
@@ -420,7 +404,7 @@ impl InterleavedReport {
                 format!(
                     concat!(
                         "{{\"epoch\":{},\"joins\":{},\"leaves\":{},",
-                        "\"flushed_routes\":{},\"bucket_stale_routes\":{},",
+                        "\"flushed_routes\":{},",
                         "\"rows_changed\":{},\"alive_after\":{},\"byzantine_after\":{},",
                         "\"snapshot\":{{\"rebuild_ns\":{},\"patch_ns\":{},",
                         "\"rows_patched\":{},\"rows_in_place\":{},\"compacted\":{},",
@@ -432,7 +416,6 @@ impl InterleavedReport {
                     e.joins,
                     e.leaves,
                     e.flushed_routes,
-                    e.bucket_stale_routes,
                     e.rows_changed,
                     e.alive_after,
                     e.byzantine_after,
@@ -470,25 +453,18 @@ impl QueryEngine {
     ///
     /// Per epoch: route `queries_per_epoch` fresh uniform queries in parallel, then
     /// apply `churn.events_for(alive)` join/leave events through the maintenance
-    /// heuristic, then flush the cached routes whose buckets the churn touched. All
-    /// randomness derives from `master_seed`, so the whole trajectory is reproducible
-    /// at any thread count.
+    /// heuristic, then evict the cached routes whose walk read a row the churn
+    /// changed. All randomness derives from `master_seed`, so the whole trajectory is
+    /// reproducible at any thread count.
     ///
     /// One compiled snapshot is kept alive across epochs and **incrementally patched**
-    /// instead of recompiled per batch — O(touched · ℓ) per epoch instead of
-    /// O(nodes + links). By default each epoch's maintainer report deltas are merged
-    /// into one typed [`ChurnDelta`] and applied via
+    /// instead of recompiled per batch — O(changed rows · ℓ) per epoch instead of
+    /// O(nodes + links): each epoch's maintainer report deltas are merged into one
+    /// typed [`ChurnDelta`] and applied via
     /// [`FrozenView::apply_delta`](faultline_core::FrozenView::apply_delta) (diffed
-    /// rows written directly, no recompute);
-    /// [`EngineConfig::maintenance`](crate::EngineConfig::maintenance) selects the
-    /// touched-list recompute
-    /// ([`SnapshotMaintenance::TouchedList`]) or the rebuild-per-epoch baseline
-    /// ([`SnapshotMaintenance::Rebuild`]) —
-    /// identical epoch reports, different maintenance cost. The same delta drives
-    /// row-level cache invalidation
-    /// ([`QueryEngine::invalidate_delta`](crate::QueryEngine::invalidate_delta);
-    /// [`EngineConfig::row_invalidation`](crate::EngineConfig::row_invalidation)
-    /// `(false)` restores the bucket-mask flush), and an adaptive freeze policy
+    /// rows written directly, no recompute). The same delta drives cache eviction
+    /// ([`QueryEngine::invalidate_delta`](crate::QueryEngine::invalidate_delta)),
+    /// and an adaptive freeze policy
     /// ([`EngineConfig::freeze_policy`](crate::EngineConfig::freeze_policy))
     /// drops the snapshot entirely for epochs whose cache is warm enough to starve
     /// the uncached path. Per-epoch maintenance work is reported in
@@ -642,19 +618,17 @@ impl QueryEngine {
                 churn.join_probability,
                 &mut churn_rng,
             );
-            let mut touched = Vec::with_capacity(schedule.len());
             let mut epoch_delta = ChurnDelta::new();
             let (mut joins, mut leaves) = (0usize, 0usize);
             for event in schedule.events() {
                 // Joins and leaves mutate link tables beyond the churned position (ring
                 // splicing, link redirection, dangling-link repair); the reports carry
-                // both the flat touched set and the typed row diffs, so invalidation
-                // and snapshot patching cover the full blast radius at row precision.
+                // the typed row diffs, so eviction and snapshot patching cover the full
+                // blast radius at row precision.
                 match *event {
                     ChurnEvent::Join(p) => {
                         if let Ok(report) = network.join(p, &mut churn_rng) {
                             joins += 1;
-                            touched.extend(report.touched_nodes);
                             epoch_delta.absorb(report.delta);
                             if conscripting {
                                 // A join either conscripts the newcomer or clears any
@@ -670,7 +644,6 @@ impl QueryEngine {
                     ChurnEvent::Leave(p) => {
                         if let Ok(report) = network.leave(p, &mut churn_rng) {
                             leaves += 1;
-                            touched.extend(report.touched_nodes);
                             epoch_delta.absorb(report.delta);
                             // A departing adversary loses its position.
                             self.adversary_churn(p, false, false);
@@ -678,40 +651,16 @@ impl QueryEngine {
                     }
                 }
             }
-            // What the coarse mask would have flushed (counted before evicting), then
-            // the actual eviction: row-level from the delta by default, the bucket
-            // mask when the baseline is requested.
-            let bucket_stale_routes = self.stale_by_buckets(&touched, n);
-            let flushed_routes = if self.config().row_invalidation_enabled() {
-                self.invalidate_delta(&epoch_delta, n)
-            } else {
-                self.invalidate_nodes(&touched, n)
-            };
-
-            // Publish the next epoch's routes: patch the changed rows in place, or
-            // drop the snapshot so the next epoch recompiles (rebuild baseline).
+            let flushed_routes = self.invalidate_delta(&epoch_delta, n);
             if let Some(live) = snapshot.as_mut() {
-                let patch = |live: &mut FrozenView| match self.config().maintenance_mode() {
-                    SnapshotMaintenance::Delta => {
-                        Some(live.apply_delta_with(network.graph(), &epoch_delta, self.telemetry()))
-                    }
-                    SnapshotMaintenance::TouchedList => {
-                        Some(live.apply_churn_with(network.graph(), &touched, self.telemetry()))
-                    }
-                    SnapshotMaintenance::Rebuild => None,
-                };
                 // xlint: allow(determinism) -- patch cost is reported in SnapshotWork only, never read by routing
                 let started = Instant::now();
-                match patch(live) {
-                    Some(stats) => {
-                        work.patch_nanos = started.elapsed().as_nanos() as u64;
-                        work.rows_patched = stats.rows_patched;
-                        work.rows_in_place = stats.rows_in_place;
-                        work.compacted = stats.compacted;
-                        work.fallback_rebuild = stats.rebuilt;
-                    }
-                    None => snapshot = None,
-                }
+                let stats = live.apply_delta_with(network.graph(), &epoch_delta, self.telemetry());
+                work.patch_nanos = started.elapsed().as_nanos() as u64;
+                work.rows_patched = stats.rows_patched;
+                work.rows_in_place = stats.rows_in_place;
+                work.compacted = stats.compacted;
+                work.fallback_rebuild = stats.rebuilt;
             }
 
             reports.push(EpochReport {
@@ -720,7 +669,6 @@ impl QueryEngine {
                 joins,
                 leaves,
                 flushed_routes,
-                bucket_stale_routes,
                 rows_changed: epoch_delta.len(),
                 alive_after: network.alive_count(),
                 byzantine_after: self
@@ -811,12 +759,7 @@ impl QueryEngine {
                 work.patch_nanos = patch_started.elapsed().as_nanos() as u64;
                 work.fallback_rebuild = stats.rebuilt;
             }
-            work.flushed_routes = if self.config().row_invalidation_enabled() {
-                self.invalidate_delta(&delta, n)
-            } else {
-                let changed: Vec<NodeId> = delta.changed_nodes().collect();
-                self.invalidate_nodes(&changed, n)
-            };
+            work.flushed_routes = self.invalidate_delta(&delta, n);
         }
         work.recovery_nanos = started.elapsed().as_nanos() as u64;
         work
@@ -892,7 +835,7 @@ mod tests {
         let flushed: usize = report.epochs().iter().map(|e| e.flushed_routes).sum();
         assert!(
             flushed > 0,
-            "60 churn events per epoch must hit cached buckets"
+            "60 churn events per epoch must change rows cached walks read"
         );
     }
 

@@ -18,22 +18,21 @@
 //!   inlined distance, per-worker scratch buffers, counter-based per-query RNG); the
 //!   live-graph walk remains available via [`EngineConfig::frozen`] as the baseline.
 //! * **Route caching** — a per-shard LRU keyed by `(source bucket, target bucket)`
-//!   ([`RouteCache`]). Entries remember both the exact nodes their walk visited (row
-//!   dependencies) and a coarse bucket mask. Churn expressed as a typed
-//!   [`ChurnDelta`] evicts precisely the entries whose cached walk depends on a
-//!   changed row ([`QueryEngine::invalidate_delta`] — survivors replay
-//!   bit-identically on the patched topology); out-of-band mutations fall back to
-//!   the bucket-mask flush ([`QueryEngine::invalidate_nodes`]).
+//!   ([`RouteCache`]). Entries remember the exact nodes their walk visited (row
+//!   dependencies). A topology change expressed as a typed [`ChurnDelta`] evicts
+//!   precisely the entries whose cached walk depends on a changed row
+//!   ([`QueryEngine::invalidate_delta`] — survivors replay bit-identically on the
+//!   patched topology); a mutation with no delta to name its rows calls
+//!   [`QueryEngine::flush_caches`].
 //! * **Live-churn interleaving** — [`QueryEngine::run_interleaved`] alternates routing
 //!   epochs with `faultline_failure` churn events and the Section 5 maintenance
 //!   heuristic (`Network::join`/`leave`), measuring throughput and success rate *while*
 //!   the network repairs itself — the paper's fault-tolerance claim at traffic scale.
 //!   One snapshot persists across epochs and is **incrementally patched** from each
 //!   epoch's merged [`ChurnDelta`] — maintainer-captured row diffs written straight
-//!   into the snapshot, O(changed rows) with no usable-neighbour recompute;
-//!   [`EngineConfig::maintenance`] selects the touched-list recompute or
-//!   rebuild-per-epoch baselines ([`SnapshotMaintenance`]), and
-//!   [`EngineConfig::freeze_policy`] ([`FreezePolicy`]) skips snapshot work when
+//!   into the snapshot, O(changed rows) with no usable-neighbour recompute — and the
+//!   same delta evicts the cache. [`EngineConfig::freeze_policy`] ([`FreezePolicy`])
+//!   skips snapshot work when
 //!   the cache is warm enough to starve the uncached path (`Auto` derives its
 //!   threshold from the engine's own freeze-cost and per-miss measurements).
 //!   [`QueryEngine::run_interleaved_with`] accepts a caller-supplied workload
@@ -54,7 +53,7 @@
 //!   damage with the traffic: a [`FailureSchedule`] cycles region crashes,
 //!   two-sided partitions, and heal events through the same typed-delta pipeline
 //!   churn uses (snapshot rows patched in place, caches evicted at row
-//!   granularity — no rebuild, no bucket-mask flush). Each failure-configured
+//!   granularity — no rebuild, no whole-cache flush). Each failure-configured
 //!   epoch builds a [`ConnectivityOracle`](faultline_theory::ConnectivityOracle)
 //!   over the damaged overlay and classifies every query against ground truth
 //!   ([`SurvivabilitySplit`]): lookups the oracle proves disconnected leave the
@@ -67,7 +66,7 @@
 //!   carry the batch's measurement floor and quantization share, so sub-resolution
 //!   readings are visible as clock artifacts instead of masquerading as precise.
 //! * **Telemetry** — the engine records per-phase wall-time histograms (`freeze`,
-//!   `apply_delta`/`apply_churn`, `invalidate`, per-shard `batch_shard`, `compact`),
+//!   `apply_delta`, `invalidate`, per-shard `batch_shard`, `compact`),
 //!   per-shard cache counters (hits/misses/evictions/occupancy), and a bounded ring
 //!   of epoch-stamped structural events (compactions, rebuild fallbacks, cache
 //!   evictions/invalidations, adversary convictions). Recording is lock-free relaxed
@@ -106,13 +105,8 @@ mod run;
 mod stats;
 
 pub use batch::QueryBatch;
-pub use cache::{
-    bucket_of, buckets_mask, buckets_mask_u32, CachedRoute, RouteCache, RowSet, NUM_BUCKETS,
-};
-pub use config::{
-    ByzantineConfig, ByzantineMembership, ConfigError, EngineConfig, FreezePolicy,
-    SnapshotMaintenance,
-};
+pub use cache::{bucket_of, CachedRoute, RouteCache, RowSet, NUM_BUCKETS};
+pub use config::{ByzantineConfig, ByzantineMembership, ConfigError, EngineConfig, FreezePolicy};
 pub use failures::{FailureEvent, FailureSchedule, FailureWork, SurvivabilitySplit};
 pub use interleave::{ChurnMix, EpochReport, EpochWorkload, InterleavedReport, SnapshotWork};
 pub use run::QueryEngine;
@@ -120,8 +114,8 @@ pub use stats::{AdversarySplit, BatchReport, LatencyDigest, QueryOutcome};
 
 // Re-exported so byzantine-lane callers need no direct `faultline_routing` dependency.
 pub use faultline_routing::ByzantineSet;
-// Re-exported so churn-delta callers (`QueryEngine::invalidate_delta`, maintenance
-// mode selection) need no direct `faultline_overlay` dependency.
+// Re-exported so churn-delta callers (`QueryEngine::invalidate_delta`) need no direct
+// `faultline_overlay` dependency.
 pub use faultline_overlay::{ChurnDelta, RowChangeKind, RowDelta};
 // Re-exported so telemetry consumers (`QueryEngine::telemetry`, per-epoch phase
 // breakdowns) need no direct `faultline_telemetry` dependency.

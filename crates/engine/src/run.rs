@@ -1,7 +1,7 @@
 //! The [`QueryEngine`]: sharded, parallel batch execution.
 
 use crate::batch::QueryBatch;
-use crate::cache::{bucket_of, buckets_mask, buckets_mask_u32, CachedRoute, RouteCache, RowSet};
+use crate::cache::{bucket_of, CachedRoute, RouteCache, RowSet};
 use crate::config::{ByzantineMembership, EngineConfig, FreezePolicy};
 use crate::stats::{BatchReport, QueryOutcome};
 use faultline_core::{FrozenView, Network, NetworkView};
@@ -25,7 +25,7 @@ use std::time::Instant;
 /// and cache state evolves per shard in a fixed order.
 ///
 /// Caches persist across batches so steady-state traffic sees realistic hit rates; the
-/// churn layer invalidates them via [`QueryEngine::invalidate_nodes`] (done
+/// churn layer evicts from them via [`QueryEngine::invalidate_delta`] (done
 /// automatically by [`QueryEngine::run_interleaved`](crate::QueryEngine::run_interleaved)).
 #[derive(Debug)]
 pub struct QueryEngine {
@@ -189,30 +189,6 @@ impl QueryEngine {
         self.caches.iter().map(RouteCache::len).sum()
     }
 
-    /// Flushes cache entries whose routes traversed the buckets of any listed node.
-    /// Returns the number of entries dropped.
-    ///
-    /// This is the coarse, bucket-granular hammer: call it whenever the topology
-    /// changes out-of-band (failure plans, manual `fail_node` calls) and no typed
-    /// delta exists to name the exact changed rows. The interleaved runner uses the
-    /// row-level [`QueryEngine::invalidate_delta`] instead (unless
-    /// [`EngineConfig::row_invalidation`] is off).
-    pub fn invalidate_nodes(&mut self, nodes: &[NodeId], n: u64) -> usize {
-        if nodes.is_empty() {
-            return 0;
-        }
-        let telemetry = self.telemetry.clone();
-        let _span = telemetry.span(Phase::Invalidate);
-        let mask = buckets_mask(nodes, n);
-        let flushed: usize = self
-            .caches
-            .iter_mut()
-            .map(|cache| cache.invalidate(mask))
-            .sum();
-        telemetry.event(EventKind::CacheInvalidation, saturate_u32(flushed as u64));
-        flushed
-    }
-
     /// Flushes exactly the cache entries whose cached walk visited a row the delta
     /// changed (endpoints included) — row-level invalidation. Returns the number of
     /// entries dropped.
@@ -242,22 +218,9 @@ impl QueryEngine {
         flushed
     }
 
-    /// Counts (without evicting) the cache entries the bucket-granular mask for
-    /// `nodes` would flush — the old-scheme baseline reported alongside row-level
-    /// invalidation in interleaved epoch reports.
-    #[must_use]
-    pub fn stale_by_buckets(&self, nodes: &[NodeId], n: u64) -> usize {
-        if nodes.is_empty() {
-            return 0;
-        }
-        let mask = buckets_mask(nodes, n);
-        self.caches
-            .iter()
-            .map(|cache| cache.stale_count(mask))
-            .sum()
-    }
-
-    /// Drops every cached route.
+    /// Drops every cached route — the hammer for topology changes made out-of-band
+    /// (failure plans, manual `fail_node` calls) with no typed delta to name the
+    /// changed rows.
     pub fn flush_caches(&mut self) {
         for cache in &mut self.caches {
             cache.clear();
@@ -465,7 +428,7 @@ impl QueryEngine {
             _ => None,
         };
         // The live-graph fallback only records result paths when caching needs the
-        // touched-bucket masks (the frozen kernel records its path in scratch for
+        // walk's row dependencies (the frozen kernel records its path in scratch for
         // free).
         let view = view.with_path_recording(caching && frozen.is_none() && byzantine.is_none());
 
@@ -520,7 +483,7 @@ impl QueryEngine {
                     let _shard_span = telemetry.span(Phase::BatchShard);
                     // One scratch per shard worker: buffers are reused across every
                     // query the shard routes, so the frozen kernel never allocates.
-                    // Path recording only matters to cache invalidation masks (the
+                    // Path recording only matters to cache row dependencies (the
                     // byzantine lane forces it on per call and restores it); without
                     // a cache the kernel skips the per-hop stores entirely.
                     let mut scratch = RouteScratch::new()
@@ -657,13 +620,11 @@ fn route_one(
         };
     }
     let base_seed = seed_for_trial(batch_seed, index as u64);
-    let endpoint_bits = (1 << source_bucket) | (1 << target_bucket);
-    // The visited-node list (the walk's row dependencies) and the touched-bucket
-    // mask only matter to a cache entry; both are skipped on the uncached hot path.
-    // Retries accumulate into the same dependency set: every attempt's walk is a
-    // row dependency of the final cached digest.
+    // The visited-node list (the walk's row dependencies) only matters to a cache
+    // entry; it is skipped on the uncached hot path. Retries accumulate into the
+    // same dependency set: every attempt's walk is a row dependency of the final
+    // cached digest.
     let mut deps: Vec<u32> = Vec::new();
-    let mut touched = endpoint_bits;
     let mut total_hops = 0u64;
     let mut attempts = 0u32;
     let (delivered, hops, recoveries) = loop {
@@ -689,7 +650,6 @@ fn route_one(
                 if cache.enabled() {
                     deps.reserve(scratch.path().len() + 2);
                     deps.extend_from_slice(scratch.path());
-                    touched |= buckets_mask_u32(scratch.path(), n);
                 }
                 (result.is_delivered(), result.hops, result.recoveries)
             }
@@ -703,7 +663,6 @@ fn route_one(
                 if let Some(path) = &result.path {
                     deps.reserve(path.len() + 2);
                     deps.extend(path.iter().map(|&p| p as u32));
-                    touched |= buckets_mask(path, n);
                 }
                 (result.is_delivered(), result.hops, result.recoveries)
             }
@@ -739,7 +698,7 @@ fn route_one(
             delivered,
             hops,
             recoveries,
-            touched,
+            touched: (1 << source_bucket) | (1 << target_bucket),
         },
         &deps,
         volatile,
@@ -858,22 +817,6 @@ mod tests {
         assert!(cached.cached_routes() > 0);
         cached.flush_caches();
         assert_eq!(cached.cached_routes(), 0);
-    }
-
-    #[test]
-    fn invalidation_targets_touched_buckets_only() {
-        let net = network(1 << 9, 4);
-        let mut engine = QueryEngine::new(EngineConfig::default().threads(1));
-        let batch = QueryBatch::uniform(&net, 3_000, 5);
-        engine.run_batch(&net, &batch);
-        let populated = engine.cached_routes();
-        assert!(populated > 0);
-        assert_eq!(engine.invalidate_nodes(&[], net.len()), 0);
-        // Node 0's bucket is on many leftward routes; flushing it drops some but not
-        // (in general) all entries.
-        let flushed = engine.invalidate_nodes(&[0], net.len());
-        assert!(flushed > 0, "bucket 0 must appear in some cached route");
-        assert_eq!(engine.cached_routes(), populated - flushed);
     }
 
     #[test]
@@ -1011,18 +954,13 @@ mod tests {
         // An empty delta flushes nothing.
         assert_eq!(engine.invalidate_delta(&ChurnDelta::new(), net.len()), 0);
         assert_eq!(engine.cached_routes(), populated);
-        // A delta naming one changed row flushes exactly the entries whose walks
-        // visited it — and the coarse bucket mask would have flushed at least as
-        // many (node 0's whole bucket).
-        let bucket_stale = engine.stale_by_buckets(&[0], net.len());
+        // A delta naming one changed row flushes the entries whose walks visited it
+        // and no others (in general, not the whole cache).
         let mut delta = ChurnDelta::new();
         delta.record(0, RowChangeKind::Structural, true, vec![1]);
         let flushed = engine.invalidate_delta(&delta, net.len());
         assert!(flushed > 0, "node 0 is on some cached walk");
-        assert!(
-            flushed <= bucket_stale,
-            "row-level eviction ({flushed}) can never exceed the bucket mask ({bucket_stale})"
-        );
+        assert!(flushed < populated, "walks that never read row 0 survive");
         assert_eq!(engine.cached_routes(), populated - flushed);
     }
 

@@ -10,7 +10,7 @@
 //! any thread count. The survivors are pure savings: same answers, fewer routes.
 
 use faultline_core::{ConstructionMode, Network, NetworkConfig};
-use faultline_engine::{ChurnDelta, ChurnMix, EngineConfig, QueryBatch, QueryEngine};
+use faultline_engine::{ChurnDelta, EngineConfig, QueryBatch, QueryEngine};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -155,59 +155,4 @@ fn delta_invalidation_stays_exact_under_the_randomised_fault_strategy() {
             );
         }
     }
-}
-
-#[test]
-fn row_invalidation_beats_the_bucket_mask_at_identical_results() {
-    // Two interleaved trajectories over identical networks, schedules and batches —
-    // the only difference is cache-eviction granularity. Row-level eviction must
-    // flush no more than the bucket mask would, keep the warm cache measurably
-    // hotter, and (delta rows being a subset of the bucket blast radius) the routing
-    // outcomes' delivery counts must match epoch for epoch.
-    let run = |row: bool| {
-        let mut net = incremental_network(1 << 10, 77);
-        let mut engine = QueryEngine::new(
-            EngineConfig::default()
-                .threads(2)
-                .cache_capacity(4096)
-                .row_invalidation(row),
-        );
-        engine.run_interleaved(&mut net, 6, 3_000, ChurnMix::balanced(4), 21)
-    };
-    let fine = run(true);
-    let coarse = run(false);
-    for (a, b) in fine.epochs().iter().zip(coarse.epochs()) {
-        assert!(
-            a.flushed_routes <= a.bucket_stale_routes,
-            "epoch {}: row-level flushed {} > bucket estimate {}",
-            a.epoch,
-            a.flushed_routes,
-            a.bucket_stale_routes
-        );
-        if a.epoch == 0 {
-            // Before any divergence the caches are identical, so the fine run's
-            // bucket estimate is exactly what the coarse run flushes.
-            assert_eq!(
-                a.bucket_stale_routes, b.flushed_routes,
-                "epoch 0: the baseline run must flush exactly what the estimate counted"
-            );
-        } else {
-            // Later epochs: the fine cache holds survivors on top of everything the
-            // coarse cache holds, so its bucket estimate can only be larger.
-            assert!(
-                a.bucket_stale_routes >= b.flushed_routes,
-                "epoch {}",
-                a.epoch
-            );
-        }
-        assert_eq!(a.joins, b.joins);
-        assert_eq!(a.leaves, b.leaves);
-        assert_eq!(a.alive_after, b.alive_after);
-    }
-    assert!(
-        fine.warm_hit_rate() > coarse.warm_hit_rate(),
-        "row-level invalidation must keep the warm cache hotter: {:.4} vs {:.4}",
-        fine.warm_hit_rate(),
-        coarse.warm_hit_rate()
-    );
 }

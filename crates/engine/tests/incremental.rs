@@ -2,15 +2,15 @@
 //! epochs must be an *optimisation*, never a behaviour change.
 //!
 //! The interleaved runner keeps one `FrozenView` alive and patches it with each
-//! epoch's maintainer blast radius. Disabling that
-//! (`SnapshotMaintenance::Rebuild`) recompiles the snapshot every epoch — the
-//! pre-patching behaviour. Both modes must produce identical epoch reports (batch
-//! outcomes, join/leave counts, cache flushes, population trajectory); only the
-//! snapshot-maintenance timings may differ.
+//! epoch's typed churn delta. The reference it must be indistinguishable from is a
+//! snapshot compiled from scratch every epoch: the tests below freeze the network
+//! fresh inside the workload callback, route the epoch's batch over that snapshot
+//! with a second, cache-less engine, and hold every outcome of the patched run to
+//! the reference's.
 
 use faultline_core::{ConstructionMode, Network, NetworkConfig};
 use faultline_engine::{
-    ChurnMix, EngineConfig, EpochReport, FreezePolicy, QueryBatch, QueryEngine, SnapshotMaintenance,
+    BatchReport, ChurnMix, EngineConfig, EpochReport, FreezePolicy, QueryBatch, QueryEngine,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -22,83 +22,74 @@ fn incremental_network(n: u64, seed: u64) -> Network {
     Network::build(&config, &mut rng)
 }
 
-/// Everything about an epoch that must not depend on how the snapshot is maintained.
-#[allow(clippy::type_complexity)]
-fn digest(
-    epochs: &[EpochReport],
-) -> Vec<(Vec<(u64, u64, bool, u64, bool)>, usize, usize, usize, u64)> {
-    epochs
-        .iter()
-        .map(|e| {
-            (
-                e.batch
-                    .outcomes()
-                    .iter()
-                    .map(|o| (o.source, o.target, o.delivered, o.hops, o.cached))
-                    .collect(),
-                e.joins,
-                e.leaves,
-                e.flushed_routes,
-                e.alive_after,
-            )
-        })
-        .collect()
-}
-
-#[test]
-fn all_three_maintenance_modes_report_identical_epochs() {
-    // Light churn relative to n, so most epochs take the genuine patch path rather
-    // than the heavy-blast rebuild fallback. Delta patching (the default),
-    // touched-list recompute patching and the rebuild-per-epoch baseline must be
-    // pure optimisations: identical epoch reports, different maintenance costs.
-    let run = |mode: SnapshotMaintenance| {
-        let mut net = incremental_network(1 << 10, 9);
-        let mut engine = QueryEngine::new(EngineConfig::default().threads(2).maintenance(mode));
-        let report = engine.run_interleaved(&mut net, 5, 1_500, ChurnMix::balanced(4), 77);
-        (digest(report.epochs()), report.epochs().to_vec())
-    };
-    let (delta_digest, delta_epochs) = run(SnapshotMaintenance::Delta);
-    let (touched_digest, touched_epochs) = run(SnapshotMaintenance::TouchedList);
-    let (rebuilt_digest, rebuilt_epochs) = run(SnapshotMaintenance::Rebuild);
-    assert_eq!(
-        delta_digest, touched_digest,
-        "delta patching changed an epoch report vs touched-list patching"
+/// Runs interleaved epochs with the route cache off (every lookup walks the patched
+/// snapshot) and asserts each epoch's outcomes equal the same batch routed over a
+/// fresh `freeze()` of the network as it stood when the batch was drawn. Returns the
+/// patched run's epochs.
+fn epochs_matching_a_fresh_freeze(
+    mut net: Network,
+    epochs: usize,
+    queries: usize,
+    churn: ChurnMix,
+) -> Vec<EpochReport> {
+    let config = || EngineConfig::default().threads(2).cache_capacity(0);
+    let mut engine = QueryEngine::new(config());
+    let mut reference = QueryEngine::new(config());
+    let mut fresh = Vec::with_capacity(epochs);
+    let report = engine.run_interleaved_with(
+        &mut net,
+        epochs,
+        queries,
+        churn,
+        77,
+        &mut |network, context| {
+            let batch = QueryBatch::uniform(network, context.queries, context.seed);
+            let snapshot = network.view().freeze();
+            fresh.push(reference.run_batch_with_snapshot(network, &batch, Some(&snapshot)));
+            batch
+        },
     );
-    assert_eq!(
-        delta_digest, rebuilt_digest,
-        "incremental patching changed an epoch report vs the rebuild baseline"
-    );
-    // The maintenance shape differs exactly as documented: the incremental runs
-    // rebuild once and patch every epoch; the baseline rebuilds every epoch and
-    // never patches.
-    for epochs in [&delta_epochs, &touched_epochs] {
-        assert!(epochs[0].snapshot.rebuild_nanos > 0);
-        assert!(epochs.iter().skip(1).all(|e| e.snapshot.rebuild_nanos == 0));
-        assert!(epochs.iter().all(|e| e.snapshot.patch_nanos > 0));
-        assert!(epochs.iter().any(|e| e.snapshot.rows_patched > 0));
-    }
-    assert!(rebuilt_epochs.iter().all(|e| e.snapshot.rebuild_nanos > 0));
-    assert!(rebuilt_epochs.iter().all(|e| e.snapshot.patch_nanos == 0));
-    // Both patching modes see the same rows change and write the same subset in
-    // place (they share the slot-reuse machinery).
-    let shape = |epochs: &[EpochReport]| {
-        epochs
+    let outcomes = |batch: &BatchReport| {
+        batch
+            .outcomes()
             .iter()
-            .map(|e| {
-                (
-                    e.snapshot.rows_patched,
-                    e.snapshot.rows_in_place,
-                    e.rows_changed,
-                )
-            })
+            .map(|o| (o.source, o.target, o.delivered, o.hops, o.recoveries))
             .collect::<Vec<_>>()
     };
-    assert_eq!(shape(&delta_epochs), shape(&touched_epochs));
-    assert!(delta_epochs.iter().any(|e| e.snapshot.rows_in_place > 0));
+    for (epoch, reference) in report.epochs().iter().zip(&fresh) {
+        assert_eq!(
+            outcomes(&epoch.batch),
+            outcomes(reference),
+            "epoch {}: the patched snapshot routed differently from a fresh freeze",
+            epoch.epoch
+        );
+    }
+    report.epochs().to_vec()
 }
 
 #[test]
-fn auto_adaptive_freeze_never_changes_outcomes() {
+fn patched_epochs_route_like_a_fresh_freeze_under_light_churn() {
+    // Light churn relative to n, so every epoch takes the genuine patch path rather
+    // than the heavy-blast rebuild fallback.
+    let patched = epochs_matching_a_fresh_freeze(
+        incremental_network(1 << 10, 9),
+        5,
+        1_500,
+        ChurnMix::balanced(4),
+    );
+    // Freeze once, then patch every epoch.
+    assert!(patched[0].snapshot.rebuild_nanos > 0);
+    assert!(patched
+        .iter()
+        .skip(1)
+        .all(|e| e.snapshot.rebuild_nanos == 0));
+    assert!(patched.iter().all(|e| e.snapshot.patch_nanos > 0));
+    assert!(patched.iter().any(|e| e.snapshot.rows_patched > 0));
+    assert!(patched.iter().any(|e| e.snapshot.rows_in_place > 0));
+}
+
+#[test]
+fn auto_freeze_policy_never_changes_outcomes() {
     // The auto policy's skip decisions depend on wall-clock measurements, so *which*
     // batches get a snapshot is machine-dependent — but outcomes must be identical
     // either way (frozen and live routing agree bit for bit), and the engine must
@@ -112,7 +103,7 @@ fn auto_adaptive_freeze_never_changes_outcomes() {
     );
     let mut eager = QueryEngine::new(EngineConfig::default().threads(2).cache_capacity(2048));
     let batch = QueryBatch::uniform(&net, 3_000, 33);
-    let fp = |r: &faultline_engine::BatchReport| {
+    let fp = |r: &BatchReport| {
         r.outcomes()
             .iter()
             .map(|o| (o.source, o.target, o.delivered, o.hops, o.cached))
@@ -131,36 +122,28 @@ fn auto_adaptive_freeze_never_changes_outcomes() {
 }
 
 #[test]
-fn heavy_churn_interleaves_still_match_while_degrading_gracefully() {
+fn heavy_churn_epochs_still_match_while_degrading_gracefully() {
     // 60 events/epoch over 512 nodes: the structural share of each blast radius
     // (joins/leaves empty or fill whole rows) accumulates tombstones fast, so the
     // sustained run must fold back to a dense CSR (compaction) or abandon a patch for
-    // an in-place rebuild — and the trajectory must stay identical to the
-    // rebuild-per-epoch baseline regardless. Most touched rows are length-preserving
-    // (redirects, ring splices) and no longer tombstone at all, which is exactly why
-    // per-epoch compaction is no longer the expected steady state.
-    let run = |maintenance: SnapshotMaintenance| {
-        let mut net = incremental_network(512, 9);
-        let mut engine =
-            QueryEngine::new(EngineConfig::default().threads(2).maintenance(maintenance));
-        let report = engine.run_interleaved(&mut net, 10, 1_000, ChurnMix::balanced(60), 77);
-        (digest(report.epochs()), report.epochs().to_vec())
-    };
-    let (patched_digest, patched_epochs) = run(SnapshotMaintenance::Delta);
-    let (rebuilt_digest, _) = run(SnapshotMaintenance::Rebuild);
-    assert_eq!(patched_digest, rebuilt_digest);
+    // an in-place rebuild — and every walk must still match the fresh-freeze
+    // reference. Most changed rows are length-preserving (redirects, ring splices)
+    // and never tombstone, so per-epoch compaction is not the steady state.
+    let patched = epochs_matching_a_fresh_freeze(
+        incremental_network(512, 9),
+        10,
+        1_000,
+        ChurnMix::balanced(60),
+    );
     assert!(
-        patched_epochs
+        patched
             .iter()
             .any(|e| e.snapshot.compacted || e.snapshot.fallback_rebuild),
         "sustained heavy churn must compact or fall back at least once: {:?}",
-        patched_epochs
-            .iter()
-            .map(|e| e.snapshot)
-            .collect::<Vec<_>>()
+        patched.iter().map(|e| e.snapshot).collect::<Vec<_>>()
     );
     assert!(
-        patched_epochs.iter().any(|e| e.snapshot.rows_in_place > 0),
+        patched.iter().any(|e| e.snapshot.rows_in_place > 0),
         "length-preserving rows must be patched in place"
     );
 }
@@ -232,7 +215,7 @@ fn adaptive_policy_skips_snapshot_work_on_a_warm_cache() {
     let cold_e = eager.run_batch(&net, &batch);
     let warm_e = eager.run_batch(&net, &batch);
     assert_eq!(eager.snapshots_built(), 2);
-    let fp = |r: &faultline_engine::BatchReport| {
+    let fp = |r: &BatchReport| {
         r.outcomes()
             .iter()
             .map(|o| (o.delivered, o.hops, o.cached))

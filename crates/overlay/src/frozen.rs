@@ -22,10 +22,9 @@
 //! A snapshot is plain owned data (`Send + Sync`), shared freely across worker threads.
 //! Between full rebuilds it can be **incrementally patched**: churn only touches O(ℓ)
 //! adjacency rows per event, so instead of recompiling the world the snapshot rewrites
-//! exactly those rows — preferably straight from a typed [`ChurnDelta`] of
-//! maintainer-captured row diffs ([`FrozenRoutes::apply_delta`], no recompute at all),
-//! or by re-deriving a flat touched-node list from the graph
-//! ([`FrozenRoutes::apply_churn`]). Rows whose new content fits the existing slot
+//! exactly those rows, straight from a typed [`ChurnDelta`] of maintainer-captured row
+//! diffs ([`FrozenRoutes::apply_delta`], no recompute at all). Rows whose new content
+//! fits the existing slot
 //! (link redirects keep their length) are overwritten **in place**; only structural,
 //! length-changing rows go to the overflow region with their dense slot tombstoned,
 //! and a periodic [`FrozenRoutes::compact`] folds the overflow back into a dense CSR
@@ -75,7 +74,7 @@ fn saturate_u32(value: usize) -> u32 {
 /// genuinely structural blast radius still degrades gracefully to a rebuild.
 const TOMBSTONE_DENOM: usize = 4;
 
-/// What one [`FrozenRoutes::apply_churn`] / [`FrozenRoutes::apply_delta`] call did.
+/// What one [`FrozenRoutes::apply_delta`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PatchStats {
     /// Adjacency rows whose content changed and were rewritten (in place or into the
@@ -152,129 +151,20 @@ impl FrozenRoutes {
     pub fn build(graph: &OverlayGraph) -> Self {
         let n = graph.len();
         assert!(n <= u64::from(u32::MAX), "space too large for u32 CSR");
-        let ring = graph.geometry().is_ring();
-
-        let mut alive_words = vec![0u64; (n as usize).div_ceil(64)];
-        let mut alive_sorted = Vec::new();
-        for &p in graph.present_nodes() {
-            if graph.is_alive(p) {
-                alive_words[(p / 64) as usize] |= 1u64 << (p % 64);
-                alive_sorted.push(p as u32);
-            }
-        }
-
-        let mut offsets = Vec::with_capacity(n as usize + 1);
-        let mut neighbors = Vec::new();
-        let mut dense_pad = 0u32;
-        offsets.push(0u32);
-        for p in 0..n {
-            let start = neighbors.len();
-            for neighbor in graph.usable_neighbors(p) {
-                neighbors.push(neighbor as u32);
-            }
-            // Lane-pad the row so the SIMD kernel scans full u64x4 chunks with no
-            // remainder; the sentinel lanes reduce to keys that can never win.
-            let padded = pad_to_lanes(neighbors.len() - start);
-            dense_pad += (start + padded - neighbors.len()) as u32;
-            neighbors.resize(start + padded, PAD_SENTINEL);
-            let total = u32::try_from(neighbors.len()).expect("edge count exceeds u32 CSR");
-            offsets.push(total);
-        }
-
-        Self {
-            ring,
+        let mut routes = Self {
+            ring: graph.geometry().is_ring(),
             n,
-            offsets,
-            neighbors,
-            alive_words,
-            alive_sorted,
+            offsets: Vec::with_capacity(n as usize + 1),
+            neighbors: Vec::new(),
+            alive_words: Vec::new(),
+            alive_sorted: Vec::new(),
             row_redirect: Vec::new(),
             overflow: Vec::new(),
             tombstones: 0,
-            dense_pad,
-        }
-    }
-
-    /// Patches the snapshot in place so it matches the graph's *current* topology at
-    /// every node in `touched`, without recompiling untouched rows.
-    ///
-    /// `touched` must cover every node whose usable-neighbour row or alive state
-    /// changed since the snapshot was built (or last patched). The Section 5
-    /// maintainer's join/leave reports list exactly this blast radius
-    /// (`touched_nodes`), so feeding the union of an epoch's reports keeps the
-    /// snapshot logically identical to a from-scratch `freeze()` of the mutated
-    /// graph. Mutations that change liveness without touching link tables
-    /// (`fail_node` sweeps and friends) invalidate in-neighbour rows this method is
-    /// never told about — rebuild instead.
-    ///
-    /// Changed rows are written in place when the new row fits the existing slot
-    /// (same-length dense overwrite, or a shrinking row reusing its overflow record);
-    /// only **structural** rows — those whose length grew past their slot — are
-    /// appended to the overflow region with their dense slots tombstoned. Once
-    /// tombstones exceed `1/4` of all rows (or the overflow region outgrows half the
-    /// dense adjacency), the snapshot is automatically
-    /// [compacted](FrozenRoutes::compact) back to a dense CSR. A call whose
-    /// structural blast radius alone crosses that threshold abandons the
-    /// patch-then-compact detour mid-way and recompiles the dense arrays directly
-    /// (reusing the existing buffers) — incremental maintenance degrades gracefully
-    /// to rebuild cost under extreme churn instead of paying for both. Liveness-only
-    /// and link-replaced touches never count against the fallback.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `graph` has a different geometry than the snapshot was frozen from,
-    /// if a touched node is outside the space, or if the overflow region exceeds the
-    /// `u32` CSR range.
-    pub fn apply_churn(&mut self, graph: &OverlayGraph, touched: &[NodeId]) -> PatchStats {
-        self.apply_churn_with(graph, touched, &Telemetry::disabled())
-    }
-
-    /// [`FrozenRoutes::apply_churn`] with telemetry: the call is timed under
-    /// [`Phase::ApplyChurn`] (any triggered compaction under [`Phase::Compact`]),
-    /// and a rebuild fallback or compaction lands on the event ring.
-    pub fn apply_churn_with(
-        &mut self,
-        graph: &OverlayGraph,
-        touched: &[NodeId],
-        telemetry: &Telemetry,
-    ) -> PatchStats {
-        let _span = telemetry.span(Phase::ApplyChurn);
-        self.check_graph(graph);
-        let mut stats = PatchStats::default();
-        // Maintainer blast radii overlap heavily (ring neighbours, repeated repair
-        // sources); deduplicate so each row is recomputed once per call.
-        let mut unique = touched.to_vec();
-        unique.sort_unstable();
-        unique.dedup();
-        if let Some(&max) = unique.last() {
-            assert!(max < self.n, "touched node {max} outside the frozen space");
-        }
-        let mut alive_dirty = false;
-        let mut new_tombstones = 0usize;
-        let mut row = Vec::new();
-        for &p in &unique {
-            let i = p as usize;
-
-            let now_alive = graph.is_alive(p);
-            if now_alive != self.is_alive(p) {
-                self.alive_words[i / 64] ^= 1u64 << (i % 64);
-                stats.alive_flips += 1;
-                alive_dirty = true;
-            }
-
-            row.clear();
-            row.extend(graph.usable_neighbors(p).map(|q| q as u32));
-            if self.patch_one(p, &row, &mut stats, &mut new_tombstones) {
-                self.rebuild_from(graph);
-                telemetry.event(EventKind::RebuildFallback, saturate_u32(unique.len()));
-                stats.rebuilt = true;
-                stats.compacted = true;
-                return stats;
-            }
-        }
-
-        self.finish_patch(alive_dirty, &mut stats, telemetry);
-        stats
+            dense_pad: 0,
+        };
+        routes.rebuild_from(graph);
+        routes
     }
 
     /// Patches the snapshot in place from a typed [`ChurnDelta`], writing each diffed
@@ -290,9 +180,18 @@ impl FrozenRoutes {
     /// rebuild fallback (and, in debug builds, to assert every diffed row matches
     /// the live topology).
     ///
-    /// Slot reuse, tombstoning, the structural-only rebuild fallback and the
-    /// compaction policy are shared with [`FrozenRoutes::apply_churn`]; only the row
-    /// source differs.
+    /// Changed rows are written in place when the new row fits the existing slot
+    /// (same lane-padded length in the dense CSR, or a shrinking row reusing its
+    /// overflow record); only **structural** rows — those that outgrew their slot —
+    /// are appended to the overflow region with their dense slots tombstoned. Once
+    /// tombstones exceed `1/4` of all rows (or the overflow region outgrows half the
+    /// dense adjacency), the snapshot is automatically
+    /// [compacted](FrozenRoutes::compact) back to a dense CSR. A call whose
+    /// structural blast radius alone crosses that threshold abandons the
+    /// patch-then-compact detour mid-way and recompiles the dense arrays directly
+    /// (reusing the existing buffers) — incremental maintenance degrades gracefully
+    /// to rebuild cost under extreme churn instead of paying for both. Liveness-only
+    /// and link-replaced rows never count against the fallback.
     ///
     /// # Panics
     ///
@@ -342,7 +241,18 @@ impl FrozenRoutes {
                 stats.alive_flips += 1;
                 alive_dirty = true;
             }
-            if self.patch_one(p, &rd.row, &mut stats, &mut new_tombstones) {
+            match self.patch_row(p, &rd.row) {
+                RowPatch::Unchanged => stats.rows_unchanged += 1,
+                RowPatch::InPlace => {
+                    stats.rows_patched += 1;
+                    stats.rows_in_place += 1;
+                }
+                RowPatch::Moved { tombstoned } => {
+                    stats.rows_patched += 1;
+                    new_tombstones += usize::from(tombstoned);
+                }
+            }
+            if new_tombstones * TOMBSTONE_DENOM > self.offsets.len() - 1 {
                 self.rebuild_from(graph);
                 telemetry.event(EventKind::RebuildFallback, saturate_u32(delta.rows().len()));
                 stats.rebuilt = true;
@@ -353,32 +263,6 @@ impl FrozenRoutes {
 
         self.finish_patch(alive_dirty, &mut stats, telemetry);
         stats
-    }
-
-    /// Shared per-row patch step: writes `row` for node `p`, updates `stats`, and
-    /// returns `true` when this call's own structural tombstones crossed the rebuild
-    /// threshold (the caller must fall back to [`FrozenRoutes::rebuild_from`]).
-    fn patch_one(
-        &mut self,
-        p: NodeId,
-        row: &[u32],
-        stats: &mut PatchStats,
-        new_tombstones: &mut usize,
-    ) -> bool {
-        match self.patch_row(p, row) {
-            RowPatch::Unchanged => stats.rows_unchanged += 1,
-            RowPatch::InPlace => {
-                stats.rows_patched += 1;
-                stats.rows_in_place += 1;
-            }
-            RowPatch::Moved { tombstoned } => {
-                stats.rows_patched += 1;
-                if tombstoned {
-                    *new_tombstones += 1;
-                }
-            }
-        }
-        *new_tombstones * TOMBSTONE_DENOM > self.offsets.len() - 1
     }
 
     /// Writes one row wherever it fits best; see [`RowPatch`].
@@ -443,7 +327,7 @@ impl FrozenRoutes {
         self.row_redirect[i] = start as u32;
     }
 
-    /// Common patch epilogue: refresh the sorted alive list and compact if warranted.
+    /// Patch epilogue: refresh the sorted alive list and compact if warranted.
     fn finish_patch(&mut self, alive_dirty: bool, stats: &mut PatchStats, telemetry: &Telemetry) {
         // The sorted alive list is refreshed in one bitset sweep rather than per-node
         // `Vec::insert`/`remove` memmoves (an epoch can flip hundreds of bits).
@@ -481,11 +365,13 @@ impl FrozenRoutes {
             || self.overflow.len() > self.neighbors.len() / 2 + 256
     }
 
-    /// Recompiles the dense arrays from `graph` in place, reusing every buffer. The
-    /// result is identical to a fresh `freeze()` of the same graph; only the
-    /// allocation behaviour differs.
+    /// The CSR compile loop: (re)fills every array from `graph`, reusing the
+    /// buffers already held. [`FrozenRoutes::build`] runs it on an empty value and
+    /// the rebuild fallback on a patched one, so the two results are identical by
+    /// construction; only the allocation behaviour differs.
     fn rebuild_from(&mut self, graph: &OverlayGraph) {
-        self.alive_words.iter_mut().for_each(|word| *word = 0);
+        self.alive_words.clear();
+        self.alive_words.resize((self.n as usize).div_ceil(64), 0);
         self.alive_sorted.clear();
         for &p in graph.present_nodes() {
             if graph.is_alive(p) {
@@ -501,6 +387,8 @@ impl FrozenRoutes {
             let start = self.neighbors.len();
             self.neighbors
                 .extend(graph.usable_neighbors(p).map(|q| q as u32));
+            // Lane-pad the row so the SIMD kernel scans full u64x4 chunks with no
+            // remainder; the sentinel lanes reduce to keys that can never win.
             let padded = pad_to_lanes(self.neighbors.len() - start);
             self.dense_pad += (start + padded - self.neighbors.len()) as u32;
             self.neighbors.resize(start + padded, PAD_SENTINEL);
@@ -705,6 +593,7 @@ impl OverlayGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::RowChangeKind;
     use crate::link::LinkKind;
     use faultline_metric::{Geometry, MetricSpace};
 
@@ -791,8 +680,17 @@ mod tests {
         }
     }
 
-    /// Simulates a maintainer-style mutation with an exact blast radius: every node
-    /// whose link table or liveness changes is returned for `apply_churn`.
+    /// The delta a maintainer would report for `nodes`: each node's current
+    /// usable-neighbour row and liveness, read off the graph after the mutation.
+    fn delta_of(g: &OverlayGraph, nodes: &[NodeId]) -> ChurnDelta {
+        let mut delta = ChurnDelta::new();
+        for &p in nodes {
+            let row = g.usable_neighbors(p).map(|q| q as u32).collect();
+            delta.record(p, RowChangeKind::Structural, g.is_alive(p), row);
+        }
+        delta
+    }
+
     fn patched_equals_fresh(g: &OverlayGraph, patched: &FrozenRoutes) {
         let fresh = g.freeze();
         for p in 0..g.len() {
@@ -820,7 +718,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_churn_patches_exactly_the_touched_rows() {
+    fn apply_delta_patches_exactly_the_diffed_rows() {
         let mut g = chain_graph(64);
         g.add_link(0, 40, LinkKind::Long);
         let mut frozen = g.freeze();
@@ -828,7 +726,7 @@ mod tests {
         g.remove_node(5);
         g.remove_link(4, 5, LinkKind::Ring);
         g.remove_link(6, 5, LinkKind::Ring);
-        let stats = frozen.apply_churn(&g, &[4, 5, 6]);
+        let stats = frozen.apply_delta(&g, &delta_of(&g, &[4, 5, 6]));
         assert_eq!(stats.rows_patched, 3, "rows 4/5/6 all changed: {stats:?}");
         assert_eq!(stats.alive_flips, 1, "only node 5's liveness flipped");
         assert!(!stats.rebuilt && !stats.compacted);
@@ -842,21 +740,21 @@ mod tests {
     }
 
     #[test]
-    fn apply_churn_is_idempotent_and_skips_unchanged_rows() {
+    fn apply_delta_is_idempotent_and_skips_unchanged_rows() {
         let mut g = chain_graph(64);
         let mut frozen = g.freeze();
         g.fail_link(1, 0);
-        let first = frozen.apply_churn(&g, &[1, 2]);
+        let first = frozen.apply_delta(&g, &delta_of(&g, &[1, 2]));
         assert_eq!(first.rows_patched, 1);
         assert_eq!(first.rows_unchanged, 1, "node 2's row did not change");
-        let second = frozen.apply_churn(&g, &[1, 2]);
+        let second = frozen.apply_delta(&g, &delta_of(&g, &[1, 2]));
         assert_eq!(
             second.rows_patched, 0,
             "repatching an unchanged graph is a no-op"
         );
         assert_eq!(second.rows_unchanged, 2);
-        // Duplicates in the blast radius collapse to one row recompute.
-        let third = frozen.apply_churn(&g, &[1, 1, 1, 2]);
+        // Duplicates in the blast radius merge into one row diff.
+        let third = frozen.apply_delta(&g, &delta_of(&g, &[1, 1, 1, 2]));
         assert_eq!(third.rows_unchanged, 2);
         patched_equals_fresh(&g, &frozen);
     }
@@ -875,7 +773,7 @@ mod tests {
             g.add_link(p, p + 16, LinkKind::Long);
             g.add_link(p, p + 18, LinkKind::Long);
         }
-        let stats = frozen.apply_churn(&g, &touched);
+        let stats = frozen.apply_delta(&g, &delta_of(&g, &touched));
         assert!(stats.rebuilt, "12 of 32 rows must cross the 1/4 threshold");
         assert!(stats.compacted);
         assert_eq!(frozen.patched_rows(), 0);
@@ -887,8 +785,7 @@ mod tests {
     fn liveness_only_and_link_replaced_touches_never_trip_the_rebuild_fallback() {
         // A ring where every row keeps its length: rewiring half the space is pure
         // in-place overwrites, so no tombstones accumulate and no rebuild (or
-        // compaction) ever triggers — the compaction-threshold cliff the flat touched
-        // list used to hit.
+        // compaction) ever triggers.
         let n = 32u64;
         let mut g = OverlayGraph::fully_populated(Geometry::ring(n));
         for p in 0..n {
@@ -900,7 +797,7 @@ mod tests {
         for &p in &touched {
             g.redirect_long_link(p, (p + 1) % n, (p + 2) % n);
         }
-        let stats = frozen.apply_churn(&g, &touched);
+        let stats = frozen.apply_delta(&g, &delta_of(&g, &touched));
         assert_eq!(stats.rows_patched, touched.len());
         assert_eq!(
             stats.rows_in_place,
@@ -924,7 +821,7 @@ mod tests {
         g.fail_link(2, 1);
         // Reviving 9 changes the rows of its in-neighbours too (8, 10 via ring links,
         // 0 via its long link): the touched set must cover the full blast radius.
-        frozen.apply_churn(&g, &[9, 2, 8, 10, 0]);
+        frozen.apply_delta(&g, &delta_of(&g, &[9, 2, 8, 10, 0]));
         frozen.compact();
         assert_eq!(frozen.patched_rows(), 0);
         assert_eq!(frozen.overflow_len(), 0);
@@ -952,7 +849,7 @@ mod tests {
             g.add_link(p, (p + 10) % 64, LinkKind::Long);
             g.add_link(p, (p + 20) % 64, LinkKind::Long);
             g.add_link(p, (p + 30) % 64, LinkKind::Long);
-            let stats = frozen.apply_churn(&g, &[p]);
+            let stats = frozen.apply_delta(&g, &delta_of(&g, &[p]));
             if stats.compacted {
                 compactions += 1;
                 assert_eq!(frozen.patched_rows(), 0);
@@ -969,11 +866,11 @@ mod tests {
     fn telemetry_variants_record_phases_and_events_without_changing_results() {
         let tel = Telemetry::new(1);
 
-        // A light patch: timed under ApplyChurn, no events.
+        // A light patch: timed under ApplyDelta, no events.
         let mut g = chain_graph(64);
         let mut frozen = g.freeze();
         g.fail_link(1, 0);
-        let stats = frozen.apply_churn_with(&g, &[1, 2], &tel);
+        let stats = frozen.apply_delta_with(&g, &delta_of(&g, &[1, 2]), &tel);
         assert_eq!(stats.rows_patched, 1);
         patched_equals_fresh(&g, &frozen);
 
@@ -987,7 +884,7 @@ mod tests {
             g2.add_link(p, p + 18, LinkKind::Long);
         }
         let touched: Vec<NodeId> = (0..12).collect();
-        let stats2 = frozen2.apply_churn_with(&g2, &touched, &tel);
+        let stats2 = frozen2.apply_delta_with(&g2, &delta_of(&g2, &touched), &tel);
         assert!(stats2.rebuilt);
         assert_eq!(frozen2, g2.freeze());
 
@@ -998,14 +895,14 @@ mod tests {
         g3.remove_node(5);
         g3.remove_link(4, 5, LinkKind::Ring);
         g3.remove_link(6, 5, LinkKind::Ring);
-        frozen3.apply_churn_with(&g3, &[4, 5, 6], &tel);
+        frozen3.apply_delta_with(&g3, &delta_of(&g3, &[4, 5, 6]), &tel);
         let tombstoned = frozen3.patched_rows() as u32;
         assert!(tombstoned > 0);
         frozen3.compact_with(&tel);
         assert_eq!(frozen3, g3.freeze());
 
         let snap = tel.snapshot();
-        assert_eq!(snap.phase(Phase::ApplyChurn).count(), 3);
+        assert_eq!(snap.phase(Phase::ApplyDelta).count(), 3);
         assert_eq!(snap.phase(Phase::Compact).count(), 1);
         assert_eq!(snap.event_count(EventKind::RebuildFallback), 1);
         assert_eq!(snap.event_count(EventKind::Compaction), 1);
@@ -1023,11 +920,11 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "sizes differ")]
-    fn apply_churn_rejects_a_mismatched_graph() {
+    fn apply_delta_rejects_a_mismatched_graph() {
         let g16 = damaged_graph();
         let g8 = OverlayGraph::fully_populated(Geometry::line(8));
         let mut frozen = g16.freeze();
-        let _ = frozen.apply_churn(&g8, &[0]);
+        let _ = frozen.apply_delta(&g8, &delta_of(&g8, &[0]));
     }
 
     #[test]
@@ -1068,7 +965,7 @@ mod tests {
         let mut g2 = chain_graph(64);
         let mut frozen2 = g2.freeze();
         g2.fail_link(4, 5);
-        let stats = frozen2.apply_churn(&g2, &[4]);
+        let stats = frozen2.apply_delta(&g2, &delta_of(&g2, &[4]));
         assert_eq!(stats.rows_in_place, 1, "shrink-within-pad lands in place");
         assert_eq!(frozen2.patched_rows(), 0);
         assert_eq!(frozen2.neighbors(4), &[3]);

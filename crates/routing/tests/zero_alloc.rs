@@ -7,14 +7,14 @@
 //! The contract is proven for both distance-scan kernels — auto-detected (the SIMD
 //! scan over lane-padded rows, where the CPU has it) and pinned scalar — on rows
 //! long enough to dispatch the vector path, including unpadded overflow rows
-//! patched in by `apply_churn`.
+//! patched in by `apply_delta`.
 //!
 //! This file intentionally holds a single test: the allocation counter is global to
 //! the test binary, and a concurrently running test would pollute the delta.
 
 use faultline_linkdist::InversePowerLaw;
 use faultline_metric::Geometry;
-use faultline_overlay::{GraphBuilder, OverlayGraph};
+use faultline_overlay::{ChurnDelta, GraphBuilder, OverlayGraph, RowChangeKind};
 use faultline_routing::{ByzantineSet, FaultStrategy, RedundantRouter, RouteScratch, Router};
 use rand::rngs::{SmallRng, StdRng};
 use rand::{Rng, SeedableRng};
@@ -73,15 +73,16 @@ fn frozen_kernel_allocates_nothing_per_query_after_warmup() {
     let frozen = {
         let mut snapshot = graph.freeze();
         let mut rng = StdRng::seed_from_u64(404);
-        let mut touched = Vec::new();
+        let mut delta = ChurnDelta::new();
         for _ in 0..16 {
             let p = rng.gen_range(0..n);
             if graph.is_alive(p) {
                 graph.fail_link(p, p + 1);
-                touched.push(p);
+                let row = graph.usable_neighbors(p).map(|q| q as u32).collect();
+                delta.record(p, RowChangeKind::Structural, true, row);
             }
         }
-        snapshot.apply_churn(&graph, &touched);
+        snapshot.apply_delta(&graph, &delta);
         snapshot
     };
     let graph = graph;

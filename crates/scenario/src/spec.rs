@@ -32,8 +32,7 @@
 //! | | `adversarial_joins` | float | `0.0` |
 //! | `[engine]` | `threads`, `shards`, `cache_capacity` | integer | engine defaults |
 //! | | `max_hops` | integer | engine default |
-//! | | `frozen`, `row_invalidation`, `telemetry` | boolean | engine defaults |
-//! | | `maintenance` | `"delta"` / `"touched-list"` / `"rebuild"` | `"delta"` |
+//! | | `frozen`, `telemetry` | boolean | engine defaults |
 //! | | `freeze` | `"always"` / `"auto"` / float threshold | `"always"` |
 //! | `[byzantine]` | `fraction` | float | *(required in section)* |
 //! | | `seed` | integer | scenario seed `^ 0xB52A` |
@@ -52,7 +51,7 @@ use crate::toml::{self, Document, Entry, Section, Value};
 use faultline_core::{ConstructionMode, Network, NetworkConfig};
 use faultline_engine::{
     ByzantineConfig, ChurnMix, EngineConfig, FailureEvent, FailureSchedule, FreezePolicy,
-    InterleavedReport, QueryEngine, SnapshotMaintenance,
+    InterleavedReport, QueryEngine,
 };
 use faultline_routing::FaultStrategy;
 use rand::rngs::StdRng;
@@ -131,12 +130,8 @@ pub struct EngineSpec {
     pub max_hops: Option<u64>,
     /// Route via the compiled frozen snapshot (`false` = live-graph baseline).
     pub frozen: Option<bool>,
-    /// Snapshot maintenance mode across epochs.
-    pub maintenance: Option<SnapshotMaintenance>,
     /// When to skip snapshot work.
     pub freeze: Option<FreezePolicy>,
-    /// Row-level cache invalidation (`false` = bucket-mask flush baseline).
-    pub row_invalidation: Option<bool>,
     /// Telemetry recording.
     pub telemetry: Option<bool>,
 }
@@ -299,14 +294,8 @@ impl ScenarioSpec {
         if let Some(frozen) = self.engine.frozen {
             config = config.frozen(frozen);
         }
-        if let Some(maintenance) = self.engine.maintenance {
-            config = config.maintenance(maintenance);
-        }
         if let Some(freeze) = self.engine.freeze {
             config = config.freeze_policy(freeze);
-        }
-        if let Some(enabled) = self.engine.row_invalidation {
-            config = config.row_invalidation(enabled);
         }
         if let Some(enabled) = self.engine.telemetry {
             config = config.telemetry(enabled);
@@ -448,14 +437,6 @@ impl ScenarioSpec {
             if let Some(frozen) = self.engine.frozen {
                 let _ = writeln!(out, "frozen = {frozen}");
             }
-            if let Some(maintenance) = self.engine.maintenance {
-                let label = match maintenance {
-                    SnapshotMaintenance::Delta => "delta",
-                    SnapshotMaintenance::TouchedList => "touched-list",
-                    SnapshotMaintenance::Rebuild => "rebuild",
-                };
-                let _ = writeln!(out, "maintenance = \"{label}\"");
-            }
             if let Some(freeze) = self.engine.freeze {
                 match freeze {
                     FreezePolicy::Always => {
@@ -468,9 +449,6 @@ impl ScenarioSpec {
                         let _ = writeln!(out, "freeze = {threshold:?}");
                     }
                 }
-            }
-            if let Some(enabled) = self.engine.row_invalidation {
-                let _ = writeln!(out, "row_invalidation = {enabled}");
             }
             if let Some(enabled) = self.engine.telemetry {
                 let _ = writeln!(out, "telemetry = {enabled}");
@@ -990,9 +968,7 @@ fn parse_engine(document: &Document) -> Result<EngineSpec, ScenarioError> {
             "cache_capacity",
             "max_hops",
             "frozen",
-            "maintenance",
             "freeze",
-            "row_invalidation",
             "telemetry",
         ],
     )?;
@@ -1005,18 +981,6 @@ fn parse_engine(document: &Document) -> Result<EngineSpec, ScenarioError> {
             .transpose()?,
         max_hops: section.get("max_hops").map(expect_u64).transpose()?,
         frozen: section.get("frozen").map(expect_bool).transpose()?,
-        maintenance: section
-            .get("maintenance")
-            .map(|entry| match expect_str(entry)? {
-                "delta" => Ok(SnapshotMaintenance::Delta),
-                "touched-list" => Ok(SnapshotMaintenance::TouchedList),
-                "rebuild" => Ok(SnapshotMaintenance::Rebuild),
-                _ => Err(invalid(
-                    entry,
-                    "must be \"delta\", \"touched-list\", or \"rebuild\"",
-                )),
-            })
-            .transpose()?,
         freeze: section
             .get("freeze")
             .map(|entry| match &entry.value {
@@ -1033,10 +997,6 @@ fn parse_engine(document: &Document) -> Result<EngineSpec, ScenarioError> {
                 }
                 other => Err(mismatch(entry, "string or float", other)),
             })
-            .transpose()?,
-        row_invalidation: section
-            .get("row_invalidation")
-            .map(expect_bool)
             .transpose()?,
         telemetry: section.get("telemetry").map(expect_bool).transpose()?,
     };

@@ -72,6 +72,27 @@ fn fire_unknown_key() {
     );
 }
 
+/// The retired engine knobs are refused like any other unknown key: a scenario
+/// written for the old mode product fails at its own line instead of silently
+/// running the one remaining path.
+#[test]
+fn fire_retired_engine_keys() {
+    for (line, key) in [
+        ("maintenance = \"rebuild\"\n", "maintenance"),
+        ("row_invalidation = false\n", "row_invalidation"),
+    ] {
+        let source = format!("{BASE}[engine]\nthreads = 2\n{line}");
+        assert_eq!(
+            ScenarioSpec::parse(&source),
+            Err(ScenarioError::UnknownKey {
+                line: 10,
+                section: "engine".into(),
+                key: key.into(),
+            })
+        );
+    }
+}
+
 #[test]
 fn fire_duplicate_key_and_section() {
     let duplicate_key = concat!("[scenario]\n", "name = \"x\"\n", "seed = 1\n", "seed = 2\n",);

@@ -4,7 +4,7 @@
 //! round-trip is what makes scenario files diffable artifacts rather than
 //! write-only input.
 
-use faultline_engine::{FailureEvent, FreezePolicy, SnapshotMaintenance};
+use faultline_engine::{FailureEvent, FreezePolicy};
 use faultline_routing::FaultStrategy;
 use faultline_scenario::{
     ByzantineSpec, ChurnSpec, ChurnVolume, EngineSpec, FailureSpec, QuerySkew, ScenarioSpec,
@@ -68,9 +68,7 @@ fn kitchen_sink_spec_round_trips() {
         "cache_capacity = 4096\n",
         "max_hops = 200\n",
         "frozen = true\n",
-        "maintenance = \"touched-list\"\n",
         "freeze = 0.35\n",
-        "row_invalidation = true\n",
         "telemetry = false\n",
         "[byzantine]\n",
         "fraction = 0.15\n",
@@ -98,10 +96,6 @@ fn kitchen_sink_spec_round_trips() {
             join_probability: Some(0.4),
             adversarial_joins: Some(0.1),
         })
-    );
-    assert_eq!(
-        spec.engine.maintenance,
-        Some(SnapshotMaintenance::TouchedList)
     );
     assert_eq!(spec.engine.freeze, Some(FreezePolicy::HitRate(0.35)));
     assert_eq!(

@@ -4,7 +4,7 @@ use crate::histogram::Histogram;
 use std::time::Instant;
 
 /// Number of named phases (the length of [`Phase::ALL`]).
-pub const NUM_PHASES: usize = 6;
+pub const NUM_PHASES: usize = 5;
 
 /// The engine's timed phases. Each owns one wall-time histogram in the
 /// [`crate::Telemetry`] handle; a [`Span`] records into it on drop.
@@ -14,8 +14,6 @@ pub enum Phase {
     Freeze,
     /// Applying a typed `ChurnDelta` to the snapshot.
     ApplyDelta,
-    /// Recomputing touched rows from the live graph into the snapshot.
-    ApplyChurn,
     /// Evicting stale route-cache entries after churn.
     Invalidate,
     /// One shard worker routing its slice of a batch.
@@ -29,7 +27,6 @@ impl Phase {
     pub const ALL: [Phase; NUM_PHASES] = [
         Phase::Freeze,
         Phase::ApplyDelta,
-        Phase::ApplyChurn,
         Phase::Invalidate,
         Phase::BatchShard,
         Phase::Compact,
@@ -41,7 +38,6 @@ impl Phase {
         match self {
             Phase::Freeze => "freeze",
             Phase::ApplyDelta => "apply_delta",
-            Phase::ApplyChurn => "apply_churn",
             Phase::Invalidate => "invalidate",
             Phase::BatchShard => "batch_shard",
             Phase::Compact => "compact",
@@ -192,9 +188,9 @@ mod tests {
         let b = PhaseNanos::from_fn(|p| p.index() as u64 * 25);
         let delta = b.saturating_sub(&a);
         assert_eq!(delta.get(Phase::Freeze), 0);
-        assert_eq!(delta.get(Phase::Compact), 75);
+        assert_eq!(delta.get(Phase::Compact), 60);
         assert_eq!(a.saturating_sub(&b), PhaseNanos::default());
-        assert_eq!(b.total(), (1 + 2 + 3 + 4 + 5) * 25);
+        assert_eq!(b.total(), (1 + 2 + 3 + 4) * 25);
     }
 
     #[test]
@@ -204,6 +200,6 @@ mod tests {
         for phase in Phase::ALL {
             assert!(json.contains(&format!("\"{}_ns\":", phase.name())));
         }
-        assert!(json.contains("\"total_ns\":15"));
+        assert!(json.contains("\"total_ns\":10"));
     }
 }
