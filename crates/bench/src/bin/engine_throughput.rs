@@ -5,15 +5,15 @@
 //! path in `ENGINE_BENCH_JSON`) for the cross-PR performance trajectory.
 //!
 //! Under `--quick` (the CI smoke run) it also acts as a regression gate: the run
-//! fails if the frozen-kernel speedup, the SIMD-over-scalar kernel speedup (only
-//! when a vector ISA actually dispatched — scalar-only hosts auto-relax), the
-//! incremental snapshot-maintenance speedup, the rebuild-fallback-free fraction, the
+//! fails if the SIMD-over-scalar kernel speedup (only when a vector ISA actually
+//! dispatched — scalar-only hosts auto-relax), the incremental
+//! snapshot-maintenance speedup, the rebuild-fallback-free fraction, the
 //! adversarial throughput, the adversarial success rate, the telemetry overhead
 //! ratio, the oracle-grounded survival rate or the failure-epoch
 //! rebuild-free fraction falls below a floor, or the heal-recovery latency rises
 //! above its ceiling (each overridable —
-//! `ENGINE_SMOKE_MIN_FROZEN_SPEEDUP`, `ENGINE_SMOKE_MIN_SIMD_SPEEDUP`,
-//! `ENGINE_SMOKE_MIN_PATCH_SPEEDUP`, `ENGINE_SMOKE_MIN_PATCH_REBUILD_FREE`,
+//! `ENGINE_SMOKE_MIN_SIMD_SPEEDUP`, `ENGINE_SMOKE_MIN_PATCH_SPEEDUP`,
+//! `ENGINE_SMOKE_MIN_PATCH_REBUILD_FREE`,
 //! `ENGINE_SMOKE_MIN_BYZANTINE_QPS`, `ENGINE_SMOKE_MIN_BYZANTINE_SUCCESS`,
 //! `ENGINE_SMOKE_MIN_TELEMETRY_RATIO`, `ENGINE_SMOKE_MIN_SURVIVAL`,
 //! `ENGINE_SMOKE_MIN_FAILURE_REBUILD_FREE`, `ENGINE_SMOKE_MAX_HEAL_RECOVERY_US` —
@@ -36,10 +36,6 @@ use faultline_bench::scenario_run::{self, ScenarioOutcome};
 use faultline_bench::{engine_run, BenchArgs};
 use faultline_engine::{MetricsSnapshot, Phase};
 use std::io::Write;
-
-/// `--quick` floor for `headline.frozen_speedup`: the CSR kernel has measured ~4.8x
-/// over the live-graph walk; below this something structural regressed, not noise.
-const MIN_FROZEN_SPEEDUP: f64 = 1.5;
 
 /// `--quick` floor for `headline.simd_speedup` (best uncached frozen-kernel
 /// throughput with the dispatched vector ISA over the scalar-pinned baseline on
@@ -357,12 +353,7 @@ fn main() {
     }
 
     if args.quick {
-        let mut readings = vec![GateReading::floor(
-            "frozen_speedup",
-            report.frozen_speedup(),
-            MIN_FROZEN_SPEEDUP,
-            "ENGINE_SMOKE_MIN_FROZEN_SPEEDUP",
-        )];
+        let mut readings = Vec::new();
         // The SIMD gate compares the dispatched kernel against the pinned scalar
         // fold; on hosts where detection already resolved to scalar the reading is
         // a self-comparison (~1.0 by construction), so the gate is skipped instead

@@ -282,18 +282,9 @@ pub struct ByzantineLevel {
 pub struct EngineBenchReport {
     /// The configuration that produced it.
     pub config: EngineBenchConfig,
-    /// One batch with route caching disabled (every query exact), routed over the live
-    /// graph — the pre-snapshot baseline.
-    pub uncached: BatchReport,
-    /// The same batch, still uncached, through the compiled-snapshot (CSR) kernel; the
-    /// speedup over `uncached` is the cross-PR number this report tracks.
+    /// One batch with route caching disabled: every query an exact walk through the
+    /// compiled-snapshot (CSR) kernel.
     pub uncached_frozen: BatchReport,
-    /// The identical uncached batch through the frozen kernel with the vectorised
-    /// distance scan pinned off (`EngineConfig::simd(false)`) — the scalar A/B
-    /// baseline of the `simd` section. Results are bit-identical to
-    /// `uncached_frozen` (the packed-key minimum is order-independent); only the
-    /// clock differs.
-    pub uncached_scalar: BatchReport,
     /// The distance-scan ISA the default engines dispatched (`"avx2"` on capable
     /// x86-64, `"scalar"` elsewhere or under `FAULTLINE_FORCE_SCALAR=1`).
     pub simd_isa: &'static str,
@@ -371,25 +362,13 @@ impl EngineBenchReport {
     /// Headline: p99 hop count over exact (uncached) delivered lookups.
     #[must_use]
     pub fn p99_hops(&self) -> f64 {
-        self.uncached.hop_summary().map_or(0.0, |s| s.p99)
+        self.uncached_frozen.hop_summary().map_or(0.0, |s| s.p99)
     }
 
     /// Headline: delivered fraction while the configured churn is live.
     #[must_use]
     pub fn success_rate_under_churn(&self) -> f64 {
         self.interleaved.overall_success_rate()
-    }
-
-    /// Headline: uncached speedup of the frozen CSR kernel over the live-graph walk
-    /// (`0.0` when the baseline measured no throughput).
-    #[must_use]
-    pub fn frozen_speedup(&self) -> f64 {
-        let baseline = self.uncached.queries_per_sec();
-        if baseline > 0.0 {
-            self.uncached_frozen.queries_per_sec() / baseline
-        } else {
-            0.0
-        }
     }
 
     /// Headline: kernel-only speedup of the dispatched vectorised distance scan
@@ -706,8 +685,8 @@ impl EngineBenchReport {
     }
 
     /// The `simd` JSON section: the dispatched ISA and lane width, the best
-    /// alternating-round throughput on each side of the A/B, the kernel-only
-    /// speedup the CI gate floors, and the scalar baseline batch.
+    /// alternating-round throughput on each side of the A/B, and the kernel-only
+    /// speedup the CI gate floors.
     #[must_use]
     fn simd_json(&self) -> String {
         format!(
@@ -715,7 +694,7 @@ impl EngineBenchReport {
                 "{{\"isa\":\"{}\",\"lanes\":{},\"rounds\":{},",
                 "\"kernel_nodes\":{},\"kernel_links\":{},",
                 "\"simd_speedup\":{:.3},\"simd_queries_per_sec\":{:.1},",
-                "\"scalar_queries_per_sec\":{:.1},\"uncached_scalar\":{}}}"
+                "\"scalar_queries_per_sec\":{:.1}}}"
             ),
             self.simd_isa,
             self.simd_lanes,
@@ -725,7 +704,6 @@ impl EngineBenchReport {
             self.simd_speedup(),
             self.simd_best_qps,
             self.scalar_best_qps,
-            self.uncached_scalar.to_json(),
         )
     }
 
@@ -761,7 +739,7 @@ impl EngineBenchReport {
                 "{{\"config\":{{\"nodes\":{},\"links\":{},\"queries\":{},\"threads\":{},",
                 "\"epochs\":{},\"churn_fraction\":{:.3},\"byzantine_redundancy\":{},\"seed\":{}}},",
                 "\"headline\":{{\"queries_per_sec\":{:.1},\"p99_hops\":{:.1},",
-                "\"success_rate_under_churn\":{:.6},\"frozen_speedup\":{:.2},",
+                "\"success_rate_under_churn\":{:.6},",
                 "\"simd_speedup\":{:.3},\"simd_isa\":\"{}\",",
                 "\"snapshot_patch_speedup\":{:.2},",
                 "\"cache_row_hit_rate\":{:.6},\"byzantine_throughput\":{:.1},",
@@ -772,7 +750,7 @@ impl EngineBenchReport {
                 "\"simd\":{},\"telemetry\":{},",
                 "\"snapshot_maintenance\":{},\"cache_invalidation\":{},\"byzantine\":{},",
                 "\"resilience\":{},",
-                "\"uncached\":{},\"uncached_frozen\":{},\"cached_cold\":{},\"cached_warm\":{},",
+                "\"uncached_frozen\":{},\"cached_cold\":{},\"cached_warm\":{},",
                 "\"interleaved\":{}}}"
             ),
             self.config.nodes,
@@ -786,7 +764,6 @@ impl EngineBenchReport {
             self.queries_per_sec(),
             self.p99_hops(),
             self.success_rate_under_churn(),
-            self.frozen_speedup(),
             self.simd_speedup(),
             self.simd_isa,
             self.snapshot_patch_speedup(),
@@ -806,7 +783,6 @@ impl EngineBenchReport {
             self.cache_invalidation_json(),
             self.byzantine_json(),
             self.resilience_json(),
-            self.uncached.to_json(),
             self.uncached_frozen.to_json(),
             self.cached_cold.to_json(),
             self.cached_warm.to_json(),
@@ -841,14 +817,6 @@ pub fn run(config: &EngineBenchConfig) -> EngineBenchReport {
     let stretch = measure_stretch(&network, config.seed ^ 0x57E7);
 
     let batch = QueryBatch::uniform(&network, config.queries, config.seed ^ 0xBA7C);
-    let mut uncached_engine = QueryEngine::new(
-        EngineConfig::default()
-            .threads(config.threads)
-            .cache_capacity(0)
-            .frozen(false),
-    );
-    let uncached = uncached_engine.run_batch(&network, &batch);
-
     let mut frozen_engine = QueryEngine::new(
         EngineConfig::default()
             .threads(config.threads)
@@ -856,21 +824,13 @@ pub fn run(config: &EngineBenchConfig) -> EngineBenchReport {
     );
     let uncached_frozen = frozen_engine.run_batch(&network, &batch);
 
-    // SIMD A/B on the identical uncached frozen workload: the scalar engine pins
-    // the portable fold (`EngineConfig::simd(false)`), the frozen engine above
-    // dispatches the detected ISA. Both sides route bit-for-bit the same batch,
-    // so alternating rounds and keeping each side's best throughput isolates the
-    // kernel-only gap from scheduler noise (the same best-of trick the telemetry
-    // overhead ratio uses).
+    // SIMD A/B on the kernel: the engine dispatches the detected ISA, and the
+    // scalar side below pins the portable fold on the scratch. Both sides route
+    // bit-for-bit the same batch, so alternating rounds and keeping each side's
+    // best throughput isolates the kernel-only gap from scheduler noise (the same
+    // best-of trick the telemetry overhead ratio uses).
     let simd_isa = frozen_engine.kernel().label();
     let simd_lanes = frozen_engine.kernel().lanes();
-    let mut scalar_engine = QueryEngine::new(
-        EngineConfig::default()
-            .threads(config.threads)
-            .cache_capacity(0)
-            .simd(false),
-    );
-    let uncached_scalar = scalar_engine.run_batch(&network, &batch);
 
     // The speedup clock itself runs on the cache-resident kernel cell (see
     // [`SIMD_KERNEL_NODES`]): long rows, CSR small enough that the row fetch
@@ -1053,9 +1013,7 @@ pub fn run(config: &EngineBenchConfig) -> EngineBenchReport {
 
     EngineBenchReport {
         config: *config,
-        uncached,
         uncached_frozen,
-        uncached_scalar,
         simd_isa,
         simd_lanes,
         simd_kernel_nodes,
@@ -1103,14 +1061,9 @@ pub fn print(report: &EngineBenchReport) {
             batch.cache_hits(),
         );
     };
-    line("uncached (live graph)", &report.uncached);
     line("uncached (frozen)", &report.uncached_frozen);
     line("cached (cold)", &report.cached_cold);
     line("cached (warm)", &report.cached_warm);
-    println!(
-        "frozen snapshot speedup on the uncached path: {:.2}x",
-        report.frozen_speedup()
-    );
     println!(
         "simd kernel: {} ({} lanes), {:.2}x over the scalar fold ({:.0} vs {:.0} routes/s through the frozen path on the {}-node kernel cell, best of {} alternating rounds)",
         report.simd_isa,
@@ -1233,11 +1186,11 @@ mod tests {
     #[test]
     fn experiment_produces_consistent_shape() {
         let report = run(&tiny());
-        assert_eq!(report.uncached.queries(), 4_000);
+        assert_eq!(report.uncached_frozen.queries(), 4_000);
         assert_eq!(report.cached_warm.queries(), 4_000);
         assert_eq!(report.interleaved.total_queries(), 4_000);
         // Healthy overlay: the exact phase delivers everything.
-        assert_eq!(report.uncached.delivered(), 4_000);
+        assert_eq!(report.uncached_frozen.delivered(), 4_000);
         // Warm cache must actually hit.
         assert!(report.cached_warm.cache_hits() > report.cached_cold.cache_hits() / 2);
         assert!(report.success_rate_under_churn() > 0.85);
@@ -1282,40 +1235,11 @@ mod tests {
     }
 
     #[test]
-    fn frozen_section_routes_the_same_queries_identically() {
-        let report = run(&tiny());
-        assert_eq!(report.uncached_frozen.queries(), 4_000);
-        assert_eq!(
-            report.uncached_frozen.delivered(),
-            report.uncached.delivered(),
-            "snapshot kernel must not change delivery"
-        );
-        // Same batch, same deterministic strategy: hop distributions are identical.
-        let live = report.uncached.hop_summary().unwrap();
-        let fast = report.uncached_frozen.hop_summary().unwrap();
-        assert_eq!(live.median, fast.median);
-        assert_eq!(live.p95, fast.p95);
-        assert_eq!(live.p99, fast.p99);
-        assert_eq!(live.mean, fast.mean);
-        assert!(report.frozen_speedup() > 0.0);
-    }
-
-    #[test]
     fn simd_section_is_bit_identical_and_reports_the_dispatched_isa() {
-        let report = run(&tiny());
-        // The scalar-pinned arm routes the identical batch bit-for-bit: the packed
+        // `run` itself asserts the two kernel-cell digests equal: the packed
         // (distance << 32 | label) minimum is order-independent, so vectorising the
         // reduction can only change the clock, never a result.
-        assert_eq!(report.uncached_scalar.queries(), 4_000);
-        assert_eq!(
-            report.uncached_scalar.delivered(),
-            report.uncached_frozen.delivered()
-        );
-        let scalar = report.uncached_scalar.hop_summary().unwrap();
-        let simd = report.uncached_frozen.hop_summary().unwrap();
-        assert_eq!(scalar.median, simd.median);
-        assert_eq!(scalar.p99, simd.p99);
-        assert_eq!(scalar.mean, simd.mean);
+        let report = run(&tiny());
         // ISA report: a real label, consistent lanes, and a measured ratio.
         assert!(
             ["scalar", "avx2"].contains(&report.simd_isa),
@@ -1342,14 +1266,12 @@ mod tests {
             "\"queries_per_sec\"",
             "\"p99_hops\"",
             "\"success_rate_under_churn\"",
-            "\"frozen_speedup\"",
             "\"simd_speedup\"",
             "\"simd_isa\"",
             "\"simd\"",
             "\"isa\"",
             "\"lanes\"",
             "\"kernel_nodes\"",
-            "\"uncached_scalar\"",
             "\"snapshot_patch_speedup\"",
             "\"cache_row_hit_rate\"",
             "\"byzantine_throughput\"",

@@ -119,11 +119,23 @@ fn describe(path: &Path, error: &ScenarioError) -> String {
 ///
 /// # Errors
 ///
-/// The first path-expansion or scenario failure, formatted for the terminal.
+/// The first path-expansion or scenario failure, formatted for the terminal; or
+/// two files declaring the same `[scenario] name` — [`scenarios_json`] keys each
+/// section by that name, so the second run would shadow the first.
 pub fn run_all(args: &[String]) -> Result<Vec<ScenarioOutcome>, String> {
-    let mut outcomes = Vec::new();
-    for path in expand_paths(args)? {
-        outcomes.push(run_file(&path)?);
+    let paths = expand_paths(args)?;
+    let mut outcomes: Vec<ScenarioOutcome> = Vec::with_capacity(paths.len());
+    for path in &paths {
+        let outcome = run_file(path)?;
+        let name = &outcome.spec.name;
+        if let Some(earlier) = outcomes.iter().position(|o| &o.spec.name == name) {
+            return Err(format!(
+                "{} and {}: both declare [scenario] name = \"{name}\"; scenario names key the JSON sections and must be unique",
+                paths[earlier].display(),
+                path.display(),
+            ));
+        }
+        outcomes.push(outcome);
     }
     Ok(outcomes)
 }
@@ -232,6 +244,25 @@ mod tests {
         assert!(message.contains("broken.toml"), "got {message}");
         assert!(message.contains("line 3"), "got {message}");
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn two_files_of_one_name_are_refused_with_both_paths() {
+        let dir = std::env::temp_dir().join("faultline-scenario-dup-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (first, second) = (dir.join("first.toml"), dir.join("second.toml"));
+        std::fs::write(&first, smoke_source("twin", "")).unwrap();
+        std::fs::write(&second, smoke_source("twin", "[engine]\nthreads = 2\n")).unwrap();
+        let args = [&first, &second].map(|p| p.to_string_lossy().into_owned());
+        let message = run_all(&args).expect_err("a shared name must be refused");
+        for needle in ["first.toml", "second.toml", "\"twin\""] {
+            assert!(message.contains(needle), "got {message}");
+        }
+        // Distinct names over the same two files run as before.
+        std::fs::write(&second, smoke_source("other", "")).unwrap();
+        assert_eq!(run_all(&args).expect("unique names run").len(), 2);
+        std::fs::remove_file(&first).unwrap();
+        std::fs::remove_file(&second).unwrap();
     }
 
     #[test]

@@ -76,8 +76,8 @@ impl<'a> NetworkView<'a> {
         self.router.route(self.graph, source, target, &mut rng)
     }
 
-    /// Same view, routing with path recording enabled (used by route caches that need
-    /// to know which nodes a cached route depends on).
+    /// Same view, routing with path recording enabled (the result then carries the
+    /// nodes the walk visited).
     #[must_use]
     pub fn with_path_recording(mut self, record: bool) -> Self {
         self.router = self.router.with_path_recording(record);
@@ -147,8 +147,8 @@ impl FrozenView {
         self.kernel
     }
 
-    /// Same snapshot, dispatching to an explicit kernel (the engine's
-    /// `EngineConfig::simd(false)` A/B toggle pins [`KernelIsa::scalar`]).
+    /// Same snapshot, dispatching to an explicit kernel (the engine stamps the one
+    /// it resolved at construction).
     #[must_use]
     pub fn with_kernel(mut self, kernel: KernelIsa) -> Self {
         self.kernel = kernel;

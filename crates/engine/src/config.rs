@@ -102,29 +102,6 @@ impl ByzantineConfig {
     }
 }
 
-/// When a frozen-enabled batch compiles its routing snapshot (see
-/// [`EngineConfig::freeze_policy`]).
-///
-/// Routing results are unaffected by the choice — live-graph and frozen routing are
-/// bit-identical for the deterministic strategies — only where cache misses are
-/// routed (and hence wall-clock) changes.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum FreezePolicy {
-    /// Compile a snapshot for every frozen-enabled batch — the default.
-    #[default]
-    Always,
-    /// Skip the freeze for any batch that starts with a cache hit rate of at least
-    /// this threshold: a near-fully-warm cache leaves the uncached kernel too cold
-    /// to amortise the build. The threshold must lie in `[0, 1]` and requires a
-    /// non-zero cache capacity (the policy reads the previous batch's hit rate);
-    /// both are checked by [`EngineConfig::validate`].
-    HitRate(f64),
-    /// Derive the skip decision from the engine's own measurements: skip when the
-    /// predicted miss volume times the measured per-miss kernel gain no longer
-    /// amortises the measured freeze cost.
-    Auto,
-}
-
 /// A typed rejection from [`EngineConfig::validate`].
 ///
 /// Every variant names a configuration that previous releases either silently
@@ -142,15 +119,6 @@ pub enum ConfigError {
         /// The fixed bucket count queries shard by.
         buckets: usize,
     },
-    /// A [`FreezePolicy::HitRate`] threshold outside `[0, 1]`.
-    FreezeThresholdOutOfRange {
-        /// The offending threshold.
-        threshold: f64,
-    },
-    /// [`FreezePolicy::HitRate`] with caching disabled: the policy gates on the
-    /// previous batch's cache hit rate, which a capacity-0 engine never observes,
-    /// so the policy would silently never trigger.
-    HitRateFreezeWithoutCache,
     /// A Byzantine corruption fraction outside `[0, 1]`.
     ByzantineFractionOutOfRange {
         /// The offending fraction.
@@ -180,14 +148,6 @@ impl fmt::Display for ConfigError {
                 f,
                 "{shards} shards exceed the {buckets} source buckets; the excess could never receive work"
             ),
-            ConfigError::FreezeThresholdOutOfRange { threshold } => write!(
-                f,
-                "hit-rate freeze threshold {threshold} outside [0, 1]"
-            ),
-            ConfigError::HitRateFreezeWithoutCache => write!(
-                f,
-                "hit-rate freeze policy requires a non-zero cache capacity (the policy reads the cache hit rate)"
-            ),
             ConfigError::ByzantineFractionOutOfRange { fraction } => {
                 write!(f, "Byzantine fraction {fraction} outside [0, 1]")
             }
@@ -214,12 +174,9 @@ pub struct EngineConfig {
     shards: usize,
     cache_capacity: usize,
     max_hops: Option<u64>,
-    frozen: bool,
-    freeze: FreezePolicy,
     byzantine: Option<ByzantineConfig>,
     failures: Option<FailureSchedule>,
     telemetry: bool,
-    simd: bool,
 }
 
 impl Default for EngineConfig {
@@ -229,12 +186,9 @@ impl Default for EngineConfig {
             shards: 16,
             cache_capacity: 1024,
             max_hops: None,
-            frozen: true,
-            freeze: FreezePolicy::Always,
             byzantine: None,
             failures: None,
             telemetry: true,
-            simd: true,
         }
     }
 }
@@ -274,30 +228,6 @@ impl EngineConfig {
         self
     }
 
-    /// Enables or disables the compiled-snapshot fast path (default: enabled).
-    ///
-    /// When enabled, each batch compiles the overlay into a
-    /// [`FrozenView`](faultline_core::FrozenView) once and routes cache misses through
-    /// the zero-allocation CSR kernel. Disabling it routes every miss over the live
-    /// graph — the pre-snapshot behaviour, kept as the benchmark baseline.
-    #[must_use]
-    pub fn frozen(mut self, frozen: bool) -> Self {
-        self.frozen = frozen;
-        self
-    }
-
-    /// Selects when frozen-enabled batches compile their routing snapshot (default:
-    /// [`FreezePolicy::Always`]). [`FreezePolicy::HitRate`] skips the freeze for
-    /// batches a warm cache will absorb; [`FreezePolicy::Auto`] derives the skip
-    /// decision from the engine's own freeze-cost and per-miss-cost measurements
-    /// (the two sides of the ratio the `snapshot_maintenance` benchmark section
-    /// publishes). See [`FreezePolicy`].
-    #[must_use]
-    pub fn freeze_policy(mut self, policy: FreezePolicy) -> Self {
-        self.freeze = policy;
-        self
-    }
-
     /// Configured worker threads (0 = available parallelism).
     #[must_use]
     pub fn thread_count(&self) -> usize {
@@ -322,18 +252,6 @@ impl EngineConfig {
         self.max_hops
     }
 
-    /// Whether the compiled-snapshot fast path is enabled.
-    #[must_use]
-    pub fn frozen_enabled(&self) -> bool {
-        self.frozen
-    }
-
-    /// The configured snapshot-freeze policy (see [`EngineConfig::freeze_policy`]).
-    #[must_use]
-    pub fn freeze_policy_mode(&self) -> FreezePolicy {
-        self.freeze
-    }
-
     /// Enables or disables the engine's telemetry subsystem (default: enabled).
     ///
     /// When enabled, the engine records per-phase wall-time histograms, per-shard
@@ -352,28 +270,6 @@ impl EngineConfig {
     #[must_use]
     pub fn telemetry_enabled(&self) -> bool {
         self.telemetry
-    }
-
-    /// Enables or disables the vectorised distance-scan kernel (default: enabled).
-    ///
-    /// When enabled, the engine resolves the best SIMD kernel the host supports
-    /// once at construction (`KernelIsa::detect()`: AVX2 on capable x86-64, the
-    /// scalar fold elsewhere or under `FAULTLINE_FORCE_SCALAR=1`) and threads it
-    /// into every worker's `RouteScratch`. Disabling it pins the portable scalar
-    /// kernel — the A/B baseline the `simd` benchmark section measures against.
-    /// Routing results are bit-identical either way: the packed-key minimum the
-    /// kernel reduces is order-independent, so only wall-clock changes.
-    #[must_use]
-    pub fn simd(mut self, enabled: bool) -> Self {
-        self.simd = enabled;
-        self
-    }
-
-    /// Whether the vectorised distance-scan kernel is enabled (see
-    /// [`EngineConfig::simd`]).
-    #[must_use]
-    pub fn simd_enabled(&self) -> bool {
-        self.simd
     }
 
     /// Opens the byzantine workload lane: every batch routes through redundant
@@ -419,8 +315,7 @@ impl EngineConfig {
     ///
     /// This is the single validation path: [`QueryEngine::new`](crate::QueryEngine::new)
     /// calls it at construction (and panics with the error's message, since a bad
-    /// config there is a programming error), every
-    /// [`run_batch`](crate::QueryEngine::run_batch) re-asserts it, and
+    /// config there is a programming error) and
     /// `ScenarioSpec::into_engine_config` in the scenario DSL surfaces it as a
     /// diagnosable `Result`. Earlier releases silently clamped shard counts and
     /// panicked inside the byzantine builders; both now land here instead.
@@ -434,14 +329,6 @@ impl EngineConfig {
                 shards: self.shards,
                 buckets,
             });
-        }
-        if let FreezePolicy::HitRate(threshold) = self.freeze {
-            if !(0.0..=1.0).contains(&threshold) {
-                return Err(ConfigError::FreezeThresholdOutOfRange { threshold });
-            }
-            if self.cache_capacity == 0 {
-                return Err(ConfigError::HitRateFreezeWithoutCache);
-            }
         }
         if let Some(byzantine) = &self.byzantine {
             if byzantine.redundancy == 0 {
@@ -482,59 +369,17 @@ mod tests {
             .threads(8)
             .shards(32)
             .cache_capacity(64)
-            .max_hops(1000)
-            .frozen(false)
-            .freeze_policy(FreezePolicy::HitRate(0.95));
+            .max_hops(1000);
         assert_eq!(config.thread_count(), 8);
         assert_eq!(config.shard_count(), 32);
         assert_eq!(config.cache_capacity_entries(), 64);
         assert_eq!(config.max_hops_override(), Some(1000));
-        assert!(!config.frozen_enabled());
-        assert_eq!(config.freeze_policy_mode(), FreezePolicy::HitRate(0.95));
-        assert!(
-            EngineConfig::default().frozen_enabled(),
-            "the fast path is the default"
-        );
-        assert_eq!(
-            EngineConfig::default().freeze_policy_mode(),
-            FreezePolicy::Always
-        );
         assert!(
             EngineConfig::default().telemetry_enabled(),
             "telemetry is on by default"
         );
         assert!(!EngineConfig::default().telemetry(false).telemetry_enabled());
-        assert!(
-            EngineConfig::default().simd_enabled(),
-            "the vectorised kernel is on by default"
-        );
-        assert!(!EngineConfig::default().simd(false).simd_enabled());
-    }
-
-    #[test]
-    fn freeze_policies_are_distinguishable() {
-        let fixed = EngineConfig::default().freeze_policy(FreezePolicy::HitRate(0.9));
-        assert_eq!(fixed.freeze_policy_mode(), FreezePolicy::HitRate(0.9));
-        let auto = EngineConfig::default().freeze_policy(FreezePolicy::Auto);
-        assert_eq!(auto.freeze_policy_mode(), FreezePolicy::Auto);
-    }
-
-    #[test]
-    fn freeze_threshold_is_range_checked() {
-        assert_eq!(
-            EngineConfig::default()
-                .freeze_policy(FreezePolicy::HitRate(1.5))
-                .validate(),
-            Err(ConfigError::FreezeThresholdOutOfRange { threshold: 1.5 })
-        );
-        assert_eq!(
-            EngineConfig::default()
-                .cache_capacity(0)
-                .freeze_policy(FreezePolicy::HitRate(0.9))
-                .validate(),
-            Err(ConfigError::HitRateFreezeWithoutCache)
-        );
-        // Capacity 0 on its own is legal: it is the exact-measurement baseline.
+        // Capacity 0 is legal: it is the exact-measurement baseline.
         assert_eq!(EngineConfig::default().cache_capacity(0).validate(), Ok(()));
     }
 

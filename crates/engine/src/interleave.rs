@@ -19,7 +19,7 @@ use faultline_failure::{ChurnEvent, ChurnSchedule, RegionFailure};
 use faultline_overlay::{ChurnDelta, NodeId};
 use faultline_routing::ByzantineSet;
 use faultline_sim::{seed_for_trial, trial_rng};
-use faultline_telemetry::{EventKind, Phase, PhaseNanos};
+use faultline_telemetry::{EventKind, PhaseNanos};
 use faultline_theory::ConnectivityOracle;
 use rand::Rng;
 use std::time::Instant;
@@ -131,8 +131,8 @@ impl ChurnMix {
 /// Snapshot maintenance performed during one epoch of an interleaved run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SnapshotWork {
-    /// Nanoseconds spent compiling the snapshot from scratch (the first epoch, and
-    /// any epoch after an adaptive skip dropped the snapshot).
+    /// Nanoseconds spent compiling the snapshot from scratch: non-zero on epoch 0,
+    /// the run's one freeze, and zero on every later epoch.
     pub rebuild_nanos: u64,
     /// Nanoseconds spent applying the epoch's churn delta to the snapshot.
     pub patch_nanos: u64,
@@ -147,9 +147,6 @@ pub struct SnapshotWork {
     /// blast radius crossed the rebuild threshold (graceful degradation, not the
     /// scheduled `rebuild_nanos` recompile).
     pub fallback_rebuild: bool,
-    /// Whether the epoch ran without any snapshot (frozen path disabled, or the
-    /// adaptive policy judged the cache warm enough to skip it).
-    pub skipped: bool,
 }
 
 impl SnapshotWork {
@@ -181,7 +178,8 @@ pub struct EpochReport {
     /// Byzantine nodes once the epoch's churn settled (0 on honest runs): leaves of
     /// adversarial nodes shrink the set, adversarial joins grow it.
     pub byzantine_after: usize,
-    /// Snapshot maintenance (freeze / patch / skip) performed this epoch.
+    /// Snapshot maintenance performed this epoch: the freeze on epoch 0, the
+    /// delta patch after every epoch's churn.
     pub snapshot: SnapshotWork,
     /// What the epoch's failure event did (damage or heal, delta size, patch and
     /// invalidation cost); `None` when the run has no failure schedule.
@@ -408,7 +406,7 @@ impl InterleavedReport {
                         "\"rows_changed\":{},\"alive_after\":{},\"byzantine_after\":{},",
                         "\"snapshot\":{{\"rebuild_ns\":{},\"patch_ns\":{},",
                         "\"rows_patched\":{},\"rows_in_place\":{},\"compacted\":{},",
-                        "\"fallback_rebuild\":{},\"skipped\":{}}},",
+                        "\"fallback_rebuild\":{}}},",
                         "\"failure\":{},\"survivability\":{},",
                         "\"phases\":{},\"batch\":{}}}"
                     ),
@@ -425,7 +423,6 @@ impl InterleavedReport {
                     e.snapshot.rows_in_place,
                     e.snapshot.compacted,
                     e.snapshot.fallback_rebuild,
-                    e.snapshot.skipped,
                     failure,
                     survivability,
                     e.phases.to_json(),
@@ -463,12 +460,9 @@ impl QueryEngine {
     /// typed [`ChurnDelta`] and applied via
     /// [`FrozenView::apply_delta`](faultline_core::FrozenView::apply_delta) (diffed
     /// rows written directly, no recompute). The same delta drives cache eviction
-    /// ([`QueryEngine::invalidate_delta`](crate::QueryEngine::invalidate_delta)),
-    /// and an adaptive freeze policy
-    /// ([`EngineConfig::freeze_policy`](crate::EngineConfig::freeze_policy))
-    /// drops the snapshot entirely for epochs whose cache is warm enough to starve
-    /// the uncached path. Per-epoch maintenance work is reported in
-    /// [`EpochReport::snapshot`].
+    /// ([`QueryEngine::invalidate_delta`](crate::QueryEngine::invalidate_delta)).
+    /// The snapshot is compiled once, on epoch 0; per-epoch maintenance work is
+    /// reported in [`EpochReport::snapshot`].
     ///
     /// Queries are drawn uniformly (honest-endpoint uniform when the byzantine
     /// lane is open). To drive the same epoch pipeline with a skewed workload —
@@ -539,8 +533,8 @@ impl QueryEngine {
             let phases_before = self.telemetry().phase_totals();
 
             // Failure phase first: the epoch's batch routes the overlay the event
-            // left behind, and a surviving snapshot is patched (never rebuilt)
-            // from the event's typed delta before any freeze decision is made.
+            // left behind. From epoch 1 on the snapshot is patched from the event's
+            // typed delta; epoch 0's event lands before the run's one freeze.
             let failure = failure_schedule.as_ref().map(|schedule| {
                 self.failure_phase(
                     network,
@@ -564,28 +558,14 @@ impl QueryEngine {
             });
 
             let mut work = SnapshotWork::default();
-            if self.snapshot_worthwhile(queries_per_epoch) {
-                if snapshot.is_none() {
-                    // xlint: allow(determinism) -- rebuild cost feeds the adaptive-freeze EWMA and the epoch report; proptest-pinned not to change outcomes
-                    let started = Instant::now();
-                    snapshot = Some(
-                        self.note_snapshot_built(
-                            self.routing_view(network)
-                                .freeze()
-                                .with_kernel(self.kernel()),
-                        ),
-                    );
-                    work.rebuild_nanos = started.elapsed().as_nanos() as u64;
-                    self.observe_freeze_nanos(work.rebuild_nanos as f64);
-                    self.telemetry()
-                        .record_phase(Phase::Freeze, work.rebuild_nanos);
+            let live = match &mut snapshot {
+                Some(live) => live,
+                None => {
+                    let (view, nanos) = self.freeze(network);
+                    work.rebuild_nanos = nanos;
+                    snapshot.insert(view)
                 }
-            } else {
-                // Frozen path disabled or adaptively skipped: route misses (if any)
-                // over the live graph and stop maintaining the stale snapshot.
-                snapshot = None;
-                work.skipped = true;
-            }
+            };
 
             let batch_seed = seed_for_trial(master_seed, epoch as u64);
             let context = EpochWorkload {
@@ -596,7 +576,7 @@ impl QueryEngine {
                 adversaries: self.adversaries(),
             };
             let batch = workload(network, &context);
-            let batch_report = self.run_batch_with_snapshot(network, &batch, snapshot.as_ref());
+            let batch_report = self.run_batch_with_snapshot(network, &batch, Some(live));
             let survivability = oracle.as_ref().map(|oracle| {
                 classify_survivability(batch.pairs(), batch_report.outcomes(), oracle, n)
             });
@@ -652,16 +632,14 @@ impl QueryEngine {
                 }
             }
             let flushed_routes = self.invalidate_delta(&epoch_delta, n);
-            if let Some(live) = snapshot.as_mut() {
-                // xlint: allow(determinism) -- patch cost is reported in SnapshotWork only, never read by routing
-                let started = Instant::now();
-                let stats = live.apply_delta_with(network.graph(), &epoch_delta, self.telemetry());
-                work.patch_nanos = started.elapsed().as_nanos() as u64;
-                work.rows_patched = stats.rows_patched;
-                work.rows_in_place = stats.rows_in_place;
-                work.compacted = stats.compacted;
-                work.fallback_rebuild = stats.rebuilt;
-            }
+            // xlint: allow(determinism) -- patch cost is reported in SnapshotWork only, never read by routing
+            let started = Instant::now();
+            let stats = live.apply_delta_with(network.graph(), &epoch_delta, self.telemetry());
+            work.patch_nanos = started.elapsed().as_nanos() as u64;
+            work.rows_patched = stats.rows_patched;
+            work.rows_in_place = stats.rows_in_place;
+            work.compacted = stats.compacted;
+            work.fallback_rebuild = stats.rebuilt;
 
             reports.push(EpochReport {
                 epoch,

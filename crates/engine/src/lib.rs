@@ -12,11 +12,13 @@
 //!   is assigned to a shard by its source bucket, and each shard owns a private route
 //!   cache and processes its queries in a fixed order. No locks are taken on the hot
 //!   path, and results are bit-for-bit identical at any thread count.
-//! * **Compiled snapshots** — each batch freezes the overlay into a CSR
-//!   [`FrozenView`](faultline_core::FrozenView) once and routes every cache miss
-//!   through the zero-allocation frozen kernel (contiguous `u32` neighbour scans,
-//!   inlined distance, per-worker scratch buffers, counter-based per-query RNG); the
-//!   live-graph walk remains available via [`EngineConfig::frozen`] as the baseline.
+//! * **Compiled snapshots** — every cache miss walks a CSR
+//!   [`FrozenView`](faultline_core::FrozenView) through the zero-allocation frozen
+//!   kernel (contiguous `u32` neighbour scans, inlined distance, per-worker scratch
+//!   buffers, counter-based per-query RNG). [`QueryEngine::run_batch`] compiles one
+//!   for the batch; [`QueryEngine::run_batch_with_snapshot`] routes over the
+//!   caller's. The live-graph walk (`Router::route`) is not an engine path: it is
+//!   the reference the parity tests hold the engine to.
 //! * **Route caching** — a per-shard LRU keyed by `(source bucket, target bucket)`
 //!   ([`RouteCache`]). Entries remember the exact nodes their walk visited (row
 //!   dependencies). A topology change expressed as a typed [`ChurnDelta`] evicts
@@ -28,13 +30,10 @@
 //!   epochs with `faultline_failure` churn events and the Section 5 maintenance
 //!   heuristic (`Network::join`/`leave`), measuring throughput and success rate *while*
 //!   the network repairs itself — the paper's fault-tolerance claim at traffic scale.
-//!   One snapshot persists across epochs and is **incrementally patched** from each
-//!   epoch's merged [`ChurnDelta`] — maintainer-captured row diffs written straight
-//!   into the snapshot, O(changed rows) with no usable-neighbour recompute — and the
-//!   same delta evicts the cache. [`EngineConfig::freeze_policy`] ([`FreezePolicy`])
-//!   skips snapshot work when
-//!   the cache is warm enough to starve the uncached path (`Auto` derives its
-//!   threshold from the engine's own freeze-cost and per-miss measurements).
+//!   One snapshot is compiled on epoch 0 and then **incrementally patched** from
+//!   each epoch's merged [`ChurnDelta`] — maintainer-captured row diffs written
+//!   straight into the snapshot, O(changed rows) with no usable-neighbour recompute —
+//!   and the same delta evicts the cache.
 //!   [`QueryEngine::run_interleaved_with`] accepts a caller-supplied workload
 //!   callback ([`EpochWorkload`]) so skewed traffic — the scenario DSL's Zipf,
 //!   hotspot, flash-crowd, and diurnal generators — drives the same pipeline.
@@ -106,7 +105,7 @@ mod stats;
 
 pub use batch::QueryBatch;
 pub use cache::{bucket_of, CachedRoute, RouteCache, RowSet, NUM_BUCKETS};
-pub use config::{ByzantineConfig, ByzantineMembership, ConfigError, EngineConfig, FreezePolicy};
+pub use config::{ByzantineConfig, ByzantineMembership, ConfigError, EngineConfig};
 pub use failures::{FailureEvent, FailureSchedule, FailureWork, SurvivabilitySplit};
 pub use interleave::{ChurnMix, EpochReport, EpochWorkload, InterleavedReport, SnapshotWork};
 pub use run::QueryEngine;

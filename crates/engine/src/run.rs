@@ -2,7 +2,7 @@
 
 use crate::batch::QueryBatch;
 use crate::cache::{bucket_of, CachedRoute, RouteCache, RowSet};
-use crate::config::{ByzantineMembership, EngineConfig, FreezePolicy};
+use crate::config::{ByzantineMembership, EngineConfig};
 use crate::stats::{BatchReport, QueryOutcome};
 use faultline_core::{FrozenView, Network, NetworkView};
 use faultline_overlay::{ChurnDelta, NodeId};
@@ -32,19 +32,6 @@ pub struct QueryEngine {
     config: EngineConfig,
     pool: rayon::ThreadPool,
     caches: Vec<RouteCache>,
-    /// Cache hit rate of the most recent batch (None before any cached batch ran);
-    /// the adaptive snapshot policy reads it to predict the next batch's miss volume.
-    last_hit_rate: Option<f64>,
-    snapshots_built: u64,
-    /// EWMA of measured snapshot-compile cost in nanoseconds (None before the first
-    /// timed freeze). One side of the auto adaptive-freeze ratio.
-    freeze_nanos_est: Option<f64>,
-    /// EWMA of per-miss routing cost through the frozen kernel (ns/query).
-    frozen_miss_nanos_est: Option<f64>,
-    /// EWMA of per-miss routing cost over the live graph (ns/query) — measured
-    /// whenever a batch runs without a snapshot (frozen disabled or adaptively
-    /// skipped). The other side of the auto ratio.
-    live_miss_nanos_est: Option<f64>,
     /// Resolved adversary membership (None until the byzantine lane first routes over
     /// a network, or forever on honest engines). Churn epochs mutate it: departing
     /// Byzantine nodes shrink it, joining nodes are marked (or cleared) by the mix.
@@ -53,39 +40,14 @@ pub struct QueryEngine {
     /// and the event ring. Disabled (inert) when `EngineConfig::telemetry(false)`.
     telemetry: Telemetry,
     /// The distance-scan kernel every worker scratch dispatches to — resolved once
-    /// at construction (cpuid + `FAULTLINE_FORCE_SCALAR`, or pinned scalar by
-    /// `EngineConfig::simd(false)`), never re-detected on the query path.
+    /// at construction (cpuid + `FAULTLINE_FORCE_SCALAR`), never re-detected on the
+    /// query path.
     kernel: KernelIsa,
 }
 
 /// Clamps a count into an event-ring payload.
 pub(crate) fn saturate_u32(value: u64) -> u32 {
     u32::try_from(value).unwrap_or(u32::MAX)
-}
-
-/// Assumed live-over-frozen per-miss cost ratio used by the auto adaptive-freeze
-/// policy before it has measured the live path itself (the frozen kernel's measured
-/// uncached speedup hovers between 4x and 5x — see `frozen_speedup` in
-/// `BENCH_engine.json`; assuming the low end keeps the bootstrap conservative).
-const ASSUMED_FROZEN_GAIN: f64 = 4.0;
-
-/// The auto adaptive-freeze decision: is compiling a snapshot worth it for a batch
-/// expected to route `expected_misses` queries through it?
-///
-/// `freeze_nanos` and `frozen_miss_nanos` are the engine's measured freeze cost and
-/// per-miss frozen-kernel cost; `live_miss_nanos` is the measured per-miss live-graph
-/// cost when available (the engine only measures it after its first skip, so the
-/// bootstrap substitutes `frozen × ASSUMED_FROZEN_GAIN`). The freeze pays off when
-/// the misses' aggregate saving covers the compile.
-fn freeze_pays_off(
-    freeze_nanos: f64,
-    frozen_miss_nanos: f64,
-    live_miss_nanos: Option<f64>,
-    expected_misses: f64,
-) -> bool {
-    let live = live_miss_nanos.unwrap_or(frozen_miss_nanos * ASSUMED_FROZEN_GAIN);
-    let gain_per_miss = (live - frozen_miss_nanos).max(0.0);
-    expected_misses * gain_per_miss >= freeze_nanos
 }
 
 /// Per-batch byzantine apparatus shared (read-only) by every shard worker.
@@ -125,30 +87,19 @@ impl QueryEngine {
                 cache
             })
             .collect();
-        let kernel = if config.simd_enabled() {
-            KernelIsa::detect()
-        } else {
-            KernelIsa::scalar()
-        };
         Self {
             config,
             pool,
             caches,
-            last_hit_rate: None,
-            snapshots_built: 0,
-            freeze_nanos_est: None,
-            frozen_miss_nanos_est: None,
-            live_miss_nanos_est: None,
             adversaries: None,
             telemetry,
-            kernel,
+            kernel: KernelIsa::detect(),
         }
     }
 
-    /// The distance-scan kernel this engine's workers dispatch to: the detected
-    /// best ISA by default, pinned scalar when `EngineConfig::simd(false)` (or
-    /// `FAULTLINE_FORCE_SCALAR=1`). Benchmarks read it to label their `simd`
-    /// section with the dispatched ISA and lane width.
+    /// The distance-scan kernel this engine's workers dispatch to: the best ISA
+    /// the host supports (scalar under `FAULTLINE_FORCE_SCALAR=1`). Benchmarks read
+    /// it to label their `simd` section with the dispatched ISA and lane width.
     #[must_use]
     pub fn kernel(&self) -> KernelIsa {
         self.kernel
@@ -227,36 +178,6 @@ impl QueryEngine {
         }
     }
 
-    /// Snapshots the engine has compiled so far (freezes, not patches) — observable
-    /// evidence for the adaptive policy's skip decisions.
-    #[must_use]
-    pub fn snapshots_built(&self) -> u64 {
-        self.snapshots_built
-    }
-
-    /// Counts a freshly compiled snapshot and hands it back (used by the interleaved
-    /// runner, whose snapshots are built outside [`QueryEngine::run_batch`]).
-    pub(crate) fn note_snapshot_built(&mut self, view: FrozenView) -> FrozenView {
-        self.snapshots_built += 1;
-        view
-    }
-
-    /// Feeds a measured snapshot-compile time into the auto adaptive-freeze estimate.
-    pub(crate) fn observe_freeze_nanos(&mut self, nanos: f64) {
-        self.freeze_nanos_est = Some(ewma(self.freeze_nanos_est, nanos));
-    }
-
-    /// Feeds a batch's measured per-miss routing cost into the frozen or live
-    /// estimate (whichever path the misses actually took).
-    fn observe_miss_nanos(&mut self, frozen: bool, nanos: f64) {
-        let estimate = if frozen {
-            &mut self.frozen_miss_nanos_est
-        } else {
-            &mut self.live_miss_nanos_est
-        };
-        *estimate = Some(ewma(*estimate, nanos));
-    }
-
     /// The routing view the engine's batches run over (hop-budget override applied).
     pub(crate) fn routing_view<'a>(&self, network: &'a Network) -> NetworkView<'a> {
         let mut view = network.view();
@@ -264,6 +185,18 @@ impl QueryEngine {
             view = view.with_max_hops(max_hops);
         }
         view
+    }
+
+    /// Compiles `network`'s current topology into a snapshot stamped with the
+    /// engine's kernel, and returns it with the nanoseconds the compile took (also
+    /// recorded as [`Phase::Freeze`]).
+    pub(crate) fn freeze(&self, network: &Network) -> (FrozenView, u64) {
+        // xlint: allow(determinism) -- freeze cost is reported in telemetry and SnapshotWork only, never read by routing
+        let started = Instant::now();
+        let view = self.routing_view(network).freeze().with_kernel(self.kernel);
+        let nanos = started.elapsed().as_nanos() as u64;
+        self.telemetry.record_phase(Phase::Freeze, nanos);
+        (view, nanos)
     }
 
     /// Resolves the configured adversary membership against `network` (once; later
@@ -328,66 +261,19 @@ impl QueryEngine {
         }
     }
 
-    /// Whether the next batch — expected to run `upcoming_queries` lookups — should
-    /// be routed through a compiled snapshot: the fast path must be enabled, and the
-    /// adaptive policy (if any) must judge the freeze worthwhile. The fixed policy
-    /// compares the previous batch's cache hit rate against its threshold (a
-    /// near-fully warm cache leaves too few misses to amortise snapshot work); the
-    /// auto policy compares predicted miss volume × measured per-miss gain against
-    /// the measured freeze cost, and always freezes until it has measured both.
-    pub(crate) fn snapshot_worthwhile(&self, upcoming_queries: usize) -> bool {
-        if !self.config.frozen_enabled() {
-            return false;
-        }
-        match self.config.freeze_policy_mode() {
-            FreezePolicy::Always => true,
-            FreezePolicy::Auto => match (self.freeze_nanos_est, self.frozen_miss_nanos_est) {
-                (Some(freeze), Some(frozen_miss)) => {
-                    let hit_rate = self.last_hit_rate.unwrap_or(0.0);
-                    let expected_misses = upcoming_queries as f64 * (1.0 - hit_rate);
-                    freeze_pays_off(
-                        freeze,
-                        frozen_miss,
-                        self.live_miss_nanos_est,
-                        expected_misses,
-                    )
-                }
-                // Bootstrap: freeze until both sides of the ratio are measured.
-                _ => true,
-            },
-            FreezePolicy::HitRate(threshold) => match self.last_hit_rate {
-                Some(rate) => rate < threshold,
-                None => true,
-            },
-        }
-    }
-
     /// Executes a batch of lookups in parallel and reports per-query outcomes plus
     /// aggregate statistics. See the crate docs for the execution model.
     ///
-    /// Compiles the routing snapshot once per batch: O(nodes + links), amortised over
-    /// every cache miss in the batch (skipped entirely when the adaptive policy
-    /// predicts the cache will absorb the batch).
+    /// Compiles the routing snapshot once for the batch: O(nodes + links), amortised
+    /// over every cache miss in it. Callers that route many batches over one
+    /// topology keep their own snapshot and use
+    /// [`QueryEngine::run_batch_with_snapshot`].
     pub fn run_batch(&mut self, network: &Network, batch: &QueryBatch) -> BatchReport {
-        // Config is validated at construction; re-assert per batch so a future
-        // mutable-config path cannot silently route a contradictory setup. The
-        // check is a handful of comparisons — noise next to the batch itself.
-        let validation = self.config.validate();
-        assert!(validation.is_ok(), "invalid EngineConfig: {validation:?}");
-        let frozen = self.snapshot_worthwhile(batch.len()).then(|| {
-            self.snapshots_built += 1;
-            // xlint: allow(determinism) -- freeze-cost reading feeds telemetry and the adaptive-freeze EWMA, whose outcomes are proptest-pinned identical to eager freezing; query results never depend on it
-            let started = Instant::now();
-            let view = self.routing_view(network).freeze().with_kernel(self.kernel);
-            let nanos = started.elapsed().as_nanos() as u64;
-            self.observe_freeze_nanos(nanos as f64);
-            self.telemetry.record_phase(Phase::Freeze, nanos);
-            view
-        });
-        self.run_batch_with_snapshot(network, batch, frozen.as_ref())
+        self.run_batch_with_snapshot(network, batch, None)
     }
 
-    /// Executes a batch over a caller-owned snapshot (or the live graph when `None`).
+    /// Executes a batch over a caller-owned snapshot; `None` compiles one for this
+    /// call (which is all [`QueryEngine::run_batch`] does).
     ///
     /// This is the entry point for callers that maintain a snapshot across batches —
     /// the interleaved runner patches one `FrozenView` through churn epochs instead of
@@ -397,10 +283,17 @@ impl QueryEngine {
         &mut self,
         network: &Network,
         batch: &QueryBatch,
-        frozen: Option<&FrozenView>,
+        snapshot: Option<&FrozenView>,
     ) -> BatchReport {
+        let compiled;
+        let snapshot = match snapshot {
+            Some(snapshot) => snapshot,
+            None => {
+                compiled = self.freeze(network).0;
+                &compiled
+            }
+        };
         let n = network.len();
-        let caching = self.config.cache_capacity_entries() > 0;
         // Failure-epoch runs grant failed lookups a bounded diversified-retry
         // budget; without a schedule the honest path is single-attempt, exactly
         // the pre-resilience behaviour.
@@ -409,16 +302,16 @@ impl QueryEngine {
             .failures_config()
             .map_or(0, crate::failures::FailureSchedule::retry_budget);
         self.resolve_adversaries(network);
-        let view = self.routing_view(network);
         // Byzantine lane: a non-empty resolved adversary set routes every query
         // through redundant diversified walks, bypassing the route cache (a cached
         // digest cannot tell which walks an adversary swallowed). An empty set is the
         // honest path bit for bit.
         let byzantine = match (self.config.byzantine_config(), self.adversaries.as_ref()) {
             (Some(spec), Some(set)) if !set.is_empty() => {
+                let router = self.routing_view(network).router();
                 let inner = match spec.strategy_override() {
-                    Some(strategy) => view.router().with_strategy(strategy),
-                    None => view.router(),
+                    Some(strategy) => router.with_strategy(strategy),
+                    None => router,
                 };
                 Some(ByzantineLane {
                     router: RedundantRouter::new(inner, spec.redundancy_factor()),
@@ -427,19 +320,14 @@ impl QueryEngine {
             }
             _ => None,
         };
-        // The live-graph fallback only records result paths when caching needs the
-        // walk's row dependencies (the frozen kernel records its path in scratch for
-        // free).
-        let view = view.with_path_recording(caching && frozen.is_none() && byzantine.is_none());
 
         // Assign queries to shards by source bucket; shard order is part of the
         // deterministic contract (same batch ⇒ same per-shard sequences). Queries whose
         // endpoints are not even grid points fail up front — the router would report
         // them as dead endpoints anyway, and bucketing must not panic on them.
-        // Kernel dispatch is resolved exactly once per batch: a caller-owned
-        // snapshot carries its own kernel (the interleaved runner stamps the
-        // engine's at freeze time); the live-graph fallback never consults it.
-        let kernel = frozen.map_or(self.kernel, FrozenView::kernel);
+        // Kernel dispatch is resolved exactly once per batch, from the snapshot (the
+        // engine stamps its own at freeze time; a caller-owned one carries its own).
+        let kernel = snapshot.kernel();
         let shard_count = self.caches.len();
         let mut shard_queries: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
         let mut outcomes: Vec<Option<QueryOutcome>> = vec![None; batch.len()];
@@ -494,8 +382,7 @@ impl QueryEngine {
                         let (source, target) = batch.pairs()[index];
                         let outcome = match byzantine {
                             Some(lane) => route_one_byzantine(
-                                view,
-                                frozen,
+                                snapshot,
                                 lane,
                                 &mut scratch,
                                 batch.seed(),
@@ -504,8 +391,7 @@ impl QueryEngine {
                                 target,
                             ),
                             None => route_one(
-                                view,
-                                frozen,
+                                snapshot,
                                 cache,
                                 &mut scratch,
                                 n,
@@ -535,35 +421,7 @@ impl QueryEngine {
             // xlint: allow(panic_policy) -- shard partitioning is exhaustive by construction (every index lands in exactly one shard slice); a gap is a bug worth crashing on, not a recoverable state
             .map(|o| o.expect("every query is either pre-failed or routed by one shard"))
             .collect();
-        let is_byzantine = byzantine.is_some();
-        let report = BatchReport::with_mode(outcomes, wall, self.threads(), is_byzantine);
-        // Byzantine batches never consult the cache, so their 0% hit rate says
-        // nothing the adaptive snapshot policy should act on.
-        if caching && !is_byzantine && report.queries() > 0 {
-            self.last_hit_rate = Some(report.cache_hits() as f64 / report.queries() as f64);
-        }
-        // Feed the auto adaptive-freeze policy: mean per-miss routing cost on
-        // whichever path (frozen kernel or live graph) this batch's misses took.
-        if !is_byzantine {
-            let (sum, count) = report
-                .outcomes()
-                .iter()
-                .filter(|o| !o.cached && o.attempts > 0)
-                .fold((0u64, 0u64), |(s, c), o| (s + o.nanos, c + 1));
-            if count > 0 {
-                self.observe_miss_nanos(frozen.is_some(), sum as f64 / count as f64);
-            }
-        }
-        report
-    }
-}
-
-/// Exponential moving average with α = 1/2: responsive to drift (a network that
-/// doubled in size after churn) while damping single-batch timer noise.
-fn ewma(previous: Option<f64>, observation: f64) -> f64 {
-    match previous {
-        Some(prev) => (prev + observation) / 2.0,
-        None => observation,
+        BatchReport::with_mode(outcomes, wall, self.threads(), byzantine.is_some())
     }
 }
 
@@ -578,11 +436,8 @@ fn diversified(router: Router) -> Router {
     }
 }
 
-/// Routes (or cache-serves) one query on a shard worker.
-///
-/// Cache misses go through the frozen CSR kernel when a snapshot was compiled for the
-/// batch (the default), falling back to the live-graph walk otherwise; both produce
-/// identical outcomes for the deterministic strategies.
+/// Routes (or cache-serves) one query on a shard worker; a cache miss walks the
+/// frozen CSR kernel.
 ///
 /// When `retry_budget > 0` (failure epochs), an undelivered lookup re-routes up to
 /// that many more times, each attempt with a seed derived from `(batch seed, query
@@ -590,8 +445,7 @@ fn diversified(router: Router) -> Router {
 /// any thread count, like the first attempt.
 #[allow(clippy::too_many_arguments)]
 fn route_one(
-    view: NetworkView<'_>,
-    frozen: Option<&FrozenView>,
+    snapshot: &FrozenView,
     cache: &mut RouteCache,
     scratch: &mut RouteScratch,
     n: u64,
@@ -633,40 +487,23 @@ fn route_one(
         } else {
             seed_for_trial(base_seed, u64::from(attempts))
         };
-        let (d, h, r) = match frozen {
-            Some(snapshot) => {
-                let result = if attempts == 0 {
-                    snapshot.route_seeded(source, target, seed, scratch)
-                } else {
-                    let mut rng = SmallRng::seed_from_u64(seed);
-                    diversified(snapshot.router()).route_frozen(
-                        snapshot.routes(),
-                        source,
-                        target,
-                        &mut rng,
-                        scratch,
-                    )
-                };
-                if cache.enabled() {
-                    deps.reserve(scratch.path().len() + 2);
-                    deps.extend_from_slice(scratch.path());
-                }
-                (result.is_delivered(), result.hops, result.recoveries)
-            }
-            None => {
-                let result = if attempts == 0 {
-                    view.route_seeded(source, target, seed)
-                } else {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    diversified(view.router()).route(view.graph(), source, target, &mut rng)
-                };
-                if let Some(path) = &result.path {
-                    deps.reserve(path.len() + 2);
-                    deps.extend(path.iter().map(|&p| p as u32));
-                }
-                (result.is_delivered(), result.hops, result.recoveries)
-            }
+        let result = if attempts == 0 {
+            snapshot.route_seeded(source, target, seed, scratch)
+        } else {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            diversified(snapshot.router()).route_frozen(
+                snapshot.routes(),
+                source,
+                target,
+                &mut rng,
+                scratch,
+            )
         };
+        if cache.enabled() {
+            deps.reserve(scratch.path().len() + 2);
+            deps.extend_from_slice(scratch.path());
+        }
+        let (d, h, r) = (result.is_delivered(), result.hops, result.recoveries);
         attempts += 1;
         total_hops += h;
         if d || attempts > retry_budget {
@@ -688,7 +525,7 @@ fn route_one(
     let volatile = attempts > 1
         || (recoveries > 0
             && matches!(
-                view.router().strategy(),
+                snapshot.router().strategy(),
                 FaultStrategy::RandomReroute { .. }
             ));
     cache.insert(
@@ -718,18 +555,15 @@ fn route_one(
 }
 
 /// Routes one query on the byzantine lane: up to `redundancy` diversified walks over
-/// the CSR snapshot (or the live graph when no snapshot was compiled), each truncated
-/// at the first adversary it steps onto. Never consults the route cache.
+/// the CSR snapshot, each truncated at the first adversary it steps onto. Never
+/// consults the route cache.
 ///
 /// Determinism matches the honest path's contract: randomness derives from
-/// `(batch seed, query index)` — `SmallRng` over the snapshot, `StdRng` over the live
-/// graph, mirroring the honest kernels — so results are identical at any thread
-/// count, and identical to a sequential loop of per-query
+/// `(batch seed, query index)` through a `SmallRng`, so results are identical at any
+/// thread count, and identical to a sequential loop of per-query
 /// [`RedundantRouter::route_frozen`] calls with the same seeds.
-#[allow(clippy::too_many_arguments)]
 fn route_one_byzantine(
-    view: NetworkView<'_>,
-    frozen: Option<&FrozenView>,
+    snapshot: &FrozenView,
     lane: ByzantineLane<'_>,
     scratch: &mut RouteScratch,
     batch_seed: u64,
@@ -740,24 +574,15 @@ fn route_one_byzantine(
     // xlint: allow(determinism) -- per-query latency stamp: reported in percentiles only, never read by routing
     let started = Instant::now();
     let seed = seed_for_trial(batch_seed, index as u64);
-    let result = match frozen {
-        Some(snapshot) => {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            lane.router.route_frozen(
-                snapshot.routes(),
-                lane.adversaries,
-                source,
-                target,
-                &mut rng,
-                scratch,
-            )
-        }
-        None => {
-            let mut rng = StdRng::seed_from_u64(seed);
-            lane.router
-                .route(view.graph(), lane.adversaries, source, target, &mut rng)
-        }
-    };
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let result = lane.router.route_frozen(
+        snapshot.routes(),
+        lane.adversaries,
+        source,
+        target,
+        &mut rng,
+        scratch,
+    );
     QueryOutcome {
         source,
         target,
@@ -819,99 +644,56 @@ mod tests {
         assert_eq!(cached.cached_routes(), 0);
     }
 
+    /// Holds the cache-less engine, at 1 and 6 threads, to the reference it must be
+    /// indistinguishable from: the batch replayed as a sequential loop of live-graph
+    /// walks (`NetworkView::route_seeded` — `Router::route` over the `OverlayGraph`)
+    /// with the engine's per-query seeds. Returns the reference outcomes.
+    fn assert_matches_reference_walk(net: &Network, batch: &QueryBatch) -> Vec<(bool, u64, u64)> {
+        let view = net.view();
+        let reference: Vec<_> = batch
+            .pairs()
+            .iter()
+            .enumerate()
+            .map(|(index, &(source, target))| {
+                let seed = seed_for_trial(batch.seed(), index as u64);
+                let result = view.route_seeded(source, target, seed);
+                (result.is_delivered(), result.hops, result.recoveries)
+            })
+            .collect();
+        for threads in [1usize, 6] {
+            let mut engine =
+                QueryEngine::new(EngineConfig::default().threads(threads).cache_capacity(0));
+            let outcomes: Vec<_> = engine
+                .run_batch(net, batch)
+                .outcomes()
+                .iter()
+                .map(|o| (o.delivered, o.hops, o.recoveries))
+                .collect();
+            assert_eq!(
+                outcomes, reference,
+                "engine diverged from the reference walk at {threads} threads"
+            );
+        }
+        reference
+    }
+
+    // "Classic" in the two names below is the live-graph reference walk.
     #[test]
     fn frozen_and_classic_engines_agree_bit_for_bit() {
         let net = network(1 << 9, 8);
-        let batch = QueryBatch::uniform(&net, 3_000, 21);
-        for cache_capacity in [0usize, 512] {
-            let mut fast = QueryEngine::new(
-                EngineConfig::default()
-                    .threads(2)
-                    .cache_capacity(cache_capacity),
-            );
-            let mut classic = QueryEngine::new(
-                EngineConfig::default()
-                    .threads(2)
-                    .cache_capacity(cache_capacity)
-                    .frozen(false),
-            );
-            let a = fast.run_batch(&net, &batch);
-            let b = classic.run_batch(&net, &batch);
-            let digest = |r: &BatchReport| {
-                r.outcomes()
-                    .iter()
-                    .map(|o| (o.source, o.target, o.delivered, o.hops, o.cached))
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(
-                digest(&a),
-                digest(&b),
-                "frozen path diverged at cache capacity {cache_capacity}"
-            );
-            assert_eq!(fast.cached_routes(), classic.cached_routes());
-        }
-    }
-
-    #[test]
-    fn simd_and_scalar_engines_agree_bit_for_bit() {
-        let net = network(1 << 9, 8);
-        let batch = QueryBatch::uniform(&net, 3_000, 21);
-        let mut auto = QueryEngine::new(EngineConfig::default().threads(2));
-        let mut scalar = QueryEngine::new(EngineConfig::default().threads(2).simd(false));
-        assert_eq!(scalar.kernel().label(), "scalar");
-        assert_eq!(scalar.kernel().lanes(), 1);
-        let a = auto.run_batch(&net, &batch);
-        let b = scalar.run_batch(&net, &batch);
-        let digest = |r: &BatchReport| {
-            r.outcomes()
-                .iter()
-                .map(|o| {
-                    (
-                        o.source,
-                        o.target,
-                        o.delivered,
-                        o.hops,
-                        o.recoveries,
-                        o.cached,
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(
-            digest(&a),
-            digest(&b),
-            "the {} kernel diverged from the scalar fold",
-            auto.kernel().label()
-        );
-        assert_eq!(auto.cached_routes(), scalar.cached_routes());
+        let reference = assert_matches_reference_walk(&net, &QueryBatch::uniform(&net, 3_000, 21));
+        assert!(reference.iter().all(|&(delivered, _, _)| delivered));
     }
 
     #[test]
     fn frozen_and_classic_engines_agree_on_a_damaged_overlay() {
         use faultline_failure::NodeFailure;
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut net = Network::build(&NetworkConfig::paper_default(1 << 9), &mut rng);
+        let mut net = network(1 << 9, 13);
         let mut failure_rng = StdRng::seed_from_u64(14);
         net.apply_failure(&NodeFailure::fraction(0.35), &mut failure_rng);
-        let batch = QueryBatch::uniform(&net, 5_000, 31);
-        let run = |frozen: bool| {
-            let mut engine = QueryEngine::new(
-                EngineConfig::default()
-                    .threads(2)
-                    .cache_capacity(0)
-                    .frozen(frozen),
-            );
-            let report = engine.run_batch(&net, &batch);
-            report
-                .outcomes()
-                .iter()
-                .map(|o| (o.delivered, o.hops, o.recoveries))
-                .collect::<Vec<_>>()
-        };
-        let fast = run(true);
-        assert_eq!(fast, run(false));
+        let reference = assert_matches_reference_walk(&net, &QueryBatch::uniform(&net, 5_000, 31));
         assert!(
-            fast.iter().any(|&(delivered, _, _)| !delivered),
+            reference.iter().any(|&(delivered, _, _)| !delivered),
             "35% damage should break some searches"
         );
     }
@@ -926,20 +708,6 @@ mod tests {
         assert!(!report.outcomes()[0].delivered);
         assert!(!report.outcomes()[1].delivered);
         assert!(report.outcomes()[2].delivered);
-    }
-
-    #[test]
-    fn freeze_pays_off_weighs_miss_volume_against_compile_cost() {
-        // 1 ms freeze, 200 ns/miss frozen vs 1000 ns/miss live: break-even at 1250
-        // misses.
-        assert!(!freeze_pays_off(1_000_000.0, 200.0, Some(1_000.0), 1_000.0));
-        assert!(freeze_pays_off(1_000_000.0, 200.0, Some(1_000.0), 2_000.0));
-        // No live measurement yet: the bootstrap assumes a conservative 4x gain
-        // (200 → 800 ns/miss, gain 600): break-even at ~1667 misses.
-        assert!(!freeze_pays_off(1_000_000.0, 200.0, None, 1_500.0));
-        assert!(freeze_pays_off(1_000_000.0, 200.0, None, 2_000.0));
-        // A live path measured no slower than the frozen one leaves nothing to win.
-        assert!(!freeze_pays_off(1.0, 500.0, Some(400.0), 1_000_000.0));
     }
 
     #[test]

@@ -132,13 +132,12 @@ proptest! {
     }
 
     /// Contract 2: an empty adversary set is the honest batch path bit for bit —
-    /// for explicit-empty and fraction-zero membership, frozen and live kernels,
-    /// cached and uncached configurations.
+    /// for explicit-empty and fraction-zero membership, cached and uncached
+    /// configurations.
     #[test]
     fn empty_byzantine_set_is_bit_identical_to_the_honest_path(
         net_seed in any::<u64>(),
         batch_seed in any::<u64>(),
-        frozen in any::<bool>(),
         cached in any::<bool>(),
     ) {
         let cache_capacity = if cached { 512usize } else { 0 };
@@ -146,7 +145,6 @@ proptest! {
         let batch = QueryBatch::uniform(&net, 600, batch_seed);
         let base = EngineConfig::default()
             .threads(2)
-            .frozen(frozen)
             .cache_capacity(cache_capacity);
         let mut honest = QueryEngine::new(base.clone());
         let honest_report = honest.run_batch(&net, &batch);

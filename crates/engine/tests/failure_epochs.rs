@@ -73,10 +73,6 @@ fn regional_failure_epochs_survive_and_heal() {
         0,
         "deltas must stay under the rebuild threshold"
     );
-    assert!(
-        report.epochs().iter().all(|e| !e.snapshot.skipped),
-        "the snapshot persists through every epoch"
-    );
 }
 
 #[test]

@@ -9,9 +9,7 @@
 //! the reference's.
 
 use faultline_core::{ConstructionMode, Network, NetworkConfig};
-use faultline_engine::{
-    BatchReport, ChurnMix, EngineConfig, EpochReport, FreezePolicy, QueryBatch, QueryEngine,
-};
+use faultline_engine::{BatchReport, ChurnMix, EngineConfig, EpochReport, QueryBatch, QueryEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -89,39 +87,6 @@ fn patched_epochs_route_like_a_fresh_freeze_under_light_churn() {
 }
 
 #[test]
-fn auto_freeze_policy_never_changes_outcomes() {
-    // The auto policy's skip decisions depend on wall-clock measurements, so *which*
-    // batches get a snapshot is machine-dependent — but outcomes must be identical
-    // either way (frozen and live routing agree bit for bit), and the engine must
-    // still bootstrap by freezing its first batch.
-    let net = incremental_network(512, 15);
-    let mut auto = QueryEngine::new(
-        EngineConfig::default()
-            .threads(2)
-            .cache_capacity(2048)
-            .freeze_policy(FreezePolicy::Auto),
-    );
-    let mut eager = QueryEngine::new(EngineConfig::default().threads(2).cache_capacity(2048));
-    let batch = QueryBatch::uniform(&net, 3_000, 33);
-    let fp = |r: &BatchReport| {
-        r.outcomes()
-            .iter()
-            .map(|o| (o.source, o.target, o.delivered, o.hops, o.cached))
-            .collect::<Vec<_>>()
-    };
-    for _ in 0..4 {
-        let a = auto.run_batch(&net, &batch);
-        let e = eager.run_batch(&net, &batch);
-        assert_eq!(fp(&a), fp(&e), "auto skips must not change outcomes");
-    }
-    assert!(
-        auto.snapshots_built() >= 1,
-        "the auto policy freezes until it has measured both ratio sides"
-    );
-    assert!(auto.snapshots_built() <= eager.snapshots_built());
-}
-
-#[test]
 fn heavy_churn_epochs_still_match_while_degrading_gracefully() {
     // 60 events/epoch over 512 nodes: the structural share of each blast radius
     // (joins/leaves empty or fill whole rows) accumulates tombstones fast, so the
@@ -179,70 +144,25 @@ fn fraction_churn_tracks_the_shrinking_population() {
 }
 
 #[test]
-fn adaptive_policy_skips_snapshot_work_on_a_warm_cache() {
-    let net = incremental_network(512, 11);
-    let batch = QueryBatch::uniform(&net, 4_000, 21);
-    // The skip decision for batch k uses batch k-1's hit rate, so the threshold must
-    // sit below even the cold batch's (within-batch repeats hit the cache).
-    let mut adaptive = QueryEngine::new(
-        EngineConfig::default()
-            .threads(2)
-            .cache_capacity(4096)
-            .freeze_policy(FreezePolicy::HitRate(0.05)),
-    );
-    let cold = adaptive.run_batch(&net, &batch);
-    assert_eq!(
-        adaptive.snapshots_built(),
-        1,
-        "cold batch compiles a snapshot"
-    );
-    assert!(
-        cold.cache_hits() as f64 / cold.queries() as f64 > 0.05,
-        "4k uniform queries over 512 nodes must repeat bucket pairs"
-    );
-    let warm = adaptive.run_batch(&net, &batch);
-    assert!(
-        warm.cache_hits() > warm.queries() / 2,
-        "replaying the batch must hit the cache"
-    );
-    assert_eq!(
-        adaptive.snapshots_built(),
-        1,
-        "a warm cache above the threshold must skip the freeze"
-    );
-    // The skip must not change results: the same batch on an always-freeze engine.
-    let mut eager = QueryEngine::new(EngineConfig::default().threads(2).cache_capacity(4096));
-    let cold_e = eager.run_batch(&net, &batch);
-    let warm_e = eager.run_batch(&net, &batch);
-    assert_eq!(eager.snapshots_built(), 2);
-    let fp = |r: &BatchReport| {
-        r.outcomes()
-            .iter()
-            .map(|o| (o.delivered, o.hops, o.cached))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(fp(&cold), fp(&cold_e));
-    assert_eq!(fp(&warm), fp(&warm_e));
-}
-
-#[test]
-fn adaptive_interleave_marks_skipped_epochs() {
+fn interleaved_run_freezes_once_then_patches_every_epoch() {
+    // A large cache over an almost-static overlay: by the later epochs nearly every
+    // lookup is a hit, and the snapshot is still compiled exactly once and patched
+    // after every epoch's churn.
     let mut net = incremental_network(512, 13);
-    let mut engine = QueryEngine::new(
-        EngineConfig::default()
-            .threads(2)
-            .cache_capacity(8192)
-            .freeze_policy(FreezePolicy::HitRate(0.05)),
-    );
-    // Tiny churn + replayed-scale batches: hit rate climbs fast, so later epochs must
-    // cross the (deliberately low) threshold and skip snapshot maintenance.
-    let report = engine.run_interleaved(&mut net, 5, 3_000, ChurnMix::balanced(2), 3);
-    assert!(
-        report.epochs().iter().any(|e| e.snapshot.skipped),
-        "an almost-static overlay must eventually skip the snapshot"
-    );
-    assert!(
-        report.overall_success_rate() > 0.9,
-        "skipping the snapshot must not hurt delivery"
-    );
+    let mut engine = QueryEngine::new(EngineConfig::default().threads(2).cache_capacity(8192));
+    let report = engine.run_interleaved(&mut net, 4, 3_000, ChurnMix::balanced(2), 3);
+    for epoch in report.epochs() {
+        assert_eq!(
+            epoch.snapshot.rebuild_nanos > 0,
+            epoch.epoch == 0,
+            "epoch {}: the run's one freeze belongs to epoch 0",
+            epoch.epoch
+        );
+        assert_eq!(epoch.joins + epoch.leaves, 2);
+        assert!(
+            epoch.snapshot.patch_nanos > 0,
+            "epoch {}: churned but not patched",
+            epoch.epoch
+        );
+    }
 }

@@ -75,8 +75,8 @@ impl RouteScratch {
     /// Selects the distance-scan kernel: `false` pins the portable scalar fold,
     /// `true` restores auto-detection ([`KernelIsa::detect`]). The two kernels
     /// are contractually bit-identical — this is an A/B and determinism knob
-    /// (`EngineConfig::simd(false)`, the forced-scalar CI lane), not a
-    /// behavioural one.
+    /// (the three-way parity tests, the kernel-cell benchmark), not a behavioural
+    /// one.
     #[must_use]
     pub fn with_simd(mut self, simd: bool) -> Self {
         self.kernel = if simd {

@@ -32,8 +32,7 @@
 //! | | `adversarial_joins` | float | `0.0` |
 //! | `[engine]` | `threads`, `shards`, `cache_capacity` | integer | engine defaults |
 //! | | `max_hops` | integer | engine default |
-//! | | `frozen`, `telemetry` | boolean | engine defaults |
-//! | | `freeze` | `"always"` / `"auto"` / float threshold | `"always"` |
+//! | | `telemetry` | boolean | engine default |
 //! | `[byzantine]` | `fraction` | float | *(required in section)* |
 //! | | `seed` | integer | scenario seed `^ 0xB52A` |
 //! | | `redundancy` | integer | engine default |
@@ -50,8 +49,8 @@ use crate::skew::QuerySkew;
 use crate::toml::{self, Document, Entry, Section, Value};
 use faultline_core::{ConstructionMode, Network, NetworkConfig};
 use faultline_engine::{
-    ByzantineConfig, ChurnMix, EngineConfig, FailureEvent, FailureSchedule, FreezePolicy,
-    InterleavedReport, QueryEngine,
+    ByzantineConfig, ChurnMix, EngineConfig, FailureEvent, FailureSchedule, InterleavedReport,
+    QueryEngine,
 };
 use faultline_routing::FaultStrategy;
 use rand::rngs::StdRng;
@@ -128,10 +127,6 @@ pub struct EngineSpec {
     pub cache_capacity: Option<usize>,
     /// Hop budget override.
     pub max_hops: Option<u64>,
-    /// Route via the compiled frozen snapshot (`false` = live-graph baseline).
-    pub frozen: Option<bool>,
-    /// When to skip snapshot work.
-    pub freeze: Option<FreezePolicy>,
     /// Telemetry recording.
     pub telemetry: Option<bool>,
 }
@@ -275,8 +270,7 @@ impl ScenarioSpec {
     ///
     /// [`ScenarioError::Config`] when
     /// [`EngineConfig::validate_for_epochs`] rejects the assembled whole (shard
-    /// bounds, freeze-threshold domain, byzantine domain, schedule length vs the
-    /// run's epochs).
+    /// bounds, byzantine domain, schedule length vs the run's epochs).
     pub fn into_engine_config(self) -> Result<EngineConfig, ScenarioError> {
         let mut config = EngineConfig::default();
         if let Some(threads) = self.engine.threads {
@@ -290,12 +284,6 @@ impl ScenarioSpec {
         }
         if let Some(max_hops) = self.engine.max_hops {
             config = config.max_hops(max_hops);
-        }
-        if let Some(frozen) = self.engine.frozen {
-            config = config.frozen(frozen);
-        }
-        if let Some(freeze) = self.engine.freeze {
-            config = config.freeze_policy(freeze);
         }
         if let Some(enabled) = self.engine.telemetry {
             config = config.telemetry(enabled);
@@ -433,22 +421,6 @@ impl ScenarioSpec {
             }
             if let Some(max_hops) = self.engine.max_hops {
                 let _ = writeln!(out, "max_hops = {max_hops}");
-            }
-            if let Some(frozen) = self.engine.frozen {
-                let _ = writeln!(out, "frozen = {frozen}");
-            }
-            if let Some(freeze) = self.engine.freeze {
-                match freeze {
-                    FreezePolicy::Always => {
-                        let _ = writeln!(out, "freeze = \"always\"");
-                    }
-                    FreezePolicy::Auto => {
-                        let _ = writeln!(out, "freeze = \"auto\"");
-                    }
-                    FreezePolicy::HitRate(threshold) => {
-                        let _ = writeln!(out, "freeze = {threshold:?}");
-                    }
-                }
             }
             if let Some(enabled) = self.engine.telemetry {
                 let _ = writeln!(out, "telemetry = {enabled}");
@@ -967,12 +939,10 @@ fn parse_engine(document: &Document) -> Result<EngineSpec, ScenarioError> {
             "shards",
             "cache_capacity",
             "max_hops",
-            "frozen",
-            "freeze",
             "telemetry",
         ],
     )?;
-    let spec = EngineSpec {
+    Ok(EngineSpec {
         threads: section.get("threads").map(expect_usize).transpose()?,
         shards: section.get("shards").map(expect_usize).transpose()?,
         cache_capacity: section
@@ -980,40 +950,8 @@ fn parse_engine(document: &Document) -> Result<EngineSpec, ScenarioError> {
             .map(expect_usize)
             .transpose()?,
         max_hops: section.get("max_hops").map(expect_u64).transpose()?,
-        frozen: section.get("frozen").map(expect_bool).transpose()?,
-        freeze: section
-            .get("freeze")
-            .map(|entry| match &entry.value {
-                Value::String(s) => match s.as_str() {
-                    "always" => Ok(FreezePolicy::Always),
-                    "auto" => Ok(FreezePolicy::Auto),
-                    _ => Err(invalid(
-                        entry,
-                        "must be \"always\", \"auto\", or a hit-rate threshold in [0, 1]",
-                    )),
-                },
-                Value::Float(_) | Value::Integer(_) => {
-                    Ok(FreezePolicy::HitRate(expect_unit_fraction(entry)?))
-                }
-                other => Err(mismatch(entry, "string or float", other)),
-            })
-            .transpose()?,
         telemetry: section.get("telemetry").map(expect_bool).transpose()?,
-    };
-    // The one cross-key contradiction the DSL refuses even though the engine
-    // accepts it: no cache *and* no frozen kernel is the bench's internal
-    // exact-measurement baseline, not a scenario anyone means to describe —
-    // every miss walks the live graph and the run measures nothing the paper
-    // talks about.
-    if spec.cache_capacity == Some(0) && spec.frozen == Some(false) {
-        let entry = section.get("frozen").expect("frozen key present when Some");
-        return Err(invalid(
-            entry,
-            "cache_capacity = 0 with frozen = false disables both routing accelerators; \
-             drop one of the two overrides",
-        ));
-    }
-    Ok(spec)
+    })
 }
 
 fn parse_byzantine(

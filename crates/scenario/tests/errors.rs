@@ -80,6 +80,9 @@ fn fire_retired_engine_keys() {
     for (line, key) in [
         ("maintenance = \"rebuild\"\n", "maintenance"),
         ("row_invalidation = false\n", "row_invalidation"),
+        ("frozen = false\n", "frozen"),
+        ("freeze = \"auto\"\n", "freeze"),
+        ("freeze = 0.35\n", "freeze"),
     ] {
         let source = format!("{BASE}[engine]\nthreads = 2\n{line}");
         assert_eq!(
@@ -175,17 +178,6 @@ fn fire_invalid_value() {
             key: "fraction".into(),
             message: "must lie in [0, 1]".into(),
         })
-    );
-    // The DSL-level contradiction the engine itself tolerates (it is the
-    // bench's exact-measurement baseline): no cache *and* no frozen kernel.
-    let no_accelerators = format!("{BASE}[engine]\ncache_capacity = 0\nfrozen = false\n");
-    let err = ScenarioSpec::parse(&no_accelerators).expect_err("must be rejected");
-    assert!(
-        matches!(
-            &err,
-            ScenarioError::InvalidValue { line: 10, key, .. } if key == "frozen"
-        ),
-        "got {err:?}"
     );
     // Contradictory churn volume.
     let both_volumes = format!("{BASE}[churn]\nfraction = 0.1\nevents_per_epoch = 5\n");

@@ -4,7 +4,7 @@
 //! round-trip is what makes scenario files diffable artifacts rather than
 //! write-only input.
 
-use faultline_engine::{FailureEvent, FreezePolicy};
+use faultline_engine::FailureEvent;
 use faultline_routing::FaultStrategy;
 use faultline_scenario::{
     ByzantineSpec, ChurnSpec, ChurnVolume, EngineSpec, FailureSpec, QuerySkew, ScenarioSpec,
@@ -67,8 +67,6 @@ fn kitchen_sink_spec_round_trips() {
         "shards = 16\n",
         "cache_capacity = 4096\n",
         "max_hops = 200\n",
-        "frozen = true\n",
-        "freeze = 0.35\n",
         "telemetry = false\n",
         "[byzantine]\n",
         "fraction = 0.15\n",
@@ -97,7 +95,7 @@ fn kitchen_sink_spec_round_trips() {
             adversarial_joins: Some(0.1),
         })
     );
-    assert_eq!(spec.engine.freeze, Some(FreezePolicy::HitRate(0.35)));
+    assert_eq!(spec.engine.max_hops, Some(200));
     assert_eq!(
         spec.byzantine,
         Some(ByzantineSpec {
