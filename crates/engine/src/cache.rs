@@ -88,7 +88,8 @@ impl RowSet {
 /// cache entry was created.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CachedRoute {
-    /// Whether the route delivered.
+    /// Whether the route delivered. The engine serves delivered digests only: an
+    /// undelivered entry makes every lookup of its key walk until it is evicted.
     pub delivered: bool,
     /// Hop count of the route.
     pub hops: u64,

@@ -6,12 +6,15 @@
 //! with *correlated* failures — the adversarially-chosen contiguous regions the
 //! paper's independent-failure theorems do not cover — and with heal events that
 //! revive the downed nodes through the same typed-delta pipeline churn uses. Every
-//! failure-configured epoch also builds a
-//! [`ConnectivityOracle`](faultline_theory::ConnectivityOracle) over the damaged
-//! overlay, so each query is classified against *ground truth*: a dropped lookup
-//! whose endpoints the oracle proves disconnected is excluded from the success
-//! denominator, while a dropped lookup the oracle proves survivable is a routing
-//! failure the resilience gate counts ([`SurvivabilitySplit`]).
+//! failure-configured epoch also classifies each query against *ground truth*, a
+//! [`ConnectivityOracle`](faultline_theory::ConnectivityOracle) over the live
+//! (damaged) overlay: a dropped lookup whose endpoints the oracle proves
+//! disconnected is excluded from the success denominator, while a dropped lookup
+//! the oracle proves survivable is a routing failure the resilience gate counts
+//! ([`SurvivabilitySplit`]). The oracle is rebuilt only on an epoch whose overlay
+//! moved since the last build — this epoch's event failed or healed a node, or the
+//! previous epoch's churn applied an event — and pays for `survivable()` alone
+//! (the oracle's cut analysis is derived on demand, and the engine never asks).
 
 use faultline_overlay::NodeId;
 
@@ -190,7 +193,8 @@ pub struct FailureWork {
     pub fallback_rebuild: bool,
     /// Wall-clock nanoseconds of the whole failure phase: graph mutation, snapshot
     /// patch, and cache invalidation (oracle construction excluded — it is
-    /// measurement apparatus, not recovery work). On heal epochs this is the
+    /// measurement apparatus, not recovery work, and is timed as the
+    /// `oracle_build` telemetry phase instead). On heal epochs this is the
     /// heal-recovery latency the bench reports.
     pub recovery_nanos: u64,
 }

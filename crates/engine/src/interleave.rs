@@ -19,7 +19,7 @@ use faultline_failure::{ChurnEvent, ChurnSchedule, RegionFailure};
 use faultline_overlay::{ChurnDelta, NodeId};
 use faultline_routing::ByzantineSet;
 use faultline_sim::{seed_for_trial, trial_rng};
-use faultline_telemetry::{EventKind, PhaseNanos};
+use faultline_telemetry::{EventKind, Phase, PhaseNanos};
 use faultline_theory::ConnectivityOracle;
 use rand::Rng;
 use std::time::Instant;
@@ -186,7 +186,8 @@ pub struct EpochReport {
     pub failure: Option<FailureWork>,
     /// The epoch's queries classified against the connectivity oracle's ground
     /// truth on the (possibly damaged) overlay the batch routed; `None` when the
-    /// run has no failure schedule.
+    /// run has no failure schedule. The oracle is rebuilt on the epochs whose
+    /// overlay moved since the last build (`phases` shows which).
     pub survivability: Option<SurvivabilitySplit>,
     /// Telemetry wall-time attributed to each engine phase *during this epoch* (the
     /// difference of two cumulative [`Telemetry::phase_totals`] readings; all zeros
@@ -526,6 +527,9 @@ impl QueryEngine {
         let mut downed = DownedSet::default();
         let mut reports = Vec::with_capacity(epochs);
         let mut snapshot: Option<FrozenView> = None;
+        // Ground truth for the epochs' traffic, kept for as long as it describes
+        // the overlay: whatever moves the graph drops it.
+        let mut oracle: Option<ConnectivityOracle> = None;
         for epoch in 0..epochs {
             // Stamp ring events with the epoch, and bracket the epoch's phase
             // totals so the report carries a per-epoch breakdown.
@@ -546,16 +550,24 @@ impl QueryEngine {
                 )
             });
             // Ground truth for the epoch's traffic: directed reachability over the
-            // post-event usable-neighbour graph. Built per epoch because both
-            // failures and last epoch's churn moved the graph.
-            let oracle = failure_schedule.as_ref().map(|_| {
-                let graph = network.graph();
-                ConnectivityOracle::build(
-                    n as u32,
-                    |p| graph.is_alive(u64::from(p)),
-                    |p| graph.usable_neighbors(u64::from(p)).map(|q| q as u32),
-                )
-            });
+            // post-event usable-neighbour graph — the live overlay, never the
+            // snapshot it audits. Only a failure event and the previous epoch's
+            // churn move that graph, so a quiet epoch after a churn-free one
+            // classifies against the oracle already built.
+            if let Some(work) = &failure {
+                if work.failed_nodes > 0 || work.healed_nodes > 0 || work.delta_rows > 0 {
+                    oracle = None;
+                }
+                oracle.get_or_insert_with(|| {
+                    let _span = self.telemetry().span(Phase::OracleBuild);
+                    let graph = network.graph();
+                    ConnectivityOracle::build(
+                        n as u32,
+                        |p| graph.is_alive(u64::from(p)),
+                        |p| graph.usable_neighbors(u64::from(p)).map(|q| q as u32),
+                    )
+                });
+            }
 
             let mut work = SnapshotWork::default();
             let live = match &mut snapshot {
@@ -630,6 +642,9 @@ impl QueryEngine {
                         }
                     }
                 }
+            }
+            if joins + leaves > 0 {
+                oracle = None;
             }
             let flushed_routes = self.invalidate_delta(&epoch_delta, n);
             // xlint: allow(determinism) -- patch cost is reported in SnapshotWork only, never read by routing

@@ -53,19 +53,22 @@
 //!   two-sided partitions, and heal events through the same typed-delta pipeline
 //!   churn uses (snapshot rows patched in place, caches evicted at row
 //!   granularity — no rebuild, no whole-cache flush). Each failure-configured
-//!   epoch builds a [`ConnectivityOracle`](faultline_theory::ConnectivityOracle)
-//!   over the damaged overlay and classifies every query against ground truth
-//!   ([`SurvivabilitySplit`]): lookups the oracle proves disconnected leave the
-//!   success denominator, and dropped-but-survivable lookups are the routing
-//!   failures the resilience gate counts. Failed lookups get a bounded
-//!   diversified-retry budget while the overlay is damaged.
+//!   epoch classifies every query against the ground truth of a
+//!   [`ConnectivityOracle`](faultline_theory::ConnectivityOracle) over the damaged
+//!   overlay ([`SurvivabilitySplit`]): lookups the oracle proves disconnected
+//!   leave the success denominator, and dropped-but-survivable lookups are the
+//!   routing failures the resilience gate counts. The oracle is built from the
+//!   live graph (SCCs only) and kept until a failure, heal or churn event moves
+//!   it. Failed lookups get a bounded diversified-retry budget while the overlay
+//!   is damaged, and a failed digest is never served from the route cache.
 //! * **Percentile stats** — every batch reports p50/p95/p99 hop and per-query wall-time
 //!   ladders plus queries/sec, exportable as JSON for the benchmark trajectory.
 //!   Latency percentiles come from log-bucketed histograms ([`LatencyDigest`]) that
 //!   carry the batch's measurement floor and quantization share, so sub-resolution
 //!   readings are visible as clock artifacts instead of masquerading as precise.
 //! * **Telemetry** — the engine records per-phase wall-time histograms (`freeze`,
-//!   `apply_delta`, `invalidate`, per-shard `batch_shard`, `compact`),
+//!   `apply_delta`, `invalidate`, per-shard `batch_shard`, `compact`,
+//!   `oracle_build`),
 //!   per-shard cache counters (hits/misses/evictions/occupancy), and a bounded ring
 //!   of epoch-stamped structural events (compactions, rebuild fallbacks, cache
 //!   evictions/invalidations, adversary convictions). Recording is lock-free relaxed

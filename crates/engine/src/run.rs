@@ -437,7 +437,7 @@ fn diversified(router: Router) -> Router {
 }
 
 /// Routes (or cache-serves) one query on a shard worker; a cache miss walks the
-/// frozen CSR kernel.
+/// frozen CSR kernel. Only a delivered digest is ever served from the cache.
 ///
 /// When `retry_budget > 0` (failure epochs), an undelivered lookup re-routes up to
 /// that many more times, each attempt with a seed derived from `(batch seed, query
@@ -459,7 +459,12 @@ fn route_one(
     let started = Instant::now();
     let source_bucket = bucket_of(source, n);
     let target_bucket = bucket_of(target, n);
-    if let Some(hit) = cache.get(source_bucket, target_bucket) {
+    // An undelivered digest speaks for the pair that walked it and no other, so a
+    // lookup that finds one walks for itself. The entry stays until a delta evicts
+    // it: a key's entry is always its first lookup's digest, which is what makes a
+    // surviving entry equal to what a flushed cache would recompute.
+    let found = cache.get(source_bucket, target_bucket);
+    if let Some(hit) = found.filter(|hit| hit.delivered) {
         return QueryOutcome {
             source,
             target,
@@ -528,18 +533,20 @@ fn route_one(
                 snapshot.router().strategy(),
                 FaultStrategy::RandomReroute { .. }
             ));
-    cache.insert(
-        source_bucket,
-        target_bucket,
-        CachedRoute {
-            delivered,
-            hops,
-            recoveries,
-            touched: (1 << source_bucket) | (1 << target_bucket),
-        },
-        &deps,
-        volatile,
-    );
+    if found.is_none() {
+        cache.insert(
+            source_bucket,
+            target_bucket,
+            CachedRoute {
+                delivered,
+                hops,
+                recoveries,
+                touched: (1 << source_bucket) | (1 << target_bucket),
+            },
+            &deps,
+            volatile,
+        );
+    }
     QueryOutcome {
         source,
         target,
@@ -696,6 +703,38 @@ mod tests {
             reference.iter().any(|&(delivered, _, _)| !delivered),
             "35% damage should break some searches"
         );
+    }
+
+    #[test]
+    fn a_failed_lookup_does_not_fail_its_bucket_mates() {
+        use faultline_failure::RegionFailure;
+        // 8 grid points per bucket: 0 and 1 share a source bucket, 256 and 257 a
+        // target bucket. Crashing 256 makes (0, 256) undeliverable.
+        let mut net = network(1 << 9, 17);
+        net.apply_failure(&RegionFailure::at(256, 1), &mut StdRng::seed_from_u64(1));
+        let mut engine = QueryEngine::new(EngineConfig::default().threads(1));
+        let batch = QueryBatch::from_pairs(5, vec![(0, 256), (1, 257), (1, 257)]);
+        let report = engine.run_batch(&net, &batch);
+        let [dead, mate, again] = report.outcomes() else {
+            panic!("three lookups in, three outcomes out");
+        };
+        assert!(!dead.delivered && !dead.cached);
+        // Neither served the failed digest nor allowed to replace it: every lookup
+        // of the key walks until a delta evicts the entry.
+        for lookup in [mate, again] {
+            assert!(lookup.delivered && !lookup.cached, "{lookup:?}");
+        }
+        assert_eq!(engine.cached_routes(), 1);
+        // The heal's delta names row 256, a dependency of the failed walk: the key
+        // is vacant again and its next first lookup is cached and served.
+        let delta = net.heal_nodes(&[256]);
+        assert_eq!(engine.invalidate_delta(&delta, net.len()), 1);
+        let report = engine.run_batch(&net, &batch);
+        let [first, second, _] = report.outcomes() else {
+            panic!("three lookups in, three outcomes out");
+        };
+        assert!(first.delivered && !first.cached);
+        assert!(second.delivered && second.cached, "{second:?}");
     }
 
     #[test]

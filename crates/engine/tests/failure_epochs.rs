@@ -4,10 +4,11 @@
 
 use faultline_core::{ConstructionMode, Network, NetworkConfig};
 use faultline_engine::{
-    ChurnMix, EngineConfig, EventKind, FailureEvent, FailureSchedule, InterleavedReport,
-    QueryEngine,
+    ChurnMix, EngineConfig, EventKind, FailureEvent, FailureSchedule, InterleavedReport, Phase,
+    QueryBatch, QueryEngine, SurvivabilitySplit,
 };
 use faultline_routing::FaultStrategy;
+use faultline_theory::ConnectivityOracle;
 use rand::{rngs::StdRng, SeedableRng};
 
 fn backtrack_network(n: u64, seed: u64) -> Network {
@@ -148,6 +149,72 @@ fn quiet_schedules_classify_without_damaging() {
     }
     // Without damage the retry budget is never spent.
     assert_eq!(report.total_retries_spent(), 0);
+}
+
+/// The engine keeps its oracle while the overlay has not moved. Whatever it
+/// keeps, every epoch's split must equal the one a fresh oracle gives: built in
+/// the workload callback, which sees the overlay exactly as the batch routes it.
+#[test]
+fn kept_oracles_classify_like_a_fresh_one_every_epoch() {
+    let events = vec![
+        FailureEvent::Region { width: 24 },
+        FailureEvent::Quiet,
+        FailureEvent::Heal,
+        FailureEvent::Quiet,
+    ];
+    let epochs = 2 * events.len();
+    // With churn every epoch moves the graph, the quiet ones included; without
+    // it only the region and the heal do.
+    for (churn, rebuilds) in [(12, vec![true; 8]), (0, [true, false].repeat(4))] {
+        for threads in [1usize, 2] {
+            let mut net = backtrack_network(512, 11);
+            let schedule = FailureSchedule::from_events(events.clone());
+            let mut engine =
+                QueryEngine::new(EngineConfig::default().threads(threads).failures(schedule));
+            let mut fresh: Vec<(QueryBatch, ConnectivityOracle)> = Vec::new();
+            let report = engine.run_interleaved_with(
+                &mut net,
+                epochs,
+                1_500,
+                ChurnMix::balanced(churn),
+                99,
+                &mut |network, context| {
+                    let batch = QueryBatch::uniform(network, context.queries, context.seed);
+                    let graph = network.graph();
+                    let oracle = ConnectivityOracle::build(
+                        network.len() as u32,
+                        |p| graph.is_alive(u64::from(p)),
+                        |p| graph.usable_neighbors(u64::from(p)).map(|q| q as u32),
+                    );
+                    fresh.push((batch.clone(), oracle));
+                    batch
+                },
+            );
+            for (epoch, (batch, oracle)) in report.epochs().iter().zip(&fresh) {
+                let mut expected = SurvivabilitySplit::default();
+                for (&(source, target), outcome) in batch.pairs().iter().zip(epoch.batch.outcomes())
+                {
+                    expected.retries_spent += u64::from(outcome.attempts.saturating_sub(1));
+                    if oracle.survivable(source as u32, target as u32) {
+                        expected.predicted_survivable += 1;
+                        expected.survivable_delivered += usize::from(outcome.delivered);
+                        expected.survivable_dropped += usize::from(!outcome.delivered);
+                    } else {
+                        expected.unsurvivable += 1;
+                    }
+                }
+                let at = format!("churn {churn}, {threads} threads, epoch {}", epoch.epoch);
+                assert_eq!(epoch.survivability, Some(expected), "{at}");
+                assert_eq!(epoch.joins + epoch.leaves, churn, "{at}");
+                // The build shows in the epoch's phases exactly when it happened.
+                assert_eq!(
+                    epoch.phases.get(Phase::OracleBuild) > 0,
+                    rebuilds[epoch.epoch],
+                    "{at}"
+                );
+            }
+        }
+    }
 }
 
 #[test]

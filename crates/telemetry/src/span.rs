@@ -4,7 +4,7 @@ use crate::histogram::Histogram;
 use std::time::Instant;
 
 /// Number of named phases (the length of [`Phase::ALL`]).
-pub const NUM_PHASES: usize = 5;
+pub const NUM_PHASES: usize = 6;
 
 /// The engine's timed phases. Each owns one wall-time histogram in the
 /// [`crate::Telemetry`] handle; a [`Span`] records into it on drop.
@@ -20,6 +20,9 @@ pub enum Phase {
     BatchShard,
     /// Compacting the snapshot's overflow/tombstones back to dense CSR.
     Compact,
+    /// Building the connectivity oracle a failure-configured epoch classifies
+    /// its lookups against (no time on an epoch that reuses the last one).
+    OracleBuild,
 }
 
 impl Phase {
@@ -30,6 +33,7 @@ impl Phase {
         Phase::Invalidate,
         Phase::BatchShard,
         Phase::Compact,
+        Phase::OracleBuild,
     ];
 
     /// Stable snake_case name (used as the JSON key).
@@ -41,6 +45,7 @@ impl Phase {
             Phase::Invalidate => "invalidate",
             Phase::BatchShard => "batch_shard",
             Phase::Compact => "compact",
+            Phase::OracleBuild => "oracle_build",
         }
     }
 
@@ -190,7 +195,7 @@ mod tests {
         assert_eq!(delta.get(Phase::Freeze), 0);
         assert_eq!(delta.get(Phase::Compact), 60);
         assert_eq!(a.saturating_sub(&b), PhaseNanos::default());
-        assert_eq!(b.total(), (1 + 2 + 3 + 4) * 25);
+        assert_eq!(b.total(), (1 + 2 + 3 + 4 + 5) * 25);
     }
 
     #[test]
@@ -200,6 +205,6 @@ mod tests {
         for phase in Phase::ALL {
             assert!(json.contains(&format!("\"{}_ns\":", phase.name())));
         }
-        assert!(json.contains("\"total_ns\":10"));
+        assert!(json.contains("\"total_ns\":15"));
     }
 }

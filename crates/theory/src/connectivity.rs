@@ -6,7 +6,7 @@
 //! (the failure disconnected source from target) and queries the router dropped
 //! despite an existing path. Separating them needs exact connectivity structure
 //! over the post-failure usable-neighbour graph — the same adjacency the stretch
-//! oracle walks — computed once per failure epoch and queried per pair.
+//! oracle walks — computed once per state of that graph and queried per pair.
 //!
 //! [`ConnectivityOracle`] provides three views of that structure:
 //!
@@ -22,11 +22,19 @@
 //!   single further link loss with connectivity intact (the audit of
 //!   arxiv 1906.10275 applied to the measured overlay).
 //!
+//! [`ConnectivityOracle::build`] pays for the first view only: one pass over the
+//! adjacency into a flat CSR, Tarjan, condensation. That is all the engine's
+//! per-epoch survivability accounting reads. The two undirected views cost
+//! several times as much (an edge sort plus two more traversals) and are derived
+//! from the retained CSR the first time a cut accessor is called, then kept.
+//!
 //! Like the BFS oracle, everything is adjacency-generic: callers supply an
 //! aliveness predicate and an out-neighbour closure, so the same code audits the
 //! live overlay graph, a frozen CSR snapshot, or a synthetic test graph.
 //! Out-of-range neighbours are ignored; edges from or to dead nodes do not
 //! exist; dead endpoints are never survivable.
+
+use std::sync::OnceLock;
 
 /// Label reported for nodes outside every component (dead or out of range).
 const NO_COMPONENT: u32 = u32::MAX;
@@ -39,19 +47,30 @@ const UNVISITED: u32 = u32::MAX;
 
 /// Exact connectivity structure of a (possibly failure-damaged) overlay graph.
 ///
-/// Build once per failure epoch with [`ConnectivityOracle::build`]; queries are
-/// then cheap: same-component pairs answer in O(1), cross-component pairs walk
-/// the (small) condensation DAG.
+/// Build once per graph state with [`ConnectivityOracle::build`]; survivability
+/// queries are then cheap: same-component pairs answer in O(1), cross-component
+/// pairs walk the (small) condensation DAG. The first cut query (bridges,
+/// articulation points, 2-edge-connected components) derives the undirected
+/// structure; later ones read it.
 #[derive(Debug, Clone)]
 pub struct ConnectivityOracle {
     n: u32,
     alive: Vec<bool>,
+    /// Directed adjacency over live endpoints only.
+    adj: Csr,
     /// Tarjan SCC id per node ([`NO_COMPONENT`] for dead nodes).
     scc: Vec<u32>,
     scc_count: u32,
     /// Deduplicated out-edges between distinct SCC ids (the condensation DAG).
     condensation: Vec<Vec<u32>>,
-    /// 2-edge-connected component label per node (undirected simple view).
+    /// The undirected cut structure, derived from the CSR on first access.
+    cuts: OnceLock<Cuts>,
+}
+
+/// Cut structure of the symmetrized simple graph.
+#[derive(Debug, Clone)]
+struct Cuts {
+    /// 2-edge-connected component label per node.
     two_ecc: Vec<u32>,
     /// Undirected bridge endpoints, `(min, max)`, sorted.
     bridges: Vec<(u32, u32)>,
@@ -64,12 +83,15 @@ impl ConnectivityOracle {
     ///
     /// `neighbors(p)` yields the directed out-neighbours of `p` (the overlay's
     /// usable-neighbour row). Edges whose source or target is dead, out of
-    /// range, or a self-loop are discarded. The undirected analyses
-    /// (bridges, articulation points, 2-edge-connected components) run on the
-    /// symmetrized *simple* graph: `{v, w}` exists once whenever `v → w` or
-    /// `w → v` does.
+    /// range, or a self-loop are discarded.
     ///
-    /// O(n + edges) time for the whole build (SCC, lowlink, labels).
+    /// Does the directed half only: the alive table, the adjacency as one CSR,
+    /// Tarjan and the condensation — O(n + edges), each edge read from
+    /// `neighbors` once. The undirected analyses (bridges, articulation points,
+    /// 2-edge-connected components) run on the symmetrized *simple* graph —
+    /// `{v, w}` exists once whenever `v → w` or `w → v` does — and are not
+    /// computed here: the first accessor that needs them derives them from the
+    /// CSR in O(edges · log edges).
     #[must_use]
     pub fn build<A, N, I>(n: u32, alive: A, neighbors: N) -> Self
     where
@@ -77,35 +99,41 @@ impl ConnectivityOracle {
         N: Fn(u32) -> I,
         I: IntoIterator<Item = u32>,
     {
-        let size = n as usize;
         let alive: Vec<bool> = (0..n).map(alive).collect();
         // Directed adjacency over live endpoints only.
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); size];
+        let mut offsets = Vec::with_capacity(n as usize + 1);
+        let mut targets = Vec::new();
         for v in 0..n {
-            if !alive[v as usize] {
-                continue;
-            }
-            for w in neighbors(v) {
-                if w < n && w != v && alive[w as usize] {
-                    adj[v as usize].push(w);
-                }
+            offsets.push(targets.len());
+            if alive[v as usize] {
+                targets.extend(
+                    neighbors(v)
+                        .into_iter()
+                        .filter(|&w| w < n && w != v && alive[w as usize]),
+                );
             }
         }
+        offsets.push(targets.len());
+        let adj = Csr { offsets, targets };
 
-        let (scc, scc_count) = tarjan_scc(n, &alive, &adj);
+        let (scc, scc_count) = tarjan_scc(&alive, &adj);
         let condensation = condense(&adj, &scc, scc_count);
-        let (two_ecc, bridges, articulation) = undirected_cuts(n, &alive, &adj);
 
         Self {
             n,
             alive,
+            adj,
             scc,
             scc_count,
             condensation,
-            two_ecc,
-            bridges,
-            articulation,
+            cuts: OnceLock::new(),
         }
+    }
+
+    /// The undirected cut structure, derived on first use.
+    fn cuts(&self) -> &Cuts {
+        self.cuts
+            .get_or_init(|| undirected_cuts(&self.alive, &self.adj))
     }
 
     /// Number of nodes the oracle was built over.
@@ -178,7 +206,7 @@ impl ConnectivityOracle {
     /// 2-edge-connected component label of `p` (`None` for dead nodes).
     #[must_use]
     pub fn two_edge_component(&self, p: u32) -> Option<u32> {
-        (self.is_alive(p)).then(|| self.two_ecc[p as usize])
+        (self.is_alive(p)).then(|| self.cuts().two_ecc[p as usize])
     }
 
     /// True when `a` and `b` stay connected (in the symmetrized view) after the
@@ -195,13 +223,13 @@ impl ConnectivityOracle {
     /// endpoint pairs. Losing any one of these disconnects the survivors.
     #[must_use]
     pub fn bridges(&self) -> &[(u32, u32)] {
-        &self.bridges
+        &self.cuts().bridges
     }
 
     /// True when removing `p` would disconnect its (undirected) component.
     #[must_use]
     pub fn is_articulation(&self, p: u32) -> bool {
-        p < self.n && self.articulation[p as usize]
+        p < self.n && self.cuts().articulation[p as usize]
     }
 
     /// Every articulation point, ascending.
@@ -211,9 +239,27 @@ impl ConnectivityOracle {
     }
 }
 
+/// A flat adjacency: the out-neighbours of `v` are
+/// `targets[offsets[v]..offsets[v + 1]]`, in the order they were supplied.
+#[derive(Debug, Clone)]
+struct Csr {
+    offsets: Vec<usize>,
+    targets: Vec<u32>,
+}
+
+impl Csr {
+    fn row(&self, v: usize) -> &[u32] {
+        &self.targets[self.offsets[v]..self.offsets[v + 1]]
+    }
+
+    fn rows(&self) -> impl Iterator<Item = &[u32]> {
+        self.offsets.windows(2).map(|w| &self.targets[w[0]..w[1]])
+    }
+}
+
 /// Iterative Tarjan: SCC id per live node, plus the component count.
-fn tarjan_scc(n: u32, alive: &[bool], adj: &[Vec<u32>]) -> (Vec<u32>, u32) {
-    let size = n as usize;
+fn tarjan_scc(alive: &[bool], adj: &Csr) -> (Vec<u32>, u32) {
+    let size = alive.len();
     let mut index = vec![UNVISITED; size];
     let mut low = vec![0u32; size];
     let mut on_stack = vec![false; size];
@@ -223,7 +269,7 @@ fn tarjan_scc(n: u32, alive: &[bool], adj: &[Vec<u32>]) -> (Vec<u32>, u32) {
     let mut comp_count = 0u32;
     // Explicit DFS frames: (node, next out-edge position).
     let mut frames: Vec<(u32, usize)> = Vec::new();
-    for root in 0..n {
+    for root in 0..size as u32 {
         if !alive[root as usize] || index[root as usize] != UNVISITED {
             continue;
         }
@@ -237,7 +283,7 @@ fn tarjan_scc(n: u32, alive: &[bool], adj: &[Vec<u32>]) -> (Vec<u32>, u32) {
                 on_stack[vi] = true;
                 stack.push(v);
             }
-            if let Some(&w) = adj[vi].get(*pos) {
+            if let Some(&w) = adj.row(vi).get(*pos) {
                 *pos += 1;
                 let wi = w as usize;
                 if index[wi] == UNVISITED {
@@ -270,9 +316,9 @@ fn tarjan_scc(n: u32, alive: &[bool], adj: &[Vec<u32>]) -> (Vec<u32>, u32) {
 }
 
 /// Deduplicated condensation DAG: out-edges between distinct SCC ids.
-fn condense(adj: &[Vec<u32>], scc: &[u32], scc_count: u32) -> Vec<Vec<u32>> {
+fn condense(adj: &Csr, scc: &[u32], scc_count: u32) -> Vec<Vec<u32>> {
     let mut out: Vec<Vec<u32>> = vec![Vec::new(); scc_count as usize];
-    for (v, row) in adj.iter().enumerate() {
+    for (v, row) in adj.rows().enumerate() {
         let from = scc[v];
         if from == NO_COMPONENT {
             continue;
@@ -293,15 +339,12 @@ fn condense(adj: &[Vec<u32>], scc: &[u32], scc_count: u32) -> Vec<Vec<u32>> {
 
 /// DFS-lowlink cut structure on the symmetrized simple graph: 2-edge-connected
 /// component labels, bridges, and articulation points.
-fn undirected_cuts(
-    n: u32,
-    alive: &[bool],
-    adj: &[Vec<u32>],
-) -> (Vec<u32>, Vec<(u32, u32)>, Vec<bool>) {
-    let size = n as usize;
+fn undirected_cuts(alive: &[bool], adj: &Csr) -> Cuts {
+    let size = alive.len();
+    let n = size as u32;
     // Symmetrize and deduplicate: one undirected edge per unordered pair.
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    for (v, row) in adj.iter().enumerate() {
+    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(adj.targets.len());
+    for (v, row) in adj.rows().enumerate() {
         let v = v as u32;
         for &w in row {
             edges.push((v.min(w), v.max(w)));
@@ -396,7 +439,11 @@ fn undirected_cuts(
         .zip(&is_bridge)
         .filter_map(|(&e, &b)| b.then_some(e))
         .collect();
-    (label, bridges, articulation)
+    Cuts {
+        two_ecc: label,
+        bridges,
+        articulation,
+    }
 }
 
 #[cfg(test)]
@@ -486,6 +533,40 @@ mod tests {
         // Directed survivability still crosses the bridge (it was symmetrized
         // from directed edges in both directions).
         assert!(oracle.survivable(0, 5));
+    }
+
+    #[test]
+    fn cut_structure_is_derived_on_first_cut_query_only() {
+        // The barbell of the test above, with node 6 dead.
+        let adj = |p: u32| -> Vec<u32> {
+            match p {
+                0 => vec![1, 2],
+                1 => vec![2, 0],
+                2 => vec![0, 1, 3, 6],
+                3 => vec![2, 4, 5],
+                4 => vec![5, 3],
+                5 => vec![3, 4],
+                _ => vec![0],
+            }
+        };
+        let oracle = ConnectivityOracle::build(7, |p| p != 6, adj);
+        assert!(oracle.survivable(0, 5) && !oracle.survivable(0, 6));
+        assert_eq!(oracle.component_of(4), oracle.component_of(1));
+        assert_eq!(oracle.component_count(), 1);
+        assert!(oracle.is_alive(2) && oracle.len() == 7 && !oracle.is_empty());
+        assert!(
+            oracle.cuts.get().is_none(),
+            "the directed queries must not pay for the cut structure"
+        );
+        // A clone taken before the derivation derives the same answers itself.
+        let clone = oracle.clone();
+        assert_eq!(oracle.bridges(), &[(2, 3)]);
+        assert!(oracle.cuts.get().is_some() && clone.cuts.get().is_none());
+        assert_eq!(clone.bridges(), oracle.bridges());
+        assert_eq!(clone.articulation_points(), oracle.articulation_points());
+        for p in 0..7 {
+            assert_eq!(clone.two_edge_component(p), oracle.two_edge_component(p));
+        }
     }
 
     #[test]
