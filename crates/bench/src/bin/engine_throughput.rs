@@ -18,8 +18,8 @@
 //! `ENGINE_SMOKE_MIN_TELEMETRY_RATIO`, `ENGINE_SMOKE_MIN_SURVIVAL`,
 //! `ENGINE_SMOKE_MIN_FAILURE_REBUILD_FREE`, `ENGINE_SMOKE_MAX_HEAL_RECOVERY_US` —
 //! for unusual machines). All gate readings, the dispatched distance-scan ISA,
-//! the snapshot compaction/rebuild
-//! cadence, and the per-phase telemetry breakdown are appended to
+//! the rows each trajectory patched, and the per-phase telemetry breakdown are
+//! appended to
 //! `$GITHUB_STEP_SUMMARY` when that file is available, so a failing run is
 //! diagnosable from the job page without opening the log.
 //!
@@ -52,10 +52,10 @@ const MIN_SIMD_SPEEDUP: f64 = 1.15;
 /// delta layer stopped paying for itself.
 const MIN_PATCH_SPEEDUP: f64 = 1.0;
 
-/// `--quick` floor for the fraction of maintenance epochs that stayed on the
-/// patch path (no structural rebuild fallback). Light churn must never trip the
-/// fallback: a single rebuild at smoke scale means the structural-only gating
-/// regressed.
+/// `--quick` floor for the fraction of maintenance epochs that patched rows in
+/// their slots without re-laying the snapshot out. The maintainer never grows a row
+/// past the stride the freeze derived, so a single rebuild at smoke scale means the
+/// stride derivation (or the maintainer's link budget) regressed.
 const MIN_PATCH_REBUILD_FREE: f64 = 1.0;
 
 /// `--quick` floor for `headline.byzantine_throughput` (q/s at 15% corruption,
@@ -86,9 +86,9 @@ const MIN_TELEMETRY_RATIO: f64 = 0.95;
 const MIN_SURVIVAL: f64 = 0.99;
 
 /// `--quick` floor for the fraction of failure-scenario epochs that patched the
-/// snapshot without a structural rebuild fallback. Correlated damage at
-/// `W = n/128` tombstones well under the `n/4` fallback threshold; a single
-/// rebuild means either the width sizing or the structural-row gating regressed.
+/// snapshot without re-laying it out. Damage only shortens rows and a heal restores
+/// them, so no row can outgrow the stride; a single rebuild means a heal wrote a
+/// longer row than the one the failure removed.
 const MIN_FAILURE_REBUILD_FREE: f64 = 1.0;
 
 /// `--quick` ceiling for `headline.heal_recovery_us` (mean wall time of a heal
@@ -158,15 +158,12 @@ impl GateReading {
     }
 }
 
-/// One row of the maintenance-cadence table: how often a trajectory compacted or
-/// fell back to a rebuild (regressions here are invisible in the speedup numbers
-/// until they cliff, so the summary prints them outright).
+/// One row of the snapshot-maintenance table: how many rows a trajectory patched
+/// and how often a patch had to widen the stride first.
 struct CadenceRow {
     label: &'static str,
     epochs: usize,
-    compactions: usize,
     rebuild_fallbacks: usize,
-    rows_in_place: usize,
     rows_patched: usize,
 }
 
@@ -175,13 +172,7 @@ impl CadenceRow {
         Self {
             label,
             epochs: trajectory.epochs().len(),
-            compactions: trajectory.compactions(),
             rebuild_fallbacks: trajectory.rebuild_fallbacks(),
-            rows_in_place: trajectory
-                .epochs()
-                .iter()
-                .map(|e| e.snapshot.rows_in_place)
-                .sum(),
             rows_patched: trajectory
                 .epochs()
                 .iter()
@@ -191,7 +182,7 @@ impl CadenceRow {
     }
 }
 
-/// Appends the gate table, the compaction/rebuild cadence, and the per-phase
+/// Appends the gate table, the snapshot-maintenance table, and the per-phase
 /// telemetry breakdown to `$GITHUB_STEP_SUMMARY` (best-effort: skipped silently
 /// outside GitHub Actions, warned about if the file cannot be written).
 fn write_step_summary(
@@ -219,17 +210,12 @@ fn write_step_summary(
         ));
     }
     table.push_str(
-        "\n### Snapshot maintenance cadence\n\n| trajectory | epochs | compactions | rebuild fallbacks | rows in place / patched |\n|---|---|---|---|---|\n",
+        "\n### Snapshot maintenance\n\n| trajectory | epochs | rebuild fallbacks | rows patched |\n|---|---|---|---|\n",
     );
     for row in cadence {
         table.push_str(&format!(
-            "| {} | {} | {} | {} | {} / {} |\n",
-            row.label,
-            row.epochs,
-            row.compactions,
-            row.rebuild_fallbacks,
-            row.rows_in_place,
-            row.rows_patched,
+            "| {} | {} | {} | {} |\n",
+            row.label, row.epochs, row.rebuild_fallbacks, row.rows_patched,
         ));
     }
     table.push_str(
@@ -298,10 +284,9 @@ fn main() {
         config.links = 12;
         config.queries = 50_000;
         config.epochs = 3;
-        // At 4k nodes the default 1% maintenance churn tombstones enough rows per
-        // epoch to brush the compaction threshold, where patch ≈ rebuild and the
-        // gate would ride on µs-level noise; 0.2% keeps the smoke run squarely in
-        // the patch-win regime the gate is meant to protect.
+        // At 4k nodes the default 1% maintenance churn rewrites enough rows per
+        // epoch that patch ≈ freeze and the gate would ride on µs-level noise; 0.2%
+        // keeps the smoke run squarely in the patch-win regime the gate protects.
         config.maintenance_churn_fraction = 0.002;
     }
     config.nodes = args.nodes_or(config.nodes, 1 << 17);
@@ -310,8 +295,7 @@ fn main() {
     config.epochs = args.trials_or(config.epochs as u64, 10) as usize;
     config.seed = args.seed;
     // Re-derive the correlated-failure width from the (possibly overridden) node
-    // count: `n / 128` keeps one failure delta well under the snapshot's `n / 4`
-    // structural rebuild threshold at any scale.
+    // count.
     config.failure_region_width = (config.nodes / 128).max(4);
 
     let report = engine_run::run(&config);

@@ -48,7 +48,7 @@ pub const TELEMETRY_OVERHEAD_ROUNDS: usize = 3;
 pub const SIMD_SPEEDUP_ROUNDS: usize = 3;
 
 /// Node-count ceiling of the dedicated `simd_speedup` network (the "kernel
-/// cell"): small enough that the frozen CSR stays cache-resident. At smoke
+/// cell"): small enough that the frozen rows stay cache-resident. At smoke
 /// scale the main network's neighbour rows fall out of L2, and the resulting
 /// row-fetch latency — identical on both sides of the A/B — buries the
 /// kernel's compute gap under the memory wall. The kernel cell keeps the
@@ -57,9 +57,9 @@ pub const SIMD_SPEEDUP_ROUNDS: usize = 3;
 pub const SIMD_KERNEL_NODES: u64 = 1 << 10;
 
 /// Long links per node of the kernel cell: rows of roughly `SIMD_KERNEL_LINKS`
-/// labels (construction trims duplicate links), three to four full eight-label
-/// vector steps after lane padding — long enough that the vector fold's
-/// advantage over the branchy scalar fold is structural rather than marginal.
+/// labels (construction trims duplicate links), a stride of four or five
+/// eight-label vector steps — long enough that the vector fold's advantage over
+/// the scalar fold is structural rather than marginal.
 pub const SIMD_KERNEL_LINKS: usize = 32;
 
 /// Configuration of the engine throughput experiment.
@@ -91,11 +91,9 @@ pub struct EngineBenchConfig {
     /// Diversified walks per lookup in the byzantine phase (the redundancy factor).
     pub byzantine_redundancy: u32,
     /// Width of the correlated region crashed per failure epoch in the resilience
-    /// phase. Sized ≈ `nodes / 128` so one failure delta stays well under the
-    /// snapshot's structural rebuild threshold (a region of width `W` tombstones
-    /// roughly `W · ℓ` rows — victims plus their in-neighbours — and a patch call
-    /// falls back to a rebuild past `nodes / 4` tombstones). The two-sided
-    /// partition scenario uses `W / 2` per side for the same total blast radius.
+    /// phase, ≈ `nodes / 128` (a region of width `W` changes roughly `W · ℓ` rows —
+    /// victims plus their in-neighbours). The two-sided partition scenario uses
+    /// `W / 2` per side for the same total blast radius.
     pub failure_region_width: u64,
     /// Master seed.
     pub seed: u64,
@@ -577,8 +575,8 @@ impl EngineBenchReport {
     }
 
     /// The `snapshot_maintenance` JSON section: the maintenance run's one freeze,
-    /// its per-epoch delta-apply cost and the compaction/fallback cadence,
-    /// re-baselining the snapshot amortisation each PR.
+    /// its per-epoch delta-apply cost and how often a patch had to widen the
+    /// stride, re-baselining the snapshot amortisation each PR.
     #[must_use]
     fn snapshot_maintenance_json(&self) -> String {
         let epochs = self.maintenance_patch.epochs();
@@ -594,7 +592,7 @@ impl EngineBenchReport {
                 "\"mean_patch_us\":{:.1},\"freeze_us\":{:.1},",
                 "\"rebuild_over_patch\":{:.2},",
                 "\"rows_patched\":{},\"rows_in_place\":{},",
-                "\"compactions\":{},\"rebuild_fallbacks\":{}}}"
+                "\"rebuild_fallbacks\":{}}}"
             ),
             self.config.maintenance_churn_fraction,
             patch_us.join(","),
@@ -603,7 +601,6 @@ impl EngineBenchReport {
             self.snapshot_patch_speedup(),
             rows_patched,
             rows_in_place,
-            self.maintenance_patch.compactions(),
             self.maintenance_patch.rebuild_fallbacks(),
         )
     }
@@ -1120,12 +1117,11 @@ pub fn print(report: &EngineBenchReport) {
         report.interleaved.overall_success_rate(),
     );
     println!(
-        "snapshot maintenance ({:.1}% churn/epoch): delta {:.1} µs/epoch vs freeze {:.1} µs ({:.1}x), {} compactions, {} rebuild fallbacks",
+        "snapshot maintenance ({:.1}% churn/epoch): delta {:.1} µs/epoch vs freeze {:.1} µs ({:.1}x), {} rebuild fallbacks",
         config.maintenance_churn_fraction * 100.0,
         report.maintenance_patch.mean_patch_nanos() / 1e3,
         report.maintenance_patch.mean_rebuild_nanos() / 1e3,
         report.snapshot_patch_speedup(),
-        report.maintenance_patch.compactions(),
         report.maintenance_patch.rebuild_fallbacks(),
     );
     println!(
@@ -1281,7 +1277,6 @@ mod tests {
             "\"freeze_us\"",
             "\"rebuild_over_patch\"",
             "\"rows_in_place\"",
-            "\"compactions\"",
             "\"rebuild_fallbacks\"",
             "\"cache_invalidation\"",
             "\"warm_hit_rate_row\"",

@@ -39,7 +39,7 @@ impl ScenarioOutcome {
                 "{{\"skew\":\"{}\",\"nodes\":{},\"epochs\":{},\"queries\":{},",
                 "\"seed\":{},\"queries_per_sec\":{:.1},\"success_rate\":{:.6},",
                 "\"survival_rate\":{:.6},\"warm_hit_rate\":{:.6},",
-                "\"compactions\":{},\"rebuild_fallbacks\":{},\"retries_spent\":{},",
+                "\"rebuild_fallbacks\":{},\"retries_spent\":{},",
                 "\"interleaved\":{}}}"
             ),
             self.spec.workload.skew.label(),
@@ -51,7 +51,6 @@ impl ScenarioOutcome {
             self.report.overall_success_rate(),
             self.survival_rate(),
             self.report.warm_hit_rate(),
-            self.report.compactions(),
             self.report.rebuild_fallbacks(),
             self.report.total_retries_spent(),
             self.report.to_json(),
@@ -179,8 +178,7 @@ pub fn print(outcome: &ScenarioOutcome) {
         );
     }
     println!(
-        "  snapshots: {compactions} compactions, {fallbacks} rebuild fallbacks",
-        compactions = report.compactions(),
+        "  snapshots: {fallbacks} rebuild fallbacks",
         fallbacks = report.rebuild_fallbacks(),
     );
 }

@@ -83,13 +83,12 @@ fn hand_coded_arm(
 
 /// The readings the acceptance criteria name, plus the raw counts that make an
 /// accidental match implausible.
-fn readings(report: &InterleavedReport) -> (usize, u64, u64, usize, usize, u64) {
+fn readings(report: &InterleavedReport) -> (usize, u64, u64, usize, u64) {
     (
         report.total_queries(),
         report.survival_rate().to_bits(),
         report.overall_success_rate().to_bits(),
         report.rebuild_fallbacks(),
-        report.compactions(),
         report.total_retries_spent(),
     )
 }

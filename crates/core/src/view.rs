@@ -105,7 +105,7 @@ impl<'a> NetworkView<'a> {
     }
 }
 
-/// An owned, compiled routing snapshot: [`FrozenRoutes`] CSR adjacency plus the router
+/// An owned, compiled routing snapshot: [`FrozenRoutes`] rows plus the router
 /// configuration it was frozen with.
 ///
 /// Unlike [`NetworkView`], a `FrozenView` does not borrow the network — it is plain
@@ -127,7 +127,7 @@ pub struct FrozenView {
 }
 
 impl FrozenView {
-    /// The compiled CSR snapshot.
+    /// The compiled snapshot.
     #[must_use]
     pub fn routes(&self) -> &FrozenRoutes {
         &self.routes
@@ -168,16 +168,16 @@ impl FrozenView {
     }
 
     /// Patches the snapshot in place from a typed [`ChurnDelta`] (the merged
-    /// maintainer report deltas of a churn epoch): diffed rows are written directly,
-    /// with **no** usable-neighbour recompute; see [`FrozenRoutes::apply_delta`] for
-    /// the slot-reuse and fallback semantics. `graph` is only read if the structural
-    /// blast radius forces the rebuild fallback.
+    /// maintainer report deltas of a churn epoch): each diffed row is written into
+    /// its slot, with **no** usable-neighbour recompute; see
+    /// [`FrozenRoutes::apply_delta`] for the contract. `graph` is only checked to be
+    /// the space the snapshot was frozen from.
     pub fn apply_delta(&mut self, graph: &OverlayGraph, delta: &ChurnDelta) -> PatchStats {
         self.routes.apply_delta(graph, delta)
     }
 
-    /// [`FrozenView::apply_delta`] with telemetry: times the patch (and any
-    /// triggered compaction) and records fallback/compaction events; see
+    /// [`FrozenView::apply_delta`] with telemetry: times the patch and records a
+    /// re-layout at a wider stride as an event; see
     /// [`FrozenRoutes::apply_delta_with`].
     pub fn apply_delta_with(
         &mut self,

@@ -138,14 +138,13 @@ pub struct SnapshotWork {
     pub patch_nanos: u64,
     /// Adjacency rows the patch rewrote.
     pub rows_patched: usize,
-    /// Rows rewritten in place (no tombstone, no overflow growth); subset of
+    /// Rows overwritten in their own slot: every patched row, so always equal to
     /// `rows_patched`.
     pub rows_in_place: usize,
-    /// Whether patching triggered a compaction back to a dense CSR.
+    /// Always `false`: a fixed-stride snapshot has nothing to compact.
     pub compacted: bool,
-    /// Whether the patch abandoned itself mid-way because the epoch's structural
-    /// blast radius crossed the rebuild threshold (graceful degradation, not the
-    /// scheduled `rebuild_nanos` recompile).
+    /// Whether a delta row outgrew the snapshot's stride, so the patch re-laid every
+    /// row out at a wider one first (not the scheduled `rebuild_nanos` compile).
     pub fallback_rebuild: bool,
 }
 
@@ -258,16 +257,9 @@ impl InterleavedReport {
         Self::mean_nonzero(self.epochs.iter().map(|e| e.snapshot.rebuild_nanos))
     }
 
-    /// Number of epochs whose patch ended in a compaction.
-    #[must_use]
-    pub fn compactions(&self) -> usize {
-        self.epochs.iter().filter(|e| e.snapshot.compacted).count()
-    }
-
-    /// Number of epochs in which a patch fell back to an in-place rebuild
-    /// (structural blast radius crossed the threshold), counting both churn
-    /// patches and failure/heal patches — the cadence the CI gate table prints,
-    /// and the number the resilience gate requires to be zero.
+    /// Number of epochs in which a patch had to re-lay the snapshot out at a wider
+    /// stride (a delta row outgrew it), counting both churn patches and
+    /// failure/heal patches — the number the rebuild-free gates require to be zero.
     #[must_use]
     pub fn rebuild_fallbacks(&self) -> usize {
         self.epochs
@@ -653,7 +645,6 @@ impl QueryEngine {
             work.patch_nanos = started.elapsed().as_nanos() as u64;
             work.rows_patched = stats.rows_patched;
             work.rows_in_place = stats.rows_in_place;
-            work.compacted = stats.compacted;
             work.fallback_rebuild = stats.rebuilt;
 
             reports.push(EpochReport {

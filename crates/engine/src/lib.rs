@@ -12,13 +12,21 @@
 //!   is assigned to a shard by its source bucket, and each shard owns a private route
 //!   cache and processes its queries in a fixed order. No locks are taken on the hot
 //!   path, and results are bit-for-bit identical at any thread count.
-//! * **Compiled snapshots** — every cache miss walks a CSR
+//! * **Compiled snapshots** — every cache miss walks a
 //!   [`FrozenView`](faultline_core::FrozenView) through the zero-allocation frozen
-//!   kernel (contiguous `u32` neighbour scans, inlined distance, per-worker scratch
+//!   walk (one fixed-stride row scan a hop, inlined distance, per-worker scratch
 //!   buffers, counter-based per-query RNG). [`QueryEngine::run_batch`] compiles one
 //!   for the batch; [`QueryEngine::run_batch_with_snapshot`] routes over the
 //!   caller's. The live-graph walk (`Router::route`) is not an engine path: it is
 //!   the reference the parity tests hold the engine to.
+//! * **Walks in flight** — a shard with its cache off walks every lookup, and no
+//!   lookup depends on another, so its worker keeps
+//!   [`WALKS_IN_FLIGHT`](faultline_routing::WALKS_IN_FLIGHT) of them going in a
+//!   lockstep [`WalkGroup`](faultline_routing::WalkGroup): one hop each in turn,
+//!   the row each moved to prefetched meanwhile. Same hop function, same
+//!   per-lookup seeds (retries included), so same outcomes as one walk at a time —
+//!   which is how a cache-on shard still walks its misses (a miss's insert must
+//!   precede the next probe of its key), and the byzantine lane its lookups.
 //! * **Route caching** — a per-shard LRU keyed by `(source bucket, target bucket)`
 //!   ([`RouteCache`]). Entries remember the exact nodes their walk visited (row
 //!   dependencies). A topology change expressed as a typed [`ChurnDelta`] evicts
@@ -62,15 +70,16 @@
 //!   it. Failed lookups get a bounded diversified-retry budget while the overlay
 //!   is damaged, and a failed digest is never served from the route cache.
 //! * **Percentile stats** — every batch reports p50/p95/p99 hop and per-query wall-time
-//!   ladders plus queries/sec, exportable as JSON for the benchmark trajectory.
+//!   ladders plus queries/sec, exportable as JSON for the benchmark trajectory. (A
+//!   lookup walked in a group has no wall time of its own; see
+//!   [`QueryOutcome::nanos`].)
 //!   Latency percentiles come from log-bucketed histograms ([`LatencyDigest`]) that
 //!   carry the batch's measurement floor and quantization share, so sub-resolution
 //!   readings are visible as clock artifacts instead of masquerading as precise.
 //! * **Telemetry** — the engine records per-phase wall-time histograms (`freeze`,
-//!   `apply_delta`, `invalidate`, per-shard `batch_shard`, `compact`,
-//!   `oracle_build`),
+//!   `apply_delta`, `invalidate`, per-shard `batch_shard`, `oracle_build`),
 //!   per-shard cache counters (hits/misses/evictions/occupancy), and a bounded ring
-//!   of epoch-stamped structural events (compactions, rebuild fallbacks, cache
+//!   of epoch-stamped structural events (snapshot re-layouts, cache
 //!   evictions/invalidations, adversary convictions). Recording is lock-free relaxed
 //!   atomics off the deterministic path — instrumented and uninstrumented runs
 //!   produce bit-identical results. Snapshot via

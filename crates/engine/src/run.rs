@@ -1,4 +1,25 @@
 //! The [`QueryEngine`]: sharded, parallel batch execution.
+//!
+//! A batch is split by source bucket into shards, and each shard's lookups are
+//! handled by one worker in batch order. How a shard walks depends on what its
+//! lookups share:
+//!
+//! * **cache off, honest** — every lookup is a full walk and none depends on
+//!   another, so the worker keeps [`WALKS_IN_FLIGHT`] of them going in a lockstep
+//!   [`WalkGroup`] (`route_shard_lockstep`): one hop each in turn, the row each
+//!   moved to prefetched meanwhile; a failed lookup's diversified retry re-enters
+//!   its slot. No clock is read per lookup: [`QueryOutcome::nanos`] is the shard's
+//!   wall time ÷ the lookups it routed.
+//! * **cache on** — one lookup at a time (`route_one`): probe, and on a miss walk
+//!   and insert. The insert must precede the next probe of the same key, which is
+//!   the ordering a group would break.
+//! * **byzantine lane** — one lookup at a time (`route_one_byzantine`), each up to
+//!   `redundancy` walks.
+//!
+//! All three advance walks through the same hop function
+//! ([`Router::route_frozen`] is that function run to completion), with per-lookup
+//! seeds derived from `(batch seed, query index, attempt)`, so outcomes are
+//! identical at any thread count and whichever way a shard walks.
 
 use crate::batch::QueryBatch;
 use crate::cache::{bucket_of, CachedRoute, RouteCache, RowSet};
@@ -7,7 +28,8 @@ use crate::stats::{BatchReport, QueryOutcome};
 use faultline_core::{FrozenView, Network, NetworkView};
 use faultline_overlay::{ChurnDelta, NodeId};
 use faultline_routing::{
-    ByzantineSet, FaultStrategy, KernelIsa, RedundantRouter, RouteScratch, Router,
+    ByzantineSet, FaultStrategy, KernelIsa, RedundantRouter, RouteScratch, Router, Walk, WalkGroup,
+    WALKS_IN_FLIGHT,
 };
 use faultline_sim::seed_for_trial;
 use faultline_telemetry::{EventKind, Phase, Telemetry};
@@ -333,18 +355,7 @@ impl QueryEngine {
         let mut outcomes: Vec<Option<QueryOutcome>> = vec![None; batch.len()];
         for (index, &(source, target)) in batch.pairs().iter().enumerate() {
             if source >= n || target >= n {
-                outcomes[index] = Some(QueryOutcome {
-                    source,
-                    target,
-                    delivered: false,
-                    hops: 0,
-                    recoveries: 0,
-                    cached: false,
-                    attempts: 0,
-                    adversary_drops: 0,
-                    total_hops: 0,
-                    nanos: 0,
-                });
+                outcomes[index] = Some(unrouted(source, target));
             } else {
                 shard_queries[(bucket_of(source, n) as usize) % shard_count].push(index);
             }
@@ -369,40 +380,56 @@ impl QueryEngine {
                     // Wall time this shard's worker spent on its slice of the batch
                     // (recording only bumps atomics, never the routing RNG stream).
                     let _shard_span = telemetry.span(Phase::BatchShard);
-                    // One scratch per shard worker: buffers are reused across every
-                    // query the shard routes, so the frozen kernel never allocates.
-                    // Path recording only matters to cache row dependencies (the
-                    // byzantine lane forces it on per call and restores it); without
-                    // a cache the kernel skips the per-hop stores entirely.
+                    // Scratch buffers are reused across every query the shard
+                    // routes, so the frozen walk never allocates. Path recording
+                    // only matters to cache row dependencies (the byzantine lane
+                    // forces it on per call and restores it); without a cache the
+                    // walk skips the per-hop stores entirely.
                     let mut scratch = RouteScratch::new()
                         .with_path_recording(cache.enabled() && byzantine.is_none())
                         .with_kernel(kernel);
                     output.reserve_exact(indices.len());
-                    for &index in indices {
-                        let (source, target) = batch.pairs()[index];
-                        let outcome = match byzantine {
-                            Some(lane) => route_one_byzantine(
-                                snapshot,
-                                lane,
-                                &mut scratch,
-                                batch.seed(),
-                                index,
-                                source,
-                                target,
-                            ),
-                            None => route_one(
-                                snapshot,
-                                cache,
-                                &mut scratch,
-                                n,
-                                batch.seed(),
-                                index,
-                                retry_budget,
-                                source,
-                                target,
-                            ),
-                        };
-                        output.push((index, outcome));
+                    if byzantine.is_none() && !cache.enabled() {
+                        // Every lookup is a full walk and none depends on another:
+                        // keep a group of them in flight.
+                        route_shard_lockstep(
+                            snapshot,
+                            &scratch,
+                            batch,
+                            indices,
+                            retry_budget,
+                            output,
+                        );
+                    } else {
+                        // A cache-on shard walks one lookup at a time (a miss's
+                        // insert must precede the next probe of its key), and so
+                        // does the byzantine lane.
+                        for &index in indices {
+                            let (source, target) = batch.pairs()[index];
+                            let outcome = match byzantine {
+                                Some(lane) => route_one_byzantine(
+                                    snapshot,
+                                    lane,
+                                    &mut scratch,
+                                    batch.seed(),
+                                    index,
+                                    source,
+                                    target,
+                                ),
+                                None => route_one(
+                                    snapshot,
+                                    cache,
+                                    &mut scratch,
+                                    n,
+                                    batch.seed(),
+                                    index,
+                                    retry_budget,
+                                    source,
+                                    target,
+                                ),
+                            };
+                            output.push((index, outcome));
+                        }
                     }
                     // One batched telemetry publication per shard per batch: the
                     // per-query cache paths bump plain counters only.
@@ -425,6 +452,23 @@ impl QueryEngine {
     }
 }
 
+/// The outcome of a lookup no walk has been issued for (yet): what a lookup with an
+/// endpoint outside the space keeps, and what a grouped lookup starts from.
+fn unrouted(source: NodeId, target: NodeId) -> QueryOutcome {
+    QueryOutcome {
+        source,
+        target,
+        delivered: false,
+        hops: 0,
+        recoveries: 0,
+        cached: false,
+        attempts: 0,
+        adversary_drops: 0,
+        total_hops: 0,
+        nanos: 0,
+    }
+}
+
 /// The router a diversified retry attempt uses: an already-randomized strategy is
 /// kept (a fresh seed changes its re-route draws), while the deterministic
 /// strategies — whose walk a fresh seed cannot change — escalate to random
@@ -433,6 +477,71 @@ fn diversified(router: Router) -> Router {
     match router.strategy() {
         FaultStrategy::RandomReroute { .. } => router,
         _ => router.with_strategy(FaultStrategy::RandomReroute { max_attempts: 2 }),
+    }
+}
+
+/// Walks a cache-less honest shard's lookups through a lockstep group, filling the
+/// shard's (empty) `output` with `(index, outcome)` in `indices` order — the outcomes (`delivered`,
+/// `hops`, `recoveries`, `attempts`, `total_hops`) a loop of [`route_one`] gives.
+///
+/// An undelivered lookup with retry budget left re-enters its slot as its next
+/// attempt — seeded from `(batch seed, query index, attempt)` and routed
+/// [`diversified`], exactly as [`route_one`] retries — so a lookup's attempts still
+/// run one after another while other lookups' walks fill the other slots.
+///
+/// No clock is read per lookup or per hop: each outcome's `nanos` is the shard's
+/// wall time divided by the lookups it routed.
+fn route_shard_lockstep(
+    snapshot: &FrozenView,
+    scratch: &RouteScratch,
+    batch: &QueryBatch,
+    indices: &[usize],
+    retry_budget: u32,
+    output: &mut Vec<(usize, QueryOutcome)>,
+) {
+    // xlint: allow(determinism) -- per-shard latency stamp: reported in percentiles only, never read by routing
+    let started = Instant::now();
+    let mut pending = indices.iter();
+    WalkGroup::new(WALKS_IN_FLIGHT, scratch).run(snapshot.routes(), |finished| {
+        if let Some(done) = finished {
+            let Walk {
+                source,
+                target,
+                tag,
+                ..
+            } = done.walk;
+            let (index, outcome) = &mut output[tag];
+            outcome.attempts += 1;
+            outcome.total_hops += done.result.hops;
+            if !done.result.is_delivered() && outcome.attempts <= retry_budget {
+                let base_seed = seed_for_trial(batch.seed(), *index as u64);
+                let seed = seed_for_trial(base_seed, u64::from(outcome.attempts));
+                return Some(Walk {
+                    router: diversified(snapshot.router()),
+                    source,
+                    target,
+                    rng: SmallRng::seed_from_u64(seed),
+                    tag,
+                });
+            }
+            outcome.delivered = done.result.is_delivered();
+            outcome.hops = done.result.hops;
+            outcome.recoveries = done.result.recoveries;
+        }
+        let &index = pending.next()?;
+        let (source, target) = batch.pairs()[index];
+        output.push((index, unrouted(source, target)));
+        Some(Walk {
+            router: snapshot.router(),
+            source,
+            target,
+            rng: SmallRng::seed_from_u64(seed_for_trial(batch.seed(), index as u64)),
+            tag: output.len() - 1,
+        })
+    });
+    let nanos = started.elapsed().as_nanos() as u64 / output.len().max(1) as u64;
+    for (_, outcome) in output {
+        outcome.nanos = nanos;
     }
 }
 

@@ -31,7 +31,12 @@ pub struct QueryOutcome {
     /// [`QueryOutcome::hops`] on the honest path; on the byzantine lane `hops` is the
     /// winning walk's latency cost while `total_hops` is what the network paid.
     pub total_hops: u64,
-    /// Wall-clock nanoseconds this query took on its worker.
+    /// Wall-clock nanoseconds this query took on its worker — for a lookup served by
+    /// a cache-on shard or the byzantine lane, which route one lookup at a time and
+    /// stamp each. A cache-less honest shard keeps several walks in flight at once,
+    /// so its lookups have no interval of their own: each carries the shard's wall
+    /// time divided by the lookups the shard routed (one clock pair per shard), and
+    /// latency percentiles over such a batch describe shards, not lookups.
     ///
     /// Raw readings of `0` — queries (typically cache hits) that finished below the
     /// platform timer's resolution — are clamped at batch-aggregation time to the

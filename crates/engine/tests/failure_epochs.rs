@@ -2,14 +2,16 @@
 //! typed-delta pipeline, the connectivity oracle grounds the success accounting,
 //! and the whole trajectory stays deterministic at any thread count.
 
-use faultline_core::{ConstructionMode, Network, NetworkConfig};
+use faultline_core::{ConstructionMode, FrozenView, Network, NetworkConfig};
 use faultline_engine::{
     ChurnMix, EngineConfig, EventKind, FailureEvent, FailureSchedule, InterleavedReport, Phase,
     QueryBatch, QueryEngine, SurvivabilitySplit,
 };
-use faultline_routing::FaultStrategy;
+use faultline_routing::{FaultStrategy, RouteScratch};
+use faultline_sim::seed_for_trial;
 use faultline_theory::ConnectivityOracle;
-use rand::{rngs::StdRng, SeedableRng};
+use rand::rngs::{SmallRng, StdRng};
+use rand::SeedableRng;
 
 fn backtrack_network(n: u64, seed: u64) -> Network {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -213,6 +215,116 @@ fn kept_oracles_classify_like_a_fresh_one_every_epoch() {
                     "{at}"
                 );
             }
+        }
+    }
+}
+
+/// What the grouped-walk test compares per lookup: `delivered`, `hops`,
+/// `recoveries`, `attempts`, `total_hops`.
+type WalkFacts = (bool, u64, u64, u32, u64);
+
+/// A cache-less engine walks its lookups in lockstep groups, a failed lookup's retry
+/// re-entering its slot diversified. Whatever the grouping, every outcome must be
+/// the one a sequential reference gives that routes each lookup alone — attempt
+/// after attempt, with the engine's `(batch seed, index, attempt)` seeds — over a
+/// fresh freeze of the overlay as the batch saw it.
+#[test]
+fn grouped_walks_and_retries_match_lookups_routed_alone() {
+    let events = vec![
+        FailureEvent::Region { width: 48 },
+        FailureEvent::Quiet,
+        FailureEvent::Heal,
+    ];
+    let retries = 2;
+    // Terminate gives up at the first dead end, so damage makes many lookups
+    // retry; backtracking retries only what it cannot route around.
+    for strategy in [FaultStrategy::Terminate, FaultStrategy::paper_backtrack()] {
+        let mut reference: Option<Vec<Vec<WalkFacts>>> = None;
+        for threads in [1usize, 6] {
+            let mut rng = StdRng::seed_from_u64(11);
+            let config = NetworkConfig::paper_default(512)
+                .construction(ConstructionMode::incremental_default())
+                .fault_strategy(strategy);
+            let mut net = Network::build(&config, &mut rng);
+            let schedule = FailureSchedule::from_events(events.clone()).retries(retries);
+            let mut engine = QueryEngine::new(
+                EngineConfig::default()
+                    .threads(threads)
+                    .cache_capacity(0)
+                    .failures(schedule),
+            );
+            let mut seen: Vec<(QueryBatch, FrozenView)> = Vec::new();
+            let report = engine.run_interleaved_with(
+                &mut net,
+                2 * events.len(),
+                1_500,
+                ChurnMix::balanced(6),
+                99,
+                &mut |network, context| {
+                    let batch = QueryBatch::uniform(network, context.queries, context.seed);
+                    seen.push((batch.clone(), network.view().freeze()));
+                    batch
+                },
+            );
+
+            let engine_outcomes: Vec<Vec<WalkFacts>> = report
+                .epochs()
+                .iter()
+                .map(|e| {
+                    (e.batch.outcomes().iter())
+                        .map(|o| (o.delivered, o.hops, o.recoveries, o.attempts, o.total_hops))
+                        .collect()
+                })
+                .collect();
+            let alone = reference.get_or_insert_with(|| {
+                let mut scratch = RouteScratch::new();
+                seen.iter()
+                    .map(|(batch, view)| {
+                        let diversified = view
+                            .router()
+                            .with_strategy(FaultStrategy::RandomReroute { max_attempts: 2 });
+                        (batch.pairs().iter().enumerate())
+                            .map(|(index, &(source, target))| {
+                                let base = seed_for_trial(batch.seed(), index as u64);
+                                let mut result =
+                                    view.route_seeded(source, target, base, &mut scratch);
+                                let (mut attempts, mut total_hops) = (1u32, result.hops);
+                                while !result.is_delivered() && attempts <= retries {
+                                    let seed = seed_for_trial(base, u64::from(attempts));
+                                    result = diversified.route_frozen(
+                                        view.routes(),
+                                        source,
+                                        target,
+                                        &mut SmallRng::seed_from_u64(seed),
+                                        &mut scratch,
+                                    );
+                                    attempts += 1;
+                                    total_hops += result.hops;
+                                }
+                                (
+                                    result.is_delivered(),
+                                    result.hops,
+                                    result.recoveries,
+                                    attempts,
+                                    total_hops,
+                                )
+                            })
+                            .collect()
+                    })
+                    .collect()
+            });
+            assert_eq!(
+                &engine_outcomes,
+                alone,
+                "{} at {threads} threads",
+                strategy.label()
+            );
+            assert!(
+                report.total_retries_spent() > 0,
+                "{}: the schedule must make some walks retry",
+                strategy.label()
+            );
+            assert_eq!(report.epochs()[0].batch.cache_hits(), 0, "cache is off");
         }
     }
 }

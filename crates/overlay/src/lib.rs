@@ -10,13 +10,12 @@
 //! * [`GraphBuilder`] — the *ideal* static construction: every node draws its `ℓ`
 //!   long-distance links directly from a [`LinkSpec`](faultline_linkdist::LinkSpec)
 //!   (the dynamic, heuristic construction of Section 5 lives in `faultline-construction`).
-//! * [`FrozenRoutes`] — a compiled CSR routing snapshot (usable-neighbour adjacency,
-//!   alive bitset, inlined distance); the traversal structure the query engine's
-//!   uncached hot path runs on. Snapshots are built once per routing epoch and then
-//!   *patched* through churn from a typed [`ChurnDelta`] of row-level diffs
-//!   ([`FrozenRoutes::apply_delta`] writes diffed rows directly, reusing slots in
-//!   place when the new row fits); length-changing rows go to an overflow region,
-//!   and tombstoned dense slots are periodically compacted away.
+//! * [`FrozenRoutes`] — a compiled routing snapshot (every node's usable neighbours
+//!   in a fixed-stride row at `node × stride`, alive bitset, inlined distance); the
+//!   traversal structure the query engine's uncached hot path runs on. Snapshots
+//!   are built once per routing epoch and then *patched* through churn from a typed
+//!   [`ChurnDelta`] of row-level diffs ([`FrozenRoutes::apply_delta`] overwrites
+//!   each diffed row in its own slot).
 //! * [`ChurnDelta`] — the typed churn diff itself: per-node `old row → new row`
 //!   changes classified as liveness-only / link-replaced / structural, plus the
 //!   join/leave event log, produced by `faultline-construction`'s maintainer.
@@ -52,7 +51,7 @@ pub mod stats;
 
 pub use builder::{build_paper_overlay, GraphBuilder};
 pub use delta::{ChurnDelta, RowChangeKind, RowDelta};
-pub use frozen::{FrozenRoutes, PatchStats, PAD_SENTINEL, SIMD_LANES};
+pub use frozen::{FrozenRoutes, PatchStats, PAD_SENTINEL, ROW_STEP};
 pub use graph::{NodeRecord, OverlayGraph};
 pub use link::{Link, LinkKind};
 

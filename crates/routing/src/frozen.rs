@@ -2,35 +2,73 @@
 //!
 //! [`Router::route`] walks the mutable overlay: every hop scans `Vec<Link>` records and
 //! dereferences each target's node record to check liveness — a cache miss per link.
-//! [`Router::route_frozen`] runs the *same algorithm* over the CSR snapshot instead:
-//! the inner loop is a contiguous `u32` scan with the metric distance inlined per
-//! geometry (monomorphised, no `Geometry` dispatch) and liveness pre-filtered at freeze
-//! time. All per-route state lives in a caller-owned [`RouteScratch`], so a worker that
-//! routes millions of queries performs **zero heap allocations per query** — buffers
-//! are cleared, never dropped.
+//! The frozen walk runs the *same algorithm* over the snapshot instead: a hop reads one
+//! fixed-stride row slot with the metric distance inlined per geometry (monomorphised,
+//! no `Geometry` dispatch) and liveness pre-filtered at freeze time. All per-walk
+//! state lives in a caller-owned [`RouteScratch`], so a worker that routes millions of
+//! queries performs **zero heap allocations per query** — buffers are cleared, never
+//! dropped.
 //!
-//! The two paths are contractually bit-identical: same greedy modes, same fault
-//! strategies (terminate / random re-route / backtrack), same RNG consumption, same
-//! [`RouteResult`] — property-tested in `tests/frozen_equivalence.rs`. The only
-//! difference is that the frozen path reads the topology as of the snapshot, which is
-//! exactly the "routing epoch" semantics the query engine wants: maintenance mutates
-//! the graph, then a rebuild publishes the next epoch's routes.
+//! There is one hop function. A walk is `begin`, then `hop` until it reports an
+//! outcome, then `finish`, all over the state in its scratch, so it can stop after
+//! any hop and resume later. Two drivers run it:
+//!
+//! * [`Router::route_frozen`] — one walk, run to completion;
+//! * [`WalkGroup`] — several walks advanced round-robin, one hop each per turn. A hop
+//!   of an uncached walk costs a row scan and, on an overlay no cache holds, a miss
+//!   on the row it moves to; with [`WALKS_IN_FLIGHT`] independent walks per worker
+//!   the scans overlap in the core's pipeline, and the group prefetches the row each
+//!   walk has moved to so its miss is served while the others take their turns.
+//!   Every walk owns its RNG, history and dead-end list, so a walk's result, the
+//!   randomness it consumes and its visited path are those of the same walk run
+//!   alone.
+//!
+//! The frozen and the live path are contractually bit-identical: same greedy modes,
+//! same fault strategies (terminate / random re-route / backtrack), same RNG
+//! consumption, same [`RouteResult`] — property-tested in
+//! `tests/frozen_equivalence.rs`, as is a group against a loop of single walks. The
+//! only difference is that the frozen path reads the topology as of the snapshot,
+//! which is exactly the "routing epoch" semantics the query engine wants: maintenance
+//! mutates the graph, then a patch publishes the next epoch's routes.
 
 use crate::greedy::GreedyMode;
 use crate::result::{FailureReason, RouteOutcome, RouteResult};
-use crate::simd::KernelIsa;
+use crate::simd::{prefetch_row, KernelIsa};
 use crate::strategy::FaultStrategy;
 use crate::Router;
 use faultline_overlay::{FrozenRoutes, NodeId};
 use rand::Rng;
+use std::collections::VecDeque;
 
-/// Reusable per-worker buffers for [`Router::route_frozen`].
+/// Walks a [`WalkGroup`] keeps in flight per worker. A constant, not a knob: on an
+/// overlay far larger than L2 the cost per hop reads the same from 4 walks to 32.
+pub const WALKS_IN_FLIGHT: usize = 8;
+
+/// The walk a [`RouteScratch`] is in the middle of: what a run-to-completion loop
+/// would keep in locals, held here so the walk can stop after any hop.
+#[derive(Debug, Clone, Copy)]
+struct WalkState {
+    router: Router,
+    target: NodeId,
+    current: NodeId,
+    current_distance: u64,
+    hops: u64,
+    recoveries: u64,
+    max_hops: u64,
+    reroutes_used: u32,
+    /// Whether visited nodes go into the path buffer: the scratch's flag, or a
+    /// path-recording router (which needs the sequence to build its result).
+    record: bool,
+}
+
+/// Reusable per-walk buffers and state for the frozen walk.
 ///
-/// One scratch per worker thread is enough; routing clears the buffers but keeps their
-/// capacity, so after warm-up no query allocates. By default the visited-node sequence
-/// of the most recent route is recorded (as cheap `u32` pushes) and available through
-/// [`RouteScratch::path`]; callers that never read it — the engine when its route
-/// cache is disabled — can switch recording off with
+/// One scratch per worker thread is enough for [`Router::route_frozen`] (a
+/// [`WalkGroup`] holds one per walk in flight); routing clears the buffers but keeps
+/// their capacity, so after warm-up no query allocates. By default the visited-node
+/// sequence of the most recent route is recorded (as cheap `u32` pushes) and
+/// available through [`RouteScratch::path`]; callers that never read it — the engine
+/// when its route cache is disabled — can switch recording off with
 /// [`RouteScratch::with_path_recording`] and save the per-hop store.
 ///
 /// The scratch also carries the resolved distance-scan kernel ([`KernelIsa`]):
@@ -41,8 +79,9 @@ use rand::Rng;
 pub struct RouteScratch {
     /// Visited nodes of the last route, in order (starts at the source).
     path: Vec<u32>,
-    /// Backtracking history window (bounded by the strategy's `history` depth).
-    history: Vec<u32>,
+    /// Backtracking history window: a ring buffer holding at most the strategy's
+    /// `history` most recent nodes, so evicting the oldest is not a memmove.
+    history: VecDeque<u32>,
     /// Known dead ends, excluded from neighbour selection while backtracking.
     /// Kept **sorted** so membership tests are a binary search instead of a
     /// linear scan.
@@ -51,16 +90,29 @@ pub struct RouteScratch {
     record_path: bool,
     /// The distance-scan kernel every route through this scratch dispatches to.
     kernel: KernelIsa,
+    /// The walk in progress (or the last one finished).
+    walk: WalkState,
 }
 
 impl Default for RouteScratch {
     fn default() -> Self {
         Self {
             path: Vec::new(),
-            history: Vec::new(),
+            history: VecDeque::new(),
             dead_ends: Vec::new(),
             record_path: true,
             kernel: KernelIsa::detect(),
+            walk: WalkState {
+                router: Router::new(),
+                target: 0,
+                current: 0,
+                current_distance: 0,
+                hops: 0,
+                recoveries: 0,
+                max_hops: 0,
+                reroutes_used: 0,
+                record: false,
+            },
         }
     }
 }
@@ -132,10 +184,72 @@ impl RouteScratch {
     }
 }
 
+/// One walk for a [`WalkGroup`] to run: who routes it, between which endpoints, with
+/// which randomness, and a tag the caller recognises it by when it comes back.
+#[derive(Debug, Clone)]
+pub struct Walk<R> {
+    /// The routing configuration of this walk (walks of one group may differ).
+    pub router: Router,
+    /// Where the walk starts.
+    pub source: NodeId,
+    /// Where it is headed.
+    pub target: NodeId,
+    /// The walk's own randomness; handed back, advanced by what the walk drew.
+    pub rng: R,
+    /// Caller's tag, handed back untouched.
+    pub tag: usize,
+}
+
+/// A walk a [`WalkGroup`] has finished, as handed to the group's feeder.
+#[derive(Debug)]
+pub struct FinishedWalk<'a, R> {
+    /// The walk as it was admitted, its RNG advanced by what the walk consumed.
+    pub walk: Walk<R>,
+    /// What [`Router::route_frozen`] would have returned for it.
+    pub result: RouteResult,
+    /// The scratch the walk ran in; [`RouteScratch::path`] is this walk's path
+    /// until the feeder returns.
+    pub scratch: &'a RouteScratch,
+}
+
+/// One slot of a [`WalkGroup`].
+#[derive(Debug)]
+struct Lane<R> {
+    scratch: RouteScratch,
+    /// The walk in flight in this slot; `None` once the feeder has run dry.
+    walk: Option<Walk<R>>,
+}
+
+/// A lockstep group of frozen walks: each slot holds one walk in flight with its own
+/// [`RouteScratch`] and RNG, and [`WalkGroup::run`] advances them round-robin through
+/// the one hop function [`Router::route_frozen`] runs, prefetching the row each walk
+/// moves to. See the module docs for why.
+#[derive(Debug)]
+pub struct WalkGroup<R> {
+    lanes: Vec<Lane<R>>,
+}
+
+impl<R: Rng> WalkGroup<R> {
+    /// A group of `width` slots (at least one), each with a copy of `scratch` — its
+    /// kernel and path-recording setting. The engine's width is
+    /// [`WALKS_IN_FLIGHT`].
+    #[must_use]
+    pub fn new(width: usize, scratch: &RouteScratch) -> Self {
+        let lane = |_| Lane {
+            scratch: scratch.clone(),
+            walk: None,
+        };
+        Self {
+            lanes: (0..width.max(1)).map(lane).collect(),
+        }
+    }
+}
+
 // The frozen kernel's zero-allocation contract, enforced two ways: dynamically by the
 // counting allocator in tests/zero_alloc.rs, and statically by xlint over this fenced
-// region — everything from the metric specialisations to the end of the routing loop
-// must not allocate (all per-route state lives in the caller's RouteScratch).
+// region — everything from the metric specialisations through the hop function to the
+// end of the group driver must not allocate (all per-walk state lives in a
+// RouteScratch).
 // xlint: begin(no_alloc)
 
 /// A one-dimensional metric specialised at compile time; the frozen kernel is
@@ -210,7 +324,7 @@ impl CsrMetric for RingMetric {
     }
 }
 
-/// The best usable next hop out of `current` in the CSR snapshot: strictly closer to
+/// The best usable next hop out of `current` in the snapshot: strictly closer to
 /// the target than `current_distance`, not excluded, one-sided if requested; ties
 /// broken towards the smaller label. Mirrors `greedy::best_neighbor` over the frozen
 /// adjacency and returns `(new_distance, node)` so the caller can carry the distance
@@ -221,18 +335,17 @@ impl CsrMetric for RingMetric {
 /// key (labels are `u32` and distances fit 32 bits because the space is `u32`-indexed).
 /// Seeding the running minimum with `current_distance << 32` folds the strict-progress
 /// test into the same comparison: any neighbour at distance ≥ `current_distance` packs
-/// to a key ≥ the seed and is ignored. The hot loop is therefore one distance, one
-/// compare and one conditional move per contiguous `u32` neighbour — no branches to
-/// mispredict — and, because an unsigned minimum is order-independent, the same fold
-/// runs eight labels at a time on a SIMD [`KernelIsa`] over the lane-padded physical
-/// row ([`FrozenRoutes::neighbors_padded`]), bit-identical to the scalar scan.
+/// to a key ≥ the seed and is ignored. The fold is therefore one distance, one
+/// compare and one conditional move per label — no branches to mispredict — and,
+/// because an unsigned minimum is order-independent, the same fold runs eight labels
+/// at a time on a SIMD [`KernelIsa`] over the whole row slot
+/// ([`FrozenRoutes::neighbors_padded`]), bit-identical to the scalar scan.
 ///
-/// The SIMD fast path covers exactly the unfiltered branch (two-sided, nothing
-/// excluded) — the overwhelmingly common case — on rows at least two vector
-/// steps long; shorter rows, one-sided and exclusion-filtered scans stay scalar
-/// over the trimmed logical row. `excluded` must be sorted
-/// ascending (the scratch keeps `dead_ends` that way): membership is a binary
-/// search.
+/// The SIMD kernel covers exactly the unfiltered branch (two-sided, nothing
+/// excluded) — the overwhelmingly common case; one-sided and exclusion-filtered
+/// scans, and every scan under the scalar kernel, fold the logical row.
+/// `excluded` must be sorted ascending (the scratch keeps `dead_ends` that way):
+/// membership is a binary search.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn best_neighbor_csr<M: CsrMetric>(
@@ -248,9 +361,9 @@ fn best_neighbor_csr<M: CsrMetric>(
     let limit = current_distance << 32;
     let mut best = limit;
     if !one_sided && excluded.is_empty() {
-        let padded = frozen.neighbors_padded(current);
-        if kernel.is_simd() && padded.len() >= crate::simd::MIN_SCAN_LEN {
-            best = kernel.scan(padded, frozen.is_ring(), frozen.len(), target, limit);
+        if kernel.is_simd() {
+            let slot = frozen.neighbors_padded(current);
+            best = kernel.scan(slot, frozen.is_ring(), frozen.len(), target, limit);
         } else {
             for &neighbor in frozen.neighbors(current) {
                 let key =
@@ -305,8 +418,179 @@ fn random_alive_frozen<R: Rng + ?Sized>(
     Some(u64::from(alive[index]))
 }
 
+impl RouteScratch {
+    /// Starts a walk in this scratch. `Some` when it is over before its first hop: a
+    /// dead endpoint, or a source that is the target.
+    #[inline(always)]
+    fn begin<M: CsrMetric>(
+        &mut self,
+        router: Router,
+        metric: M,
+        frozen: &FrozenRoutes,
+        source: NodeId,
+        target: NodeId,
+    ) -> Option<RouteOutcome> {
+        self.path.clear();
+        self.walk = WalkState {
+            router,
+            target,
+            current: source,
+            current_distance: 0,
+            hops: 0,
+            recoveries: 0,
+            max_hops: router.max_hops().unwrap_or(4 * frozen.len() + 16),
+            reroutes_used: 0,
+            record: self.record_path || router.records_path(),
+        };
+        if !frozen.is_alive(source) {
+            return Some(RouteOutcome::Failed(FailureReason::DeadSource));
+        }
+        if !frozen.is_alive(target) {
+            return Some(RouteOutcome::Failed(FailureReason::DeadTarget));
+        }
+        self.walk.current_distance = metric.distance(source, target);
+        if self.walk.record {
+            self.path.push(source as u32);
+        }
+        self.history.clear();
+        self.dead_ends.clear();
+        (source == target).then_some(RouteOutcome::Delivered)
+    }
+
+    /// Moves the walk to `node`, `distance` from the target, as one more hop; `Some`
+    /// when that delivers it.
+    #[inline(always)]
+    fn step_to(&mut self, node: NodeId, distance: u64) -> Option<RouteOutcome> {
+        self.walk.current = node;
+        self.walk.current_distance = distance;
+        self.walk.hops += 1;
+        if self.walk.record {
+            self.path.push(node as u32);
+        }
+        (node == self.walk.target).then_some(RouteOutcome::Delivered)
+    }
+
+    /// The hop function: advances the walk by one hop — greedy if a usable neighbour
+    /// is closer to the target, else whatever the fault strategy does at a dead end —
+    /// and returns `Some` once the walk is over. The walk is never at its target on
+    /// entry: `begin` and `step_to` report delivery as soon as it happens.
+    #[inline(always)]
+    fn hop<M: CsrMetric, R: Rng + ?Sized>(
+        &mut self,
+        metric: M,
+        frozen: &FrozenRoutes,
+        rng: &mut R,
+    ) -> Option<RouteOutcome> {
+        let WalkState {
+            router,
+            target,
+            current,
+            current_distance,
+            ..
+        } = self.walk;
+        if self.walk.hops >= self.walk.max_hops {
+            return Some(RouteOutcome::Failed(FailureReason::HopLimit));
+        }
+        let strategy = router.strategy();
+        let backtrack_depth = match strategy {
+            FaultStrategy::Backtrack { history } => history,
+            _ => 0,
+        };
+        let excluded: &[u32] = if backtrack_depth > 0 {
+            &self.dead_ends
+        } else {
+            &[]
+        };
+        if let Some((next_distance, next)) = best_neighbor_csr(
+            metric,
+            self.kernel,
+            frozen,
+            current,
+            current_distance,
+            target,
+            router.mode() == GreedyMode::OneSided,
+            excluded,
+        ) {
+            if backtrack_depth > 0 {
+                if self.history.len() == backtrack_depth {
+                    self.history.pop_front();
+                }
+                self.history.push_back(current as u32);
+            }
+            return self.step_to(next, next_distance);
+        }
+
+        // Dead end: no usable neighbour is closer to the target.
+        let stuck = Some(RouteOutcome::Failed(FailureReason::Stuck));
+        match strategy {
+            FaultStrategy::Terminate => stuck,
+            FaultStrategy::RandomReroute { max_attempts } => {
+                if self.walk.reroutes_used >= max_attempts {
+                    return stuck;
+                }
+                self.walk.reroutes_used += 1;
+                self.walk.recoveries += 1;
+                match random_alive_frozen(frozen, current, rng) {
+                    Some(node) => self.step_to(node, metric.distance(node, target)),
+                    None => stuck,
+                }
+            }
+            FaultStrategy::Backtrack { .. } => {
+                self.walk.recoveries += 1;
+                // Sorted insert keeps the exclusion check in `best_neighbor_csr` a
+                // binary search; membership is all that matters, so ordering
+                // changes no result.
+                let dead = current as u32;
+                if let Err(position) = self.dead_ends.binary_search(&dead) {
+                    self.dead_ends.insert(position, dead);
+                }
+                match self.history.pop_back() {
+                    Some(prev) => {
+                        let prev = u64::from(prev);
+                        self.step_to(prev, metric.distance(prev, target))
+                    }
+                    None => stuck,
+                }
+            }
+        }
+    }
+
+    /// The result of the walk `begin` or `hop` just reported over with `outcome`.
+    fn finish(&self, outcome: RouteOutcome) -> RouteResult {
+        let record = self.walk.router.records_path();
+        RouteResult {
+            outcome,
+            hops: self.walk.hops,
+            recoveries: self.walk.recoveries,
+            // xlint: allow(no_alloc) -- the result path is opt-in: only a router built with_path_recording(true) reaches this collect, and the counting-allocator test pins the recording-off hot path at zero allocations
+            path: record.then(|| self.path.iter().map(|&p| u64::from(p)).collect()),
+        }
+    }
+
+    /// One walk, begun and hopped to its end.
+    fn walk_to_end<M: CsrMetric, R: Rng + ?Sized>(
+        &mut self,
+        router: Router,
+        metric: M,
+        frozen: &FrozenRoutes,
+        source: NodeId,
+        target: NodeId,
+        rng: &mut R,
+    ) -> RouteResult {
+        let mut over = self.begin(router, metric, frozen, source, target);
+        let outcome = loop {
+            match over {
+                Some(outcome) => break outcome,
+                None => over = self.hop(metric, frozen, rng),
+            }
+        };
+        self.finish(outcome)
+    }
+}
+
 impl Router {
-    /// Routes one message over a compiled snapshot — the zero-allocation fast path.
+    /// Routes one message over a compiled snapshot — the zero-allocation fast path:
+    /// one walk through the hop function, run to completion.
     ///
     /// Produces a bit-identical [`RouteResult`] to [`Router::route`] on the graph the
     /// snapshot was frozen from, for every greedy mode and fault strategy, provided the
@@ -325,170 +609,99 @@ impl Router {
     ) -> RouteResult {
         if frozen.is_ring() {
             let metric = RingMetric { n: frozen.len() };
-            self.route_frozen_impl(metric, frozen, source, target, rng, scratch)
+            scratch.walk_to_end(*self, metric, frozen, source, target, rng)
         } else {
-            self.route_frozen_impl(LineMetric, frozen, source, target, rng, scratch)
+            scratch.walk_to_end(*self, LineMetric, frozen, source, target, rng)
+        }
+    }
+}
+
+impl<R: Rng> Lane<R> {
+    /// Starts `next` in this slot. A walk that is over before its first hop goes
+    /// straight back to `feed`, and whatever `feed` answers takes its place; returns
+    /// whether the slot ends up holding a walk in flight.
+    #[inline(always)]
+    fn admit<M: CsrMetric>(
+        &mut self,
+        metric: M,
+        frozen: &FrozenRoutes,
+        mut next: Option<Walk<R>>,
+        feed: &mut impl FnMut(Option<FinishedWalk<'_, R>>) -> Option<Walk<R>>,
+    ) -> bool {
+        while let Some(walk) = next {
+            let begun = self
+                .scratch
+                .begin(walk.router, metric, frozen, walk.source, walk.target);
+            match begun {
+                None => {
+                    prefetch_row(frozen.neighbors_padded(walk.source));
+                    self.walk = Some(walk);
+                    return true;
+                }
+                Some(outcome) => {
+                    next = feed(Some(FinishedWalk {
+                        walk,
+                        result: self.scratch.finish(outcome),
+                        scratch: &self.scratch,
+                    }));
+                }
+            }
+        }
+        false
+    }
+}
+
+impl<R: Rng> WalkGroup<R> {
+    /// Runs every walk `feed` supplies over `frozen`, up to the group's width at a
+    /// time, and returns once `feed` has run dry and the last walk has finished.
+    ///
+    /// `feed(None)` is asked for a walk to fill an empty slot; `feed(Some(finished))`
+    /// hands back a finished walk and is asked for the walk to take over its slot —
+    /// the next one, or the same lookup's retry. `None` from `feed` means no more
+    /// walks: the slot stays empty. Walks finish in an order that depends on their
+    /// lengths (hence the tag), but each one's result, RNG consumption and path are
+    /// exactly what [`Router::route_frozen`] gives for it alone.
+    pub fn run(
+        &mut self,
+        frozen: &FrozenRoutes,
+        feed: impl FnMut(Option<FinishedWalk<'_, R>>) -> Option<Walk<R>>,
+    ) {
+        if frozen.is_ring() {
+            self.run_with(RingMetric { n: frozen.len() }, frozen, feed);
+        } else {
+            self.run_with(LineMetric, frozen, feed);
         }
     }
 
-    fn route_frozen_impl<M: CsrMetric, R: Rng + ?Sized>(
-        &self,
+    fn run_with<M: CsrMetric>(
+        &mut self,
         metric: M,
         frozen: &FrozenRoutes,
-        source: NodeId,
-        target: NodeId,
-        rng: &mut R,
-        scratch: &mut RouteScratch,
-    ) -> RouteResult {
-        let record_path = self.records_path();
-        // The router-level flag needs the visited sequence to build the result path.
-        let record_scratch = scratch.record_path || record_path;
-        scratch.path.clear();
-        if !frozen.is_alive(source) {
-            return RouteResult::immediate_failure(FailureReason::DeadSource, record_path);
+        mut feed: impl FnMut(Option<FinishedWalk<'_, R>>) -> Option<Walk<R>>,
+    ) {
+        let mut in_flight = 0usize;
+        for lane in &mut self.lanes {
+            let first = feed(None);
+            in_flight += usize::from(lane.admit(metric, frozen, first, &mut feed));
         }
-        if !frozen.is_alive(target) {
-            return RouteResult::immediate_failure(FailureReason::DeadTarget, record_path);
-        }
-
-        let max_hops = self.max_hops().unwrap_or(4 * frozen.len() + 16);
-        // Dispatch is resolved here, once per route; the per-hop cost of SIMD
-        // selection is a single well-predicted branch on this copy.
-        let kernel = scratch.kernel;
-        let mut hops = 0u64;
-        let mut recoveries = 0u64;
-        let mut current = source;
-        let mut current_distance = metric.distance(current, target);
-        if record_scratch {
-            scratch.path.push(source as u32);
-        }
-
-        let backtrack_depth = match self.strategy() {
-            FaultStrategy::Backtrack { history } => history,
-            _ => 0,
-        };
-        scratch.history.clear();
-        scratch.dead_ends.clear();
-        let one_sided = self.mode() == GreedyMode::OneSided;
-        let mut reroutes_used = 0u32;
-
-        let finish =
-            |outcome: RouteOutcome, hops, recoveries, scratch: &RouteScratch| RouteResult {
-                outcome,
-                hops,
-                recoveries,
-                // xlint: allow(no_alloc) -- the result path is opt-in: only a router built with_path_recording(true) reaches this collect, and the counting-allocator test pins the recording-off hot path at zero allocations
-                path: record_path.then(|| scratch.path.iter().map(|&p| u64::from(p)).collect()),
-            };
-
-        loop {
-            if current == target {
-                return finish(RouteOutcome::Delivered, hops, recoveries, scratch);
-            }
-            if hops >= max_hops {
-                return finish(
-                    RouteOutcome::Failed(FailureReason::HopLimit),
-                    hops,
-                    recoveries,
-                    scratch,
-                );
-            }
-
-            let excluded: &[u32] = if backtrack_depth > 0 {
-                &scratch.dead_ends
-            } else {
-                &[]
-            };
-            if let Some((next_distance, next)) = best_neighbor_csr(
-                metric,
-                kernel,
-                frozen,
-                current,
-                current_distance,
-                target,
-                one_sided,
-                excluded,
-            ) {
-                if backtrack_depth > 0 {
-                    if scratch.history.len() == backtrack_depth {
-                        scratch.history.remove(0);
-                    }
-                    scratch.history.push(current as u32);
-                }
-                current = next;
-                current_distance = next_distance;
-                hops += 1;
-                if record_scratch {
-                    scratch.path.push(current as u32);
-                }
-                continue;
-            }
-
-            // Dead end: no usable neighbour is closer to the target.
-            match self.strategy() {
-                FaultStrategy::Terminate => {
-                    return finish(
-                        RouteOutcome::Failed(FailureReason::Stuck),
-                        hops,
-                        recoveries,
-                        scratch,
-                    );
-                }
-                FaultStrategy::RandomReroute { max_attempts } => {
-                    if reroutes_used >= max_attempts {
-                        return finish(
-                            RouteOutcome::Failed(FailureReason::Stuck),
-                            hops,
-                            recoveries,
-                            scratch,
-                        );
-                    }
-                    reroutes_used += 1;
-                    recoveries += 1;
-                    match random_alive_frozen(frozen, current, rng) {
-                        Some(node) => {
-                            current = node;
-                            current_distance = metric.distance(current, target);
-                            hops += 1;
-                            if record_scratch {
-                                scratch.path.push(current as u32);
-                            }
-                        }
-                        None => {
-                            return finish(
-                                RouteOutcome::Failed(FailureReason::Stuck),
-                                hops,
-                                recoveries,
-                                scratch,
-                            );
-                        }
-                    }
-                }
-                FaultStrategy::Backtrack { .. } => {
-                    recoveries += 1;
-                    // Sorted insert keeps the exclusion check in
-                    // `best_neighbor_csr` a binary search; membership is all
-                    // that matters, so ordering changes no result.
-                    let dead = current as u32;
-                    if let Err(position) = scratch.dead_ends.binary_search(&dead) {
-                        scratch.dead_ends.insert(position, dead);
-                    }
-                    match scratch.history.pop() {
-                        Some(prev) => {
-                            current = u64::from(prev);
-                            current_distance = metric.distance(current, target);
-                            hops += 1;
-                            if record_scratch {
-                                scratch.path.push(current as u32);
-                            }
-                        }
-                        None => {
-                            return finish(
-                                RouteOutcome::Failed(FailureReason::Stuck),
-                                hops,
-                                recoveries,
-                                scratch,
-                            );
+        while in_flight > 0 {
+            for lane in &mut self.lanes {
+                let Some(walk) = lane.walk.as_mut() else {
+                    continue;
+                };
+                match lane.scratch.hop(metric, frozen, &mut walk.rng) {
+                    // Still walking: start pulling in the row the next turn scans.
+                    None => prefetch_row(frozen.neighbors_padded(lane.scratch.walk.current)),
+                    Some(outcome) => {
+                        let next = lane.walk.take().and_then(|walk| {
+                            feed(Some(FinishedWalk {
+                                walk,
+                                result: lane.scratch.finish(outcome),
+                                scratch: &lane.scratch,
+                            }))
+                        });
+                        if !lane.admit(metric, frozen, next, &mut feed) {
+                            in_flight -= 1;
                         }
                     }
                 }

@@ -1,14 +1,22 @@
-//! Runtime-dispatched SIMD kernel for the frozen distance scan.
+//! Runtime-dispatched SIMD kernel for the frozen distance scan, and the row
+//! prefetch hint — the one module of this crate that may hold `unsafe`.
 //!
 //! [`best_neighbor_csr`](super::frozen)'s fast branch folds a packed
-//! `(distance << 32) | label` minimum over a contiguous `u32` neighbour row — one
-//! distance, one compare, one conditional move per neighbour, with no
-//! order-dependence (an unsigned minimum is associative and commutative). That
-//! makes it bit-for-bit vectorizable: this module computes ring/line metric
-//! distances for two [`LANES`]-wide padding groups (eight neighbours) per
-//! iteration with AVX2 `u32x8` intrinsics, maintaining per-lane
-//! `(distance, label)` lexicographic minima — the same order as the packed
-//! `u64` key — and reducing them to exactly the value the scalar fold produces.
+//! `(distance << 32) | label` minimum over a node's row slot — one distance, one
+//! compare, one conditional move per label, with no order-dependence (an unsigned
+//! minimum is associative and commutative). That makes it bit-for-bit
+//! vectorizable: this module computes ring/line metric distances for
+//! [`ROW_STEP`] labels per fold with AVX2 `u32x8` intrinsics, maintaining per-lane
+//! `(distance, label)` lexicographic minima — the same order as the packed `u64`
+//! key — and reducing them to exactly the value the scalar fold produces.
+//!
+//! A row slot ([`FrozenRoutes::neighbors_padded`](faultline_overlay::FrozenRoutes::neighbors_padded))
+//! is the snapshot's stride long, a [`ROW_STEP`] multiple, so a scan is exactly
+//! `stride / ROW_STEP` folds whatever row a hop lands on: no remainder loop, no
+//! length-dependent path for the branch predictor to learn per row. (Walks in a
+//! lockstep group only overlap while that trip count is predictable; a mispredict
+//! flushes the other walks' work with it.) The slot's `PAD_SENTINEL` tail folds
+//! to keys forced to the unsigned maximum, which can never win.
 //!
 //! Dispatch is resolved **once** per [`KernelIsa::detect`] call site — a
 //! [`RouteScratch`](crate::RouteScratch) or engine worker — never per hop:
@@ -18,16 +26,9 @@
 //! consumes no randomness, the SIMD and scalar kernels are contractually
 //! bit-identical — same `RouteResult`, same RNG stream — which
 //! `tests/frozen_equivalence.rs` pins across both greedy modes and all three
-//! fault strategies.
-//!
-//! The kernel reads the **padded** CSR row
-//! ([`FrozenRoutes::neighbors_padded`](faultline_overlay::FrozenRoutes::neighbors_padded)):
-//! dense rows are lane-padded at freeze/compact time with [`PAD_SENTINEL`] labels
-//! whose key is forced to the unsigned maximum (a key that can never win). The
-//! vector loop consumes full eight-label groups; whatever is left — one padded
-//! group of a dense row, or the short unpadded row of an overflow record — runs
-//! through a scalar masked tail of at most `2 * LANES - 1` iterations, which is
-//! also where sub-group rows land (scalar wins below one vector's width anyway).
+//! fault strategies. The scalar fold in `frozen.rs` stays as the portable
+//! reference: on these rows it reads ≈75 ns a hop against ≈27 for the vector
+//! scan, so the vector kernel is the one the engine runs wherever it can.
 //!
 //! Soundness: the only way to obtain an AVX2-dispatching [`KernelIsa`] is
 //! [`KernelIsa::detect`], which checks the CPU feature at runtime — the variant
@@ -40,21 +41,43 @@
 
 #![allow(unsafe_code)]
 
-use faultline_overlay::SIMD_LANES;
+use faultline_overlay::ROW_STEP;
 
-/// Padding-group width of the vectorized distance scan, matching the overlay's
-/// dense-row padding ([`faultline_overlay::SIMD_LANES`]); the AVX2 kernel
-/// consumes two groups (eight `u32` labels) per iteration.
-pub const LANES: usize = SIMD_LANES;
+/// Hints the CPU to pull the cache line holding `label` towards L1. A no-op off
+/// x86_64.
+#[inline(always)]
+fn prefetch(label: &u32) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: `_mm_prefetch` is in the x86_64 baseline (SSE), and a prefetch is a
+        // hint that never faults or writes whatever address it is given; this one
+        // comes from a live reference anyway.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(core::ptr::from_ref(label).cast()) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = label;
+}
 
-/// Shortest padded row worth dispatching to the vector scan: two full
-/// eight-label steps. The production scalar fold is a branchless
-/// compare-and-cmov per label, so the vector path's splat/reduce setup only
-/// amortizes once at least two folds run against it (the `route_kernel` grid
-/// shows the crossover between 10- and 18-label rows on both geometries);
-/// below this [`best_neighbor_csr`](super::frozen) keeps the row on the scalar
-/// path — bit-identical either way, just faster.
-pub(crate) const MIN_SCAN_LEN: usize = 4 * SIMD_LANES;
+/// Prefetches `row` — a row slot a walk has just moved to and will scan on its next
+/// hop. A lockstep group issues it right after a hop, so the miss is served while
+/// the group's other walks take theirs.
+#[inline(always)]
+pub(crate) fn prefetch_row(row: &[u32]) {
+    /// `u32` labels in a 64-byte cache line.
+    const LINE: usize = 16;
+    // One label in every 64 bytes of the slot, then its last: every line the scan
+    // will read, wherever in a line the slot starts (a 96-byte slot covers two lines
+    // or three).
+    let mut at = 0;
+    while at < row.len() {
+        prefetch(&row[at]);
+        at += LINE;
+    }
+    if let Some(last) = row.last() {
+        prefetch(last);
+    }
+}
 
 /// Which implementation of the frozen distance scan a scratch dispatches to.
 ///
@@ -72,7 +95,7 @@ enum IsaKind {
     /// Portable scalar fold — the reference implementation, and the only kind
     /// ever constructed on non-x86_64 targets.
     Scalar,
-    /// AVX2 `u64x4` lanes; constructed only after `is_x86_feature_detected!`.
+    /// AVX2 `u32x8` lanes; constructed only after `is_x86_feature_detected!`.
     #[cfg(target_arch = "x86_64")]
     Avx2,
 }
@@ -126,14 +149,14 @@ impl KernelIsa {
         }
     }
 
-    /// Packed keys reduced per iteration: two [`LANES`]-wide padding groups (the
-    /// AVX2 path runs eight 32-bit lanes per step), 1 on the scalar kernel.
+    /// Labels reduced per fold: [`ROW_STEP`] on the AVX2 path (eight 32-bit
+    /// lanes), 1 on the scalar kernel.
     #[must_use]
     pub fn lanes(self) -> usize {
         match self.kind {
             IsaKind::Scalar => 1,
             #[cfg(target_arch = "x86_64")]
-            IsaKind::Avx2 => 2 * LANES,
+            IsaKind::Avx2 => ROW_STEP,
         }
     }
 
@@ -143,14 +166,14 @@ impl KernelIsa {
     /// otherwise). Must not be called on the scalar kernel — the caller's
     /// scalar fold is the implementation then.
     ///
-    /// `row` is the *padded* physical row: [`PAD_SENTINEL`] labels reduce to
-    /// `u64::MAX` keys and can never win.
+    /// `row` is a whole row slot, a [`ROW_STEP`] multiple long: its `PAD_SENTINEL`
+    /// labels reduce to `u64::MAX` keys and can never win.
     #[inline(always)]
     #[must_use]
     pub(crate) fn scan(self, row: &[u32], ring: bool, n: u64, target: u64, limit: u64) -> u64 {
         match self.kind {
             // The scalar kernel never calls in here; `best_neighbor_csr` keeps
-            // its original fold (over the trimmed row) as the fallback.
+            // its own fold (over the logical row) as the reference.
             IsaKind::Scalar => unreachable!("scalar kernels fold in best_neighbor_csr"),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the Avx2 kind only comes from `KernelIsa::detect` after a
@@ -183,7 +206,7 @@ mod avx2 {
     //! sign-flipped domain (distance's top bit pre-flipped while still 32-bit)
     //! where signed `_mm256_cmpgt_epi64` computes unsigned order.
 
-    use super::LANES;
+    use super::ROW_STEP;
     use core::arch::x86_64::{
         __m256i, _mm256_add_epi32, _mm256_and_si256, _mm256_blendv_epi8, _mm256_castsi256_si128,
         _mm256_cmpeq_epi32, _mm256_cmpgt_epi32, _mm256_cmpgt_epi64, _mm256_extracti128_si256,
@@ -191,10 +214,6 @@ mod avx2 {
         _mm256_set1_epi64x, _mm256_sub_epi32, _mm256_unpackhi_epi32, _mm256_unpacklo_epi32,
         _mm256_xor_si256, _mm_blendv_epi8, _mm_cmpgt_epi64, _mm_cvtsi128_si64, _mm_unpackhi_epi64,
     };
-    use faultline_overlay::PAD_SENTINEL;
-
-    /// Labels reduced per vector iteration: two padding groups.
-    const STEP: usize = 2 * LANES;
 
     /// XOR mask flipping a `u32`'s sign bit. Applied to the 32-bit distance
     /// half it flips bit 63 of the packed key, mapping unsigned key order onto
@@ -250,48 +269,22 @@ mod avx2 {
         }
     }
 
-    /// Folds the first eight labels of `chunk` under the **ring** metric
-    /// (shorter arc on a ring of `n_v` points).
+    /// The whole [`ROW_STEP`]-label chunks of a row slot — all of it, since a
+    /// slot is a `ROW_STEP` multiple long.
     #[inline]
-    #[target_feature(enable = "avx2")]
-    fn ring_fold(
-        best: &mut Acc,
-        chunk: &[u32],
-        sign: __m256i,
-        n_v: __m256i,
-        target_v: __m256i,
-        target_f: __m256i,
-    ) {
-        debug_assert!(chunk.len() >= STEP);
-        // SAFETY: the assert above — at least eight live u32s (32 bytes, one
-        // __m256i); the load is the unaligned variant.
-        let labels = unsafe { _mm256_loadu_si256(chunk.as_ptr().cast()) };
-        // Clockwise arc label -> target: (target - label) mod 2^32, plus n on
-        // the lanes where label > target (unsigned, via the sign-flipped
-        // domain). Exact because the true arc is in [0, n) and n fits u32.
-        let wraps = _mm256_cmpgt_epi32(_mm256_xor_si256(labels, sign), target_f);
-        let t = _mm256_sub_epi32(target_v, labels);
-        let cw = _mm256_add_epi32(t, _mm256_and_si256(wraps, n_v));
-        // Shorter arc: unsigned min(cw, n - cw), one instruction each way.
-        let dist = _mm256_min_epu32(cw, _mm256_sub_epi32(n_v, cw));
-        best.fold8(dist, labels, sign);
+    fn steps(row: &[u32]) -> &[[u32; ROW_STEP]] {
+        let (steps, rest) = row.as_chunks();
+        debug_assert!(rest.is_empty(), "row slots are ROW_STEP multiples");
+        steps
     }
 
-    /// Folds the first eight labels of `chunk` under the **line** metric
-    /// (absolute difference).
+    /// Loads one chunk into a vector register.
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn line_fold(best: &mut Acc, chunk: &[u32], sign: __m256i, target_v: __m256i) {
-        debug_assert!(chunk.len() >= STEP);
-        // SAFETY: the assert above — at least eight live u32s (32 bytes, one
-        // __m256i); the load is the unaligned variant.
-        let labels = unsafe { _mm256_loadu_si256(chunk.as_ptr().cast()) };
-        // |label - target| = max(a, b) - min(a, b), exact in u32.
-        let dist = _mm256_sub_epi32(
-            _mm256_max_epu32(labels, target_v),
-            _mm256_min_epu32(labels, target_v),
-        );
-        best.fold8(dist, labels, sign);
+    fn load(chunk: &[u32; ROW_STEP]) -> __m256i {
+        // SAFETY: `chunk` is a live reference to eight u32s — the 32 bytes one
+        // `__m256i` holds — and the load is the unaligned variant.
+        unsafe { _mm256_loadu_si256(chunk.as_ptr().cast()) }
     }
 
     /// `min(limit, packed keys of row)` under the **ring** metric (shorter arc
@@ -310,36 +303,19 @@ mod avx2 {
         let target_v = _mm256_set1_epi32(target as u32 as i32);
         let target_f = _mm256_xor_si256(target_v, sign);
         let mut best = Acc::seed(limit);
-        let len = row.len();
-        let mut start = 0;
-        while start + STEP <= len {
-            ring_fold(&mut best, &row[start..], sign, n_v, target_v, target_f);
-            start += STEP;
+        for chunk in steps(row) {
+            let labels = load(chunk);
+            // Clockwise arc label -> target: (target - label) mod 2^32, plus n on
+            // the lanes where label > target (unsigned, via the sign-flipped
+            // domain). Exact because the true arc is in [0, n) and n fits u32.
+            let wraps = _mm256_cmpgt_epi32(_mm256_xor_si256(labels, sign), target_f);
+            let t = _mm256_sub_epi32(target_v, labels);
+            let cw = _mm256_add_epi32(t, _mm256_and_si256(wraps, n_v));
+            // Shorter arc: unsigned min(cw, n - cw), one instruction each way.
+            let dist = _mm256_min_epu32(cw, _mm256_sub_epi32(n_v, cw));
+            best.fold8(dist, labels, sign);
         }
-        if start < len && len >= STEP {
-            // Sub-step remainder of a row that filled at least one chunk: fold
-            // the row's *last* eight labels instead of a scalar tail. The
-            // window overlaps labels the loop already folded — harmless,
-            // because a minimum is idempotent.
-            ring_fold(&mut best, &row[len - STEP..], sign, n_v, target_v, target_f);
-            start = len;
-        }
-        let mut key = best.reduce();
-        // Scalar masked tail: only rows shorter than one vector step get here
-        // (direct `scan` calls — `best_neighbor_csr` keeps those scalar).
-        for &label in &row[start..] {
-            if label == PAD_SENTINEL {
-                continue;
-            }
-            let label = u64::from(label);
-            let cw = if target >= label {
-                target - label
-            } else {
-                n - (label - target)
-            };
-            key = key.min((cw.min(n - cw) << 32) | label);
-        }
-        key
+        best.reduce()
     }
 
     /// `min(limit, packed keys of row)` under the **line** metric (absolute
@@ -356,26 +332,16 @@ mod avx2 {
         let sign = _mm256_set1_epi32(SIGN_FLIP as i32);
         let target_v = _mm256_set1_epi32(target as u32 as i32);
         let mut best = Acc::seed(limit);
-        let len = row.len();
-        let mut start = 0;
-        while start + STEP <= len {
-            line_fold(&mut best, &row[start..], sign, target_v);
-            start += STEP;
+        for chunk in steps(row) {
+            let labels = load(chunk);
+            // |label - target| = max(a, b) - min(a, b), exact in u32.
+            let dist = _mm256_sub_epi32(
+                _mm256_max_epu32(labels, target_v),
+                _mm256_min_epu32(labels, target_v),
+            );
+            best.fold8(dist, labels, sign);
         }
-        if start < len && len >= STEP {
-            // Overlapping final window; see `best_key_ring`.
-            line_fold(&mut best, &row[len - STEP..], sign, target_v);
-            start = len;
-        }
-        let mut key = best.reduce();
-        for &label in &row[start..] {
-            if label == PAD_SENTINEL {
-                continue;
-            }
-            let label = u64::from(label);
-            key = key.min((label.abs_diff(target) << 32) | label);
-        }
-        key
+        best.reduce()
     }
 }
 
@@ -424,28 +390,37 @@ mod tests {
         if !isa.is_simd() {
             return; // covered by the forced-scalar CI lane; nothing to compare
         }
-        // Every row length 0..=4*LANES+3, with and without sentinel padding,
+        // Every logical row length 0..=4*ROW_STEP in a slot of every stride that
+        // holds it (so: all-sentinel slots, full slots, every tail length),
         // near-wrap labels, extreme distances (keys with bit 63 set), and limits
         // both permissive and already-optimal.
         let n = u64::from(u32::MAX) - 1;
         for ring in [false, true] {
-            for len in 0..=4 * LANES + 3 {
-                let mut row: Vec<u32> = (0..len)
-                    .map(|i| (i as u32).wrapping_mul(0x9E37_79B9) % (n as u32 - 1))
-                    .collect();
-                for target in [0u64, 1, n / 2, n - 1] {
-                    for limit in [u64::MAX, n << 32, 1 << 32, 0] {
-                        let want = scalar_best(&row, ring, n, target, limit);
-                        let got = isa.scan(&row, ring, n, target, limit);
-                        assert_eq!(got, want, "len={len} ring={ring} target={target}");
+            for len in 0..=4 * ROW_STEP {
+                for steps in len.div_ceil(ROW_STEP).max(1)..=5 {
+                    let mut row: Vec<u32> = (0..len)
+                        .map(|i| (i as u32).wrapping_mul(0x9E37_79B9) % (n as u32 - 1))
+                        .collect();
+                    row.resize(steps * ROW_STEP, faultline_overlay::PAD_SENTINEL);
+                    for target in [0u64, 1, n / 2, n - 1] {
+                        for limit in [u64::MAX, n << 32, 1 << 32, 0] {
+                            let want = scalar_best(&row, ring, n, target, limit);
+                            let got = isa.scan(&row, ring, n, target, limit);
+                            assert_eq!(
+                                got, want,
+                                "len={len} steps={steps} ring={ring} target={target}"
+                            );
+                        }
                     }
                 }
-                // Lane-padded variant: sentinels must never win.
-                let padded_len = len.div_ceil(LANES) * LANES;
-                row.resize(padded_len, faultline_overlay::PAD_SENTINEL);
-                let want = scalar_best(&row, ring, n, 3, u64::MAX);
-                assert_eq!(isa.scan(&row, ring, n, 3, u64::MAX), want, "padded {len}");
             }
         }
+    }
+
+    #[test]
+    fn prefetching_any_row_is_harmless() {
+        prefetch_row(&[]);
+        prefetch_row(&[7]);
+        prefetch_row(&[faultline_overlay::PAD_SENTINEL; 3 * ROW_STEP]);
     }
 }

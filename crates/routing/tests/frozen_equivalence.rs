@@ -10,15 +10,22 @@
 //! frozen snapshot twice — once with the auto-detected kernel (AVX2 where the CPU
 //! has it) and once with the kernel pinned to the portable scalar fold
 //! (`RouteScratch::with_simd(false)`) — and all three walks must agree bit for bit.
+//!
+//! And it covers the lockstep [`WalkGroup`]: walks advanced round-robin, several in
+//! flight, must each come back with the result, the RNG state and the visited path
+//! of the same walk routed alone through `route_frozen`.
 
 use faultline_linkdist::InversePowerLaw;
 use faultline_metric::Geometry;
 use faultline_overlay::{
-    ChurnDelta, FrozenRoutes, GraphBuilder, OverlayGraph, RowChangeKind, PAD_SENTINEL, SIMD_LANES,
+    ChurnDelta, FrozenRoutes, GraphBuilder, OverlayGraph, RowChangeKind, PAD_SENTINEL, ROW_STEP,
 };
-use faultline_routing::{FaultStrategy, GreedyMode, RouteScratch, Router};
+use faultline_routing::{
+    FaultStrategy, GreedyMode, RouteResult, RouteScratch, Router, Walk, WalkGroup,
+};
 use proptest::prelude::*;
-use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
+use rand::rngs::{SmallRng, StdRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 fn build(n: u64, ell: usize, seed: u64, ring: bool) -> OverlayGraph {
     let geometry = if ring {
@@ -58,15 +65,19 @@ fn churn(graph: &mut OverlayGraph, seed: u64, node_f: f64, link_f: f64) {
     }
 }
 
-/// Asserts the lane-padding contract on every row of `snapshot`: the padded slot
-/// is the trimmed row plus an all-sentinel tail, no sentinel leaks into the
-/// trimmed view, and dense slots (the only padded ones — overflow records are
-/// served unpadded) are a [`SIMD_LANES`] multiple.
+/// Asserts the slot contract on every row of `snapshot`: the slot is the
+/// snapshot's stride long (a [`ROW_STEP`] multiple), it is the logical row plus an
+/// all-sentinel tail, and no sentinel leaks into the logical row.
 fn check_row_shapes(snapshot: &FrozenRoutes) -> Result<(), String> {
+    prop_assert_eq!(
+        snapshot.stride() % ROW_STEP,
+        0,
+        "stride is not a step multiple"
+    );
     for p in 0..snapshot.len() {
         let trimmed = snapshot.neighbors(p);
         let padded = snapshot.neighbors_padded(p);
-        prop_assert!(padded.len() >= trimmed.len(), "node {}: slot shrank", p);
+        prop_assert_eq!(padded.len(), snapshot.stride(), "node {}: slot length", p);
         prop_assert_eq!(&padded[..trimmed.len()], trimmed, "node {}: prefix", p);
         prop_assert!(
             padded[trimmed.len()..].iter().all(|&l| l == PAD_SENTINEL),
@@ -78,11 +89,27 @@ fn check_row_shapes(snapshot: &FrozenRoutes) -> Result<(), String> {
             "node {}: sentinel leaked into the trimmed row",
             p
         );
-        if padded.len() != trimmed.len() {
-            prop_assert_eq!(padded.len() % SIMD_LANES, 0, "node {}: unaligned slot", p);
-        }
     }
     Ok(())
+}
+
+/// The delta that takes `snapshot` to `graph`'s current topology: the fresh row and
+/// liveness of every node whose row or alive bit differs.
+fn delta_to(snapshot: &FrozenRoutes, graph: &OverlayGraph) -> ChurnDelta {
+    let fresh = graph.freeze();
+    let mut delta = ChurnDelta::new();
+    for p in 0..graph.len() {
+        if snapshot.neighbors(p) != fresh.neighbors(p) || snapshot.is_alive(p) != fresh.is_alive(p)
+        {
+            delta.record(
+                p,
+                RowChangeKind::Structural,
+                fresh.is_alive(p),
+                fresh.neighbors(p).to_vec(),
+            );
+        }
+    }
+    delta
 }
 
 /// Routes a few pairs over `snapshot` with the auto-detected kernel and the
@@ -122,8 +149,7 @@ proptest! {
     #[test]
     fn route_frozen_matches_route_bit_for_bit(
         n in 8u64..1_200,
-        // Wide enough that many cases cross the vector-dispatch threshold
-        // (rows of `MIN_SCAN_LEN` labels after padding) and many stay under it.
+        // Wide enough that strides run from one kernel step to four.
         ell in 1usize..24,
         seed in any::<u64>(),
         ring in any::<bool>(),
@@ -172,17 +198,14 @@ proptest! {
         }
     }
 
-    /// Lane padding round-trips through the whole patch pipeline: freeze, then
-    /// `apply_delta` twice (every row of the graph, then only the changed rows),
-    /// then `compact` — after every step each row keeps the padding
-    /// contract, the delta-patched snapshot matches a from-scratch freeze row for
-    /// row, and the SIMD kernel stays bit-identical to the scalar fold on every
-    /// row shape the pipeline produces (padded dense slots, unpadded overflow
-    /// records, tombstoned and emptied rows).
+    /// Row slots round-trip through the patch pipeline: freeze, then `apply_delta`
+    /// twice (every row of the graph, then only the changed rows) — after every
+    /// step each row keeps the slot contract, the delta-patched snapshot matches a
+    /// from-scratch freeze, and the SIMD kernel stays bit-identical to the scalar
+    /// fold on every row shape the pipeline produces (full, shrunk, emptied).
     #[test]
     fn padding_round_trips_through_patching_and_kernels_agree(
         n in 8u64..400,
-        // Past the vector-dispatch threshold on the long end (see above).
         ell in 1usize..24,
         seed in any::<u64>(),
         ring in any::<bool>(),
@@ -208,35 +231,114 @@ proptest! {
         // Epoch 2: more churn, patched in as a delta of only the changed rows, taken
         // from a from-scratch freeze of the churned graph (the ground truth).
         churn(&mut graph, seed ^ 0xD317A, node_failure * 0.5, link_failure * 0.5);
-        let fresh = graph.freeze();
-        let mut delta = ChurnDelta::new();
-        for p in 0..n {
-            if snapshot.neighbors(p) != fresh.neighbors(p)
-                || snapshot.is_alive(p) != fresh.is_alive(p)
-            {
-                delta.record(
-                    p,
-                    RowChangeKind::Structural,
-                    fresh.is_alive(p),
-                    fresh.neighbors(p).to_vec(),
-                );
-            }
-        }
+        let delta = delta_to(&snapshot, &graph);
         snapshot.apply_delta(&graph, &delta);
         check_row_shapes(&snapshot)?;
         check_kernel_parity(&snapshot, seed ^ 0xDE17)?;
-        for p in 0..n {
-            prop_assert_eq!(snapshot.neighbors(p), fresh.neighbors(p), "node {} row", p);
-            prop_assert_eq!(snapshot.is_alive(p), fresh.is_alive(p), "node {} alive", p);
-        }
+        prop_assert_eq!(&snapshot, &graph.freeze());
+    }
 
-        // Compaction folds the overflow region back into dense lane-padded rows.
-        snapshot.compact();
-        prop_assert_eq!(snapshot.overflow_len(), 0);
-        check_row_shapes(&snapshot)?;
-        check_kernel_parity(&snapshot, seed ^ 0xC0)?;
-        for p in 0..n {
-            prop_assert_eq!(snapshot.neighbors(p), fresh.neighbors(p), "node {} row", p);
+    /// A lockstep group equals a sequential loop of `route_frozen`: every walk comes
+    /// back exactly once with the same `RouteResult`, the same RNG state and the
+    /// same scratch path, whatever the group's width, however short the batch, and
+    /// with routers that differ from walk to walk (as an engine retry's does).
+    #[test]
+    fn a_lockstep_group_equals_a_loop_of_single_walks(
+        n in 8u64..1_200,
+        ell in 1usize..24,
+        seed in any::<u64>(),
+        ring in any::<bool>(),
+        one_sided in any::<bool>(),
+        strategy_pick in 0u8..3,
+        // Healthy, damaged, or damaged by way of a delta patch.
+        snapshot_pick in 0u8..3,
+        width_pick in 0usize..3,
+        // From the empty batch through batches shorter than the group to several
+        // refills of every slot.
+        lookups in 0usize..48,
+        simd in any::<bool>(),
+        node_failure in 0.05f64..0.5,
+        link_failure in 0.0f64..0.3,
+    ) {
+        let mut graph = build(n, ell, seed, ring);
+        let snapshot = match snapshot_pick {
+            0 => graph.freeze(),
+            1 => {
+                churn(&mut graph, seed, node_failure, link_failure);
+                graph.freeze()
+            }
+            _ => {
+                let mut snapshot = graph.freeze();
+                churn(&mut graph, seed, node_failure, link_failure);
+                snapshot.apply_delta(&graph, &delta_to(&snapshot, &graph));
+                snapshot
+            }
+        };
+        let width = [1usize, 3, 8][width_pick];
+
+        let mode = if one_sided { GreedyMode::OneSided } else { GreedyMode::TwoSided };
+        let router = Router::new()
+            .with_mode(mode)
+            .with_strategy(strategy_from(strategy_pick))
+            .with_path_recording(seed & 1 == 1);
+        // Every third walk routes as an engine retry would: randomized re-route.
+        let router_of = |index: usize| {
+            if index % 3 == 2 {
+                router.with_strategy(FaultStrategy::RandomReroute { max_attempts: 2 })
+            } else {
+                router
+            }
+        };
+        let dead = (0..n).find(|&p| !snapshot.is_alive(p));
+        let mut pair_rng = StdRng::seed_from_u64(seed ^ 0x10C5);
+        let pairs: Vec<(u64, u64)> = (0..lookups)
+            .map(|index| {
+                let s = pair_rng.gen_range(0..n);
+                let t = pair_rng.gen_range(0..n);
+                match (index % 5, dead) {
+                    (1, _) => (s, s),
+                    (2, Some(d)) => (d, t),
+                    (3, Some(d)) => (s, d),
+                    _ => (s, t),
+                }
+            })
+            .collect();
+        let rng_of = |index: usize| SmallRng::seed_from_u64(seed ^ index as u64);
+
+        let template = RouteScratch::new().with_simd(simd);
+        let mut scratch = template.clone();
+        let alone: Vec<(RouteResult, u64, Vec<u32>)> = pairs
+            .iter()
+            .enumerate()
+            .map(|(index, &(s, t))| {
+                let mut rng = rng_of(index);
+                let result = router_of(index).route_frozen(&snapshot, s, t, &mut rng, &mut scratch);
+                (result, rng.next_u64(), scratch.path().to_vec())
+            })
+            .collect();
+
+        let mut grouped: Vec<Option<(RouteResult, u64, Vec<u32>)>> = vec![None; pairs.len()];
+        let mut admitted = 0usize;
+        WalkGroup::<SmallRng>::new(width, &template).run(&snapshot, |finished| {
+            if let Some(mut done) = finished {
+                let slot = &mut grouped[done.walk.tag];
+                assert!(slot.is_none(), "walk {} came back twice", done.walk.tag);
+                *slot = Some((done.result, done.walk.rng.next_u64(), done.scratch.path().to_vec()));
+            }
+            let &(source, target) = pairs.get(admitted)?;
+            admitted += 1;
+            Some(Walk {
+                router: router_of(admitted - 1),
+                source,
+                target,
+                rng: rng_of(admitted - 1),
+                tag: admitted - 1,
+            })
+        });
+        prop_assert_eq!(admitted, pairs.len(), "the group stopped asking early");
+        for (index, (got, want)) in grouped.into_iter().zip(alone).enumerate() {
+            let (s, t) = pairs[index];
+            prop_assert_eq!(got, Some(want), "walk {}: {} -> {} (width {})", index, s, t, width);
         }
     }
 }

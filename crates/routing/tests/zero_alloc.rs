@@ -5,9 +5,9 @@
 //! per-worker [`RouteScratch`]. After one warm-up pass (which sizes the scratch
 //! buffers), routing the same workload again must perform **zero** heap allocations.
 //! The contract is proven for both distance-scan kernels — auto-detected (the SIMD
-//! scan over lane-padded rows, where the CPU has it) and pinned scalar — on rows
-//! long enough to dispatch the vector path, including unpadded overflow rows
-//! patched in by `apply_delta`.
+//! scan over row slots, where the CPU has it) and pinned scalar — on a snapshot
+//! with rows patched in by `apply_delta`, for single walks, for the same walks
+//! through a warmed-up lockstep [`WalkGroup`], and for the byzantine-redundant path.
 //!
 //! This file intentionally holds a single test: the allocation counter is global to
 //! the test binary, and a concurrently running test would pollute the delta.
@@ -15,7 +15,10 @@
 use faultline_linkdist::InversePowerLaw;
 use faultline_metric::Geometry;
 use faultline_overlay::{ChurnDelta, GraphBuilder, OverlayGraph, RowChangeKind};
-use faultline_routing::{ByzantineSet, FaultStrategy, RedundantRouter, RouteScratch, Router};
+use faultline_routing::{
+    ByzantineSet, FaultStrategy, RedundantRouter, RouteScratch, Router, Walk, WalkGroup,
+    WALKS_IN_FLIGHT,
+};
 use rand::rngs::{SmallRng, StdRng};
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -65,11 +68,10 @@ fn damaged_graph(n: u64, ell: usize, seed: u64) -> OverlayGraph {
 #[test]
 fn frozen_kernel_allocates_nothing_per_query_after_warmup() {
     let n = 1u64 << 11;
-    // 12 long links + 2 line neighbours per row: two full vector steps after lane
-    // padding, so the SIMD kernel (not just its scalar fallback) is on the path.
+    // 12 long links + 2 line neighbours per row: two vector steps a scan.
     let mut graph = damaged_graph(n, 12, 2002);
     // Patch (rather than rebuild) the snapshot through a small churn step, so the
-    // zero-alloc proof also covers rows served from the overflow region.
+    // zero-alloc proof also covers rows `apply_delta` overwrote.
     let frozen = {
         let mut snapshot = graph.freeze();
         let mut rng = StdRng::seed_from_u64(404);
@@ -139,6 +141,45 @@ fn frozen_kernel_allocates_nothing_per_query_after_warmup() {
                 kernel,
             );
             delivered_by_kernel.push(warm);
+
+            // The same walks through a lockstep group: once its slots' buffers are
+            // sized, admitting, hopping, prefetching and handing back allocate
+            // nothing either.
+            let mut group = WalkGroup::new(WALKS_IN_FLIGHT, &scratch);
+            let mut run_group = || {
+                let mut delivered = 0usize;
+                let mut admitted = 0usize;
+                group.run(&frozen, |finished| {
+                    if let Some(done) = finished {
+                        delivered += usize::from(done.result.is_delivered());
+                    }
+                    let &(source, target) = pairs.get(admitted)?;
+                    admitted += 1;
+                    Some(Walk {
+                        router,
+                        source,
+                        target,
+                        rng: SmallRng::seed_from_u64(admitted as u64 - 1),
+                        tag: admitted - 1,
+                    })
+                });
+                delivered
+            };
+            let warm_group = run_group();
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let again_group = run_group();
+            let after = ALLOCATIONS.load(Ordering::Relaxed);
+            assert_eq!(warm_group, warm, "the group delivers what single walks do");
+            assert_eq!(again_group, warm);
+            assert_eq!(
+                after - before,
+                0,
+                "lockstep group allocated {} times in {} queries ({}, {} kernel)",
+                after - before,
+                pairs.len(),
+                strategy.label(),
+                kernel,
+            );
         }
         assert_eq!(
             delivered_by_kernel[0],

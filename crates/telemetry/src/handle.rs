@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Default event-ring capacity: large enough to retain every structural event
-/// (compactions, rebuilds, convictions) of a long run; per-eviction events may
+/// (snapshot re-layouts, convictions) of a long run; per-eviction events may
 /// wrap, which the drop counter makes visible.
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
@@ -275,7 +275,7 @@ mod tests {
         assert_eq!(tel.shard_count(), 0);
         assert!(!tel.span(Phase::Freeze).is_active());
         tel.record_phase(Phase::Freeze, 100);
-        tel.event(EventKind::Compaction, 1);
+        tel.event(EventKind::FailureApplied, 1);
         tel.set_epoch(9);
         assert_eq!(tel.epoch(), 0);
         let shard = tel.shard(0);
@@ -350,7 +350,7 @@ mod tests {
     #[test]
     fn events_carry_the_epoch_stamp() {
         let tel = Telemetry::new(1);
-        tel.event(EventKind::Compaction, 1);
+        tel.event(EventKind::FailureApplied, 1);
         tel.set_epoch(4);
         tel.event(EventKind::RebuildFallback, 2);
         tel.shard(0).eviction();
@@ -369,8 +369,8 @@ mod tests {
         let tel = Telemetry::new(1);
         let other = tel.clone();
         other.shard(0).hit();
-        other.record_phase(Phase::Compact, 7);
+        other.record_phase(Phase::OracleBuild, 7);
         assert_eq!(tel.snapshot().merged_shards().hits, 1);
-        assert_eq!(tel.phase_totals().get(Phase::Compact), 7);
+        assert_eq!(tel.phase_totals().get(Phase::OracleBuild), 7);
     }
 }

@@ -11,8 +11,8 @@
 //! * [`Span`] — an RAII timer: constructing one stamps `Instant::now()`, dropping it
 //!   records the elapsed nanoseconds into the named [`Phase`]'s histogram. A span
 //!   from a disabled handle never reads the clock (see [`span`]).
-//! * [`EventRing`] — a bounded MPSC ring of discrete occurrences (compactions,
-//!   rebuild fallbacks, cache evictions, adversary convictions), each packed into a
+//! * [`EventRing`] — a bounded MPSC ring of discrete occurrences (snapshot
+//!   re-layouts, cache evictions, adversary convictions), each packed into a
 //!   single `u64` slot (no torn reads, no locks); when full, the oldest events are
 //!   overwritten and a drop count keeps the loss visible (see [`ring`]).
 //!

@@ -11,9 +11,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Kinds of discrete telemetry events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
-    /// A snapshot compacted its overflow/tombstones back to dense CSR.
-    Compaction,
-    /// A patch call's structural blast radius forced a full snapshot rebuild.
+    /// A delta row outgrew the snapshot's stride, so the patch call re-laid every
+    /// row out at a wider one (payload: rows in the delta, saturated).
     RebuildFallback,
     /// A route cache evicted its least-recently-used entry to make room.
     CacheEviction,
@@ -28,12 +27,11 @@ pub enum EventKind {
 }
 
 /// Number of event kinds (the length of [`EventKind::ALL`]).
-pub const NUM_EVENT_KINDS: usize = 7;
+pub const NUM_EVENT_KINDS: usize = 6;
 
 impl EventKind {
     /// Every kind, in stable reporting order.
     pub const ALL: [EventKind; NUM_EVENT_KINDS] = [
-        EventKind::Compaction,
         EventKind::RebuildFallback,
         EventKind::CacheEviction,
         EventKind::CacheInvalidation,
@@ -46,7 +44,6 @@ impl EventKind {
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            EventKind::Compaction => "compaction",
             EventKind::RebuildFallback => "rebuild_fallback",
             EventKind::CacheEviction => "cache_eviction",
             EventKind::CacheInvalidation => "cache_invalidation",
@@ -166,7 +163,7 @@ mod tests {
     #[test]
     fn events_roundtrip_in_order_below_capacity() {
         let ring = EventRing::new(8);
-        ring.push(EventKind::Compaction, 1, 10);
+        ring.push(EventKind::FailureApplied, 1, 10);
         ring.push(EventKind::RebuildFallback, 2, 20);
         ring.push(EventKind::AdversaryConviction, 3, 30);
         assert_eq!(ring.dropped(), 0);
@@ -175,7 +172,7 @@ mod tests {
         assert_eq!(
             events[0],
             Event {
-                kind: EventKind::Compaction,
+                kind: EventKind::FailureApplied,
                 epoch: 1,
                 payload: 10
             }
@@ -206,7 +203,7 @@ mod tests {
     #[test]
     fn epoch_clamps_to_24_bits() {
         let ring = EventRing::new(2);
-        ring.push(EventKind::Compaction, u64::MAX, 0);
+        ring.push(EventKind::FailureApplied, u64::MAX, 0);
         assert_eq!(ring.events()[0].epoch, (1 << 24) - 1);
     }
 
@@ -214,8 +211,8 @@ mod tests {
     fn zero_capacity_is_bumped_to_one() {
         let ring = EventRing::new(0);
         assert_eq!(ring.capacity(), 1);
-        ring.push(EventKind::Compaction, 0, 1);
-        ring.push(EventKind::Compaction, 0, 2);
+        ring.push(EventKind::FailureApplied, 0, 1);
+        ring.push(EventKind::FailureApplied, 0, 2);
         assert_eq!(ring.events().len(), 1);
         assert_eq!(ring.events()[0].payload, 2);
         assert_eq!(ring.dropped(), 1);

@@ -336,7 +336,7 @@ mod tests {
         tel.shard(0).miss();
         tel.shard(1).miss();
         tel.shard(1).eviction();
-        tel.event(EventKind::Compaction, 3);
+        tel.event(EventKind::FailureApplied, 3);
         tel.snapshot()
     }
 
@@ -366,7 +366,7 @@ mod tests {
         assert_eq!(a.merged_shards().hits, 4);
         assert_eq!(a.phase(Phase::Freeze).count(), 2);
         assert_eq!(a.phase(Phase::Freeze).sum(), 3_000);
-        assert_eq!(a.event_count(EventKind::Compaction), 2);
+        assert_eq!(a.event_count(EventKind::FailureApplied), 2);
         // Eviction events ride the ring too.
         assert_eq!(a.event_count(EventKind::CacheEviction), 2);
     }
@@ -381,7 +381,7 @@ mod tests {
         }
         assert!(json.contains("\"shards\":["));
         assert!(json.contains("\"hit_rate\":"));
-        assert!(json.contains("\"compaction\":1"));
+        assert!(json.contains("\"failure_applied\":1"));
         assert!(json.contains("\"dropped\":0"));
     }
 
@@ -392,7 +392,7 @@ mod tests {
         assert!(text.contains("batch_shard"));
         assert!(text.contains("shard"));
         assert!(text.contains("events:"));
-        assert!(text.contains("compaction 1"));
+        assert!(text.contains("failure_applied 1"));
     }
 
     #[test]

@@ -4,13 +4,13 @@ use crate::histogram::Histogram;
 use std::time::Instant;
 
 /// Number of named phases (the length of [`Phase::ALL`]).
-pub const NUM_PHASES: usize = 6;
+pub const NUM_PHASES: usize = 5;
 
 /// The engine's timed phases. Each owns one wall-time histogram in the
 /// [`crate::Telemetry`] handle; a [`Span`] records into it on drop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// Compiling the overlay into a `FrozenRoutes` CSR snapshot.
+    /// Compiling the overlay into a `FrozenRoutes` snapshot.
     Freeze,
     /// Applying a typed `ChurnDelta` to the snapshot.
     ApplyDelta,
@@ -18,8 +18,6 @@ pub enum Phase {
     Invalidate,
     /// One shard worker routing its slice of a batch.
     BatchShard,
-    /// Compacting the snapshot's overflow/tombstones back to dense CSR.
-    Compact,
     /// Building the connectivity oracle a failure-configured epoch classifies
     /// its lookups against (no time on an epoch that reuses the last one).
     OracleBuild,
@@ -32,7 +30,6 @@ impl Phase {
         Phase::ApplyDelta,
         Phase::Invalidate,
         Phase::BatchShard,
-        Phase::Compact,
         Phase::OracleBuild,
     ];
 
@@ -44,7 +41,6 @@ impl Phase {
             Phase::ApplyDelta => "apply_delta",
             Phase::Invalidate => "invalidate",
             Phase::BatchShard => "batch_shard",
-            Phase::Compact => "compact",
             Phase::OracleBuild => "oracle_build",
         }
     }
@@ -193,9 +189,9 @@ mod tests {
         let b = PhaseNanos::from_fn(|p| p.index() as u64 * 25);
         let delta = b.saturating_sub(&a);
         assert_eq!(delta.get(Phase::Freeze), 0);
-        assert_eq!(delta.get(Phase::Compact), 60);
+        assert_eq!(delta.get(Phase::OracleBuild), 60);
         assert_eq!(a.saturating_sub(&b), PhaseNanos::default());
-        assert_eq!(b.total(), (1 + 2 + 3 + 4 + 5) * 25);
+        assert_eq!(b.total(), (1 + 2 + 3 + 4) * 25);
     }
 
     #[test]
@@ -205,6 +201,6 @@ mod tests {
         for phase in Phase::ALL {
             assert!(json.contains(&format!("\"{}_ns\":", phase.name())));
         }
-        assert!(json.contains("\"total_ns\":15"));
+        assert!(json.contains("\"total_ns\":10"));
     }
 }
