@@ -842,9 +842,9 @@ pub fn run(config: &EngineBenchConfig) -> EngineBenchReport {
     );
     let kernel_batch = QueryBatch::uniform(&kernel_network, config.queries, config.seed ^ 0x51D0);
     // Time the frozen route path itself (`route_seeded` on the compiled
-    // snapshot), not `run_batch`: the engine wrapper adds ~100 ns of per-query
-    // bookkeeping (latency stamps, cache probe, outcome assembly) that is
-    // identical on both sides and would otherwise halve the measured ratio.
+    // snapshot), not `run_batch`: the engine wrapper adds per-query
+    // bookkeeping (shard dispatch, seed derivation, outcome assembly) that is
+    // identical on both sides and would otherwise dilute the measured ratio.
     // The ISSUE's `simd_speedup` is a kernel reading — the uncached frozen
     // walk with the vector fold on vs off — so that is what gets clocked.
     let kernel_view = kernel_network.view().freeze();
@@ -1044,17 +1044,14 @@ pub fn print(report: &EngineBenchReport) {
     );
     let line = |label: &str, batch: &BatchReport| {
         let hops = batch.hop_summary();
-        let latency = batch.latency_summary();
         println!(
-            "{:<22} {:>12.0} q/s   success {:>7.4}   hops p50/p95/p99 {:>5.1}/{:>5.1}/{:>5.1}   latency p50/p99 {:>6.0}/{:>6.0} ns   cache hits {:>7}",
+            "{:<22} {:>12.0} q/s   success {:>7.4}   hops p50/p95/p99 {:>5.1}/{:>5.1}/{:>5.1}   cache hits {:>7}",
             label,
             batch.queries_per_sec(),
             batch.success_rate(),
             hops.as_ref().map_or(0.0, |s| s.median),
             hops.as_ref().map_or(0.0, |s| s.p95),
             hops.as_ref().map_or(0.0, |s| s.p99),
-            latency.as_ref().map_or(0.0, |s| s.median),
-            latency.as_ref().map_or(0.0, |s| s.p99),
             batch.cache_hits(),
         );
     };

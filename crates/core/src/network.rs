@@ -192,31 +192,6 @@ impl Network {
         Ok(stats)
     }
 
-    /// Routes `count` messages whose endpoints are drawn from a
-    /// [`Workload`](faultline_sim::Workload) over the currently alive nodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::NoAliveNodes`] if fewer than two nodes are alive.
-    pub fn route_workload_batch<R: Rng>(
-        &self,
-        workload: &faultline_sim::Workload,
-        count: u64,
-        rng: &mut R,
-    ) -> Result<BatchStats, CoreError> {
-        let alive = self.graph().alive_nodes();
-        if alive.len() < 2 {
-            return Err(CoreError::NoAliveNodes);
-        }
-        let mut stats = BatchStats::new();
-        for _ in 0..count {
-            let (s, t) = workload.sample_pair(alive.len(), rng);
-            let result = self.route(alive[s], alive[t], rng);
-            stats.record(result.is_delivered(), result.hops, result.recoveries);
-        }
-        Ok(stats)
-    }
-
     /// Stores a resource: the value is placed on the alive node closest to the key's
     /// point. Returns the home node.
     ///

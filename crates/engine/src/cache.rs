@@ -10,11 +10,16 @@
 //! exact nodes its route visited (the rows the greedy walk read), and a topology change
 //! expressed as a typed row-diff ([`faultline_overlay::ChurnDelta`]) evicts precisely
 //! the entries whose walk depends on a changed row. The check has **no false
-//! negatives** under every fault strategy: an entry that survives is guaranteed to
-//! replay bit-identically on the patched topology, because its walk read only unchanged
-//! rows — walks that read anything more (a random-reroute recovery samples the *global*
-//! alive set) are marked volatile at insert time and evicted by any non-empty row
-//! invalidation. Mutations that cannot name their changed rows (a failure plan applied
+//! negatives** under every fault strategy: the walk that created a surviving entry
+//! read only unchanged rows, so re-walking *that pair* on the patched topology gives
+//! the stored digest — walks that read anything more (a random-reroute recovery
+//! samples the *global* alive set) are marked volatile at insert time and evicted by
+//! any non-empty row invalidation. That is a statement about the pair that created
+//! the entry, not about the pairs it is served to: a hit returns the first delivered
+//! digest of its `(source bucket, target bucket)` pair, which measured against each
+//! lookup's own walk is exact in `delivered` on a healthy overlay and a memo in
+//! `hops` (mean absolute error 3.5 hops at n = 2^16, ROADMAP direction 1).
+//! Mutations that cannot name their changed rows (a failure plan applied
 //! without delta capture, manual `fail_node` sweeps) must [`RouteCache::clear`] instead;
 //! until they do, a cached route may be stale.
 

@@ -13,8 +13,7 @@
 //! the oracle proves survivable is a routing failure the resilience gate counts
 //! ([`SurvivabilitySplit`]). The oracle is rebuilt only on an epoch whose overlay
 //! moved since the last build — this epoch's event failed or healed a node, or the
-//! previous epoch's churn applied an event — and pays for `survivable()` alone
-//! (the oracle's cut analysis is derived on demand, and the engine never asks).
+//! previous epoch's churn applied an event.
 
 use faultline_overlay::NodeId;
 

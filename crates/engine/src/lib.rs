@@ -31,8 +31,8 @@
 //!   ([`RouteCache`]). Entries remember the exact nodes their walk visited (row
 //!   dependencies). A topology change expressed as a typed [`ChurnDelta`] evicts
 //!   precisely the entries whose cached walk depends on a changed row
-//!   ([`QueryEngine::invalidate_delta`] — survivors replay bit-identically on the
-//!   patched topology); a mutation with no delta to name its rows calls
+//!   ([`QueryEngine::invalidate_delta`] — a survivor's creating walk read only
+//!   unchanged rows); a mutation with no delta to name its rows calls
 //!   [`QueryEngine::flush_caches`].
 //! * **Live-churn interleaving** — [`QueryEngine::run_interleaved`] alternates routing
 //!   epochs with `faultline_failure` churn events and the Section 5 maintenance
@@ -55,7 +55,7 @@
 //!   consistent: departing Byzantine nodes shrink the set and
 //!   [`ChurnMix::adversarial_joins`] conscripts arrivals (a join at a stale label
 //!   *clears* it — labels are reused, so newcomers never inherit old convictions).
-//!   [`BatchReport`] splits honest-vs-contested success/hop/latency percentiles.
+//!   [`BatchReport`] splits honest-vs-contested success and hop percentiles.
 //! * **Failure epochs** — [`EngineConfig::failures`] interleaves *correlated*
 //!   damage with the traffic: a [`FailureSchedule`] cycles region crashes,
 //!   two-sided partitions, and heal events through the same typed-delta pipeline
@@ -69,13 +69,12 @@
 //!   live graph (SCCs only) and kept until a failure, heal or churn event moves
 //!   it. Failed lookups get a bounded diversified-retry budget while the overlay
 //!   is damaged, and a failed digest is never served from the route cache.
-//! * **Percentile stats** — every batch reports p50/p95/p99 hop and per-query wall-time
-//!   ladders plus queries/sec, exportable as JSON for the benchmark trajectory. (A
-//!   lookup walked in a group has no wall time of its own; see
-//!   [`QueryOutcome::nanos`].)
-//!   Latency percentiles come from log-bucketed histograms ([`LatencyDigest`]) that
-//!   carry the batch's measurement floor and quantization share, so sub-resolution
-//!   readings are visible as clock artifacts instead of masquerading as precise.
+//! * **Percentile stats** — every batch reports p50/p95/p99 hop ladders, its wall
+//!   time and queries/sec, exportable as JSON for the benchmark trajectory. No clock
+//!   is read per lookup, so a [`QueryOutcome`] is a function of (snapshot, batch,
+//!   seed) and `==` on outcomes is the determinism check; a reader that wants
+//!   nanoseconds per lookup divides [`BatchReport::wall_time`] (or the per-shard
+//!   `batch_shard` span) by the lookups it covers.
 //! * **Telemetry** — the engine records per-phase wall-time histograms (`freeze`,
 //!   `apply_delta`, `invalidate`, per-shard `batch_shard`, `oracle_build`),
 //!   per-shard cache counters (hits/misses/evictions/occupancy), and a bounded ring
@@ -121,7 +120,7 @@ pub use config::{ByzantineConfig, ByzantineMembership, ConfigError, EngineConfig
 pub use failures::{FailureEvent, FailureSchedule, FailureWork, SurvivabilitySplit};
 pub use interleave::{ChurnMix, EpochReport, EpochWorkload, InterleavedReport, SnapshotWork};
 pub use run::QueryEngine;
-pub use stats::{AdversarySplit, BatchReport, LatencyDigest, QueryOutcome};
+pub use stats::{AdversarySplit, BatchReport, QueryOutcome};
 
 // Re-exported so byzantine-lane callers need no direct `faultline_routing` dependency.
 pub use faultline_routing::ByzantineSet;

@@ -8,8 +8,7 @@
 //!   another, so the worker keeps [`WALKS_IN_FLIGHT`] of them going in a lockstep
 //!   [`WalkGroup`] (`route_shard_lockstep`): one hop each in turn, the row each
 //!   moved to prefetched meanwhile; a failed lookup's diversified retry re-enters
-//!   its slot. No clock is read per lookup: [`QueryOutcome::nanos`] is the shard's
-//!   wall time ÷ the lookups it routed.
+//!   its slot.
 //! * **cache on** — one lookup at a time (`route_one`): probe, and on a miss walk
 //!   and insert. The insert must precede the next probe of the same key, which is
 //!   the ordering a group would break.
@@ -18,8 +17,10 @@
 //!
 //! All three advance walks through the same hop function
 //! ([`Router::route_frozen`] is that function run to completion), with per-lookup
-//! seeds derived from `(batch seed, query index, attempt)`, so outcomes are
-//! identical at any thread count and whichever way a shard walks.
+//! seeds derived from `(batch seed, query index, attempt)`, and none reads a clock
+//! per lookup (what a batch cost is [`BatchReport::wall_time`] and the per-shard
+//! [`Phase::BatchShard`] span), so outcomes are a function of (snapshot, batch,
+//! seed): identical at any thread count and whichever way a shard walks.
 
 use crate::batch::QueryBatch;
 use crate::cache::{bucket_of, CachedRoute, RouteCache, RowSet};
@@ -465,7 +466,6 @@ fn unrouted(source: NodeId, target: NodeId) -> QueryOutcome {
         attempts: 0,
         adversary_drops: 0,
         total_hops: 0,
-        nanos: 0,
     }
 }
 
@@ -488,9 +488,6 @@ fn diversified(router: Router) -> Router {
 /// attempt — seeded from `(batch seed, query index, attempt)` and routed
 /// [`diversified`], exactly as [`route_one`] retries — so a lookup's attempts still
 /// run one after another while other lookups' walks fill the other slots.
-///
-/// No clock is read per lookup or per hop: each outcome's `nanos` is the shard's
-/// wall time divided by the lookups it routed.
 fn route_shard_lockstep(
     snapshot: &FrozenView,
     scratch: &RouteScratch,
@@ -499,8 +496,6 @@ fn route_shard_lockstep(
     retry_budget: u32,
     output: &mut Vec<(usize, QueryOutcome)>,
 ) {
-    // xlint: allow(determinism) -- per-shard latency stamp: reported in percentiles only, never read by routing
-    let started = Instant::now();
     let mut pending = indices.iter();
     WalkGroup::new(WALKS_IN_FLIGHT, scratch).run(snapshot.routes(), |finished| {
         if let Some(done) = finished {
@@ -539,10 +534,6 @@ fn route_shard_lockstep(
             tag: output.len() - 1,
         })
     });
-    let nanos = started.elapsed().as_nanos() as u64 / output.len().max(1) as u64;
-    for (_, outcome) in output {
-        outcome.nanos = nanos;
-    }
 }
 
 /// Routes (or cache-serves) one query on a shard worker; a cache miss walks the
@@ -564,8 +555,6 @@ fn route_one(
     source: NodeId,
     target: NodeId,
 ) -> QueryOutcome {
-    // xlint: allow(determinism) -- per-query latency stamp: reported in percentiles only, never read by routing
-    let started = Instant::now();
     let source_bucket = bucket_of(source, n);
     let target_bucket = bucket_of(target, n);
     // An undelivered digest speaks for the pair that walked it and no other, so a
@@ -584,14 +573,15 @@ fn route_one(
             attempts: 1,
             adversary_drops: 0,
             total_hops: hit.hops,
-            nanos: started.elapsed().as_nanos() as u64,
         };
     }
     let base_seed = seed_for_trial(batch_seed, index as u64);
     // The visited-node list (the walk's row dependencies) only matters to a cache
-    // entry; it is skipped on the uncached hot path. Retries accumulate into the
+    // entry, and only a vacant key takes one: a lookup that found an undelivered
+    // digest inserts nothing and collects nothing. Retries accumulate into the
     // same dependency set: every attempt's walk is a row dependency of the final
     // cached digest.
+    let inserting = found.is_none() && cache.enabled();
     let mut deps: Vec<u32> = Vec::new();
     let mut total_hops = 0u64;
     let mut attempts = 0u32;
@@ -613,7 +603,7 @@ fn route_one(
                 scratch,
             )
         };
-        if cache.enabled() {
+        if inserting {
             deps.reserve(scratch.path().len() + 2);
             deps.extend_from_slice(scratch.path());
         }
@@ -624,25 +614,23 @@ fn route_one(
             break (d, h, r);
         }
     };
-    if cache.enabled() {
+    if inserting {
         // The endpoints are dependencies even when the walk never reached them (a
         // failed lookup's digest goes stale the moment its target's liveness flips);
         // duplicates are harmless to the linear invalidation scan.
         deps.push(source as u32);
         deps.push(target as u32);
-    }
-    // A random-reroute recovery samples the global alive set: the digest depends on
-    // membership state no row-dependency list can capture, so row-level invalidation
-    // must always evict it. Terminate never recovers; backtrack recovers along
-    // visited rows only. A retried lookup is volatile for the same reason — its
-    // diversified attempts re-route randomly.
-    let volatile = attempts > 1
-        || (recoveries > 0
-            && matches!(
-                snapshot.router().strategy(),
-                FaultStrategy::RandomReroute { .. }
-            ));
-    if found.is_none() {
+        // A random-reroute recovery samples the global alive set: the digest depends on
+        // membership state no row-dependency list can capture, so row-level invalidation
+        // must always evict it. Terminate never recovers; backtrack recovers along
+        // visited rows only. A retried lookup is volatile for the same reason — its
+        // diversified attempts re-route randomly.
+        let volatile = attempts > 1
+            || (recoveries > 0
+                && matches!(
+                    snapshot.router().strategy(),
+                    FaultStrategy::RandomReroute { .. }
+                ));
         cache.insert(
             source_bucket,
             target_bucket,
@@ -666,7 +654,6 @@ fn route_one(
         attempts,
         adversary_drops: 0,
         total_hops,
-        nanos: started.elapsed().as_nanos() as u64,
     }
 }
 
@@ -687,8 +674,6 @@ fn route_one_byzantine(
     source: NodeId,
     target: NodeId,
 ) -> QueryOutcome {
-    // xlint: allow(determinism) -- per-query latency stamp: reported in percentiles only, never read by routing
-    let started = Instant::now();
     let seed = seed_for_trial(batch_seed, index as u64);
     let mut rng = SmallRng::seed_from_u64(seed);
     let result = lane.router.route_frozen(
@@ -710,7 +695,6 @@ fn route_one_byzantine(
         attempts: result.attempts,
         adversary_drops: result.dropped_by_adversary,
         total_hops: result.total_hops,
-        nanos: started.elapsed().as_nanos() as u64,
     }
 }
 

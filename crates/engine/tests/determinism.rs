@@ -13,15 +13,6 @@ fn network(n: u64, seed: u64) -> Network {
     Network::build(&NetworkConfig::paper_default(n), &mut rng)
 }
 
-/// The per-query facts that must be thread-count invariant (wall-clock nanos are not).
-fn fingerprint(report: &faultline_engine::BatchReport) -> Vec<(u64, u64, bool, u64, bool)> {
-    report
-        .outcomes()
-        .iter()
-        .map(|o| (o.source, o.target, o.delivered, o.hops, o.cached))
-        .collect()
-}
-
 #[test]
 fn hundred_thousand_queries_identical_across_thread_counts() {
     let net = network(1 << 10, 1);
@@ -37,11 +28,11 @@ fn hundred_thousand_queries_identical_across_thread_counts() {
             100_000,
             "healthy overlay delivers everything"
         );
-        let fp = fingerprint(&report);
         match &baseline {
-            None => baseline = Some(fp),
+            None => baseline = Some(report),
             Some(expected) => assert_eq!(
-                expected, &fp,
+                expected.outcomes(),
+                report.outcomes(),
                 "results diverged between 1 and {threads} threads"
             ),
         }
@@ -55,7 +46,7 @@ fn determinism_holds_with_caching_disabled_too() {
     let run = |threads: usize| {
         let mut engine =
             QueryEngine::new(EngineConfig::default().threads(threads).cache_capacity(0));
-        fingerprint(&engine.run_batch(&net, &batch))
+        engine.run_batch(&net, &batch).outcomes().to_vec()
     };
     // (Agreement of these outcomes with the live-graph reference walk, at 1 and 6
     // threads, is pinned by `assert_matches_reference_walk` in `src/run.rs`.)
@@ -75,12 +66,12 @@ fn determinism_survives_damage_and_random_reroute_strategies() {
         net.apply_failure(&NodeFailure::fraction(0.4), &mut failure_rng);
         let batch = QueryBatch::uniform(&net, 30_000, 11);
         let mut engine = QueryEngine::new(EngineConfig::default().threads(threads));
-        fingerprint(&engine.run_batch(&net, &batch))
+        engine.run_batch(&net, &batch).outcomes().to_vec()
     };
     let serial = run(1);
     assert_eq!(serial, run(8));
     assert!(
-        serial.iter().any(|&(_, _, delivered, _, _)| !delivered),
+        serial.iter().any(|o| !o.delivered),
         "40% failures should break some searches"
     );
 }
@@ -97,7 +88,14 @@ fn interleaved_trajectories_identical_across_thread_counts() {
         report
             .epochs()
             .iter()
-            .map(|e| (fingerprint(&e.batch), e.joins, e.leaves, e.alive_after))
+            .map(|e| {
+                (
+                    e.batch.outcomes().to_vec(),
+                    e.joins,
+                    e.leaves,
+                    e.alive_after,
+                )
+            })
             .collect::<Vec<_>>()
     };
     assert_eq!(

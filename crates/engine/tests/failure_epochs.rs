@@ -128,9 +128,19 @@ fn failure_trajectories_are_thread_count_deterministic() {
             })
             .collect::<Vec<_>>()
     };
-    let a = run(1, FailureSchedule::regional(8).retries(2), 4);
-    let b = run(4, FailureSchedule::regional(8).retries(2), 4);
+    let schedule = FailureSchedule::regional(8).retries(2);
+    let budget = schedule.retry_budget();
+    let a = run(1, schedule.clone(), 4);
+    let b = run(4, schedule, 4);
     assert_eq!(digest(&a), digest(&b), "retries must not break determinism");
+    // A lookup issues its first walk plus at most the budget's retries, and pays
+    // for every one of them.
+    for outcome in a.epochs().iter().flat_map(|e| e.batch.outcomes()) {
+        assert!(
+            outcome.attempts <= 1 + budget && outcome.total_hops >= outcome.hops,
+            "{outcome:?}"
+        );
+    }
 }
 
 #[test]

@@ -17,9 +17,7 @@
 //!   (greedy hops ÷ optimal hops).
 //! * [`connectivity`] — exact connectivity structure of a failure-damaged overlay:
 //!   Tarjan SCCs plus a condensation walk for directed `survivable(src, dst)` ground
-//!   truth — the denominator of the engine's survivability gate, and all that
-//!   `build` computes — and, derived on first use, DFS-lowlink bridges /
-//!   articulation points / 2-edge-connected components over the symmetrized view.
+//!   truth — the denominator of the engine's survivability gate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,11 +1,10 @@
 //! The connectivity oracle against brute force on small random damaged graphs.
 //!
 //! [`ConnectivityOracle`] answers survivability through Tarjan SCCs plus a
-//! condensation walk, and cut queries through one lowlink DFS — both easy to get
-//! subtly wrong (lowlink tie-breaks, parallel-edge handling, dead-endpoint
-//! filtering). At `n ≤ 20` the naive algorithms are trivially correct: directed
-//! reachability by DFS per source, bridges by deleting each undirected edge,
-//! articulation points by deleting each node. Every answer must agree exactly.
+//! condensation walk — easy to get subtly wrong (lowlink tie-breaks,
+//! parallel-edge handling, dead-endpoint filtering). At `n ≤ 20` the naive
+//! algorithm is trivially correct: directed reachability by DFS per source.
+//! Every answer must agree exactly.
 
 use faultline_theory::ConnectivityOracle;
 use proptest::prelude::*;
@@ -69,61 +68,6 @@ fn reachable_from(adj: &[Vec<u32>], src: u32) -> Vec<bool> {
     seen
 }
 
-/// Undirected simple edge set of the symmetrized live graph, as `(min, max)`.
-fn undirected_edges(adj: &[Vec<u32>]) -> Vec<(u32, u32)> {
-    let mut edges: Vec<(u32, u32)> = adj
-        .iter()
-        .enumerate()
-        .flat_map(|(v, row)| {
-            row.iter()
-                .map(move |&w| ((v as u32).min(w), (v as u32).max(w)))
-        })
-        .collect();
-    edges.sort_unstable();
-    edges.dedup();
-    edges
-}
-
-/// Connected components of the undirected graph `edges` over `alive` nodes, with
-/// `skip_node` and `skip_edge` optionally deleted. Returns a component label per
-/// node (`u32::MAX` for dead/skipped) and the component count.
-fn undirected_components(
-    n: u32,
-    alive: &[bool],
-    edges: &[(u32, u32)],
-    skip_node: Option<u32>,
-    skip_edge: Option<(u32, u32)>,
-) -> (Vec<u32>, u32) {
-    let present = |v: u32| -> bool { alive[v as usize] && Some(v) != skip_node };
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n as usize];
-    for &(a, b) in edges {
-        if Some((a, b)) == skip_edge || !present(a) || !present(b) {
-            continue;
-        }
-        adj[a as usize].push(b);
-        adj[b as usize].push(a);
-    }
-    let mut label = vec![u32::MAX; n as usize];
-    let mut count = 0;
-    for root in 0..n {
-        if !present(root) || label[root as usize] != u32::MAX {
-            continue;
-        }
-        let mut stack = vec![root];
-        label[root as usize] = count;
-        while let Some(v) = stack.pop() {
-            for &w in &adj[v as usize] {
-                if label[w as usize] == u32::MAX {
-                    label[w as usize] = count;
-                    stack.push(w);
-                }
-            }
-        }
-        count += 1;
-    }
-    (label, count)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -155,60 +99,5 @@ proptest! {
         // Out-of-range endpoints are never survivable.
         prop_assert!(!oracle.survivable(n, 0));
         prop_assert!(!oracle.survivable(0, n + 7));
-    }
-
-    #[test]
-    fn cuts_match_brute_force_deletion(
-        seed in any::<u64>(),
-        n in 2u32..16,
-        density in 0.0f64..0.3,
-        dead in 0.0f64..0.4,
-    ) {
-        let (alive, adj) = random_graph(seed, n, density, dead);
-        let oracle = ConnectivityOracle::build(
-            n,
-            |p| alive[p as usize],
-            |p| adj[p as usize].iter().copied(),
-        );
-        let clean = live_adj(&alive, &adj);
-        let edges = undirected_edges(&clean);
-        let (_, base_count) = undirected_components(n, &alive, &edges, None, None);
-
-        // Bridges: deleting the edge must split a component.
-        let mut brute_bridges: Vec<(u32, u32)> = Vec::new();
-        for &edge in &edges {
-            let (_, count) = undirected_components(n, &alive, &edges, None, Some(edge));
-            if count > base_count {
-                brute_bridges.push(edge);
-            }
-        }
-        prop_assert_eq!(oracle.bridges(), brute_bridges.as_slice());
-
-        // Articulation points: deleting the node must split its component (an
-        // isolated or pendant node only shrinks one).
-        for p in 0..n {
-            let expected = alive[p as usize] && {
-                let (_, count) = undirected_components(n, &alive, &edges, Some(p), None);
-                count > base_count
-            };
-            prop_assert_eq!(oracle.is_articulation(p), expected, "articulation({})", p);
-        }
-
-        // 2-edge-connectivity: same component once every bridge is deleted.
-        let mut bridgeless = edges.clone();
-        bridgeless.retain(|e| !brute_bridges.contains(e));
-        let (label, _) = undirected_components(n, &alive, &bridgeless, None, None);
-        for a in 0..n {
-            for b in 0..n {
-                let expected = alive[a as usize]
-                    && alive[b as usize]
-                    && label[a as usize] == label[b as usize];
-                prop_assert_eq!(
-                    oracle.two_edge_connected(a, b),
-                    expected,
-                    "two_edge_connected({}, {})", a, b
-                );
-            }
-        }
     }
 }

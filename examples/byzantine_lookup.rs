@@ -10,7 +10,6 @@
 
 use faultline::overlay::build_paper_overlay;
 use faultline::routing::{ByzantineSet, FaultStrategy, RedundantRouter, Router};
-use faultline::sim::Workload;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 fn main() {
@@ -33,15 +32,13 @@ fn main() {
                 Router::new().with_strategy(FaultStrategy::paper_backtrack()),
                 redundancy,
             );
-            let workload = Workload::UniformPairs;
             let mut delivered = 0usize;
             let mut winning_hops = 0u64;
             let mut total_hops = 0u64;
             let mut counted = 0usize;
             while counted < lookups {
-                let (si, ti) = workload.sample_pair(n as usize, &mut rng);
-                let (s, t) = (si as u64, ti as u64);
-                if adversaries.contains(s) || adversaries.contains(t) {
+                let (s, t) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if s == t || adversaries.contains(s) || adversaries.contains(t) {
                     continue; // honest endpoints only; a Byzantine owner can always lie
                 }
                 counted += 1;
@@ -70,5 +67,4 @@ fn main() {
     println!("A single greedy walk loses most lookups once 20-30% of nodes are Byzantine;");
     println!("a handful of diversified redundant walks recovers almost all of them at a");
     println!("proportional bandwidth cost.");
-    let _ = rng.gen::<u64>();
 }
