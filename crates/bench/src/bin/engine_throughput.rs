@@ -1,8 +1,9 @@
 //! Engine throughput benchmark binary.
 //!
 //! Runs batched parallel lookups (uncached, cold cache, warm cache) plus the
-//! churn-interleaved phase, prints a summary, and writes `BENCH_engine.json` (or the
-//! path in `ENGINE_BENCH_JSON`) for the cross-PR performance trajectory.
+//! churn-interleaved phase and prints a summary. It writes no file of its own:
+//! the terminal print is the record of a local run, the job summary the record of
+//! a CI run, and the cross-PR trajectory is `benchmark/`'s.
 //!
 //! Under `--quick` (the CI smoke run) it also acts as a regression gate: the run
 //! fails if the SIMD-over-scalar kernel speedup (only when a vector ISA actually
@@ -11,33 +12,28 @@
 //! adversarial throughput, the adversarial success rate, the telemetry overhead
 //! ratio, the oracle-grounded survival rate or the failure-epoch
 //! rebuild-free fraction falls below a floor, or the heal-recovery latency rises
-//! above its ceiling (each overridable —
-//! `ENGINE_SMOKE_MIN_SIMD_SPEEDUP`, `ENGINE_SMOKE_MIN_PATCH_SPEEDUP`,
-//! `ENGINE_SMOKE_MIN_PATCH_REBUILD_FREE`,
-//! `ENGINE_SMOKE_MIN_BYZANTINE_QPS`, `ENGINE_SMOKE_MIN_BYZANTINE_SUCCESS`,
-//! `ENGINE_SMOKE_MIN_TELEMETRY_RATIO`, `ENGINE_SMOKE_MIN_SURVIVAL`,
-//! `ENGINE_SMOKE_MIN_FAILURE_REBUILD_FREE`, `ENGINE_SMOKE_MAX_HEAL_RECOVERY_US` —
-//! for unusual machines). All gate readings, the dispatched distance-scan ISA,
-//! the rows each trajectory patched, and the per-phase telemetry breakdown are
-//! appended to
-//! `$GITHUB_STEP_SUMMARY` when that file is available, so a failing run is
-//! diagnosable from the job page without opening the log.
+//! above its ceiling (the bounds are the constants below). All gate readings, the
+//! dispatched distance-scan ISA, the rows each trajectory patched, and the
+//! per-phase telemetry breakdown are appended to `$GITHUB_STEP_SUMMARY` when that
+//! file is available, so a failing run is diagnosable from the job page without
+//! opening the log.
 //!
 //! `--metrics PATH` additionally writes the full human-readable telemetry dump
 //! (phase histograms, per-shard cache table, event-ring counts) to `PATH`.
 //!
 //! `--scenario PATH` (repeatable; a directory runs every `.toml` inside) runs
 //! declarative scenario files through the `ScenarioSpec` front door after the fixed
-//! arms. Each scenario lands as a named `scenarios.<name>` section in the same
-//! JSON artifact and as a row in the step summary; a scenario that fails to parse
-//! or validate terminates the run with its `file: line N:` diagnostic.
+//! arms. Each scenario prints its own block and lands as a row in the step
+//! summary; a scenario that fails to parse or validate terminates the run with its
+//! `file: line N:` diagnostic.
 
+use faultline_bench::engine_run::{self, EngineBenchReport};
 use faultline_bench::scenario_run::{self, ScenarioOutcome};
-use faultline_bench::{engine_run, BenchArgs};
+use faultline_bench::BenchArgs;
 use faultline_engine::{MetricsSnapshot, Phase};
 use std::io::Write;
 
-/// `--quick` floor for `headline.simd_speedup` (best uncached frozen-kernel
+/// `--quick` floor for `simd_speedup` (best uncached frozen-kernel
 /// throughput with the dispatched vector ISA over the scalar-pinned baseline on
 /// the bit-identical batch). The AVX2 distance scan has measured well above this
 /// on dense rows; the floor sits low enough to absorb shared-runner noise while
@@ -47,7 +43,7 @@ use std::io::Write;
 /// reading is a self-comparison and is skipped rather than gamed.
 const MIN_SIMD_SPEEDUP: f64 = 1.15;
 
-/// `--quick` floor for `headline.snapshot_patch_speedup`: patching O(changed · ℓ)
+/// `--quick` floor for `snapshot_patch_speedup`: patching O(changed · ℓ)
 /// rows per epoch must beat the run's one O(nodes + links) freeze; parity means the
 /// delta layer stopped paying for itself.
 const MIN_PATCH_SPEEDUP: f64 = 1.0;
@@ -58,26 +54,26 @@ const MIN_PATCH_SPEEDUP: f64 = 1.0;
 /// stride derivation (or the maintainer's link budget) regressed.
 const MIN_PATCH_REBUILD_FREE: f64 = 1.0;
 
-/// `--quick` floor for `headline.byzantine_throughput` (q/s at 15% corruption,
+/// `--quick` floor for `byzantine_throughput` (q/s at 15% corruption,
 /// redundancy 4, uncached frozen kernel). Measured ~1.2M q/s at the smoke scale; the
 /// floor sits ~8x below so slow CI machines pass while a structural regression (the
 /// lane falling back to per-walk allocation, or the batch path abandoning the CSR
 /// kernel) still trips it.
 const MIN_BYZANTINE_QPS: f64 = 150_000.0;
 
-/// `--quick` floor for `headline.byzantine_success_rate` (delivered fraction at 15%
+/// `--quick` floor for `byzantine_success_rate` (delivered fraction at 15%
 /// corruption). The smoke run is fully seeded, so this reading is deterministic
 /// (measured 0.6486): any drop means the redundancy machinery itself changed, not
 /// the machine.
 const MIN_BYZANTINE_SUCCESS: f64 = 0.55;
 
-/// `--quick` floor for `headline.telemetry_overhead_ratio` (instrumented warm-cache
+/// `--quick` floor for `telemetry_overhead_ratio` (instrumented warm-cache
 /// throughput over the telemetry-disabled baseline on bit-identical batches).
 /// Telemetry is relaxed atomics plus one clock read per phase; it must stay within
 /// 5% of free, or the instrumentation has crept onto the per-query hot path.
 const MIN_TELEMETRY_RATIO: f64 = 0.95;
 
-/// `--quick` floor for `headline.survival_rate` (worst-scenario delivered fraction
+/// `--quick` floor for `survival_rate` (worst-scenario delivered fraction
 /// of oracle-survivable queries under correlated regional and partition damage).
 /// The run is fully seeded, so this reading is deterministic: the oracle excludes
 /// genuinely disconnected pairs from the denominator, which means anything the
@@ -91,7 +87,7 @@ const MIN_SURVIVAL: f64 = 0.99;
 /// longer row than the one the failure removed.
 const MIN_FAILURE_REBUILD_FREE: f64 = 1.0;
 
-/// `--quick` ceiling for `headline.heal_recovery_us` (mean wall time of a heal
+/// `--quick` ceiling for `heal_recovery_us` (mean wall time of a heal
 /// event: delta capture, snapshot row-patching, row-level cache eviction). A heal
 /// touches O(region · ℓ) rows — tens of microseconds at smoke scale, measured
 /// ~2 ms at the default scale — so a generous ceiling still catches the
@@ -99,45 +95,32 @@ const MIN_FAILURE_REBUILD_FREE: f64 = 1.0;
 /// full-cache flushes, which jump this reading by orders of magnitude.
 const MAX_HEAL_RECOVERY_US: f64 = 50_000.0;
 
-fn threshold(env: &str, default: f64) -> f64 {
-    match std::env::var(env) {
-        Ok(raw) => raw.parse().unwrap_or_else(|_| {
-            eprintln!("warning: {env}={raw} is not a number; gating at the default {default:.2}x");
-            default
-        }),
-        Err(_) => default,
-    }
-}
-
-/// One perf-gate reading: a headline value checked against a (possibly overridden)
-/// bound — a floor the value must stay at or above, or (for latency-style
-/// readings, `ceiling: true`) a ceiling it must stay at or below.
+/// One perf-gate reading: a headline value checked against its bound — a floor
+/// the value must stay at or above, or (for latency-style readings,
+/// `ceiling: true`) a ceiling it must stay at or below.
 struct GateReading {
     name: &'static str,
     value: f64,
     bound: f64,
     ceiling: bool,
-    env: &'static str,
 }
 
 impl GateReading {
-    fn floor(name: &'static str, value: f64, default: f64, env: &'static str) -> Self {
+    fn floor(name: &'static str, value: f64, bound: f64) -> Self {
         Self {
             name,
             value,
-            bound: threshold(env, default),
+            bound,
             ceiling: false,
-            env,
         }
     }
 
-    fn ceiling(name: &'static str, value: f64, default: f64, env: &'static str) -> Self {
+    fn ceiling(name: &'static str, value: f64, bound: f64) -> Self {
         Self {
             name,
             value,
-            bound: threshold(env, default),
+            bound,
             ceiling: true,
-            env,
         }
     }
 
@@ -156,6 +139,62 @@ impl GateReading {
             "floor"
         }
     }
+}
+
+/// The `--quick` gate list, in print order: nine readings, eight where no vector
+/// ISA dispatched.
+fn gate_readings(report: &EngineBenchReport) -> Vec<GateReading> {
+    let mut readings = Vec::new();
+    // The SIMD gate compares the dispatched kernel against the pinned scalar
+    // fold; on hosts where detection already resolved to scalar the reading is
+    // a self-comparison (~1.0 by construction), so the gate is skipped instead
+    // of silently passing at a meaningless floor.
+    if report.simd_isa != "scalar" {
+        readings.push(GateReading::floor(
+            "simd_speedup",
+            report.simd_speedup(),
+            MIN_SIMD_SPEEDUP,
+        ));
+    }
+    readings.extend([
+        GateReading::floor(
+            "snapshot_patch_speedup",
+            report.snapshot_patch_speedup(),
+            MIN_PATCH_SPEEDUP,
+        ),
+        GateReading::floor(
+            "patch_rebuild_free",
+            report.patch_rebuild_free(),
+            MIN_PATCH_REBUILD_FREE,
+        ),
+        GateReading::floor(
+            "byzantine_throughput",
+            report.byzantine_throughput(),
+            MIN_BYZANTINE_QPS,
+        ),
+        GateReading::floor(
+            "byzantine_success_rate",
+            report.byzantine_success_rate(),
+            MIN_BYZANTINE_SUCCESS,
+        ),
+        GateReading::floor(
+            "telemetry_overhead_ratio",
+            report.telemetry_overhead_ratio,
+            MIN_TELEMETRY_RATIO,
+        ),
+        GateReading::floor("survival_rate", report.survival_rate(), MIN_SURVIVAL),
+        GateReading::floor(
+            "failure_rebuild_free",
+            report.failure_rebuild_free(),
+            MIN_FAILURE_REBUILD_FREE,
+        ),
+        GateReading::ceiling(
+            "heal_recovery_us",
+            report.heal_recovery_us(),
+            MAX_HEAL_RECOVERY_US,
+        ),
+    ]);
+    readings
 }
 
 /// One row of the snapshot-maintenance table: how many rows a trajectory patched
@@ -200,9 +239,8 @@ fn write_step_summary(
     table.push_str("\n\n| reading | value | bound | status |\n|---|---|---|---|\n");
     for r in readings {
         table.push_str(&format!(
-            "| `{}` ({}) | {:.4} | {} {:.4} | {} |\n",
+            "| `{}` | {:.4} | {} {:.4} | {} |\n",
             r.name,
-            r.env,
             r.value,
             r.bound_kind(),
             r.bound,
@@ -312,20 +350,6 @@ fn main() {
         scenario_run::print(outcome);
     }
 
-    let json = if scenarios.is_empty() {
-        report.to_json()
-    } else {
-        report.to_json_with_scenarios(&scenario_run::scenarios_json(&scenarios))
-    };
-    let path = std::env::var("ENGINE_BENCH_JSON").unwrap_or_else(|_| "BENCH_engine.json".into());
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(error) => {
-            eprintln!("failed to write {path}: {error}");
-            std::process::exit(1);
-        }
-    }
-
     if let Some(metrics_path) = &args.metrics {
         match std::fs::write(metrics_path, report.telemetry.to_string()) {
             Ok(()) => println!("wrote {metrics_path}"),
@@ -337,69 +361,7 @@ fn main() {
     }
 
     if args.quick {
-        let mut readings = Vec::new();
-        // The SIMD gate compares the dispatched kernel against the pinned scalar
-        // fold; on hosts where detection already resolved to scalar the reading is
-        // a self-comparison (~1.0 by construction), so the gate is skipped instead
-        // of silently passing at a meaningless floor.
-        if report.simd_isa != "scalar" {
-            readings.push(GateReading::floor(
-                "simd_speedup",
-                report.simd_speedup(),
-                MIN_SIMD_SPEEDUP,
-                "ENGINE_SMOKE_MIN_SIMD_SPEEDUP",
-            ));
-        }
-        readings.extend([
-            GateReading::floor(
-                "snapshot_patch_speedup",
-                report.snapshot_patch_speedup(),
-                MIN_PATCH_SPEEDUP,
-                "ENGINE_SMOKE_MIN_PATCH_SPEEDUP",
-            ),
-            GateReading::floor(
-                "patch_rebuild_free",
-                report.patch_rebuild_free(),
-                MIN_PATCH_REBUILD_FREE,
-                "ENGINE_SMOKE_MIN_PATCH_REBUILD_FREE",
-            ),
-            GateReading::floor(
-                "byzantine_throughput",
-                report.byzantine_throughput(),
-                MIN_BYZANTINE_QPS,
-                "ENGINE_SMOKE_MIN_BYZANTINE_QPS",
-            ),
-            GateReading::floor(
-                "byzantine_success_rate",
-                report.byzantine_success_rate(),
-                MIN_BYZANTINE_SUCCESS,
-                "ENGINE_SMOKE_MIN_BYZANTINE_SUCCESS",
-            ),
-            GateReading::floor(
-                "telemetry_overhead_ratio",
-                report.telemetry_overhead_ratio,
-                MIN_TELEMETRY_RATIO,
-                "ENGINE_SMOKE_MIN_TELEMETRY_RATIO",
-            ),
-            GateReading::floor(
-                "survival_rate",
-                report.survival_rate(),
-                MIN_SURVIVAL,
-                "ENGINE_SMOKE_MIN_SURVIVAL",
-            ),
-            GateReading::floor(
-                "failure_rebuild_free",
-                report.failure_rebuild_free(),
-                MIN_FAILURE_REBUILD_FREE,
-                "ENGINE_SMOKE_MIN_FAILURE_REBUILD_FREE",
-            ),
-            GateReading::ceiling(
-                "heal_recovery_us",
-                report.heal_recovery_us(),
-                MAX_HEAL_RECOVERY_US,
-                "ENGINE_SMOKE_MAX_HEAL_RECOVERY_US",
-            ),
-        ]);
+        let readings = gate_readings(&report);
         let cadence = [
             CadenceRow::of("maintenance", &report.maintenance_patch),
             CadenceRow::of("resilience (regional)", &report.resilience_regional),
@@ -433,13 +395,12 @@ fn main() {
             } else {
                 regressed = true;
                 eprintln!(
-                    "perf regression: {} {:.4} {} the {:.4} {} (override with {})",
+                    "perf regression: {} {:.4} {} the {:.4} {}",
                     reading.name,
                     reading.value,
                     if reading.ceiling { "above" } else { "below" },
                     reading.bound,
-                    reading.bound_kind(),
-                    reading.env
+                    reading.bound_kind()
                 );
             }
         }
@@ -450,5 +411,54 @@ fn main() {
             "smoke gate passed: all {} readings at or above their floors",
             readings.len()
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn gate_list_names_nine_finite_readings_and_a_near_miss_fails() {
+        // `engine_run`'s own tests run at this scale.
+        let report = engine_run::run(&engine_run::EngineBenchConfig {
+            nodes: 1 << 9,
+            links: 9,
+            queries: 4_000,
+            threads: 2,
+            epochs: 2,
+            churn_fraction: 0.05,
+            maintenance_churn_fraction: 0.005,
+            cache_churn_fraction: 0.002,
+            byzantine_redundancy: 4,
+            failure_region_width: 4,
+            seed: 7,
+        });
+        let readings = gate_readings(&report);
+        let names: Vec<_> = readings.iter().map(|r| r.name).collect();
+        let all = [
+            "simd_speedup",
+            "snapshot_patch_speedup",
+            "patch_rebuild_free",
+            "byzantine_throughput",
+            "byzantine_success_rate",
+            "telemetry_overhead_ratio",
+            "survival_rate",
+            "failure_rebuild_free",
+            "heal_recovery_us",
+        ];
+        let skipped = usize::from(report.simd_isa == "scalar");
+        assert_eq!(names, all[skipped..]);
+        for reading in &readings {
+            assert!(reading.value.is_finite(), "{}", reading.name);
+            assert_eq!(reading.ceiling, reading.name == "heal_recovery_us");
+        }
+
+        assert!(GateReading::floor("f", 0.95, 0.95).passed());
+        assert!(!GateReading::floor("f", 0.95_f64.next_down(), 0.95).passed());
+        assert!(!GateReading::floor("f", f64::NAN, 0.95).passed());
+        assert!(GateReading::ceiling("c", 50_000.0, 50_000.0).passed());
+        assert!(!GateReading::ceiling("c", 50_000.0_f64.next_up(), 50_000.0).passed());
+        assert!(!GateReading::ceiling("c", f64::NAN, 50_000.0).passed());
     }
 }

@@ -2,9 +2,9 @@
 //! the runtime-dispatched SIMD scan vs the SIMD scan with [`WALKS_IN_FLIGHT`] walks
 //! in a lockstep group, per geometry and row length.
 //!
-//! The engine-level `simd_speedup` headline in `BENCH_engine.json` measures the
-//! vectorised kernel diluted by everything else a batch does (seeding, scratch
-//! bookkeeping, shard scheduling). This lane isolates the walk itself: one
+//! `engine_throughput`'s `simd_speedup` reading measures the vectorised kernel
+//! diluted by everything else a batch does (seeding, scratch bookkeeping, shard
+//! scheduling). This lane isolates the walk itself: one
 //! overlay per `(geometry, links-per-node)` cell, the identical seeded query
 //! stream routed with the kernel pinned scalar, with the dispatched ISA one walk
 //! at a time, and with the dispatched ISA through a [`WalkGroup`], best-of rounds
@@ -17,7 +17,7 @@
 //! run aborts on the first divergence, making this a determinism check as well as
 //! a clock.
 //!
-//! Writes `BENCH_route_kernel.json` (or the path in `ROUTE_KERNEL_JSON`).
+//! Writes `BENCH_route_kernel.json` to the working directory.
 
 use faultline_bench::BenchArgs;
 use faultline_core::routing::{KernelIsa, RouteScratch, Router, Walk, WalkGroup, WALKS_IN_FLIGHT};
@@ -271,9 +271,8 @@ fn main() {
         ROUNDS,
         cells.join(","),
     );
-    let path =
-        std::env::var("ROUTE_KERNEL_JSON").unwrap_or_else(|_| "BENCH_route_kernel.json".into());
-    match std::fs::write(&path, json) {
+    let path = "BENCH_route_kernel.json";
+    match std::fs::write(path, json) {
         Ok(()) => println!("wrote {path}"),
         Err(error) => {
             eprintln!("failed to write {path}: {error}");

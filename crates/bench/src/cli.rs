@@ -137,6 +137,9 @@ impl BenchArgs {
 fn parse_number(text: &str) -> Result<u64, String> {
     if let Some(exp) = text.strip_prefix("2^") {
         let exp: u32 = exp.parse().map_err(|_| format!("bad exponent in {text}"))?;
+        if exp >= 63 {
+            return Err(format!("{text}: 2^k with k ≥ 63 overflows the node space"));
+        }
         return Ok(1u64 << exp);
     }
     text.parse().map_err(|_| format!("not a number: {text}"))
@@ -216,6 +219,8 @@ mod tests {
     fn bad_input_is_reported() {
         assert!(BenchArgs::try_parse(vec!["--nodes".to_string()]).is_err());
         assert!(BenchArgs::try_parse(vec!["--bogus".to_string()]).is_err());
-        assert!(BenchArgs::try_parse(vec!["--nodes".to_string(), "x".to_string()]).is_err());
+        for value in ["x", "2^64", "2^63"] {
+            assert!(BenchArgs::try_parse(vec!["--nodes".to_string(), value.to_string()]).is_err());
+        }
     }
 }

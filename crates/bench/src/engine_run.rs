@@ -3,9 +3,10 @@
 //!
 //! This is the workload the paper's evaluation implies but never times: tens of
 //! thousands of concurrent greedy lookups over one overlay, interleaved with node
-//! arrivals and departures handled by the Section 5 heuristic. The result feeds
-//! `BENCH_engine.json` so future PRs have a throughput/latency trajectory to compare
-//! against.
+//! arrivals and departures handled by the Section 5 heuristic. [`print`] puts every
+//! reading on the terminal; the `engine_throughput` binary gates nine of them under
+//! `--quick` and copies those to the CI job summary. The cross-PR trajectory at the
+//! paper's scale is `benchmark/`'s, not this module's.
 
 use faultline_core::routing::{KernelIsa, RouteScratch};
 use faultline_core::{ConstructionMode, FrozenView, Network, NetworkConfig};
@@ -162,29 +163,6 @@ impl StretchReport {
     #[must_use]
     pub fn mean(&self) -> f64 {
         self.summary.map_or(0.0, |s| s.mean)
-    }
-
-    /// Worst sampled stretch (`0.0` when nothing measured).
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        self.summary.map_or(0.0, |s| s.max)
-    }
-
-    /// Renders the stretch section as a JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"pairs_requested\":{},\"pairs_measured\":{},",
-                "\"p50\":{:.3},\"p99\":{:.3},\"mean\":{:.3},\"max\":{:.3}}}"
-            ),
-            self.pairs_requested,
-            self.pairs_measured,
-            self.p50(),
-            self.p99(),
-            self.mean(),
-            self.max(),
-        )
     }
 }
 
@@ -351,24 +329,6 @@ pub struct EngineBenchReport {
 }
 
 impl EngineBenchReport {
-    /// Headline: steady-state queries/sec (warm cache, no churn).
-    #[must_use]
-    pub fn queries_per_sec(&self) -> f64 {
-        self.cached_warm.queries_per_sec()
-    }
-
-    /// Headline: p99 hop count over exact (uncached) delivered lookups.
-    #[must_use]
-    pub fn p99_hops(&self) -> f64 {
-        self.uncached_frozen.hop_summary().map_or(0.0, |s| s.p99)
-    }
-
-    /// Headline: delivered fraction while the configured churn is live.
-    #[must_use]
-    pub fn success_rate_under_churn(&self) -> f64 {
-        self.interleaved.overall_success_rate()
-    }
-
     /// Headline: kernel-only speedup of the dispatched vectorised distance scan
     /// over the scalar fold on the cache-resident kernel cell — best
     /// alternating-round throughput each side (`0.0` when the scalar side
@@ -410,12 +370,6 @@ impl EngineBenchReport {
         1.0 - self.maintenance_patch.rebuild_fallbacks() as f64 / epochs as f64
     }
 
-    /// Headline: warm-cache hit rate under trickle churn.
-    #[must_use]
-    pub fn cache_row_hit_rate(&self) -> f64 {
-        self.cache_row.warm_hit_rate()
-    }
-
     /// Headline: median sampled routing stretch (greedy hops ÷ exact BFS hops).
     #[must_use]
     pub fn stretch_p50(&self) -> f64 {
@@ -438,21 +392,6 @@ impl EngineBenchReport {
             .min(self.resilience_partition.survival_rate())
     }
 
-    /// Headline: mean routing attempts per query across both failure scenarios
-    /// (`1.0` = no retry ever fired; the excess over `1.0` is the diversified-retry
-    /// bandwidth paid for the survival rate).
-    #[must_use]
-    pub fn failure_retry_overhead(&self) -> f64 {
-        let queries =
-            self.resilience_regional.total_queries() + self.resilience_partition.total_queries();
-        if queries == 0 {
-            return 0.0;
-        }
-        let retries = self.resilience_regional.total_retries_spent()
-            + self.resilience_partition.total_retries_spent();
-        1.0 + retries as f64 / queries as f64
-    }
-
     /// Headline: mean heal-recovery latency in microseconds — the wall time of a
     /// heal event from delta capture through snapshot patch and cache eviction,
     /// averaged over every heal epoch of both scenarios (`0.0` when nothing
@@ -468,14 +407,6 @@ impl EngineBenchReport {
             return 0.0;
         }
         means.iter().sum::<f64>() / means.len() as f64 / 1e3
-    }
-
-    /// Headline: routing throughput while failure epochs are live (regional
-    /// scenario — damage, retries, oracle classification and heals all included in
-    /// the denominator's wall time only insofar as they delay the batches).
-    #[must_use]
-    pub fn failure_queries_per_sec(&self) -> f64 {
-        self.resilience_regional.routing_queries_per_sec()
     }
 
     /// Fraction of both scenarios' failure epochs that patched the snapshot without
@@ -530,271 +461,6 @@ impl EngineBenchReport {
         } else {
             0.0
         }
-    }
-
-    /// The `byzantine` JSON section: per-level adversarial throughput, the
-    /// success-rate curve, and the redundancy overhead vs the honest baseline.
-    #[must_use]
-    fn byzantine_json(&self) -> String {
-        let levels: Vec<String> = self
-            .byzantine
-            .iter()
-            .map(|level| {
-                format!(
-                    concat!(
-                        "{{\"corruption\":{:.4},\"adversaries\":{},",
-                        "\"queries_per_sec\":{:.1},\"success_rate\":{:.6},",
-                        "\"contested_queries\":{},\"mean_attempts\":{:.3},",
-                        "\"redundancy_overhead\":{:.3},\"batch\":{}}}"
-                    ),
-                    level.corruption,
-                    level.adversaries,
-                    level.report.queries_per_sec(),
-                    level.report.success_rate(),
-                    level.report.contested_queries(),
-                    level.report.mean_attempts(),
-                    self.redundancy_overhead(level),
-                    level.report.to_json(),
-                )
-            })
-            .collect();
-        let curve: Vec<String> = self
-            .byzantine
-            .iter()
-            .map(|level| format!("{:.6}", level.report.success_rate()))
-            .collect();
-        format!(
-            concat!(
-                "{{\"redundancy\":{},\"levels\":[{}],",
-                "\"success_rate_curve\":[{}]}}"
-            ),
-            self.config.byzantine_redundancy,
-            levels.join(","),
-            curve.join(","),
-        )
-    }
-
-    /// The `snapshot_maintenance` JSON section: the maintenance run's one freeze,
-    /// its per-epoch delta-apply cost and how often a patch had to widen the
-    /// stride, re-baselining the snapshot amortisation each PR.
-    #[must_use]
-    fn snapshot_maintenance_json(&self) -> String {
-        let epochs = self.maintenance_patch.epochs();
-        let patch_us: Vec<String> = epochs
-            .iter()
-            .map(|e| format!("{:.1}", e.snapshot.patch_nanos as f64 / 1e3))
-            .collect();
-        let rows_patched: usize = epochs.iter().map(|e| e.snapshot.rows_patched).sum();
-        let rows_in_place: usize = epochs.iter().map(|e| e.snapshot.rows_in_place).sum();
-        format!(
-            concat!(
-                "{{\"churn_fraction\":{:.4},\"patch_us\":[{}],",
-                "\"mean_patch_us\":{:.1},\"freeze_us\":{:.1},",
-                "\"rebuild_over_patch\":{:.2},",
-                "\"rows_patched\":{},\"rows_in_place\":{},",
-                "\"rebuild_fallbacks\":{}}}"
-            ),
-            self.config.maintenance_churn_fraction,
-            patch_us.join(","),
-            self.maintenance_patch.mean_patch_nanos() / 1e3,
-            self.maintenance_patch.mean_rebuild_nanos() / 1e3,
-            self.snapshot_patch_speedup(),
-            rows_patched,
-            rows_in_place,
-            self.maintenance_patch.rebuild_fallbacks(),
-        )
-    }
-
-    /// The `cache_invalidation` JSON section: warm-hit rate under trickle churn,
-    /// per-epoch rows changed vs cached routes evicted, and the per-epoch
-    /// delta-apply cost *at this section's own churn fraction*.
-    #[must_use]
-    fn cache_invalidation_json(&self) -> String {
-        let epochs = self.cache_row.epochs();
-        let flushed: Vec<String> = epochs
-            .iter()
-            .map(|e| e.flushed_routes.to_string())
-            .collect();
-        let rows_changed: Vec<String> = epochs.iter().map(|e| e.rows_changed.to_string()).collect();
-        format!(
-            concat!(
-                "{{\"churn_fraction\":{:.4},\"warm_hit_rate_row\":{:.6},",
-                "\"rows_changed\":[{}],\"rows_invalidated\":[{}],",
-                "\"total_rows_invalidated\":{},\"delta_apply_us\":{:.1}}}"
-            ),
-            self.config.cache_churn_fraction,
-            self.cache_row.warm_hit_rate(),
-            rows_changed.join(","),
-            flushed.join(","),
-            self.cache_row.total_flushed_routes(),
-            self.cache_row.mean_patch_nanos() / 1e3,
-        )
-    }
-
-    /// One scenario of the `resilience` JSON section: the oracle-grounded split,
-    /// retry spend, throughput under damage, heal latency and fallback count.
-    #[must_use]
-    fn resilience_scenario_json(scenario: &InterleavedReport) -> String {
-        let split = scenario.survivability().unwrap_or_default();
-        format!(
-            concat!(
-                "{{\"survival_rate\":{:.6},\"queries\":{},\"predicted_survivable\":{},",
-                "\"survivable_delivered\":{},\"survivable_dropped\":{},",
-                "\"unsurvivable\":{},\"retries_spent\":{},\"queries_per_sec\":{:.1},",
-                "\"mean_heal_recovery_us\":{:.1},\"rebuild_fallbacks\":{}}}"
-            ),
-            scenario.survival_rate(),
-            scenario.total_queries(),
-            split.predicted_survivable,
-            split.survivable_delivered,
-            split.survivable_dropped,
-            split.unsurvivable,
-            split.retries_spent,
-            scenario.routing_queries_per_sec(),
-            scenario.mean_heal_recovery_nanos() / 1e3,
-            scenario.rebuild_fallbacks(),
-        )
-    }
-
-    /// The `resilience` JSON section: both correlated-failure scenarios, the
-    /// post-failure stretch sample, and the aggregate readings the CI gate checks.
-    #[must_use]
-    fn resilience_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"region_width\":{},\"partition_side_width\":{},",
-                "\"survival_rate\":{:.6},\"failure_retry_overhead\":{:.4},",
-                "\"heal_recovery_us\":{:.1},\"failure_rebuild_free\":{:.4},",
-                "\"failure_queries_per_sec\":{:.1},",
-                "\"regional\":{},\"partition\":{},\"stretch_after_failures\":{}}}"
-            ),
-            self.config.failure_region_width,
-            self.config.partition_side_width(),
-            self.survival_rate(),
-            self.failure_retry_overhead(),
-            self.heal_recovery_us(),
-            self.failure_rebuild_free(),
-            self.failure_queries_per_sec(),
-            Self::resilience_scenario_json(&self.resilience_regional),
-            Self::resilience_scenario_json(&self.resilience_partition),
-            self.stretch_after_failures.to_json(),
-        )
-    }
-
-    /// The `simd` JSON section: the dispatched ISA and lane width, the best
-    /// alternating-round throughput on each side of the A/B, and the kernel-only
-    /// speedup the CI gate floors.
-    #[must_use]
-    fn simd_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"isa\":\"{}\",\"lanes\":{},\"rounds\":{},",
-                "\"kernel_nodes\":{},\"kernel_links\":{},",
-                "\"simd_speedup\":{:.3},\"simd_queries_per_sec\":{:.1},",
-                "\"scalar_queries_per_sec\":{:.1}}}"
-            ),
-            self.simd_isa,
-            self.simd_lanes,
-            SIMD_SPEEDUP_ROUNDS,
-            self.simd_kernel_nodes,
-            SIMD_KERNEL_LINKS,
-            self.simd_speedup(),
-            self.simd_best_qps,
-            self.scalar_best_qps,
-        )
-    }
-
-    /// The `telemetry` JSON section: instrumentation overhead ratio, the sampled
-    /// stretch distribution, the per-epoch phase breakdown of the churn-interleaved
-    /// run, and the full metrics snapshot (phase histograms, per-shard cache table,
-    /// event-ring counts).
-    #[must_use]
-    fn telemetry_json(&self) -> String {
-        let epoch_phases: Vec<String> = self
-            .interleaved
-            .epochs()
-            .iter()
-            .map(|e| e.phases.to_json())
-            .collect();
-        format!(
-            concat!(
-                "{{\"overhead_ratio\":{:.4},\"stretch\":{},",
-                "\"epoch_phases\":[{}],\"metrics\":{}}}"
-            ),
-            self.telemetry_overhead_ratio,
-            self.stretch.to_json(),
-            epoch_phases.join(","),
-            self.telemetry.to_json(),
-        )
-    }
-
-    /// Renders the full report as a JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"config\":{{\"nodes\":{},\"links\":{},\"queries\":{},\"threads\":{},",
-                "\"epochs\":{},\"churn_fraction\":{:.3},\"byzantine_redundancy\":{},\"seed\":{}}},",
-                "\"headline\":{{\"queries_per_sec\":{:.1},\"p99_hops\":{:.1},",
-                "\"success_rate_under_churn\":{:.6},",
-                "\"simd_speedup\":{:.3},\"simd_isa\":\"{}\",",
-                "\"snapshot_patch_speedup\":{:.2},",
-                "\"cache_row_hit_rate\":{:.6},\"byzantine_throughput\":{:.1},",
-                "\"byzantine_success_rate\":{:.6},\"stretch_p50\":{:.3},",
-                "\"stretch_p99\":{:.3},\"telemetry_overhead_ratio\":{:.4},",
-                "\"survival_rate\":{:.6},\"failure_retry_overhead\":{:.4},",
-                "\"heal_recovery_us\":{:.1},\"failure_rebuild_free\":{:.4}}},",
-                "\"simd\":{},\"telemetry\":{},",
-                "\"snapshot_maintenance\":{},\"cache_invalidation\":{},\"byzantine\":{},",
-                "\"resilience\":{},",
-                "\"uncached_frozen\":{},\"cached_cold\":{},\"cached_warm\":{},",
-                "\"interleaved\":{}}}"
-            ),
-            self.config.nodes,
-            self.config.links,
-            self.config.queries,
-            self.cached_warm.threads(),
-            self.config.epochs,
-            self.config.churn_fraction,
-            self.config.byzantine_redundancy,
-            self.config.seed,
-            self.queries_per_sec(),
-            self.p99_hops(),
-            self.success_rate_under_churn(),
-            self.simd_speedup(),
-            self.simd_isa,
-            self.snapshot_patch_speedup(),
-            self.cache_row_hit_rate(),
-            self.byzantine_throughput(),
-            self.byzantine_success_rate(),
-            self.stretch_p50(),
-            self.stretch_p99(),
-            self.telemetry_overhead_ratio,
-            self.survival_rate(),
-            self.failure_retry_overhead(),
-            self.heal_recovery_us(),
-            self.failure_rebuild_free(),
-            self.simd_json(),
-            self.telemetry_json(),
-            self.snapshot_maintenance_json(),
-            self.cache_invalidation_json(),
-            self.byzantine_json(),
-            self.resilience_json(),
-            self.uncached_frozen.to_json(),
-            self.cached_cold.to_json(),
-            self.cached_warm.to_json(),
-            self.interleaved.to_json(),
-        )
-    }
-
-    /// Renders the full report with a `scenarios` object (as produced by
-    /// [`crate::scenario_run::scenarios_json`]) spliced in as the first key, so
-    /// `--scenario` runs land in the same `BENCH_engine.json` artifact as the
-    /// fixed arms.
-    #[must_use]
-    pub fn to_json_with_scenarios(&self, scenarios: &str) -> String {
-        let base = self.to_json();
-        format!("{{\"scenarios\":{scenarios},{rest}", rest = &base[1..])
     }
 }
 
@@ -954,9 +620,8 @@ pub fn run(config: &EngineBenchConfig) -> EngineBenchReport {
     // Snapshot maintenance at light sustained churn and cache eviction under
     // trickle churn: each a default engine on its own identically seeded network, so
     // the trajectories are reproducible and independent of everything measured
-    // above. The first publishes the freeze-once / patch-per-epoch costs of the
-    // `snapshot_maintenance` section, the second the warm hit rate of the
-    // `cache_invalidation` section.
+    // above. The first gives the freeze-once / patch-per-epoch costs behind
+    // `snapshot_patch_speedup`, the second the warm hit rate under trickle churn.
     let churn_run = |fraction: f64, salt: u64| {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut network = Network::build(&network_config, &mut rng);
@@ -1186,8 +851,12 @@ mod tests {
         assert_eq!(report.uncached_frozen.delivered(), 4_000);
         // Warm cache must actually hit.
         assert!(report.cached_warm.cache_hits() > report.cached_cold.cache_hits() / 2);
-        assert!(report.success_rate_under_churn() > 0.85);
-        assert!(report.p99_hops() > 0.0);
+        assert!(report.interleaved.overall_success_rate() > 0.85);
+        let hops = report
+            .uncached_frozen
+            .hop_summary()
+            .expect("lookups delivered");
+        assert!(hops.p99 > 0.0);
     }
 
     #[test]
@@ -1250,70 +919,6 @@ mod tests {
     }
 
     #[test]
-    fn json_is_balanced_and_carries_headlines() {
-        let report = run(&tiny());
-        let json = report.to_json();
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        for field in [
-            "\"headline\"",
-            "\"queries_per_sec\"",
-            "\"p99_hops\"",
-            "\"success_rate_under_churn\"",
-            "\"simd_speedup\"",
-            "\"simd_isa\"",
-            "\"simd\"",
-            "\"isa\"",
-            "\"lanes\"",
-            "\"kernel_nodes\"",
-            "\"snapshot_patch_speedup\"",
-            "\"cache_row_hit_rate\"",
-            "\"byzantine_throughput\"",
-            "\"byzantine_success_rate\"",
-            "\"snapshot_maintenance\"",
-            "\"patch_us\"",
-            "\"freeze_us\"",
-            "\"rebuild_over_patch\"",
-            "\"rows_in_place\"",
-            "\"rebuild_fallbacks\"",
-            "\"cache_invalidation\"",
-            "\"warm_hit_rate_row\"",
-            "\"rows_invalidated\"",
-            "\"byzantine\"",
-            "\"redundancy\":4",
-            "\"success_rate_curve\"",
-            "\"redundancy_overhead\"",
-            "\"adversary\"",
-            "\"contested_queries\"",
-            "\"uncached_frozen\"",
-            "\"interleaved\"",
-            "\"stretch_p50\"",
-            "\"stretch_p99\"",
-            "\"resilience\"",
-            "\"survival_rate\"",
-            "\"failure_retry_overhead\"",
-            "\"heal_recovery_us\"",
-            "\"failure_rebuild_free\"",
-            "\"region_width\"",
-            "\"partition_side_width\"",
-            "\"predicted_survivable\"",
-            "\"survivable_dropped\"",
-            "\"stretch_after_failures\"",
-            "\"telemetry_overhead_ratio\"",
-            "\"telemetry\"",
-            "\"overhead_ratio\"",
-            "\"pairs_measured\"",
-            "\"epoch_phases\"",
-            "\"batch_shard_ns\"",
-            "\"metrics\"",
-            "\"phases\"",
-            "\"shards\"",
-            "\"events\"",
-        ] {
-            assert!(json.contains(field), "missing {field}");
-        }
-    }
-
-    #[test]
     fn stretch_and_telemetry_sections_are_sane() {
         let report = run(&tiny());
         // Stretch: greedy can never beat exact BFS, and at this scale most sampled
@@ -1321,7 +926,6 @@ mod tests {
         assert!(report.stretch.pairs_measured > STRETCH_SOURCES * STRETCH_TARGETS / 2);
         assert!(report.stretch_p50() >= 1.0, "greedy cannot beat BFS");
         assert!(report.stretch_p99() >= report.stretch_p50());
-        assert!(report.stretch.max() >= report.stretch_p99());
         // The bare pair is bit-identical (zero observer effect), so the ratio is a
         // pure clock comparison and must be positive.
         assert_eq!(
@@ -1393,9 +997,8 @@ mod tests {
             1.0,
             "correlated damage at W = n/128 must stay on the delta path"
         );
-        assert!(report.failure_retry_overhead() >= 1.0);
         assert!(report.heal_recovery_us() > 0.0, "heal epochs were measured");
-        assert!(report.failure_queries_per_sec() > 0.0);
+        assert!(report.resilience_regional.routing_queries_per_sec() > 0.0);
         // The post-failure stretch sample measured real pairs on the surviving
         // topology and still never beats BFS.
         assert!(report.stretch_after_failures.pairs_measured > 0);
@@ -1406,10 +1009,6 @@ mod tests {
     fn cache_run_evicts_under_trickle_churn_and_stays_warm() {
         let report = run(&tiny());
         assert!(report.cache_row.total_flushed_routes() > 0);
-        assert!(report.cache_row_hit_rate() > 0.0);
-        assert_eq!(
-            report.cache_row_hit_rate(),
-            report.cache_row.warm_hit_rate()
-        );
+        assert!(report.cache_row.warm_hit_rate() > 0.0);
     }
 }

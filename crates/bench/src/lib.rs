@@ -12,7 +12,7 @@
 //! | Table 1 — upper/lower bounds vs measured scaling | [`table1`] | `table1_bounds` |
 //! | Ablations (exponent sweep, replacement strategy, region failures) | [`ablation`] | `ablation_exponent`, `ablation_replacement` |
 //! | Baseline comparison (Chord / Kleinberg / Plaxton) | [`baseline_cmp`] | `baseline_comparison` |
-//! | Engine throughput (parallel batched lookups, caching, live churn) | [`engine_run`] | `engine_throughput` (writes `BENCH_engine.json`) |
+//! | Engine throughput (parallel batched lookups, caching, live churn) | [`engine_run`] | `engine_throughput` (prints; `--quick` gates nine readings) |
 //! | Declarative scenarios (`examples/scenarios/*.toml`) | [`scenario_run`] | `engine_throughput --scenario PATH` |
 //!
 //! The experiment functions are ordinary library code so the integration tests run them at

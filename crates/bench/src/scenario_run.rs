@@ -1,6 +1,5 @@
 //! Scenario runner: executes declarative `.toml` scenario files through the
-//! [`ScenarioSpec`] front door and renders each outcome as a named
-//! `scenarios.<name>` section for `BENCH_engine.json`.
+//! [`ScenarioSpec`] front door and prints each outcome under its scenario name.
 //!
 //! `engine_throughput --scenario PATH` (repeatable; a directory runs every
 //! `.toml` inside, sorted by name) is the one binary invocation behind every
@@ -28,33 +27,6 @@ impl ScenarioOutcome {
     #[must_use]
     pub fn survival_rate(&self) -> f64 {
         self.report.survival_rate()
-    }
-
-    /// Renders this scenario's JSON value: headline readings up front, the full
-    /// per-epoch trajectory nested under `interleaved`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"skew\":\"{}\",\"nodes\":{},\"epochs\":{},\"queries\":{},",
-                "\"seed\":{},\"queries_per_sec\":{:.1},\"success_rate\":{:.6},",
-                "\"survival_rate\":{:.6},\"warm_hit_rate\":{:.6},",
-                "\"rebuild_fallbacks\":{},\"retries_spent\":{},",
-                "\"interleaved\":{}}}"
-            ),
-            self.spec.workload.skew.label(),
-            self.spec.network.nodes,
-            self.spec.workload.epochs,
-            self.report.total_queries(),
-            self.spec.seed,
-            self.report.routing_queries_per_sec(),
-            self.report.overall_success_rate(),
-            self.survival_rate(),
-            self.report.warm_hit_rate(),
-            self.report.rebuild_fallbacks(),
-            self.report.total_retries_spent(),
-            self.report.to_json(),
-        )
     }
 }
 
@@ -119,8 +91,8 @@ fn describe(path: &Path, error: &ScenarioError) -> String {
 /// # Errors
 ///
 /// The first path-expansion or scenario failure, formatted for the terminal; or
-/// two files declaring the same `[scenario] name` — [`scenarios_json`] keys each
-/// section by that name, so the second run would shadow the first.
+/// two files declaring the same `[scenario] name` — the name is all that tells one
+/// scenario's printed block and summary row from another's.
 pub fn run_all(args: &[String]) -> Result<Vec<ScenarioOutcome>, String> {
     let paths = expand_paths(args)?;
     let mut outcomes: Vec<ScenarioOutcome> = Vec::with_capacity(paths.len());
@@ -129,7 +101,7 @@ pub fn run_all(args: &[String]) -> Result<Vec<ScenarioOutcome>, String> {
         let name = &outcome.spec.name;
         if let Some(earlier) = outcomes.iter().position(|o| &o.spec.name == name) {
             return Err(format!(
-                "{} and {}: both declare [scenario] name = \"{name}\"; scenario names key the JSON sections and must be unique",
+                "{} and {}: both declare [scenario] name = \"{name}\"; scenario names label the printed results and must be unique",
                 paths[earlier].display(),
                 path.display(),
             ));
@@ -137,17 +109,6 @@ pub fn run_all(args: &[String]) -> Result<Vec<ScenarioOutcome>, String> {
         outcomes.push(outcome);
     }
     Ok(outcomes)
-}
-
-/// Renders the named `scenarios` JSON object: one key per scenario name, in run
-/// order.
-#[must_use]
-pub fn scenarios_json(outcomes: &[ScenarioOutcome]) -> String {
-    let entries: Vec<String> = outcomes
-        .iter()
-        .map(|outcome| format!("\"{}\":{}", outcome.spec.name, outcome.to_json()))
-        .collect();
-    format!("{{{}}}", entries.join(","))
 }
 
 /// Prints one scenario's terminal summary (mirrors the shape of the main bench
@@ -196,7 +157,7 @@ mod tests {
     }
 
     #[test]
-    fn runs_a_file_and_names_its_json_section() {
+    fn runs_a_file() {
         let dir = std::env::temp_dir().join("faultline-scenario-run-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("smoke-a.toml");
@@ -204,9 +165,6 @@ mod tests {
         let outcome = run_file(&path).expect("smoke scenario runs");
         assert_eq!(outcome.spec.name, "smoke-a");
         assert_eq!(outcome.report.epochs().len(), 2);
-        let json = scenarios_json(&[outcome]);
-        assert!(json.starts_with("{\"smoke-a\":{"), "got {json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
         std::fs::remove_file(&path).unwrap();
     }
 

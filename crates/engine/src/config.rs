@@ -37,8 +37,8 @@ pub struct ByzantineConfig {
 
 impl ByzantineConfig {
     /// Default redundant walks per lookup. Four diversified walks recover the large
-    /// majority of lookups at ≤15% corruption (see `BENCH_engine.json`'s `byzantine`
-    /// section) while keeping bandwidth overhead bounded.
+    /// majority of lookups at ≤15% corruption (see `engine_throughput`'s `byzantine`
+    /// lines) while keeping bandwidth overhead bounded.
     pub const DEFAULT_REDUNDANCY: u32 = 4;
 
     /// Corrupts a uniformly random `fraction` of the alive nodes (sampled once, when

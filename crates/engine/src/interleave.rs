@@ -228,7 +228,7 @@ impl InterleavedReport {
     }
 
     /// Aggregate queries/sec over the routing phases (churn time excluded). Returns
-    /// `0.0` when no measurable routing time elapsed, keeping the JSON export finite.
+    /// `0.0` when no measurable routing time elapsed, so the reading is always finite.
     #[must_use]
     pub fn routing_queries_per_sec(&self) -> f64 {
         let secs: f64 = self
@@ -349,92 +349,6 @@ impl InterleavedReport {
         } else {
             0.0
         }
-    }
-
-    /// Renders the whole trajectory as a JSON object with one entry per epoch.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let epochs: Vec<String> = self
-            .epochs
-            .iter()
-            .map(|e| {
-                let failure = match &e.failure {
-                    Some(f) => format!(
-                        concat!(
-                            "{{\"heal\":{},\"failed_nodes\":{},\"healed_nodes\":{},",
-                            "\"delta_rows\":{},\"patch_ns\":{},\"flushed_routes\":{},",
-                            "\"fallback_rebuild\":{},\"recovery_ns\":{}}}"
-                        ),
-                        f.heal,
-                        f.failed_nodes,
-                        f.healed_nodes,
-                        f.delta_rows,
-                        f.patch_nanos,
-                        f.flushed_routes,
-                        f.fallback_rebuild,
-                        f.recovery_nanos
-                    ),
-                    None => "null".to_owned(),
-                };
-                let survivability = match &e.survivability {
-                    Some(s) => format!(
-                        concat!(
-                            "{{\"predicted_survivable\":{},\"survivable_delivered\":{},",
-                            "\"survivable_dropped\":{},\"unsurvivable\":{},",
-                            "\"retries_spent\":{},\"survival_rate\":{:.6}}}"
-                        ),
-                        s.predicted_survivable,
-                        s.survivable_delivered,
-                        s.survivable_dropped,
-                        s.unsurvivable,
-                        s.retries_spent,
-                        s.survival_rate()
-                    ),
-                    None => "null".to_owned(),
-                };
-                format!(
-                    concat!(
-                        "{{\"epoch\":{},\"joins\":{},\"leaves\":{},",
-                        "\"flushed_routes\":{},",
-                        "\"rows_changed\":{},\"alive_after\":{},\"byzantine_after\":{},",
-                        "\"snapshot\":{{\"rebuild_ns\":{},\"patch_ns\":{},",
-                        "\"rows_patched\":{},\"rows_in_place\":{},\"compacted\":{},",
-                        "\"fallback_rebuild\":{}}},",
-                        "\"failure\":{},\"survivability\":{},",
-                        "\"phases\":{},\"batch\":{}}}"
-                    ),
-                    e.epoch,
-                    e.joins,
-                    e.leaves,
-                    e.flushed_routes,
-                    e.rows_changed,
-                    e.alive_after,
-                    e.byzantine_after,
-                    e.snapshot.rebuild_nanos,
-                    e.snapshot.patch_nanos,
-                    e.snapshot.rows_patched,
-                    e.snapshot.rows_in_place,
-                    e.snapshot.compacted,
-                    e.snapshot.fallback_rebuild,
-                    failure,
-                    survivability,
-                    e.phases.to_json(),
-                    e.batch.to_json()
-                )
-            })
-            .collect();
-        format!(
-            concat!(
-                "{{\"total_queries\":{},\"overall_success_rate\":{:.6},",
-                "\"survival_rate\":{:.6},",
-                "\"routing_queries_per_sec\":{:.1},\"epochs\":[{}]}}"
-            ),
-            self.total_queries(),
-            self.overall_success_rate(),
-            self.survival_rate(),
-            self.routing_queries_per_sec(),
-            epochs.join(",")
-        )
     }
 }
 
@@ -821,18 +735,6 @@ mod tests {
             flushed > 0,
             "60 churn events per epoch must change rows cached walks read"
         );
-    }
-
-    #[test]
-    fn json_trajectory_is_well_formed_at_the_surface() {
-        let mut net = incremental_network(256, 3);
-        let mut engine = QueryEngine::new(EngineConfig::default().threads(1));
-        let report = engine.run_interleaved(&mut net, 2, 200, ChurnMix::balanced(10), 1);
-        let json = report.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert_eq!(json.matches("\"epoch\":").count(), 2);
-        assert!(json.contains("\"overall_success_rate\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]

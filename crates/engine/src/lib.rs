@@ -70,11 +70,11 @@
 //!   it. Failed lookups get a bounded diversified-retry budget while the overlay
 //!   is damaged, and a failed digest is never served from the route cache.
 //! * **Percentile stats** — every batch reports p50/p95/p99 hop ladders, its wall
-//!   time and queries/sec, exportable as JSON for the benchmark trajectory. No clock
-//!   is read per lookup, so a [`QueryOutcome`] is a function of (snapshot, batch,
-//!   seed) and `==` on outcomes is the determinism check; a reader that wants
-//!   nanoseconds per lookup divides [`BatchReport::wall_time`] (or the per-shard
-//!   `batch_shard` span) by the lookups it covers.
+//!   time and queries/sec. No clock is read per lookup, so a [`QueryOutcome`] is a
+//!   function of (snapshot, batch, seed) and `==` on outcomes is the determinism
+//!   check; a reader that wants nanoseconds per lookup divides
+//!   [`BatchReport::wall_time`] (or the per-shard `batch_shard` span) by the
+//!   lookups it covers.
 //! * **Telemetry** — the engine records per-phase wall-time histograms (`freeze`,
 //!   `apply_delta`, `invalidate`, per-shard `batch_shard`, `oracle_build`),
 //!   per-shard cache counters (hits/misses/evictions/occupancy), and a bounded ring

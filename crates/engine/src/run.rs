@@ -23,7 +23,7 @@
 //! seed): identical at any thread count and whichever way a shard walks.
 
 use crate::batch::QueryBatch;
-use crate::cache::{bucket_of, CachedRoute, RouteCache, RowSet};
+use crate::cache::{bucket_of, CachedRoute, RouteCache, RowSet, NUM_BUCKETS};
 use crate::config::{ByzantineMembership, EngineConfig};
 use crate::stats::{BatchReport, QueryOutcome};
 use faultline_core::{FrozenView, Network, NetworkView};
@@ -66,6 +66,19 @@ pub struct QueryEngine {
     /// at construction (cpuid + `FAULTLINE_FORCE_SCALAR`), never re-detected on the
     /// query path.
     kernel: KernelIsa,
+    /// Working buffers of a batch, kept from one batch to the next so their pages
+    /// stay mapped.
+    scratch: BatchScratch,
+}
+
+/// See [`QueryEngine::run_batch_with_snapshot`]: the shard key of every lookup,
+/// the counting-sorted batch indices, and one outcome per routed lookup in that
+/// order.
+#[derive(Debug, Default)]
+struct BatchScratch {
+    keys: Vec<u8>,
+    order: Vec<usize>,
+    routed: Vec<QueryOutcome>,
 }
 
 /// Clamps a count into an event-ring payload.
@@ -117,6 +130,7 @@ impl QueryEngine {
             adversaries: None,
             telemetry,
             kernel: KernelIsa::detect(),
+            scratch: BatchScratch::default(),
         }
     }
 
@@ -344,36 +358,61 @@ impl QueryEngine {
             _ => None,
         };
 
-        // Assign queries to shards by source bucket; shard order is part of the
-        // deterministic contract (same batch ⇒ same per-shard sequences). Queries whose
-        // endpoints are not even grid points fail up front — the router would report
-        // them as dead endpoints anyway, and bucketing must not panic on them.
         // Kernel dispatch is resolved exactly once per batch, from the snapshot (the
         // engine stamps its own at freeze time; a caller-owned one carries its own).
         let kernel = snapshot.kernel();
+        // Assign queries to shards by source bucket with one counting sort; shard
+        // order is part of the deterministic contract (same batch ⇒ same per-shard
+        // sequences). Queries whose endpoints are not even grid points fail up front
+        // — the router would report them as dead endpoints anyway, and bucketing must
+        // not panic on them — so they sort under one key past the last shard and no
+        // worker sees them. `validate` bounds the shard count by `NUM_BUCKETS`, so a
+        // key fits a byte.
+        const _: () = assert!(NUM_BUCKETS <= u8::MAX as u64);
         let shard_count = self.caches.len();
-        let mut shard_queries: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
-        let mut outcomes: Vec<Option<QueryOutcome>> = vec![None; batch.len()];
-        for (index, &(source, target)) in batch.pairs().iter().enumerate() {
+        let BatchScratch {
+            keys,
+            order,
+            routed,
+        } = &mut self.scratch;
+        keys.clear();
+        keys.extend(batch.pairs().iter().map(|&(source, target)| {
             if source >= n || target >= n {
-                outcomes[index] = Some(unrouted(source, target));
+                shard_count as u8
             } else {
-                shard_queries[(bucket_of(source, n) as usize) % shard_count].push(index);
+                (bucket_of(source, n) as usize % shard_count) as u8
             }
+        }));
+        // `order[starts[s]..starts[s + 1]]` is shard `s`'s batch indices, ascending.
+        let mut starts = vec![0usize; shard_count + 2];
+        for &key in keys.iter() {
+            starts[usize::from(key) + 1] += 1;
         }
+        for shard in 0..=shard_count {
+            starts[shard + 1] += starts[shard];
+        }
+        order.clear();
+        order.resize(batch.len(), 0);
+        let mut next = starts.clone();
+        for (index, &key) in keys.iter().enumerate() {
+            order[next[usize::from(key)]] = index;
+            next[usize::from(key)] += 1;
+        }
+        // One outcome per routed lookup, in `order`'s order: each shard's worker owns
+        // the chunk that lines up with its run of indices.
+        routed.clear();
+        routed.resize(starts[shard_count], unrouted(0, 0));
 
-        let mut shard_outputs: Vec<Vec<(usize, QueryOutcome)>> = vec![Vec::new(); shard_count];
         let telemetry_handle = self.telemetry.clone();
         let telemetry = &telemetry_handle;
         // xlint: allow(determinism) -- batch wall-time is reported in stats only, never read by routing
         let started = Instant::now();
         self.pool.scope(|scope| {
-            let jobs = self
-                .caches
-                .iter_mut()
-                .zip(&shard_queries)
-                .zip(shard_outputs.iter_mut());
-            for ((cache, indices), output) in jobs {
+            let mut rest = routed.as_mut_slice();
+            for (shard, cache) in self.caches.iter_mut().enumerate() {
+                let indices = &order[starts[shard]..starts[shard + 1]];
+                let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(indices.len());
+                rest = tail;
                 if indices.is_empty() {
                     continue;
                 }
@@ -389,7 +428,6 @@ impl QueryEngine {
                     let mut scratch = RouteScratch::new()
                         .with_path_recording(cache.enabled() && byzantine.is_none())
                         .with_kernel(kernel);
-                    output.reserve_exact(indices.len());
                     if byzantine.is_none() && !cache.enabled() {
                         // Every lookup is a full walk and none depends on another:
                         // keep a group of them in flight.
@@ -399,15 +437,15 @@ impl QueryEngine {
                             batch,
                             indices,
                             retry_budget,
-                            output,
+                            chunk,
                         );
                     } else {
                         // A cache-on shard walks one lookup at a time (a miss's
                         // insert must precede the next probe of its key), and so
                         // does the byzantine lane.
-                        for &index in indices {
+                        for (&index, slot) in indices.iter().zip(chunk) {
                             let (source, target) = batch.pairs()[index];
-                            let outcome = match byzantine {
+                            *slot = match byzantine {
                                 Some(lane) => route_one_byzantine(
                                     snapshot,
                                     lane,
@@ -429,7 +467,6 @@ impl QueryEngine {
                                     target,
                                 ),
                             };
-                            output.push((index, outcome));
                         }
                     }
                     // One batched telemetry publication per shard per batch: the
@@ -440,15 +477,15 @@ impl QueryEngine {
         });
         let wall = started.elapsed();
 
-        // Scatter shard outputs back into batch order.
-        for (index, outcome) in shard_outputs.into_iter().flatten() {
-            outcomes[index] = Some(outcome);
-        }
-        let outcomes = outcomes
-            .into_iter()
-            // xlint: allow(panic_policy) -- shard partitioning is exhaustive by construction (every index lands in exactly one shard slice); a gap is a bug worth crashing on, not a recoverable state
-            .map(|o| o.expect("every query is either pre-failed or routed by one shard"))
+        // Gather into batch order; a lookup no shard routed keeps `unrouted`.
+        let mut outcomes: Vec<QueryOutcome> = batch
+            .pairs()
+            .iter()
+            .map(|&(source, target)| unrouted(source, target))
             .collect();
+        for (&index, &outcome) in order.iter().zip(routed.iter()) {
+            outcomes[index] = outcome;
+        }
         BatchReport::with_mode(outcomes, wall, self.threads(), byzantine.is_some())
     }
 }
@@ -480,8 +517,8 @@ fn diversified(router: Router) -> Router {
     }
 }
 
-/// Walks a cache-less honest shard's lookups through a lockstep group, filling the
-/// shard's (empty) `output` with `(index, outcome)` in `indices` order — the outcomes (`delivered`,
+/// Walks a cache-less honest shard's lookups through a lockstep group, filling
+/// `chunk` with their outcomes in `indices` order — the outcomes (`delivered`,
 /// `hops`, `recoveries`, `attempts`, `total_hops`) a loop of [`route_one`] gives.
 ///
 /// An undelivered lookup with retry budget left re-enters its slot as its next
@@ -494,8 +531,11 @@ fn route_shard_lockstep(
     batch: &QueryBatch,
     indices: &[usize],
     retry_budget: u32,
-    output: &mut Vec<(usize, QueryOutcome)>,
+    chunk: &mut [QueryOutcome],
 ) {
+    // The feed closure is inlined into the hop loop, so it keeps a list of its own
+    // to index by `tag`; the chunk is written once, after the last walk.
+    let mut output: Vec<(usize, QueryOutcome)> = Vec::with_capacity(indices.len());
     let mut pending = indices.iter();
     WalkGroup::new(WALKS_IN_FLIGHT, scratch).run(snapshot.routes(), |finished| {
         if let Some(done) = finished {
@@ -534,6 +574,9 @@ fn route_shard_lockstep(
             tag: output.len() - 1,
         })
     });
+    for (slot, (_, outcome)) in chunk.iter_mut().zip(output) {
+        *slot = outcome;
+    }
 }
 
 /// Routes (or cache-serves) one query on a shard worker; a cache miss walks the

@@ -122,8 +122,8 @@ impl BatchReport {
     }
 
     /// Queries per second of wall-clock time. Returns `0.0` when no measurable time
-    /// elapsed (empty batch, or a clock too coarse to observe it), so the JSON export
-    /// never contains a non-finite number.
+    /// elapsed (empty batch, or a clock too coarse to observe it), so no reading
+    /// derived from it is ever non-finite.
     #[must_use]
     pub fn queries_per_sec(&self) -> f64 {
         let secs = self.wall.as_secs_f64();
@@ -161,15 +161,6 @@ impl BatchReport {
             .iter()
             .filter(|o| o.adversary_drops > 0)
             .count()
-    }
-
-    /// Walks swallowed by adversaries across the whole batch.
-    #[must_use]
-    pub fn dropped_walks(&self) -> u64 {
-        self.outcomes
-            .iter()
-            .map(|o| u64::from(o.adversary_drops))
-            .sum()
     }
 
     /// Mean walks issued per lookup (1.0 on honest batches, 0.0 when empty).
@@ -212,65 +203,6 @@ impl BatchReport {
             },
             hops: Summary::of(side.iter().filter(|o| o.delivered).map(|o| o.hops as f64)),
         }
-    }
-
-    /// Renders the report as a JSON object (hand-rolled: the workspace builds offline
-    /// and carries no JSON dependency). Byzantine-lane batches gain an `"adversary"`
-    /// section with the honest-vs-contested split.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let hops = self.hop_summary();
-        let quantiles =
-            |s: &Option<Summary>, f: fn(&Summary) -> f64| -> f64 { s.as_ref().map_or(0.0, f) };
-        let adversary = if self.byzantine {
-            let split_json = |split: &AdversarySplit| -> String {
-                format!(
-                    concat!(
-                        "{{\"queries\":{},\"success_rate\":{:.6},",
-                        "\"hops_p50\":{:.1},\"hops_p99\":{:.1}}}"
-                    ),
-                    split.queries,
-                    split.success_rate,
-                    quantiles(&split.hops, |s| s.median),
-                    quantiles(&split.hops, |s| s.p99),
-                )
-            };
-            format!(
-                concat!(
-                    ",\"adversary\":{{\"contested_queries\":{},\"dropped_walks\":{},",
-                    "\"mean_attempts\":{:.3},\"total_route_hops\":{},",
-                    "\"clean\":{},\"contested\":{}}}"
-                ),
-                self.contested_queries(),
-                self.dropped_walks(),
-                self.mean_attempts(),
-                self.total_route_hops(),
-                split_json(&self.adversary_split(false)),
-                split_json(&self.adversary_split(true)),
-            )
-        } else {
-            String::new()
-        };
-        format!(
-            concat!(
-                "{{\"queries\":{},\"delivered\":{},\"success_rate\":{:.6},",
-                "\"cache_hits\":{},\"threads\":{},\"wall_ms\":{:.3},",
-                "\"queries_per_sec\":{:.1},",
-                "\"hops\":{{\"p50\":{:.1},\"p95\":{:.1},\"p99\":{:.1},\"mean\":{:.3}}}{}}}"
-            ),
-            self.queries(),
-            self.delivered(),
-            self.success_rate(),
-            self.cache_hits(),
-            self.threads,
-            self.wall.as_secs_f64() * 1e3,
-            self.queries_per_sec(),
-            quantiles(&hops, |s| s.median),
-            quantiles(&hops, |s| s.p95),
-            quantiles(&hops, |s| s.p99),
-            quantiles(&hops, |s| s.mean),
-            adversary,
-        )
     }
 }
 
@@ -323,29 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn json_has_the_headline_fields() {
-        let report = BatchReport::with_mode(
-            vec![outcome(true, 4, false)],
-            Duration::from_millis(2),
-            2,
-            false,
-        );
-        let json = report.to_json();
-        for field in [
-            "\"queries\":1",
-            "\"success_rate\":1.000000",
-            "\"queries_per_sec\"",
-            "\"p95\"",
-        ] {
-            assert!(json.contains(field), "missing {field} in {json}");
-        }
-        assert!(
-            !json.contains("\"adversary\""),
-            "honest batches carry no adversary section"
-        );
-    }
-
-    #[test]
     fn adversary_split_separates_clean_and_contested_lookups() {
         let mut contested_delivered = outcome(true, 9, false);
         contested_delivered.attempts = 3;
@@ -363,7 +272,6 @@ mod tests {
         );
         assert!(report.is_byzantine());
         assert_eq!(report.contested_queries(), 2);
-        assert_eq!(report.dropped_walks(), 6);
         assert!((report.mean_attempts() - 8.0 / 3.0).abs() < 1e-12);
         assert_eq!(report.total_route_hops(), 5 + 21 + 30);
         let clean = report.adversary_split(false);
@@ -380,19 +288,6 @@ mod tests {
             9.0,
             "only delivered hops count"
         );
-        let json = report.to_json();
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        for field in [
-            "\"adversary\"",
-            "\"contested_queries\":2",
-            "\"dropped_walks\":6",
-            "\"mean_attempts\":2.667",
-            "\"total_route_hops\":56",
-            "\"clean\"",
-            "\"contested\"",
-        ] {
-            assert!(json.contains(field), "missing {field} in {json}");
-        }
     }
 
     #[test]

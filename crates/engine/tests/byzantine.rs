@@ -345,7 +345,7 @@ fn clear_adversaries_forces_re_resolution_against_the_new_network() {
 }
 
 #[test]
-fn contested_lookups_surface_in_the_split_and_json() {
+fn contested_lookups_surface_in_the_split() {
     let net = network(1 << 10, 81);
     let spec = ByzantineConfig::fraction(0.2, 82).redundancy(4);
     let mut engine = QueryEngine::new(EngineConfig::default().threads(2).byzantine(spec));
@@ -363,7 +363,4 @@ fn contested_lookups_surface_in_the_split_and_json() {
             || report.contested_queries() == 0,
         "redundant walks must cost bandwidth beyond the winning walks"
     );
-    let json = report.to_json();
-    assert_eq!(json.matches('{').count(), json.matches('}').count());
-    assert!(json.contains("\"adversary\""));
 }

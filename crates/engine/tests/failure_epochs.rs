@@ -338,15 +338,3 @@ fn grouped_walks_and_retries_match_lookups_routed_alone() {
         }
     }
 }
-
-#[test]
-fn json_carries_the_resilience_split() {
-    let report = run(1, FailureSchedule::regional(8), 2);
-    let json = report.to_json();
-    assert!(json.contains("\"survival_rate\":"));
-    assert!(json.contains("\"survivability\":{"));
-    assert!(json.contains("\"failure\":{"));
-    assert!(json.contains("\"predicted_survivable\":"));
-    assert!(json.contains("\"recovery_ns\":"));
-    assert_eq!(json.matches('{').count(), json.matches('}').count());
-}

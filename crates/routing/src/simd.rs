@@ -138,8 +138,8 @@ impl KernelIsa {
         self.kind != IsaKind::Scalar
     }
 
-    /// Human/JSON-stable name of the dispatched instruction set
-    /// (`BENCH_engine.json`'s `headline.simd_isa`).
+    /// Stable name of the dispatched instruction set (what `engine_throughput`
+    /// prints, `BENCH_route_kernel.json`'s `isa`).
     #[must_use]
     pub fn label(self) -> &'static str {
         match self.kind {

@@ -17,10 +17,10 @@
 //!   overwritten and a drop count keeps the loss visible (see [`ring`]).
 //!
 //! [`Telemetry::snapshot`] collapses all of it into an immutable [`MetricsSnapshot`]
-//! with merge (shard → global aggregation), hand-rolled JSON, and a human `Display`
-//! dump. A disabled handle ([`Telemetry::disabled`]) makes every operation a
-//! near-no-op — one branch on an `Option`, no clock reads, no allocation — so
-//! instrumented code can keep its telemetry calls unconditionally.
+//! with merge (shard → global aggregation) and a human `Display` dump. A disabled
+//! handle ([`Telemetry::disabled`]) makes every operation a near-no-op — one branch
+//! on an `Option`, no clock reads, no allocation — so instrumented code can keep its
+//! telemetry calls unconditionally.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

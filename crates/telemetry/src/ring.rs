@@ -40,7 +40,7 @@ impl EventKind {
         EventKind::HealApplied,
     ];
 
-    /// Stable snake_case name (used as the JSON key).
+    /// Stable snake_case name (the label in the human dump).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {

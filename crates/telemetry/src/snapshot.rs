@@ -1,4 +1,4 @@
-//! Immutable metrics snapshots: shard aggregation, JSON export, human dump.
+//! Immutable metrics snapshots: shard aggregation and the human dump.
 
 use crate::histogram::HistogramSnapshot;
 use crate::ring::{Event, EventKind};
@@ -46,22 +46,6 @@ impl ShardCounters {
         self.insertions += other.insertions;
         self.invalidated += other.invalidated;
         self.occupancy += other.occupancy;
-    }
-
-    fn to_json(self) -> String {
-        format!(
-            concat!(
-                "{{\"hits\":{},\"misses\":{},\"hit_rate\":{:.6},\"evictions\":{},",
-                "\"insertions\":{},\"invalidated\":{},\"occupancy\":{}}}"
-            ),
-            self.hits,
-            self.misses,
-            self.hit_rate(),
-            self.evictions,
-            self.insertions,
-            self.invalidated,
-            self.occupancy,
-        )
     }
 }
 
@@ -202,48 +186,6 @@ impl MetricsSnapshot {
         self.events_dropped += other.events_dropped;
         self.epoch = self.epoch.max(other.epoch);
     }
-
-    /// Hand-rolled JSON: phase breakdown, per-shard cache table, event counts.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = format!("{{\"epoch\":{},\"phases\":{{", self.epoch);
-        for (i, phase) in Phase::ALL.into_iter().enumerate() {
-            let h = self.phase(phase);
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                concat!(
-                    "\"{}\":{{\"count\":{},\"total_ns\":{},\"mean_ns\":{:.1},",
-                    "\"p50_ns\":{:.0},\"p99_ns\":{:.0},\"max_ns\":{}}}"
-                ),
-                phase.name(),
-                h.count(),
-                h.sum(),
-                h.mean(),
-                h.quantile(0.5),
-                h.quantile(0.99),
-                h.max().unwrap_or(0),
-            ));
-        }
-        out.push_str("},\"shards\":[");
-        for (i, shard) in self.shards.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&shard.to_json());
-        }
-        out.push_str("],\"events\":{");
-        for kind in EventKind::ALL {
-            out.push_str(&format!("\"{}\":{},", kind.name(), self.event_count(kind)));
-        }
-        out.push_str(&format!(
-            "\"recorded\":{},\"dropped\":{}}}}}",
-            self.events.len(),
-            self.events_dropped
-        ));
-        out
-    }
 }
 
 impl std::fmt::Display for MetricsSnapshot {
@@ -372,20 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn json_is_balanced_and_carries_the_tables() {
-        let json = populated().to_json();
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        for phase in Phase::ALL {
-            assert!(json.contains(&format!("\"{}\":", phase.name())));
-        }
-        assert!(json.contains("\"shards\":["));
-        assert!(json.contains("\"hit_rate\":"));
-        assert!(json.contains("\"failure_applied\":1"));
-        assert!(json.contains("\"dropped\":0"));
-    }
-
-    #[test]
     fn display_dump_is_informative() {
         let text = populated().to_string();
         assert!(text.contains("freeze"));
@@ -410,7 +338,5 @@ mod tests {
         assert!(snap.max_skew_shard().is_none());
         assert_eq!(snap.merged_shards(), ShardCounters::default());
         assert_eq!(snap.phase_totals().total(), 0);
-        let json = snap.to_json();
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

@@ -33,7 +33,7 @@ impl Phase {
         Phase::OracleBuild,
     ];
 
-    /// Stable snake_case name (used as the JSON key).
+    /// Stable snake_case name (the label in the human dump and the step summary).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -136,22 +136,6 @@ impl PhaseNanos {
         }
         Self { nanos }
     }
-
-    /// Iterates `(phase, nanoseconds)` in reporting order.
-    pub fn iter(&self) -> impl Iterator<Item = (Phase, u64)> + '_ {
-        Phase::ALL.into_iter().map(move |p| (p, self.get(p)))
-    }
-
-    /// Hand-rolled JSON object: `{"freeze_ns":…,…,"total_ns":…}`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (phase, nanos) in self.iter() {
-            out.push_str(&format!("\"{}_ns\":{},", phase.name(), nanos));
-        }
-        out.push_str(&format!("\"total_ns\":{}}}", self.total()));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -192,15 +176,5 @@ mod tests {
         assert_eq!(delta.get(Phase::OracleBuild), 60);
         assert_eq!(a.saturating_sub(&b), PhaseNanos::default());
         assert_eq!(b.total(), (1 + 2 + 3 + 4) * 25);
-    }
-
-    #[test]
-    fn phase_nanos_json_is_balanced_and_keyed_by_phase_names() {
-        let json = PhaseNanos::from_fn(|p| p.index() as u64).to_json();
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        for phase in Phase::ALL {
-            assert!(json.contains(&format!("\"{}_ns\":", phase.name())));
-        }
-        assert!(json.contains("\"total_ns\":10"));
     }
 }
