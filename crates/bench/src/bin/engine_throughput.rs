@@ -19,7 +19,7 @@
 //! opening the log.
 //!
 //! `--metrics PATH` additionally writes the full human-readable telemetry dump
-//! (phase histograms, per-shard cache table, event-ring counts) to `PATH`.
+//! (phase histograms, per-shard cache table, event counts) to `PATH`.
 //!
 //! `--scenario PATH` (repeatable; a directory runs every `.toml` inside) runs
 //! declarative scenario files through the `ScenarioSpec` front door after the fixed
@@ -69,7 +69,7 @@ const MIN_BYZANTINE_SUCCESS: f64 = 0.55;
 
 /// `--quick` floor for `telemetry_overhead_ratio` (instrumented warm-cache
 /// throughput over the telemetry-disabled baseline on bit-identical batches).
-/// Telemetry is relaxed atomics plus one clock read per phase; it must stay within
+/// Telemetry is one clock pair per phase, never per lookup; it must stay within
 /// 5% of free, or the instrumentation has crept onto the per-query hot path.
 const MIN_TELEMETRY_RATIO: f64 = 0.95;
 

@@ -295,7 +295,7 @@ pub struct EngineBenchReport {
     pub stretch: StretchReport,
     /// Telemetry snapshot of the cached engine after the cold batch, the warm
     /// batch, and the churn-interleaved epochs: per-phase wall-time histograms,
-    /// the per-shard cache table, and the structural event ring.
+    /// the per-shard cache table, and the structural event log.
     pub telemetry: MetricsSnapshot,
     /// The byzantine phase: the same uncached frozen-kernel workload with a sampled
     /// adversary set at each [`BYZANTINE_LEVELS`] corruption level, every lookup
@@ -615,7 +615,7 @@ pub fn run(config: &EngineBenchConfig) -> EngineBenchReport {
     // Snapshot the cached engine's telemetry after everything it ran: the cold and
     // warm batches plus the interleaved epochs above. Per-epoch phase deltas are in
     // the `InterleavedReport`; this is the cumulative view.
-    let telemetry = cached_engine.telemetry().snapshot();
+    let telemetry = cached_engine.metrics();
 
     // Snapshot maintenance at light sustained churn and cache eviction under
     // trickle churn: each a default engine on its own identically seeded network, so
@@ -940,12 +940,12 @@ mod tests {
         );
         assert!(report.telemetry_overhead_ratio > 0.0);
         // The snapshot saw the cold batch, the warm batch, and the interleaved
-        // epochs: shard traffic, freeze timings, and shard spans must all be there.
+        // epochs: shard traffic, freeze timings, and shard timings must all be there.
         let merged = report.telemetry.merged_shards();
         assert!(merged.requests() > 0, "cache counters must record traffic");
         assert!(report.telemetry.phase(Phase::Freeze).count() > 0);
         assert!(report.telemetry.phase(Phase::BatchShard).count() > 0);
-        // Churn epochs flush routes, so invalidation spans must have fired too.
+        // Churn epochs flush routes, so invalidation must have been timed too.
         assert!(report.telemetry.phase(Phase::Invalidate).count() > 0);
         // Every interleaved epoch carries its own phase delta, and the per-epoch
         // shard work sums back under the cumulative reading.

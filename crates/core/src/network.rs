@@ -274,7 +274,7 @@ impl Network {
     /// Applies a failure plan while capturing the typed delta of every
     /// usable-neighbour row the damage changed — bit-identical damage and RNG
     /// stream to [`Network::apply_failure`], but the result can flow through
-    /// `FrozenView::apply_delta_with` and row-level cache invalidation instead
+    /// `FrozenView::apply_delta` and row-level cache invalidation instead
     /// of a snapshot rebuild.
     pub fn apply_failure_delta<R: Rng>(
         &mut self,

@@ -9,7 +9,6 @@
 use crate::network::Network;
 use faultline_overlay::{ChurnDelta, FrozenRoutes, NodeId, OverlayGraph, PatchStats};
 use faultline_routing::{KernelIsa, RouteResult, RouteScratch, Router};
-use faultline_telemetry::Telemetry;
 use rand::rngs::{SmallRng, StdRng};
 use rand::{Rng, SeedableRng};
 
@@ -74,14 +73,6 @@ impl<'a> NetworkView<'a> {
     pub fn route_seeded(&self, source: NodeId, target: NodeId, seed: u64) -> RouteResult {
         let mut rng = StdRng::seed_from_u64(seed);
         self.router.route(self.graph, source, target, &mut rng)
-    }
-
-    /// Same view, routing with path recording enabled (the result then carries the
-    /// nodes the walk visited).
-    #[must_use]
-    pub fn with_path_recording(mut self, record: bool) -> Self {
-        self.router = self.router.with_path_recording(record);
-        self
     }
 
     /// Same view with an overridden hop budget.
@@ -174,18 +165,6 @@ impl FrozenView {
     /// the space the snapshot was frozen from.
     pub fn apply_delta(&mut self, graph: &OverlayGraph, delta: &ChurnDelta) -> PatchStats {
         self.routes.apply_delta(graph, delta)
-    }
-
-    /// [`FrozenView::apply_delta`] with telemetry: times the patch and records a
-    /// re-layout at a wider stride as an event; see
-    /// [`FrozenRoutes::apply_delta_with`].
-    pub fn apply_delta_with(
-        &mut self,
-        graph: &OverlayGraph,
-        delta: &ChurnDelta,
-        telemetry: &Telemetry,
-    ) -> PatchStats {
-        self.routes.apply_delta_with(graph, delta, telemetry)
     }
 
     /// Routes one message over the snapshot with an explicit per-query seed.
@@ -301,15 +280,5 @@ mod tests {
         let r = frozen.route_seeded(0, 200, 9, &mut scratch);
         assert!(r.is_delivered(), "snapshot still routes the frozen epoch");
         assert!(!net.view().freeze().routes().is_alive(200));
-    }
-
-    #[test]
-    fn path_recording_view_records() {
-        let net = network(128, 5);
-        let view = net.view().with_path_recording(true);
-        let r = view.route_seeded(0, 100, 1);
-        let path = r.path.as_ref().expect("path must be recorded");
-        assert_eq!(path.first(), Some(&0));
-        assert_eq!(path.last(), Some(&100));
     }
 }

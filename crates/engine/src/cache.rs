@@ -24,7 +24,7 @@
 //! until they do, a cached route may be stale.
 
 use faultline_overlay::NodeId;
-use faultline_telemetry::ShardHandle;
+use faultline_telemetry::ShardCounters;
 // xlint: allow(determinism) -- bucket-pair lookups are keyed, never ordered; the one iteration (eviction scan) minimises over the total order (last_used, key), so the victim is independent of iteration order
 use std::collections::HashMap;
 
@@ -137,12 +137,9 @@ pub struct RouteCache {
     hits: u64,
     misses: u64,
     insertions: u64,
-    /// Traffic already pushed to the telemetry cells — see
-    /// [`RouteCache::publish_telemetry`].
-    published: (u64, u64, u64),
-    /// Telemetry cells for the shard that owns this cache (inert by default);
-    /// see [`RouteCache::attach`].
-    telemetry: ShardHandle,
+    evictions: u64,
+    /// Entries dropped by [`RouteCache::invalidate_rows`] and [`RouteCache::clear`].
+    invalidated: u64,
 }
 
 impl RouteCache {
@@ -159,14 +156,6 @@ impl RouteCache {
     #[must_use]
     pub fn enabled(&self) -> bool {
         self.capacity > 0
-    }
-
-    /// Attaches the owning shard's telemetry cells. Evictions and invalidation
-    /// flushes are recorded inline; hit/miss/insertion traffic accumulates in plain
-    /// counters until [`RouteCache::publish_telemetry`] pushes the deltas. (The
-    /// default handle is inert, so an unattached cache records nothing.)
-    pub fn attach(&mut self, telemetry: ShardHandle) {
-        self.telemetry = telemetry;
     }
 
     /// Looks up the route digest for a bucket pair, refreshing its recency.
@@ -220,7 +209,7 @@ impl RouteCache {
                 .map(|(key, _)| *key)
             {
                 self.entries.remove(&stalest);
-                self.telemetry.eviction();
+                self.evictions += 1;
             }
         }
         self.entries.insert(
@@ -233,26 +222,6 @@ impl RouteCache {
             },
         );
         self.insertions += 1;
-    }
-
-    /// Pushes the hit/miss/insertion deltas accumulated since the last publish into
-    /// the shard's telemetry cells and refreshes the occupancy gauge.
-    ///
-    /// The per-query paths ([`RouteCache::get`], [`RouteCache::insert`]) bump plain
-    /// integers only; the engine calls this once when a worker finishes a shard's
-    /// slice of a batch. Per-query atomic read-modify-writes cost ~10% of warm-cache
-    /// throughput (the hit path is ~70 ns); batching keeps the instrumented engine
-    /// inside the CI floor against the telemetry-disabled one. Evictions and
-    /// invalidation flushes stay inline — they are rare and carry event-ring stamps.
-    pub fn publish_telemetry(&mut self) {
-        let (hits, misses, insertions) = self.published;
-        self.telemetry.add_traffic(
-            self.hits - hits,
-            self.misses - misses,
-            self.insertions - insertions,
-            self.entries.len() as u64,
-        );
-        self.published = (self.hits, self.misses, self.insertions);
     }
 
     /// Drops every entry whose creating walk visited a node in `dirty` — plus every
@@ -269,23 +238,14 @@ impl RouteCache {
             !entry.volatile && !entry.deps.iter().any(|&node| dirty.contains(node))
         });
         let flushed = before - self.entries.len();
-        self.note_flushed(flushed);
+        self.invalidated += flushed as u64;
         flushed
-    }
-
-    /// Telemetry bookkeeping after an invalidation flushed `flushed` entries.
-    fn note_flushed(&self, flushed: usize) {
-        if flushed > 0 {
-            self.telemetry.invalidated(flushed as u64);
-            self.telemetry.set_occupancy(self.entries.len() as u64);
-        }
     }
 
     /// Drops everything.
     pub fn clear(&mut self) {
-        self.note_flushed(self.entries.len());
+        self.invalidated += self.entries.len() as u64;
         self.entries.clear();
-        self.telemetry.set_occupancy(0);
     }
 
     /// Number of live entries.
@@ -300,10 +260,17 @@ impl RouteCache {
         self.entries.is_empty()
     }
 
-    /// Lifetime (hit, miss) counters.
+    /// Lifetime traffic counters, with the entries resident now as occupancy.
     #[must_use]
-    pub fn hit_miss(&self) -> (u64, u64) {
-        (self.hits, self.misses)
+    pub fn counters(&self) -> ShardCounters {
+        ShardCounters {
+            hits: self.hits,
+            misses: self.misses,
+            evictions: self.evictions,
+            insertions: self.insertions,
+            invalidated: self.invalidated,
+            occupancy: self.entries.len() as u64,
+        }
     }
 }
 
@@ -341,7 +308,7 @@ mod tests {
         assert_eq!(cache.get(1, 2), None);
         cache.insert(1, 2, route(0b110), &[1, 2], false);
         assert_eq!(cache.get(1, 2), Some(route(0b110)));
-        assert_eq!(cache.hit_miss(), (1, 1));
+        assert_eq!((cache.counters().hits, cache.counters().misses), (1, 1));
     }
 
     #[test]
@@ -349,7 +316,7 @@ mod tests {
         let mut cache = RouteCache::new(0);
         cache.insert(1, 2, route(1), &[], false);
         assert_eq!(cache.get(1, 2), None);
-        assert_eq!(cache.hit_miss(), (0, 0));
+        assert_eq!(cache.counters(), ShardCounters::default());
         assert!(cache.is_empty());
     }
 
@@ -408,11 +375,8 @@ mod tests {
     }
 
     #[test]
-    fn attached_telemetry_counts_cache_traffic() {
-        use faultline_telemetry::Telemetry;
-        let tel = Telemetry::new(1);
+    fn counters_follow_cache_traffic() {
         let mut cache = RouteCache::new(2);
-        cache.attach(tel.shard(0));
         assert_eq!(cache.get(0, 1), None); // miss
         cache.insert(0, 1, route(1), &[1], false);
         assert!(cache.get(0, 1).is_some()); // hit
@@ -421,22 +385,25 @@ mod tests {
         let mut dirty = RowSet::with_space(64);
         dirty.insert(3);
         assert_eq!(cache.invalidate_rows(&dirty), 1);
-        // Hit/miss/insertion traffic lands in the cells only on publish.
-        assert_eq!(tel.snapshot().merged_shards().requests(), 0);
-        cache.publish_telemetry();
-        let snap = tel.snapshot();
-        let shard = snap.shards()[0];
-        assert_eq!(shard.hits, 1);
-        assert_eq!(shard.misses, 1);
-        assert_eq!(shard.insertions, 3);
-        assert_eq!(shard.evictions, 1);
-        assert_eq!(shard.invalidated, 1);
-        assert_eq!(shard.occupancy, 1);
-        // Publishing again pushes nothing: deltas reset at each publish.
-        cache.publish_telemetry();
-        assert_eq!(tel.snapshot().merged_shards().requests(), 2);
+        let expected = ShardCounters {
+            hits: 1,
+            misses: 1,
+            evictions: 1,
+            insertions: 3,
+            invalidated: 1,
+            occupancy: 1,
+        };
+        assert_eq!(cache.counters(), expected);
         cache.clear();
-        assert_eq!(tel.snapshot().shards()[0].occupancy, 0);
+        assert_eq!(
+            cache.counters(),
+            ShardCounters {
+                invalidated: 2,
+                occupancy: 0,
+                ..expected
+            },
+            "a clear drops and counts the resident entries"
+        );
     }
 
     #[test]

@@ -254,12 +254,12 @@ impl EngineConfig {
 
     /// Enables or disables the engine's telemetry subsystem (default: enabled).
     ///
-    /// When enabled, the engine records per-phase wall-time histograms, per-shard
-    /// cache counters, and a bounded event ring, all exposed through
-    /// [`QueryEngine::telemetry`](crate::QueryEngine::telemetry). Recording is
-    /// lock-free (relaxed atomics off the query path) and never touches routing
-    /// randomness, so results are bit-identical either way; disabling it turns every
-    /// instrumentation point into a single branch for overhead-critical runs.
+    /// When enabled, the engine records per-phase wall-time histograms and a
+    /// bounded event log, exposed with per-shard cache counters through
+    /// [`QueryEngine::metrics`](crate::QueryEngine::metrics). Recording reads one
+    /// clock pair per phase, never per lookup, and never touches routing
+    /// randomness, so results are bit-identical either way; disabled, no clock is
+    /// read for telemetry and `metrics()` is empty.
     #[must_use]
     pub fn telemetry(mut self, enabled: bool) -> Self {
         self.telemetry = enabled;

@@ -191,7 +191,9 @@ pub struct EpochReport {
     /// Telemetry wall-time attributed to each engine phase *during this epoch* (the
     /// difference of two cumulative [`Telemetry::phase_totals`] readings; all zeros
     /// when telemetry is disabled). `BatchShard` sums per-worker shard time, so it
-    /// can exceed the epoch's wall clock on multi-threaded runs.
+    /// can exceed the epoch's wall clock on multi-threaded runs. `Freeze` and
+    /// `ApplyDelta` are the very readings in [`EpochReport::snapshot`] and
+    /// [`EpochReport::failure`]: each phase is timed once.
     ///
     /// [`Telemetry::phase_totals`]: faultline_telemetry::Telemetry::phase_totals
     pub phases: PhaseNanos,
@@ -437,10 +439,10 @@ impl QueryEngine {
         // the overlay: whatever moves the graph drops it.
         let mut oracle: Option<ConnectivityOracle> = None;
         for epoch in 0..epochs {
-            // Stamp ring events with the epoch, and bracket the epoch's phase
-            // totals so the report carries a per-epoch breakdown.
-            self.telemetry().set_epoch(epoch as u64);
-            let phases_before = self.telemetry().phase_totals();
+            // Stamp events with the epoch, and bracket the epoch's phase totals so
+            // the report carries a per-epoch breakdown.
+            self.telemetry.set_epoch(epoch as u64);
+            let phases_before = self.telemetry.phase_totals();
 
             // Failure phase first: the epoch's batch routes the overlay the event
             // left behind. From epoch 1 on the snapshot is patched from the event's
@@ -464,15 +466,16 @@ impl QueryEngine {
                 if work.failed_nodes > 0 || work.healed_nodes > 0 || work.delta_rows > 0 {
                     oracle = None;
                 }
-                oracle.get_or_insert_with(|| {
-                    let _span = self.telemetry().span(Phase::OracleBuild);
+                if oracle.is_none() {
+                    let started = self.telemetry.start();
                     let graph = network.graph();
-                    ConnectivityOracle::build(
+                    oracle = Some(ConnectivityOracle::build(
                         n as u32,
                         |p| graph.is_alive(u64::from(p)),
                         |p| graph.usable_neighbors(u64::from(p)).map(|q| q as u32),
-                    )
-                });
+                    ));
+                    self.telemetry.finish(Phase::OracleBuild, started);
+                }
             }
 
             let mut work = SnapshotWork::default();
@@ -555,11 +558,12 @@ impl QueryEngine {
             let flushed_routes = self.invalidate_delta(&epoch_delta, n);
             // xlint: allow(determinism) -- patch cost is reported in SnapshotWork only, never read by routing
             let started = Instant::now();
-            let stats = live.apply_delta_with(network.graph(), &epoch_delta, self.telemetry());
+            let stats = live.apply_delta(network.graph(), &epoch_delta);
             work.patch_nanos = started.elapsed().as_nanos() as u64;
             work.rows_patched = stats.rows_patched;
             work.rows_in_place = stats.rows_in_place;
             work.fallback_rebuild = stats.rebuilt;
+            self.record_patch(work.patch_nanos, stats.rebuilt, &epoch_delta);
 
             reports.push(EpochReport {
                 epoch,
@@ -575,10 +579,7 @@ impl QueryEngine {
                 snapshot: work,
                 failure,
                 survivability,
-                phases: self
-                    .telemetry()
-                    .phase_totals()
-                    .saturating_sub(&phases_before),
+                phases: self.telemetry.phase_totals().saturating_sub(&phases_before),
             });
         }
         InterleavedReport { epochs: reports }
@@ -637,13 +638,13 @@ impl QueryEngine {
             }
         }
         if work.failed_nodes > 0 {
-            self.telemetry().event(
+            self.telemetry.event(
                 EventKind::FailureApplied,
                 saturate_u32(work.failed_nodes as u64),
             );
         }
         if work.healed_nodes > 0 {
-            self.telemetry().event(
+            self.telemetry.event(
                 EventKind::HealApplied,
                 saturate_u32(work.healed_nodes as u64),
             );
@@ -653,14 +654,28 @@ impl QueryEngine {
             if let Some(live) = snapshot.as_mut() {
                 // xlint: allow(determinism) -- delta-patch cost is reported in FailureWork only, never read by routing
                 let patch_started = Instant::now();
-                let stats = live.apply_delta_with(network.graph(), &delta, self.telemetry());
+                let stats = live.apply_delta(network.graph(), &delta);
                 work.patch_nanos = patch_started.elapsed().as_nanos() as u64;
                 work.fallback_rebuild = stats.rebuilt;
+                self.record_patch(work.patch_nanos, stats.rebuilt, &delta);
             }
             work.flushed_routes = self.invalidate_delta(&delta, n);
         }
         work.recovery_nanos = started.elapsed().as_nanos() as u64;
         work
+    }
+
+    /// Records a snapshot patch the caller timed: its nanoseconds under
+    /// [`Phase::ApplyDelta`], and a re-layout at a wider stride as
+    /// [`EventKind::RebuildFallback`] (payload: the delta's rows).
+    fn record_patch(&mut self, nanos: u64, rebuilt: bool, delta: &ChurnDelta) {
+        self.telemetry.record(Phase::ApplyDelta, nanos);
+        if rebuilt {
+            self.telemetry.event(
+                EventKind::RebuildFallback,
+                saturate_u32(delta.rows().len() as u64),
+            );
+        }
     }
 }
 

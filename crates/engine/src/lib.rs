@@ -73,18 +73,20 @@
 //!   time and queries/sec. No clock is read per lookup, so a [`QueryOutcome`] is a
 //!   function of (snapshot, batch, seed) and `==` on outcomes is the determinism
 //!   check; a reader that wants nanoseconds per lookup divides
-//!   [`BatchReport::wall_time`] (or the per-shard `batch_shard` span) by the
+//!   [`BatchReport::wall_time`] (or the per-shard `batch_shard` reading) by the
 //!   lookups it covers.
-//! * **Telemetry** — the engine records per-phase wall-time histograms (`freeze`,
-//!   `apply_delta`, `invalidate`, per-shard `batch_shard`, `oracle_build`),
-//!   per-shard cache counters (hits/misses/evictions/occupancy), and a bounded ring
-//!   of epoch-stamped structural events (snapshot re-layouts, cache
-//!   evictions/invalidations, adversary convictions). Recording is lock-free relaxed
-//!   atomics off the deterministic path — instrumented and uninstrumented runs
-//!   produce bit-identical results. Snapshot via
-//!   [`QueryEngine::telemetry`]`().snapshot()`; disable with
-//!   [`EngineConfig::telemetry`]`(false)`, which turns every instrumentation point
-//!   into a single branch.
+//! * **Telemetry** — the engine's own thread records per-phase wall-time
+//!   histograms (`freeze`, `apply_delta`, `invalidate`, per-shard `batch_shard`,
+//!   `oracle_build`) and a bounded log of epoch-stamped structural events
+//!   (snapshot re-layouts, cache invalidations, adversary convictions, failures
+//!   and heals), between phases and never per lookup. Each phase is timed once:
+//!   `freeze` and `apply_delta` are the readings [`SnapshotWork`] and
+//!   [`FailureWork`] report. A shard worker hands its `batch_shard` reading back
+//!   when the batch joins, and the caches count their own traffic
+//!   (hits/misses/insertions/evictions/invalidations). Instrumented and
+//!   uninstrumented runs produce bit-identical results. Read everything via
+//!   [`QueryEngine::metrics`]; disable with [`EngineConfig::telemetry`]`(false)`,
+//!   which reads no clock for telemetry and leaves `metrics()` empty.
 //!
 //! # Example
 //!
@@ -127,8 +129,8 @@ pub use faultline_routing::ByzantineSet;
 // Re-exported so churn-delta callers (`QueryEngine::invalidate_delta`) need no direct
 // `faultline_overlay` dependency.
 pub use faultline_overlay::{ChurnDelta, RowChangeKind, RowDelta};
-// Re-exported so telemetry consumers (`QueryEngine::telemetry`, per-epoch phase
+// Re-exported so telemetry consumers (`QueryEngine::metrics`, per-epoch phase
 // breakdowns) need no direct `faultline_telemetry` dependency.
 pub use faultline_telemetry::{
-    Event, EventKind, MetricsSnapshot, Phase, PhaseNanos, ShardCounters, Telemetry,
+    Event, EventKind, MetricsSnapshot, Phase, PhaseNanos, ShardCounters,
 };

@@ -19,7 +19,7 @@
 //! ([`Router::route_frozen`] is that function run to completion), with per-lookup
 //! seeds derived from `(batch seed, query index, attempt)`, and none reads a clock
 //! per lookup (what a batch cost is [`BatchReport::wall_time`] and the per-shard
-//! [`Phase::BatchShard`] span), so outcomes are a function of (snapshot, batch,
+//! [`Phase::BatchShard`] reading), so outcomes are a function of (snapshot, batch,
 //! seed): identical at any thread count and whichever way a shard walks.
 
 use crate::batch::QueryBatch;
@@ -33,7 +33,7 @@ use faultline_routing::{
     WALKS_IN_FLIGHT,
 };
 use faultline_sim::seed_for_trial;
-use faultline_telemetry::{EventKind, Phase, Telemetry};
+use faultline_telemetry::{EventKind, MetricsSnapshot, Phase, Telemetry};
 use rand::rngs::{SmallRng, StdRng};
 use rand::SeedableRng;
 use std::time::Instant;
@@ -59,9 +59,10 @@ pub struct QueryEngine {
     /// a network, or forever on honest engines). Churn epochs mutate it: departing
     /// Byzantine nodes shrink it, joining nodes are marked (or cleared) by the mix.
     adversaries: Option<ByzantineSet>,
-    /// The engine's telemetry handle: per-phase histograms, per-shard cache cells,
-    /// and the event ring. Disabled (inert) when `EngineConfig::telemetry(false)`.
-    telemetry: Telemetry,
+    /// Per-phase time histograms and the event log, written by this thread only
+    /// (shard workers hand their readings back). Disabled (inert) when
+    /// `EngineConfig::telemetry(false)`.
+    pub(crate) telemetry: Telemetry,
     /// The distance-scan kernel every worker scratch dispatches to — resolved once
     /// at construction (cpuid + `FAULTLINE_FORCE_SCALAR`), never re-detected on the
     /// query path.
@@ -72,16 +73,18 @@ pub struct QueryEngine {
 }
 
 /// See [`QueryEngine::run_batch_with_snapshot`]: the shard key of every lookup,
-/// the counting-sorted batch indices, and one outcome per routed lookup in that
-/// order.
+/// the counting-sorted batch indices, one outcome per routed lookup in that
+/// order, and the nanoseconds each shard's worker spent (`None` for a shard with
+/// no lookups, or with telemetry off).
 #[derive(Debug, Default)]
 struct BatchScratch {
     keys: Vec<u8>,
     order: Vec<usize>,
     routed: Vec<QueryOutcome>,
+    shard_nanos: Vec<Option<u64>>,
 }
 
-/// Clamps a count into an event-ring payload.
+/// Clamps a count into an event payload.
 pub(crate) fn saturate_u32(value: u64) -> u32 {
     u32::try_from(value).unwrap_or(u32::MAX)
 }
@@ -112,16 +115,12 @@ impl QueryEngine {
             // xlint: allow(panic_policy) -- startup-time invariant: the builder only errors on a zero thread count and EngineConfig clamps it to at least one
             .expect("thread pool construction cannot fail");
         let telemetry = if config.telemetry_enabled() {
-            Telemetry::new(config.shard_count())
+            Telemetry::enabled()
         } else {
             Telemetry::disabled()
         };
         let caches = (0..config.shard_count())
-            .map(|index| {
-                let mut cache = RouteCache::new(config.cache_capacity_entries());
-                cache.attach(telemetry.shard(index));
-                cache
-            })
+            .map(|_| RouteCache::new(config.cache_capacity_entries()))
             .collect();
         Self {
             config,
@@ -142,12 +141,13 @@ impl QueryEngine {
         self.kernel
     }
 
-    /// The engine's telemetry handle: snapshot it for per-phase time histograms,
-    /// per-shard cache counters, and the structural event ring. Inert (empty
-    /// snapshots) when the config disabled telemetry.
+    /// What the engine has recorded: per-phase time histograms and the
+    /// structural event log, with each shard cache's lifetime counters. Empty
+    /// when the config disabled telemetry.
     #[must_use]
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.telemetry
+            .snapshot(self.caches.iter().map(RouteCache::counters).collect())
     }
 
     /// The engine's configuration.
@@ -160,15 +160,6 @@ impl QueryEngine {
     #[must_use]
     pub fn threads(&self) -> usize {
         self.pool.current_num_threads()
-    }
-
-    /// Lifetime `(hits, misses)` summed over every shard cache.
-    #[must_use]
-    pub fn cache_hit_miss(&self) -> (u64, u64) {
-        self.caches.iter().fold((0, 0), |(h, m), cache| {
-            let (ch, cm) = cache.hit_miss();
-            (h + ch, m + cm)
-        })
     }
 
     /// Total live cache entries across shards.
@@ -191,8 +182,7 @@ impl QueryEngine {
         if delta.rows().is_empty() {
             return 0;
         }
-        let telemetry = self.telemetry.clone();
-        let _span = telemetry.span(Phase::Invalidate);
+        let started = self.telemetry.start();
         let mut dirty = RowSet::with_space(n);
         for node in delta.changed_nodes() {
             dirty.insert(node as u32);
@@ -202,7 +192,9 @@ impl QueryEngine {
             .iter_mut()
             .map(|cache| cache.invalidate_rows(&dirty))
             .sum();
-        telemetry.event(EventKind::CacheInvalidation, saturate_u32(flushed as u64));
+        self.telemetry.finish(Phase::Invalidate, started);
+        self.telemetry
+            .event(EventKind::CacheInvalidation, saturate_u32(flushed as u64));
         flushed
     }
 
@@ -227,12 +219,12 @@ impl QueryEngine {
     /// Compiles `network`'s current topology into a snapshot stamped with the
     /// engine's kernel, and returns it with the nanoseconds the compile took (also
     /// recorded as [`Phase::Freeze`]).
-    pub(crate) fn freeze(&self, network: &Network) -> (FrozenView, u64) {
+    pub(crate) fn freeze(&mut self, network: &Network) -> (FrozenView, u64) {
         // xlint: allow(determinism) -- freeze cost is reported in telemetry and SnapshotWork only, never read by routing
         let started = Instant::now();
         let view = self.routing_view(network).freeze().with_kernel(self.kernel);
         let nanos = started.elapsed().as_nanos() as u64;
-        self.telemetry.record_phase(Phase::Freeze, nanos);
+        self.telemetry.record(Phase::Freeze, nanos);
         (view, nanos)
     }
 
@@ -374,6 +366,7 @@ impl QueryEngine {
             keys,
             order,
             routed,
+            shard_nanos,
         } = &mut self.scratch;
         keys.clear();
         keys.extend(batch.pairs().iter().map(|&(source, target)| {
@@ -402,14 +395,20 @@ impl QueryEngine {
         // the chunk that lines up with its run of indices.
         routed.clear();
         routed.resize(starts[shard_count], unrouted(0, 0));
+        shard_nanos.clear();
+        shard_nanos.resize(shard_count, None);
 
-        let telemetry_handle = self.telemetry.clone();
-        let telemetry = &telemetry_handle;
+        let telemetry = &self.telemetry;
         // xlint: allow(determinism) -- batch wall-time is reported in stats only, never read by routing
         let started = Instant::now();
         self.pool.scope(|scope| {
             let mut rest = routed.as_mut_slice();
-            for (shard, cache) in self.caches.iter_mut().enumerate() {
+            for ((shard, cache), nanos) in self
+                .caches
+                .iter_mut()
+                .enumerate()
+                .zip(shard_nanos.iter_mut())
+            {
                 let indices = &order[starts[shard]..starts[shard + 1]];
                 let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(indices.len());
                 rest = tail;
@@ -417,9 +416,9 @@ impl QueryEngine {
                     continue;
                 }
                 scope.spawn(move |_| {
-                    // Wall time this shard's worker spent on its slice of the batch
-                    // (recording only bumps atomics, never the routing RNG stream).
-                    let _shard_span = telemetry.span(Phase::BatchShard);
+                    // Wall time this shard's worker spends on its slice of the
+                    // batch, recorded by the engine once the scope joins.
+                    let shard_started = telemetry.start();
                     // Scratch buffers are reused across every query the shard
                     // routes, so the frozen walk never allocates. Path recording
                     // only matters to cache row dependencies (the byzantine lane
@@ -469,13 +468,14 @@ impl QueryEngine {
                             };
                         }
                     }
-                    // One batched telemetry publication per shard per batch: the
-                    // per-query cache paths bump plain counters only.
-                    cache.publish_telemetry();
+                    *nanos = shard_started.map(|at| at.elapsed().as_nanos() as u64);
                 });
             }
         });
         let wall = started.elapsed();
+        for &nanos in shard_nanos.iter().flatten() {
+            self.telemetry.record(Phase::BatchShard, nanos);
+        }
 
         // Gather into batch order; a lookup no shard routed keeps `unrouted`.
         let mut outcomes: Vec<QueryOutcome> = batch
@@ -779,9 +779,9 @@ mod tests {
         );
         // On an undamaged overlay a cached digest is as deliverable as a fresh route.
         assert_eq!(cached_report.delivered(), fresh_report.delivered());
-        let (hits, misses) = cached.cache_hit_miss();
-        assert_eq!(hits as usize, cached_report.cache_hits());
-        assert!(misses > 0);
+        let counters = cached.metrics().merged_shards();
+        assert_eq!(counters.hits as usize, cached_report.cache_hits());
+        assert!(counters.misses > 0);
         assert!(cached.cached_routes() > 0);
         cached.flush_caches();
         assert_eq!(cached.cached_routes(), 0);

@@ -87,7 +87,7 @@ fn partition_and_heal_emits_telemetry_events() {
             .failures(FailureSchedule::partition_and_heal(6)),
     );
     let report = engine.run_interleaved(&mut net, 4, 1_000, ChurnMix::balanced(0), 7);
-    let snapshot = engine.telemetry().snapshot();
+    let snapshot = engine.metrics();
     let failures = snapshot
         .events()
         .iter()
@@ -106,6 +106,40 @@ fn partition_and_heal_emits_telemetry_events() {
     // Caches and snapshot react to the damage through the delta, at row precision.
     assert!(e0.delta_rows >= 12);
     assert!(report.survival_rate() >= 0.99, "{}", report.survival_rate());
+}
+
+/// Each phase has one clock: the patch and freeze nanoseconds an epoch reports
+/// are the very readings its telemetry recorded, failure patches included.
+#[test]
+fn snapshot_phases_are_timed_once() {
+    let mut net = backtrack_network(512, 13);
+    let mut engine = QueryEngine::new(
+        EngineConfig::default()
+            .threads(2)
+            .telemetry(true)
+            .failures(FailureSchedule::regional(8)),
+    );
+    let report = engine.run_interleaved(&mut net, 4, 1_000, ChurnMix::balanced(12), 5);
+    for epoch in report.epochs() {
+        assert_eq!(
+            epoch.phases.get(Phase::ApplyDelta),
+            epoch.snapshot.patch_nanos + epoch.failure.map_or(0, |f| f.patch_nanos),
+            "epoch {}",
+            epoch.epoch
+        );
+        assert_eq!(
+            epoch.phases.get(Phase::Freeze),
+            epoch.snapshot.rebuild_nanos,
+            "epoch {}",
+            epoch.epoch
+        );
+    }
+    assert!(
+        report.epochs()[1]
+            .failure
+            .is_some_and(|f| f.heal && f.patch_nanos > 0),
+        "the heal patched the snapshot"
+    );
 }
 
 #[test]

@@ -31,7 +31,6 @@
 use crate::delta::ChurnDelta;
 use crate::graph::OverlayGraph;
 use crate::NodeId;
-use faultline_telemetry::{EventKind, Phase, Telemetry};
 
 /// Labels the routing kernel in `faultline-routing` folds per step (one AVX2
 /// `u32x8` load). Every row slot is a multiple of this long, so a scan is a fixed
@@ -49,11 +48,6 @@ pub const PAD_SENTINEL: u32 = u32::MAX;
 /// step, so even a linkless overlay has rows to address.
 fn stride_for(longest: usize) -> usize {
     longest.div_ceil(ROW_STEP).max(1) * ROW_STEP
-}
-
-/// Clamps a count into a 32-bit telemetry event payload.
-fn saturate_u32(value: usize) -> u32 {
-    u32::try_from(value).unwrap_or(u32::MAX)
 }
 
 /// What one [`FrozenRoutes::apply_delta`] call did.
@@ -173,19 +167,6 @@ impl FrozenRoutes {
     /// short for every walk that reads it). All three are checked before the first
     /// write, so a refused delta leaves the snapshot as it was.
     pub fn apply_delta(&mut self, graph: &OverlayGraph, delta: &ChurnDelta) -> PatchStats {
-        self.apply_delta_with(graph, delta, &Telemetry::disabled())
-    }
-
-    /// [`FrozenRoutes::apply_delta`] with telemetry: the call is timed under
-    /// [`Phase::ApplyDelta`], and a re-layout at a wider stride lands on the event
-    /// ring as [`EventKind::RebuildFallback`].
-    pub fn apply_delta_with(
-        &mut self,
-        graph: &OverlayGraph,
-        delta: &ChurnDelta,
-        telemetry: &Telemetry,
-    ) -> PatchStats {
-        let _span = telemetry.span(Phase::ApplyDelta);
         assert_eq!(graph.len(), self.n, "graph and snapshot sizes differ");
         assert_eq!(
             graph.geometry().is_ring(),
@@ -212,7 +193,6 @@ impl FrozenRoutes {
         let mut stats = PatchStats::default();
         if longest > self.stride {
             self.widen(stride_for(longest));
-            telemetry.event(EventKind::RebuildFallback, saturate_u32(delta.rows().len()));
             stats.rebuilt = true;
         }
         let mut alive_dirty = false;
@@ -603,34 +583,22 @@ mod tests {
 
     #[test]
     fn telemetry_variants_record_phases_and_events_without_changing_results() {
-        let tel = Telemetry::new(1);
-
-        // A patch that fits the stride: timed under ApplyDelta, no events.
+        // A patch that fits the stride: no re-layout.
         let mut g = chain_graph(64);
         let mut frozen = g.freeze();
         g.fail_link(1, 0);
-        let stats = frozen.apply_delta_with(&g, &delta_of(&g, &[1, 2]), &tel);
+        let stats = frozen.apply_delta(&g, &delta_of(&g, &[1, 2]));
         assert_eq!(stats.rows_patched, 1);
+        assert!(!stats.rebuilt);
         patched_equals_fresh(&g, &frozen);
 
-        // A row past the stride: the re-layout hits the event ring with the
-        // delta's row count as payload.
+        // A row past the stride: the patch re-lays every row out first.
         for k in 0..8 {
             g.add_link(3, 10 + k, LinkKind::Long);
         }
-        let stats = frozen.apply_delta_with(&g, &delta_of(&g, &[3, 4]), &tel);
+        let stats = frozen.apply_delta(&g, &delta_of(&g, &[3, 4]));
         assert!(stats.rebuilt);
         assert_eq!(frozen, g.freeze());
-
-        let snap = tel.snapshot();
-        assert_eq!(snap.phase(Phase::ApplyDelta).count(), 2);
-        assert_eq!(snap.event_count(EventKind::RebuildFallback), 1);
-        let rebuild = snap
-            .events()
-            .iter()
-            .find(|e| e.kind == EventKind::RebuildFallback)
-            .expect("rebuild event recorded");
-        assert_eq!(rebuild.payload, 2);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::greedy::{best_neighbor, GreedyMode};
 use crate::result::{FailureReason, RouteOutcome, RouteResult};
 use crate::strategy::FaultStrategy;
 use faultline_overlay::{NodeId, OverlayGraph};
-use rand::{Rng, RngCore};
+use rand::Rng;
 use std::collections::VecDeque;
 
 /// A greedy router over an overlay graph.
@@ -249,20 +249,6 @@ fn random_alive_node<R: Rng + ?Sized>(
     }
 }
 
-/// Allow `&mut dyn RngCore` call sites (object-safe contexts) to use the router too.
-impl Router {
-    /// Same as [`Router::route`] but accepting a type-erased RNG.
-    pub fn route_dyn(
-        &self,
-        graph: &OverlayGraph,
-        source: NodeId,
-        target: NodeId,
-        rng: &mut dyn RngCore,
-    ) -> RouteResult {
-        self.route(graph, source, target, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,16 +429,5 @@ mod tests {
             let r = router.route(&graph, s, t, &mut rng);
             assert!(r.is_delivered(), "{s}->{t}: {r:?}");
         }
-    }
-
-    #[test]
-    fn route_dyn_matches_route() {
-        let graph = paper_graph(128, 4, 17);
-        let router = Router::new();
-        let mut a = StdRng::seed_from_u64(18);
-        let mut b = StdRng::seed_from_u64(18);
-        let ra = router.route(&graph, 0, 100, &mut a);
-        let rb = router.route_dyn(&graph, 0, 100, &mut b);
-        assert_eq!(ra, rb);
     }
 }

@@ -65,7 +65,7 @@ pub enum QuerySkew {
 }
 
 impl QuerySkew {
-    /// Short label used in scenario reports and bench JSON.
+    /// Short label used in scenario reports and summary rows.
     #[must_use]
     pub fn label(&self) -> String {
         match self {

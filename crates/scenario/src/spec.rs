@@ -160,7 +160,7 @@ pub struct FailureSpec {
 /// [`ScenarioSpec::render`] round-trips either way).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
-    /// The scenario's name — becomes the `scenarios.<name>` key in bench JSON.
+    /// The scenario's name — labels its printed results and summary rows.
     pub name: String,
     /// The master seed defaults derive from.
     pub seed: u64,
@@ -632,7 +632,7 @@ fn parse_scenario(document: &Document) -> Result<(String, u64), ScenarioError> {
     {
         return Err(invalid(
             name_entry,
-            "scenario names use letters, digits, `_` and `-` only (they become JSON keys)",
+            "scenario names use letters, digits, `_` and `-` only (they label printed results and summary rows)",
         ));
     }
     let seed = match section.get("seed") {

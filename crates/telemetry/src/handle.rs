@@ -1,265 +1,133 @@
-//! The `Telemetry` handle: the one object instrumented code threads around.
+//! [`Telemetry`]: the recorder the engine owns and writes between phases.
 //!
-//! An enabled handle is an `Arc` over per-phase histograms, per-shard counter
-//! cells, and the event ring — cloning it is one refcount bump, so the engine,
-//! its caches, and its worker closures can all hold one. A disabled handle
-//! carries `None`: every operation is a single branch, no clock read, no
-//! allocation, so `EngineConfig::telemetry(false)` compiles instrumentation
-//! down to near-no-ops without a second code path.
+//! Every write takes `&mut self` and comes from the thread that owns the
+//! recorder, so the recording state is plain data. A disabled recorder holds
+//! nothing: every operation is one branch, and [`Telemetry::start`] reads no
+//! clock.
 
-use crate::cells::{Counter, Gauge};
 use crate::histogram::Histogram;
-use crate::ring::{EventKind, EventRing};
+use crate::ring::{Event, EventKind, EventLog};
 use crate::snapshot::{MetricsSnapshot, ShardCounters};
-use crate::span::{Phase, PhaseNanos, Span, NUM_PHASES};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use crate::span::{Phase, PhaseNanos, NUM_PHASES};
+use std::time::Instant;
 
-/// Default event-ring capacity: large enough to retain every structural event
-/// (snapshot re-layouts, convictions) of a long run; per-eviction events may
-/// wrap, which the drop counter makes visible.
-pub const DEFAULT_RING_CAPACITY: usize = 4096;
-
-/// One shard's cache cells, each counter on its own cache line.
-#[derive(Debug, Default)]
-struct ShardCells {
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
-    insertions: Counter,
-    invalidated: Counter,
-    occupancy: Gauge,
-}
+/// Events the log retains: enough for every structural event (snapshot
+/// re-layouts, invalidations, convictions, failures) of a long run; older ones
+/// are dropped and counted.
+pub const EVENT_LOG_CAPACITY: usize = 4096;
 
 #[derive(Debug)]
-struct Inner {
+struct Recording {
     phases: [Histogram; NUM_PHASES],
-    shards: Vec<ShardCells>,
-    ring: EventRing,
-    epoch: AtomicU64,
+    events: EventLog,
+    epoch: u64,
 }
 
-/// A cheap, cloneable telemetry handle — enabled (shared recording state) or
-/// disabled (every operation a near-no-op).
-#[derive(Debug, Clone, Default)]
+/// Per-phase time histograms and an epoch-stamped event log — enabled, or
+/// disabled and recording nothing.
+#[derive(Debug, Default)]
 pub struct Telemetry {
-    inner: Option<Arc<Inner>>,
+    recording: Option<Recording>,
 }
 
 impl Telemetry {
-    /// An enabled handle with `shards` per-shard cell groups and the default
-    /// ring capacity.
+    /// A recorder that records.
     #[must_use]
-    pub fn new(shards: usize) -> Self {
-        Self::with_ring_capacity(shards, DEFAULT_RING_CAPACITY)
-    }
-
-    /// An enabled handle with an explicit event-ring capacity.
-    #[must_use]
-    pub fn with_ring_capacity(shards: usize, ring_capacity: usize) -> Self {
+    pub fn enabled() -> Self {
         Self {
-            inner: Some(Arc::new(Inner {
+            recording: Some(Recording {
                 phases: std::array::from_fn(|_| Histogram::new()),
-                shards: (0..shards).map(|_| ShardCells::default()).collect(),
-                ring: EventRing::new(ring_capacity),
-                epoch: AtomicU64::new(0),
-            })),
+                events: EventLog::new(EVENT_LOG_CAPACITY),
+                epoch: 0,
+            }),
         }
     }
 
-    /// The inert handle (also [`Default`]).
+    /// The inert recorder (also [`Default`]).
     #[must_use]
     pub fn disabled() -> Self {
-        Self { inner: None }
+        Self { recording: None }
     }
 
-    /// Returns `true` when this handle records.
+    /// Returns `true` when this recorder records.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        self.recording.is_some()
     }
 
-    /// Number of per-shard cell groups (0 when disabled).
+    /// Starts timing a phase: the current instant, or `None` — and no clock read
+    /// — when disabled. Hand the result to [`Telemetry::finish`].
     #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.inner.as_ref().map_or(0, |inner| inner.shards.len())
+    pub fn start(&self) -> Option<Instant> {
+        self.recording.as_ref().map(|_| Instant::now())
     }
 
-    /// Starts an RAII wall-time span for `phase`; disabled handles hand back an
-    /// inert span without reading the clock.
-    pub fn span(&self, phase: Phase) -> Span<'_> {
-        match &self.inner {
-            Some(inner) => Span::active(&inner.phases[phase.index()]),
-            None => Span::noop(),
+    /// Records the nanoseconds since `started` (from [`Telemetry::start`]) under
+    /// `phase`.
+    pub fn finish(&mut self, phase: Phase, started: Option<Instant>) {
+        if let Some(started) = started {
+            self.record(phase, started.elapsed().as_nanos() as u64);
         }
     }
 
-    /// Records an already-measured phase duration directly (for call sites that
-    /// time with their own `Instant` for reporting and feed telemetry the same
-    /// number, keeping the two readings identical).
-    pub fn record_phase(&self, phase: Phase, nanos: u64) {
-        if let Some(inner) = &self.inner {
-            inner.phases[phase.index()].record(nanos);
-        }
-    }
-
-    /// A handle onto one shard's cells; out-of-range indices (or a disabled
-    /// handle) yield an inert [`ShardHandle`].
-    #[must_use]
-    pub fn shard(&self, index: usize) -> ShardHandle {
-        match &self.inner {
-            Some(inner) if index < inner.shards.len() => ShardHandle {
-                inner: Some((Arc::clone(inner), index)),
-            },
-            _ => ShardHandle::default(),
+    /// Records an already-measured phase duration, for call sites that time the
+    /// phase for their own report anyway: the report and telemetry then hold the
+    /// same reading.
+    pub fn record(&mut self, phase: Phase, nanos: u64) {
+        if let Some(recording) = &mut self.recording {
+            recording.phases[phase.index()].record(nanos);
         }
     }
 
     /// Records a discrete event, stamped with the current epoch.
-    pub fn event(&self, kind: EventKind, payload: u32) {
-        if let Some(inner) = &self.inner {
-            inner
-                .ring
-                .push(kind, inner.epoch.load(Ordering::Relaxed), payload);
+    pub fn event(&mut self, kind: EventKind, payload: u32) {
+        if let Some(recording) = &mut self.recording {
+            recording.events.push(Event {
+                kind,
+                epoch: recording.epoch,
+                payload,
+            });
         }
     }
 
     /// Sets the epoch stamp applied to subsequent events.
-    pub fn set_epoch(&self, epoch: u64) {
-        if let Some(inner) = &self.inner {
-            inner.epoch.store(epoch, Ordering::Relaxed);
+    pub fn set_epoch(&mut self, epoch: u64) {
+        if let Some(recording) = &mut self.recording {
+            recording.epoch = epoch;
         }
     }
 
     /// Current epoch stamp.
     #[must_use]
     pub fn epoch(&self) -> u64 {
-        self.inner
+        self.recording
             .as_ref()
-            .map_or(0, |inner| inner.epoch.load(Ordering::Relaxed))
+            .map_or(0, |recording| recording.epoch)
     }
 
-    /// Cumulative nanoseconds per phase (cheap: one atomic load per phase, no
-    /// bucket scan) — diff two readings for a per-epoch breakdown.
+    /// Cumulative nanoseconds per phase (no bucket scan) — diff two readings for
+    /// a per-epoch breakdown.
     #[must_use]
     pub fn phase_totals(&self) -> PhaseNanos {
-        match &self.inner {
-            Some(inner) => PhaseNanos::from_fn(|phase| inner.phases[phase.index()].sum()),
+        match &self.recording {
+            Some(recording) => PhaseNanos::from_fn(|phase| recording.phases[phase.index()].sum()),
             None => PhaseNanos::default(),
         }
     }
 
-    /// Freezes everything into an immutable [`MetricsSnapshot`] (empty for a
-    /// disabled handle).
+    /// Everything recorded so far, with the caller's per-shard cache counters;
+    /// empty for a disabled recorder.
     #[must_use]
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let Some(inner) = &self.inner else {
+    pub fn snapshot(&self, shards: Vec<ShardCounters>) -> MetricsSnapshot {
+        let Some(recording) = &self.recording else {
             return MetricsSnapshot::empty();
         };
-        MetricsSnapshot::new(
-            Phase::ALL
-                .iter()
-                .map(|p| inner.phases[p.index()].snapshot())
-                .collect(),
-            inner
-                .shards
-                .iter()
-                .map(|cells| ShardCounters {
-                    hits: cells.hits.get(),
-                    misses: cells.misses.get(),
-                    evictions: cells.evictions.get(),
-                    insertions: cells.insertions.get(),
-                    invalidated: cells.invalidated.get(),
-                    occupancy: cells.occupancy.get(),
-                })
-                .collect(),
-            inner.ring.events(),
-            inner.ring.dropped(),
-            inner.epoch.load(Ordering::Relaxed),
-        )
-    }
-}
-
-/// A clone-cheap handle onto one shard's counter cells, made to live inside the
-/// shard's cache so hit/miss/eviction accounting happens inline. The default
-/// handle is inert.
-#[derive(Debug, Clone, Default)]
-pub struct ShardHandle {
-    inner: Option<(Arc<Inner>, usize)>,
-}
-
-impl ShardHandle {
-    /// Returns `true` when this handle records.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    fn cells(&self) -> Option<&ShardCells> {
-        self.inner
-            .as_ref()
-            .map(|(inner, index)| &inner.shards[*index])
-    }
-
-    /// Counts a cache hit.
-    pub fn hit(&self) {
-        if let Some(cells) = self.cells() {
-            cells.hits.incr();
-        }
-    }
-
-    /// Counts a cache miss.
-    pub fn miss(&self) {
-        if let Some(cells) = self.cells() {
-            cells.misses.incr();
-        }
-    }
-
-    /// Counts an insertion.
-    pub fn insertion(&self) {
-        if let Some(cells) = self.cells() {
-            cells.insertions.incr();
-        }
-    }
-
-    /// Counts an LRU eviction and records it on the event ring (payload: the
-    /// shard index).
-    pub fn eviction(&self) {
-        if let Some((inner, index)) = &self.inner {
-            inner.shards[*index].evictions.incr();
-            inner.ring.push(
-                EventKind::CacheEviction,
-                inner.epoch.load(Ordering::Relaxed),
-                *index as u32,
-            );
-        }
-    }
-
-    /// Adds batched traffic deltas — hits, misses, insertions — and refreshes the
-    /// occupancy gauge in one call. This is the once-per-shard-batch publication
-    /// path: the cache accumulates plain integers on its per-query path and pushes
-    /// the deltas here when its worker finishes the shard, so instrumentation costs
-    /// three atomic adds per *batch* instead of one per query.
-    pub fn add_traffic(&self, hits: u64, misses: u64, insertions: u64, occupancy: u64) {
-        if let Some(cells) = self.cells() {
-            cells.hits.add(hits);
-            cells.misses.add(misses);
-            cells.insertions.add(insertions);
-            cells.occupancy.set(occupancy);
-        }
-    }
-
-    /// Counts `n` entries flushed by churn invalidation.
-    pub fn invalidated(&self, n: u64) {
-        if let Some(cells) = self.cells() {
-            cells.invalidated.add(n);
-        }
-    }
-
-    /// Overwrites the shard's resident-entry gauge.
-    pub fn set_occupancy(&self, entries: u64) {
-        if let Some(cells) = self.cells() {
-            cells.occupancy.set(entries);
+        MetricsSnapshot {
+            phases: recording.phases.clone(),
+            shards,
+            events: recording.events.events().copied().collect(),
+            events_dropped: recording.events.dropped(),
+            epoch: recording.epoch,
         }
     }
 }
@@ -270,36 +138,34 @@ mod tests {
 
     #[test]
     fn disabled_handle_is_inert_everywhere() {
-        let tel = Telemetry::disabled();
+        let mut tel = Telemetry::disabled();
         assert!(!tel.is_enabled());
-        assert_eq!(tel.shard_count(), 0);
-        assert!(!tel.span(Phase::Freeze).is_active());
-        tel.record_phase(Phase::Freeze, 100);
+        assert_eq!(tel.start(), None);
+        tel.finish(Phase::Freeze, Some(Instant::now()));
+        tel.record(Phase::Freeze, 100);
         tel.event(EventKind::FailureApplied, 1);
         tel.set_epoch(9);
         assert_eq!(tel.epoch(), 0);
-        let shard = tel.shard(0);
-        assert!(!shard.is_enabled());
-        shard.hit();
-        shard.eviction();
-        assert_eq!(tel.snapshot(), MetricsSnapshot::empty());
+        assert_eq!(
+            tel.snapshot(vec![ShardCounters::default()]),
+            MetricsSnapshot::empty()
+        );
         assert_eq!(tel.phase_totals(), PhaseNanos::default());
     }
 
     #[test]
     fn default_is_disabled() {
         assert!(!Telemetry::default().is_enabled());
-        assert!(!ShardHandle::default().is_enabled());
     }
 
     #[test]
     fn spans_and_direct_recording_land_in_the_phase_histogram() {
-        let tel = Telemetry::new(1);
-        {
-            let _span = tel.span(Phase::ApplyDelta);
-        }
-        tel.record_phase(Phase::ApplyDelta, 12_345);
-        let snap = tel.snapshot();
+        let mut tel = Telemetry::enabled();
+        let started = tel.start();
+        assert!(started.is_some());
+        tel.finish(Phase::ApplyDelta, started);
+        tel.record(Phase::ApplyDelta, 12_345);
+        let snap = tel.snapshot(Vec::new());
         assert_eq!(snap.phase(Phase::ApplyDelta).count(), 2);
         assert!(snap.phase(Phase::ApplyDelta).sum() >= 12_345);
         assert_eq!(
@@ -309,68 +175,17 @@ mod tests {
     }
 
     #[test]
-    fn shard_handles_hit_their_own_cells() {
-        let tel = Telemetry::new(3);
-        tel.shard(0).hit();
-        tel.shard(2).miss();
-        tel.shard(2).insertion();
-        tel.shard(2).set_occupancy(17);
-        tel.shard(1).invalidated(5);
-        let snap = tel.snapshot();
-        assert_eq!(snap.shards()[0].hits, 1);
-        assert_eq!(snap.shards()[1].invalidated, 5);
-        assert_eq!(snap.shards()[2].misses, 1);
-        assert_eq!(snap.shards()[2].insertions, 1);
-        assert_eq!(snap.shards()[2].occupancy, 17);
-    }
-
-    #[test]
-    fn batched_traffic_adds_deltas_and_overwrites_occupancy() {
-        let tel = Telemetry::new(2);
-        tel.shard(0).add_traffic(10, 3, 2, 7);
-        tel.shard(0).add_traffic(5, 0, 0, 6);
-        tel.shard(1).add_traffic(1, 1, 1, 1);
-        let snap = tel.snapshot();
-        assert_eq!(snap.shards()[0].hits, 15);
-        assert_eq!(snap.shards()[0].misses, 3);
-        assert_eq!(snap.shards()[0].insertions, 2);
-        assert_eq!(snap.shards()[0].occupancy, 6, "gauge is last-write-wins");
-        assert_eq!(snap.merged_shards().requests(), 20);
-    }
-
-    #[test]
-    fn out_of_range_shard_is_inert_not_a_panic() {
-        let tel = Telemetry::new(2);
-        let shard = tel.shard(9);
-        assert!(!shard.is_enabled());
-        shard.hit();
-        assert_eq!(tel.snapshot().merged_shards().hits, 0);
-    }
-
-    #[test]
     fn events_carry_the_epoch_stamp() {
-        let tel = Telemetry::new(1);
+        let mut tel = Telemetry::enabled();
         tel.event(EventKind::FailureApplied, 1);
-        tel.set_epoch(4);
+        tel.set_epoch(1 << 30);
         tel.event(EventKind::RebuildFallback, 2);
-        tel.shard(0).eviction();
-        let snap = tel.snapshot();
+        let snap = tel.snapshot(Vec::new());
         let events = snap.events();
-        assert_eq!(events.len(), 3);
+        assert_eq!(events.len(), 2);
         assert_eq!(events[0].epoch, 0);
-        assert_eq!(events[1].epoch, 4);
-        assert_eq!(events[2].kind, EventKind::CacheEviction);
-        assert_eq!(events[2].epoch, 4);
-        assert_eq!(events[2].payload, 0, "eviction payload is the shard index");
-    }
-
-    #[test]
-    fn clones_share_state() {
-        let tel = Telemetry::new(1);
-        let other = tel.clone();
-        other.shard(0).hit();
-        other.record_phase(Phase::OracleBuild, 7);
-        assert_eq!(tel.snapshot().merged_shards().hits, 1);
-        assert_eq!(tel.phase_totals().get(Phase::OracleBuild), 7);
+        assert_eq!(events[1].epoch, 1 << 30, "epochs are stored whole");
+        assert_eq!(events[1].payload, 2);
+        assert_eq!(snap.epoch(), 1 << 30);
     }
 }

@@ -1,14 +1,12 @@
-//! Log-bucketed atomic histogram with sub-bucket linear interpolation.
+//! Log-bucketed histogram with sub-bucket linear interpolation.
 //!
 //! Layout (HdrHistogram-style): values below `2·16 = 32` get exact unit-width
 //! buckets; every value above lands in one of 16 linear sub-buckets of its
 //! power-of-two octave, so the bucket containing `v` is never wider than `v/16`
 //! and any quantile read carries at most 6.25% relative error. 976 buckets cover
-//! the whole `u64` range, recording is two relaxed `fetch_add`s plus min/max
-//! maintenance, and quantiles come from a cumulative walk over the snapshot —
-//! no sample retention, no sorting, no locks.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! the whole `u64` range, recording is two additions plus min/max maintenance,
+//! and quantiles come from a cumulative walk over the buckets — no sample
+//! retention, no sorting.
 
 /// log2 of the number of linear sub-buckets per octave.
 const SUB_BITS: u32 = 4;
@@ -51,13 +49,15 @@ pub fn bucket_width(index: usize) -> u64 {
     }
 }
 
-/// A concurrent log-bucketed histogram of `u64` observations.
+/// A log-bucketed histogram of `u64` observations. A snapshot of one is its
+/// clone.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
+    counts: Vec<u64>,
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
 }
 
 impl Default for Histogram {
@@ -71,89 +71,21 @@ impl Histogram {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            buckets: (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&self, value: u64) {
-        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.min.fetch_min(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Number of observations recorded so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observations recorded so far (the cheap read behind
-    /// [`crate::Telemetry::phase_totals`]).
-    #[must_use]
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Freezes the current contents into an immutable snapshot.
-    #[must_use]
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            counts: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            min: self.min.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl std::fmt::Debug for Histogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Histogram")
-            .field("count", &self.count())
-            .field("sum", &self.sum())
-            .finish_non_exhaustive()
-    }
-}
-
-/// Immutable view of a [`Histogram`], supporting quantiles and merge.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    counts: Vec<u64>,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for HistogramSnapshot {
-    fn default() -> Self {
-        Self::empty()
-    }
-}
-
-impl HistogramSnapshot {
-    /// A snapshot with no observations.
-    #[must_use]
-    pub fn empty() -> Self {
-        Self {
             counts: vec![0; NUM_BUCKETS],
             count: 0,
             sum: 0,
             min: u64::MAX,
             max: 0,
         }
+    }
+
+    /// Records one observation.
+    pub fn record(&mut self, value: u64) {
+        self.counts[bucket_index(value)] += 1;
+        self.count += 1;
+        self.sum += value;
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
     }
 
     /// Number of observations.
@@ -168,7 +100,8 @@ impl HistogramSnapshot {
         self.count == 0
     }
 
-    /// Sum of all observations.
+    /// Sum of all observations (the cheap read behind
+    /// [`crate::Telemetry::phase_totals`]).
     #[must_use]
     pub fn sum(&self) -> u64 {
         self.sum
@@ -237,17 +170,6 @@ impl HistogramSnapshot {
             .map(|(_, &c)| c)
             .sum()
     }
-
-    /// Folds another snapshot into this one (bucket-wise addition).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -302,27 +224,25 @@ mod tests {
 
     #[test]
     fn quantiles_of_constant_samples_are_exact() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         for _ in 0..100 {
             h.record(58);
         }
-        let snap = h.snapshot();
-        assert_eq!(snap.quantile(0.5), 58.0);
-        assert_eq!(snap.quantile(0.99), 58.0);
-        assert_eq!(snap.min(), Some(58));
-        assert_eq!(snap.max(), Some(58));
-        assert_eq!(snap.mean(), 58.0);
+        assert_eq!(h.quantile(0.5), 58.0);
+        assert_eq!(h.quantile(0.99), 58.0);
+        assert_eq!(h.min(), Some(58));
+        assert_eq!(h.max(), Some(58));
+        assert_eq!(h.mean(), 58.0);
     }
 
     #[test]
     fn quantiles_track_a_uniform_distribution_within_bucket_error() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         for v in 1..=100_000u64 {
             h.record(v);
         }
-        let snap = h.snapshot();
         for (q, exact) in [(0.5, 50_000.0), (0.95, 95_000.0), (0.99, 99_000.0)] {
-            let estimate = snap.quantile(q);
+            let estimate = h.quantile(q);
             let error = (estimate - exact).abs() / exact;
             assert!(
                 error <= 0.0625 + 1e-9,
@@ -333,63 +253,23 @@ mod tests {
 
     #[test]
     fn empty_snapshot_is_inert() {
-        let snap = Histogram::new().snapshot();
-        assert!(snap.is_empty());
-        assert_eq!(snap.quantile(0.5), 0.0);
-        assert_eq!(snap.min(), None);
-        assert_eq!(snap.max(), None);
-        assert_eq!(snap.mean(), 0.0);
+        let h = Histogram::new();
+        assert!(h.is_empty());
+        assert_eq!(h.quantile(0.5), 0.0);
+        assert_eq!(h.min(), None);
+        assert_eq!(h.max(), None);
+        assert_eq!(h.mean(), 0.0);
     }
 
     #[test]
     fn count_at_or_below_is_exact_in_the_unit_range() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         for v in [0u64, 10, 31, 32, 100] {
             h.record(v);
         }
-        let snap = h.snapshot();
-        assert_eq!(snap.count_at_or_below(31), 3);
-        assert_eq!(snap.count_at_or_below(10), 2);
-        assert_eq!(snap.count_at_or_below(0), 1);
-        assert_eq!(snap.count_at_or_below(u64::MAX), 5);
-    }
-
-    #[test]
-    fn merge_is_bucketwise_addition() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        for v in 1..=500u64 {
-            a.record(v);
-        }
-        for v in 501..=1000u64 {
-            b.record(v);
-        }
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-
-        let whole = Histogram::new();
-        for v in 1..=1000u64 {
-            whole.record(v);
-        }
-        assert_eq!(merged, whole.snapshot());
-    }
-
-    #[test]
-    fn concurrent_recording_loses_nothing() {
-        let h = Histogram::new();
-        std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                let h = &h;
-                scope.spawn(move || {
-                    for i in 0..10_000u64 {
-                        h.record(t * 10_000 + i);
-                    }
-                });
-            }
-        });
-        let snap = h.snapshot();
-        assert_eq!(snap.count(), 40_000);
-        assert_eq!(snap.min(), Some(0));
-        assert_eq!(snap.max(), Some(39_999));
+        assert_eq!(h.count_at_or_below(31), 3);
+        assert_eq!(h.count_at_or_below(10), 2);
+        assert_eq!(h.count_at_or_below(0), 1);
+        assert_eq!(h.count_at_or_below(u64::MAX), 5);
     }
 }

@@ -1,6 +1,6 @@
 //! Immutable metrics snapshots: shard aggregation and the human dump.
 
-use crate::histogram::HistogramSnapshot;
+use crate::histogram::Histogram;
 use crate::ring::{Event, EventKind};
 use crate::span::{Phase, PhaseNanos, NUM_PHASES};
 
@@ -15,7 +15,7 @@ pub struct ShardCounters {
     pub evictions: u64,
     /// Entries inserted after a routed miss.
     pub insertions: u64,
-    /// Entries flushed by churn invalidation.
+    /// Entries flushed by row invalidation or a full clear.
     pub invalidated: u64,
     /// Entries resident at snapshot time.
     pub occupancy: u64,
@@ -49,15 +49,15 @@ impl ShardCounters {
     }
 }
 
-/// An immutable, fully-aggregated view of a [`crate::Telemetry`] handle: per-phase
-/// wall-time histograms, per-shard cache counters, and the retained event ring.
+/// What a [`crate::Telemetry`] recorder holds at one moment — per-phase wall-time
+/// histograms and the retained event log — with per-shard cache counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    phases: Vec<HistogramSnapshot>,
-    shards: Vec<ShardCounters>,
-    events: Vec<Event>,
-    events_dropped: u64,
-    epoch: u64,
+    pub(crate) phases: [Histogram; NUM_PHASES],
+    pub(crate) shards: Vec<ShardCounters>,
+    pub(crate) events: Vec<Event>,
+    pub(crate) events_dropped: u64,
+    pub(crate) epoch: u64,
 }
 
 impl Default for MetricsSnapshot {
@@ -67,13 +67,11 @@ impl Default for MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// A snapshot with nothing recorded (what a disabled handle reports).
+    /// A snapshot with nothing recorded (what a disabled recorder reports).
     #[must_use]
     pub fn empty() -> Self {
         Self {
-            phases: (0..NUM_PHASES)
-                .map(|_| HistogramSnapshot::empty())
-                .collect(),
+            phases: std::array::from_fn(|_| Histogram::new()),
             shards: Vec::new(),
             events: Vec::new(),
             events_dropped: 0,
@@ -81,26 +79,9 @@ impl MetricsSnapshot {
         }
     }
 
-    pub(crate) fn new(
-        phases: Vec<HistogramSnapshot>,
-        shards: Vec<ShardCounters>,
-        events: Vec<Event>,
-        events_dropped: u64,
-        epoch: u64,
-    ) -> Self {
-        debug_assert_eq!(phases.len(), NUM_PHASES);
-        Self {
-            phases,
-            shards,
-            events,
-            events_dropped,
-            epoch,
-        }
-    }
-
     /// The wall-time histogram for one phase.
     #[must_use]
-    pub fn phase(&self, phase: Phase) -> &HistogramSnapshot {
+    pub fn phase(&self, phase: Phase) -> &Histogram {
         &self.phases[phase.index()]
     }
 
@@ -110,7 +91,7 @@ impl MetricsSnapshot {
         PhaseNanos::from_fn(|phase| self.phase(phase).sum())
     }
 
-    /// Per-shard cache counters (empty for a disabled handle).
+    /// Per-shard cache counters (empty for a disabled recorder).
     #[must_use]
     pub fn shards(&self) -> &[ShardCounters] {
         &self.shards
@@ -151,7 +132,7 @@ impl MetricsSnapshot {
         &self.events
     }
 
-    /// Events lost to ring wrap-around.
+    /// Events the full log dropped.
     #[must_use]
     pub fn events_dropped(&self) -> u64 {
         self.events_dropped
@@ -167,24 +148,6 @@ impl MetricsSnapshot {
     #[must_use]
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Folds another snapshot into this one: histograms merge bucket-wise, shard
-    /// counters add element-wise (shorter side padded), events concatenate.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (mine, theirs) in self.phases.iter_mut().zip(&other.phases) {
-            mine.merge(theirs);
-        }
-        if self.shards.len() < other.shards.len() {
-            self.shards
-                .resize(other.shards.len(), ShardCounters::default());
-        }
-        for (mine, theirs) in self.shards.iter_mut().zip(&other.shards) {
-            mine.add(theirs);
-        }
-        self.events.extend_from_slice(&other.events);
-        self.events_dropped += other.events_dropped;
-        self.epoch = self.epoch.max(other.epoch);
     }
 }
 
@@ -270,16 +233,22 @@ mod tests {
     use crate::handle::Telemetry;
 
     fn populated() -> MetricsSnapshot {
-        let tel = Telemetry::new(2);
-        tel.record_phase(Phase::Freeze, 1_500);
-        tel.record_phase(Phase::BatchShard, 40);
-        tel.shard(0).hit();
-        tel.shard(0).hit();
-        tel.shard(0).miss();
-        tel.shard(1).miss();
-        tel.shard(1).eviction();
+        let mut tel = Telemetry::enabled();
+        tel.record(Phase::Freeze, 1_500);
+        tel.record(Phase::BatchShard, 40);
         tel.event(EventKind::FailureApplied, 3);
-        tel.snapshot()
+        tel.snapshot(vec![
+            ShardCounters {
+                hits: 2,
+                misses: 1,
+                ..ShardCounters::default()
+            },
+            ShardCounters {
+                misses: 1,
+                evictions: 1,
+                ..ShardCounters::default()
+            },
+        ])
     }
 
     #[test]
@@ -298,19 +267,6 @@ mod tests {
         let (index, hit_rate) = snap.max_skew_shard().expect("shards saw requests");
         assert_eq!(index, 1, "shard 1 is all misses — furthest from global 0.5");
         assert_eq!(hit_rate, 0.0);
-    }
-
-    #[test]
-    fn merge_sums_counters_and_histograms() {
-        let mut a = populated();
-        let b = populated();
-        a.merge(&b);
-        assert_eq!(a.merged_shards().hits, 4);
-        assert_eq!(a.phase(Phase::Freeze).count(), 2);
-        assert_eq!(a.phase(Phase::Freeze).sum(), 3_000);
-        assert_eq!(a.event_count(EventKind::FailureApplied), 2);
-        // Eviction events ride the ring too.
-        assert_eq!(a.event_count(EventKind::CacheEviction), 2);
     }
 
     #[test]

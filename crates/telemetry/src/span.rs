@@ -1,13 +1,10 @@
-//! Named engine phases, RAII span timers, and per-phase nanosecond totals.
-
-use crate::histogram::Histogram;
-use std::time::Instant;
+//! Named engine phases and per-phase nanosecond totals.
 
 /// Number of named phases (the length of [`Phase::ALL`]).
 pub const NUM_PHASES: usize = 5;
 
-/// The engine's timed phases. Each owns one wall-time histogram in the
-/// [`crate::Telemetry`] handle; a [`Span`] records into it on drop.
+/// The engine's timed phases. Each owns one wall-time histogram in
+/// [`crate::Telemetry`], which records one reading per span of the phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Compiling the overlay into a `FrozenRoutes` snapshot.
@@ -55,43 +52,6 @@ impl Phase {
 impl std::fmt::Display for Phase {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// An RAII phase timer: records the elapsed wall nanoseconds into its phase's
-/// histogram when dropped. A span from a disabled [`crate::Telemetry`] handle is
-/// inert — it never reads the clock.
-#[derive(Debug)]
-#[must_use = "a span measures the scope it lives in; binding it to _ drops it immediately"]
-pub struct Span<'a> {
-    target: Option<(&'a Histogram, Instant)>,
-}
-
-impl<'a> Span<'a> {
-    /// Starts a live span against `histogram`.
-    pub(crate) fn active(histogram: &'a Histogram) -> Self {
-        Self {
-            target: Some((histogram, Instant::now())),
-        }
-    }
-
-    /// An inert span (disabled telemetry).
-    pub(crate) fn noop() -> Self {
-        Self { target: None }
-    }
-
-    /// Returns `true` if this span will record on drop.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.target.is_some()
-    }
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        if let Some((histogram, start)) = self.target.take() {
-            histogram.record(start.elapsed().as_nanos() as u64);
-        }
     }
 }
 
@@ -148,23 +108,6 @@ mod tests {
             assert_eq!(phase.index(), i);
         }
         assert_eq!(Phase::ALL.len(), NUM_PHASES);
-    }
-
-    #[test]
-    fn active_span_records_one_observation_on_drop() {
-        let h = Histogram::new();
-        {
-            let span = Span::active(&h);
-            assert!(span.is_active());
-        }
-        assert_eq!(h.count(), 1);
-    }
-
-    #[test]
-    fn noop_span_records_nothing() {
-        let span = Span::noop();
-        assert!(!span.is_active());
-        drop(span);
     }
 
     #[test]

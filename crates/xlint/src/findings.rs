@@ -19,9 +19,6 @@ pub enum Rule {
     /// Heap allocation inside `// xlint: begin(no_alloc)` … `end(no_alloc)` regions
     /// (the frozen routing kernel's contract, visible at the source level).
     NoAlloc,
-    /// Atomic operations must name an explicit `Ordering`; `SeqCst` additionally
-    /// requires a justification annotation.
-    Atomics,
     /// Every `unsafe` keyword must be preceded by a `// SAFETY:` comment.
     UnsafeHygiene,
     /// No `unwrap`/`expect`/`panic!`-family in engine/failure library paths.
@@ -32,10 +29,9 @@ pub enum Rule {
 }
 
 /// Every rule, in report order.
-pub const ALL_RULES: [Rule; 6] = [
+pub const ALL_RULES: [Rule; 5] = [
     Rule::Determinism,
     Rule::NoAlloc,
-    Rule::Atomics,
     Rule::UnsafeHygiene,
     Rule::PanicPolicy,
     Rule::Annotation,
@@ -48,7 +44,6 @@ impl Rule {
         match self {
             Rule::Determinism => "determinism",
             Rule::NoAlloc => "no_alloc",
-            Rule::Atomics => "atomics",
             Rule::UnsafeHygiene => "unsafe_hygiene",
             Rule::PanicPolicy => "panic_policy",
             Rule::Annotation => "annotation",
@@ -169,8 +164,8 @@ pub fn to_markdown(findings: &[Finding], files_scanned: usize) -> String {
     if findings.is_empty() {
         let _ = writeln!(
             out,
-            "All invariants hold: determinism, no_alloc regions, atomics discipline, \
-             unsafe hygiene, panic policy."
+            "All invariants hold: determinism, no_alloc regions, unsafe hygiene, \
+             panic policy."
         );
         return out;
     }

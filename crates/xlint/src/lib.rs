@@ -1,7 +1,7 @@
 //! The workspace invariant linter (xlint).
 //!
 //! The engine's headline guarantees — thread-count-invariant results, a zero-alloc
-//! frozen kernel, a lock-free telemetry core — are enforced dynamically by proptests
+//! frozen kernel — are enforced dynamically by proptests
 //! and a counting allocator, which means they regress *silently*: a stray `HashMap`
 //! iteration or a `Vec::new()` inside the kernel passes review and only fails when
 //! (if) the right property test runs. This crate turns the house rules into static,

@@ -13,9 +13,6 @@
 //!   by a counting allocator at test time; fenced regions (see
 //!   [`Annotations::regions`]) make it visible at the source level: no
 //!   `Vec::new`/`Box::new`/`format!`/`.collect()`/`.to_vec()`-family calls inside.
-//! * **atomics** — every atomic op in the lock-free telemetry core must name an
-//!   explicit `Ordering`; `SeqCst` additionally demands a written justification
-//!   (it is almost always a stronger fence than the algorithm needs).
 //! * **unsafe_hygiene** — every `unsafe` is preceded by a `// SAFETY:` comment.
 //! * **panic_policy** — engine/failure library paths return errors or document
 //!   invariants; they do not `unwrap`/`expect`/`panic!` (tests and benches do).
@@ -33,8 +30,8 @@ pub enum FileKind {
     /// Library source (`crates/<name>/src/**`): all rules apply.
     Lib,
     /// Tests, benches, examples, build scripts: determinism and panic-policy are
-    /// exempt (tests unwrap and iterate freely); unsafe hygiene, atomics and fenced
-    /// no_alloc regions still apply.
+    /// exempt (tests unwrap and iterate freely); unsafe hygiene and fenced no_alloc
+    /// regions still apply.
     TestLike,
 }
 
@@ -65,27 +62,6 @@ const RESULT_AFFECTING: [&str; 10] = [
 
 /// Crates under the panic policy: library paths must not panic on reachable inputs.
 const PANIC_FREE: [&str; 2] = ["engine", "failure"];
-
-/// The crate whose atomics are audited.
-const ATOMICS_AUDITED: &str = "telemetry";
-
-/// Atomic read-modify-write / load / store method names that take an `Ordering`.
-const ATOMIC_METHODS: [&str; 14] = [
-    "load",
-    "store",
-    "swap",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_and",
-    "fetch_nand",
-    "fetch_or",
-    "fetch_xor",
-    "fetch_min",
-    "fetch_max",
-    "fetch_update",
-    "compare_exchange",
-    "compare_exchange_weak",
-];
 
 /// One parsed `xlint:` annotation of the allow form.
 #[derive(Debug)]
@@ -312,7 +288,6 @@ pub fn lint_source(path: &str, source: &str, ctx: &FileContext) -> Vec<Finding> 
     let crate_name = ctx.crate_name.as_deref().unwrap_or("");
     let determinism_applies = ctx.kind == FileKind::Lib && RESULT_AFFECTING.contains(&crate_name);
     let panic_applies = ctx.kind == FileKind::Lib && PANIC_FREE.contains(&crate_name);
-    let atomics_applies = crate_name == ATOMICS_AUDITED;
 
     let text_at = |j: usize| -> &str { code[j].text(source) };
     let is_punct =
@@ -391,32 +366,6 @@ pub fn lint_source(path: &str, source: &str, ctx: &FileContext) -> Vec<Finding> 
                 );
             }
         }
-
-        // --- atomics -----------------------------------------------------------
-        if atomics_applies {
-            let method_call = j >= 1 && is_punct(j - 1, ".");
-            if method_call
-                && ATOMIC_METHODS.contains(&text)
-                && j + 1 < code.len()
-                && is_punct(j + 1, "(")
-                && !call_names_ordering(&code, source, j + 1)
-            {
-                push(
-                    Rule::Atomics,
-                    tok,
-                    format!("atomic `{text}` must name an explicit memory Ordering"),
-                );
-            }
-            if text == "SeqCst" {
-                push(
-                    Rule::Atomics,
-                    tok,
-                    "SeqCst ordering requires a written justification (is a weaker \
-                     ordering sufficient?)"
-                        .to_string(),
-                );
-            }
-        }
     }
 
     // --- no_alloc fenced regions (any crate, any file kind) --------------------
@@ -462,30 +411,6 @@ fn matches_path(code: &[&Token], source: &str, j: usize, parts: &[&str]) -> bool
         .iter()
         .enumerate()
         .all(|(k, part)| code.get(j + k).is_some_and(|t| t.text(source) == *part))
-}
-
-/// Scans a balanced-paren call starting at the `(` token index for an `Ordering`
-/// path or a bare ordering variant name (covers `use Ordering::*` imports).
-fn call_names_ordering(code: &[&Token], source: &str, open: usize) -> bool {
-    let mut depth = 0i32;
-    for tok in &code[open..] {
-        match tok.text(source) {
-            "(" if tok.kind == TokenKind::Punct => depth += 1,
-            ")" if tok.kind == TokenKind::Punct => {
-                depth -= 1;
-                if depth == 0 {
-                    return false;
-                }
-            }
-            "Ordering" | "Relaxed" | "Acquire" | "Release" | "AcqRel" | "SeqCst"
-                if tok.kind == TokenKind::Ident =>
-            {
-                return true;
-            }
-            _ => {}
-        }
-    }
-    false
 }
 
 /// Whether a `SAFETY:`-bearing comment sits on the `unsafe` token's line or within
@@ -621,20 +546,6 @@ mod tests {
         let found = lint_source("f.rs", src, &lib_ctx("engine"));
         assert_eq!(rules_of(&found), vec![Rule::Annotation]);
         assert!(found[0].message.contains("stale"));
-    }
-
-    #[test]
-    fn atomics_require_ordering_and_seqcst_requires_justification() {
-        let bad = "fn f(a: &AtomicU64) { a.load(); }\n";
-        let found = lint_source("f.rs", bad, &lib_ctx("telemetry"));
-        assert_eq!(rules_of(&found), vec![Rule::Atomics]);
-        let good = "fn f(a: &AtomicU64) { a.load(Ordering::Acquire); }\n";
-        assert!(lint_source("f.rs", good, &lib_ctx("telemetry")).is_empty());
-        let seqcst = "fn f(a: &AtomicU64) { a.load(Ordering::SeqCst); }\n";
-        assert_eq!(
-            rules_of(&lint_source("f.rs", seqcst, &lib_ctx("telemetry"))),
-            vec![Rule::Atomics]
-        );
     }
 
     #[test]

@@ -64,22 +64,6 @@ fn no_alloc_fires_and_allows() {
 }
 
 #[test]
-fn atomics_fires_and_allows() {
-    let found = lint_fixture("atomics_fire.rs", "telemetry");
-    assert_eq!(
-        found,
-        vec![
-            (Rule::Atomics, 8),  // bare .load()
-            (Rule::Atomics, 9),  // bare .fetch_add(1)
-            (Rule::Atomics, 10), // unjustified SeqCst
-        ]
-    );
-    assert_eq!(lint_fixture("atomics_allow.rs", "telemetry"), vec![]);
-    // The audit is scoped to the telemetry crate.
-    assert_eq!(lint_fixture("atomics_fire.rs", "engine"), vec![]);
-}
-
-#[test]
 fn unsafe_hygiene_fires_and_allows() {
     let found = lint_fixture("unsafe_hygiene_fire.rs", "routing");
     assert_eq!(

@@ -59,7 +59,7 @@ fn main() {
     );
 
     // Phase 3: the engine was recording itself the whole time — phase wall-time
-    // histograms, per-shard cache counters, and the structural event ring.
+    // histograms, per-shard cache counters, and the structural event log.
     // (Disable with `EngineConfig::telemetry(false)` to shave the last ~1%.)
-    println!("\n{}", engine.telemetry().snapshot());
+    println!("\n{}", engine.metrics());
 }

@@ -52,7 +52,7 @@ pub use faultline_overlay as overlay;
 pub use faultline_routing as routing;
 /// Simulation substrate: event queue, experiment runner, statistics.
 pub use faultline_sim as sim;
-/// Zero-dependency metrics core: phase histograms, per-shard counters, event ring.
+/// Zero-dependency metrics core: phase histograms, per-shard counters, event log.
 pub use faultline_telemetry as telemetry;
 /// Analytic bounds (Table 1), the Karp–Upfal–Wigderson integrator and the greedy chain.
 pub use faultline_theory as theory;
