@@ -11,9 +11,11 @@
 //! (damaged) overlay: a dropped lookup whose endpoints the oracle proves
 //! disconnected is excluded from the success denominator, while a dropped lookup
 //! the oracle proves survivable is a routing failure the resilience gate counts
-//! ([`SurvivabilitySplit`]). The oracle is rebuilt only on an epoch whose overlay
-//! moved since the last build — this epoch's event failed or healed a node, or the
-//! previous epoch's churn applied an event.
+//! ([`SurvivabilitySplit`]). The oracle is kept while the overlay holds still
+//! ([`OracleWork::Kept`]). A heal revives nodes onto the graph a kept oracle
+//! describes, so that oracle is carried across it ([`OracleWork::Revived`]);
+//! a failure event, or churn in the previous epoch, rebuilds it
+//! ([`OracleWork::Built`]).
 
 use faultline_overlay::NodeId;
 
@@ -178,7 +180,9 @@ pub struct FailureWork {
     pub heal: bool,
     /// Nodes crashed by this epoch's event.
     pub failed_nodes: usize,
-    /// Nodes revived by this epoch's event.
+    /// Nodes revived by this epoch's event: the downed nodes still present and
+    /// crashed at heal time. Churn may since have removed a downed node, or a
+    /// join re-occupied its label with a live one; neither is revived.
     pub healed_nodes: usize,
     /// Rows the failure/heal delta changed (victims plus their in-neighbours).
     pub delta_rows: usize,
@@ -196,6 +200,21 @@ pub struct FailureWork {
     /// `oracle_build` telemetry phase instead). On heal epochs this is the
     /// heal-recovery latency the bench reports.
     pub recovery_nanos: u64,
+}
+
+/// How an epoch of a failure-configured run came by the connectivity oracle its
+/// queries were classified against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OracleWork {
+    /// The overlay had not moved since the oracle was made: it was reused.
+    Kept,
+    /// Built from the whole live overlay.
+    Built,
+    /// Carried across this epoch's heal from the oracle kept entering it.
+    Revived {
+        /// Nodes the heal revived (the epoch's [`FailureWork::healed_nodes`]).
+        nodes: usize,
+    },
 }
 
 /// Nodes of `victims` currently downed, tracked across epochs so a heal event

@@ -11,7 +11,9 @@
 //! recovery are visible in the trajectory.
 
 use crate::batch::QueryBatch;
-use crate::failures::{DownedSet, FailureEvent, FailureSchedule, FailureWork, SurvivabilitySplit};
+use crate::failures::{
+    DownedSet, FailureEvent, FailureSchedule, FailureWork, OracleWork, SurvivabilitySplit,
+};
 use crate::run::{saturate_u32, QueryEngine};
 use crate::stats::{BatchReport, QueryOutcome};
 use faultline_core::{FrozenView, Network};
@@ -185,9 +187,12 @@ pub struct EpochReport {
     pub failure: Option<FailureWork>,
     /// The epoch's queries classified against the connectivity oracle's ground
     /// truth on the (possibly damaged) overlay the batch routed; `None` when the
-    /// run has no failure schedule. The oracle is rebuilt on the epochs whose
-    /// overlay moved since the last build (`phases` shows which).
+    /// run has no failure schedule. Which oracle that was — kept, built, or
+    /// carried across a heal — is [`EpochReport::oracle`].
     pub survivability: Option<SurvivabilitySplit>,
+    /// How the epoch came by its connectivity oracle; `None` when the run has no
+    /// failure schedule.
+    pub oracle: Option<OracleWork>,
     /// Telemetry wall-time attributed to each engine phase *during this epoch* (the
     /// difference of two cumulative [`Telemetry::phase_totals`] readings; all zeros
     /// when telemetry is disabled). `BatchShard` sums per-worker shard time, so it
@@ -447,36 +452,21 @@ impl QueryEngine {
             // Failure phase first: the epoch's batch routes the overlay the event
             // left behind. From epoch 1 on the snapshot is patched from the event's
             // typed delta; epoch 0's event lands before the run's one freeze.
-            let failure = failure_schedule.as_ref().map(|schedule| {
-                self.failure_phase(
-                    network,
-                    &mut snapshot,
-                    &mut downed,
-                    schedule,
-                    epoch,
-                    master_seed,
-                )
-            });
-            // Ground truth for the epoch's traffic: directed reachability over the
-            // post-event usable-neighbour graph — the live overlay, never the
-            // snapshot it audits. Only a failure event and the previous epoch's
-            // churn move that graph, so a quiet epoch after a churn-free one
-            // classifies against the oracle already built.
-            if let Some(work) = &failure {
-                if work.failed_nodes > 0 || work.healed_nodes > 0 || work.delta_rows > 0 {
-                    oracle = None;
+            let (failure, oracle_work) = match &failure_schedule {
+                Some(schedule) => {
+                    let (work, revived) = self.failure_phase(
+                        network,
+                        &mut snapshot,
+                        &mut downed,
+                        schedule,
+                        epoch,
+                        master_seed,
+                    );
+                    let made = self.refresh_oracle(network, &mut oracle, &work, &revived);
+                    (Some(work), Some(made))
                 }
-                if oracle.is_none() {
-                    let started = self.telemetry.start();
-                    let graph = network.graph();
-                    oracle = Some(ConnectivityOracle::build(
-                        n as u32,
-                        |p| graph.is_alive(u64::from(p)),
-                        |p| graph.usable_neighbors(u64::from(p)).map(|q| q as u32),
-                    ));
-                    self.telemetry.finish(Phase::OracleBuild, started);
-                }
-            }
+                None => (None, None),
+            };
 
             let mut work = SnapshotWork::default();
             let live = match &mut snapshot {
@@ -579,6 +569,7 @@ impl QueryEngine {
                 snapshot: work,
                 failure,
                 survivability,
+                oracle: oracle_work,
                 phases: self.telemetry.phase_totals().saturating_sub(&phases_before),
             });
         }
@@ -590,7 +581,7 @@ impl QueryEngine {
     /// snapshot from the event's delta, and evict exactly the cache entries whose
     /// walks depended on a changed row. All randomness comes from a dedicated
     /// failure stream, so failure trajectories never perturb churn or routing
-    /// draws.
+    /// draws. Returns the work done and the nodes a heal revived.
     fn failure_phase(
         &mut self,
         network: &mut Network,
@@ -599,12 +590,13 @@ impl QueryEngine {
         schedule: &FailureSchedule,
         epoch: usize,
         master_seed: u64,
-    ) -> FailureWork {
+    ) -> (FailureWork, Vec<NodeId>) {
         // xlint: allow(determinism) -- failure-phase wall time is reported in FailureWork only, never read by routing
         let started = Instant::now();
         let n = network.len();
         let mut work = FailureWork::default();
         let mut delta = ChurnDelta::new();
+        let mut revived = Vec::new();
         let mut fail_rng = trial_rng(master_seed ^ 0xFA17_0FA1_70FA_170F, epoch as u64);
         match schedule.event_for(epoch) {
             FailureEvent::Quiet => {}
@@ -630,10 +622,14 @@ impl QueryEngine {
             }
             FailureEvent::Heal => {
                 work.heal = true;
-                let revive = downed.take();
-                if !revive.is_empty() {
-                    delta.absorb(network.heal_nodes(&revive));
-                    work.healed_nodes = revive.len();
+                // Churn may have removed a downed node since, and a join may have
+                // re-occupied its label: only the still-crashed ones revive.
+                let graph = network.graph();
+                revived = downed.take();
+                revived.retain(|&p| graph.is_present(p) && !graph.is_alive(p));
+                if !revived.is_empty() {
+                    delta.absorb(network.heal_nodes(&revived));
+                    work.healed_nodes = revived.len();
                 }
             }
         }
@@ -662,7 +658,58 @@ impl QueryEngine {
             work.flushed_routes = self.invalidate_delta(&delta, n);
         }
         work.recovery_nanos = started.elapsed().as_nanos() as u64;
-        work
+        (work, revived)
+    }
+
+    /// Brings `oracle` to the overlay the epoch's batch routes — directed
+    /// reachability over the post-event usable-neighbour graph of the live
+    /// overlay, never the snapshot it audits. Only a failure event and the
+    /// previous epoch's churn (which drops the oracle) move that graph, so an
+    /// oracle that survived to a quiet epoch is kept. A heal only adds the
+    /// `revived` nodes and their edges to the graph a kept oracle describes, so
+    /// that oracle is carried across it; anything else builds a fresh one.
+    fn refresh_oracle(
+        &mut self,
+        network: &Network,
+        oracle: &mut Option<ConnectivityOracle>,
+        work: &FailureWork,
+        revived: &[NodeId],
+    ) -> OracleWork {
+        let moved = work.failed_nodes > 0 || work.healed_nodes > 0 || work.delta_rows > 0;
+        if oracle.is_some() && !moved {
+            return OracleWork::Kept;
+        }
+        let started = self.telemetry.start();
+        let graph = network.graph();
+        // An oracle that cannot be carried across is dropped before the build.
+        let (next, made) = match oracle.take().filter(|_| !revived.is_empty()) {
+            Some(kept) => (
+                kept.revive(
+                    revived.iter().map(|&p| p as u32),
+                    |p| graph.is_alive(u64::from(p)),
+                    |p| graph.usable_neighbors(u64::from(p)).map(|q| q as u32),
+                    |p| {
+                        (graph.links_into(u64::from(p)))
+                            .filter(|(_, link)| link.alive)
+                            .map(|(source, _)| source as u32)
+                    },
+                ),
+                OracleWork::Revived {
+                    nodes: revived.len(),
+                },
+            ),
+            None => (
+                ConnectivityOracle::build(
+                    network.len() as u32,
+                    |p| graph.is_alive(u64::from(p)),
+                    |p| graph.usable_neighbors(u64::from(p)).map(|q| q as u32),
+                ),
+                OracleWork::Built,
+            ),
+        };
+        *oracle = Some(next);
+        self.telemetry.finish(Phase::OracleBuild, started);
+        made
     }
 
     /// Records a snapshot patch the caller timed: its nanoseconds under

@@ -66,8 +66,9 @@
 //!   overlay ([`SurvivabilitySplit`]): lookups the oracle proves disconnected
 //!   leave the success denominator, and dropped-but-survivable lookups are the
 //!   routing failures the resilience gate counts. The oracle is built from the
-//!   live graph (SCCs only) and kept until a failure, heal or churn event moves
-//!   it. Failed lookups get a bounded diversified-retry budget while the overlay
+//!   live graph (SCCs only) and kept until a failure or churn event moves it; a
+//!   heal, which only adds nodes and edges, carries it across on the contracted
+//!   graph instead ([`OracleWork`] says which, per epoch). Failed lookups get a bounded diversified-retry budget while the overlay
 //!   is damaged, and a failed digest is never served from the route cache.
 //! * **Percentile stats** — every batch reports p50/p95/p99 hop ladders, its wall
 //!   time and queries/sec. No clock is read per lookup, so a [`QueryOutcome`] is a
@@ -119,7 +120,7 @@ mod stats;
 pub use batch::QueryBatch;
 pub use cache::{bucket_of, CachedRoute, RouteCache, RowSet, NUM_BUCKETS};
 pub use config::{ByzantineConfig, ByzantineMembership, ConfigError, EngineConfig};
-pub use failures::{FailureEvent, FailureSchedule, FailureWork, SurvivabilitySplit};
+pub use failures::{FailureEvent, FailureSchedule, FailureWork, OracleWork, SurvivabilitySplit};
 pub use interleave::{ChurnMix, EpochReport, EpochWorkload, InterleavedReport, SnapshotWork};
 pub use run::QueryEngine;
 pub use stats::{AdversarySplit, BatchReport, QueryOutcome};

@@ -4,8 +4,8 @@
 
 use faultline_core::{ConstructionMode, FrozenView, Network, NetworkConfig};
 use faultline_engine::{
-    ChurnMix, EngineConfig, EventKind, FailureEvent, FailureSchedule, InterleavedReport, Phase,
-    QueryBatch, QueryEngine, SurvivabilitySplit,
+    ChurnMix, EngineConfig, EventKind, FailureEvent, FailureSchedule, InterleavedReport,
+    OracleWork, Phase, QueryBatch, QueryEngine, SurvivabilitySplit,
 };
 use faultline_routing::{FaultStrategy, RouteScratch};
 use faultline_sim::seed_for_trial;
@@ -108,6 +108,55 @@ fn partition_and_heal_emits_telemetry_events() {
     assert!(report.survival_rate() >= 0.99, "{}", report.survival_rate());
 }
 
+/// A heal revives only the downed nodes still present and crashed: churn may
+/// remove one before the heal, and a join may re-occupy its label with a live
+/// node. The count the epoch reports, and the `HealApplied` payload, are the
+/// nodes that actually came back — the rise in the live population across the
+/// heal.
+#[test]
+fn heals_count_only_the_nodes_they_revive() {
+    let mut net = backtrack_network(512, 11);
+    let mut engine = QueryEngine::new(
+        EngineConfig::default()
+            .threads(2)
+            .telemetry(true)
+            .failures(FailureSchedule::regional(64)),
+    );
+    let epochs = 6;
+    // Live nodes as each batch saw them: after the epoch's event, before its churn.
+    let mut alive_at_batch = Vec::new();
+    let report = engine.run_interleaved_with(
+        &mut net,
+        epochs,
+        500,
+        ChurnMix::balanced(60),
+        3,
+        &mut |network, context| {
+            alive_at_batch.push(network.alive_count());
+            QueryBatch::uniform(network, context.queries, context.seed)
+        },
+    );
+    let work = |e: usize| report.epochs()[e].failure.expect("failure work recorded");
+    let mut healed = Vec::new();
+    let mut gone_before_heal = 0;
+    for e in (1..epochs).step_by(2) {
+        assert!(work(e).heal);
+        let revived = alive_at_batch[e] - report.epochs()[e - 1].alive_after;
+        assert_eq!(work(e).healed_nodes as u64, revived, "epoch {e}");
+        gone_before_heal += work(e - 1).failed_nodes - work(e).healed_nodes;
+        healed.push(work(e).healed_nodes as u32);
+    }
+    assert!(
+        gone_before_heal > 0,
+        "churn must remove some downed node before its heal"
+    );
+    let payloads: Vec<u32> = (engine.metrics().events().iter())
+        .filter(|event| event.kind == EventKind::HealApplied)
+        .map(|event| event.payload)
+        .collect();
+    assert_eq!(payloads, healed);
+}
+
 /// Each phase has one clock: the patch and freeze nanoseconds an epoch reports
 /// are the very readings its telemetry recorded, failure patches included.
 #[test]
@@ -197,9 +246,10 @@ fn quiet_schedules_classify_without_damaging() {
     assert_eq!(report.total_retries_spent(), 0);
 }
 
-/// The engine keeps its oracle while the overlay has not moved. Whatever it
-/// keeps, every epoch's split must equal the one a fresh oracle gives: built in
-/// the workload callback, which sees the overlay exactly as the batch routes it.
+/// The engine keeps its oracle while the overlay has not moved, and carries it
+/// across a heal. Whatever it keeps or carries, every epoch's split must equal
+/// the one a fresh oracle gives: built in the workload callback, which sees the
+/// overlay exactly as the batch routes it.
 #[test]
 fn kept_oracles_classify_like_a_fresh_one_every_epoch() {
     let events = vec![
@@ -209,9 +259,7 @@ fn kept_oracles_classify_like_a_fresh_one_every_epoch() {
         FailureEvent::Quiet,
     ];
     let epochs = 2 * events.len();
-    // With churn every epoch moves the graph, the quiet ones included; without
-    // it only the region and the heal do.
-    for (churn, rebuilds) in [(12, vec![true; 8]), (0, [true, false].repeat(4))] {
+    for churn in [12, 0] {
         for threads in [1usize, 2] {
             let mut net = backtrack_network(512, 11);
             let schedule = FailureSchedule::from_events(events.clone());
@@ -252,13 +300,25 @@ fn kept_oracles_classify_like_a_fresh_one_every_epoch() {
                 let at = format!("churn {churn}, {threads} threads, epoch {}", epoch.epoch);
                 assert_eq!(epoch.survivability, Some(expected), "{at}");
                 assert_eq!(epoch.joins + epoch.leaves, churn, "{at}");
-                // The build shows in the epoch's phases exactly when it happened.
-                assert_eq!(
-                    epoch.phases.get(Phase::OracleBuild) > 0,
-                    rebuilds[epoch.epoch],
-                    "{at}"
-                );
             }
+            // With churn every epoch moves the graph, the quiet ones included, so
+            // each builds. Without it the region builds, the heal carries that
+            // oracle across every node the region downed, and the quiet epochs
+            // keep what they inherit.
+            let expected: Vec<Option<OracleWork>> = (report.epochs().iter())
+                .map(|e| match (churn, e.epoch % events.len()) {
+                    (0, 1 | 3) => OracleWork::Kept,
+                    (0, 2) => OracleWork::Revived {
+                        nodes: report.epochs()[e.epoch - 2]
+                            .failure
+                            .map_or(0, |f| f.failed_nodes),
+                    },
+                    _ => OracleWork::Built,
+                })
+                .map(Some)
+                .collect();
+            let made: Vec<Option<OracleWork>> = report.epochs().iter().map(|e| e.oracle).collect();
+            assert_eq!(made, expected, "churn {churn}, {threads} threads");
         }
     }
 }

@@ -16,7 +16,8 @@ pub enum Phase {
     /// One shard worker routing its slice of a batch.
     BatchShard,
     /// Building the connectivity oracle a failure-configured epoch classifies
-    /// its lookups against (no time on an epoch that reuses the last one).
+    /// its lookups against, or carrying it across a heal (no time on an epoch
+    /// that keeps the last one).
     OracleBuild,
 }
 

@@ -121,12 +121,11 @@ impl GreedyChain {
         match &self.distribution {
             OffsetDistribution::InversePowerLaw { ell } => {
                 for _ in 0..*ell {
-                    let d = self
-                        .table
-                        .sample_distance(self.n - 1, rng)
-                        .expect("n >= 2 guarantees a candidate distance")
-                        as i64;
-                    offsets.push(if rng.gen_bool(0.5) { d } else { -d });
+                    // `new` asserts n >= 2, so a candidate distance always exists.
+                    if let Some(d) = self.table.sample_distance(self.n - 1, rng) {
+                        let d = d as i64;
+                        offsets.push(if rng.gen_bool(0.5) { d } else { -d });
+                    }
                 }
             }
             OffsetDistribution::Uniform { ell } => {

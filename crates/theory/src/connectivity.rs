@@ -14,7 +14,12 @@
 //! path of usable links exist? This is the gate's denominator: a router that
 //! drops a survivable pair failed; a pair the graph itself severed never counts.
 //! [`ConnectivityOracle::build`] is one pass over the adjacency into a flat CSR,
-//! Tarjan, condensation.
+//! then Tarjan, which collects the condensation edges as it meets them.
+//! [`ConnectivityOracle::revive`] carries an oracle across a heal: reviving nodes
+//! only adds vertices and edges, and adding edges never splits a component, so
+//! Tarjan runs on the old condensation plus the revived nodes and their edges —
+//! a graph the size of the damage, not of the overlay — and one O(n) remap
+//! relabels every node.
 //!
 //! Like the BFS oracle, everything is adjacency-generic: callers supply an
 //! aliveness predicate and an out-neighbour closure, so the same code audits the
@@ -30,14 +35,14 @@ const UNVISITED: u32 = u32::MAX;
 
 /// Exact connectivity structure of a (possibly failure-damaged) overlay graph.
 ///
-/// Build once per graph state with [`ConnectivityOracle::build`]; survivability
-/// queries are then cheap: same-component pairs answer in O(1), cross-component
-/// pairs walk the (small) condensation DAG.
+/// Build once per graph state with [`ConnectivityOracle::build`] (or carry one
+/// across a heal with [`ConnectivityOracle::revive`]); survivability queries are
+/// then cheap: same-component pairs answer in O(1), cross-component pairs walk
+/// the (small) condensation DAG.
 #[derive(Debug, Clone)]
 pub struct ConnectivityOracle {
     n: u32,
-    alive: Vec<bool>,
-    /// Tarjan SCC id per node ([`NO_COMPONENT`] for dead nodes).
+    /// SCC id per node; [`NO_COMPONENT`] marks a dead node.
     scc: Vec<u32>,
     scc_count: u32,
     /// Deduplicated out-edges between distinct SCC ids (the condensation DAG).
@@ -52,8 +57,8 @@ impl ConnectivityOracle {
     /// usable-neighbour row). Edges whose source or target is dead, out of
     /// range, or a self-loop are discarded.
     ///
-    /// The alive table, the adjacency as one CSR, Tarjan and the condensation —
-    /// O(n + edges), each edge read from `neighbors` once.
+    /// The alive table, the adjacency as one CSR, then Tarjan — O(n + edges),
+    /// each edge read from `neighbors` once.
     #[must_use]
     pub fn build<A, N, I>(n: u32, alive: A, neighbors: N) -> Self
     where
@@ -78,15 +83,101 @@ impl ConnectivityOracle {
         offsets.push(targets.len());
         let adj = Csr { offsets, targets };
 
-        let (scc, scc_count) = tarjan_scc(&alive, &adj);
-        let condensation = condense(&adj, &scc, scc_count);
-
+        let components = tarjan(&adj, |v| alive[v]);
         Self {
             n,
-            alive,
-            scc,
-            scc_count,
-            condensation,
+            scc: components.of,
+            scc_count: components.count,
+            condensation: components.condensation,
+        }
+    }
+
+    /// The oracle of this oracle's graph after the dead nodes `revived` come
+    /// back, exact without revisiting the rest of the graph.
+    ///
+    /// `alive(p)`, `out_neighbors(p)` and `in_neighbors(p)` describe the graph
+    /// *after* the revival: a revived node's usable out-row, and the sources of
+    /// the usable links into it. The graph must differ from this oracle's only
+    /// by the revived nodes and edges incident to them — what a heal does. Ids
+    /// that are out of range, already alive here, not alive after, or repeated
+    /// are ignored, so an empty revival returns an equal oracle. Neighbours are
+    /// filtered like [`ConnectivityOracle::build`]'s.
+    ///
+    /// Every old component stays strongly connected, so each becomes one vertex
+    /// of a contracted graph and each revived node another; its edges are the
+    /// old condensation plus the revived nodes' edges. Tarjan on that graph and
+    /// a remap give every node its new component — O(n) for the remap, plus the
+    /// size of the condensation and the revived nodes' edges.
+    #[must_use]
+    pub fn revive<R, A, O, OI, N, NI>(
+        &self,
+        revived: R,
+        alive: A,
+        out_neighbors: O,
+        in_neighbors: N,
+    ) -> Self
+    where
+        R: IntoIterator<Item = u32>,
+        A: Fn(u32) -> bool,
+        O: Fn(u32) -> OI,
+        OI: IntoIterator<Item = u32>,
+        N: Fn(u32) -> NI,
+        NI: IntoIterator<Item = u32>,
+    {
+        // Contracted-graph vertex per node: its old component, or a fresh id
+        // after them for a revived node.
+        let mut vertex = self.scc.clone();
+        let mut fresh: Vec<u32> = Vec::new();
+        for r in revived {
+            if let Some(slot) = vertex.get_mut(r as usize) {
+                if *slot == NO_COMPONENT && alive(r) {
+                    *slot = self.scc_count + fresh.len() as u32;
+                    fresh.push(r);
+                }
+            }
+        }
+        if fresh.is_empty() {
+            return self.clone();
+        }
+        let vertex_of = |p: u32| {
+            vertex
+                .get(p as usize)
+                .copied()
+                .filter(|&v| v != NO_COMPONENT)
+        };
+
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        for (from, row) in self.condensation.iter().enumerate() {
+            edges.extend(row.iter().map(|&to| (from as u32, to)));
+        }
+        for (i, &r) in fresh.iter().enumerate() {
+            let own = self.scc_count + i as u32;
+            edges.extend(
+                out_neighbors(r)
+                    .into_iter()
+                    .filter_map(vertex_of)
+                    .filter(|&to| to != own)
+                    .map(|to| (own, to)),
+            );
+            edges.extend(
+                in_neighbors(r)
+                    .into_iter()
+                    .filter_map(vertex_of)
+                    .filter(|&from| from != own)
+                    .map(|from| (from, own)),
+            );
+        }
+        let vertices = self.scc_count as usize + fresh.len();
+        let components = tarjan(&Csr::from_edges(vertices, &edges), |_| true);
+
+        for slot in vertex.iter_mut().filter(|slot| **slot != NO_COMPONENT) {
+            *slot = components.of[*slot as usize];
+        }
+        Self {
+            n: self.n,
+            scc: vertex,
+            scc_count: components.count,
+            condensation: components.condensation,
         }
     }
 
@@ -105,7 +196,7 @@ impl ConnectivityOracle {
     /// True when `p` is in range and alive.
     #[must_use]
     pub fn is_alive(&self, p: u32) -> bool {
-        p < self.n && self.alive[p as usize]
+        self.component_of(p).is_some()
     }
 
     /// Ground truth: does a directed path of usable links run `src → dst`?
@@ -116,13 +207,9 @@ impl ConnectivityOracle {
     /// giant component plus failure debris).
     #[must_use]
     pub fn survivable(&self, src: u32, dst: u32) -> bool {
-        if !self.is_alive(src) || !self.is_alive(dst) {
+        let (Some(from), Some(to)) = (self.component_of(src), self.component_of(dst)) else {
             return false;
-        }
-        if src == dst {
-            return true;
-        }
-        let (from, to) = (self.scc[src as usize], self.scc[dst as usize]);
+        };
         if from == to {
             return true;
         }
@@ -145,10 +232,14 @@ impl ConnectivityOracle {
         false
     }
 
-    /// Strongly-connected-component id of `p` (`None` for dead nodes).
+    /// Strongly-connected-component id of `p` (`None` for dead or out-of-range
+    /// nodes).
     #[must_use]
     pub fn component_of(&self, p: u32) -> Option<u32> {
-        (self.is_alive(p)).then(|| self.scc[p as usize])
+        self.scc
+            .get(p as usize)
+            .copied()
+            .filter(|&c| c != NO_COMPONENT)
     }
 
     /// Number of strongly connected components among live nodes.
@@ -167,32 +258,65 @@ struct Csr {
 }
 
 impl Csr {
+    /// The CSR of `edges` over `vertices` vertices, each row in edge order.
+    fn from_edges(vertices: usize, edges: &[(u32, u32)]) -> Self {
+        let mut offsets = vec![0usize; vertices + 1];
+        for &(from, _) in edges {
+            offsets[from as usize + 1] += 1;
+        }
+        for v in 0..vertices {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut fill = offsets.clone();
+        let mut targets = vec![0u32; edges.len()];
+        for &(from, to) in edges {
+            targets[fill[from as usize]] = to;
+            fill[from as usize] += 1;
+        }
+        Self { offsets, targets }
+    }
+
+    fn vertices(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
     fn row(&self, v: usize) -> &[u32] {
         &self.targets[self.offsets[v]..self.offsets[v + 1]]
     }
-
-    fn rows(&self) -> impl Iterator<Item = &[u32]> {
-        self.offsets.windows(2).map(|w| &self.targets[w[0]..w[1]])
-    }
 }
 
-/// Iterative Tarjan: SCC id per live node, plus the component count.
-fn tarjan_scc(alive: &[bool], adj: &Csr) -> (Vec<u32>, u32) {
-    let size = alive.len();
+/// Strongly connected components of a graph, with its condensation.
+struct Components {
+    /// Component id per vertex ([`NO_COMPONENT`] for vertices Tarjan skipped).
+    of: Vec<u32>,
+    count: u32,
+    /// Deduplicated out-edges between distinct component ids.
+    condensation: Vec<Vec<u32>>,
+}
+
+/// Iterative Tarjan over the vertices `live` admits (the others must have no
+/// edges). Every edge that leaves its component is met once, as an edge into
+/// a component already finished, so the condensation comes out of the same
+/// pass.
+fn tarjan(adj: &Csr, live: impl Fn(usize) -> bool) -> Components {
+    let size = adj.vertices();
     let mut index = vec![UNVISITED; size];
     let mut low = vec![0u32; size];
     let mut on_stack = vec![false; size];
     let mut comp = vec![NO_COMPONENT; size];
     let mut stack: Vec<u32> = Vec::new();
     let mut next_index = 0u32;
-    let mut comp_count = 0u32;
+    let mut count = 0u32;
+    // (source vertex, finished target component) for every edge leaving a
+    // component; the source's own component is known once it finishes.
+    let mut leaving: Vec<(u32, u32)> = Vec::new();
     // Explicit DFS frames: (node, next out-edge position).
     let mut frames: Vec<(u32, usize)> = Vec::new();
-    for root in 0..size as u32 {
-        if !alive[root as usize] || index[root as usize] != UNVISITED {
+    for root in 0..size {
+        if !live(root) || index[root] != UNVISITED {
             continue;
         }
-        frames.push((root, 0));
+        frames.push((root as u32, 0));
         while let Some(&mut (v, ref mut pos)) = frames.last_mut() {
             let vi = v as usize;
             if *pos == 0 {
@@ -209,51 +333,47 @@ fn tarjan_scc(alive: &[bool], adj: &Csr) -> (Vec<u32>, u32) {
                     frames.push((w, 0));
                 } else if on_stack[wi] {
                     low[vi] = low[vi].min(index[wi]);
+                } else {
+                    leaving.push((v, comp[wi]));
                 }
             } else {
                 if low[vi] == index[vi] {
-                    // v roots an SCC: pop the stack down to it.
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
+                    // v roots a component: pop the stack down to it.
+                    while let Some(w) = stack.pop() {
                         on_stack[w as usize] = false;
-                        comp[w as usize] = comp_count;
+                        comp[w as usize] = count;
                         if w == v {
                             break;
                         }
                     }
-                    comp_count += 1;
+                    count += 1;
                 }
                 frames.pop();
                 if let Some(&mut (p, _)) = frames.last_mut() {
                     let pi = p as usize;
-                    low[pi] = low[pi].min(low[vi]);
+                    if comp[vi] == NO_COMPONENT {
+                        low[pi] = low[pi].min(low[vi]);
+                    } else {
+                        // The tree edge p → v left p's component.
+                        leaving.push((p, comp[vi]));
+                    }
                 }
             }
         }
     }
-    (comp, comp_count)
-}
-
-/// Deduplicated condensation DAG: out-edges between distinct SCC ids.
-fn condense(adj: &Csr, scc: &[u32], scc_count: u32) -> Vec<Vec<u32>> {
-    let mut out: Vec<Vec<u32>> = vec![Vec::new(); scc_count as usize];
-    for (v, row) in adj.rows().enumerate() {
-        let from = scc[v];
-        if from == NO_COMPONENT {
-            continue;
-        }
-        for &w in row {
-            let to = scc[w as usize];
-            if to != from && to != NO_COMPONENT {
-                out[from as usize].push(to);
-            }
-        }
+    let mut condensation: Vec<Vec<u32>> = vec![Vec::new(); count as usize];
+    for (v, to) in leaving {
+        condensation[comp[v as usize] as usize].push(to);
     }
-    for row in &mut out {
+    for row in &mut condensation {
         row.sort_unstable();
         row.dedup();
     }
-    out
+    Components {
+        of: comp,
+        count,
+        condensation,
+    }
 }
 
 #[cfg(test)]
@@ -342,5 +462,25 @@ mod tests {
         assert_eq!(oracle.component_count(), 3);
         assert!(oracle.survivable(0, 5), "two condensation hops");
         assert!(!oracle.survivable(5, 0), "the chain is one-way");
+    }
+
+    #[test]
+    fn revive_merges_the_components_a_revived_node_joins() {
+        // Directed ring 0 → 1 → … → 5 → 0 with 2 and 4 dead: four singletons.
+        let next = |p: u32| vec![(p + 1) % 6];
+        let prev = |p: u32| vec![(p + 5) % 6];
+        let before = ConnectivityOracle::build(6, |p| p != 2 && p != 4, next);
+        assert_eq!(before.component_count(), 4);
+        assert!(!before.survivable(3, 1));
+
+        // Reviving 2 alone only chains 1 → 2 → 3 …
+        let half = before.revive([2], |p| p != 4, next, prev);
+        assert_eq!(half.component_count(), 5);
+        assert!(half.survivable(1, 3) && !half.survivable(3, 1));
+        // … and reviving 4 as well closes the cycle into one component.
+        let whole = half.revive([4, 4, 2, 9], |_| true, next, prev);
+        assert_eq!(whole.component_count(), 1);
+        assert!(whole.survivable(3, 1) && whole.is_alive(4));
+        assert_eq!(whole.component_of(0), whole.component_of(5));
     }
 }

@@ -21,7 +21,7 @@ pub enum Rule {
     NoAlloc,
     /// Every `unsafe` keyword must be preceded by a `// SAFETY:` comment.
     UnsafeHygiene,
-    /// No `unwrap`/`expect`/`panic!`-family in engine/failure library paths.
+    /// No `unwrap`/`expect`/`panic!`-family in engine/failure/theory library paths.
     PanicPolicy,
     /// Meta-rule: malformed or unbalanced `xlint:` annotations, and allow
     /// annotations that no longer suppress anything (rot detection).

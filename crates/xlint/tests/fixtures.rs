@@ -75,16 +75,19 @@ fn unsafe_hygiene_fires_and_allows() {
 
 #[test]
 fn panic_policy_fires_and_allows() {
-    let found = lint_fixture("panic_policy_fire.rs", "engine");
-    assert_eq!(
-        found,
-        vec![
-            (Rule::PanicPolicy, 6),  // .unwrap()
-            (Rule::PanicPolicy, 7),  // .expect()
-            (Rule::PanicPolicy, 9),  // panic!
-            (Rule::PanicPolicy, 13), // unreachable!
-        ]
-    );
+    for crate_name in ["engine", "theory"] {
+        let found = lint_fixture("panic_policy_fire.rs", crate_name);
+        assert_eq!(
+            found,
+            vec![
+                (Rule::PanicPolicy, 6),  // .unwrap()
+                (Rule::PanicPolicy, 7),  // .expect()
+                (Rule::PanicPolicy, 9),  // panic!
+                (Rule::PanicPolicy, 13), // unreachable!
+            ],
+            "{crate_name}"
+        );
+    }
     assert_eq!(lint_fixture("panic_policy_allow.rs", "failure"), vec![]);
 }
 
