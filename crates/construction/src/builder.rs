@@ -71,6 +71,7 @@ impl IncrementalBuilder {
         for &p in arrivals {
             maintainer
                 .join(p, rng)
+                // xlint: allow(panic_policy) -- documented `# Panics`: a duplicate or out-of-range arrival is an experiment-setup bug, not a runtime condition
                 .expect("arrival sequence must be duplicate-free and in range");
         }
         maintainer.into_graph()

@@ -37,6 +37,6 @@ mod poisson;
 mod replacement;
 
 pub use builder::IncrementalBuilder;
-pub use maintainer::{ConstructionError, JoinReport, LeaveReport, NetworkMaintainer};
+pub use maintainer::{ChurnReport, ConstructionError, NetworkMaintainer};
 pub use poisson::sample_poisson;
 pub use replacement::{ReplacementDecision, ReplacementStrategy};

@@ -1,10 +1,14 @@
 //! Event-by-event maintenance of a constructed overlay (joins and departures).
+//!
+//! Each event reports the rows it rewrote as a [`ChurnDelta`]: the maintainer
+//! lists the nodes whose link tables it mutated while the event unfolds, then
+//! reads their usable-neighbour rows once the event has settled.
 
 use crate::poisson::sample_poisson;
 use crate::replacement::{ReplacementDecision, ReplacementStrategy};
 use faultline_linkdist::{InversePowerLaw, LinkSpec};
 use faultline_metric::{Geometry, MetricSpace};
-use faultline_overlay::{ChurnDelta, LinkKind, NodeId, OverlayGraph, RowChangeKind};
+use faultline_overlay::{ChurnDelta, LinkKind, NodeId, OverlayGraph};
 use rand::Rng;
 
 /// Errors returned by the maintenance operations.
@@ -34,45 +38,14 @@ impl std::fmt::Display for ConstructionError {
 
 impl std::error::Error for ConstructionError {}
 
-/// What happened during one node arrival.
+/// What one join or leave changed: the rows it rewrote.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct JoinReport {
-    /// Position of the new node.
-    pub position: NodeId,
-    /// Number of outgoing long-distance links the new node created.
-    pub outgoing_links: usize,
-    /// Number of earlier nodes the new node asked for an incoming link (the Poisson draw).
-    pub incoming_requests: u64,
-    /// How many of those requests resulted in a link being redirected (or newly created)
-    /// towards the new node.
-    pub incoming_granted: u64,
-    /// Every node whose link table this join mutated: the newcomer itself, the ring
-    /// neighbours spliced around it, and each earlier node that redirected a link to it.
-    /// Route caches key invalidation off this set.
-    pub touched_nodes: Vec<NodeId>,
-    /// Typed row-level diffs of the same blast radius: per touched node, its new
-    /// usable-neighbour row, liveness, and a change classification, plus the join
-    /// event itself. Empty when delta capture is disabled
-    /// ([`NetworkMaintainer::delta_capture`]) — `touched_nodes` is always filled.
-    pub delta: ChurnDelta,
-}
-
-/// What happened during one node departure.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct LeaveReport {
-    /// Position of the departed node.
-    pub position: NodeId,
-    /// Number of dangling long-distance links that were re-pointed at fresh targets.
-    pub repaired_links: usize,
-    /// Number of dangling long-distance links that were dropped (no valid target).
-    pub dropped_links: usize,
-    /// Every node whose link table this departure mutated: the departed position, the
-    /// ring neighbours re-closed around the hole, and each source whose dangling long
-    /// link was repaired or dropped. Route caches key invalidation off this set.
-    pub touched_nodes: Vec<NodeId>,
-    /// Typed row-level diffs of the same blast radius (see [`JoinReport::delta`]):
-    /// repaired sources are link-replaced rows, everything else is structural. Empty
-    /// when delta capture is disabled.
+pub struct ChurnReport {
+    /// The new usable-neighbour row and liveness of every node whose link table the
+    /// event mutated: the joining or departing node, the ring neighbours spliced
+    /// around it, and each node that redirected a link to a newcomer or had a
+    /// dangling link repaired or dropped. Empty when delta capture is disabled
+    /// ([`NetworkMaintainer::delta_capture`]).
     pub delta: ChurnDelta,
 }
 
@@ -114,24 +87,17 @@ impl NetworkMaintainer {
         }
     }
 
-    /// Enables or disables typed row-diff capture in the join/leave reports
-    /// (default: enabled).
+    /// Enables or disables row capture in the join/leave reports (default: enabled).
     ///
-    /// Capture walks each touched node's link table once per event to snapshot its
-    /// new usable-neighbour row; bulk construction replaying thousands of arrivals
+    /// Capture walks each touched node's link table once per event to copy its new
+    /// usable-neighbour row; bulk construction replaying thousands of arrivals
     /// through the maintainer ([`crate::IncrementalBuilder`]) disables it, because
     /// nobody consumes deltas mid-build. With capture off, reports carry an empty
-    /// [`ChurnDelta`]; `touched_nodes` is always populated either way.
+    /// [`ChurnDelta`]; the graph and every RNG draw are the same either way.
     #[must_use]
     pub fn delta_capture(mut self, capture: bool) -> Self {
         self.capture_deltas = capture;
         self
-    }
-
-    /// Whether join/leave reports carry typed row diffs.
-    #[must_use]
-    pub fn captures_deltas(&self) -> bool {
-        self.capture_deltas
     }
 
     /// The maintained overlay.
@@ -175,7 +141,7 @@ impl NetworkMaintainer {
         &mut self,
         position: NodeId,
         rng: &mut R,
-    ) -> Result<JoinReport, ConstructionError> {
+    ) -> Result<ChurnReport, ConstructionError> {
         let n = self.graph.geometry().len();
         if position >= n {
             return Err(ConstructionError::OutOfRange(position));
@@ -186,29 +152,21 @@ impl NetworkMaintainer {
         self.graph.insert_node(position);
         // ℓ long links plus the two ring links, out and (in expectation) in.
         self.graph.reserve_links(position, self.ell + 2);
-        // Per-node change classification, accumulated as the event unfolds; the
-        // most severe kind wins when a node plays several roles.
-        let mut kinds: Vec<(NodeId, RowChangeKind)> = vec![(position, RowChangeKind::Structural)];
         let (ring_pred, ring_succ) = self.neighbors_around(position);
-        // Ring splices rewire the neighbours' rows (length-preserving in the common
-        // two-sided case, but membership changes: classified structural).
-        kinds.extend(
-            [ring_pred, ring_succ]
-                .into_iter()
-                .flatten()
-                .map(|p| (p, RowChangeKind::Structural)),
-        );
         self.splice_ring_links(position, ring_pred, ring_succ);
+        // The nodes whose rows this join rewrites, listed only when they are captured.
+        let mut touched = Vec::new();
+        if self.capture_deltas {
+            touched.extend([Some(position), ring_pred, ring_succ].into_iter().flatten());
+        }
 
         // (1) Outgoing links: sample ideal sinks, land on the nearest present node.
-        let mut outgoing = 0usize;
         if self.graph.present_count() > 1 {
             let sinks = self.sampler.targets(position, self.ell, rng);
             for sink in sinks {
                 if let Some(target) = self.graph.nearest_present(sink) {
                     if target != position {
                         self.graph.add_link(position, target, LinkKind::Long);
-                        outgoing += 1;
                     }
                 }
             }
@@ -216,13 +174,12 @@ impl NetworkMaintainer {
 
         // (2) Incoming links: estimate how many links should end here and invite earlier
         // nodes to redirect one of theirs.
-        let mut granted = 0u64;
-        let incoming_requests = if self.graph.present_count() > 1 {
+        let requests = if self.graph.present_count() > 1 {
             sample_poisson(self.ell as f64, rng)
         } else {
             0
         };
-        for _ in 0..incoming_requests {
+        for _ in 0..requests {
             let candidate = self.sampler.targets(position, 1, rng)[0];
             let Some(source) = self.graph.nearest_present(candidate) else {
                 continue;
@@ -230,26 +187,13 @@ impl NetworkMaintainer {
             if source == position {
                 continue;
             }
-            if let Some(kind) = self.invite_redirect(source, position, rng) {
-                granted += 1;
-                kinds.push((source, kind));
+            if self.invite_redirect(source, position, rng) && self.capture_deltas {
+                touched.push(source);
             }
         }
-        let mut touched_nodes: Vec<NodeId> = kinds.iter().map(|&(p, _)| p).collect();
-        touched_nodes.sort_unstable();
-        touched_nodes.dedup();
-        let mut delta = self.capture_delta(&kinds);
-        if self.capture_deltas {
-            delta.push_join(position);
-        }
 
-        Ok(JoinReport {
-            position,
-            outgoing_links: outgoing,
-            incoming_requests,
-            incoming_granted: granted,
-            touched_nodes,
-            delta,
+        Ok(ChurnReport {
+            delta: self.capture_delta(&touched),
         })
     }
 
@@ -263,7 +207,7 @@ impl NetworkMaintainer {
         &mut self,
         position: NodeId,
         rng: &mut R,
-    ) -> Result<LeaveReport, ConstructionError> {
+    ) -> Result<ChurnReport, ConstructionError> {
         if !self.graph.is_present(position) {
             return Err(ConstructionError::NotPresent(position));
         }
@@ -289,73 +233,43 @@ impl NetworkMaintainer {
                 self.graph.add_link(b, a, LinkKind::Ring);
             }
         }
+        let mut touched = Vec::new();
+        if self.capture_deltas {
+            touched.extend([Some(position), pred, succ].into_iter().flatten());
+        }
 
         // (3) Regenerate dangling long links using the same distribution.
-        let mut kinds: Vec<(NodeId, RowChangeKind)> = vec![(position, RowChangeKind::Structural)];
-        kinds.extend(
-            [pred, succ]
-                .into_iter()
-                .flatten()
-                .map(|p| (p, RowChangeKind::Structural)),
-        );
-        let mut repaired = 0usize;
-        let mut dropped = 0usize;
         for src in dangling {
             if !self.graph.is_present(src) {
                 continue;
             }
             let fresh = self.sampler.targets(src, 1, rng)[0];
-            let new_target = self.graph.nearest_present(fresh).filter(|&t| t != src);
-            let kind = match new_target {
+            match self.graph.nearest_present(fresh).filter(|&t| t != src) {
                 Some(target) => {
-                    if self.graph.redirect_long_link(src, position, target) {
-                        repaired += 1;
-                        // The row keeps its length: one target swapped for another.
-                        RowChangeKind::LinkReplaced
-                    } else {
-                        dropped += 1;
-                        RowChangeKind::Structural
-                    }
+                    self.graph.redirect_long_link(src, position, target);
                 }
                 None => {
                     self.graph.remove_link(src, position, LinkKind::Long);
-                    dropped += 1;
-                    RowChangeKind::Structural
                 }
-            };
-            kinds.push((src, kind));
+            }
+            if self.capture_deltas {
+                touched.push(src);
+            }
         }
 
-        let mut touched_nodes: Vec<NodeId> = kinds.iter().map(|&(p, _)| p).collect();
-        touched_nodes.sort_unstable();
-        touched_nodes.dedup();
-        let mut delta = self.capture_delta(&kinds);
-        if self.capture_deltas {
-            delta.push_leave(position);
-        }
-
-        Ok(LeaveReport {
-            position,
-            repaired_links: repaired,
-            dropped_links: dropped,
-            touched_nodes,
-            delta,
+        Ok(ChurnReport {
+            delta: self.capture_delta(&touched),
         })
     }
 
-    /// Snapshots the post-event state of every `(node, kind)` pair into a
-    /// [`ChurnDelta`] (merging duplicate roles with most-severe-kind-wins). Rows are
-    /// captured *after* the event settles, so a node touched several times within
-    /// one event carries its final row. Returns an empty delta when capture is off.
-    fn capture_delta(&self, kinds: &[(NodeId, RowChangeKind)]) -> ChurnDelta {
+    /// The post-event row and liveness of every node in `touched`. Rows are read
+    /// *after* the event settles, so a node touched several times within one event
+    /// carries its final row.
+    fn capture_delta(&self, touched: &[NodeId]) -> ChurnDelta {
         let mut delta = ChurnDelta::new();
-        if !self.capture_deltas {
-            return delta;
-        }
-        for &(p, kind) in kinds {
+        for &p in touched {
             delta.record(
                 p,
-                kind,
                 self.graph.is_alive(p),
                 self.graph.usable_neighbors(p).map(|q| q as u32).collect(),
             );
@@ -363,21 +277,14 @@ impl NetworkMaintainer {
         delta
     }
 
-    /// Asks `source` to redirect one of its long links towards `newcomer`. Returns how
-    /// the source's row changed when a link now points at the newcomer (`None` when
-    /// the source kept its links): [`RowChangeKind::LinkReplaced`] for a
-    /// length-preserving redirect, [`RowChangeKind::Structural`] when a fresh link was
-    /// added instead.
-    fn invite_redirect<R: Rng>(
-        &mut self,
-        source: NodeId,
-        newcomer: NodeId,
-        rng: &mut R,
-    ) -> Option<RowChangeKind> {
+    /// Asks `source` to redirect one of its long links towards `newcomer`. Returns
+    /// whether a link of `source` now points at the newcomer (a redirect, or a fresh
+    /// link when `source` had none to give up).
+    fn invite_redirect<R: Rng>(&mut self, source: NodeId, newcomer: NodeId, rng: &mut R) -> bool {
         let geometry = self.graph.geometry();
         let new_distance = geometry.distance(source, newcomer);
         if new_distance == 0 {
-            return None;
+            return false;
         }
         let existing: Vec<(NodeId, u64, u64)> = self
             .graph
@@ -393,15 +300,13 @@ impl NetworkMaintainer {
             })
             .collect();
         match self.strategy.decide(&existing, new_distance, rng) {
-            ReplacementDecision::Keep => None,
+            ReplacementDecision::Keep => false,
             ReplacementDecision::Redirect { victim } => {
                 if victim == NodeId::MAX || !existing.iter().any(|&(t, _, _)| t == victim) {
                     self.graph.add_link(source, newcomer, LinkKind::Long);
-                    Some(RowChangeKind::Structural)
-                } else if self.graph.redirect_long_link(source, victim, newcomer) {
-                    Some(RowChangeKind::LinkReplaced)
+                    true
                 } else {
-                    None
+                    self.graph.redirect_long_link(source, victim, newcomer)
                 }
             }
         }
@@ -469,9 +374,11 @@ mod tests {
         let mut m = maintainer(100, 4);
         let mut rng = StdRng::seed_from_u64(0);
         let report = m.join(50, &mut rng).unwrap();
-        assert_eq!(report.outgoing_links, 0);
-        assert_eq!(report.incoming_requests, 0);
         assert_eq!(m.graph().present_count(), 1);
+        // No one to link to or to invite: no ring links and no long links.
+        assert!(m.graph().links(50).is_empty());
+        assert!(m.graph().links_into(50).next().is_none());
+        assert_eq!(report.delta.changed_nodes().collect::<Vec<_>>(), vec![50]);
     }
 
     #[test]
@@ -540,9 +447,7 @@ mod tests {
         for p in (0..200).step_by(2) {
             m.join(p, &mut rng).unwrap();
         }
-        // Make sure someone links to node 100, then remove it.
-        m.graph().long_links().count();
-        let report = m.leave(100, &mut rng).unwrap();
+        m.leave(100, &mut rng).unwrap();
         let g = m.graph();
         assert!(!g.is_present(100));
         // Ring re-closed around the hole.
@@ -550,7 +455,6 @@ mod tests {
         assert!(g.links(102).iter().any(|l| !l.is_long() && l.target == 98));
         // No live link points at the departed node any more.
         assert!(g.long_links().all(|(_, l)| l.target != 100));
-        let _ = report.repaired_links + report.dropped_links;
     }
 
     #[test]
@@ -572,14 +476,19 @@ mod tests {
         for p in (0..200).step_by(2) {
             m.join(p, &mut rng).unwrap();
         }
-        assert!(m.captures_deltas(), "capture is on by default");
+        // The leave rewrites the hole, its ring neighbours and every source of a
+        // live long link into it: exactly those rows are diffed.
+        let mut expected: Vec<NodeId> = m
+            .graph()
+            .links_into(100)
+            .filter(|(_, l)| l.alive && l.is_long())
+            .map(|(src, _)| src)
+            .chain([98, 100, 102])
+            .collect();
+        expected.sort_unstable();
+        expected.dedup();
         let report = m.leave(100, &mut rng).unwrap();
-        // The delta covers exactly the touched set, logs the event, and every row
-        // matches the post-event graph.
-        let diffed: Vec<NodeId> = report.delta.changed_nodes().collect();
-        assert_eq!(diffed, report.touched_nodes);
-        assert_eq!(report.delta.leaves(), &[100]);
-        assert!(report.delta.joins().is_empty());
+        assert_eq!(report.delta.changed_nodes().collect::<Vec<_>>(), expected);
         for rd in report.delta.rows() {
             assert_eq!(rd.alive, m.graph().is_alive(rd.node), "alive {}", rd.node);
             let expected: Vec<u32> = m
@@ -589,55 +498,46 @@ mod tests {
                 .collect();
             assert_eq!(rd.row, expected, "row {}", rd.node);
         }
-        // The departed node is a structural change with an empty row.
+        // The departed node is diffed dead with an empty row.
         let hole = report
             .delta
             .rows()
             .iter()
             .find(|rd| rd.node == 100)
             .expect("the departed node is diffed");
-        assert_eq!(hole.kind, RowChangeKind::Structural);
         assert!(!hole.alive);
         assert!(hole.row.is_empty());
-        // Repaired sources are link-replaced rows (one target swapped, same length).
-        if report.repaired_links > 0 {
-            assert!(
-                report
-                    .delta
-                    .rows()
-                    .iter()
-                    .any(|rd| rd.kind == RowChangeKind::LinkReplaced),
-                "repairs must classify as link-replaced: {:?}",
-                report.delta.rows()
-            );
-        }
 
         let join = m.join(100, &mut rng).unwrap();
-        assert_eq!(join.delta.joins(), &[100]);
         let newcomer = join
             .delta
             .rows()
             .iter()
             .find(|rd| rd.node == 100)
             .expect("the newcomer is diffed");
-        assert_eq!(newcomer.kind, RowChangeKind::Structural);
         assert!(newcomer.alive);
         assert!(!newcomer.row.is_empty(), "the newcomer links up on arrival");
+        // Every node now holding a link to the newcomer had its row rewritten.
+        for (src, _) in m.graph().links_into(100) {
+            assert!(join.delta.changed_nodes().any(|q| q == src), "source {src}");
+        }
     }
 
     #[test]
-    fn disabled_capture_leaves_deltas_empty_but_touched_nodes_full() {
-        let mut m = maintainer(100, 3).delta_capture(false);
-        assert!(!m.captures_deltas());
-        let mut rng = StdRng::seed_from_u64(8);
-        for p in [10u64, 30, 20, 40] {
-            let report = m.join(p, &mut rng).unwrap();
+    fn disabled_capture_leaves_deltas_empty() {
+        let mut on = maintainer(100, 3);
+        let mut off = maintainer(100, 3).delta_capture(false);
+        let (mut rng_on, mut rng_off) = (StdRng::seed_from_u64(8), StdRng::seed_from_u64(8));
+        for p in [10u64, 30, 20, 40, 70, 55] {
+            assert!(!on.join(p, &mut rng_on).unwrap().delta.is_empty());
+            let report = off.join(p, &mut rng_off).unwrap();
             assert!(report.delta.is_empty(), "capture off ⇒ empty delta");
-            assert!(!report.touched_nodes.is_empty());
         }
-        let report = m.leave(20, &mut rng).unwrap();
-        assert!(report.delta.is_empty());
-        assert!(report.touched_nodes.contains(&20));
+        assert!(!on.leave(20, &mut rng_on).unwrap().delta.is_empty());
+        assert!(off.leave(20, &mut rng_off).unwrap().delta.is_empty());
+        // Capture reads rows; it changes no link and no RNG draw.
+        assert_eq!(on.graph(), off.graph());
+        assert_eq!(rng_on.gen::<u64>(), rng_off.gen::<u64>());
     }
 
     #[test]

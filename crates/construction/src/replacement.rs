@@ -60,12 +60,12 @@ impl ReplacementStrategy {
         rng: &mut R,
     ) -> ReplacementDecision {
         assert!(new_distance > 0, "a node is never asked to link to itself");
-        if existing.is_empty() {
+        let Some(&(last, _, _)) = existing.last() else {
             // Nothing to replace; treat as "redirect a phantom link", i.e. just accept.
             return ReplacementDecision::Redirect {
                 victim: NodeId::MAX,
             };
-        }
+        };
         let p_new = 1.0 / new_distance as f64;
         let weights: Vec<f64> = existing
             .iter()
@@ -80,16 +80,13 @@ impl ReplacementStrategy {
             return ReplacementDecision::Keep;
         }
         let victim = match self {
-            ReplacementStrategy::Oldest => {
-                existing
-                    .iter()
-                    .min_by_key(|&&(_, _, birth)| birth)
-                    .expect("existing is non-empty")
-                    .0
-            }
+            ReplacementStrategy::Oldest => existing
+                .iter()
+                .min_by_key(|&&(_, _, birth)| birth)
+                .map_or(last, |&(target, _, _)| target),
             ReplacementStrategy::InverseDistance => {
                 let mut pick = rng.gen_range(0.0..sum_existing);
-                let mut chosen = existing[existing.len() - 1].0;
+                let mut chosen = last;
                 for (idx, &(target, _, _)) in existing.iter().enumerate() {
                     if pick < weights[idx] {
                         chosen = target;

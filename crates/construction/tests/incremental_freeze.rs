@@ -1,16 +1,16 @@
 //! Property: incremental snapshot patching equals a from-scratch recompile.
 //!
-//! The Section 5 maintainer reports the exact blast radius of every join and leave —
-//! as a flat `touched_nodes` list and as a typed [`ChurnDelta`] of per-node row
-//! diffs. Feeding either to [`FrozenRoutes::apply_delta`] (the touched list as the
-//! graph's current rows at those nodes) must keep the snapshot equal to
+//! The Section 5 maintainer reports the exact blast radius of every join and leave
+//! as a [`ChurnDelta`]: the new row of each node it rewrote. Feeding
+//! [`FrozenRoutes::apply_delta`] either those captured rows or the graph's current
+//! rows re-read at `delta.changed_nodes()` must keep the snapshot equal to
 //! `OverlayGraph::freeze()` of the mutated graph after **any** interleaving of joins
 //! and leaves — same adjacency row for every node, same alive bitset, same sorted
 //! alive list — no matter how many patches happened in between.
 
 use faultline_construction::{NetworkMaintainer, ReplacementStrategy};
 use faultline_metric::Geometry;
-use faultline_overlay::{ChurnDelta, FrozenRoutes, NodeId, OverlayGraph, RowChangeKind};
+use faultline_overlay::{ChurnDelta, FrozenRoutes, NodeId, OverlayGraph};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -25,34 +25,32 @@ fn assert_logically_equal(graph: &OverlayGraph, patched: &FrozenRoutes) {
     assert_eq!(patched.edge_count(), fresh.edge_count());
 }
 
-/// The delta a maintainer would report for `nodes`: each node's current
-/// usable-neighbour row and liveness, read off the graph after the mutation.
-fn delta_of(graph: &OverlayGraph, nodes: &[NodeId]) -> ChurnDelta {
+/// The rows of `nodes` re-read off the graph after the mutation: each node's
+/// current usable-neighbour row and liveness.
+fn delta_of(graph: &OverlayGraph, nodes: impl Iterator<Item = NodeId>) -> ChurnDelta {
     let mut delta = ChurnDelta::new();
-    for &p in nodes {
+    for p in nodes {
         let row = graph.usable_neighbors(p).map(|q| q as u32).collect();
-        delta.record(p, RowChangeKind::Structural, graph.is_alive(p), row);
+        delta.record(p, graph.is_alive(p), row);
     }
     delta
 }
 
-/// One epoch of random maintainer churn; returns the union of the touched sets and
-/// the merged (latest-row-wins) typed delta of the same events.
+/// One epoch of random maintainer churn; returns the merged (latest-row-wins)
+/// delta of its events.
 fn churn_epoch(
     maintainer: &mut NetworkMaintainer,
     events: usize,
     join_bias: f64,
     rng: &mut StdRng,
-) -> (Vec<NodeId>, ChurnDelta) {
+) -> ChurnDelta {
     let n = maintainer.graph().len();
-    let mut touched = Vec::new();
     let mut delta = ChurnDelta::new();
     for _ in 0..events {
         let want_join = rng.gen_bool(join_bias);
         if want_join {
             let p = rng.gen_range(0..n);
             if let Ok(report) = maintainer.join(p, rng) {
-                touched.extend(report.touched_nodes);
                 delta.absorb(report.delta);
             }
         } else if maintainer.graph().present_count() > 2 {
@@ -63,13 +61,12 @@ fn churn_epoch(
                 .get(p as usize % maintainer.graph().present_nodes().len())
             {
                 if let Ok(report) = maintainer.leave(victim, rng) {
-                    touched.extend(report.touched_nodes);
                     delta.absorb(report.delta);
                 }
             }
         }
     }
-    (touched, delta)
+    delta
 }
 
 proptest! {
@@ -94,19 +91,16 @@ proptest! {
             let _ = maintainer.join(rng.gen_range(0..n), &mut rng);
         }
 
-        // Two snapshots walk the same churn: one patched from the flat touched list
-        // (rows read back off the graph), one from the typed delta (rows as captured).
+        // Two snapshots walk the same churn: one patched from rows re-read off the
+        // graph at the delta's changed nodes, one from the delta's rows as captured.
         // Both must stay logically identical to a fresh freeze at every epoch boundary.
         let mut recomputed = maintainer.graph().freeze();
         let mut diffed = recomputed.clone();
         for _ in 0..epochs {
-            let (touched, delta) = churn_epoch(&mut maintainer, events, join_bias, &mut rng);
-            prop_assert_eq!(
-                delta.changed_nodes().collect::<Vec<_>>().len(),
-                delta.len(),
-                "delta rows must be unique"
-            );
-            recomputed.apply_delta(maintainer.graph(), &delta_of(maintainer.graph(), &touched));
+            let delta = churn_epoch(&mut maintainer, events, join_bias, &mut rng);
+            let reread = delta_of(maintainer.graph(), delta.changed_nodes());
+            prop_assert_eq!(&reread, &delta, "captured rows must be the settled rows");
+            recomputed.apply_delta(maintainer.graph(), &reread);
             diffed.apply_delta(maintainer.graph(), &delta);
             assert_logically_equal(maintainer.graph(), &recomputed);
             assert_logically_equal(maintainer.graph(), &diffed);
@@ -133,7 +127,7 @@ proptest! {
 
         let mut epoch_delta = ChurnDelta::new();
         for _ in 0..events {
-            let (_, delta) = churn_epoch(&mut a, 1, 0.5, &mut rng);
+            let delta = churn_epoch(&mut a, 1, 0.5, &mut rng);
             per_event.apply_delta(a.graph(), &delta);
             epoch_delta.absorb(delta);
         }

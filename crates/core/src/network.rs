@@ -4,7 +4,9 @@ use crate::config::{ConstructionMode, LinkSpecChoice, NetworkConfig};
 use crate::directory::{Directory, StoredResource};
 use crate::error::CoreError;
 use crate::measurement::BatchStats;
-use faultline_construction::{IncrementalBuilder, NetworkMaintainer, ReplacementStrategy};
+use faultline_construction::{
+    ChurnReport, IncrementalBuilder, NetworkMaintainer, ReplacementStrategy,
+};
 use faultline_failure::{FailurePlan, FailureReport};
 use faultline_linkdist::{BaseBLinks, InversePowerLaw, LinkSpec, PowerLadderLinks, UniformLinks};
 use faultline_metric::{Geometry, Key, KeySpace, MetricSpace, Position};
@@ -293,9 +295,9 @@ impl Network {
     }
 
     /// Lets a new node join at `position`, running the Section 5 maintenance heuristic.
-    /// The returned report lists every node whose link table changed (ring splicing and
-    /// link redirection mutate pre-existing nodes too) so route caches can invalidate
-    /// precisely.
+    /// The returned report carries the new row of every node whose link table changed
+    /// (ring splicing and link redirection mutate pre-existing nodes too) so snapshots
+    /// and route caches can patch precisely.
     ///
     /// # Errors
     ///
@@ -304,15 +306,16 @@ impl Network {
         &mut self,
         position: NodeId,
         rng: &mut R,
-    ) -> Result<faultline_construction::JoinReport, CoreError> {
+    ) -> Result<ChurnReport, CoreError> {
         Ok(self.maintainer.join(position, rng)?)
     }
 
     /// Removes the node at `position` (graceful leave or crash with repair), regenerating
     /// dangling links per the Section 5 heuristic. Resources homed on the departed node
     /// are re-homed onto the node now responsible for their points. The returned report
-    /// lists every node whose link table changed (ring re-closing and dangling-link
-    /// repair mutate surviving nodes too) so route caches can invalidate precisely.
+    /// carries the new row of every node whose link table changed (ring re-closing and
+    /// dangling-link repair mutate surviving nodes too) so snapshots and route caches
+    /// can patch precisely.
     ///
     /// # Errors
     ///
@@ -321,7 +324,7 @@ impl Network {
         &mut self,
         position: NodeId,
         rng: &mut R,
-    ) -> Result<faultline_construction::LeaveReport, CoreError> {
+    ) -> Result<ChurnReport, CoreError> {
         let report = self.maintainer.leave(position, rng)?;
         // Each orphaned key moves to the node responsible for *its own* point — keys
         // homed together on the departed node generally scatter to different successors.
@@ -551,27 +554,28 @@ mod tests {
         let config =
             NetworkConfig::paper_default(256).construction(ConstructionMode::incremental_default());
         let mut net = Network::build(&config, &mut rng);
-        let leave_report = net.leave(100, &mut rng).unwrap();
-        assert!(leave_report.touched_nodes.contains(&100));
+        let left = net.leave(100, &mut rng).unwrap().delta;
+        assert!(left.changed_nodes().any(|p| p == 100));
         assert!(
-            leave_report.touched_nodes.len() >= 3,
-            "a departure touches at least the hole and its ring neighbours: {:?}",
-            leave_report.touched_nodes
+            left.len() >= 3,
+            "a departure touches at least the hole and its ring neighbours: {left:?}"
         );
-        let join_report = net.join(100, &mut rng).unwrap();
-        assert!(join_report.touched_nodes.contains(&100));
+        assert!(!net.graph().is_present(100));
+        let joined = net.join(100, &mut rng).unwrap().delta;
+        assert!(joined.changed_nodes().any(|p| p == 100));
         assert!(
-            join_report.touched_nodes.len() >= 3,
-            "an arrival touches at least the newcomer and its ring neighbours: {:?}",
-            join_report.touched_nodes
+            joined.len() >= 3,
+            "an arrival touches at least the newcomer and its ring neighbours: {joined:?}"
         );
-        // Everything listed is a real node of the space.
-        for &p in join_report
-            .touched_nodes
-            .iter()
-            .chain(&leave_report.touched_nodes)
-        {
-            assert!(p < net.len());
+        // Everything listed is a real node of the space, and every node now linking
+        // to the newcomer is listed.
+        let listed: Vec<NodeId> = joined.changed_nodes().collect();
+        assert!(left
+            .changed_nodes()
+            .chain(listed.iter().copied())
+            .all(|p| p < net.len()));
+        for (source, _) in net.graph().links_into(100) {
+            assert!(listed.contains(&source), "source {source} not listed");
         }
     }
 

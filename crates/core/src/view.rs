@@ -75,13 +75,6 @@ impl<'a> NetworkView<'a> {
         self.router.route(self.graph, source, target, &mut rng)
     }
 
-    /// Same view with an overridden hop budget.
-    #[must_use]
-    pub fn with_max_hops(mut self, max_hops: u64) -> Self {
-        self.router = self.router.with_max_hops(max_hops);
-        self
-    }
-
     /// Compiles the view into an owned [`FrozenView`] routing snapshot.
     ///
     /// Freezing is `O(nodes + links)` and amortises over a whole batch of queries;

@@ -173,7 +173,6 @@ pub struct EngineConfig {
     threads: usize,
     shards: usize,
     cache_capacity: usize,
-    max_hops: Option<u64>,
     byzantine: Option<ByzantineConfig>,
     failures: Option<FailureSchedule>,
     telemetry: bool,
@@ -185,7 +184,6 @@ impl Default for EngineConfig {
             threads: 0, // resolved to available parallelism by the pool
             shards: 16,
             cache_capacity: 1024,
-            max_hops: None,
             byzantine: None,
             failures: None,
             telemetry: true,
@@ -221,13 +219,6 @@ impl EngineConfig {
         self
     }
 
-    /// Overrides the router's hop budget for engine queries.
-    #[must_use]
-    pub fn max_hops(mut self, max_hops: u64) -> Self {
-        self.max_hops = Some(max_hops);
-        self
-    }
-
     /// Configured worker threads (0 = available parallelism).
     #[must_use]
     pub fn thread_count(&self) -> usize {
@@ -244,12 +235,6 @@ impl EngineConfig {
     #[must_use]
     pub fn cache_capacity_entries(&self) -> usize {
         self.cache_capacity
-    }
-
-    /// Configured hop-budget override, if any.
-    #[must_use]
-    pub fn max_hops_override(&self) -> Option<u64> {
-        self.max_hops
     }
 
     /// Enables or disables the engine's telemetry subsystem (default: enabled).
@@ -368,12 +353,10 @@ mod tests {
         let config = EngineConfig::default()
             .threads(8)
             .shards(32)
-            .cache_capacity(64)
-            .max_hops(1000);
+            .cache_capacity(64);
         assert_eq!(config.thread_count(), 8);
         assert_eq!(config.shard_count(), 32);
         assert_eq!(config.cache_capacity_entries(), 64);
-        assert_eq!(config.max_hops_override(), Some(1000));
         assert!(
             EngineConfig::default().telemetry_enabled(),
             "telemetry is on by default"

@@ -129,7 +129,7 @@ pub use stats::{AdversarySplit, BatchReport, QueryOutcome};
 pub use faultline_routing::ByzantineSet;
 // Re-exported so churn-delta callers (`QueryEngine::invalidate_delta`) need no direct
 // `faultline_overlay` dependency.
-pub use faultline_overlay::{ChurnDelta, RowChangeKind, RowDelta};
+pub use faultline_overlay::{ChurnDelta, RowDelta};
 // Re-exported so telemetry consumers (`QueryEngine::metrics`, per-epoch phase
 // breakdowns) need no direct `faultline_telemetry` dependency.
 pub use faultline_telemetry::{

@@ -26,7 +26,7 @@ use crate::batch::QueryBatch;
 use crate::cache::{bucket_of, CachedRoute, RouteCache, RowSet, NUM_BUCKETS};
 use crate::config::{ByzantineMembership, EngineConfig};
 use crate::stats::{BatchReport, QueryOutcome};
-use faultline_core::{FrozenView, Network, NetworkView};
+use faultline_core::{FrozenView, Network};
 use faultline_overlay::{ChurnDelta, NodeId};
 use faultline_routing::{
     ByzantineSet, FaultStrategy, KernelIsa, RedundantRouter, RouteScratch, Router, Walk, WalkGroup,
@@ -207,22 +207,13 @@ impl QueryEngine {
         }
     }
 
-    /// The routing view the engine's batches run over (hop-budget override applied).
-    pub(crate) fn routing_view<'a>(&self, network: &'a Network) -> NetworkView<'a> {
-        let mut view = network.view();
-        if let Some(max_hops) = self.config.max_hops_override() {
-            view = view.with_max_hops(max_hops);
-        }
-        view
-    }
-
     /// Compiles `network`'s current topology into a snapshot stamped with the
     /// engine's kernel, and returns it with the nanoseconds the compile took (also
     /// recorded as [`Phase::Freeze`]).
     pub(crate) fn freeze(&mut self, network: &Network) -> (FrozenView, u64) {
         // xlint: allow(determinism) -- freeze cost is reported in telemetry and SnapshotWork only, never read by routing
         let started = Instant::now();
-        let view = self.routing_view(network).freeze().with_kernel(self.kernel);
+        let view = network.view().freeze().with_kernel(self.kernel);
         let nanos = started.elapsed().as_nanos() as u64;
         self.telemetry.record(Phase::Freeze, nanos);
         (view, nanos)
@@ -337,7 +328,7 @@ impl QueryEngine {
         // honest path bit for bit.
         let byzantine = match (self.config.byzantine_config(), self.adversaries.as_ref()) {
             (Some(spec), Some(set)) if !set.is_empty() => {
-                let router = self.routing_view(network).router();
+                let router = network.view().router();
                 let inner = match spec.strategy_override() {
                     Some(strategy) => router.with_strategy(strategy),
                     None => router,
@@ -887,7 +878,7 @@ mod tests {
 
     #[test]
     fn delta_invalidation_flushes_only_dependent_entries() {
-        use faultline_overlay::{ChurnDelta, RowChangeKind};
+        use faultline_overlay::ChurnDelta;
         let net = network(1 << 9, 23);
         let mut engine = QueryEngine::new(EngineConfig::default().threads(1));
         let batch = QueryBatch::uniform(&net, 3_000, 11);
@@ -900,7 +891,7 @@ mod tests {
         // A delta naming one changed row flushes the entries whose walks visited it
         // and no others (in general, not the whole cache).
         let mut delta = ChurnDelta::new();
-        delta.record(0, RowChangeKind::Structural, true, vec![1]);
+        delta.record(0, true, vec![1]);
         let flushed = engine.invalidate_delta(&delta, net.len());
         assert!(flushed > 0, "node 0 is on some cached walk");
         assert!(flushed < populated, "walks that never read row 0 survive");

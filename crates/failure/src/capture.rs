@@ -1,13 +1,14 @@
-//! Typed-delta capture for failure plans: turn graph damage into a
-//! [`ChurnDelta`] instead of a snapshot rebuild.
+//! Delta capture for failure plans: turn graph damage into a [`ChurnDelta`]
+//! instead of a snapshot rebuild.
 //!
 //! The Section 5 maintainer emits deltas for free — it knows which rows it
 //! rewrote. Failure plans mutate the graph behind the overlay's back, so the
 //! delta has to be *measured*: record the usable-neighbour rows that could
-//! change, damage the graph, and diff. The candidate set is exact and cheap to
-//! name: a crash or heal of node `v` can only change `v`'s own row and the rows
-//! of nodes holding a live link *to* `v` (its in-neighbours, ring links
-//! included); a link failure changes only the link's source row.
+//! change, damage the graph, and emit the rows that differ. The candidate set
+//! is exact and cheap to name: a crash or heal of node `v` can only change
+//! `v`'s own row and the rows of nodes holding a live link *to* `v` (its
+//! in-neighbours, ring links included); a link failure changes only the link's
+//! source row.
 //!
 //! The resulting delta satisfies the `apply_delta` contract — every recorded
 //! row equals the post-damage `usable_neighbors` row, captured *after* all
@@ -15,7 +16,7 @@
 //! row-level cache invalidation as churn, with no bucket-mask flush and no
 //! from-scratch `freeze()`.
 
-use faultline_overlay::{ChurnDelta, NodeId, OverlayGraph, RowChangeKind};
+use faultline_overlay::{ChurnDelta, NodeId, OverlayGraph};
 
 /// The post-change usable-neighbour row of `p`, in snapshot (u32) width — the
 /// exact row `FrozenRoutes::apply_delta` expects a delta to carry.
@@ -90,46 +91,25 @@ impl DeltaCapture {
         Self { entries }
     }
 
-    /// Number of candidate rows being watched.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no candidates were captured.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Diffs the captured rows against the (now damaged or healed) graph,
-    /// emitting one classified [`RowChangeKind`] entry per changed row:
-    /// identical row with flipped liveness → `LivenessOnly`; same length,
-    /// different content → `LinkReplaced`; length change → `Structural`.
+    /// emitting the current row and liveness of every candidate whose row or
+    /// liveness changed.
     #[must_use]
     pub fn diff(self, graph: &OverlayGraph) -> ChurnDelta {
         let mut delta = ChurnDelta::new();
         for entry in self.entries {
             let alive = graph.is_alive(entry.node);
             let row = usable_row(graph, entry.node);
-            let kind = if row == entry.row {
-                if alive == entry.alive {
-                    continue;
-                }
-                RowChangeKind::LivenessOnly
-            } else if row.len() == entry.row.len() {
-                RowChangeKind::LinkReplaced
-            } else {
-                RowChangeKind::Structural
-            };
-            delta.record(entry.node, kind, alive, row);
+            if row != entry.row || alive != entry.alive {
+                delta.record(entry.node, alive, row);
+            }
         }
         delta
     }
 }
 
-/// Fails `victims` (assumed distinct and alive) while capturing the typed
-/// delta: blast radius, snapshot, damage, diff.
+/// Fails `victims` (assumed distinct and alive) while capturing the delta:
+/// blast radius, snapshot, damage, diff.
 #[must_use]
 pub fn fail_nodes_with_delta(graph: &mut OverlayGraph, victims: &[NodeId]) -> ChurnDelta {
     let capture = DeltaCapture::snapshot(graph, blast_radius(graph, victims));
@@ -139,8 +119,8 @@ pub fn fail_nodes_with_delta(graph: &mut OverlayGraph, victims: &[NodeId]) -> Ch
     capture.diff(graph)
 }
 
-/// Revives `victims` (previously crashed nodes) while capturing the typed
-/// delta that re-admits their rows and their in-neighbours' restored targets.
+/// Revives `victims` (previously crashed nodes) while capturing the delta
+/// that re-admits their rows and their in-neighbours' restored targets.
 #[must_use]
 pub fn revive_nodes_with_delta(graph: &mut OverlayGraph, victims: &[NodeId]) -> ChurnDelta {
     let capture = DeltaCapture::snapshot(graph, blast_radius(graph, victims));

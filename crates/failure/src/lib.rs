@@ -20,12 +20,14 @@
 //! [`FailureReport`] describing what was damaged.
 //!
 //! Every plan is also **delta-aware**: [`FailurePlan::apply_with_delta`] inflicts
-//! bit-identical damage (same RNG stream) while capturing the typed
-//! [`ChurnDelta`](faultline_overlay::ChurnDelta) of exactly the usable-neighbour
-//! rows the damage changed — the victims plus their in-neighbours ([`blast_radius`]) —
-//! so failures flow through frozen-snapshot row patching and row-level cache
-//! invalidation instead of forcing a rebuild. [`revive_nodes_with_delta`] is the
-//! healing inverse, re-admitting crashed rows the same way.
+//! bit-identical damage (same RNG stream) while a [`DeltaCapture`] records the
+//! usable-neighbour rows the damage could change — the victims plus their
+//! in-neighbours ([`blast_radius`]) — and emits, as a
+//! [`ChurnDelta`](faultline_overlay::ChurnDelta), the new row and liveness of each
+//! one that did change. Failures thus flow through frozen-snapshot row patching and
+//! row-level cache invalidation instead of forcing a rebuild.
+//! [`revive_nodes_with_delta`] is the healing inverse, re-admitting crashed rows
+//! the same way.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

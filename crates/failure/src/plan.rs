@@ -46,7 +46,7 @@ pub trait FailurePlan: std::fmt::Debug {
     fn apply(&self, graph: &mut OverlayGraph, rng: &mut dyn RngCore) -> FailureReport;
 
     /// Damages `graph` exactly like [`FailurePlan::apply`] — same RNG stream,
-    /// same damage — while also capturing the typed [`ChurnDelta`] of every
+    /// same damage — while also capturing the [`ChurnDelta`] of every
     /// usable-neighbour row the damage changed, so the failure can flow through
     /// snapshot row-patching and row-level cache invalidation instead of a
     /// rebuild.

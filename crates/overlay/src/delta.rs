@@ -1,51 +1,31 @@
-//! [`ChurnDelta`]: typed row-level diffs of maintainer churn.
+//! [`ChurnDelta`]: the rows a topology change rewrote.
 //!
-//! The Section 5 maintainer localises every join and leave to an O(ℓ) neighbourhood,
-//! but a flat "touched nodes" list throws that precision away: every downstream
-//! consumer has to re-derive *what* changed at each touched node. A `ChurnDelta`
-//! keeps the precision — for every node whose state changed it carries the node's
-//! **new usable-neighbour row** (the exact slice a compiled [`FrozenRoutes`]
-//! snapshot stores), its liveness after the change, and a [`RowChangeKind`]
-//! classification — plus the join/leave events themselves. Consumers:
+//! A join, leave, crash or heal changes the usable-neighbour rows of a few nodes:
+//! an O(ℓ) neighbourhood under the Section 5 maintainer, the victims and their
+//! in-neighbours under a failure plan. A `ChurnDelta` is exactly that fact and
+//! nothing else — for every node whose state changed, its **new usable-neighbour
+//! row** (the exact slice a compiled [`FrozenRoutes`] snapshot stores) and its
+//! liveness after the change. Consumers:
 //!
-//! * [`FrozenRoutes::apply_delta`] writes the diffed rows straight into the
-//!   snapshot, skipping the usable-neighbour recompute entirely;
+//! * [`FrozenRoutes::apply_delta`] writes the rows straight into the snapshot,
+//!   skipping the usable-neighbour recompute entirely;
 //! * the query engine's route cache evicts exactly the entries whose cached walk
-//!   depends on a changed row, instead of flushing whole metric-space buckets.
+//!   read a changed row, instead of flushing whole metric-space buckets.
 //!
-//! Deltas merge: an epoch's delta is the event deltas folded together with
-//! latest-row-wins semantics, so each row appears once with its epoch-end content.
+//! Deltas merge: rows stay sorted by node, one per node, and a later record for a
+//! node replaces the earlier one, so an epoch's delta is its event deltas folded
+//! together and each row appears once with its epoch-end content.
 //!
 //! [`FrozenRoutes`]: crate::FrozenRoutes
 //! [`FrozenRoutes::apply_delta`]: crate::FrozenRoutes::apply_delta
 
 use crate::NodeId;
 
-/// How a node's compiled routing row changed, from the maintainer's point of view.
-///
-/// The variants are ordered by severity: merging two changes to the same node keeps
-/// the more severe classification (`LivenessOnly < LinkReplaced < Structural`).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
-pub enum RowChangeKind {
-    /// Only the liveness bit flipped; the usable-neighbour row itself is unchanged.
-    LivenessOnly,
-    /// An existing link's target was swapped for another (the Section 5 redirect):
-    /// the row keeps its length, so a snapshot can overwrite the old slot in place.
-    LinkReplaced,
-    /// Row membership changed — the node entered or left the overlay, a ring splice
-    /// rewired it, or a link was added or dropped outright.
-    Structural,
-}
-
 /// One node's row diff: its usable-neighbour row and liveness *after* the change.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RowDelta {
     /// The node whose row changed.
     pub node: NodeId,
-    /// Classification of the change (most severe across merged events).
-    pub kind: RowChangeKind,
     /// Whether the node is alive after the change.
     pub alive: bool,
     /// The node's usable-neighbour row after the change, in snapshot (`u32`) width
@@ -54,17 +34,11 @@ pub struct RowDelta {
     pub row: Vec<u32>,
 }
 
-/// Accumulated row-level churn diffs: per-node row deltas (sorted by node, one entry
-/// per node with latest-wins content) plus the join/leave event log that produced
-/// them.
+/// Accumulated row diffs, sorted by node, one entry per node with latest-wins
+/// content.
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ChurnDelta {
-    /// Row diffs, sorted by node id, at most one per node.
     rows: Vec<RowDelta>,
-    /// Positions that joined, in event order (a label can repeat across an epoch).
-    joins: Vec<NodeId>,
-    /// Positions that left, in event order.
-    leaves: Vec<NodeId>,
 }
 
 impl ChurnDelta {
@@ -80,37 +54,16 @@ impl ChurnDelta {
         &self.rows
     }
 
-    /// Positions that joined, in event order.
-    #[must_use]
-    pub fn joins(&self) -> &[NodeId] {
-        &self.joins
-    }
-
-    /// Positions that left, in event order.
-    #[must_use]
-    pub fn leaves(&self) -> &[NodeId] {
-        &self.leaves
-    }
-
     /// Number of distinct nodes with a recorded row diff.
     #[must_use]
     pub fn len(&self) -> usize {
         self.rows.len()
     }
 
-    /// Returns `true` if the delta carries no row diffs and no events.
+    /// Returns `true` if the delta carries no rows.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty() && self.joins.is_empty() && self.leaves.is_empty()
-    }
-
-    /// Number of rows classified [`RowChangeKind::Structural`].
-    #[must_use]
-    pub fn structural_rows(&self) -> usize {
-        self.rows
-            .iter()
-            .filter(|r| r.kind == RowChangeKind::Structural)
-            .count()
+        self.rows.is_empty()
     }
 
     /// The nodes with a recorded row diff, ascending.
@@ -118,98 +71,80 @@ impl ChurnDelta {
         self.rows.iter().map(|r| r.node)
     }
 
-    /// Logs a join event (does not record a row; use [`ChurnDelta::record`]).
-    pub fn push_join(&mut self, position: NodeId) {
-        self.joins.push(position);
-    }
-
-    /// Logs a leave event.
-    pub fn push_leave(&mut self, position: NodeId) {
-        self.leaves.push(position);
-    }
-
-    /// Records (or merges) one node's row diff. A later record for the same node
-    /// replaces the row and liveness (latest wins) and keeps the most severe
-    /// classification seen.
-    pub fn record(&mut self, node: NodeId, kind: RowChangeKind, alive: bool, row: Vec<u32>) {
+    /// Records one node's row diff. A later record for the same node replaces the
+    /// row and liveness (latest wins).
+    pub fn record(&mut self, node: NodeId, alive: bool, row: Vec<u32>) {
         match self.rows.binary_search_by_key(&node, |r| r.node) {
             Ok(i) => {
                 let existing = &mut self.rows[i];
-                existing.kind = existing.kind.max(kind);
                 existing.alive = alive;
                 existing.row = row;
             }
-            Err(i) => self.rows.insert(
-                i,
-                RowDelta {
-                    node,
-                    kind,
-                    alive,
-                    row,
-                },
-            ),
+            Err(i) => self.rows.insert(i, RowDelta { node, alive, row }),
         }
     }
 
-    /// Folds another delta into this one: later rows win, kinds take the maximum,
-    /// event logs concatenate. `other` must describe churn that happened *after*
-    /// everything already merged here (event order is the merge order).
+    /// Folds another delta into this one, its rows winning. `other` must describe
+    /// changes that happened *after* everything already merged here.
     pub fn absorb(&mut self, other: ChurnDelta) {
         for r in other.rows {
-            self.record(r.node, r.kind, r.alive, r.row);
+            self.record(r.node, r.alive, r.row);
         }
-        self.joins.extend(other.joins);
-        self.leaves.extend(other.leaves);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
-    #[test]
-    fn record_keeps_rows_sorted_and_unique() {
-        let mut d = ChurnDelta::new();
-        d.record(9, RowChangeKind::LinkReplaced, true, vec![1, 2]);
-        d.record(3, RowChangeKind::Structural, true, vec![4]);
-        d.record(9, RowChangeKind::LivenessOnly, false, vec![1]);
-        let nodes: Vec<NodeId> = d.changed_nodes().collect();
-        assert_eq!(nodes, vec![3, 9]);
-        assert_eq!(d.len(), 2);
-        // Latest row and liveness win; the most severe kind sticks.
-        let nine = &d.rows()[1];
-        assert_eq!(nine.row, vec![1]);
-        assert!(!nine.alive);
-        assert_eq!(nine.kind, RowChangeKind::LinkReplaced);
+    /// A random row diff over a small label space, so nodes repeat often.
+    fn random_row(rng: &mut StdRng) -> (NodeId, bool, Vec<u32>) {
+        let node = rng.gen_range(0..16u64);
+        let row = (0..rng.gen_range(0..5))
+            .map(|_| rng.gen_range(0..32u32))
+            .collect();
+        (node, rng.gen_bool(0.7), row)
     }
 
     #[test]
-    fn kinds_order_by_severity() {
-        assert!(RowChangeKind::LivenessOnly < RowChangeKind::LinkReplaced);
-        assert!(RowChangeKind::LinkReplaced < RowChangeKind::Structural);
-    }
-
-    #[test]
-    fn absorb_merges_rows_and_event_logs() {
-        let mut epoch = ChurnDelta::new();
-        epoch.push_join(5);
-        epoch.record(5, RowChangeKind::Structural, true, vec![6]);
-        epoch.record(6, RowChangeKind::LinkReplaced, true, vec![5, 7]);
-
-        let mut event = ChurnDelta::new();
-        event.push_leave(5);
-        event.record(5, RowChangeKind::Structural, false, vec![]);
-        event.record(8, RowChangeKind::LivenessOnly, true, vec![9]);
-
-        epoch.absorb(event);
-        assert_eq!(epoch.joins(), &[5]);
-        assert_eq!(epoch.leaves(), &[5]);
-        assert_eq!(epoch.len(), 3);
-        assert_eq!(epoch.structural_rows(), 1);
-        let five = &epoch.rows()[0];
-        assert_eq!(five.node, 5);
-        assert!(!five.alive);
-        assert!(five.row.is_empty());
+    fn record_and_absorb_match_a_latest_wins_model() {
+        for seed in 0..128u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut delta = ChurnDelta::new();
+            let mut model: BTreeMap<NodeId, (bool, Vec<u32>)> = BTreeMap::new();
+            for _ in 0..rng.gen_range(0..32) {
+                if rng.gen_bool(0.5) {
+                    let (node, alive, row) = random_row(&mut rng);
+                    model.insert(node, (alive, row.clone()));
+                    delta.record(node, alive, row);
+                } else {
+                    let mut event = ChurnDelta::new();
+                    for _ in 0..rng.gen_range(0..6) {
+                        let (node, alive, row) = random_row(&mut rng);
+                        model.insert(node, (alive, row.clone()));
+                        event.record(node, alive, row);
+                    }
+                    delta.absorb(event);
+                }
+                let expected: Vec<RowDelta> = model
+                    .iter()
+                    .map(|(&node, (alive, row))| RowDelta {
+                        node,
+                        alive: *alive,
+                        row: row.clone(),
+                    })
+                    .collect();
+                assert_eq!(delta.rows(), expected.as_slice(), "seed {seed}");
+                assert_eq!(delta.len(), model.len(), "seed {seed}");
+                assert!(
+                    delta.changed_nodes().eq(model.keys().copied()),
+                    "seed {seed}"
+                );
+                assert_eq!(delta.is_empty(), model.is_empty(), "seed {seed}");
+            }
+        }
     }
 
     #[test]
@@ -217,10 +152,10 @@ mod tests {
         let mut d = ChurnDelta::new();
         assert!(d.is_empty());
         assert_eq!(d.len(), 0);
-        d.push_join(1);
+        d.record(1, false, Vec::new());
         assert!(
             !d.is_empty(),
-            "an event log alone makes the delta non-empty"
+            "a row, even an empty one, makes the delta non-empty"
         );
     }
 }

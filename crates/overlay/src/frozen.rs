@@ -23,8 +23,8 @@
 //!
 //! A snapshot is plain owned data (`Send + Sync`), shared freely across worker threads.
 //! Between freezes it is **patched**: churn only touches O(ℓ) rows per event, so
-//! [`FrozenRoutes::apply_delta`] overwrites exactly those row slots, straight from a
-//! typed [`ChurnDelta`] of maintainer-captured row diffs. A delta row longer than the
+//! [`FrozenRoutes::apply_delta`] overwrites exactly those row slots, straight from
+//! the rows a [`ChurnDelta`] carries. A delta row longer than the
 //! stride re-lays every row out once at a wider stride, and the stride never shrinks.
 //! A patched snapshot always equals a from-scratch [`OverlayGraph::freeze`].
 
@@ -360,7 +360,6 @@ impl OverlayGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta::RowChangeKind;
     use crate::link::LinkKind;
     use faultline_metric::{Geometry, MetricSpace};
 
@@ -453,7 +452,7 @@ mod tests {
         let mut delta = ChurnDelta::new();
         for &p in nodes {
             let row = g.usable_neighbors(p).map(|q| q as u32).collect();
-            delta.record(p, RowChangeKind::Structural, g.is_alive(p), row);
+            delta.record(p, g.is_alive(p), row);
         }
         delta
     }
@@ -614,7 +613,7 @@ mod tests {
     fn delta_naming(label: u32) -> (OverlayGraph, ChurnDelta) {
         let g = damaged_graph();
         let mut delta = ChurnDelta::new();
-        delta.record(3, RowChangeKind::Structural, true, vec![2, 4, label]);
+        delta.record(3, true, vec![2, 4, label]);
         (g, delta)
     }
 

@@ -487,6 +487,7 @@ impl OverlayGraph {
         let row = &mut self.incoming[target as usize];
         let at = row
             .binary_search(&(source as u32))
+            // xlint: allow(panic_policy) -- the link mutators are the index's only writers and mirror every link; a miss is a corrupted graph, not an input
             .expect("every link is mirrored in the reverse adjacency");
         row.remove(at);
     }

@@ -16,9 +16,9 @@
 //!   are built once per routing epoch and then *patched* through churn from a typed
 //!   [`ChurnDelta`] of row-level diffs ([`FrozenRoutes::apply_delta`] overwrites
 //!   each diffed row in its own slot).
-//! * [`ChurnDelta`] — the typed churn diff itself: per-node `old row → new row`
-//!   changes classified as liveness-only / link-replaced / structural, plus the
-//!   join/leave event log, produced by `faultline-construction`'s maintainer.
+//! * [`ChurnDelta`] — the rows a topology change rewrote: per changed node, its
+//!   new usable-neighbour row and liveness, produced by `faultline-construction`'s
+//!   maintainer (joins, leaves) and `faultline-failure`'s capture (crashes, heals).
 //! * [`stats`] — link-length histograms and degree statistics used by the Figure 5
 //!   reproduction and by the construction-quality tests.
 //!
@@ -50,7 +50,7 @@ mod link;
 pub mod stats;
 
 pub use builder::{build_paper_overlay, GraphBuilder};
-pub use delta::{ChurnDelta, RowChangeKind, RowDelta};
+pub use delta::{ChurnDelta, RowDelta};
 pub use frozen::{FrozenRoutes, PatchStats, PAD_SENTINEL, ROW_STEP};
 pub use graph::{NodeRecord, OverlayGraph};
 pub use link::{Link, LinkKind};

@@ -18,7 +18,7 @@
 use faultline_linkdist::InversePowerLaw;
 use faultline_metric::Geometry;
 use faultline_overlay::{
-    ChurnDelta, FrozenRoutes, GraphBuilder, OverlayGraph, RowChangeKind, PAD_SENTINEL, ROW_STEP,
+    ChurnDelta, FrozenRoutes, GraphBuilder, OverlayGraph, PAD_SENTINEL, ROW_STEP,
 };
 use faultline_routing::{
     FaultStrategy, GreedyMode, RouteResult, RouteScratch, Router, Walk, WalkGroup,
@@ -101,12 +101,7 @@ fn delta_to(snapshot: &FrozenRoutes, graph: &OverlayGraph) -> ChurnDelta {
     for p in 0..graph.len() {
         if snapshot.neighbors(p) != fresh.neighbors(p) || snapshot.is_alive(p) != fresh.is_alive(p)
         {
-            delta.record(
-                p,
-                RowChangeKind::Structural,
-                fresh.is_alive(p),
-                fresh.neighbors(p).to_vec(),
-            );
+            delta.record(p, fresh.is_alive(p), fresh.neighbors(p).to_vec());
         }
     }
     delta
@@ -222,7 +217,7 @@ proptest! {
         let mut everyone = ChurnDelta::new();
         for p in 0..n {
             let row = graph.usable_neighbors(p).map(|q| q as u32).collect();
-            everyone.record(p, RowChangeKind::Structural, graph.is_alive(p), row);
+            everyone.record(p, graph.is_alive(p), row);
         }
         snapshot.apply_delta(&graph, &everyone);
         check_row_shapes(&snapshot)?;

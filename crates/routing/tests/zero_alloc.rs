@@ -14,7 +14,7 @@
 
 use faultline_linkdist::InversePowerLaw;
 use faultline_metric::Geometry;
-use faultline_overlay::{ChurnDelta, GraphBuilder, OverlayGraph, RowChangeKind};
+use faultline_overlay::{ChurnDelta, GraphBuilder, OverlayGraph};
 use faultline_routing::{
     ByzantineSet, FaultStrategy, RedundantRouter, RouteScratch, Router, Walk, WalkGroup,
     WALKS_IN_FLIGHT,
@@ -81,7 +81,7 @@ fn frozen_kernel_allocates_nothing_per_query_after_warmup() {
             if graph.is_alive(p) {
                 graph.fail_link(p, p + 1);
                 let row = graph.usable_neighbors(p).map(|q| q as u32).collect();
-                delta.record(p, RowChangeKind::Structural, true, row);
+                delta.record(p, true, row);
             }
         }
         snapshot.apply_delta(&graph, &delta);

@@ -31,7 +31,6 @@
 //! | | `join_probability` | float | engine default (`0.5`) |
 //! | | `adversarial_joins` | float | `0.0` |
 //! | `[engine]` | `threads`, `shards`, `cache_capacity` | integer | engine defaults |
-//! | | `max_hops` | integer | engine default |
 //! | | `telemetry` | boolean | engine default |
 //! | `[byzantine]` | `fraction` | float | *(required in section)* |
 //! | | `seed` | integer | scenario seed `^ 0xB52A` |
@@ -125,8 +124,6 @@ pub struct EngineSpec {
     pub shards: Option<usize>,
     /// Per-shard route-cache capacity (`0` disables caching).
     pub cache_capacity: Option<usize>,
-    /// Hop budget override.
-    pub max_hops: Option<u64>,
     /// Telemetry recording.
     pub telemetry: Option<bool>,
 }
@@ -282,9 +279,6 @@ impl ScenarioSpec {
         if let Some(capacity) = self.engine.cache_capacity {
             config = config.cache_capacity(capacity);
         }
-        if let Some(max_hops) = self.engine.max_hops {
-            config = config.max_hops(max_hops);
-        }
         if let Some(enabled) = self.engine.telemetry {
             config = config.telemetry(enabled);
         }
@@ -418,9 +412,6 @@ impl ScenarioSpec {
             }
             if let Some(capacity) = self.engine.cache_capacity {
                 let _ = writeln!(out, "cache_capacity = {capacity}");
-            }
-            if let Some(max_hops) = self.engine.max_hops {
-                let _ = writeln!(out, "max_hops = {max_hops}");
             }
             if let Some(enabled) = self.engine.telemetry {
                 let _ = writeln!(out, "telemetry = {enabled}");
@@ -934,13 +925,7 @@ fn parse_engine(document: &Document) -> Result<EngineSpec, ScenarioError> {
     };
     reject_unknown_keys(
         section,
-        &[
-            "threads",
-            "shards",
-            "cache_capacity",
-            "max_hops",
-            "telemetry",
-        ],
+        &["threads", "shards", "cache_capacity", "telemetry"],
     )?;
     Ok(EngineSpec {
         threads: section.get("threads").map(expect_usize).transpose()?,
@@ -949,7 +934,6 @@ fn parse_engine(document: &Document) -> Result<EngineSpec, ScenarioError> {
             .get("cache_capacity")
             .map(expect_usize)
             .transpose()?,
-        max_hops: section.get("max_hops").map(expect_u64).transpose()?,
         telemetry: section.get("telemetry").map(expect_bool).transpose()?,
     })
 }

@@ -83,6 +83,7 @@ fn fire_retired_engine_keys() {
         ("frozen = false\n", "frozen"),
         ("freeze = \"auto\"\n", "freeze"),
         ("freeze = 0.35\n", "freeze"),
+        ("max_hops = 200\n", "max_hops"),
     ] {
         let source = format!("{BASE}[engine]\nthreads = 2\n{line}");
         assert_eq!(

@@ -66,7 +66,6 @@ fn kitchen_sink_spec_round_trips() {
         "threads = 4\n",
         "shards = 16\n",
         "cache_capacity = 4096\n",
-        "max_hops = 200\n",
         "telemetry = false\n",
         "[byzantine]\n",
         "fraction = 0.15\n",
@@ -95,7 +94,15 @@ fn kitchen_sink_spec_round_trips() {
             adversarial_joins: Some(0.1),
         })
     );
-    assert_eq!(spec.engine.max_hops, Some(200));
+    assert_eq!(
+        spec.engine,
+        EngineSpec {
+            threads: Some(4),
+            shards: Some(16),
+            cache_capacity: Some(4096),
+            telemetry: Some(false),
+        }
+    );
     assert_eq!(
         spec.byzantine,
         Some(ByzantineSpec {
