@@ -28,8 +28,10 @@
 //!   which is how a cache-on shard still walks its misses (a miss's insert must
 //!   precede the next probe of its key), and the byzantine lane its lookups.
 //! * **Route caching** — a per-shard LRU keyed by `(source bucket, target bucket)`
-//!   ([`RouteCache`]). Entries remember the exact nodes their walk visited (row
-//!   dependencies). A topology change expressed as a typed [`ChurnDelta`] evicts
+//!   ([`RouteCache`]), indexed directly: a slot per bucket pair points into a dense
+//!   vector of entries, so a hit hashes nothing and allocates nothing, and each
+//!   lookup's buckets are computed once, in the batch's shard-key pass. Entries
+//!   remember the exact nodes their walk visited (row dependencies). A topology change expressed as a typed [`ChurnDelta`] evicts
 //!   precisely the entries whose cached walk depends on a changed row
 //!   ([`QueryEngine::invalidate_delta`] — a survivor's creating walk read only
 //!   unchanged rows); a mutation with no delta to name its rows calls

@@ -72,13 +72,14 @@ pub struct QueryEngine {
     scratch: BatchScratch,
 }
 
-/// See [`QueryEngine::run_batch_with_snapshot`]: the shard key of every lookup,
-/// the counting-sorted batch indices, one outcome per routed lookup in that
-/// order, and the nanoseconds each shard's worker spent (`None` for a shard with
-/// no lookups, or with telemetry off).
+/// See [`QueryEngine::run_batch_with_snapshot`]: the shard key and the `(source
+/// bucket, target bucket)` of every lookup, the counting-sorted batch indices, one
+/// outcome per routed lookup in that order, and the nanoseconds each shard's worker
+/// spent (`None` for a shard with no lookups, or with telemetry off).
 #[derive(Debug, Default)]
 struct BatchScratch {
     keys: Vec<u8>,
+    buckets: Vec<(u8, u8)>,
     order: Vec<usize>,
     routed: Vec<QueryOutcome>,
     shard_nanos: Vec<Option<u64>>,
@@ -350,23 +351,30 @@ impl QueryEngine {
         // — the router would report them as dead endpoints anyway, and bucketing must
         // not panic on them — so they sort under one key past the last shard and no
         // worker sees them. `validate` bounds the shard count by `NUM_BUCKETS`, so a
-        // key fits a byte.
+        // key fits a byte, and so does a bucket. The same pass buckets both endpoints
+        // for the cache probe.
         const _: () = assert!(NUM_BUCKETS <= u8::MAX as u64);
         let shard_count = self.caches.len();
         let BatchScratch {
             keys,
+            buckets,
             order,
             routed,
             shard_nanos,
         } = &mut self.scratch;
         keys.clear();
-        keys.extend(batch.pairs().iter().map(|&(source, target)| {
+        buckets.clear();
+        for &(source, target) in batch.pairs() {
             if source >= n || target >= n {
-                shard_count as u8
+                keys.push(shard_count as u8);
+                buckets.push((0, 0));
             } else {
-                (bucket_of(source, n) as usize % shard_count) as u8
+                let source_bucket = bucket_of(source, n) as u8;
+                keys.push(source_bucket % shard_count as u8);
+                buckets.push((source_bucket, bucket_of(target, n) as u8));
             }
-        }));
+        }
+        let buckets = &*buckets;
         // `order[starts[s]..starts[s + 1]]` is shard `s`'s batch indices, ascending.
         let mut starts = vec![0usize; shard_count + 2];
         for &key in keys.iter() {
@@ -449,12 +457,12 @@ impl QueryEngine {
                                     snapshot,
                                     cache,
                                     &mut scratch,
-                                    n,
                                     batch.seed(),
                                     index,
                                     retry_budget,
                                     source,
                                     target,
+                                    buckets[index],
                                 ),
                             };
                         }
@@ -570,8 +578,9 @@ fn route_shard_lockstep(
     }
 }
 
-/// Routes (or cache-serves) one query on a shard worker; a cache miss walks the
-/// frozen CSR kernel. Only a delivered digest is ever served from the cache.
+/// Routes (or cache-serves) one query on a shard worker, whose endpoints fall in
+/// `buckets` (the cache key); a cache miss walks the frozen CSR kernel. Only a
+/// delivered digest is ever served from the cache.
 ///
 /// When `retry_budget > 0` (failure epochs), an undelivered lookup re-routes up to
 /// that many more times, each attempt with a seed derived from `(batch seed, query
@@ -582,15 +591,14 @@ fn route_one(
     snapshot: &FrozenView,
     cache: &mut RouteCache,
     scratch: &mut RouteScratch,
-    n: u64,
     batch_seed: u64,
     index: usize,
     retry_budget: u32,
     source: NodeId,
     target: NodeId,
+    buckets: (u8, u8),
 ) -> QueryOutcome {
-    let source_bucket = bucket_of(source, n);
-    let target_bucket = bucket_of(target, n);
+    let (source_bucket, target_bucket) = (u64::from(buckets.0), u64::from(buckets.1));
     // An undelivered digest speaks for the pair that walked it and no other, so a
     // lookup that finds one walks for itself. The entry stays until a delta evicts
     // it: a key's entry is always its first lookup's digest, which is what makes a
