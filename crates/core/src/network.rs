@@ -13,6 +13,17 @@ use faultline_metric::{Geometry, Key, KeySpace, MetricSpace, Position};
 use faultline_overlay::{GraphBuilder, NodeId, OverlayGraph};
 use faultline_routing::{RouteResult, Router};
 use rand::Rng;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Where [`Network::revision`] stamps come from: one counter for the whole
+/// process, so no two draws, on one network or on two, return the same value.
+static REVISIONS: AtomicU64 = AtomicU64::new(0);
+
+/// Draws a stamp no network has held before. `Relaxed` suffices: the stamp
+/// publishes no other data, and `fetch_add` alone makes every draw unique.
+fn next_revision() -> u64 {
+    REVISIONS.fetch_add(1, Ordering::Relaxed)
+}
 
 /// The outcome of a key lookup.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -45,6 +56,8 @@ pub struct Network {
     key_space: KeySpace,
     directory: Directory,
     config: NetworkConfig,
+    /// See [`Network::revision`].
+    revision: u64,
 }
 
 impl Network {
@@ -87,7 +100,32 @@ impl Network {
             key_space: KeySpace::new(geometry.len()),
             directory: Directory::new(),
             config: *config,
+            revision: next_revision(),
         }
+    }
+
+    /// A stamp of the overlay as it stands: two equal readings mean the same
+    /// overlay graph.
+    ///
+    /// A fresh stamp is drawn from one process-wide counter when the network is
+    /// built, and again at the start of every method that can reach the overlay
+    /// ([`apply_failure`](Network::apply_failure),
+    /// [`apply_failure_delta`](Network::apply_failure_delta),
+    /// [`heal_nodes`](Network::heal_nodes), [`join`](Network::join) and
+    /// [`leave`](Network::leave)), whether the call succeeds or is refused. So no
+    /// two networks and no two states of one network share a stamp.
+    /// [`insert`](Network::insert) touches only the directory and keeps it.
+    ///
+    /// The value means nothing beyond equality: compare it, never order, hash or
+    /// report it. A holder of something derived from the overlay — the query
+    /// engine keeps its routing snapshot across calls — reuses it exactly when its
+    /// stamp equals this one.
+    ///
+    /// `Network` is not `Clone`. A future `Clone` must draw a fresh stamp for
+    /// the copy, as `build` does.
+    #[must_use]
+    pub fn revision(&self) -> u64 {
+        self.revision
     }
 
     /// The configuration the network was built from.
@@ -270,6 +308,7 @@ impl Network {
 
     /// Applies a failure plan to the overlay (node crashes, link failures, …).
     pub fn apply_failure<R: Rng>(&mut self, plan: &dyn FailurePlan, rng: &mut R) -> FailureReport {
+        self.revision = next_revision();
         plan.apply(self.maintainer.graph_mut(), rng)
     }
 
@@ -283,6 +322,7 @@ impl Network {
         plan: &dyn FailurePlan,
         rng: &mut R,
     ) -> (FailureReport, faultline_overlay::ChurnDelta) {
+        self.revision = next_revision();
         plan.apply_with_delta(self.maintainer.graph_mut(), rng)
     }
 
@@ -291,6 +331,7 @@ impl Network {
     /// re-admits their rows and their in-neighbours' restored targets.
     /// Positions that are absent or already alive are no-ops.
     pub fn heal_nodes(&mut self, nodes: &[NodeId]) -> faultline_overlay::ChurnDelta {
+        self.revision = next_revision();
         faultline_failure::revive_nodes_with_delta(self.maintainer.graph_mut(), nodes)
     }
 
@@ -307,6 +348,7 @@ impl Network {
         position: NodeId,
         rng: &mut R,
     ) -> Result<ChurnReport, CoreError> {
+        self.revision = next_revision();
         Ok(self.maintainer.join(position, rng)?)
     }
 
@@ -325,6 +367,7 @@ impl Network {
         position: NodeId,
         rng: &mut R,
     ) -> Result<ChurnReport, CoreError> {
+        self.revision = next_revision();
         let report = self.maintainer.leave(position, rng)?;
         // Each orphaned key moves to the node responsible for *its own* point — keys
         // homed together on the departed node generally scatter to different successors.
@@ -437,6 +480,55 @@ mod tests {
             fresh.sort_unstable();
             assert_eq!(patched, fresh, "row {p} diverged after heal");
         }
+    }
+
+    #[test]
+    fn revision_moves_exactly_when_the_overlay_can() {
+        use faultline_failure::RegionFailure;
+        let config =
+            NetworkConfig::paper_default(256).construction(ConstructionMode::incremental_default());
+        let mut net = Network::build(&config, &mut StdRng::seed_from_u64(31));
+        let twin = Network::build(&config, &mut StdRng::seed_from_u64(31));
+        assert_ne!(
+            net.revision(),
+            twin.revision(),
+            "one config and seed, two networks"
+        );
+
+        // Reads, freezes and the directory keep the stamp.
+        let stamp = net.revision();
+        let mut rng = StdRng::seed_from_u64(32);
+        let key = Key::from_name("stamp");
+        net.insert(key, vec![1]).unwrap();
+        assert!(net.route(0, 200, &mut rng).is_delivered());
+        net.route_random(&mut rng).unwrap();
+        net.route_random_batch(20, &mut rng).unwrap();
+        net.lookup_from(3, &key, &mut rng).unwrap();
+        net.lookup_route(3, &key, &mut rng).unwrap();
+        let _ = net.view().freeze();
+        assert_eq!(net.revision(), stamp);
+
+        // Every method that can reach the overlay draws a stamp never seen before,
+        // whether it changes the graph or is refused.
+        let mut seen = vec![twin.revision(), stamp];
+        let mut moved = |net: &Network, what: &str| {
+            assert!(!seen.contains(&net.revision()), "{what} kept a used stamp");
+            seen.push(net.revision());
+        };
+        net.apply_failure(&NodeFailure::count(3), &mut rng);
+        moved(&net, "apply_failure");
+        let (report, _) = net.apply_failure_delta(&RegionFailure::at(40, 4), &mut rng);
+        moved(&net, "apply_failure_delta");
+        net.heal_nodes(&report.failed_nodes);
+        moved(&net, "heal_nodes");
+        net.leave(100, &mut rng).unwrap();
+        moved(&net, "leave");
+        assert!(net.leave(100, &mut rng).is_err());
+        moved(&net, "a refused leave");
+        net.join(100, &mut rng).unwrap();
+        moved(&net, "join");
+        assert!(net.join(100, &mut rng).is_err(), "100 is occupied");
+        moved(&net, "a refused join");
     }
 
     #[test]

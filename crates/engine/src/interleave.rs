@@ -133,8 +133,10 @@ impl ChurnMix {
 /// Snapshot maintenance performed during one epoch of an interleaved run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SnapshotWork {
-    /// Nanoseconds spent compiling the snapshot from scratch: non-zero on epoch 0,
-    /// the run's one freeze, and zero on every later epoch.
+    /// Nanoseconds spent compiling the snapshot from scratch: non-zero only on the
+    /// epoch 0 of a call that found no kept snapshot for the network as it stands
+    /// (the engine's first call on it, or one after the overlay moved outside the
+    /// engine), and zero on every other epoch.
     pub rebuild_nanos: u64,
     /// Nanoseconds spent applying the epoch's churn delta to the snapshot.
     pub patch_nanos: u64,
@@ -179,8 +181,8 @@ pub struct EpochReport {
     /// Byzantine nodes once the epoch's churn settled (0 on honest runs): leaves of
     /// adversarial nodes shrink the set, adversarial joins grow it.
     pub byzantine_after: usize,
-    /// Snapshot maintenance performed this epoch: the freeze on epoch 0, the
-    /// delta patch after every epoch's churn.
+    /// Snapshot maintenance performed this epoch: the freeze on an epoch 0 that had
+    /// no kept snapshot to start from, the delta patch after every epoch's churn.
     pub snapshot: SnapshotWork,
     /// What the epoch's failure event did (damage or heal, delta size, patch and
     /// invalidation cost); `None` when the run has no failure schedule.
@@ -375,7 +377,10 @@ impl QueryEngine {
     /// [`FrozenView::apply_delta`](faultline_core::FrozenView::apply_delta) (diffed
     /// rows written directly, no recompute). The same delta drives cache eviction
     /// ([`QueryEngine::invalidate_delta`](crate::QueryEngine::invalidate_delta)).
-    /// The snapshot is compiled once, on epoch 0; per-epoch maintenance work is
+    /// The call starts from the snapshot the engine's last call left when nothing
+    /// has changed the overlay since ([`Network::revision`] says so; see
+    /// [`QueryEngine`]), and otherwise compiles one on epoch 0; either way it leaves
+    /// its patched snapshot for the next call. Per-epoch maintenance work is
     /// reported in [`EpochReport::snapshot`].
     ///
     /// Queries are drawn uniformly (honest-endpoint uniform when the byzantine
@@ -439,7 +444,9 @@ impl QueryEngine {
         let failure_schedule = self.config().failures_config().cloned();
         let mut downed = DownedSet::default();
         let mut reports = Vec::with_capacity(epochs);
-        let mut snapshot: Option<FrozenView> = None;
+        // The snapshot the last call left, if nothing has moved the overlay since;
+        // without one, epoch 0 freezes.
+        let mut snapshot = self.take_snapshot(network);
         // Ground truth for the epochs' traffic, kept for as long as it describes
         // the overlay: whatever moves the graph drops it.
         let mut oracle: Option<ConnectivityOracle> = None;
@@ -450,8 +457,8 @@ impl QueryEngine {
             let phases_before = self.telemetry.phase_totals();
 
             // Failure phase first: the epoch's batch routes the overlay the event
-            // left behind. From epoch 1 on the snapshot is patched from the event's
-            // typed delta; epoch 0's event lands before the run's one freeze.
+            // left behind. A snapshot in hand is patched from the event's typed
+            // delta; without one, epoch 0's event lands before the freeze.
             let (failure, oracle_work) = match &failure_schedule {
                 Some(schedule) => {
                     let (work, revived) = self.failure_phase(
@@ -572,6 +579,9 @@ impl QueryEngine {
                 oracle: oracle_work,
                 phases: self.telemetry.phase_totals().saturating_sub(&phases_before),
             });
+        }
+        if let Some(view) = snapshot {
+            self.keep_snapshot(network, view);
         }
         InterleavedReport { epochs: reports }
     }

@@ -15,10 +15,13 @@
 //! * **Compiled snapshots** — every cache miss walks a
 //!   [`FrozenView`](faultline_core::FrozenView) through the zero-allocation frozen
 //!   walk (one fixed-stride row scan a hop, inlined distance, per-worker scratch
-//!   buffers, counter-based per-query RNG). [`QueryEngine::run_batch`] compiles one
-//!   for the batch; [`QueryEngine::run_batch_with_snapshot`] routes over the
-//!   caller's. The live-graph walk (`Router::route`) is not an engine path: it is
-//!   the reference the parity tests hold the engine to.
+//!   buffers, counter-based per-query RNG). The engine keeps one across calls,
+//!   stamped with the [`Network::revision`](faultline_core::Network::revision) it
+//!   describes, and freezes again only when that stamp has moved — the first call
+//!   on a network, or one after a mutation outside the engine;
+//!   [`QueryEngine::run_batch_with_snapshot`] routes over the caller's instead. The
+//!   live-graph walk (`Router::route`) is not an engine path: it is the reference
+//!   the parity tests hold the engine to.
 //! * **Walks in flight** — a shard with its cache off walks every lookup, and no
 //!   lookup depends on another, so its worker keeps
 //!   [`WALKS_IN_FLIGHT`](faultline_routing::WALKS_IN_FLIGHT) of them going in a
@@ -40,10 +43,12 @@
 //!   epochs with `faultline_failure` churn events and the Section 5 maintenance
 //!   heuristic (`Network::join`/`leave`), measuring throughput and success rate *while*
 //!   the network repairs itself — the paper's fault-tolerance claim at traffic scale.
-//!   One snapshot is compiled on epoch 0 and then **incrementally patched** from
-//!   each epoch's merged [`ChurnDelta`] — maintainer-captured row diffs written
-//!   straight into the snapshot, O(changed rows) with no usable-neighbour recompute —
-//!   and the same delta evicts the cache.
+//!   One snapshot is **incrementally patched** from each epoch's merged
+//!   [`ChurnDelta`] — maintainer-captured row diffs written straight into the
+//!   snapshot, O(changed rows) with no usable-neighbour recompute — and the same
+//!   delta evicts the cache. A call starts from the snapshot the last call left
+//!   (frozen on epoch 0 only when there is none for the overlay as it stands) and
+//!   leaves its own for the next.
 //!   [`QueryEngine::run_interleaved_with`] accepts a caller-supplied workload
 //!   callback ([`EpochWorkload`]) so skewed traffic — the scenario DSL's Zipf,
 //!   hotspot, flash-crowd, and diurnal generators — drives the same pipeline.

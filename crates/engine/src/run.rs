@@ -50,6 +50,14 @@ use std::time::Instant;
 /// Caches persist across batches so steady-state traffic sees realistic hit rates; the
 /// churn layer evicts from them via [`QueryEngine::invalidate_delta`] (done
 /// automatically by [`QueryEngine::run_interleaved`](crate::QueryEngine::run_interleaved)).
+///
+/// The routing snapshot persists too. Every call that routes the engine's own
+/// snapshot leaves it behind, stamped with the [`Network::revision`] it describes,
+/// and the next call over a network with that revision routes it instead of
+/// freezing again. Any mutation of the overlay draws a new revision, so a moved or
+/// different network is frozen afresh. The stamp guards only the snapshot: a
+/// mutation made outside the engine still needs
+/// [`QueryEngine::invalidate_delta`] or [`QueryEngine::flush_caches`] for the cache.
 #[derive(Debug)]
 pub struct QueryEngine {
     config: EngineConfig,
@@ -70,6 +78,8 @@ pub struct QueryEngine {
     /// Working buffers of a batch, kept from one batch to the next so their pages
     /// stay mapped.
     scratch: BatchScratch,
+    /// The snapshot the last call left, with the [`Network::revision`] it describes.
+    snapshot: Option<(u64, FrozenView)>,
 }
 
 /// See [`QueryEngine::run_batch_with_snapshot`]: the shard key and the `(source
@@ -131,6 +141,7 @@ impl QueryEngine {
             telemetry,
             kernel: KernelIsa::detect(),
             scratch: BatchScratch::default(),
+            snapshot: None,
         }
     }
 
@@ -220,6 +231,18 @@ impl QueryEngine {
         (view, nanos)
     }
 
+    /// Takes the kept snapshot if its stamp says it still describes `network`,
+    /// and drops it otherwise, so a freeze that follows never has two alive.
+    pub(crate) fn take_snapshot(&mut self, network: &Network) -> Option<FrozenView> {
+        let (revision, view) = self.snapshot.take()?;
+        (revision == network.revision()).then_some(view)
+    }
+
+    /// Keeps `view`, which describes `network` as it stands, for the next call.
+    pub(crate) fn keep_snapshot(&mut self, network: &Network, view: FrozenView) {
+        self.snapshot = Some((network.revision(), view));
+    }
+
     /// Resolves the configured adversary membership against `network` (once; later
     /// calls return the already-resolved set) and returns it. Honest engines return
     /// `None`. Fraction memberships sample the *currently alive* nodes with an RNG
@@ -285,33 +308,38 @@ impl QueryEngine {
     /// Executes a batch of lookups in parallel and reports per-query outcomes plus
     /// aggregate statistics. See the crate docs for the execution model.
     ///
-    /// Compiles the routing snapshot once for the batch: O(nodes + links), amortised
-    /// over every cache miss in it. Callers that route many batches over one
-    /// topology keep their own snapshot and use
-    /// [`QueryEngine::run_batch_with_snapshot`].
+    /// Routes the engine's kept snapshot when nothing has changed the overlay since
+    /// the last call left it, and otherwise freezes one (O(nodes + links)) and keeps
+    /// that; see [`QueryEngine`].
     pub fn run_batch(&mut self, network: &Network, batch: &QueryBatch) -> BatchReport {
         self.run_batch_with_snapshot(network, batch, None)
     }
 
-    /// Executes a batch over a caller-owned snapshot; `None` compiles one for this
-    /// call (which is all [`QueryEngine::run_batch`] does).
+    /// Executes a batch over a caller-owned snapshot; `None` routes the engine's own
+    /// (which is all [`QueryEngine::run_batch`] does): the kept one if its stamp is
+    /// `network`'s [`revision`](Network::revision), else a fresh freeze, kept in
+    /// turn.
     ///
     /// This is the entry point for callers that maintain a snapshot across batches —
     /// the interleaved runner patches one `FrozenView` through churn epochs instead of
-    /// recompiling per batch. The snapshot must describe `network`'s current topology;
-    /// a stale snapshot routes the epoch it was patched to, not the live graph.
+    /// recompiling per batch. A caller-owned snapshot must describe `network`'s
+    /// current topology (a stale one routes the epoch it was patched to, not the live
+    /// graph), and it neither reads nor replaces the engine's kept snapshot.
     pub fn run_batch_with_snapshot(
         &mut self,
         network: &Network,
         batch: &QueryBatch,
         snapshot: Option<&FrozenView>,
     ) -> BatchReport {
-        let compiled;
+        let mut kept = None;
         let snapshot = match snapshot {
             Some(snapshot) => snapshot,
             None => {
-                compiled = self.freeze(network).0;
-                &compiled
+                let view = match self.take_snapshot(network) {
+                    Some(view) => view,
+                    None => self.freeze(network).0,
+                };
+                &*kept.insert(view)
             }
         };
         let n = network.len();
@@ -485,7 +513,11 @@ impl QueryEngine {
         for (&index, &outcome) in order.iter().zip(routed.iter()) {
             outcomes[index] = outcome;
         }
-        BatchReport::with_mode(outcomes, wall, self.threads(), byzantine.is_some())
+        let report = BatchReport::with_mode(outcomes, wall, self.threads(), byzantine.is_some());
+        if let Some(view) = kept {
+            self.keep_snapshot(network, view);
+        }
+        report
     }
 }
 

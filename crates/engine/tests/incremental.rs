@@ -2,14 +2,19 @@
 //! epochs must be an *optimisation*, never a behaviour change.
 //!
 //! The interleaved runner keeps one `FrozenView` alive and patches it with each
-//! epoch's typed churn delta. The reference it must be indistinguishable from is a
-//! snapshot compiled from scratch every epoch: the tests below freeze the network
-//! fresh inside the workload callback, route the epoch's batch over that snapshot
-//! with a second, cache-less engine, and hold every outcome of the patched run to
-//! the reference's.
+//! epoch's typed churn delta, and the engine keeps it from one call to the next
+//! while nothing outside the engine moves the overlay. The reference it must be
+//! indistinguishable from is a snapshot compiled from scratch every epoch: the tests
+//! below freeze the network fresh inside the workload callback, route the epoch's
+//! batch over that snapshot with a second, cache-less engine, and hold every outcome
+//! of the patched run to the reference's.
 
 use faultline_core::{ConstructionMode, Network, NetworkConfig};
-use faultline_engine::{BatchReport, ChurnMix, EngineConfig, EpochReport, QueryBatch, QueryEngine};
+use faultline_engine::{
+    BatchReport, ChurnMix, EngineConfig, EpochReport, FailureEvent, FailureSchedule, Phase,
+    QueryBatch, QueryEngine,
+};
+use faultline_failure::NodeFailure;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -20,26 +25,39 @@ fn incremental_network(n: u64, seed: u64) -> Network {
     Network::build(&config, &mut rng)
 }
 
-/// Runs interleaved epochs with the route cache off (every lookup walks the patched
-/// snapshot) and asserts each epoch's outcomes equal the same batch routed over a
-/// fresh `freeze()` of the network as it stood when the batch was drawn. Returns the
-/// patched run's epochs.
-fn epochs_matching_a_fresh_freeze(
-    mut net: Network,
+/// Route cache off: every lookup walks the snapshot.
+fn cache_off() -> EngineConfig {
+    EngineConfig::default().threads(2).cache_capacity(0)
+}
+
+fn outcomes(batch: &BatchReport) -> Vec<(u64, u64, bool, u64, u64)> {
+    batch
+        .outcomes()
+        .iter()
+        .map(|o| (o.source, o.target, o.delivered, o.hops, o.recoveries))
+        .collect()
+}
+
+/// Runs one interleaved call on `engine` (route cache off) and `net`, and asserts
+/// each epoch's outcomes equal the same batch routed, by an engine of the same
+/// configuration, over a fresh `freeze()` of the network as it stood when the batch
+/// was drawn. Returns the call's epochs.
+fn call_matching_a_fresh_freeze(
+    engine: &mut QueryEngine,
+    net: &mut Network,
     epochs: usize,
     queries: usize,
     churn: ChurnMix,
+    master_seed: u64,
 ) -> Vec<EpochReport> {
-    let config = || EngineConfig::default().threads(2).cache_capacity(0);
-    let mut engine = QueryEngine::new(config());
-    let mut reference = QueryEngine::new(config());
+    let mut reference = QueryEngine::new(engine.config().clone());
     let mut fresh = Vec::with_capacity(epochs);
     let report = engine.run_interleaved_with(
-        &mut net,
+        net,
         epochs,
         queries,
         churn,
-        77,
+        master_seed,
         &mut |network, context| {
             let batch = QueryBatch::uniform(network, context.queries, context.seed);
             let snapshot = network.view().freeze();
@@ -47,13 +65,6 @@ fn epochs_matching_a_fresh_freeze(
             batch
         },
     );
-    let outcomes = |batch: &BatchReport| {
-        batch
-            .outcomes()
-            .iter()
-            .map(|o| (o.source, o.target, o.delivered, o.hops, o.recoveries))
-            .collect::<Vec<_>>()
-    };
     for (epoch, reference) in report.epochs().iter().zip(&fresh) {
         assert_eq!(
             outcomes(&epoch.batch),
@@ -63,6 +74,17 @@ fn epochs_matching_a_fresh_freeze(
         );
     }
     report.epochs().to_vec()
+}
+
+/// [`call_matching_a_fresh_freeze`] on a fresh cache-less engine.
+fn epochs_matching_a_fresh_freeze(
+    mut net: Network,
+    epochs: usize,
+    queries: usize,
+    churn: ChurnMix,
+) -> Vec<EpochReport> {
+    let mut engine = QueryEngine::new(cache_off());
+    call_matching_a_fresh_freeze(&mut engine, &mut net, epochs, queries, churn, 77)
 }
 
 #[test]
@@ -159,4 +181,107 @@ fn interleaved_run_freezes_once_then_patches_every_epoch() {
             epoch.epoch
         );
     }
+}
+
+#[test]
+fn consecutive_calls_route_the_carried_snapshot() {
+    // Each call replays the schedule from its own epoch 0, so from the second call
+    // on a region crash lands on the snapshot the previous call left.
+    let schedule = FailureSchedule::from_events(vec![
+        FailureEvent::Region { width: 24 },
+        FailureEvent::Quiet,
+        FailureEvent::Heal,
+        FailureEvent::Quiet,
+    ]);
+    for config in [cache_off(), cache_off().failures(schedule)] {
+        let failing = config.failures_config().is_some();
+        let mut net = incremental_network(1 << 10, 9);
+        let mut engine = QueryEngine::new(config);
+        for call in 0..3 {
+            let epochs = call_matching_a_fresh_freeze(
+                &mut engine,
+                &mut net,
+                4,
+                1_000,
+                ChurnMix::balanced(4),
+                77 + call,
+            );
+            for epoch in &epochs {
+                assert_eq!(
+                    epoch.snapshot.rebuild_nanos > 0,
+                    call == 0 && epoch.epoch == 0,
+                    "failures {failing}, call {call}, epoch {}: only the first call freezes",
+                    epoch.epoch
+                );
+            }
+            if failing {
+                let crash = epochs[0].failure.expect("failure work recorded");
+                assert!(crash.failed_nodes > 0);
+                assert_eq!(
+                    crash.patch_nanos > 0,
+                    call > 0,
+                    "call {call}: a carried snapshot takes the crash as a patch"
+                );
+            }
+        }
+        assert_eq!(
+            engine.metrics().phase(Phase::Freeze).count(),
+            1,
+            "failures {failing}"
+        );
+    }
+}
+
+#[test]
+fn a_moved_network_is_frozen_again() {
+    let mut net = incremental_network(1 << 10, 5);
+    let mut twin = incremental_network(1 << 10, 5);
+    let mut engine = QueryEngine::new(cache_off());
+    let mut seed = 0;
+    let mut next_call_freezes = |engine: &mut QueryEngine, net: &mut Network, churn: usize| {
+        seed += 1;
+        let epochs =
+            call_matching_a_fresh_freeze(engine, net, 2, 800, ChurnMix::balanced(churn), seed);
+        epochs[0].snapshot.rebuild_nanos > 0
+    };
+    // Without churn, `net` and its twin stay one overlay under two stamps: the
+    // stamp names a network's state, not its contents.
+    assert!(next_call_freezes(&mut engine, &mut net, 0));
+    assert!(!next_call_freezes(&mut engine, &mut net, 0));
+    assert!(
+        next_call_freezes(&mut engine, &mut twin, 0),
+        "another network"
+    );
+    assert!(!next_call_freezes(&mut engine, &mut twin, 4));
+    assert!(
+        next_call_freezes(&mut engine, &mut net, 4),
+        "back to the first"
+    );
+
+    let mut rng = StdRng::seed_from_u64(6);
+    let p = net.graph().present_nodes()[10];
+    net.leave(p, &mut rng).unwrap();
+    net.join(p, &mut rng).unwrap();
+    assert!(
+        next_call_freezes(&mut engine, &mut net, 4),
+        "leave then join"
+    );
+    let crashed = net.apply_failure(&NodeFailure::count(16), &mut rng);
+    assert!(next_call_freezes(&mut engine, &mut net, 4), "apply_failure");
+    net.heal_nodes(&crashed.failed_nodes);
+    assert!(next_call_freezes(&mut engine, &mut net, 4), "heal_nodes");
+
+    // A batch on the unchanged network routes the snapshot the call left, and a
+    // caller-owned snapshot neither reads nor replaces it.
+    let freezes = engine.metrics().phase(Phase::Freeze).count();
+    let batch = QueryBatch::uniform(&net, 2_000, 8);
+    let fresh = net.view().freeze();
+    let reference =
+        QueryEngine::new(cache_off()).run_batch_with_snapshot(&net, &batch, Some(&fresh));
+    let kept = engine.run_batch(&net, &batch);
+    assert_eq!(outcomes(&kept), outcomes(&reference));
+    engine.run_batch_with_snapshot(&net, &batch, Some(&fresh));
+    let again = engine.run_batch(&net, &batch);
+    assert_eq!(outcomes(&again), outcomes(&reference));
+    assert_eq!(engine.metrics().phase(Phase::Freeze).count(), freezes);
 }

@@ -75,7 +75,7 @@ fn unsafe_hygiene_fires_and_allows() {
 
 #[test]
 fn panic_policy_fires_and_allows() {
-    for crate_name in ["construction", "engine", "overlay", "theory"] {
+    for crate_name in ["construction", "core", "engine", "overlay", "theory"] {
         let found = lint_fixture("panic_policy_fire.rs", crate_name);
         assert_eq!(
             found,
