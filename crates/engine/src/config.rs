@@ -109,7 +109,7 @@ impl ByzantineConfig {
 /// validation pass replaces both behaviours with one typed, diagnosable error.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfigError {
-    /// `shards == 0`: no unit of parallel work could ever be scheduled.
+    /// `shards == 0`: no cache partition could ever serve a lookup.
     ZeroShards,
     /// More shards than source buckets: queries are assigned to shards by source
     /// bucket, so the excess shards could never receive work.
@@ -199,8 +199,9 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the number of shards (each owns a private route cache and is processed as
-    /// one unit of parallel work). Must lie in `1..=NUM_BUCKETS` — queries are
+    /// Sets the number of shards: cache partitions, each a private route cache whose
+    /// lookups one worker serves in batch order (a worker owns a contiguous run of
+    /// shards). Must lie in `1..=NUM_BUCKETS` — queries are
     /// assigned by source bucket, so shards beyond the bucket count could never
     /// receive work — but out-of-range values are no longer silently clamped here:
     /// [`EngineConfig::validate`] reports them as [`ConfigError::ZeroShards`] /

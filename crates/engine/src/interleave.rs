@@ -691,13 +691,21 @@ impl QueryEngine {
         }
         let started = self.telemetry.start();
         let graph = network.graph();
+        // A node's live-link targets. The oracle drops dead targets against its
+        // own alive table, so nothing reads each target's record the way
+        // `usable_neighbors` does.
+        let live_links = |p: u32| {
+            (graph.links(u64::from(p)).iter())
+                .filter(|link| link.alive)
+                .map(|link| link.target as u32)
+        };
         // An oracle that cannot be carried across is dropped before the build.
         let (next, made) = match oracle.take().filter(|_| !revived.is_empty()) {
             Some(kept) => (
                 kept.revive(
                     revived.iter().map(|&p| p as u32),
                     |p| graph.is_alive(u64::from(p)),
-                    |p| graph.usable_neighbors(u64::from(p)).map(|q| q as u32),
+                    live_links,
                     |p| {
                         (graph.links_into(u64::from(p)))
                             .filter(|(_, link)| link.alive)
@@ -712,7 +720,7 @@ impl QueryEngine {
                 ConnectivityOracle::build(
                     network.len() as u32,
                     |p| graph.is_alive(u64::from(p)),
-                    |p| graph.usable_neighbors(u64::from(p)).map(|q| q as u32),
+                    live_links,
                 ),
                 OracleWork::Built,
             ),

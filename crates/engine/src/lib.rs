@@ -10,8 +10,9 @@
 //!
 //! * **Sharding** — the metric space is divided into [`NUM_BUCKETS`] buckets; each query
 //!   is assigned to a shard by its source bucket, and each shard owns a private route
-//!   cache and processes its queries in a fixed order. No locks are taken on the hot
-//!   path, and results are bit-for-bit identical at any thread count.
+//!   cache. Each worker owns a contiguous run of shards, walks the batch once in batch
+//!   order and serves its shards' queries, writing each outcome once. No locks are
+//!   taken on the hot path, and results are bit-for-bit identical at any thread count.
 //! * **Compiled snapshots** — every cache miss walks a
 //!   [`FrozenView`](faultline_core::FrozenView) through the zero-allocation frozen
 //!   walk (one fixed-stride row scan a hop, inlined distance, per-worker scratch
@@ -81,15 +82,16 @@
 //!   time and queries/sec. No clock is read per lookup, so a [`QueryOutcome`] is a
 //!   function of (snapshot, batch, seed) and `==` on outcomes is the determinism
 //!   check; a reader that wants nanoseconds per lookup divides
-//!   [`BatchReport::wall_time`] (or the per-shard `batch_shard` reading) by the
-//!   lookups it covers.
+//!   [`BatchReport::wall_time`] (the worker scope: not the shard-key pass before
+//!   it, nor a multi-worker merge after it) or the per-worker `batch_shard`
+//!   reading by the lookups it covers.
 //! * **Telemetry** — the engine's own thread records per-phase wall-time
-//!   histograms (`freeze`, `apply_delta`, `invalidate`, per-shard `batch_shard`,
+//!   histograms (`freeze`, `apply_delta`, `invalidate`, per-worker `batch_shard`,
 //!   `oracle_build`) and a bounded log of epoch-stamped structural events
 //!   (snapshot re-layouts, cache invalidations, adversary convictions, failures
 //!   and heals), between phases and never per lookup. Each phase is timed once:
 //!   `freeze` and `apply_delta` are the readings [`SnapshotWork`] and
-//!   [`FailureWork`] report. A shard worker hands its `batch_shard` reading back
+//!   [`FailureWork`] report. A worker hands its `batch_shard` reading back
 //!   when the batch joins, and the caches count their own traffic
 //!   (hits/misses/insertions/evictions/invalidations). Instrumented and
 //!   uninstrumented runs produce bit-identical results. Read everything via

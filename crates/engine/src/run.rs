@@ -1,14 +1,14 @@
 //! The [`QueryEngine`]: sharded, parallel batch execution.
 //!
-//! A batch is split by source bucket into shards, and each shard's lookups are
-//! handled by one worker in batch order. How a shard walks depends on what its
-//! lookups share:
+//! A lookup's source bucket picks its shard, a cache partition. Each worker owns a
+//! contiguous run of shards and walks the batch once, pushing the outcome of each of
+//! its own lookups in batch order: one worker's list is the report's, several are
+//! merged once. How a worker walks depends on what its lookups share:
 //!
 //! * **cache off, honest** — every lookup is a full walk and none depends on
 //!   another, so the worker keeps [`WALKS_IN_FLIGHT`] of them going in a lockstep
-//!   [`WalkGroup`] (`route_shard_lockstep`): one hop each in turn, the row each
-//!   moved to prefetched meanwhile; a failed lookup's diversified retry re-enters
-//!   its slot.
+//!   [`WalkGroup`] (`route_lockstep`): one hop each in turn, the row each moved to
+//!   prefetched meanwhile; a failed lookup's diversified retry re-enters its slot.
 //! * **cache on** — one lookup at a time (`route_one`): probe, and on a miss walk
 //!   and insert. The insert must precede the next probe of the same key, which is
 //!   the ordering a group would break.
@@ -18,9 +18,9 @@
 //! All three advance walks through the same hop function
 //! ([`Router::route_frozen`] is that function run to completion), with per-lookup
 //! seeds derived from `(batch seed, query index, attempt)`, and none reads a clock
-//! per lookup (what a batch cost is [`BatchReport::wall_time`] and the per-shard
+//! per lookup (what a batch cost is [`BatchReport::wall_time`] and the per-worker
 //! [`Phase::BatchShard`] reading), so outcomes are a function of (snapshot, batch,
-//! seed): identical at any thread count and whichever way a shard walks.
+//! seed): identical at any thread count and whichever way a worker walks.
 
 use crate::batch::QueryBatch;
 use crate::cache::{bucket_of, CachedRoute, RouteCache, RowSet, NUM_BUCKETS};
@@ -41,9 +41,9 @@ use std::time::Instant;
 /// A reusable parallel query engine.
 ///
 /// The engine owns a worker pool and one [`RouteCache`] per shard. Queries are assigned
-/// to shards by the bucket of their *source* node; each shard's queries are processed
-/// sequentially (in batch order) by whichever worker picks the shard up. Because shards
-/// share nothing, the hot path takes no locks, and per-query results are bit-for-bit
+/// to shards by the bucket of their *source* node; each worker owns a run of shards
+/// and processes their queries sequentially (in batch order). Because workers share
+/// nothing, the hot path takes no locks, and per-query results are bit-for-bit
 /// reproducible at any thread count: randomness comes from `(batch seed, query index)`
 /// and cache state evolves per shard in a fixed order.
 ///
@@ -68,7 +68,7 @@ pub struct QueryEngine {
     /// Byzantine nodes shrink it, joining nodes are marked (or cleared) by the mix.
     adversaries: Option<ByzantineSet>,
     /// Per-phase time histograms and the event log, written by this thread only
-    /// (shard workers hand their readings back). Disabled (inert) when
+    /// (workers hand their readings back). Disabled (inert) when
     /// `EngineConfig::telemetry(false)`.
     pub(crate) telemetry: Telemetry,
     /// The distance-scan kernel every worker scratch dispatches to — resolved once
@@ -83,16 +83,15 @@ pub struct QueryEngine {
 }
 
 /// See [`QueryEngine::run_batch_with_snapshot`]: the shard key and the `(source
-/// bucket, target bucket)` of every lookup, the counting-sorted batch indices, one
-/// outcome per routed lookup in that order, and the nanoseconds each shard's worker
-/// spent (`None` for a shard with no lookups, or with telemetry off).
+/// bucket, target bucket)` of every lookup, each worker's outcomes in batch order
+/// (one worker's list is the report's), and the nanoseconds each worker spent
+/// (`None` with telemetry off).
 #[derive(Debug, Default)]
 struct BatchScratch {
     keys: Vec<u8>,
     buckets: Vec<(u8, u8)>,
-    order: Vec<usize>,
-    routed: Vec<QueryOutcome>,
-    shard_nanos: Vec<Option<u64>>,
+    served: Vec<Vec<QueryOutcome>>,
+    worker_nanos: Vec<Option<u64>>,
 }
 
 /// Clamps a count into an event payload.
@@ -100,7 +99,7 @@ pub(crate) fn saturate_u32(value: u64) -> u32 {
     u32::try_from(value).unwrap_or(u32::MAX)
 }
 
-/// Per-batch byzantine apparatus shared (read-only) by every shard worker.
+/// Per-batch byzantine apparatus shared (read-only) by every worker.
 #[derive(Clone, Copy)]
 struct ByzantineLane<'a> {
     router: RedundantRouter,
@@ -373,22 +372,28 @@ impl QueryEngine {
         // Kernel dispatch is resolved exactly once per batch, from the snapshot (the
         // engine stamps its own at freeze time; a caller-owned one carries its own).
         let kernel = snapshot.kernel();
-        // Assign queries to shards by source bucket with one counting sort; shard
-        // order is part of the deterministic contract (same batch ⇒ same per-shard
-        // sequences). Queries whose endpoints are not even grid points fail up front
-        // — the router would report them as dead endpoints anyway, and bucketing must
-        // not panic on them — so they sort under one key past the last shard and no
-        // worker sees them. `validate` bounds the shard count by `NUM_BUCKETS`, so a
-        // key fits a byte, and so does a bucket. The same pass buckets both endpoints
-        // for the cache probe.
+        // Key each lookup by its source bucket's shard. Queries whose endpoints are
+        // not even grid points fail up front — the router would report them as dead
+        // endpoints anyway, and bucketing must not panic on them — so they take one
+        // key past the last shard, which no cache serves. `validate` bounds the shard
+        // count by `NUM_BUCKETS`, so a key fits a byte, and so does a bucket. The
+        // same pass buckets both endpoints for the cache probe.
         const _: () = assert!(NUM_BUCKETS <= u8::MAX as u64);
         let shard_count = self.caches.len();
+        // Each worker owns a run of `per_worker` shards (the last run may be shorter;
+        // the last worker also owns the key past the last shard) and serves its keys
+        // in batch order, so outcomes and cache state are independent of the split.
+        let per_worker = shard_count.div_ceil(self.threads().clamp(1, shard_count));
+        let workers = shard_count.div_ceil(per_worker);
+        // Path recording only matters to cache row dependencies (the byzantine lane
+        // forces it on per call and restores it); without a cache the walk skips the
+        // per-hop stores entirely.
+        let cache_on = self.config.cache_capacity_entries() > 0;
         let BatchScratch {
             keys,
             buckets,
-            order,
-            routed,
-            shard_nanos,
+            served,
+            worker_nanos,
         } = &mut self.scratch;
         keys.clear();
         buckets.clear();
@@ -402,77 +407,59 @@ impl QueryEngine {
                 buckets.push((source_bucket, bucket_of(target, n) as u8));
             }
         }
-        let buckets = &*buckets;
-        // `order[starts[s]..starts[s + 1]]` is shard `s`'s batch indices, ascending.
-        let mut starts = vec![0usize; shard_count + 2];
-        for &key in keys.iter() {
-            starts[usize::from(key) + 1] += 1;
+        let (keys, buckets) = (&*keys, &*buckets);
+        served.resize_with(workers, Vec::new);
+        if workers == 1 {
+            // The one worker's list is the report's.
+            served[0] = Vec::with_capacity(batch.len());
         }
-        for shard in 0..=shard_count {
-            starts[shard + 1] += starts[shard];
-        }
-        order.clear();
-        order.resize(batch.len(), 0);
-        let mut next = starts.clone();
-        for (index, &key) in keys.iter().enumerate() {
-            order[next[usize::from(key)]] = index;
-            next[usize::from(key)] += 1;
-        }
-        // One outcome per routed lookup, in `order`'s order: each shard's worker owns
-        // the chunk that lines up with its run of indices.
-        routed.clear();
-        routed.resize(starts[shard_count], unrouted(0, 0));
-        shard_nanos.clear();
-        shard_nanos.resize(shard_count, None);
+        worker_nanos.resize(workers, None);
 
         let telemetry = &self.telemetry;
         // xlint: allow(determinism) -- batch wall-time is reported in stats only, never read by routing
         let started = Instant::now();
         self.pool.scope(|scope| {
-            let mut rest = routed.as_mut_slice();
-            for ((shard, cache), nanos) in self
+            for (((worker, caches), list), nanos) in self
                 .caches
-                .iter_mut()
+                .chunks_mut(per_worker)
                 .enumerate()
-                .zip(shard_nanos.iter_mut())
+                .zip(served.iter_mut())
+                .zip(worker_nanos.iter_mut())
             {
-                let indices = &order[starts[shard]..starts[shard + 1]];
-                let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(indices.len());
-                rest = tail;
-                if indices.is_empty() {
-                    continue;
-                }
                 scope.spawn(move |_| {
-                    // Wall time this shard's worker spends on its slice of the
-                    // batch, recorded by the engine once the scope joins.
-                    let shard_started = telemetry.start();
-                    // Scratch buffers are reused across every query the shard
-                    // routes, so the frozen walk never allocates. Path recording
-                    // only matters to cache row dependencies (the byzantine lane
-                    // forces it on per call and restores it); without a cache the
-                    // walk skips the per-hop stores entirely.
+                    // Recorded by the engine once the scope joins.
+                    let worker_started = telemetry.start();
+                    // Pushing through `list` would write its length, on a cache line
+                    // the neighbouring workers' lists share, once per lookup.
+                    let mut out = std::mem::take(list);
+                    out.clear();
+                    // This worker's lookups, in batch order, each with its shard in
+                    // `caches` (`caches.len()` for an out-of-range lookup).
+                    let first = worker * per_worker;
+                    let span = caches.len() + usize::from(worker + 1 == workers);
+                    let own = keys.iter().enumerate().filter_map(|(index, &key)| {
+                        let shard = usize::from(key).wrapping_sub(first);
+                        (shard < span).then_some((index, shard))
+                    });
+                    // Scratch buffers are reused across every lookup the worker
+                    // routes, so the frozen walk never allocates.
                     let mut scratch = RouteScratch::new()
-                        .with_path_recording(cache.enabled() && byzantine.is_none())
+                        .with_path_recording(cache_on && byzantine.is_none())
                         .with_kernel(kernel);
-                    if byzantine.is_none() && !cache.enabled() {
+                    if byzantine.is_none() && !cache_on {
                         // Every lookup is a full walk and none depends on another:
                         // keep a group of them in flight.
-                        route_shard_lockstep(
-                            snapshot,
-                            &scratch,
-                            batch,
-                            indices,
-                            retry_budget,
-                            chunk,
-                        );
+                        let own = own.map(|(index, shard)| (index, shard < caches.len()));
+                        route_lockstep(snapshot, &scratch, batch, own, retry_budget, &mut out);
                     } else {
-                        // A cache-on shard walks one lookup at a time (a miss's
+                        // A cache-on worker walks one lookup at a time (a miss's
                         // insert must precede the next probe of its key), and so
                         // does the byzantine lane.
-                        for (&index, slot) in indices.iter().zip(chunk) {
+                        for (index, shard) in own {
                             let (source, target) = batch.pairs()[index];
-                            *slot = match byzantine {
-                                Some(lane) => route_one_byzantine(
+                            out.push(match (caches.get_mut(shard), byzantine) {
+                                (None, _) => unrouted(source, target),
+                                (Some(_), Some(lane)) => route_one_byzantine(
                                     snapshot,
                                     lane,
                                     &mut scratch,
@@ -481,7 +468,7 @@ impl QueryEngine {
                                     source,
                                     target,
                                 ),
-                                None => route_one(
+                                (Some(cache), None) => route_one(
                                     snapshot,
                                     cache,
                                     &mut scratch,
@@ -492,27 +479,31 @@ impl QueryEngine {
                                     target,
                                     buckets[index],
                                 ),
-                            };
+                            });
                         }
                     }
-                    *nanos = shard_started.map(|at| at.elapsed().as_nanos() as u64);
+                    *nanos = worker_started.map(|at| at.elapsed().as_nanos() as u64);
+                    *list = out;
                 });
             }
         });
         let wall = started.elapsed();
-        for &nanos in shard_nanos.iter().flatten() {
+        for &nanos in worker_nanos.iter().flatten() {
             self.telemetry.record(Phase::BatchShard, nanos);
         }
 
-        // Gather into batch order; a lookup no shard routed keeps `unrouted`.
-        let mut outcomes: Vec<QueryOutcome> = batch
-            .pairs()
-            .iter()
-            .map(|&(source, target)| unrouted(source, target))
-            .collect();
-        for (&index, &outcome) in order.iter().zip(routed.iter()) {
-            outcomes[index] = outcome;
-        }
+        let outcomes = if workers == 1 {
+            std::mem::take(&mut served[0])
+        } else {
+            // Each worker's list is its lookups in batch order: one cursor each.
+            let mut cursors: Vec<_> = served.iter().map(|list| list.iter()).collect();
+            let mut outcomes = Vec::with_capacity(batch.len());
+            outcomes.extend(keys.iter().filter_map(|&key| {
+                let worker = (usize::from(key) / per_worker).min(workers - 1);
+                cursors[worker].next().copied()
+            }));
+            outcomes
+        };
         let report = BatchReport::with_mode(outcomes, wall, self.threads(), byzantine.is_some());
         if let Some(view) = kept {
             self.keep_snapshot(network, view);
@@ -548,69 +539,77 @@ fn diversified(router: Router) -> Router {
     }
 }
 
-/// Walks a cache-less honest shard's lookups through a lockstep group, filling
-/// `chunk` with their outcomes in `indices` order — the outcomes (`delivered`,
-/// `hops`, `recoveries`, `attempts`, `total_hops`) a loop of [`route_one`] gives.
+/// Walks a cache-less honest worker's `lookups` (batch index; endpoints in range?)
+/// through a lockstep group, pushing their outcomes onto `out` in that order — the
+/// outcomes (`delivered`, `hops`, `recoveries`, `attempts`, `total_hops`) a loop of
+/// [`route_one`] gives, and [`unrouted`] for an out-of-range one.
 ///
 /// An undelivered lookup with retry budget left re-enters its slot as its next
 /// attempt — seeded from `(batch seed, query index, attempt)` and routed
 /// [`diversified`], exactly as [`route_one`] retries — so a lookup's attempts still
 /// run one after another while other lookups' walks fill the other slots.
-fn route_shard_lockstep(
+fn route_lockstep(
     snapshot: &FrozenView,
     scratch: &RouteScratch,
     batch: &QueryBatch,
-    indices: &[usize],
+    mut lookups: impl Iterator<Item = (usize, bool)>,
     retry_budget: u32,
-    chunk: &mut [QueryOutcome],
+    out: &mut Vec<QueryOutcome>,
 ) {
-    // The feed closure is inlined into the hop loop, so it keeps a list of its own
-    // to index by `tag`; the chunk is written once, after the last walk.
-    let mut output: Vec<(usize, QueryOutcome)> = Vec::with_capacity(indices.len());
-    let mut pending = indices.iter();
+    // A walk's tag is its slot, which the walk fed in for it takes over: `slots[tag]`
+    // is the batch index of the lookup walking there and its outcome's place in `out`.
+    let mut slots = [(0usize, 0usize); WALKS_IN_FLIGHT];
+    let mut empty_slots = 0..WALKS_IN_FLIGHT;
     WalkGroup::new(WALKS_IN_FLIGHT, scratch).run(snapshot.routes(), |finished| {
-        if let Some(done) = finished {
-            let Walk {
-                source,
-                target,
-                tag,
-                ..
-            } = done.walk;
-            let (index, outcome) = &mut output[tag];
-            outcome.attempts += 1;
-            outcome.total_hops += done.result.hops;
-            if !done.result.is_delivered() && outcome.attempts <= retry_budget {
-                let base_seed = seed_for_trial(batch.seed(), *index as u64);
-                let seed = seed_for_trial(base_seed, u64::from(outcome.attempts));
-                return Some(Walk {
-                    router: diversified(snapshot.router()),
+        let tag = match finished {
+            Some(done) => {
+                let Walk {
                     source,
                     target,
-                    rng: SmallRng::seed_from_u64(seed),
+                    tag,
+                    ..
+                } = done.walk;
+                let (index, at) = slots[tag];
+                let outcome = &mut out[at];
+                outcome.attempts += 1;
+                outcome.total_hops += done.result.hops;
+                if !done.result.is_delivered() && outcome.attempts <= retry_budget {
+                    let base_seed = seed_for_trial(batch.seed(), index as u64);
+                    let seed = seed_for_trial(base_seed, u64::from(outcome.attempts));
+                    return Some(Walk {
+                        router: diversified(snapshot.router()),
+                        source,
+                        target,
+                        rng: SmallRng::seed_from_u64(seed),
+                        tag,
+                    });
+                }
+                outcome.delivered = done.result.is_delivered();
+                outcome.hops = done.result.hops;
+                outcome.recoveries = done.result.recoveries;
+                tag
+            }
+            None => empty_slots.next()?,
+        };
+        loop {
+            let (index, in_range) = lookups.next()?;
+            let (source, target) = batch.pairs()[index];
+            out.push(unrouted(source, target));
+            if in_range {
+                slots[tag] = (index, out.len() - 1);
+                return Some(Walk {
+                    router: snapshot.router(),
+                    source,
+                    target,
+                    rng: SmallRng::seed_from_u64(seed_for_trial(batch.seed(), index as u64)),
                     tag,
                 });
             }
-            outcome.delivered = done.result.is_delivered();
-            outcome.hops = done.result.hops;
-            outcome.recoveries = done.result.recoveries;
         }
-        let &index = pending.next()?;
-        let (source, target) = batch.pairs()[index];
-        output.push((index, unrouted(source, target)));
-        Some(Walk {
-            router: snapshot.router(),
-            source,
-            target,
-            rng: SmallRng::seed_from_u64(seed_for_trial(batch.seed(), index as u64)),
-            tag: output.len() - 1,
-        })
     });
-    for (slot, (_, outcome)) in chunk.iter_mut().zip(output) {
-        *slot = outcome;
-    }
 }
 
-/// Routes (or cache-serves) one query on a shard worker, whose endpoints fall in
+/// Routes (or cache-serves) one query on a worker, whose endpoints fall in
 /// `buckets` (the cache key); a cache miss walks the frozen CSR kernel. Only a
 /// delivered digest is ever served from the cache.
 ///

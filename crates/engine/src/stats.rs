@@ -109,7 +109,9 @@ impl BatchReport {
         self.outcomes.iter().filter(|o| o.cached).count()
     }
 
-    /// Wall-clock time the whole batch took.
+    /// Wall-clock time of the batch's worker scope: every lookup routed or served.
+    /// The shard-key pass before it and, with several workers, the merge into batch
+    /// order after it are outside it.
     #[must_use]
     pub fn wall_time(&self) -> Duration {
         self.wall

@@ -3,7 +3,7 @@
 //! science — parallelism changes wall time, never answers.
 
 use faultline_core::{ConstructionMode, Network, NetworkConfig};
-use faultline_engine::{ChurnMix, EngineConfig, QueryBatch, QueryEngine};
+use faultline_engine::{ChurnMix, EngineConfig, FailureSchedule, QueryBatch, QueryEngine};
 use faultline_failure::NodeFailure;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -74,6 +74,56 @@ fn determinism_survives_damage_and_random_reroute_strategies() {
         serial.iter().any(|o| !o.delivered),
         "40% failures should break some searches"
     );
+}
+
+/// Every way of splitting the shards among workers — one worker for all, one per
+/// shard, uneven runs, more threads than shards — serves each shard's lookups in
+/// batch order, so outcomes and per-shard cache counters cannot tell them apart.
+#[test]
+fn outcomes_and_shard_counters_agree_across_worker_splits() {
+    let mut net = network(1 << 9, 21);
+    net.apply_failure(&NodeFailure::fraction(0.3), &mut StdRng::seed_from_u64(22));
+    let n = net.len();
+    // Out-of-range lookups at the start, in the middle and at the end.
+    let mut pairs = QueryBatch::uniform(&net, 3_000, 23).pairs().to_vec();
+    pairs.insert(0, (n, 1));
+    pairs.insert(1_500, (2, n + 7));
+    pairs.push((1 << 40, 1 << 40));
+    let out_of_range = [0, 1_500, pairs.len() - 1];
+    let batch = QueryBatch::from_pairs(24, pairs);
+    for cache in [256, 0] {
+        for shards in [1, 3, 16] {
+            let run = |threads: usize| {
+                // A failure schedule grants the retry budget the grouped walk's
+                // slots re-enter.
+                let config = EngineConfig::default()
+                    .threads(threads)
+                    .shards(shards)
+                    .cache_capacity(cache)
+                    .failures(FailureSchedule::regional(8).retries(2));
+                let mut engine = QueryEngine::new(config);
+                let outcomes: Vec<_> = (0..2)
+                    .flat_map(|_| engine.run_batch(&net, &batch).outcomes().to_vec())
+                    .collect();
+                (outcomes, engine.metrics().shards().to_vec())
+            };
+            let (outcomes, counters) = run(1);
+            for &index in &out_of_range {
+                let outcome = outcomes[index];
+                assert!(!outcome.delivered && outcome.attempts == 0, "{outcome:?}");
+            }
+            assert!(outcomes.iter().any(|o| o.attempts > 1), "no lookup retried");
+            assert_eq!(outcomes.iter().any(|o| o.cached), cache > 0);
+            assert_eq!(counters.len(), shards);
+            for threads in [2, 3, 5, 16, 17] {
+                assert_eq!(
+                    run(threads),
+                    (outcomes.clone(), counters.clone()),
+                    "cache {cache}, {shards} shards: 1 and {threads} threads disagree"
+                );
+            }
+        }
+    }
 }
 
 #[test]

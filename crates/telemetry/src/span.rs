@@ -13,7 +13,8 @@ pub enum Phase {
     ApplyDelta,
     /// Evicting stale route-cache entries after churn.
     Invalidate,
-    /// One shard worker routing its slice of a batch.
+    /// One worker serving the lookups of its run of shards in a batch (one
+    /// reading per worker).
     BatchShard,
     /// Building the connectivity oracle a failure-configured epoch classifies
     /// its lookups against, or carrying it across a heal (no time on an epoch

@@ -54,8 +54,8 @@ impl ConnectivityOracle {
     /// which `alive` holds.
     ///
     /// `neighbors(p)` yields the directed out-neighbours of `p` (the overlay's
-    /// usable-neighbour row). Edges whose source or target is dead, out of
-    /// range, or a self-loop are discarded.
+    /// live-link targets, dead ones included or not). Edges whose source or
+    /// target is dead, out of range, or a self-loop are discarded.
     ///
     /// The alive table, the adjacency as one CSR, then Tarjan — O(n + edges),
     /// each edge read from `neighbors` once.
