@@ -19,12 +19,16 @@ use crate::stats::{BatchReport, QueryOutcome};
 use faultline_core::{FrozenView, Network};
 use faultline_failure::{ChurnEvent, ChurnSchedule, RegionFailure};
 use faultline_overlay::{ChurnDelta, NodeId};
-use faultline_routing::ByzantineSet;
+use faultline_routing::{prefetch_slice, ByzantineSet};
 use faultline_sim::{seed_for_trial, trial_rng};
 use faultline_telemetry::{EventKind, Phase, PhaseNanos};
 use faultline_theory::ConnectivityOracle;
 use rand::Rng;
 use std::time::Instant;
+
+/// How many nodes ahead of the one it reads an oracle build prefetches a link
+/// table: far enough that the miss is served by the time the build gets there.
+const LINK_PREFETCH_AHEAD: u64 = 8;
 
 /// Context handed to a [`run_interleaved_with`](QueryEngine::run_interleaved_with)
 /// workload callback when it draws one epoch's batch.
@@ -678,6 +682,12 @@ impl QueryEngine {
     /// oracle that survived to a quiet epoch is kept. A heal only adds the
     /// `revived` nodes and their edges to the graph a kept oracle describes, so
     /// that oracle is carried across it; anything else builds a fresh one.
+    ///
+    /// A build reads every live node's link table once, in ascending node order,
+    /// and those tables lie scattered over the heap, so nearly every read is a
+    /// cache miss. The build's closure therefore prefetches the table of the node
+    /// [`LINK_PREFETCH_AHEAD`] past the one it is asked for, which relies on that
+    /// ascending order: out of order, the hint is wasted but harmless.
     fn refresh_oracle(
         &mut self,
         network: &Network,
@@ -720,7 +730,10 @@ impl QueryEngine {
                 ConnectivityOracle::build(
                     network.len() as u32,
                     |p| graph.is_alive(u64::from(p)),
-                    live_links,
+                    |p| {
+                        prefetch_slice(graph.links(u64::from(p) + LINK_PREFETCH_AHEAD));
+                        live_links(p)
+                    },
                 ),
                 OracleWork::Built,
             ),

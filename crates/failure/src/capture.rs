@@ -3,14 +3,21 @@
 //!
 //! The Section 5 maintainer emits deltas for free — it knows which rows it
 //! rewrote. Failure plans mutate the graph behind the overlay's back, so the
-//! delta has to be *measured*: record the usable-neighbour rows that could
-//! change, damage the graph, and emit the rows that differ. The candidate set
-//! is exact and cheap to name: a crash or heal of node `v` can only change
-//! `v`'s own row and the rows of nodes holding a live link *to* `v` (its
-//! in-neighbours, ring links included); a link failure changes only the link's
-//! source row.
+//! delta has to be worked out. The candidate set is exact and cheap to name: a
+//! crash or heal of node `v` can only change `v`'s own row and the rows of nodes
+//! holding a live link *to* `v` (its in-neighbours, ring links included); a link
+//! failure changes only the link's source row.
 //!
-//! The resulting delta satisfies the `apply_delta` contract — every recorded
+//! For a crash or a heal the candidates are also the answer. Once the victims are
+//! cut down to those whose liveness flips, every candidate row changes, so
+//! [`fail_nodes_with_delta`] and [`revive_nodes_with_delta`] emit the candidates'
+//! rows after the flip. A link failure can leave a candidate row as it was, and
+//! the default [`FailurePlan::apply_with_delta`](crate::FailurePlan::apply_with_delta)
+//! knows nothing of what its plan changes, so those two measure instead:
+//! [`DeltaCapture`] records the candidate rows, the plan damages the graph, and
+//! the capture emits the rows that differ.
+//!
+//! Either way the delta satisfies the `apply_delta` contract — every recorded
 //! row equals the post-damage `usable_neighbors` row, captured *after* all
 //! damage settled — so failures flow through the same row-patching and
 //! row-level cache invalidation as churn, with no bucket-mask flush and no
@@ -108,26 +115,54 @@ impl DeltaCapture {
     }
 }
 
-/// Fails `victims` (assumed distinct and alive) while capturing the delta:
-/// blast radius, snapshot, damage, diff.
+/// Fails `victims` while capturing the delta.
+///
+/// Only the victims still alive flip, so those are the ones failed. Each flip
+/// removes its victim from the usable row of every node holding a live link to
+/// it, so every row of the flipping victims' [`blast_radius`] changes, and the
+/// delta is simply those rows after the damage: no before-image, no diff.
+/// Repeated, dead, absent and out-of-range victims change nothing.
 #[must_use]
 pub fn fail_nodes_with_delta(graph: &mut OverlayGraph, victims: &[NodeId]) -> ChurnDelta {
-    let capture = DeltaCapture::snapshot(graph, blast_radius(graph, victims));
-    for &v in victims {
+    let flipping = flipping(victims, |v| graph.is_alive(v));
+    for &v in &flipping {
         graph.fail_node(v);
     }
-    capture.diff(graph)
+    rows_after(graph, &blast_radius(graph, &flipping))
 }
 
-/// Revives `victims` (previously crashed nodes) while capturing the delta
-/// that re-admits their rows and their in-neighbours' restored targets.
+/// Revives `victims` (previously crashed nodes) while capturing the delta that
+/// re-admits their rows and their in-neighbours' restored targets.
+///
+/// The mirror of [`fail_nodes_with_delta`]: only present, crashed victims flip,
+/// and each flip adds its victim back to every live in-neighbour's usable row,
+/// so the delta is the blast radius's rows after the heal. Repeated, alive,
+/// absent and out-of-range victims change nothing.
 #[must_use]
 pub fn revive_nodes_with_delta(graph: &mut OverlayGraph, victims: &[NodeId]) -> ChurnDelta {
-    let capture = DeltaCapture::snapshot(graph, blast_radius(graph, victims));
-    for &v in victims {
+    let flipping = flipping(victims, |v| graph.is_present(v) && !graph.is_alive(v));
+    for &v in &flipping {
         graph.revive_node(v);
     }
-    capture.diff(graph)
+    rows_after(graph, &blast_radius(graph, &flipping))
+}
+
+/// The distinct `victims` whose liveness `flips`, ascending.
+fn flipping(victims: &[NodeId], flips: impl Fn(NodeId) -> bool) -> Vec<NodeId> {
+    let mut out: Vec<NodeId> = victims.iter().copied().filter(|&v| flips(v)).collect();
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// The current row and liveness of each of `nodes` (ascending, all present: a
+/// departed node leaves no link in the reverse adjacency).
+fn rows_after(graph: &OverlayGraph, nodes: &[NodeId]) -> ChurnDelta {
+    let mut delta = ChurnDelta::new();
+    for &p in nodes {
+        delta.record(p, graph.is_alive(p), usable_row(graph, p));
+    }
+    delta
 }
 
 #[cfg(test)]
@@ -245,6 +280,96 @@ mod tests {
         let radius = blast_radius(&g, &[40]);
         for p in delta.changed_nodes() {
             assert!(radius.contains(&p));
+        }
+    }
+
+    /// The before/after diff node deltas were once made by, kept as their
+    /// reference: snapshot the victims' blast radius, flip them, emit the rows
+    /// that differ.
+    fn diffed(graph: &mut OverlayGraph, victims: &[NodeId], heal: bool) -> ChurnDelta {
+        let capture = DeltaCapture::snapshot(graph, blast_radius(graph, victims));
+        for &v in victims {
+            if heal {
+                graph.revive_node(v);
+            } else {
+                graph.fail_node(v);
+            }
+        }
+        capture.diff(graph)
+    }
+
+    /// `victims` plus junk that must change nothing: repeats, nodes that are
+    /// already in the target state, a departed node and out-of-range labels.
+    fn noisy(victims: &[NodeId], settled: &[NodeId], departed: NodeId, n: u64) -> Vec<NodeId> {
+        let mut out = victims.to_vec();
+        out.extend(victims.iter().take(3));
+        out.extend(settled.iter().take(5));
+        out.extend([departed, n, n + 7]);
+        out.reverse();
+        out
+    }
+
+    #[test]
+    fn node_deltas_equal_the_before_after_diff() {
+        use crate::{FailurePlan, NodeFailure, RegionFailure};
+        use rand::Rng;
+        for seed in 0..12u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(64..400u64);
+            let mut g = graph(n, rng.gen_range(1..6), seed);
+            // Earlier damage: failed links, crashed nodes and a departed node.
+            g.fail_long_links_where(|_, _| rng.gen_bool(0.1));
+            for _ in 0..n / 16 {
+                g.fail_node(rng.gen_range(0..n));
+            }
+            let departed = rng.gen_range(0..n);
+            g.remove_node(departed);
+
+            let width = rng.gen_range(1..n / 4);
+            let start = rng.gen_range(0..n);
+            let region = RegionFailure::at(start, width);
+            let opposite = RegionFailure::at((start + n / 2) % n, width);
+            let fraction = NodeFailure::fraction(0.3);
+            let events: [(&str, &[&dyn FailurePlan]); 3] = [
+                ("region", &[&region]),
+                ("partition", &[&region, &opposite]),
+                ("fraction 0.3", &[&fraction]),
+            ];
+            for (name, plans) in events {
+                let mut damaged = g.clone();
+                let mut down = Vec::new();
+                for plan in plans {
+                    let mut reference = damaged.clone();
+                    let mut plan_rng = StdRng::seed_from_u64(seed);
+                    let (report, delta) = plan.apply_with_delta(&mut damaged, &mut plan_rng);
+                    let want = diffed(&mut reference, &report.failed_nodes, false);
+                    assert_eq!(delta, want, "seed {seed}: {name} through its plan");
+                    assert_eq!(damaged, reference, "seed {seed}: {name} damage");
+                    down.extend(report.failed_nodes);
+                }
+                let alive = damaged.alive_nodes();
+                let dead: Vec<NodeId> = (0..n).filter(|&p| !damaged.is_alive(p)).collect();
+
+                // Crashing again, with junk: only victims still alive flip.
+                let victims = noisy(&alive[..alive.len() / 3], &dead, departed, n);
+                let (mut ours, mut reference) = (damaged.clone(), damaged.clone());
+                assert_eq!(
+                    fail_nodes_with_delta(&mut ours, &victims),
+                    diffed(&mut reference, &victims, false),
+                    "seed {seed}: {name}, then a noisy crash"
+                );
+                assert_eq!(ours, reference);
+
+                // The heal, with junk: only present, crashed victims flip.
+                let victims = noisy(&down, &alive, departed, n);
+                let (mut ours, mut reference) = (damaged.clone(), damaged);
+                assert_eq!(
+                    revive_nodes_with_delta(&mut ours, &victims),
+                    diffed(&mut reference, &victims, true),
+                    "seed {seed}: {name}, then a noisy heal"
+                );
+                assert_eq!(ours, reference);
+            }
         }
     }
 

@@ -20,14 +20,15 @@
 //! [`FailureReport`] describing what was damaged.
 //!
 //! Every plan is also **delta-aware**: [`FailurePlan::apply_with_delta`] inflicts
-//! bit-identical damage (same RNG stream) while a [`DeltaCapture`] records the
-//! usable-neighbour rows the damage could change — the victims plus their
-//! in-neighbours ([`blast_radius`]) — and emits, as a
+//! bit-identical damage (same RNG stream) and emits, as a
 //! [`ChurnDelta`](faultline_overlay::ChurnDelta), the new row and liveness of each
-//! one that did change. Failures thus flow through frozen-snapshot row patching and
-//! row-level cache invalidation instead of forcing a rebuild.
-//! [`revive_nodes_with_delta`] is the healing inverse, re-admitting crashed rows
-//! the same way.
+//! usable-neighbour row the damage changed. A node crash changes exactly the rows
+//! of the victims and their in-neighbours ([`blast_radius`]), which
+//! [`fail_nodes_with_delta`] emits as they stand after the crash; a link failure's
+//! rows are measured by a [`DeltaCapture`] before/after diff. Failures thus flow
+//! through frozen-snapshot row patching and row-level cache invalidation instead
+//! of forcing a rebuild. [`revive_nodes_with_delta`] is the healing inverse,
+//! re-admitting crashed rows the same way.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -33,7 +33,7 @@
 
 use crate::greedy::GreedyMode;
 use crate::result::{FailureReason, RouteOutcome, RouteResult};
-use crate::simd::{prefetch_row, KernelIsa};
+use crate::simd::{prefetch_slice, KernelIsa};
 use crate::strategy::FaultStrategy;
 use crate::Router;
 use faultline_overlay::{FrozenRoutes, NodeId};
@@ -634,7 +634,7 @@ impl<R: Rng> Lane<R> {
                 .begin(walk.router, metric, frozen, walk.source, walk.target);
             match begun {
                 None => {
-                    prefetch_row(frozen.neighbors_padded(walk.source));
+                    prefetch_slice(frozen.neighbors_padded(walk.source));
                     self.walk = Some(walk);
                     return true;
                 }
@@ -691,7 +691,7 @@ impl<R: Rng> WalkGroup<R> {
                 };
                 match lane.scratch.hop(metric, frozen, &mut walk.rng) {
                     // Still walking: start pulling in the row the next turn scans.
-                    None => prefetch_row(frozen.neighbors_padded(lane.scratch.walk.current)),
+                    None => prefetch_slice(frozen.neighbors_padded(lane.scratch.walk.current)),
                     Some(outcome) => {
                         let next = lane.walk.take().and_then(|walk| {
                             feed(Some(FinishedWalk {

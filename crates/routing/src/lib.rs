@@ -59,7 +59,7 @@ pub use frozen::{FinishedWalk, RouteScratch, Walk, WalkGroup, WALKS_IN_FLIGHT};
 pub use greedy::{best_neighbor, direction_towards, GreedyMode};
 pub use result::{FailureReason, RouteOutcome, RouteResult};
 pub use router::Router;
-pub use simd::KernelIsa;
+pub use simd::{prefetch_slice, KernelIsa};
 pub use strategy::FaultStrategy;
 
 // Compile-time contract for the parallel query engine: routing configuration carries no

@@ -1,4 +1,4 @@
-//! Runtime-dispatched SIMD kernel for the frozen distance scan, and the row
+//! Runtime-dispatched SIMD kernel for the frozen distance scan, and the
 //! prefetch hint — the one module of this crate that may hold `unsafe`.
 //!
 //! [`best_neighbor_csr`](super::frozen)'s fast branch folds a packed
@@ -43,39 +43,42 @@
 
 use faultline_overlay::ROW_STEP;
 
-/// Hints the CPU to pull the cache line holding `label` towards L1. A no-op off
+/// Hints the CPU to pull the cache line holding `byte` towards L1. A no-op off
 /// x86_64.
 #[inline(always)]
-fn prefetch(label: &u32) {
+fn prefetch(byte: *const u8) {
     #[cfg(target_arch = "x86_64")]
     {
         use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
         // SAFETY: `_mm_prefetch` is in the x86_64 baseline (SSE), and a prefetch is a
-        // hint that never faults or writes whatever address it is given; this one
-        // comes from a live reference anyway.
-        unsafe { _mm_prefetch::<_MM_HINT_T0>(core::ptr::from_ref(label).cast()) }
+        // hint that never faults or writes whatever address it is given; these ones
+        // all lie inside a live slice anyway.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(byte.cast()) }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = label;
+    let _ = byte;
 }
 
-/// Prefetches `row` — a row slot a walk has just moved to and will scan on its next
-/// hop. A lockstep group issues it right after a hop, so the miss is served while
-/// the group's other walks take theirs.
+/// Prefetches every cache line `items` covers: one byte in every 64, then its last
+/// byte, wherever in a line the slice starts. An empty slice is a no-op.
+///
+/// The walkers issue it on the row slot a walk has just moved to and will scan on
+/// its next hop (a 96-byte slot covers two lines or three), right after the hop, so
+/// the miss is served while a lockstep group's other walks take theirs. A caller
+/// reading tables in a known order can issue it a few tables ahead.
 #[inline(always)]
-pub(crate) fn prefetch_row(row: &[u32]) {
-    /// `u32` labels in a 64-byte cache line.
-    const LINE: usize = 16;
-    // One label in every 64 bytes of the slot, then its last: every line the scan
-    // will read, wherever in a line the slot starts (a 96-byte slot covers two lines
-    // or three).
+pub fn prefetch_slice<T>(items: &[T]) {
+    /// Bytes in a cache line.
+    const LINE: usize = 64;
+    let bytes = core::mem::size_of_val(items);
+    let base = items.as_ptr().cast::<u8>();
     let mut at = 0;
-    while at < row.len() {
-        prefetch(&row[at]);
+    while at < bytes {
+        prefetch(base.wrapping_add(at));
         at += LINE;
     }
-    if let Some(last) = row.last() {
-        prefetch(last);
+    if bytes > 0 {
+        prefetch(base.wrapping_add(bytes - 1));
     }
 }
 
@@ -419,8 +422,10 @@ mod tests {
 
     #[test]
     fn prefetching_any_row_is_harmless() {
-        prefetch_row(&[]);
-        prefetch_row(&[7]);
-        prefetch_row(&[faultline_overlay::PAD_SENTINEL; 3 * ROW_STEP]);
+        prefetch_slice::<u32>(&[]);
+        prefetch_slice(&[7u32]);
+        prefetch_slice(&[faultline_overlay::PAD_SENTINEL; 3 * ROW_STEP]);
+        prefetch_slice(&[[0u64; 3]; 18]);
+        prefetch_slice(&[(); 4]);
     }
 }

@@ -8,18 +8,25 @@
 //! over the post-failure usable-neighbour graph — the same adjacency the stretch
 //! oracle walks — computed once per state of that graph and queried per pair.
 //!
-//! [`ConnectivityOracle`] answers **directed survivability**: Tarjan
-//! strongly-connected components plus a breadth-first walk over the condensation
-//! DAG answer [`ConnectivityOracle::survivable`]`(src, dst)` — does a directed
-//! path of usable links exist? This is the gate's denominator: a router that
-//! drops a survivable pair failed; a pair the graph itself severed never counts.
-//! [`ConnectivityOracle::build`] is one pass over the adjacency into a flat CSR,
-//! then Tarjan, which collects the condensation edges as it meets them.
-//! [`ConnectivityOracle::revive`] carries an oracle across a heal: reviving nodes
-//! only adds vertices and edges, and adding edges never splits a component, so
-//! Tarjan runs on the old condensation plus the revived nodes and their edges —
-//! a graph the size of the damage, not of the overlay — and one O(n) remap
-//! relabels every node.
+//! [`ConnectivityOracle`] answers **directed survivability**: strongly connected
+//! components plus a breadth-first walk over the condensation DAG answer
+//! [`ConnectivityOracle::survivable`]`(src, dst)` — does a directed path of
+//! usable links exist? This is the gate's denominator: a router that drops a
+//! survivable pair failed; a pair the graph itself severed never counts.
+//!
+//! One SCC search serves both constructors: Pearce's one-array variant of
+//! Tarjan's ("A space-efficient algorithm for finding strongly connected
+//! components", IPL 2016), iterative, which keeps one word per vertex where
+//! Tarjan keeps an index, a lowlink, an on-stack bit and a component id, and
+//! collects the condensation edges as it meets them. It numbers components in
+//! the order they close, as Tarjan does.
+//! - [`ConnectivityOracle::build`] reads each live node's out-row once, in
+//!   ascending node order, into a flat CSR with `u32` offsets, then searches it.
+//! - [`ConnectivityOracle::revive`] carries an oracle across a heal: reviving
+//!   nodes only adds vertices and edges, and adding edges never splits a
+//!   component, so the search runs on the old condensation plus the revived
+//!   nodes and their edges — a graph the size of the damage, not of the overlay
+//!   — and one O(n) remap relabels every node.
 //!
 //! Like the BFS oracle, everything is adjacency-generic: callers supply an
 //! aliveness predicate and an out-neighbour closure, so the same code audits the
@@ -29,9 +36,6 @@
 
 /// Label reported for nodes outside every component (dead or out of range).
 const NO_COMPONENT: u32 = u32::MAX;
-
-/// Sentinel discovery index for unvisited nodes.
-const UNVISITED: u32 = u32::MAX;
 
 /// Exact connectivity structure of a (possibly failure-damaged) overlay graph.
 ///
@@ -57,8 +61,14 @@ impl ConnectivityOracle {
     /// live-link targets, dead ones included or not). Edges whose source or
     /// target is dead, out of range, or a self-loop are discarded.
     ///
-    /// The alive table, the adjacency as one CSR, then Tarjan — O(n + edges),
-    /// each edge read from `neighbors` once.
+    /// The alive table, the adjacency as one CSR, then the one-array SCC search
+    /// — O(n + edges). `neighbors` is called once per live node, in ascending
+    /// order, so a caller whose rows sit in scattered memory can prefetch the
+    /// rows it will be asked for next.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the live graph has `2^32` edges or more.
     #[must_use]
     pub fn build<A, N, I>(n: u32, alive: A, neighbors: N) -> Self
     where
@@ -70,8 +80,8 @@ impl ConnectivityOracle {
         // Directed adjacency over live endpoints only.
         let mut offsets = Vec::with_capacity(n as usize + 1);
         let mut targets = Vec::new();
+        offsets.push(0);
         for v in 0..n {
-            offsets.push(targets.len());
             if alive[v as usize] {
                 targets.extend(
                     neighbors(v)
@@ -79,11 +89,9 @@ impl ConnectivityOracle {
                         .filter(|&w| w < n && w != v && alive[w as usize]),
                 );
             }
+            offsets.push(edge_offset(targets.len()));
         }
-        offsets.push(targets.len());
-        let adj = Csr { offsets, targets };
-
-        let components = tarjan(&adj, |v| alive[v]);
+        let components = scc(&Csr { offsets, targets }, |v| alive[v]);
         Self {
             n,
             scc: components.of,
@@ -105,9 +113,14 @@ impl ConnectivityOracle {
     ///
     /// Every old component stays strongly connected, so each becomes one vertex
     /// of a contracted graph and each revived node another; its edges are the
-    /// old condensation plus the revived nodes' edges. Tarjan on that graph and
-    /// a remap give every node its new component — O(n) for the remap, plus the
-    /// size of the condensation and the revived nodes' edges.
+    /// old condensation plus the revived nodes' edges. `build`'s SCC search on
+    /// that graph, then a remap, give every node its new component — O(n) for
+    /// the remap, plus the size of the condensation and the revived nodes'
+    /// edges.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the contracted graph has `2^32` edges or more.
     #[must_use]
     pub fn revive<R, A, O, OI, N, NI>(
         &self,
@@ -168,7 +181,7 @@ impl ConnectivityOracle {
             );
         }
         let vertices = self.scc_count as usize + fresh.len();
-        let components = tarjan(&Csr::from_edges(vertices, &edges), |_| true);
+        let components = scc(&Csr::from_edges(vertices, &edges), |_| true);
 
         for slot in vertex.iter_mut().filter(|slot| **slot != NO_COMPONENT) {
             *slot = components.of[*slot as usize];
@@ -253,14 +266,15 @@ impl ConnectivityOracle {
 /// `targets[offsets[v]..offsets[v + 1]]`, in the order they were supplied.
 #[derive(Debug, Clone)]
 struct Csr {
-    offsets: Vec<usize>,
+    offsets: Vec<u32>,
     targets: Vec<u32>,
 }
 
 impl Csr {
     /// The CSR of `edges` over `vertices` vertices, each row in edge order.
     fn from_edges(vertices: usize, edges: &[(u32, u32)]) -> Self {
-        let mut offsets = vec![0usize; vertices + 1];
+        let total = edge_offset(edges.len());
+        let mut offsets = vec![0u32; vertices + 1];
         for &(from, _) in edges {
             offsets[from as usize + 1] += 1;
         }
@@ -268,9 +282,9 @@ impl Csr {
             offsets[v + 1] += offsets[v];
         }
         let mut fill = offsets.clone();
-        let mut targets = vec![0u32; edges.len()];
+        let mut targets = vec![0u32; total as usize];
         for &(from, to) in edges {
-            targets[fill[from as usize]] = to;
+            targets[fill[from as usize] as usize] = to;
             fill[from as usize] += 1;
         }
         Self { offsets, targets }
@@ -279,98 +293,152 @@ impl Csr {
     fn vertices(&self) -> usize {
         self.offsets.len() - 1
     }
+}
 
-    fn row(&self, v: usize) -> &[u32] {
-        &self.targets[self.offsets[v]..self.offsets[v + 1]]
-    }
+/// An edge count as a CSR offset.
+///
+/// # Panics
+///
+/// Panics past `u32::MAX` edges.
+fn edge_offset(edges: usize) -> u32 {
+    u32::try_from(edges)
+        // xlint: allow(panic_policy) -- documented `# Panics`: 2^32 edges are 16 GiB of targets, far past any overlay the oracle audits
+        .expect("the oracle's adjacency holds fewer than 2^32 edges")
 }
 
 /// Strongly connected components of a graph, with its condensation.
 struct Components {
-    /// Component id per vertex ([`NO_COMPONENT`] for vertices Tarjan skipped).
+    /// Component id per vertex ([`NO_COMPONENT`] for vertices the search skipped).
     of: Vec<u32>,
     count: u32,
     /// Deduplicated out-edges between distinct component ids.
     condensation: Vec<Vec<u32>>,
 }
 
-/// Iterative Tarjan over the vertices `live` admits (the others must have no
-/// edges). Every edge that leaves its component is met once, as an edge into
-/// a component already finished, so the condensation comes out of the same
-/// pass.
-fn tarjan(adj: &Csr, live: impl Fn(usize) -> bool) -> Components {
+/// One vertex on the depth-first path.
+struct Frame {
+    v: u32,
+    /// Its next out-edge to read, and the end of its row, as `targets` positions.
+    edge: u32,
+    end: u32,
+    /// No edge has yet reached a vertex numbered below `v`.
+    root: bool,
+}
+
+/// Pearce's one-array SCC ("A space-efficient algorithm for finding strongly
+/// connected components", IPL 2016), iterative, over the vertices `live`
+/// admits (the others must have no edges). The graph must have no self-loops.
+///
+/// One word per vertex, `rindex`, does the work of Tarjan's index, lowlink,
+/// on-stack bit and component id:
+/// - `0`: not visited yet;
+/// - `1..=open`: visited, its component still open; the word is its lowlink;
+/// - `finished..size`: in a closed component, whose id counts down from
+///   `size - 1`.
+///
+/// A closing component hands its visit numbers back (`open` falls), so the open
+/// words stay at or below `open ≤ finished`, and only the vertex being scanned
+/// can sit at `finished` itself: `rindex[w] >= finished` says `w`'s component
+/// closed, with no flag bit. The search visits, and closes components, in
+/// exactly Tarjan's order, so the ids it returns — counted back up, in closing
+/// order — are Tarjan's. Every edge that leaves its component is met once, as an
+/// edge into a closed component, so the condensation comes out of the same pass.
+fn scc(adj: &Csr, live: impl Fn(usize) -> bool) -> Components {
     let size = adj.vertices();
-    let mut index = vec![UNVISITED; size];
-    let mut low = vec![0u32; size];
-    let mut on_stack = vec![false; size];
-    let mut comp = vec![NO_COMPONENT; size];
+    // `size` ≤ the `n: u32` the oracle was built over.
+    let size32 = size as u32;
+    let mut rindex = vec![0u32; size];
+    let mut open = 0u32;
+    let mut finished = size32;
+    // Vertices done with their DFS whose component is still open, in visit order.
     let mut stack: Vec<u32> = Vec::new();
-    let mut next_index = 0u32;
-    let mut count = 0u32;
-    // (source vertex, finished target component) for every edge leaving a
-    // component; the source's own component is known once it finishes.
+    let mut frames: Vec<Frame> = Vec::new();
+    // (source vertex, closed target component) for every edge leaving a
+    // component; the source's own component is known once it closes.
     let mut leaving: Vec<(u32, u32)> = Vec::new();
-    // Explicit DFS frames: (node, next out-edge position).
-    let mut frames: Vec<(u32, usize)> = Vec::new();
-    for root in 0..size {
-        if !live(root) || index[root] != UNVISITED {
+    let frame = |v: u32| Frame {
+        v,
+        edge: adj.offsets[v as usize],
+        end: adj.offsets[v as usize + 1],
+        root: true,
+    };
+    for start in 0..size32 {
+        if !live(start as usize) || rindex[start as usize] != 0 {
             continue;
         }
-        frames.push((root as u32, 0));
-        while let Some(&mut (v, ref mut pos)) = frames.last_mut() {
-            let vi = v as usize;
-            if *pos == 0 {
-                index[vi] = next_index;
-                low[vi] = next_index;
-                next_index += 1;
-                on_stack[vi] = true;
-                stack.push(v);
+        open += 1;
+        rindex[start as usize] = open;
+        frames.push(frame(start));
+        'path: while let Some(Frame {
+            v,
+            mut edge,
+            end,
+            mut root,
+        }) = frames.pop()
+        {
+            // v's lowlink, kept here while its row is read.
+            let mut low = rindex[v as usize];
+            while edge < end {
+                let w = adj.targets[edge as usize];
+                debug_assert_ne!(w, v, "self-loops are filtered before the search");
+                let word = rindex[w as usize];
+                if word == 0 {
+                    // A tree edge: descend, and read the edge again once `w` is done.
+                    rindex[v as usize] = low;
+                    frames.push(Frame { v, edge, end, root });
+                    open += 1;
+                    rindex[w as usize] = open;
+                    frames.push(frame(w));
+                    continue 'path;
+                }
+                edge += 1;
+                if word >= finished {
+                    leaving.push((v, word));
+                } else if word < low {
+                    low = word;
+                    root = false;
+                }
             }
-            if let Some(&w) = adj.row(vi).get(*pos) {
-                *pos += 1;
-                let wi = w as usize;
-                if index[wi] == UNVISITED {
-                    frames.push((w, 0));
-                } else if on_stack[wi] {
-                    low[vi] = low[vi].min(index[wi]);
-                } else {
-                    leaving.push((v, comp[wi]));
+            if root {
+                // v roots a component: it and every stacked vertex whose lowlink
+                // is not below v's number.
+                finished -= 1;
+                open -= 1;
+                while let Some(&w) = stack.last() {
+                    if rindex[w as usize] < low {
+                        break;
+                    }
+                    stack.pop();
+                    rindex[w as usize] = finished;
+                    open -= 1;
                 }
+                rindex[v as usize] = finished;
             } else {
-                if low[vi] == index[vi] {
-                    // v roots a component: pop the stack down to it.
-                    while let Some(w) = stack.pop() {
-                        on_stack[w as usize] = false;
-                        comp[w as usize] = count;
-                        if w == v {
-                            break;
-                        }
-                    }
-                    count += 1;
-                }
-                frames.pop();
-                if let Some(&mut (p, _)) = frames.last_mut() {
-                    let pi = p as usize;
-                    if comp[vi] == NO_COMPONENT {
-                        low[pi] = low[pi].min(low[vi]);
-                    } else {
-                        // The tree edge p → v left p's component.
-                        leaving.push((p, comp[vi]));
-                    }
-                }
+                rindex[v as usize] = low;
+                stack.push(v);
             }
         }
     }
+    // Pearce's ids count down from `size - 1` in closing order; Tarjan's count up.
+    let closing_order = |id: u32| size32 - id - 1;
+    for (v, word) in rindex.iter_mut().enumerate() {
+        *word = if live(v) {
+            closing_order(*word)
+        } else {
+            NO_COMPONENT
+        };
+    }
+    let count = size32 - finished;
     let mut condensation: Vec<Vec<u32>> = vec![Vec::new(); count as usize];
     for (v, to) in leaving {
-        condensation[comp[v as usize] as usize].push(to);
+        condensation[rindex[v as usize] as usize].push(closing_order(to));
     }
     for row in &mut condensation {
         row.sort_unstable();
         row.dedup();
     }
     Components {
-        of: comp,
+        of: rindex,
         count,
         condensation,
     }

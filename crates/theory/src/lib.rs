@@ -16,8 +16,9 @@
 //!   the ground truth behind the benchmark's sampled routing-stretch measurement
 //!   (greedy hops ÷ optimal hops).
 //! * [`connectivity`] — exact connectivity structure of a failure-damaged overlay:
-//!   Tarjan SCCs plus a condensation walk for directed `survivable(src, dst)` ground
-//!   truth — the denominator of the engine's survivability gate.
+//!   one-array (Pearce) SCCs plus a condensation walk for directed
+//!   `survivable(src, dst)` ground truth — the denominator of the engine's
+//!   survivability gate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

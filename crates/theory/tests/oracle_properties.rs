@@ -1,12 +1,19 @@
-//! The connectivity oracle against brute force on small random damaged graphs.
+//! The connectivity oracle against independent references.
 //!
-//! [`ConnectivityOracle`] answers survivability through Tarjan SCCs plus a
-//! condensation walk — easy to get subtly wrong (lowlink tie-breaks,
-//! parallel-edge handling, dead-endpoint filtering, condensation edges met on
-//! tree edges). At `n ≤ 20` the naive algorithm is trivially correct: directed
-//! reachability by DFS per source, and components as the classes of mutual
-//! reachability. Every answer must agree exactly, whether the oracle was built
-//! or carried across a revival.
+//! [`ConnectivityOracle`] answers survivability through a one-array SCC search
+//! (Pearce's variant of Tarjan's) plus a condensation walk — easy to get subtly
+//! wrong (lowlink tie-breaks, reused visit numbers, parallel-edge handling,
+//! dead-endpoint filtering, condensation edges met on tree edges). Two references
+//! hold it:
+//!
+//! - at `n < 20` the naive algorithm is trivially correct: directed reachability
+//!   by DFS per source, and components as the classes of mutual reachability;
+//! - at the overlay's scale, 2^16 nodes, Kosaraju's two-pass SCC, which shares no
+//!   lowlink bookkeeping with the oracle, on graphs whose search runs deep (a
+//!   directed path as long as the graph) or ends in thousands of components.
+//!
+//! Every answer must agree exactly, whether the oracle was built or carried
+//! across a revival.
 
 use faultline_theory::ConnectivityOracle;
 use proptest::prelude::*;
@@ -202,4 +209,203 @@ proptest! {
             }
         }
     }
+}
+
+/// Nodes in the overlay-scale graphs.
+const BIG: u32 = 1 << 16;
+
+/// Kosaraju's SCC over the live graph: a forward DFS records finishing order,
+/// then a search of the reverse graph in reverse finishing order names one
+/// component per tree. Both passes are iterative, so a path as long as the graph
+/// is no deeper for the call stack than a ring. Returns a label per node
+/// (`u32::MAX` for dead nodes) and the number of components.
+fn kosaraju(alive: &[bool], clean: &[Vec<u32>]) -> (Vec<u32>, u32) {
+    let n = clean.len();
+    let mut seen = vec![false; n];
+    let mut finish_order = Vec::with_capacity(n);
+    let mut frames: Vec<(u32, usize)> = Vec::new();
+    for start in (0..n).filter(|&v| alive[v]) {
+        if seen[start] {
+            continue;
+        }
+        seen[start] = true;
+        frames.push((start as u32, 0));
+        while let Some((v, next)) = frames.last_mut() {
+            if let Some(&w) = clean[*v as usize].get(*next) {
+                *next += 1;
+                if !seen[w as usize] {
+                    seen[w as usize] = true;
+                    frames.push((w, 0));
+                }
+            } else {
+                finish_order.push(*v);
+                frames.pop();
+            }
+        }
+    }
+    let mut reverse: Vec<Vec<u32>> = vec![Vec::new(); n];
+    for (v, row) in clean.iter().enumerate() {
+        for &w in row {
+            reverse[w as usize].push(v as u32);
+        }
+    }
+    let mut label = vec![u32::MAX; n];
+    let mut count = 0u32;
+    for &root in finish_order.iter().rev() {
+        if label[root as usize] != u32::MAX {
+            continue;
+        }
+        label[root as usize] = count;
+        let mut stack = vec![root];
+        while let Some(v) = stack.pop() {
+            for &u in &reverse[v as usize] {
+                if label[u as usize] == u32::MAX {
+                    label[u as usize] = count;
+                    stack.push(u);
+                }
+            }
+        }
+        count += 1;
+    }
+    (label, count)
+}
+
+/// Holds `oracle` to Kosaraju on a 2^16-node graph: the same number of
+/// components, the same partition of the live nodes, and `survivable` equal to
+/// a breadth-first search on sampled pairs.
+fn assert_matches_kosaraju(
+    oracle: &ConnectivityOracle,
+    alive: &[bool],
+    adj: &[Vec<u32>],
+    what: &str,
+) {
+    let clean = live_adj(alive, adj);
+    let (label, count) = kosaraju(alive, &clean);
+    assert_eq!(oracle.component_count(), count, "{what}: component count");
+    // The partitions agree when each oracle id maps to one label and back.
+    let mut label_of = vec![u32::MAX; count as usize];
+    let mut id_of = vec![u32::MAX; count as usize];
+    for v in 0..alive.len() {
+        let Some(id) = oracle.component_of(v as u32) else {
+            assert!(!alive[v], "{what}: live node {v} has no component");
+            continue;
+        };
+        assert!(alive[v], "{what}: dead node {v} has a component");
+        let l = label[v];
+        assert!(
+            (label_of[id as usize] == u32::MAX || label_of[id as usize] == l)
+                && (id_of[l as usize] == u32::MAX || id_of[l as usize] == id),
+            "{what}: node {v}'s component splits or merges Kosaraju's"
+        );
+        label_of[id as usize] = l;
+        id_of[l as usize] = id;
+    }
+    let mut rng = StdRng::seed_from_u64(u64::from(count));
+    let live: Vec<u32> = (0..alive.len() as u32)
+        .filter(|&v| alive[v as usize])
+        .collect();
+    for _ in 0..4 {
+        let src = live[rng.gen_range(0..live.len())];
+        let reach = reachable_from(&clean, src);
+        for _ in 0..48 {
+            let dst = rng.gen_range(0..alive.len() as u32);
+            assert_eq!(
+                oracle.survivable(src, dst),
+                alive[dst as usize] && reach[dst as usize],
+                "{what}: survivable({src}, {dst})"
+            );
+        }
+    }
+}
+
+/// Holds the oracle of `adj` under the dead set `alive` to Kosaraju, then
+/// revives every dead node and holds the carried oracle, and a fresh build of the
+/// healed graph, to Kosaraju too.
+fn check_at_scale(alive: &[bool], adj: &[Vec<u32>], what: &str) {
+    let damaged = build(alive, adj);
+    assert_matches_kosaraju(&damaged, alive, adj, what);
+
+    let mut sources: Vec<Vec<u32>> = vec![Vec::new(); adj.len()];
+    for (v, row) in adj.iter().enumerate() {
+        for &w in row {
+            sources[w as usize].push(v as u32);
+        }
+    }
+    let dead = (0..adj.len() as u32).filter(|&v| !alive[v as usize]);
+    let healed = vec![true; adj.len()];
+    let carried = damaged.revive(
+        dead,
+        |_| true,
+        |p| adj[p as usize].iter().copied(),
+        |p| sources[p as usize].iter().copied(),
+    );
+    let fresh = build(&healed, adj);
+    assert_eq!(
+        carried.component_count(),
+        fresh.component_count(),
+        "{what}: revived count"
+    );
+    assert_matches_kosaraju(&carried, &healed, adj, &format!("{what}, revived"));
+    assert_matches_kosaraju(&fresh, &healed, adj, &format!("{what}, healed"));
+}
+
+/// A ring of [`BIG`] nodes, each with 16 directed long links whose lengths are
+/// spread over every scale like the overlay's: a random power of two, plus a
+/// random offset below it.
+fn linked_ring(seed: u64) -> Vec<Vec<u32>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..BIG)
+        .map(|p| {
+            let mut row = vec![(p + 1) % BIG, (p + BIG - 1) % BIG];
+            for _ in 0..16 {
+                let scale = 1u32 << rng.gen_range(0..15);
+                row.push((p + scale + rng.gen_range(0..scale)) % BIG);
+            }
+            row
+        })
+        .collect()
+}
+
+/// Everything alive except the arcs `[start, start + width)` (mod [`BIG`]).
+fn dead_arcs(starts: &[u32], width: u32) -> Vec<bool> {
+    let mut alive = vec![true; BIG as usize];
+    for &start in starts {
+        for i in 0..width {
+            alive[((start + i) % BIG) as usize] = false;
+        }
+    }
+    alive
+}
+
+#[test]
+fn linked_ring_with_one_dead_arc_matches_kosaraju() {
+    check_at_scale(&dead_arcs(&[9_000], 2_048), &linked_ring(1), "one dead arc");
+}
+
+#[test]
+fn linked_ring_with_two_dead_arcs_matches_kosaraju() {
+    let alive = dead_arcs(&[9_000, 9_000 + BIG / 2], 1_024);
+    check_at_scale(&alive, &linked_ring(2), "two dead arcs");
+}
+
+#[test]
+fn linked_ring_with_30_percent_dead_nodes_matches_kosaraju() {
+    let mut rng = StdRng::seed_from_u64(3);
+    let alive: Vec<bool> = (0..BIG).map(|_| !rng.gen_bool(0.3)).collect();
+    check_at_scale(&alive, &linked_ring(3), "30 % dead");
+}
+
+/// A directed path through all [`BIG`] nodes: the search runs as deep as the
+/// graph, and every node is its own component. A few dead nodes cut it into
+/// pieces that the revival joins again.
+#[test]
+fn directed_path_as_deep_as_the_graph_matches_kosaraju() {
+    let path: Vec<Vec<u32>> = (0..BIG)
+        .map(|p| if p + 1 < BIG { vec![p + 1] } else { Vec::new() })
+        .collect();
+    let oracle = build(&vec![true; BIG as usize], &path);
+    assert_eq!(oracle.component_count(), BIG);
+    assert!(oracle.survivable(0, BIG - 1) && !oracle.survivable(BIG - 1, 0));
+    let alive: Vec<bool> = (0..BIG).map(|p| p % 4_099 != 7).collect();
+    check_at_scale(&alive, &path, "path");
 }
