@@ -1,103 +1,120 @@
-//! Engine throughput benchmark binary.
+//! Engine perf gate over the shipped scenario files.
 //!
-//! Runs batched parallel lookups (uncached, cold cache, warm cache) plus the
-//! churn-interleaved phase and prints a summary. It writes no file of its own:
-//! the terminal print is the record of a local run, the job summary the record of
-//! a CI run, and the cross-PR trajectory is `benchmark/`'s.
+//! `engine_throughput --scenario PATH` (repeatable; a directory runs every `.toml`
+//! inside) runs each file through the `ScenarioSpec` front door, prints its block,
+//! and gates nine readings. Seven read the scenarios' own reports, by name:
+//! `survival_rate`, `failure_rebuild_free` and `heal_recovery_us` read
+//! `regional-failures` and `partition-and-heal`; `snapshot_patch_speedup` reads
+//! `regional-failures`' one freeze over its mean churn patch; `patch_rebuild_free`
+//! reads every epoch of every scenario; `byzantine_throughput` and
+//! `byzantine_success_rate` read `byzantine-contested`. Two are dedicated
+//! measurements: `telemetry_overhead_ratio`, a warm-batch A/B over the overlay
+//! `zipf-hotspot` builds, and `simd_speedup`, the dispatched kernel over the
+//! scalar fold on a cache-resident kernel cell (only when a vector ISA
+//! dispatched). A gate whose scenario did not run, or whose reading is NaN,
+//! fails. The run exits 1 if any gate fails, 2 on a bad flag or a scenario that
+//! does not parse or validate.
 //!
-//! Under `--quick` (the CI smoke run) it also acts as a regression gate: the run
-//! fails if the SIMD-over-scalar kernel speedup (only when a vector ISA actually
-//! dispatched — scalar-only hosts auto-relax), the incremental
-//! snapshot-maintenance speedup, the rebuild-fallback-free fraction, the
-//! adversarial throughput, the adversarial success rate, the telemetry overhead
-//! ratio, the oracle-grounded survival rate or the failure-epoch
-//! rebuild-free fraction falls below a floor, or the heal-recovery latency rises
-//! above its ceiling (the bounds are the constants below). All gate readings, the
-//! dispatched distance-scan ISA, the rows each trajectory patched, and the
-//! per-phase telemetry breakdown are appended to `$GITHUB_STEP_SUMMARY` when that
-//! file is available, so a failing run is diagnosable from the job page without
-//! opening the log.
-//!
-//! `--metrics PATH` additionally writes the full human-readable telemetry dump
-//! (phase histograms, per-shard cache table, event counts) to `PATH`.
-//!
-//! `--scenario PATH` (repeatable; a directory runs every `.toml` inside) runs
-//! declarative scenario files through the `ScenarioSpec` front door after the fixed
-//! arms. Each scenario prints its own block and lands as a row in the step
-//! summary; a scenario that fails to parse or validate terminates the run with its
-//! `file: line N:` diagnostic.
+//! It writes no file of its own. The gate table, the scenario table and the
+//! per-phase totals go to `$GITHUB_STEP_SUMMARY` when that is set, so a failing run
+//! is diagnosable from the job page; the cross-PR trajectory is `benchmark/`'s.
 
-use faultline_bench::engine_run::{self, EngineBenchReport};
+use faultline_bench::kernel::{run_stream, Walker};
 use faultline_bench::scenario_run::{self, ScenarioOutcome};
-use faultline_bench::BenchArgs;
-use faultline_engine::{MetricsSnapshot, Phase};
+use faultline_core::routing::{KernelIsa, RouteScratch};
+use faultline_core::{ConstructionMode, Network, NetworkConfig};
+use faultline_engine::{EngineConfig, InterleavedReport, Phase, QueryBatch, QueryEngine};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::io::Write;
 
-/// `--quick` floor for `simd_speedup` (best uncached frozen-kernel
-/// throughput with the dispatched vector ISA over the scalar-pinned baseline on
-/// the bit-identical batch). The AVX2 distance scan has measured well above this
-/// on dense rows; the floor sits low enough to absorb shared-runner noise while
-/// catching the regression it exists for — the dispatch silently falling back to
-/// the scalar fold, which pins the ratio at ~1.0. Only gated when a vector ISA
-/// dispatched: on scalar-only hosts (or under `FAULTLINE_FORCE_SCALAR=1`) the
-/// reading is a self-comparison and is skipped rather than gamed.
+/// Floor for `simd_speedup` (best scalar-fold time over best dispatched-kernel
+/// time on the kernel cell's bit-identical stream). The AVX2 distance scan has
+/// measured well above this on dense rows; the floor sits low enough to absorb
+/// shared-runner noise while catching the regression it exists for — the dispatch
+/// silently falling back to the scalar fold, which pins the ratio at ~1.0. Only
+/// gated when a vector ISA dispatched: on scalar-only hosts (or under
+/// `FAULTLINE_FORCE_SCALAR=1`) the reading is a self-comparison and is skipped
+/// rather than gamed.
 const MIN_SIMD_SPEEDUP: f64 = 1.15;
 
-/// `--quick` floor for `snapshot_patch_speedup`: patching O(changed · ℓ)
-/// rows per epoch must beat the run's one O(nodes + links) freeze; parity means the
-/// delta layer stopped paying for itself.
+/// Floor for `snapshot_patch_speedup`: patching O(changed · ℓ) rows per epoch must
+/// beat the run's one O(nodes + links) freeze; parity means the delta layer
+/// stopped paying for itself.
 const MIN_PATCH_SPEEDUP: f64 = 1.0;
 
-/// `--quick` floor for the fraction of maintenance epochs that patched rows in
-/// their slots without re-laying the snapshot out. The maintainer never grows a row
-/// past the stride the freeze derived, so a single rebuild at smoke scale means the
+/// Floor for the fraction of epochs, over every scenario, whose churn patch wrote
+/// rows in their slots without re-laying the snapshot out. The maintainer never
+/// grows a row past the stride the freeze derived, so a single rebuild means the
 /// stride derivation (or the maintainer's link budget) regressed.
 const MIN_PATCH_REBUILD_FREE: f64 = 1.0;
 
-/// `--quick` floor for `byzantine_throughput` (q/s at 15% corruption,
-/// redundancy 4, uncached frozen kernel). Measured ~1.2M q/s at the smoke scale; the
-/// floor sits ~8x below so slow CI machines pass while a structural regression (the
-/// lane falling back to per-walk allocation, or the batch path abandoning the CSR
+/// Floor for `byzantine_throughput` (`byzantine-contested` routing q/s: 15%
+/// corruption, redundancy 3, uncached frozen kernel). Measured ~1.3M q/s; the floor
+/// sits ~8x below so slow CI machines pass while a structural regression (the lane
+/// falling back to per-walk allocation, or the batch path abandoning the CSR
 /// kernel) still trips it.
 const MIN_BYZANTINE_QPS: f64 = 150_000.0;
 
-/// `--quick` floor for `byzantine_success_rate` (delivered fraction at 15%
-/// corruption). The smoke run is fully seeded, so this reading is deterministic
-/// (measured 0.6486): any drop means the redundancy machinery itself changed, not
-/// the machine.
+/// Floor for `byzantine_success_rate` (`byzantine-contested` delivered fraction).
+/// The scenario is fully seeded, so this reading is deterministic (measured
+/// 0.5861): any drop means the redundancy machinery itself changed, not the
+/// machine.
 const MIN_BYZANTINE_SUCCESS: f64 = 0.55;
 
-/// `--quick` floor for `telemetry_overhead_ratio` (instrumented warm-cache
-/// throughput over the telemetry-disabled baseline on bit-identical batches).
-/// Telemetry is one clock pair per phase, never per lookup; it must stay within
-/// 5% of free, or the instrumentation has crept onto the per-query hot path.
+/// Floor for `telemetry_overhead_ratio` (instrumented warm-cache throughput over
+/// the telemetry-disabled baseline on bit-identical batches). Telemetry is one
+/// clock pair per phase, never per lookup; it must stay within 5% of free, or the
+/// instrumentation has crept onto the per-query hot path.
 const MIN_TELEMETRY_RATIO: f64 = 0.95;
 
-/// `--quick` floor for `survival_rate` (worst-scenario delivered fraction
-/// of oracle-survivable queries under correlated regional and partition damage).
-/// The run is fully seeded, so this reading is deterministic: the oracle excludes
+/// Floor for `survival_rate` (worst-scenario delivered fraction of
+/// oracle-survivable queries under correlated regional and partition damage).
+/// The runs are fully seeded, so this reading is deterministic: the oracle excludes
 /// genuinely disconnected pairs from the denominator, which means anything the
 /// floor catches is a *routing* failure on a provably connected pair — backtrack
 /// recovery or the diversified-retry machinery regressed, not the topology.
 const MIN_SURVIVAL: f64 = 0.99;
 
-/// `--quick` floor for the fraction of failure-scenario epochs that patched the
-/// snapshot without re-laying it out. Damage only shortens rows and a heal restores
-/// them, so no row can outgrow the stride; a single rebuild means a heal wrote a
-/// longer row than the one the failure removed.
+/// Floor for the fraction of the failure scenarios' damage and heal epochs that
+/// patched the snapshot without re-laying it out. Damage only shortens rows and a
+/// heal restores them, so no row can outgrow the stride; a single rebuild means a
+/// heal wrote a longer row than the one the failure removed.
 const MIN_FAILURE_REBUILD_FREE: f64 = 1.0;
 
-/// `--quick` ceiling for `heal_recovery_us` (mean wall time of a heal
-/// event: delta capture, snapshot row-patching, row-level cache eviction). A heal
-/// touches O(region · ℓ) rows — tens of microseconds at smoke scale, measured
-/// ~2 ms at the default scale — so a generous ceiling still catches the
-/// structural cliff this gate exists for: heals degrading to full rebuilds or
-/// full-cache flushes, which jump this reading by orders of magnitude.
+/// Ceiling for `heal_recovery_us` (mean wall time of a heal event: delta capture,
+/// snapshot row-patching, row-level cache eviction). A heal touches O(region · ℓ)
+/// rows — ~1.5 ms for the shipped 2^14-node files — so a generous ceiling still
+/// catches the structural cliff this gate exists for: heals degrading to full
+/// rebuilds or full-cache flushes, which jump this reading by orders of magnitude.
 const MAX_HEAL_RECOVERY_US: f64 = 50_000.0;
+
+/// The scenarios the seven report-reading gates take their readings from.
+const REGIONAL: &str = "regional-failures";
+const PARTITION: &str = "partition-and-heal";
+const BYZANTINE: &str = "byzantine-contested";
+/// The scenario whose overlay the telemetry A/B routes over.
+const TELEMETRY: &str = "zipf-hotspot";
+
+/// Extra alternating instrumented/bare warm-batch pairs behind
+/// `telemetry_overhead_ratio`, after one warm pair: alternating cancels clock drift,
+/// and each side keeps its best, since noise only ever subtracts throughput.
+const TELEMETRY_ROUNDS: usize = 3;
+
+/// The kernel cell behind `simd_speedup`: small enough that its rows stay
+/// cache-resident, so the memory wall does not bury the kernel's compute gap, with
+/// rows of four or five eight-label vector steps. `BENCH_route_kernel.json` sweeps
+/// the full (geometry × row length) grid.
+const KERNEL_CELL_NODES: u64 = 1 << 10;
+const KERNEL_CELL_LINKS: usize = 32;
+/// Queries per pass over the kernel cell.
+const KERNEL_CELL_QUERIES: usize = 50_000;
+/// Alternating scalar/SIMD passes over the kernel cell; each side keeps its best.
+const KERNEL_CELL_ROUNDS: usize = 4;
 
 /// One perf-gate reading: a headline value checked against its bound — a floor
 /// the value must stay at or above, or (for latency-style readings,
-/// `ceiling: true`) a ceiling it must stay at or below.
+/// `ceiling: true`) a ceiling it must stay at or below. NaN passes neither.
 struct GateReading {
     name: &'static str,
     value: f64,
@@ -106,24 +123,6 @@ struct GateReading {
 }
 
 impl GateReading {
-    fn floor(name: &'static str, value: f64, bound: f64) -> Self {
-        Self {
-            name,
-            value,
-            bound,
-            ceiling: false,
-        }
-    }
-
-    fn ceiling(name: &'static str, value: f64, bound: f64) -> Self {
-        Self {
-            name,
-            value,
-            bound,
-            ceiling: true,
-        }
-    }
-
     fn passed(&self) -> bool {
         if self.ceiling {
             self.value <= self.bound
@@ -141,101 +140,198 @@ impl GateReading {
     }
 }
 
-/// The `--quick` gate list, in print order: nine readings, eight where no vector
-/// ISA dispatched.
-fn gate_readings(report: &EngineBenchReport) -> Vec<GateReading> {
-    let mut readings = Vec::new();
-    // The SIMD gate compares the dispatched kernel against the pinned scalar
-    // fold; on hosts where detection already resolved to scalar the reading is
-    // a self-comparison (~1.0 by construction), so the gate is skipped instead
-    // of silently passing at a meaningless floor.
-    if report.simd_isa != "scalar" {
-        readings.push(GateReading::floor(
-            "simd_speedup",
-            report.simd_speedup(),
-            MIN_SIMD_SPEEDUP,
-        ));
+/// The share of patches that did not fall back to a rebuild, NaN when there were
+/// none.
+fn rebuild_free(fallbacks: impl Iterator<Item = bool>) -> f64 {
+    let (rebuilt, total) = fallbacks.fold((0, 0), |(r, t), fell| (r + u32::from(fell), t + 1_u32));
+    if total == 0 {
+        f64::NAN
+    } else {
+        1.0 - f64::from(rebuilt) / f64::from(total)
     }
-    readings.extend([
-        GateReading::floor(
+}
+
+/// `value`, or NaN where it is zero: a zero there means nothing was measured.
+fn measured(value: f64) -> f64 {
+    if value > 0.0 {
+        value
+    } else {
+        f64::NAN
+    }
+}
+
+/// The gate list, in print order: nine readings, eight when `simd_speedup` is
+/// `None` (no vector ISA dispatched). A reading whose scenario is missing is NaN.
+fn gate_readings(outcomes: &[ScenarioOutcome], simd_speedup: Option<f64>) -> Vec<GateReading> {
+    let report = |name| {
+        outcomes
+            .iter()
+            .find(|o| o.spec.name == name)
+            .map(|o| &o.report)
+    };
+    let regional = report(REGIONAL);
+    let failures = regional.zip(report(PARTITION)).map(|(a, b)| [a, b]);
+    let survival_rate = failures.map_or(f64::NAN, |runs| {
+        let [a, b] = runs.map(|r| r.survivability().map_or(f64::NAN, |s| s.survival_rate()));
+        if a.is_nan() || b.is_nan() {
+            f64::NAN
+        } else {
+            a.min(b)
+        }
+    });
+    let failure_rebuild_free = failures.map_or(f64::NAN, |runs| {
+        let work = runs
+            .iter()
+            .flat_map(|r| r.epochs())
+            .filter_map(|e| e.failure);
+        rebuild_free(work.map(|f| f.fallback_rebuild))
+    });
+    let heal_recovery_us = failures.map_or(f64::NAN, |runs| {
+        runs.iter()
+            .map(|r| measured(r.mean_heal_recovery_nanos()))
+            .sum::<f64>()
+            / 2.0
+            / 1e3
+    });
+    let snapshot_patch_speedup = regional.map_or(f64::NAN, |r| {
+        let freeze = r.epochs().first().map_or(0, |e| e.snapshot.rebuild_nanos);
+        measured(freeze as f64) / measured(r.mean_patch_nanos())
+    });
+    let epochs = outcomes.iter().flat_map(|o| o.report.epochs());
+    let patch_rebuild_free = rebuild_free(epochs.map(|e| e.snapshot.fallback_rebuild));
+    let byzantine = report(BYZANTINE);
+    let byzantine_qps = byzantine.map_or(f64::NAN, InterleavedReport::routing_queries_per_sec);
+    let byzantine_success = byzantine.map_or(f64::NAN, InterleavedReport::overall_success_rate);
+    let telemetry_ratio = telemetry_overhead_ratio(outcomes);
+
+    let floors = [
+        (
             "snapshot_patch_speedup",
-            report.snapshot_patch_speedup(),
+            snapshot_patch_speedup,
             MIN_PATCH_SPEEDUP,
         ),
-        GateReading::floor(
+        (
             "patch_rebuild_free",
-            report.patch_rebuild_free(),
+            patch_rebuild_free,
             MIN_PATCH_REBUILD_FREE,
         ),
-        GateReading::floor(
-            "byzantine_throughput",
-            report.byzantine_throughput(),
-            MIN_BYZANTINE_QPS,
-        ),
-        GateReading::floor(
+        ("byzantine_throughput", byzantine_qps, MIN_BYZANTINE_QPS),
+        (
             "byzantine_success_rate",
-            report.byzantine_success_rate(),
+            byzantine_success,
             MIN_BYZANTINE_SUCCESS,
         ),
-        GateReading::floor(
+        (
             "telemetry_overhead_ratio",
-            report.telemetry_overhead_ratio,
+            telemetry_ratio,
             MIN_TELEMETRY_RATIO,
         ),
-        GateReading::floor("survival_rate", report.survival_rate(), MIN_SURVIVAL),
-        GateReading::floor(
+        ("survival_rate", survival_rate, MIN_SURVIVAL),
+        (
             "failure_rebuild_free",
-            report.failure_rebuild_free(),
+            failure_rebuild_free,
             MIN_FAILURE_REBUILD_FREE,
         ),
-        GateReading::ceiling(
-            "heal_recovery_us",
-            report.heal_recovery_us(),
-            MAX_HEAL_RECOVERY_US,
-        ),
-    ]);
-    readings
+    ];
+    let simd = simd_speedup.map(|speedup| ("simd_speedup", speedup, MIN_SIMD_SPEEDUP));
+    let heal = GateReading {
+        name: "heal_recovery_us",
+        value: heal_recovery_us,
+        bound: MAX_HEAL_RECOVERY_US,
+        ceiling: true,
+    };
+    (simd.into_iter().chain(floors))
+        .map(|(name, value, bound)| GateReading {
+            name,
+            value,
+            bound,
+            ceiling: false,
+        })
+        .chain([heal])
+        .collect()
 }
 
-/// One row of the snapshot-maintenance table: how many rows a trajectory patched
-/// and how often a patch had to widen the stride first.
-struct CadenceRow {
-    label: &'static str,
-    epochs: usize,
-    rebuild_fallbacks: usize,
-    rows_patched: usize,
-}
-
-impl CadenceRow {
-    fn of(label: &'static str, trajectory: &faultline_engine::InterleavedReport) -> Self {
-        Self {
-            label,
-            epochs: trajectory.epochs().len(),
-            rebuild_fallbacks: trajectory.rebuild_fallbacks(),
-            rows_patched: trajectory
-                .epochs()
-                .iter()
-                .map(|e| e.snapshot.rows_patched)
-                .sum(),
-        }
+/// Instrumented over telemetry-disabled warm-cache throughput on the overlay the
+/// [`TELEMETRY`] scenario builds: a cold batch per engine, then alternating warm
+/// batches, each side keeping its best. Both batches are uniform and as large as
+/// the scenario's whole run. NaN when the scenario did not run.
+fn telemetry_overhead_ratio(outcomes: &[ScenarioOutcome]) -> f64 {
+    let Some(outcome) = outcomes.iter().find(|o| o.spec.name == TELEMETRY) else {
+        return f64::NAN;
+    };
+    let spec = &outcome.spec;
+    // The engine's default cache and shards at the scenario's worker count: the
+    // A/B times the instrumentation, not the scenario's engine tuning.
+    let config = EngineConfig::default().threads(spec.engine.threads.unwrap_or(0));
+    let network = spec.build_network();
+    let queries = spec.workload.queries_per_epoch * spec.workload.epochs;
+    let cold = QueryBatch::uniform(&network, queries, spec.seed ^ 0xBA7C);
+    let warm = QueryBatch::uniform(&network, queries, spec.seed ^ 0x3A9D);
+    let mut instrumented = QueryEngine::new(config.clone().telemetry(true));
+    let mut bare = QueryEngine::new(config.telemetry(false));
+    instrumented.run_batch(&network, &cold);
+    bare.run_batch(&network, &cold);
+    // Replaying the warm batch only moves LRU recency ticks, never cache contents.
+    let (mut best_on, mut best_off) = (0.0_f64, 0.0_f64);
+    for _ in 0..=TELEMETRY_ROUNDS {
+        best_on = best_on.max(instrumented.run_batch(&network, &warm).queries_per_sec());
+        best_off = best_off.max(bare.run_batch(&network, &warm).queries_per_sec());
     }
+    best_on / best_off
 }
 
-/// Appends the gate table, the snapshot-maintenance table, and the per-phase
-/// telemetry breakdown to `$GITHUB_STEP_SUMMARY` (best-effort: skipped silently
-/// outside GitHub Actions, warned about if the file cannot be written).
-fn write_step_summary(
-    readings: &[GateReading],
-    simd_line: &str,
-    cadence: &[CadenceRow],
-    telemetry: &MetricsSnapshot,
-    scenarios: &[ScenarioOutcome],
-) {
+/// Best scalar-fold time over best dispatched-kernel time for `queries` seeded
+/// single walks on the kernel cell, over [`KERNEL_CELL_ROUNDS`] alternating passes.
+///
+/// # Panics
+///
+/// If the two kernels route any query differently: they are contractually
+/// bit-identical, so only the clock may differ.
+fn kernel_cell_speedup(queries: usize) -> f64 {
+    let network = Network::build(
+        &NetworkConfig::paper_default(KERNEL_CELL_NODES)
+            .links_per_node(KERNEL_CELL_LINKS)
+            .construction(ConstructionMode::incremental_default()),
+        &mut StdRng::seed_from_u64(2002 ^ 0x51AD),
+    );
+    let batch = QueryBatch::uniform(&network, queries, 2002 ^ 0x51D0);
+    let view = network.view().freeze();
+    let pass = |kernel: KernelIsa| {
+        let mut scratch = RouteScratch::new()
+            .with_path_recording(false)
+            .with_kernel(kernel);
+        run_stream(
+            Walker::Single,
+            view.router(),
+            view.routes(),
+            batch.pairs(),
+            batch.seed(),
+            &mut scratch,
+        )
+    };
+    let (mut simd_nanos, mut scalar_nanos) = (u64::MAX, u64::MAX);
+    for _ in 0..KERNEL_CELL_ROUNDS {
+        let simd = pass(KernelIsa::detect());
+        let scalar = pass(KernelIsa::scalar());
+        assert_eq!(
+            simd.digest, scalar.digest,
+            "SIMD and scalar kernel-cell routes diverged"
+        );
+        simd_nanos = simd_nanos.min(simd.nanos);
+        scalar_nanos = scalar_nanos.min(scalar.nanos);
+    }
+    scalar_nanos as f64 / simd_nanos as f64
+}
+
+/// Appends the gate table, the scenario table and the per-phase totals to
+/// `$GITHUB_STEP_SUMMARY` (best-effort: skipped silently outside GitHub Actions,
+/// warned about if the file cannot be written).
+fn write_step_summary(readings: &[GateReading], kernel_line: &str, outcomes: &[ScenarioOutcome]) {
     let Ok(path) = std::env::var("GITHUB_STEP_SUMMARY") else {
         return;
     };
-    let mut table = String::from("## Engine perf gate (`--quick`)\n\n");
-    table.push_str(simd_line);
+    let mut table = String::from("## Engine perf gate\n\n");
+    table.push_str(kernel_line);
     table.push_str("\n\n| reading | value | bound | status |\n|---|---|---|---|\n");
     for r in readings {
         table.push_str(&format!(
@@ -248,217 +344,240 @@ fn write_step_summary(
         ));
     }
     table.push_str(
-        "\n### Snapshot maintenance\n\n| trajectory | epochs | rebuild fallbacks | rows patched |\n|---|---|---|---|\n",
+        "\n### Scenarios\n\n| scenario | skew | nodes | epochs | queries | q/s | success | survival | rows patched | rebuild fallbacks |\n|---|---|---|---|---|---|---|---|---|---|\n",
     );
-    for row in cadence {
+    for outcome in outcomes {
+        let report = &outcome.report;
+        let rows_patched: usize = report
+            .epochs()
+            .iter()
+            .map(|e| e.snapshot.rows_patched)
+            .sum();
         table.push_str(&format!(
-            "| {} | {} | {} | {} |\n",
-            row.label, row.epochs, row.rebuild_fallbacks, row.rows_patched,
+            "| `{}` | {} | {} | {} | {} | {:.0} | {:.4} | {:.4} | {} | {} |\n",
+            outcome.spec.name,
+            outcome.spec.workload.skew.label(),
+            outcome.spec.network.nodes,
+            outcome.spec.workload.epochs,
+            report.total_queries(),
+            report.routing_queries_per_sec(),
+            report.overall_success_rate(),
+            report.survival_rate(),
+            rows_patched,
+            report.rebuild_fallbacks(),
         ));
     }
-    table.push_str(
-        "\n### Telemetry phase breakdown\n\n| phase | count | total ms | p50 µs | p99 µs |\n|---|---|---|---|---|\n",
-    );
+    table.push_str("\n### Phase totals, every scenario\n\n| phase | total ms |\n|---|---|\n");
+    let epochs: Vec<_> = outcomes.iter().flat_map(|o| o.report.epochs()).collect();
     for phase in Phase::ALL {
-        let h = telemetry.phase(phase);
+        let nanos: u64 = epochs.iter().map(|e| e.phases.get(phase)).sum();
         table.push_str(&format!(
-            "| `{}` | {} | {:.2} | {:.1} | {:.1} |\n",
+            "| `{}` | {:.2} |\n",
             phase.name(),
-            h.count(),
-            h.sum() as f64 / 1e6,
-            h.quantile(0.5) / 1e3,
-            h.quantile(0.99) / 1e3,
+            nanos as f64 / 1e6
         ));
     }
-    if !scenarios.is_empty() {
-        table.push_str(
-            "\n### Scenarios\n\n| scenario | skew | nodes | epochs | queries | q/s | success | survival | rebuild fallbacks |\n|---|---|---|---|---|---|---|---|---|\n",
-        );
-        for outcome in scenarios {
-            table.push_str(&format!(
-                "| `{}` | {} | {} | {} | {} | {:.0} | {:.4} | {:.4} | {} |\n",
-                outcome.spec.name,
-                outcome.spec.workload.skew.label(),
-                outcome.spec.network.nodes,
-                outcome.spec.workload.epochs,
-                outcome.report.total_queries(),
-                outcome.report.routing_queries_per_sec(),
-                outcome.report.overall_success_rate(),
-                outcome.survival_rate(),
-                outcome.report.rebuild_fallbacks(),
-            ));
-        }
-    }
-    table.push_str(&format!(
-        "\nevents recorded: {} ({} dropped); max-skew shard: {}\n",
-        telemetry.events().len(),
-        telemetry.events_dropped(),
-        telemetry.max_skew_shard().map_or_else(
-            || "n/a".to_string(),
-            |(shard, rate)| format!("#{shard} at {rate:.4} hit rate")
-        ),
-    ));
-    match std::fs::OpenOptions::new()
+    let file = std::fs::OpenOptions::new()
         .append(true)
         .create(true)
-        .open(&path)
-    {
-        Ok(mut file) => {
-            if let Err(error) = file.write_all(table.as_bytes()) {
-                eprintln!("warning: could not append to {path}: {error}");
-            }
-        }
-        Err(error) => eprintln!("warning: could not open {path}: {error}"),
+        .open(&path);
+    if let Err(error) = file.and_then(|mut file| file.write_all(table.as_bytes())) {
+        eprintln!("warning: could not append to {path}: {error}");
     }
 }
 
-fn main() {
-    let args = BenchArgs::from_env();
-    let mut config = engine_run::EngineBenchConfig::default_scale();
-    if args.quick {
-        // CI smoke scale: finishes in a few seconds in release builds while still
-        // exercising snapshot rebuilds, every cache phase and the churn interleave.
-        config.nodes = 1 << 12;
-        config.links = 12;
-        config.queries = 50_000;
-        config.epochs = 3;
-        // At 4k nodes the default 1% maintenance churn rewrites enough rows per
-        // epoch that patch ≈ freeze and the gate would ride on µs-level noise; 0.2%
-        // keeps the smoke run squarely in the patch-win regime the gate protects.
-        config.maintenance_churn_fraction = 0.002;
-    }
-    config.nodes = args.nodes_or(config.nodes, 1 << 17);
-    config.links = args.links_or(config.links, 17);
-    config.queries = args.messages_or(config.queries as u64, 1 << 20) as usize;
-    config.epochs = args.trials_or(config.epochs as u64, 10) as usize;
-    config.seed = args.seed;
-    // Re-derive the correlated-failure width from the (possibly overridden) node
-    // count.
-    config.failure_region_width = (config.nodes / 128).max(4);
-
-    let report = engine_run::run(&config);
-    engine_run::print(&report);
-
-    let scenarios = match scenario_run::run_all(&args.scenario) {
-        Ok(outcomes) => outcomes,
-        Err(message) => {
-            eprintln!("{message}");
-            std::process::exit(2);
+/// Parses the command line: one or more `--scenario PATH`, nothing else.
+fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Vec<String>, String> {
+    let mut scenarios = Vec::new();
+    let mut iter = args.into_iter();
+    while let Some(flag) = iter.next() {
+        if flag != "--scenario" {
+            return Err(format!("unknown flag: {flag}"));
         }
-    };
-    for outcome in &scenarios {
+        scenarios.push(iter.next().ok_or("missing value for --scenario")?);
+    }
+    if scenarios.is_empty() {
+        return Err("no --scenario given".to_string());
+    }
+    Ok(scenarios)
+}
+
+fn main() {
+    let paths = parse_args(std::env::args().skip(1)).unwrap_or_else(|message| {
+        eprintln!("{message}\nusage: engine_throughput --scenario PATH [--scenario PATH]...");
+        std::process::exit(2);
+    });
+    let outcomes = scenario_run::run_all(&paths).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2);
+    });
+    for outcome in &outcomes {
         scenario_run::print(outcome);
     }
 
-    if let Some(metrics_path) = &args.metrics {
-        match std::fs::write(metrics_path, report.telemetry.to_string()) {
-            Ok(()) => println!("wrote {metrics_path}"),
-            Err(error) => {
-                eprintln!("failed to write {metrics_path}: {error}");
-                std::process::exit(1);
-            }
-        }
-    }
+    // The SIMD gate compares the dispatched kernel against the pinned scalar fold;
+    // where detection already resolved to scalar the reading would be a
+    // self-comparison (~1.0 by construction), so the gate is skipped instead.
+    let kernel = KernelIsa::detect();
+    let simd_speedup = kernel
+        .is_simd()
+        .then(|| kernel_cell_speedup(KERNEL_CELL_QUERIES));
+    let kernel_line = format!(
+        "distance-scan kernel: `{}` ({} lanes){}",
+        kernel.label(),
+        kernel.lanes(),
+        simd_speedup.map_or(String::new(), |s| format!(
+            ", {s:.2}x over the scalar fold on the {KERNEL_CELL_NODES}-node kernel cell"
+        )),
+    );
+    println!("{kernel_line}");
+    let readings = gate_readings(&outcomes, simd_speedup);
+    write_step_summary(&readings, &kernel_line, &outcomes);
 
-    if args.quick {
-        let readings = gate_readings(&report);
-        let cadence = [
-            CadenceRow::of("maintenance", &report.maintenance_patch),
-            CadenceRow::of("resilience (regional)", &report.resilience_regional),
-            CadenceRow::of("resilience (partition)", &report.resilience_partition),
-        ];
-        let simd_line = format!(
-            "distance-scan kernel: `{}` ({} lanes), {:.2}x over the scalar fold on the {}-node kernel cell",
-            report.simd_isa,
-            report.simd_lanes,
-            report.simd_speedup(),
-            report.simd_kernel_nodes,
-        );
-        write_step_summary(
-            &readings,
-            &simd_line,
-            &cadence,
-            &report.telemetry,
-            &scenarios,
-        );
-        let mut regressed = false;
-        for reading in &readings {
-            if reading.passed() {
-                println!(
-                    "smoke gate: {} {:.4} {} {} {:.4}",
-                    reading.name,
-                    reading.value,
-                    if reading.ceiling { "<=" } else { ">=" },
-                    reading.bound_kind(),
-                    reading.bound
-                );
-            } else {
-                regressed = true;
-                eprintln!(
-                    "perf regression: {} {:.4} {} the {:.4} {}",
-                    reading.name,
-                    reading.value,
-                    if reading.ceiling { "above" } else { "below" },
-                    reading.bound,
-                    reading.bound_kind()
-                );
-            }
-        }
-        if regressed {
-            std::process::exit(1);
-        }
-        println!(
-            "smoke gate passed: all {} readings at or above their floors",
-            readings.len()
-        );
+    for r in &readings {
+        let status = if r.passed() { "ok" } else { "FAILED" };
+        let (name, value, kind, bound) = (r.name, r.value, r.bound_kind(), r.bound);
+        println!("gate {status}: {name} {value:.4} ({kind} {bound:.4})");
     }
+    let failed = readings.iter().filter(|r| !r.passed()).count();
+    if failed > 0 {
+        eprintln!("{failed} of {} gates failed", readings.len());
+        std::process::exit(1);
+    }
+    println!("all {} gates passed", readings.len());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faultline_scenario::ScenarioSpec;
+
+    /// The seven shipped scenario names at n = 2^9, each keeping the section that
+    /// makes it a gate source (failures, byzantine lane, skew).
+    fn small_outcomes() -> Vec<ScenarioOutcome> {
+        let extras = [
+            ("byzantine-contested", "[churn]\nfraction = 0.01\nadversarial_joins = 0.25\n[byzantine]\nfraction = 0.15\nredundancy = 3\n"),
+            ("diurnal-cycle", "skew = \"diurnal\"\namplitude = 0.5\nperiod = 2\n[churn]\nfraction = 0.01\n"),
+            ("flash-crowd", "skew = \"flash-crowd\"\npeak = 0.9\n[churn]\nfraction = 0.005\n"),
+            ("hotspot-pair", "skew = \"hotspot-pair\"\nhotspots = 8\nbias = 0.8\n[churn]\nfraction = 0.005\n"),
+            ("partition-and-heal", "[churn]\nfraction = 0.002\n[failures]\nevents = [\"partition:2\", \"heal\"]\n"),
+            ("regional-failures", "[churn]\nfraction = 0.002\n[failures]\nevents = [\"region:4\", \"heal\"]\n"),
+            ("zipf-hotspot", "skew = \"zipf\"\nzipf_exponent = 1.1\n[churn]\nfraction = 0.005\n"),
+        ];
+        extras
+            .iter()
+            .map(|(name, extra)| {
+                let strategy = if extra.contains("[failures]") {
+                    "strategy = \"backtrack\"\nconstruction = \"incremental\"\n"
+                } else {
+                    ""
+                };
+                let source = format!(
+                    "[scenario]\nname = \"{name}\"\nseed = 7\n\
+                     [network]\nnodes = 512\nlinks = 9\n{strategy}\
+                     [engine]\nthreads = 2\n\
+                     [workload]\nqueries_per_epoch = 1000\nepochs = 2\n{extra}"
+                );
+                let spec = ScenarioSpec::parse(&source).unwrap_or_else(|e| panic!("{name}: {e}"));
+                let report = spec.run().unwrap_or_else(|e| panic!("{name}: {e}"));
+                ScenarioOutcome { spec, report }
+            })
+            .collect()
+    }
 
     #[test]
     fn gate_list_names_nine_finite_readings_and_a_near_miss_fails() {
-        // `engine_run`'s own tests run at this scale.
-        let report = engine_run::run(&engine_run::EngineBenchConfig {
-            nodes: 1 << 9,
-            links: 9,
-            queries: 4_000,
-            threads: 2,
-            epochs: 2,
-            churn_fraction: 0.05,
-            maintenance_churn_fraction: 0.005,
-            cache_churn_fraction: 0.002,
-            byzantine_redundancy: 4,
-            failure_region_width: 4,
-            seed: 7,
-        });
-        let readings = gate_readings(&report);
+        let outcomes = small_outcomes();
+        let speedup = kernel_cell_speedup(2_000);
+        assert!(speedup.is_finite() && speedup > 0.0, "{speedup}");
+        let readings = gate_readings(&outcomes, Some(speedup));
         let names: Vec<_> = readings.iter().map(|r| r.name).collect();
-        let all = [
-            "simd_speedup",
-            "snapshot_patch_speedup",
-            "patch_rebuild_free",
-            "byzantine_throughput",
-            "byzantine_success_rate",
-            "telemetry_overhead_ratio",
-            "survival_rate",
-            "failure_rebuild_free",
-            "heal_recovery_us",
-        ];
-        let skipped = usize::from(report.simd_isa == "scalar");
-        assert_eq!(names, all[skipped..]);
+        assert_eq!(
+            names,
+            [
+                "simd_speedup",
+                "snapshot_patch_speedup",
+                "patch_rebuild_free",
+                "byzantine_throughput",
+                "byzantine_success_rate",
+                "telemetry_overhead_ratio",
+                "survival_rate",
+                "failure_rebuild_free",
+                "heal_recovery_us",
+            ]
+        );
         for reading in &readings {
             assert!(reading.value.is_finite(), "{}", reading.name);
             assert_eq!(reading.ceiling, reading.name == "heal_recovery_us");
         }
+        assert_eq!(gate_readings(&outcomes, None).len(), 8);
 
-        assert!(GateReading::floor("f", 0.95, 0.95).passed());
-        assert!(!GateReading::floor("f", 0.95_f64.next_down(), 0.95).passed());
-        assert!(!GateReading::floor("f", f64::NAN, 0.95).passed());
-        assert!(GateReading::ceiling("c", 50_000.0, 50_000.0).passed());
-        assert!(!GateReading::ceiling("c", 50_000.0_f64.next_up(), 50_000.0).passed());
-        assert!(!GateReading::ceiling("c", f64::NAN, 50_000.0).passed());
+        // Dropping a source scenario turns exactly the gates it feeds to NaN, and
+        // each of those fails.
+        let sourced = [
+            (
+                REGIONAL,
+                "snapshot_patch_speedup survival_rate failure_rebuild_free heal_recovery_us",
+            ),
+            (
+                PARTITION,
+                "survival_rate failure_rebuild_free heal_recovery_us",
+            ),
+            (BYZANTINE, "byzantine_throughput byzantine_success_rate"),
+            (TELEMETRY, "telemetry_overhead_ratio"),
+        ];
+        let mut outcomes = outcomes;
+        for (dropped, gates) in sourced {
+            let at = outcomes
+                .iter()
+                .position(|o| o.spec.name == dropped)
+                .unwrap();
+            let removed = outcomes.remove(at);
+            for reading in gate_readings(&outcomes, Some(speedup)) {
+                let fed = gates.split(' ').any(|gate| gate == reading.name);
+                assert_eq!(reading.value.is_nan(), fed, "{dropped}: {}", reading.name);
+                assert!(!fed || !reading.passed(), "{dropped}: {}", reading.name);
+            }
+            outcomes.insert(at, removed);
+        }
+        // With no scenario at all, every report-reading gate fails.
+        for reading in gate_readings(&[], Some(speedup)) {
+            assert!(
+                reading.name == "simd_speedup" || !reading.passed(),
+                "{}",
+                reading.name
+            );
+        }
+
+        let passes = |value, bound, ceiling| {
+            let name = "near-miss";
+            GateReading {
+                name,
+                value,
+                bound,
+                ceiling,
+            }
+            .passed()
+        };
+        assert!(passes(0.95, 0.95, false));
+        assert!(!passes(0.95_f64.next_down(), 0.95, false));
+        assert!(!passes(f64::NAN, 0.95, false));
+        assert!(passes(50_000.0, 50_000.0, true));
+        assert!(!passes(50_000.0_f64.next_up(), 50_000.0, true));
+        assert!(!passes(f64::NAN, 50_000.0, true));
+    }
+
+    #[test]
+    fn scenario_flag_repeats_in_order_and_nothing_else_parses() {
+        let parse = |args: &[&str]| parse_args(args.iter().map(|s| s.to_string()));
+        assert_eq!(
+            parse(&["--scenario", "a.toml", "--scenario", "dir"]).unwrap(),
+            ["a.toml", "dir"]
+        );
+        assert!(parse(&[]).is_err());
+        assert!(parse(&["--scenario"]).is_err());
+        for flag in "--nodes --links --messages --trials --seed --quick --metrics".split(' ') {
+            assert!(parse(&["--scenario", "a", flag, "1"]).is_err(), "{flag}");
+        }
     }
 }

@@ -2,15 +2,16 @@
 //! the runtime-dispatched SIMD scan vs the SIMD scan with [`WALKS_IN_FLIGHT`] walks
 //! in a lockstep group, per geometry and row length.
 //!
-//! `engine_throughput`'s `simd_speedup` reading measures the vectorised kernel
-//! diluted by everything else a batch does (seeding, scratch bookkeeping, shard
-//! scheduling). This lane isolates the walk itself: one
+//! `engine_throughput`'s `simd_speedup` gate reads one cache-resident cell
+//! (1 024 nodes, 32 links, single walks) with the same timer,
+//! [`faultline_bench::kernel::run_stream`]. This lane sweeps the grid: one
 //! overlay per `(geometry, links-per-node)` cell, the identical seeded query
 //! stream routed with the kernel pinned scalar, with the dispatched ISA one walk
-//! at a time, and with the dispatched ISA through a [`WalkGroup`], best-of rounds
-//! per side, and the wall time divided by the hops actually taken. Row length
-//! sets the snapshot's stride, and so how many vector steps a scan is, so the
-//! table sweeps it explicitly.
+//! at a time, and with the dispatched ISA through a
+//! [`WalkGroup`](faultline_core::routing::WalkGroup), best-of rounds per side,
+//! and the wall time divided by the hops actually taken. Row length sets the
+//! snapshot's stride, and so how many vector steps a scan is, so the table sweeps
+//! it explicitly.
 //!
 //! All three sides must agree on every route (delivery, hops, recoveries; the
 //! digest is order-independent because a group finishes walks out of order) — the
@@ -19,134 +20,39 @@
 //!
 //! Writes `BENCH_route_kernel.json` to the working directory.
 
+use faultline_bench::kernel::{run_stream, StreamRun, Walker};
 use faultline_bench::BenchArgs;
-use faultline_core::routing::{KernelIsa, RouteScratch, Router, Walk, WalkGroup, WALKS_IN_FLIGHT};
+use faultline_core::routing::{KernelIsa, RouteScratch, Router, WALKS_IN_FLIGHT};
 use faultline_linkdist::InversePowerLaw;
 use faultline_metric::Geometry;
 use faultline_overlay::GraphBuilder;
-use faultline_sim::seed_for_trial;
-use rand::rngs::{SmallRng, StdRng};
+use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
 
 /// Long links per node swept by the table: with the two ring neighbours they set
 /// the stride (2 → one 8-label step a scan; 16 → three).
 const LINK_SWEEP: [usize; 4] = [2, 4, 8, 16];
 
-/// Alternating scalar/SIMD measurement rounds per cell; each side keeps its best
-/// (fastest) round, cancelling scheduler noise the same way the engine bench's
-/// `simd_speedup` reading does.
+/// Measurement rounds per side of a cell; each side keeps its best (fastest)
+/// round, since scheduler noise only ever adds time.
 const ROUNDS: usize = 3;
 
-/// One measured side of a cell: total wall nanos over total hops, best round.
-struct Side {
-    ns_per_hop: f64,
-    hops: u64,
-    delivered: u64,
-}
-
-/// How a side routes the stream: one walk at a time, or a lockstep group.
-#[derive(Clone, Copy)]
-enum Driver {
-    Single,
-    Lockstep,
-}
-
-/// One route's contribution to the stream digest; summed, so the order walks
-/// finish in does not matter.
-fn digest_of(index: usize, hops: u64, delivered: bool, recoveries: u64) -> u64 {
-    (hops ^ (u64::from(delivered) << 63) ^ recoveries.rotate_left(32))
-        .wrapping_mul(0x100_0000_01B3)
-        .wrapping_add(index as u64)
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-/// Routes the whole query stream once and returns (nanos, hops, delivered,
-/// digest). The digest folds every route's outcome so divergence between sides is
-/// detected without storing per-query results.
-fn run_stream(
-    driver: Driver,
-    router: Router,
-    frozen: &faultline_overlay::FrozenRoutes,
-    pairs: &[(u64, u64)],
-    seed: u64,
-    scratch: &mut RouteScratch,
-) -> (u64, u64, u64, u64) {
-    let rng_of = |index: usize| SmallRng::seed_from_u64(seed_for_trial(seed, index as u64));
-    let mut hops = 0u64;
-    let mut delivered = 0u64;
-    let mut digest = 0u64;
-    let mut tally = |index: usize, result: &faultline_core::routing::RouteResult| {
-        hops += result.hops;
-        delivered += u64::from(result.is_delivered());
-        digest = digest.wrapping_add(digest_of(
-            index,
-            result.hops,
-            result.is_delivered(),
-            result.recoveries,
-        ));
-    };
-    let started = Instant::now();
-    match driver {
-        Driver::Single => {
-            for (index, &(source, target)) in pairs.iter().enumerate() {
-                let result =
-                    router.route_frozen(frozen, source, target, &mut rng_of(index), scratch);
-                tally(index, &result);
-            }
-        }
-        Driver::Lockstep => {
-            let mut admitted = 0usize;
-            WalkGroup::new(WALKS_IN_FLIGHT, scratch).run(frozen, |finished| {
-                if let Some(done) = finished {
-                    tally(done.walk.tag, &done.result);
-                }
-                let &(source, target) = pairs.get(admitted)?;
-                admitted += 1;
-                Some(Walk {
-                    router,
-                    source,
-                    target,
-                    rng: rng_of(admitted - 1),
-                    tag: admitted - 1,
-                })
-            });
-        }
-    }
-    (started.elapsed().as_nanos() as u64, hops, delivered, digest)
-}
-
-/// Measures one side (one kernel, one driver) of a cell: best ns/hop over
-/// [`ROUNDS`] rounds.
+/// Measures one side (one kernel, one walker) of a cell: the fastest of
+/// [`ROUNDS`] passes. Every pass routes alike, so only the clock differs.
 fn measure(
-    driver: Driver,
+    walker: Walker,
     router: Router,
     frozen: &faultline_overlay::FrozenRoutes,
     pairs: &[(u64, u64)],
     seed: u64,
     scratch: &mut RouteScratch,
-) -> (Side, u64) {
-    let mut best_nanos = u64::MAX;
-    let mut hops = 0;
-    let mut delivered = 0;
-    let mut digest = 0;
-    for _ in 0..ROUNDS {
-        let (nanos, h, d, g) = run_stream(driver, router, frozen, pairs, seed, scratch);
-        best_nanos = best_nanos.min(nanos);
-        hops = h;
-        delivered = d;
-        digest = g;
+) -> StreamRun {
+    let mut best = run_stream(walker, router, frozen, pairs, seed, scratch);
+    for _ in 1..ROUNDS {
+        let run = run_stream(walker, router, frozen, pairs, seed, scratch);
+        best.nanos = best.nanos.min(run.nanos);
     }
-    let side = Side {
-        ns_per_hop: if hops > 0 {
-            best_nanos as f64 / hops as f64
-        } else {
-            0.0
-        },
-        hops,
-        delivered,
-    };
-    (side, digest)
+    best
 }
 
 fn main() {
@@ -197,15 +103,13 @@ fn main() {
             // scratch: the reading is about the distance scan, not `Vec` pushes.
             let mut scalar_scratch = RouteScratch::new()
                 .with_path_recording(false)
-                .with_simd(false);
+                .with_kernel(KernelIsa::scalar());
             let mut simd_scratch = RouteScratch::new().with_path_recording(false);
-            let single = Driver::Single;
-            let (scalar, scalar_digest) =
-                measure(single, router, &frozen, &pairs, seed, &mut scalar_scratch);
-            let (simd, simd_digest) =
-                measure(single, router, &frozen, &pairs, seed, &mut simd_scratch);
-            let (lockstep, lockstep_digest) = measure(
-                Driver::Lockstep,
+            let single = Walker::Single;
+            let scalar = measure(single, router, &frozen, &pairs, seed, &mut scalar_scratch);
+            let simd = measure(single, router, &frozen, &pairs, seed, &mut simd_scratch);
+            let lockstep = measure(
+                Walker::Lockstep,
                 router,
                 &frozen,
                 &pairs,
@@ -213,17 +117,19 @@ fn main() {
                 &mut simd_scratch,
             );
             assert_eq!(
-                scalar_digest, simd_digest,
+                scalar.digest, simd.digest,
                 "kernel divergence at {geometry_label}/{links}: SIMD must be bit-identical"
             );
             assert_eq!(
-                simd_digest, lockstep_digest,
+                simd.digest, lockstep.digest,
                 "driver divergence at {geometry_label}/{links}: a group must route like single walks"
             );
             assert_eq!(scalar.delivered, simd.delivered);
             assert_eq!(lockstep.hops, simd.hops);
-            let speedup = if simd.ns_per_hop > 0.0 {
-                scalar.ns_per_hop / simd.ns_per_hop
+            let (scalar_ns, simd_ns) = (scalar.ns_per_hop(), simd.ns_per_hop());
+            let lockstep_ns = lockstep.ns_per_hop();
+            let speedup = if simd_ns > 0.0 {
+                scalar_ns / simd_ns
             } else {
                 0.0
             };
@@ -232,10 +138,10 @@ fn main() {
                 geometry_label,
                 links,
                 frozen.stride(),
-                scalar.ns_per_hop,
-                simd.ns_per_hop,
+                scalar_ns,
+                simd_ns,
                 speedup,
-                lockstep.ns_per_hop,
+                lockstep_ns,
                 simd.hops
             );
             cells.push(format!(
@@ -247,10 +153,10 @@ fn main() {
                 geometry_label,
                 links,
                 frozen.stride(),
-                scalar.ns_per_hop,
-                simd.ns_per_hop,
+                scalar_ns,
+                simd_ns,
                 speedup,
-                lockstep.ns_per_hop,
+                lockstep_ns,
                 simd.hops,
                 simd.delivered,
             ));

@@ -11,12 +11,10 @@
 /// * `--seed S` — master seed.
 /// * `--paper-scale` — use the paper's full-size configuration (overrides the defaults
 ///   baked into each binary, not explicit flags).
-/// * `--quick` — a CI-sized smoke configuration: small enough to finish in seconds in
-///   release builds, large enough to catch throughput-path regressions.
-/// * `--metrics PATH` — write the human-readable telemetry dump (phase histograms,
-///   per-shard cache table, event counts) to `PATH` after the run.
-/// * `--scenario PATH` — run a declarative scenario file (repeatable; a directory runs
-///   every `.toml` inside). Only `engine_throughput` honours it.
+/// * `--quick` — a smaller smoke configuration that finishes in seconds in release
+///   builds (`route_kernel`).
+///
+/// `engine_throughput` takes none of these: its only flag is `--scenario PATH`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchArgs {
     /// Number of grid points, if given on the command line.
@@ -31,12 +29,8 @@ pub struct BenchArgs {
     pub seed: u64,
     /// Run at the paper's full scale.
     pub paper_scale: bool,
-    /// Run the CI smoke configuration.
+    /// Run the smoke configuration.
     pub quick: bool,
-    /// Path to write the human-readable telemetry dump to, if given.
-    pub metrics: Option<String>,
-    /// Scenario files (or directories of them) to run, in command-line order.
-    pub scenario: Vec<String>,
 }
 
 impl Default for BenchArgs {
@@ -49,8 +43,6 @@ impl Default for BenchArgs {
             seed: 2002,
             paper_scale: false,
             quick: false,
-            metrics: None,
-            scenario: Vec::new(),
         }
     }
 }
@@ -66,7 +58,7 @@ impl BenchArgs {
             Err(message) => {
                 eprintln!("{message}");
                 eprintln!(
-                    "usage: [--nodes N] [--links L] [--trials T] [--messages M] [--seed S] [--paper-scale] [--quick] [--metrics PATH] [--scenario PATH]..."
+                    "usage: [--nodes N] [--links L] [--trials T] [--messages M] [--seed S] [--paper-scale] [--quick]"
                 );
                 std::process::exit(2);
             }
@@ -96,8 +88,6 @@ impl BenchArgs {
                 "--seed" => out.seed = parse_number(&grab("--seed")?)?,
                 "--paper-scale" => out.paper_scale = true,
                 "--quick" => out.quick = true,
-                "--metrics" => out.metrics = Some(grab("--metrics")?),
-                "--scenario" => out.scenario.push(grab("--scenario")?),
                 other => return Err(format!("unknown flag: {other}")),
             }
         }
@@ -197,22 +187,6 @@ mod tests {
         let args = parse(&["--quick"]);
         assert!(args.quick);
         assert!(!parse(&[]).quick);
-    }
-
-    #[test]
-    fn metrics_flag_takes_a_path() {
-        let args = parse(&["--metrics", "telemetry.txt"]);
-        assert_eq!(args.metrics.as_deref(), Some("telemetry.txt"));
-        assert_eq!(parse(&[]).metrics, None);
-        assert!(BenchArgs::try_parse(vec!["--metrics".to_string()]).is_err());
-    }
-
-    #[test]
-    fn scenario_flag_repeats_in_order() {
-        let args = parse(&["--scenario", "a.toml", "--quick", "--scenario", "dir"]);
-        assert_eq!(args.scenario, vec!["a.toml".to_string(), "dir".to_string()]);
-        assert!(parse(&[]).scenario.is_empty());
-        assert!(BenchArgs::try_parse(vec!["--scenario".to_string()]).is_err());
     }
 
     #[test]

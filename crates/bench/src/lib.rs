@@ -12,8 +12,8 @@
 //! | Table 1 — upper/lower bounds vs measured scaling | [`table1`] | `table1_bounds` |
 //! | Ablations (exponent sweep, replacement strategy, region failures) | [`ablation`] | `ablation_exponent`, `ablation_replacement` |
 //! | Baseline comparison (Chord / Kleinberg / Plaxton) | [`baseline_cmp`] | `baseline_comparison` |
-//! | Engine throughput (parallel batched lookups, caching, live churn) | [`engine_run`] | `engine_throughput` (prints; `--quick` gates nine readings) |
-//! | Declarative scenarios (`examples/scenarios/*.toml`) | [`scenario_run`] | `engine_throughput --scenario PATH` |
+//! | Declarative scenarios (`examples/scenarios/*.toml`) and the engine perf gate | [`scenario_run`] | `engine_throughput --scenario PATH` (runs the files, gates nine readings) |
+//! | Distance-scan kernel, ns/hop (scalar vs SIMD vs lockstep) | [`kernel`] | `route_kernel` |
 //!
 //! The experiment functions are ordinary library code so the integration tests run them at
 //! tiny scale to validate the *shape* of every result (monotonicity, orderings,
@@ -26,10 +26,10 @@
 pub mod ablation;
 pub mod baseline_cmp;
 pub mod cli;
-pub mod engine_run;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
+pub mod kernel;
 pub mod scenario_run;
 pub mod table1;
 

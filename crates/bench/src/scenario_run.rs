@@ -3,10 +3,11 @@
 //!
 //! `engine_throughput --scenario PATH` (repeatable; a directory runs every
 //! `.toml` inside, sorted by name) is the one binary invocation behind every
-//! shipped scenario: no per-experiment binaries, no hard-coded arms — the file
-//! *is* the experiment. Scenario errors print with their file and line and
-//! terminate the run; a scenario that no longer parses is a regression, not a
-//! warning.
+//! shipped scenario, and the engine perf gate reads its readings from the
+//! outcomes by scenario name: no per-experiment binaries, no hard-coded arms —
+//! the file *is* the experiment. Scenario errors print with their file and line
+//! and terminate the run; a scenario that no longer parses is a regression, not
+//! a warning.
 
 use faultline_engine::InterleavedReport;
 use faultline_scenario::{ScenarioError, ScenarioSpec};
@@ -19,15 +20,6 @@ pub struct ScenarioOutcome {
     pub spec: ScenarioSpec,
     /// The interleaved run it produced.
     pub report: InterleavedReport,
-}
-
-impl ScenarioOutcome {
-    /// Oracle-grounded survival rate (`1.0` when the scenario schedules no
-    /// failures — matching [`InterleavedReport::survival_rate`]).
-    #[must_use]
-    pub fn survival_rate(&self) -> f64 {
-        self.report.survival_rate()
-    }
 }
 
 /// Expands `--scenario` arguments into concrete `.toml` files: files pass
@@ -232,8 +224,7 @@ mod tests {
         .expect("parity scenario parses");
         let scenario_report = spec.run().expect("scenario runs");
 
-        // The hard-coded equivalent, assembled by hand exactly as the bench
-        // arms do it.
+        // The same run assembled by hand from the engine's own entry point.
         let mut network = spec.build_network();
         let mut engine = QueryEngine::new(EngineConfig::default().threads(2));
         let reference = engine.run_interleaved(
@@ -261,5 +252,28 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(digest(&scenario_report), digest(&reference));
+    }
+
+    #[test]
+    fn scenario_runner_agrees_with_direct_spec_run() {
+        // `run_file` (the `--scenario` path) adds no transformation on top of
+        // `ScenarioSpec::run`: identical readings from both entry points.
+        let source = smoke_source(
+            "regional-smoke",
+            "[churn]\nfraction = 0.002\n[failures]\nevents = [\"region:4\", \"heal\"]\n",
+        );
+        let dir = std::env::temp_dir().join("faultline-scenario-agree-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("regional-smoke.toml");
+        std::fs::write(&path, &source).unwrap();
+        let outcome = run_file(&path).expect("smoke scenario runs");
+        let direct = ScenarioSpec::parse(&source).unwrap().run().unwrap();
+        let split = direct.survivability().expect("the failure schedule ran");
+        assert!(direct.epochs()[0]
+            .failure
+            .is_some_and(|f| f.failed_nodes > 0));
+        assert_eq!(outcome.report.survivability(), Some(split));
+        assert_eq!(outcome.report.total_queries(), direct.total_queries());
+        std::fs::remove_file(&path).unwrap();
     }
 }

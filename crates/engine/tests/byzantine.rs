@@ -11,6 +11,9 @@
 //!    nodes shrink the set, `ChurnMix::adversarial_joins` conscripts arrivals, and a
 //!    join at a label the set still lists *clears* the stale conviction instead of
 //!    resurrecting it onto the fresh honest node.
+//! 4. **More corruption, fewer deliveries.** At redundancy 4, the delivered
+//!    fraction falls as the corrupted share rises from 5% to 15% to 30%, and the
+//!    15% level still delivers most lookups.
 
 use faultline_core::{ConstructionMode, Network, NetworkConfig};
 use faultline_engine::{
@@ -363,4 +366,37 @@ fn contested_lookups_surface_in_the_split() {
             || report.contested_queries() == 0,
         "redundant walks must cost bandwidth beyond the winning walks"
     );
+}
+
+/// Contract 4, on an incremental overlay of 2^9 nodes with an uncached engine:
+/// each corruption level samples its own set, contests lookups, pays redundant
+/// walks for them, and delivers no more than the level below it.
+#[test]
+fn byzantine_success_falls_as_corruption_rises() {
+    let net = incremental_network(1 << 9, 7);
+    let rates: Vec<f64> = [0.05, 0.15, 0.30]
+        .iter()
+        .map(|&corruption| {
+            let spec = ByzantineConfig::fraction(corruption, 7 ^ 0xB52A).redundancy(4);
+            let mut engine = QueryEngine::new(
+                EngineConfig::default()
+                    .threads(2)
+                    .cache_capacity(0)
+                    .byzantine(spec),
+            );
+            let adversaries = engine.resolve_adversaries(&net).unwrap().clone();
+            assert_eq!(adversaries.len(), (512.0 * corruption).round() as usize);
+            let batch = QueryBatch::uniform_honest(&net, 4_000, 7 ^ 0xB52B, &adversaries);
+            let report = engine.run_batch(&net, &batch);
+            assert!(report.contested_queries() > 0, "{corruption}");
+            assert!(
+                report.total_route_hops() > report.outcomes().iter().map(|o| o.hops).sum::<u64>(),
+                "{corruption}: redundant walks must cost bandwidth beyond the winning walks"
+            );
+            report.success_rate()
+        })
+        .collect();
+    assert!(rates[0] >= rates[1] && rates[1] >= rates[2], "{rates:?}");
+    assert!(rates[0] > rates[2], "{rates:?}");
+    assert!(rates[1] > 0.6, "{rates:?}");
 }

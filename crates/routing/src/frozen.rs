@@ -124,23 +124,9 @@ impl RouteScratch {
         Self::default()
     }
 
-    /// Selects the distance-scan kernel: `false` pins the portable scalar fold,
-    /// `true` restores auto-detection ([`KernelIsa::detect`]). The two kernels
-    /// are contractually bit-identical — this is an A/B and determinism knob
-    /// (the three-way parity tests, the kernel-cell benchmark), not a behavioural
-    /// one.
-    #[must_use]
-    pub fn with_simd(mut self, simd: bool) -> Self {
-        self.kernel = if simd {
-            KernelIsa::detect()
-        } else {
-            KernelIsa::scalar()
-        };
-        self
-    }
-
-    /// Pins an explicit, already-resolved kernel (e.g. the one a
-    /// `FrozenView`/engine resolved once for all of its workers).
+    /// Pins an explicit, already-resolved kernel: the one a `FrozenView`/engine
+    /// resolved for its workers, or [`KernelIsa::scalar`] for the bit-identical
+    /// portable fold (an A/B and determinism knob, not a behavioural one).
     #[must_use]
     pub fn with_kernel(mut self, kernel: KernelIsa) -> Self {
         self.kernel = kernel;

@@ -141,8 +141,8 @@ impl KernelIsa {
         self.kind != IsaKind::Scalar
     }
 
-    /// Stable name of the dispatched instruction set (what `engine_throughput`
-    /// prints, `BENCH_route_kernel.json`'s `isa`).
+    /// Stable name of the dispatched instruction set (`engine_throughput`'s
+    /// `distance-scan kernel:` line, `BENCH_route_kernel.json`'s `isa`).
     #[must_use]
     pub fn label(self) -> &'static str {
         match self.kind {

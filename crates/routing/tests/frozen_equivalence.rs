@@ -9,7 +9,8 @@
 //! The same contract covers the vectorized distance scan: every case routes the
 //! frozen snapshot twice — once with the auto-detected kernel (AVX2 where the CPU
 //! has it) and once with the kernel pinned to the portable scalar fold
-//! (`RouteScratch::with_simd(false)`) — and all three walks must agree bit for bit.
+//! (`RouteScratch::with_kernel(KernelIsa::scalar())`) — and all three walks must
+//! agree bit for bit.
 //!
 //! And it covers the lockstep [`WalkGroup`]: walks advanced round-robin, several in
 //! flight, must each come back with the result, the RNG state and the visited path
@@ -21,7 +22,7 @@ use faultline_overlay::{
     ChurnDelta, FrozenRoutes, GraphBuilder, OverlayGraph, PAD_SENTINEL, ROW_STEP,
 };
 use faultline_routing::{
-    FaultStrategy, GreedyMode, RouteResult, RouteScratch, Router, Walk, WalkGroup,
+    FaultStrategy, GreedyMode, KernelIsa, RouteResult, RouteScratch, Router, Walk, WalkGroup,
 };
 use proptest::prelude::*;
 use rand::rngs::{SmallRng, StdRng};
@@ -115,7 +116,7 @@ fn check_kernel_parity(snapshot: &FrozenRoutes, seed: u64) -> Result<(), String>
         .with_strategy(FaultStrategy::paper_backtrack())
         .with_path_recording(true);
     let mut scratch_auto = RouteScratch::new();
-    let mut scratch_scalar = RouteScratch::new().with_simd(false);
+    let mut scratch_scalar = RouteScratch::new().with_kernel(KernelIsa::scalar());
     let mut pair_rng = StdRng::seed_from_u64(seed ^ 0x7A0D);
     for trial in 0..4u64 {
         let s = pair_rng.gen_range(0..n);
@@ -165,7 +166,7 @@ proptest! {
 
         let mut pair_rng = StdRng::seed_from_u64(seed ^ 0x9A17);
         let mut scratch = RouteScratch::new();
-        let mut scratch_scalar = RouteScratch::new().with_simd(false);
+        let mut scratch_scalar = RouteScratch::new().with_kernel(KernelIsa::scalar());
         for trial in 0..8u64 {
             // Endpoints deliberately include dead and absent grid points: the immediate
             // failure paths must agree too.
@@ -300,7 +301,8 @@ proptest! {
             .collect();
         let rng_of = |index: usize| SmallRng::seed_from_u64(seed ^ index as u64);
 
-        let template = RouteScratch::new().with_simd(simd);
+        let kernel = if simd { KernelIsa::detect() } else { KernelIsa::scalar() };
+        let template = RouteScratch::new().with_kernel(kernel);
         let mut scratch = template.clone();
         let alone: Vec<(RouteResult, u64, Vec<u32>)> = pairs
             .iter()

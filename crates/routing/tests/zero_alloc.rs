@@ -16,7 +16,7 @@ use faultline_linkdist::InversePowerLaw;
 use faultline_metric::Geometry;
 use faultline_overlay::{ChurnDelta, GraphBuilder, OverlayGraph};
 use faultline_routing::{
-    ByzantineSet, FaultStrategy, RedundantRouter, RouteScratch, Router, Walk, WalkGroup,
+    ByzantineSet, FaultStrategy, KernelIsa, RedundantRouter, RouteScratch, Router, Walk, WalkGroup,
     WALKS_IN_FLIGHT,
 };
 use rand::rngs::{SmallRng, StdRng};
@@ -102,9 +102,9 @@ fn frozen_kernel_allocates_nothing_per_query_after_warmup() {
     for strategy in [FaultStrategy::Terminate, FaultStrategy::paper_backtrack()] {
         let router = Router::new().with_strategy(strategy);
         let mut delivered_by_kernel = Vec::new();
-        for simd in [true, false] {
-            let mut scratch = RouteScratch::new().with_simd(simd);
-            let kernel = scratch.kernel().label();
+        for kernel in [KernelIsa::detect(), KernelIsa::scalar()] {
+            let mut scratch = RouteScratch::new().with_kernel(kernel);
+            let kernel = kernel.label();
             let run = |scratch: &mut RouteScratch| {
                 let mut delivered = 0usize;
                 for (index, &(s, t)) in pairs.iter().enumerate() {

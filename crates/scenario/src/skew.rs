@@ -11,8 +11,7 @@
 //! [`QuerySkew::Uniform`] delegates to the engine's own draw
 //! ([`QueryBatch::uniform_honest`]), so a scenario file with `skew = "uniform"`
 //! reproduces [`run_interleaved`](faultline_engine::QueryEngine::run_interleaved)
-//! bit for bit — that is what lets the shipped failure scenarios stand in for the
-//! hard-coded resilience bench arms.
+//! bit for bit (`scenario_run`'s unit tests check it).
 
 use faultline_core::overlay::NodeId;
 use faultline_core::Network;

@@ -61,7 +61,7 @@ use std::fmt::Write as _;
 pub const DEFAULT_SEED: u64 = 2002;
 
 /// Salt folded into the scenario seed to derive the default byzantine sampling
-/// seed — the same derivation the hard-coded byzantine bench arm uses.
+/// seed.
 pub const BYZANTINE_SEED_SALT: u64 = 0xB52A;
 
 /// The overlay a scenario runs on.
