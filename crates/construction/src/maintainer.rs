@@ -2,7 +2,8 @@
 //!
 //! Each event reports the rows it rewrote as a [`ChurnDelta`]: the maintainer
 //! lists the nodes whose link tables it mutated while the event unfolds, then
-//! reads their usable-neighbour rows once the event has settled.
+//! reads their usable-neighbour rows back through [`OverlayGraph::delta_of`] once
+//! the event has settled.
 
 use crate::poisson::sample_poisson;
 use crate::replacement::{ReplacementDecision, ReplacementStrategy};
@@ -193,7 +194,7 @@ impl NetworkMaintainer {
         }
 
         Ok(ChurnReport {
-            delta: self.capture_delta(&touched),
+            delta: self.graph.delta_of(touched),
         })
     }
 
@@ -258,23 +259,8 @@ impl NetworkMaintainer {
         }
 
         Ok(ChurnReport {
-            delta: self.capture_delta(&touched),
+            delta: self.graph.delta_of(touched),
         })
-    }
-
-    /// The post-event row and liveness of every node in `touched`. Rows are read
-    /// *after* the event settles, so a node touched several times within one event
-    /// carries its final row.
-    fn capture_delta(&self, touched: &[NodeId]) -> ChurnDelta {
-        let mut delta = ChurnDelta::new();
-        for &p in touched {
-            delta.record(
-                p,
-                self.graph.is_alive(p),
-                self.graph.usable_neighbors(p).map(|q| q as u32).collect(),
-            );
-        }
-        delta
     }
 
     /// Asks `source` to redirect one of its long links towards `newcomer`. Returns

@@ -10,7 +10,7 @@
 
 use faultline_construction::{NetworkMaintainer, ReplacementStrategy};
 use faultline_metric::Geometry;
-use faultline_overlay::{ChurnDelta, FrozenRoutes, NodeId, OverlayGraph};
+use faultline_overlay::{ChurnDelta, FrozenRoutes, OverlayGraph};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -23,17 +23,6 @@ fn assert_logically_equal(graph: &OverlayGraph, patched: &FrozenRoutes) {
     }
     assert_eq!(patched.alive_sorted(), fresh.alive_sorted());
     assert_eq!(patched.edge_count(), fresh.edge_count());
-}
-
-/// The rows of `nodes` re-read off the graph after the mutation: each node's
-/// current usable-neighbour row and liveness.
-fn delta_of(graph: &OverlayGraph, nodes: impl Iterator<Item = NodeId>) -> ChurnDelta {
-    let mut delta = ChurnDelta::new();
-    for p in nodes {
-        let row = graph.usable_neighbors(p).map(|q| q as u32).collect();
-        delta.record(p, graph.is_alive(p), row);
-    }
-    delta
 }
 
 /// One epoch of random maintainer churn; returns the merged (latest-row-wins)
@@ -98,7 +87,7 @@ proptest! {
         let mut diffed = recomputed.clone();
         for _ in 0..epochs {
             let delta = churn_epoch(&mut maintainer, events, join_bias, &mut rng);
-            let reread = delta_of(maintainer.graph(), delta.changed_nodes());
+            let reread = maintainer.graph().delta_of(delta.changed_nodes());
             prop_assert_eq!(&reread, &delta, "captured rows must be the settled rows");
             recomputed.apply_delta(maintainer.graph(), &reread);
             diffed.apply_delta(maintainer.graph(), &delta);

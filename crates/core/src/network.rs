@@ -312,18 +312,18 @@ impl Network {
         plan.apply(self.maintainer.graph_mut(), rng)
     }
 
-    /// Applies a failure plan while capturing the typed delta of every
-    /// usable-neighbour row the damage changed — bit-identical damage and RNG
-    /// stream to [`Network::apply_failure`], but the result can flow through
-    /// `FrozenView::apply_delta` and row-level cache invalidation instead
-    /// of a snapshot rebuild.
+    /// [`Network::apply_failure`], plus the typed delta of every
+    /// usable-neighbour row the damage changed ([`FailureReport::delta`]), so the
+    /// failure can flow through `FrozenView::apply_delta` and row-level cache
+    /// invalidation instead of a snapshot rebuild.
     pub fn apply_failure_delta<R: Rng>(
         &mut self,
         plan: &dyn FailurePlan,
         rng: &mut R,
     ) -> (FailureReport, faultline_overlay::ChurnDelta) {
-        self.revision = next_revision();
-        plan.apply_with_delta(self.maintainer.graph_mut(), rng)
+        let report = self.apply_failure(plan, rng);
+        let delta = report.delta(self.maintainer.graph());
+        (report, delta)
     }
 
     /// Revives previously crashed nodes (the healing half of a

@@ -263,13 +263,6 @@ impl InterleavedReport {
         Self::mean_nonzero(self.epochs.iter().map(|e| e.snapshot.patch_nanos))
     }
 
-    /// Mean nanoseconds per epoch spent full-rebuilding the snapshot (0.0 when no
-    /// epoch rebuilt).
-    #[must_use]
-    pub fn mean_rebuild_nanos(&self) -> f64 {
-        Self::mean_nonzero(self.epochs.iter().map(|e| e.snapshot.rebuild_nanos))
-    }
-
     /// Number of epochs in which a patch had to re-lay the snapshot out at a wider
     /// stride (a delta row outgrew it), counting both churn patches and
     /// failure/heal patches — the number the rebuild-free gates require to be zero.

@@ -1,36 +1,20 @@
-//! Delta capture for failure plans: turn graph damage into a [`ChurnDelta`]
-//! instead of a snapshot rebuild.
+//! The rows a crash or a heal changes.
 //!
-//! The Section 5 maintainer emits deltas for free — it knows which rows it
-//! rewrote. Failure plans mutate the graph behind the overlay's back, so the
-//! delta has to be worked out. The candidate set is exact and cheap to name: a
-//! crash or heal of node `v` can only change `v`'s own row and the rows of nodes
-//! holding a live link *to* `v` (its in-neighbours, ring links included); a link
-//! failure changes only the link's source row.
+//! The Section 5 maintainer knows which rows it rewrote; failure plans and heals
+//! flip liveness behind the overlay's back, so the rows have to be named. They are
+//! exact and cheap to name: a crash or heal of node `v` changes `v`'s liveness and
+//! the row of every node holding a live link *to* `v` (its in-neighbours, ring
+//! links included), and nothing else. [`blast_radius`] names those nodes, and
+//! [`FailureReport::delta`](crate::FailureReport::delta) and
+//! [`revive_nodes_with_delta`] read their rows back through
+//! [`OverlayGraph::delta_of`] once the change settles.
 //!
-//! For a crash or a heal the candidates are also the answer. Once the victims are
-//! cut down to those whose liveness flips, every candidate row changes, so
-//! [`fail_nodes_with_delta`] and [`revive_nodes_with_delta`] emit the candidates'
-//! rows after the flip. A link failure can leave a candidate row as it was, and
-//! the default [`FailurePlan::apply_with_delta`](crate::FailurePlan::apply_with_delta)
-//! knows nothing of what its plan changes, so those two measure instead:
-//! [`DeltaCapture`] records the candidate rows, the plan damages the graph, and
-//! the capture emits the rows that differ.
-//!
-//! Either way the delta satisfies the `apply_delta` contract — every recorded
-//! row equals the post-damage `usable_neighbors` row, captured *after* all
-//! damage settled — so failures flow through the same row-patching and
-//! row-level cache invalidation as churn, with no bucket-mask flush and no
-//! from-scratch `freeze()`.
+//! The delta thus satisfies the `apply_delta` contract — every recorded row
+//! equals the post-change `usable_neighbors` row — so failures flow through the
+//! same row-patching and row-level cache invalidation as churn, with no
+//! bucket-mask flush and no from-scratch `freeze()`.
 
 use faultline_overlay::{ChurnDelta, NodeId, OverlayGraph};
-
-/// The post-change usable-neighbour row of `p`, in snapshot (u32) width — the
-/// exact row `FrozenRoutes::apply_delta` expects a delta to carry.
-#[must_use]
-pub fn usable_row(graph: &OverlayGraph, p: NodeId) -> Vec<u32> {
-    graph.usable_neighbors(p).map(|q| q as u32).collect()
-}
 
 /// Every node whose usable-neighbour row can change when `victims` flip
 /// liveness: the victims themselves plus all present nodes holding a live link
@@ -53,121 +37,32 @@ pub fn blast_radius(graph: &OverlayGraph, victims: &[NodeId]) -> Vec<NodeId> {
     out
 }
 
-/// Pre-damage state of one candidate row.
-#[derive(Debug, Clone)]
-struct CaptureEntry {
-    node: NodeId,
-    alive: bool,
-    row: Vec<u32>,
-}
-
-/// Two-phase row differ: [`DeltaCapture::snapshot`] the candidate rows before
-/// damaging the graph, then [`DeltaCapture::diff`] afterwards to emit exactly
-/// the rows that changed.
-///
-/// Emitting *only* changed rows matters: an unchanged row in a delta is not
-/// wrong, but it invalidates every cached route that walked it — false
-/// evictions with no topology change behind them.
-#[derive(Debug, Clone)]
-pub struct DeltaCapture {
-    entries: Vec<CaptureEntry>,
-}
-
-impl DeltaCapture {
-    /// Records the current usable row and liveness of every present candidate
-    /// (deduplicated; absent nodes are skipped).
-    #[must_use]
-    pub fn snapshot<I>(graph: &OverlayGraph, candidates: I) -> Self
-    where
-        I: IntoIterator<Item = NodeId>,
-    {
-        let mut nodes: Vec<NodeId> = candidates
-            .into_iter()
-            .filter(|&p| graph.is_present(p))
-            .collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        let entries = nodes
-            .into_iter()
-            .map(|p| CaptureEntry {
-                node: p,
-                alive: graph.is_alive(p),
-                row: usable_row(graph, p),
-            })
-            .collect();
-        Self { entries }
-    }
-
-    /// Diffs the captured rows against the (now damaged or healed) graph,
-    /// emitting the current row and liveness of every candidate whose row or
-    /// liveness changed.
-    #[must_use]
-    pub fn diff(self, graph: &OverlayGraph) -> ChurnDelta {
-        let mut delta = ChurnDelta::new();
-        for entry in self.entries {
-            let alive = graph.is_alive(entry.node);
-            let row = usable_row(graph, entry.node);
-            if row != entry.row || alive != entry.alive {
-                delta.record(entry.node, alive, row);
-            }
-        }
-        delta
-    }
-}
-
-/// Fails `victims` while capturing the delta.
-///
-/// Only the victims still alive flip, so those are the ones failed. Each flip
-/// removes its victim from the usable row of every node holding a live link to
-/// it, so every row of the flipping victims' [`blast_radius`] changes, and the
-/// delta is simply those rows after the damage: no before-image, no diff.
-/// Repeated, dead, absent and out-of-range victims change nothing.
-#[must_use]
-pub fn fail_nodes_with_delta(graph: &mut OverlayGraph, victims: &[NodeId]) -> ChurnDelta {
-    let flipping = flipping(victims, |v| graph.is_alive(v));
-    for &v in &flipping {
-        graph.fail_node(v);
-    }
-    rows_after(graph, &blast_radius(graph, &flipping))
-}
-
 /// Revives `victims` (previously crashed nodes) while capturing the delta that
 /// re-admits their rows and their in-neighbours' restored targets.
 ///
-/// The mirror of [`fail_nodes_with_delta`]: only present, crashed victims flip,
-/// and each flip adds its victim back to every live in-neighbour's usable row,
-/// so the delta is the blast radius's rows after the heal. Repeated, alive,
-/// absent and out-of-range victims change nothing.
+/// Only present, crashed victims flip, and each flip adds its victim back to
+/// every live in-neighbour's usable row, so the delta is the flipping victims'
+/// [`blast_radius`] after the heal. Repeated, alive, absent and out-of-range
+/// victims change nothing.
 #[must_use]
 pub fn revive_nodes_with_delta(graph: &mut OverlayGraph, victims: &[NodeId]) -> ChurnDelta {
-    let flipping = flipping(victims, |v| graph.is_present(v) && !graph.is_alive(v));
+    let mut flipping: Vec<NodeId> = victims
+        .iter()
+        .copied()
+        .filter(|&v| graph.is_present(v) && !graph.is_alive(v))
+        .collect();
+    flipping.sort_unstable();
+    flipping.dedup();
     for &v in &flipping {
         graph.revive_node(v);
     }
-    rows_after(graph, &blast_radius(graph, &flipping))
-}
-
-/// The distinct `victims` whose liveness `flips`, ascending.
-fn flipping(victims: &[NodeId], flips: impl Fn(NodeId) -> bool) -> Vec<NodeId> {
-    let mut out: Vec<NodeId> = victims.iter().copied().filter(|&v| flips(v)).collect();
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
-/// The current row and liveness of each of `nodes` (ascending, all present: a
-/// departed node leaves no link in the reverse adjacency).
-fn rows_after(graph: &OverlayGraph, nodes: &[NodeId]) -> ChurnDelta {
-    let mut delta = ChurnDelta::new();
-    for &p in nodes {
-        delta.record(p, graph.is_alive(p), usable_row(graph, p));
-    }
-    delta
+    graph.delta_of(blast_radius(graph, &flipping))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FailurePlan, RegionFailure};
     use faultline_linkdist::InversePowerLaw;
     use faultline_metric::Geometry;
     use faultline_overlay::GraphBuilder;
@@ -251,18 +146,23 @@ mod tests {
         }
     }
 
+    /// `p`'s usable-neighbour row in snapshot width.
+    fn row(graph: &OverlayGraph, p: NodeId) -> Vec<u32> {
+        graph.usable_neighbors(p).map(|q| q as u32).collect()
+    }
+
     #[test]
     fn delta_rows_match_post_damage_usable_rows() {
         let mut g = graph(128, 4, 2);
-        let victims = vec![5, 6, 7];
-        let delta = fail_nodes_with_delta(&mut g, &victims);
+        let report = RegionFailure::at(5, 3).apply(&mut g, &mut StdRng::seed_from_u64(0));
+        let delta = report.delta(&g);
         assert!(!delta.is_empty());
         for rd in delta.rows() {
-            assert_eq!(rd.row, usable_row(&g, rd.node), "row of {}", rd.node);
+            assert_eq!(rd.row, row(&g, rd.node), "row of {}", rd.node);
             assert_eq!(rd.alive, g.is_alive(rd.node));
         }
         // Every victim flipped liveness, so every victim has a delta row.
-        for &v in &victims {
+        for v in [5, 6, 7] {
             assert!(delta.changed_nodes().any(|p| p == v), "victim {v} missing");
         }
     }
@@ -270,10 +170,11 @@ mod tests {
     #[test]
     fn unchanged_rows_are_not_emitted() {
         let mut g = graph(128, 4, 3);
-        let before: Vec<Vec<u32>> = (0..128).map(|p| usable_row(&g, p)).collect();
-        let delta = fail_nodes_with_delta(&mut g, &[40]);
+        let before: Vec<Vec<u32>> = (0..128).map(|p| row(&g, p)).collect();
+        let report = RegionFailure::at(40, 1).apply(&mut g, &mut StdRng::seed_from_u64(0));
+        let delta = report.delta(&g);
         for rd in delta.rows() {
-            let changed = rd.row != before[rd.node as usize] || (rd.node == 40 && !g.is_alive(40));
+            let changed = rd.row != before[rd.node as usize] || rd.node == 40;
             assert!(changed, "node {} emitted without a change", rd.node);
         }
         // Nodes far from the victim with no link to it must not appear.
@@ -283,19 +184,24 @@ mod tests {
         }
     }
 
-    /// The before/after diff node deltas were once made by, kept as their
-    /// reference: snapshot the victims' blast radius, flip them, emit the rows
-    /// that differ.
-    fn diffed(graph: &mut OverlayGraph, victims: &[NodeId], heal: bool) -> ChurnDelta {
-        let capture = DeltaCapture::snapshot(graph, blast_radius(graph, victims));
-        for &v in victims {
-            if heal {
-                graph.revive_node(v);
-            } else {
-                graph.fail_node(v);
+    /// Every grid point's liveness and row: the before-image of [`diff`].
+    fn image(graph: &OverlayGraph) -> Vec<(bool, Vec<u32>)> {
+        (0..graph.len())
+            .map(|p| (graph.is_alive(p), row(graph, p)))
+            .collect()
+    }
+
+    /// The reference node deltas are held to: the whole overlay diffed against its
+    /// before-image, emitting every row or liveness bit that differs.
+    fn diff(before: &[(bool, Vec<u32>)], graph: &OverlayGraph) -> ChurnDelta {
+        let mut delta = ChurnDelta::new();
+        for (p, was) in (0..).zip(before) {
+            let (alive, now) = (graph.is_alive(p), row(graph, p));
+            if (alive, &now) != (was.0, &was.1) {
+                delta.record(p, alive, now);
             }
         }
-        capture.diff(graph)
+        delta
     }
 
     /// `victims` plus junk that must change nothing: repeats, nodes that are
@@ -311,7 +217,7 @@ mod tests {
 
     #[test]
     fn node_deltas_equal_the_before_after_diff() {
-        use crate::{FailurePlan, NodeFailure, RegionFailure};
+        use crate::NodeFailure;
         use rand::Rng;
         for seed in 0..12u64 {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -339,36 +245,28 @@ mod tests {
                 let mut damaged = g.clone();
                 let mut down = Vec::new();
                 for plan in plans {
-                    let mut reference = damaged.clone();
-                    let mut plan_rng = StdRng::seed_from_u64(seed);
-                    let (report, delta) = plan.apply_with_delta(&mut damaged, &mut plan_rng);
-                    let want = diffed(&mut reference, &report.failed_nodes, false);
-                    assert_eq!(delta, want, "seed {seed}: {name} through its plan");
-                    assert_eq!(damaged, reference, "seed {seed}: {name} damage");
+                    let before = image(&damaged);
+                    let report = plan.apply(&mut damaged, &mut StdRng::seed_from_u64(seed));
+                    assert_eq!(
+                        report.delta(&damaged),
+                        diff(&before, &damaged),
+                        "seed {seed}: {name} through its plan"
+                    );
                     down.extend(report.failed_nodes);
                 }
-                let alive = damaged.alive_nodes();
-                let dead: Vec<NodeId> = (0..n).filter(|&p| !damaged.is_alive(p)).collect();
-
-                // Crashing again, with junk: only victims still alive flip.
-                let victims = noisy(&alive[..alive.len() / 3], &dead, departed, n);
-                let (mut ours, mut reference) = (damaged.clone(), damaged.clone());
-                assert_eq!(
-                    fail_nodes_with_delta(&mut ours, &victims),
-                    diffed(&mut reference, &victims, false),
-                    "seed {seed}: {name}, then a noisy crash"
-                );
-                assert_eq!(ours, reference);
 
                 // The heal, with junk: only present, crashed victims flip.
-                let victims = noisy(&down, &alive, departed, n);
-                let (mut ours, mut reference) = (damaged.clone(), damaged);
+                let victims = noisy(&down, &damaged.alive_nodes(), departed, n);
+                let (before, mut reference) = (image(&damaged), damaged.clone());
                 assert_eq!(
-                    revive_nodes_with_delta(&mut ours, &victims),
-                    diffed(&mut reference, &victims, true),
+                    revive_nodes_with_delta(&mut damaged, &victims),
+                    diff(&before, &damaged),
                     "seed {seed}: {name}, then a noisy heal"
                 );
-                assert_eq!(ours, reference);
+                for &v in &victims {
+                    reference.revive_node(v);
+                }
+                assert_eq!(damaged, reference);
             }
         }
     }
@@ -377,11 +275,12 @@ mod tests {
     fn heal_reverses_the_failure_delta() {
         let mut g = graph(96, 3, 4);
         let pristine = g.clone();
-        let _down = fail_nodes_with_delta(&mut g, &[20, 21]);
+        g.fail_node(20);
+        g.fail_node(21);
         let heal = revive_nodes_with_delta(&mut g, &[20, 21]);
         assert_eq!(g, pristine, "heal restores the graph exactly");
         for rd in heal.rows() {
-            assert_eq!(rd.row, usable_row(&g, rd.node));
+            assert_eq!(rd.row, row(&g, rd.node));
         }
         // Healing again is a no-op and emits nothing.
         let empty = revive_nodes_with_delta(&mut g, &[20, 21]);

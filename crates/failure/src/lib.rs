@@ -17,18 +17,18 @@
 //!
 //! All models implement [`FailurePlan`] and mutate an
 //! [`OverlayGraph`](faultline_overlay::OverlayGraph) in place, returning a
-//! [`FailureReport`] describing what was damaged.
+//! [`FailureReport`] naming what was damaged: the nodes crashed and the
+//! `(source, target)` links killed.
 //!
-//! Every plan is also **delta-aware**: [`FailurePlan::apply_with_delta`] inflicts
-//! bit-identical damage (same RNG stream) and emits, as a
-//! [`ChurnDelta`](faultline_overlay::ChurnDelta), the new row and liveness of each
-//! usable-neighbour row the damage changed. A node crash changes exactly the rows
-//! of the victims and their in-neighbours ([`blast_radius`]), which
-//! [`fail_nodes_with_delta`] emits as they stand after the crash; a link failure's
-//! rows are measured by a [`DeltaCapture`] before/after diff. Failures thus flow
-//! through frozen-snapshot row patching and row-level cache invalidation instead
-//! of forcing a rebuild. [`revive_nodes_with_delta`] is the healing inverse,
-//! re-admitting crashed rows the same way.
+//! That report is also how a failure becomes a
+//! [`ChurnDelta`](faultline_overlay::ChurnDelta) instead of a snapshot rebuild.
+//! [`FailureReport::delta`] names the rows the damage changed — a crash's
+//! [`blast_radius`] (the victims and their live in-neighbours), a killed link's
+//! source when its target was alive — and reads them back through
+//! [`OverlayGraph::delta_of`](faultline_overlay::OverlayGraph::delta_of). It emits
+//! every changed row and no other, so failures flow through frozen-snapshot row
+//! patching and row-level cache invalidation. [`revive_nodes_with_delta`] is the
+//! healing inverse, re-admitting crashed rows the same way.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,11 +41,9 @@ mod node;
 mod plan;
 mod region;
 
-pub use capture::{
-    blast_radius, fail_nodes_with_delta, revive_nodes_with_delta, usable_row, DeltaCapture,
-};
+pub use capture::{blast_radius, revive_nodes_with_delta};
 pub use churn::{ChurnEvent, ChurnSchedule};
 pub use link::LinkFailure;
 pub use node::{binomial_present_set, NodeFailure, NodeFailureMode};
-pub use plan::{FailurePlan, FailureReport, NoFailure};
+pub use plan::{FailurePlan, FailureReport};
 pub use region::RegionFailure;

@@ -1,8 +1,7 @@
 //! Independent link failures (Section 4.3.3).
 
-use crate::capture::DeltaCapture;
 use crate::plan::{FailurePlan, FailureReport};
-use faultline_overlay::{ChurnDelta, NodeId, OverlayGraph};
+use faultline_overlay::OverlayGraph;
 use rand::{Rng, RngCore};
 
 /// Fails each long-distance link independently, keeping it with probability `presence`.
@@ -60,54 +59,18 @@ impl FailurePlan for LinkFailure {
 
     fn apply(&self, graph: &mut OverlayGraph, rng: &mut dyn RngCore) -> FailureReport {
         let presence = self.presence;
-        let failed_links = graph.fail_long_links_where(|_, _| !rng.gen_bool(presence));
+        let mut failed_links = Vec::new();
+        graph.fail_long_links_where(|source, link| {
+            let kill = !rng.gen_bool(presence);
+            if kill {
+                failed_links.push((source, link.target));
+            }
+            kill
+        });
         FailureReport {
             failed_nodes: Vec::new(),
             failed_links,
         }
-    }
-
-    fn apply_with_delta(
-        &self,
-        graph: &mut OverlayGraph,
-        rng: &mut dyn RngCore,
-    ) -> (FailureReport, ChurnDelta) {
-        // Pass 1: draw every link's fate up front, walking the live long links
-        // in the exact order `fail_long_links_where` visits them, so the RNG
-        // stream matches `apply` bit for bit. Only sources that lose a link can
-        // change a usable row — a directed link failure never touches the
-        // target's row.
-        let presence = self.presence;
-        let n = graph.len();
-        let mut decisions: Vec<bool> = Vec::new();
-        let mut sources: Vec<NodeId> = Vec::new();
-        for p in 0..n {
-            for link in graph.links(p).iter().filter(|l| l.alive && l.is_long()) {
-                let _ = link;
-                let kill = !rng.gen_bool(presence);
-                decisions.push(kill);
-                if kill {
-                    sources.push(p);
-                }
-            }
-        }
-        sources.dedup();
-        let capture = DeltaCapture::snapshot(graph, sources);
-        // Pass 2: replay the pre-drawn fates onto the graph.
-        let mut next = 0;
-        let failed_links = graph.fail_long_links_where(|_, _| {
-            let kill = decisions[next];
-            next += 1;
-            kill
-        });
-        debug_assert_eq!(next, decisions.len(), "replay covered every live link");
-        (
-            FailureReport {
-                failed_nodes: Vec::new(),
-                failed_links,
-            },
-            capture.diff(graph),
-        )
     }
 }
 
@@ -135,7 +98,7 @@ mod tests {
         let total = g.total_long_links();
         let mut rng = StdRng::seed_from_u64(1);
         let report = LinkFailure::with_presence(1.0).apply(&mut g, &mut rng);
-        assert_eq!(report.failed_links, 0);
+        assert!(report.failed_links.is_empty());
         assert_eq!(g.total_long_links(), total);
     }
 
@@ -145,7 +108,7 @@ mod tests {
         let total = g.total_long_links();
         let mut rng = StdRng::seed_from_u64(1);
         let report = LinkFailure::with_presence(0.0).apply(&mut g, &mut rng);
-        assert_eq!(report.failed_links, total);
+        assert_eq!(report.failed_links.len() as u64, total);
         assert_eq!(g.total_long_links(), 0);
         // Ring links survive: every node still has a usable neighbour.
         for p in 1..255u64 {
@@ -159,7 +122,7 @@ mod tests {
         let total = g.total_long_links() as f64;
         let mut rng = StdRng::seed_from_u64(5);
         let report = LinkFailure::with_failure_probability(0.3).apply(&mut g, &mut rng);
-        let frac = report.failed_links as f64 / total;
+        let frac = report.failed_links.len() as f64 / total;
         assert!((frac - 0.3).abs() < 0.03, "failed fraction {frac}");
         assert!(report.failed_nodes.is_empty());
     }

@@ -1,8 +1,7 @@
 //! Node-crash failure models (Sections 4.3.4 and 6).
 
-use crate::capture::fail_nodes_with_delta;
 use crate::plan::{FailurePlan, FailureReport};
-use faultline_overlay::{ChurnDelta, NodeId, OverlayGraph};
+use faultline_overlay::{NodeId, OverlayGraph};
 use rand::{seq::SliceRandom, Rng, RngCore};
 
 /// How many nodes a [`NodeFailure`] plan crashes.
@@ -119,24 +118,8 @@ impl FailurePlan for NodeFailure {
         }
         FailureReport {
             failed_nodes: victims,
-            failed_links: 0,
+            failed_links: Vec::new(),
         }
-    }
-
-    fn apply_with_delta(
-        &self,
-        graph: &mut OverlayGraph,
-        rng: &mut dyn RngCore,
-    ) -> (FailureReport, ChurnDelta) {
-        let victims = self.select_victims(graph, rng);
-        let delta = fail_nodes_with_delta(graph, &victims);
-        (
-            FailureReport {
-                failed_nodes: victims,
-                failed_links: 0,
-            },
-            delta,
-        )
     }
 }
 

@@ -1,16 +1,17 @@
 //! The [`FailurePlan`] trait and [`FailureReport`] summary.
 
-use crate::capture::DeltaCapture;
+use crate::capture::blast_radius;
 use faultline_overlay::{ChurnDelta, NodeId, OverlayGraph};
 use rand::RngCore;
 
-/// Summary of the damage a failure plan inflicted on an overlay.
+/// What a failure plan damaged in an overlay.
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct FailureReport {
     /// Nodes that were crashed by this plan (in the order they were failed).
     pub failed_nodes: Vec<NodeId>,
-    /// Number of long-distance links marked dead by this plan.
-    pub failed_links: u64,
+    /// Long-distance links marked dead by this plan, as `(source, target)` pairs in
+    /// the order they were failed.
+    pub failed_links: Vec<(NodeId, NodeId)>,
 }
 
 impl FailureReport {
@@ -29,7 +30,32 @@ impl FailureReport {
     /// Merges another report into this one.
     pub fn absorb(&mut self, other: FailureReport) {
         self.failed_nodes.extend(other.failed_nodes);
-        self.failed_links += other.failed_links;
+        self.failed_links.extend(other.failed_links);
+    }
+
+    /// The rows this damage changed, read off the damaged `graph`: exactly the rows
+    /// that differ from the graph before the damage, so a snapshot patched with it
+    /// equals a fresh freeze and no cached route is evicted for nothing.
+    ///
+    /// A crash changes its victim's liveness and the row of every node holding a
+    /// live link to it (the [`blast_radius`]). A killed link changes its source's row
+    /// when its target was alive before the damage: alive now, or crashed by this
+    /// same report. The plans report only nodes they crashed and links they killed,
+    /// so every named row changed.
+    #[must_use]
+    pub fn delta(&self, graph: &OverlayGraph) -> ChurnDelta {
+        let mut changed = blast_radius(graph, &self.failed_nodes);
+        changed.extend(
+            self.failed_links
+                .iter()
+                .filter(|&&(_, target)| {
+                    graph.is_alive(target) || self.failed_nodes.contains(&target)
+                })
+                .map(|&(source, _)| source),
+        );
+        changed.sort_unstable();
+        changed.dedup();
+        graph.delta_of(changed)
     }
 }
 
@@ -42,79 +68,27 @@ pub trait FailurePlan: std::fmt::Debug {
     /// Human-readable name for benchmark output.
     fn name(&self) -> String;
 
-    /// Damages `graph` in place, drawing randomness from `rng`.
+    /// Damages `graph` in place, drawing randomness from `rng`, and reports every
+    /// node it crashed and every link it killed — what
+    /// [`FailureReport::delta`] reads the changed rows from.
     fn apply(&self, graph: &mut OverlayGraph, rng: &mut dyn RngCore) -> FailureReport;
-
-    /// Damages `graph` exactly like [`FailurePlan::apply`] — same RNG stream,
-    /// same damage — while also capturing the [`ChurnDelta`] of every
-    /// usable-neighbour row the damage changed, so the failure can flow through
-    /// snapshot row-patching and row-level cache invalidation instead of a
-    /// rebuild.
-    ///
-    /// The default implementation watches every present row (correct for any
-    /// plan, O(n·ℓ) capture); the concrete plans override it with their exact
-    /// blast radius.
-    fn apply_with_delta(
-        &self,
-        graph: &mut OverlayGraph,
-        rng: &mut dyn RngCore,
-    ) -> (FailureReport, ChurnDelta) {
-        let candidates: Vec<NodeId> = graph.present_nodes().to_vec();
-        let capture = DeltaCapture::snapshot(graph, candidates);
-        let report = self.apply(graph, rng);
-        (report, capture.diff(graph))
-    }
-}
-
-/// A plan that does nothing — the failure-free control configuration.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoFailure;
-
-impl FailurePlan for NoFailure {
-    fn name(&self) -> String {
-        "none".to_owned()
-    }
-
-    fn apply(&self, _graph: &mut OverlayGraph, _rng: &mut dyn RngCore) -> FailureReport {
-        FailureReport::none()
-    }
-
-    fn apply_with_delta(
-        &self,
-        _graph: &mut OverlayGraph,
-        _rng: &mut dyn RngCore,
-    ) -> (FailureReport, ChurnDelta) {
-        (FailureReport::none(), ChurnDelta::new())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faultline_metric::Geometry;
-
-    #[test]
-    fn no_failure_leaves_graph_untouched() {
-        let mut g = OverlayGraph::fully_populated(Geometry::line(16));
-        let before = g.clone();
-        let mut rng = rand::rngs::mock::StepRng::new(0, 1);
-        let report = NoFailure.apply(&mut g, &mut rng);
-        assert_eq!(report, FailureReport::none());
-        assert_eq!(g, before);
-        assert_eq!(NoFailure.name(), "none");
-    }
 
     #[test]
     fn reports_merge() {
         let mut a = FailureReport {
             failed_nodes: vec![1, 2],
-            failed_links: 3,
+            failed_links: vec![(3, 4), (5, 6), (5, 7)],
         };
         a.absorb(FailureReport {
             failed_nodes: vec![7],
-            failed_links: 1,
+            failed_links: vec![(8, 9)],
         });
         assert_eq!(a.failed_node_count(), 3);
-        assert_eq!(a.failed_links, 4);
+        assert_eq!(a.failed_links, vec![(3, 4), (5, 6), (5, 7), (8, 9)]);
     }
 }

@@ -1,10 +1,9 @@
 //! Correlated (contiguous-region) failures — a robustness probe beyond the paper's
 //! independent-failure models.
 
-use crate::capture::fail_nodes_with_delta;
 use crate::plan::{FailurePlan, FailureReport};
 use faultline_metric::MetricSpace;
-use faultline_overlay::{ChurnDelta, NodeId, OverlayGraph};
+use faultline_overlay::{NodeId, OverlayGraph};
 use rand::{Rng, RngCore};
 
 /// Crashes every node inside a contiguous interval of the metric space.
@@ -89,24 +88,8 @@ impl FailurePlan for RegionFailure {
         }
         FailureReport {
             failed_nodes: failed,
-            failed_links: 0,
+            failed_links: Vec::new(),
         }
-    }
-
-    fn apply_with_delta(
-        &self,
-        graph: &mut OverlayGraph,
-        rng: &mut dyn RngCore,
-    ) -> (FailureReport, ChurnDelta) {
-        let failed = self.select_victims(graph, rng);
-        let delta = fail_nodes_with_delta(graph, &failed);
-        (
-            FailureReport {
-                failed_nodes: failed,
-                failed_links: 0,
-            },
-            delta,
-        )
     }
 }
 

@@ -1,14 +1,12 @@
-//! The delta-aware contract of every failure plan: `apply_with_delta` must be
-//! indistinguishable from `apply` — same damage, same RNG consumption — and the
-//! delta it emits must describe the post-damage graph exactly.
+//! The delta contract of every failure plan: the delta its report names,
+//! `FailureReport::delta`, must describe the post-damage graph exactly — every
+//! changed row emitted with its new content, and no unchanged row emitted.
 
-use faultline_failure::{
-    usable_row, FailurePlan, LinkFailure, NoFailure, NodeFailure, RegionFailure,
-};
+use faultline_failure::{FailurePlan, FailureReport, LinkFailure, NodeFailure, RegionFailure};
 use faultline_linkdist::InversePowerLaw;
 use faultline_metric::Geometry;
-use faultline_overlay::{GraphBuilder, OverlayGraph};
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use faultline_overlay::{GraphBuilder, NodeId, OverlayGraph};
+use rand::{rngs::StdRng, SeedableRng};
 
 fn graph(n: u64, ell: usize, seed: u64) -> OverlayGraph {
     let geometry = Geometry::ring(n);
@@ -21,7 +19,6 @@ fn graph(n: u64, ell: usize, seed: u64) -> OverlayGraph {
 
 fn plans() -> Vec<Box<dyn FailurePlan>> {
     vec![
-        Box::new(NoFailure),
         Box::new(RegionFailure::at(100, 40)),
         Box::new(RegionFailure::random(64)),
         Box::new(NodeFailure::fraction(0.15)),
@@ -31,26 +28,40 @@ fn plans() -> Vec<Box<dyn FailurePlan>> {
     ]
 }
 
-#[test]
-fn apply_with_delta_matches_apply_bit_for_bit() {
-    for plan in plans() {
-        let pristine = graph(512, 6, 9);
-        let mut plain = pristine.clone();
-        let mut delta_ed = pristine.clone();
-        let mut rng_a = StdRng::seed_from_u64(77);
-        let mut rng_b = StdRng::seed_from_u64(77);
+/// Every grid point's liveness and usable-neighbour row, in snapshot width.
+fn image(g: &OverlayGraph) -> Vec<(bool, Vec<u32>)> {
+    (0..g.len())
+        .map(|p| {
+            (
+                g.is_alive(p),
+                g.usable_neighbors(p).map(|q| q as u32).collect(),
+            )
+        })
+        .collect()
+}
 
-        let report_a = plan.apply(&mut plain, &mut rng_a);
-        let (report_b, _delta) = plan.apply_with_delta(&mut delta_ed, &mut rng_b);
-
-        assert_eq!(report_a, report_b, "{}: reports diverged", plan.name());
-        assert_eq!(plain, delta_ed, "{}: graphs diverged", plan.name());
-        // Same RNG stream consumed: the next draw must agree.
+/// Asserts that `report`'s delta, read off the damaged `g`, emits the current row
+/// of every node whose row or liveness differs from `before`, and no other.
+fn assert_exact(name: &str, before: &[(bool, Vec<u32>)], report: &FailureReport, g: &OverlayGraph) {
+    let delta = report.delta(g);
+    let after = image(g);
+    // Every emitted row is the post-damage truth.
+    for rd in delta.rows() {
+        let p = rd.node as usize;
         assert_eq!(
-            rng_a.gen::<u64>(),
-            rng_b.gen::<u64>(),
-            "{}: RNG streams diverged",
-            plan.name()
+            (rd.alive, &rd.row),
+            (after[p].0, &after[p].1),
+            "{name}: stale row for {p}"
+        );
+    }
+    let changed: Vec<NodeId> = delta.changed_nodes().collect();
+    for (p, (was, now)) in (0..).zip(before.iter().zip(&after)) {
+        assert_eq!(
+            changed.contains(&p),
+            was != now,
+            "{name}: node {p} changed: {}, emitted: {}",
+            was != now,
+            changed.contains(&p)
         );
     }
 }
@@ -59,33 +70,34 @@ fn apply_with_delta_matches_apply_bit_for_bit() {
 fn emitted_deltas_describe_the_damaged_graph_exactly() {
     for plan in plans() {
         let mut g = graph(512, 6, 10);
-        let before: Vec<Vec<u32>> = (0..512).map(|p| usable_row(&g, p)).collect();
-        let before_alive: Vec<bool> = (0..512).map(|p| g.is_alive(p)).collect();
-        let mut rng = StdRng::seed_from_u64(42);
-        let (_report, delta) = plan.apply_with_delta(&mut g, &mut rng);
+        // Earlier damage, so dead links, dead targets and dead sources all occur.
+        NodeFailure::fraction(0.1).apply(&mut g, &mut StdRng::seed_from_u64(3));
+        LinkFailure::with_presence(0.9).apply(&mut g, &mut StdRng::seed_from_u64(4));
+        let before = image(&g);
+        let report = plan.apply(&mut g, &mut StdRng::seed_from_u64(42));
+        assert!(
+            !report.failed_nodes.is_empty() || !report.failed_links.is_empty(),
+            "{}: damaged nothing",
+            plan.name()
+        );
+        assert_exact(&plan.name(), &before, &report, &g);
+    }
+}
 
-        // Every emitted row is the post-damage truth.
-        for rd in delta.rows() {
-            assert_eq!(
-                rd.row,
-                usable_row(&g, rd.node),
-                "{}: stale row for {}",
-                plan.name(),
-                rd.node
-            );
-            assert_eq!(rd.alive, g.is_alive(rd.node), "{}", plan.name());
+#[test]
+fn merged_reports_name_exactly_the_changed_rows() {
+    // A link killed and its target crashed in one merged report, in either order.
+    let links = LinkFailure::with_presence(0.5);
+    let region = RegionFailure::at(200, 80);
+    let orders: [[&dyn FailurePlan; 2]; 2] = [[&links, &region], [&region, &links]];
+    for (seed, order) in (0..).zip(orders) {
+        let mut g = graph(512, 6, 11);
+        let before = image(&g);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut report = FailureReport::none();
+        for plan in order {
+            report.absorb(plan.apply(&mut g, &mut rng));
         }
-        // And every changed row was emitted: no silent damage.
-        let changed: Vec<u64> = delta.changed_nodes().collect();
-        for p in 0..512u64 {
-            let now = usable_row(&g, p);
-            if now != before[p as usize] || g.is_alive(p) != before_alive[p as usize] {
-                assert!(
-                    changed.contains(&p),
-                    "{}: node {p} changed without a delta row",
-                    plan.name()
-                );
-            }
-        }
+        assert_exact(&format!("merge {seed}"), &before, &report, &g);
     }
 }

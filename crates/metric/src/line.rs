@@ -34,12 +34,6 @@ impl LineSpace {
         assert!(n > 0, "a LineSpace must contain at least one point");
         Self { n }
     }
-
-    /// Number of grid points (alias of [`MetricSpace::len`] usable without the trait).
-    #[must_use]
-    pub fn num_points(&self) -> u64 {
-        self.n
-    }
 }
 
 impl MetricSpace for LineSpace {

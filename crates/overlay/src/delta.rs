@@ -16,10 +16,13 @@
 //! node replaces the earlier one, so an epoch's delta is its event deltas folded
 //! together and each row appears once with its epoch-end content.
 //!
+//! Whoever mutates the graph names the nodes whose rows it changed;
+//! [`OverlayGraph::delta_of`] is the one place their rows are read back.
+//!
 //! [`FrozenRoutes`]: crate::FrozenRoutes
 //! [`FrozenRoutes::apply_delta`]: crate::FrozenRoutes::apply_delta
 
-use crate::NodeId;
+use crate::{NodeId, OverlayGraph};
 
 /// One node's row diff: its usable-neighbour row and liveness *after* the change.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -90,6 +93,21 @@ impl ChurnDelta {
         for r in other.rows {
             self.record(r.node, r.alive, r.row);
         }
+    }
+}
+
+impl OverlayGraph {
+    /// The delta naming `nodes` as changed: each one's usable-neighbour row and
+    /// liveness as the graph stands now, so call it after the mutation settles.
+    /// A node named twice is recorded once.
+    #[must_use]
+    pub fn delta_of(&self, nodes: impl IntoIterator<Item = NodeId>) -> ChurnDelta {
+        let mut delta = ChurnDelta::new();
+        for p in nodes {
+            let row = self.usable_neighbors(p).map(|q| q as u32).collect();
+            delta.record(p, self.is_alive(p), row);
+        }
+        delta
     }
 }
 

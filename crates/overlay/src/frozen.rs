@@ -446,17 +446,6 @@ mod tests {
         }
     }
 
-    /// The delta a maintainer would report for `nodes`: each node's current
-    /// usable-neighbour row and liveness, read off the graph after the mutation.
-    fn delta_of(g: &OverlayGraph, nodes: &[NodeId]) -> ChurnDelta {
-        let mut delta = ChurnDelta::new();
-        for &p in nodes {
-            let row = g.usable_neighbors(p).map(|q| q as u32).collect();
-            delta.record(p, g.is_alive(p), row);
-        }
-        delta
-    }
-
     fn patched_equals_fresh(g: &OverlayGraph, patched: &FrozenRoutes) {
         let fresh = g.freeze();
         for p in 0..g.len() {
@@ -491,7 +480,7 @@ mod tests {
         g.remove_node(5);
         g.remove_link(4, 5, LinkKind::Ring);
         g.remove_link(6, 5, LinkKind::Ring);
-        let stats = frozen.apply_delta(&g, &delta_of(&g, &[4, 5, 6]));
+        let stats = frozen.apply_delta(&g, &g.delta_of([4, 5, 6]));
         assert_eq!(stats.rows_patched, 3, "rows 4/5/6 all changed: {stats:?}");
         assert_eq!(stats.rows_in_place, 3, "every row is written into its slot");
         assert_eq!(stats.alive_flips, 1, "only node 5's liveness flipped");
@@ -505,17 +494,17 @@ mod tests {
         let mut g = chain_graph(64);
         let mut frozen = g.freeze();
         g.fail_link(1, 0);
-        let first = frozen.apply_delta(&g, &delta_of(&g, &[1, 2]));
+        let first = frozen.apply_delta(&g, &g.delta_of([1, 2]));
         assert_eq!(first.rows_patched, 1);
         assert_eq!(first.rows_unchanged, 1, "node 2's row did not change");
-        let second = frozen.apply_delta(&g, &delta_of(&g, &[1, 2]));
+        let second = frozen.apply_delta(&g, &g.delta_of([1, 2]));
         assert_eq!(
             second.rows_patched, 0,
             "repatching an unchanged graph is a no-op"
         );
         assert_eq!(second.rows_unchanged, 2);
         // Duplicates in the blast radius merge into one row diff.
-        let third = frozen.apply_delta(&g, &delta_of(&g, &[1, 1, 1, 2]));
+        let third = frozen.apply_delta(&g, &g.delta_of([1, 1, 1, 2]));
         assert_eq!(third.rows_unchanged, 2);
         patched_equals_fresh(&g, &frozen);
     }
@@ -534,7 +523,7 @@ mod tests {
             g.add_link(1, 10 + k, LinkKind::Long);
         }
         g.add_link(2, 20, LinkKind::Long);
-        let stats = frozen.apply_delta(&g, &delta_of(&g, &[0, 1, 2]));
+        let stats = frozen.apply_delta(&g, &g.delta_of([0, 1, 2]));
         assert!(stats.rebuilt, "a 17-label row cannot fit an 8-label slot");
         assert!(!stats.compacted);
         assert_eq!(stats.rows_patched, 3);
@@ -550,7 +539,7 @@ mod tests {
         for k in 0..15 {
             g.remove_link(1, 10 + k, LinkKind::Long);
         }
-        let stats = frozen.apply_delta(&g, &delta_of(&g, &[1]));
+        let stats = frozen.apply_delta(&g, &g.delta_of([1]));
         assert!(!stats.rebuilt);
         assert_eq!(frozen.stride(), 3 * ROW_STEP);
         assert_eq!(g.freeze().stride(), 2 * ROW_STEP);
@@ -572,7 +561,7 @@ mod tests {
         for &p in &touched {
             g.redirect_long_link(p, (p + 1) % n, (p + 2) % n);
         }
-        let stats = frozen.apply_delta(&g, &delta_of(&g, &touched));
+        let stats = frozen.apply_delta(&g, &g.delta_of(touched.iter().copied()));
         assert_eq!(stats.rows_patched, touched.len());
         assert_eq!(stats.rows_in_place, touched.len());
         assert!(!stats.rebuilt && !stats.compacted);
@@ -586,7 +575,7 @@ mod tests {
         let mut g = chain_graph(64);
         let mut frozen = g.freeze();
         g.fail_link(1, 0);
-        let stats = frozen.apply_delta(&g, &delta_of(&g, &[1, 2]));
+        let stats = frozen.apply_delta(&g, &g.delta_of([1, 2]));
         assert_eq!(stats.rows_patched, 1);
         assert!(!stats.rebuilt);
         patched_equals_fresh(&g, &frozen);
@@ -595,7 +584,7 @@ mod tests {
         for k in 0..8 {
             g.add_link(3, 10 + k, LinkKind::Long);
         }
-        let stats = frozen.apply_delta(&g, &delta_of(&g, &[3, 4]));
+        let stats = frozen.apply_delta(&g, &g.delta_of([3, 4]));
         assert!(stats.rebuilt);
         assert_eq!(frozen, g.freeze());
     }
@@ -606,7 +595,7 @@ mod tests {
         let g16 = damaged_graph();
         let g8 = OverlayGraph::fully_populated(Geometry::line(8));
         let mut frozen = g16.freeze();
-        let _ = frozen.apply_delta(&g8, &delta_of(&g8, &[0]));
+        let _ = frozen.apply_delta(&g8, &g8.delta_of([0]));
     }
 
     /// A delta whose row for node 3 ends in `label`, over a 16-point space.
@@ -661,7 +650,7 @@ mod tests {
         let mut g2 = chain_graph(64);
         let mut frozen2 = g2.freeze();
         g2.fail_link(4, 5);
-        let stats = frozen2.apply_delta(&g2, &delta_of(&g2, &[4]));
+        let stats = frozen2.apply_delta(&g2, &g2.delta_of([4]));
         assert_eq!(stats.rows_in_place, 1);
         assert_eq!(frozen2.neighbors(4), &[3]);
         assert_eq!(frozen2.neighbors_padded(4).len(), frozen2.stride());
@@ -678,7 +667,7 @@ mod tests {
         assert_eq!(frozen3.stride(), ROW_STEP);
         assert_eq!(frozen3.neighbors(0).len(), ROW_STEP, "1 ring + 7 long");
         assert_eq!(frozen3.neighbors(0), frozen3.neighbors_padded(0));
-        let stats = frozen3.apply_delta(&g3, &delta_of(&g3, &[0]));
+        let stats = frozen3.apply_delta(&g3, &g3.delta_of([0]));
         assert_eq!(stats.rows_unchanged, 1, "a full slot compares whole");
     }
 

@@ -17,8 +17,9 @@
 //!   [`ChurnDelta`] of row-level diffs ([`FrozenRoutes::apply_delta`] overwrites
 //!   each diffed row in its own slot).
 //! * [`ChurnDelta`] — the rows a topology change rewrote: per changed node, its
-//!   new usable-neighbour row and liveness, produced by `faultline-construction`'s
-//!   maintainer (joins, leaves) and `faultline-failure`'s capture (crashes, heals).
+//!   new usable-neighbour row and liveness. `faultline-construction`'s maintainer
+//!   (joins, leaves) and `faultline-failure`'s reports (crashes, link kills, heals)
+//!   name the changed nodes; [`OverlayGraph::delta_of`] reads their rows.
 //! * [`stats`] — link-length histograms and degree statistics used by the Figure 5
 //!   reproduction and by the construction-quality tests.
 //!

@@ -177,6 +177,7 @@ impl KernelIsa {
         match self.kind {
             // The scalar kernel never calls in here; `best_neighbor_csr` keeps
             // its own fold (over the logical row) as the reference.
+            // xlint: allow(panic_policy) -- `best_neighbor_csr` branches on `is_simd` before calling `scan`, so a scalar kernel reaching here is a dispatch bug, not an input
             IsaKind::Scalar => unreachable!("scalar kernels fold in best_neighbor_csr"),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the Avx2 kind only comes from `KernelIsa::detect` after a

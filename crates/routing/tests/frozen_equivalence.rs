@@ -215,12 +215,7 @@ proptest! {
         // Epoch 1: churn patched in as a delta carrying every node's current row (a
         // superset is allowed — unchanged rows are detected and skipped).
         churn(&mut graph, seed, node_failure, link_failure);
-        let mut everyone = ChurnDelta::new();
-        for p in 0..n {
-            let row = graph.usable_neighbors(p).map(|q| q as u32).collect();
-            everyone.record(p, graph.is_alive(p), row);
-        }
-        snapshot.apply_delta(&graph, &everyone);
+        snapshot.apply_delta(&graph, &graph.delta_of(0..n));
         check_row_shapes(&snapshot)?;
         check_kernel_parity(&snapshot, seed)?;
 

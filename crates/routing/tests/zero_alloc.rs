@@ -14,7 +14,7 @@
 
 use faultline_linkdist::InversePowerLaw;
 use faultline_metric::Geometry;
-use faultline_overlay::{ChurnDelta, GraphBuilder, OverlayGraph};
+use faultline_overlay::{GraphBuilder, OverlayGraph};
 use faultline_routing::{
     ByzantineSet, FaultStrategy, KernelIsa, RedundantRouter, RouteScratch, Router, Walk, WalkGroup,
     WALKS_IN_FLIGHT,
@@ -75,16 +75,15 @@ fn frozen_kernel_allocates_nothing_per_query_after_warmup() {
     let frozen = {
         let mut snapshot = graph.freeze();
         let mut rng = StdRng::seed_from_u64(404);
-        let mut delta = ChurnDelta::new();
+        let mut touched = Vec::new();
         for _ in 0..16 {
             let p = rng.gen_range(0..n);
             if graph.is_alive(p) {
                 graph.fail_link(p, p + 1);
-                let row = graph.usable_neighbors(p).map(|q| q as u32).collect();
-                delta.record(p, true, row);
+                touched.push(p);
             }
         }
-        snapshot.apply_delta(&graph, &delta);
+        snapshot.apply_delta(&graph, &graph.delta_of(touched));
         snapshot
     };
     let graph = graph;

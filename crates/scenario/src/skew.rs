@@ -103,37 +103,49 @@ impl QuerySkew {
     #[must_use]
     pub fn batch(&self, network: &Network, context: &EpochWorkload<'_>) -> QueryBatch {
         let count = self.count_for(context.queries, context.epoch);
-        if let QuerySkew::Uniform = self {
+        match *self {
             // Delegate so uniform scenarios replay `run_interleaved` bit for bit.
-            return match context.adversaries {
+            QuerySkew::Uniform => match context.adversaries {
                 Some(set) => QueryBatch::uniform_honest(network, count, context.seed, set),
                 None => QueryBatch::uniform(network, count, context.seed),
-            };
-        }
-        let pool = honest_pool(network, context.adversaries);
-        if pool.len() < 2 {
-            // Degenerate overlay: nothing meaningful to skew toward.
-            return QueryBatch::from_pairs(context.seed, Vec::new());
-        }
-        let mut rng = StdRng::seed_from_u64(context.seed ^ SKEW_SALT);
-        let pairs = match self {
-            QuerySkew::Uniform => unreachable!("handled above"),
-            QuerySkew::Zipf { exponent } => zipf_pairs(&pool, count, *exponent, &mut rng),
-            QuerySkew::HotspotPair { hotspots, bias } => {
-                hotspot_pairs(&pool, count, *hotspots, *bias, &mut rng)
-            }
+            },
+            QuerySkew::Zipf { exponent } => skewed(network, context, |pool, rng| {
+                zipf_pairs(pool, count, exponent, rng)
+            }),
+            QuerySkew::HotspotPair { hotspots, bias } => skewed(network, context, |pool, rng| {
+                hotspot_pairs(pool, count, hotspots, bias, rng)
+            }),
             QuerySkew::FlashCrowd { peak } => {
                 let ramp = if context.epochs > 1 {
                     context.epoch as f64 / (context.epochs - 1) as f64
                 } else {
                     1.0
                 };
-                flash_crowd_pairs(&pool, count, ramp * peak, &mut rng)
+                skewed(network, context, |pool, rng| {
+                    flash_crowd_pairs(pool, count, ramp * peak, rng)
+                })
             }
-            QuerySkew::Diurnal { .. } => uniform_pairs(&pool, count, &mut rng),
-        };
-        QueryBatch::from_pairs(context.seed, pairs)
+            QuerySkew::Diurnal { .. } => skewed(network, context, |pool, rng| {
+                uniform_pairs(pool, count, rng)
+            }),
+        }
     }
+}
+
+/// A skewed batch: `pairs` drawn over the honest pool from the salted batch seed,
+/// or no pairs at all when fewer than two honest nodes are alive.
+fn skewed(
+    network: &Network,
+    context: &EpochWorkload<'_>,
+    pairs: impl FnOnce(&[NodeId], &mut StdRng) -> Vec<(NodeId, NodeId)>,
+) -> QueryBatch {
+    let pool = honest_pool(network, context.adversaries);
+    if pool.len() < 2 {
+        // Degenerate overlay: nothing meaningful to skew toward.
+        return QueryBatch::from_pairs(context.seed, Vec::new());
+    }
+    let mut rng = StdRng::seed_from_u64(context.seed ^ SKEW_SALT);
+    QueryBatch::from_pairs(context.seed, pairs(&pool, &mut rng))
 }
 
 /// Sorted alive nodes minus the resolved adversary set — the same population the

@@ -766,36 +766,23 @@ fn parse_workload(document: &Document, scenario_seed: u64) -> Result<WorkloadSpe
         Some(entry) => expect_u64(entry)?,
         None => scenario_seed,
     };
-    let skew_name = match section.get("skew") {
-        Some(entry) => expect_str(entry)?,
-        None => "uniform",
+    let (skew_name, allowed, parse_skew) = match section.get("skew") {
+        None => SKEWS[0],
+        Some(entry) => {
+            let name = expect_str(entry)?;
+            *SKEWS.iter().find(|(known, ..)| *known == name).ok_or_else(|| {
+                invalid(
+                    entry,
+                    "must be \"uniform\", \"zipf\", \"hotspot-pair\", \"flash-crowd\", or \"diurnal\"",
+                )
+            })?
+        }
     };
     // Each skew admits exactly its own parameter keys; a parameter for a skew
     // that is not active is a hard error, not dead weight silently carried.
-    let allowed: &[&str] = match skew_name {
-        "uniform" => &[],
-        "zipf" => &["zipf_exponent"],
-        "hotspot-pair" => &["hotspots", "bias"],
-        "flash-crowd" => &["peak"],
-        "diurnal" => &["amplitude", "period"],
-        _ => {
-            let entry = section.get("skew").expect("skew key present when named");
-            return Err(invalid(
-                entry,
-                "must be \"uniform\", \"zipf\", \"hotspot-pair\", \"flash-crowd\", or \"diurnal\"",
-            ));
-        }
-    };
-    for key in [
-        "zipf_exponent",
-        "hotspots",
-        "bias",
-        "peak",
-        "amplitude",
-        "period",
-    ] {
+    for key in SKEWS.iter().flat_map(|(_, keys, _)| keys.iter()) {
         if let Some(entry) = section.get(key) {
-            if !allowed.contains(&key) {
+            if !allowed.contains(key) {
                 return Err(ScenarioError::InvalidValue {
                     line: entry.line,
                     key: key.to_string(),
@@ -806,70 +793,84 @@ fn parse_workload(document: &Document, scenario_seed: u64) -> Result<WorkloadSpe
             }
         }
     }
-    let skew = match skew_name {
-        "uniform" => QuerySkew::Uniform,
-        "zipf" => {
-            let exponent = match section.get("zipf_exponent") {
-                Some(entry) => {
-                    let exponent = expect_f64(entry)?;
-                    if exponent <= 0.0 {
-                        return Err(invalid(entry, "must be positive"));
-                    }
-                    exponent
-                }
-                None => 1.0,
-            };
-            QuerySkew::Zipf { exponent }
-        }
-        "hotspot-pair" => {
-            let hotspots = match section.get("hotspots") {
-                Some(entry) => {
-                    let hotspots = expect_usize(entry)?;
-                    if hotspots == 0 {
-                        return Err(invalid(entry, "needs at least one hotspot"));
-                    }
-                    hotspots
-                }
-                None => 8,
-            };
-            let bias = match section.get("bias") {
-                Some(entry) => expect_unit_fraction(entry)?,
-                None => 0.8,
-            };
-            QuerySkew::HotspotPair { hotspots, bias }
-        }
-        "flash-crowd" => {
-            let peak = match section.get("peak") {
-                Some(entry) => expect_unit_fraction(entry)?,
-                None => 0.9,
-            };
-            QuerySkew::FlashCrowd { peak }
-        }
-        "diurnal" => {
-            let amplitude = match section.get("amplitude") {
-                Some(entry) => expect_unit_fraction(entry)?,
-                None => 0.5,
-            };
-            let period = match section.get("period") {
-                Some(entry) => {
-                    let period = expect_usize(entry)?;
-                    if period == 0 {
-                        return Err(invalid(entry, "a cycle needs at least one epoch"));
-                    }
-                    period
-                }
-                None => 8,
-            };
-            QuerySkew::Diurnal { amplitude, period }
-        }
-        _ => unreachable!("unknown skews rejected above"),
-    };
+    let skew = parse_skew(section)?;
     Ok(WorkloadSpec {
         queries_per_epoch,
         epochs,
         seed,
         skew,
     })
+}
+
+/// Parses one skew's parameters out of the `[workload]` section.
+type SkewParser = fn(&Section) -> Result<QuerySkew, ScenarioError>;
+
+/// Every skew a scenario can name: its `skew` value, the parameter keys it
+/// admits and the parser for them. The first one is the default.
+const SKEWS: [(&str, &[&str], SkewParser); 5] = [
+    ("uniform", &[], |_| Ok(QuerySkew::Uniform)),
+    ("zipf", &["zipf_exponent"], parse_zipf),
+    ("hotspot-pair", &["hotspots", "bias"], parse_hotspot_pair),
+    ("flash-crowd", &["peak"], parse_flash_crowd),
+    ("diurnal", &["amplitude", "period"], parse_diurnal),
+];
+
+fn parse_zipf(section: &Section) -> Result<QuerySkew, ScenarioError> {
+    let exponent = match section.get("zipf_exponent") {
+        Some(entry) => {
+            let exponent = expect_f64(entry)?;
+            if exponent <= 0.0 {
+                return Err(invalid(entry, "must be positive"));
+            }
+            exponent
+        }
+        None => 1.0,
+    };
+    Ok(QuerySkew::Zipf { exponent })
+}
+
+fn parse_hotspot_pair(section: &Section) -> Result<QuerySkew, ScenarioError> {
+    let hotspots = match section.get("hotspots") {
+        Some(entry) => {
+            let hotspots = expect_usize(entry)?;
+            if hotspots == 0 {
+                return Err(invalid(entry, "needs at least one hotspot"));
+            }
+            hotspots
+        }
+        None => 8,
+    };
+    let bias = match section.get("bias") {
+        Some(entry) => expect_unit_fraction(entry)?,
+        None => 0.8,
+    };
+    Ok(QuerySkew::HotspotPair { hotspots, bias })
+}
+
+fn parse_flash_crowd(section: &Section) -> Result<QuerySkew, ScenarioError> {
+    let peak = match section.get("peak") {
+        Some(entry) => expect_unit_fraction(entry)?,
+        None => 0.9,
+    };
+    Ok(QuerySkew::FlashCrowd { peak })
+}
+
+fn parse_diurnal(section: &Section) -> Result<QuerySkew, ScenarioError> {
+    let amplitude = match section.get("amplitude") {
+        Some(entry) => expect_unit_fraction(entry)?,
+        None => 0.5,
+    };
+    let period = match section.get("period") {
+        Some(entry) => {
+            let period = expect_usize(entry)?;
+            if period == 0 {
+                return Err(invalid(entry, "a cycle needs at least one epoch"));
+            }
+            period
+        }
+        None => 8,
+    };
+    Ok(QuerySkew::Diurnal { amplitude, period })
 }
 
 fn parse_churn(document: &Document) -> Result<Option<ChurnSpec>, ScenarioError> {

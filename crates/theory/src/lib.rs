@@ -12,9 +12,9 @@
 //! * [`chain`] — a Monte-Carlo simulator of the idealised greedy Markov chain analysed in
 //!   Section 4.2 (fresh `Δ` link sets at every step, target at 0), used to sanity-check the
 //!   lower-bound machinery against measured behaviour.
-//! * [`oracle`] — an exact BFS shortest-path oracle over any caller-supplied adjacency,
-//!   the ground truth behind the benchmark's sampled routing-stretch measurement
-//!   (greedy hops ÷ optimal hops).
+//! * [`oracle`] — an exact BFS shortest-path oracle over any caller-supplied adjacency.
+//!   It currently has no caller outside its tests; it is kept as the ground truth for
+//!   the ROADMAP's planned stretch contract (greedy hops ÷ optimal hops, direction 3).
 //! * [`connectivity`] — exact connectivity structure of a failure-damaged overlay:
 //!   one-array (Pearce) SCCs plus a condensation walk for directed
 //!   `survivable(src, dst)` ground truth — the denominator of the engine's
