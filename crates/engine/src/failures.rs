@@ -186,6 +186,12 @@ pub struct FailureWork {
     pub healed_nodes: usize,
     /// Rows the failure/heal delta changed (victims plus their in-neighbours).
     pub delta_rows: usize,
+    /// Snapshot rows the delta's patch overwrote (0 when no snapshot was live):
+    /// [`PatchStats::rows_patched`](faultline_overlay::PatchStats::rows_patched).
+    pub rows_patched: usize,
+    /// Snapshot alive bits the delta's patch flipped (0 when no snapshot was live):
+    /// the victims on a damage epoch, the revived nodes on a heal.
+    pub alive_flips: usize,
     /// Nanoseconds spent patching the persistent snapshot with the failure delta
     /// (0 when no snapshot was live).
     pub patch_nanos: u64,

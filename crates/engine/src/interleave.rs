@@ -659,6 +659,8 @@ impl QueryEngine {
                 let patch_started = Instant::now();
                 let stats = live.apply_delta(network.graph(), &delta);
                 work.patch_nanos = patch_started.elapsed().as_nanos() as u64;
+                work.rows_patched = stats.rows_patched;
+                work.alive_flips = stats.alive_flips;
                 work.fallback_rebuild = stats.rebuilt;
                 self.record_patch(work.patch_nanos, stats.rebuilt, &delta);
             }

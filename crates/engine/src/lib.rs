@@ -79,9 +79,13 @@
 //!   graph instead ([`OracleWork`] says which, per epoch). Failed lookups get a bounded diversified-retry budget while the overlay
 //!   is damaged, and a failed digest is never served from the route cache.
 //! * **Percentile stats** — every batch reports p50/p95/p99 hop ladders, its wall
-//!   time and queries/sec. No clock is read per lookup, so a [`QueryOutcome`] is a
-//!   function of (snapshot, batch, seed) and `==` on outcomes is the determinism
-//!   check; a reader that wants nanoseconds per lookup divides
+//!   time and queries/sec. A lookup's [`QueryOutcome`] is the 32 bytes the paper
+//!   measures (endpoints, hops, walks, delivered, cached); its recoveries, every
+//!   walk's hops and adversary drops are [`OutcomeExtras`], kept in a sparse
+//!   per-batch list that holds only the lookups that differ from the plain case
+//!   ([`BatchReport::extras`]). No clock is read per lookup, so both are a
+//!   function of (snapshot, batch, seed) and `==` on [`BatchReport::lookups`] is
+//!   the determinism check; a reader that wants nanoseconds per lookup divides
 //!   [`BatchReport::wall_time`] (the worker scope: not the shard-key pass before
 //!   it, nor a multi-worker merge after it) or the per-worker `batch_shard`
 //!   reading by the lookups it covers.
@@ -132,7 +136,7 @@ pub use config::{ByzantineConfig, ByzantineMembership, ConfigError, EngineConfig
 pub use failures::{FailureEvent, FailureSchedule, FailureWork, OracleWork, SurvivabilitySplit};
 pub use interleave::{ChurnMix, EpochReport, EpochWorkload, InterleavedReport, SnapshotWork};
 pub use run::QueryEngine;
-pub use stats::{AdversarySplit, BatchReport, QueryOutcome};
+pub use stats::{AdversarySplit, BatchReport, OutcomeExtras, QueryOutcome};
 
 // Re-exported so byzantine-lane callers need no direct `faultline_routing` dependency.
 pub use faultline_routing::ByzantineSet;

@@ -25,7 +25,7 @@
 use crate::batch::QueryBatch;
 use crate::cache::{bucket_of, CachedRoute, RouteCache, RowSet, NUM_BUCKETS};
 use crate::config::{ByzantineMembership, EngineConfig};
-use crate::stats::{BatchReport, QueryOutcome};
+use crate::stats::{BatchReport, OutcomeExtras, QueryOutcome};
 use faultline_core::{FrozenView, Network};
 use faultline_overlay::{ChurnDelta, NodeId};
 use faultline_routing::{
@@ -84,14 +84,24 @@ pub struct QueryEngine {
 
 /// See [`QueryEngine::run_batch_with_snapshot`]: the shard key and the `(source
 /// bucket, target bucket)` of every lookup, each worker's outcomes in batch order
-/// (one worker's list is the report's), and the nanoseconds each worker spent
-/// (`None` with telemetry off).
+/// and its [`Extras`] (one worker's lists are the report's), and the nanoseconds
+/// each worker spent (`None` with telemetry off).
 #[derive(Debug, Default)]
 struct BatchScratch {
     keys: Vec<u8>,
     buckets: Vec<(u8, u8)>,
-    served: Vec<Vec<QueryOutcome>>,
+    served: Vec<(Vec<QueryOutcome>, Extras)>,
     worker_nanos: Vec<Option<u64>>,
+}
+
+/// `(batch index, extras)` of the lookups whose extras their hops do not imply.
+type Extras = Vec<(usize, OutcomeExtras)>;
+
+/// Notes `extras` as the lookup at `index`'s, unless `hops` implies them.
+fn note(noted: &mut Extras, index: usize, hops: u64, extras: OutcomeExtras) {
+    if extras != OutcomeExtras::implied(hops) {
+        noted.push((index, extras));
+    }
 }
 
 /// Clamps a count into an event payload.
@@ -408,10 +418,10 @@ impl QueryEngine {
             }
         }
         let (keys, buckets) = (&*keys, &*buckets);
-        served.resize_with(workers, Vec::new);
+        served.resize_with(workers, Default::default);
         if workers == 1 {
-            // The one worker's list is the report's.
-            served[0] = Vec::with_capacity(batch.len());
+            // The one worker's lists are the report's.
+            served[0] = (Vec::with_capacity(batch.len()), Vec::new());
         }
         worker_nanos.resize(workers, None);
 
@@ -419,7 +429,7 @@ impl QueryEngine {
         // xlint: allow(determinism) -- batch wall-time is reported in stats only, never read by routing
         let started = Instant::now();
         self.pool.scope(|scope| {
-            for (((worker, caches), list), nanos) in self
+            for (((worker, caches), lists), nanos) in self
                 .caches
                 .chunks_mut(per_worker)
                 .enumerate()
@@ -429,10 +439,11 @@ impl QueryEngine {
                 scope.spawn(move |_| {
                     // Recorded by the engine once the scope joins.
                     let worker_started = telemetry.start();
-                    // Pushing through `list` would write its length, on a cache line
+                    // Pushing through `lists` would write a length, on a cache line
                     // the neighbouring workers' lists share, once per lookup.
-                    let mut out = std::mem::take(list);
+                    let (mut out, mut extras) = std::mem::take(lists);
                     out.clear();
+                    extras.clear();
                     // This worker's lookups, in batch order, each with its shard in
                     // `caches` (`caches.len()` for an out-of-range lookup).
                     let first = worker * per_worker;
@@ -450,7 +461,15 @@ impl QueryEngine {
                         // Every lookup is a full walk and none depends on another:
                         // keep a group of them in flight.
                         let own = own.map(|(index, shard)| (index, shard < caches.len()));
-                        route_lockstep(snapshot, &scratch, batch, own, retry_budget, &mut out);
+                        route_lockstep(
+                            snapshot,
+                            &scratch,
+                            batch,
+                            own,
+                            retry_budget,
+                            &mut out,
+                            &mut extras,
+                        );
                     } else {
                         // A cache-on worker walks one lookup at a time (a miss's
                         // insert must precede the next probe of its key), and so
@@ -467,6 +486,7 @@ impl QueryEngine {
                                     index,
                                     source,
                                     target,
+                                    &mut extras,
                                 ),
                                 (Some(cache), None) => route_one(
                                     snapshot,
@@ -478,12 +498,15 @@ impl QueryEngine {
                                     source,
                                     target,
                                     buckets[index],
+                                    &mut extras,
                                 ),
                             });
                         }
                     }
+                    // A group's walks finish out of order.
+                    extras.sort_unstable_by_key(|&(index, _)| index);
                     *nanos = worker_started.map(|at| at.elapsed().as_nanos() as u64);
-                    *list = out;
+                    *lists = (out, extras);
                 });
             }
         });
@@ -492,19 +515,23 @@ impl QueryEngine {
             self.telemetry.record(Phase::BatchShard, nanos);
         }
 
-        let outcomes = if workers == 1 {
+        let (outcomes, extras) = if workers == 1 {
             std::mem::take(&mut served[0])
         } else {
             // Each worker's list is its lookups in batch order: one cursor each.
-            let mut cursors: Vec<_> = served.iter().map(|list| list.iter()).collect();
+            let mut cursors: Vec<_> = served.iter().map(|(list, _)| list.iter()).collect();
             let mut outcomes = Vec::with_capacity(batch.len());
             outcomes.extend(keys.iter().filter_map(|&key| {
                 let worker = (usize::from(key) / per_worker).min(workers - 1);
                 cursors[worker].next().copied()
             }));
-            outcomes
+            // Each worker's extras are sorted by batch index, and no two share one.
+            let mut extras: Extras = served.iter().flat_map(|(_, e)| e).copied().collect();
+            extras.sort_unstable_by_key(|&(index, _)| index);
+            (outcomes, extras)
         };
-        let report = BatchReport::with_mode(outcomes, wall, self.threads(), byzantine.is_some());
+        let report =
+            BatchReport::with_mode(outcomes, extras, wall, self.threads(), byzantine.is_some());
         if let Some(view) = kept {
             self.keep_snapshot(network, view);
         }
@@ -518,13 +545,10 @@ fn unrouted(source: NodeId, target: NodeId) -> QueryOutcome {
     QueryOutcome {
         source,
         target,
-        delivered: false,
         hops: 0,
-        recoveries: 0,
-        cached: false,
         attempts: 0,
-        adversary_drops: 0,
-        total_hops: 0,
+        delivered: false,
+        cached: false,
     }
 }
 
@@ -541,8 +565,9 @@ fn diversified(router: Router) -> Router {
 
 /// Walks a cache-less honest worker's `lookups` (batch index; endpoints in range?)
 /// through a lockstep group, pushing their outcomes onto `out` in that order — the
-/// outcomes (`delivered`, `hops`, `recoveries`, `attempts`, `total_hops`) a loop of
-/// [`route_one`] gives, and [`unrouted`] for an out-of-range one.
+/// outcomes (`delivered`, `hops`, `attempts`) and extras (`recoveries`,
+/// `total_hops`, noted on `extras` as each lookup finishes) a loop of [`route_one`]
+/// gives, and [`unrouted`] for an out-of-range one.
 ///
 /// An undelivered lookup with retry budget left re-enters its slot as its next
 /// attempt — seeded from `(batch seed, query index, attempt)` and routed
@@ -555,10 +580,12 @@ fn route_lockstep(
     mut lookups: impl Iterator<Item = (usize, bool)>,
     retry_budget: u32,
     out: &mut Vec<QueryOutcome>,
+    extras: &mut Extras,
 ) {
     // A walk's tag is its slot, which the walk fed in for it takes over: `slots[tag]`
-    // is the batch index of the lookup walking there and its outcome's place in `out`.
-    let mut slots = [(0usize, 0usize); WALKS_IN_FLIGHT];
+    // is the batch index of the lookup walking there, its outcome's place in `out`
+    // and the hops its walks have taken so far.
+    let mut slots = [(0usize, 0usize, 0u64); WALKS_IN_FLIGHT];
     let mut empty_slots = 0..WALKS_IN_FLIGHT;
     WalkGroup::new(WALKS_IN_FLIGHT, scratch).run(snapshot.routes(), |finished| {
         let tag = match finished {
@@ -569,10 +596,11 @@ fn route_lockstep(
                     tag,
                     ..
                 } = done.walk;
-                let (index, at) = slots[tag];
-                let outcome = &mut out[at];
+                let (index, at, total_hops) = &mut slots[tag];
+                let index = *index;
+                let outcome = &mut out[*at];
                 outcome.attempts += 1;
-                outcome.total_hops += done.result.hops;
+                *total_hops += done.result.hops;
                 if !done.result.is_delivered() && outcome.attempts <= retry_budget {
                     let base_seed = seed_for_trial(batch.seed(), index as u64);
                     let seed = seed_for_trial(base_seed, u64::from(outcome.attempts));
@@ -586,7 +614,12 @@ fn route_lockstep(
                 }
                 outcome.delivered = done.result.is_delivered();
                 outcome.hops = done.result.hops;
-                outcome.recoveries = done.result.recoveries;
+                let walked = OutcomeExtras {
+                    recoveries: done.result.recoveries,
+                    total_hops: *total_hops,
+                    adversary_drops: 0,
+                };
+                note(extras, index, outcome.hops, walked);
                 tag
             }
             None => empty_slots.next()?,
@@ -596,7 +629,7 @@ fn route_lockstep(
             let (source, target) = batch.pairs()[index];
             out.push(unrouted(source, target));
             if in_range {
-                slots[tag] = (index, out.len() - 1);
+                slots[tag] = (index, out.len() - 1, 0);
                 return Some(Walk {
                     router: snapshot.router(),
                     source,
@@ -610,8 +643,8 @@ fn route_lockstep(
 }
 
 /// Routes (or cache-serves) one query on a worker, whose endpoints fall in
-/// `buckets` (the cache key); a cache miss walks the frozen CSR kernel. Only a
-/// delivered digest is ever served from the cache.
+/// `buckets` (the cache key), noting its extras on `extras`; a cache miss walks the
+/// frozen CSR kernel. Only a delivered digest is ever served from the cache.
 ///
 /// When `retry_budget > 0` (failure epochs), an undelivered lookup re-routes up to
 /// that many more times, each attempt with a seed derived from `(batch seed, query
@@ -628,6 +661,7 @@ fn route_one(
     source: NodeId,
     target: NodeId,
     buckets: (u8, u8),
+    extras: &mut Extras,
 ) -> QueryOutcome {
     let (source_bucket, target_bucket) = (u64::from(buckets.0), u64::from(buckets.1));
     // An undelivered digest speaks for the pair that walked it and no other, so a
@@ -636,16 +670,18 @@ fn route_one(
     // surviving entry equal to what a flushed cache would recompute.
     let found = cache.get(source_bucket, target_bucket);
     if let Some(hit) = found.filter(|hit| hit.delivered) {
+        let served = OutcomeExtras {
+            recoveries: hit.recoveries,
+            ..OutcomeExtras::implied(hit.hops)
+        };
+        note(extras, index, hit.hops, served);
         return QueryOutcome {
             source,
             target,
-            delivered: hit.delivered,
             hops: hit.hops,
-            recoveries: hit.recoveries,
-            cached: true,
             attempts: 1,
-            adversary_drops: 0,
-            total_hops: hit.hops,
+            delivered: hit.delivered,
+            cached: true,
         };
     }
     let base_seed = seed_for_trial(batch_seed, index as u64);
@@ -717,27 +753,31 @@ fn route_one(
             volatile,
         );
     }
+    let walked = OutcomeExtras {
+        recoveries,
+        total_hops,
+        adversary_drops: 0,
+    };
+    note(extras, index, hops, walked);
     QueryOutcome {
         source,
         target,
-        delivered,
         hops,
-        recoveries,
-        cached: false,
         attempts,
-        adversary_drops: 0,
-        total_hops,
+        delivered,
+        cached: false,
     }
 }
 
 /// Routes one query on the byzantine lane: up to `redundancy` diversified walks over
-/// the CSR snapshot, each truncated at the first adversary it steps onto. Never
-/// consults the route cache.
+/// the CSR snapshot, each truncated at the first adversary it steps onto, noting its
+/// extras on `extras`. Never consults the route cache.
 ///
 /// Determinism matches the honest path's contract: randomness derives from
 /// `(batch seed, query index)` through a `SmallRng`, so results are identical at any
 /// thread count, and identical to a sequential loop of per-query
 /// [`RedundantRouter::route_frozen`] calls with the same seeds.
+#[allow(clippy::too_many_arguments)]
 fn route_one_byzantine(
     snapshot: &FrozenView,
     lane: ByzantineLane<'_>,
@@ -746,6 +786,7 @@ fn route_one_byzantine(
     index: usize,
     source: NodeId,
     target: NodeId,
+    extras: &mut Extras,
 ) -> QueryOutcome {
     let seed = seed_for_trial(batch_seed, index as u64);
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -757,17 +798,21 @@ fn route_one_byzantine(
         &mut rng,
         scratch,
     );
+    // Latency cost when delivered (the winning walk), bandwidth cost when not.
+    let hops = result.winning_hops.unwrap_or(result.total_hops);
+    let walked = OutcomeExtras {
+        recoveries: result.recoveries,
+        total_hops: result.total_hops,
+        adversary_drops: result.dropped_by_adversary,
+    };
+    note(extras, index, hops, walked);
     QueryOutcome {
         source,
         target,
-        delivered: result.delivered,
-        // Latency cost when delivered (the winning walk), bandwidth cost when not.
-        hops: result.winning_hops.unwrap_or(result.total_hops),
-        recoveries: result.recoveries,
-        cached: false,
+        hops,
         attempts: result.attempts,
-        adversary_drops: result.dropped_by_adversary,
-        total_hops: result.total_hops,
+        delivered: result.delivered,
+        cached: false,
     }
 }
 
@@ -793,6 +838,8 @@ mod tests {
         assert_eq!(report.delivered(), 2_000);
         assert_eq!(report.cache_hits(), 0, "caching disabled");
         assert!(report.hop_summary().unwrap().mean > 0.0);
+        // No walk recovered or retried, so no lookup needs an extras entry.
+        assert!(report.extras_entries().is_empty());
     }
 
     #[test]
@@ -838,9 +885,8 @@ mod tests {
                 QueryEngine::new(EngineConfig::default().threads(threads).cache_capacity(0));
             let outcomes: Vec<_> = engine
                 .run_batch(net, batch)
-                .outcomes()
-                .iter()
-                .map(|o| (o.delivered, o.hops, o.recoveries))
+                .lookups()
+                .map(|(o, extras)| (o.delivered, o.hops, extras.recoveries))
                 .collect();
             assert_eq!(
                 outcomes, reference,

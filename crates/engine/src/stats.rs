@@ -4,21 +4,18 @@ use faultline_overlay::NodeId;
 use faultline_sim::Summary;
 use std::time::Duration;
 
-/// The outcome of one query in a batch.
+/// The outcome of one query in a batch: what the paper charges a lookup (its
+/// endpoints, whether it delivered, and the messages it took) plus how many walks
+/// it issued and whether the cache served it. 32 bytes; what a lookup cost beyond
+/// that is its [`OutcomeExtras`], which [`BatchReport::extras`] reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryOutcome {
     /// Source node of the lookup.
     pub source: NodeId,
     /// Target node of the lookup.
     pub target: NodeId,
-    /// Whether the lookup reached its target (possibly as reported by a cached route).
-    pub delivered: bool,
     /// Hop count (delivery time in messages).
     pub hops: u64,
-    /// Fault-strategy interventions.
-    pub recoveries: u64,
-    /// Whether the result came from the route cache.
-    pub cached: bool,
     /// Walks issued for this lookup: `1` on the honest path without a retry budget
     /// and up to `1 +` [`FailureSchedule::retry_budget`](crate::FailureSchedule::retry_budget)
     /// with one (failure epochs
@@ -28,13 +25,42 @@ pub struct QueryOutcome {
     /// no walk was ever issued, and they weigh [`BatchReport::mean_attempts`]
     /// accordingly.
     pub attempts: u32,
-    /// Walks swallowed by a Byzantine node (`0` on the honest path).
-    pub adversary_drops: u32,
+    /// Whether the lookup reached its target (possibly as reported by a cached route).
+    pub delivered: bool,
+    /// Whether the result came from the route cache.
+    pub cached: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<QueryOutcome>() == 32);
+
+/// What a lookup cost beyond its [`QueryOutcome`]. Most lookups cost nothing
+/// beyond it — [`OutcomeExtras::implied`] by their hops — so a [`BatchReport`]
+/// keeps an entry only for the ones that did: a lookup that recovered from a dead
+/// end, retried, or lost a walk to an adversary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OutcomeExtras {
+    /// Fault-strategy interventions.
+    pub recoveries: u64,
     /// Hops summed over **every** walk — the bandwidth cost of the lookup. Equals
     /// [`QueryOutcome::hops`] on an honest lookup that took one walk and exceeds it
     /// by the failed attempts' hops on one that retried; on the byzantine lane `hops`
     /// is the winning walk's latency cost while `total_hops` is what the network paid.
     pub total_hops: u64,
+    /// Walks swallowed by a Byzantine node (`0` on the honest path).
+    pub adversary_drops: u32,
+}
+
+impl OutcomeExtras {
+    /// The extras of a lookup that has no entry: no recovery, no walk lost to an
+    /// adversary, and `total_hops == hops`.
+    #[must_use]
+    pub fn implied(hops: u64) -> Self {
+        Self {
+            recoveries: 0,
+            total_hops: hops,
+            adversary_drops: 0,
+        }
+    }
 }
 
 /// Success/hop digest of one side of a batch's honest-vs-contested split
@@ -55,6 +81,9 @@ pub struct AdversarySplit {
 #[derive(Debug, Clone)]
 pub struct BatchReport {
     outcomes: Vec<QueryOutcome>,
+    /// `(batch index, extras)` of every lookup whose extras are not
+    /// [`OutcomeExtras::implied`] by its hops, ascending by index.
+    extras: Vec<(usize, OutcomeExtras)>,
     wall: Duration,
     threads: usize,
     byzantine: bool,
@@ -63,12 +92,16 @@ pub struct BatchReport {
 impl BatchReport {
     pub(crate) fn with_mode(
         outcomes: Vec<QueryOutcome>,
+        extras: Vec<(usize, OutcomeExtras)>,
         wall: Duration,
         threads: usize,
         byzantine: bool,
     ) -> Self {
+        debug_assert!(extras.windows(2).all(|w| w[0].0 < w[1].0));
+        debug_assert!(extras.last().is_none_or(|&(i, _)| i < outcomes.len()));
         Self {
             outcomes,
+            extras,
             wall,
             threads,
             byzantine,
@@ -79,6 +112,32 @@ impl BatchReport {
     #[must_use]
     pub fn outcomes(&self) -> &[QueryOutcome] {
         &self.outcomes
+    }
+
+    /// What the lookup at `index` cost beyond its outcome.
+    ///
+    /// # Panics
+    ///
+    /// If `index` is not a lookup of the batch.
+    #[must_use]
+    pub fn extras(&self, index: usize) -> OutcomeExtras {
+        match self.extras.binary_search_by_key(&index, |&(i, _)| i) {
+            Ok(at) => self.extras[at].1,
+            Err(_) => OutcomeExtras::implied(self.outcomes[index].hops),
+        }
+    }
+
+    /// The lookups whose extras are not [`OutcomeExtras::implied`] by their hops,
+    /// as `(batch index, extras)` ascending by index: the only ones that cost
+    /// anything beyond their [`QueryOutcome`].
+    #[must_use]
+    pub fn extras_entries(&self) -> &[(usize, OutcomeExtras)] {
+        &self.extras
+    }
+
+    /// Every lookup's outcome with its [`BatchReport::extras`], in batch order.
+    pub fn lookups(&self) -> impl Iterator<Item = (QueryOutcome, OutcomeExtras)> + '_ {
+        (0..self.outcomes.len()).map(|i| (self.outcomes[i], self.extras(i)))
     }
 
     /// Number of queries executed.
@@ -156,16 +215,24 @@ impl BatchReport {
         self.byzantine
     }
 
+    /// Batch indices of the lookups that lost at least one walk to an adversary,
+    /// ascending.
+    fn contested(&self) -> impl Iterator<Item = usize> + '_ {
+        self.extras
+            .iter()
+            .filter(|(_, e)| e.adversary_drops > 0)
+            .map(|&(i, _)| i)
+    }
+
     /// Lookups that lost at least one walk to an adversary (`0` on honest batches).
     #[must_use]
     pub fn contested_queries(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| o.adversary_drops > 0)
-            .count()
+        self.contested().count()
     }
 
-    /// Mean walks issued per lookup (1.0 on honest batches, 0.0 when empty).
+    /// Mean walks issued per lookup (0.0 when empty). Exactly 1.0 only when every
+    /// lookup took one walk: failure-epoch retries and the byzantine lane's
+    /// redundant walks raise it, and out-of-range lookups (no walk) lower it.
     #[must_use]
     pub fn mean_attempts(&self) -> f64 {
         if self.outcomes.is_empty() {
@@ -180,7 +247,7 @@ impl BatchReport {
     /// honest baseline is the redundancy overhead the byzantine lane pays.
     #[must_use]
     pub fn total_route_hops(&self) -> u64 {
-        self.outcomes.iter().map(|o| o.total_hops).sum()
+        self.lookups().map(|(_, extras)| extras.total_hops).sum()
     }
 
     /// Splits the batch into lookups untouched by adversaries (`contested == false`:
@@ -189,21 +256,24 @@ impl BatchReport {
     /// contested side is empty.
     #[must_use]
     pub fn adversary_split(&self, contested: bool) -> AdversarySplit {
-        let side: Vec<&QueryOutcome> = self
-            .outcomes
-            .iter()
-            .filter(|o| (o.adversary_drops > 0) == contested)
+        let mut contested_at = self.contested().peekable();
+        let mut queries = 0;
+        let delivered_hops: Vec<f64> = (self.outcomes.iter().enumerate())
+            .filter(|&(i, _)| contested_at.next_if_eq(&i).is_some() == contested)
+            .inspect(|_| queries += 1)
+            .filter(|(_, o)| o.delivered)
+            .map(|(_, o)| o.hops as f64)
             .collect();
-        let delivered = side.iter().filter(|o| o.delivered).count();
+        let delivered = delivered_hops.len();
         AdversarySplit {
-            queries: side.len(),
+            queries,
             delivered,
-            success_rate: if side.is_empty() {
+            success_rate: if queries == 0 {
                 1.0
             } else {
-                delivered as f64 / side.len() as f64
+                delivered as f64 / queries as f64
             },
-            hops: Summary::of(side.iter().filter(|o| o.delivered).map(|o| o.hops as f64)),
+            hops: Summary::of(delivered_hops),
         }
     }
 }
@@ -216,13 +286,10 @@ mod tests {
         QueryOutcome {
             source: 0,
             target: 1,
-            delivered,
             hops,
-            recoveries: 0,
-            cached,
             attempts: 1,
-            adversary_drops: 0,
-            total_hops: hops,
+            delivered,
+            cached,
         }
     }
 
@@ -234,6 +301,7 @@ mod tests {
                 outcome(true, 8, true),
                 outcome(false, 2, false),
             ],
+            vec![],
             Duration::from_millis(10),
             4,
             false,
@@ -251,7 +319,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_vacuously_successful() {
-        let report = BatchReport::with_mode(vec![], Duration::from_millis(1), 1, false);
+        let report = BatchReport::with_mode(vec![], vec![], Duration::from_millis(1), 1, false);
         assert_eq!(report.success_rate(), 1.0);
         assert!(report.hop_summary().is_none());
     }
@@ -260,19 +328,28 @@ mod tests {
     fn adversary_split_separates_clean_and_contested_lookups() {
         let mut contested_delivered = outcome(true, 9, false);
         contested_delivered.attempts = 3;
-        contested_delivered.adversary_drops = 2;
-        contested_delivered.total_hops = 21;
         let mut contested_lost = outcome(false, 30, false);
         contested_lost.attempts = 4;
-        contested_lost.adversary_drops = 4;
-        contested_lost.total_hops = 30;
+        let drops = |adversary_drops, total_hops| OutcomeExtras {
+            recoveries: 0,
+            total_hops,
+            adversary_drops,
+        };
         let report = BatchReport::with_mode(
             vec![outcome(true, 5, false), contested_delivered, contested_lost],
+            vec![(1, drops(2, 21)), (2, drops(4, 30))],
             Duration::from_millis(1),
             1,
             true,
         );
         assert!(report.is_byzantine());
+        assert_eq!(report.extras(0), OutcomeExtras::implied(5));
+        assert_eq!(report.extras(1), drops(2, 21));
+        assert_eq!(report.extras(2), drops(4, 30));
+        assert_eq!(
+            report.lookups().nth(1),
+            Some((contested_delivered, drops(2, 21)))
+        );
         assert_eq!(report.contested_queries(), 2);
         assert!((report.mean_attempts() - 8.0 / 3.0).abs() < 1e-12);
         assert_eq!(report.total_route_hops(), 5 + 21 + 30);
@@ -293,9 +370,32 @@ mod tests {
     }
 
     #[test]
+    fn an_uncontested_entry_stays_on_the_clean_side() {
+        // A lookup that recovered and retried has an entry, but lost no walk.
+        let retried = OutcomeExtras {
+            recoveries: 2,
+            total_hops: 11,
+            adversary_drops: 0,
+        };
+        let report = BatchReport::with_mode(
+            vec![outcome(true, 4, false), outcome(true, 6, false)],
+            vec![(1, retried)],
+            Duration::from_millis(1),
+            1,
+            false,
+        );
+        assert_eq!(report.extras(1), retried);
+        assert_eq!(report.contested_queries(), 0);
+        assert_eq!(report.total_route_hops(), 4 + 11);
+        assert_eq!(report.adversary_split(false).queries, 2);
+        assert_eq!(report.adversary_split(true).queries, 0);
+    }
+
+    #[test]
     fn empty_splits_are_vacuously_successful() {
         let report = BatchReport::with_mode(
             vec![outcome(true, 4, false)],
+            vec![],
             Duration::from_millis(1),
             1,
             false,

@@ -17,7 +17,8 @@
 
 use faultline_core::{ConstructionMode, Network, NetworkConfig};
 use faultline_engine::{
-    ByzantineConfig, ByzantineSet, ChurnMix, EngineConfig, QueryBatch, QueryEngine, QueryOutcome,
+    ByzantineConfig, ByzantineSet, ChurnMix, EngineConfig, OutcomeExtras, QueryBatch, QueryEngine,
+    QueryOutcome,
 };
 use faultline_routing::{RedundantRouter, RouteScratch};
 use faultline_sim::seed_for_trial;
@@ -66,7 +67,7 @@ proptest! {
         let frozen = net.view().freeze();
         let router = RedundantRouter::new(net.view().router(), redundancy);
         let mut scratch = RouteScratch::new();
-        let expected: Vec<QueryOutcome> = batch
+        let expected: Vec<(QueryOutcome, OutcomeExtras)> = batch
             .pairs()
             .iter()
             .enumerate()
@@ -80,17 +81,20 @@ proptest! {
                     &mut rng,
                     &mut scratch,
                 );
-                QueryOutcome {
+                let outcome = QueryOutcome {
                     source: s,
                     target: t,
-                    delivered: r.delivered,
                     hops: r.winning_hops.unwrap_or(r.total_hops),
-                    recoveries: r.recoveries,
-                    cached: false,
                     attempts: r.attempts,
-                    adversary_drops: r.dropped_by_adversary,
+                    delivered: r.delivered,
+                    cached: false,
+                };
+                let extras = OutcomeExtras {
+                    recoveries: r.recoveries,
                     total_hops: r.total_hops,
-                }
+                    adversary_drops: r.dropped_by_adversary,
+                };
+                (outcome, extras)
             })
             .collect();
 
@@ -102,8 +106,8 @@ proptest! {
             prop_assert!(report.is_byzantine());
             prop_assert_eq!(report.cache_hits(), 0, "byzantine lane bypasses the cache");
             prop_assert_eq!(
-                report.outcomes(),
-                expected.as_slice(),
+                report.lookups().collect::<Vec<_>>(),
+                expected.clone(),
                 "batched path diverged from per-query route_frozen at {} threads",
                 threads
             );
@@ -138,7 +142,10 @@ proptest! {
                 !byz_report.is_byzantine(),
                 "an empty set routes the honest lane"
             );
-            prop_assert_eq!(byz_report.outcomes(), honest_report.outcomes());
+            prop_assert_eq!(
+                byz_report.lookups().collect::<Vec<_>>(),
+                honest_report.lookups().collect::<Vec<_>>()
+            );
         }
     }
 }
@@ -173,8 +180,8 @@ fn byzantine_batches_are_deterministic_across_thread_counts_at_scale() {
         match &baseline {
             None => baseline = Some(report),
             Some(expected) => assert_eq!(
-                expected.outcomes(),
-                report.outcomes(),
+                expected.lookups().collect::<Vec<_>>(),
+                report.lookups().collect::<Vec<_>>(),
                 "diverged at {threads} threads"
             ),
         }
@@ -312,7 +319,7 @@ fn byzantine_interleaved_is_deterministic_across_thread_counts() {
             .iter()
             .map(|e| {
                 (
-                    e.batch.outcomes().to_vec(),
+                    e.batch.lookups().collect::<Vec<_>>(),
                     e.joins,
                     e.leaves,
                     e.byzantine_after,

@@ -46,9 +46,8 @@ fn churn(network: &mut Network, events: usize, seed: u64) -> ChurnDelta {
 /// cache provenance (`cached` deliberately differs — the survivors are hits).
 fn digest(report: &faultline_engine::BatchReport) -> Vec<(u64, u64, bool, u64, u64)> {
     report
-        .outcomes()
-        .iter()
-        .map(|o| (o.source, o.target, o.delivered, o.hops, o.recoveries))
+        .lookups()
+        .map(|(o, extras)| (o.source, o.target, o.delivered, o.hops, extras.recoveries))
         .collect()
 }
 
@@ -77,7 +76,10 @@ proptest! {
             let batch = QueryBatch::uniform(&network, 2_000, seed ^ 0xB00);
             let warm_a = fine.run_batch(&network, &batch);
             let warm_b = flushed.run_batch(&network, &batch);
-            prop_assert_eq!(warm_a.outcomes(), warm_b.outcomes());
+            prop_assert_eq!(
+                warm_a.lookups().collect::<Vec<_>>(),
+                warm_b.lookups().collect::<Vec<_>>()
+            );
 
             // Churn, then invalidate: row-precise vs scorched-earth.
             let delta = churn(&mut network, events, seed ^ 0xC0C0);
@@ -140,7 +142,7 @@ fn delta_invalidation_stays_exact_under_the_randomised_fault_strategy() {
             let warm = fine.run_batch(&network, &batch);
             flushed.run_batch(&network, &batch);
             assert!(
-                warm.outcomes().iter().any(|o| o.recoveries > 0),
+                warm.lookups().any(|(_, extras)| extras.recoveries > 0),
                 "30% damage must force some random-reroute recoveries"
             );
             let delta = churn(&mut network, 2, churn_seed);

@@ -28,11 +28,12 @@ fn hundred_thousand_queries_identical_across_thread_counts() {
             100_000,
             "healthy overlay delivers everything"
         );
+        assert!(report.extras_entries().is_empty(), "nothing recovered");
         match &baseline {
             None => baseline = Some(report),
             Some(expected) => assert_eq!(
-                expected.outcomes(),
-                report.outcomes(),
+                expected.lookups().collect::<Vec<_>>(),
+                report.lookups().collect::<Vec<_>>(),
                 "results diverged between 1 and {threads} threads"
             ),
         }
@@ -46,7 +47,7 @@ fn determinism_holds_with_caching_disabled_too() {
     let run = |threads: usize| {
         let mut engine =
             QueryEngine::new(EngineConfig::default().threads(threads).cache_capacity(0));
-        engine.run_batch(&net, &batch).outcomes().to_vec()
+        engine.run_batch(&net, &batch).lookups().collect::<Vec<_>>()
     };
     // (Agreement of these outcomes with the live-graph reference walk, at 1 and 6
     // threads, is pinned by `assert_matches_reference_walk` in `src/run.rs`.)
@@ -66,12 +67,12 @@ fn determinism_survives_damage_and_random_reroute_strategies() {
         net.apply_failure(&NodeFailure::fraction(0.4), &mut failure_rng);
         let batch = QueryBatch::uniform(&net, 30_000, 11);
         let mut engine = QueryEngine::new(EngineConfig::default().threads(threads));
-        engine.run_batch(&net, &batch).outcomes().to_vec()
+        engine.run_batch(&net, &batch).lookups().collect::<Vec<_>>()
     };
     let serial = run(1);
     assert_eq!(serial, run(8));
     assert!(
-        serial.iter().any(|o| !o.delivered),
+        serial.iter().any(|(o, _)| !o.delivered),
         "40% failures should break some searches"
     );
 }
@@ -103,17 +104,22 @@ fn outcomes_and_shard_counters_agree_across_worker_splits() {
                     .failures(FailureSchedule::regional(8).retries(2));
                 let mut engine = QueryEngine::new(config);
                 let outcomes: Vec<_> = (0..2)
-                    .flat_map(|_| engine.run_batch(&net, &batch).outcomes().to_vec())
+                    .flat_map(|_| engine.run_batch(&net, &batch).lookups().collect::<Vec<_>>())
                     .collect();
                 (outcomes, engine.metrics().shards().to_vec())
             };
             let (outcomes, counters) = run(1);
             for &index in &out_of_range {
-                let outcome = outcomes[index];
+                let (outcome, _) = outcomes[index];
                 assert!(!outcome.delivered && outcome.attempts == 0, "{outcome:?}");
             }
-            assert!(outcomes.iter().any(|o| o.attempts > 1), "no lookup retried");
-            assert_eq!(outcomes.iter().any(|o| o.cached), cache > 0);
+            assert!(
+                outcomes.iter().any(|(o, _)| o.attempts > 1),
+                "no lookup retried"
+            );
+            // Retries leave entries in every worker's extras, which the merge joins.
+            assert!(outcomes.iter().any(|(o, e)| e.total_hops > o.hops));
+            assert_eq!(outcomes.iter().any(|(o, _)| o.cached), cache > 0);
             assert_eq!(counters.len(), shards);
             for threads in [2, 3, 5, 16, 17] {
                 assert_eq!(
@@ -140,7 +146,7 @@ fn interleaved_trajectories_identical_across_thread_counts() {
             .iter()
             .map(|e| {
                 (
-                    e.batch.outcomes().to_vec(),
+                    e.batch.lookups().collect::<Vec<_>>(),
                     e.joins,
                     e.leaves,
                     e.alive_after,

@@ -78,6 +78,47 @@ fn regional_failure_epochs_survive_and_heal() {
     );
 }
 
+/// A failure or heal patch reports what it wrote into the snapshot: rows
+/// overwritten and alive bits flipped, none on a quiet epoch. Epoch 0 opens
+/// quiet, so every damage epoch finds a live snapshot to patch.
+#[test]
+fn failure_patches_report_their_rows() {
+    let events = vec![
+        FailureEvent::Quiet,
+        FailureEvent::Region { width: 16 },
+        FailureEvent::Heal,
+        FailureEvent::Partition { width: 8 },
+        FailureEvent::Quiet,
+        FailureEvent::Heal,
+    ];
+    let epochs = 2 * events.len();
+    let mut net = backtrack_network(512, 14);
+    let schedule = FailureSchedule::from_events(events.clone());
+    let mut engine = QueryEngine::new(EngineConfig::default().threads(2).failures(schedule));
+    let report = engine.run_interleaved(&mut net, epochs, 500, ChurnMix::balanced(0), 15);
+    for epoch in report.epochs() {
+        let work = epoch.failure.expect("failure work recorded");
+        let at = format!("epoch {}: {work:?}", epoch.epoch);
+        match events[epoch.epoch % events.len()] {
+            FailureEvent::Quiet => {
+                assert_eq!((work.rows_patched, work.alive_flips), (0, 0), "{at}");
+            }
+            FailureEvent::Heal => {
+                assert!(work.rows_patched > 0, "{at}");
+                // Without churn, every downed node is still there to revive.
+                assert_eq!(work.alive_flips, work.healed_nodes, "{at}");
+                assert!(work.alive_flips > 0, "{at}");
+            }
+            FailureEvent::Region { .. } | FailureEvent::Partition { .. } => {
+                assert!(work.rows_patched > 0, "{at}");
+                assert_eq!(work.alive_flips, work.failed_nodes, "{at}");
+                assert!(work.alive_flips > 0, "{at}");
+            }
+        }
+        assert!(work.rows_patched <= work.delta_rows, "{at}");
+    }
+}
+
 #[test]
 fn partition_and_heal_emits_telemetry_events() {
     let mut net = backtrack_network(512, 12);
@@ -218,10 +259,10 @@ fn failure_trajectories_are_thread_count_deterministic() {
     assert_eq!(digest(&a), digest(&b), "retries must not break determinism");
     // A lookup issues its first walk plus at most the budget's retries, and pays
     // for every one of them.
-    for outcome in a.epochs().iter().flat_map(|e| e.batch.outcomes()) {
+    for (outcome, extras) in a.epochs().iter().flat_map(|e| e.batch.lookups()) {
         assert!(
-            outcome.attempts <= 1 + budget && outcome.total_hops >= outcome.hops,
-            "{outcome:?}"
+            outcome.attempts <= 1 + budget && extras.total_hops >= outcome.hops,
+            "{outcome:?} {extras:?}"
         );
     }
 }
@@ -375,8 +416,8 @@ fn grouped_walks_and_retries_match_lookups_routed_alone() {
                 .epochs()
                 .iter()
                 .map(|e| {
-                    (e.batch.outcomes().iter())
-                        .map(|o| (o.delivered, o.hops, o.recoveries, o.attempts, o.total_hops))
+                    (e.batch.lookups())
+                        .map(|(o, x)| (o.delivered, o.hops, x.recoveries, o.attempts, x.total_hops))
                         .collect()
                 })
                 .collect();

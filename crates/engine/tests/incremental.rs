@@ -32,9 +32,8 @@ fn cache_off() -> EngineConfig {
 
 fn outcomes(batch: &BatchReport) -> Vec<(u64, u64, bool, u64, u64)> {
     batch
-        .outcomes()
-        .iter()
-        .map(|o| (o.source, o.target, o.delivered, o.hops, o.recoveries))
+        .lookups()
+        .map(|(o, extras)| (o.source, o.target, o.delivered, o.hops, extras.recoveries))
         .collect()
 }
 

@@ -47,7 +47,7 @@ proptest! {
                 );
                 let cold = engine.run_batch(&network, &batch);
                 let warm = engine.run_batch(&network, &batch);
-                (cold.outcomes().to_vec(), warm.outcomes().to_vec())
+                (cold.lookups().collect::<Vec<_>>(), warm.lookups().collect::<Vec<_>>())
             };
             let (cold_on, warm_on) = run(true);
             let (cold_off, warm_off) = run(false);
@@ -138,7 +138,7 @@ fn interleaved_run_stamps_phases_and_events() {
             .iter()
             .map(|e| {
                 (
-                    e.batch.outcomes().to_vec(),
+                    e.batch.lookups().collect::<Vec<_>>(),
                     e.joins,
                     e.leaves,
                     e.alive_after,
