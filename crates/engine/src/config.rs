@@ -240,12 +240,14 @@ impl EngineConfig {
 
     /// Enables or disables the engine's telemetry subsystem (default: enabled).
     ///
-    /// When enabled, the engine records per-phase wall-time histograms and a
-    /// bounded event log, exposed with per-shard cache counters through
-    /// [`QueryEngine::metrics`](crate::QueryEngine::metrics). Recording reads one
-    /// clock pair per phase, never per lookup, and never touches routing
-    /// randomness, so results are bit-identical either way; disabled, no clock is
-    /// read for telemetry and `metrics()` is empty.
+    /// When enabled, the engine adds up the nanoseconds it spends in each
+    /// [`Phase`](crate::Phase), read per epoch as
+    /// [`EpochReport::phases`](crate::EpochReport::phases) and over its lifetime
+    /// as [`QueryEngine::phase_totals`](crate::QueryEngine::phase_totals).
+    /// Recording reads one clock pair per phase, never per lookup, and never
+    /// touches routing randomness, so results are bit-identical either way;
+    /// disabled, no clock is read for telemetry and every phase total is zero.
+    /// The per-shard cache counters do not depend on this switch.
     #[must_use]
     pub fn telemetry(mut self, enabled: bool) -> Self {
         self.telemetry = enabled;

@@ -14,14 +14,14 @@ use crate::batch::QueryBatch;
 use crate::failures::{
     DownedSet, FailureEvent, FailureSchedule, FailureWork, OracleWork, SurvivabilitySplit,
 };
-use crate::run::{saturate_u32, QueryEngine};
+use crate::run::QueryEngine;
 use crate::stats::{BatchReport, QueryOutcome};
 use faultline_core::{FrozenView, Network};
 use faultline_failure::{ChurnEvent, ChurnSchedule, RegionFailure};
 use faultline_overlay::{ChurnDelta, NodeId};
 use faultline_routing::{prefetch_slice, ByzantineSet};
 use faultline_sim::{seed_for_trial, trial_rng};
-use faultline_telemetry::{EventKind, Phase, PhaseNanos};
+use faultline_telemetry::{Phase, PhaseNanos};
 use faultline_theory::ConnectivityOracle;
 use rand::Rng;
 use std::time::Instant;
@@ -200,13 +200,12 @@ pub struct EpochReport {
     /// failure schedule.
     pub oracle: Option<OracleWork>,
     /// Telemetry wall-time attributed to each engine phase *during this epoch* (the
-    /// difference of two cumulative [`Telemetry::phase_totals`] readings; all zeros
-    /// when telemetry is disabled). `BatchShard` sums per-worker shard time, so it
+    /// difference of two cumulative [`QueryEngine::phase_totals`] readings; all
+    /// zeros when telemetry is disabled). This is the engine's one record of
+    /// where an epoch's time went. `BatchShard` sums per-worker shard time, so it
     /// can exceed the epoch's wall clock on multi-threaded runs. `Freeze` and
     /// `ApplyDelta` are the very readings in [`EpochReport::snapshot`] and
     /// [`EpochReport::failure`]: each phase is timed once.
-    ///
-    /// [`Telemetry::phase_totals`]: faultline_telemetry::Telemetry::phase_totals
     pub phases: PhaseNanos,
 }
 
@@ -448,9 +447,8 @@ impl QueryEngine {
         // the overlay: whatever moves the graph drops it.
         let mut oracle: Option<ConnectivityOracle> = None;
         for epoch in 0..epochs {
-            // Stamp events with the epoch, and bracket the epoch's phase totals so
-            // the report carries a per-epoch breakdown.
-            self.telemetry.set_epoch(epoch as u64);
+            // Bracket the epoch's phase totals so the report carries a per-epoch
+            // breakdown.
             let phases_before = self.telemetry.phase_totals();
 
             // Failure phase first: the epoch's batch routes the overlay the event
@@ -557,7 +555,7 @@ impl QueryEngine {
             work.rows_patched = stats.rows_patched;
             work.rows_in_place = stats.rows_in_place;
             work.fallback_rebuild = stats.rebuilt;
-            self.record_patch(work.patch_nanos, stats.rebuilt, &epoch_delta);
+            self.telemetry.record(Phase::ApplyDelta, work.patch_nanos);
 
             reports.push(EpochReport {
                 epoch,
@@ -640,18 +638,6 @@ impl QueryEngine {
                 }
             }
         }
-        if work.failed_nodes > 0 {
-            self.telemetry.event(
-                EventKind::FailureApplied,
-                saturate_u32(work.failed_nodes as u64),
-            );
-        }
-        if work.healed_nodes > 0 {
-            self.telemetry.event(
-                EventKind::HealApplied,
-                saturate_u32(work.healed_nodes as u64),
-            );
-        }
         work.delta_rows = delta.len();
         if !delta.is_empty() {
             if let Some(live) = snapshot.as_mut() {
@@ -662,7 +648,7 @@ impl QueryEngine {
                 work.rows_patched = stats.rows_patched;
                 work.alive_flips = stats.alive_flips;
                 work.fallback_rebuild = stats.rebuilt;
-                self.record_patch(work.patch_nanos, stats.rebuilt, &delta);
+                self.telemetry.record(Phase::ApplyDelta, work.patch_nanos);
             }
             work.flushed_routes = self.invalidate_delta(&delta, n);
         }
@@ -736,19 +722,6 @@ impl QueryEngine {
         *oracle = Some(next);
         self.telemetry.finish(Phase::OracleBuild, started);
         made
-    }
-
-    /// Records a snapshot patch the caller timed: its nanoseconds under
-    /// [`Phase::ApplyDelta`], and a re-layout at a wider stride as
-    /// [`EventKind::RebuildFallback`] (payload: the delta's rows).
-    fn record_patch(&mut self, nanos: u64, rebuilt: bool, delta: &ChurnDelta) {
-        self.telemetry.record(Phase::ApplyDelta, nanos);
-        if rebuilt {
-            self.telemetry.event(
-                EventKind::RebuildFallback,
-                saturate_u32(delta.rows().len() as u64),
-            );
-        }
     }
 }
 

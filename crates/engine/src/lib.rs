@@ -89,18 +89,22 @@
 //!   [`BatchReport::wall_time`] (the worker scope: not the shard-key pass before
 //!   it, nor a multi-worker merge after it) or the per-worker `batch_shard`
 //!   reading by the lookups it covers.
-//! * **Telemetry** — the engine's own thread records per-phase wall-time
-//!   histograms (`freeze`, `apply_delta`, `invalidate`, per-worker `batch_shard`,
-//!   `oracle_build`) and a bounded log of epoch-stamped structural events
-//!   (snapshot re-layouts, cache invalidations, adversary convictions, failures
-//!   and heals), between phases and never per lookup. Each phase is timed once:
-//!   `freeze` and `apply_delta` are the readings [`SnapshotWork`] and
-//!   [`FailureWork`] report. A worker hands its `batch_shard` reading back
-//!   when the batch joins, and the caches count their own traffic
-//!   (hits/misses/insertions/evictions/invalidations). Instrumented and
-//!   uninstrumented runs produce bit-identical results. Read everything via
-//!   [`QueryEngine::metrics`]; disable with [`EngineConfig::telemetry`]`(false)`,
-//!   which reads no clock for telemetry and leaves `metrics()` empty.
+//! * **Telemetry** — the [`EpochReport`] is the engine's one ledger. Its
+//!   [`EpochReport::phases`] holds the nanoseconds the engine's own thread
+//!   recorded for each phase during the epoch (`freeze`, `apply_delta`,
+//!   `invalidate`, `batch_shard` summed over workers, `oracle_build`), one
+//!   clock pair per phase and never one per lookup; its other fields hold what
+//!   the epoch did (rows patched, routes flushed, rebuild fallbacks, nodes
+//!   failed and healed, adversaries left). Each phase is timed once: `freeze`
+//!   and `apply_delta` are the readings [`SnapshotWork`] and [`FailureWork`]
+//!   report. A worker hands its `batch_shard` reading back when the batch joins.
+//!   [`QueryEngine::phase_totals`] sums the phases over the engine's lifetime,
+//!   and [`QueryEngine::cache_counters`] reads each shard cache's own traffic
+//!   counts (hits/misses/insertions/evictions/invalidations). Instrumented and
+//!   uninstrumented runs produce bit-identical results. Disable with
+//!   [`EngineConfig::telemetry`]`(false)`, which reads no clock for telemetry
+//!   and leaves every phase total at zero; the cache counters are kept either
+//!   way.
 //!
 //! # Example
 //!
@@ -143,8 +147,7 @@ pub use faultline_routing::ByzantineSet;
 // Re-exported so churn-delta callers (`QueryEngine::invalidate_delta`) need no direct
 // `faultline_overlay` dependency.
 pub use faultline_overlay::{ChurnDelta, RowDelta};
-// Re-exported so telemetry consumers (`QueryEngine::metrics`, per-epoch phase
-// breakdowns) need no direct `faultline_telemetry` dependency.
-pub use faultline_telemetry::{
-    Event, EventKind, MetricsSnapshot, Phase, PhaseNanos, ShardCounters,
-};
+// Re-exported so readers of `EpochReport::phases`, `QueryEngine::phase_totals`
+// and `QueryEngine::cache_counters` need no direct `faultline_telemetry`
+// dependency.
+pub use faultline_telemetry::{Phase, PhaseNanos, ShardCounters};

@@ -33,7 +33,7 @@ use faultline_routing::{
     WALKS_IN_FLIGHT,
 };
 use faultline_sim::seed_for_trial;
-use faultline_telemetry::{EventKind, MetricsSnapshot, Phase, Telemetry};
+use faultline_telemetry::{Phase, PhaseNanos, ShardCounters, Telemetry};
 use rand::rngs::{SmallRng, StdRng};
 use rand::SeedableRng;
 use std::time::Instant;
@@ -67,8 +67,8 @@ pub struct QueryEngine {
     /// a network, or forever on honest engines). Churn epochs mutate it: departing
     /// Byzantine nodes shrink it, joining nodes are marked (or cleared) by the mix.
     adversaries: Option<ByzantineSet>,
-    /// Per-phase time histograms and the event log, written by this thread only
-    /// (workers hand their readings back). Disabled (inert) when
+    /// Cumulative nanoseconds per phase, written by this thread only (workers
+    /// hand their readings back). Disabled (inert) when
     /// `EngineConfig::telemetry(false)`.
     pub(crate) telemetry: Telemetry,
     /// The distance-scan kernel every worker scratch dispatches to — resolved once
@@ -104,11 +104,6 @@ fn note(noted: &mut Extras, index: usize, hops: u64, extras: OutcomeExtras) {
     }
 }
 
-/// Clamps a count into an event payload.
-pub(crate) fn saturate_u32(value: u64) -> u32 {
-    u32::try_from(value).unwrap_or(u32::MAX)
-}
-
 /// Per-batch byzantine apparatus shared (read-only) by every worker.
 #[derive(Clone, Copy)]
 struct ByzantineLane<'a> {
@@ -132,7 +127,7 @@ impl QueryEngine {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(config.thread_count())
             .build()
-            // xlint: allow(panic_policy) -- startup-time invariant: the builder only errors on a zero thread count and EngineConfig clamps it to at least one
+            // xlint: allow(panic_policy) -- the vendored pool's build returns Ok for every thread count (0 means available parallelism), so this never fires
             .expect("thread pool construction cannot fail");
         let telemetry = if config.telemetry_enabled() {
             Telemetry::enabled()
@@ -162,13 +157,20 @@ impl QueryEngine {
         self.kernel
     }
 
-    /// What the engine has recorded: per-phase time histograms and the
-    /// structural event log, with each shard cache's lifetime counters. Empty
-    /// when the config disabled telemetry.
+    /// Cumulative nanoseconds per phase over the engine's lifetime; all zeros
+    /// when the config disabled telemetry. Each epoch's share is
+    /// [`EpochReport::phases`](crate::EpochReport::phases).
     #[must_use]
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.telemetry
-            .snapshot(self.caches.iter().map(RouteCache::counters).collect())
+    pub fn phase_totals(&self) -> PhaseNanos {
+        self.telemetry.phase_totals()
+    }
+
+    /// Each shard cache's lifetime counters, in shard order. The caches keep
+    /// them whether or not telemetry records, and they are thread-count
+    /// invariant: a lookup's shard depends only on its source.
+    #[must_use]
+    pub fn cache_counters(&self) -> Vec<ShardCounters> {
+        self.caches.iter().map(RouteCache::counters).collect()
     }
 
     /// The engine's configuration.
@@ -214,8 +216,6 @@ impl QueryEngine {
             .map(|cache| cache.invalidate_rows(&dirty))
             .sum();
         self.telemetry.finish(Phase::Invalidate, started);
-        self.telemetry
-            .event(EventKind::CacheInvalidation, saturate_u32(flushed as u64));
         flushed
     }
 
@@ -306,8 +306,6 @@ impl QueryEngine {
         if let Some(set) = self.adversaries.as_mut() {
             if joined && conscript {
                 set.insert(node);
-                self.telemetry
-                    .event(EventKind::AdversaryConviction, saturate_u32(node));
             } else {
                 set.remove(node);
             }
@@ -856,7 +854,7 @@ mod tests {
         );
         // On an undamaged overlay a cached digest is as deliverable as a fresh route.
         assert_eq!(cached_report.delivered(), fresh_report.delivered());
-        let counters = cached.metrics().merged_shards();
+        let counters: ShardCounters = cached.cache_counters().iter().sum();
         assert_eq!(counters.hits as usize, cached_report.cache_hits());
         assert!(counters.misses > 0);
         assert!(cached.cached_routes() > 0);

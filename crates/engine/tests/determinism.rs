@@ -106,7 +106,7 @@ fn outcomes_and_shard_counters_agree_across_worker_splits() {
                 let outcomes: Vec<_> = (0..2)
                     .flat_map(|_| engine.run_batch(&net, &batch).lookups().collect::<Vec<_>>())
                     .collect();
-                (outcomes, engine.metrics().shards().to_vec())
+                (outcomes, engine.cache_counters())
             };
             let (outcomes, counters) = run(1);
             for &index in &out_of_range {

@@ -4,8 +4,8 @@
 
 use faultline_core::{ConstructionMode, FrozenView, Network, NetworkConfig};
 use faultline_engine::{
-    ChurnMix, EngineConfig, EventKind, FailureEvent, FailureSchedule, InterleavedReport,
-    OracleWork, Phase, QueryBatch, QueryEngine, SurvivabilitySplit,
+    ChurnMix, EngineConfig, FailureEvent, FailureSchedule, InterleavedReport, OracleWork, Phase,
+    QueryBatch, QueryEngine, SurvivabilitySplit,
 };
 use faultline_routing::{FaultStrategy, RouteScratch};
 use faultline_sim::seed_for_trial;
@@ -119,6 +119,8 @@ fn failure_patches_report_their_rows() {
     }
 }
 
+/// Each failure and heal an epoch applies is in its report: the nodes it
+/// crashed or revived, and the rows and routes the damage touched.
 #[test]
 fn partition_and_heal_emits_telemetry_events() {
     let mut net = backtrack_network(512, 12);
@@ -128,19 +130,21 @@ fn partition_and_heal_emits_telemetry_events() {
             .failures(FailureSchedule::partition_and_heal(6)),
     );
     let report = engine.run_interleaved(&mut net, 4, 1_000, ChurnMix::balanced(0), 7);
-    let snapshot = engine.metrics();
-    let failures = snapshot
-        .events()
-        .iter()
-        .filter(|e| e.kind == EventKind::FailureApplied)
-        .count();
-    let heals = snapshot
-        .events()
-        .iter()
-        .filter(|e| e.kind == EventKind::HealApplied)
-        .count();
-    assert!(failures >= 2, "two partition epochs fired: {failures}");
-    assert!(heals >= 2, "two heal epochs fired: {heals}");
+    let work: Vec<_> = (report.epochs().iter())
+        .map(|e| e.failure.expect("work recorded"))
+        .collect();
+    let failures = work.iter().filter(|w| w.failed_nodes > 0).count();
+    let heals = work.iter().filter(|w| w.healed_nodes > 0).count();
+    assert_eq!(failures, 2, "two partition epochs fired");
+    assert_eq!(heals, 2, "two heal epochs fired");
+    for w in &work {
+        assert_eq!(w.heal, w.healed_nodes > 0, "{w:?}");
+        assert_eq!(
+            w.failed_nodes + w.healed_nodes > 0,
+            w.delta_rows > 0,
+            "{w:?}"
+        );
+    }
     // Partition epochs crash two regions.
     let e0 = report.epochs()[0].failure.expect("work recorded");
     assert_eq!(e0.failed_nodes, 12);
@@ -151,9 +155,8 @@ fn partition_and_heal_emits_telemetry_events() {
 
 /// A heal revives only the downed nodes still present and crashed: churn may
 /// remove one before the heal, and a join may re-occupy its label with a live
-/// node. The count the epoch reports, and the `HealApplied` payload, are the
-/// nodes that actually came back — the rise in the live population across the
-/// heal.
+/// node. The count the epoch reports is the nodes that actually came back — the
+/// rise in the live population across the heal.
 #[test]
 fn heals_count_only_the_nodes_they_revive() {
     let mut net = backtrack_network(512, 11);
@@ -178,24 +181,21 @@ fn heals_count_only_the_nodes_they_revive() {
         },
     );
     let work = |e: usize| report.epochs()[e].failure.expect("failure work recorded");
-    let mut healed = Vec::new();
     let mut gone_before_heal = 0;
     for e in (1..epochs).step_by(2) {
         assert!(work(e).heal);
         let revived = alive_at_batch[e] - report.epochs()[e - 1].alive_after;
         assert_eq!(work(e).healed_nodes as u64, revived, "epoch {e}");
         gone_before_heal += work(e - 1).failed_nodes - work(e).healed_nodes;
-        healed.push(work(e).healed_nodes as u32);
     }
     assert!(
         gone_before_heal > 0,
         "churn must remove some downed node before its heal"
     );
-    let payloads: Vec<u32> = (engine.metrics().events().iter())
-        .filter(|event| event.kind == EventKind::HealApplied)
-        .map(|event| event.payload)
-        .collect();
-    assert_eq!(payloads, healed);
+    // Only the heal epochs revive anything.
+    for e in (0..epochs).step_by(2) {
+        assert_eq!(work(e).healed_nodes, 0, "epoch {e}");
+    }
 }
 
 /// Each phase has one clock: the patch and freeze nanoseconds an epoch reports

@@ -196,6 +196,7 @@ fn consecutive_calls_route_the_carried_snapshot() {
         let failing = config.failures_config().is_some();
         let mut net = incremental_network(1 << 10, 9);
         let mut engine = QueryEngine::new(config);
+        let mut frozen_nanos = 0;
         for call in 0..3 {
             let epochs = call_matching_a_fresh_freeze(
                 &mut engine,
@@ -206,6 +207,7 @@ fn consecutive_calls_route_the_carried_snapshot() {
                 77 + call,
             );
             for epoch in &epochs {
+                frozen_nanos += epoch.snapshot.rebuild_nanos;
                 assert_eq!(
                     epoch.snapshot.rebuild_nanos > 0,
                     call == 0 && epoch.epoch == 0,
@@ -223,9 +225,11 @@ fn consecutive_calls_route_the_carried_snapshot() {
                 );
             }
         }
+        // Every freeze the engine timed is one an epoch reported: the first
+        // call's one.
         assert_eq!(
-            engine.metrics().phase(Phase::Freeze).count(),
-            1,
+            engine.phase_totals().get(Phase::Freeze),
+            frozen_nanos,
             "failures {failing}"
         );
     }
@@ -272,7 +276,7 @@ fn a_moved_network_is_frozen_again() {
 
     // A batch on the unchanged network routes the snapshot the call left, and a
     // caller-owned snapshot neither reads nor replaces it.
-    let freezes = engine.metrics().phase(Phase::Freeze).count();
+    let frozen_nanos = engine.phase_totals().get(Phase::Freeze);
     let batch = QueryBatch::uniform(&net, 2_000, 8);
     let fresh = net.view().freeze();
     let reference =
@@ -282,5 +286,9 @@ fn a_moved_network_is_frozen_again() {
     engine.run_batch_with_snapshot(&net, &batch, Some(&fresh));
     let again = engine.run_batch(&net, &batch);
     assert_eq!(outcomes(&again), outcomes(&reference));
-    assert_eq!(engine.metrics().phase(Phase::Freeze).count(), freezes);
+    assert_eq!(
+        engine.phase_totals().get(Phase::Freeze),
+        frozen_nanos,
+        "no batch froze"
+    );
 }

@@ -1,10 +1,10 @@
 //! Named engine phases and per-phase nanosecond totals.
 
 /// Number of named phases (the length of [`Phase::ALL`]).
-pub const NUM_PHASES: usize = 5;
+const NUM_PHASES: usize = 5;
 
-/// The engine's timed phases. Each owns one wall-time histogram in
-/// [`crate::Telemetry`], which records one reading per span of the phase.
+/// The engine's timed phases. Each owns one running nanosecond total in
+/// [`crate::Telemetry`], which every span of the phase adds to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Compiling the overlay into a `FrozenRoutes` snapshot.
@@ -32,7 +32,8 @@ impl Phase {
         Phase::OracleBuild,
     ];
 
-    /// Stable snake_case name (the label in the human dump and the step summary).
+    /// Stable snake_case name (the label in printed breakdowns and the step
+    /// summary).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -57,29 +58,25 @@ impl std::fmt::Display for Phase {
     }
 }
 
-/// Total nanoseconds per phase — the cheap scalar view of the phase histograms,
-/// used for per-epoch breakdowns ([`PhaseNanos::saturating_sub`] diffs two
-/// cumulative readings).
+/// Total nanoseconds per phase: what [`crate::Telemetry`] accumulates, and, as
+/// the difference of two cumulative readings ([`PhaseNanos::saturating_sub`]),
+/// a per-epoch breakdown.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseNanos {
     nanos: [u64; NUM_PHASES],
 }
 
 impl PhaseNanos {
-    /// Builds a reading by sampling each phase.
-    #[must_use]
-    pub fn from_fn(mut total_for: impl FnMut(Phase) -> u64) -> Self {
-        let mut nanos = [0u64; NUM_PHASES];
-        for phase in Phase::ALL {
-            nanos[phase.index()] = total_for(phase);
-        }
-        Self { nanos }
-    }
-
     /// Nanoseconds attributed to `phase`.
     #[must_use]
     pub fn get(&self, phase: Phase) -> u64 {
         self.nanos[phase.index()]
+    }
+
+    /// Adds `nanos` to `phase`'s total.
+    pub(crate) fn add(&mut self, phase: Phase, nanos: u64) {
+        let total = &mut self.nanos[phase.index()];
+        *total = total.saturating_add(nanos);
     }
 
     /// Sum across all phases.
@@ -112,10 +109,19 @@ mod tests {
         assert_eq!(Phase::ALL.len(), NUM_PHASES);
     }
 
+    /// Each phase's index times `by`.
+    fn scaled(by: u64) -> PhaseNanos {
+        let mut nanos = PhaseNanos::default();
+        for phase in Phase::ALL {
+            nanos.add(phase, phase.index() as u64 * by);
+        }
+        nanos
+    }
+
     #[test]
     fn phase_nanos_diff_and_total() {
-        let a = PhaseNanos::from_fn(|p| p.index() as u64 * 10);
-        let b = PhaseNanos::from_fn(|p| p.index() as u64 * 25);
+        let a = scaled(10);
+        let b = scaled(25);
         let delta = b.saturating_sub(&a);
         assert_eq!(delta.get(Phase::Freeze), 0);
         assert_eq!(delta.get(Phase::OracleBuild), 60);

@@ -1,10 +1,10 @@
 //! Quickstart for the parallel query engine: route a large batch of lookups across
 //! worker threads, observe cache behaviour, then keep routing while the network churns
-//! and repairs itself.
+//! and repairs itself, and read where each epoch's time went from its report.
 //!
 //! Run with `cargo run --release --example engine_throughput`.
 
-use faultline::engine::{ChurnMix, EngineConfig, QueryBatch, QueryEngine};
+use faultline::engine::{ChurnMix, EngineConfig, Phase, QueryBatch, QueryEngine, ShardCounters};
 use faultline::{ConstructionMode, Network, NetworkConfig};
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -58,8 +58,31 @@ fn main() {
         trajectory.routing_queries_per_sec()
     );
 
-    // Phase 3: the engine was recording itself the whole time — phase wall-time
-    // histograms, per-shard cache counters, and the structural event log.
-    // (Disable with `EngineConfig::telemetry(false)` to shave the last ~1%.)
-    println!("\n{}", engine.metrics());
+    // Phase 3: the engine was recording itself the whole time. Each epoch's
+    // report holds the nanoseconds it spent per phase (`batch_shard` sums the
+    // workers), and each shard cache counts its own traffic.
+    println!("\nper-epoch phase times (µs):");
+    print!("  {:<6}", "epoch");
+    for phase in Phase::ALL {
+        print!(" {:>12}", phase.name());
+    }
+    println!();
+    for epoch in trajectory.epochs() {
+        print!("  {:<6}", epoch.epoch);
+        for phase in Phase::ALL {
+            print!(" {:>12.1}", epoch.phases.get(phase) as f64 / 1e3);
+        }
+        println!();
+    }
+    let cache: ShardCounters = engine.cache_counters().iter().sum();
+    println!(
+        "cache, all shards: {} hits / {} misses (hit rate {:.4}), {} inserted, {} evicted, {} invalidated, {} resident",
+        cache.hits,
+        cache.misses,
+        cache.hit_rate(),
+        cache.insertions,
+        cache.evictions,
+        cache.invalidated,
+        cache.occupancy
+    );
 }

@@ -52,7 +52,7 @@ pub use faultline_overlay as overlay;
 pub use faultline_routing as routing;
 /// Simulation substrate: event queue, experiment runner, statistics.
 pub use faultline_sim as sim;
-/// Zero-dependency metrics core: phase histograms, per-shard counters, event log.
+/// Zero-dependency telemetry: per-phase nanosecond totals and per-shard cache counters.
 pub use faultline_telemetry as telemetry;
 /// Analytic bounds (Table 1), the Karp–Upfal–Wigderson integrator and the greedy chain.
 pub use faultline_theory as theory;
@@ -71,7 +71,7 @@ mod tests {
         let _ = crate::failure::NodeFailure::fraction(0.1);
         let _ = crate::baselines::PlaxtonNetwork::new(2, 3);
         let _ = crate::engine::EngineConfig::default();
-        let _ = crate::telemetry::Telemetry::disabled();
+        let _ = crate::telemetry::Telemetry::disabled().phase_totals();
         let _ = crate::NetworkConfig::paper_default(16);
     }
 }
