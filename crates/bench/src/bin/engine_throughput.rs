@@ -2,17 +2,15 @@
 //!
 //! `engine_throughput --scenario PATH` (repeatable; a directory runs every `.toml`
 //! inside) runs each file through the `ScenarioSpec` front door, prints its block,
-//! and gates nine readings. Seven read the scenarios' own reports, by name:
+//! and gates eight readings. Seven read the scenarios' own reports, by name:
 //! `survival_rate`, `failure_rebuild_free` and `heal_recovery_us` read
 //! `regional-failures` and `partition-and-heal`; `snapshot_patch_speedup` reads
 //! `regional-failures`' one freeze over its mean churn patch; `patch_rebuild_free`
 //! reads every epoch of every scenario; `byzantine_throughput` and
-//! `byzantine_success_rate` read `byzantine-contested`. Two are dedicated
-//! measurements: `telemetry_overhead_ratio`, the median of warm-batch A/B pairs
-//! over the overlay `zipf-hotspot` builds, and `simd_speedup`, the dispatched
-//! kernel over the scalar fold on a cache-resident kernel cell (only when a vector
-//! ISA dispatched). A gate whose scenario did not run, or whose reading is NaN,
-//! fails. The run exits 1 if any gate fails, 2 on a bad flag or a scenario that
+//! `byzantine_success_rate` read `byzantine-contested`. One is a dedicated
+//! measurement: `simd_speedup`, the dispatched kernel over the scalar fold on a
+//! cache-resident kernel cell (only when a vector ISA dispatched). A gate whose
+//! scenario did not run, or whose reading is NaN, fails. The run exits 1 if any gate fails, 2 on a bad flag or a scenario that
 //! does not parse or validate.
 //!
 //! It writes no file of its own. The gate table, the scenario table and the
@@ -23,7 +21,7 @@ use faultline_bench::kernel::{run_stream, Walker};
 use faultline_bench::scenario_run::{self, ScenarioOutcome};
 use faultline_core::routing::{KernelIsa, RouteScratch};
 use faultline_core::{ConstructionMode, Network, NetworkConfig};
-use faultline_engine::{EngineConfig, InterleavedReport, Phase, QueryBatch, QueryEngine};
+use faultline_engine::{InterleavedReport, Phase, QueryBatch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::Write;
@@ -62,13 +60,6 @@ const MIN_BYZANTINE_QPS: f64 = 150_000.0;
 /// machine.
 const MIN_BYZANTINE_SUCCESS: f64 = 0.55;
 
-/// Floor for `telemetry_overhead_ratio` (the median, over [`TELEMETRY_PAIRS`]
-/// pairs, of instrumented over telemetry-disabled warm-cache throughput on
-/// bit-identical batches). Telemetry is one clock pair per phase, never per lookup;
-/// it must stay within 5% of free, or the instrumentation has crept onto the
-/// per-query hot path.
-const MIN_TELEMETRY_RATIO: f64 = 0.95;
-
 /// Floor for `survival_rate` (worst-scenario delivered fraction of
 /// oracle-survivable queries under correlated regional and partition damage).
 /// The runs are fully seeded, so this reading is deterministic: the oracle excludes
@@ -94,14 +85,6 @@ const MAX_HEAL_RECOVERY_US: f64 = 50_000.0;
 const REGIONAL: &str = "regional-failures";
 const PARTITION: &str = "partition-and-heal";
 const BYZANTINE: &str = "byzantine-contested";
-/// The scenario whose overlay the telemetry A/B routes over.
-const TELEMETRY: &str = "zipf-hotspot";
-
-/// Alternating instrumented/bare warm-batch pairs behind
-/// `telemetry_overhead_ratio`, after one warm pair. Each pair gives one ratio, its
-/// two batches run back to back so drift between pairs cancels; the gate reads the
-/// median, so one batch a neighbour slowed moves one ratio, not the reading.
-const TELEMETRY_PAIRS: usize = 9;
 
 /// The kernel cell behind `simd_speedup`: small enough that its rows stay
 /// cache-resident, so the memory wall does not bury the kernel's compute gap, with
@@ -116,14 +99,12 @@ const KERNEL_CELL_ROUNDS: usize = 4;
 
 /// One perf-gate reading: a headline value checked against its bound — a floor
 /// the value must stay at or above, or (for latency-style readings,
-/// `ceiling: true`) a ceiling it must stay at or below. NaN passes neither. A
-/// value that is the median of several rounds carries their `(min, max)`.
+/// `ceiling: true`) a ceiling it must stay at or below. NaN passes neither.
 struct GateReading {
     name: &'static str,
     value: f64,
     bound: f64,
     ceiling: bool,
-    spread: Option<(f64, f64)>,
 }
 
 impl GateReading {
@@ -140,14 +121,6 @@ impl GateReading {
             "ceiling"
         } else {
             "floor"
-        }
-    }
-
-    /// The value, as `min / median / max` when it carries a spread.
-    fn value_text(&self) -> String {
-        match self.spread {
-            Some((min, max)) => format!("{min:.4} / {:.4} / {max:.4}", self.value),
-            None => format!("{:.4}", self.value),
         }
     }
 }
@@ -172,7 +145,7 @@ fn measured(value: f64) -> f64 {
     }
 }
 
-/// The gate list, in print order: nine readings, eight when `simd_speedup` is
+/// The gate list, in print order: eight readings, seven when `simd_speedup` is
 /// `None` (no vector ISA dispatched). A reading whose scenario is missing is NaN.
 fn gate_readings(outcomes: &[ScenarioOutcome], simd_speedup: Option<f64>) -> Vec<GateReading> {
     let report = |name| {
@@ -214,8 +187,6 @@ fn gate_readings(outcomes: &[ScenarioOutcome], simd_speedup: Option<f64>) -> Vec
     let byzantine = report(BYZANTINE);
     let byzantine_qps = byzantine.map_or(f64::NAN, InterleavedReport::routing_queries_per_sec);
     let byzantine_success = byzantine.map_or(f64::NAN, InterleavedReport::overall_success_rate);
-    let telemetry = telemetry_overhead_ratios(outcomes);
-    let telemetry_ratio = telemetry.map_or(f64::NAN, |[_, median, _]| median);
 
     let floors = [
         (
@@ -234,11 +205,6 @@ fn gate_readings(outcomes: &[ScenarioOutcome], simd_speedup: Option<f64>) -> Vec
             byzantine_success,
             MIN_BYZANTINE_SUCCESS,
         ),
-        (
-            "telemetry_overhead_ratio",
-            telemetry_ratio,
-            MIN_TELEMETRY_RATIO,
-        ),
         ("survival_rate", survival_rate, MIN_SURVIVAL),
         (
             "failure_rebuild_free",
@@ -252,7 +218,6 @@ fn gate_readings(outcomes: &[ScenarioOutcome], simd_speedup: Option<f64>) -> Vec
         value: heal_recovery_us,
         bound: MAX_HEAL_RECOVERY_US,
         ceiling: true,
-        spread: None,
     };
     (simd.into_iter().chain(floors))
         .map(|(name, value, bound)| GateReading {
@@ -260,47 +225,9 @@ fn gate_readings(outcomes: &[ScenarioOutcome], simd_speedup: Option<f64>) -> Vec
             value,
             bound,
             ceiling: false,
-            spread: (telemetry.filter(|_| name == "telemetry_overhead_ratio"))
-                .map(|[min, _, max]| (min, max)),
         })
         .chain([heal])
         .collect()
-}
-
-/// Instrumented over telemetry-disabled warm-cache throughput on the overlay the
-/// [`TELEMETRY`] scenario builds, as `[min, median, max]` over
-/// [`TELEMETRY_PAIRS`] alternating pairs of warm batches, after a cold batch and a
-/// warm pair per engine. Both batches are uniform and as large as the scenario's
-/// whole run. `None` when the scenario did not run.
-fn telemetry_overhead_ratios(outcomes: &[ScenarioOutcome]) -> Option<[f64; 3]> {
-    let outcome = outcomes.iter().find(|o| o.spec.name == TELEMETRY)?;
-    let spec = &outcome.spec;
-    // The engine's default cache and shards at the scenario's worker count: the
-    // A/B times the instrumentation, not the scenario's engine tuning.
-    let config = EngineConfig::default().threads(spec.engine.threads.unwrap_or(0));
-    let network = spec.build_network();
-    let queries = spec.workload.queries_per_epoch * spec.workload.epochs;
-    let cold = QueryBatch::uniform(&network, queries, spec.seed ^ 0xBA7C);
-    let warm = QueryBatch::uniform(&network, queries, spec.seed ^ 0x3A9D);
-    let mut instrumented = QueryEngine::new(config.clone().telemetry(true));
-    let mut bare = QueryEngine::new(config.telemetry(false));
-    for batch in [&cold, &warm] {
-        instrumented.run_batch(&network, batch);
-        bare.run_batch(&network, batch);
-    }
-    // Replaying the warm batch only moves LRU recency ticks, never cache contents.
-    let mut ratios: Vec<f64> = (0..TELEMETRY_PAIRS)
-        .map(|_| {
-            let on = instrumented.run_batch(&network, &warm).queries_per_sec();
-            on / bare.run_batch(&network, &warm).queries_per_sec()
-        })
-        .collect();
-    ratios.sort_by(f64::total_cmp);
-    Some([
-        ratios[0],
-        ratios[TELEMETRY_PAIRS / 2],
-        ratios[TELEMETRY_PAIRS - 1],
-    ])
 }
 
 /// Best scalar-fold time over best dispatched-kernel time for `queries` seeded
@@ -355,12 +282,12 @@ fn write_step_summary(readings: &[GateReading], kernel_line: &str, outcomes: &[S
     };
     let mut table = String::from("## Engine perf gate\n\n");
     table.push_str(kernel_line);
-    table.push_str("\n\n| reading | value (min / median / max over rounds) | bound | status |\n|---|---|---|---|\n");
+    table.push_str("\n\n| reading | value | bound | status |\n|---|---|---|---|\n");
     for r in readings {
         table.push_str(&format!(
-            "| `{}` | {} | {} {:.4} | {} |\n",
+            "| `{}` | {:.4} | {} {:.4} | {} |\n",
             r.name,
-            r.value_text(),
+            r.value,
             r.bound_kind(),
             r.bound,
             if r.passed() { "✅ pass" } else { "❌ FAIL" },
@@ -459,8 +386,8 @@ fn main() {
 
     for r in &readings {
         let status = if r.passed() { "ok" } else { "FAILED" };
-        let (name, value, kind, bound) = (r.name, r.value_text(), r.bound_kind(), r.bound);
-        println!("gate {status}: {name} {value} ({kind} {bound:.4})");
+        let (name, value, kind, bound) = (r.name, r.value, r.bound_kind(), r.bound);
+        println!("gate {status}: {name} {value:.4} ({kind} {bound:.4})");
     }
     let failed = readings.iter().filter(|r| !r.passed()).count();
     if failed > 0 {
@@ -523,7 +450,6 @@ mod tests {
                 "patch_rebuild_free",
                 "byzantine_throughput",
                 "byzantine_success_rate",
-                "telemetry_overhead_ratio",
                 "survival_rate",
                 "failure_rebuild_free",
                 "heal_recovery_us",
@@ -532,16 +458,8 @@ mod tests {
         for reading in &readings {
             assert!(reading.value.is_finite(), "{}", reading.name);
             assert_eq!(reading.ceiling, reading.name == "heal_recovery_us");
-            // Only the telemetry A/B is a median of rounds, and it lies in their range.
-            match reading.spread {
-                Some((min, max)) => {
-                    assert_eq!(reading.name, "telemetry_overhead_ratio");
-                    assert!(min <= reading.value && reading.value <= max, "{min} {max}");
-                }
-                None => assert_ne!(reading.name, "telemetry_overhead_ratio"),
-            }
         }
-        assert_eq!(gate_readings(&outcomes, None).len(), 8);
+        assert_eq!(gate_readings(&outcomes, None).len(), 7);
 
         // Dropping a source scenario turns exactly the gates it feeds to NaN, and
         // each of those fails.
@@ -555,7 +473,6 @@ mod tests {
                 "survival_rate failure_rebuild_free heal_recovery_us",
             ),
             (BYZANTINE, "byzantine_throughput byzantine_success_rate"),
-            (TELEMETRY, "telemetry_overhead_ratio"),
         ];
         let mut outcomes = outcomes;
         for (dropped, gates) in sourced {
@@ -587,7 +504,6 @@ mod tests {
                 value,
                 bound,
                 ceiling,
-                spread: None,
             }
             .passed()
         };

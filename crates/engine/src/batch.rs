@@ -25,11 +25,8 @@ impl QueryBatch {
     }
 
     /// Generates `count` queries between uniformly random **alive** node pairs
-    /// (source ≠ target whenever at least two nodes are alive).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the network has no alive nodes.
+    /// (source ≠ target whenever at least two nodes are alive), or none when no
+    /// node is alive.
     #[must_use]
     pub fn uniform(network: &Network, count: usize, seed: u64) -> Self {
         Self::uniform_honest(network, count, seed, &ByzantineSet::new())
@@ -42,11 +39,8 @@ impl QueryBatch {
     /// resilience for honest endpoints only (a Byzantine source never issues a real
     /// lookup; a Byzantine destination can trivially deny its own resources), so
     /// adversarial labels are excluded up front. With an empty set this draws exactly
-    /// the same pairs as [`QueryBatch::uniform`] for the same seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no honest node is alive.
+    /// the same pairs as [`QueryBatch::uniform`] for the same seed. When no honest
+    /// node is alive there is no lookup to draw, and the batch is empty.
     #[must_use]
     pub fn uniform_honest(
         network: &Network,
@@ -60,10 +54,9 @@ impl QueryBatch {
             .into_iter()
             .filter(|&p| !adversaries.contains(p))
             .collect();
-        assert!(
-            !alive.is_empty(),
-            "cannot draw queries: no honest node is alive"
-        );
+        if alive.is_empty() {
+            return Self::from_pairs(seed, Vec::new());
+        }
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5157_4241_5443_4821); // "QWBATCH!"
         let pairs = (0..count)
             .map(|_| {

@@ -1,7 +1,7 @@
 //! Engine configuration.
 
 use crate::failures::FailureSchedule;
-use faultline_routing::{ByzantineSet, FaultStrategy};
+use faultline_routing::ByzantineSet;
 use std::fmt;
 
 /// How the engine decides which nodes are Byzantine.
@@ -20,19 +20,18 @@ pub enum ByzantineMembership {
 }
 
 /// Adversary specification for a [`QueryEngine`](crate::QueryEngine): who is
-/// Byzantine, how many redundant walks each lookup issues, and (optionally) which
-/// fault strategy those walks recover with.
+/// Byzantine and how many redundant walks each lookup issues.
 ///
 /// When present on an [`EngineConfig`], every batch routes through
 /// [`RedundantRouter::route_frozen`](faultline_routing::RedundantRouter::route_frozen)
-/// over the shared CSR snapshot — the byzantine workload lane. An *empty* resolved
+/// over the shared CSR snapshot — the byzantine workload lane. The walks recover
+/// from dead ends with the network's own fault strategy. An *empty* resolved
 /// set short-circuits to the honest batch path bit-for-bit (no redundancy overhead),
 /// so a fraction of `0.0` is an exact honest baseline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ByzantineConfig {
     membership: ByzantineMembership,
     redundancy: u32,
-    strategy: Option<FaultStrategy>,
 }
 
 impl ByzantineConfig {
@@ -52,7 +51,6 @@ impl ByzantineConfig {
         Self {
             membership: ByzantineMembership::Fraction { fraction, seed },
             redundancy: Self::DEFAULT_REDUNDANCY,
-            strategy: None,
         }
     }
 
@@ -62,7 +60,6 @@ impl ByzantineConfig {
         Self {
             membership: ByzantineMembership::Explicit(set),
             redundancy: Self::DEFAULT_REDUNDANCY,
-            strategy: None,
         }
     }
 
@@ -72,14 +69,6 @@ impl ByzantineConfig {
     #[must_use]
     pub fn redundancy(mut self, redundancy: u32) -> Self {
         self.redundancy = redundancy;
-        self
-    }
-
-    /// Overrides the fault strategy the redundant walks recover with (default: the
-    /// network's own router strategy).
-    #[must_use]
-    pub fn strategy(mut self, strategy: FaultStrategy) -> Self {
-        self.strategy = Some(strategy);
         self
     }
 
@@ -94,31 +83,14 @@ impl ByzantineConfig {
     pub fn redundancy_factor(&self) -> u32 {
         self.redundancy
     }
-
-    /// The fault-strategy override, if any.
-    #[must_use]
-    pub fn strategy_override(&self) -> Option<FaultStrategy> {
-        self.strategy
-    }
 }
 
 /// A typed rejection from [`EngineConfig::validate`].
 ///
-/// Every variant names a configuration that previous releases either silently
-/// clamped (shard counts) or panicked on deep in a builder (byzantine knobs). The
-/// validation pass replaces both behaviours with one typed, diagnosable error.
+/// Every variant names a configuration the engine cannot run as written: a
+/// byzantine knob outside its domain, or a failure schedule longer than its run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfigError {
-    /// `shards == 0`: no cache partition could ever serve a lookup.
-    ZeroShards,
-    /// More shards than source buckets: queries are assigned to shards by source
-    /// bucket, so the excess shards could never receive work.
-    ShardsExceedBuckets {
-        /// The configured shard count.
-        shards: usize,
-        /// The fixed bucket count queries shard by.
-        buckets: usize,
-    },
     /// A Byzantine corruption fraction outside `[0, 1]`.
     ByzantineFractionOutOfRange {
         /// The offending fraction.
@@ -143,11 +115,6 @@ pub enum ConfigError {
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConfigError::ZeroShards => write!(f, "shard count must be at least 1"),
-            ConfigError::ShardsExceedBuckets { shards, buckets } => write!(
-                f,
-                "{shards} shards exceed the {buckets} source buckets; the excess could never receive work"
-            ),
             ConfigError::ByzantineFractionOutOfRange { fraction } => {
                 write!(f, "Byzantine fraction {fraction} outside [0, 1]")
             }
@@ -164,6 +131,16 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// The number of shards: cache partitions, each a private route cache whose
+/// lookups one worker serves in batch order. A lookup's shard is its source
+/// bucket modulo this.
+const SHARDS: usize = 16;
+// Queries are assigned to shards by source bucket, so a shard past the bucket
+// count could never receive work; and a shard key (one past the last shard for an
+// unroutable lookup) must fit the byte the batch stores it in.
+const _: () = assert!(SHARDS <= crate::cache::NUM_BUCKETS as usize);
+const _: () = assert!(SHARDS <= u8::MAX as usize);
+
 /// Configuration of a [`QueryEngine`](crate::QueryEngine).
 ///
 /// Built in the same builder style as `NetworkConfig`: start from
@@ -171,44 +148,29 @@ impl std::error::Error for ConfigError {}
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     threads: usize,
-    shards: usize,
     cache_capacity: usize,
     byzantine: Option<ByzantineConfig>,
     failures: Option<FailureSchedule>,
-    telemetry: bool,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             threads: 0, // resolved to available parallelism by the pool
-            shards: 16,
             cache_capacity: 1024,
             byzantine: None,
             failures: None,
-            telemetry: true,
         }
     }
 }
 
 impl EngineConfig {
-    /// Sets the number of worker threads (0 = available parallelism).
+    /// Sets the number of worker threads (0 = available parallelism). Each worker
+    /// owns a contiguous run of the engine's 16 shards, so a batch uses at most 16
+    /// workers however many the pool holds.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the number of shards: cache partitions, each a private route cache whose
-    /// lookups one worker serves in batch order (a worker owns a contiguous run of
-    /// shards). Must lie in `1..=NUM_BUCKETS` — queries are
-    /// assigned by source bucket, so shards beyond the bucket count could never
-    /// receive work — but out-of-range values are no longer silently clamped here:
-    /// [`EngineConfig::validate`] reports them as [`ConfigError::ZeroShards`] /
-    /// [`ConfigError::ShardsExceedBuckets`].
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -226,38 +188,16 @@ impl EngineConfig {
         self.threads
     }
 
-    /// Configured shard count.
+    /// The shard count, fixed at 16.
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.shards
+        SHARDS
     }
 
     /// Configured per-shard cache capacity (0 = caching disabled).
     #[must_use]
     pub fn cache_capacity_entries(&self) -> usize {
         self.cache_capacity
-    }
-
-    /// Enables or disables the engine's telemetry subsystem (default: enabled).
-    ///
-    /// When enabled, the engine adds up the nanoseconds it spends in each
-    /// [`Phase`](crate::Phase), read per epoch as
-    /// [`EpochReport::phases`](crate::EpochReport::phases) and over its lifetime
-    /// as [`QueryEngine::phase_totals`](crate::QueryEngine::phase_totals).
-    /// Recording reads one clock pair per phase, never per lookup, and never
-    /// touches routing randomness, so results are bit-identical either way;
-    /// disabled, no clock is read for telemetry and every phase total is zero.
-    /// The per-shard cache counters do not depend on this switch.
-    #[must_use]
-    pub fn telemetry(mut self, enabled: bool) -> Self {
-        self.telemetry = enabled;
-        self
-    }
-
-    /// Whether the telemetry subsystem records (see [`EngineConfig::telemetry`]).
-    #[must_use]
-    pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry
     }
 
     /// Opens the byzantine workload lane: every batch routes through redundant
@@ -305,19 +245,8 @@ impl EngineConfig {
     /// calls it at construction (and panics with the error's message, since a bad
     /// config there is a programming error) and
     /// `ScenarioSpec::into_engine_config` in the scenario DSL surfaces it as a
-    /// diagnosable `Result`. Earlier releases silently clamped shard counts and
-    /// panicked inside the byzantine builders; both now land here instead.
+    /// diagnosable `Result`.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        let buckets = crate::cache::NUM_BUCKETS as usize;
-        if self.shards == 0 {
-            return Err(ConfigError::ZeroShards);
-        }
-        if self.shards > buckets {
-            return Err(ConfigError::ShardsExceedBuckets {
-                shards: self.shards,
-                buckets,
-            });
-        }
         if let Some(byzantine) = &self.byzantine {
             if byzantine.redundancy == 0 {
                 return Err(ConfigError::ByzantineZeroRedundancy);
@@ -353,18 +282,9 @@ mod tests {
 
     #[test]
     fn builder_overrides_defaults() {
-        let config = EngineConfig::default()
-            .threads(8)
-            .shards(32)
-            .cache_capacity(64);
+        let config = EngineConfig::default().threads(8).cache_capacity(64);
         assert_eq!(config.thread_count(), 8);
-        assert_eq!(config.shard_count(), 32);
         assert_eq!(config.cache_capacity_entries(), 64);
-        assert!(
-            EngineConfig::default().telemetry_enabled(),
-            "telemetry is on by default"
-        );
-        assert!(!EngineConfig::default().telemetry(false).telemetry_enabled());
         // Capacity 0 is legal: it is the exact-measurement baseline.
         assert_eq!(EngineConfig::default().cache_capacity(0).validate(), Ok(()));
     }
@@ -372,17 +292,11 @@ mod tests {
     #[test]
     fn byzantine_spec_builder() {
         assert!(EngineConfig::default().byzantine_config().is_none());
-        let spec = ByzantineConfig::fraction(0.15, 99)
-            .redundancy(6)
-            .strategy(FaultStrategy::paper_backtrack());
+        let spec = ByzantineConfig::fraction(0.15, 99).redundancy(6);
         let config = EngineConfig::default().byzantine(spec.clone());
         let stored = config.byzantine_config().expect("spec stored");
         assert_eq!(stored, &spec);
         assert_eq!(stored.redundancy_factor(), 6);
-        assert_eq!(
-            stored.strategy_override(),
-            Some(FaultStrategy::paper_backtrack())
-        );
         assert_eq!(
             stored.membership(),
             &ByzantineMembership::Fraction {
@@ -398,7 +312,6 @@ mod tests {
             explicit.redundancy_factor(),
             ByzantineConfig::DEFAULT_REDUNDANCY
         );
-        assert_eq!(explicit.strategy_override(), None);
     }
 
     #[test]
@@ -435,26 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn shards_are_validated_not_clamped() {
-        // The setter stores what it is given; validate() reports the contradiction
-        // instead of silently clamping (the pre-validation behaviour).
-        assert_eq!(EngineConfig::default().shards(0).shard_count(), 0);
-        assert_eq!(
-            EngineConfig::default().shards(0).validate(),
-            Err(ConfigError::ZeroShards)
-        );
-        let buckets = crate::cache::NUM_BUCKETS as usize;
-        assert_eq!(
-            EngineConfig::default().shards(500).validate(),
-            Err(ConfigError::ShardsExceedBuckets {
-                shards: 500,
-                buckets
-            })
-        );
-        assert_eq!(EngineConfig::default().shards(buckets).validate(), Ok(()));
-    }
-
-    #[test]
     fn schedule_tail_past_the_run_is_rejected() {
         use crate::failures::FailureEvent;
         let schedule = FailureSchedule::from_events(vec![
@@ -485,13 +378,14 @@ mod tests {
 
     #[test]
     fn config_errors_display_their_diagnosis() {
-        let text = ConfigError::ShardsExceedBuckets {
-            shards: 500,
-            buckets: 64,
+        let text = ConfigError::ScheduleOutlivesRun {
+            events: 5,
+            epochs: 3,
         }
         .to_string();
-        assert!(text.contains("500"), "{text}");
-        assert!(text.contains("64"), "{text}");
-        assert!(ConfigError::ZeroShards.to_string().contains("shard"));
+        assert!(text.contains('5'), "{text}");
+        assert!(text.contains('3'), "{text}");
+        let text = ConfigError::ByzantineFractionOutOfRange { fraction: 1.5 }.to_string();
+        assert!(text.contains("1.5"), "{text}");
     }
 }

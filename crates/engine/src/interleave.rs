@@ -21,7 +21,7 @@ use faultline_failure::{ChurnEvent, ChurnSchedule, RegionFailure};
 use faultline_overlay::{ChurnDelta, NodeId};
 use faultline_routing::{prefetch_slice, ByzantineSet};
 use faultline_sim::{seed_for_trial, trial_rng};
-use faultline_telemetry::{Phase, PhaseNanos};
+use faultline_telemetry::{Phase, PhaseNanos, Telemetry};
 use faultline_theory::ConnectivityOracle;
 use rand::Rng;
 use std::time::Instant;
@@ -200,12 +200,12 @@ pub struct EpochReport {
     /// failure schedule.
     pub oracle: Option<OracleWork>,
     /// Telemetry wall-time attributed to each engine phase *during this epoch* (the
-    /// difference of two cumulative [`QueryEngine::phase_totals`] readings; all
-    /// zeros when telemetry is disabled). This is the engine's one record of
-    /// where an epoch's time went. `BatchShard` sums per-worker shard time, so it
-    /// can exceed the epoch's wall clock on multi-threaded runs. `Freeze` and
-    /// `ApplyDelta` are the very readings in [`EpochReport::snapshot`] and
-    /// [`EpochReport::failure`]: each phase is timed once.
+    /// difference of two cumulative [`QueryEngine::phase_totals`] readings). This
+    /// is the engine's one record of where an epoch's time went. `BatchShard` sums
+    /// per-worker shard time, so it can exceed the epoch's wall clock on
+    /// multi-threaded runs. `Freeze` and `ApplyDelta` are the very readings in
+    /// [`EpochReport::snapshot`] and [`EpochReport::failure`]: each phase is timed
+    /// once.
     pub phases: PhaseNanos,
 }
 
@@ -680,7 +680,7 @@ impl QueryEngine {
         if oracle.is_some() && !moved {
             return OracleWork::Kept;
         }
-        let started = self.telemetry.start();
+        let started = Telemetry::start();
         let graph = network.graph();
         // A node's live-link targets. The oracle drops dead targets against its
         // own alive table, so nothing reads each target's record the way

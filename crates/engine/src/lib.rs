@@ -9,10 +9,11 @@
 //! of the overlay:
 //!
 //! * **Sharding** — the metric space is divided into [`NUM_BUCKETS`] buckets; each query
-//!   is assigned to a shard by its source bucket, and each shard owns a private route
-//!   cache. Each worker owns a contiguous run of shards, walks the batch once in batch
-//!   order and serves its shards' queries, writing each outcome once. No locks are
-//!   taken on the hot path, and results are bit-for-bit identical at any thread count.
+//!   is assigned to one of 16 shards by its source bucket, and each shard owns a
+//!   private route cache. Each worker owns a contiguous run of shards, walks the
+//!   batch once in batch order and serves its shards' queries, writing each outcome
+//!   once. No locks are taken on the hot path, and results are bit-for-bit
+//!   identical at any thread count.
 //! * **Compiled snapshots** — every cache miss walks a
 //!   [`FrozenView`](faultline_core::FrozenView) through the zero-allocation frozen
 //!   walk (one fixed-stride row scan a hop, inlined distance, per-worker scratch
@@ -100,11 +101,9 @@
 //!   report. A worker hands its `batch_shard` reading back when the batch joins.
 //!   [`QueryEngine::phase_totals`] sums the phases over the engine's lifetime,
 //!   and [`QueryEngine::cache_counters`] reads each shard cache's own traffic
-//!   counts (hits/misses/insertions/evictions/invalidations). Instrumented and
-//!   uninstrumented runs produce bit-identical results. Disable with
-//!   [`EngineConfig::telemetry`]`(false)`, which reads no clock for telemetry
-//!   and leaves every phase total at zero; the cache counters are kept either
-//!   way.
+//!   counts (hits/misses/insertions/evictions/invalidations). Phases are always
+//!   timed; no clock reading reaches routing, so outcomes depend only on
+//!   (snapshot, batch, seed).
 //!
 //! # Example
 //!

@@ -68,8 +68,7 @@ pub struct QueryEngine {
     /// Byzantine nodes shrink it, joining nodes are marked (or cleared) by the mix.
     adversaries: Option<ByzantineSet>,
     /// Cumulative nanoseconds per phase, written by this thread only (workers
-    /// hand their readings back). Disabled (inert) when
-    /// `EngineConfig::telemetry(false)`.
+    /// hand their readings back).
     pub(crate) telemetry: Telemetry,
     /// The distance-scan kernel every worker scratch dispatches to — resolved once
     /// at construction (cpuid + `FAULTLINE_FORCE_SCALAR`), never re-detected on the
@@ -85,13 +84,13 @@ pub struct QueryEngine {
 /// See [`QueryEngine::run_batch_with_snapshot`]: the shard key and the `(source
 /// bucket, target bucket)` of every lookup, each worker's outcomes in batch order
 /// and its [`Extras`] (one worker's lists are the report's), and the nanoseconds
-/// each worker spent (`None` with telemetry off).
+/// each worker spent.
 #[derive(Debug, Default)]
 struct BatchScratch {
     keys: Vec<u8>,
     buckets: Vec<(u8, u8)>,
     served: Vec<(Vec<QueryOutcome>, Extras)>,
-    worker_nanos: Vec<Option<u64>>,
+    worker_nanos: Vec<u64>,
 }
 
 /// `(batch index, extras)` of the lookups whose extras their hops do not imply.
@@ -129,11 +128,6 @@ impl QueryEngine {
             .build()
             // xlint: allow(panic_policy) -- the vendored pool's build returns Ok for every thread count (0 means available parallelism), so this never fires
             .expect("thread pool construction cannot fail");
-        let telemetry = if config.telemetry_enabled() {
-            Telemetry::enabled()
-        } else {
-            Telemetry::disabled()
-        };
         let caches = (0..config.shard_count())
             .map(|_| RouteCache::new(config.cache_capacity_entries()))
             .collect();
@@ -142,7 +136,7 @@ impl QueryEngine {
             pool,
             caches,
             adversaries: None,
-            telemetry,
+            telemetry: Telemetry::default(),
             kernel: KernelIsa::detect(),
             scratch: BatchScratch::default(),
             snapshot: None,
@@ -157,17 +151,16 @@ impl QueryEngine {
         self.kernel
     }
 
-    /// Cumulative nanoseconds per phase over the engine's lifetime; all zeros
-    /// when the config disabled telemetry. Each epoch's share is
+    /// Cumulative nanoseconds per phase over the engine's lifetime. Each epoch's
+    /// share is
     /// [`EpochReport::phases`](crate::EpochReport::phases).
     #[must_use]
     pub fn phase_totals(&self) -> PhaseNanos {
         self.telemetry.phase_totals()
     }
 
-    /// Each shard cache's lifetime counters, in shard order. The caches keep
-    /// them whether or not telemetry records, and they are thread-count
-    /// invariant: a lookup's shard depends only on its source.
+    /// Each shard cache's lifetime counters, in shard order. They are
+    /// thread-count invariant: a lookup's shard depends only on its source.
     #[must_use]
     pub fn cache_counters(&self) -> Vec<ShardCounters> {
         self.caches.iter().map(RouteCache::counters).collect()
@@ -205,7 +198,7 @@ impl QueryEngine {
         if delta.rows().is_empty() {
             return 0;
         }
-        let started = self.telemetry.start();
+        let started = Telemetry::start();
         let mut dirty = RowSet::with_space(n);
         for node in delta.changed_nodes() {
             dirty.insert(node as u32);
@@ -363,17 +356,10 @@ impl QueryEngine {
         // digest cannot tell which walks an adversary swallowed). An empty set is the
         // honest path bit for bit.
         let byzantine = match (self.config.byzantine_config(), self.adversaries.as_ref()) {
-            (Some(spec), Some(set)) if !set.is_empty() => {
-                let router = network.view().router();
-                let inner = match spec.strategy_override() {
-                    Some(strategy) => router.with_strategy(strategy),
-                    None => router,
-                };
-                Some(ByzantineLane {
-                    router: RedundantRouter::new(inner, spec.redundancy_factor()),
-                    adversaries: set,
-                })
-            }
+            (Some(spec), Some(set)) if !set.is_empty() => Some(ByzantineLane {
+                router: RedundantRouter::new(network.view().router(), spec.redundancy_factor()),
+                adversaries: set,
+            }),
             _ => None,
         };
 
@@ -383,9 +369,9 @@ impl QueryEngine {
         // Key each lookup by its source bucket's shard. Queries whose endpoints are
         // not even grid points fail up front — the router would report them as dead
         // endpoints anyway, and bucketing must not panic on them — so they take one
-        // key past the last shard, which no cache serves. `validate` bounds the shard
-        // count by `NUM_BUCKETS`, so a key fits a byte, and so does a bucket. The
-        // same pass buckets both endpoints for the cache probe.
+        // key past the last shard, which no cache serves. The shard count is at most
+        // `NUM_BUCKETS`, so a key fits a byte, and so does a bucket. The same pass
+        // buckets both endpoints for the cache probe.
         const _: () = assert!(NUM_BUCKETS <= u8::MAX as u64);
         let shard_count = self.caches.len();
         // Each worker owns a run of `per_worker` shards (the last run may be shorter;
@@ -421,9 +407,8 @@ impl QueryEngine {
             // The one worker's lists are the report's.
             served[0] = (Vec::with_capacity(batch.len()), Vec::new());
         }
-        worker_nanos.resize(workers, None);
+        worker_nanos.resize(workers, 0);
 
-        let telemetry = &self.telemetry;
         // xlint: allow(determinism) -- batch wall-time is reported in stats only, never read by routing
         let started = Instant::now();
         self.pool.scope(|scope| {
@@ -436,7 +421,7 @@ impl QueryEngine {
             {
                 scope.spawn(move |_| {
                     // Recorded by the engine once the scope joins.
-                    let worker_started = telemetry.start();
+                    let worker_started = Telemetry::start();
                     // Pushing through `lists` would write a length, on a cache line
                     // the neighbouring workers' lists share, once per lookup.
                     let (mut out, mut extras) = std::mem::take(lists);
@@ -503,13 +488,13 @@ impl QueryEngine {
                     }
                     // A group's walks finish out of order.
                     extras.sort_unstable_by_key(|&(index, _)| index);
-                    *nanos = worker_started.map(|at| at.elapsed().as_nanos() as u64);
+                    *nanos = worker_started.elapsed().as_nanos() as u64;
                     *lists = (out, extras);
                 });
             }
         });
         let wall = started.elapsed();
-        for &nanos in worker_nanos.iter().flatten() {
+        for &nanos in worker_nanos.iter() {
             self.telemetry.record(Phase::BatchShard, nanos);
         }
 

@@ -93,41 +93,39 @@ fn outcomes_and_shard_counters_agree_across_worker_splits() {
     let out_of_range = [0, 1_500, pairs.len() - 1];
     let batch = QueryBatch::from_pairs(24, pairs);
     for cache in [256, 0] {
-        for shards in [1, 3, 16] {
-            let run = |threads: usize| {
-                // A failure schedule grants the retry budget the grouped walk's
-                // slots re-enter.
-                let config = EngineConfig::default()
-                    .threads(threads)
-                    .shards(shards)
-                    .cache_capacity(cache)
-                    .failures(FailureSchedule::regional(8).retries(2));
-                let mut engine = QueryEngine::new(config);
-                let outcomes: Vec<_> = (0..2)
-                    .flat_map(|_| engine.run_batch(&net, &batch).lookups().collect::<Vec<_>>())
-                    .collect();
-                (outcomes, engine.cache_counters())
-            };
-            let (outcomes, counters) = run(1);
-            for &index in &out_of_range {
-                let (outcome, _) = outcomes[index];
-                assert!(!outcome.delivered && outcome.attempts == 0, "{outcome:?}");
-            }
-            assert!(
-                outcomes.iter().any(|(o, _)| o.attempts > 1),
-                "no lookup retried"
+        let run = |threads: usize| {
+            // A failure schedule grants the retry budget the grouped walk's
+            // slots re-enter.
+            let config = EngineConfig::default()
+                .threads(threads)
+                .cache_capacity(cache)
+                .failures(FailureSchedule::regional(8).retries(2));
+            let mut engine = QueryEngine::new(config);
+            let outcomes: Vec<_> = (0..2)
+                .flat_map(|_| engine.run_batch(&net, &batch).lookups().collect::<Vec<_>>())
+                .collect();
+            (outcomes, engine.cache_counters())
+        };
+        let (outcomes, counters) = run(1);
+        for &index in &out_of_range {
+            let (outcome, _) = outcomes[index];
+            assert!(!outcome.delivered && outcome.attempts == 0, "{outcome:?}");
+        }
+        assert!(
+            outcomes.iter().any(|(o, _)| o.attempts > 1),
+            "no lookup retried"
+        );
+        // Retries leave entries in every worker's extras, which the merge joins.
+        assert!(outcomes.iter().any(|(o, e)| e.total_hops > o.hops));
+        assert_eq!(outcomes.iter().any(|(o, _)| o.cached), cache > 0);
+        assert_eq!(counters.len(), 16);
+        // Uneven runs (3, 5 workers over 16 shards) and more threads than shards.
+        for threads in [2, 3, 5, 16, 17] {
+            assert_eq!(
+                run(threads),
+                (outcomes.clone(), counters.clone()),
+                "cache {cache}: 1 and {threads} threads disagree"
             );
-            // Retries leave entries in every worker's extras, which the merge joins.
-            assert!(outcomes.iter().any(|(o, e)| e.total_hops > o.hops));
-            assert_eq!(outcomes.iter().any(|(o, _)| o.cached), cache > 0);
-            assert_eq!(counters.len(), shards);
-            for threads in [2, 3, 5, 16, 17] {
-                assert_eq!(
-                    run(threads),
-                    (outcomes.clone(), counters.clone()),
-                    "cache {cache}, {shards} shards: 1 and {threads} threads disagree"
-                );
-            }
         }
     }
 }

@@ -163,7 +163,6 @@ fn heals_count_only_the_nodes_they_revive() {
     let mut engine = QueryEngine::new(
         EngineConfig::default()
             .threads(2)
-            .telemetry(true)
             .failures(FailureSchedule::regional(64)),
     );
     let epochs = 6;
@@ -206,7 +205,6 @@ fn snapshot_phases_are_timed_once() {
     let mut engine = QueryEngine::new(
         EngineConfig::default()
             .threads(2)
-            .telemetry(true)
             .failures(FailureSchedule::regional(8)),
     );
     let report = engine.run_interleaved(&mut net, 4, 1_000, ChurnMix::balanced(12), 5);

@@ -570,7 +570,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_variants_record_phases_and_events_without_changing_results() {
+    fn patches_within_and_past_the_stride_equal_a_fresh_freeze() {
         // A patch that fits the stride: no re-layout.
         let mut g = chain_graph(64);
         let mut frozen = g.freeze();

@@ -30,12 +30,10 @@
 //! | `[churn]` | `fraction` *or* `events_per_epoch` | float / integer | *(one required)* |
 //! | | `join_probability` | float | engine default (`0.5`) |
 //! | | `adversarial_joins` | float | `0.0` |
-//! | `[engine]` | `threads`, `shards`, `cache_capacity` | integer | engine defaults |
-//! | | `telemetry` | boolean | engine default |
+//! | `[engine]` | `threads`, `cache_capacity` | integer | engine defaults |
 //! | `[byzantine]` | `fraction` | float | *(required in section)* |
 //! | | `seed` | integer | scenario seed `^ 0xB52A` |
 //! | | `redundancy` | integer | engine default |
-//! | | `strategy` | strategy string | engine default |
 //! | `[failures]` | `events` | array of `"quiet"` / `"heal"` / `"region:W"` / `"partition:W"` | *(required in section)* |
 //! | | `retries` | integer | engine default (`2`) |
 //!
@@ -120,12 +118,8 @@ pub struct ChurnSpec {
 pub struct EngineSpec {
     /// Worker threads (`0` = available parallelism).
     pub threads: Option<usize>,
-    /// Shard count (validated against the bucket count by the engine).
-    pub shards: Option<usize>,
     /// Per-shard route-cache capacity (`0` disables caching).
     pub cache_capacity: Option<usize>,
-    /// Telemetry recording.
-    pub telemetry: Option<bool>,
 }
 
 /// The adversarial lane of a scenario.
@@ -137,8 +131,6 @@ pub struct ByzantineSpec {
     pub seed: u64,
     /// Diversified walks per lookup; `None` keeps the engine default.
     pub redundancy: Option<u32>,
-    /// Strategy override for the redundant router.
-    pub strategy: Option<FaultStrategy>,
 }
 
 /// The correlated-failure schedule of a scenario.
@@ -266,29 +258,20 @@ impl ScenarioSpec {
     /// # Errors
     ///
     /// [`ScenarioError::Config`] when
-    /// [`EngineConfig::validate_for_epochs`] rejects the assembled whole (shard
-    /// bounds, byzantine domain, schedule length vs the run's epochs).
+    /// [`EngineConfig::validate_for_epochs`] rejects the assembled whole
+    /// (byzantine domain, schedule length vs the run's epochs).
     pub fn into_engine_config(self) -> Result<EngineConfig, ScenarioError> {
         let mut config = EngineConfig::default();
         if let Some(threads) = self.engine.threads {
             config = config.threads(threads);
         }
-        if let Some(shards) = self.engine.shards {
-            config = config.shards(shards);
-        }
         if let Some(capacity) = self.engine.cache_capacity {
             config = config.cache_capacity(capacity);
-        }
-        if let Some(enabled) = self.engine.telemetry {
-            config = config.telemetry(enabled);
         }
         if let Some(byzantine) = &self.byzantine {
             let mut lane = ByzantineConfig::fraction(byzantine.fraction, byzantine.seed);
             if let Some(redundancy) = byzantine.redundancy {
                 lane = lane.redundancy(redundancy);
-            }
-            if let Some(strategy) = byzantine.strategy {
-                lane = lane.strategy(strategy);
             }
             config = config.byzantine(lane);
         }
@@ -407,14 +390,8 @@ impl ScenarioSpec {
             if let Some(threads) = self.engine.threads {
                 let _ = writeln!(out, "threads = {threads}");
             }
-            if let Some(shards) = self.engine.shards {
-                let _ = writeln!(out, "shards = {shards}");
-            }
             if let Some(capacity) = self.engine.cache_capacity {
                 let _ = writeln!(out, "cache_capacity = {capacity}");
-            }
-            if let Some(enabled) = self.engine.telemetry {
-                let _ = writeln!(out, "telemetry = {enabled}");
             }
         }
         if let Some(byzantine) = &self.byzantine {
@@ -423,9 +400,6 @@ impl ScenarioSpec {
             let _ = writeln!(out, "seed = {}", byzantine.seed);
             if let Some(redundancy) = byzantine.redundancy {
                 let _ = writeln!(out, "redundancy = {redundancy}");
-            }
-            if let Some(strategy) = byzantine.strategy {
-                let _ = writeln!(out, "strategy = \"{}\"", strategy_label(strategy));
             }
         }
         if let Some(failures) = &self.failures {
@@ -535,13 +509,6 @@ fn expect_str(entry: &Entry) -> Result<&str, ScenarioError> {
     match &entry.value {
         Value::String(s) => Ok(s),
         other => Err(mismatch(entry, "string", other)),
-    }
-}
-
-fn expect_bool(entry: &Entry) -> Result<bool, ScenarioError> {
-    match entry.value {
-        Value::Bool(b) => Ok(b),
-        ref other => Err(mismatch(entry, "boolean", other)),
     }
 }
 
@@ -924,18 +891,13 @@ fn parse_engine(document: &Document) -> Result<EngineSpec, ScenarioError> {
     let Some(section) = document.section("engine") else {
         return Ok(EngineSpec::default());
     };
-    reject_unknown_keys(
-        section,
-        &["threads", "shards", "cache_capacity", "telemetry"],
-    )?;
+    reject_unknown_keys(section, &["threads", "cache_capacity"])?;
     Ok(EngineSpec {
         threads: section.get("threads").map(expect_usize).transpose()?,
-        shards: section.get("shards").map(expect_usize).transpose()?,
         cache_capacity: section
             .get("cache_capacity")
             .map(expect_usize)
             .transpose()?,
-        telemetry: section.get("telemetry").map(expect_bool).transpose()?,
     })
 }
 
@@ -946,7 +908,7 @@ fn parse_byzantine(
     let Some(section) = document.section("byzantine") else {
         return Ok(None);
     };
-    reject_unknown_keys(section, &["fraction", "seed", "redundancy", "strategy"])?;
+    reject_unknown_keys(section, &["fraction", "seed", "redundancy"])?;
     let fraction_entry = section.get("fraction").ok_or(ScenarioError::MissingKey {
         section: "byzantine",
         key: "fraction",
@@ -966,12 +928,10 @@ fn parse_byzantine(
         }
         None => None,
     };
-    let strategy = section.get("strategy").map(parse_strategy).transpose()?;
     Ok(Some(ByzantineSpec {
         fraction,
         seed,
         redundancy,
-        strategy,
     }))
 }
 

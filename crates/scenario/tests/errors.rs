@@ -1,7 +1,8 @@
 //! Fire fixtures: one deliberately broken scenario per [`ScenarioError`]
 //! variant, pinned to the exact diagnosis (variant, line, and payload). These
 //! are the DSL's contract that nothing is silently repaired — every fixture
-//! here once was a plausible typo.
+//! here once was a plausible typo. A file that is valid but degenerate runs to
+//! completion rather than panicking.
 
 use faultline_engine::ConfigError;
 use faultline_scenario::{ScenarioError, ScenarioSpec};
@@ -84,6 +85,8 @@ fn fire_retired_engine_keys() {
         ("freeze = \"auto\"\n", "freeze"),
         ("freeze = 0.35\n", "freeze"),
         ("max_hops = 200\n", "max_hops"),
+        ("shards = 16\n", "shards"),
+        ("telemetry = false\n", "telemetry"),
     ] {
         let source = format!("{BASE}[engine]\nthreads = 2\n{line}");
         assert_eq!(
@@ -94,6 +97,28 @@ fn fire_retired_engine_keys() {
                 key: key.into(),
             })
         );
+    }
+    let source = format!("{BASE}[byzantine]\nfraction = 0.1\nstrategy = \"reroute\"\n");
+    assert_eq!(
+        ScenarioSpec::parse(&source),
+        Err(ScenarioError::UnknownKey {
+            line: 10,
+            section: "byzantine".into(),
+            key: "strategy".into(),
+        })
+    );
+}
+
+/// Corrupting every alive node leaves no honest endpoint to draw: each epoch
+/// routes an empty batch, under either skew, instead of panicking.
+#[test]
+fn fire_all_adversary_scenario_routes_nothing() {
+    for skew in ["uniform", "zipf"] {
+        let source = format!("{BASE}skew = \"{skew}\"\n[byzantine]\nfraction = 1.0\n");
+        let spec = ScenarioSpec::parse(&source).expect("schema-valid scenario parses");
+        let report = spec.run().expect("valid scenario runs");
+        assert_eq!(report.epochs().len(), 2, "{skew}");
+        assert_eq!(report.total_queries(), 0, "{skew}");
     }
 }
 
@@ -196,18 +221,9 @@ fn fire_invalid_value() {
 
 #[test]
 fn fire_config_passthrough() {
-    // Parses cleanly — the shard bound is the *engine's* rule, surfaced through
-    // `into_engine_config` as a Config error, not re-implemented in the DSL.
-    let source = format!("{BASE}[engine]\nshards = 65\n");
-    let spec = ScenarioSpec::parse(&source).expect("schema-valid scenario parses");
-    assert_eq!(
-        spec.into_engine_config(),
-        Err(ScenarioError::Config(ConfigError::ShardsExceedBuckets {
-            shards: 65,
-            buckets: 64,
-        }))
-    );
-    // Schedule longer than the run: caught by validate_for_epochs.
+    // Parses cleanly — a schedule longer than the run is the *engine's* rule
+    // (`validate_for_epochs`), surfaced through `into_engine_config` as a Config
+    // error, not re-implemented in the DSL.
     let schedule = format!("{BASE}[failures]\nevents = [\"region:8\", \"heal\", \"quiet\"]\n");
     let spec = ScenarioSpec::parse(&schedule).expect("schema-valid scenario parses");
     assert_eq!(

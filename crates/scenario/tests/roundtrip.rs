@@ -64,14 +64,11 @@ fn kitchen_sink_spec_round_trips() {
         "adversarial_joins = 0.1\n",
         "[engine]\n",
         "threads = 4\n",
-        "shards = 16\n",
         "cache_capacity = 4096\n",
-        "telemetry = false\n",
         "[byzantine]\n",
         "fraction = 0.15\n",
         "seed = 41\n",
         "redundancy = 3\n",
-        "strategy = \"reroute\"\n",
         "[failures]\n",
         "events = [\"region:16\", \"heal\", \"partition:8\", \"heal\", \"quiet\"]\n",
         "retries = 2\n",
@@ -98,9 +95,7 @@ fn kitchen_sink_spec_round_trips() {
         spec.engine,
         EngineSpec {
             threads: Some(4),
-            shards: Some(16),
             cache_capacity: Some(4096),
-            telemetry: Some(false),
         }
     );
     assert_eq!(
@@ -109,7 +104,6 @@ fn kitchen_sink_spec_round_trips() {
             fraction: 0.15,
             seed: 41,
             redundancy: Some(3),
-            strategy: Some(FaultStrategy::single_reroute()),
         })
     );
     assert_eq!(

@@ -2,63 +2,44 @@
 //!
 //! Every write takes `&mut self` and comes from the thread that owns the
 //! recorder, so the recording state is plain data: one running nanosecond total
-//! per [`Phase`]. A disabled recorder holds nothing: every operation is one
-//! branch, and [`Telemetry::start`] reads no clock.
+//! per [`Phase`].
 
 use crate::span::{Phase, PhaseNanos};
 use std::time::Instant;
 
-/// Cumulative nanoseconds per phase — enabled, or disabled and recording
-/// nothing.
+/// Cumulative nanoseconds per phase.
 #[derive(Debug, Default)]
 pub struct Telemetry {
-    totals: Option<PhaseNanos>,
+    totals: PhaseNanos,
 }
 
 impl Telemetry {
-    /// A recorder that records.
+    /// Starts timing a phase: the current instant. Hand it to
+    /// [`Telemetry::finish`], or read its `elapsed()` on a thread that does not
+    /// own the recorder and [`Telemetry::record`] that.
     #[must_use]
-    pub fn enabled() -> Self {
-        Self {
-            totals: Some(PhaseNanos::default()),
-        }
-    }
-
-    /// The inert recorder (also [`Default`]).
-    #[must_use]
-    pub fn disabled() -> Self {
-        Self { totals: None }
-    }
-
-    /// Starts timing a phase: the current instant, or `None` — and no clock read
-    /// — when disabled. Hand the result to [`Telemetry::finish`].
-    #[must_use]
-    pub fn start(&self) -> Option<Instant> {
-        self.totals.as_ref().map(|_| Instant::now())
+    pub fn start() -> Instant {
+        Instant::now()
     }
 
     /// Adds the nanoseconds since `started` (from [`Telemetry::start`]) to
     /// `phase`.
-    pub fn finish(&mut self, phase: Phase, started: Option<Instant>) {
-        if let Some(started) = started {
-            self.record(phase, started.elapsed().as_nanos() as u64);
-        }
+    pub fn finish(&mut self, phase: Phase, started: Instant) {
+        self.record(phase, started.elapsed().as_nanos() as u64);
     }
 
     /// Adds an already-measured phase duration, for call sites that time the
     /// phase for their own report anyway: the report and telemetry then hold the
     /// same reading.
     pub fn record(&mut self, phase: Phase, nanos: u64) {
-        if let Some(totals) = &mut self.totals {
-            totals.add(phase, nanos);
-        }
+        self.totals.add(phase, nanos);
     }
 
-    /// Cumulative nanoseconds per phase (all zeros when disabled) — diff two
-    /// readings for a per-epoch breakdown.
+    /// Cumulative nanoseconds per phase — diff two readings for a per-epoch
+    /// breakdown.
     #[must_use]
     pub fn phase_totals(&self) -> PhaseNanos {
-        self.totals.unwrap_or_default()
+        self.totals
     }
 }
 
@@ -67,25 +48,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_handle_is_inert_everywhere() {
-        let mut tel = Telemetry::disabled();
-        assert_eq!(tel.start(), None);
-        tel.finish(Phase::Freeze, Some(Instant::now()));
-        tel.record(Phase::Freeze, 100);
-        assert_eq!(tel.phase_totals(), PhaseNanos::default());
-    }
-
-    #[test]
-    fn default_is_disabled() {
-        assert_eq!(Telemetry::default().start(), None);
-    }
-
-    #[test]
     fn spans_and_direct_recording_add_to_the_phase_total() {
-        let mut tel = Telemetry::enabled();
-        let started = tel.start();
-        assert!(started.is_some());
-        tel.finish(Phase::ApplyDelta, started);
+        let mut tel = Telemetry::default();
+        tel.finish(Phase::ApplyDelta, Telemetry::start());
         let spanned = tel.phase_totals().get(Phase::ApplyDelta);
         tel.record(Phase::ApplyDelta, 12_345);
         let totals = tel.phase_totals();

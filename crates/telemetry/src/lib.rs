@@ -6,10 +6,8 @@
 //! pair, or recorded from a reading the caller already took
 //! ([`Telemetry::record`]); [`Telemetry::phase_totals`] reads the totals as a
 //! [`PhaseNanos`], and the difference of two readings is what an engine epoch
-//! reports as its phase breakdown. A disabled recorder
-//! ([`Telemetry::disabled`]) holds nothing — every operation is one branch, and
-//! no clock is read — so instrumented code can keep its telemetry calls
-//! unconditionally.
+//! reports as its phase breakdown. The recorder always records: a phase costs
+//! one clock pair, so callers time phases, never single operations inside them.
 //!
 //! [`ShardCounters`] is the plain-integer traffic count one route-cache shard
 //! keeps of itself; summing an iterator of them folds shards into one reading.

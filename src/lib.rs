@@ -50,7 +50,7 @@ pub use faultline_metric as metric;
 pub use faultline_overlay as overlay;
 /// Greedy routing engines and fault strategies.
 pub use faultline_routing as routing;
-/// Simulation substrate: event queue, experiment runner, statistics.
+/// Simulation substrate: per-trial seeding, experiment runner, statistics.
 pub use faultline_sim as sim;
 /// Zero-dependency telemetry: per-phase nanosecond totals and per-shard cache counters.
 pub use faultline_telemetry as telemetry;
@@ -71,7 +71,7 @@ mod tests {
         let _ = crate::failure::NodeFailure::fraction(0.1);
         let _ = crate::baselines::PlaxtonNetwork::new(2, 3);
         let _ = crate::engine::EngineConfig::default();
-        let _ = crate::telemetry::Telemetry::disabled().phase_totals();
+        let _ = crate::telemetry::Telemetry::default().phase_totals();
         let _ = crate::NetworkConfig::paper_default(16);
     }
 }
