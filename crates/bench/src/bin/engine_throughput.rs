@@ -436,7 +436,7 @@ mod tests {
     }
 
     #[test]
-    fn gate_list_names_nine_finite_readings_and_a_near_miss_fails() {
+    fn gate_list_names_eight_finite_readings_and_a_near_miss_fails() {
         let outcomes = small_outcomes();
         let speedup = kernel_cell_speedup(2_000);
         assert!(speedup.is_finite() && speedup > 0.0, "{speedup}");

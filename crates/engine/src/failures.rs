@@ -11,10 +11,11 @@
 //! (damaged) overlay: a dropped lookup whose endpoints the oracle proves
 //! disconnected is excluded from the success denominator, while a dropped lookup
 //! the oracle proves survivable is a routing failure the resilience gate counts
-//! ([`SurvivabilitySplit`]). The oracle is kept while the overlay holds still
-//! ([`OracleWork::Kept`]). A heal revives nodes onto the graph a kept oracle
-//! describes, so that oracle is carried across it ([`OracleWork::Revived`]);
-//! a failure event, or churn in the previous epoch, rebuilds it
+//! ([`SurvivabilitySplit`]). The oracle is built once per network and then
+//! carried: kept while the overlay holds still ([`OracleWork::Kept`]), carried
+//! across a failure event's crashes ([`OracleWork::Crashed`]) and a heal's
+//! revivals ([`OracleWork::Revived`]), and kept across calls as long as nothing
+//! else moves the overlay. Churn drops it, so the next failure epoch builds one
 //! ([`OracleWork::Built`]).
 
 use faultline_overlay::NodeId;
@@ -201,7 +202,7 @@ pub struct FailureWork {
     /// resilience gate requires this to never happen at bench scale).
     pub fallback_rebuild: bool,
     /// Wall-clock nanoseconds of the whole failure phase: graph mutation, snapshot
-    /// patch, and cache invalidation (oracle construction excluded — it is
+    /// patch, and cache invalidation (oracle upkeep excluded — it is
     /// measurement apparatus, not recovery work, and is timed as the
     /// `oracle_build` telemetry phase instead). On heal epochs this is the
     /// heal-recovery latency the bench reports.
@@ -214,8 +215,17 @@ pub struct FailureWork {
 pub enum OracleWork {
     /// The overlay had not moved since the oracle was made: it was reused.
     Kept,
-    /// Built from the whole live overlay.
+    /// Built from the whole live overlay: no oracle described the overlay
+    /// entering the epoch, or its crash took the oracle's pivot.
     Built,
+    /// Carried across this epoch's crashes from the oracle kept entering it.
+    Crashed {
+        /// Nodes the event crashed (the epoch's [`FailureWork::failed_nodes`]).
+        nodes: usize,
+        /// Live nodes the crash cut off from the oracle's pivot trees, each of
+        /// which searched its row for a way back.
+        detached: usize,
+    },
     /// Carried across this epoch's heal from the oracle kept entering it.
     Revived {
         /// Nodes the heal revived (the epoch's [`FailureWork::healed_nodes`]).

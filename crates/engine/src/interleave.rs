@@ -194,7 +194,7 @@ pub struct EpochReport {
     /// The epoch's queries classified against the connectivity oracle's ground
     /// truth on the (possibly damaged) overlay the batch routed; `None` when the
     /// run has no failure schedule. Which oracle that was — kept, built, or
-    /// carried across a heal — is [`EpochReport::oracle`].
+    /// carried across a crash or a heal — is [`EpochReport::oracle`].
     pub survivability: Option<SurvivabilitySplit>,
     /// How the epoch came by its connectivity oracle; `None` when the run has no
     /// failure schedule.
@@ -440,12 +440,12 @@ impl QueryEngine {
         let failure_schedule = self.config().failures_config().cloned();
         let mut downed = DownedSet::default();
         let mut reports = Vec::with_capacity(epochs);
-        // The snapshot the last call left, if nothing has moved the overlay since;
-        // without one, epoch 0 freezes.
-        let mut snapshot = self.take_snapshot(network);
-        // Ground truth for the epochs' traffic, kept for as long as it describes
-        // the overlay: whatever moves the graph drops it.
-        let mut oracle: Option<ConnectivityOracle> = None;
+        // The snapshot and oracle the last call left, if nothing has moved the
+        // overlay since; without a snapshot, epoch 0 freezes.
+        let mut snapshot = self.kept_snapshot.take(network);
+        // Ground truth for the epochs' traffic, carried across failure events
+        // and dropped by churn.
+        let mut oracle = self.kept_oracle.take(network);
         for epoch in 0..epochs {
             // Bracket the epoch's phase totals so the report carries a per-epoch
             // breakdown.
@@ -456,7 +456,7 @@ impl QueryEngine {
             // delta; without one, epoch 0's event lands before the freeze.
             let (failure, oracle_work) = match &failure_schedule {
                 Some(schedule) => {
-                    let (work, revived) = self.failure_phase(
+                    let (work, changed) = self.failure_phase(
                         network,
                         &mut snapshot,
                         &mut downed,
@@ -464,7 +464,7 @@ impl QueryEngine {
                         epoch,
                         master_seed,
                     );
-                    let made = self.refresh_oracle(network, &mut oracle, &work, &revived);
+                    let made = self.refresh_oracle(network, &mut oracle, &work, &changed);
                     (Some(work), Some(made))
                 }
                 None => (None, None),
@@ -491,7 +491,11 @@ impl QueryEngine {
             let batch = workload(network, &context);
             let batch_report = self.run_batch_with_snapshot(network, &batch, Some(live));
             let survivability = oracle.as_ref().map(|oracle| {
-                classify_survivability(batch.pairs(), batch_report.outcomes(), oracle, n)
+                let started = Telemetry::start();
+                let split =
+                    classify_survivability(batch.pairs(), batch_report.outcomes(), oracle, n);
+                self.telemetry.finish(Phase::Classify, started);
+                split
             });
 
             // Churn phase: one consistent schedule over the current population, applied
@@ -576,7 +580,10 @@ impl QueryEngine {
             });
         }
         if let Some(view) = snapshot {
-            self.keep_snapshot(network, view);
+            self.kept_snapshot.keep(network, view);
+        }
+        if let Some(oracle) = oracle {
+            self.kept_oracle.keep(network, oracle);
         }
         InterleavedReport { epochs: reports }
     }
@@ -586,7 +593,7 @@ impl QueryEngine {
     /// snapshot from the event's delta, and evict exactly the cache entries whose
     /// walks depended on a changed row. All randomness comes from a dedicated
     /// failure stream, so failure trajectories never perturb churn or routing
-    /// draws. Returns the work done and the nodes a heal revived.
+    /// draws. Returns the work done and the nodes the event crashed or revived.
     fn failure_phase(
         &mut self,
         network: &mut Network,
@@ -601,7 +608,7 @@ impl QueryEngine {
         let n = network.len();
         let mut work = FailureWork::default();
         let mut delta = ChurnDelta::new();
-        let mut revived = Vec::new();
+        let mut changed = Vec::new();
         let mut fail_rng = trial_rng(master_seed ^ 0xFA17_0FA1_70FA_170F, epoch as u64);
         match schedule.event_for(epoch) {
             FailureEvent::Quiet => {}
@@ -610,6 +617,7 @@ impl QueryEngine {
                 let (report, d) = network.apply_failure_delta(&plan, &mut fail_rng);
                 work.failed_nodes = report.failed_nodes.len();
                 downed.extend(&report.failed_nodes);
+                changed = report.failed_nodes;
                 delta.absorb(d);
             }
             FailureEvent::Partition { width } => {
@@ -622,6 +630,7 @@ impl QueryEngine {
                     let (report, d) = network.apply_failure_delta(&plan, &mut fail_rng);
                     work.failed_nodes += report.failed_nodes.len();
                     downed.extend(&report.failed_nodes);
+                    changed.extend(report.failed_nodes);
                     delta.absorb(d);
                 }
             }
@@ -630,11 +639,11 @@ impl QueryEngine {
                 // Churn may have removed a downed node since, and a join may have
                 // re-occupied its label: only the still-crashed ones revive.
                 let graph = network.graph();
-                revived = downed.take();
-                revived.retain(|&p| graph.is_present(p) && !graph.is_alive(p));
-                if !revived.is_empty() {
-                    delta.absorb(network.heal_nodes(&revived));
-                    work.healed_nodes = revived.len();
+                changed = downed.take();
+                changed.retain(|&p| graph.is_present(p) && !graph.is_alive(p));
+                if !changed.is_empty() {
+                    delta.absorb(network.heal_nodes(&changed));
+                    work.healed_nodes = changed.len();
                 }
             }
         }
@@ -653,16 +662,18 @@ impl QueryEngine {
             work.flushed_routes = self.invalidate_delta(&delta, n);
         }
         work.recovery_nanos = started.elapsed().as_nanos() as u64;
-        (work, revived)
+        (work, changed)
     }
 
     /// Brings `oracle` to the overlay the epoch's batch routes — directed
     /// reachability over the post-event usable-neighbour graph of the live
-    /// overlay, never the snapshot it audits. Only a failure event and the
-    /// previous epoch's churn (which drops the oracle) move that graph, so an
-    /// oracle that survived to a quiet epoch is kept. A heal only adds the
-    /// `revived` nodes and their edges to the graph a kept oracle describes, so
-    /// that oracle is carried across it; anything else builds a fresh one.
+    /// overlay, never the snapshot it audits. Only a failure event and churn
+    /// (which drops the oracle) move that graph, so an oracle that reached a
+    /// quiet epoch is kept. A failure event only crashes or revives the
+    /// `changed` nodes of the graph a kept oracle describes, so that oracle is
+    /// carried across it: what the work costs is the nodes the event cut off
+    /// from, or brought back to, the oracle's pivot trees. Only an epoch with
+    /// no oracle to carry, or a crash of the oracle's pivot, builds one.
     ///
     /// A build reads every live node's link table once, in ascending node order,
     /// and those tables lie scattered over the heap, so nearly every read is a
@@ -674,7 +685,7 @@ impl QueryEngine {
         network: &Network,
         oracle: &mut Option<ConnectivityOracle>,
         work: &FailureWork,
-        revived: &[NodeId],
+        changed: &[NodeId],
     ) -> OracleWork {
         let moved = work.failed_nodes > 0 || work.healed_nodes > 0 || work.delta_rows > 0;
         if oracle.is_some() && !moved {
@@ -682,42 +693,38 @@ impl QueryEngine {
         }
         let started = Telemetry::start();
         let graph = network.graph();
-        // A node's live-link targets. The oracle drops dead targets against its
-        // own alive table, so nothing reads each target's record the way
-        // `usable_neighbors` does.
+        let alive = |p: u32| graph.is_alive(u64::from(p));
+        // A node's live-link targets, and the sources of the live links into it.
+        // The oracle drops dead ends against its own alive table, so nothing
+        // reads each neighbour's record the way `usable_neighbors` does.
         let live_links = |p: u32| {
             (graph.links(u64::from(p)).iter())
                 .filter(|link| link.alive)
                 .map(|link| link.target as u32)
         };
-        // An oracle that cannot be carried across is dropped before the build.
-        let (next, made) = match oracle.take().filter(|_| !revived.is_empty()) {
-            Some(kept) => (
-                kept.revive(
-                    revived.iter().map(|&p| p as u32),
-                    |p| graph.is_alive(u64::from(p)),
-                    live_links,
-                    |p| {
-                        (graph.links_into(u64::from(p)))
-                            .filter(|(_, link)| link.alive)
-                            .map(|(source, _)| source as u32)
-                    },
-                ),
-                OracleWork::Revived {
-                    nodes: revived.len(),
-                },
-            ),
-            None => (
-                ConnectivityOracle::build(
-                    network.len() as u32,
-                    |p| graph.is_alive(u64::from(p)),
-                    |p| {
-                        prefetch_slice(graph.links(u64::from(p) + LINK_PREFETCH_AHEAD));
-                        live_links(p)
-                    },
-                ),
-                OracleWork::Built,
-            ),
+        let live_sources = |p: u32| {
+            (graph.links_into(u64::from(p)))
+                .filter(|(_, link)| link.alive)
+                .map(|(source, _)| source as u32)
+        };
+        let nodes = changed.iter().map(|&p| p as u32);
+        let next = match oracle.take() {
+            Some(kept) if work.heal => kept.revive(nodes, alive, live_links, live_sources),
+            Some(kept) => kept.crash(nodes, alive, live_links, live_sources),
+            None => ConnectivityOracle::build(network.len() as u32, alive, |p| {
+                prefetch_slice(graph.links(u64::from(p) + LINK_PREFETCH_AHEAD));
+                live_links(p)
+            }),
+        };
+        let made = match next.detached() {
+            None => OracleWork::Built,
+            Some(_) if work.heal => OracleWork::Revived {
+                nodes: changed.len(),
+            },
+            Some(detached) => OracleWork::Crashed {
+                nodes: changed.len(),
+                detached,
+            },
         };
         *oracle = Some(next);
         self.telemetry.finish(Phase::OracleBuild, started);

@@ -74,10 +74,10 @@
 //!   [`ConnectivityOracle`](faultline_theory::ConnectivityOracle) over the damaged
 //!   overlay ([`SurvivabilitySplit`]): lookups the oracle proves disconnected
 //!   leave the success denominator, and dropped-but-survivable lookups are the
-//!   routing failures the resilience gate counts. The oracle is built from the
-//!   live graph (SCCs only) and kept until a failure or churn event moves it; a
-//!   heal, which only adds nodes and edges, carries it across on the contracted
-//!   graph instead ([`OracleWork`] says which, per epoch). Failed lookups get a bounded diversified-retry budget while the overlay
+//!   routing failures the resilience gate counts. The oracle is built once per
+//!   network, carried across crashes and heals on two spanning trees rooted at
+//!   a pivot, kept across calls while nothing else moves the overlay, and
+//!   dropped by churn ([`OracleWork`] says which, per epoch). Failed lookups get a bounded diversified-retry budget while the overlay
 //!   is damaged, and a failed digest is never served from the route cache.
 //! * **Percentile stats** — every batch reports p50/p95/p99 hop ladders, its wall
 //!   time and queries/sec. A lookup's [`QueryOutcome`] is the 32 bytes the paper
@@ -93,7 +93,8 @@
 //! * **Telemetry** — the [`EpochReport`] is the engine's one ledger. Its
 //!   [`EpochReport::phases`] holds the nanoseconds the engine's own thread
 //!   recorded for each phase during the epoch (`freeze`, `apply_delta`,
-//!   `invalidate`, `batch_shard` summed over workers, `oracle_build`), one
+//!   `invalidate`, `batch_shard` summed over workers, `oracle_build`,
+//!   `classify`), one
 //!   clock pair per phase and never one per lookup; its other fields hold what
 //!   the epoch did (rows patched, routes flushed, rebuild fallbacks, nodes
 //!   failed and healed, adversaries left). Each phase is timed once: `freeze`

@@ -34,6 +34,7 @@ use faultline_routing::{
 };
 use faultline_sim::seed_for_trial;
 use faultline_telemetry::{Phase, PhaseNanos, ShardCounters, Telemetry};
+use faultline_theory::ConnectivityOracle;
 use rand::rngs::{SmallRng, StdRng};
 use rand::SeedableRng;
 use std::time::Instant;
@@ -54,10 +55,13 @@ use std::time::Instant;
 /// The routing snapshot persists too. Every call that routes the engine's own
 /// snapshot leaves it behind, stamped with the [`Network::revision`] it describes,
 /// and the next call over a network with that revision routes it instead of
-/// freezing again. Any mutation of the overlay draws a new revision, so a moved or
-/// different network is frozen afresh. The stamp guards only the snapshot: a
-/// mutation made outside the engine still needs
-/// [`QueryEngine::invalidate_delta`] or [`QueryEngine::flush_caches`] for the cache.
+/// freezing again. A failure-configured run's connectivity oracle is kept the same
+/// way, so the next call carries it across its failure events instead of
+/// building one. Any mutation of the overlay draws a new revision, so a moved or
+/// different network is frozen, and its oracle built, afresh. The stamp guards
+/// only the snapshot and the oracle: a mutation made outside the engine still
+/// needs [`QueryEngine::invalidate_delta`] or [`QueryEngine::flush_caches`] for
+/// the cache.
 #[derive(Debug)]
 pub struct QueryEngine {
     config: EngineConfig,
@@ -77,8 +81,35 @@ pub struct QueryEngine {
     /// Working buffers of a batch, kept from one batch to the next so their pages
     /// stay mapped.
     scratch: BatchScratch,
-    /// The snapshot the last call left, with the [`Network::revision`] it describes.
-    snapshot: Option<(u64, FrozenView)>,
+    /// The snapshot the last call left.
+    pub(crate) kept_snapshot: Kept<FrozenView>,
+    /// The connectivity oracle the last failure-configured call left.
+    pub(crate) kept_oracle: Kept<ConnectivityOracle>,
+}
+
+/// A value one call leaves for the next, stamped with the [`Network::revision`]
+/// it describes.
+#[derive(Debug)]
+pub(crate) struct Kept<T>(Option<(u64, T)>);
+
+impl<T> Default for Kept<T> {
+    fn default() -> Self {
+        Self(None)
+    }
+}
+
+impl<T> Kept<T> {
+    /// Takes the kept value if its stamp says it still describes `network`, and
+    /// drops it otherwise, so whatever replaces it never has two alive.
+    pub(crate) fn take(&mut self, network: &Network) -> Option<T> {
+        let (revision, value) = self.0.take()?;
+        (revision == network.revision()).then_some(value)
+    }
+
+    /// Keeps `value`, which describes `network` as it stands, for the next call.
+    pub(crate) fn keep(&mut self, network: &Network, value: T) {
+        self.0 = Some((network.revision(), value));
+    }
 }
 
 /// See [`QueryEngine::run_batch_with_snapshot`]: the shard key and the `(source
@@ -139,7 +170,8 @@ impl QueryEngine {
             telemetry: Telemetry::default(),
             kernel: KernelIsa::detect(),
             scratch: BatchScratch::default(),
-            snapshot: None,
+            kept_snapshot: Kept::default(),
+            kept_oracle: Kept::default(),
         }
     }
 
@@ -233,18 +265,6 @@ impl QueryEngine {
         (view, nanos)
     }
 
-    /// Takes the kept snapshot if its stamp says it still describes `network`,
-    /// and drops it otherwise, so a freeze that follows never has two alive.
-    pub(crate) fn take_snapshot(&mut self, network: &Network) -> Option<FrozenView> {
-        let (revision, view) = self.snapshot.take()?;
-        (revision == network.revision()).then_some(view)
-    }
-
-    /// Keeps `view`, which describes `network` as it stands, for the next call.
-    pub(crate) fn keep_snapshot(&mut self, network: &Network, view: FrozenView) {
-        self.snapshot = Some((network.revision(), view));
-    }
-
     /// Resolves the configured adversary membership against `network` (once; later
     /// calls return the already-resolved set) and returns it. Honest engines return
     /// `None`. Fraction memberships sample the *currently alive* nodes with an RNG
@@ -335,7 +355,7 @@ impl QueryEngine {
         let snapshot = match snapshot {
             Some(snapshot) => snapshot,
             None => {
-                let view = match self.take_snapshot(network) {
+                let view = match self.kept_snapshot.take(network) {
                     Some(view) => view,
                     None => self.freeze(network).0,
                 };
@@ -516,7 +536,7 @@ impl QueryEngine {
         let report =
             BatchReport::with_mode(outcomes, extras, wall, self.threads(), byzantine.is_some());
         if let Some(view) = kept {
-            self.keep_snapshot(network, view);
+            self.kept_snapshot.keep(network, view);
         }
         report
     }

@@ -341,11 +341,19 @@ fn kept_oracles_classify_like_a_fresh_one_every_epoch() {
                 assert_eq!(epoch.joins + epoch.leaves, churn, "{at}");
             }
             // With churn every epoch moves the graph, the quiet ones included, so
-            // each builds. Without it the region builds, the heal carries that
-            // oracle across every node the region downed, and the quiet epochs
-            // keep what they inherit.
+            // each builds. Without it the first region builds, every later one
+            // carries that oracle across the nodes it crashed, the heal carries it
+            // across every node the region downed, and the quiet epochs keep what
+            // they inherit.
             let expected: Vec<Option<OracleWork>> = (report.epochs().iter())
                 .map(|e| match (churn, e.epoch % events.len()) {
+                    (0, 0) if e.epoch > 0 => OracleWork::Crashed {
+                        nodes: e.failure.map_or(0, |f| f.failed_nodes),
+                        detached: match e.oracle {
+                            Some(OracleWork::Crashed { detached, .. }) => detached,
+                            _ => 0,
+                        },
+                    },
                     (0, 1 | 3) => OracleWork::Kept,
                     (0, 2) => OracleWork::Revived {
                         nodes: report.epochs()[e.epoch - 2]
@@ -360,6 +368,101 @@ fn kept_oracles_classify_like_a_fresh_one_every_epoch() {
             assert_eq!(made, expected, "churn {churn}, {threads} threads");
         }
     }
+}
+
+/// Runs one call of a region-then-heal schedule on `net`, and returns its
+/// report with, per epoch, the split an oracle built afresh in the workload
+/// callback gives.
+fn run_against_fresh(
+    engine: &mut QueryEngine,
+    net: &mut Network,
+    seed: u64,
+) -> (InterleavedReport, Vec<SurvivabilitySplit>) {
+    let mut fresh: Vec<(QueryBatch, ConnectivityOracle)> = Vec::new();
+    let report = engine.run_interleaved_with(
+        net,
+        2,
+        1_500,
+        ChurnMix::balanced(0),
+        seed,
+        &mut |network, context| {
+            let batch = QueryBatch::uniform(network, context.queries, context.seed);
+            let graph = network.graph();
+            let oracle = ConnectivityOracle::build(
+                network.len() as u32,
+                |p| graph.is_alive(u64::from(p)),
+                |p| graph.usable_neighbors(u64::from(p)).map(|q| q as u32),
+            );
+            fresh.push((batch.clone(), oracle));
+            batch
+        },
+    );
+    let splits = (report.epochs().iter().zip(&fresh))
+        .map(|(epoch, (batch, oracle))| {
+            let mut split = SurvivabilitySplit::default();
+            for (&(source, target), outcome) in batch.pairs().iter().zip(epoch.batch.outcomes()) {
+                split.retries_spent += u64::from(outcome.attempts.saturating_sub(1));
+                if oracle.survivable(source as u32, target as u32) {
+                    split.predicted_survivable += 1;
+                    split.survivable_delivered += usize::from(outcome.delivered);
+                    split.survivable_dropped += usize::from(!outcome.delivered);
+                } else {
+                    split.unsurvivable += 1;
+                }
+            }
+            split
+        })
+        .collect();
+    (report, splits)
+}
+
+/// The engine keeps its oracle across calls while nothing moves the overlay,
+/// so a second call carries it across its first region; a join between calls
+/// moves the overlay, and the next failure epoch builds.
+#[test]
+fn oracles_outlive_calls_until_the_overlay_moves() {
+    let mut net = backtrack_network(512, 11);
+    let mut rng = StdRng::seed_from_u64(5);
+    net.leave(300, &mut rng).expect("node 300 is present");
+    let schedule =
+        FailureSchedule::from_events(vec![FailureEvent::Region { width: 24 }, FailureEvent::Heal]);
+    let mut engine = QueryEngine::new(EngineConfig::default().threads(2).failures(schedule));
+    let oracles = |report: &InterleavedReport| -> Vec<Option<OracleWork>> {
+        report.epochs().iter().map(|e| e.oracle).collect()
+    };
+    let splits = |report: &InterleavedReport| -> Vec<SurvivabilitySplit> {
+        report
+            .epochs()
+            .iter()
+            .filter_map(|e| e.survivability)
+            .collect()
+    };
+
+    let (first, fresh) = run_against_fresh(&mut engine, &mut net, 99);
+    assert_eq!(first.epochs()[0].oracle, Some(OracleWork::Built));
+    assert_eq!(splits(&first), fresh);
+
+    let (second, fresh) = run_against_fresh(&mut engine, &mut net, 100);
+    let crashed = second.epochs()[0].failure.map_or(0, |f| f.failed_nodes);
+    assert_eq!(crashed, 24);
+    assert!(
+        matches!(
+            oracles(&second)[0],
+            Some(OracleWork::Crashed { nodes, .. }) if nodes == crashed
+        ),
+        "{:?}",
+        oracles(&second)
+    );
+    assert!(matches!(
+        oracles(&second)[1],
+        Some(OracleWork::Revived { .. })
+    ));
+    assert_eq!(splits(&second), fresh);
+
+    net.join(300, &mut rng).expect("position 300 is free");
+    let (third, fresh) = run_against_fresh(&mut engine, &mut net, 101);
+    assert_eq!(third.epochs()[0].oracle, Some(OracleWork::Built));
+    assert_eq!(splits(&third), fresh);
 }
 
 /// What the grouped-walk test compares per lookup: `delivered`, `hops`,

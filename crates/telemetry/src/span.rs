@@ -1,7 +1,7 @@
 //! Named engine phases and per-phase nanosecond totals.
 
 /// Number of named phases (the length of [`Phase::ALL`]).
-const NUM_PHASES: usize = 5;
+const NUM_PHASES: usize = 6;
 
 /// The engine's timed phases. Each owns one running nanosecond total in
 /// [`crate::Telemetry`], which every span of the phase adds to.
@@ -16,10 +16,13 @@ pub enum Phase {
     /// One worker serving the lookups of its run of shards in a batch (one
     /// reading per worker).
     BatchShard,
-    /// Building the connectivity oracle a failure-configured epoch classifies
-    /// its lookups against, or carrying it across a heal (no time on an epoch
-    /// that keeps the last one).
+    /// Bringing the connectivity oracle a failure-configured epoch classifies
+    /// its lookups against up to date: building it, or carrying it across the
+    /// epoch's crashes or heal (no time on an epoch that keeps the last one).
     OracleBuild,
+    /// Classifying a failure-configured epoch's lookups against the oracle
+    /// (one reading per epoch).
+    Classify,
 }
 
 impl Phase {
@@ -30,6 +33,7 @@ impl Phase {
         Phase::Invalidate,
         Phase::BatchShard,
         Phase::OracleBuild,
+        Phase::Classify,
     ];
 
     /// Stable snake_case name (the label in printed breakdowns and the step
@@ -42,6 +46,7 @@ impl Phase {
             Phase::Invalidate => "invalidate",
             Phase::BatchShard => "batch_shard",
             Phase::OracleBuild => "oracle_build",
+            Phase::Classify => "classify",
         }
     }
 
@@ -126,6 +131,6 @@ mod tests {
         assert_eq!(delta.get(Phase::Freeze), 0);
         assert_eq!(delta.get(Phase::OracleBuild), 60);
         assert_eq!(a.saturating_sub(&b), PhaseNanos::default());
-        assert_eq!(b.total(), (1 + 2 + 3 + 4) * 25);
+        assert_eq!(b.total(), (1 + 2 + 3 + 4 + 5) * 25);
     }
 }

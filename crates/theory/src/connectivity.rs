@@ -6,7 +6,7 @@
 //! (the failure disconnected source from target) and queries the router dropped
 //! despite an existing path. Separating them needs exact connectivity structure
 //! over the post-failure usable-neighbour graph — the same adjacency the stretch
-//! oracle walks — computed once per state of that graph and queried per pair.
+//! oracle walks — kept up to date with that graph and queried per pair.
 //!
 //! [`ConnectivityOracle`] answers **directed survivability**: strongly connected
 //! components plus a breadth-first walk over the condensation DAG answer
@@ -14,43 +14,79 @@
 //! usable links exist? This is the gate's denominator: a router that drops a
 //! survivable pair failed; a pair the graph itself severed never counts.
 //!
-//! One SCC search serves both constructors: Pearce's one-array variant of
-//! Tarjan's ("A space-efficient algorithm for finding strongly connected
-//! components", IPL 2016), iterative, which keeps one word per vertex where
-//! Tarjan keeps an index, a lowlink, an on-stack bit and a component id, and
-//! collects the condensation edges as it meets them. It numbers components in
-//! the order they close, as Tarjan does.
+//! An oracle is built once and then carried as nodes go down and come back:
 //! - [`ConnectivityOracle::build`] reads each live node's out-row once, in
-//!   ascending node order, into a flat CSR with `u32` offsets, then searches it.
-//! - [`ConnectivityOracle::revive`] carries an oracle across a heal: reviving
-//!   nodes only adds vertices and edges, and adding edges never splits a
-//!   component, so the search runs on the old condensation plus the revived
-//!   nodes and their edges — a graph the size of the damage, not of the overlay
-//!   — and one O(n) remap relabels every node.
+//!   ascending node order, into a flat CSR with `u32` offsets, and searches it
+//!   with Pearce's one-array variant of Tarjan's SCC ("A space-efficient
+//!   algorithm for finding strongly connected components", IPL 2016),
+//!   iterative, which keeps one word per vertex where Tarjan keeps an index, a
+//!   lowlink, an on-stack bit and a component id, and collects the condensation
+//!   edges as it meets them. It then picks a pivot in the largest component and
+//!   grows two breadth-first trees over that component from the same CSR: one
+//!   along which the pivot reaches every member, one along which every member
+//!   reaches the pivot.
+//! - [`ConnectivityOracle::crash`] carries it across nodes going down. Only the
+//!   victims' descendants in the two trees lose their path to or from the
+//!   pivot, and each searches its own row for a neighbour still on the tree —
+//!   the local tree repair of self-stabilising connectivity algorithms — so
+//!   the work is the size of what the crash detaches, not of the graph.
+//! - [`ConnectivityOracle::revive`] carries it across nodes coming back: the
+//!   revived nodes and the live nodes outside the pivot's component search the
+//!   same way.
+//!
+//! A node on both trees is in the pivot's component. The live nodes left
+//! outside it go through the same SCC search, on a graph where the pivot's
+//! whole component is one vertex, so a carried oracle answers exactly what a
+//! fresh build would, for any damage.
 //!
 //! Like the BFS oracle, everything is adjacency-generic: callers supply an
-//! aliveness predicate and an out-neighbour closure, so the same code audits the
-//! live overlay graph, a frozen CSR snapshot, or a synthetic test graph.
+//! aliveness predicate and neighbour closures, so the same code audits the live
+//! overlay graph, a frozen CSR snapshot, or a synthetic test graph.
 //! Out-of-range neighbours are ignored; edges from or to dead nodes do not
 //! exist; dead endpoints are never survivable.
+
+use std::cmp::Ordering;
 
 /// Label reported for nodes outside every component (dead or out of range).
 const NO_COMPONENT: u32 = u32::MAX;
 
+/// The id of the pivot's component.
+const PIVOT_COMPONENT: u32 = 0;
+
+/// A [`Tree`] parent word: the node is off the tree.
+const OFF: u32 = u32::MAX;
+
+/// A [`Tree`] parent word: a carry is searching for the node's way back onto
+/// the tree.
+const SEARCHING: u32 = u32::MAX - 1;
+
 /// Exact connectivity structure of a (possibly failure-damaged) overlay graph.
 ///
-/// Build once per graph state with [`ConnectivityOracle::build`] (or carry one
-/// across a heal with [`ConnectivityOracle::revive`]); survivability queries are
-/// then cheap: same-component pairs answer in O(1), cross-component pairs walk
-/// the (small) condensation DAG.
+/// Build once with [`ConnectivityOracle::build`], then carry it across crashes
+/// with [`ConnectivityOracle::crash`] and across heals with
+/// [`ConnectivityOracle::revive`]; survivability queries are cheap: same-component
+/// pairs answer in O(1), cross-component pairs walk the (small) condensation DAG.
 #[derive(Debug, Clone)]
 pub struct ConnectivityOracle {
     n: u32,
-    /// SCC id per node; [`NO_COMPONENT`] marks a dead node.
+    /// SCC id per node; [`NO_COMPONENT`] marks a dead node, and the pivot's
+    /// component is [`PIVOT_COMPONENT`].
     scc: Vec<u32>,
     scc_count: u32,
     /// Deduplicated out-edges between distinct SCC ids (the condensation DAG).
     condensation: Vec<Vec<u32>>,
+    /// The live node both trees are rooted at (`None` while no node lives).
+    pivot: Option<u32>,
+    /// Spans the pivot's component: a member's parent is its predecessor on a
+    /// path from the pivot.
+    from_pivot: Tree,
+    /// Spans the pivot's component: a member's parent is its successor on a
+    /// path to the pivot.
+    to_pivot: Tree,
+    /// The live nodes outside the pivot's component, ascending.
+    outside: Vec<u32>,
+    /// See [`ConnectivityOracle::detached`].
+    detached: Option<usize>,
 }
 
 impl ConnectivityOracle {
@@ -61,10 +97,11 @@ impl ConnectivityOracle {
     /// live-link targets, dead ones included or not). Edges whose source or
     /// target is dead, out of range, or a self-loop are discarded.
     ///
-    /// The alive table, the adjacency as one CSR, then the one-array SCC search
-    /// — O(n + edges). `neighbors` is called once per live node, in ascending
-    /// order, so a caller whose rows sit in scattered memory can prefetch the
-    /// rows it will be asked for next.
+    /// The alive table, the adjacency as one CSR, the one-array SCC search, then
+    /// the two pivot trees — O(n + edges), plus one more pass over the rows not
+    /// yet on the tree to the pivot per level of that tree. `neighbors` is called
+    /// once per live node, in ascending order, so a caller whose rows sit in
+    /// scattered memory can prefetch the rows it will be asked for next.
     ///
     /// # Panics
     ///
@@ -91,39 +128,184 @@ impl ConnectivityOracle {
             }
             offsets.push(edge_offset(targets.len()));
         }
-        let components = scc(&Csr { offsets, targets }, |v| alive[v]);
+        let adj = Csr { offsets, targets };
+        let components = scc(&adj, |v| alive[v]);
+        Self::grow(n, &adj, components)
+    }
+
+    /// The oracle of `components`, the SCCs of `adj`: the largest becomes the
+    /// pivot's component, and both trees grow over it breadth first.
+    fn grow(n: u32, adj: &Csr, components: Components) -> Self {
+        let mut size = vec![0u32; components.count as usize];
+        for &c in components.of.iter().filter(|&&c| c != NO_COMPONENT) {
+            size[c as usize] += 1;
+        }
+        let lead = (0..components.count).max_by_key(|&c| size[c as usize]);
+        let Components {
+            of: scc,
+            count,
+            condensation,
+        } = match lead {
+            Some(lead) => components.led_by(lead),
+            None => components,
+        };
+        let pivot = scc
+            .iter()
+            .position(|&c| c == PIVOT_COMPONENT)
+            .map(|p| p as u32);
+        let mut from_pivot = Tree::new(n);
+        let mut to_pivot = Tree::new(n);
+        if let Some(pivot) = pivot {
+            from_pivot.parent[pivot as usize] = pivot;
+            to_pivot.parent[pivot as usize] = pivot;
+            // Out from the pivot; the queue ends up holding every member.
+            let mut members = vec![pivot];
+            let mut head = 0;
+            while let Some(&v) = members.get(head) {
+                head += 1;
+                for &w in adj.row(v) {
+                    if scc[w as usize] == PIVOT_COMPONENT && !from_pivot.holds(w) {
+                        from_pivot.attach(w, v);
+                        members.push(w);
+                    }
+                }
+            }
+            // In to the pivot, a level per pass over the rows still off the
+            // tree (in node order, so that each pass streams the CSR): a member
+            // joins through an out-edge to a member of an earlier level, which
+            // needs no reverse adjacency.
+            let mut left = members.split_off(1);
+            left.sort_unstable();
+            loop {
+                let mut level = Vec::new();
+                left.retain(|&v| match adj.row(v).iter().find(|&&w| to_pivot.holds(w)) {
+                    Some(&w) => {
+                        level.push((v, w));
+                        false
+                    }
+                    None => true,
+                });
+                if level.is_empty() {
+                    break;
+                }
+                for (v, w) in level {
+                    to_pivot.attach(v, w);
+                }
+            }
+            debug_assert!(left.is_empty(), "every member reaches the pivot");
+        }
+        let outside = (0..n)
+            .filter(|&v| !matches!(scc[v as usize], NO_COMPONENT | PIVOT_COMPONENT))
+            .collect();
         Self {
             n,
-            scc: components.of,
-            scc_count: components.count,
-            condensation: components.condensation,
+            scc,
+            scc_count: count,
+            condensation,
+            pivot,
+            from_pivot,
+            to_pivot,
+            outside,
+            detached: None,
         }
+    }
+
+    /// The oracle of this oracle's graph after the live nodes `victims` go
+    /// down, exact without revisiting the rest of the graph.
+    ///
+    /// `alive(p)`, `out_neighbors(p)` and `in_neighbors(p)` describe the graph
+    /// *after* the crash: a node's usable out-row, and the sources of the usable
+    /// links into it. The graph must differ from this oracle's only by the
+    /// victims and the edges incident to them — what a crash does. Ids that are
+    /// out of range, already dead here, alive after, or repeated are ignored,
+    /// so an empty crash returns an equal oracle. Neighbours are filtered like
+    /// [`ConnectivityOracle::build`]'s.
+    ///
+    /// The victims' descendants in the two pivot trees detach. Each searches
+    /// its own row for a neighbour still on the tree — `in_neighbors` for the
+    /// tree from the pivot, `out_neighbors` for the one to it — and a detached
+    /// node that finds one lets the detached nodes waiting on it follow. The
+    /// nodes left off either tree leave the pivot's component, and the
+    /// components outside it are found by the SCC search with that component
+    /// contracted to one vertex. O(detached · ℓ) while the pivot's component
+    /// holds almost every node; a crash of the pivot itself falls back to
+    /// [`ConnectivityOracle::build`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has `2^32` edges or more.
+    #[must_use]
+    pub fn crash<V, A, O, OI, N, NI>(
+        mut self,
+        victims: V,
+        alive: A,
+        out_neighbors: O,
+        in_neighbors: N,
+    ) -> Self
+    where
+        V: IntoIterator<Item = u32>,
+        A: Fn(u32) -> bool,
+        O: Fn(u32) -> OI,
+        OI: IntoIterator<Item = u32>,
+        N: Fn(u32) -> NI,
+        NI: IntoIterator<Item = u32>,
+    {
+        let mut dead = Vec::new();
+        for x in victims {
+            if let Some(slot) = self.scc.get_mut(x as usize) {
+                if *slot != NO_COMPONENT && !alive(x) {
+                    *slot = NO_COMPONENT;
+                    dead.push(x);
+                }
+            }
+        }
+        if dead.is_empty() {
+            self.detached = Some(0);
+            return self;
+        }
+        if self
+            .pivot
+            .is_some_and(|p| self.scc[p as usize] == NO_COMPONENT)
+        {
+            return Self::build(self.n, alive, out_neighbors);
+        }
+        self.outside
+            .retain(|&v| self.scc[v as usize] != NO_COMPONENT);
+        let from_pivot = self.from_pivot.detach_below(&dead);
+        let to_pivot = self.to_pivot.detach_below(&dead);
+        let twice = to_pivot
+            .iter()
+            .filter(|&&v| self.from_pivot.parent[v as usize] == SEARCHING)
+            .count();
+        self.detached = Some(from_pivot.len() + to_pivot.len() - twice);
+        let lost_from = self.from_pivot.search(&from_pivot, &in_neighbors);
+        let lost_to = self.to_pivot.search(&to_pivot, &out_neighbors);
+        self.settle(lost_from, lost_to, out_neighbors, in_neighbors)
     }
 
     /// The oracle of this oracle's graph after the dead nodes `revived` come
     /// back, exact without revisiting the rest of the graph.
     ///
     /// `alive(p)`, `out_neighbors(p)` and `in_neighbors(p)` describe the graph
-    /// *after* the revival: a revived node's usable out-row, and the sources of
-    /// the usable links into it. The graph must differ from this oracle's only
-    /// by the revived nodes and edges incident to them — what a heal does. Ids
+    /// *after* the revival: a node's usable out-row, and the sources of the
+    /// usable links into it. The graph must differ from this oracle's only by
+    /// the revived nodes and edges incident to them — what a heal does. Ids
     /// that are out of range, already alive here, not alive after, or repeated
     /// are ignored, so an empty revival returns an equal oracle. Neighbours are
     /// filtered like [`ConnectivityOracle::build`]'s.
     ///
-    /// Every old component stays strongly connected, so each becomes one vertex
-    /// of a contracted graph and each revived node another; its edges are the
-    /// old condensation plus the revived nodes' edges. `build`'s SCC search on
-    /// that graph, then a remap, give every node its new component — O(n) for
-    /// the remap, plus the size of the condensation and the revived nodes'
-    /// edges.
+    /// Adding nodes and edges never takes a node out of the pivot's component,
+    /// so only the revived nodes and those outside the component search for a
+    /// way onto the two trees, as they do after a
+    /// [`crash`](ConnectivityOracle::crash), and those left off either tree go
+    /// through the same contracted SCC search. O((revived + outside) · ℓ).
     ///
     /// # Panics
     ///
-    /// Panics if the contracted graph has `2^32` edges or more.
+    /// Panics if the graph has `2^32` edges or more.
     #[must_use]
     pub fn revive<R, A, O, OI, N, NI>(
-        &self,
+        mut self,
         revived: R,
         alive: A,
         out_neighbors: O,
@@ -137,61 +319,107 @@ impl ConnectivityOracle {
         N: Fn(u32) -> NI,
         NI: IntoIterator<Item = u32>,
     {
-        // Contracted-graph vertex per node: its old component, or a fresh id
-        // after them for a revived node.
-        let mut vertex = self.scc.clone();
-        let mut fresh: Vec<u32> = Vec::new();
+        let mut searching = Vec::new();
         for r in revived {
-            if let Some(slot) = vertex.get_mut(r as usize) {
+            if let Some(slot) = self.scc.get_mut(r as usize) {
                 if *slot == NO_COMPONENT && alive(r) {
-                    *slot = self.scc_count + fresh.len() as u32;
-                    fresh.push(r);
+                    *slot = PIVOT_COMPONENT;
+                    searching.push(r);
                 }
             }
         }
-        if fresh.is_empty() {
-            return self.clone();
+        if searching.is_empty() {
+            self.detached = Some(0);
+            return self;
         }
-        let vertex_of = |p: u32| {
-            vertex
-                .get(p as usize)
-                .copied()
-                .filter(|&v| v != NO_COMPONENT)
+        if self.pivot.is_none() {
+            return Self::build(self.n, alive, out_neighbors);
+        }
+        searching.append(&mut self.outside);
+        for &v in &searching {
+            self.scc[v as usize] = PIVOT_COMPONENT;
+            self.from_pivot.parent[v as usize] = SEARCHING;
+            self.to_pivot.parent[v as usize] = SEARCHING;
+        }
+        self.detached = Some(searching.len());
+        let lost_from = self.from_pivot.search(&searching, &in_neighbors);
+        let lost_to = self.to_pivot.search(&searching, &out_neighbors);
+        self.settle(lost_from, lost_to, out_neighbors, in_neighbors)
+    }
+
+    /// Ends a carry once both trees have searched. A node one tree lost is
+    /// outside the pivot's component, so it leaves the other tree too (and
+    /// whatever hangs below it there was lost as well). Then the components of
+    /// the live nodes outside are found by [`scc`] on a graph whose vertex 0 is
+    /// the pivot's whole component and whose vertex `i + 1` is the `i`-th
+    /// outside node.
+    fn settle<O, OI, N, NI>(
+        mut self,
+        lost_from: Vec<u32>,
+        lost_to: Vec<u32>,
+        out_neighbors: O,
+        in_neighbors: N,
+    ) -> Self
+    where
+        O: Fn(u32) -> OI,
+        OI: IntoIterator<Item = u32>,
+        N: Fn(u32) -> NI,
+        NI: IntoIterator<Item = u32>,
+    {
+        for &v in &lost_from {
+            self.to_pivot.cut(v);
+        }
+        for &v in &lost_to {
+            self.from_pivot.cut(v);
+        }
+        self.outside.extend(lost_from.into_iter().chain(lost_to));
+        self.outside.sort_unstable();
+        self.outside.dedup();
+
+        let (component, outside) = (&self.from_pivot, &self.outside);
+        let vertex = |p: u32| {
+            if component.holds(p) {
+                Some(0)
+            } else {
+                outside.binary_search(&p).ok().map(|i| i as u32 + 1)
+            }
         };
-
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        for (from, row) in self.condensation.iter().enumerate() {
-            edges.extend(row.iter().map(|&to| (from as u32, to)));
-        }
-        for (i, &r) in fresh.iter().enumerate() {
-            let own = self.scc_count + i as u32;
-            edges.extend(
-                out_neighbors(r)
+        let mut offsets = Vec::with_capacity(outside.len() + 2);
+        let mut targets: Vec<u32> = (1..)
+            .zip(outside)
+            .filter(|&(_, &p)| in_neighbors(p).into_iter().any(|s| component.holds(s)))
+            .map(|(i, _)| i)
+            .collect();
+        offsets.extend([0, edge_offset(targets.len())]);
+        for (own, &p) in (1..).zip(outside) {
+            targets.extend(
+                out_neighbors(p)
                     .into_iter()
-                    .filter_map(vertex_of)
-                    .filter(|&to| to != own)
-                    .map(|to| (own, to)),
+                    .filter_map(vertex)
+                    .filter(|&v| v != own),
             );
-            edges.extend(
-                in_neighbors(r)
-                    .into_iter()
-                    .filter_map(vertex_of)
-                    .filter(|&from| from != own)
-                    .map(|from| (from, own)),
-            );
+            offsets.push(edge_offset(targets.len()));
         }
-        let vertices = self.scc_count as usize + fresh.len();
-        let components = scc(&Csr::from_edges(vertices, &edges), |_| true);
+        let components = scc(&Csr { offsets, targets }, |_| true);
+        let lead = components.of[0];
+        let components = components.led_by(lead);
+        for (&p, &c) in self.outside.iter().zip(&components.of[1..]) {
+            self.scc[p as usize] = c;
+        }
+        self.scc_count = components.count;
+        self.condensation = components.condensation;
+        self
+    }
 
-        for slot in vertex.iter_mut().filter(|slot| **slot != NO_COMPONENT) {
-            *slot = components.of[*slot as usize];
-        }
-        Self {
-            n: self.n,
-            scc: vertex,
-            scc_count: components.count,
-            condensation: components.condensation,
-        }
+    /// How many live nodes the carry that made this oracle searched a tree
+    /// path for: those a [`crash`](ConnectivityOracle::crash) cut off from
+    /// either tree, or on a [`revive`](ConnectivityOracle::revive) the revived
+    /// nodes and those that were outside the pivot's component. `None` when the
+    /// oracle was built over the whole graph, by
+    /// [`build`](ConnectivityOracle::build) or by a crash that took the pivot.
+    #[must_use]
+    pub fn detached(&self) -> Option<usize> {
+        self.detached
     }
 
     /// Number of nodes the oracle was built over.
@@ -262,6 +490,140 @@ impl ConnectivityOracle {
     }
 }
 
+/// A tree over the pivot's component, rooted at the pivot: a parent word per
+/// node, and each node's children in an intrusive list, so that a carry can
+/// cut a node out and walk everything that hung below it.
+#[derive(Debug, Clone)]
+struct Tree {
+    /// Per node: its tree neighbour towards the pivot (the pivot's own id for
+    /// the pivot), [`OFF`], or [`SEARCHING`] during a carry.
+    parent: Vec<u32>,
+    /// Per node: the first of its children, [`OFF`] for none.
+    first_child: Vec<u32>,
+    /// Per node: the next child of its parent, [`OFF`] after the last.
+    next_sibling: Vec<u32>,
+}
+
+impl Tree {
+    /// A tree of `n` nodes with every node off it.
+    fn new(n: u32) -> Self {
+        Self {
+            parent: vec![OFF; n as usize],
+            first_child: vec![OFF; n as usize],
+            next_sibling: vec![OFF; n as usize],
+        }
+    }
+
+    /// Whether `v` is on the tree (an out-of-range id is not).
+    fn holds(&self, v: u32) -> bool {
+        self.parent.get(v as usize).is_some_and(|&p| p < SEARCHING)
+    }
+
+    /// Hangs `v` below `parent`, which is on the tree.
+    fn attach(&mut self, v: u32, parent: u32) {
+        self.parent[v as usize] = parent;
+        self.next_sibling[v as usize] = self.first_child[parent as usize];
+        self.first_child[parent as usize] = v;
+    }
+
+    /// Takes `v` off the tree and out of its parent's list of children (a
+    /// no-op for a node off the tree). Its own children stay listed under it.
+    fn cut(&mut self, v: u32) {
+        let parent = self.parent[v as usize];
+        if parent >= SEARCHING {
+            return;
+        }
+        self.parent[v as usize] = OFF;
+        let next = self.next_sibling[v as usize];
+        if self.first_child[parent as usize] == v {
+            self.first_child[parent as usize] = next;
+            return;
+        }
+        let mut at = self.first_child[parent as usize];
+        while at != OFF {
+            if self.next_sibling[at as usize] == v {
+                self.next_sibling[at as usize] = next;
+                return;
+            }
+            at = self.next_sibling[at as usize];
+        }
+    }
+
+    /// Cuts the `victims` that are on the tree off it, marks every node that
+    /// hung below one [`SEARCHING`], and returns those nodes.
+    fn detach_below(&mut self, victims: &[u32]) -> Vec<u32> {
+        let mut stack: Vec<u32> = victims.iter().copied().filter(|&x| self.holds(x)).collect();
+        for &x in &stack {
+            self.cut(x);
+        }
+        let mut below = Vec::new();
+        while let Some(x) = stack.pop() {
+            let mut child = std::mem::replace(&mut self.first_child[x as usize], OFF);
+            while child != OFF {
+                self.parent[child as usize] = SEARCHING;
+                below.push(child);
+                stack.push(child);
+                child = self.next_sibling[child as usize];
+            }
+        }
+        below
+    }
+
+    /// Brings back onto the tree each node of `searching` (all marked
+    /// [`SEARCHING`]) that the tree still reaches, and returns the others, now
+    /// off it. `row(v)` lists the nodes that can be `v`'s parent: its
+    /// in-neighbours on a tree from the pivot, its out-neighbours on one to the
+    /// pivot.
+    ///
+    /// A node reads its row only up to the first neighbour on the tree. One that
+    /// finds none notes the searching neighbours in its row, and joins behind
+    /// the first of them that joins.
+    fn search<I>(&mut self, searching: &[u32], row: impl Fn(u32) -> I) -> Vec<u32>
+    where
+        I: IntoIterator<Item = u32>,
+    {
+        let mut joined = Vec::new();
+        // (searching neighbour, node waiting to join behind it)
+        let mut waiting: Vec<(u32, u32)> = Vec::new();
+        for &v in searching {
+            let noted = waiting.len();
+            for w in row(v) {
+                match self.parent.get(w as usize) {
+                    Some(&SEARCHING) => waiting.push((w, v)),
+                    Some(&p) if p != OFF => {
+                        waiting.truncate(noted);
+                        self.attach(v, w);
+                        joined.push(v);
+                        break;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        waiting.sort_unstable();
+        while let Some(w) = joined.pop() {
+            let first = waiting.partition_point(|&(x, _)| x < w);
+            for &(x, v) in &waiting[first..] {
+                if x != w {
+                    break;
+                }
+                if self.parent[v as usize] == SEARCHING {
+                    self.attach(v, w);
+                    joined.push(v);
+                }
+            }
+        }
+        let mut lost = Vec::new();
+        for &v in searching {
+            if self.parent[v as usize] == SEARCHING {
+                self.parent[v as usize] = OFF;
+                lost.push(v);
+            }
+        }
+        lost
+    }
+}
+
 /// A flat adjacency: the out-neighbours of `v` are
 /// `targets[offsets[v]..offsets[v + 1]]`, in the order they were supplied.
 #[derive(Debug, Clone)]
@@ -271,27 +633,12 @@ struct Csr {
 }
 
 impl Csr {
-    /// The CSR of `edges` over `vertices` vertices, each row in edge order.
-    fn from_edges(vertices: usize, edges: &[(u32, u32)]) -> Self {
-        let total = edge_offset(edges.len());
-        let mut offsets = vec![0u32; vertices + 1];
-        for &(from, _) in edges {
-            offsets[from as usize + 1] += 1;
-        }
-        for v in 0..vertices {
-            offsets[v + 1] += offsets[v];
-        }
-        let mut fill = offsets.clone();
-        let mut targets = vec![0u32; total as usize];
-        for &(from, to) in edges {
-            targets[fill[from as usize] as usize] = to;
-            fill[from as usize] += 1;
-        }
-        Self { offsets, targets }
-    }
-
     fn vertices(&self) -> usize {
         self.offsets.len() - 1
+    }
+
+    fn row(&self, v: u32) -> &[u32] {
+        &self.targets[self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize]
     }
 }
 
@@ -313,6 +660,27 @@ struct Components {
     count: u32,
     /// Deduplicated out-edges between distinct component ids.
     condensation: Vec<Vec<u32>>,
+}
+
+impl Components {
+    /// The same components, numbered so that `lead` is [`PIVOT_COMPONENT`]
+    /// and the ids below it move up one.
+    fn led_by(mut self, lead: u32) -> Self {
+        let id = |c: u32| match c.cmp(&lead) {
+            Ordering::Less => c + 1,
+            Ordering::Equal => PIVOT_COMPONENT,
+            Ordering::Greater => c,
+        };
+        for c in self.of.iter_mut().filter(|c| **c != NO_COMPONENT) {
+            *c = id(*c);
+        }
+        let mut condensation = vec![Vec::new(); self.count as usize];
+        for (c, row) in (0..).zip(self.condensation) {
+            condensation[id(c) as usize] = row.into_iter().map(id).collect();
+        }
+        self.condensation = condensation;
+        self
+    }
 }
 
 /// One vertex on the depth-first path.

@@ -13,7 +13,7 @@
 //!   directed path as long as the graph) or ends in thousands of components.
 //!
 //! Every answer must agree exactly, whether the oracle was built or carried
-//! across a revival.
+//! across crashes and revivals.
 
 use faultline_theory::ConnectivityOracle;
 use proptest::prelude::*;
@@ -161,7 +161,7 @@ proptest! {
         assert_matches_brute_force(&build(&alive, &adj), &alive, &reachability(&alive, &adj))?;
     }
 
-    /// A revival carried across on the contracted graph is the oracle a fresh
+    /// A revival carried across on the pivot trees is the oracle a fresh
     /// build of the healed graph gives, and junk in the revived list (live,
     /// still-dead, out-of-range and repeated ids) changes nothing.
     #[test]
@@ -180,7 +180,7 @@ proptest! {
             .collect();
         let into = |p: u32| sources[p as usize].iter().copied();
 
-        let empty = oracle.revive([], |p| before[p as usize], out_of, into);
+        let empty = oracle.clone().revive([], |p| before[p as usize], out_of, into);
         assert_matches_brute_force(&empty, &before, &reachability(&before, &adj))?;
 
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
@@ -206,6 +206,117 @@ proptest! {
                 prop_assert_eq!(carried.survivable(a, b), fresh.survivable(a, b));
                 let same = |o: &ConnectivityOracle| o.component_of(a) == o.component_of(b);
                 prop_assert_eq!(same(&carried), same(&fresh), "partition at ({}, {})", a, b);
+            }
+        }
+    }
+}
+
+/// A digraph of `n` nodes shaped like a small overlay: each node links to
+/// its ring neighbours (each link kept with probability 0.9) and to about
+/// `chords` random nodes, so arcs of crashed nodes strand the nodes whose
+/// links all ran into them.
+fn chorded_ring(rng: &mut StdRng, n: u32, chords: f64) -> Vec<Vec<u32>> {
+    (0..n)
+        .map(|p| {
+            let mut row: Vec<u32> = [(p + 1) % n, (p + n - 1) % n]
+                .into_iter()
+                .filter(|_| rng.gen_bool(0.9))
+                .collect();
+            for _ in 0..n {
+                if rng.gen_bool(chords / f64::from(n)) {
+                    row.push(rng.gen_range(0..n));
+                }
+            }
+            row
+        })
+        .collect()
+}
+
+/// The nodes of every largest mutual-reachability class: a fresh build's
+/// pivot is one of them.
+fn largest_classes(alive: &[bool], reach: &[Vec<bool>]) -> Vec<u32> {
+    let n = alive.len();
+    let size = |a: usize| (0..n).filter(|&b| reach[a][b] && reach[b][a]).count();
+    let largest = (0..n).filter(|&a| alive[a]).map(size).max().unwrap_or(0);
+    (0..n)
+        .filter(|&a| alive[a] && size(a) == largest)
+        .map(|a| a as u32)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// An oracle carried through a random sequence of crashes and heals
+    /// answers every pair as a fresh build of the same graph does, and as
+    /// brute force does. The first step crashes every largest component, the
+    /// pivot's included; the second crashes an arc right after it, with no heal
+    /// between; each later step crashes an arc or a random set, or revives a
+    /// random share of the dead. Every step's id list carries junk the carry
+    /// must ignore.
+    #[test]
+    fn crashes_and_heals_carry_like_a_fresh_build(
+        seed in any::<u64>(),
+        n in 2u32..=64,
+        chords in 0.5f64..4.0,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let adj = chorded_ring(&mut rng, n, chords);
+        let mut sources: Vec<Vec<u32>> = vec![Vec::new(); n as usize];
+        for (v, row) in (0..).zip(&adj) {
+            for &w in row {
+                sources[w as usize].push(v);
+            }
+        }
+        let out_of = |p: u32| adj[p as usize].iter().copied();
+        let into = |p: u32| sources[p as usize].iter().copied();
+        let mut alive = vec![true; n as usize];
+        let mut oracle = build(&alive, &adj);
+        for step in 0..8 {
+            let reach = reachability(&alive, &adj);
+            let dead: Vec<u32> = (0..n).filter(|&p| !alive[p as usize]).collect();
+            let heal = step > 1 && !dead.is_empty() && rng.gen_bool(0.4);
+            let mut changed: Vec<u32> = if heal {
+                let share = rng.gen_range(0.2..1.0);
+                dead.iter().copied().filter(|_| rng.gen_bool(share)).collect()
+            } else if step == 0 {
+                largest_classes(&alive, &reach)
+            } else if rng.gen_bool(0.7) {
+                let start = rng.gen_range(0..n);
+                let width = rng.gen_range(1..=n.div_ceil(4));
+                (0..width).map(|i| (start + i) % n).collect()
+            } else {
+                (0..n).filter(|_| rng.gen_bool(0.2)).collect()
+            };
+            for &p in &changed {
+                alive[p as usize] = heal;
+            }
+            changed.extend(changed.clone().iter().take(2));
+            changed.extend([n, n + 5, u32::MAX]);
+            changed.extend((0..n).filter(|_| rng.gen_bool(0.15)));
+            changed.sort_by_cached_key(|_| rng.gen::<u32>());
+            let after = |p: u32| alive[p as usize];
+            oracle = if heal {
+                oracle.revive(changed, after, out_of, into)
+            } else {
+                oracle.crash(changed, after, out_of, into)
+            };
+
+            let reach = reachability(&alive, &adj);
+            assert_matches_brute_force(&oracle, &alive, &reach)?;
+            let fresh = build(&alive, &adj);
+            prop_assert_eq!(oracle.component_count(), fresh.component_count(), "step {}", step);
+            for a in 0..n {
+                for b in 0..n {
+                    prop_assert_eq!(
+                        oracle.survivable(a, b),
+                        fresh.survivable(a, b),
+                        "step {}: survivable({}, {})",
+                        step,
+                        a,
+                        b
+                    );
+                }
             }
         }
     }
@@ -320,7 +431,8 @@ fn assert_matches_kosaraju(
 
 /// Holds the oracle of `adj` under the dead set `alive` to Kosaraju, then
 /// revives every dead node and holds the carried oracle, and a fresh build of the
-/// healed graph, to Kosaraju too.
+/// healed graph, to Kosaraju too; last, carries that fresh build across the
+/// crash of the same dead set and holds it to Kosaraju on the damaged graph.
 fn check_at_scale(alive: &[bool], adj: &[Vec<u32>], what: &str) {
     let damaged = build(alive, adj);
     assert_matches_kosaraju(&damaged, alive, adj, what);
@@ -347,6 +459,14 @@ fn check_at_scale(alive: &[bool], adj: &[Vec<u32>], what: &str) {
     );
     assert_matches_kosaraju(&carried, &healed, adj, &format!("{what}, revived"));
     assert_matches_kosaraju(&fresh, &healed, adj, &format!("{what}, healed"));
+
+    let crashed = fresh.crash(
+        (0..adj.len() as u32).filter(|&v| !alive[v as usize]),
+        |p| alive[p as usize],
+        |p| adj[p as usize].iter().copied(),
+        |p| sources[p as usize].iter().copied(),
+    );
+    assert_matches_kosaraju(&crashed, alive, adj, &format!("{what}, crashed again"));
 }
 
 /// A ring of [`BIG`] nodes, each with 16 directed long links whose lengths are

@@ -2,11 +2,14 @@
 //!
 //! Builds one overlay, then interleaves query batches with a failure schedule that
 //! alternates crashing a contiguous region (and, in the second scenario, two
-//! antipodal regions — a partition) with healing it. Every epoch the engine builds
-//! a connectivity oracle over the damaged topology and classifies each lookup:
-//! pairs the damage provably disconnected leave the success denominator, so the
-//! printed survival rate isolates *routing* failures from *topology* failures —
-//! the honest version of the paper's Section 6 resilience claim.
+//! antipodal regions — a partition) with healing it. The engine builds a
+//! connectivity oracle over the topology on the first epoch, carries it across
+//! every later crash and heal (the `oracle` column says how each epoch came by
+//! it), and classifies each lookup against it: pairs the damage provably
+//! disconnected leave the success denominator, so the printed survival rate
+//! isolates *routing* failures from *topology* failures — the honest version of
+//! the paper's Section 6 resilience claim. The run has no churn, which would
+//! make the next failure epoch build the oracle afresh.
 //!
 //! All routing runs through the frozen-snapshot kernel; failures and heals reach
 //! the snapshot as typed row deltas (patched in place, never recompiled), and
@@ -18,7 +21,9 @@
 //! cargo run --release --example fault_tolerance
 //! ```
 
-use faultline::engine::{ChurnMix, EngineConfig, FailureSchedule, InterleavedReport, QueryEngine};
+use faultline::engine::{
+    ChurnMix, EngineConfig, FailureSchedule, InterleavedReport, OracleWork, QueryEngine,
+};
 use faultline::routing::FaultStrategy;
 use faultline::{ConstructionMode, Network, NetworkConfig};
 use rand::{rngs::StdRng, SeedableRng};
@@ -34,12 +39,20 @@ fn scenario(label: &str, schedule: FailureSchedule) {
     let mut network = Network::build(&config, &mut rng);
 
     let mut engine = QueryEngine::new(EngineConfig::default().threads(4).failures(schedule));
-    let report = engine.run_interleaved(&mut network, 6, 25_000, ChurnMix::balanced(8), 42);
+    let report = engine.run_interleaved(&mut network, 6, 25_000, ChurnMix::balanced(0), 42);
 
     println!("## {label} (n = {n}, 25k queries/epoch, retry budget 2)");
     println!(
-        "{:<6} {:<22} {:>7} {:>11} {:>10} {:>8} {:>8} {:>9}",
-        "epoch", "event", "alive", "survivable", "delivered", "dropped", "retries", "survival"
+        "{:<6} {:<22} {:<24} {:>7} {:>11} {:>10} {:>8} {:>8} {:>9}",
+        "epoch",
+        "event",
+        "oracle",
+        "alive",
+        "survivable",
+        "delivered",
+        "dropped",
+        "retries",
+        "survival"
     );
     for epoch in report.epochs() {
         let work = epoch.failure.expect("failure schedule is configured");
@@ -50,11 +63,18 @@ fn scenario(label: &str, schedule: FailureSchedule) {
         } else {
             "quiet".to_string()
         };
+        let oracle = match epoch.oracle.expect("failure schedule is configured") {
+            OracleWork::Kept => "kept".to_string(),
+            OracleWork::Built => "built".to_string(),
+            OracleWork::Crashed { detached, .. } => format!("crashed, {detached} detached"),
+            OracleWork::Revived { nodes } => format!("revived +{nodes}"),
+        };
         let split = epoch.survivability.expect("oracle classifies every epoch");
         println!(
-            "{:<6} {:<22} {:>7} {:>11} {:>10} {:>8} {:>8} {:>9.4}",
+            "{:<6} {:<22} {:<24} {:>7} {:>11} {:>10} {:>8} {:>8} {:>9.4}",
             epoch.epoch,
             event,
+            oracle,
             epoch.alive_after,
             split.predicted_survivable,
             split.survivable_delivered,
