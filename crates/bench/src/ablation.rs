@@ -8,14 +8,13 @@
 //! * **Region failures** — correlated failures of a contiguous interval, probing beyond
 //!   the paper's independent-failure model.
 
-use faultline_construction::{IncrementalBuilder, ReplacementStrategy};
-use faultline_core::{BatchStats, LinkSpecChoice, Network, NetworkConfig};
-use faultline_failure::{FailurePlan, RegionFailure};
-use faultline_metric::Geometry;
+use crate::trial::{route_many, sweep};
+use faultline_construction::ReplacementStrategy;
+use faultline_core::{BatchStats, ConstructionMode, LinkSpecChoice, Network, NetworkConfig};
+use faultline_failure::{NodeFailure, RegionFailure};
 use faultline_overlay::stats::LinkLengthDistribution;
-use faultline_routing::{FaultStrategy, Router};
-use faultline_sim::ExperimentRunner;
-use rand::Rng;
+use faultline_routing::FaultStrategy;
+use faultline_sim::run_trials;
 
 /// One row of the exponent sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,20 +40,17 @@ pub fn exponent_sweep(
     exponents
         .iter()
         .map(|&exponent| {
-            let runner = ExperimentRunner::new(seed ^ (exponent * 1000.0) as u64, trials);
             let config = NetworkConfig::paper_default(n)
                 .links_per_node(ell)
                 .link_spec(LinkSpecChoice::InversePowerLaw { exponent });
-            let per_trial = runner.run_values(move |_, rng| {
-                let network = Network::build(&config, rng);
-                network
-                    .route_random_batch(messages, rng)
-                    .expect("no failures are injected")
-            });
-            let mut total = BatchStats::new();
-            for stats in per_trial {
-                total.absorb(stats);
-            }
+            let total = sweep(
+                &config,
+                &[&NodeFailure::count(0)],
+                &[config.strategy()],
+                trials,
+                messages,
+                seed ^ (exponent * 1000.0) as u64,
+            )[0][0];
             ExponentRow {
                 exponent,
                 mean_hops: total.mean_hops_delivered().unwrap_or(f64::NAN),
@@ -92,22 +88,20 @@ pub fn replacement_ablation(
     ]
     .into_iter()
     .map(|strategy| {
-        let runner = ExperimentRunner::new(seed ^ strategy.label().len() as u64, networks);
-        let per_trial = runner.run_values(move |_, rng| {
-            let graph = IncrementalBuilder::new(Geometry::line(n), ell)
-                .replacement_strategy(strategy)
-                .build_full(rng);
-            let dist = LinkLengthDistribution::measure(&graph);
-            let router = Router::new();
-            let mut stats = BatchStats::new();
-            for _ in 0..messages {
-                let s = rng.gen_range(0..n);
-                let t = rng.gen_range(0..n);
-                let r = router.route(&graph, s, t, rng);
-                stats.record(r.is_delivered(), r.hops, r.recoveries);
-            }
+        let config = NetworkConfig::paper_default(n)
+            .links_per_node(ell)
+            .construction(ConstructionMode::Incremental {
+                replacement: strategy,
+            });
+        let per_trial = run_trials(seed ^ strategy.label().len() as u64, networks, |rng| {
+            let network = Network::build(&config, rng);
+            let graph = network.graph();
+            let dist = LinkLengthDistribution::measure(graph);
             let mean_long = (0..n).map(|p| graph.long_degree(p) as f64).sum::<f64>() / n as f64;
-            (dist, stats, mean_long)
+            let stats = route_many(&graph.alive_nodes(), 1, messages, rng, |_, s, t, rng| {
+                network.route(s, t, rng)
+            });
+            (dist, stats[0], mean_long)
         });
         let merged = LinkLengthDistribution::merge(per_trial.iter().map(|(d, _, _)| d));
         let mut stats = BatchStats::new();
@@ -150,33 +144,18 @@ pub fn region_failure_probe(
         .iter()
         .map(|&fraction| {
             let width = ((n as f64) * fraction).round() as u64;
-            let mut results = [0.0f64; 2];
-            for (idx, strategy) in [FaultStrategy::Terminate, FaultStrategy::paper_backtrack()]
-                .into_iter()
-                .enumerate()
-            {
-                let runner = ExperimentRunner::new(seed ^ (fraction * 317.0) as u64, trials);
-                let config = NetworkConfig::paper_default(n).fault_strategy(strategy);
-                let per_trial = runner.run_values(move |_, rng| {
-                    let mut network = Network::build(&config, rng);
-                    if width > 0 {
-                        network
-                            .apply_failure(&RegionFailure::random(width) as &dyn FailurePlan, rng);
-                    }
-                    network
-                        .route_random_batch(messages, rng)
-                        .expect("region failures never kill every node here")
-                });
-                let mut total = BatchStats::new();
-                for stats in per_trial {
-                    total.absorb(stats);
-                }
-                results[idx] = total.failure_fraction();
-            }
+            let cells = sweep(
+                &NetworkConfig::paper_default(n),
+                &[&RegionFailure::random(width)],
+                &[FaultStrategy::Terminate, FaultStrategy::paper_backtrack()],
+                trials,
+                messages,
+                seed ^ (fraction * 317.0) as u64,
+            );
             RegionRow {
                 region_fraction: fraction,
-                terminate_failed: results[0],
-                backtrack_failed: results[1],
+                terminate_failed: cells[0][0].failure_fraction(),
+                backtrack_failed: cells[0][1].failure_fraction(),
             }
         })
         .collect()

@@ -1,12 +1,12 @@
 //! Baseline comparison: the paper's overlay against Chord, Kleinberg's grid and Plaxton
 //! routing under identical node-failure levels.
 
+use crate::trial::{damage_and_route, route_many};
 use faultline_baselines::{ChordNetwork, KleinbergGrid, PlaxtonNetwork};
 use faultline_core::{BatchStats, Network, NetworkConfig};
 use faultline_failure::NodeFailure;
-use faultline_routing::{FaultStrategy, RouteResult};
-use faultline_sim::ExperimentRunner;
-use rand::Rng;
+use faultline_routing::FaultStrategy;
+use faultline_sim::run_trials;
 
 /// Which overlay a comparison row measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,25 +58,6 @@ pub struct ComparisonRow {
     pub mean_hops: f64,
 }
 
-fn record(stats: &mut BatchStats, result: &RouteResult) {
-    stats.record(result.is_delivered(), result.hops, result.recoveries);
-}
-
-fn route_many<R: Rng, F: FnMut(u64, u64) -> RouteResult>(
-    alive: &[u64],
-    messages: u64,
-    rng: &mut R,
-    mut route: F,
-) -> BatchStats {
-    let mut stats = BatchStats::new();
-    for _ in 0..messages {
-        let s = alive[rng.gen_range(0..alive.len())];
-        let t = alive[rng.gen_range(0..alive.len())];
-        record(&mut stats, &route(s, t));
-    }
-    stats
-}
-
 /// Runs the comparison at one failure level. `log2_nodes` controls the population
 /// (`2^log2_nodes` nodes; the Kleinberg grid uses the nearest square side).
 #[must_use]
@@ -91,39 +72,34 @@ pub fn compare_at(
     let side = 1u64 << (log2_nodes / 2);
     let mut rows = Vec::new();
     for system in System::all() {
-        let runner = ExperimentRunner::new(
-            seed ^ ((failed_fraction * 100.0) as u64) ^ ((system as u64 + 1) << 8),
-            trials,
-        );
-        let per_trial = runner.run_values(move |_, rng| match system {
+        let seed = seed ^ ((failed_fraction * 100.0) as u64) ^ ((system as u64 + 1) << 8);
+        let per_trial = run_trials(seed, trials, |rng| match system {
             System::Faultline => {
-                let config = NetworkConfig::paper_default(n)
-                    .fault_strategy(FaultStrategy::paper_backtrack());
-                let mut network = Network::build(&config, rng);
-                if failed_fraction > 0.0 {
-                    network.apply_failure(&NodeFailure::fraction(failed_fraction), rng);
-                }
-                network
-                    .route_random_batch(messages, rng)
-                    .expect("fractions below 1 keep nodes alive")
+                let mut network = Network::build(&NetworkConfig::paper_default(n), rng);
+                let damage = NodeFailure::fraction(failed_fraction);
+                let strategy = [FaultStrategy::paper_backtrack()];
+                damage_and_route(&mut network, &[&damage], &strategy, messages, rng)[0][0]
             }
             System::Chord => {
                 let mut chord = ChordNetwork::new(n);
                 chord.fail_fraction(failed_fraction, rng);
-                let alive = chord.alive_nodes();
-                route_many(&alive, messages, rng, |s, t| chord.route(s, t))
+                route_many(&chord.alive_nodes(), 1, messages, rng, |_, s, t, _| {
+                    chord.route(s, t)
+                })[0]
             }
             System::KleinbergGrid => {
                 let mut grid = KleinbergGrid::kleinberg_optimal(side, 2, rng);
                 grid.fail_fraction(failed_fraction, rng);
-                let alive = grid.alive_nodes();
-                route_many(&alive, messages, rng, |s, t| grid.route(s, t))
+                route_many(&grid.alive_nodes(), 1, messages, rng, |_, s, t, _| {
+                    grid.route(s, t)
+                })[0]
             }
             System::Plaxton => {
                 let mut plaxton = PlaxtonNetwork::new(2, log2_nodes);
                 plaxton.fail_fraction(failed_fraction, rng);
-                let alive = plaxton.alive_nodes();
-                route_many(&alive, messages, rng, |s, t| plaxton.route(s, t))
+                route_many(&plaxton.alive_nodes(), 1, messages, rng, |_, s, t, _| {
+                    plaxton.route(s, t)
+                })[0]
             }
         });
         let mut total = BatchStats::new();

@@ -91,6 +91,13 @@ impl BenchArgs {
                 other => return Err(format!("unknown flag: {other}")),
             }
         }
+        // An overlay needs two grid points, and no trials or no messages average nothing.
+        if out.nodes.is_some_and(|n| n < 2) {
+            return Err("--nodes must be at least 2".to_owned());
+        }
+        if out.trials == Some(0) || out.messages == Some(0) {
+            return Err("--trials and --messages must be at least 1".to_owned());
+        }
         Ok(out)
     }
 
@@ -193,8 +200,12 @@ mod tests {
     fn bad_input_is_reported() {
         assert!(BenchArgs::try_parse(vec!["--nodes".to_string()]).is_err());
         assert!(BenchArgs::try_parse(vec!["--bogus".to_string()]).is_err());
-        for value in ["x", "2^64", "2^63"] {
+        for value in ["x", "2^64", "2^63", "0", "1"] {
             assert!(BenchArgs::try_parse(vec!["--nodes".to_string(), value.to_string()]).is_err());
+        }
+        for flag in ["--trials", "--messages"] {
+            assert!(BenchArgs::try_parse(vec![flag.to_string(), "0".to_string()]).is_err());
+            assert!(BenchArgs::try_parse(vec![flag.to_string(), "1".to_string()]).is_ok());
         }
     }
 }

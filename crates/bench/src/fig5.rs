@@ -10,7 +10,7 @@
 use faultline_construction::{IncrementalBuilder, ReplacementStrategy};
 use faultline_metric::Geometry;
 use faultline_overlay::stats::{LengthComparison, LinkLengthDistribution};
-use faultline_sim::ExperimentRunner;
+use faultline_sim::run_trials;
 
 /// One aggregated data point of Figure 5, at a given link length.
 pub type Fig5Row = LengthComparison;
@@ -42,8 +42,7 @@ pub fn link_distribution_experiment(
     strategy: ReplacementStrategy,
     seed: u64,
 ) -> Fig5Result {
-    let runner = ExperimentRunner::new(seed, networks);
-    let distributions = runner.run_values(|_, rng| {
+    let distributions = run_trials(seed, networks, |rng| {
         let graph = IncrementalBuilder::new(Geometry::line(n), ell)
             .replacement_strategy(strategy)
             .build_full(rng);

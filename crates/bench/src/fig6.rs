@@ -5,11 +5,15 @@
 //! links [...] a fraction p of the nodes fail. We then repeatedly choose random source and
 //! destination nodes that have not failed and route a message between them. For each value
 //! of p, we ran 1000 simulations, delivering 100 messages in each simulation."
+//!
+//! A trial builds one network, fails it in [`nested_steps`] whose every cell has the
+//! paper's distribution, and routes all three strategies over the same pairs at each
+//! step: the paper's run is 1 000 builds, not one per (fraction, strategy, trial) cell.
 
-use faultline_core::{BatchStats, Network, NetworkConfig};
+use crate::trial::{sweep, Step};
+use faultline_core::NetworkConfig;
 use faultline_failure::NodeFailure;
 use faultline_routing::FaultStrategy;
-use faultline_sim::ExperimentRunner;
 
 /// One data point of Figure 6: a (failure fraction, strategy) pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,54 +78,60 @@ impl Fig6Config {
 
 /// The three strategies compared in Figure 6, with the labels used in the plots.
 #[must_use]
-pub fn paper_strategies() -> Vec<(String, FaultStrategy)> {
-    vec![
-        ("terminate".to_owned(), FaultStrategy::Terminate),
-        ("random-reroute".to_owned(), FaultStrategy::single_reroute()),
-        (
-            "backtracking(5)".to_owned(),
-            FaultStrategy::paper_backtrack(),
-        ),
+pub fn paper_strategies() -> [(&'static str, FaultStrategy); 3] {
+    [
+        ("terminate", FaultStrategy::Terminate),
+        ("random-reroute", FaultStrategy::single_reroute()),
+        ("backtracking(5)", FaultStrategy::paper_backtrack()),
     ]
 }
 
-/// Runs one (fraction, strategy) cell: `trials` fresh networks, `messages` messages each.
+/// The failure steps of one trial: step `k` fails `round(n·p_k) − round(n·p_{k−1})` more
+/// nodes, drawn uniformly from the live ones, so after it exactly `round(n·p_k)` nodes have
+/// failed and every such set is equally likely.
+///
+/// # Panics
+///
+/// Panics if the fractions do not ascend.
 #[must_use]
-pub fn run_cell(config: &Fig6Config, fraction: f64, strategy: FaultStrategy) -> BatchStats {
-    let runner = ExperimentRunner::new(
-        config.seed ^ (fraction * 1000.0) as u64 ^ (config.nodes << 1),
-        config.trials,
-    );
-    let network_config = NetworkConfig::paper_default(config.nodes)
-        .links_per_node(config.links)
-        .fault_strategy(strategy);
-    let messages = config.messages;
-    let stats_per_trial = runner.run_values(move |_, rng| {
-        let mut network = Network::build(&network_config, rng);
-        if fraction > 0.0 {
-            network.apply_failure(&NodeFailure::fraction(fraction), rng);
-        }
-        network
-            .route_random_batch(messages, rng)
-            .expect("the failure fraction never removes every node")
-    });
-    let mut total = BatchStats::new();
-    for stats in stats_per_trial {
-        total.absorb(stats);
-    }
-    total
+pub fn nested_steps(config: &Fig6Config) -> Vec<NodeFailure> {
+    let mut before = 0;
+    config
+        .fractions
+        .iter()
+        .map(|&p| {
+            let failed = (config.nodes as f64 * p).round() as u64;
+            let step = failed
+                .checked_sub(before)
+                .expect("nested fractions must ascend");
+            before = failed;
+            NodeFailure::count(step)
+        })
+        .collect()
 }
 
 /// Runs the full Figure 6 sweep.
 #[must_use]
 pub fn node_failure_experiment(config: &Fig6Config) -> Vec<Fig6Row> {
+    let network_config = NetworkConfig::paper_default(config.nodes).links_per_node(config.links);
+    let plans = nested_steps(config);
+    let steps: Vec<Step<'_>> = plans.iter().map(|plan| plan as Step<'_>).collect();
+    let (labels, strategies): (Vec<&str>, Vec<FaultStrategy>) =
+        paper_strategies().into_iter().unzip();
+    let cells = sweep(
+        &network_config,
+        &steps,
+        &strategies,
+        config.trials,
+        config.messages,
+        config.seed ^ (config.nodes << 1),
+    );
     let mut rows = Vec::new();
-    for &fraction in &config.fractions {
-        for (label, strategy) in paper_strategies() {
-            let stats = run_cell(config, fraction, strategy);
+    for (&fraction, tallies) in config.fractions.iter().zip(cells) {
+        for (label, stats) in labels.iter().zip(tallies) {
             rows.push(Fig6Row {
                 failed_fraction: fraction,
-                strategy: label,
+                strategy: label.to_string(),
                 failed_searches: stats.failure_fraction(),
                 mean_hops: stats.mean_hops_delivered().unwrap_or(f64::NAN),
                 messages: stats.messages,
@@ -152,6 +162,7 @@ pub fn print(config: &Fig6Config, rows: &[Fig6Row]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faultline_core::Network;
 
     fn tiny_config() -> Fig6Config {
         Fig6Config {
@@ -164,12 +175,18 @@ mod tests {
         }
     }
 
+    fn row<'a>(rows: &'a [Fig6Row], fraction: f64, strategy: &str) -> &'a Fig6Row {
+        rows.iter()
+            .find(|r| r.failed_fraction == fraction && r.strategy == strategy)
+            .unwrap()
+    }
+
     #[test]
     fn failure_free_network_never_fails_searches() {
-        let config = tiny_config();
-        let stats = run_cell(&config, 0.0, FaultStrategy::Terminate);
-        assert_eq!(stats.failure_fraction(), 0.0);
-        assert!(stats.mean_hops_delivered().unwrap() > 1.0);
+        let rows = node_failure_experiment(&tiny_config());
+        let clean = row(&rows, 0.0, "terminate");
+        assert_eq!(clean.failed_searches, 0.0);
+        assert!(clean.mean_hops > 1.0);
     }
 
     #[test]
@@ -187,15 +204,61 @@ mod tests {
 
     #[test]
     fn backtracking_fails_less_than_terminate_under_heavy_failures() {
-        let config = tiny_config();
-        let terminate = run_cell(&config, 0.6, FaultStrategy::Terminate);
-        let backtrack = run_cell(&config, 0.6, FaultStrategy::paper_backtrack());
+        let config = Fig6Config {
+            fractions: vec![0.6],
+            ..tiny_config()
+        };
+        let rows = node_failure_experiment(&config);
+        let terminate = row(&rows, 0.6, "terminate").failed_searches;
+        let backtrack = row(&rows, 0.6, "backtracking(5)").failed_searches;
         assert!(
-            backtrack.failure_fraction() <= terminate.failure_fraction(),
-            "backtracking {} vs terminate {}",
-            backtrack.failure_fraction(),
-            terminate.failure_fraction()
+            backtrack <= terminate,
+            "backtracking {backtrack} vs terminate {terminate}"
         );
+    }
+
+    /// The strategies route the same pairs over the same damage, and greedy steps draw no
+    /// randomness, so a recovering strategy fails a subset of Terminate's messages.
+    #[test]
+    fn recovering_strategies_fail_a_subset_of_terminates_messages() {
+        let config = Fig6Config::quick(1 << 9, 4, 60, 11);
+        let rows = node_failure_experiment(&config);
+        for &p in &config.fractions {
+            let terminate = row(&rows, p, "terminate").failed_searches;
+            for strategy in ["random-reroute", "backtracking(5)"] {
+                let failed = row(&rows, p, strategy).failed_searches;
+                assert!(
+                    failed <= terminate,
+                    "{strategy} at {p}: {failed} > {terminate}"
+                );
+            }
+        }
+
+        let mut network = Network::build(
+            &NetworkConfig::paper_default(config.nodes),
+            &mut faultline_sim::trial_rng(11, 0),
+        );
+        let mut rng = faultline_sim::trial_rng(11, 1);
+        for (step, &p) in nested_steps(&config).iter().zip(&config.fractions) {
+            network.apply_failure(step, &mut rng);
+            let failed = config.nodes - network.alive_count();
+            assert_eq!(failed, (config.nodes as f64 * p).round() as u64, "at {p}");
+        }
+    }
+
+    #[test]
+    fn too_few_live_nodes_fail_every_search() {
+        let config = Fig6Config::quick(4, 2, 10, 5);
+        let rows = node_failure_experiment(&config);
+        assert_eq!(rows.len(), 9 * 3);
+        for row in &rows {
+            let live = 4 - (4.0 * row.failed_fraction).round() as u64;
+            assert_eq!(row.messages, 20);
+            if live < 2 {
+                assert_eq!(row.failed_searches, 1.0, "{row:?}");
+            }
+        }
+        assert!(rows.iter().any(|r| r.failed_searches == 1.0));
     }
 
     #[test]

@@ -4,11 +4,14 @@
 //! constructed using the heuristics given in Section 5. We ran 10 iterations of
 //! constructing a network of 16384 nodes, both ideally as well as according to the
 //! heuristic, and delivered 1000 messages between randomly chosen nodes."
+//!
+//! A trial builds one ideal and one constructed network and fails each in
+//! [`nested_steps`] whose every cell has the distribution of a fresh draw.
 
-use faultline_core::{BatchStats, ConstructionMode, Network, NetworkConfig};
+use crate::trial::{sweep, Step};
+use faultline_core::{ConstructionMode, NetworkConfig};
 use faultline_failure::NodeFailure;
 use faultline_routing::FaultStrategy;
-use faultline_sim::ExperimentRunner;
 
 /// One data point of Figure 7.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,55 +70,57 @@ impl Fig7Config {
     }
 }
 
-fn run_variant(
-    config: &Fig7Config,
-    probability: f64,
-    construction: ConstructionMode,
-) -> BatchStats {
-    let runner = ExperimentRunner::new(config.seed ^ (probability * 977.0) as u64, config.trials);
-    let network_config = NetworkConfig::paper_default(config.nodes)
-        .links_per_node(config.links)
-        .construction(construction)
-        .fault_strategy(FaultStrategy::Terminate);
-    let messages = config.messages;
-    let per_trial = runner.run_values(move |_, rng| {
-        let mut network = Network::build(&network_config, rng);
-        if probability > 0.0 {
-            network.apply_failure(&NodeFailure::independent(probability), rng);
-        }
-        match network.route_random_batch(messages, rng) {
-            Ok(stats) => stats,
-            Err(_) => {
-                // Every node failed (possible at p close to 1): count all messages as failed.
-                let mut stats = BatchStats::new();
-                for _ in 0..messages {
-                    stats.record(false, 0, 0);
-                }
-                stats
-            }
-        }
-    });
-    let mut total = BatchStats::new();
-    for stats in per_trial {
-        total.absorb(stats);
-    }
-    total
+/// The failure steps of one trial: step `k` fails each live node independently with
+/// probability `(p_k − p_{k−1}) / (1 − p_{k−1})`, so after it every node has failed
+/// independently with probability `p_k`.
+///
+/// # Panics
+///
+/// Panics if the probabilities do not ascend within `[0, 1]`.
+#[must_use]
+pub fn nested_steps(config: &Fig7Config) -> Vec<NodeFailure> {
+    let mut before = 0.0;
+    config
+        .probabilities
+        .iter()
+        .map(|&p| {
+            assert!(before <= p, "nested probabilities must ascend");
+            // After a step to 1 every node has failed and the next step's 0/0 is moot:
+            // `min` takes the NaN to 1.
+            let step = ((p - before) / (1.0 - before)).min(1.0);
+            before = p;
+            NodeFailure::independent(step)
+        })
+        .collect()
 }
 
 /// Runs the full Figure 7 sweep.
 #[must_use]
 pub fn constructed_vs_ideal(config: &Fig7Config) -> Vec<Fig7Row> {
-    config
-        .probabilities
-        .iter()
-        .map(|&p| {
-            let ideal = run_variant(config, p, ConstructionMode::Ideal);
-            let constructed = run_variant(config, p, ConstructionMode::incremental_default());
-            Fig7Row {
-                failure_probability: p,
-                ideal_failed: ideal.failure_fraction(),
-                constructed_failed: constructed.failure_fraction(),
-            }
+    let plans = nested_steps(config);
+    let steps: Vec<Step<'_>> = plans.iter().map(|plan| plan as Step<'_>).collect();
+    let failed = |construction| {
+        let network_config = NetworkConfig::paper_default(config.nodes)
+            .links_per_node(config.links)
+            .construction(construction);
+        sweep(
+            &network_config,
+            &steps,
+            &[FaultStrategy::Terminate],
+            config.trials,
+            config.messages,
+            config.seed,
+        )
+        .into_iter()
+        .map(|tallies| tallies[0].failure_fraction())
+    };
+    failed(ConstructionMode::Ideal)
+        .zip(failed(ConstructionMode::incremental_default()))
+        .zip(&config.probabilities)
+        .map(|((ideal_failed, constructed_failed), &p)| Fig7Row {
+            failure_probability: p,
+            ideal_failed,
+            constructed_failed,
         })
         .collect()
 }

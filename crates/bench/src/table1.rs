@@ -6,9 +6,9 @@
 //! checks is the *shape*: measured hop counts stay below the explicit upper bounds, above
 //! the lower bounds, and scale with `n`, `ℓ`, `p` and `b` the way the formulas say.
 
-use faultline_core::{LinkSpecChoice, Network, NetworkConfig};
+use crate::trial::{sweep, Step};
+use faultline_core::{LinkSpecChoice, NetworkConfig};
 use faultline_failure::{LinkFailure, NodeFailure};
-use faultline_sim::ExperimentRunner;
 use faultline_theory::ModelBounds;
 
 /// Which Table 1 model a row belongs to.
@@ -131,29 +131,21 @@ pub fn measure(model: Table1Model, n: u64, config: &Table1Config) -> Table1Measu
         ),
     };
 
-    let runner = ExperimentRunner::new(config.seed ^ n ^ (model as u64 + 1) << 3, config.trials);
-    let messages = config.messages;
-    let link_presence = config.link_presence;
-    let node_failure = config.node_failure;
-    let per_trial = runner.run_values(move |_, rng| {
-        let mut network = Network::build(&network_config, rng);
-        match model {
-            Table1Model::LinkFailureRandomized | Table1Model::LinkFailureLadder => {
-                network.apply_failure(&LinkFailure::with_presence(link_presence), rng);
-            }
-            Table1Model::NodeFailure => {
-                network.apply_failure(&NodeFailure::independent(node_failure), rng);
-            }
-            _ => {}
+    let damage: Step<'_> = match model {
+        Table1Model::LinkFailureRandomized | Table1Model::LinkFailureLadder => {
+            &LinkFailure::with_presence(config.link_presence)
         }
-        network
-            .route_random_batch(messages, rng)
-            .expect("failure probabilities below 1 leave alive nodes")
-    });
-    let mut total = faultline_core::BatchStats::new();
-    for stats in per_trial {
-        total.absorb(stats);
-    }
+        Table1Model::NodeFailure => &NodeFailure::independent(config.node_failure),
+        _ => &NodeFailure::count(0),
+    };
+    let total = sweep(
+        &network_config,
+        &[damage],
+        &[network_config.strategy()],
+        config.trials,
+        config.messages,
+        config.seed ^ n ^ (model as u64 + 1) << 3,
+    )[0][0];
 
     let (upper, lower) = match model {
         Table1Model::SingleLink => (

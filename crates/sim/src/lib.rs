@@ -7,8 +7,8 @@
 //!
 //! * [`seed_for_trial`] and [`trial_rng`] — deterministic per-trial RNG derivation so that
 //!   trial `i` of an experiment is identical no matter how many threads run it.
-//! * [`ExperimentRunner`] — a thread-parallel multi-trial runner with ordered, reproducible
-//!   result collection.
+//! * [`run_trials`] — runs an experiment's trials across the cores and returns their
+//!   results in trial order.
 //! * [`Summary`] / [`Accumulator`] — summary statistics (mean, standard deviation,
 //!   quantiles, standard error) for hop counts and failure fractions.
 //!
@@ -24,5 +24,5 @@ mod runner;
 mod stats;
 
 pub use rng::{seed_for_trial, trial_rng};
-pub use runner::{ExperimentRunner, TrialOutput};
+pub use runner::run_trials;
 pub use stats::{Accumulator, Summary};

@@ -7,7 +7,7 @@ use rand::SeedableRng;
 ///
 /// The mixing is SplitMix64 over the concatenation, so neighbouring trial indices produce
 /// statistically unrelated streams and the mapping is stable across platforms. This is
-/// what makes the thread-parallel experiment runner reproducible: trial `i` gets the same
+/// what makes [`run_trials`](crate::run_trials) reproducible: trial `i` gets the same
 /// randomness no matter which thread executes it or in what order.
 #[must_use]
 pub fn seed_for_trial(master_seed: u64, trial: u64) -> u64 {

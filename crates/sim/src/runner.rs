@@ -3,132 +3,38 @@
 use crate::rng::trial_rng;
 use rand::rngs::StdRng;
 
-/// The output of a single trial, tagged with its index so results can be re-ordered
-/// deterministically after parallel execution.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct TrialOutput<T> {
-    /// Index of the trial (0-based).
-    pub trial: u64,
-    /// Whatever the trial body produced.
-    pub value: T,
-}
-
-/// Runs `trials` independent repetitions of an experiment, each with its own
-/// deterministically derived RNG, optionally across several worker threads.
+/// Runs `trials` independent repetitions of an experiment across the available cores and
+/// returns their results in trial order.
 ///
 /// The paper's experiments are exactly this shape: "For each value of p, we ran 1000
-/// simulations, delivering 100 messages in each simulation, and averaged…". The runner
-/// guarantees that results are independent of the number of worker threads: trial `i`
-/// always sees the RNG stream derived from `(master_seed, i)` and results are returned
-/// sorted by trial index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExperimentRunner {
-    master_seed: u64,
-    trials: u64,
-    threads: usize,
-}
-
-impl ExperimentRunner {
-    /// Creates a runner for `trials` repetitions seeded from `master_seed`.
-    #[must_use]
-    pub fn new(master_seed: u64, trials: u64) -> Self {
-        Self {
-            master_seed,
-            trials,
-            threads: default_threads(),
-        }
-    }
-
-    /// Overrides the number of worker threads (default: available parallelism, capped at
-    /// the number of trials). `threads == 1` runs everything on the calling thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "at least one worker thread is required");
-        self.threads = threads;
-        self
-    }
-
-    /// Number of trials this runner will execute.
-    #[must_use]
-    pub fn trials(&self) -> u64 {
-        self.trials
-    }
-
-    /// The master seed.
-    #[must_use]
-    pub fn master_seed(&self) -> u64 {
-        self.master_seed
-    }
-
-    /// Runs the experiment. `body` receives the trial index and a trial-specific RNG.
-    ///
-    /// Results are returned ordered by trial index regardless of thread scheduling.
-    pub fn run<T, F>(&self, body: F) -> Vec<TrialOutput<T>>
-    where
-        T: Send,
-        F: Fn(u64, &mut StdRng) -> T + Sync,
-    {
-        let threads = self.threads.min(self.trials.max(1) as usize).max(1);
-        if threads == 1 || self.trials <= 1 {
-            return (0..self.trials)
-                .map(|trial| {
-                    let mut rng = trial_rng(self.master_seed, trial);
-                    TrialOutput {
-                        trial,
-                        value: body(trial, &mut rng),
-                    }
-                })
-                .collect();
-        }
-
-        let mut outputs: Vec<TrialOutput<T>> = Vec::with_capacity(self.trials as usize);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for worker in 0..threads {
+/// simulations, delivering 100 messages in each simulation, and averaged…". Trial `i`
+/// always sees the RNG stream [`trial_rng`]`(master_seed, i)`, so the result equals
+/// `(0..trials).map(|i| body(&mut trial_rng(master_seed, i)))` whatever the core count.
+pub fn run_trials<T, F>(master_seed: u64, trials: u64, body: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(&mut StdRng) -> T + Sync,
+{
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    // Contiguous chunks, one per worker: trials are alike in cost, so no worker idles long.
+    let chunk = trials.div_ceil(cores as u64).max(1);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..trials)
+            .step_by(chunk as usize)
+            .map(|start| {
                 let body = &body;
-                let master_seed = self.master_seed;
-                let trials = self.trials;
-                handles.push(scope.spawn(move || {
-                    let mut local = Vec::new();
-                    let mut trial = worker as u64;
-                    while trial < trials {
-                        let mut rng = trial_rng(master_seed, trial);
-                        local.push(TrialOutput {
-                            trial,
-                            value: body(trial, &mut rng),
-                        });
-                        trial += threads as u64;
-                    }
-                    local
-                }));
-            }
-            for handle in handles {
-                outputs.extend(handle.join().expect("experiment worker panicked"));
-            }
-        });
-        outputs.sort_by_key(|o| o.trial);
-        outputs
-    }
-
-    /// Runs the experiment and maps every trial output through `extract`, returning the
-    /// plain values in trial order. Convenience for numeric experiments.
-    pub fn run_values<T, F>(&self, body: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(u64, &mut StdRng) -> T + Sync,
-    {
-        self.run(body).into_iter().map(|o| o.value).collect()
-    }
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+                scope.spawn(move || {
+                    (start..trials.min(start + chunk))
+                        .map(|trial| body(&mut trial_rng(master_seed, trial)))
+                        .collect::<Vec<T>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|worker| worker.join().expect("experiment worker panicked"))
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -138,47 +44,30 @@ mod tests {
 
     #[test]
     fn results_are_ordered_and_complete() {
-        let runner = ExperimentRunner::new(1, 100).with_threads(4);
-        let outputs = runner.run(|trial, _rng| trial * 2);
-        assert_eq!(outputs.len(), 100);
-        for (i, o) in outputs.iter().enumerate() {
-            assert_eq!(o.trial, i as u64);
-            assert_eq!(o.value, i as u64 * 2);
+        let values = run_trials(1, 100, |rng| rng.gen::<u64>());
+        assert_eq!(values.len(), 100);
+        for (trial, value) in values.into_iter().enumerate() {
+            assert_eq!(value, trial_rng(1, trial as u64).gen::<u64>());
         }
     }
 
     #[test]
     fn parallel_and_serial_runs_agree() {
-        let serial = ExperimentRunner::new(7, 64).with_threads(1);
-        let parallel = ExperimentRunner::new(7, 64).with_threads(8);
-        let a = serial.run_values(|_, rng| rng.gen::<u64>());
-        let b = parallel.run_values(|_, rng| rng.gen::<u64>());
-        assert_eq!(a, b, "thread count must not change per-trial randomness");
+        for trials in [0, 1, 2, 3, 7, 64] {
+            let body = |rng: &mut StdRng| (rng.gen::<u64>(), rng.gen::<u32>());
+            let sequential: Vec<_> = (0..trials).map(|i| body(&mut trial_rng(7, i))).collect();
+            assert_eq!(run_trials(7, trials, body), sequential, "{trials} trials");
+        }
     }
 
     #[test]
     fn zero_trials_is_fine() {
-        let runner = ExperimentRunner::new(0, 0);
-        assert!(runner.run(|t, _| t).is_empty());
-    }
-
-    #[test]
-    fn accessors_report_configuration() {
-        let runner = ExperimentRunner::new(99, 5).with_threads(2);
-        assert_eq!(runner.trials(), 5);
-        assert_eq!(runner.master_seed(), 99);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker thread")]
-    fn zero_threads_rejected() {
-        let _ = ExperimentRunner::new(0, 1).with_threads(0);
+        assert!(run_trials(0, 0, |_| 1).is_empty());
     }
 
     #[test]
     fn different_trials_observe_different_randomness() {
-        let runner = ExperimentRunner::new(3, 32).with_threads(4);
-        let values = runner.run_values(|_, rng| rng.gen::<u64>());
+        let values = run_trials(3, 32, |rng| rng.gen::<u64>());
         let mut dedup = values.clone();
         dedup.sort_unstable();
         dedup.dedup();
