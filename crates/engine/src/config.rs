@@ -22,12 +22,12 @@ pub enum ByzantineMembership {
 /// Adversary specification for a [`QueryEngine`](crate::QueryEngine): who is
 /// Byzantine and how many redundant walks each lookup issues.
 ///
-/// When present on an [`EngineConfig`], every batch routes through
-/// [`RedundantRouter::route_frozen`](faultline_routing::RedundantRouter::route_frozen)
-/// over the shared CSR snapshot — the byzantine workload lane. The walks recover
-/// from dead ends with the network's own fault strategy. An *empty* resolved
-/// set short-circuits to the honest batch path bit-for-bit (no redundancy overhead),
-/// so a fraction of `0.0` is an exact honest baseline.
+/// When present on an [`EngineConfig`], every lookup issues the walks of
+/// [`RedundantRouter::route`](faultline_routing::RedundantRouter::route) over the
+/// shared CSR snapshot through the engine's one walk group — the byzantine workload
+/// lane. The walks recover from dead ends with the network's own fault strategy. An
+/// *empty* resolved set short-circuits to the honest batch path bit-for-bit (no
+/// redundancy overhead), so a fraction of `0.0` is an exact honest baseline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ByzantineConfig {
     membership: ByzantineMembership,

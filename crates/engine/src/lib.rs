@@ -24,14 +24,13 @@
 //!   [`QueryEngine::run_batch_with_snapshot`] routes over the caller's instead. The
 //!   live-graph walk (`Router::route`) is not an engine path: it is the reference
 //!   the parity tests hold the engine to.
-//! * **Walks in flight** — a shard with its cache off walks every lookup, and no
-//!   lookup depends on another, so its worker keeps
-//!   [`WALKS_IN_FLIGHT`](faultline_routing::WALKS_IN_FLIGHT) of them going in a
-//!   lockstep [`WalkGroup`](faultline_routing::WalkGroup): one hop each in turn,
-//!   the row each moved to prefetched meanwhile. Same hop function, same
-//!   per-lookup seeds (retries included), so same outcomes as one walk at a time —
-//!   which is how a cache-on shard still walks its misses (a miss's insert must
-//!   precede the next probe of its key), and the byzantine lane its lookups.
+//! * **One walk driver** — every worker walks through one lockstep
+//!   [`WalkGroup`](faultline_routing::WalkGroup), one hop each in turn, the row each
+//!   moved to prefetched meanwhile; a lookup's first walk, diversified retries and
+//!   redundant walks run one after another in its slot. A cache-on honest worker's
+//!   group is one walk wide (its feed serves hits, and a miss's insert must precede
+//!   the next probe of its key); every other worker's is
+//!   [`WALKS_IN_FLIGHT`](faultline_routing::WALKS_IN_FLIGHT) wide.
 //! * **Route caching** — a per-shard LRU keyed by `(source bucket, target bucket)`
 //!   ([`RouteCache`]), indexed directly: a slot per bucket pair points into a dense
 //!   vector of entries, so a hit hashes nothing and allocates nothing, and each
@@ -57,10 +56,10 @@
 //! * **Byzantine workload lane** — [`EngineConfig::byzantine`] opens an adversarial
 //!   traffic class: a [`ByzantineConfig`] names the corrupted nodes (a sampled
 //!   fraction or an explicit [`ByzantineSet`]) and every lookup issues up to
-//!   `redundancy` diversified walks through
-//!   [`RedundantRouter::route_frozen`](faultline_routing::RedundantRouter::route_frozen)
-//!   over the shared CSR snapshot — zero-alloc, cache-bypassing, and thread-count
-//!   deterministic like the honest path. Under churn, adversary membership stays
+//!   `redundancy` diversified walks of
+//!   [`RedundantRouter::route`](faultline_routing::RedundantRouter::route) (its tested
+//!   reference) over the shared CSR snapshot through the same walk group —
+//!   zero-alloc, cache-bypassing, and thread-count deterministic like the honest path. Under churn, adversary membership stays
 //!   consistent: departing Byzantine nodes shrink the set and
 //!   [`ChurnMix::adversarial_joins`] conscripts arrivals (a join at a stale label
 //!   *clears* it — labels are reused, so newcomers never inherit old convictions).

@@ -1,9 +1,10 @@
 //! The byzantine batch lane's contracts.
 //!
-//! 1. **Batched == per-query.** The engine's byzantine path is pure plumbing around
-//!    [`RedundantRouter::route_frozen`]: for every query, the batched result must be
-//!    identical to a sequential per-query call with the same `(batch seed, index)`
-//!    randomness, at any thread count (1 vs 4 vs 8).
+//! 1. **Batched == per-query.** The engine's byzantine lane issues the walks of
+//!    [`RedundantRouter::route`] through its walk group: for every query, the batched
+//!    result must be identical to a sequential per-query call on the live graph with
+//!    the same `(batch seed, index)` randomness, at any thread count (1 vs 4 vs 8),
+//!    on a healthy overlay and on a damaged one (dead ends, emptied rows).
 //! 2. **Empty set == honest path.** A byzantine-configured engine whose resolved
 //!    adversary set is empty must report outcomes bit-identical to a plain honest
 //!    engine — no redundancy overhead, cache behaviour included.
@@ -20,7 +21,8 @@ use faultline_engine::{
     ByzantineConfig, ByzantineSet, ChurnMix, EngineConfig, OutcomeExtras, QueryBatch, QueryEngine,
     QueryOutcome,
 };
-use faultline_routing::{RedundantRouter, RouteScratch};
+use faultline_failure::NodeFailure;
+use faultline_routing::{FaultStrategy, RedundantRouter};
 use faultline_sim::seed_for_trial;
 use proptest::prelude::*;
 use rand::rngs::{SmallRng, StdRng};
@@ -38,80 +40,87 @@ fn incremental_network(n: u64, seed: u64) -> Network {
     Network::build(&config, &mut rng)
 }
 
+/// Contract 1 on one overlay: resolves the spec's membership, then requires every
+/// lookup of a batch, at 1/4/8 threads, to equal `RedundantRouter::route` on the live
+/// graph with that lookup's `SmallRng` seed. Returns the expected lookups.
+fn assert_byzantine_lane_matches_live_route(
+    net: &Network,
+    spec: &ByzantineConfig,
+    batch_seed: u64,
+) -> Vec<(QueryOutcome, OutcomeExtras)> {
+    let mut resolver = QueryEngine::new(EngineConfig::default().threads(1).byzantine(spec.clone()));
+    let adversaries = resolver
+        .resolve_adversaries(net)
+        .expect("byzantine engine resolves a set")
+        .clone();
+    let batch = QueryBatch::uniform_honest(net, 400, batch_seed, &adversaries);
+    let router = RedundantRouter::new(net.view().router(), spec.redundancy_factor());
+    let expected: Vec<(QueryOutcome, OutcomeExtras)> = batch
+        .pairs()
+        .iter()
+        .enumerate()
+        .map(|(index, &(s, t))| {
+            let mut rng = SmallRng::seed_from_u64(seed_for_trial(batch.seed(), index as u64));
+            let r = router.route(net.graph(), &adversaries, s, t, &mut rng);
+            let outcome = QueryOutcome {
+                source: s,
+                target: t,
+                hops: r.winning_hops.unwrap_or(r.total_hops),
+                attempts: r.attempts,
+                delivered: r.delivered,
+                cached: false,
+            };
+            let extras = OutcomeExtras {
+                recoveries: r.recoveries,
+                total_hops: r.total_hops,
+                adversary_drops: r.dropped_by_adversary,
+            };
+            (outcome, extras)
+        })
+        .collect();
+
+    for threads in [1usize, 4, 8] {
+        let mut engine = QueryEngine::new(
+            EngineConfig::default()
+                .threads(threads)
+                .byzantine(spec.clone()),
+        );
+        let report = engine.run_batch(net, &batch);
+        assert!(report.is_byzantine() || adversaries.is_empty());
+        assert_eq!(report.cache_hits(), 0, "byzantine lane bypasses the cache");
+        assert!(
+            report.lookups().eq(expected.iter().copied()),
+            "batched path diverged from per-query live routes at {threads} threads"
+        );
+    }
+    expected
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Contract 1: the batched byzantine path reports exactly what a sequential loop
-    /// of per-query `RedundantRouter::route_frozen` calls reports, at 1/4/8 threads.
+    /// of per-query `RedundantRouter::route` calls on the live graph reports, at
+    /// 1/4/8 threads, on a healthy overlay and on one with 30% of its nodes failed.
     #[test]
-    fn batched_byzantine_path_equals_per_query_route_frozen(
+    fn batched_byzantine_path_equals_per_query_live_route(
         net_seed in any::<u64>(),
         batch_seed in any::<u64>(),
         corruption in 0.02f64..0.35,
         redundancy in 1u32..6,
     ) {
-        let net = network(512, net_seed);
-        let batch_size = 400usize;
         let spec = ByzantineConfig::fraction(corruption, net_seed ^ 0xB52).redundancy(redundancy);
-
-        // The reference: resolve the same membership, then route each query alone.
-        let mut resolver = QueryEngine::new(
-            EngineConfig::default().threads(1).byzantine(spec.clone()),
+        assert_byzantine_lane_matches_live_route(&network(512, net_seed), &spec, batch_seed);
+        // Backtracking, so the walks that hit dead ends recover from them.
+        let config = NetworkConfig::paper_default(512).fault_strategy(FaultStrategy::paper_backtrack());
+        let mut rng = StdRng::seed_from_u64(net_seed);
+        let mut damaged = Network::build(&config, &mut rng);
+        damaged.apply_failure(&NodeFailure::fraction(0.3), &mut rng);
+        let lookups = assert_byzantine_lane_matches_live_route(&damaged, &spec, batch_seed);
+        prop_assert!(
+            lookups.iter().any(|(_, extras)| extras.recoveries > 0),
+            "30% damage must send some walks into dead ends"
         );
-        let adversaries = resolver
-            .resolve_adversaries(&net)
-            .expect("byzantine engine resolves a set")
-            .clone();
-        prop_assume!(!adversaries.is_empty());
-        let batch = QueryBatch::uniform_honest(&net, batch_size, batch_seed, &adversaries);
-        let frozen = net.view().freeze();
-        let router = RedundantRouter::new(net.view().router(), redundancy);
-        let mut scratch = RouteScratch::new();
-        let expected: Vec<(QueryOutcome, OutcomeExtras)> = batch
-            .pairs()
-            .iter()
-            .enumerate()
-            .map(|(index, &(s, t))| {
-                let mut rng = SmallRng::seed_from_u64(seed_for_trial(batch.seed(), index as u64));
-                let r = router.route_frozen(
-                    frozen.routes(),
-                    &adversaries,
-                    s,
-                    t,
-                    &mut rng,
-                    &mut scratch,
-                );
-                let outcome = QueryOutcome {
-                    source: s,
-                    target: t,
-                    hops: r.winning_hops.unwrap_or(r.total_hops),
-                    attempts: r.attempts,
-                    delivered: r.delivered,
-                    cached: false,
-                };
-                let extras = OutcomeExtras {
-                    recoveries: r.recoveries,
-                    total_hops: r.total_hops,
-                    adversary_drops: r.dropped_by_adversary,
-                };
-                (outcome, extras)
-            })
-            .collect();
-
-        for threads in [1usize, 4, 8] {
-            let mut engine = QueryEngine::new(
-                EngineConfig::default().threads(threads).byzantine(spec.clone()),
-            );
-            let report = engine.run_batch(&net, &batch);
-            prop_assert!(report.is_byzantine());
-            prop_assert_eq!(report.cache_hits(), 0, "byzantine lane bypasses the cache");
-            prop_assert_eq!(
-                report.lookups().collect::<Vec<_>>(),
-                expected.clone(),
-                "batched path diverged from per-query route_frozen at {} threads",
-                threads
-            );
-        }
     }
 
     /// Contract 2: an empty adversary set is the honest batch path bit for bit —

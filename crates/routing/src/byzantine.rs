@@ -16,10 +16,9 @@
 //! [`RedundantRouter`] arranges by starting each retry from a random neighbour of the
 //! source.
 
-use crate::frozen::RouteScratch;
 use crate::result::{FailureReason, RouteOutcome, RouteResult};
 use crate::router::Router;
-use faultline_overlay::{FrozenRoutes, NodeId, OverlayGraph};
+use faultline_overlay::{NodeId, OverlayGraph};
 use rand::{seq::SliceRandom, Rng};
 // xlint: allow(determinism) -- membership is only ever probed (`contains`) on the hot path; the one iterator is order-insensitive at its call sites (engine tests sort, counts fold)
 use std::collections::HashSet;
@@ -125,8 +124,8 @@ pub struct RedundantRouteResult {
     /// Number of walks that ended by stepping onto a Byzantine node.
     pub dropped_by_adversary: u32,
     /// Fault-strategy interventions summed over every walk. A walk truncated by an
-    /// adversary contributes its full computed-walk count (live and frozen paths agree
-    /// on this accounting, keeping them bit-identical).
+    /// adversary contributes its full computed-walk count (the engine's byzantine
+    /// lane counts the same way, keeping the two bit-identical).
     pub recoveries: u64,
 }
 
@@ -192,108 +191,14 @@ impl RedundantRouter {
         (result, false)
     }
 
-    // The frozen redundant path shares the CSR kernel's zero-allocation contract:
-    // every retry walk reads the visited sequence out of the caller's scratch.
-    // xlint: begin(no_alloc)
-
-    /// Performs one greedy walk over the snapshot, truncating at the first Byzantine
-    /// node on the visited sequence (read from `scratch` — no per-walk allocation).
-    /// Returns `(delivered, hops, recoveries, dropped_by_adversary)`.
-    fn single_walk_frozen<R: Rng + ?Sized>(
-        &self,
-        frozen: &FrozenRoutes,
-        adversaries: &ByzantineSet,
-        start: NodeId,
-        target: NodeId,
-        rng: &mut R,
-        scratch: &mut RouteScratch,
-    ) -> (bool, u64, u64, bool) {
-        let result = self.inner.route_frozen(frozen, start, target, rng, scratch);
-        for (idx, &node) in scratch.path().iter().enumerate() {
-            let node = u64::from(node);
-            if node != start && node != target && adversaries.contains(node) {
-                // The adversary at path index `idx` swallowed the message after
-                // `idx` hops; the rest of the walk never happened.
-                return (false, idx as u64, result.recoveries, true);
-            }
-        }
-        (result.is_delivered(), result.hops, result.recoveries, false)
-    }
-
-    /// Routes a lookup over a compiled [`FrozenRoutes`] snapshot — the frozen
-    /// counterpart of [`RedundantRouter::route`], sharing the CSR kernel's speedup
-    /// and zero-allocation guarantee with every retry walk.
-    ///
-    /// Walk for walk this consumes randomness exactly as the live-graph path does and
-    /// produces an identical [`RedundantRouteResult`] for the same RNG state (the
-    /// retry diversification draws over the snapshot's row for `source`, which equals
-    /// the live graph's usable-neighbour set by construction). Path recording is
-    /// forced on in `scratch` for the duration of the call (the adversary check reads
-    /// the visited sequence) and the caller's setting is restored before returning.
-    pub fn route_frozen<R: Rng + ?Sized>(
-        &self,
-        frozen: &FrozenRoutes,
-        adversaries: &ByzantineSet,
-        source: NodeId,
-        target: NodeId,
-        rng: &mut R,
-        scratch: &mut RouteScratch,
-    ) -> RedundantRouteResult {
-        // The adversary scan needs the visited sequence even if the caller's scratch
-        // was built with recording off; keep the caller's buffers, flip the flag.
-        let caller_records = scratch.records_path();
-        scratch.set_path_recording(true);
-        let mut attempts = 0u32;
-        let mut total_hops = 0u64;
-        let mut dropped = 0u32;
-        let mut recoveries = 0u64;
-        let mut winning_hops = None;
-        while attempts < self.redundancy {
-            attempts += 1;
-            let (start, extra_hop) = if attempts == 1 {
-                (source, 0u64)
-            } else {
-                // Diversify: hop to a random usable, honest-looking neighbour first.
-                match frozen.neighbors(source) {
-                    [] => (source, 0),
-                    list => (u64::from(list[rng.gen_range(0..list.len())]), 1),
-                }
-            };
-            if adversaries.contains(start) && start != target {
-                total_hops += extra_hop;
-                dropped += 1;
-                continue;
-            }
-            let (delivered, hops, walk_recoveries, was_dropped) =
-                self.single_walk_frozen(frozen, adversaries, start, target, rng, scratch);
-            total_hops += extra_hop + hops;
-            recoveries += walk_recoveries;
-            if was_dropped {
-                dropped += 1;
-            }
-            if delivered {
-                winning_hops = Some(extra_hop + hops);
-                break;
-            }
-        }
-        scratch.set_path_recording(caller_records);
-        RedundantRouteResult {
-            delivered: winning_hops.is_some(),
-            attempts,
-            total_hops,
-            winning_hops,
-            dropped_by_adversary: dropped,
-            recoveries,
-        }
-    }
-
-    // xlint: end(no_alloc)
-
     /// Routes a lookup from `source` to `target`, issuing up to `redundancy` walks.
     ///
     /// The first walk is the plain greedy walk; every retry first hops to a uniformly
     /// random usable neighbour of the source (paying one hop) so that its greedy path
     /// diverges from the previous attempts.
+    ///
+    /// The query engine's byzantine lane issues these walks over a frozen snapshot and
+    /// is tested against this function, lookup for lookup and draw for draw.
     pub fn route<R: Rng + ?Sized>(
         &self,
         graph: &OverlayGraph,
@@ -457,59 +362,5 @@ mod tests {
     #[should_panic(expected = "at least one walk")]
     fn zero_redundancy_is_rejected() {
         let _ = RedundantRouter::new(Router::new(), 0);
-    }
-
-    #[test]
-    fn route_frozen_matches_route_bit_for_bit_with_identical_rng_consumption() {
-        use crate::frozen::RouteScratch;
-        use rand::RngCore;
-        let g = graph(1 << 11, 9, 21);
-        let mut setup_rng = StdRng::seed_from_u64(22);
-        let adversaries = ByzantineSet::sample_fraction(&g, 0.15, &mut setup_rng);
-        let frozen = g.freeze();
-        let mut scratch = RouteScratch::new();
-        for (redundancy, strategy) in [
-            (1u32, FaultStrategy::Terminate),
-            (4, FaultStrategy::paper_backtrack()),
-            (8, FaultStrategy::RandomReroute { max_attempts: 2 }),
-        ] {
-            let router = RedundantRouter::new(Router::new().with_strategy(strategy), redundancy);
-            for trial in 0..60u64 {
-                let s = (trial * 37) % g.len();
-                let t = (trial * 151 + 13) % g.len();
-                let mut rng_live = StdRng::seed_from_u64(1000 + trial);
-                let mut rng_fast = StdRng::seed_from_u64(1000 + trial);
-                let live = router.route(&g, &adversaries, s, t, &mut rng_live);
-                let fast =
-                    router.route_frozen(&frozen, &adversaries, s, t, &mut rng_fast, &mut scratch);
-                assert_eq!(live, fast, "{s}->{t} diverged at redundancy {redundancy}");
-                assert_eq!(
-                    rng_live.next_u64(),
-                    rng_fast.next_u64(),
-                    "{s}->{t} consumed different amounts of randomness"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn route_frozen_forces_path_recording_in_the_scratch() {
-        use crate::frozen::RouteScratch;
-        let g = graph(512, 6, 31);
-        let frozen = g.freeze();
-        let adversaries = ByzantineSet::from_nodes([100]);
-        let router = RedundantRouter::new(Router::new(), 2);
-        let mut silent = RouteScratch::new().with_path_recording(false);
-        let mut rng = StdRng::seed_from_u64(32);
-        let result = router.route_frozen(&frozen, &adversaries, 3, 400, &mut rng, &mut silent);
-        assert!(result.delivered || result.dropped_by_adversary > 0);
-        assert!(
-            !silent.path().is_empty(),
-            "the adversary scan needs the visited sequence, so recording is forced on"
-        );
-        assert!(
-            !silent.records_path(),
-            "the caller's recording preference is restored after the call"
-        );
     }
 }

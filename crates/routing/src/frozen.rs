@@ -68,8 +68,8 @@ struct WalkState {
 /// their capacity, so after warm-up no query allocates. By default the visited-node
 /// sequence of the most recent route is recorded (as cheap `u32` pushes) and
 /// available through [`RouteScratch::path`]; callers that never read it — the engine
-/// when its route cache is disabled — can switch recording off with
-/// [`RouteScratch::with_path_recording`] and save the per-hop store.
+/// when neither its route cache nor its adversary scan does — can switch recording
+/// off with [`RouteScratch::with_path_recording`] and save the per-hop store.
 ///
 /// The scratch also carries the resolved distance-scan kernel ([`KernelIsa`]):
 /// runtime SIMD dispatch is decided once at construction (cpuid + the
@@ -146,19 +146,6 @@ impl RouteScratch {
     pub fn with_path_recording(mut self, record: bool) -> Self {
         self.record_path = record;
         self
-    }
-
-    /// Whether this scratch records the visited sequence into its path buffer.
-    #[must_use]
-    pub fn records_path(&self) -> bool {
-        self.record_path
-    }
-
-    /// In-place counterpart of [`RouteScratch::with_path_recording`], for hot paths
-    /// that toggle recording per call (the redundant router forces it on for the
-    /// adversary scan and restores the caller's setting) without moving the buffers.
-    pub fn set_path_recording(&mut self, record: bool) {
-        self.record_path = record;
     }
 
     /// The nodes the most recent route visited, in order (starts at the source).

@@ -7,7 +7,8 @@
 //! The contract is proven for both distance-scan kernels — auto-detected (the SIMD
 //! scan over row slots, where the CPU has it) and pinned scalar — on a snapshot
 //! with rows patched in by `apply_delta`, for single walks, for the same walks
-//! through a warmed-up lockstep [`WalkGroup`], and for the byzantine-redundant path.
+//! through a warmed-up lockstep [`WalkGroup`], and for a group that records paths and
+//! scans them for adversaries, as the engine's byzantine lane does.
 //!
 //! This file intentionally holds a single test: the allocation counter is global to
 //! the test binary, and a concurrently running test would pollute the delta.
@@ -16,8 +17,7 @@ use faultline_linkdist::InversePowerLaw;
 use faultline_metric::Geometry;
 use faultline_overlay::{GraphBuilder, OverlayGraph};
 use faultline_routing::{
-    ByzantineSet, FaultStrategy, KernelIsa, RedundantRouter, RouteScratch, Router, Walk, WalkGroup,
-    WALKS_IN_FLIGHT,
+    ByzantineSet, FaultStrategy, KernelIsa, RouteScratch, Router, Walk, WalkGroup, WALKS_IN_FLIGHT,
 };
 use rand::rngs::{SmallRng, StdRng};
 use rand::{Rng, SeedableRng};
@@ -188,37 +188,65 @@ fn frozen_kernel_allocates_nothing_per_query_after_warmup() {
         );
     }
 
-    // The byzantine-redundant frozen path inherits the contract: retry walks reuse the
-    // same scratch and the adversary scan reads it, so no walk allocates either.
+    // The engine's byzantine lane walks through the same group with path recording
+    // on: its feed scans each finished walk's path for the first adversary, and a
+    // lookup whose walk did not get through walks again from a random neighbour of
+    // its source, drawn from the randomness the walk handed back. Recording and
+    // scanning the path allocate nothing either.
     let adversaries = ByzantineSet::from_nodes((0..n).step_by(17));
-    let redundant = RedundantRouter::new(
-        Router::new().with_strategy(FaultStrategy::paper_backtrack()),
-        4,
-    );
-    let mut scratch = RouteScratch::new();
-    let run_redundant = |scratch: &mut RouteScratch| {
-        let mut delivered = 0usize;
-        for (index, &(s, t)) in pairs.iter().enumerate() {
-            let mut rng = SmallRng::seed_from_u64(index as u64);
-            if redundant
-                .route_frozen(&frozen, &adversaries, s, t, &mut rng, scratch)
-                .delivered
-            {
-                delivered += 1;
+    let router = Router::new().with_strategy(FaultStrategy::paper_backtrack());
+    let mut group = WalkGroup::<SmallRng>::new(WALKS_IN_FLIGHT, &RouteScratch::new());
+    let mut run_byzantine = || {
+        let (mut delivered, mut swallowed, mut admitted) = (0usize, 0usize, 0usize);
+        group.run(&frozen, |finished| {
+            if let Some(done) = finished {
+                let Walk {
+                    source,
+                    target,
+                    mut rng,
+                    tag,
+                    ..
+                } = done.walk;
+                let dropped = done.scratch.path().iter().any(|&node| {
+                    let node = u64::from(node);
+                    node != source && node != target && adversaries.contains(node)
+                });
+                swallowed += usize::from(dropped);
+                if done.result.is_delivered() && !dropped {
+                    delivered += 1;
+                } else if let (0, row @ [_, ..]) = (tag % 2, frozen.neighbors(source)) {
+                    return Some(Walk {
+                        router,
+                        source: u64::from(row[rng.gen_range(0..row.len())]),
+                        target,
+                        rng,
+                        tag: tag + 1,
+                    });
+                }
             }
-        }
-        delivered
+            let &(source, target) = pairs.get(admitted)?;
+            admitted += 1;
+            Some(Walk {
+                router,
+                source,
+                target,
+                rng: SmallRng::seed_from_u64(admitted as u64 - 1),
+                tag: 2 * (admitted - 1),
+            })
+        });
+        (delivered, swallowed)
     };
-    let warm = run_redundant(&mut scratch);
+    let warm = run_byzantine();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let again = run_redundant(&mut scratch);
+    let again = run_byzantine();
     let after = ALLOCATIONS.load(Ordering::Relaxed);
     assert_eq!(warm, again);
-    assert!(warm > 0, "some redundant lookups must deliver");
+    assert!(warm.0 > 0, "some lookups must get through");
+    assert!(warm.1 > 0, "some walks must be swallowed");
     assert_eq!(
         after - before,
         0,
-        "redundant frozen path allocated {} times in {} lookups",
+        "the byzantine lane's group allocated {} times in {} lookups",
         after - before,
         pairs.len(),
     );

@@ -1,6 +1,6 @@
 //! Analytic machinery from Section 4 of the paper, as executable Rust.
 //!
-//! Three pieces:
+//! Five pieces:
 //!
 //! * [`bounds`] — every upper and lower bound of Table 1 as a function of the model
 //!   parameters (`n`, `ℓ`, `p`, `b`), with both the clean asymptotic form and, where the
@@ -14,11 +14,14 @@
 //!   lower-bound machinery against measured behaviour.
 //! * [`oracle`] — an exact BFS shortest-path oracle over any caller-supplied adjacency.
 //!   It currently has no caller outside its tests; it is kept as the ground truth for
-//!   the ROADMAP's planned stretch contract (greedy hops ÷ optimal hops, direction 3).
+//!   the ROADMAP's planned stretch contract (greedy hops ÷ optimal hops, direction 1).
 //! * [`connectivity`] — exact connectivity structure of a failure-damaged overlay:
 //!   one-array (Pearce) SCCs plus a condensation walk for directed
 //!   `survivable(src, dst)` ground truth — the denominator of the engine's
-//!   survivability gate.
+//!   survivability gate. Built once, an oracle is carried across node crashes and
+//!   revivals on two breadth-first trees through a pivot in the largest component
+//!   (one the pivot reaches every member along, one every member reaches it
+//!   along), so a crash costs the size of what it detaches, not of the graph.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
