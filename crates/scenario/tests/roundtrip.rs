@@ -4,12 +4,56 @@
 //! round-trip is what makes scenario files diffable artifacts rather than
 //! write-only input.
 
-use faultline_engine::FailureEvent;
+use faultline_engine::{ByzantineConfig, ChurnMix, EngineConfig, FailureEvent, FailureSchedule};
 use faultline_routing::FaultStrategy;
 use faultline_scenario::{
     ByzantineSpec, ChurnSpec, ChurnVolume, EngineSpec, FailureSpec, QuerySkew, ScenarioSpec,
 };
 use proptest::prelude::*;
+
+const MINIMAL: &str = concat!(
+    "[scenario]\n",
+    "name = \"minimal\"\n",
+    "[network]\n",
+    "nodes = 64\n",
+    "[workload]\n",
+    "queries_per_epoch = 100\n",
+    "epochs = 1\n",
+);
+
+/// Every section and key the schema defines.
+const KITCHEN_SINK: &str = concat!(
+    "[scenario]\n",
+    "name = \"kitchen-sink\"\n",
+    "seed = 31337\n",
+    "[network]\n",
+    "nodes = \"2^10\"\n",
+    "links = 10\n",
+    "seed = 99\n",
+    "strategy = \"backtrack\"\n",
+    "construction = \"ideal\"\n",
+    "[workload]\n",
+    "queries_per_epoch = 5_000\n",
+    "epochs = 6\n",
+    "seed = 7\n",
+    "skew = \"hotspot-pair\"\n",
+    "hotspots = 4\n",
+    "bias = 0.75\n",
+    "[churn]\n",
+    "fraction = 0.02\n",
+    "join_probability = 0.4\n",
+    "adversarial_joins = 0.1\n",
+    "[engine]\n",
+    "threads = 4\n",
+    "cache_capacity = 4096\n",
+    "[byzantine]\n",
+    "fraction = 0.15\n",
+    "seed = 41\n",
+    "redundancy = 3\n",
+    "[failures]\n",
+    "events = [\"region:16\", \"heal\", \"partition:8\", \"heal\", \"quiet\"]\n",
+    "retries = 2\n",
+);
 
 fn reparse(spec: &ScenarioSpec) -> ScenarioSpec {
     let rendered = spec.render();
@@ -19,16 +63,7 @@ fn reparse(spec: &ScenarioSpec) -> ScenarioSpec {
 
 #[test]
 fn minimal_spec_round_trips() {
-    let spec = ScenarioSpec::parse(concat!(
-        "[scenario]\n",
-        "name = \"minimal\"\n",
-        "[network]\n",
-        "nodes = 64\n",
-        "[workload]\n",
-        "queries_per_epoch = 100\n",
-        "epochs = 1\n",
-    ))
-    .expect("minimal scenario parses");
+    let spec = ScenarioSpec::parse(MINIMAL).expect("minimal scenario parses");
     assert_eq!(reparse(&spec), spec);
     // Defaults are resolved at parse time, not render time.
     assert_eq!(spec.seed, faultline_scenario::DEFAULT_SEED);
@@ -41,39 +76,7 @@ fn minimal_spec_round_trips() {
 
 #[test]
 fn kitchen_sink_spec_round_trips() {
-    let spec = ScenarioSpec::parse(concat!(
-        "[scenario]\n",
-        "name = \"kitchen-sink\"\n",
-        "seed = 31337\n",
-        "[network]\n",
-        "nodes = \"2^10\"\n",
-        "links = 10\n",
-        "seed = 99\n",
-        "strategy = \"backtrack\"\n",
-        "construction = \"ideal\"\n",
-        "[workload]\n",
-        "queries_per_epoch = 5_000\n",
-        "epochs = 6\n",
-        "seed = 7\n",
-        "skew = \"hotspot-pair\"\n",
-        "hotspots = 4\n",
-        "bias = 0.75\n",
-        "[churn]\n",
-        "fraction = 0.02\n",
-        "join_probability = 0.4\n",
-        "adversarial_joins = 0.1\n",
-        "[engine]\n",
-        "threads = 4\n",
-        "cache_capacity = 4096\n",
-        "[byzantine]\n",
-        "fraction = 0.15\n",
-        "seed = 41\n",
-        "redundancy = 3\n",
-        "[failures]\n",
-        "events = [\"region:16\", \"heal\", \"partition:8\", \"heal\", \"quiet\"]\n",
-        "retries = 2\n",
-    ))
-    .expect("kitchen-sink scenario parses");
+    let spec = ScenarioSpec::parse(KITCHEN_SINK).expect("kitchen-sink scenario parses");
     assert_eq!(spec.network.nodes, 1 << 10);
     assert_eq!(spec.network.strategy, FaultStrategy::paper_backtrack());
     assert_eq!(
@@ -123,6 +126,34 @@ fn kitchen_sink_spec_round_trips() {
     // And twice: rendering is a fixed point, not merely an involution.
     let once = spec.render();
     assert_eq!(reparse(&spec).render(), once);
+}
+
+/// What a file says is what the engine runs: each key lands on the engine's own
+/// config, and an omitted section leaves the engine default.
+#[test]
+fn files_map_onto_the_engine_config() {
+    let spec = ScenarioSpec::parse(KITCHEN_SINK).expect("kitchen-sink scenario parses");
+    let mut churn = ChurnMix::fraction_of(1024, 0.02).adversarial_joins(0.1);
+    churn.join_probability = 0.4;
+    assert_eq!(spec.churn_mix(), churn);
+    assert_eq!(
+        spec.into_engine_config(),
+        Ok(EngineConfig::default()
+            .threads(4)
+            .cache_capacity(4096)
+            .byzantine(ByzantineConfig::fraction(0.15, 41).redundancy(3))
+            .failures(FailureSchedule::from_events(vec![
+                FailureEvent::Region { width: 16 },
+                FailureEvent::Heal,
+                FailureEvent::Partition { width: 8 },
+                FailureEvent::Heal,
+                FailureEvent::Quiet,
+            ])))
+    );
+
+    let spec = ScenarioSpec::parse(MINIMAL).expect("minimal scenario parses");
+    assert_eq!(spec.churn_mix(), ChurnMix::balanced(0));
+    assert_eq!(spec.into_engine_config(), Ok(EngineConfig::default()));
 }
 
 #[test]
