@@ -12,7 +12,7 @@
 //! | Table 1 — upper/lower bounds vs measured scaling | [`table1`] | `table1_bounds` |
 //! | Ablations (exponent sweep, replacement strategy, region failures) | [`ablation`] | `ablation_exponent`, `ablation_replacement` |
 //! | Baseline comparison (Chord / Kleinberg / Plaxton) | [`baseline_cmp`] | `baseline_comparison` |
-//! | Declarative scenarios (`examples/scenarios/*.toml`) and the engine perf gate | [`scenario_run`] | `engine_throughput --scenario PATH` (runs the files, gates nine readings) |
+//! | Declarative scenarios (`examples/scenarios/*.toml`) and the engine perf gate | [`scenario_run`] | `engine_throughput --scenario PATH` (runs the files, gates eight readings) |
 //! | Distance-scan kernel, ns/hop (scalar vs SIMD vs lockstep) | [`kernel`] | `route_kernel` |
 //! | The trial loop the routing experiments share | [`trial`] | — |
 //!

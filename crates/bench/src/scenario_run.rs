@@ -122,7 +122,7 @@ pub fn print(outcome: &ScenarioOutcome) {
         success = report.overall_success_rate(),
         hit = report.warm_hit_rate(),
     );
-    if spec.failures.is_some() {
+    if spec.engine.failures_config().is_some() {
         println!(
             "  survival {survival:.4}, {retries} retries spent, heal recovery {heal:.1} us",
             survival = report.survival_rate(),

@@ -1,26 +1,11 @@
 //! Engine configuration.
 
 use crate::failures::FailureSchedule;
-use faultline_routing::ByzantineSet;
 use std::fmt;
 
-/// How the engine decides which nodes are Byzantine.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ByzantineMembership {
-    /// Sample this fraction of the alive nodes when the engine first sees the
-    /// network, using an RNG seeded with `seed` (deterministic per `(network, seed)`).
-    Fraction {
-        /// Fraction of the alive population to corrupt, in `[0, 1]`.
-        fraction: f64,
-        /// Seed for the membership sample.
-        seed: u64,
-    },
-    /// An explicit, caller-chosen adversary set.
-    Explicit(ByzantineSet),
-}
-
-/// Adversary specification for a [`QueryEngine`](crate::QueryEngine): who is
-/// Byzantine and how many redundant walks each lookup issues.
+/// Adversary specification for a [`QueryEngine`](crate::QueryEngine): the fraction
+/// of nodes that is Byzantine, the seed that samples them, and how many redundant
+/// walks each lookup issues.
 ///
 /// When present on an [`EngineConfig`], every lookup issues the walks of
 /// [`RedundantRouter::route`](faultline_routing::RedundantRouter::route) over the
@@ -30,7 +15,8 @@ pub enum ByzantineMembership {
 /// redundancy overhead), so a fraction of `0.0` is an exact honest baseline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ByzantineConfig {
-    membership: ByzantineMembership,
+    fraction: f64,
+    seed: u64,
     redundancy: u32,
 }
 
@@ -49,16 +35,8 @@ impl ByzantineConfig {
     #[must_use]
     pub fn fraction(fraction: f64, seed: u64) -> Self {
         Self {
-            membership: ByzantineMembership::Fraction { fraction, seed },
-            redundancy: Self::DEFAULT_REDUNDANCY,
-        }
-    }
-
-    /// Marks an explicit set of nodes as Byzantine.
-    #[must_use]
-    pub fn explicit(set: ByzantineSet) -> Self {
-        Self {
-            membership: ByzantineMembership::Explicit(set),
+            fraction,
+            seed,
             redundancy: Self::DEFAULT_REDUNDANCY,
         }
     }
@@ -72,10 +50,16 @@ impl ByzantineConfig {
         self
     }
 
-    /// The configured membership rule.
+    /// Fraction of the alive nodes corrupted.
     #[must_use]
-    pub fn membership(&self) -> &ByzantineMembership {
-        &self.membership
+    pub fn corrupt_fraction(&self) -> f64 {
+        self.fraction
+    }
+
+    /// Seed of the membership sample.
+    #[must_use]
+    pub fn sample_seed(&self) -> u64 {
+        self.seed
     }
 
     /// Walks per lookup.
@@ -251,10 +235,10 @@ impl EngineConfig {
             if byzantine.redundancy == 0 {
                 return Err(ConfigError::ByzantineZeroRedundancy);
             }
-            if let ByzantineMembership::Fraction { fraction, .. } = byzantine.membership {
-                if !(0.0..=1.0).contains(&fraction) {
-                    return Err(ConfigError::ByzantineFractionOutOfRange { fraction });
-                }
+            if !(0.0..=1.0).contains(&byzantine.fraction) {
+                return Err(ConfigError::ByzantineFractionOutOfRange {
+                    fraction: byzantine.fraction,
+                });
             }
         }
         Ok(())
@@ -297,32 +281,18 @@ mod tests {
         let stored = config.byzantine_config().expect("spec stored");
         assert_eq!(stored, &spec);
         assert_eq!(stored.redundancy_factor(), 6);
-        assert_eq!(
-            stored.membership(),
-            &ByzantineMembership::Fraction {
-                fraction: 0.15,
-                seed: 99
-            }
-        );
-        let mut set = ByzantineSet::new();
-        set.insert(7);
-        let explicit = ByzantineConfig::explicit(set.clone());
-        assert_eq!(explicit.membership(), &ByzantineMembership::Explicit(set));
-        assert_eq!(
-            explicit.redundancy_factor(),
-            ByzantineConfig::DEFAULT_REDUNDANCY
-        );
+        assert_eq!(stored.corrupt_fraction(), 0.15);
+        assert_eq!(stored.sample_seed(), 99);
     }
 
     #[test]
     fn failure_schedule_builder() {
         use crate::failures::FailureEvent;
         assert!(EngineConfig::default().failures_config().is_none());
-        let schedule = FailureSchedule::partition_and_heal(16).retries(3);
+        let schedule = FailureSchedule::partition_and_heal(16);
         let config = EngineConfig::default().failures(schedule.clone());
         let stored = config.failures_config().expect("schedule stored");
         assert_eq!(stored, &schedule);
-        assert_eq!(stored.retry_budget(), 3);
         assert_eq!(stored.event_for(0), FailureEvent::Partition { width: 16 });
         assert_eq!(stored.event_for(1), FailureEvent::Heal);
     }

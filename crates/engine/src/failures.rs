@@ -46,8 +46,8 @@ pub enum FailureEvent {
 }
 
 /// A cyclic schedule of failure events for
-/// [`run_interleaved`](crate::QueryEngine::run_interleaved), plus the retry budget
-/// failed lookups get while the overlay is damaged.
+/// [`run_interleaved`](crate::QueryEngine::run_interleaved). While one is configured,
+/// a failed lookup gets [`FailureSchedule::DEFAULT_RETRIES`] diversified re-routes.
 ///
 /// Epoch `i` applies `events[i % events.len()]`. The two stock schedules cover the
 /// resilience bench's scenarios: [`FailureSchedule::regional`] alternates one
@@ -56,13 +56,14 @@ pub enum FailureEvent {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FailureSchedule {
     events: Vec<FailureEvent>,
-    retries: u32,
 }
 
 impl FailureSchedule {
-    /// Default retry budget: up to two diversified re-routes per failed lookup.
-    /// Enough to step around a damaged first hop without letting unsurvivable
-    /// lookups burn unbounded bandwidth.
+    /// The retry budget: up to two diversified re-routes per failed lookup
+    /// (deterministic Terminate/Backtrack strategies escalate to random re-route for
+    /// the retries, so each attempt explores a genuinely different path). Enough to
+    /// step around a damaged first hop without letting unsurvivable lookups burn
+    /// unbounded bandwidth.
     pub const DEFAULT_RETRIES: u32 = 2;
 
     /// Alternates a correlated region crash of `width` nodes with a heal epoch.
@@ -82,26 +83,7 @@ impl FailureSchedule {
     /// is [`FailureEvent::Quiet`] — oracle accounting without damage).
     #[must_use]
     pub fn from_events(events: Vec<FailureEvent>) -> Self {
-        Self {
-            events,
-            retries: Self::DEFAULT_RETRIES,
-        }
-    }
-
-    /// Sets the per-lookup retry budget: a failed lookup re-routes up to `retries`
-    /// more times with diversified seeds (deterministic Terminate/Backtrack
-    /// strategies escalate to random re-route for the retries, so each attempt
-    /// explores a genuinely different path). `0` disables retries.
-    #[must_use]
-    pub fn retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
-
-    /// The configured retry budget.
-    #[must_use]
-    pub fn retry_budget(&self) -> u32 {
-        self.retries
+        Self { events }
     }
 
     /// The event cycle.
@@ -272,16 +254,6 @@ mod tests {
             FailureSchedule::from_events(Vec::new()).event_for(9),
             FailureEvent::Quiet
         );
-    }
-
-    #[test]
-    fn retry_budget_defaults_and_overrides() {
-        assert_eq!(
-            FailureSchedule::regional(8).retry_budget(),
-            FailureSchedule::DEFAULT_RETRIES
-        );
-        assert_eq!(FailureSchedule::regional(8).retries(0).retry_budget(), 0);
-        assert_eq!(FailureSchedule::regional(8).retries(5).retry_budget(), 5);
     }
 
     #[test]

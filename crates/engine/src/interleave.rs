@@ -116,6 +116,13 @@ impl ChurnMix {
         self
     }
 
+    /// The fraction of the alive population churned per epoch, for mixes built with
+    /// [`ChurnMix::fraction_of`] (`None` for absolute mixes).
+    #[must_use]
+    pub fn fraction(&self) -> Option<f64> {
+        self.fraction
+    }
+
     /// The configured adversarial-join probability (0.0 by default).
     #[must_use]
     pub fn adversarial_join_probability(&self) -> f64 {

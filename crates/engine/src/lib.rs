@@ -54,8 +54,8 @@
 //!   callback ([`EpochWorkload`]) so skewed traffic — the scenario DSL's Zipf,
 //!   hotspot, flash-crowd, and diurnal generators — drives the same pipeline.
 //! * **Byzantine workload lane** — [`EngineConfig::byzantine`] opens an adversarial
-//!   traffic class: a [`ByzantineConfig`] names the corrupted nodes (a sampled
-//!   fraction or an explicit [`ByzantineSet`]) and every lookup issues up to
+//!   traffic class: a [`ByzantineConfig`] names the fraction of nodes corrupted
+//!   (sampled once per network into a [`ByzantineSet`]) and every lookup issues up to
 //!   `redundancy` diversified walks of
 //!   [`RedundantRouter::route`](faultline_routing::RedundantRouter::route) (its tested
 //!   reference) over the shared CSR snapshot through the same walk group —
@@ -135,7 +135,7 @@ mod stats;
 
 pub use batch::QueryBatch;
 pub use cache::{bucket_of, CachedRoute, RouteCache, RowSet, NUM_BUCKETS};
-pub use config::{ByzantineConfig, ByzantineMembership, ConfigError, EngineConfig};
+pub use config::{ByzantineConfig, ConfigError, EngineConfig};
 pub use failures::{FailureEvent, FailureSchedule, FailureWork, OracleWork, SurvivabilitySplit};
 pub use interleave::{ChurnMix, EpochReport, EpochWorkload, InterleavedReport, SnapshotWork};
 pub use run::QueryEngine;

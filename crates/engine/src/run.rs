@@ -26,7 +26,8 @@
 
 use crate::batch::QueryBatch;
 use crate::cache::{bucket_of, CachedRoute, RouteCache, RowSet, NUM_BUCKETS};
-use crate::config::{ByzantineMembership, EngineConfig};
+use crate::config::EngineConfig;
+use crate::failures::FailureSchedule;
 use crate::stats::{BatchReport, OutcomeExtras, QueryOutcome};
 use faultline_core::{FrozenView, Network};
 use faultline_overlay::{ChurnDelta, NodeId};
@@ -262,9 +263,9 @@ impl QueryEngine {
 
     /// Resolves the configured adversary membership against `network` (once; later
     /// calls return the already-resolved set) and returns it. Honest engines return
-    /// `None`. Fraction memberships sample the *currently alive* nodes with an RNG
-    /// seeded from the spec, so resolution is deterministic per `(network, config)`
-    /// and independent of thread count.
+    /// `None`. The configured fraction of the *currently alive* nodes is sampled
+    /// with an RNG seeded from the spec, so resolution is deterministic per
+    /// `(network, config)` and independent of thread count.
     ///
     /// Callers that need the membership before running a batch — e.g. to draw an
     /// honest query batch via [`QueryBatch::uniform_honest`] — call this first;
@@ -279,13 +280,12 @@ impl QueryEngine {
     pub fn resolve_adversaries(&mut self, network: &Network) -> Option<&ByzantineSet> {
         if self.adversaries.is_none() {
             let spec = self.config.byzantine_config()?;
-            self.adversaries = Some(match spec.membership() {
-                ByzantineMembership::Fraction { fraction, seed } => {
-                    let mut rng = StdRng::seed_from_u64(*seed);
-                    ByzantineSet::sample_fraction(network.graph(), *fraction, &mut rng)
-                }
-                ByzantineMembership::Explicit(set) => set.clone(),
-            });
+            let mut rng = StdRng::seed_from_u64(spec.sample_seed());
+            self.adversaries = Some(ByzantineSet::sample_fraction(
+                network.graph(),
+                spec.corrupt_fraction(),
+                &mut rng,
+            ));
         }
         self.adversaries.as_ref()
     }
@@ -364,7 +364,7 @@ impl QueryEngine {
         let retry_budget = self
             .config
             .failures_config()
-            .map_or(0, crate::failures::FailureSchedule::retry_budget);
+            .map_or(0, |_| FailureSchedule::DEFAULT_RETRIES);
         self.resolve_adversaries(network);
         // Byzantine lane: a non-empty resolved adversary set routes every query
         // through redundant diversified walks, bypassing the route cache (a cached

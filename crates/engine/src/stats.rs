@@ -16,10 +16,10 @@ pub struct QueryOutcome {
     pub target: NodeId,
     /// Hop count (delivery time in messages).
     pub hops: u64,
-    /// Walks issued for this lookup: `1` on the honest path without a retry budget
-    /// and up to `1 +` [`FailureSchedule::retry_budget`](crate::FailureSchedule::retry_budget)
-    /// with one (failure epochs
-    /// re-route an undelivered lookup until it delivers or the budget is spent),
+    /// Walks issued for this lookup: `1` on the honest path without a failure
+    /// schedule and up to `1 +` [`FailureSchedule::DEFAULT_RETRIES`](crate::FailureSchedule::DEFAULT_RETRIES)
+    /// with one (failure epochs re-route an undelivered lookup until it delivers or
+    /// the budget is spent),
     /// `1..=redundancy` on the byzantine lane (retries stop at the first delivered
     /// walk), and `0` for pre-failed lookups whose endpoints lie outside the space —
     /// no walk was ever issued, and they weigh [`BatchReport::mean_attempts`]

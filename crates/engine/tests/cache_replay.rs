@@ -158,7 +158,7 @@ fn assert_engine_replays(net: &Network, capacity: usize, retries: u32) {
             .threads(threads)
             .cache_capacity(capacity);
         if retries > 0 {
-            config = config.failures(FailureSchedule::from_events(Vec::new()).retries(retries));
+            config = config.failures(FailureSchedule::from_events(Vec::new()));
         }
         let mut engine = QueryEngine::new(config);
         for (round, (batch, expected)) in batches.iter().zip(&expected).enumerate() {
@@ -199,6 +199,6 @@ fn cache_on_engine_replays_retries_on_a_damaged_overlay() {
     let mut net = network(6);
     net.apply_failure(&NodeFailure::fraction(0.3), &mut StdRng::seed_from_u64(7));
     for capacity in [1024, 24] {
-        assert_engine_replays(&net, capacity, 2);
+        assert_engine_replays(&net, capacity, FailureSchedule::DEFAULT_RETRIES);
     }
 }

@@ -99,7 +99,7 @@ fn outcomes_and_shard_counters_agree_across_worker_splits() {
             let config = EngineConfig::default()
                 .threads(threads)
                 .cache_capacity(cache)
-                .failures(FailureSchedule::regional(8).retries(2));
+                .failures(FailureSchedule::regional(8));
             let mut engine = QueryEngine::new(config);
             let outcomes: Vec<_> = (0..2)
                 .flat_map(|_| engine.run_batch(&net, &batch).lookups().collect::<Vec<_>>())

@@ -250,8 +250,8 @@ fn failure_trajectories_are_thread_count_deterministic() {
             })
             .collect::<Vec<_>>()
     };
-    let schedule = FailureSchedule::regional(8).retries(2);
-    let budget = schedule.retry_budget();
+    let schedule = FailureSchedule::regional(8);
+    let budget = FailureSchedule::DEFAULT_RETRIES;
     let a = run(1, schedule.clone(), 4);
     let b = run(4, schedule, 4);
     assert_eq!(digest(&a), digest(&b), "retries must not break determinism");
@@ -481,7 +481,7 @@ fn grouped_walks_and_retries_match_lookups_routed_alone() {
         FailureEvent::Quiet,
         FailureEvent::Heal,
     ];
-    let retries = 2;
+    let retries = FailureSchedule::DEFAULT_RETRIES;
     // Terminate gives up at the first dead end, so damage makes many lookups
     // retry; backtracking retries only what it cannot route around.
     for strategy in [FaultStrategy::Terminate, FaultStrategy::paper_backtrack()] {
@@ -492,7 +492,7 @@ fn grouped_walks_and_retries_match_lookups_routed_alone() {
                 .construction(ConstructionMode::incremental_default())
                 .fault_strategy(strategy);
             let mut net = Network::build(&config, &mut rng);
-            let schedule = FailureSchedule::from_events(events.clone()).retries(retries);
+            let schedule = FailureSchedule::from_events(events.clone());
             let mut engine = QueryEngine::new(
                 EngineConfig::default()
                     .threads(threads)

@@ -76,7 +76,4 @@ pub mod toml;
 
 pub use error::ScenarioError;
 pub use skew::QuerySkew;
-pub use spec::{
-    ByzantineSpec, ChurnSpec, ChurnVolume, EngineSpec, FailureSpec, NetworkSpec, ScenarioSpec,
-    WorkloadSpec, BYZANTINE_SEED_SALT, DEFAULT_SEED,
-};
+pub use spec::{NetworkSpec, ScenarioSpec, WorkloadSpec, BYZANTINE_SEED_SALT, DEFAULT_SEED};

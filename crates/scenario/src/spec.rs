@@ -1,10 +1,11 @@
 //! [`ScenarioSpec`]: the typed, validated description of one engine run, and the
 //! schema that maps scenario TOML onto it.
 //!
-//! The spec is the **single front door** to the engine: every knob a scenario can
-//! set flows through [`ScenarioSpec::into_engine_config`], which refuses invalid
-//! combinations with a typed [`ScenarioError`] instead of clamping them — the
-//! same no-silent-repair contract
+//! The spec is the **single front door** to the engine: `[engine]`, `[byzantine]`
+//! and `[failures]` parse straight into the engine's own [`EngineConfig`] and
+//! `[churn]` into its [`ChurnMix`], so a spec holds exactly what the engine runs.
+//! [`ScenarioSpec::into_engine_config`] refuses invalid combinations with a typed
+//! [`ScenarioError`] instead of clamping them — the same no-silent-repair contract
 //! [`EngineConfig::validate`](faultline_engine::EngineConfig::validate)
 //! establishes, extended up to the file format with line-accurate diagnostics.
 //!
@@ -14,7 +15,7 @@
 //! |---|---|---|---|
 //! | `[scenario]` | `name` | string | *(required)* |
 //! | | `seed` | integer | `2002` |
-//! | `[network]` | `nodes` | integer or `"2^k"` string | *(required)* |
+//! | `[network]` | `nodes` | integer or `"2^k"` string, `≤ 2^32 − 1` | *(required)* |
 //! | | `links` | integer | `⌈lg nodes⌉` |
 //! | | `seed` | integer | scenario seed |
 //! | | `strategy` | `"terminate"` / `"backtrack"` / `"reroute"` | `"terminate"` |
@@ -34,8 +35,7 @@
 //! | `[byzantine]` | `fraction` | float | *(required in section)* |
 //! | | `seed` | integer | scenario seed `^ 0xB52A` |
 //! | | `redundancy` | integer | engine default |
-//! | `[failures]` | `events` | array of `"quiet"` / `"heal"` / `"region:W"` / `"partition:W"` | *(required in section)* |
-//! | | `retries` | integer | engine default (`2`) |
+//! | `[failures]` | `events` | array of `"quiet"` / `"heal"` / `"region:W"` / `"partition:W"`; empty = every epoch quiet | *(required in section)* |
 //!
 //! `[churn]`, `[engine]`, `[byzantine]`, and `[failures]` are optional sections;
 //! omitting them means no churn, engine defaults, no adversary, and no failure
@@ -65,7 +65,8 @@ pub const BYZANTINE_SEED_SALT: u64 = 0xB52A;
 /// The overlay a scenario runs on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkSpec {
-    /// Grid points in the overlay (`≥ 2`).
+    /// Grid points in the overlay (`2 ≤ nodes ≤ 2^32 − 1`: the snapshot labels
+    /// nodes with 32 bits).
     pub nodes: u64,
     /// Long-distance links per node; `None` keeps
     /// [`NetworkConfig::paper_default`]'s `⌈lg nodes⌉`.
@@ -91,62 +92,12 @@ pub struct WorkloadSpec {
     pub skew: QuerySkew,
 }
 
-/// How much churn volume a scenario applies per epoch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ChurnVolume {
-    /// Churn touching this fraction of the *current* alive population each epoch.
-    Fraction(f64),
-    /// A fixed number of join/leave events per epoch.
-    EventsPerEpoch(usize),
-}
-
-/// The churn mix applied between routing epochs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChurnSpec {
-    /// Fractional or absolute event volume.
-    pub volume: ChurnVolume,
-    /// Probability an event is a join; `None` keeps the balanced default.
-    pub join_probability: Option<f64>,
-    /// Probability a joining node is conscripted into the adversary set.
-    pub adversarial_joins: Option<f64>,
-}
-
-/// Engine knobs a scenario overrides; `None` fields keep
-/// [`EngineConfig::default`]'s value, so an empty `[engine]` section *is* the
-/// default engine.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct EngineSpec {
-    /// Worker threads (`0` = available parallelism).
-    pub threads: Option<usize>,
-    /// Per-shard route-cache capacity (`0` disables caching).
-    pub cache_capacity: Option<usize>,
-}
-
-/// The adversarial lane of a scenario.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ByzantineSpec {
-    /// Fraction of alive nodes corrupted (`[0, 1]`).
-    pub fraction: f64,
-    /// Seed of the corruption sample.
-    pub seed: u64,
-    /// Diversified walks per lookup; `None` keeps the engine default.
-    pub redundancy: Option<u32>,
-}
-
-/// The correlated-failure schedule of a scenario.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FailureSpec {
-    /// The cyclic event list (`epoch i` applies `events[i % len]`).
-    pub events: Vec<FailureEvent>,
-    /// Per-lookup retry budget while damaged; `None` keeps the engine default.
-    pub retries: Option<u32>,
-}
-
 /// A complete, validated scenario: one engine run described declaratively.
 ///
 /// Obtain one with [`ScenarioSpec::parse`]; everything a file can express is
 /// public here, so programmatic construction works too (rendering via
-/// [`ScenarioSpec::render`] round-trips either way).
+/// [`ScenarioSpec::render`] round-trips either way; a fraction churn mix reparses
+/// sized by `network.nodes`, as [`ChurnMix::fraction_of`] sizes it).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// The scenario's name — labels its printed results and summary rows.
@@ -157,14 +108,11 @@ pub struct ScenarioSpec {
     pub network: NetworkSpec,
     /// The traffic.
     pub workload: WorkloadSpec,
-    /// Churn between epochs (`None` = static membership).
-    pub churn: Option<ChurnSpec>,
-    /// Engine overrides.
-    pub engine: EngineSpec,
-    /// The adversarial lane (`None` = honest run).
-    pub byzantine: Option<ByzantineSpec>,
-    /// Correlated failures (`None` = no damage, no oracle accounting).
-    pub failures: Option<FailureSpec>,
+    /// Churn between epochs ([`ChurnMix::balanced`]`(0)` = static membership).
+    pub churn: ChurnMix,
+    /// The engine: threads, cache, the byzantine lane (none = honest run) and the
+    /// failure schedule (none = no damage, no oracle accounting).
+    pub engine: EngineConfig,
 }
 
 impl ScenarioSpec {
@@ -194,10 +142,14 @@ impl ScenarioSpec {
         let (name, seed) = parse_scenario(document)?;
         let network = parse_network(document, seed)?;
         let workload = parse_workload(document, seed)?;
-        let churn = parse_churn(document)?;
-        let engine = parse_engine(document)?;
-        let byzantine = parse_byzantine(document, seed)?;
-        let failures = parse_failures(document)?;
+        let churn = parse_churn(document, network.nodes)?;
+        let mut engine = parse_engine(document)?;
+        if let Some(lane) = parse_byzantine(document, seed)? {
+            engine = engine.byzantine(lane);
+        }
+        if let Some(schedule) = parse_failures(document)? {
+            engine = engine.failures(schedule);
+        }
         Ok(Self {
             name,
             seed,
@@ -205,8 +157,6 @@ impl ScenarioSpec {
             workload,
             churn,
             engine,
-            byzantine,
-            failures,
         })
     }
 
@@ -233,60 +183,22 @@ impl ScenarioSpec {
     /// i.e. none — when the scenario has no `[churn]` section).
     #[must_use]
     pub fn churn_mix(&self) -> ChurnMix {
-        match &self.churn {
-            None => ChurnMix::balanced(0),
-            Some(churn) => {
-                let mut mix = match churn.volume {
-                    ChurnVolume::Fraction(fraction) => {
-                        ChurnMix::fraction_of(self.network.nodes, fraction)
-                    }
-                    ChurnVolume::EventsPerEpoch(events) => ChurnMix::balanced(events),
-                };
-                if let Some(p) = churn.join_probability {
-                    mix.join_probability = p;
-                }
-                if let Some(p) = churn.adversarial_joins {
-                    mix = mix.adversarial_joins(p);
-                }
-                mix
-            }
-        }
+        self.churn
     }
 
-    /// Assembles the engine configuration — **the** validated construction path.
+    /// The engine configuration, validated against the run it is for.
     ///
     /// # Errors
     ///
     /// [`ScenarioError::Config`] when
-    /// [`EngineConfig::validate_for_epochs`] rejects the assembled whole
-    /// (byzantine domain, schedule length vs the run's epochs).
+    /// [`EngineConfig::validate_for_epochs`] rejects it (byzantine domain,
+    /// schedule length vs the run's epochs).
     pub fn into_engine_config(self) -> Result<EngineConfig, ScenarioError> {
-        let mut config = EngineConfig::default();
-        if let Some(threads) = self.engine.threads {
-            config = config.threads(threads);
-        }
-        if let Some(capacity) = self.engine.cache_capacity {
-            config = config.cache_capacity(capacity);
-        }
-        if let Some(byzantine) = &self.byzantine {
-            let mut lane = ByzantineConfig::fraction(byzantine.fraction, byzantine.seed);
-            if let Some(redundancy) = byzantine.redundancy {
-                lane = lane.redundancy(redundancy);
-            }
-            config = config.byzantine(lane);
-        }
-        if let Some(failures) = &self.failures {
-            let mut schedule = FailureSchedule::from_events(failures.events.clone());
-            if let Some(retries) = failures.retries {
-                schedule = schedule.retries(retries);
-            }
-            config = config.failures(schedule);
-        }
-        config.validate_for_epochs(self.workload.epochs)?;
-        Ok(config)
+        self.engine.validate_for_epochs(self.workload.epochs)?;
+        Ok(self.engine)
     }
 
-    /// Builds the overlay, assembles the engine, and runs the scenario's full
+    /// Builds the overlay and the engine, and runs the scenario's full
     /// churn-interleaved trajectory with its skewed workload.
     ///
     /// A `skew = "uniform"` scenario reproduces
@@ -294,8 +206,8 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// [`ScenarioError::Config`] when the assembled engine configuration is
-    /// invalid (see [`ScenarioSpec::into_engine_config`]).
+    /// [`ScenarioError::Config`] when the engine configuration is invalid (see
+    /// [`ScenarioSpec::into_engine_config`]).
     pub fn run(&self) -> Result<InterleavedReport, ScenarioError> {
         let config = self.clone().into_engine_config()?;
         let mut network = self.build_network();
@@ -368,51 +280,45 @@ impl ScenarioSpec {
                 let _ = writeln!(out, "period = {period}");
             }
         }
-        if let Some(churn) = &self.churn {
+        let churn = self.churn;
+        if churn != ChurnMix::balanced(0) {
             let _ = writeln!(out, "\n[churn]");
-            match churn.volume {
-                ChurnVolume::Fraction(fraction) => {
+            match churn.fraction() {
+                Some(fraction) => {
                     let _ = writeln!(out, "fraction = {fraction:?}");
                 }
-                ChurnVolume::EventsPerEpoch(events) => {
-                    let _ = writeln!(out, "events_per_epoch = {events}");
+                None => {
+                    let _ = writeln!(out, "events_per_epoch = {}", churn.events_per_epoch);
                 }
             }
-            if let Some(p) = churn.join_probability {
-                let _ = writeln!(out, "join_probability = {p:?}");
-            }
-            if let Some(p) = churn.adversarial_joins {
-                let _ = writeln!(out, "adversarial_joins = {p:?}");
-            }
+            let _ = writeln!(out, "join_probability = {:?}", churn.join_probability);
+            let _ = writeln!(
+                out,
+                "adversarial_joins = {:?}",
+                churn.adversarial_join_probability()
+            );
         }
-        if self.engine != EngineSpec::default() {
-            let _ = writeln!(out, "\n[engine]");
-            if let Some(threads) = self.engine.threads {
-                let _ = writeln!(out, "threads = {threads}");
-            }
-            if let Some(capacity) = self.engine.cache_capacity {
-                let _ = writeln!(out, "cache_capacity = {capacity}");
-            }
-        }
-        if let Some(byzantine) = &self.byzantine {
+        let _ = writeln!(out, "\n[engine]");
+        let _ = writeln!(out, "threads = {}", self.engine.thread_count());
+        let _ = writeln!(
+            out,
+            "cache_capacity = {}",
+            self.engine.cache_capacity_entries()
+        );
+        if let Some(lane) = self.engine.byzantine_config() {
             let _ = writeln!(out, "\n[byzantine]");
-            let _ = writeln!(out, "fraction = {:?}", byzantine.fraction);
-            let _ = writeln!(out, "seed = {}", byzantine.seed);
-            if let Some(redundancy) = byzantine.redundancy {
-                let _ = writeln!(out, "redundancy = {redundancy}");
-            }
+            let _ = writeln!(out, "fraction = {:?}", lane.corrupt_fraction());
+            let _ = writeln!(out, "seed = {}", lane.sample_seed());
+            let _ = writeln!(out, "redundancy = {}", lane.redundancy_factor());
         }
-        if let Some(failures) = &self.failures {
+        if let Some(schedule) = self.engine.failures_config() {
             let _ = writeln!(out, "\n[failures]");
-            let events: Vec<String> = failures
-                .events
+            let events: Vec<String> = schedule
+                .events()
                 .iter()
                 .map(|event| format!("\"{}\"", event_label(*event)))
                 .collect();
             let _ = writeln!(out, "events = [{}]", events.join(", "));
-            if let Some(retries) = failures.retries {
-                let _ = writeln!(out, "retries = {retries}");
-            }
         }
         out
     }
@@ -610,15 +516,18 @@ fn parse_nodes(entry: &Entry) -> Result<u64, ScenarioError> {
             let exponent: u32 = exponent
                 .parse()
                 .map_err(|_| invalid(entry, "string form must be \"2^k\" with integer k"))?;
-            if exponent >= 63 {
-                return Err(invalid(entry, "2^k with k ≥ 63 overflows the node space"));
-            }
-            1u64 << exponent
+            1u64.checked_shl(exponent).unwrap_or(u64::MAX)
         }
         other => return Err(mismatch(entry, "integer", other)),
     };
     if nodes < 2 {
         return Err(invalid(entry, "an overlay needs at least two grid points"));
+    }
+    if nodes > u64::from(u32::MAX) {
+        return Err(invalid(
+            entry,
+            "at most 2^32 − 1 grid points: the snapshot labels nodes with 32 bits",
+        ));
     }
     Ok(nodes)
 }
@@ -840,9 +749,9 @@ fn parse_diurnal(section: &Section) -> Result<QuerySkew, ScenarioError> {
     Ok(QuerySkew::Diurnal { amplitude, period })
 }
 
-fn parse_churn(document: &Document) -> Result<Option<ChurnSpec>, ScenarioError> {
+fn parse_churn(document: &Document, nodes: u64) -> Result<ChurnMix, ScenarioError> {
     let Some(section) = document.section("churn") else {
-        return Ok(None);
+        return Ok(ChurnMix::balanced(0));
     };
     reject_unknown_keys(
         section,
@@ -855,7 +764,7 @@ fn parse_churn(document: &Document) -> Result<Option<ChurnSpec>, ScenarioError> 
     )?;
     let fraction = section.get("fraction");
     let events = section.get("events_per_epoch");
-    let volume = match (fraction, events) {
+    let mut mix = match (fraction, events) {
         (Some(f), Some(e)) => {
             let later = if e.line > f.line { e } else { f };
             return Err(invalid(
@@ -863,8 +772,8 @@ fn parse_churn(document: &Document) -> Result<Option<ChurnSpec>, ScenarioError> 
                 "give either `fraction` or `events_per_epoch`, not both",
             ));
         }
-        (Some(entry), None) => ChurnVolume::Fraction(expect_unit_fraction(entry)?),
-        (None, Some(entry)) => ChurnVolume::EventsPerEpoch(expect_usize(entry)?),
+        (Some(entry), None) => ChurnMix::fraction_of(nodes, expect_unit_fraction(entry)?),
+        (None, Some(entry)) => ChurnMix::balanced(expect_usize(entry)?),
         (None, None) => {
             return Err(ScenarioError::MissingKey {
                 section: "churn",
@@ -872,39 +781,34 @@ fn parse_churn(document: &Document) -> Result<Option<ChurnSpec>, ScenarioError> 
             })
         }
     };
-    let join_probability = match section.get("join_probability") {
-        Some(entry) => Some(expect_unit_fraction(entry)?),
-        None => None,
-    };
-    let adversarial_joins = match section.get("adversarial_joins") {
-        Some(entry) => Some(expect_unit_fraction(entry)?),
-        None => None,
-    };
-    Ok(Some(ChurnSpec {
-        volume,
-        join_probability,
-        adversarial_joins,
-    }))
+    if let Some(entry) = section.get("join_probability") {
+        mix.join_probability = expect_unit_fraction(entry)?;
+    }
+    if let Some(entry) = section.get("adversarial_joins") {
+        mix = mix.adversarial_joins(expect_unit_fraction(entry)?);
+    }
+    Ok(mix)
 }
 
-fn parse_engine(document: &Document) -> Result<EngineSpec, ScenarioError> {
+fn parse_engine(document: &Document) -> Result<EngineConfig, ScenarioError> {
+    let mut config = EngineConfig::default();
     let Some(section) = document.section("engine") else {
-        return Ok(EngineSpec::default());
+        return Ok(config);
     };
     reject_unknown_keys(section, &["threads", "cache_capacity"])?;
-    Ok(EngineSpec {
-        threads: section.get("threads").map(expect_usize).transpose()?,
-        cache_capacity: section
-            .get("cache_capacity")
-            .map(expect_usize)
-            .transpose()?,
-    })
+    if let Some(entry) = section.get("threads") {
+        config = config.threads(expect_usize(entry)?);
+    }
+    if let Some(entry) = section.get("cache_capacity") {
+        config = config.cache_capacity(expect_usize(entry)?);
+    }
+    Ok(config)
 }
 
 fn parse_byzantine(
     document: &Document,
     scenario_seed: u64,
-) -> Result<Option<ByzantineSpec>, ScenarioError> {
+) -> Result<Option<ByzantineConfig>, ScenarioError> {
     let Some(section) = document.section("byzantine") else {
         return Ok(None);
     };
@@ -918,21 +822,15 @@ fn parse_byzantine(
         Some(entry) => expect_u64(entry)?,
         None => scenario_seed ^ BYZANTINE_SEED_SALT,
     };
-    let redundancy = match section.get("redundancy") {
-        Some(entry) => {
-            let redundancy = expect_u32(entry)?;
-            if redundancy == 0 {
-                return Err(invalid(entry, "a lookup needs at least one walk"));
-            }
-            Some(redundancy)
+    let mut lane = ByzantineConfig::fraction(fraction, seed);
+    if let Some(entry) = section.get("redundancy") {
+        let redundancy = expect_u32(entry)?;
+        if redundancy == 0 {
+            return Err(invalid(entry, "a lookup needs at least one walk"));
         }
-        None => None,
-    };
-    Ok(Some(ByzantineSpec {
-        fraction,
-        seed,
-        redundancy,
-    }))
+        lane = lane.redundancy(redundancy);
+    }
+    Ok(Some(lane))
 }
 
 fn parse_event(text: &str, entry: &Entry) -> Result<FailureEvent, ScenarioError> {
@@ -963,11 +861,11 @@ fn parse_event(text: &str, entry: &Entry) -> Result<FailureEvent, ScenarioError>
     }
 }
 
-fn parse_failures(document: &Document) -> Result<Option<FailureSpec>, ScenarioError> {
+fn parse_failures(document: &Document) -> Result<Option<FailureSchedule>, ScenarioError> {
     let Some(section) = document.section("failures") else {
         return Ok(None);
     };
-    reject_unknown_keys(section, &["events", "retries"])?;
+    reject_unknown_keys(section, &["events"])?;
     let events_entry = section.get("events").ok_or(ScenarioError::MissingKey {
         section: "failures",
         key: "events",
@@ -982,12 +880,5 @@ fn parse_failures(document: &Document) -> Result<Option<FailureSpec>, ScenarioEr
         };
         events.push(parse_event(text, events_entry)?);
     }
-    if events.is_empty() {
-        return Err(invalid(
-            events_entry,
-            "an empty schedule is every epoch quiet — drop the [failures] section instead",
-        ));
-    }
-    let retries = section.get("retries").map(expect_u32).transpose()?;
-    Ok(Some(FailureSpec { events, retries }))
+    Ok(Some(FailureSchedule::from_events(events)))
 }

@@ -6,7 +6,7 @@
 //! `#` comments, and string / integer / float / boolean / single-line-array
 //! literals — with **1-based line numbers threaded through every token**, because
 //! line-accurate diagnostics are the whole point of the typed
-//! [`ScenarioError`](crate::ScenarioError) surface.
+//! [`ScenarioError`] surface.
 //!
 //! Deliberately out of scope (a scenario never needs them): dotted keys, inline
 //! tables, multi-line strings and arrays, datetimes, and hex/octal/binary integer

@@ -98,15 +98,28 @@ fn fire_retired_engine_keys() {
             })
         );
     }
-    let source = format!("{BASE}[byzantine]\nfraction = 0.1\nstrategy = \"reroute\"\n");
-    assert_eq!(
-        ScenarioSpec::parse(&source),
-        Err(ScenarioError::UnknownKey {
-            line: 10,
-            section: "byzantine".into(),
-            key: "strategy".into(),
-        })
-    );
+    for (section, line, key) in [
+        (
+            "byzantine",
+            "fraction = 0.1\nstrategy = \"reroute\"\n",
+            "strategy",
+        ),
+        (
+            "failures",
+            "events = [\"region:8\"]\nretries = 3\n",
+            "retries",
+        ),
+    ] {
+        let source = format!("{BASE}[{section}]\n{line}");
+        assert_eq!(
+            ScenarioSpec::parse(&source),
+            Err(ScenarioError::UnknownKey {
+                line: 10,
+                section: section.into(),
+                key: key.into(),
+            })
+        );
+    }
 }
 
 /// Corrupting every alive node leaves no honest endpoint to draw: each epoch
@@ -211,6 +224,23 @@ fn fire_invalid_value() {
         ScenarioSpec::parse(&both_volumes),
         Err(ScenarioError::InvalidValue { line: 10, .. })
     ));
+    // More grid points than the snapshot's 32-bit labels can name; the largest
+    // count they can still parses.
+    let largest = BASE.replace("nodes = 64", "nodes = 4294967295");
+    assert!(ScenarioSpec::parse(&largest).is_ok());
+    for nodes in ["\"2^32\"", "4294967296", "\"2^40\"", "\"2^64\""] {
+        let source = BASE.replace("nodes = 64", &format!("nodes = {nodes}"));
+        assert_eq!(
+            ScenarioSpec::parse(&source),
+            Err(ScenarioError::InvalidValue {
+                line: 4,
+                key: "nodes".into(),
+                message: "at most 2^32 − 1 grid points: the snapshot labels nodes with 32 bits"
+                    .into(),
+            }),
+            "{nodes}"
+        );
+    }
     // Skew parameter for the wrong skew.
     let wrong_param = format!("{BASE}peak = 0.5\n");
     assert!(matches!(

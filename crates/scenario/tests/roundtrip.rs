@@ -6,9 +6,7 @@
 
 use faultline_engine::{ByzantineConfig, ChurnMix, EngineConfig, FailureEvent, FailureSchedule};
 use faultline_routing::FaultStrategy;
-use faultline_scenario::{
-    ByzantineSpec, ChurnSpec, ChurnVolume, EngineSpec, FailureSpec, QuerySkew, ScenarioSpec,
-};
+use faultline_scenario::{QuerySkew, ScenarioSpec};
 use proptest::prelude::*;
 
 const MINIMAL: &str = concat!(
@@ -52,7 +50,6 @@ const KITCHEN_SINK: &str = concat!(
     "redundancy = 3\n",
     "[failures]\n",
     "events = [\"region:16\", \"heal\", \"partition:8\", \"heal\", \"quiet\"]\n",
-    "retries = 2\n",
 );
 
 fn reparse(spec: &ScenarioSpec) -> ScenarioSpec {
@@ -70,8 +67,8 @@ fn minimal_spec_round_trips() {
     assert_eq!(spec.network.seed, spec.seed);
     assert_eq!(spec.workload.seed, spec.seed);
     assert_eq!(spec.workload.skew, QuerySkew::Uniform);
-    assert!(spec.churn.is_none());
-    assert_eq!(spec.engine, EngineSpec::default());
+    assert_eq!(spec.churn, ChurnMix::balanced(0));
+    assert_eq!(spec.engine, EngineConfig::default());
 }
 
 #[test]
@@ -85,42 +82,6 @@ fn kitchen_sink_spec_round_trips() {
             hotspots: 4,
             bias: 0.75
         }
-    );
-    assert_eq!(
-        spec.churn,
-        Some(ChurnSpec {
-            volume: ChurnVolume::Fraction(0.02),
-            join_probability: Some(0.4),
-            adversarial_joins: Some(0.1),
-        })
-    );
-    assert_eq!(
-        spec.engine,
-        EngineSpec {
-            threads: Some(4),
-            cache_capacity: Some(4096),
-        }
-    );
-    assert_eq!(
-        spec.byzantine,
-        Some(ByzantineSpec {
-            fraction: 0.15,
-            seed: 41,
-            redundancy: Some(3),
-        })
-    );
-    assert_eq!(
-        spec.failures,
-        Some(FailureSpec {
-            events: vec![
-                FailureEvent::Region { width: 16 },
-                FailureEvent::Heal,
-                FailureEvent::Partition { width: 8 },
-                FailureEvent::Heal,
-                FailureEvent::Quiet,
-            ],
-            retries: Some(2),
-        })
     );
     assert_eq!(reparse(&spec), spec);
     // And twice: rendering is a fixed point, not merely an involution.
@@ -197,7 +158,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Sampled specs survive the render → parse cycle exactly: seeds, volumes,
-    /// skews, and knob subsets are all drawn, so the canonical form has no
+    /// skews, knob subsets and engine lanes (down to an empty failure schedule)
+    /// are all drawn, built programmatically, so the canonical form has no
     /// value-dependent blind spots.
     #[test]
     fn sampled_specs_round_trip(
@@ -209,6 +171,7 @@ proptest! {
         skew_pick in 0usize..5,
         knob in 0u32..1024,
         churn_pick in 0usize..3,
+        lanes in 0u32..4,
     ) {
         let fraction = f64::from(knob) / 1024.0;
         let skew = match skew_pick {
@@ -218,19 +181,6 @@ proptest! {
             3 => QuerySkew::FlashCrowd { peak: fraction },
             _ => QuerySkew::Diurnal { amplitude: fraction, period: 1 + (knob as usize % 9) },
         };
-        let churn = match churn_pick {
-            0 => None,
-            1 => Some(ChurnSpec {
-                volume: ChurnVolume::Fraction(fraction),
-                join_probability: None,
-                adversarial_joins: None,
-            }),
-            _ => Some(ChurnSpec {
-                volume: ChurnVolume::EventsPerEpoch(knob as usize),
-                join_probability: Some(fraction),
-                adversarial_joins: None,
-            }),
-        };
         let source = format!(
             "[scenario]\nname = \"sampled\"\nseed = {seed}\n\
              [network]\nnodes = {nodes}\nlinks = {links}\n\
@@ -239,8 +189,26 @@ proptest! {
         );
         let mut spec = ScenarioSpec::parse(&source).expect("sampled base parses");
         spec.workload.skew = skew;
-        spec.churn = churn;
-        spec.engine.threads = Some(knob as usize % 8);
+        spec.churn = match churn_pick {
+            0 => ChurnMix::balanced(0),
+            1 => ChurnMix::fraction_of(spec.network.nodes, fraction),
+            _ => {
+                let mut mix = ChurnMix::balanced(knob as usize);
+                mix.join_probability = fraction;
+                mix
+            }
+        };
+        spec.engine = spec.engine.threads(knob as usize % 8);
+        if lanes & 1 != 0 {
+            let lane = ByzantineConfig::fraction(fraction, seed).redundancy(1 + knob % 8);
+            spec.engine = spec.engine.byzantine(lane);
+        }
+        if lanes & 2 != 0 {
+            // Down to the empty schedule: every epoch quiet, oracle accounting only.
+            let events = [FailureEvent::Region { width: 8 }, FailureEvent::Heal, FailureEvent::Quiet];
+            let schedule = FailureSchedule::from_events(events[..knob as usize % 4].to_vec());
+            spec.engine = spec.engine.failures(schedule);
+        }
         let rendered = spec.render();
         let reparsed = ScenarioSpec::parse(&rendered)
             .unwrap_or_else(|e| panic!("sampled spec must reparse: {e}\n---\n{rendered}"));
