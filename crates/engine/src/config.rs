@@ -208,8 +208,8 @@ impl EngineConfig {
     /// events (correlated region crashes, partition-and-heal cycles) are applied at
     /// epoch boundaries through the typed-delta pipeline, each epoch's queries are
     /// classified against a connectivity oracle built over the damaged overlay, and
-    /// failed lookups get the schedule's diversified retry budget. See
-    /// [`FailureSchedule`].
+    /// failed lookups get [`FailureSchedule::DEFAULT_RETRIES`] diversified retries.
+    /// See [`FailureSchedule`].
     #[must_use]
     pub fn failures(mut self, schedule: FailureSchedule) -> Self {
         self.failures = Some(schedule);

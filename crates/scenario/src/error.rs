@@ -77,7 +77,7 @@ pub enum ScenarioError {
         /// What the domain actually is.
         message: String,
     },
-    /// The assembled [`EngineConfig`](faultline_engine::EngineConfig) failed the
+    /// The parsed [`EngineConfig`](faultline_engine::EngineConfig) failed the
     /// engine's own validation — the scenario parsed, but describes a run the
     /// engine rejects.
     Config(ConfigError),

@@ -27,11 +27,13 @@
 //! fraction = 0.01
 //! ```
 //!
-//! [`ScenarioSpec::parse`] schema-checks the file with **line-accurate typed
-//! errors** ([`ScenarioError`]) — unknown sections and keys, type mismatches,
-//! out-of-domain values, duplicates — and
-//! [`ScenarioSpec::into_engine_config`] assembles the one validated
-//! [`EngineConfig`](faultline_engine::EngineConfig), reusing the engine's own
+//! [`ScenarioSpec::parse`] reads the file straight into the engine's own
+//! [`EngineConfig`](faultline_engine::EngineConfig) and
+//! [`ChurnMix`](faultline_engine::ChurnMix), schema-checked with **line-accurate
+//! typed errors** ([`ScenarioError`]) — unknown sections and keys, type
+//! mismatches, out-of-domain values, duplicates — and
+//! [`ScenarioSpec::into_engine_config`] hands the config out validated by the
+//! engine's own
 //! [`validate_for_epochs`](faultline_engine::EngineConfig::validate_for_epochs)
 //! so nothing is ever silently clamped. [`ScenarioSpec::run`] executes the full
 //! churn-interleaved trajectory; with `skew = "uniform"` it reproduces

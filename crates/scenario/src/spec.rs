@@ -122,7 +122,7 @@ impl ScenarioSpec {
     ///
     /// Any [`ScenarioError`] variant except [`ScenarioError::Config`] (that one
     /// is deferred to [`ScenarioSpec::into_engine_config`], which validates the
-    /// assembled engine configuration as a whole).
+    /// engine configuration as a whole).
     pub fn parse(source: &str) -> Result<Self, ScenarioError> {
         let document = toml::parse(source)?;
         Self::from_document(&document)
