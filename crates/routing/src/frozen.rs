@@ -689,7 +689,7 @@ impl<R: Rng> WalkGroup<R> {
 mod tests {
     use super::*;
     use faultline_linkdist::InversePowerLaw;
-    use faultline_metric::Geometry;
+    use faultline_metric::{Direction, Geometry, MetricSpace, OneDimensional};
     use faultline_overlay::{GraphBuilder, LinkKind, OverlayGraph};
     use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
 
@@ -840,6 +840,50 @@ mod tests {
                 .with_strategy(strategy)
                 .with_path_recording(true);
             assert_parity(router, &graph, &pairs, 9);
+        }
+    }
+
+    /// Checks the kernel's private metric against `geometry` over every pair (distance)
+    /// and every triple (the one-sided rule, written from `offset_between`).
+    fn pin_metric<M: CsrMetric>(metric: M, geometry: Geometry) {
+        let n = geometry.len();
+        let dir = |from, to| geometry.offset_between(from, to).1;
+        for a in 0..n {
+            for b in 0..n {
+                assert_eq!(
+                    metric.distance(a, b),
+                    geometry.distance(a, b),
+                    "distance({a},{b}) on {geometry:?}"
+                );
+                for t in 0..n {
+                    // A neighbour `b` of `a` never overshoots `t` if it is `t`, or it
+                    // lies towards `t` from `a` and `t` lies further on from `b`.
+                    let rule = b == t || (dir(a, b) == dir(a, t) && dir(b, t) == dir(a, t));
+                    assert_eq!(
+                        metric.same_side(a, b, t),
+                        rule,
+                        "same_side({a},{b},{t}) on {geometry:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn inlined_distance_matches_geometry_on_line_and_ring() {
+        for n in 1..=17u64 {
+            let (line, ring) = (Geometry::line(n), Geometry::ring(n));
+            for geometry in [line, ring] {
+                let frozen = OverlayGraph::fully_populated(geometry).freeze();
+                assert_eq!(frozen.is_ring(), geometry.is_ring());
+            }
+            pin_metric(LineMetric, line);
+            pin_metric(RingMetric { n }, ring);
+            if n % 2 == 0 {
+                // An antipodal pair is a tie, broken Down on both sides.
+                assert_eq!(ring.offset_between(0, n / 2), (n / 2, Direction::Down));
+                assert_eq!(ring.offset_between(n / 2, 0), (n / 2, Direction::Down));
+            }
         }
     }
 
