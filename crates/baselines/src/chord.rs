@@ -1,6 +1,5 @@
 //! A Chord-style ring with finger tables (Stoica et al., referenced in Section 3).
 
-use faultline_metric::{MetricSpace, RingSpace};
 use faultline_routing::{FailureReason, RouteOutcome, RouteResult};
 use rand::{seq::SliceRandom, Rng};
 
@@ -13,7 +12,7 @@ use rand::{seq::SliceRandom, Rng};
 /// the target — the paper classifies this as one-sided greedy routing on a circle.
 #[derive(Debug, Clone)]
 pub struct ChordNetwork {
-    ring: RingSpace,
+    n: u64,
     /// `fingers[i]` holds the finger targets of node `i` (including the ±1 successor).
     fingers: Vec<Vec<u64>>,
     alive: Vec<bool>,
@@ -28,20 +27,19 @@ impl ChordNetwork {
     #[must_use]
     pub fn new(n: u64) -> Self {
         assert!(n >= 2, "a Chord ring needs at least two nodes");
-        let ring = RingSpace::new(n);
         let mut fingers = Vec::with_capacity(n as usize);
         for i in 0..n {
-            let mut table = vec![ring.clockwise_step(i, 1)];
+            let mut table = vec![clockwise_step(n, i, 1)];
             let mut span = 2u64;
             while span < n {
-                table.push(ring.clockwise_step(i, span));
+                table.push(clockwise_step(n, i, span));
                 span = span.saturating_mul(2);
             }
             table.dedup();
             fingers.push(table);
         }
         Self {
-            ring,
+            n,
             fingers,
             alive: vec![true; n as usize],
         }
@@ -50,7 +48,7 @@ impl ChordNetwork {
     /// Number of positions on the ring.
     #[must_use]
     pub fn len(&self) -> u64 {
-        self.ring.len()
+        self.n
     }
 
     /// Returns `true` if the ring is empty (never, by construction).
@@ -117,14 +115,14 @@ impl ChordNetwork {
                     path: None,
                 };
             }
-            let remaining = self.ring.clockwise_distance(current, target);
+            let remaining = clockwise_distance(self.n, current, target);
             // Farthest alive finger that does not overshoot the target (clockwise).
             let next = self.fingers[current as usize]
                 .iter()
                 .copied()
                 .filter(|&f| self.is_alive(f) && f != current)
-                .filter(|&f| self.ring.clockwise_distance(current, f) <= remaining)
-                .max_by_key(|&f| self.ring.clockwise_distance(current, f));
+                .filter(|&f| clockwise_distance(self.n, current, f) <= remaining)
+                .max_by_key(|&f| clockwise_distance(self.n, current, f));
             match next {
                 Some(f) => {
                     current = f;
@@ -149,10 +147,28 @@ impl ChordNetwork {
     }
 }
 
+/// The point `offset` steps clockwise (increasing label, wrapping) from `a` on a ring of `n`.
+fn clockwise_step(n: u64, a: u64, offset: u64) -> u64 {
+    (a + offset % n) % n
+}
+
+/// Clockwise distance from `a` to `b` on a ring of `n`.
+fn clockwise_distance(n: u64, a: u64, b: u64) -> u64 {
+    (b + n - a) % n
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
+
+    #[test]
+    fn clockwise_step_wraps() {
+        assert_eq!(clockwise_step(10, 9, 1), 0);
+        assert_eq!(clockwise_step(10, 4, 23), 7);
+        assert_eq!(clockwise_distance(10, 7, 2), 5);
+        assert_eq!(clockwise_distance(10, 9, 0), 1);
+    }
 
     #[test]
     fn undamaged_ring_routes_in_log_hops() {

@@ -1,4 +1,5 @@
-//! Ablation experiments for the design choices DESIGN.md calls out.
+//! Ablation experiments for the design choices the paper makes (the `ablation` row of the
+//! module table in the crate doc; `README.md` places them in the architecture).
 //!
 //! * **Exponent sweep** — greedy routing performance as the link-distribution exponent
 //!   varies (`r ∈ {0, 0.5, 1, 1.5, 2}`). Kleinberg's analysis (and the paper's lower

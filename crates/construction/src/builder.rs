@@ -2,7 +2,7 @@
 
 use crate::maintainer::NetworkMaintainer;
 use crate::replacement::ReplacementStrategy;
-use faultline_metric::{Geometry, MetricSpace};
+use faultline_metric::Geometry;
 use faultline_overlay::{NodeId, OverlayGraph};
 use rand::{seq::SliceRandom, Rng};
 

@@ -8,7 +8,7 @@
 use crate::poisson::sample_poisson;
 use crate::replacement::{ReplacementDecision, ReplacementStrategy};
 use faultline_linkdist::{InversePowerLaw, LinkSpec};
-use faultline_metric::{Geometry, MetricSpace};
+use faultline_metric::Geometry;
 use faultline_overlay::{ChurnDelta, LinkKind, NodeId, OverlayGraph};
 use rand::Rng;
 

@@ -9,7 +9,7 @@ use faultline_construction::{
 };
 use faultline_failure::{FailurePlan, FailureReport};
 use faultline_linkdist::{BaseBLinks, InversePowerLaw, LinkSpec, PowerLadderLinks, UniformLinks};
-use faultline_metric::{Geometry, Key, KeySpace, MetricSpace, Position};
+use faultline_metric::{Geometry, Key, KeySpace, Position};
 use faultline_overlay::{GraphBuilder, NodeId, OverlayGraph};
 use faultline_routing::{RouteResult, Router};
 use rand::Rng;

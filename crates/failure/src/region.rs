@@ -2,7 +2,7 @@
 //! independent-failure models.
 
 use crate::plan::{FailurePlan, FailureReport};
-use faultline_metric::MetricSpace;
+use faultline_metric::Direction;
 use faultline_overlay::{NodeId, OverlayGraph};
 use rand::{Rng, RngCore};
 
@@ -46,8 +46,9 @@ impl RegionFailure {
     /// start from `rng` exactly as [`FailurePlan::apply`] would. Distinct even
     /// when the width wraps the whole ring.
     fn select_victims(&self, graph: &OverlayGraph, rng: &mut dyn RngCore) -> Vec<NodeId> {
-        let n = graph.geometry().len();
-        if n == 0 || self.width == 0 {
+        let geometry = graph.geometry();
+        let n = geometry.len();
+        if self.width == 0 {
             return Vec::new();
         }
         let start = match self.start {
@@ -56,14 +57,8 @@ impl RegionFailure {
         };
         let mut victims = Vec::new();
         for offset in 0..self.width.min(n) {
-            let p = if graph.geometry().is_ring() {
-                (start + offset) % n
-            } else {
-                let p = start + offset;
-                if p >= n {
-                    break;
-                }
-                p
+            let Some(p) = geometry.step(start, offset, Direction::Up) else {
+                break;
             };
             if graph.is_alive(p) {
                 victims.push(p);

@@ -1,7 +1,7 @@
 //! Deterministic link ladders for the large-`ℓ` regime (Theorems 14 and 16).
 
 use crate::spec::{LinkSpec, SpecKind};
-use faultline_metric::{Direction, Geometry, MetricSpace, OneDimensional, Position};
+use faultline_metric::{Direction, Geometry, Position};
 use rand::RngCore;
 
 /// The deterministic strategy of Theorem 14.

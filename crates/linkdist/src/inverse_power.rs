@@ -2,7 +2,7 @@
 
 use crate::spec::{LinkSpec, SpecKind};
 use crate::table::DistanceTable;
-use faultline_metric::{Direction, Geometry, MetricSpace, OneDimensional, Position};
+use faultline_metric::{Direction, Geometry, Position};
 use rand::{Rng, RngCore};
 
 /// Long-distance links drawn with probability proportional to `1/d(u, v)^r`.
@@ -77,78 +77,76 @@ impl InversePowerLaw {
     /// Total normalising weight `Σ_{v ≠ u} 1/d(u,v)^r` for a node at `from`.
     #[must_use]
     pub fn total_weight(&self, from: Position) -> f64 {
-        match self.geometry {
-            Geometry::Line(_) => {
-                let left = self.geometry.max_reach(from, Direction::Down);
-                let right = self.geometry.max_reach(from, Direction::Up);
-                self.table.weight_up_to(left) + self.table.weight_up_to(right)
+        if self.geometry.is_ring() {
+            let n = self.geometry.len();
+            let half = (n - 1) / 2;
+            let mut total = 2.0 * self.table.weight_up_to(half);
+            if n.is_multiple_of(2) {
+                total += self.table.weight_of(n / 2);
             }
-            Geometry::Ring(ring) => {
-                let n = ring.len();
-                let half = (n - 1) / 2;
-                let mut total = 2.0 * self.table.weight_up_to(half);
-                if n % 2 == 0 {
-                    total += self.table.weight_of(n / 2);
-                }
-                total
-            }
+            return total;
         }
+        let left = self.geometry.max_reach(from, Direction::Down);
+        let right = self.geometry.max_reach(from, Direction::Up);
+        self.table.weight_up_to(left) + self.table.weight_up_to(right)
     }
 
     /// Draws one long-distance target for `from`.
     fn sample_one<R: Rng + ?Sized>(&self, from: Position, rng: &mut R) -> Position {
-        match self.geometry {
-            Geometry::Line(_) => {
-                let left = self.geometry.max_reach(from, Direction::Down);
-                let right = self.geometry.max_reach(from, Direction::Up);
-                let wl = self.table.weight_up_to(left);
-                let wr = self.table.weight_up_to(right);
-                debug_assert!(wl + wr > 0.0, "a 2+ point line always has a candidate");
-                let go_left = rng.gen_range(0.0..wl + wr) < wl;
-                let (bound, dir) = if go_left {
-                    (left, Direction::Down)
-                } else {
-                    (right, Direction::Up)
-                };
-                let d = self
-                    .table
-                    .sample_distance(bound, rng)
-                    .expect("bound is positive because its side was selected by weight");
-                self.geometry
-                    .step(from, d, dir)
-                    .expect("sampled distance is within reach")
+        if self.geometry.is_ring() {
+            let n = self.geometry.len();
+            let half = (n - 1) / 2;
+            let w_pairs = 2.0 * self.table.weight_up_to(half);
+            let w_antipode = if n.is_multiple_of(2) {
+                self.table.weight_of(n / 2)
+            } else {
+                0.0
+            };
+            let u = rng.gen_range(0.0..w_pairs + w_antipode);
+            if u >= w_pairs {
+                // The unique antipodal node (only exists for even n).
+                return self
+                    .geometry
+                    .step(from, n / 2, Direction::Up)
+                    // xlint: allow(panic_policy) -- a ring step never leaves the space, so it is always `Some`
+                    .expect("ring steps always succeed");
             }
-            Geometry::Ring(ring) => {
-                let n = ring.len();
-                let half = (n - 1) / 2;
-                let w_pairs = 2.0 * self.table.weight_up_to(half);
-                let w_antipode = if n % 2 == 0 {
-                    self.table.weight_of(n / 2)
-                } else {
-                    0.0
-                };
-                let u = rng.gen_range(0.0..w_pairs + w_antipode);
-                if u >= w_pairs {
-                    // The unique antipodal node (only exists for even n).
-                    return self
-                        .geometry
-                        .step(from, n / 2, Direction::Up)
-                        .expect("ring steps always succeed");
-                }
-                let dir = if rng.gen_bool(0.5) {
-                    Direction::Up
-                } else {
-                    Direction::Down
-                };
-                let d = self
-                    .table
-                    .sample_distance(half, rng)
-                    .expect("half is positive for n >= 3");
-                self.geometry
-                    .step(from, d, dir)
-                    .expect("ring steps always succeed")
-            }
+            let dir = if rng.gen_bool(0.5) {
+                Direction::Up
+            } else {
+                Direction::Down
+            };
+            let d = self
+                .table
+                .sample_distance(half, rng)
+                // xlint: allow(panic_policy) -- `new` asserts n >= 2 and n = 2 always takes the antipode above, so half >= 1 here
+                .expect("half is positive for n >= 3");
+            return self
+                .geometry
+                .step(from, d, dir)
+                // xlint: allow(panic_policy) -- a ring step never leaves the space, so it is always `Some`
+                .expect("ring steps always succeed");
         }
+        let left = self.geometry.max_reach(from, Direction::Down);
+        let right = self.geometry.max_reach(from, Direction::Up);
+        let wl = self.table.weight_up_to(left);
+        let wr = self.table.weight_up_to(right);
+        debug_assert!(wl + wr > 0.0, "a 2+ point line always has a candidate");
+        let go_left = rng.gen_range(0.0..wl + wr) < wl;
+        let (bound, dir) = if go_left {
+            (left, Direction::Down)
+        } else {
+            (right, Direction::Up)
+        };
+        let d = self
+            .table
+            .sample_distance(bound, rng)
+            // xlint: allow(panic_policy) -- a side with zero reach has zero weight and cannot be drawn, so its bound is positive
+            .expect("bound is positive because its side was selected by weight");
+        self.geometry
+            .step(from, d, dir)
+            // xlint: allow(panic_policy) -- `sample_distance` returns at most `bound`, the side's `max_reach`, so the step stays on the line
+            .expect("sampled distance is within reach")
     }
 }
 

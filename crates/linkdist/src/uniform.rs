@@ -1,7 +1,7 @@
 //! Uniformly random long-distance links (the `r = 0` degenerate case).
 
 use crate::spec::{LinkSpec, SpecKind};
-use faultline_metric::{Geometry, MetricSpace, Position};
+use faultline_metric::{Geometry, Position};
 use rand::{Rng, RngCore};
 
 /// Long-distance links chosen uniformly at random among all other points.

@@ -4,7 +4,7 @@ use faultline_linkdist::{
     generalized_harmonic, harmonic, BaseBLinks, DistanceTable, InversePowerLaw, LinkSpec,
     PowerLadderLinks, UniformLinks,
 };
-use faultline_metric::{Geometry, MetricSpace};
+use faultline_metric::Geometry;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 

@@ -5,29 +5,32 @@
 //! nodes own the points of the resources they provide, and lookups are greedy walks that
 //! monotonically reduce metric distance to the target point.
 //!
-//! This crate provides the metric spaces used throughout the workspace:
+//! This crate provides the spaces used throughout the workspace:
 //!
-//! * [`LineSpace`] — grid points on a one-dimensional real line (the space analysed in
-//!   Section 4 of the paper).
-//! * [`RingSpace`] — grid points on a circle (the Chord-style identifier circle from
-//!   Section 3).
-//! * [`Torus2d`] / [`Grid2d`] — two-dimensional lattices used by the Kleinberg small-world
-//!   baseline.
+//! * [`Geometry`] — grid points `0..n` on a one-dimensional real line (the space analysed
+//!   in Section 4 of the paper) or around a circle (the Chord-style identifier circle of
+//!   Section 3), with [`Direction`] for directed steps along either.
+//! * [`Torus2d`] — the two-dimensional lattice of the Kleinberg small-world baseline.
 //! * [`Key`], [`KeySpace`] — stable hashing of resource keys onto metric-space points
 //!   (the `h : K -> V` mapping of Section 2).
 //!
 //! # Example
 //!
 //! ```
-//! use faultline_metric::{LineSpace, MetricSpace, KeySpace, Key};
+//! use faultline_metric::{Direction, Geometry, Key, KeySpace};
 //!
-//! let space = LineSpace::new(1024);
-//! assert_eq!(space.distance(10, 42), 32);
+//! let line = Geometry::line(1024);
+//! assert_eq!(line.distance(10, 42), 32);
+//! assert_eq!(line.step(0, 1, Direction::Down), None); // the line has ends
+//!
+//! let ring = Geometry::ring(100);
+//! assert_eq!(ring.distance(5, 95), 10); // the shorter arc wraps around
+//! assert_eq!(ring.offset_between(5, 95), (10, Direction::Down));
 //!
 //! // Hash resource keys to points of the space.
 //! let keys = KeySpace::new(1024);
 //! let p = keys.point_for(&Key::from_name("alice/song.mp3"));
-//! assert!(p < 1024);
+//! assert!(line.contains(p));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -37,17 +40,11 @@
 mod geometry;
 mod grid;
 mod key;
-mod line;
-mod ring;
-mod space;
 
-pub use geometry::Geometry;
-pub use grid::{Grid2d, Point2, Torus2d};
+pub use geometry::{Direction, Geometry};
+pub use grid::{Point2, Torus2d};
 pub use key::splitmix64;
 pub use key::{Key, KeySpace};
-pub use line::LineSpace;
-pub use ring::RingSpace;
-pub use space::{Direction, MetricSpace, OneDimensional};
 
 /// A position (vertex label) in a one-dimensional metric space.
 ///

@@ -4,7 +4,7 @@ use crate::graph::OverlayGraph;
 use crate::link::LinkKind;
 use crate::NodeId;
 use faultline_linkdist::LinkSpec;
-use faultline_metric::{Geometry, MetricSpace};
+use faultline_metric::Geometry;
 use rand::Rng;
 
 /// Builds an "ideal" overlay: every node draws its long-distance links directly from the

@@ -332,21 +332,6 @@ impl FrozenRoutes {
     pub fn alive_count(&self) -> usize {
         self.alive_sorted.len()
     }
-
-    /// Metric distance between two grid points, inlined (no `Geometry` dispatch).
-    ///
-    /// Matches `Geometry::distance` exactly: absolute difference on the line, shorter
-    /// arc on the ring.
-    #[inline]
-    #[must_use]
-    pub fn distance(&self, a: NodeId, b: NodeId) -> u64 {
-        if self.ring {
-            let cw = if b >= a { b - a } else { self.n - (a - b) };
-            cw.min(self.n - cw)
-        } else {
-            a.abs_diff(b)
-        }
-    }
 }
 
 impl OverlayGraph {
@@ -361,7 +346,7 @@ impl OverlayGraph {
 mod tests {
     use super::*;
     use crate::link::LinkKind;
-    use faultline_metric::{Geometry, MetricSpace};
+    use faultline_metric::Geometry;
 
     fn damaged_graph() -> OverlayGraph {
         let mut g = OverlayGraph::fully_populated(Geometry::line(16));
@@ -426,24 +411,6 @@ mod tests {
         let refrozen = g.freeze();
         assert!(!refrozen.is_alive(5), "rebuilding picks up the churn");
         assert_ne!(frozen, refrozen);
-    }
-
-    #[test]
-    fn inlined_distance_matches_geometry_on_line_and_ring() {
-        for geometry in [Geometry::line(97), Geometry::ring(97), Geometry::ring(96)] {
-            let g = OverlayGraph::fully_populated(geometry);
-            let frozen = g.freeze();
-            assert_eq!(frozen.is_ring(), geometry.is_ring());
-            for a in (0..97u64.min(frozen.len())).step_by(7) {
-                for b in 0..frozen.len() {
-                    assert_eq!(
-                        frozen.distance(a, b),
-                        geometry.distance(a, b),
-                        "distance({a},{b}) on {geometry:?}"
-                    );
-                }
-            }
-        }
     }
 
     fn patched_equals_fresh(g: &OverlayGraph, patched: &FrozenRoutes) {

@@ -2,7 +2,7 @@
 
 use crate::link::{Link, LinkKind};
 use crate::NodeId;
-use faultline_metric::{Geometry, MetricSpace};
+use faultline_metric::Geometry;
 
 /// Per-vertex record of an overlay graph.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]

@@ -11,7 +11,7 @@
 //!   long-distance links directly from a [`LinkSpec`](faultline_linkdist::LinkSpec)
 //!   (the dynamic, heuristic construction of Section 5 lives in `faultline-construction`).
 //! * [`FrozenRoutes`] — a compiled routing snapshot (every node's usable neighbours
-//!   in a fixed-stride row at `node × stride`, alive bitset, inlined distance); the
+//!   in a fixed-stride row at `node × stride`, alive bitset, line-or-ring flag); the
 //!   traversal structure the query engine's uncached hot path runs on. Snapshots
 //!   are built once per routing epoch and then *patched* through churn from a typed
 //!   [`ChurnDelta`] of row-level diffs ([`FrozenRoutes::apply_delta`] overwrites

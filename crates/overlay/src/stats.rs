@@ -7,7 +7,6 @@
 
 use crate::graph::OverlayGraph;
 use faultline_linkdist::generalized_harmonic;
-use faultline_metric::MetricSpace;
 
 /// Empirical distribution of long-distance link lengths in an overlay graph.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]

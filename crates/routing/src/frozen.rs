@@ -248,14 +248,14 @@ impl CsrMetric for LineMetric {
         if neighbor == target {
             return true;
         }
-        // `offset_between` on the line reports Down iff `from >= to`.
+        // `Geometry::offset_between` on the line reports Down iff `from >= to`.
         let down_to_target = current >= target;
         (current >= neighbor) == down_to_target && (neighbor >= target) == down_to_target
     }
 }
 
 /// The ring: distance is the shorter arc, direction is the shorter-arc direction with
-/// ties broken Down — exactly `RingSpace::offset_between`.
+/// ties broken Down — exactly `Geometry::offset_between` on a ring.
 #[derive(Clone, Copy)]
 struct RingMetric {
     n: u64,
@@ -689,7 +689,7 @@ impl<R: Rng> WalkGroup<R> {
 mod tests {
     use super::*;
     use faultline_linkdist::InversePowerLaw;
-    use faultline_metric::{Direction, Geometry, MetricSpace, OneDimensional};
+    use faultline_metric::{Direction, Geometry};
     use faultline_overlay::{GraphBuilder, LinkKind, OverlayGraph};
     use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
 

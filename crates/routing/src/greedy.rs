@@ -1,6 +1,5 @@
 //! Greedy next-hop selection.
 
-use faultline_metric::{Direction, MetricSpace, OneDimensional};
 use faultline_overlay::{NodeId, OverlayGraph};
 
 /// Which greedy variant to use (Section 4.2.1).
@@ -79,17 +78,6 @@ fn same_side(
     }
     let (_, dir_neighbor_to_target) = geometry.offset_between(neighbor, target);
     dir_neighbor_to_target == dir_to_target
-}
-
-/// Convenience wrapper around [`Direction`] re-exported for downstream crates that need
-/// to reason about sidedness in tests.
-#[must_use]
-pub fn direction_towards(
-    geometry: &faultline_metric::Geometry,
-    from: NodeId,
-    to: NodeId,
-) -> Direction {
-    geometry.offset_between(from, to).1
 }
 
 #[cfg(test)]
@@ -199,12 +187,5 @@ mod tests {
         }
         // From 1 towards 15 the short way is down through 0.
         assert_eq!(best_neighbor(&g, 1, 15, GreedyMode::TwoSided, &[]), Some(0));
-    }
-
-    #[test]
-    fn direction_helper_reports_towards_target() {
-        let geometry = Geometry::line(10);
-        assert_eq!(direction_towards(&geometry, 7, 2), Direction::Down);
-        assert_eq!(direction_towards(&geometry, 2, 7), Direction::Up);
     }
 }

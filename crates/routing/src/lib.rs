@@ -56,7 +56,7 @@ mod strategy;
 
 pub use byzantine::{ByzantineSet, RedundantRouteResult, RedundantRouter};
 pub use frozen::{FinishedWalk, RouteScratch, Walk, WalkGroup, WALKS_IN_FLIGHT};
-pub use greedy::{best_neighbor, direction_towards, GreedyMode};
+pub use greedy::{best_neighbor, GreedyMode};
 pub use result::{FailureReason, RouteOutcome, RouteResult};
 pub use router::Router;
 pub use simd::{prefetch_slice, KernelIsa};

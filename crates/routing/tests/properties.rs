@@ -1,7 +1,7 @@
 //! Property-based tests for greedy routing.
 
 use faultline_linkdist::{BaseBLinks, InversePowerLaw, UniformLinks};
-use faultline_metric::{Geometry, MetricSpace};
+use faultline_metric::Geometry;
 use faultline_overlay::{GraphBuilder, OverlayGraph};
 use faultline_routing::{FaultStrategy, GreedyMode, RouteOutcome, Router};
 use proptest::prelude::*;

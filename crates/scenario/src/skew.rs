@@ -34,7 +34,9 @@ pub enum QuerySkew {
     /// Zipf-ranked endpoints: the node at rank `r` of the sorted alive list is
     /// drawn with weight `1 / r^exponent` (sources and targets independently).
     Zipf {
-        /// The power-law exponent (`> 0`; ≈1 is classic web-request skew).
+        /// The power-law exponent (in `(0, 8]`; ≈1 is classic web-request skew). A
+        /// scenario file naming a larger one is refused at parse: past 8 nearly every
+        /// draw lands on the top rank and the target redraw stalls.
         exponent: f64,
     },
     /// A small set of evenly spaced hotspot nodes absorbs `bias` of the traffic:

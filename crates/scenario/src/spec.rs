@@ -24,7 +24,7 @@
 //! | | `epochs` | integer | *(required)* |
 //! | | `seed` | integer | scenario seed |
 //! | | `skew` | `"uniform"` / `"zipf"` / `"hotspot-pair"` / `"flash-crowd"` / `"diurnal"` | `"uniform"` |
-//! | | `zipf_exponent` | float (zipf only) | `1.0` |
+//! | | `zipf_exponent` | float in `(0, 8]` (zipf only) | `1.0` |
 //! | | `hotspots`, `bias` | integer, float (hotspot-pair only) | `8`, `0.8` |
 //! | | `peak` | float (flash-crowd only) | `0.9` |
 //! | | `amplitude`, `period` | float, integer (diurnal only) | `0.5`, `8` |
@@ -691,12 +691,21 @@ const SKEWS: [(&str, &[&str], SkewParser); 5] = [
     ("diurnal", &["amplitude", "period"], parse_diurnal),
 ];
 
+/// The largest `zipf_exponent` a scenario may name. Past it nearly every draw lands on
+/// the top rank, so redrawing a target until it differs from its source stalls; by 60
+/// every rank past the first has zero weight in `f64` and the redraw never ends.
+const MAX_ZIPF_EXPONENT: f64 = 8.0;
+
 fn parse_zipf(section: &Section) -> Result<QuerySkew, ScenarioError> {
     let exponent = match section.get("zipf_exponent") {
         Some(entry) => {
             let exponent = expect_f64(entry)?;
             if exponent <= 0.0 {
                 return Err(invalid(entry, "must be positive"));
+            }
+            if exponent > MAX_ZIPF_EXPONENT {
+                let message = format!("must be at most {MAX_ZIPF_EXPONENT}");
+                return Err(invalid(entry, &message));
             }
             exponent
         }

@@ -241,6 +241,21 @@ fn fire_invalid_value() {
             "{nodes}"
         );
     }
+    // A zipf exponent past 8 would stall the target redraw; 8 itself parses.
+    for exponent in ["8.5", "60"] {
+        let steep = format!("{BASE}skew = \"zipf\"\nzipf_exponent = {exponent}\n");
+        assert_eq!(
+            ScenarioSpec::parse(&steep),
+            Err(ScenarioError::InvalidValue {
+                line: 9,
+                key: "zipf_exponent".into(),
+                message: "must be at most 8".into(),
+            }),
+            "{exponent}"
+        );
+    }
+    let steepest = format!("{BASE}skew = \"zipf\"\nzipf_exponent = 8\n");
+    assert!(ScenarioSpec::parse(&steepest).is_ok());
     // Skew parameter for the wrong skew.
     let wrong_param = format!("{BASE}peak = 0.5\n");
     assert!(matches!(

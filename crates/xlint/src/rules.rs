@@ -14,14 +14,16 @@
 //!   [`Annotations::regions`]) make it visible at the source level: no
 //!   `Vec::new`/`Box::new`/`format!`/`.collect()`/`.to_vec()`-family calls inside.
 //! * **unsafe_hygiene** — every `unsafe` is preceded by a `// SAFETY:` comment.
-//! * **panic_policy** — construction/core/engine/failure/overlay/routing/scenario/
-//!   theory library paths return errors or document invariants; they do not
-//!   `unwrap`/`expect`/`panic!` (tests and benches do). `theory` is in because the
-//!   connectivity oracle runs inside every failure-configured engine epoch;
-//!   `construction` and `overlay` because every churn event runs the maintainer
-//!   over the overlay graph; `core` because every engine call goes through its
-//!   `Network` and `FrozenView`; `routing` because every uncached lookup walks its
-//!   kernel; `scenario` because it parses files a user wrote.
+//! * **panic_policy** — construction/core/engine/failure/linkdist/metric/overlay/
+//!   routing/scenario/theory library paths return errors or document invariants;
+//!   they do not `unwrap`/`expect`/`panic!` (tests and benches do). `theory` is in
+//!   because the connectivity oracle runs inside every failure-configured engine
+//!   epoch; `construction` and `overlay` because every churn event runs the
+//!   maintainer over the overlay graph; `core` because every engine call goes
+//!   through its `Network` and `FrozenView`; `routing` because every uncached
+//!   lookup walks its kernel; `scenario` because it parses files a user wrote;
+//!   `metric` and `linkdist` because every build and every join measures distances
+//!   and draws links through them.
 //!
 //! The escape hatch is deliberate and auditable: an allow annotation names the rule
 //! *and* carries a justification, and an allow that stops suppressing anything is
@@ -67,11 +69,13 @@ const RESULT_AFFECTING: [&str; 10] = [
 ];
 
 /// Crates under the panic policy: library paths must not panic on reachable inputs.
-const PANIC_FREE: [&str; 8] = [
+const PANIC_FREE: [&str; 10] = [
     "construction",
     "core",
     "engine",
     "failure",
+    "linkdist",
+    "metric",
     "overlay",
     "routing",
     "scenario",

@@ -75,7 +75,15 @@ fn unsafe_hygiene_fires_and_allows() {
 
 #[test]
 fn panic_policy_fires_and_allows() {
-    for crate_name in ["construction", "core", "engine", "overlay", "theory"] {
+    for crate_name in [
+        "construction",
+        "core",
+        "engine",
+        "linkdist",
+        "metric",
+        "overlay",
+        "theory",
+    ] {
         let found = lint_fixture("panic_policy_fire.rs", crate_name);
         assert_eq!(
             found,

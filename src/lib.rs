@@ -23,8 +23,9 @@
 //! let _point = faultline::metric::KeySpace::new(net.len()).point_for(&Key::from_name("doc"));
 //! ```
 //!
-//! See `README.md` for the architecture overview, `DESIGN.md` for the system inventory and
-//! the per-experiment index, and `EXPERIMENTS.md` for paper-vs-measured results.
+//! See `README.md` for the architecture overview, and the module table in the
+//! `faultline-bench` crate doc for the per-experiment index: each of the paper's figures
+//! and tables, the module that runs it and the binary that prints it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
