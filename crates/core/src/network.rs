@@ -399,6 +399,7 @@ fn make_spec(choice: LinkSpecChoice, geometry: &Geometry) -> Box<dyn LinkSpec> {
 mod tests {
     use super::*;
     use faultline_failure::NodeFailure;
+    use faultline_overlay::LinkKind;
     use faultline_routing::FaultStrategy;
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -696,6 +697,73 @@ mod tests {
             let net = Network::build(&config, &mut rng);
             assert!(net.route(0, 255, &mut rng).is_delivered());
         }
+    }
+
+    /// Folds every `(node, long-link target)` pair, in node and link order, into
+    /// one word.
+    fn fold_long_links(graph: &OverlayGraph) -> u64 {
+        let mut fold = 0xcbf2_9ce4_8422_2325_u64;
+        for p in 0..graph.len() {
+            for link in graph.links(p).iter().filter(|l| l.kind == LinkKind::Long) {
+                fold = (fold ^ (p << 32 | link.target)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        fold
+    }
+
+    /// Pins construction's RNG stream: every link spec on a line and a ring, with
+    /// and without an antipode, and one incremental paper build.
+    #[test]
+    fn construction_draws_are_pinned() {
+        let specs = [
+            LinkSpecChoice::InversePowerLaw { exponent: 0.0 },
+            LinkSpecChoice::InversePowerLaw { exponent: 1.0 },
+            LinkSpecChoice::InversePowerLaw { exponent: 2.0 },
+            LinkSpecChoice::BaseB { base: 3 },
+            LinkSpecChoice::PowerLadder { base: 3 },
+        ];
+        let mut configs = Vec::new();
+        for ring in [false, true] {
+            for n in [256, 257] {
+                for spec in specs {
+                    configs.push(NetworkConfig::paper_default(n).ring(ring).link_spec(spec));
+                }
+            }
+        }
+        configs.push(
+            NetworkConfig::paper_default(256).construction(ConstructionMode::incremental_default()),
+        );
+        let folds: Vec<u64> = configs
+            .iter()
+            .map(|config| {
+                let mut rng = StdRng::seed_from_u64(2002);
+                fold_long_links(Network::build(config, &mut rng).graph())
+            })
+            .collect();
+        let pinned: [u64; 21] = [
+            0x6895_f2c3_e380_ff8b, // line 256, r=0
+            0x303d_ce42_dc1e_6ab2, // line 256, r=1
+            0xe7ec_d07e_23ae_6ea0, // line 256, r=2
+            0xcadf_5468_266d_6aa9, // line 256, BaseB 3
+            0x29d8_5503_e8fb_d3f1, // line 256, PowerLadder 3
+            0x935e_1213_220f_9dc7, // line 257, r=0
+            0xc1c8_6bf4_cc22_86bb, // line 257, r=1
+            0xe5e8_5a74_dc4a_4957, // line 257, r=2
+            0x5f41_e954_eae9_a5f1, // line 257, BaseB 3
+            0xe9c5_36b0_2020_9bb5, // line 257, PowerLadder 3
+            0xbd06_3ed1_70d0_1bd3, // ring 256, r=0
+            0xdad6_764e_8500_fe23, // ring 256, r=1
+            0x3fff_d25a_0483_e22d, // ring 256, r=2
+            0x88a2_bb1c_271f_0151, // ring 256, BaseB 3
+            0xf8de_b566_9af5_91e9, // ring 256, PowerLadder 3
+            0x09aa_a0a9_3273_2fbf, // ring 257, r=0
+            0x6b6b_b167_8289_6523, // ring 257, r=1
+            0x1647_2ebf_dd55_db1d, // ring 257, r=2
+            0x396b_1099_c064_18d5, // ring 257, BaseB 3
+            0x189c_e973_21f9_185d, // ring 257, PowerLadder 3
+            0x2d47_695c_02a6_1c78, // incremental, line 256
+        ];
+        assert_eq!(folds, pinned);
     }
 
     #[test]
