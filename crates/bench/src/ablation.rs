@@ -11,7 +11,7 @@
 
 use crate::trial::{route_many, sweep};
 use faultline_construction::ReplacementStrategy;
-use faultline_core::{BatchStats, ConstructionMode, LinkSpecChoice, Network, NetworkConfig};
+use faultline_core::{BatchStats, ConstructionMode, LinkSpec, Network, NetworkConfig};
 use faultline_failure::{NodeFailure, RegionFailure};
 use faultline_overlay::stats::LinkLengthDistribution;
 use faultline_routing::FaultStrategy;
@@ -43,7 +43,7 @@ pub fn exponent_sweep(
         .map(|&exponent| {
             let config = NetworkConfig::paper_default(n)
                 .links_per_node(ell)
-                .link_spec(LinkSpecChoice::InversePowerLaw { exponent });
+                .link_spec(LinkSpec::InversePowerLaw { exponent });
             let total = sweep(
                 &config,
                 &[&NodeFailure::count(0)],

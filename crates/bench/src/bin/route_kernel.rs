@@ -23,7 +23,7 @@
 use faultline_bench::kernel::{run_stream, StreamRun, Walker};
 use faultline_bench::BenchArgs;
 use faultline_core::routing::{KernelIsa, RouteScratch, Router, WALKS_IN_FLIGHT};
-use faultline_linkdist::InversePowerLaw;
+use faultline_linkdist::LinkSpec;
 use faultline_metric::Geometry;
 use faultline_overlay::GraphBuilder;
 use rand::rngs::StdRng;
@@ -85,11 +85,10 @@ fn main() {
     ] {
         for &links in &LINK_SWEEP {
             let geometry = geometry_of(nodes);
-            let spec = InversePowerLaw::exponent_one(&geometry);
             let mut rng = StdRng::seed_from_u64(seed ^ (links as u64) << 8);
             let graph = GraphBuilder::new(geometry)
                 .links_per_node(links)
-                .build(&spec, &mut rng);
+                .build(LinkSpec::paper_default(), &mut rng);
             let frozen = graph.freeze();
             let router = Router::new();
             let mut pair_rng = StdRng::seed_from_u64(seed ^ 0x9A12);

@@ -7,7 +7,7 @@
 //! the lower bounds, and scale with `n`, `ℓ`, `p` and `b` the way the formulas say.
 
 use crate::trial::{sweep, Step};
-use faultline_core::{LinkSpecChoice, NetworkConfig};
+use faultline_core::{LinkSpec, NetworkConfig};
 use faultline_failure::{LinkFailure, NodeFailure};
 use faultline_theory::ModelBounds;
 
@@ -121,12 +121,11 @@ pub fn measure(model: Table1Model, n: u64, config: &Table1Config) -> Table1Measu
             lg_n as f64,
         ),
         Table1Model::Deterministic => (
-            NetworkConfig::paper_default(n).link_spec(LinkSpecChoice::BaseB { base: config.base }),
+            NetworkConfig::paper_default(n).link_spec(LinkSpec::BaseB { base: config.base }),
             (config.base as f64 - 1.0) * (n as f64).log2(),
         ),
         Table1Model::LinkFailureLadder => (
-            NetworkConfig::paper_default(n)
-                .link_spec(LinkSpecChoice::PowerLadder { base: config.base }),
+            NetworkConfig::paper_default(n).link_spec(LinkSpec::PowerLadder { base: config.base }),
             (n as f64).log2(),
         ),
     };

@@ -1,38 +1,8 @@
 //! Network configuration.
 
 use faultline_construction::ReplacementStrategy;
+use faultline_linkdist::LinkSpec;
 use faultline_routing::{FaultStrategy, GreedyMode};
-
-/// Which long-distance link distribution the overlay uses.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub enum LinkSpecChoice {
-    /// The paper's distribution: `Pr[link] ∝ 1/d^exponent` (use `exponent = 1.0` for the
-    /// analysed system; other exponents support the ablation experiments).
-    InversePowerLaw {
-        /// Exponent `r` of the `1/d^r` law.
-        exponent: f64,
-    },
-    /// Long links chosen uniformly at random (locality-free baseline).
-    Uniform,
-    /// Deterministic digit ladder of Theorem 14: links at distances `j·b^i`.
-    BaseB {
-        /// Digit base `b ≥ 2`.
-        base: u64,
-    },
-    /// Deterministic power ladder of Theorem 16: links at distances `b^i` only.
-    PowerLadder {
-        /// Ladder base `b ≥ 2`.
-        base: u64,
-    },
-}
-
-impl LinkSpecChoice {
-    /// The paper's default: exponent-1 inverse power law.
-    #[must_use]
-    pub fn paper_default() -> Self {
-        LinkSpecChoice::InversePowerLaw { exponent: 1.0 }
-    }
-}
 
 /// How the overlay graph is constructed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -42,6 +12,11 @@ pub enum ConstructionMode {
     Ideal,
     /// The "constructed network": nodes arrive one at a time and run the Section 5
     /// heuristic (Poisson in-link estimation + link redirection).
+    ///
+    /// The heuristic draws from the paper's `1/d` law only, so it takes
+    /// [`LinkSpec::paper_default`] and nothing else:
+    /// [`Network::build`](crate::Network::build) refuses any other link spec with
+    /// this mode.
     Incremental {
         /// Which existing link a node sacrifices when redirecting one to a newcomer.
         replacement: ReplacementStrategy,
@@ -68,7 +43,7 @@ pub struct NetworkConfig {
     nodes: u64,
     ring: bool,
     links_per_node: usize,
-    link_spec: LinkSpecChoice,
+    link_spec: LinkSpec,
     construction: ConstructionMode,
     greedy_mode: GreedyMode,
     fault_strategy: FaultStrategy,
@@ -90,7 +65,7 @@ impl NetworkConfig {
             nodes: n,
             ring: false,
             links_per_node: ell.max(1),
-            link_spec: LinkSpecChoice::paper_default(),
+            link_spec: LinkSpec::paper_default(),
             construction: ConstructionMode::Ideal,
             greedy_mode: GreedyMode::TwoSided,
             fault_strategy: FaultStrategy::Terminate,
@@ -112,9 +87,11 @@ impl NetworkConfig {
         self
     }
 
-    /// Sets the long-distance link distribution.
+    /// Sets the long-distance link distribution. Any spec but
+    /// [`LinkSpec::paper_default`] needs [`ConstructionMode::Ideal`], because the
+    /// incremental heuristic draws `1/d` links only.
     #[must_use]
-    pub fn link_spec(mut self, spec: LinkSpecChoice) -> Self {
+    pub fn link_spec(mut self, spec: LinkSpec) -> Self {
         self.link_spec = spec;
         self
     }
@@ -176,7 +153,7 @@ impl NetworkConfig {
 
     /// The configured link distribution.
     #[must_use]
-    pub fn link_spec_choice(&self) -> LinkSpecChoice {
+    pub fn link_spec_choice(&self) -> LinkSpec {
         self.link_spec
     }
 
@@ -215,7 +192,7 @@ mod tests {
         assert_eq!(c.nodes(), 1 << 17);
         assert_eq!(c.links(), 17);
         assert!(!c.is_ring());
-        assert_eq!(c.link_spec_choice(), LinkSpecChoice::paper_default());
+        assert_eq!(c.link_spec_choice(), LinkSpec::paper_default());
         assert_eq!(c.construction_mode(), ConstructionMode::Ideal);
         assert_eq!(c.greedy(), GreedyMode::TwoSided);
         assert_eq!(c.strategy(), FaultStrategy::Terminate);
@@ -235,14 +212,14 @@ mod tests {
         let c = NetworkConfig::paper_default(256)
             .ring(true)
             .links_per_node(3)
-            .link_spec(LinkSpecChoice::BaseB { base: 4 })
+            .link_spec(LinkSpec::BaseB { base: 4 })
             .construction(ConstructionMode::incremental_default())
             .greedy_mode(GreedyMode::OneSided)
             .fault_strategy(FaultStrategy::paper_backtrack())
             .presence_probability(0.5);
         assert!(c.is_ring());
         assert_eq!(c.links(), 3);
-        assert_eq!(c.link_spec_choice(), LinkSpecChoice::BaseB { base: 4 });
+        assert_eq!(c.link_spec_choice(), LinkSpec::BaseB { base: 4 });
         assert!(matches!(
             c.construction_mode(),
             ConstructionMode::Incremental { .. }

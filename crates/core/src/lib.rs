@@ -56,9 +56,10 @@ mod measurement;
 mod network;
 mod view;
 
-pub use config::{ConstructionMode, LinkSpecChoice, NetworkConfig};
+pub use config::{ConstructionMode, NetworkConfig};
 pub use directory::{Directory, StoredResource};
 pub use error::CoreError;
+pub use faultline_linkdist::LinkSpec;
 pub use measurement::BatchStats;
 pub use network::{LookupOutcome, Network};
 pub use view::{FrozenView, NetworkView};

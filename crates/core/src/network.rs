@@ -1,6 +1,6 @@
 //! The [`Network`]: the paper's system behind one type.
 
-use crate::config::{ConstructionMode, LinkSpecChoice, NetworkConfig};
+use crate::config::{ConstructionMode, NetworkConfig};
 use crate::directory::{Directory, StoredResource};
 use crate::error::CoreError;
 use crate::measurement::BatchStats;
@@ -8,7 +8,7 @@ use faultline_construction::{
     ChurnReport, IncrementalBuilder, NetworkMaintainer, ReplacementStrategy,
 };
 use faultline_failure::{FailurePlan, FailureReport};
-use faultline_linkdist::{BaseBLinks, InversePowerLaw, LinkSpec, PowerLadderLinks, UniformLinks};
+use faultline_linkdist::LinkSpec;
 use faultline_metric::{Geometry, Key, KeySpace, Position};
 use faultline_overlay::{GraphBuilder, NodeId, OverlayGraph};
 use faultline_routing::{RouteResult, Router};
@@ -71,19 +71,23 @@ impl Network {
         let ell = config.links();
         let (graph, replacement) = match config.construction_mode() {
             ConstructionMode::Ideal => {
-                let spec = make_spec(config.link_spec_choice(), &geometry);
                 let mut builder = GraphBuilder::new(geometry).links_per_node(ell);
                 if let Some(p) = config.presence() {
                     builder = builder.binomial_presence(p, rng);
                 }
                 (
-                    builder.build(spec.as_ref(), rng),
+                    builder.build(config.link_spec_choice(), rng),
                     ReplacementStrategy::InverseDistance,
                 )
             }
             ConstructionMode::Incremental { replacement } => {
-                // The incremental heuristic is defined for the paper's 1/d distribution;
-                // other link specs fall back to the ideal builder above.
+                // The Section 5 heuristic draws from the paper's 1/d law only.
+                assert!(
+                    config.link_spec_choice() == LinkSpec::paper_default(),
+                    "incremental construction draws the paper's 1/d links only; \
+                     link spec {:?} needs ConstructionMode::Ideal",
+                    config.link_spec_choice()
+                );
                 let graph = IncrementalBuilder::new(geometry, ell)
                     .replacement_strategy(replacement)
                     .build_full(rng);
@@ -383,18 +387,6 @@ impl Network {
     }
 }
 
-/// Materialises a [`LinkSpecChoice`] into a concrete sampler for `geometry`.
-fn make_spec(choice: LinkSpecChoice, geometry: &Geometry) -> Box<dyn LinkSpec> {
-    match choice {
-        LinkSpecChoice::InversePowerLaw { exponent } => {
-            Box::new(InversePowerLaw::new(exponent, geometry))
-        }
-        LinkSpecChoice::Uniform => Box::new(UniformLinks::new(geometry)),
-        LinkSpecChoice::BaseB { base } => Box::new(BaseBLinks::new(base, geometry)),
-        LinkSpecChoice::PowerLadder { base } => Box::new(PowerLadderLinks::new(base, geometry)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -675,8 +667,7 @@ mod tests {
     #[test]
     fn deterministic_ladder_config_builds_and_routes_fast() {
         let mut rng = StdRng::seed_from_u64(14);
-        let config =
-            NetworkConfig::paper_default(1 << 12).link_spec(LinkSpecChoice::BaseB { base: 2 });
+        let config = NetworkConfig::paper_default(1 << 12).link_spec(LinkSpec::BaseB { base: 2 });
         let net = Network::build(&config, &mut rng);
         let r = net.route(0, (1 << 12) - 1, &mut rng);
         assert!(r.is_delivered());
@@ -687,9 +678,9 @@ mod tests {
     fn uniform_and_power_ladder_configs_build() {
         let mut rng = StdRng::seed_from_u64(15);
         for spec in [
-            LinkSpecChoice::Uniform,
-            LinkSpecChoice::PowerLadder { base: 3 },
-            LinkSpecChoice::InversePowerLaw { exponent: 2.0 },
+            LinkSpec::InversePowerLaw { exponent: 0.0 },
+            LinkSpec::PowerLadder { base: 3 },
+            LinkSpec::InversePowerLaw { exponent: 2.0 },
         ] {
             let config = NetworkConfig::paper_default(256)
                 .link_spec(spec)
@@ -716,11 +707,11 @@ mod tests {
     #[test]
     fn construction_draws_are_pinned() {
         let specs = [
-            LinkSpecChoice::InversePowerLaw { exponent: 0.0 },
-            LinkSpecChoice::InversePowerLaw { exponent: 1.0 },
-            LinkSpecChoice::InversePowerLaw { exponent: 2.0 },
-            LinkSpecChoice::BaseB { base: 3 },
-            LinkSpecChoice::PowerLadder { base: 3 },
+            LinkSpec::InversePowerLaw { exponent: 0.0 },
+            LinkSpec::InversePowerLaw { exponent: 1.0 },
+            LinkSpec::InversePowerLaw { exponent: 2.0 },
+            LinkSpec::BaseB { base: 3 },
+            LinkSpec::PowerLadder { base: 3 },
         ];
         let mut configs = Vec::new();
         for ring in [false, true] {
@@ -764,6 +755,15 @@ mod tests {
             0x2d47_695c_02a6_1c78, // incremental, line 256
         ];
         assert_eq!(folds, pinned);
+    }
+
+    #[test]
+    #[should_panic(expected = "link spec BaseB { base: 2 } needs ConstructionMode::Ideal")]
+    fn incremental_construction_refuses_other_link_specs() {
+        let config = NetworkConfig::paper_default(1024)
+            .link_spec(LinkSpec::BaseB { base: 2 })
+            .construction(ConstructionMode::incremental_default());
+        let _ = Network::build(&config, &mut StdRng::seed_from_u64(17));
     }
 
     #[test]

@@ -77,19 +77,18 @@ impl FailurePlan for LinkFailure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faultline_linkdist::InversePowerLaw;
+    use faultline_linkdist::LinkSpec;
     use faultline_metric::Geometry;
     use faultline_overlay::GraphBuilder;
     use rand::{rngs::StdRng, SeedableRng};
 
     fn graph(n: u64, ell: usize, seed: u64) -> OverlayGraph {
         let geometry = Geometry::line(n);
-        let spec = InversePowerLaw::exponent_one(&geometry);
         let mut rng = StdRng::seed_from_u64(seed);
         GraphBuilder::new(geometry)
             .links_per_node(ell)
             .dedup_long_links(false)
-            .build(&spec, &mut rng)
+            .build(LinkSpec::paper_default(), &mut rng)
     }
 
     #[test]

@@ -3,18 +3,17 @@
 //! changed row emitted with its new content, and no unchanged row emitted.
 
 use faultline_failure::{FailurePlan, FailureReport, LinkFailure, NodeFailure, RegionFailure};
-use faultline_linkdist::InversePowerLaw;
+use faultline_linkdist::LinkSpec;
 use faultline_metric::Geometry;
 use faultline_overlay::{GraphBuilder, NodeId, OverlayGraph};
 use rand::{rngs::StdRng, SeedableRng};
 
 fn graph(n: u64, ell: usize, seed: u64) -> OverlayGraph {
     let geometry = Geometry::ring(n);
-    let spec = InversePowerLaw::exponent_one(&geometry);
     let mut rng = StdRng::seed_from_u64(seed);
     GraphBuilder::new(geometry)
         .links_per_node(ell)
-        .build(&spec, &mut rng)
+        .build(LinkSpec::paper_default(), &mut rng)
 }
 
 fn plans() -> Vec<Box<dyn FailurePlan>> {

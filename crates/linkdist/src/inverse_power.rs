@@ -1,9 +1,8 @@
 //! The inverse power-law link distribution — the paper's central construction.
 
-use crate::spec::{LinkSpec, SpecKind};
 use crate::table::DistanceTable;
 use faultline_metric::{Direction, Geometry, Position};
-use rand::{Rng, RngCore};
+use rand::Rng;
 
 /// Long-distance links drawn with probability proportional to `1/d(u, v)^r`.
 ///
@@ -13,25 +12,27 @@ use rand::{Rng, RngCore};
 /// the space. Theorems 12–18 analyse routing over graphs built this way; the lower bound
 /// of Theorem 10 shows no other distribution can do much better.
 ///
-/// Other exponents are provided for the ablation benchmark that reproduces the
-/// Kleinberg-style sensitivity of greedy routing to the exponent choice.
+/// Exponent 0 gives uniformly random links, the locality-free baseline. Other exponents
+/// are provided for the ablation benchmark that reproduces the Kleinberg-style
+/// sensitivity of greedy routing to the exponent choice. The Section 5 maintainer draws
+/// from this distribution directly; an overlay build reaches it through
+/// [`LinkSpec::InversePowerLaw`](crate::LinkSpec::InversePowerLaw).
 ///
 /// # Example
 ///
 /// ```
 /// use faultline_metric::Geometry;
-/// use faultline_linkdist::{InversePowerLaw, LinkSpec};
+/// use faultline_linkdist::InversePowerLaw;
 ///
 /// let dist = InversePowerLaw::exponent_one(&Geometry::line(256));
 /// // Short links are more likely than long ones.
-/// let near = dist.link_probability(128, 129).unwrap();
-/// let far = dist.link_probability(128, 250).unwrap();
+/// let near = dist.link_probability(128, 129);
+/// let far = dist.link_probability(128, 250);
 /// assert!(near > far);
 /// ```
 #[derive(Debug, Clone)]
 pub struct InversePowerLaw {
     geometry: Geometry,
-    exponent: f64,
     table: DistanceTable,
 }
 
@@ -51,7 +52,6 @@ impl InversePowerLaw {
         let max_distance = geometry.len() - 1;
         Self {
             geometry: *geometry,
-            exponent,
             table: DistanceTable::new(max_distance, exponent),
         }
     }
@@ -60,18 +60,6 @@ impl InversePowerLaw {
     #[must_use]
     pub fn exponent_one(geometry: &Geometry) -> Self {
         Self::new(1.0, geometry)
-    }
-
-    /// The exponent `r` of this distribution.
-    #[must_use]
-    pub fn exponent(&self) -> f64 {
-        self.exponent
-    }
-
-    /// The geometry this distribution samples over.
-    #[must_use]
-    pub fn geometry(&self) -> Geometry {
-        self.geometry
     }
 
     /// Total normalising weight `Σ_{v ≠ u} 1/d(u,v)^r` for a node at `from`.
@@ -89,6 +77,31 @@ impl InversePowerLaw {
         let left = self.geometry.max_reach(from, Direction::Down);
         let right = self.geometry.max_reach(from, Direction::Up);
         self.table.weight_up_to(left) + self.table.weight_up_to(right)
+    }
+
+    /// `ell` independent draws (with replacement, as in Theorem 13) of long-distance
+    /// targets for the node at `from`. Targets never include `from`, but may repeat.
+    pub fn targets<R: Rng + ?Sized>(
+        &self,
+        from: Position,
+        ell: usize,
+        rng: &mut R,
+    ) -> Vec<Position> {
+        debug_assert!(self.geometry.contains(from));
+        (0..ell).map(|_| self.sample_one(from, rng)).collect()
+    }
+
+    /// Probability that a single draw for `from` selects `to` (0 for `to == from` and
+    /// for points outside the space).
+    ///
+    /// This is the quantity the paper calls `q` in Theorem 13 and is what Figure 5
+    /// compares the constructed network against.
+    #[must_use]
+    pub fn link_probability(&self, from: Position, to: Position) -> f64 {
+        if from == to || !self.geometry.contains(from) || !self.geometry.contains(to) {
+            return 0.0;
+        }
+        self.table.weight_of(self.geometry.distance(from, to)) / self.total_weight(from)
     }
 
     /// Draws one long-distance target for `from`.
@@ -150,29 +163,6 @@ impl InversePowerLaw {
     }
 }
 
-impl LinkSpec for InversePowerLaw {
-    fn name(&self) -> String {
-        format!("inverse-power-law(r={})", self.exponent)
-    }
-
-    fn kind(&self) -> SpecKind {
-        SpecKind::Randomized
-    }
-
-    fn targets(&self, from: Position, ell: usize, rng: &mut dyn RngCore) -> Vec<Position> {
-        debug_assert!(self.geometry.contains(from));
-        (0..ell).map(|_| self.sample_one(from, rng)).collect()
-    }
-
-    fn link_probability(&self, from: Position, to: Position) -> Option<f64> {
-        if from == to || !self.geometry.contains(from) || !self.geometry.contains(to) {
-            return Some(0.0);
-        }
-        let d = self.geometry.distance(from, to);
-        Some(self.table.weight_of(d) / self.total_weight(from))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,7 +175,7 @@ mod tests {
             for from in [0u64, 7, 32, 63] {
                 let total: f64 = (0..geometry.len())
                     .filter(|&v| v != from)
-                    .map(|v| dist.link_probability(from, v).unwrap())
+                    .map(|v| dist.link_probability(from, v))
                     .sum();
                 assert!(
                     (total - 1.0).abs() < 1e-9,
@@ -225,10 +215,8 @@ mod tests {
                 count_d32 += 1;
             }
         }
-        let p_d1 =
-            dist.link_probability(from, 65).unwrap() + dist.link_probability(from, 63).unwrap();
-        let p_d32 =
-            dist.link_probability(from, 96).unwrap() + dist.link_probability(from, 32).unwrap();
+        let p_d1 = dist.link_probability(from, 65) + dist.link_probability(from, 63);
+        let p_d32 = dist.link_probability(from, 96) + dist.link_probability(from, 32);
         let f_d1 = count_d1 as f64 / draws as f64;
         let f_d32 = count_d32 as f64 / draws as f64;
         assert!((f_d1 - p_d1).abs() < 0.01, "d=1: {f_d1} vs {p_d1}");
@@ -241,7 +229,7 @@ mod tests {
         let dist = InversePowerLaw::exponent_one(&geometry);
         // Node 0's antipode is 4, at distance 4; its probability should be (1/4)/total,
         // not double-counted.
-        let p = dist.link_probability(0, 4).unwrap();
+        let p = dist.link_probability(0, 4);
         let total_weight = 2.0 * (1.0 + 0.5 + 1.0 / 3.0) + 0.25;
         assert!((p - 0.25 / total_weight).abs() < 1e-12);
         let mut rng = StdRng::seed_from_u64(5);
@@ -266,14 +254,41 @@ mod tests {
     #[test]
     fn self_link_probability_is_zero() {
         let dist = InversePowerLaw::exponent_one(&Geometry::line(16));
-        assert_eq!(dist.link_probability(5, 5), Some(0.0));
+        assert_eq!(dist.link_probability(5, 5), 0.0);
     }
 
     #[test]
-    fn name_and_kind_report_exponent() {
-        let dist = InversePowerLaw::new(1.5, &Geometry::line(16));
-        assert_eq!(dist.name(), "inverse-power-law(r=1.5)");
-        assert_eq!(dist.kind(), SpecKind::Randomized);
-        assert_eq!(dist.links_per_node(7), 7);
+    fn never_links_to_self_and_stays_in_range() {
+        let dist = InversePowerLaw::new(0.0, &Geometry::line(100));
+        let mut rng = StdRng::seed_from_u64(0);
+        for from in [0u64, 50, 99] {
+            for t in dist.targets(from, 1000, &mut rng) {
+                assert_ne!(t, from);
+                assert!(t < 100);
+            }
+        }
+    }
+
+    #[test]
+    fn probability_is_uniform_and_normalised() {
+        let dist = InversePowerLaw::new(0.0, &Geometry::ring(64));
+        for v in 1..64u64 {
+            assert!((dist.link_probability(0, v) - 1.0 / 63.0).abs() < 1e-15);
+        }
+        let total: f64 = (1..64u64).map(|v| dist.link_probability(0, v)).sum();
+        assert!((total - 1.0).abs() < 1e-12);
+        assert_eq!(dist.link_probability(3, 3), 0.0);
+    }
+
+    #[test]
+    fn every_target_is_hit_eventually() {
+        let dist = InversePowerLaw::new(0.0, &Geometry::line(8));
+        let mut rng = StdRng::seed_from_u64(2);
+        let targets = dist.targets(3, 2000, &mut rng);
+        for v in 0..8u64 {
+            if v != 3 {
+                assert!(targets.contains(&v), "target {v} never sampled");
+            }
+        }
     }
 }

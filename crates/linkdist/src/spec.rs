@@ -1,86 +1,84 @@
-//! The [`LinkSpec`] trait: how a node chooses its long-distance neighbours.
+//! [`LinkSpec`]: how a node chooses its long-distance neighbours.
 
-use faultline_metric::Position;
-use rand::RngCore;
+use crate::deterministic::Ladder;
+use crate::inverse_power::InversePowerLaw;
+use faultline_metric::{Geometry, Position};
+use rand::Rng;
 
-/// Whether a link specification is randomized or deterministic.
+/// How every node of an overlay picks its long-distance links.
 ///
-/// The paper uses randomized specifications for `ℓ ∈ [1, lg n]` (Theorems 12, 13, 15, 17,
-/// 18) and a deterministic digit-ladder for `ℓ ∈ (lg n, n^c]` (Theorems 14 and 16).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
-pub enum SpecKind {
-    /// Targets are drawn from a probability distribution; repeated builds differ.
-    Randomized,
-    /// Targets are a fixed function of the node position; `ℓ` requested links are ignored.
-    Deterministic,
-}
-
-/// A strategy for generating the long-distance links of an overlay node.
-///
-/// Implementations own their geometry (and any precomputed sampling tables), so a spec is
-/// constructed once per overlay build and then queried once per node.
-///
-/// Immediate (±1) neighbours are *not* produced by a `LinkSpec`; the overlay builder adds
-/// them unconditionally, mirroring the paper's standing assumption that "each node is
+/// The paper draws links at random for `ℓ ∈ [1, lg n]` (Theorems 12, 13, 15, 17 and
+/// 18) and lays a deterministic ladder for `ℓ ∈ (lg n, n^c]` (Theorems 14 and 16).
+/// Immediate (±1) neighbours are not part of a spec; the overlay builder adds them
+/// unconditionally, mirroring the paper's standing assumption that "each node is
 /// connected to its immediate neighbors".
-pub trait LinkSpec: std::fmt::Debug {
-    /// Human-readable name used in benchmark output (e.g. `"inverse-power-law(r=1)"`).
-    fn name(&self) -> String;
-
-    /// Whether this specification is randomized or deterministic.
-    fn kind(&self) -> SpecKind;
-
-    /// The long-distance targets of the node at `from`.
-    ///
-    /// For randomized specs, `ell` independent draws (with replacement, as in Theorem 13)
-    /// are made; for deterministic specs `ell` is ignored and the fixed target set is
-    /// returned. Targets never include `from` itself. Duplicates may appear for randomized
-    /// specs (the overlay layer deduplicates when materialising edges).
-    fn targets(&self, from: Position, ell: usize, rng: &mut dyn RngCore) -> Vec<Position>;
-
-    /// Probability that a *single* draw for node `from` selects `to`, if the spec is
-    /// randomized (`None` for deterministic specs).
-    ///
-    /// This is the quantity the paper calls `q` in Theorem 13 and is what Figure 5
-    /// compares the constructed network against.
-    fn link_probability(&self, from: Position, to: Position) -> Option<f64>;
-
-    /// Number of long-distance links a node will actually hold when `ell` are requested.
-    fn links_per_node(&self, ell: usize) -> usize {
-        match self.kind() {
-            SpecKind::Randomized => ell,
-            SpecKind::Deterministic => self
-                .targets(0, ell, &mut rand::rngs::mock::StepRng::new(0, 1))
-                .len(),
-        }
-    }
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+pub enum LinkSpec {
+    /// `ℓ` independent draws with `Pr[v] ∝ 1/d(u, v)^exponent` (see
+    /// [`InversePowerLaw`]). Exponent 1 is the paper's system, 0 gives uniform links,
+    /// and other exponents serve the ablation experiments.
+    InversePowerLaw {
+        /// Exponent `r ≥ 0` of the `1/d^r` law.
+        exponent: f64,
+    },
+    /// The digit ladder of Theorem 14: links at distances `j · b^i` for
+    /// `j ∈ {1..b-1}`, in both directions where the space permits; `ℓ` is ignored.
+    /// `b = 2` gives `O(log n)` links and delivery, `b = √n` gives `O(√n)` links and
+    /// `O(1)` delivery.
+    BaseB {
+        /// Digit base `b ≥ 2`.
+        base: u64,
+    },
+    /// The simplified ladder of Theorem 16: links at distances `b^i` only, the model
+    /// the paper analyses under link failures; `ℓ` is ignored.
+    PowerLadder {
+        /// Ladder base `b ≥ 2`.
+        base: u64,
+    },
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// A spec made concrete over one geometry.
+#[derive(Debug)]
+enum Sampler {
+    PowerLaw(InversePowerLaw),
+    Ladder(Ladder),
+}
 
-    #[derive(Debug)]
-    struct Fixed;
-
-    impl LinkSpec for Fixed {
-        fn name(&self) -> String {
-            "fixed".to_owned()
-        }
-        fn kind(&self) -> SpecKind {
-            SpecKind::Deterministic
-        }
-        fn targets(&self, from: Position, _ell: usize, _rng: &mut dyn RngCore) -> Vec<Position> {
-            vec![from + 2, from + 4]
-        }
-        fn link_probability(&self, _from: Position, _to: Position) -> Option<f64> {
-            None
-        }
+impl LinkSpec {
+    /// The paper's choice: the inverse power law with exponent 1.
+    #[must_use]
+    pub const fn paper_default() -> Self {
+        LinkSpec::InversePowerLaw { exponent: 1.0 }
     }
 
-    #[test]
-    fn deterministic_links_per_node_counts_targets() {
-        assert_eq!(Fixed.links_per_node(99), 2);
-        assert_eq!(Fixed.kind(), SpecKind::Deterministic);
+    /// The long-link sampler of this spec over `geometry`, made once per overlay (the
+    /// distance table of a power law, the rungs of a ladder).
+    ///
+    /// The sampler maps `(from, ℓ, rng)` to the long-distance targets of the node at
+    /// `from`, never `from` itself. A power law makes `ℓ` draws with replacement (as in
+    /// Theorem 13), so targets may repeat; the overlay builder deduplicates them. A
+    /// ladder returns its fixed, sorted target set and touches neither `ℓ` nor `rng`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry has fewer than 2 points, the exponent is negative or not
+    /// finite, or a ladder's base is below 2.
+    pub fn sampler<R: Rng + ?Sized>(
+        self,
+        geometry: &Geometry,
+    ) -> impl Fn(Position, usize, &mut R) -> Vec<Position> {
+        let sampler = match self {
+            LinkSpec::InversePowerLaw { exponent } => {
+                Sampler::PowerLaw(InversePowerLaw::new(exponent, geometry))
+            }
+            LinkSpec::BaseB { base } => {
+                Sampler::Ladder(Ladder::new(base, base.saturating_sub(1), geometry))
+            }
+            LinkSpec::PowerLadder { base } => Sampler::Ladder(Ladder::new(base, 1, geometry)),
+        };
+        move |from, ell, rng| match &sampler {
+            Sampler::PowerLaw(dist) => dist.targets(from, ell, rng),
+            Sampler::Ladder(ladder) => ladder.targets(from),
+        }
     }
 }

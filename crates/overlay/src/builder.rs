@@ -11,8 +11,8 @@ use rand::Rng;
 /// link distribution, exactly as the theoretical model of Section 4.3 assumes.
 ///
 /// * Every node is connected to its immediate neighbour on either side (ring links).
-/// * Every node draws `ℓ` long-distance targets from the supplied [`LinkSpec`]
-///   (deterministic specs ignore `ℓ`).
+/// * Every node takes its long-distance targets from the supplied [`LinkSpec`]: `ℓ`
+///   draws from a power law, or the fixed rungs of a ladder (which ignores `ℓ`).
 /// * Optionally, only a subset of grid points host nodes (Theorem 17's binomial presence
 ///   model); long-distance sinks that land on an absent point are redirected to the
 ///   nearest present node, mirroring Section 2's "n chooses the neighbor present closest
@@ -41,7 +41,7 @@ impl GraphBuilder {
     }
 
     /// Number of long-distance links drawn per node (default 1, the single-link model of
-    /// Theorem 12). Ignored by deterministic link specs.
+    /// Theorem 12). Ignored by the ladder specs.
     #[must_use]
     pub fn links_per_node(mut self, ell: usize) -> Self {
         self.ell = ell;
@@ -87,8 +87,14 @@ impl GraphBuilder {
         self.geometry
     }
 
-    /// Builds an overlay graph, drawing randomness from `rng`.
-    pub fn build<R: Rng>(&self, spec: &dyn LinkSpec, rng: &mut R) -> OverlayGraph {
+    /// Builds an overlay graph whose long links follow `spec`, drawing randomness from
+    /// `rng`. The spec's sampler is made once, for the whole build.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spec` is invalid for the geometry (see [`LinkSpec::sampler`]).
+    pub fn build<R: Rng>(&self, spec: LinkSpec, rng: &mut R) -> OverlayGraph {
+        let sample = spec.sampler(&self.geometry);
         let mut graph = match &self.present {
             None => OverlayGraph::fully_populated(self.geometry),
             Some(present) => OverlayGraph::with_present_nodes(self.geometry, present),
@@ -101,7 +107,7 @@ impl GraphBuilder {
 
         // Long-distance links from the distribution.
         for &from in &present {
-            let mut targets = spec.targets(from, self.ell, rng);
+            let mut targets = sample(from, self.ell, rng);
             if self.dedup_long_links {
                 targets.sort_unstable();
                 targets.dedup();
@@ -140,27 +146,23 @@ impl GraphBuilder {
 /// Convenience helper: the standard paper configuration — a fully-populated line of `n`
 /// points with `ℓ` inverse power-law (exponent 1) links per node.
 pub fn build_paper_overlay<R: Rng>(n: u64, ell: usize, rng: &mut R) -> OverlayGraph {
-    let geometry = Geometry::line(n);
-    let spec = faultline_linkdist::InversePowerLaw::exponent_one(&geometry);
-    GraphBuilder::new(geometry)
+    GraphBuilder::new(Geometry::line(n))
         .links_per_node(ell)
-        .build(&spec, rng)
+        .build(LinkSpec::paper_default(), rng)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faultline_linkdist::{BaseBLinks, InversePowerLaw, UniformLinks};
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
     fn fully_populated_line_has_ring_links_everywhere() {
         let geometry = Geometry::line(64);
-        let spec = InversePowerLaw::exponent_one(&geometry);
         let mut rng = StdRng::seed_from_u64(0);
         let g = GraphBuilder::new(geometry)
             .links_per_node(3)
-            .build(&spec, &mut rng);
+            .build(LinkSpec::paper_default(), &mut rng);
         for p in 0..64u64 {
             let nbrs: Vec<_> = g.usable_neighbors(p).collect();
             if p > 0 {
@@ -175,11 +177,10 @@ mod tests {
     #[test]
     fn ring_geometry_closes_the_loop() {
         let geometry = Geometry::ring(32);
-        let spec = UniformLinks::new(&geometry);
         let mut rng = StdRng::seed_from_u64(1);
         let g = GraphBuilder::new(geometry)
             .links_per_node(1)
-            .build(&spec, &mut rng);
+            .build(LinkSpec::InversePowerLaw { exponent: 0.0 }, &mut rng);
         assert!(g.usable_neighbors(0).any(|t| t == 31));
         assert!(g.usable_neighbors(31).any(|t| t == 0));
     }
@@ -187,12 +188,11 @@ mod tests {
     #[test]
     fn long_degree_matches_requested_ell_up_to_duplicates() {
         let geometry = Geometry::line(1 << 12);
-        let spec = InversePowerLaw::exponent_one(&geometry);
         let mut rng = StdRng::seed_from_u64(7);
         let ell = 8;
         let g = GraphBuilder::new(geometry)
             .links_per_node(ell)
-            .build(&spec, &mut rng);
+            .build(LinkSpec::paper_default(), &mut rng);
         let total: usize = (0..g.len()).map(|p| g.long_degree(p)).sum();
         let mean = total as f64 / g.len() as f64;
         assert!(mean > ell as f64 * 0.8, "mean long degree {mean} too low");
@@ -202,13 +202,12 @@ mod tests {
     #[test]
     fn sparse_presence_redirects_sinks_to_present_nodes() {
         let geometry = Geometry::line(1000);
-        let spec = InversePowerLaw::exponent_one(&geometry);
         let mut rng = StdRng::seed_from_u64(3);
         let present: Vec<NodeId> = (0..1000).step_by(10).collect();
         let g = GraphBuilder::new(geometry)
             .links_per_node(4)
             .present_nodes(present.clone())
-            .build(&spec, &mut rng);
+            .build(LinkSpec::paper_default(), &mut rng);
         assert_eq!(g.present_count(), present.len() as u64);
         for &p in g.present_nodes() {
             for l in g.links(p) {
@@ -220,12 +219,11 @@ mod tests {
     #[test]
     fn binomial_presence_produces_roughly_p_fraction() {
         let geometry = Geometry::line(10_000);
-        let spec = UniformLinks::new(&geometry);
         let mut rng = StdRng::seed_from_u64(5);
         let g = GraphBuilder::new(geometry)
             .binomial_presence(0.3, &mut rng)
             .links_per_node(1)
-            .build(&spec, &mut rng);
+            .build(LinkSpec::InversePowerLaw { exponent: 0.0 }, &mut rng);
         let frac = g.present_count() as f64 / 10_000.0;
         assert!((frac - 0.3).abs() < 0.05, "presence fraction {frac}");
     }
@@ -233,11 +231,10 @@ mod tests {
     #[test]
     fn deterministic_spec_ignores_ell() {
         let geometry = Geometry::line(256);
-        let spec = BaseBLinks::new(2, &geometry);
         let mut rng = StdRng::seed_from_u64(11);
         let g = GraphBuilder::new(geometry)
             .links_per_node(1)
-            .build(&spec, &mut rng);
+            .build(LinkSpec::BaseB { base: 2 }, &mut rng);
         // Node in the middle should have roughly 2*log2(256) = 16 long links.
         let deg = g.long_degree(128);
         assert!(deg >= 8, "expected a full ladder, got {deg}");
@@ -254,11 +251,10 @@ mod tests {
     #[test]
     fn duplicate_draws_collapse_unless_disabled() {
         let geometry = Geometry::line(8);
-        let spec = UniformLinks::new(&geometry);
         let mut rng = StdRng::seed_from_u64(17);
         let deduped = GraphBuilder::new(geometry)
             .links_per_node(64)
-            .build(&spec, &mut rng);
+            .build(LinkSpec::InversePowerLaw { exponent: 0.0 }, &mut rng);
         // Only 7 possible targets exist, so dedup caps the long degree at 7.
         assert!(deduped.long_degree(0) <= 7);
     }

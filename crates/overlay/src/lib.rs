@@ -7,9 +7,10 @@
 //! * [`OverlayGraph`] — the graph itself: per-vertex presence/alive state and outgoing
 //!   links (ring links to immediate neighbours plus long-distance links), with `O(1)`
 //!   failure injection and link mutation.
-//! * [`GraphBuilder`] — the *ideal* static construction: every node draws its `ℓ`
-//!   long-distance links directly from a [`LinkSpec`](faultline_linkdist::LinkSpec)
-//!   (the dynamic, heuristic construction of Section 5 lives in `faultline-construction`).
+//! * [`GraphBuilder`] — the *ideal* static construction: every node takes its
+//!   long-distance links directly from a [`LinkSpec`](faultline_linkdist::LinkSpec),
+//!   `ℓ` power-law draws or a ladder's rungs (the dynamic, heuristic construction of
+//!   Section 5 lives in `faultline-construction`).
 //! * [`FrozenRoutes`] — a compiled routing snapshot (every node's usable neighbours
 //!   in a fixed-stride row at `node × stride`, alive bitset, line-or-ring flag); the
 //!   traversal structure the query engine's uncached hot path runs on. Snapshots
@@ -27,14 +28,15 @@
 //!
 //! ```
 //! use faultline_metric::Geometry;
-//! use faultline_linkdist::InversePowerLaw;
+//! use faultline_linkdist::LinkSpec;
 //! use faultline_overlay::GraphBuilder;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let geometry = Geometry::line(1 << 10);
-//! let spec = InversePowerLaw::exponent_one(&geometry);
 //! let mut rng = StdRng::seed_from_u64(42);
-//! let graph = GraphBuilder::new(geometry).links_per_node(8).build(&spec, &mut rng);
+//! let graph = GraphBuilder::new(geometry)
+//!     .links_per_node(8)
+//!     .build(LinkSpec::paper_default(), &mut rng);
 //! assert_eq!(graph.len(), 1 << 10);
 //! assert!(graph.out_degree(512) >= 2); // ring links always present
 //! ```

@@ -211,18 +211,17 @@ impl DegreeStats {
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
-    use faultline_linkdist::InversePowerLaw;
+    use faultline_linkdist::LinkSpec;
     use faultline_metric::Geometry;
     use rand::{rngs::StdRng, SeedableRng};
 
     fn ideal_graph(n: u64, ell: usize, seed: u64) -> OverlayGraph {
         let geometry = Geometry::line(n);
-        let spec = InversePowerLaw::exponent_one(&geometry);
         let mut rng = StdRng::seed_from_u64(seed);
         GraphBuilder::new(geometry)
             .links_per_node(ell)
             .dedup_long_links(false)
-            .build(&spec, &mut rng)
+            .build(LinkSpec::paper_default(), &mut rng)
     }
 
     #[test]

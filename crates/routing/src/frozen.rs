@@ -688,7 +688,7 @@ impl<R: Rng> WalkGroup<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faultline_linkdist::InversePowerLaw;
+    use faultline_linkdist::LinkSpec;
     use faultline_metric::{Direction, Geometry};
     use faultline_overlay::{GraphBuilder, LinkKind, OverlayGraph};
     use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
@@ -699,11 +699,10 @@ mod tests {
         } else {
             Geometry::line(n)
         };
-        let spec = InversePowerLaw::exponent_one(&geometry);
         let mut rng = StdRng::seed_from_u64(seed);
         GraphBuilder::new(geometry)
             .links_per_node(ell)
-            .build(&spec, &mut rng)
+            .build(LinkSpec::paper_default(), &mut rng)
     }
 
     fn assert_parity(router: Router, graph: &OverlayGraph, pairs: &[(u64, u64)], seed: u64) {

@@ -22,15 +22,16 @@
 //!
 //! ```
 //! use faultline_metric::Geometry;
-//! use faultline_linkdist::InversePowerLaw;
+//! use faultline_linkdist::LinkSpec;
 //! use faultline_overlay::GraphBuilder;
 //! use faultline_routing::{Router, RouteOutcome};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let geometry = Geometry::line(1 << 10);
-//! let spec = InversePowerLaw::exponent_one(&geometry);
 //! let mut rng = StdRng::seed_from_u64(1);
-//! let graph = GraphBuilder::new(geometry).links_per_node(10).build(&spec, &mut rng);
+//! let graph = GraphBuilder::new(geometry)
+//!     .links_per_node(10)
+//!     .build(LinkSpec::paper_default(), &mut rng);
 //!
 //! let router = Router::new();
 //! let result = router.route(&graph, 7, 1000, &mut rng);

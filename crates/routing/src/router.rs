@@ -252,18 +252,17 @@ fn random_alive_node<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faultline_linkdist::InversePowerLaw;
+    use faultline_linkdist::LinkSpec;
     use faultline_metric::Geometry;
     use faultline_overlay::{GraphBuilder, LinkKind};
     use rand::{rngs::StdRng, SeedableRng};
 
     fn paper_graph(n: u64, ell: usize, seed: u64) -> OverlayGraph {
         let geometry = Geometry::line(n);
-        let spec = InversePowerLaw::exponent_one(&geometry);
         let mut rng = StdRng::seed_from_u64(seed);
         GraphBuilder::new(geometry)
             .links_per_node(ell)
-            .build(&spec, &mut rng)
+            .build(LinkSpec::paper_default(), &mut rng)
     }
 
     #[test]

@@ -13,7 +13,7 @@ pub enum FaultStrategy {
     Terminate,
     /// "Randomly choose another node, deliver the message to this new node and then try
     /// to deliver the message from this node to the original destination node (similar to
-    /// the hypercube routing strategy [Valiant])."
+    /// the hypercube routing strategy \[Valiant\])."
     ///
     /// `max_attempts` bounds how many random re-routes a single search may use before it
     /// is declared failed.

@@ -16,7 +16,7 @@
 //! flight, must each come back with the result, the RNG state and the visited path
 //! of the same walk routed alone through `route_frozen`.
 
-use faultline_linkdist::InversePowerLaw;
+use faultline_linkdist::LinkSpec;
 use faultline_metric::Geometry;
 use faultline_overlay::{
     ChurnDelta, FrozenRoutes, GraphBuilder, OverlayGraph, PAD_SENTINEL, ROW_STEP,
@@ -34,11 +34,10 @@ fn build(n: u64, ell: usize, seed: u64, ring: bool) -> OverlayGraph {
     } else {
         Geometry::line(n)
     };
-    let spec = InversePowerLaw::exponent_one(&geometry);
     let mut rng = StdRng::seed_from_u64(seed);
     GraphBuilder::new(geometry)
         .links_per_node(ell)
-        .build(&spec, &mut rng)
+        .build(LinkSpec::paper_default(), &mut rng)
 }
 
 /// Applies a random damage/churn pattern: crash a fraction of nodes, revive a few of

@@ -1,6 +1,6 @@
 //! Property-based tests for greedy routing.
 
-use faultline_linkdist::{BaseBLinks, InversePowerLaw, UniformLinks};
+use faultline_linkdist::LinkSpec;
 use faultline_metric::Geometry;
 use faultline_overlay::{GraphBuilder, OverlayGraph};
 use faultline_routing::{FaultStrategy, GreedyMode, RouteOutcome, Router};
@@ -13,11 +13,10 @@ fn build(n: u64, ell: usize, seed: u64, ring: bool) -> OverlayGraph {
     } else {
         Geometry::line(n)
     };
-    let spec = InversePowerLaw::exponent_one(&geometry);
     let mut rng = StdRng::seed_from_u64(seed);
     GraphBuilder::new(geometry)
         .links_per_node(ell)
-        .build(&spec, &mut rng)
+        .build(LinkSpec::paper_default(), &mut rng)
 }
 
 proptest! {
@@ -137,9 +136,8 @@ proptest! {
     ) {
         let n = 1u64 << exp;
         let geometry = Geometry::line(n);
-        let spec = BaseBLinks::new(base, &geometry);
         let mut rng = StdRng::seed_from_u64(seed);
-        let graph = GraphBuilder::new(geometry).build(&spec, &mut rng);
+        let graph = GraphBuilder::new(geometry).build(LinkSpec::BaseB { base }, &mut rng);
         let router = Router::new();
         let s = rng.gen_range(0..n);
         let t = rng.gen_range(0..n);
@@ -163,10 +161,10 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let uniform = GraphBuilder::new(geometry)
             .links_per_node(4)
-            .build(&UniformLinks::new(&geometry), &mut rng);
+            .build(LinkSpec::InversePowerLaw { exponent: 0.0 }, &mut rng);
         let ipl = GraphBuilder::new(geometry)
             .links_per_node(4)
-            .build(&InversePowerLaw::exponent_one(&geometry), &mut rng);
+            .build(LinkSpec::paper_default(), &mut rng);
         let router = Router::new();
         let mut total_uniform = 0u64;
         let mut total_ipl = 0u64;

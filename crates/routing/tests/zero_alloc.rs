@@ -13,7 +13,7 @@
 //! This file intentionally holds a single test: the allocation counter is global to
 //! the test binary, and a concurrently running test would pollute the delta.
 
-use faultline_linkdist::InversePowerLaw;
+use faultline_linkdist::LinkSpec;
 use faultline_metric::Geometry;
 use faultline_overlay::{GraphBuilder, OverlayGraph};
 use faultline_routing::{
@@ -53,11 +53,10 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn damaged_graph(n: u64, ell: usize, seed: u64) -> OverlayGraph {
     let geometry = Geometry::line(n);
-    let spec = InversePowerLaw::exponent_one(&geometry);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut graph = GraphBuilder::new(geometry)
         .links_per_node(ell)
-        .build(&spec, &mut rng);
+        .build(LinkSpec::paper_default(), &mut rng);
     // Some damage so the backtracking strategy actually exercises its buffers.
     for _ in 0..(n / 5) {
         graph.fail_node(rng.gen_range(0..n));

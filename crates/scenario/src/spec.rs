@@ -16,7 +16,7 @@
 //! | `[scenario]` | `name` | string | *(required)* |
 //! | | `seed` | integer | `2002` |
 //! | `[network]` | `nodes` | integer or `"2^k"` string, `≤ 2^32 − 1` | *(required)* |
-//! | | `links` | integer | `⌈lg nodes⌉` |
+//! | | `links` | integer in `[1, nodes − 1]` | `⌈lg nodes⌉` |
 //! | | `seed` | integer | scenario seed |
 //! | | `strategy` | `"terminate"` / `"backtrack"` / `"reroute"` | `"terminate"` |
 //! | | `construction` | `"incremental"` / `"ideal"` | `"incremental"` |
@@ -565,6 +565,12 @@ fn parse_network(document: &Document, scenario_seed: u64) -> Result<NetworkSpec,
             let links = expect_usize(entry)?;
             if links == 0 {
                 return Err(invalid(entry, "a node needs at least one long link"));
+            }
+            if links as u64 >= nodes {
+                return Err(invalid(
+                    entry,
+                    "at most nodes − 1: a node has no more distinct targets",
+                ));
             }
             Some(links)
         }

@@ -241,6 +241,18 @@ fn fire_invalid_value() {
             "{nodes}"
         );
     }
+    // More long links than a node has distinct targets; nodes − 1 itself parses.
+    let too_many = BASE.replace("nodes = 64\n", "nodes = 64\nlinks = 64\n");
+    assert_eq!(
+        ScenarioSpec::parse(&too_many),
+        Err(ScenarioError::InvalidValue {
+            line: 5,
+            key: "links".into(),
+            message: "at most nodes − 1: a node has no more distinct targets".into(),
+        })
+    );
+    let most = BASE.replace("nodes = 64\n", "nodes = 64\nlinks = 63\n");
+    assert!(ScenarioSpec::parse(&most).is_ok());
     // A zipf exponent past 8 would stall the target redraw; 8 itself parses.
     for exponent in ["8.5", "60"] {
         let steep = format!("{BASE}skew = \"zipf\"\nzipf_exponent = {exponent}\n");

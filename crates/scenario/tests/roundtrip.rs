@@ -165,7 +165,7 @@ proptest! {
     fn sampled_specs_round_trip(
         seed in 0u64..1_000_000,
         node_exp in 3u32..12,
-        links in 1usize..16,
+        link_pick in 0u64..4096,
         epochs in 1usize..8,
         queries in 1usize..50_000,
         skew_pick in 0usize..5,
@@ -174,6 +174,9 @@ proptest! {
         lanes in 0u32..4,
     ) {
         let fraction = f64::from(knob) / 1024.0;
+        // Links in 1..nodes, the range the parser accepts.
+        let nodes = 1u64 << node_exp;
+        let links = 1 + link_pick % (nodes - 1);
         let skew = match skew_pick {
             0 => QuerySkew::Uniform,
             1 => QuerySkew::Zipf { exponent: 0.25 + fraction },
@@ -185,7 +188,6 @@ proptest! {
             "[scenario]\nname = \"sampled\"\nseed = {seed}\n\
              [network]\nnodes = {nodes}\nlinks = {links}\n\
              [workload]\nqueries_per_epoch = {queries}\nepochs = {epochs}\n",
-            nodes = 1u64 << node_exp,
         );
         let mut spec = ScenarioSpec::parse(&source).expect("sampled base parses");
         spec.workload.skew = skew;

@@ -10,9 +10,10 @@
 //!   mention `HashMap`/`HashSet` (per-process-seeded iteration order), unseeded RNG
 //!   sources, or wall-clock reads without a justification.
 //! * **no_alloc** — the frozen routing kernel's zero-allocation contract is enforced
-//!   by a counting allocator at test time; fenced regions (see
-//!   [`Annotations::regions`]) make it visible at the source level: no
-//!   `Vec::new`/`Box::new`/`format!`/`.collect()`/`.to_vec()`-family calls inside.
+//!   by a counting allocator at test time; fenced regions (`begin(no_alloc)` /
+//!   `end(no_alloc)` marker pairs, see [`Annotations`]) make it visible at the
+//!   source level: no `Vec::new`/`Box::new`/`format!`/`.collect()`/`.to_vec()`-family
+//!   calls inside.
 //! * **unsafe_hygiene** — every `unsafe` is preceded by a `// SAFETY:` comment.
 //! * **panic_policy** — construction/core/engine/failure/linkdist/metric/overlay/
 //!   routing/scenario/theory library paths return errors or document invariants;

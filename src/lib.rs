@@ -31,7 +31,7 @@
 #![warn(missing_docs)]
 
 pub use faultline_core::{
-    BatchStats, ConstructionMode, CoreError, Directory, FrozenView, LinkSpecChoice, LookupOutcome,
+    BatchStats, ConstructionMode, CoreError, Directory, FrozenView, LinkSpec, LookupOutcome,
     Network, NetworkConfig, NetworkView, StoredResource,
 };
 

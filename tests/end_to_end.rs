@@ -5,7 +5,7 @@ use faultline::failure::{ChurnEvent, ChurnSchedule, LinkFailure, NodeFailure, Re
 use faultline::metric::Key;
 use faultline::overlay::stats::{DegreeStats, LinkLengthDistribution};
 use faultline::routing::{FaultStrategy, GreedyMode};
-use faultline::{ConstructionMode, LinkSpecChoice, Network, NetworkConfig};
+use faultline::{ConstructionMode, LinkSpec, Network, NetworkConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 #[test]
@@ -172,8 +172,7 @@ fn one_sided_and_ring_configurations_work_end_to_end() {
 fn deterministic_ladder_network_is_fast_but_brittle() {
     let mut rng = StdRng::seed_from_u64(7);
     let n = 1u64 << 12;
-    let ladder_config =
-        NetworkConfig::paper_default(n).link_spec(LinkSpecChoice::BaseB { base: 2 });
+    let ladder_config = NetworkConfig::paper_default(n).link_spec(LinkSpec::BaseB { base: 2 });
     let random_config = NetworkConfig::paper_default(n);
 
     let ladder = Network::build(&ladder_config, &mut rng);

@@ -4,7 +4,7 @@
 
 use faultline::linkdist::harmonic;
 use faultline::theory::{kuw, GreedyChain, ModelBounds, OffsetDistribution};
-use faultline::{LinkSpecChoice, Network, NetworkConfig};
+use faultline::{LinkSpec, Network, NetworkConfig};
 use faultline_sim::Summary;
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -96,7 +96,7 @@ fn deterministic_ladder_matches_theorem_14_exactly_in_shape() {
     let mut rng = StdRng::seed_from_u64(13);
     for base in [2u64, 4, 8] {
         let n = 1u64 << 12;
-        let config = NetworkConfig::paper_default(n).link_spec(LinkSpecChoice::BaseB { base });
+        let config = NetworkConfig::paper_default(n).link_spec(LinkSpec::BaseB { base });
         let network = Network::build(&config, &mut rng);
         let stats = network.route_random_batch(200, &mut rng).unwrap();
         let measured = stats.mean_hops_delivered().unwrap();
