@@ -10,7 +10,6 @@ use faultline_metric::{Direction, Geometry, Position};
 /// base-`b` digit of the remaining distance at every step. Theorem 16 keeps only the
 /// pure powers `b^0, b^1, b^2, …` (top digit 1). Links are laid in both directions
 /// where the space permits: a line truncates at its ends, a ring wraps.
-#[derive(Debug)]
 pub(crate) struct Ladder {
     geometry: Geometry,
     /// The distances `j · b^i` up to the diameter, ascending and distinct.

@@ -38,7 +38,6 @@ pub enum LinkSpec {
 }
 
 /// A spec made concrete over one geometry.
-#[derive(Debug)]
 enum Sampler {
     PowerLaw(InversePowerLaw),
     Ladder(Ladder),
