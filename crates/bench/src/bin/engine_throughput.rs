@@ -69,14 +69,16 @@ const MIN_BYZANTINE_SUCCESS: f64 = 0.55;
 const MIN_SURVIVAL: f64 = 0.99;
 
 /// Floor for the fraction of the failure scenarios' damage and heal epochs that
-/// patched the snapshot without re-laying it out. Damage only shortens rows and a
-/// heal restores them, so no row can outgrow the stride; a single rebuild means a
-/// heal wrote a longer row than the one the failure removed.
+/// patched the snapshot without re-laying it out. A row keeps its dead targets, so
+/// a crash or heal rewrites no row and only a killed link shortens one: no failure
+/// patch can outgrow the stride, and a single rebuild means a failure delta wrote
+/// a row longer than its node's link table.
 const MIN_FAILURE_REBUILD_FREE: f64 = 1.0;
 
 /// Ceiling for `heal_recovery_us` (mean wall time of a heal event: delta capture,
-/// snapshot row-patching, row-level cache eviction). A heal touches O(region · ℓ)
-/// rows — ~1.5 ms for the shipped 2^14-node files — so a generous ceiling still
+/// snapshot patch, row-level cache eviction). A heal flips its victims' alive bits
+/// and names their in-neighbours, O(region · ℓ) rows that it compares but does not
+/// rewrite — ≈0.5–0.7 ms for the shipped 2^14-node files — so a generous ceiling still
 /// catches the structural cliff this gate exists for: heals degrading to full
 /// rebuilds or full-cache flushes, which jump this reading by orders of magnitude.
 const MAX_HEAL_RECOVERY_US: f64 = 50_000.0;

@@ -2,7 +2,7 @@
 //!
 //! Each event reports the rows it rewrote as a [`ChurnDelta`]: the maintainer
 //! lists the nodes whose link tables it mutated while the event unfolds, then
-//! reads their usable-neighbour rows back through [`OverlayGraph::delta_of`] once
+//! reads their rows (live-link targets) back through [`OverlayGraph::delta_of`] once
 //! the event has settled.
 
 use crate::poisson::sample_poisson;
@@ -42,7 +42,7 @@ impl std::error::Error for ConstructionError {}
 /// What one join or leave changed: the rows it rewrote.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ChurnReport {
-    /// The new usable-neighbour row and liveness of every node whose link table the
+    /// The new live-link row and liveness of every node whose link table the
     /// event mutated: the joining or departing node, the ring neighbours spliced
     /// around it, and each node that redirected a link to a newcomer or had a
     /// dangling link repaired or dropped. Empty when delta capture is disabled
@@ -91,7 +91,7 @@ impl NetworkMaintainer {
     /// Enables or disables row capture in the join/leave reports (default: enabled).
     ///
     /// Capture walks each touched node's link table once per event to copy its new
-    /// usable-neighbour row; bulk construction replaying thousands of arrivals
+    /// live-link row; bulk construction replaying thousands of arrivals
     /// through the maintainer ([`crate::IncrementalBuilder`]) disables it, because
     /// nobody consumes deltas mid-build. With capture off, reports carry an empty
     /// [`ChurnDelta`]; the graph and every RNG draw are the same either way.
@@ -479,7 +479,7 @@ mod tests {
             assert_eq!(rd.alive, m.graph().is_alive(rd.node), "alive {}", rd.node);
             let expected: Vec<u32> = m
                 .graph()
-                .usable_neighbors(rd.node)
+                .linked_neighbors(rd.node)
                 .map(|q| q as u32)
                 .collect();
             assert_eq!(rd.row, expected, "row {}", rd.node);

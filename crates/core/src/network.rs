@@ -316,8 +316,9 @@ impl Network {
         plan.apply(self.maintainer.graph_mut(), rng)
     }
 
-    /// [`Network::apply_failure`], plus the typed delta of every
-    /// usable-neighbour row the damage changed ([`FailureReport::delta`]), so the
+    /// [`Network::apply_failure`], plus the typed delta of every snapshot row and
+    /// alive bit the damage changed ([`FailureReport::delta`]): the victims and the
+    /// sources of killed links, so the
     /// failure can flow through `FrozenView::apply_delta` and row-level cache
     /// invalidation instead of a snapshot rebuild.
     pub fn apply_failure_delta<R: Rng>(
@@ -331,8 +332,9 @@ impl Network {
     }
 
     /// Revives previously crashed nodes (the healing half of a
-    /// partition-and-heal trajectory), capturing the typed delta that
-    /// re-admits their rows and their in-neighbours' restored targets.
+    /// partition-and-heal trajectory), capturing the typed delta that flips their
+    /// alive bits and names their in-neighbours, whose cached routes may now take
+    /// a revived node.
     /// Positions that are absent or already alive are no-ops.
     pub fn heal_nodes(&mut self, nodes: &[NodeId]) -> faultline_overlay::ChurnDelta {
         self.revision = next_revision();

@@ -153,7 +153,7 @@ impl FrozenView {
 
     /// Patches the snapshot in place from a typed [`ChurnDelta`] (the merged
     /// maintainer report deltas of a churn epoch): each diffed row is written into
-    /// its slot, with **no** usable-neighbour recompute; see
+    /// its slot and each alive bit flipped, with **no** row recompute; see
     /// [`FrozenRoutes::apply_delta`] for the contract. `graph` is only checked to be
     /// the space the snapshot was frozen from.
     pub fn apply_delta(&mut self, graph: &OverlayGraph, delta: &ChurnDelta) -> PatchStats {

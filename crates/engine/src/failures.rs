@@ -40,8 +40,9 @@ pub enum FailureEvent {
         /// Consecutive grid points to crash per region (two regions fail).
         width: u64,
     },
-    /// Every node downed by this schedule's earlier events revives; their rows and
-    /// their in-neighbours' restored targets flow back through one typed delta.
+    /// Every node downed by this schedule's earlier events revives through one
+    /// typed delta: their alive bits flip back, and their in-neighbours, whose
+    /// closest live neighbour may now be a revived node, are named with it.
     Heal,
 }
 
@@ -167,10 +168,14 @@ pub struct FailureWork {
     /// crashed at heal time. Churn may since have removed a downed node, or a
     /// join re-occupied its label with a live one; neither is revived.
     pub healed_nodes: usize,
-    /// Rows the failure/heal delta changed (victims plus their in-neighbours).
+    /// Rows the failure/heal delta named. A crash names its victims (their alive
+    /// bits flip; no row changes, since rows keep dead targets); a heal names its
+    /// revived nodes and their in-neighbours, whose cached walks it must evict.
     pub delta_rows: usize,
     /// Snapshot rows the delta's patch overwrote (0 when no snapshot was live):
     /// [`PatchStats::rows_patched`](faultline_overlay::PatchStats::rows_patched).
+    /// A crash or heal of nodes rewrites no row, so this stays 0 unless the event
+    /// kills links.
     pub rows_patched: usize,
     /// Snapshot alive bits the delta's patch flipped (0 when no snapshot was live):
     /// the victims on a damage epoch, the revived nodes on a heal.
@@ -178,7 +183,7 @@ pub struct FailureWork {
     /// Nanoseconds spent patching the persistent snapshot with the failure delta
     /// (0 when no snapshot was live).
     pub patch_nanos: u64,
-    /// Cached routes evicted because their walks depended on a changed row.
+    /// Cached routes evicted because their walks visited a named node.
     pub flushed_routes: usize,
     /// Whether the failure patch abandoned itself for an in-place rebuild (the
     /// resilience gate requires this to never happen at bench scale).

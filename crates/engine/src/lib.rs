@@ -46,7 +46,7 @@
 //!   the network repairs itself — the paper's fault-tolerance claim at traffic scale.
 //!   One snapshot is **incrementally patched** from each epoch's merged
 //!   [`ChurnDelta`] — maintainer-captured row diffs written straight into the
-//!   snapshot, O(changed rows) with no usable-neighbour recompute — and the same
+//!   snapshot, O(changed rows) with no row recompute — and the same
 //!   delta evicts the cache. A call starts from the snapshot the last call left
 //!   (frozen on epoch 0 only when there is none for the overlay as it stands) and
 //!   leaves its own for the next.

@@ -30,7 +30,7 @@ use crate::config::EngineConfig;
 use crate::failures::FailureSchedule;
 use crate::stats::{BatchReport, OutcomeExtras, QueryOutcome};
 use faultline_core::{FrozenView, Network};
-use faultline_overlay::{ChurnDelta, NodeId};
+use faultline_overlay::{ChurnDelta, FrozenRoutes, NodeId};
 use faultline_routing::{
     ByzantineSet, FaultStrategy, FinishedWalk, KernelIsa, RedundantRouter, RouteScratch, Walk,
     WalkGroup, WALKS_IN_FLIGHT,
@@ -212,16 +212,19 @@ impl QueryEngine {
         self.caches.iter().map(RouteCache::len).sum()
     }
 
-    /// Flushes exactly the cache entries whose cached walk visited a row the delta
-    /// changed (endpoints included) — row-level invalidation. Returns the number of
+    /// Flushes exactly the cache entries whose cached walk visited a node the delta
+    /// names (endpoints included) — row-level invalidation. Returns the number of
     /// entries dropped.
     ///
-    /// Surviving entries are guaranteed fresh, under every fault strategy: their
-    /// walks read only unchanged rows (walks that read global membership state — a
-    /// random-reroute recovery — are marked volatile at insert time and always
-    /// evicted here), so replaying them on the patched topology reproduces the
-    /// cached digest bit-for-bit. The delta must cover every changed row, which the
-    /// maintainer's report deltas do by construction.
+    /// Surviving entries are guaranteed fresh, under every fault strategy: no node
+    /// their walks visited can choose differently (walks that read global
+    /// membership state — a random-reroute recovery — are marked volatile at insert
+    /// time and always evicted here), so replaying them on the patched topology
+    /// reproduces the cached digest bit-for-bit. The delta must name every node
+    /// whose row changed or whose closest live neighbour can have: the maintainer's
+    /// report deltas do by construction, a crash's delta names its victims (a walk
+    /// that visited none never chose one), and a heal's names its victims and
+    /// their in-neighbours.
     pub fn invalidate_delta(&mut self, delta: &ChurnDelta, n: u64) -> usize {
         if delta.rows().is_empty() {
             return 0;
@@ -537,6 +540,20 @@ struct Lookup {
     extras: OutcomeExtras,
 }
 
+/// A byzantine retry's lead hop: a uniformly random usable neighbour of `source`,
+/// `None` when it has none. The row also holds `source`'s dead targets, so the
+/// draw is over the alive ones alone, in row order — the list and the one
+/// `gen_range` the live `RedundantRouter::route` draws from.
+#[inline(always)]
+fn lead_hop(routes: &FrozenRoutes, source: NodeId, rng: &mut impl Rng) -> Option<NodeId> {
+    let usable = routes.usable_neighbors(source).count();
+    if usable == 0 {
+        return None;
+    }
+    let pick = rng.gen_range(0..usable);
+    routes.usable_neighbors(source).nth(pick).map(u64::from)
+}
+
 // The feed's pieces are inlined into the group's loop: left as calls, they slowed
 // a cache-off batch by 8–25 % at n = 2^16 on a 2-core Xeon.
 impl Walks<'_> {
@@ -586,11 +603,12 @@ impl Walks<'_> {
                     return None;
                 }
                 outcome.attempts += 1;
-                (source, lookup.lead) = match self.snapshot.routes().neighbors(outcome.source) {
-                    row @ [_, ..] if outcome.attempts > 1 => {
-                        (u64::from(row[rng.gen_range(0..row.len())]), 1)
-                    }
-                    _ => (outcome.source, 0),
+                let lead = (outcome.attempts > 1)
+                    .then(|| lead_hop(self.snapshot.routes(), outcome.source, &mut rng))
+                    .flatten();
+                (source, lookup.lead) = match lead {
+                    Some(start) => (start, 1),
+                    None => (outcome.source, 0),
                 };
                 if !adversaries.contains(source) || source == target {
                     break redundant.inner();
@@ -786,6 +804,35 @@ mod tests {
     fn network(n: u64, seed: u64) -> Network {
         let mut rng = StdRng::seed_from_u64(seed);
         Network::build(&NetworkConfig::paper_default(n), &mut rng)
+    }
+
+    /// The lead hop skips the dead targets its row keeps, and draws from the rest
+    /// exactly as the live redundant router draws from the usable row.
+    #[test]
+    fn lead_hop_draw_is_unchanged_by_a_dead_target_in_the_row() {
+        use faultline_failure::NodeFailure;
+        let mut net = network(1 << 9, 3);
+        net.apply_failure(&NodeFailure::fraction(0.3), &mut StdRng::seed_from_u64(4));
+        let frozen = net.view().freeze();
+        let routes = frozen.routes();
+        let graph = net.graph();
+        let mut with_dead = 0;
+        for source in graph.alive_nodes() {
+            let usable: Vec<NodeId> = graph.usable_neighbors(source).collect();
+            let row = routes.neighbors(source);
+            with_dead += usize::from(row.iter().any(|&q| !graph.is_alive(u64::from(q))));
+            for seed in 0..4 {
+                let mut frozen_rng = SmallRng::seed_from_u64(seed);
+                let mut live_rng = SmallRng::seed_from_u64(seed);
+                let live = match usable.as_slice() {
+                    [] => None,
+                    list => Some(list[live_rng.gen_range(0..list.len())]),
+                };
+                assert_eq!(lead_hop(routes, source, &mut frozen_rng), live, "{source}");
+                assert_eq!(frozen_rng.gen::<u64>(), live_rng.gen::<u64>(), "{source}");
+            }
+        }
+        assert!(with_dead > 100, "rows holding a dead target: {with_dead}");
     }
 
     #[test]

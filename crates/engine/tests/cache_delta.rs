@@ -8,6 +8,8 @@
 //! engine that flushes *everything* must produce **identical query results** for the
 //! same batch (the survivor serves exactly what the flushed engine recomputes), at
 //! any thread count. The survivors are pure savings: same answers, fewer routes.
+//! The same holds after a crash, whose delta names only its victims, and after the
+//! heal that revives them.
 
 use faultline_core::{ConstructionMode, Network, NetworkConfig};
 use faultline_engine::{ChurnDelta, EngineConfig, QueryBatch, QueryEngine};
@@ -155,6 +157,98 @@ fn delta_invalidation_stays_exact_under_the_randomised_fault_strategy() {
                 digest_of(&replay_b),
                 "volatile (recovered) survivors diverged (threads {threads}, churn seed {churn_seed})"
             );
+        }
+    }
+}
+
+/// One crash event of the failure schedules, applied through the typed-delta path:
+/// a region, a two-sided partition, or a count of scattered crashes. Returns the
+/// event's delta and its victims.
+fn crash(network: &mut Network, event: usize, rng: &mut StdRng) -> (ChurnDelta, Vec<u64>) {
+    use faultline_failure::{FailurePlan, NodeFailure, RegionFailure};
+    let n = network.len();
+    let start = rng.gen_range(0..n);
+    let plans: Vec<Box<dyn FailurePlan>> = match event {
+        0 => vec![Box::new(RegionFailure::at(start, 24))],
+        1 => vec![
+            Box::new(RegionFailure::at(start, 12)),
+            Box::new(RegionFailure::at((start + n / 2) % n, 12)),
+        ],
+        _ => vec![Box::new(NodeFailure::count(40))],
+    };
+    let mut delta = ChurnDelta::new();
+    let mut victims = Vec::new();
+    for plan in plans {
+        let (report, d) = network.apply_failure_delta(plan.as_ref(), rng);
+        victims.extend(report.failed_nodes);
+        delta.absorb(d);
+    }
+    (delta, victims)
+}
+
+/// Evicts by `delta` from `fine` and flushes `flushed`, then replays `batch` on
+/// both: every query must get the same answer, and the survivors only add hits.
+fn replay_agrees(
+    fine: &mut QueryEngine,
+    flushed: &mut QueryEngine,
+    network: &Network,
+    batch: &QueryBatch,
+    delta: &ChurnDelta,
+) -> Result<(), String> {
+    let evicted = fine.invalidate_delta(delta, network.len());
+    flushed.flush_caches();
+    prop_assert!(
+        evicted > 0 && fine.cached_routes() > 0,
+        "evicted {}",
+        evicted
+    );
+    let replay_a = fine.run_batch(network, batch);
+    let replay_b = flushed.run_batch(network, batch);
+    prop_assert_eq!(digest(&replay_a), digest(&replay_b));
+    prop_assert!(replay_a.cache_hits() >= replay_b.cache_hits());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The crash and heal analogue of the churn property above. A crash names only
+    /// its victims, since a walk that never visited one replays identically; a heal
+    /// names its victims and their in-neighbours. Either way, the engine that
+    /// evicts by the delta must answer every query as the one that flushed.
+    #[test]
+    fn crash_and_heal_invalidation_equals_full_flush_for_every_query_result(
+        seed in any::<u64>(),
+    ) {
+        use faultline_routing::FaultStrategy;
+        for strategy in [FaultStrategy::Terminate, FaultStrategy::paper_backtrack()] {
+            for event in 0..3usize {
+                for threads in [1usize, 4] {
+                    let config = || {
+                        EngineConfig::default()
+                            .threads(threads)
+                            .cache_capacity(4096)
+                    };
+                    let mut rng = StdRng::seed_from_u64(seed ^ 0xF00D);
+                    let net_config = NetworkConfig::paper_default(256)
+                        .construction(ConstructionMode::incremental_default())
+                        .fault_strategy(strategy);
+                    let mut network = Network::build(&net_config, &mut rng);
+                    let mut fine = QueryEngine::new(config());
+                    let mut flushed = QueryEngine::new(config());
+                    let batch = QueryBatch::uniform(&network, 2_000, seed ^ 0xB00);
+                    fine.run_batch(&network, &batch);
+                    flushed.run_batch(&network, &batch);
+                    let at = format!("{strategy:?}, event {event}, threads {threads}");
+
+                    let (delta, victims) = crash(&mut network, event, &mut rng);
+                    replay_agrees(&mut fine, &mut flushed, &network, &batch, &delta)
+                        .map_err(|e| format!("crash, {at}: {e}"))?;
+                    let delta = network.heal_nodes(&victims);
+                    replay_agrees(&mut fine, &mut flushed, &network, &batch, &delta)
+                        .map_err(|e| format!("heal, {at}: {e}"))?;
+                }
+            }
         }
     }
 }

@@ -1,49 +1,56 @@
-//! The rows a crash or a heal changes.
+//! The nodes a crash or a heal must name.
 //!
 //! The Section 5 maintainer knows which rows it rewrote; failure plans and heals
-//! flip liveness behind the overlay's back, so the rows have to be named. They are
-//! exact and cheap to name: a crash or heal of node `v` changes `v`'s liveness and
-//! the row of every node holding a live link *to* `v` (its in-neighbours, ring
-//! links included), and nothing else. [`blast_radius`] names those nodes, and
-//! [`FailureReport::delta`](crate::FailureReport::delta) and
-//! [`revive_nodes_with_delta`] read their rows back through
-//! [`OverlayGraph::delta_of`] once the change settles.
+//! flip liveness behind the overlay's back, so the changes have to be named. A
+//! snapshot row holds a node's live-link targets whether or not they are alive, so
+//! a crash or heal of node `v` rewrites no row at all: it flips `v`'s alive bit,
+//! and the walk, which skips dead targets by that bit, sees the rest.
 //!
-//! The delta thus satisfies the `apply_delta` contract — every recorded row
-//! equals the post-change `usable_neighbors` row — so failures flow through the
-//! same row-patching and row-level cache invalidation as churn, with no
-//! bucket-mask flush and no from-scratch `freeze()`.
+//! A crash therefore names only its victims
+//! ([`FailureReport::delta`](crate::FailureReport::delta)): a walk that never
+//! visited a victim never chose one, so its cached route replays unchanged. A heal
+//! must name more. A revived node can become the closest live neighbour of any node
+//! holding a live link to it, so a cached walk through such an in-neighbour may now
+//! step elsewhere. [`blast_radius`] names the victims and those in-neighbours, and
+//! [`revive_nodes_with_delta`] reads their rows (unchanged but for the victims'
+//! liveness) back through [`OverlayGraph::delta_of`] once the heal settles, so the
+//! route cache evicts exactly the walks that could now differ.
 
 use faultline_overlay::{ChurnDelta, NodeId, OverlayGraph};
 
-/// Every node whose usable-neighbour row can change when `victims` flip
-/// liveness: the victims themselves plus all present nodes holding a live link
-/// (ring or long) to a victim. Sorted, deduplicated. Reads each victim's
-/// in-neighbours off the overlay's reverse adjacency, so the cost follows the
-/// victims' in-degree, not the size of the overlay.
+/// Every node whose greedy choice can change when `victims` flip liveness: the
+/// victims themselves plus all present nodes holding a live link (ring or long) to
+/// a victim. Sorted, deduplicated. Reads each victim's in-neighbours off the
+/// overlay's reverse adjacency and each of their link tables once, so the cost
+/// follows the victims' in-degree, not the size of the overlay.
 #[must_use]
 pub fn blast_radius(graph: &OverlayGraph, victims: &[NodeId]) -> Vec<NodeId> {
-    let mut out: Vec<NodeId> = victims.to_vec();
-    for &v in victims {
-        out.extend(
-            graph
-                .links_into(v)
-                .filter(|(_, l)| l.alive)
-                .map(|(source, _)| source),
-        );
-    }
+    let marked = Marked::new(graph.len(), victims);
+    let mut out: Vec<NodeId> = victims
+        .iter()
+        .flat_map(|&v| graph.sources_into(v))
+        .collect();
+    out.sort_unstable();
+    out.dedup();
+    out.retain(|&source| graph.linked_neighbors(source).any(|q| marked.contains(q)));
+    out.extend_from_slice(victims);
     out.sort_unstable();
     out.dedup();
     out
 }
 
 /// Revives `victims` (previously crashed nodes) while capturing the delta that
-/// re-admits their rows and their in-neighbours' restored targets.
+/// flips their alive bits and names their in-neighbours.
 ///
-/// Only present, crashed victims flip, and each flip adds its victim back to
-/// every live in-neighbour's usable row, so the delta is the flipping victims'
-/// [`blast_radius`] after the heal. Repeated, alive, absent and out-of-range
-/// victims change nothing.
+/// Only present, crashed victims flip. A flip rewrites no row, but each one can
+/// change the closest live neighbour of every node holding a live link to its
+/// victim, so the delta is the flipping victims' [`blast_radius`] after the heal:
+/// the victims with their new liveness, their in-neighbours with unchanged rows.
+/// Repeated, alive, absent and out-of-range victims change nothing.
+///
+/// Each candidate's link table is read once: its row is captured first, and a
+/// source whose row holds no revived node (every link it has to one failed) is
+/// dropped from the delta afterwards.
 #[must_use]
 pub fn revive_nodes_with_delta(graph: &mut OverlayGraph, victims: &[NodeId]) -> ChurnDelta {
     let mut flipping: Vec<NodeId> = victims
@@ -56,7 +63,31 @@ pub fn revive_nodes_with_delta(graph: &mut OverlayGraph, victims: &[NodeId]) -> 
     for &v in &flipping {
         graph.revive_node(v);
     }
-    graph.delta_of(blast_radius(graph, &flipping))
+    let marked = Marked::new(graph.len(), &flipping);
+    let sources = flipping.iter().flat_map(|&v| graph.sources_into(v));
+    let mut delta = graph.delta_of(sources.chain(flipping.iter().copied()));
+    delta.retain(|rd| {
+        marked.contains(rd.node) || rd.row.iter().any(|&q| marked.contains(u64::from(q)))
+    });
+    delta
+}
+
+/// A node set over the overlay's grid points, one bit each: the victims a row is
+/// tested against. Labels outside the space are never members.
+struct Marked(Vec<u64>);
+
+impl Marked {
+    fn new(n: u64, nodes: &[NodeId]) -> Self {
+        let mut words = vec![0u64; (n as usize).div_ceil(64)];
+        for &p in nodes.iter().filter(|&&p| p < n) {
+            words[(p / 64) as usize] |= 1 << (p % 64);
+        }
+        Self(words)
+    }
+
+    fn contains(&self, p: NodeId) -> bool {
+        (self.0.get((p / 64) as usize)).is_some_and(|word| word >> (p % 64) & 1 == 1)
+    }
 }
 
 #[cfg(test)]
@@ -145,25 +176,30 @@ mod tests {
         }
     }
 
-    /// `p`'s usable-neighbour row in snapshot width.
+    /// `p`'s snapshot row: its live-link targets in snapshot width.
     fn row(graph: &OverlayGraph, p: NodeId) -> Vec<u32> {
-        graph.usable_neighbors(p).map(|q| q as u32).collect()
+        graph.linked_neighbors(p).map(|q| q as u32).collect()
     }
 
+    /// A crash names its victims and nobody else: in-neighbours keep their rows,
+    /// links to the victims included.
     #[test]
     fn delta_rows_match_post_damage_usable_rows() {
         let mut g = graph(128, 4, 2);
+        let before: Vec<Vec<u32>> = (0..128).map(|p| row(&g, p)).collect();
         let report = RegionFailure::at(5, 3).apply(&mut g, &mut StdRng::seed_from_u64(0));
         let delta = report.delta(&g);
-        assert!(!delta.is_empty());
         for rd in delta.rows() {
             assert_eq!(rd.row, row(&g, rd.node), "row of {}", rd.node);
-            assert_eq!(rd.alive, g.is_alive(rd.node));
+            assert_eq!(rd.row, before[rd.node as usize], "a crash rewrites no row");
+            assert!(!rd.alive);
         }
-        // Every victim flipped liveness, so every victim has a delta row.
-        for v in [5, 6, 7] {
-            assert!(delta.changed_nodes().any(|p| p == v), "victim {v} missing");
-        }
+        assert!(delta.changed_nodes().eq([5, 6, 7]), "{delta:?}");
+        let in_neighbour = (g.links_into(6).find(|(_, l)| l.alive))
+            .map(|(source, _)| source)
+            .expect("a ring node has an in-neighbour");
+        assert!(row(&g, in_neighbour).contains(&6));
+        assert!(g.usable_neighbors(in_neighbour).all(|q| q != 6));
     }
 
     #[test]
@@ -254,14 +290,36 @@ mod tests {
                     down.extend(report.failed_nodes);
                 }
 
-                // The heal, with junk: only present, crashed victims flip.
+                // The heal, with junk: only present, crashed victims flip. It names
+                // the flipped victims and their in-neighbours, whose rows it leaves
+                // as they were.
                 let victims = noisy(&down, &damaged.alive_nodes(), departed, n);
+                let flipped: Vec<NodeId> = (victims.iter().copied())
+                    .filter(|&v| damaged.is_present(v) && !damaged.is_alive(v))
+                    .collect();
                 let (before, mut reference) = (image(&damaged), damaged.clone());
+                let heal = revive_nodes_with_delta(&mut damaged, &victims);
+                let changed = diff(&before, &damaged);
+                let named: Vec<NodeId> = heal.changed_nodes().collect();
                 assert_eq!(
-                    revive_nodes_with_delta(&mut damaged, &victims),
-                    diff(&before, &damaged),
+                    named,
+                    scan_blast_radius(&damaged, &flipped),
                     "seed {seed}: {name}, then a noisy heal"
                 );
+                assert!(
+                    changed.rows().iter().all(|rd| heal.rows().contains(rd)),
+                    "seed {seed}: {name}: the heal misses a changed row"
+                );
+                for rd in heal.rows() {
+                    assert_eq!(
+                        (rd.alive, &rd.row),
+                        (damaged.is_alive(rd.node), &row(&damaged, rd.node))
+                    );
+                    assert_eq!(
+                        &rd.row, &before[rd.node as usize].1,
+                        "a heal rewrites no row"
+                    );
+                }
                 for &v in &victims {
                     reference.revive_node(v);
                 }

@@ -22,13 +22,16 @@
 //!
 //! That report is also how a failure becomes a
 //! [`ChurnDelta`](faultline_overlay::ChurnDelta) instead of a snapshot rebuild.
-//! [`FailureReport::delta`] names the rows the damage changed — a crash's
-//! [`blast_radius`] (the victims and their live in-neighbours), a killed link's
-//! source when its target was alive — and reads them back through
+//! A snapshot row holds a node's live-link targets, dead ones included, so a crash
+//! rewrites no row: [`FailureReport::delta`] names the victims (their alive bits
+//! flip) and the sources of killed links (their rows lose a target), and reads them
+//! back through
 //! [`OverlayGraph::delta_of`](faultline_overlay::OverlayGraph::delta_of). It emits
-//! every changed row and no other, so failures flow through frozen-snapshot row
-//! patching and row-level cache invalidation. [`revive_nodes_with_delta`] is the
-//! healing inverse, re-admitting crashed rows the same way.
+//! every changed row and no other, so failures flow through frozen-snapshot
+//! patching and row-level cache invalidation at O(damage).
+//! [`revive_nodes_with_delta`] is the healing inverse: it names the revived nodes
+//! and their in-neighbours ([`blast_radius`]), whose rows are unchanged but whose
+//! closest live neighbour may now be a revived node, so their cached routes go.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

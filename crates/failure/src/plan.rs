@@ -1,6 +1,5 @@
 //! The [`FailurePlan`] trait and [`FailureReport`] summary.
 
-use crate::capture::blast_radius;
 use faultline_overlay::{ChurnDelta, NodeId, OverlayGraph};
 use rand::RngCore;
 
@@ -34,28 +33,19 @@ impl FailureReport {
     }
 
     /// The rows this damage changed, read off the damaged `graph`: exactly the rows
-    /// that differ from the graph before the damage, so a snapshot patched with it
-    /// equals a fresh freeze and no cached route is evicted for nothing.
+    /// and alive bits that differ from the graph before the damage, so a snapshot
+    /// patched with it equals a fresh freeze.
     ///
-    /// A crash changes its victim's liveness and the row of every node holding a
-    /// live link to it (the [`blast_radius`]). A killed link changes its source's row
-    /// when its target was alive before the damage: alive now, or crashed by this
-    /// same report. The plans report only nodes they crashed and links they killed,
-    /// so every named row changed.
+    /// A crash flips its victim's alive bit and rewrites no row: its in-neighbours
+    /// keep their links to it, and the snapshot's alive bitset hides it from the
+    /// walk. A killed link drops its target from its source's row. So the delta
+    /// names the victims and the sources of killed links — O(damage), whatever the
+    /// victims' in-degree. Evicting cached routes by it is exact too: a walk whose
+    /// path holds no victim never chose one, so it replays identically.
     #[must_use]
     pub fn delta(&self, graph: &OverlayGraph) -> ChurnDelta {
-        let mut changed = blast_radius(graph, &self.failed_nodes);
-        changed.extend(
-            self.failed_links
-                .iter()
-                .filter(|&&(_, target)| {
-                    graph.is_alive(target) || self.failed_nodes.contains(&target)
-                })
-                .map(|&(source, _)| source),
-        );
-        changed.sort_unstable();
-        changed.dedup();
-        graph.delta_of(changed)
+        let sources = self.failed_links.iter().map(|&(source, _)| source);
+        graph.delta_of(self.failed_nodes.iter().copied().chain(sources))
     }
 }
 

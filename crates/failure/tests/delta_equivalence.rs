@@ -1,6 +1,7 @@
 //! The delta contract of every failure plan: the delta its report names,
 //! `FailureReport::delta`, must describe the post-damage graph exactly — every
-//! changed row emitted with its new content, and no unchanged row emitted.
+//! changed snapshot row (a node's live-link targets) or alive bit emitted with its
+//! new content, and nothing unchanged emitted.
 
 use faultline_failure::{FailurePlan, FailureReport, LinkFailure, NodeFailure, RegionFailure};
 use faultline_linkdist::LinkSpec;
@@ -27,13 +28,14 @@ fn plans() -> Vec<Box<dyn FailurePlan>> {
     ]
 }
 
-/// Every grid point's liveness and usable-neighbour row, in snapshot width.
+/// Every grid point's liveness and snapshot row (live-link targets, dead ones
+/// included), in snapshot width.
 fn image(g: &OverlayGraph) -> Vec<(bool, Vec<u32>)> {
     (0..g.len())
         .map(|p| {
             (
                 g.is_alive(p),
-                g.usable_neighbors(p).map(|q| q as u32).collect(),
+                g.linked_neighbors(p).map(|q| q as u32).collect(),
             )
         })
         .collect()

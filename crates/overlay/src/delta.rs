@@ -1,16 +1,20 @@
 //! [`ChurnDelta`]: the rows a topology change rewrote.
 //!
-//! A join, leave, crash or heal changes the usable-neighbour rows of a few nodes:
-//! an O(ℓ) neighbourhood under the Section 5 maintainer, the victims and their
-//! in-neighbours under a failure plan. A `ChurnDelta` is exactly that fact and
-//! nothing else — for every node whose state changed, its **new usable-neighbour
-//! row** (the exact slice a compiled [`FrozenRoutes`] snapshot stores) and its
-//! liveness after the change. Consumers:
+//! A row is a node's live-link targets, dead targets included
+//! ([`OverlayGraph::linked_neighbors`]): the exact slice a compiled
+//! [`FrozenRoutes`] snapshot stores, whose alive bitset hides the dead ones from
+//! the walk. A join or leave rewrites the rows of an O(ℓ) neighbourhood under the
+//! Section 5 maintainer; a crash or heal rewrites none but its victims' alive bits,
+//! and a killed link rewrites its source's row. A `ChurnDelta` names those nodes —
+//! for each, its **new row** and its liveness after the change. Consumers:
 //!
-//! * [`FrozenRoutes::apply_delta`] writes the rows straight into the snapshot,
-//!   skipping the usable-neighbour recompute entirely;
+//! * [`FrozenRoutes::apply_delta`] writes the rows straight into the snapshot and
+//!   flips the alive bits, recomputing nothing;
 //! * the query engine's route cache evicts exactly the entries whose cached walk
-//!   read a changed row, instead of flushing whole metric-space buckets.
+//!   visited a named node, instead of flushing whole metric-space buckets. A node
+//!   may be named with an unchanged row when its greedy choice can change anyway:
+//!   a heal names its revived nodes' in-neighbours, whose closest live neighbour
+//!   may now be the revived node.
 //!
 //! Deltas merge: rows stay sorted by node, one per node, and a later record for a
 //! node replaces the earlier one, so an epoch's delta is its event deltas folded
@@ -24,16 +28,16 @@
 
 use crate::{NodeId, OverlayGraph};
 
-/// One node's row diff: its usable-neighbour row and liveness *after* the change.
+/// One node's row diff: its live-link row and liveness *after* the change.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RowDelta {
     /// The node whose row changed.
     pub node: NodeId,
     /// Whether the node is alive after the change.
     pub alive: bool,
-    /// The node's usable-neighbour row after the change, in snapshot (`u32`) width
-    /// and per-node link order — exactly what [`crate::FrozenRoutes::neighbors`]
-    /// must return once the delta is applied.
+    /// The node's live-link targets after the change, dead ones included, in
+    /// snapshot (`u32`) width and per-node link order — exactly what
+    /// [`crate::FrozenRoutes::neighbors`] must return once the delta is applied.
     pub row: Vec<u32>,
 }
 
@@ -87,27 +91,58 @@ impl ChurnDelta {
         }
     }
 
+    /// Keeps only the rows `keep` accepts, in order.
+    pub fn retain(&mut self, keep: impl FnMut(&RowDelta) -> bool) {
+        self.rows.retain(keep);
+    }
+
     /// Folds another delta into this one, its rows winning. `other` must describe
     /// changes that happened *after* everything already merged here.
+    ///
+    /// One linear merge of the two sorted row lists, so folding an event's delta
+    /// into an epoch's costs O(both), not a shifting insert per row.
     pub fn absorb(&mut self, other: ChurnDelta) {
-        for r in other.rows {
-            self.record(r.node, r.alive, r.row);
+        if self.rows.is_empty() {
+            self.rows = other.rows;
+            return;
         }
+        let mut earlier = std::mem::take(&mut self.rows).into_iter().peekable();
+        let mut merged = Vec::with_capacity(earlier.len() + other.rows.len());
+        for row in other.rows {
+            while let Some(kept) = earlier.next_if(|r| r.node < row.node) {
+                merged.push(kept);
+            }
+            // The same node's earlier row, if any, is superseded.
+            earlier.next_if(|r| r.node == row.node);
+            merged.push(row);
+        }
+        merged.extend(earlier);
+        self.rows = merged;
     }
 }
 
 impl OverlayGraph {
-    /// The delta naming `nodes` as changed: each one's usable-neighbour row and
-    /// liveness as the graph stands now, so call it after the mutation settles.
-    /// A node named twice is recorded once.
+    /// The delta naming `nodes` as changed: each one's live-link row
+    /// ([`OverlayGraph::linked_neighbors`]) and liveness as the graph stands now, so
+    /// call it after the mutation settles. A node named twice is recorded once.
     #[must_use]
     pub fn delta_of(&self, nodes: impl IntoIterator<Item = NodeId>) -> ChurnDelta {
-        let mut delta = ChurnDelta::new();
-        for p in nodes {
-            let row = self.usable_neighbors(p).map(|q| q as u32).collect();
-            delta.record(p, self.is_alive(p), row);
-        }
-        delta
+        let mut nodes: Vec<NodeId> = nodes.into_iter().collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        let rows = nodes
+            .into_iter()
+            .map(|node| {
+                let mut row = Vec::with_capacity(self.links(node).len());
+                row.extend(self.linked_neighbors(node).map(|q| q as u32));
+                RowDelta {
+                    node,
+                    alive: self.is_alive(node),
+                    row,
+                }
+            })
+            .collect();
+        ChurnDelta { rows }
     }
 }
 

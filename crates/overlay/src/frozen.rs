@@ -8,23 +8,27 @@
 //! rich graph, and once per routing epoch the graph is *compiled* into a snapshot
 //! holding only what the greedy walk reads:
 //!
-//! * `rows` — one flat `u32` array with node `v`'s **usable** neighbours (link alive ∧
-//!   target alive) at `v * stride`, in link order, the rest of the slot filled with
-//!   [`PAD_SENTINEL`]. The stride is one value per snapshot — the longest link table
-//!   at freeze time (so the longest row a heal could restore) rounded up to the
+//! * `rows` — one flat `u32` array with the targets of node `v`'s **live links** at
+//!   `v * stride`, in link order, whether or not each target is alive, the rest of
+//!   the slot filled with [`PAD_SENTINEL`]. The stride is one value per snapshot —
+//!   the longest link table at freeze time, failed links included, rounded up to the
 //!   routing kernel's [`ROW_STEP`] — so a hop addresses its row with one
 //!   multiplication, reads no offset table, and scans the same number of labels
 //!   whatever row it lands on;
-//! * an alive bitset — endpoint liveness in one word-indexed load;
+//! * an alive bitset — liveness in one word-indexed load. The walk reads it for its
+//!   endpoints and for the neighbour a hop picks, so a crashed target stays in its
+//!   in-neighbours' rows and the walk passes over it, as the paper's model has it: a
+//!   crashed node is unusable, its in-neighbours keep their links;
 //! * the sorted alive list — so fault strategies that sample random alive nodes need no
 //!   per-query allocation;
 //! * the geometry reduced to `(ring, n)` — distance becomes two or three integer ops,
 //!   no enum dispatch.
 //!
 //! A snapshot is plain owned data (`Send + Sync`), shared freely across worker threads.
-//! Between freezes it is **patched**: churn only touches O(ℓ) rows per event, so
-//! [`FrozenRoutes::apply_delta`] overwrites exactly those row slots, straight from
-//! the rows a [`ChurnDelta`] carries. A delta row longer than the
+//! Between freezes it is **patched**: churn only touches O(ℓ) rows per event and a
+//! crash or heal none but its victims' alive bits, so [`FrozenRoutes::apply_delta`]
+//! overwrites exactly those row slots and bits, straight from what a [`ChurnDelta`]
+//! carries. A delta row longer than the
 //! stride re-lays every row out once at a wider stride, and the stride never shrinks.
 //! A patched snapshot always equals a from-scratch [`OverlayGraph::freeze`].
 
@@ -58,7 +62,8 @@ pub struct PatchStats {
     /// Changed rows written into their own slot. Every patched row is, so this
     /// always equals [`PatchStats::rows_patched`].
     pub rows_in_place: usize,
-    /// Diffed rows whose usable-neighbour set turned out unchanged (no write needed).
+    /// Diffed rows whose content turned out unchanged (no write needed): a crash or
+    /// heal victim, say, whose alive bit flipped but whose links did not.
     pub rows_unchanged: usize,
     /// Nodes whose alive bit flipped.
     pub alive_flips: usize,
@@ -69,7 +74,7 @@ pub struct PatchStats {
     pub rebuilt: bool,
 }
 
-/// A compiled routing snapshot: fixed-stride rows of usable neighbours plus an alive
+/// A compiled routing snapshot: fixed-stride rows of live-link targets plus an alive
 /// bitset, frozen from an [`OverlayGraph`] at a point in time and patched forward
 /// through churn epochs.
 ///
@@ -82,7 +87,7 @@ pub struct FrozenRoutes {
     n: u64,
     /// Labels per row slot; a [`ROW_STEP`] multiple.
     stride: usize,
-    /// Node `p`'s usable neighbours are the labels of
+    /// Node `p`'s live-link targets, dead ones included, are the labels of
     /// `rows[p * stride .. (p + 1) * stride]` before the first [`PAD_SENTINEL`], in
     /// per-node link order.
     rows: Vec<u32>,
@@ -114,14 +119,13 @@ impl FrozenRoutes {
     pub fn build(graph: &OverlayGraph) -> Self {
         let n = graph.len();
         assert!(n <= u64::from(u32::MAX), "space too large for u32 labels");
-        // Sized by link tables, not by the usable neighbours in them: no deref per
-        // link to learn a length, and a row can grow back to its whole table (a
-        // heal, a revived link) without outgrowing its slot.
+        // Sized by link tables, not by the live links in them: a row can grow back
+        // to its whole table (a revived link) without outgrowing its slot.
         let longest = (0..n).map(|p| graph.links(p).len()).max().unwrap_or(0);
         let stride = stride_for(longest);
         let mut rows = vec![PAD_SENTINEL; n as usize * stride];
         for (p, slot) in (0..n).zip(rows.chunks_exact_mut(stride)) {
-            for (label, q) in slot.iter_mut().zip(graph.usable_neighbors(p)) {
+            for (label, q) in slot.iter_mut().zip(graph.linked_neighbors(p)) {
                 *label = q as u32;
             }
         }
@@ -148,8 +152,8 @@ impl FrozenRoutes {
     /// skips rows a later event changed back). Nothing is recomputed — the
     /// maintainer already captured every changed row.
     ///
-    /// The delta must cover every node whose usable-neighbour row or alive state
-    /// changed since the snapshot was built or last patched — exactly what the union
+    /// The delta must cover every node whose live-link row or alive state changed
+    /// since the snapshot was built or last patched — exactly what the union
     /// of an epoch's maintainer report deltas contains — with latest-wins merge
     /// semantics ([`ChurnDelta::absorb`]) so each row carries its final content.
     /// `graph` is read only to check that it is the space the snapshot was frozen
@@ -195,14 +199,14 @@ impl FrozenRoutes {
             self.widen(stride_for(longest));
             stats.rebuilt = true;
         }
-        let mut alive_dirty = false;
+        let mut flipped = Vec::new();
         for rd in delta.rows() {
             let p = rd.node;
             let i = p as usize;
             debug_assert_eq!(
                 rd.row,
                 graph
-                    .usable_neighbors(p)
+                    .linked_neighbors(p)
                     .map(|q| q as u32)
                     .collect::<Vec<_>>(),
                 "delta row for node {p} does not match the live graph"
@@ -212,7 +216,7 @@ impl FrozenRoutes {
             if rd.alive != self.is_alive(p) {
                 self.alive_words[i / 64] ^= 1u64 << (i % 64);
                 stats.alive_flips += 1;
-                alive_dirty = true;
+                flipped.push(p as u32);
             }
             let slot = &mut self.rows[i * self.stride..(i + 1) * self.stride];
             let (head, tail) = slot.split_at_mut(rd.row.len());
@@ -226,20 +230,33 @@ impl FrozenRoutes {
             }
         }
 
-        // The sorted alive list is refreshed in one bitset sweep rather than per-node
-        // `Vec::insert`/`remove` memmoves (an epoch can flip hundreds of bits).
-        if alive_dirty {
-            self.alive_sorted.clear();
-            for (word_index, &word) in self.alive_words.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let bit = bits.trailing_zeros();
-                    self.alive_sorted.push((word_index as u32) * 64 + bit);
-                    bits &= bits - 1;
-                }
-            }
-        }
+        self.refresh_alive_sorted(&flipped);
         stats
+    }
+
+    /// Brings the sorted alive list in line with the bitset after the `flipped`
+    /// nodes (ascending) changed liveness: one pass drops the ones that died, and
+    /// one merge from the back slots in the revived ones, rather than a per-node
+    /// `Vec::insert`/`remove` memmove (an epoch can flip hundreds of bits).
+    fn refresh_alive_sorted(&mut self, flipped: &[u32]) {
+        let (revived, died): (Vec<u32>, Vec<u32>) =
+            (flipped.iter()).partition(|&&p| self.is_alive(u64::from(p)));
+        let mut died = died.into_iter().peekable();
+        self.alive_sorted.retain(|&p| died.next_if_eq(&p).is_none());
+
+        let alive = &mut self.alive_sorted;
+        let mut kept = alive.len();
+        alive.resize(kept + revived.len(), 0);
+        let mut end = alive.len();
+        for &p in revived.iter().rev() {
+            while kept > 0 && alive[kept - 1] > p {
+                kept -= 1;
+                end -= 1;
+                alive[end] = alive[kept];
+            }
+            end -= 1;
+            alive[end] = p;
+        }
     }
 
     /// Re-lays every row out at `stride` labels per slot (wider than the current
@@ -282,7 +299,8 @@ impl FrozenRoutes {
         self.stride
     }
 
-    /// Total usable links in the snapshot (a pass over every slot).
+    /// Total live links in the snapshot, dead targets included (a pass over every
+    /// slot).
     #[must_use]
     pub fn edge_count(&self) -> usize {
         self.rows.iter().filter(|&&l| l != PAD_SENTINEL).count()
@@ -295,8 +313,9 @@ impl FrozenRoutes {
         p < self.n && (self.alive_words[(p / 64) as usize] >> (p % 64)) & 1 == 1
     }
 
-    /// The usable neighbours of `p` in link order: its slot up to the first
-    /// [`PAD_SENTINEL`] (empty out of range, like [`FrozenRoutes::is_alive`]).
+    /// The targets of `p`'s live links in link order, dead ones included: its slot up
+    /// to the first [`PAD_SENTINEL`] (empty out of range, like
+    /// [`FrozenRoutes::is_alive`]).
     #[inline]
     #[must_use]
     pub fn neighbors(&self, p: NodeId) -> &[u32] {
@@ -306,6 +325,12 @@ impl FrozenRoutes {
             .position(|&l| l == PAD_SENTINEL)
             .unwrap_or(slot.len());
         &slot[..len]
+    }
+
+    /// The neighbours of `p` a walk may step to: [`FrozenRoutes::neighbors`] less the
+    /// dead ones, in link order — `OverlayGraph::usable_neighbors` as of the freeze.
+    pub fn usable_neighbors(&self, p: NodeId) -> impl Iterator<Item = u32> + '_ {
+        (self.neighbors(p).iter().copied()).filter(|&q| self.is_alive(u64::from(q)))
     }
 
     /// The whole row slot of `p`: [`FrozenRoutes::neighbors`] followed by its
@@ -365,6 +390,8 @@ mod tests {
         g
     }
 
+    /// Every row holds its node's live-link targets, the crashed ones included;
+    /// less the dead targets, it is the graph's usable-neighbour row.
     #[test]
     fn csr_matches_usable_neighbors_everywhere() {
         let g = damaged_graph();
@@ -372,10 +399,18 @@ mod tests {
         assert_eq!(frozen.len(), 16);
         assert!(!frozen.is_ring());
         for p in 0..16u64 {
-            let expected: Vec<u32> = g.usable_neighbors(p).map(|q| q as u32).collect();
-            assert_eq!(frozen.neighbors(p), expected.as_slice(), "node {p}");
+            let linked: Vec<u32> = g.linked_neighbors(p).map(|q| q as u32).collect();
+            assert_eq!(frozen.neighbors(p), linked.as_slice(), "node {p}");
+            let usable: Vec<u32> = g.usable_neighbors(p).map(|q| q as u32).collect();
+            assert!(frozen.usable_neighbors(p).eq(usable), "node {p}");
         }
-        let total: usize = (0..16u64).map(|p| g.usable_neighbors(p).count()).sum();
+        assert_eq!(
+            frozen.neighbors(0),
+            &[1, 9],
+            "the dead target stays, the dead link goes"
+        );
+        assert!(frozen.usable_neighbors(0).eq([1]));
+        let total: usize = (0..16u64).map(|p| g.linked_neighbors(p).count()).sum();
         assert_eq!(frozen.edge_count(), total);
     }
 
@@ -454,6 +489,50 @@ mod tests {
         assert!(!stats.rebuilt && !stats.compacted);
         patched_equals_fresh(&g, &frozen);
         assert_eq!(frozen, g.freeze());
+    }
+
+    #[test]
+    fn a_crash_and_its_heal_flip_a_bit_and_rewrite_no_row() {
+        let mut g = chain_graph(64);
+        let mut frozen = g.freeze();
+        g.fail_node(9);
+        let stats = frozen.apply_delta(&g, &g.delta_of([9]));
+        assert_eq!((stats.rows_patched, stats.alive_flips), (0, 1), "{stats:?}");
+        assert_eq!(
+            frozen.neighbors(8),
+            &[7, 9],
+            "the in-neighbour keeps its link"
+        );
+        assert!(frozen.usable_neighbors(8).eq([7]));
+        assert_eq!(frozen, g.freeze());
+        g.revive_node(9);
+        let stats = frozen.apply_delta(&g, &g.delta_of([8, 9, 10]));
+        assert_eq!((stats.rows_patched, stats.alive_flips), (0, 1), "{stats:?}");
+        assert_eq!(stats.rows_unchanged, 3);
+        assert_eq!(frozen, g.freeze());
+    }
+
+    #[test]
+    fn one_delta_of_deaths_and_revivals_keeps_the_alive_list_sorted() {
+        let mut g = chain_graph(200);
+        for p in (0..200).step_by(3) {
+            g.fail_node(p);
+        }
+        let mut frozen = g.freeze();
+        // Revive every other dead node, crash a fresh set around them, and both
+        // ends of the space.
+        let mut touched = Vec::new();
+        for p in (0..200).step_by(6) {
+            g.revive_node(p);
+            touched.push(p);
+        }
+        for p in [1, 2, 5, 100, 101, 197, 199] {
+            g.fail_node(p);
+            touched.push(p);
+        }
+        let stats = frozen.apply_delta(&g, &g.delta_of(touched.iter().copied()));
+        assert_eq!(stats.alive_flips, touched.len());
+        patched_equals_fresh(&g, &frozen);
     }
 
     #[test]
@@ -606,7 +685,7 @@ mod tests {
                 "sentinel leaked into the logical row {p}"
             );
         }
-        let total: usize = (0..16u64).map(|p| g.usable_neighbors(p).count()).sum();
+        let total: usize = (0..16u64).map(|p| g.linked_neighbors(p).count()).sum();
         assert_eq!(
             frozen.edge_count(),
             total,
@@ -621,7 +700,7 @@ mod tests {
         assert_eq!(stats.rows_in_place, 1);
         assert_eq!(frozen2.neighbors(4), &[3]);
         assert_eq!(frozen2.neighbors_padded(4).len(), frozen2.stride());
-        let total2: usize = (0..64u64).map(|p| g2.usable_neighbors(p).count()).sum();
+        let total2: usize = (0..64u64).map(|p| g2.linked_neighbors(p).count()).sum();
         assert_eq!(frozen2.edge_count(), total2);
         assert_eq!(frozen2, g2.freeze());
 

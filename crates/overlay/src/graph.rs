@@ -207,6 +207,13 @@ impl OverlayGraph {
             .map(|l| l.target)
     }
 
+    /// Targets of `p`'s live links in link order, whether or not each target is alive:
+    /// the row a [`FrozenRoutes`](crate::FrozenRoutes) snapshot stores for `p`. A crash
+    /// or heal of a target leaves it unchanged; only link mutations move it.
+    pub fn linked_neighbors(&self, p: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.links(p).iter().filter(|l| l.alive).map(|l| l.target)
+    }
+
     /// Total out-degree of `p` (live links only, regardless of target liveness).
     #[must_use]
     pub fn out_degree(&self, p: NodeId) -> usize {
@@ -459,19 +466,24 @@ impl OverlayGraph {
     /// reported as failed, and links still dangling at a departed (or since re-occupied)
     /// `target` are reported like any other.
     pub fn links_into(&self, target: NodeId) -> impl Iterator<Item = (NodeId, &Link)> + '_ {
-        let row = self
-            .incoming
-            .get(target as usize)
-            .map_or(&[][..], Vec::as_slice);
-        // A source holding several links to `target` fills a run of the row; visit it
-        // once, since its table yields all of those links.
-        row.chunk_by(|a, b| a == b).flat_map(move |run| {
-            let source = NodeId::from(run[0]);
+        self.sources_into(target).flat_map(move |source| {
             self.links(source)
                 .iter()
                 .filter(move |l| l.target == target)
                 .map(move |l| (source, l))
         })
+    }
+
+    /// The sources [`OverlayGraph::links_into`] reports, ascending and each once, read
+    /// off the reverse adjacency alone: no source's link table is visited, so a link's
+    /// kind and liveness are not known here (failed links count).
+    pub fn sources_into(&self, target: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let row = self
+            .incoming
+            .get(target as usize)
+            .map_or(&[][..], Vec::as_slice);
+        // A source holding several links to `target` fills a run of the row.
+        row.chunk_by(|a, b| a == b).map(|run| NodeId::from(run[0]))
     }
 
     /// Records one more link `source -> target` in the reverse adjacency.

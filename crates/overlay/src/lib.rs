@@ -11,14 +11,15 @@
 //!   long-distance links directly from a [`LinkSpec`](faultline_linkdist::LinkSpec),
 //!   `ℓ` power-law draws or a ladder's rungs (the dynamic, heuristic construction of
 //!   Section 5 lives in `faultline-construction`).
-//! * [`FrozenRoutes`] — a compiled routing snapshot (every node's usable neighbours
-//!   in a fixed-stride row at `node × stride`, alive bitset, line-or-ring flag); the
+//! * [`FrozenRoutes`] — a compiled routing snapshot (every node's live-link targets,
+//!   dead ones included, in a fixed-stride row at `node × stride`, an alive bitset
+//!   the walk skips dead targets by, line-or-ring flag); the
 //!   traversal structure the query engine's uncached hot path runs on. Snapshots
 //!   are built once per routing epoch and then *patched* through churn from a typed
 //!   [`ChurnDelta`] of row-level diffs ([`FrozenRoutes::apply_delta`] overwrites
 //!   each diffed row in its own slot).
 //! * [`ChurnDelta`] — the rows a topology change rewrote: per changed node, its
-//!   new usable-neighbour row and liveness. `faultline-construction`'s maintainer
+//!   new live-link row and liveness. `faultline-construction`'s maintainer
 //!   (joins, leaves) and `faultline-failure`'s reports (crashes, link kills, heals)
 //!   name the changed nodes; [`OverlayGraph::delta_of`] reads their rows.
 //! * [`stats`] — link-length histograms and degree statistics used by the Figure 5

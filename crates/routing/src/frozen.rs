@@ -4,7 +4,8 @@
 //! dereferences each target's node record to check liveness — a cache miss per link.
 //! The frozen walk runs the *same algorithm* over the snapshot instead: a hop reads one
 //! fixed-stride row slot with the metric distance inlined per geometry (monomorphised,
-//! no `Geometry` dispatch) and liveness pre-filtered at freeze time. All per-walk
+//! no `Geometry` dispatch) and liveness read from the snapshot's alive bitset — for
+//! the neighbour a scan picks, not for every link. All per-walk
 //! state lives in a caller-owned [`RouteScratch`], so a worker that routes millions of
 //! queries performs **zero heap allocations per query** — buffers are cleared, never
 //! dropped.
@@ -297,8 +298,8 @@ impl CsrMetric for RingMetric {
     }
 }
 
-/// The best usable next hop out of `current` in the snapshot: strictly closer to
-/// the target than `current_distance`, not excluded, one-sided if requested; ties
+/// The best usable next hop out of `current` in the snapshot: alive, strictly closer
+/// to the target than `current_distance`, not excluded, one-sided if requested; ties
 /// broken towards the smaller label. Mirrors `greedy::best_neighbor` over the frozen
 /// adjacency and returns `(new_distance, node)` so the caller can carry the distance
 /// forward instead of recomputing it every hop.
@@ -314,9 +315,15 @@ impl CsrMetric for RingMetric {
 /// at a time on a SIMD [`KernelIsa`] over the whole row slot
 /// ([`FrozenRoutes::neighbors_padded`]), bit-identical to the scalar scan.
 ///
-/// The SIMD kernel covers exactly the unfiltered branch (two-sided, nothing
-/// excluded) — the overwhelmingly common case; one-sided and exclusion-filtered
-/// scans, and every scan under the scalar kernel, fold the logical row.
+/// A row holds every live-link target, dead ones too, so the walk skips the dead
+/// by the snapshot's alive bitset. The unfiltered branch (two-sided, nothing
+/// excluded) — the overwhelmingly common case, and the only one the SIMD kernel
+/// covers — folds the whole row and checks the winner's bit alone: on an
+/// undamaged overlay that is one load a hop. A dead winner sends it back over the
+/// row for the smallest key above that winner whose target is alive, which is the
+/// minimum over the alive targets, so the pick is exactly the one a scan of the
+/// usable row alone would make. One-sided and exclusion-filtered scans, and the
+/// rescan, fold the logical row and test each bit inline.
 /// `excluded` must be sorted ascending (the scratch keeps `dead_ends` that way):
 /// membership is a binary search.
 #[inline(always)]
@@ -332,6 +339,8 @@ fn best_neighbor_csr<M: CsrMetric>(
     excluded: &[u32],
 ) -> Option<(u64, u64)> {
     let limit = current_distance << 32;
+    let key =
+        |neighbor: u32| (metric.distance(u64::from(neighbor), target) << 32) | u64::from(neighbor);
     let mut best = limit;
     if !one_sided && excluded.is_empty() {
         if kernel.is_simd() {
@@ -339,10 +348,11 @@ fn best_neighbor_csr<M: CsrMetric>(
             best = kernel.scan(slot, frozen.is_ring(), frozen.len(), target, limit);
         } else {
             for &neighbor in frozen.neighbors(current) {
-                let key =
-                    (metric.distance(u64::from(neighbor), target) << 32) | u64::from(neighbor);
-                best = best.min(key);
+                best = best.min(key(neighbor));
             }
+        }
+        if best < limit && !frozen.is_alive(best & u64::from(u32::MAX)) {
+            best = rescan_above(frozen, current, best, limit, key);
         }
     } else {
         for &neighbor in frozen.neighbors(current) {
@@ -352,11 +362,35 @@ fn best_neighbor_csr<M: CsrMetric>(
             if one_sided && !metric.same_side(current, u64::from(neighbor), target) {
                 continue;
             }
-            let key = (metric.distance(u64::from(neighbor), target) << 32) | u64::from(neighbor);
-            best = best.min(key);
+            if !frozen.is_alive(u64::from(neighbor)) {
+                continue;
+            }
+            best = best.min(key(neighbor));
         }
     }
     (best < limit).then_some((best >> 32, best & u64::from(u32::MAX)))
+}
+
+/// The smallest key under `limit` among `current`'s alive targets, given that
+/// `dead` — the row's minimum key — names a dead one: a second fold over the row
+/// that skips `dead` and every label whose alive bit is clear. Out of line, since
+/// only a hop whose closest neighbour crashed takes it.
+#[inline(never)]
+fn rescan_above(
+    frozen: &FrozenRoutes,
+    current: u64,
+    dead: u64,
+    limit: u64,
+    key: impl Fn(u32) -> u64,
+) -> u64 {
+    let mut best = limit;
+    for &neighbor in frozen.neighbors(current) {
+        let k = key(neighbor);
+        if k > dead && frozen.is_alive(u64::from(neighbor)) {
+            best = best.min(k);
+        }
+    }
+    best
 }
 
 /// Picks a uniformly random alive node different from `other`, consuming randomness
