@@ -168,9 +168,10 @@ pub struct FailureWork {
     /// crashed at heal time. Churn may since have removed a downed node, or a
     /// join re-occupied its label with a live one; neither is revived.
     pub healed_nodes: usize,
-    /// Rows the failure/heal delta named. A crash names its victims (their alive
-    /// bits flip; no row changes, since rows keep dead targets); a heal names its
-    /// revived nodes and their in-neighbours, whose cached walks it must evict.
+    /// Rows the failure/heal delta carries: the crashed or revived nodes (their
+    /// alive bits flip; no row changes, since rows keep dead targets) and the
+    /// sources of killed links. A heal also names its victims' in-neighbours stale,
+    /// without rows, so that the cache evicts the walks through them.
     pub delta_rows: usize,
     /// Snapshot rows the delta's patch overwrote (0 when no snapshot was live):
     /// [`PatchStats::rows_patched`](faultline_overlay::PatchStats::rows_patched).

@@ -213,8 +213,8 @@ impl QueryEngine {
     }
 
     /// Flushes exactly the cache entries whose cached walk visited a node the delta
-    /// names (endpoints included) — row-level invalidation. Returns the number of
-    /// entries dropped.
+    /// names, with a row or stale (endpoints included) — row-level invalidation.
+    /// Returns the number of entries dropped.
     ///
     /// Surviving entries are guaranteed fresh, under every fault strategy: no node
     /// their walks visited can choose differently (walks that read global
@@ -223,15 +223,18 @@ impl QueryEngine {
     /// reproduces the cached digest bit-for-bit. The delta must name every node
     /// whose row changed or whose closest live neighbour can have: the maintainer's
     /// report deltas do by construction, a crash's delta names its victims (a walk
-    /// that visited none never chose one), and a heal's names its victims and
-    /// their in-neighbours.
+    /// that visited none never chose one), and a heal's names its victims and,
+    /// stale, their in-neighbours.
     pub fn invalidate_delta(&mut self, delta: &ChurnDelta, n: u64) -> usize {
-        if delta.rows().is_empty() {
+        if delta.is_empty() {
             return 0;
         }
         let started = Telemetry::start();
         let mut dirty = RowSet::with_space(n);
-        for node in delta.changed_nodes() {
+        for node in delta
+            .changed_nodes()
+            .chain(delta.stale_nodes().iter().copied())
+        {
             dirty.insert(node as u32);
         }
         let flushed: usize = self

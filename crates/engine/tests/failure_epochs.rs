@@ -78,9 +78,9 @@ fn regional_failure_epochs_survive_and_heal() {
 /// A failure or heal patch reports what it wrote into the snapshot: alive bits
 /// flipped and no row overwritten, since a crash or heal leaves every link where
 /// it was and a row keeps its dead targets; nothing at all on a quiet epoch.
-/// A crash names only its victims; a heal names its victims and their
-/// in-neighbours, whose cached walks may now step to a revived node. Epoch 0
-/// opens quiet, so every damage epoch finds a live snapshot to patch.
+/// Either delta carries its victims' rows alone (a heal names their
+/// in-neighbours stale, without rows). Epoch 0 opens quiet, so every damage
+/// epoch finds a live snapshot to patch.
 #[test]
 fn failure_patches_report_their_rows() {
     let events = vec![
@@ -108,7 +108,7 @@ fn failure_patches_report_their_rows() {
                 // Without churn, every downed node is still there to revive.
                 assert_eq!(work.alive_flips, work.healed_nodes, "{at}");
                 assert!(work.alive_flips > 0, "{at}");
-                assert!(work.delta_rows > work.healed_nodes, "{at}");
+                assert_eq!(work.delta_rows, work.healed_nodes, "{at}");
             }
             FailureEvent::Region { .. } | FailureEvent::Partition { .. } => {
                 assert_eq!(work.alive_flips, work.failed_nodes, "{at}");

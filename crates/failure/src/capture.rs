@@ -11,46 +11,43 @@
 //! visited a victim never chose one, so its cached route replays unchanged. A heal
 //! must name more. A revived node can become the closest live neighbour of any node
 //! holding a live link to it, so a cached walk through such an in-neighbour may now
-//! step elsewhere. [`blast_radius`] names the victims and those in-neighbours, and
-//! [`revive_nodes_with_delta`] reads their rows (unchanged but for the victims'
-//! liveness) back through [`OverlayGraph::delta_of`] once the heal settles, so the
-//! route cache evicts exactly the walks that could now differ.
+//! step elsewhere. [`revive_nodes_with_delta`] records the victims' rows through
+//! [`OverlayGraph::delta_of`] and names their [`blast_radius`] stale
+//! ([`ChurnDelta::name_stale`]): the route cache evicts exactly the walks that
+//! could now differ, and the snapshot patch flips the victims' bits and reads no
+//! other row.
 
 use faultline_overlay::{ChurnDelta, NodeId, OverlayGraph};
 
 /// Every node whose greedy choice can change when `victims` flip liveness: the
 /// victims themselves plus all present nodes holding a live link (ring or long) to
-/// a victim. Sorted, deduplicated. Reads each victim's in-neighbours off the
-/// overlay's reverse adjacency and each of their link tables once, so the cost
-/// follows the victims' in-degree, not the size of the overlay.
+/// a victim. Sorted, deduplicated. Reads each victim's
+/// in-neighbours off the overlay's reverse adjacency, so the cost follows the
+/// victims' in-degree, not the size of the overlay.
 #[must_use]
 pub fn blast_radius(graph: &OverlayGraph, victims: &[NodeId]) -> Vec<NodeId> {
-    let marked = Marked::new(graph.len(), victims);
-    let mut out: Vec<NodeId> = victims
-        .iter()
-        .flat_map(|&v| graph.sources_into(v))
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    out.retain(|&source| graph.linked_neighbors(source).any(|q| marked.contains(q)));
-    out.extend_from_slice(victims);
+    let mut out: Vec<NodeId> = victims.to_vec();
+    for &v in victims {
+        out.extend(
+            graph
+                .links_into(v)
+                .filter(|(_, l)| l.alive)
+                .map(|(source, _)| source),
+        );
+    }
     out.sort_unstable();
     out.dedup();
     out
 }
 
 /// Revives `victims` (previously crashed nodes) while capturing the delta that
-/// flips their alive bits and names their in-neighbours.
+/// flips their alive bits and names their in-neighbours stale.
 ///
-/// Only present, crashed victims flip. A flip rewrites no row, but each one can
-/// change the closest live neighbour of every node holding a live link to its
-/// victim, so the delta is the flipping victims' [`blast_radius`] after the heal:
-/// the victims with their new liveness, their in-neighbours with unchanged rows.
-/// Repeated, alive, absent and out-of-range victims change nothing.
-///
-/// Each candidate's link table is read once: its row is captured first, and a
-/// source whose row holds no revived node (every link it has to one failed) is
-/// dropped from the delta afterwards.
+/// Only present, crashed victims flip. A flip rewrites no row, so the delta's rows
+/// are the flipping victims' own, with their new liveness. But each flip can change
+/// the closest live neighbour of every node holding a live link to its victim, so
+/// the delta names the flipping victims' [`blast_radius`] stale. Repeated, alive,
+/// absent and out-of-range victims change nothing.
 #[must_use]
 pub fn revive_nodes_with_delta(graph: &mut OverlayGraph, victims: &[NodeId]) -> ChurnDelta {
     let mut flipping: Vec<NodeId> = victims
@@ -63,31 +60,9 @@ pub fn revive_nodes_with_delta(graph: &mut OverlayGraph, victims: &[NodeId]) -> 
     for &v in &flipping {
         graph.revive_node(v);
     }
-    let marked = Marked::new(graph.len(), &flipping);
-    let sources = flipping.iter().flat_map(|&v| graph.sources_into(v));
-    let mut delta = graph.delta_of(sources.chain(flipping.iter().copied()));
-    delta.retain(|rd| {
-        marked.contains(rd.node) || rd.row.iter().any(|&q| marked.contains(u64::from(q)))
-    });
+    let mut delta = graph.delta_of(flipping.iter().copied());
+    delta.name_stale(blast_radius(graph, &flipping));
     delta
-}
-
-/// A node set over the overlay's grid points, one bit each: the victims a row is
-/// tested against. Labels outside the space are never members.
-struct Marked(Vec<u64>);
-
-impl Marked {
-    fn new(n: u64, nodes: &[NodeId]) -> Self {
-        let mut words = vec![0u64; (n as usize).div_ceil(64)];
-        for &p in nodes.iter().filter(|&&p| p < n) {
-            words[(p / 64) as usize] |= 1 << (p % 64);
-        }
-        Self(words)
-    }
-
-    fn contains(&self, p: NodeId) -> bool {
-        (self.0.get((p / 64) as usize)).is_some_and(|word| word >> (p % 64) & 1 == 1)
-    }
 }
 
 #[cfg(test)]
@@ -290,36 +265,25 @@ mod tests {
                     down.extend(report.failed_nodes);
                 }
 
-                // The heal, with junk: only present, crashed victims flip. It names
-                // the flipped victims and their in-neighbours, whose rows it leaves
-                // as they were.
+                // The heal, with junk: only present, crashed victims flip. Its rows
+                // are the diff, and it names the flipped victims and their
+                // in-neighbours stale.
                 let victims = noisy(&down, &damaged.alive_nodes(), departed, n);
                 let flipped: Vec<NodeId> = (victims.iter().copied())
                     .filter(|&v| damaged.is_present(v) && !damaged.is_alive(v))
                     .collect();
                 let (before, mut reference) = (image(&damaged), damaged.clone());
                 let heal = revive_nodes_with_delta(&mut damaged, &victims);
-                let changed = diff(&before, &damaged);
-                let named: Vec<NodeId> = heal.changed_nodes().collect();
                 assert_eq!(
-                    named,
-                    scan_blast_radius(&damaged, &flipped),
+                    heal.rows(),
+                    diff(&before, &damaged).rows(),
                     "seed {seed}: {name}, then a noisy heal"
                 );
-                assert!(
-                    changed.rows().iter().all(|rd| heal.rows().contains(rd)),
-                    "seed {seed}: {name}: the heal misses a changed row"
+                assert_eq!(
+                    heal.stale_nodes(),
+                    scan_blast_radius(&damaged, &flipped),
+                    "seed {seed}: {name}: the heal's stale names"
                 );
-                for rd in heal.rows() {
-                    assert_eq!(
-                        (rd.alive, &rd.row),
-                        (damaged.is_alive(rd.node), &row(&damaged, rd.node))
-                    );
-                    assert_eq!(
-                        &rd.row, &before[rd.node as usize].1,
-                        "a heal rewrites no row"
-                    );
-                }
                 for &v in &victims {
                     reference.revive_node(v);
                 }

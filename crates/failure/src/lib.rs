@@ -29,9 +29,10 @@
 //! [`OverlayGraph::delta_of`](faultline_overlay::OverlayGraph::delta_of). It emits
 //! every changed row and no other, so failures flow through frozen-snapshot
 //! patching and row-level cache invalidation at O(damage).
-//! [`revive_nodes_with_delta`] is the healing inverse: it names the revived nodes
-//! and their in-neighbours ([`blast_radius`]), whose rows are unchanged but whose
-//! closest live neighbour may now be a revived node, so their cached routes go.
+//! [`revive_nodes_with_delta`] is the healing inverse: its rows are the revived
+//! nodes' own, and it names their in-neighbours ([`blast_radius`]) stale, since
+//! their rows are unchanged but their closest live neighbour may now be a revived
+//! node, so their cached routes go.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

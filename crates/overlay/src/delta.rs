@@ -11,14 +11,17 @@
 //! * [`FrozenRoutes::apply_delta`] writes the rows straight into the snapshot and
 //!   flips the alive bits, recomputing nothing;
 //! * the query engine's route cache evicts exactly the entries whose cached walk
-//!   visited a named node, instead of flushing whole metric-space buckets. A node
-//!   may be named with an unchanged row when its greedy choice can change anyway:
-//!   a heal names its revived nodes' in-neighbours, whose closest live neighbour
-//!   may now be the revived node.
+//!   visited a named node, instead of flushing whole metric-space buckets.
+//!
+//! A delta also names **stale** nodes, without rows: nodes whose row did not
+//! change but whose greedy choice may have. A heal names its revived nodes'
+//! in-neighbours so, since their closest live neighbour may now be a revived node.
+//! The cache evicts walks through them; the snapshot has nothing to write.
 //!
 //! Deltas merge: rows stay sorted by node, one per node, and a later record for a
 //! node replaces the earlier one, so an epoch's delta is its event deltas folded
-//! together and each row appears once with its epoch-end content.
+//! together and each row appears once with its epoch-end content. Stale names
+//! accumulate, sorted and once each.
 //!
 //! Whoever mutates the graph names the nodes whose rows it changed;
 //! [`OverlayGraph::delta_of`] is the one place their rows are read back.
@@ -42,10 +45,13 @@ pub struct RowDelta {
 }
 
 /// Accumulated row diffs, sorted by node, one entry per node with latest-wins
-/// content.
+/// content, and the stale nodes named beside them.
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ChurnDelta {
     rows: Vec<RowDelta>,
+    /// Nodes whose cached walks go stale though their rows did not change,
+    /// ascending, once each (a node may have a row as well).
+    stale: Vec<NodeId>,
 }
 
 impl ChurnDelta {
@@ -67,10 +73,10 @@ impl ChurnDelta {
         self.rows.len()
     }
 
-    /// Returns `true` if the delta carries no rows.
+    /// Returns `true` if the delta carries no rows and names no stale node.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.rows.is_empty() && self.stale.is_empty()
     }
 
     /// The nodes with a recorded row diff, ascending.
@@ -91,9 +97,19 @@ impl ChurnDelta {
         }
     }
 
-    /// Keeps only the rows `keep` accepts, in order.
-    pub fn retain(&mut self, keep: impl FnMut(&RowDelta) -> bool) {
-        self.rows.retain(keep);
+    /// Names nodes whose rows did not change but whose greedy choice may have: the
+    /// route cache evicts walks through them as through a changed row, and a
+    /// snapshot patch passes them over.
+    pub fn name_stale(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
+        self.stale.extend(nodes);
+        self.stale.sort_unstable();
+        self.stale.dedup();
+    }
+
+    /// The nodes [`ChurnDelta::name_stale`] named, ascending.
+    #[must_use]
+    pub fn stale_nodes(&self) -> &[NodeId] {
+        &self.stale
     }
 
     /// Folds another delta into this one, its rows winning. `other` must describe
@@ -102,6 +118,9 @@ impl ChurnDelta {
     /// One linear merge of the two sorted row lists, so folding an event's delta
     /// into an epoch's costs O(both), not a shifting insert per row.
     pub fn absorb(&mut self, other: ChurnDelta) {
+        if !other.stale.is_empty() {
+            self.name_stale(other.stale);
+        }
         if self.rows.is_empty() {
             self.rows = other.rows;
             return;
@@ -142,7 +161,10 @@ impl OverlayGraph {
                 }
             })
             .collect();
-        ChurnDelta { rows }
+        ChurnDelta {
+            rows,
+            stale: Vec::new(),
+        }
     }
 }
 
@@ -198,6 +220,20 @@ mod tests {
                 assert_eq!(delta.is_empty(), model.is_empty(), "seed {seed}");
             }
         }
+    }
+
+    #[test]
+    fn stale_names_merge_sorted_and_once_and_leave_the_rows_alone() {
+        let mut delta = ChurnDelta::new();
+        delta.name_stale([9, 3, 9]);
+        assert!(!delta.is_empty(), "a stale name makes the delta non-empty");
+        assert_eq!(delta.len(), 0, "but adds no row");
+        let mut later = ChurnDelta::new();
+        later.record(4, true, vec![1]);
+        later.name_stale([3, 1]);
+        delta.absorb(later);
+        assert_eq!(delta.stale_nodes(), &[1, 3, 9]);
+        assert!(delta.changed_nodes().eq([4]));
     }
 
     #[test]

@@ -156,6 +156,7 @@ impl FrozenRoutes {
     /// since the snapshot was built or last patched — exactly what the union
     /// of an epoch's maintainer report deltas contains — with latest-wins merge
     /// semantics ([`ChurnDelta::absorb`]) so each row carries its final content.
+    /// Its stale names ([`ChurnDelta::stale_nodes`]) are the cache's, not read here.
     /// `graph` is read only to check that it is the space the snapshot was frozen
     /// from (and, in debug builds, that every diffed row matches the live topology).
     ///
@@ -230,7 +231,9 @@ impl FrozenRoutes {
             }
         }
 
-        self.refresh_alive_sorted(&flipped);
+        if !flipped.is_empty() {
+            self.refresh_alive_sorted(&flipped);
+        }
         stats
     }
 
@@ -241,8 +244,10 @@ impl FrozenRoutes {
     fn refresh_alive_sorted(&mut self, flipped: &[u32]) {
         let (revived, died): (Vec<u32>, Vec<u32>) =
             (flipped.iter()).partition(|&&p| self.is_alive(u64::from(p)));
-        let mut died = died.into_iter().peekable();
-        self.alive_sorted.retain(|&p| died.next_if_eq(&p).is_none());
+        if !died.is_empty() {
+            let mut died = died.into_iter().peekable();
+            self.alive_sorted.retain(|&p| died.next_if_eq(&p).is_none());
+        }
 
         let alive = &mut self.alive_sorted;
         let mut kept = alive.len();

@@ -466,24 +466,19 @@ impl OverlayGraph {
     /// reported as failed, and links still dangling at a departed (or since re-occupied)
     /// `target` are reported like any other.
     pub fn links_into(&self, target: NodeId) -> impl Iterator<Item = (NodeId, &Link)> + '_ {
-        self.sources_into(target).flat_map(move |source| {
+        let row = self
+            .incoming
+            .get(target as usize)
+            .map_or(&[][..], Vec::as_slice);
+        // A source holding several links to `target` fills a run of the row; visit it
+        // once, since its table yields all of those links.
+        row.chunk_by(|a, b| a == b).flat_map(move |run| {
+            let source = NodeId::from(run[0]);
             self.links(source)
                 .iter()
                 .filter(move |l| l.target == target)
                 .map(move |l| (source, l))
         })
-    }
-
-    /// The sources [`OverlayGraph::links_into`] reports, ascending and each once, read
-    /// off the reverse adjacency alone: no source's link table is visited, so a link's
-    /// kind and liveness are not known here (failed links count).
-    pub fn sources_into(&self, target: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let row = self
-            .incoming
-            .get(target as usize)
-            .map_or(&[][..], Vec::as_slice);
-        // A source holding several links to `target` fills a run of the row.
-        row.chunk_by(|a, b| a == b).map(|run| NodeId::from(run[0]))
     }
 
     /// Records one more link `source -> target` in the reverse adjacency.

@@ -21,7 +21,9 @@
 //! * [`ChurnDelta`] — the rows a topology change rewrote: per changed node, its
 //!   new live-link row and liveness. `faultline-construction`'s maintainer
 //!   (joins, leaves) and `faultline-failure`'s reports (crashes, link kills, heals)
-//!   name the changed nodes; [`OverlayGraph::delta_of`] reads their rows.
+//!   name the changed nodes; [`OverlayGraph::delta_of`] reads their rows. A heal
+//!   also names its victims' in-neighbours *stale*: no row changed, but their
+//!   cached walks must go.
 //! * [`stats`] — link-length histograms and degree statistics used by the Figure 5
 //!   reproduction and by the construction-quality tests.
 //!

@@ -320,9 +320,9 @@ impl CsrMetric for RingMetric {
 /// excluded) — the overwhelmingly common case, and the only one the SIMD kernel
 /// covers — folds the whole row and checks the winner's bit alone: on an
 /// undamaged overlay that is one load a hop. A dead winner sends it back over the
-/// row for the smallest key above that winner whose target is alive, which is the
-/// minimum over the alive targets, so the pick is exactly the one a scan of the
-/// usable row alone would make. One-sided and exclusion-filtered scans, and the
+/// row for the next key above that winner whose target is alive — the minimum over
+/// the alive targets, so the pick is exactly the one a scan of the usable row alone
+/// would make. One-sided and exclusion-filtered scans, and the
 /// rescan, fold the logical row and test each bit inline.
 /// `excluded` must be sorted ascending (the scratch keeps `dead_ends` that way):
 /// membership is a binary search.
@@ -352,7 +352,7 @@ fn best_neighbor_csr<M: CsrMetric>(
             }
         }
         if best < limit && !frozen.is_alive(best & u64::from(u32::MAX)) {
-            best = rescan_above(frozen, current, best, limit, key);
+            best = rescan_alive(frozen, current, limit, key);
         }
     } else {
         for &neighbor in frozen.neighbors(current) {
@@ -371,23 +371,16 @@ fn best_neighbor_csr<M: CsrMetric>(
     (best < limit).then_some((best >> 32, best & u64::from(u32::MAX)))
 }
 
-/// The smallest key under `limit` among `current`'s alive targets, given that
-/// `dead` — the row's minimum key — names a dead one: a second fold over the row
-/// that skips `dead` and every label whose alive bit is clear. Out of line, since
-/// only a hop whose closest neighbour crashed takes it.
+/// The smallest key under `limit` among `current`'s alive targets: the next key
+/// above a dead winner that names a live node, folded with each label's alive bit
+/// tested inline. Out of line, since only a hop whose closest neighbour crashed
+/// takes it.
 #[inline(never)]
-fn rescan_above(
-    frozen: &FrozenRoutes,
-    current: u64,
-    dead: u64,
-    limit: u64,
-    key: impl Fn(u32) -> u64,
-) -> u64 {
+fn rescan_alive(frozen: &FrozenRoutes, current: u64, limit: u64, key: impl Fn(u32) -> u64) -> u64 {
     let mut best = limit;
     for &neighbor in frozen.neighbors(current) {
-        let k = key(neighbor);
-        if k > dead && frozen.is_alive(u64::from(neighbor)) {
-            best = best.min(k);
+        if frozen.is_alive(u64::from(neighbor)) {
+            best = best.min(key(neighbor));
         }
     }
     best
