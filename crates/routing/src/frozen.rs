@@ -318,11 +318,13 @@ impl CsrMetric for RingMetric {
 /// A row holds every live-link target, dead ones too, so the walk skips the dead
 /// by the snapshot's alive bitset. The unfiltered branch (two-sided, nothing
 /// excluded) — the overwhelmingly common case, and the only one the SIMD kernel
-/// covers — folds the whole row and checks the winner's bit alone: on an
-/// undamaged overlay that is one load a hop. A dead winner sends it back over the
-/// row for the next key above that winner whose target is alive — the minimum over
-/// the alive targets, so the pick is exactly the one a scan of the usable row alone
-/// would make. One-sided and exclusion-filtered scans, and the
+/// covers — folds the whole row and checks the winner's bit alone, and only when
+/// `any_dead` says the snapshot has a grid point that is not alive: a full,
+/// undamaged overlay has no dead target in any row, and its walks skip even that
+/// load (a walk driver works `any_dead` out once, not per hop). A dead winner sends
+/// the hop back over the row for the next key above that winner whose target is
+/// alive — the minimum over the alive targets, so the pick is exactly the one a
+/// scan of the usable row alone would make. One-sided and exclusion-filtered scans, and the
 /// rescan, fold the logical row and test each bit inline.
 /// `excluded` must be sorted ascending (the scratch keeps `dead_ends` that way):
 /// membership is a binary search.
@@ -332,6 +334,7 @@ fn best_neighbor_csr<M: CsrMetric>(
     metric: M,
     kernel: KernelIsa,
     frozen: &FrozenRoutes,
+    any_dead: bool,
     current: u64,
     current_distance: u64,
     target: u64,
@@ -351,7 +354,7 @@ fn best_neighbor_csr<M: CsrMetric>(
                 best = best.min(key(neighbor));
             }
         }
-        if best < limit && !frozen.is_alive(best & u64::from(u32::MAX)) {
+        if any_dead && best < limit && !frozen.is_alive(best & u64::from(u32::MAX)) {
             best = rescan_alive(frozen, current, limit, key);
         }
     } else {
@@ -384,6 +387,12 @@ fn rescan_alive(frozen: &FrozenRoutes, current: u64, limit: u64, key: impl Fn(u3
         }
     }
     best
+}
+
+/// Whether some grid point of `frozen` is not alive, so a row may hold a dead
+/// target: a walk over a full, undamaged snapshot never tests a neighbour's bit.
+fn has_dead(frozen: &FrozenRoutes) -> bool {
+    frozen.alive_count() as u64 != frozen.len()
 }
 
 /// Picks a uniformly random alive node different from `other`, consuming randomness
@@ -479,6 +488,7 @@ impl RouteScratch {
         &mut self,
         metric: M,
         frozen: &FrozenRoutes,
+        any_dead: bool,
         rng: &mut R,
     ) -> Option<RouteOutcome> {
         let WalkState {
@@ -505,6 +515,7 @@ impl RouteScratch {
             metric,
             self.kernel,
             frozen,
+            any_dead,
             current,
             current_distance,
             target,
@@ -577,11 +588,12 @@ impl RouteScratch {
         target: NodeId,
         rng: &mut R,
     ) -> RouteResult {
+        let any_dead = has_dead(frozen);
         let mut over = self.begin(router, metric, frozen, source, target);
         let outcome = loop {
             match over {
                 Some(outcome) => break outcome,
-                None => over = self.hop(metric, frozen, rng),
+                None => over = self.hop(metric, frozen, any_dead, rng),
             }
         };
         self.finish(outcome)
@@ -679,6 +691,7 @@ impl<R: Rng> WalkGroup<R> {
         frozen: &FrozenRoutes,
         mut feed: impl FnMut(Option<FinishedWalk<'_, R>>) -> Option<Walk<R>>,
     ) {
+        let any_dead = has_dead(frozen);
         let mut in_flight = 0usize;
         for lane in &mut self.lanes {
             let first = feed(None);
@@ -689,7 +702,7 @@ impl<R: Rng> WalkGroup<R> {
                 let Some(walk) = lane.walk.as_mut() else {
                     continue;
                 };
-                match lane.scratch.hop(metric, frozen, &mut walk.rng) {
+                match lane.scratch.hop(metric, frozen, any_dead, &mut walk.rng) {
                     // Still walking: start pulling in the row the next turn scans.
                     None => prefetch_slice(frozen.neighbors_padded(lane.scratch.walk.current)),
                     Some(outcome) => {
