@@ -324,8 +324,8 @@ impl CsrMetric for RingMetric {
 /// load (a walk driver works `any_dead` out once, not per hop). A dead winner sends
 /// the hop back over the row for the next key above that winner whose target is
 /// alive — the minimum over the alive targets, so the pick is exactly the one a
-/// scan of the usable row alone would make. One-sided and exclusion-filtered scans, and the
-/// rescan, fold the logical row and test each bit inline.
+/// scan of the usable row alone would make. That rescan is the fold the one-sided
+/// and exclusion-filtered scans run: over the logical row, each bit tested inline.
 /// `excluded` must be sorted ascending (the scratch keeps `dead_ends` that way):
 /// membership is a binary search.
 #[inline(always)]
@@ -344,8 +344,9 @@ fn best_neighbor_csr<M: CsrMetric>(
     let limit = current_distance << 32;
     let key =
         |neighbor: u32| (metric.distance(u64::from(neighbor), target) << 32) | u64::from(neighbor);
-    let mut best = limit;
+    let pick = |best: u64| (best < limit).then_some((best >> 32, best & u64::from(u32::MAX)));
     if !one_sided && excluded.is_empty() {
+        let mut best = limit;
         if kernel.is_simd() {
             let slot = frozen.neighbors_padded(current);
             best = kernel.scan(slot, frozen.is_ring(), frozen.len(), target, limit);
@@ -354,39 +355,25 @@ fn best_neighbor_csr<M: CsrMetric>(
                 best = best.min(key(neighbor));
             }
         }
-        if any_dead && best < limit && !frozen.is_alive(best & u64::from(u32::MAX)) {
-            best = rescan_alive(frozen, current, limit, key);
-        }
-    } else {
-        for &neighbor in frozen.neighbors(current) {
-            if excluded.binary_search(&neighbor).is_ok() {
-                continue;
-            }
-            if one_sided && !metric.same_side(current, u64::from(neighbor), target) {
-                continue;
-            }
-            if !frozen.is_alive(u64::from(neighbor)) {
-                continue;
-            }
-            best = best.min(key(neighbor));
+        // A dead winner falls through to the fold below, which tests every bit.
+        if !(any_dead && best < limit && !frozen.is_alive(best & u64::from(u32::MAX))) {
+            return pick(best);
         }
     }
-    (best < limit).then_some((best >> 32, best & u64::from(u32::MAX)))
-}
-
-/// The smallest key under `limit` among `current`'s alive targets: the next key
-/// above a dead winner that names a live node, folded with each label's alive bit
-/// tested inline. Out of line, since only a hop whose closest neighbour crashed
-/// takes it.
-#[inline(never)]
-fn rescan_alive(frozen: &FrozenRoutes, current: u64, limit: u64, key: impl Fn(u32) -> u64) -> u64 {
     let mut best = limit;
     for &neighbor in frozen.neighbors(current) {
-        if frozen.is_alive(u64::from(neighbor)) {
-            best = best.min(key(neighbor));
+        if excluded.binary_search(&neighbor).is_ok() {
+            continue;
         }
+        if one_sided && !metric.same_side(current, u64::from(neighbor), target) {
+            continue;
+        }
+        if !frozen.is_alive(u64::from(neighbor)) {
+            continue;
+        }
+        best = best.min(key(neighbor));
     }
-    best
+    pick(best)
 }
 
 /// Whether some grid point of `frozen` is not alive, so a row may hold a dead
