@@ -117,12 +117,11 @@ proptest! {
         n in 32u64..512,
         ell in 1usize..6,
         seed in any::<u64>(),
-        ring in any::<bool>(),
         epochs in 1usize..6,
         events in 1usize..40,
         join_bias in 0.1f64..0.9,
     ) {
-        let geometry = if ring { Geometry::ring(n) } else { Geometry::line(n) };
+        let geometry = Geometry::line(n);
         let mut maintainer =
             NetworkMaintainer::new(geometry, ell, ReplacementStrategy::InverseDistance);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -190,13 +189,12 @@ proptest! {
         lg_n in 5u32..=10,
         ell in 1usize..6,
         seed in any::<u64>(),
-        ring in any::<bool>(),
         epochs in 1usize..6,
         events in 0usize..24,
         join_bias in 0.1f64..0.9,
     ) {
         let n = 1u64 << lg_n;
-        let geometry = if ring { Geometry::ring(n) } else { Geometry::line(n) };
+        let geometry = Geometry::line(n);
         let mut maintainer =
             NetworkMaintainer::new(geometry, ell, ReplacementStrategy::InverseDistance);
         let mut rng = StdRng::seed_from_u64(seed);

@@ -62,11 +62,10 @@ proptest! {
         n in 16u64..160,
         ell in 1usize..6,
         seed in any::<u64>(),
-        ring in any::<bool>(),
         oldest in any::<bool>(),
         events in 1usize..80,
     ) {
-        let geometry = if ring { Geometry::ring(n) } else { Geometry::line(n) };
+        let geometry = Geometry::line(n);
         let strategy = if oldest {
             ReplacementStrategy::Oldest
         } else {
@@ -163,28 +162,14 @@ fn adjacency_digest(graph: &OverlayGraph) -> u64 {
 
 #[test]
 fn seeded_full_build_keeps_its_adjacency_digest() {
-    for (geometry, strategy, seed, pinned) in [
-        (
-            Geometry::ring(1 << 10),
-            ReplacementStrategy::InverseDistance,
-            2002u64,
-            0x757f_769e_cacf_5811u64,
-        ),
-        (
-            Geometry::line(1 << 10),
-            ReplacementStrategy::Oldest,
-            7,
-            0xa167_cb27_db88_634e,
-        ),
-    ] {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let graph = IncrementalBuilder::new(geometry, 10)
-            .replacement_strategy(strategy)
-            .build_full(&mut rng);
-        assert_eq!(
-            adjacency_digest(&graph),
-            pinned,
-            "build_full({geometry:?}, {strategy:?}, seed {seed}) changed"
-        );
-    }
+    let (geometry, strategy, seed) = (Geometry::line(1 << 10), ReplacementStrategy::Oldest, 7);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let graph = IncrementalBuilder::new(geometry, 10)
+        .replacement_strategy(strategy)
+        .build_full(&mut rng);
+    assert_eq!(
+        adjacency_digest(&graph),
+        0xa167_cb27_db88_634e,
+        "build_full({geometry:?}, {strategy:?}, seed {seed}) changed"
+    );
 }

@@ -704,8 +704,8 @@ mod tests {
         fold
     }
 
-    /// Pins construction's RNG stream: every link spec on a line and a ring, with
-    /// and without an antipode, and one incremental paper build.
+    /// Pins construction's RNG stream: every link spec on a line of even and of odd
+    /// length, and one incremental paper build.
     #[test]
     fn construction_draws_are_pinned() {
         let specs = [
@@ -716,11 +716,9 @@ mod tests {
             LinkSpec::PowerLadder { base: 3 },
         ];
         let mut configs = Vec::new();
-        for ring in [false, true] {
-            for n in [256, 257] {
-                for spec in specs {
-                    configs.push(NetworkConfig::paper_default(n).ring(ring).link_spec(spec));
-                }
+        for n in [256, 257] {
+            for spec in specs {
+                configs.push(NetworkConfig::paper_default(n).link_spec(spec));
             }
         }
         configs.push(
@@ -733,7 +731,7 @@ mod tests {
                 fold_long_links(Network::build(config, &mut rng).graph())
             })
             .collect();
-        let pinned: [u64; 21] = [
+        let pinned: [u64; 11] = [
             0x6895_f2c3_e380_ff8b, // line 256, r=0
             0x303d_ce42_dc1e_6ab2, // line 256, r=1
             0xe7ec_d07e_23ae_6ea0, // line 256, r=2
@@ -744,16 +742,6 @@ mod tests {
             0xe5e8_5a74_dc4a_4957, // line 257, r=2
             0x5f41_e954_eae9_a5f1, // line 257, BaseB 3
             0xe9c5_36b0_2020_9bb5, // line 257, PowerLadder 3
-            0xbd06_3ed1_70d0_1bd3, // ring 256, r=0
-            0xdad6_764e_8500_fe23, // ring 256, r=1
-            0x3fff_d25a_0483_e22d, // ring 256, r=2
-            0x88a2_bb1c_271f_0151, // ring 256, BaseB 3
-            0xf8de_b566_9af5_91e9, // ring 256, PowerLadder 3
-            0x09aa_a0a9_3273_2fbf, // ring 257, r=0
-            0x6b6b_b167_8289_6523, // ring 257, r=1
-            0x1647_2ebf_dd55_db1d, // ring 257, r=2
-            0x396b_1099_c064_18d5, // ring 257, BaseB 3
-            0x189c_e973_21f9_185d, // ring 257, PowerLadder 3
             0x2d47_695c_02a6_1c78, // incremental, line 256
         ];
         assert_eq!(folds, pinned);

@@ -10,8 +10,8 @@ use rand::{rngs::StdRng, SeedableRng};
 proptest! {
     /// Sampled inverse power-law targets are always valid non-self positions.
     #[test]
-    fn ipl_targets_valid(n in 2u64..5_000, from in 0u64..5_000, seed in any::<u64>(), ring in any::<bool>()) {
-        let geometry = if ring { Geometry::ring(n) } else { Geometry::line(n) };
+    fn ipl_targets_valid(n in 2u64..5_000, from in 0u64..5_000, seed in any::<u64>()) {
+        let geometry = Geometry::line(n);
         let from = from % n;
         let dist = InversePowerLaw::exponent_one(&geometry);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -23,8 +23,8 @@ proptest! {
 
     /// Single-draw probabilities always sum to 1 over all other nodes.
     #[test]
-    fn ipl_probabilities_normalised(n in 2u64..400, from in 0u64..400, exp in 0.0f64..2.5, ring in any::<bool>()) {
-        let geometry = if ring { Geometry::ring(n) } else { Geometry::line(n) };
+    fn ipl_probabilities_normalised(n in 2u64..400, from in 0u64..400, exp in 0.0f64..2.5) {
+        let geometry = Geometry::line(n);
         let from = from % n;
         let dist = InversePowerLaw::new(exp, &geometry);
         let total: f64 = (0..n).filter(|&v| v != from)
@@ -79,8 +79,8 @@ proptest! {
     /// Deterministic ladders produce sorted, deduplicated, in-range targets independent of
     /// the RNG, and always include the adjacent node at distance 1.
     #[test]
-    fn ladders_are_deterministic(n in 4u64..20_000, from in 0u64..20_000, base in 2u64..10, ring in any::<bool>()) {
-        let geometry = if ring { Geometry::ring(n) } else { Geometry::line(n) };
+    fn ladders_are_deterministic(n in 4u64..20_000, from in 0u64..20_000, base in 2u64..10) {
+        let geometry = Geometry::line(n);
         let from = from % n;
         let mut rng_a = StdRng::seed_from_u64(1);
         let mut rng_b = StdRng::seed_from_u64(2);

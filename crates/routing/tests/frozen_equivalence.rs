@@ -28,12 +28,8 @@ use proptest::prelude::*;
 use rand::rngs::{SmallRng, StdRng};
 use rand::{Rng, RngCore, SeedableRng};
 
-fn build(n: u64, ell: usize, seed: u64, ring: bool) -> OverlayGraph {
-    let geometry = if ring {
-        Geometry::ring(n)
-    } else {
-        Geometry::line(n)
-    };
+fn build(n: u64, ell: usize, seed: u64) -> OverlayGraph {
+    let geometry = Geometry::line(n);
     let mut rng = StdRng::seed_from_u64(seed);
     GraphBuilder::new(geometry)
         .links_per_node(ell)
@@ -147,13 +143,12 @@ proptest! {
         // Wide enough that strides run from one kernel step to four.
         ell in 1usize..24,
         seed in any::<u64>(),
-        ring in any::<bool>(),
         one_sided in any::<bool>(),
         strategy_pick in 0u8..3,
         node_failure in 0.0f64..0.5,
         link_failure in 0.0f64..0.3,
     ) {
-        let mut graph = build(n, ell, seed, ring);
+        let mut graph = build(n, ell, seed);
         churn(&mut graph, seed, node_failure, link_failure);
         let frozen = graph.freeze();
 
@@ -203,11 +198,10 @@ proptest! {
         n in 8u64..400,
         ell in 1usize..24,
         seed in any::<u64>(),
-        ring in any::<bool>(),
         node_failure in 0.0f64..0.4,
         link_failure in 0.0f64..0.3,
     ) {
-        let mut graph = build(n, ell, seed, ring);
+        let mut graph = build(n, ell, seed);
         let mut snapshot = graph.freeze();
         check_row_shapes(&snapshot)?;
 
@@ -237,7 +231,6 @@ proptest! {
         n in 8u64..1_200,
         ell in 1usize..24,
         seed in any::<u64>(),
-        ring in any::<bool>(),
         one_sided in any::<bool>(),
         strategy_pick in 0u8..3,
         // Healthy, damaged, or damaged by way of a delta patch.
@@ -250,7 +243,7 @@ proptest! {
         node_failure in 0.05f64..0.5,
         link_failure in 0.0f64..0.3,
     ) {
-        let mut graph = build(n, ell, seed, ring);
+        let mut graph = build(n, ell, seed);
         let snapshot = match snapshot_pick {
             0 => graph.freeze(),
             1 => {

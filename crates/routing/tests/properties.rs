@@ -7,12 +7,8 @@ use faultline_routing::{FaultStrategy, GreedyMode, RouteOutcome, Router};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-fn build(n: u64, ell: usize, seed: u64, ring: bool) -> OverlayGraph {
-    let geometry = if ring {
-        Geometry::ring(n)
-    } else {
-        Geometry::line(n)
-    };
+fn build(n: u64, ell: usize, seed: u64) -> OverlayGraph {
+    let geometry = Geometry::line(n);
     let mut rng = StdRng::seed_from_u64(seed);
     GraphBuilder::new(geometry)
         .links_per_node(ell)
@@ -29,10 +25,9 @@ proptest! {
         n in 2u64..2_000,
         ell in 1usize..8,
         seed in any::<u64>(),
-        ring in any::<bool>(),
         one_sided in any::<bool>(),
     ) {
-        let graph = build(n, ell, seed, ring);
+        let graph = build(n, ell, seed);
         let mode = if one_sided { GreedyMode::OneSided } else { GreedyMode::TwoSided };
         let router = Router::new().with_mode(mode);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xabcdef);
@@ -52,7 +47,7 @@ proptest! {
         ell in 1usize..10,
         seed in any::<u64>(),
     ) {
-        let graph = build(n, ell, seed, false);
+        let graph = build(n, ell, seed);
         let router = Router::new().with_path_recording(true);
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(1));
         let s = rng.gen_range(0..n);
@@ -76,7 +71,7 @@ proptest! {
         ell in 1usize..10,
         seed in any::<u64>(),
     ) {
-        let graph = build(n, ell, seed, false);
+        let graph = build(n, ell, seed);
         let router = Router::new().with_mode(GreedyMode::OneSided).with_path_recording(true);
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(2));
         let s = rng.gen_range(0..n);
@@ -101,7 +96,7 @@ proptest! {
         seed in any::<u64>(),
         failure_fraction in 0.0f64..0.7,
     ) {
-        let mut graph = build(n, ell, seed, false);
+        let mut graph = build(n, ell, seed);
         let mut failure_rng = StdRng::seed_from_u64(seed ^ 0x55aa);
         // Fail a fraction of nodes directly (avoiding a dependency on faultline-failure).
         let victims: Vec<u64> = (0..n).filter(|_| failure_rng.gen_bool(failure_fraction)).collect();
