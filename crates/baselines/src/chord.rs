@@ -57,12 +57,6 @@ impl ChordNetwork {
         false
     }
 
-    /// Number of finger-table entries per node.
-    #[must_use]
-    pub fn fingers_per_node(&self) -> usize {
-        self.fingers[0].len()
-    }
-
     /// Returns `true` if node `i` is alive.
     #[must_use]
     pub fn is_alive(&self, i: u64) -> bool {
@@ -174,7 +168,7 @@ mod tests {
     fn undamaged_ring_routes_in_log_hops() {
         let n = 1u64 << 12;
         let chord = ChordNetwork::new(n);
-        assert_eq!(chord.fingers_per_node(), 12);
+        assert_eq!(chord.fingers[0].len(), 12);
         let mut rng = StdRng::seed_from_u64(0);
         for _ in 0..200 {
             let s = rng.gen_range(0..n);

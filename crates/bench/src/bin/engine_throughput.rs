@@ -91,7 +91,7 @@ const BYZANTINE: &str = "byzantine-contested";
 /// The kernel cell behind `simd_speedup`: small enough that its rows stay
 /// cache-resident, so the memory wall does not bury the kernel's compute gap, with
 /// rows of four or five eight-label vector steps. `BENCH_route_kernel.json` sweeps
-/// the full (geometry × row length) grid.
+/// the row lengths of the paper's range.
 const KERNEL_CELL_NODES: u64 = 1 << 10;
 const KERNEL_CELL_LINKS: usize = 32;
 /// Queries per pass over the kernel cell.

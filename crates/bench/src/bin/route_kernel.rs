@@ -1,11 +1,11 @@
 //! Distance-scan kernel microbench: ns/hop through the frozen walk, scalar fold vs
 //! the runtime-dispatched SIMD scan vs the SIMD scan with [`WALKS_IN_FLIGHT`] walks
-//! in a lockstep group, per geometry and row length.
+//! in a lockstep group, per row length, on the paper's line.
 //!
 //! `engine_throughput`'s `simd_speedup` gate reads one cache-resident cell
 //! (1 024 nodes, 32 links, single walks) with the same timer,
-//! [`faultline_bench::kernel::run_stream`]. This lane sweeps the grid: one
-//! overlay per `(geometry, links-per-node)` cell, the identical seeded query
+//! [`faultline_bench::kernel::run_stream`]. This lane sweeps the ladder: one
+//! overlay per links-per-node cell, the identical seeded query
 //! stream routed with the kernel pinned scalar, with the dispatched ISA one walk
 //! at a time, and with the dispatched ISA through a
 //! [`WalkGroup`](faultline_core::routing::WalkGroup), best-of rounds per side,
@@ -67,99 +67,85 @@ fn main() {
         detected.lanes(),
     );
     println!(
-        "{:<10} {:>6} {:>7}   {:>14} {:>14} {:>9}   {:>16}   {:>10}",
-        "geometry",
-        "links",
-        "stride",
-        "scalar ns/hop",
-        "simd ns/hop",
-        "speedup",
-        "lockstep ns/hop",
-        "hops"
+        "{:>6} {:>7}   {:>14} {:>14} {:>9}   {:>16}   {:>10}",
+        "links", "stride", "scalar ns/hop", "simd ns/hop", "speedup", "lockstep ns/hop", "hops"
     );
 
     let mut cells = Vec::new();
-    for (geometry_label, geometry_of) in [
-        ("ring", Geometry::ring as fn(u64) -> Geometry),
-        ("line", Geometry::line as fn(u64) -> Geometry),
-    ] {
-        for &links in &LINK_SWEEP {
-            let geometry = geometry_of(nodes);
-            let mut rng = StdRng::seed_from_u64(seed ^ (links as u64) << 8);
-            let graph = GraphBuilder::new(geometry)
-                .links_per_node(links)
-                .build(LinkSpec::paper_default(), &mut rng);
-            let frozen = graph.freeze();
-            let router = Router::new();
-            let mut pair_rng = StdRng::seed_from_u64(seed ^ 0x9A12);
-            let pairs: Vec<(u64, u64)> = (0..queries)
-                .map(|_| {
-                    use rand::Rng;
-                    (pair_rng.gen_range(0..nodes), pair_rng.gen_range(0..nodes))
-                })
-                .collect();
-            // Path recording off, matching the engine's per-worker hot-path
-            // scratch: the reading is about the distance scan, not `Vec` pushes.
-            let mut scalar_scratch = RouteScratch::new()
-                .with_path_recording(false)
-                .with_kernel(KernelIsa::scalar());
-            let mut simd_scratch = RouteScratch::new().with_path_recording(false);
-            let single = Walker::Single;
-            let scalar = measure(single, router, &frozen, &pairs, seed, &mut scalar_scratch);
-            let simd = measure(single, router, &frozen, &pairs, seed, &mut simd_scratch);
-            let lockstep = measure(
-                Walker::Lockstep,
-                router,
-                &frozen,
-                &pairs,
-                seed,
-                &mut simd_scratch,
-            );
-            assert_eq!(
-                scalar.digest, simd.digest,
-                "kernel divergence at {geometry_label}/{links}: SIMD must be bit-identical"
-            );
-            assert_eq!(
-                simd.digest, lockstep.digest,
-                "driver divergence at {geometry_label}/{links}: a group must route like single walks"
-            );
-            assert_eq!(scalar.delivered, simd.delivered);
-            assert_eq!(lockstep.hops, simd.hops);
-            let (scalar_ns, simd_ns) = (scalar.ns_per_hop(), simd.ns_per_hop());
-            let lockstep_ns = lockstep.ns_per_hop();
-            let speedup = if simd_ns > 0.0 {
-                scalar_ns / simd_ns
-            } else {
-                0.0
-            };
-            println!(
-                "{:<10} {:>6} {:>7}   {:>14.2} {:>14.2} {:>8.2}x   {:>16.2}   {:>10}",
-                geometry_label,
-                links,
-                frozen.stride(),
-                scalar_ns,
-                simd_ns,
-                speedup,
-                lockstep_ns,
-                simd.hops
-            );
-            cells.push(format!(
-                concat!(
-                    "{{\"geometry\":\"{}\",\"links\":{},\"stride\":{},",
-                    "\"scalar_ns_per_hop\":{:.3},\"simd_ns_per_hop\":{:.3},\"speedup\":{:.3},",
-                    "\"lockstep_ns_per_hop\":{:.3},\"hops\":{},\"delivered\":{}}}"
-                ),
-                geometry_label,
-                links,
-                frozen.stride(),
-                scalar_ns,
-                simd_ns,
-                speedup,
-                lockstep_ns,
-                simd.hops,
-                simd.delivered,
-            ));
-        }
+    for &links in &LINK_SWEEP {
+        let geometry = Geometry::line(nodes);
+        let mut rng = StdRng::seed_from_u64(seed ^ (links as u64) << 8);
+        let graph = GraphBuilder::new(geometry)
+            .links_per_node(links)
+            .build(LinkSpec::paper_default(), &mut rng);
+        let frozen = graph.freeze();
+        let router = Router::new();
+        let mut pair_rng = StdRng::seed_from_u64(seed ^ 0x9A12);
+        let pairs: Vec<(u64, u64)> = (0..queries)
+            .map(|_| {
+                use rand::Rng;
+                (pair_rng.gen_range(0..nodes), pair_rng.gen_range(0..nodes))
+            })
+            .collect();
+        // Path recording off, matching the engine's per-worker hot-path
+        // scratch: the reading is about the distance scan, not `Vec` pushes.
+        let mut scalar_scratch = RouteScratch::new()
+            .with_path_recording(false)
+            .with_kernel(KernelIsa::scalar());
+        let mut simd_scratch = RouteScratch::new().with_path_recording(false);
+        let single = Walker::Single;
+        let scalar = measure(single, router, &frozen, &pairs, seed, &mut scalar_scratch);
+        let simd = measure(single, router, &frozen, &pairs, seed, &mut simd_scratch);
+        let lockstep = measure(
+            Walker::Lockstep,
+            router,
+            &frozen,
+            &pairs,
+            seed,
+            &mut simd_scratch,
+        );
+        assert_eq!(
+            scalar.digest, simd.digest,
+            "kernel divergence at {links} links: SIMD must be bit-identical"
+        );
+        assert_eq!(
+            simd.digest, lockstep.digest,
+            "driver divergence at {links} links: a group must route like single walks"
+        );
+        assert_eq!(scalar.delivered, simd.delivered);
+        assert_eq!(lockstep.hops, simd.hops);
+        let (scalar_ns, simd_ns) = (scalar.ns_per_hop(), simd.ns_per_hop());
+        let lockstep_ns = lockstep.ns_per_hop();
+        let speedup = if simd_ns > 0.0 {
+            scalar_ns / simd_ns
+        } else {
+            0.0
+        };
+        println!(
+            "{:>6} {:>7}   {:>14.2} {:>14.2} {:>8.2}x   {:>16.2}   {:>10}",
+            links,
+            frozen.stride(),
+            scalar_ns,
+            simd_ns,
+            speedup,
+            lockstep_ns,
+            simd.hops
+        );
+        cells.push(format!(
+            concat!(
+                "{{\"links\":{},\"stride\":{},",
+                "\"scalar_ns_per_hop\":{:.3},\"simd_ns_per_hop\":{:.3},\"speedup\":{:.3},",
+                "\"lockstep_ns_per_hop\":{:.3},\"hops\":{},\"delivered\":{}}}"
+            ),
+            links,
+            frozen.stride(),
+            scalar_ns,
+            simd_ns,
+            speedup,
+            lockstep_ns,
+            simd.hops,
+            simd.delivered,
+        ));
     }
 
     let json = format!(

@@ -2,7 +2,7 @@
 //! routed over a frozen snapshot, one walk at a time or through a lockstep
 //! [`WalkGroup`].
 //!
-//! `route_kernel` sweeps it over its (geometry × row length) grid, and
+//! `route_kernel` sweeps it over its row-length ladder, and
 //! `engine_throughput`'s `simd_speedup` gate runs it on one cache-resident cell,
 //! so both readings time the same loop.
 

@@ -76,15 +76,6 @@ impl IncrementalBuilder {
         }
         maintainer.into_graph()
     }
-
-    /// Builds a network of the first `count` grid points (in random arrival order) — a
-    /// convenient way of getting a partially populated space.
-    pub fn build_prefix<R: Rng>(&self, count: u64, rng: &mut R) -> OverlayGraph {
-        let count = count.min(self.geometry.len());
-        let mut order: Vec<NodeId> = (0..count).collect();
-        order.shuffle(rng);
-        self.build_from_arrivals(&order, rng)
-    }
 }
 
 #[cfg(test)]
@@ -96,6 +87,8 @@ mod tests {
     #[test]
     fn full_build_populates_every_point() {
         let builder = IncrementalBuilder::new(Geometry::line(512), 6);
+        assert_eq!(builder.links_per_node(), 6);
+        assert_eq!(builder.geometry(), Geometry::line(512));
         let mut rng = StdRng::seed_from_u64(0);
         let g = builder.build_full(&mut rng);
         assert_eq!(g.present_count(), 512);
@@ -138,17 +131,6 @@ mod tests {
         };
         let (a, b) = (mean(&inverse), mean(&oldest));
         assert!((a - b).abs() < 2.0, "mean degrees diverge: {a} vs {b}");
-    }
-
-    #[test]
-    fn prefix_build_only_populates_prefix() {
-        let builder = IncrementalBuilder::new(Geometry::line(1000), 4);
-        let mut rng = StdRng::seed_from_u64(3);
-        let g = builder.build_prefix(100, &mut rng);
-        assert_eq!(g.present_count(), 100);
-        assert!(g.present_nodes().iter().all(|&p| p < 100));
-        assert_eq!(builder.links_per_node(), 4);
-        assert_eq!(builder.geometry(), Geometry::line(1000));
     }
 
     #[test]

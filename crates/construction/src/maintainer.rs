@@ -227,12 +227,10 @@ impl NetworkMaintainer {
         for src in ring_sources {
             self.graph.remove_link(src, position, LinkKind::Ring);
         }
-        // Re-close the ring around the hole.
+        // Link the hole's two neighbours to each other.
         if let (Some(a), Some(b)) = (pred, succ) {
-            if a != b {
-                self.graph.add_link(a, b, LinkKind::Ring);
-                self.graph.add_link(b, a, LinkKind::Ring);
-            }
+            self.graph.add_link(a, b, LinkKind::Ring);
+            self.graph.add_link(b, a, LinkKind::Ring);
         }
         let mut touched = Vec::new();
         if self.capture_deltas {
@@ -302,29 +300,18 @@ impl NetworkMaintainer {
     /// spanned the gap. `pred`/`succ` are the node's present neighbours (as returned by
     /// `neighbors_around`), passed in so the caller's population scan is not repeated.
     fn splice_ring_links(&mut self, position: NodeId, pred: Option<NodeId>, succ: Option<NodeId>) {
-        match (pred, succ) {
-            (Some(a), Some(b)) => {
-                if a != b {
-                    self.graph.remove_link(a, b, LinkKind::Ring);
-                    self.graph.remove_link(b, a, LinkKind::Ring);
-                }
-                self.graph.add_link(position, a, LinkKind::Ring);
-                self.graph.add_link(a, position, LinkKind::Ring);
-                if b != a {
-                    self.graph.add_link(position, b, LinkKind::Ring);
-                    self.graph.add_link(b, position, LinkKind::Ring);
-                }
-            }
-            (Some(a), None) | (None, Some(a)) => {
-                self.graph.add_link(position, a, LinkKind::Ring);
-                self.graph.add_link(a, position, LinkKind::Ring);
-            }
-            (None, None) => {}
+        if let (Some(a), Some(b)) = (pred, succ) {
+            self.graph.remove_link(a, b, LinkKind::Ring);
+            self.graph.remove_link(b, a, LinkKind::Ring);
+        }
+        for a in [pred, succ].into_iter().flatten() {
+            self.graph.add_link(position, a, LinkKind::Ring);
+            self.graph.add_link(a, position, LinkKind::Ring);
         }
     }
 
     /// The present neighbours immediately below and above `position` (excluding the
-    /// position itself), wrapping around on a ring.
+    /// position itself).
     fn neighbors_around(&self, position: NodeId) -> (Option<NodeId>, Option<NodeId>) {
         let present = self.graph.present_nodes();
         // `present` is sorted: everything before `below` is smaller than `position`,
@@ -334,15 +321,10 @@ impl NetworkMaintainer {
             present.partition_point(|&p| p < position),
             present.partition_point(|&p| p <= position),
         );
-        let (smaller, larger) = (&present[..below], &present[above..]);
-        let is_ring = self.graph.geometry().is_ring();
-        let pred = smaller
-            .last()
-            .or(if is_ring { larger.last() } else { None });
-        let succ = larger
-            .first()
-            .or(if is_ring { smaller.first() } else { None });
-        (pred.copied(), succ.copied())
+        (
+            present[..below].last().copied(),
+            present.get(above).copied(),
+        )
     }
 }
 
@@ -441,18 +423,6 @@ mod tests {
         assert!(g.links(102).iter().any(|l| !l.is_long() && l.target == 98));
         // No live link points at the departed node any more.
         assert!(g.long_links().all(|(_, l)| l.target != 100));
-    }
-
-    #[test]
-    fn ring_geometry_wraps_ring_links() {
-        let mut m = NetworkMaintainer::new(Geometry::ring(64), 2, ReplacementStrategy::Oldest);
-        let mut rng = StdRng::seed_from_u64(5);
-        for p in [0u64, 20, 40, 60] {
-            m.join(p, &mut rng).unwrap();
-        }
-        let g = m.graph();
-        assert!(g.links(0).iter().any(|l| !l.is_long() && l.target == 60));
-        assert!(g.links(60).iter().any(|l| !l.is_long() && l.target == 0));
     }
 
     #[test]

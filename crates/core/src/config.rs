@@ -41,7 +41,6 @@ impl ConstructionMode {
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct NetworkConfig {
     nodes: u64,
-    ring: bool,
     links_per_node: usize,
     link_spec: LinkSpec,
     construction: ConstructionMode,
@@ -63,7 +62,6 @@ impl NetworkConfig {
         let ell = (64 - (n - 1).leading_zeros()) as usize; // ⌈lg n⌉
         Self {
             nodes: n,
-            ring: false,
             links_per_node: ell.max(1),
             link_spec: LinkSpec::paper_default(),
             construction: ConstructionMode::Ideal,
@@ -71,13 +69,6 @@ impl NetworkConfig {
             fault_strategy: FaultStrategy::Terminate,
             presence_probability: None,
         }
-    }
-
-    /// Embeds the overlay on a ring instead of a line.
-    #[must_use]
-    pub fn ring(mut self, ring: bool) -> Self {
-        self.ring = ring;
-        self
     }
 
     /// Sets the number of long-distance links per node.
@@ -139,12 +130,6 @@ impl NetworkConfig {
         self.nodes
     }
 
-    /// Whether the space wraps around (ring) or not (line).
-    #[must_use]
-    pub fn is_ring(&self) -> bool {
-        self.ring
-    }
-
     /// Long-distance links per node.
     #[must_use]
     pub fn links(&self) -> usize {
@@ -191,7 +176,6 @@ mod tests {
         let c = NetworkConfig::paper_default(1 << 17);
         assert_eq!(c.nodes(), 1 << 17);
         assert_eq!(c.links(), 17);
-        assert!(!c.is_ring());
         assert_eq!(c.link_spec_choice(), LinkSpec::paper_default());
         assert_eq!(c.construction_mode(), ConstructionMode::Ideal);
         assert_eq!(c.greedy(), GreedyMode::TwoSided);
@@ -210,14 +194,12 @@ mod tests {
     #[test]
     fn builder_methods_override_defaults() {
         let c = NetworkConfig::paper_default(256)
-            .ring(true)
             .links_per_node(3)
             .link_spec(LinkSpec::BaseB { base: 4 })
             .construction(ConstructionMode::incremental_default())
             .greedy_mode(GreedyMode::OneSided)
             .fault_strategy(FaultStrategy::paper_backtrack())
             .presence_probability(0.5);
-        assert!(c.is_ring());
         assert_eq!(c.links(), 3);
         assert_eq!(c.link_spec_choice(), LinkSpec::BaseB { base: 4 });
         assert!(matches!(

@@ -63,11 +63,7 @@ pub struct Network {
 impl Network {
     /// Builds a network according to `config`, drawing randomness from `rng`.
     pub fn build<R: Rng>(config: &NetworkConfig, rng: &mut R) -> Self {
-        let geometry = if config.is_ring() {
-            Geometry::ring(config.nodes())
-        } else {
-            Geometry::line(config.nodes())
-        };
+        let geometry = Geometry::line(config.nodes());
         let ell = config.links();
         let (graph, replacement) = match config.construction_mode() {
             ConstructionMode::Ideal => {

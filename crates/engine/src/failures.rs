@@ -33,9 +33,9 @@ pub enum FailureEvent {
         /// Consecutive grid points to crash.
         width: u64,
     },
-    /// Two regions of `width` points each crash at diametrically opposite starts
-    /// (`s` and `s + n/2`), the worst correlated cut for a ring geometry: long
-    /// links spanning either gap die with their endpoints.
+    /// Two regions of `width` points each crash, their starts half the line apart
+    /// (`s` and `(s + n/2) mod n`): the survivors fall into up to three stretches
+    /// that only long links over a crater join.
     Partition {
         /// Consecutive grid points to crash per region (two regions fail).
         width: u64,

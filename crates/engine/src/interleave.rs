@@ -628,9 +628,9 @@ impl QueryEngine {
                 delta.absorb(d);
             }
             FailureEvent::Partition { width } => {
-                // Two diametrically opposite regions: the worst correlated cut a
-                // ring admits, since every long link spanning either gap loses an
-                // endpoint.
+                // Two regions half the line apart (the second start taken mod n):
+                // the survivors fall into up to three stretches that only long
+                // links over a crater join.
                 let start = fail_rng.gen_range(0..n.max(1));
                 for s in [start, (start + n / 2) % n.max(1)] {
                     let plan = RegionFailure::at(s, width);

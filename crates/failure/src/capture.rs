@@ -75,9 +75,8 @@ mod tests {
     use rand::{rngs::StdRng, SeedableRng};
 
     fn graph(n: u64, ell: usize, seed: u64) -> OverlayGraph {
-        let geometry = Geometry::ring(n);
         let mut rng = StdRng::seed_from_u64(seed);
-        GraphBuilder::new(geometry)
+        GraphBuilder::new(Geometry::line(n))
             .links_per_node(ell)
             .build(LinkSpec::paper_default(), &mut rng)
     }
@@ -172,7 +171,7 @@ mod tests {
         assert!(delta.changed_nodes().eq([5, 6, 7]), "{delta:?}");
         let in_neighbour = (g.links_into(6).find(|(_, l)| l.alive))
             .map(|(source, _)| source)
-            .expect("a ring node has an in-neighbour");
+            .expect("an interior node has its ring links' in-neighbours");
         assert!(row(&g, in_neighbour).contains(&6));
         assert!(g.usable_neighbors(in_neighbour).all(|q| q != 6));
     }

@@ -1,7 +1,7 @@
 //! Churn schedules: randomized sequences of node arrivals and departures.
 
 use faultline_overlay::NodeId;
-use rand::{seq::SliceRandom, Rng};
+use rand::Rng;
 
 /// A single churn event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -100,16 +100,6 @@ impl ChurnSchedule {
         Self { events }
     }
 
-    /// Generates a pure-arrival schedule: the `count` given points join in random order.
-    #[must_use]
-    pub fn arrivals_only<R: Rng + ?Sized>(points: &[NodeId], rng: &mut R) -> Self {
-        let mut order = points.to_vec();
-        order.shuffle(rng);
-        Self {
-            events: order.into_iter().map(ChurnEvent::Join).collect(),
-        }
-    }
-
     /// The events of this schedule, in order.
     #[must_use]
     pub fn events(&self) -> &[ChurnEvent] {
@@ -196,25 +186,6 @@ mod tests {
         let schedule = ChurnSchedule::generate(10_000, &initially, 1000, 0.9, &mut rng);
         assert_consistent(10_000, &initially, &schedule);
         assert!(schedule.join_count() as f64 / schedule.len() as f64 > 0.8);
-    }
-
-    #[test]
-    fn arrivals_only_covers_every_point_once() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let points: Vec<NodeId> = (0..64).collect();
-        let schedule = ChurnSchedule::arrivals_only(&points, &mut rng);
-        assert_eq!(schedule.len(), 64);
-        assert_eq!(schedule.join_count(), 64);
-        let mut seen: Vec<NodeId> = schedule
-            .events()
-            .iter()
-            .map(|e| match e {
-                ChurnEvent::Join(p) => *p,
-                ChurnEvent::Leave(_) => unreachable!(),
-            })
-            .collect();
-        seen.sort_unstable();
-        assert_eq!(seen, points);
     }
 
     #[test]

@@ -29,22 +29,6 @@ impl LinkFailure {
         Self { presence }
     }
 
-    /// Creates a plan under which each long link *fails* with probability `failure`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `failure` is not in `[0, 1]`.
-    #[must_use]
-    pub fn with_failure_probability(failure: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&failure),
-            "link failure probability must be in [0, 1]"
-        );
-        Self {
-            presence: 1.0 - failure,
-        }
-    }
-
     /// Probability that a long link survives.
     #[must_use]
     pub fn presence(&self) -> f64 {
@@ -120,7 +104,7 @@ mod tests {
         let mut g = graph(1 << 12, 8, 3);
         let total = g.total_long_links() as f64;
         let mut rng = StdRng::seed_from_u64(5);
-        let report = LinkFailure::with_failure_probability(0.3).apply(&mut g, &mut rng);
+        let report = LinkFailure::with_presence(0.7).apply(&mut g, &mut rng);
         let frac = report.failed_links.len() as f64 / total;
         assert!((frac - 0.3).abs() < 0.03, "failed fraction {frac}");
         assert!(report.failed_nodes.is_empty());

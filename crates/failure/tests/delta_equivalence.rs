@@ -10,9 +10,8 @@ use faultline_overlay::{GraphBuilder, NodeId, OverlayGraph};
 use rand::{rngs::StdRng, SeedableRng};
 
 fn graph(n: u64, ell: usize, seed: u64) -> OverlayGraph {
-    let geometry = Geometry::ring(n);
     let mut rng = StdRng::seed_from_u64(seed);
-    GraphBuilder::new(geometry)
+    GraphBuilder::new(Geometry::line(n))
         .links_per_node(ell)
         .build(LinkSpec::paper_default(), &mut rng)
 }

@@ -9,7 +9,7 @@ use faultline_metric::{Direction, Geometry, Position};
 /// `x ∈ {b^0, b^1, …, b^{⌈log_b n⌉−1}}`." Routing then eliminates the most significant
 /// base-`b` digit of the remaining distance at every step. Theorem 16 keeps only the
 /// pure powers `b^0, b^1, b^2, …` (top digit 1). Links are laid in both directions
-/// where the space permits: a line truncates at its ends, a ring wraps.
+/// where the line permits: a ladder truncates at its ends.
 pub(crate) struct Ladder {
     geometry: Geometry,
     /// The distances `j · b^i` up to the diameter, ascending and distinct.
@@ -113,14 +113,6 @@ mod tests {
         let ladder = Ladder::new(2, 1, &Geometry::line(64));
         assert!(ladder.targets(0).iter().all(|&t| t > 0 && t < 64));
         assert!(ladder.targets(63).iter().all(|&t| t < 63));
-    }
-
-    #[test]
-    fn ring_targets_wrap_and_dedup() {
-        let ladder = Ladder::new(2, 1, &Geometry::ring(16));
-        // Ladder distances on a 16-ring (diameter 8): 1, 2, 4, 8; both directions:
-        // {1,15, 2,14, 4,12, 8} -> 7 distinct targets.
-        assert_eq!(ladder.targets(0), vec![1, 2, 4, 8, 12, 14, 15]);
     }
 
     #[test]

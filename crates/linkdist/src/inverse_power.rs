@@ -65,15 +65,6 @@ impl InversePowerLaw {
     /// Total normalising weight `Σ_{v ≠ u} 1/d(u,v)^r` for a node at `from`.
     #[must_use]
     pub fn total_weight(&self, from: Position) -> f64 {
-        if self.geometry.is_ring() {
-            let n = self.geometry.len();
-            let half = (n - 1) / 2;
-            let mut total = 2.0 * self.table.weight_up_to(half);
-            if n.is_multiple_of(2) {
-                total += self.table.weight_of(n / 2);
-            }
-            return total;
-        }
         let left = self.geometry.max_reach(from, Direction::Down);
         let right = self.geometry.max_reach(from, Direction::Up);
         self.table.weight_up_to(left) + self.table.weight_up_to(right)
@@ -106,40 +97,6 @@ impl InversePowerLaw {
 
     /// Draws one long-distance target for `from`.
     fn sample_one<R: Rng + ?Sized>(&self, from: Position, rng: &mut R) -> Position {
-        if self.geometry.is_ring() {
-            let n = self.geometry.len();
-            let half = (n - 1) / 2;
-            let w_pairs = 2.0 * self.table.weight_up_to(half);
-            let w_antipode = if n.is_multiple_of(2) {
-                self.table.weight_of(n / 2)
-            } else {
-                0.0
-            };
-            let u = rng.gen_range(0.0..w_pairs + w_antipode);
-            if u >= w_pairs {
-                // The unique antipodal node (only exists for even n).
-                return self
-                    .geometry
-                    .step(from, n / 2, Direction::Up)
-                    // xlint: allow(panic_policy) -- a ring step never leaves the space, so it is always `Some`
-                    .expect("ring steps always succeed");
-            }
-            let dir = if rng.gen_bool(0.5) {
-                Direction::Up
-            } else {
-                Direction::Down
-            };
-            let d = self
-                .table
-                .sample_distance(half, rng)
-                // xlint: allow(panic_policy) -- `new` asserts n >= 2 and n = 2 always takes the antipode above, so half >= 1 here
-                .expect("half is positive for n >= 3");
-            return self
-                .geometry
-                .step(from, d, dir)
-                // xlint: allow(panic_policy) -- a ring step never leaves the space, so it is always `Some`
-                .expect("ring steps always succeed");
-        }
         let left = self.geometry.max_reach(from, Direction::Down);
         let right = self.geometry.max_reach(from, Direction::Up);
         let wl = self.table.weight_up_to(left);
@@ -169,8 +126,8 @@ mod tests {
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
-    fn probabilities_sum_to_one_on_line_and_ring() {
-        for geometry in [Geometry::line(65), Geometry::ring(65), Geometry::ring(64)] {
+    fn probabilities_sum_to_one_on_line() {
+        for geometry in [Geometry::line(65), Geometry::line(64)] {
             let dist = InversePowerLaw::exponent_one(&geometry);
             for from in [0u64, 7, 32, 63] {
                 let total: f64 = (0..geometry.len())
@@ -224,25 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_antipode_is_reachable_and_weighted_once() {
-        let geometry = Geometry::ring(8);
-        let dist = InversePowerLaw::exponent_one(&geometry);
-        // Node 0's antipode is 4, at distance 4; its probability should be (1/4)/total,
-        // not double-counted.
-        let p = dist.link_probability(0, 4);
-        let total_weight = 2.0 * (1.0 + 0.5 + 1.0 / 3.0) + 0.25;
-        assert!((p - 0.25 / total_weight).abs() < 1e-12);
-        let mut rng = StdRng::seed_from_u64(5);
-        let hits = dist
-            .targets(0, 50_000, &mut rng)
-            .into_iter()
-            .filter(|&t| t == 4)
-            .count();
-        let frac = hits as f64 / 50_000.0;
-        assert!((frac - p).abs() < 0.01, "antipode frequency {frac} vs {p}");
-    }
-
-    #[test]
     fn boundary_nodes_only_link_inward() {
         let geometry = Geometry::line(64);
         let dist = InversePowerLaw::exponent_one(&geometry);
@@ -271,7 +209,7 @@ mod tests {
 
     #[test]
     fn probability_is_uniform_and_normalised() {
-        let dist = InversePowerLaw::new(0.0, &Geometry::ring(64));
+        let dist = InversePowerLaw::new(0.0, &Geometry::line(64));
         for v in 1..64u64 {
             assert!((dist.link_probability(0, v) - 1.0 / 63.0).abs() < 1e-15);
         }

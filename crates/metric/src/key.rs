@@ -56,12 +56,6 @@ impl Key {
         Self(splitmix64(fnv1a(name.as_bytes())))
     }
 
-    /// Hashes an arbitrary byte string into a key.
-    #[must_use]
-    pub fn from_bytes(bytes: &[u8]) -> Self {
-        Self(splitmix64(fnv1a(bytes)))
-    }
-
     /// The raw 64-bit digest underlying this key.
     #[must_use]
     pub fn as_u64(self) -> u64 {
@@ -135,7 +129,6 @@ mod tests {
     fn keys_are_stable_across_calls() {
         assert_eq!(Key::from_name("foo"), Key::from_name("foo"));
         assert_ne!(Key::from_name("foo"), Key::from_name("bar"));
-        assert_eq!(Key::from_bytes(b"foo"), Key::from_name("foo"));
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! This crate provides the spaces used throughout the workspace:
 //!
 //! * [`Geometry`] — grid points `0..n` on a one-dimensional real line (the space analysed
-//!   in Section 4 of the paper) or around a circle (the Chord-style identifier circle of
-//!   Section 3), with [`Direction`] for directed steps along either.
+//!   in Section 4 of the paper), with [`Direction`] for directed steps along it.
 //! * [`Torus2d`] — the two-dimensional lattice of the Kleinberg small-world baseline.
 //! * [`Key`], [`KeySpace`] — stable hashing of resource keys onto metric-space points
 //!   (the `h : K -> V` mapping of Section 2).
@@ -23,9 +22,8 @@
 //! assert_eq!(line.distance(10, 42), 32);
 //! assert_eq!(line.step(0, 1, Direction::Down), None); // the line has ends
 //!
-//! let ring = Geometry::ring(100);
-//! assert_eq!(ring.distance(5, 95), 10); // the shorter arc wraps around
-//! assert_eq!(ring.offset_between(5, 95), (10, Direction::Down));
+//! assert_eq!(line.offset_between(5, 95), (90, Direction::Up));
+//! assert_eq!(line.step(5, 90, Direction::Up), Some(95));
 //!
 //! // Hash resource keys to points of the space.
 //! let keys = KeySpace::new(1024);

@@ -15,31 +15,6 @@ proptest! {
         prop_assert!(line.distance(a, b) <= line.diameter());
     }
 
-    /// The ring metric is a metric and never exceeds half the circumference.
-    #[test]
-    fn ring_is_a_metric(n in 1u64..10_000, a in 0u64..10_000, b in 0u64..10_000, c in 0u64..10_000) {
-        let ring = Geometry::ring(n);
-        let (a, b, c) = (a % n, b % n, c % n);
-        prop_assert_eq!(ring.distance(a, b), ring.distance(b, a));
-        prop_assert_eq!(ring.distance(a, a), 0);
-        prop_assert!(ring.distance(a, c) <= ring.distance(a, b) + ring.distance(b, c));
-        prop_assert!(ring.distance(a, b) <= n / 2);
-    }
-
-    /// Ring distance is the min of the two arc lengths.
-    #[test]
-    fn ring_distance_is_min_arc(n in 2u64..10_000, a in 0u64..10_000, b in 0u64..10_000) {
-        let ring = Geometry::ring(n);
-        let (a, b) = (a % n, b % n);
-        let cw = (b + n - a) % n;
-        let ccw = (a + n - b) % n;
-        prop_assert_eq!(cw + ccw == 0, a == b);
-        if a != b {
-            prop_assert_eq!(cw + ccw, n);
-        }
-        prop_assert_eq!(ring.distance(a, b), cw.min(ccw));
-    }
-
     /// Stepping by the offset returned from `offset_between` always reaches the target.
     #[test]
     fn line_offset_step_roundtrip(n in 1u64..10_000, from in 0u64..10_000, to in 0u64..10_000) {
@@ -47,16 +22,7 @@ proptest! {
         let (from, to) = (from % n, to % n);
         let (offset, dir) = line.offset_between(from, to);
         prop_assert_eq!(line.step(from, offset, dir), Some(to));
-    }
-
-    /// Same round-trip on the ring (always along the shorter arc).
-    #[test]
-    fn ring_offset_step_roundtrip(n in 1u64..10_000, from in 0u64..10_000, to in 0u64..10_000) {
-        let ring = Geometry::ring(n);
-        let (from, to) = (from % n, to % n);
-        let (offset, dir) = ring.offset_between(from, to);
-        prop_assert_eq!(ring.step(from, offset, dir), Some(to));
-        prop_assert_eq!(offset, ring.distance(from, to));
+        prop_assert_eq!(offset, line.distance(from, to));
     }
 
     /// Moving one step down then one step up is the identity away from line boundaries.

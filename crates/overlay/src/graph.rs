@@ -388,11 +388,6 @@ impl OverlayGraph {
         if idx > 0 {
             consider(self.present_sorted[idx - 1]);
         }
-        // On a ring the nearest present node may wrap around either end.
-        if self.geometry.is_ring() {
-            consider(self.present_sorted[0]);
-            consider(self.present_sorted[self.present_sorted.len() - 1]);
-        }
         best.map(|(_, p)| p)
     }
 
@@ -603,13 +598,6 @@ mod tests {
     }
 
     #[test]
-    fn nearest_present_wraps_on_ring() {
-        let g = OverlayGraph::with_present_nodes(Geometry::ring(100), &[2, 50]);
-        assert_eq!(g.nearest_present(99), Some(2));
-        assert_eq!(g.nearest_present(60), Some(50));
-    }
-
-    #[test]
     fn insert_and_remove_nodes() {
         let mut g = OverlayGraph::with_present_nodes(Geometry::line(50), &[0, 10]);
         assert!(g.insert_node(25));
@@ -729,9 +717,9 @@ mod tests {
         g.remove_node(0);
         assert_eq!(g.alive_count(), 2);
         assert_eq!(g.alive_count(), g.alive_nodes().len() as u64);
-        assert_eq!(OverlayGraph::empty(Geometry::ring(8)).alive_count(), 0);
+        assert_eq!(OverlayGraph::empty(Geometry::line(8)).alive_count(), 0);
         assert_eq!(
-            OverlayGraph::fully_populated(Geometry::ring(8)).alive_count(),
+            OverlayGraph::fully_populated(Geometry::line(8)).alive_count(),
             8
         );
     }

@@ -12,9 +12,9 @@
 //!   `ℓ` power-law draws or a ladder's rungs (the dynamic, heuristic construction of
 //!   Section 5 lives in `faultline-construction`).
 //! * [`FrozenRoutes`] — a compiled routing snapshot (every node's live-link targets,
-//!   dead ones included, in a fixed-stride row at `node × stride`, an alive bitset
-//!   the walk skips dead targets by, line-or-ring flag); the
-//!   traversal structure the query engine's uncached hot path runs on. Snapshots
+//!   dead ones included, in a fixed-stride row at `node × stride`, and an alive
+//!   bitset the walk skips dead targets by); the traversal structure the query
+//!   engine's uncached hot path runs on. Snapshots
 //!   are built once per routing epoch and then *patched* through churn from a typed
 //!   [`ChurnDelta`] of row-level diffs ([`FrozenRoutes::apply_delta`] overwrites
 //!   each diffed row in its own slot).

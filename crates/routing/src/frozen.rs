@@ -3,12 +3,11 @@
 //! [`Router::route`] walks the mutable overlay: every hop scans `Vec<Link>` records and
 //! dereferences each target's node record to check liveness — a cache miss per link.
 //! The frozen walk runs the *same algorithm* over the snapshot instead: a hop reads one
-//! fixed-stride row slot with the metric distance inlined per geometry (monomorphised,
-//! no `Geometry` dispatch) and liveness read from the snapshot's alive bitset — for
-//! the neighbour a scan picks, not for every link. All per-walk
-//! state lives in a caller-owned [`RouteScratch`], so a worker that routes millions of
-//! queries performs **zero heap allocations per query** — buffers are cleared, never
-//! dropped.
+//! fixed-stride row slot with the line's distance inlined (no `Geometry` call) and
+//! liveness read from the snapshot's alive bitset — for the neighbour a scan picks,
+//! not for every link. All per-walk state lives in a caller-owned [`RouteScratch`], so
+//! a worker that routes millions of queries performs **zero heap allocations per
+//! query** — buffers are cleared, never dropped.
 //!
 //! There is one hop function. A walk is `begin`, then `hop` until it reports an
 //! outcome, then `finish`, all over the state in its scratch, so it can stop after
@@ -221,81 +220,27 @@ impl<R: Rng> WalkGroup<R> {
 
 // The frozen kernel's zero-allocation contract, enforced two ways: dynamically by the
 // counting allocator in tests/zero_alloc.rs, and statically by xlint over this fenced
-// region — everything from the metric specialisations through the hop function to the
+// region — everything from the line's distance through the hop function to the
 // end of the group driver must not allocate (all per-walk state lives in a
 // RouteScratch).
 // xlint: begin(no_alloc)
 
-/// A one-dimensional metric specialised at compile time; the frozen kernel is
-/// monomorphised per implementation so distance and sidedness are branch-free inlined
-/// integer arithmetic.
-trait CsrMetric: Copy {
-    fn distance(&self, a: u64, b: u64) -> u64;
-    fn same_side(&self, current: u64, neighbor: u64, target: u64) -> bool;
+/// Distance on the line: the absolute difference of the labels.
+#[inline(always)]
+fn distance(a: u64, b: u64) -> u64 {
+    a.abs_diff(b)
 }
 
-/// The open line: distance is absolute difference, direction is label order.
-#[derive(Clone, Copy)]
-struct LineMetric;
-
-impl CsrMetric for LineMetric {
-    #[inline(always)]
-    fn distance(&self, a: u64, b: u64) -> u64 {
-        a.abs_diff(b)
+/// The one-sided test: whether a hop from `current` to `neighbor` keeps to the side
+/// of `target` it starts on, never overshooting it.
+#[inline(always)]
+fn same_side(current: u64, neighbor: u64, target: u64) -> bool {
+    if neighbor == target {
+        return true;
     }
-
-    #[inline(always)]
-    fn same_side(&self, current: u64, neighbor: u64, target: u64) -> bool {
-        if neighbor == target {
-            return true;
-        }
-        // `Geometry::offset_between` on the line reports Down iff `from >= to`.
-        let down_to_target = current >= target;
-        (current >= neighbor) == down_to_target && (neighbor >= target) == down_to_target
-    }
-}
-
-/// The ring: distance is the shorter arc, direction is the shorter-arc direction with
-/// ties broken Down — exactly `Geometry::offset_between` on a ring.
-#[derive(Clone, Copy)]
-struct RingMetric {
-    n: u64,
-}
-
-impl RingMetric {
-    /// Clockwise (increasing-label, wrapping) distance from `a` to `b`.
-    #[inline(always)]
-    fn clockwise(&self, a: u64, b: u64) -> u64 {
-        if b >= a {
-            b - a
-        } else {
-            self.n - (a - b)
-        }
-    }
-
-    /// Whether `offset_between(from, to)` reports Down.
-    #[inline(always)]
-    fn dir_is_down(&self, from: u64, to: u64) -> bool {
-        self.clockwise(to, from) <= self.clockwise(from, to)
-    }
-}
-
-impl CsrMetric for RingMetric {
-    #[inline(always)]
-    fn distance(&self, a: u64, b: u64) -> u64 {
-        let cw = self.clockwise(a, b);
-        cw.min(self.n - cw)
-    }
-
-    #[inline(always)]
-    fn same_side(&self, current: u64, neighbor: u64, target: u64) -> bool {
-        if neighbor == target {
-            return true;
-        }
-        let down_to_target = self.dir_is_down(current, target);
-        self.dir_is_down(current, neighbor) == down_to_target
-            && self.dir_is_down(neighbor, target) == down_to_target
-    }
+    // `Geometry::offset_between` on the line reports Down iff `from >= to`.
+    let down_to_target = current >= target;
+    (current >= neighbor) == down_to_target && (neighbor >= target) == down_to_target
 }
 
 /// The best usable next hop out of `current` in the snapshot: alive, strictly closer
@@ -330,8 +275,7 @@ impl CsrMetric for RingMetric {
 /// membership is a binary search.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn best_neighbor_csr<M: CsrMetric>(
-    metric: M,
+fn best_neighbor_csr(
     kernel: KernelIsa,
     frozen: &FrozenRoutes,
     any_dead: bool,
@@ -342,14 +286,13 @@ fn best_neighbor_csr<M: CsrMetric>(
     excluded: &[u32],
 ) -> Option<(u64, u64)> {
     let limit = current_distance << 32;
-    let key =
-        |neighbor: u32| (metric.distance(u64::from(neighbor), target) << 32) | u64::from(neighbor);
+    let key = |neighbor: u32| (distance(u64::from(neighbor), target) << 32) | u64::from(neighbor);
     let pick = |best: u64| (best < limit).then_some((best >> 32, best & u64::from(u32::MAX)));
     if !one_sided && excluded.is_empty() {
         let mut best = limit;
         if kernel.is_simd() {
             let slot = frozen.neighbors_padded(current);
-            best = kernel.scan(slot, frozen.is_ring(), frozen.len(), target, limit);
+            best = kernel.scan(slot, target, limit);
         } else {
             for &neighbor in frozen.neighbors(current) {
                 best = best.min(key(neighbor));
@@ -365,7 +308,7 @@ fn best_neighbor_csr<M: CsrMetric>(
         if excluded.binary_search(&neighbor).is_ok() {
             continue;
         }
-        if one_sided && !metric.same_side(current, u64::from(neighbor), target) {
+        if one_sided && !same_side(current, u64::from(neighbor), target) {
             continue;
         }
         if !frozen.is_alive(u64::from(neighbor)) {
@@ -418,10 +361,9 @@ impl RouteScratch {
     /// Starts a walk in this scratch. `Some` when it is over before its first hop: a
     /// dead endpoint, or a source that is the target.
     #[inline(always)]
-    fn begin<M: CsrMetric>(
+    fn begin(
         &mut self,
         router: Router,
-        metric: M,
         frozen: &FrozenRoutes,
         source: NodeId,
         target: NodeId,
@@ -444,7 +386,7 @@ impl RouteScratch {
         if !frozen.is_alive(target) {
             return Some(RouteOutcome::Failed(FailureReason::DeadTarget));
         }
-        self.walk.current_distance = metric.distance(source, target);
+        self.walk.current_distance = distance(source, target);
         if self.walk.record {
             self.path.push(source as u32);
         }
@@ -471,9 +413,8 @@ impl RouteScratch {
     /// and returns `Some` once the walk is over. The walk is never at its target on
     /// entry: `begin` and `step_to` report delivery as soon as it happens.
     #[inline(always)]
-    fn hop<M: CsrMetric, R: Rng + ?Sized>(
+    fn hop<R: Rng + ?Sized>(
         &mut self,
-        metric: M,
         frozen: &FrozenRoutes,
         any_dead: bool,
         rng: &mut R,
@@ -499,7 +440,6 @@ impl RouteScratch {
             &[]
         };
         if let Some((next_distance, next)) = best_neighbor_csr(
-            metric,
             self.kernel,
             frozen,
             any_dead,
@@ -529,7 +469,7 @@ impl RouteScratch {
                 self.walk.reroutes_used += 1;
                 self.walk.recoveries += 1;
                 match random_alive_frozen(frozen, current, rng) {
-                    Some(node) => self.step_to(node, metric.distance(node, target)),
+                    Some(node) => self.step_to(node, distance(node, target)),
                     None => stuck,
                 }
             }
@@ -545,7 +485,7 @@ impl RouteScratch {
                 match self.history.pop_back() {
                     Some(prev) => {
                         let prev = u64::from(prev);
-                        self.step_to(prev, metric.distance(prev, target))
+                        self.step_to(prev, distance(prev, target))
                     }
                     None => stuck,
                 }
@@ -566,21 +506,20 @@ impl RouteScratch {
     }
 
     /// One walk, begun and hopped to its end.
-    fn walk_to_end<M: CsrMetric, R: Rng + ?Sized>(
+    fn walk_to_end<R: Rng + ?Sized>(
         &mut self,
         router: Router,
-        metric: M,
         frozen: &FrozenRoutes,
         source: NodeId,
         target: NodeId,
         rng: &mut R,
     ) -> RouteResult {
         let any_dead = has_dead(frozen);
-        let mut over = self.begin(router, metric, frozen, source, target);
+        let mut over = self.begin(router, frozen, source, target);
         let outcome = loop {
             match over {
                 Some(outcome) => break outcome,
-                None => over = self.hop(metric, frozen, any_dead, rng),
+                None => over = self.hop(frozen, any_dead, rng),
             }
         };
         self.finish(outcome)
@@ -606,12 +545,7 @@ impl Router {
         rng: &mut R,
         scratch: &mut RouteScratch,
     ) -> RouteResult {
-        if frozen.is_ring() {
-            let metric = RingMetric { n: frozen.len() };
-            scratch.walk_to_end(*self, metric, frozen, source, target, rng)
-        } else {
-            scratch.walk_to_end(*self, LineMetric, frozen, source, target, rng)
-        }
+        scratch.walk_to_end(*self, frozen, source, target, rng)
     }
 }
 
@@ -620,9 +554,8 @@ impl<R: Rng> Lane<R> {
     /// straight back to `feed`, and whatever `feed` answers takes its place; returns
     /// whether the slot ends up holding a walk in flight.
     #[inline(always)]
-    fn admit<M: CsrMetric>(
+    fn admit(
         &mut self,
-        metric: M,
         frozen: &FrozenRoutes,
         mut next: Option<Walk<R>>,
         feed: &mut impl FnMut(Option<FinishedWalk<'_, R>>) -> Option<Walk<R>>,
@@ -630,7 +563,7 @@ impl<R: Rng> Lane<R> {
         while let Some(walk) = next {
             let begun = self
                 .scratch
-                .begin(walk.router, metric, frozen, walk.source, walk.target);
+                .begin(walk.router, frozen, walk.source, walk.target);
             match begun {
                 None => {
                     prefetch_slice(frozen.neighbors_padded(walk.source));
@@ -663,33 +596,20 @@ impl<R: Rng> WalkGroup<R> {
     pub fn run(
         &mut self,
         frozen: &FrozenRoutes,
-        feed: impl FnMut(Option<FinishedWalk<'_, R>>) -> Option<Walk<R>>,
-    ) {
-        if frozen.is_ring() {
-            self.run_with(RingMetric { n: frozen.len() }, frozen, feed);
-        } else {
-            self.run_with(LineMetric, frozen, feed);
-        }
-    }
-
-    fn run_with<M: CsrMetric>(
-        &mut self,
-        metric: M,
-        frozen: &FrozenRoutes,
         mut feed: impl FnMut(Option<FinishedWalk<'_, R>>) -> Option<Walk<R>>,
     ) {
         let any_dead = has_dead(frozen);
         let mut in_flight = 0usize;
         for lane in &mut self.lanes {
             let first = feed(None);
-            in_flight += usize::from(lane.admit(metric, frozen, first, &mut feed));
+            in_flight += usize::from(lane.admit(frozen, first, &mut feed));
         }
         while in_flight > 0 {
             for lane in &mut self.lanes {
                 let Some(walk) = lane.walk.as_mut() else {
                     continue;
                 };
-                match lane.scratch.hop(metric, frozen, any_dead, &mut walk.rng) {
+                match lane.scratch.hop(frozen, any_dead, &mut walk.rng) {
                     // Still walking: start pulling in the row the next turn scans.
                     None => prefetch_slice(frozen.neighbors_padded(lane.scratch.walk.current)),
                     Some(outcome) => {
@@ -700,7 +620,7 @@ impl<R: Rng> WalkGroup<R> {
                                 scratch: &lane.scratch,
                             }))
                         });
-                        if !lane.admit(metric, frozen, next, &mut feed) {
+                        if !lane.admit(frozen, next, &mut feed) {
                             in_flight -= 1;
                         }
                     }
@@ -716,16 +636,12 @@ impl<R: Rng> WalkGroup<R> {
 mod tests {
     use super::*;
     use faultline_linkdist::LinkSpec;
-    use faultline_metric::{Direction, Geometry};
+    use faultline_metric::Geometry;
     use faultline_overlay::{GraphBuilder, LinkKind, OverlayGraph};
     use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
 
-    fn paper_graph(n: u64, ell: usize, seed: u64, ring: bool) -> OverlayGraph {
-        let geometry = if ring {
-            Geometry::ring(n)
-        } else {
-            Geometry::line(n)
-        };
+    fn paper_graph(n: u64, ell: usize, seed: u64) -> OverlayGraph {
+        let geometry = Geometry::line(n);
         let mut rng = StdRng::seed_from_u64(seed);
         GraphBuilder::new(geometry)
             .links_per_node(ell)
@@ -751,19 +667,17 @@ mod tests {
 
     #[test]
     fn healthy_graph_parity_both_modes_and_geometries() {
-        for ring in [false, true] {
-            let graph = paper_graph(1 << 10, 6, 3, ring);
-            let pairs = [(0u64, 1023u64), (512, 3), (17, 18), (9, 9), (1000, 999)];
-            for mode in [GreedyMode::TwoSided, GreedyMode::OneSided] {
-                let router = Router::new().with_mode(mode).with_path_recording(true);
-                assert_parity(router, &graph, &pairs, 11);
-            }
+        let graph = paper_graph(1 << 10, 6, 3);
+        let pairs = [(0u64, 1023u64), (512, 3), (17, 18), (9, 9), (1000, 999)];
+        for mode in [GreedyMode::TwoSided, GreedyMode::OneSided] {
+            let router = Router::new().with_mode(mode).with_path_recording(true);
+            assert_parity(router, &graph, &pairs, 11);
         }
     }
 
     #[test]
     fn damaged_graph_parity_for_all_strategies() {
-        let mut graph = paper_graph(1 << 9, 4, 5, false);
+        let mut graph = paper_graph(1 << 9, 4, 5);
         let mut rng = StdRng::seed_from_u64(6);
         for _ in 0..180 {
             graph.fail_node(rng.gen_range(0..graph.len()));
@@ -791,7 +705,7 @@ mod tests {
 
     #[test]
     fn dead_endpoints_fail_identically() {
-        let mut graph = paper_graph(64, 3, 7, false);
+        let mut graph = paper_graph(64, 3, 7);
         graph.fail_node(5);
         let frozen = graph.freeze();
         let router = Router::new();
@@ -806,7 +720,7 @@ mod tests {
 
     #[test]
     fn scratch_path_tracks_the_latest_route_without_record_path() {
-        let graph = paper_graph(256, 6, 13, false);
+        let graph = paper_graph(256, 6, 13);
         let frozen = graph.freeze();
         let router = Router::new();
         let mut scratch = RouteScratch::new();
@@ -824,7 +738,7 @@ mod tests {
 
     #[test]
     fn disabling_scratch_recording_changes_the_path_buffer_but_not_the_result() {
-        let graph = paper_graph(512, 6, 19, false);
+        let graph = paper_graph(512, 6, 19);
         let frozen = graph.freeze();
         let router = Router::new();
         let mut recording = RouteScratch::new();
@@ -869,53 +783,34 @@ mod tests {
         }
     }
 
-    /// Checks the kernel's private metric against `geometry` over every pair (distance)
-    /// and every triple (the one-sided rule, written from `offset_between`).
-    fn pin_metric<M: CsrMetric>(metric: M, geometry: Geometry) {
-        let n = geometry.len();
-        let dir = |from, to| geometry.offset_between(from, to).1;
-        for a in 0..n {
-            for b in 0..n {
-                assert_eq!(
-                    metric.distance(a, b),
-                    geometry.distance(a, b),
-                    "distance({a},{b}) on {geometry:?}"
-                );
-                for t in 0..n {
-                    // A neighbour `b` of `a` never overshoots `t` if it is `t`, or it
-                    // lies towards `t` from `a` and `t` lies further on from `b`.
-                    let rule = b == t || (dir(a, b) == dir(a, t) && dir(b, t) == dir(a, t));
+    /// Checks the kernel's private distance against the line's over every pair, and
+    /// its one-sided test over every triple (the rule, written from `offset_between`).
+    #[test]
+    fn inlined_distance_matches_geometry_on_line() {
+        for n in 1..=17u64 {
+            let line = Geometry::line(n);
+            let dir = |from, to| line.offset_between(from, to).1;
+            for a in 0..n {
+                for b in 0..n {
                     assert_eq!(
-                        metric.same_side(a, b, t),
-                        rule,
-                        "same_side({a},{b},{t}) on {geometry:?}"
+                        distance(a, b),
+                        line.distance(a, b),
+                        "distance({a},{b}), n {n}"
                     );
+                    for t in 0..n {
+                        // A neighbour `b` of `a` never overshoots `t` if it is `t`, or it
+                        // lies towards `t` from `a` and `t` lies further on from `b`.
+                        let rule = b == t || (dir(a, b) == dir(a, t) && dir(b, t) == dir(a, t));
+                        assert_eq!(same_side(a, b, t), rule, "same_side({a},{b},{t}), n {n}");
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn inlined_distance_matches_geometry_on_line_and_ring() {
-        for n in 1..=17u64 {
-            let (line, ring) = (Geometry::line(n), Geometry::ring(n));
-            for geometry in [line, ring] {
-                let frozen = OverlayGraph::fully_populated(geometry).freeze();
-                assert_eq!(frozen.is_ring(), geometry.is_ring());
-            }
-            pin_metric(LineMetric, line);
-            pin_metric(RingMetric { n }, ring);
-            if n % 2 == 0 {
-                // An antipodal pair is a tie, broken Down on both sides.
-                assert_eq!(ring.offset_between(0, n / 2), (n / 2, Direction::Down));
-                assert_eq!(ring.offset_between(n / 2, 0), (n / 2, Direction::Down));
-            }
-        }
-    }
-
-    #[test]
     fn hop_limit_parity() {
-        let graph = paper_graph(1 << 10, 1, 11, false);
+        let graph = paper_graph(1 << 10, 1, 11);
         let router = Router::new().with_max_hops(1).with_path_recording(true);
         assert_parity(router, &graph, &[(0, 1023)], 12);
     }

@@ -136,12 +136,6 @@ mod tests {
         assert_eq!(best_neighbor(&g, 15, 5, GreedyMode::OneSided, &[]), None);
         g.add_link(15, 5, LinkKind::Long); // exactly on target
         assert_eq!(best_neighbor(&g, 15, 5, GreedyMode::OneSided, &[]), Some(5));
-        // Same boundary on a ring, approaching downwards across the wrap.
-        let mut r = OverlayGraph::fully_populated(Geometry::ring(20));
-        r.add_link(2, 19, LinkKind::Long); // one past target 0, going down
-        assert_eq!(best_neighbor(&r, 2, 0, GreedyMode::OneSided, &[]), None);
-        r.add_link(2, 0, LinkKind::Long);
-        assert_eq!(best_neighbor(&r, 2, 0, GreedyMode::OneSided, &[]), Some(0));
     }
 
     #[test]
@@ -176,16 +170,5 @@ mod tests {
         g.add_link(2, 3, LinkKind::Ring);
         // Only neighbour of 2 is 3, which is farther from target 0.
         assert_eq!(best_neighbor(&g, 2, 0, GreedyMode::TwoSided, &[]), None);
-    }
-
-    #[test]
-    fn ring_routing_wraps() {
-        let mut g = OverlayGraph::fully_populated(Geometry::ring(16));
-        for p in 0..16u64 {
-            g.add_link(p, (p + 1) % 16, LinkKind::Ring);
-            g.add_link(p, (p + 15) % 16, LinkKind::Ring);
-        }
-        // From 1 towards 15 the short way is down through 0.
-        assert_eq!(best_neighbor(&g, 1, 15, GreedyMode::TwoSided, &[]), Some(0));
     }
 }

@@ -5,7 +5,7 @@
 //! `(distance << 32) | label` minimum over a node's row slot — one distance, one
 //! compare, one conditional move per label, with no order-dependence (an unsigned
 //! minimum is associative and commutative). That makes it bit-for-bit
-//! vectorizable: this module computes ring/line metric distances for
+//! vectorizable: this module computes line distances for
 //! [`ROW_STEP`] labels per fold with AVX2 `u32x8` intrinsics, maintaining per-lane
 //! `(distance, label)` lexicographic minima — the same order as the packed `u64`
 //! key — and reducing them to exactly the value the scalar fold produces.
@@ -27,8 +27,11 @@
 //! bit-identical — same `RouteResult`, same RNG stream — which
 //! `tests/frozen_equivalence.rs` pins across both greedy modes and all three
 //! fault strategies. The scalar fold in `frozen.rs` stays as the portable
-//! reference: on these rows it reads ≈75 ns a hop against ≈27 for the vector
-//! scan, so the vector kernel is the one the engine runs wherever it can.
+//! reference. On the paper's rows (`BENCH_route_kernel.json`, n = 2^14 on the
+//! line, ℓ = 16, a 24-label slot; three runs on a 2-vCPU Xeon VM) single walks
+//! read 71–78 ns a hop with the scalar fold against 48–60 with the vector scan,
+//! and a lockstep group of eight reads 38–41 with the vector scan, so the
+//! vector kernel is the one the engine runs wherever it can.
 //!
 //! Soundness: the only way to obtain an AVX2-dispatching [`KernelIsa`] is
 //! [`KernelIsa::detect`], which checks the CPU feature at runtime — the variant
@@ -164,16 +167,15 @@ impl KernelIsa {
     }
 
     /// Runs the vectorized key scan when this kernel is a SIMD one: the minimum
-    /// of `limit` and every packed `(distance << 32) | label` key in `row`
-    /// (ring metric over a space of `n` points when `ring`, line metric
-    /// otherwise). Must not be called on the scalar kernel — the caller's
-    /// scalar fold is the implementation then.
+    /// of `limit` and every packed `(distance << 32) | label` key in `row`.
+    /// Must not be called on the scalar kernel — the caller's scalar fold is
+    /// the implementation then.
     ///
     /// `row` is a whole row slot, a [`ROW_STEP`] multiple long: its `PAD_SENTINEL`
     /// labels reduce to `u64::MAX` keys and can never win.
     #[inline(always)]
     #[must_use]
-    pub(crate) fn scan(self, row: &[u32], ring: bool, n: u64, target: u64, limit: u64) -> u64 {
+    pub(crate) fn scan(self, row: &[u32], target: u64, limit: u64) -> u64 {
         match self.kind {
             // The scalar kernel never calls in here; `best_neighbor_csr` keeps
             // its own fold (over the logical row) as the reference.
@@ -183,13 +185,7 @@ impl KernelIsa {
             // SAFETY: the Avx2 kind only comes from `KernelIsa::detect` after a
             // positive `is_x86_feature_detected!("avx2")` on this very process,
             // so the target features the callees enable are present.
-            IsaKind::Avx2 => unsafe {
-                if ring {
-                    avx2::best_key_ring(row, n, target, limit)
-                } else {
-                    avx2::best_key_line(row, target, limit)
-                }
-            },
+            IsaKind::Avx2 => unsafe { avx2::best_key_line(row, target, limit) },
         }
     }
 }
@@ -200,8 +196,7 @@ mod avx2 {
     //! lanes — eight neighbours per `__m256i`, every op single-cycle — because
     //! both halves of the packed key fit `u32`: labels are `u32` by
     //! construction (the space has at most `u32::MAX` points, `PAD_SENTINEL`
-    //! is reserved), ring distances are at most `n/2 < u32::MAX`, and line
-    //! distances at most `n - 1 < u32::MAX`. Each chunk's distances are then
+    //! is reserved) and distances are at most `n - 1 < u32::MAX`. Each chunk's distances are then
     //! interleaved with their labels (`unpacklo/hi_epi32`) into packed
     //! `(distance << 32) | label` keys — the very keys the scalar fold
     //! compares — and reduced with a `u64` lane-wise minimum into two
@@ -212,11 +207,11 @@ mod avx2 {
 
     use super::ROW_STEP;
     use core::arch::x86_64::{
-        __m256i, _mm256_add_epi32, _mm256_and_si256, _mm256_blendv_epi8, _mm256_castsi256_si128,
-        _mm256_cmpeq_epi32, _mm256_cmpgt_epi32, _mm256_cmpgt_epi64, _mm256_extracti128_si256,
-        _mm256_loadu_si256, _mm256_max_epu32, _mm256_min_epu32, _mm256_or_si256, _mm256_set1_epi32,
-        _mm256_set1_epi64x, _mm256_sub_epi32, _mm256_unpackhi_epi32, _mm256_unpacklo_epi32,
-        _mm256_xor_si256, _mm_blendv_epi8, _mm_cmpgt_epi64, _mm_cvtsi128_si64, _mm_unpackhi_epi64,
+        __m256i, _mm256_blendv_epi8, _mm256_castsi256_si128, _mm256_cmpeq_epi32,
+        _mm256_cmpgt_epi64, _mm256_extracti128_si256, _mm256_loadu_si256, _mm256_max_epu32,
+        _mm256_min_epu32, _mm256_or_si256, _mm256_set1_epi32, _mm256_set1_epi64x, _mm256_sub_epi32,
+        _mm256_unpackhi_epi32, _mm256_unpacklo_epi32, _mm256_xor_si256, _mm_blendv_epi8,
+        _mm_cmpgt_epi64, _mm_cvtsi128_si64, _mm_unpackhi_epi64,
     };
 
     /// XOR mask flipping a `u32`'s sign bit. Applied to the 32-bit distance
@@ -291,38 +286,7 @@ mod avx2 {
         unsafe { _mm256_loadu_si256(chunk.as_ptr().cast()) }
     }
 
-    /// `min(limit, packed keys of row)` under the **ring** metric (shorter arc
-    /// on a ring of `n` points).
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
-    // SAFETY: `#[target_feature]` makes this unsafe-to-call; the body only uses
-    // AVX2 intrinsics, available under the caller's contract above.
-    pub(super) unsafe fn best_key_ring(row: &[u32], n: u64, target: u64, limit: u64) -> u64 {
-        debug_assert!(n <= u64::from(u32::MAX), "labels are u32; so is the space");
-        let sign = _mm256_set1_epi32(SIGN_FLIP as i32);
-        let n_v = _mm256_set1_epi32(n as u32 as i32);
-        let target_v = _mm256_set1_epi32(target as u32 as i32);
-        let target_f = _mm256_xor_si256(target_v, sign);
-        let mut best = Acc::seed(limit);
-        for chunk in steps(row) {
-            let labels = load(chunk);
-            // Clockwise arc label -> target: (target - label) mod 2^32, plus n on
-            // the lanes where label > target (unsigned, via the sign-flipped
-            // domain). Exact because the true arc is in [0, n) and n fits u32.
-            let wraps = _mm256_cmpgt_epi32(_mm256_xor_si256(labels, sign), target_f);
-            let t = _mm256_sub_epi32(target_v, labels);
-            let cw = _mm256_add_epi32(t, _mm256_and_si256(wraps, n_v));
-            // Shorter arc: unsigned min(cw, n - cw), one instruction each way.
-            let dist = _mm256_min_epu32(cw, _mm256_sub_epi32(n_v, cw));
-            best.fold8(dist, labels, sign);
-        }
-        best.reduce()
-    }
-
-    /// `min(limit, packed keys of row)` under the **line** metric (absolute
+    /// `min(limit, packed keys of row)` under the line's metric (absolute
     /// difference).
     ///
     /// # Safety
@@ -356,24 +320,14 @@ mod tests {
     use super::*;
 
     /// The scalar reference fold the AVX2 lanes must reproduce bit for bit.
-    fn scalar_best(row: &[u32], ring: bool, n: u64, target: u64, limit: u64) -> u64 {
+    fn scalar_best(row: &[u32], target: u64, limit: u64) -> u64 {
         let mut best = limit;
         for &label in row {
             if label == faultline_overlay::PAD_SENTINEL {
                 continue;
             }
             let label = u64::from(label);
-            let dist = if ring {
-                let cw = if target >= label {
-                    target - label
-                } else {
-                    n - (label - target)
-                };
-                cw.min(n - cw)
-            } else {
-                label.abs_diff(target)
-            };
-            best = best.min((dist << 32) | label);
+            best = best.min((label.abs_diff(target) << 32) | label);
         }
         best
     }
@@ -396,25 +350,20 @@ mod tests {
         }
         // Every logical row length 0..=4*ROW_STEP in a slot of every stride that
         // holds it (so: all-sentinel slots, full slots, every tail length),
-        // near-wrap labels, extreme distances (keys with bit 63 set), and limits
-        // both permissive and already-optimal.
+        // labels at both ends of the space, extreme distances (keys with bit 63
+        // set), and limits both permissive and already-optimal.
         let n = u64::from(u32::MAX) - 1;
-        for ring in [false, true] {
-            for len in 0..=4 * ROW_STEP {
-                for steps in len.div_ceil(ROW_STEP).max(1)..=5 {
-                    let mut row: Vec<u32> = (0..len)
-                        .map(|i| (i as u32).wrapping_mul(0x9E37_79B9) % (n as u32 - 1))
-                        .collect();
-                    row.resize(steps * ROW_STEP, faultline_overlay::PAD_SENTINEL);
-                    for target in [0u64, 1, n / 2, n - 1] {
-                        for limit in [u64::MAX, n << 32, 1 << 32, 0] {
-                            let want = scalar_best(&row, ring, n, target, limit);
-                            let got = isa.scan(&row, ring, n, target, limit);
-                            assert_eq!(
-                                got, want,
-                                "len={len} steps={steps} ring={ring} target={target}"
-                            );
-                        }
+        for len in 0..=4 * ROW_STEP {
+            for steps in len.div_ceil(ROW_STEP).max(1)..=5 {
+                let mut row: Vec<u32> = (0..len)
+                    .map(|i| (i as u32).wrapping_mul(0x9E37_79B9) % (n as u32 - 1))
+                    .collect();
+                row.resize(steps * ROW_STEP, faultline_overlay::PAD_SENTINEL);
+                for target in [0u64, 1, n / 2, n - 1] {
+                    for limit in [u64::MAX, n << 32, 1 << 32, 0] {
+                        let want = scalar_best(&row, target, limit);
+                        let got = isa.scan(&row, target, limit);
+                        assert_eq!(got, want, "len={len} steps={steps} target={target}");
                     }
                 }
             }

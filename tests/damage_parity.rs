@@ -1,13 +1,13 @@
 //! The paper's node-failure experiment (Figure 6) walked three ways, in nested
-//! damage steps: the live walk over the overlay, the frozen walk over a fresh
-//! freeze, and the frozen walk over one snapshot patched forward by each step's
-//! failure delta. A crash only flips the patched snapshot's alive bits, so its rows
-//! keep every dead target and the walk skips them by that bitset. All three must
-//! agree on every pair, every step and every fault strategy; the suite's
+//! damage steps and a heal: the live walk over the overlay, the frozen walk over a
+//! fresh freeze, and the frozen walk over one snapshot patched forward by each
+//! step's delta. A crash or a heal only flips the patched snapshot's alive bits, so
+//! its rows keep every dead target and the walk skips them by that bitset. All three
+//! must agree on every pair, every step and every fault strategy; the suite's
 //! `FAULTLINE_FORCE_SCALAR=1` run covers the scalar fold as the default run covers
 //! the vector one.
 
-use faultline::failure::{FailurePlan, NodeFailure};
+use faultline::failure::{revive_nodes_with_delta, FailurePlan, NodeFailure};
 use faultline::linkdist::LinkSpec;
 use faultline::metric::Geometry;
 use faultline::overlay::{FrozenRoutes, GraphBuilder};
@@ -24,7 +24,7 @@ const PAIRS: usize = 4_000;
 fn live_fresh_and_patched_walks_agree_at_every_damage_level() {
     let n = 1u64 << LOG_N;
     let mut rng = StdRng::seed_from_u64(2002);
-    let mut graph = GraphBuilder::new(Geometry::ring(n))
+    let mut graph = GraphBuilder::new(Geometry::line(n))
         .links_per_node(LOG_N as usize)
         .build(LinkSpec::paper_default(), &mut rng);
     let mut patched = graph.freeze();
@@ -34,16 +34,35 @@ fn live_fresh_and_patched_walks_agree_at_every_damage_level() {
         FaultStrategy::single_reroute(),
     ];
     let mut scratch = RouteScratch::new();
-    for p in [0.1, 0.3, 0.5] {
-        // Nested: each step crashes only the nodes that take the dead share to `p`.
-        let dead = n - graph.alive_count();
-        let more = (p * n as f64).round() as u64 - dead;
-        let report = NodeFailure::count(more).apply(&mut graph, &mut rng);
-        assert_eq!(report.failed_node_count(), more);
-        let stats = patched.apply_delta(&graph, &report.delta(&graph));
-        assert_eq!((stats.rows_patched, stats.alive_flips), (0, more as usize));
+    // Three crash steps to a dead share `p`, then (`None`) the heal of every crash.
+    for step in [Some(0.1), Some(0.3), Some(0.5), None] {
+        let (delta, flips) = match step {
+            // Nested: each step crashes only the nodes that take the dead share to `p`.
+            Some(p) => {
+                let dead = n - graph.alive_count();
+                let more = (p * n as f64).round() as u64 - dead;
+                let report = NodeFailure::count(more).apply(&mut graph, &mut rng);
+                assert_eq!(report.failed_node_count(), more);
+                (report.delta(&graph), more)
+            }
+            None => {
+                let crashed: Vec<u64> = (0..n).filter(|&v| !graph.is_alive(v)).collect();
+                let revived = crashed.len() as u64;
+                (revive_nodes_with_delta(&mut graph, &crashed), revived)
+            }
+        };
+        let step_name = step.map_or("heal".to_string(), |p| format!("p = {p}"));
+        let stats = patched.apply_delta(&graph, &delta);
+        assert_eq!(
+            (stats.rows_patched, stats.alive_flips),
+            (0, flips as usize),
+            "{step_name}"
+        );
         let fresh = graph.freeze();
-        assert_eq!(patched, fresh, "p = {p}: patched snapshot != fresh freeze");
+        assert_eq!(
+            patched, fresh,
+            "{step_name}: patched snapshot != fresh freeze"
+        );
 
         let alive = graph.alive_nodes();
         for strategy in strategies {
@@ -66,19 +85,25 @@ fn live_fresh_and_patched_walks_agree_at_every_damage_level() {
                 };
                 let (live, on_fresh, on_patched) =
                     (walk(None), walk(Some(&fresh)), walk(Some(&patched)));
-                let at = format!("p = {p}, {strategy:?}, {source} -> {target}");
+                let at = format!("{step_name}, {strategy:?}, {source} -> {target}");
                 assert_eq!(live, on_fresh, "{at}: live vs fresh freeze");
                 assert_eq!(live, on_patched, "{at}: live vs patched snapshot");
                 delivered += usize::from(live.0);
             }
-            // Not a trivial agreement: every step delivers some pairs, and at p = 0.5
-            // greedy routing without backtracking drops a good share of them.
-            assert!(delivered > 0, "p = {p}, {strategy:?}: nothing delivered");
-            if p == 0.5 && strategy == FaultStrategy::Terminate {
-                assert!(
+            // Not a trivial agreement: every step delivers some pairs, at p = 0.5
+            // greedy routing without backtracking drops a good share of them, and
+            // the healed overlay is the undamaged one again, which delivers all.
+            assert!(
+                delivered > 0,
+                "{step_name}, {strategy:?}: nothing delivered"
+            );
+            match step {
+                Some(p) if p == 0.5 && strategy == FaultStrategy::Terminate => assert!(
                     delivered < PAIRS / 2,
                     "p = 0.5 Terminate delivered {delivered}"
-                );
+                ),
+                None => assert_eq!(delivered, PAIRS, "heal, {strategy:?}"),
+                Some(_) => {}
             }
         }
     }

@@ -157,10 +157,9 @@ fn incremental_network_supports_churn_and_keeps_its_invariants() {
 }
 
 #[test]
-fn one_sided_and_ring_configurations_work_end_to_end() {
+fn one_sided_configuration_works_end_to_end() {
     let mut rng = StdRng::seed_from_u64(6);
     let config = NetworkConfig::paper_default(1 << 10)
-        .ring(true)
         .greedy_mode(GreedyMode::OneSided)
         .links_per_node(8);
     let network = Network::build(&config, &mut rng);
