@@ -14,7 +14,7 @@ use faultline_construction::ReplacementStrategy;
 use faultline_core::{BatchStats, ConstructionMode, LinkSpec, Network, NetworkConfig};
 use faultline_failure::{NodeFailure, RegionFailure};
 use faultline_overlay::stats::LinkLengthDistribution;
-use faultline_routing::FaultStrategy;
+use faultline_routing::{FaultStrategy, RouteScratch};
 use faultline_sim::run_trials;
 
 /// One row of the exponent sweep.
@@ -99,8 +99,10 @@ pub fn replacement_ablation(
             let graph = network.graph();
             let dist = LinkLengthDistribution::measure(graph);
             let mean_long = (0..n).map(|p| graph.long_degree(p) as f64).sum::<f64>() / n as f64;
+            let (router, frozen) = (network.router(), graph.freeze());
+            let mut scratch = RouteScratch::new().with_path_recording(false);
             let stats = route_many(&graph.alive_nodes(), 1, messages, rng, |_, s, t, rng| {
-                network.route(s, t, rng)
+                router.route_frozen(&frozen, s, t, rng, &mut scratch)
             });
             (dist, stats[0], mean_long)
         });

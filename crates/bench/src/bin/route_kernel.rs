@@ -8,10 +8,14 @@
 //! overlay per links-per-node cell, the identical seeded query
 //! stream routed with the kernel pinned scalar, with the dispatched ISA one walk
 //! at a time, and with the dispatched ISA through a
-//! [`WalkGroup`](faultline_core::routing::WalkGroup), best-of rounds per side,
-//! and the wall time divided by the hops actually taken. Row length sets the
-//! snapshot's stride, and so how many vector steps a scan is, so the table sweeps
-//! it explicitly.
+//! [`WalkGroup`](faultline_core::routing::WalkGroup), and the wall time divided by
+//! the hops actually taken. Row length sets the snapshot's stride, and so how many
+//! vector steps a scan is, so the table sweeps it explicitly.
+//!
+//! Every side of a cell runs `ROUNDS` times, the three sides taking turns within a
+//! round so that a slow spell of the machine reaches all of them. Every round's reading
+//! is kept, and each side reports its median and its min–max ns/hop: a cell whose
+//! range is wide cannot tell a change of that size from noise.
 //!
 //! All three sides must agree on every route (delivery, hops, recoveries; the
 //! digest is order-independent because a group finishes walks out of order) — the
@@ -33,26 +37,46 @@ use rand::SeedableRng;
 /// the stride (2 → one 8-label step a scan; 16 → three).
 const LINK_SWEEP: [usize; 4] = [2, 4, 8, 16];
 
-/// Measurement rounds per side of a cell; each side keeps its best (fastest)
-/// round, since scheduler noise only ever adds time.
-const ROUNDS: usize = 3;
+/// Measurement rounds per cell; each round runs every side once, in turn. Odd, so
+/// the median is one round's reading.
+const ROUNDS: usize = 7;
 
-/// Measures one side (one kernel, one walker) of a cell: the fastest of
-/// [`ROUNDS`] passes. Every pass routes alike, so only the clock differs.
-fn measure(
-    walker: Walker,
-    router: Router,
-    frozen: &faultline_overlay::FrozenRoutes,
-    pairs: &[(u64, u64)],
-    seed: u64,
-    scratch: &mut RouteScratch,
-) -> StreamRun {
-    let mut best = run_stream(walker, router, frozen, pairs, seed, scratch);
-    for _ in 1..ROUNDS {
-        let run = run_stream(walker, router, frozen, pairs, seed, scratch);
-        best.nanos = best.nanos.min(run.nanos);
+/// Every round's ns/hop of one side of a cell, ascending.
+struct Spread(Vec<f64>);
+
+impl Spread {
+    fn of(runs: &[StreamRun]) -> Self {
+        let mut readings: Vec<f64> = runs.iter().map(StreamRun::ns_per_hop).collect();
+        readings.sort_by(f64::total_cmp);
+        Self(readings)
     }
-    best
+
+    fn median(&self) -> f64 {
+        self.0[self.0.len() / 2]
+    }
+
+    fn min(&self) -> f64 {
+        self.0[0]
+    }
+
+    fn max(&self) -> f64 {
+        self.0[self.0.len() - 1]
+    }
+
+    /// `median [min-max]`, as the table prints it.
+    fn cell(&self) -> String {
+        format!("{:.2} [{:.2}-{:.2}]", self.median(), self.min(), self.max())
+    }
+
+    /// The side's three JSON fields, `{side}_ns_per_hop` the median.
+    fn json(&self, side: &str) -> String {
+        format!(
+            "\"{side}_ns_per_hop\":{:.3},\"{side}_ns_per_hop_min\":{:.3},\"{side}_ns_per_hop_max\":{:.3}",
+            self.median(),
+            self.min(),
+            self.max()
+        )
+    }
 }
 
 fn main() {
@@ -62,12 +86,13 @@ fn main() {
     let seed = args.seed;
     let detected = KernelIsa::detect();
     println!(
-        "# route_kernel: n = {nodes}, {queries} queries/cell, dispatched isa {} ({} lanes), best of {ROUNDS} rounds/side",
+        "# route_kernel: n = {nodes}, {queries} queries/cell, dispatched isa {} ({} lanes), \
+         {ROUNDS} rounds/side, ns/hop as median [min-max]",
         detected.label(),
         detected.lanes(),
     );
     println!(
-        "{:>6} {:>7}   {:>14} {:>14} {:>9}   {:>16}   {:>10}",
+        "{:>6} {:>7}   {:>22} {:>22} {:>9}   {:>22}   {:>10}",
         "links", "stride", "scalar ns/hop", "simd ns/hop", "speedup", "lockstep ns/hop", "hops"
     );
 
@@ -89,62 +114,63 @@ fn main() {
             .collect();
         // Path recording off, matching the engine's per-worker hot-path
         // scratch: the reading is about the distance scan, not `Vec` pushes.
-        let mut scalar_scratch = RouteScratch::new()
-            .with_path_recording(false)
-            .with_kernel(KernelIsa::scalar());
-        let mut simd_scratch = RouteScratch::new().with_path_recording(false);
-        let single = Walker::Single;
-        let scalar = measure(single, router, &frozen, &pairs, seed, &mut scalar_scratch);
-        let simd = measure(single, router, &frozen, &pairs, seed, &mut simd_scratch);
-        let lockstep = measure(
-            Walker::Lockstep,
-            router,
-            &frozen,
-            &pairs,
-            seed,
-            &mut simd_scratch,
-        );
-        assert_eq!(
-            scalar.digest, simd.digest,
-            "kernel divergence at {links} links: SIMD must be bit-identical"
-        );
-        assert_eq!(
-            simd.digest, lockstep.digest,
-            "driver divergence at {links} links: a group must route like single walks"
-        );
-        assert_eq!(scalar.delivered, simd.delivered);
-        assert_eq!(lockstep.hops, simd.hops);
-        let (scalar_ns, simd_ns) = (scalar.ns_per_hop(), simd.ns_per_hop());
-        let lockstep_ns = lockstep.ns_per_hop();
-        let speedup = if simd_ns > 0.0 {
-            scalar_ns / simd_ns
+        let scratch = RouteScratch::new().with_path_recording(false);
+        let mut sides = [
+            (
+                Walker::Single,
+                scratch.clone().with_kernel(KernelIsa::scalar()),
+            ),
+            (Walker::Single, scratch.clone()),
+            (Walker::Lockstep, scratch),
+        ];
+        let mut runs: [Vec<StreamRun>; 3] = Default::default();
+        for _ in 0..ROUNDS {
+            for ((walker, scratch), runs) in sides.iter_mut().zip(&mut runs) {
+                runs.push(run_stream(*walker, router, &frozen, &pairs, seed, scratch));
+            }
+        }
+        let [scalar, simd, lockstep] = &runs;
+        let first = simd[0];
+        for run in scalar.iter().chain(simd) {
+            assert_eq!(
+                (run.digest, run.delivered, run.hops),
+                (first.digest, first.delivered, first.hops),
+                "kernel divergence at {links} links: SIMD must be bit-identical"
+            );
+        }
+        for run in lockstep {
+            assert_eq!(
+                (run.digest, run.hops),
+                (first.digest, first.hops),
+                "driver divergence at {links} links: a group must route like single walks"
+            );
+        }
+        let [scalar, simd, lockstep] = runs.each_ref().map(|runs| Spread::of(runs));
+        let speedup = if simd.median() > 0.0 {
+            scalar.median() / simd.median()
         } else {
             0.0
         };
         println!(
-            "{:>6} {:>7}   {:>14.2} {:>14.2} {:>8.2}x   {:>16.2}   {:>10}",
+            "{:>6} {:>7}   {:>22} {:>22} {:>8.2}x   {:>22}   {:>10}",
             links,
             frozen.stride(),
-            scalar_ns,
-            simd_ns,
+            scalar.cell(),
+            simd.cell(),
             speedup,
-            lockstep_ns,
-            simd.hops
+            lockstep.cell(),
+            first.hops
         );
         cells.push(format!(
-            concat!(
-                "{{\"links\":{},\"stride\":{},",
-                "\"scalar_ns_per_hop\":{:.3},\"simd_ns_per_hop\":{:.3},\"speedup\":{:.3},",
-                "\"lockstep_ns_per_hop\":{:.3},\"hops\":{},\"delivered\":{}}}"
-            ),
+            "{{\"links\":{},\"stride\":{},{},{},\"speedup\":{:.3},{},\"hops\":{},\"delivered\":{}}}",
             links,
             frozen.stride(),
-            scalar_ns,
-            simd_ns,
+            scalar.json("scalar"),
+            simd.json("simd"),
             speedup,
-            lockstep_ns,
-            simd.hops,
-            simd.delivered,
+            lockstep.json("lockstep"),
+            first.hops,
+            first.delivered,
         ));
     }
 

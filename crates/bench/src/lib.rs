@@ -14,14 +14,17 @@
 //! | Baseline comparison (Chord / Kleinberg / Plaxton) | [`baseline_cmp`] | `baseline_comparison` |
 //! | Declarative scenarios (`examples/scenarios/*.toml`) and the engine perf gate | [`scenario_run`] | `engine_throughput --scenario PATH` (runs the files, gates eight readings) |
 //! | Distance-scan kernel, ns/hop (scalar vs SIMD vs lockstep) | [`kernel`] | `route_kernel` |
-//! | The trial loop the routing experiments share | [`trial`] | — |
+//! | The trial loop the routing experiments share (frozen snapshot, patched per step) | [`trial`] | — |
 //!
-//! Every routing experiment runs on [`trial`]: a trial builds one network, applies the
-//! experiment's failure steps cumulatively and, after each, routes the same message pairs
-//! with every strategy. Figures 6 and 7 nest their steps so that the failed set after each
-//! has the distribution of a fresh draw at that level, which keeps each cell the paper's
-//! "set up afresh, and a fraction p of the nodes fail"; Table 1 and the probes take one
-//! step a network.
+//! Every routing experiment runs on [`trial`]: a trial builds one network, freezes it,
+//! applies the experiment's failure steps cumulatively, patches the snapshot with each
+//! step's delta and, after each, routes the same message pairs with every strategy through
+//! the frozen walk the engine ships. Figures 6 and 7 nest their steps so that the failed
+//! set after each has the distribution of a fresh draw at that level, which keeps each
+//! cell the paper's "set up afresh, and a fraction p of the nodes fail"; Table 1 and the
+//! probes take one step a network. The live walk is the reference the parity tests hold
+//! the snapshot to, not a path here; `NetworkView` is kept only as the `freeze()` shim
+//! the benchmark calls.
 //!
 //! The experiment functions are ordinary library code so the integration tests run them at
 //! tiny scale to validate the *shape* of every result (monotonicity, orderings,

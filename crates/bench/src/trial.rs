@@ -1,13 +1,18 @@
 //! The one trial loop behind every routing experiment: build a network once, damage it in
 //! steps, and route every strategy over the same damage.
 //!
+//! A trial routes on the snapshot the engine ships: it freezes the network once, patches
+//! the [`FrozenRoutes`](faultline_overlay::FrozenRoutes) with each step's delta and walks
+//! it with [`Router::route_frozen`]. The live walk ([`Router::route`]) draws and routes
+//! exactly alike (`tests/damage_parity.rs`); it is the reference, not a path here.
+//!
 //! Greedy steps draw no randomness, so over the same pairs a message Terminate delivers
 //! is delivered on the same path by the recovering strategies: their gap is exact.
 
 use faultline_core::{BatchStats, Network, NetworkConfig};
 use faultline_failure::FailurePlan;
 use faultline_overlay::NodeId;
-use faultline_routing::{FaultStrategy, RouteResult, Router};
+use faultline_routing::{FaultStrategy, RouteResult, RouteScratch, Router};
 use faultline_sim::run_trials;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -53,6 +58,9 @@ where
 /// Applies `steps` to `network` one after another and, after each, routes `messages`
 /// random pairs with every strategy over the damaged overlay. Returns
 /// `tallies[step][strategy]`.
+///
+/// The network is frozen once; each step's delta patches that snapshot, and every walk
+/// runs over it through one scratch.
 pub fn damage_and_route(
     network: &mut Network,
     steps: &[Step<'_>],
@@ -64,17 +72,20 @@ pub fn damage_and_route(
         .iter()
         .map(|&s| network.router().with_strategy(s))
         .collect();
+    let mut frozen = network.graph().freeze();
+    let mut scratch = RouteScratch::new().with_path_recording(false);
     steps
         .iter()
         .map(|&step| {
-            network.apply_failure(step, rng);
+            let (_, delta) = network.apply_failure_delta(step, rng);
             let graph = network.graph();
+            frozen.apply_delta(graph, &delta);
             route_many(
                 &graph.alive_nodes(),
                 routers.len(),
                 messages,
                 rng,
-                |i, s, t, rng| routers[i].route(graph, s, t, rng),
+                |i, s, t, rng| routers[i].route_frozen(&frozen, s, t, rng, &mut scratch),
             )
         })
         .collect()
@@ -112,6 +123,7 @@ pub fn sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fig6::{nested_steps, paper_strategies, Fig6Config};
     use faultline_failure::NodeFailure;
 
     #[test]
@@ -139,5 +151,47 @@ mod tests {
         assert_eq!(network.alive_count(), 4);
         assert_eq!(tallies.len(), 4);
         assert!(tallies.iter().all(|t| t.len() == 1 && t[0].messages == 10));
+    }
+
+    /// The snapshot loop against the loop it replaced, which routed every pair on the
+    /// live graph with `Router::route`: same seeds, same cells.
+    #[test]
+    fn snapshot_trials_tally_like_live_trials() {
+        let config = Fig6Config {
+            fractions: (0..=5).map(|i| f64::from(i) / 10.0).collect(),
+            ..Fig6Config::quick(1 << 10, 1, 300, 48)
+        };
+        let plans = nested_steps(&config);
+        let steps: Vec<Step<'_>> = plans.iter().map(|plan| plan as Step<'_>).collect();
+        let strategies = paper_strategies().map(|(_, strategy)| strategy);
+        let network_config =
+            NetworkConfig::paper_default(config.nodes).links_per_node(config.links);
+        for trial in 0..4 {
+            let mut rng = faultline_sim::trial_rng(config.seed, trial);
+            let mut network = Network::build(&network_config, &mut rng);
+            let snapshot =
+                damage_and_route(&mut network, &steps, &strategies, config.messages, &mut rng);
+
+            let mut rng = faultline_sim::trial_rng(config.seed, trial);
+            let mut network = Network::build(&network_config, &mut rng);
+            let routers = strategies.map(|s| network.router().with_strategy(s));
+            let live: Vec<Vec<BatchStats>> = steps
+                .iter()
+                .map(|&step| {
+                    network.apply_failure(step, &mut rng);
+                    let graph = network.graph();
+                    route_many(
+                        &graph.alive_nodes(),
+                        routers.len(),
+                        config.messages,
+                        &mut rng,
+                        |i, s, t, rng| routers[i].route(graph, s, t, rng),
+                    )
+                })
+                .collect();
+            assert_eq!(snapshot, live, "trial {trial}");
+            // Not a trivial agreement: at p = 0.5 Terminate fails searches.
+            assert!(live[5][0].failed > 0, "trial {trial}");
+        }
     }
 }

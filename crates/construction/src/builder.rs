@@ -37,18 +37,6 @@ impl IncrementalBuilder {
         self
     }
 
-    /// The geometry being built over.
-    #[must_use]
-    pub fn geometry(&self) -> Geometry {
-        self.geometry
-    }
-
-    /// Number of long links per node.
-    #[must_use]
-    pub fn links_per_node(&self) -> usize {
-        self.ell
-    }
-
     /// Builds a network in which **every** grid point joins, in a uniformly random
     /// arrival order.
     pub fn build_full<R: Rng>(&self, rng: &mut R) -> OverlayGraph {
@@ -87,8 +75,6 @@ mod tests {
     #[test]
     fn full_build_populates_every_point() {
         let builder = IncrementalBuilder::new(Geometry::line(512), 6);
-        assert_eq!(builder.links_per_node(), 6);
-        assert_eq!(builder.geometry(), Geometry::line(512));
         let mut rng = StdRng::seed_from_u64(0);
         let g = builder.build_full(&mut rng);
         assert_eq!(g.present_count(), 512);

@@ -192,21 +192,6 @@ impl Network {
         self.router.route(self.graph(), source, target, rng)
     }
 
-    /// Routes a message between two uniformly random alive nodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::NoAliveNodes`] if fewer than two nodes are alive.
-    pub fn route_random<R: Rng>(&self, rng: &mut R) -> Result<RouteResult, CoreError> {
-        let alive = self.graph().alive_nodes();
-        if alive.len() < 2 {
-            return Err(CoreError::NoAliveNodes);
-        }
-        let source = alive[rng.gen_range(0..alive.len())];
-        let target = alive[rng.gen_range(0..alive.len())];
-        Ok(self.route(source, target, rng))
-    }
-
     /// Routes `count` messages between random alive node pairs and aggregates the result —
     /// one "simulation" in the sense of Section 6.
     ///
@@ -492,7 +477,6 @@ mod tests {
         let key = Key::from_name("stamp");
         net.insert(key, vec![1]).unwrap();
         assert!(net.route(0, 200, &mut rng).is_delivered());
-        net.route_random(&mut rng).unwrap();
         net.route_random_batch(20, &mut rng).unwrap();
         net.lookup_from(3, &key, &mut rng).unwrap();
         net.lookup_route(3, &key, &mut rng).unwrap();

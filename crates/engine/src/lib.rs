@@ -5,8 +5,7 @@
 //! cannot express.
 //!
 //! The engine executes **batches** of greedy lookups across a pool of worker threads
-//! (rayon-style fork–join), over a read-mostly [`NetworkView`](faultline_core::NetworkView)
-//! of the overlay:
+//! (rayon-style fork–join), over a compiled snapshot of the overlay:
 //!
 //! * **Sharding** — the metric space is divided into [`NUM_BUCKETS`] buckets; each query
 //!   is assigned to one of 16 shards by its source bucket, and each shard owns a

@@ -378,7 +378,7 @@ impl QueryEngine {
         // honest path bit for bit.
         let byzantine = match (self.config.byzantine_config(), self.adversaries.as_ref()) {
             (Some(spec), Some(set)) if !set.is_empty() => Some((
-                RedundantRouter::new(network.view().router(), spec.redundancy_factor()),
+                RedundantRouter::new(network.router(), spec.redundancy_factor()),
                 set,
             )),
             _ => None,
@@ -876,17 +876,17 @@ mod tests {
 
     /// Holds the cache-less engine, at 1 and 6 threads, to the reference it must be
     /// indistinguishable from: the batch replayed as a sequential loop of live-graph
-    /// walks (`NetworkView::route_seeded` — `Router::route` over the `OverlayGraph`)
-    /// with the engine's per-query seeds. Returns the reference outcomes.
+    /// walks (`Router::route` over the `OverlayGraph`, a `StdRng` seeded with the
+    /// engine's per-query seed). Returns the reference outcomes.
     fn assert_matches_reference_walk(net: &Network, batch: &QueryBatch) -> Vec<(bool, u64, u64)> {
-        let view = net.view();
+        let router = net.router();
         let reference: Vec<_> = batch
             .pairs()
             .iter()
             .enumerate()
             .map(|(index, &(source, target))| {
-                let seed = seed_for_trial(batch.seed(), index as u64);
-                let result = view.route_seeded(source, target, seed);
+                let mut rng = StdRng::seed_from_u64(seed_for_trial(batch.seed(), index as u64));
+                let result = router.route(net.graph(), source, target, &mut rng);
                 (result.is_delivered(), result.hops, result.recoveries)
             })
             .collect();

@@ -53,7 +53,7 @@ fn assert_byzantine_lane_matches_live_route(
         .expect("byzantine engine resolves a set")
         .clone();
     let batch = QueryBatch::uniform_honest(net, 400, batch_seed, &adversaries);
-    let router = RedundantRouter::new(net.view().router(), spec.redundancy_factor());
+    let router = RedundantRouter::new(net.router(), spec.redundancy_factor());
     let expected: Vec<(QueryOutcome, OutcomeExtras)> = batch
         .pairs()
         .iter()

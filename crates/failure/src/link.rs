@@ -37,10 +37,6 @@ impl LinkFailure {
 }
 
 impl FailurePlan for LinkFailure {
-    fn name(&self) -> String {
-        format!("link-failure(p={})", self.presence)
-    }
-
     fn apply(&self, graph: &mut OverlayGraph, rng: &mut dyn RngCore) -> FailureReport {
         let presence = self.presence;
         let mut failed_links = Vec::new();

@@ -103,14 +103,6 @@ impl NodeFailure {
 }
 
 impl FailurePlan for NodeFailure {
-    fn name(&self) -> String {
-        match self.mode {
-            NodeFailureMode::Fraction(f) => format!("node-failure(fraction={f})"),
-            NodeFailureMode::Independent(p) => format!("node-failure(independent p={p})"),
-            NodeFailureMode::Count(c) => format!("node-failure(count={c})"),
-        }
-    }
-
     fn apply(&self, graph: &mut OverlayGraph, rng: &mut dyn RngCore) -> FailureReport {
         let victims = self.select_victims(graph, rng);
         for &v in &victims {
@@ -209,12 +201,5 @@ mod tests {
         assert!((frac - 0.7).abs() < 0.03, "presence fraction {frac}");
         let empty_guard = binomial_present_set(10, 0.0, &mut rng);
         assert_eq!(empty_guard.len(), 1);
-    }
-
-    #[test]
-    fn names_describe_the_mode() {
-        assert!(NodeFailure::fraction(0.5).name().contains("fraction"));
-        assert!(NodeFailure::independent(0.5).name().contains("independent"));
-        assert!(NodeFailure::count(5).name().contains("count"));
     }
 }

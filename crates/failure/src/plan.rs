@@ -55,9 +55,6 @@ impl FailureReport {
 /// network, *then* fail a fraction of it, then measure routing), and must be
 /// deterministic functions of the supplied RNG so experiments are reproducible.
 pub trait FailurePlan: std::fmt::Debug {
-    /// Human-readable name for benchmark output.
-    fn name(&self) -> String;
-
     /// Damages `graph` in place, drawing randomness from `rng`, and reports every
     /// node it crashed and every link it killed — what
     /// [`FailureReport::delta`] reads the changed rows from.

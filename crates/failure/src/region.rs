@@ -59,13 +59,6 @@ impl RegionFailure {
 }
 
 impl FailurePlan for RegionFailure {
-    fn name(&self) -> String {
-        match self.start {
-            Some(s) => format!("region-failure(start={s}, width={})", self.width),
-            None => format!("region-failure(random, width={})", self.width),
-        }
-    }
-
     fn apply(&self, graph: &mut OverlayGraph, rng: &mut dyn RngCore) -> FailureReport {
         let failed = self.select_victims(graph, rng);
         for &p in &failed {

@@ -77,10 +77,9 @@ fn emitted_deltas_describe_the_damaged_graph_exactly() {
         let report = plan.apply(&mut g, &mut StdRng::seed_from_u64(42));
         assert!(
             !report.failed_nodes.is_empty() || !report.failed_links.is_empty(),
-            "{}: damaged nothing",
-            plan.name()
+            "{plan:?}: damaged nothing"
         );
-        assert_exact(&plan.name(), &before, &report, &g);
+        assert_exact(&format!("{plan:?}"), &before, &report, &g);
     }
 }
 

@@ -28,10 +28,11 @@
 //! `tests/frozen_equivalence.rs` pins across both greedy modes and all three
 //! fault strategies. The scalar fold in `frozen.rs` stays as the portable
 //! reference. On the paper's rows (`BENCH_route_kernel.json`, n = 2^14 on the
-//! line, ℓ = 16, a 24-label slot; three runs on a 2-vCPU Xeon VM) single walks
-//! read 71–78 ns a hop with the scalar fold against 48–60 with the vector scan,
-//! and a lockstep group of eight reads 38–41 with the vector scan, so the
-//! vector kernel is the one the engine runs wherever it can.
+//! line, ℓ = 16, a 24-label slot; seven rounds on a 2-vCPU Xeon VM with AVX2)
+//! single walks read a median 69 ns a hop (66–86) with the scalar fold against
+//! 45 (44–46) with the vector scan, and a lockstep group of eight reads 36
+//! (34–36) with the vector scan, so the vector kernel is the one the engine runs
+//! wherever it can.
 //!
 //! Soundness: the only way to obtain an AVX2-dispatching [`KernelIsa`] is
 //! [`KernelIsa::detect`], which checks the CPU feature at runtime — the variant

@@ -6,7 +6,7 @@ use faultline::linkdist::harmonic;
 use faultline::theory::{kuw, GreedyChain, ModelBounds, OffsetDistribution};
 use faultline::{LinkSpec, Network, NetworkConfig};
 use faultline_sim::Summary;
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Builds an overlay and measures mean hops between random node pairs.
 fn measured_mean_hops(n: u64, ell: usize, seed: u64, messages: u64) -> f64 {
@@ -113,9 +113,12 @@ fn summary_statistics_integrate_with_route_measurements() {
     let mut rng = StdRng::seed_from_u64(17);
     let network = Network::build(&NetworkConfig::paper_default(1 << 10), &mut rng);
     let router = network.router();
+    let alive = network.graph().alive_nodes();
     let hops: Vec<f64> = (0..200)
         .map(|_| {
-            let r = network.route_random(&mut rng).unwrap();
+            let source = alive[rng.gen_range(0..alive.len())];
+            let target = alive[rng.gen_range(0..alive.len())];
+            let r = network.route(source, target, &mut rng);
             assert!(r.is_delivered());
             r.hops as f64
         })
