@@ -325,9 +325,13 @@ impl InterleavedReport {
         )
     }
 
-    /// Cache hit fraction over the *warm* epochs (epoch 0 always starts cold, so it
-    /// is excluded; `0.0` when fewer than two epochs ran): how much of each epoch's
-    /// cache row-level eviction keeps warm through churn.
+    /// Cache hit fraction over every epoch but the first (`0.0` when fewer than
+    /// two epochs ran): how much of the cache row-level eviction keeps warm
+    /// through churn. Epoch 0 is left out because only it can start cold: on an
+    /// engine's first call its misses fill the caches, which says nothing about
+    /// eviction. Caches persist across calls, so on a later call epoch 0 starts
+    /// warm; it is left out all the same, so that the rate reads the same
+    /// epochs whatever the engine routed before.
     #[must_use]
     pub fn warm_hit_rate(&self) -> f64 {
         let (hits, queries) = self
@@ -496,7 +500,7 @@ impl QueryEngine {
                 adversaries: self.adversaries(),
             };
             let batch = workload(network, &context);
-            let batch_report = self.run_batch_with_snapshot(network, &batch, Some(live));
+            let batch_report = self.route_batch(network, &batch, Some(live));
             let survivability = oracle.as_ref().map(|oracle| {
                 let started = Telemetry::start();
                 let split =
@@ -592,6 +596,7 @@ impl QueryEngine {
         if let Some(oracle) = oracle {
             self.kept_oracle.keep(network, oracle);
         }
+        self.spares.end_call();
         InterleavedReport { epochs: reports }
     }
 

@@ -28,7 +28,7 @@ use crate::batch::QueryBatch;
 use crate::cache::{bucket_of, CachedRoute, RouteCache, RowSet, NUM_BUCKETS};
 use crate::config::EngineConfig;
 use crate::failures::FailureSchedule;
-use crate::stats::{BatchReport, OutcomeExtras, QueryOutcome};
+use crate::stats::{BatchReport, OutcomeExtras, QueryOutcome, Spares};
 use faultline_core::{FrozenView, Network};
 use faultline_overlay::{ChurnDelta, FrozenRoutes, NodeId};
 use faultline_routing::{
@@ -84,6 +84,8 @@ pub struct QueryEngine {
     /// Working buffers of a batch, kept from one batch to the next so their pages
     /// stay mapped.
     scratch: BatchScratch,
+    /// The outcome buffers dropped reports handed back, for the next batches.
+    pub(crate) spares: Spares,
     /// The snapshot the last call left.
     pub(crate) kept_snapshot: Kept<FrozenView>,
     /// The connectivity oracle the last failure-configured call left.
@@ -117,8 +119,10 @@ impl<T> Kept<T> {
 
 /// See [`QueryEngine::run_batch_with_snapshot`]: the shard key and the `(source
 /// bucket, target bucket)` of every lookup, each worker's outcomes in batch order
-/// and its [`Extras`] (one worker's lists are the report's), and the nanoseconds
-/// each worker spent.
+/// and its [`Extras`], and the nanoseconds each worker spent. Several workers'
+/// lists stay here from batch to batch; one worker's lists are the report's, its
+/// outcome buffer taken from the engine's spares like a multi-worker merge
+/// target, so a dropped report's pages come back to the next batch either way.
 #[derive(Debug, Default)]
 struct BatchScratch {
     keys: Vec<u8>,
@@ -166,6 +170,7 @@ impl QueryEngine {
             telemetry: Telemetry::default(),
             kernel: KernelIsa::detect(),
             scratch: BatchScratch::default(),
+            spares: Spares::default(),
             kept_snapshot: Kept::default(),
             kept_oracle: Kept::default(),
         }
@@ -352,6 +357,19 @@ impl QueryEngine {
         batch: &QueryBatch,
         snapshot: Option<&FrozenView>,
     ) -> BatchReport {
+        let report = self.route_batch(network, batch, snapshot);
+        self.spares.end_call();
+        report
+    }
+
+    /// [`QueryEngine::run_batch_with_snapshot`] within a call that may route more
+    /// batches before it ends.
+    pub(crate) fn route_batch(
+        &mut self,
+        network: &Network,
+        batch: &QueryBatch,
+        snapshot: Option<&FrozenView>,
+    ) -> BatchReport {
         let mut kept = None;
         let snapshot = match snapshot {
             Some(snapshot) => snapshot,
@@ -427,7 +445,7 @@ impl QueryEngine {
         served.resize_with(workers, Default::default);
         if workers == 1 {
             // The one worker's lists are the report's.
-            served[0] = (Vec::with_capacity(batch.len()), Vec::new());
+            served[0] = (self.spares.take(batch.len()), Vec::new());
         }
         worker_nanos.resize(workers, 0);
 
@@ -482,7 +500,7 @@ impl QueryEngine {
         } else {
             // Each worker's list is its lookups in batch order: one cursor each.
             let mut cursors: Vec<_> = served.iter().map(|(list, _)| list.iter()).collect();
-            let mut outcomes = Vec::with_capacity(batch.len());
+            let mut outcomes = self.spares.take(batch.len());
             outcomes.extend(keys.iter().filter_map(|&key| {
                 let worker = (usize::from(key) / per_worker).min(workers - 1);
                 cursors[worker].next().copied()
@@ -493,7 +511,8 @@ impl QueryEngine {
             (outcomes, extras)
         };
         let report =
-            BatchReport::with_mode(outcomes, extras, wall, self.threads(), byzantine.is_some());
+            BatchReport::with_mode(outcomes, extras, wall, self.threads(), byzantine.is_some())
+                .handing_back_to(&self.spares);
         if let Some(view) = kept {
             self.kept_snapshot.keep(network, view);
         }

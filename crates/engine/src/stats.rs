@@ -2,6 +2,7 @@
 
 use faultline_overlay::NodeId;
 use faultline_sim::Summary;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::Duration;
 
 /// The outcome of one query in a batch: what the paper charges a lookup (its
@@ -77,7 +78,60 @@ pub struct AdversarySplit {
     pub hops: Option<Summary>,
 }
 
+/// The outcome buffers of dropped [`BatchReport`]s, cleared, for the engine's
+/// next batches: a batch's pages are then already mapped. The list keeps at most
+/// as many buffers as the engine's last call handed out, so the engine never
+/// holds more than its caller held at once.
+#[derive(Debug, Default)]
+pub(crate) struct Spares(Arc<Mutex<SpareList>>);
+
+#[derive(Debug, Default)]
+struct SpareList {
+    buffers: Vec<Vec<QueryOutcome>>,
+    /// Buffers handed out since the current call began.
+    handed: usize,
+    /// Buffers the last call handed out: the most the list keeps.
+    limit: usize,
+}
+
+/// A poisoned list is still a list of empty buffers.
+fn lock(list: &Mutex<SpareList>) -> MutexGuard<'_, SpareList> {
+    list.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Spares {
+    /// An empty buffer for `len` outcomes: the smallest spare large enough, or a
+    /// fresh one.
+    pub(crate) fn take(&self, len: usize) -> Vec<QueryOutcome> {
+        let mut list = lock(&self.0);
+        list.handed += 1;
+        let fit = list
+            .buffers
+            .iter()
+            .enumerate()
+            .filter(|(_, buffer)| buffer.capacity() >= len)
+            .min_by_key(|(_, buffer)| buffer.capacity())
+            .map(|(at, _)| at);
+        match fit {
+            Some(at) => list.buffers.swap_remove(at),
+            None => Vec::with_capacity(len),
+        }
+    }
+
+    /// Ends a public call: what it handed out is the list's new bound, and
+    /// spares past it are freed.
+    pub(crate) fn end_call(&self) {
+        let list = &mut *lock(&self.0);
+        list.limit = std::mem::take(&mut list.handed);
+        list.buffers.truncate(list.limit);
+    }
+}
+
 /// Aggregate report for one executed batch.
+///
+/// A report the engine made, or a clone of one, hands its outcome buffer back to
+/// that engine when it is dropped, if the engine's spare list has room; the
+/// engine's next batch writes into it instead of faulting in fresh pages.
 #[derive(Debug, Clone)]
 pub struct BatchReport {
     outcomes: Vec<QueryOutcome>,
@@ -87,6 +141,23 @@ pub struct BatchReport {
     wall: Duration,
     threads: usize,
     byzantine: bool,
+    /// Where the outcome buffer goes when the report is dropped (nowhere once
+    /// the engine is gone).
+    spares: Weak<Mutex<SpareList>>,
+}
+
+impl Drop for BatchReport {
+    fn drop(&mut self) {
+        let Some(spares) = self.spares.upgrade() else {
+            return;
+        };
+        let mut list = lock(&spares);
+        if list.buffers.len() < list.limit {
+            let mut buffer = std::mem::take(&mut self.outcomes);
+            buffer.clear();
+            list.buffers.push(buffer);
+        }
+    }
 }
 
 impl BatchReport {
@@ -105,7 +176,14 @@ impl BatchReport {
             wall,
             threads,
             byzantine,
+            spares: Weak::new(),
         }
+    }
+
+    /// The report, handing its outcome buffer back to `spares` when dropped.
+    pub(crate) fn handing_back_to(mut self, spares: &Spares) -> Self {
+        self.spares = Arc::downgrade(&spares.0);
+        self
     }
 
     /// Per-query outcomes, in batch order.
