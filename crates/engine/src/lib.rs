@@ -26,10 +26,13 @@
 //! * **One walk driver** — every worker walks through one lockstep
 //!   [`WalkGroup`](faultline_routing::WalkGroup), one hop each in turn, the row each
 //!   moved to prefetched meanwhile; a lookup's first walk, diversified retries and
-//!   redundant walks run one after another in its slot. A cache-on honest worker's
-//!   group is one walk wide (its feed serves hits, and a miss's insert must precede
-//!   the next probe of its key); every other worker's is
-//!   [`WALKS_IN_FLIGHT`](faultline_routing::WALKS_IN_FLIGHT) wide.
+//!   redundant walks run one after another in its slot. The group is
+//!   [`WALKS_IN_FLIGHT`](faultline_routing::WALKS_IN_FLIGHT) wide unless a shard's
+//!   cache can evict (a capacity below the `NUM_BUCKETS² / 16` keys a shard owns),
+//!   when it is one walk wide. A cache-on honest worker's feed serves hits itself;
+//!   a lookup whose key a miss is walking to insert parks behind that walk without
+//!   probing, and probes, in batch order and before any new lookup, once the insert
+//!   lands — so every probe sees what a sequential loop's would.
 //! * **Route caching** — a per-shard LRU keyed by `(source bucket, target bucket)`
 //!   ([`RouteCache`]), indexed directly: a slot per bucket pair points into a dense
 //!   vector of entries, so a hit hashes nothing and allocates nothing, and each

@@ -9,13 +9,20 @@
 //! lockstep [`WalkGroup`], which advances the walks in flight one hop each in turn and
 //! prefetches the row each moved to. A lookup's walks (its first, the failure
 //! schedule's diversified retries, the byzantine lane's redundant walks) run one
-//! after another in its slot. The group's width follows from what the lookups share:
+//! after another in its slot. The group is [`WALKS_IN_FLIGHT`] walks wide in every
+//! case but the last:
 //!
-//! * **cache on, honest lane** — one walk. The feed probes the shard's cache in
-//!   batch order and serves delivered hits itself, so only a miss walks; the miss's
-//!   insert must precede the next probe of its key, which a wider group would break.
-//! * **otherwise** (cache off, or the byzantine lane, which bypasses the cache) —
-//!   [`WALKS_IN_FLIGHT`] walks, since no lookup depends on another.
+//! * **cache off, or the byzantine lane** (which bypasses the cache) — no lookup
+//!   depends on another.
+//! * **cache on, honest lane** — the feed probes the shard's cache in batch order
+//!   and serves delivered hits itself, so only a miss walks. A miss on a vacant key
+//!   marks the key in flight; a later lookup of that key parks behind its walk
+//!   without probing, and once the walk's insert lands the parked lookups probe in
+//!   batch order, before any new lookup. So every probe sees what a sequential loop
+//!   would have: the same hits, misses and inserts.
+//! * **cache on, a shard can evict** (its capacity is below the `NUM_BUCKETS² / 16`
+//!   keys a shard owns) — one walk: there an insert may evict the entry a later
+//!   lookup would have hit, so the walks go one at a time.
 //!
 //! Every walk runs the same hop function
 //! ([`Router::route_frozen`](faultline_routing::Router::route_frozen) is that
@@ -118,17 +125,29 @@ impl<T> Kept<T> {
 }
 
 /// See [`QueryEngine::run_batch_with_snapshot`]: the shard key and the `(source
-/// bucket, target bucket)` of every lookup, each worker's outcomes in batch order
-/// and its [`Extras`], and the nanoseconds each worker spent. Several workers'
-/// lists stay here from batch to batch; one worker's lists are the report's, its
-/// outcome buffer taken from the engine's spares like a multi-worker merge
-/// target, so a dropped report's pages come back to the next batch either way.
+/// bucket, target bucket)` of every lookup, each worker's [`WorkerLists`], and the
+/// nanoseconds each worker spent. Several workers' outcome lists stay here from
+/// batch to batch; one worker's outcomes and extras are the report's, its outcome
+/// buffer taken from the engine's spares like a multi-worker merge target, so a
+/// dropped report's pages come back to the next batch either way.
 #[derive(Debug, Default)]
 struct BatchScratch {
     keys: Vec<u8>,
     buckets: Vec<(u8, u8)>,
-    served: Vec<(Vec<QueryOutcome>, Extras)>,
+    served: Vec<WorkerLists>,
     worker_nanos: Vec<u64>,
+}
+
+/// One worker's lists: its outcomes in batch order and its [`Extras`], and what
+/// its feed keeps, from batch to batch, so that a burst of misses allocates
+/// nothing — the lookups parked behind an inserting walk, and each group slot's
+/// row dependencies.
+#[derive(Debug, Default)]
+struct WorkerLists {
+    out: Vec<QueryOutcome>,
+    extras: Extras,
+    parked: Vec<Parked>,
+    deps: [Vec<u32>; WALKS_IN_FLIGHT],
 }
 
 /// `(batch index, extras)` of the lookups whose extras their hops do not imply.
@@ -434,18 +453,29 @@ impl QueryEngine {
             }
         }
         let keys = &*keys;
+        let capacity = self.config.cache_capacity_entries();
+        let caching = capacity > 0 && byzantine.is_none();
+        // A shard owns the keys of its source buckets. A cache that holds them all
+        // never evicts; a smaller one walks its misses one at a time.
+        let shard_keys = NUM_BUCKETS.div_ceil(shard_count as u64) * NUM_BUCKETS;
         let walks = Walks {
             snapshot,
             batch,
             buckets,
-            caching: self.config.cache_capacity_entries() > 0 && byzantine.is_none(),
+            caching,
+            width: if caching && (capacity as u64) < shard_keys {
+                1
+            } else {
+                WALKS_IN_FLIGHT
+            },
             retry_budget,
             byzantine,
         };
         served.resize_with(workers, Default::default);
         if workers == 1 {
-            // The one worker's lists are the report's.
-            served[0] = (self.spares.take(batch.len()), Vec::new());
+            // The one worker's outcomes and extras are the report's.
+            served[0].out = self.spares.take(batch.len());
+            served[0].extras = Vec::new();
         }
         worker_nanos.resize(workers, 0);
 
@@ -464,9 +494,9 @@ impl QueryEngine {
                     let worker_started = Telemetry::start();
                     // Pushing through `lists` would write a length, on a cache line
                     // the neighbouring workers' lists share, once per lookup.
-                    let (mut out, mut extras) = std::mem::take(lists);
-                    out.clear();
-                    extras.clear();
+                    let mut own_lists = std::mem::take(lists);
+                    own_lists.out.clear();
+                    own_lists.extras.clear();
                     // This worker's lookups, in batch order, each with its shard in
                     // `caches` (`caches.len()` for an out-of-range lookup).
                     let first = worker * per_worker;
@@ -482,11 +512,11 @@ impl QueryEngine {
                     let scratch = RouteScratch::new()
                         .with_path_recording(walks.caching || walks.byzantine.is_some())
                         .with_kernel(snapshot.kernel());
-                    route_lockstep(&walks, &scratch, own, caches, &mut out, &mut extras);
+                    route_lockstep(&walks, &scratch, own, caches, &mut own_lists);
                     // A group's walks finish out of order.
-                    extras.sort_unstable_by_key(|&(index, _)| index);
+                    own_lists.extras.sort_unstable_by_key(|&(index, _)| index);
                     *nanos = worker_started.elapsed().as_nanos() as u64;
-                    *lists = (out, extras);
+                    *lists = own_lists;
                 });
             }
         });
@@ -496,17 +526,25 @@ impl QueryEngine {
         }
 
         let (outcomes, extras) = if workers == 1 {
-            std::mem::take(&mut served[0])
+            let lists = &mut served[0];
+            (
+                std::mem::take(&mut lists.out),
+                std::mem::take(&mut lists.extras),
+            )
         } else {
             // Each worker's list is its lookups in batch order: one cursor each.
-            let mut cursors: Vec<_> = served.iter().map(|(list, _)| list.iter()).collect();
+            let mut cursors: Vec<_> = served.iter().map(|lists| lists.out.iter()).collect();
             let mut outcomes = self.spares.take(batch.len());
             outcomes.extend(keys.iter().filter_map(|&key| {
                 let worker = (usize::from(key) / per_worker).min(workers - 1);
                 cursors[worker].next().copied()
             }));
             // Each worker's extras are sorted by batch index, and no two share one.
-            let mut extras: Extras = served.iter().flat_map(|(_, e)| e).copied().collect();
+            let mut extras: Extras = served
+                .iter()
+                .flat_map(|lists| &lists.extras)
+                .copied()
+                .collect();
             extras.sort_unstable_by_key(|&(index, _)| index);
             (outcomes, extras)
         };
@@ -542,6 +580,9 @@ struct Walks<'a> {
     buckets: &'a [(u8, u8)],
     /// Whether lookups probe and fill their shard's cache (honest lane, cache on).
     caching: bool,
+    /// The walks a worker keeps in flight: one when a shard's cache can evict,
+    /// else [`WALKS_IN_FLIGHT`].
+    width: usize,
     /// Diversified retries an undelivered honest lookup gets.
     retry_budget: u32,
     /// The byzantine lane's router and adversaries, when it routes the batch.
@@ -556,10 +597,123 @@ struct Lookup {
     at: usize,
     /// The worker's cache its digest goes into, when its key there was vacant.
     inserting: Option<usize>,
+    /// The lookups of its key parked behind it, while it is inserting.
+    behind: Option<Chain>,
     /// The walk in flight's first hop, to a random neighbour of the source (0 or 1).
     lead: u64,
     /// Its extras: `recoveries` are the last walk's (honest) or every walk's (byzantine).
     extras: OutcomeExtras,
+}
+
+/// A lookup parked behind the walk that inserts its key: its batch index and shard,
+/// the place of its placeholder outcome, and the position of the lookup after it in
+/// its [`Chain`] (its own while it is the last).
+#[derive(Clone, Copy, Debug)]
+struct Parked {
+    index: usize,
+    shard: usize,
+    at: usize,
+    next: usize,
+}
+
+/// Parked lookups in the order they parked: the positions of the first and the
+/// last in [`Parking::parked`], each linked to the next by [`Parked::next`].
+type Chain = (usize, usize);
+
+/// A caching worker's lookups that wait on another lookup's insert (see
+/// [`route_lockstep`]).
+struct Parking<'a> {
+    /// Every lookup parked this batch.
+    parked: &'a mut Vec<Parked>,
+    /// Per source bucket, the target buckets whose inserting walk is out.
+    in_flight: [u64; NUM_BUCKETS as usize],
+    /// How many inserting walks are out.
+    inserting: usize,
+    /// The parked lookups whose key's insert has landed, to probe before any new
+    /// lookup.
+    ready: Option<Chain>,
+}
+
+// A key's target bucket is a bit of its source bucket's word.
+const _: () = assert!(NUM_BUCKETS <= u64::BITS as u64);
+
+impl Parking<'_> {
+    /// Appends `tail` to `chain`.
+    #[inline(always)]
+    fn link(&mut self, chain: Option<Chain>, tail: Chain) -> Chain {
+        match chain {
+            Some((first, last)) => {
+                self.parked[last].next = tail.0;
+                (first, tail.1)
+            }
+            None => tail,
+        }
+    }
+
+    /// Whether an inserting walk is out for the key `(source bucket, target bucket)`.
+    #[inline(always)]
+    fn is_out(&self, (source_bucket, target_bucket): (u8, u8)) -> bool {
+        self.inserting > 0 && self.in_flight[usize::from(source_bucket)] >> target_bucket & 1 == 1
+    }
+
+    /// Marks `key`'s inserting walk out.
+    #[inline(always)]
+    fn start(&mut self, (source_bucket, target_bucket): (u8, u8)) {
+        self.in_flight[usize::from(source_bucket)] |= 1 << target_bucket;
+        self.inserting += 1;
+    }
+
+    /// Parks the lookup at `index` in `shard` at the end of the chain of the slot
+    /// whose walk inserts its key, its placeholder outcome pushed onto `out`; `false`
+    /// when no slot's walk does. Rare, so kept out of the feed's loop.
+    #[cold]
+    #[inline(never)]
+    fn park(
+        &mut self,
+        walks: &Walks<'_>,
+        slots: &mut [Lookup],
+        index: usize,
+        shard: usize,
+        out: &mut Vec<QueryOutcome>,
+    ) -> bool {
+        let key = walks.buckets[index];
+        let Some(inserter) = slots[..walks.width]
+            .iter_mut()
+            .find(|slot| slot.inserting.is_some() && walks.buckets[slot.index] == key)
+        else {
+            return false;
+        };
+        let (source, target) = walks.batch.pairs()[index];
+        out.push(unrouted(source, target));
+        let next = self.parked.len();
+        self.parked.push(Parked {
+            index,
+            shard,
+            at: out.len() - 1,
+            next,
+        });
+        inserter.behind = Some(self.link(inserter.behind, (next, next)));
+        true
+    }
+
+    /// Notes that `key`'s insert has landed: the lookups `behind` it are ready.
+    #[inline(always)]
+    fn landed(&mut self, (source_bucket, target_bucket): (u8, u8), behind: Option<Chain>) {
+        self.in_flight[usize::from(source_bucket)] &= !(1 << target_bucket);
+        self.inserting -= 1;
+        if let Some(behind) = behind {
+            self.ready = Some(self.link(self.ready, behind));
+        }
+    }
+
+    /// The first ready lookup, taken off the chain.
+    #[inline(always)]
+    fn next_ready(&mut self) -> Option<Parked> {
+        let (first, last) = self.ready?;
+        let lookup = self.parked[first];
+        self.ready = (first != last).then_some((lookup.next, last));
+        Some(lookup)
+    }
 }
 
 /// A byzantine retry's lead hop: a uniformly random usable neighbour of `source`,
@@ -577,8 +731,68 @@ fn lead_hop(routes: &FrozenRoutes, source: NodeId, rng: &mut impl Rng) -> Option
 }
 
 // The feed's pieces are inlined into the group's loop: left as calls, they slowed
-// a cache-off batch by 8–25 % at n = 2^16 on a 2-core Xeon.
+// a cache-off batch by 8–25 % at n = 2^16 on a 2-core Xeon. The rare ones (a ready
+// lookup's probe, `Parking::park`) stay calls: inlined too, they slowed
+// `walk-uniform` by 11 % (0 of 10 alternating pairs on a 2-vCPU Xeon VM).
 impl Walks<'_> {
+    /// The lookup at `index`'s probe of its shard's `cache`: its key's digest, or
+    /// `None` when the key is vacant (or the worker does not cache).
+    #[inline(always)]
+    fn probe(&self, cache: &mut RouteCache, index: usize) -> Option<CachedRoute> {
+        let (source_bucket, target_bucket) = self.buckets[index];
+        self.caching
+            .then(|| cache.get(u64::from(source_bucket), u64::from(target_bucket)))
+            .flatten()
+    }
+
+    /// The outcome a delivered digest `found` serves the lookup at `index`, with
+    /// its extras noted; `None` when the lookup must walk.
+    #[inline(always)]
+    fn serve(
+        &self,
+        index: usize,
+        found: Option<CachedRoute>,
+        extras: &mut Extras,
+    ) -> Option<QueryOutcome> {
+        let hit = found.filter(|hit| hit.delivered)?;
+        let served = OutcomeExtras {
+            recoveries: hit.recoveries,
+            ..OutcomeExtras::implied(hit.hops)
+        };
+        note(extras, index, hit.hops, served);
+        let (source, target) = self.batch.pairs()[index];
+        Some(QueryOutcome {
+            source,
+            target,
+            hops: hit.hops,
+            attempts: 1,
+            delivered: true,
+            cached: true,
+        })
+    }
+
+    /// A ready lookup's one probe: serves it in its place, or returns whether its
+    /// key was vacant, as it starts its walk. Its key's insert has landed, never to
+    /// be evicted by a wide group's shard. Rare, so kept out of the feed's loop.
+    #[cold]
+    #[inline(never)]
+    fn probe_ready(
+        &self,
+        ready: Parked,
+        caches: &mut [RouteCache],
+        out: &mut [QueryOutcome],
+        extras: &mut Extras,
+    ) -> Option<bool> {
+        let found = self.probe(&mut caches[ready.shard], ready.index);
+        match self.serve(ready.index, found, extras) {
+            Some(served) => {
+                out[ready.at] = served;
+                None
+            }
+            None => Some(found.is_none()),
+        }
+    }
+
     /// The lookup's next walk, or `None` once it is over. `rng` is seeded from
     /// `(batch seed, query index)` for the first walk, then is what the last walk
     /// handed back.
@@ -680,15 +894,16 @@ impl Walks<'_> {
 
     /// Notes an over lookup's extras and, if its key was vacant, caches its digest
     /// with its walks' paths (`deps`, emptied here) and its endpoints as row
-    /// dependencies.
+    /// dependencies, and readies the lookups parked behind it.
     #[inline(always)]
     fn finish(
         &self,
-        lookup: &Lookup,
+        lookup: &mut Lookup,
         outcome: &QueryOutcome,
         caches: &mut [RouteCache],
         deps: &mut Vec<u32>,
         extras: &mut Extras,
+        parking: &mut Parking<'_>,
     ) {
         note(extras, lookup.index, outcome.hops, lookup.extras);
         let Some(shard) = lookup.inserting else {
@@ -719,40 +934,61 @@ impl Walks<'_> {
         };
         caches[shard].insert(source_bucket, target_bucket, digest, deps, volatile);
         deps.clear();
+        parking.landed(self.buckets[lookup.index], lookup.behind.take());
     }
 }
 
 /// The engine's one walk driver (see the module docs): walks a worker's `lookups`
 /// (batch index, shard in `caches`; `caches.len()` for an out-of-range lookup, which
-/// stays [`unrouted`]) through a lockstep group, pushing their outcomes onto `out` in
-/// that order and their extras onto `extras` as each lookup finishes. A caching
-/// worker serves a delivered digest without a walk; an undelivered one speaks for the
-/// pair that walked it and no other, so its key's lookups walk for themselves until a
-/// delta evicts it. A key's entry is always its first lookup's digest, which is what
-/// makes a surviving entry equal to what a flushed cache would recompute.
+/// stays [`unrouted`]) through a lockstep group [`Walks::width`] wide, pushing their
+/// outcomes onto `lists.out` in that order and their extras onto `lists.extras` as
+/// each lookup finishes. A caching worker serves a delivered digest without a walk;
+/// an undelivered one speaks for the pair that walked it and no other, so its key's
+/// lookups walk for themselves until a delta evicts it. A key's entry is always its
+/// first lookup's digest, which is what makes a surviving entry equal to what a
+/// flushed cache would recompute.
+///
+/// A miss on a vacant key is an inserting walk: its key is marked in flight until
+/// its last walk finishes and inserts. A lookup fed meanwhile with that key parks
+/// behind it, its placeholder outcome already in order, and does not probe; once
+/// the insert lands, the parked lookups probe in batch order before any new lookup,
+/// each served or walked as if it came next, the slot that finished taking the
+/// first walk. No shard of a wide group evicts, so the probe a parked lookup makes
+/// late sees what the sequential lane's would have; a group one walk wide never
+/// parks.
 fn route_lockstep(
     walks: &Walks<'_>,
     scratch: &RouteScratch,
     mut lookups: impl Iterator<Item = (usize, usize)>,
     caches: &mut [RouteCache],
-    out: &mut Vec<QueryOutcome>,
-    extras: &mut Extras,
+    lists: &mut WorkerLists,
 ) {
-    let width = if walks.caching { 1 } else { WALKS_IN_FLIGHT };
+    let WorkerLists {
+        out,
+        extras,
+        parked,
+        deps,
+    } = lists;
+    parked.clear();
+    let mut parking = Parking {
+        parked,
+        in_flight: [0; NUM_BUCKETS as usize],
+        inserting: 0,
+        ready: None,
+    };
     // A walk's tag is its slot, which the next lookup's walk takes over once its
     // lookup is over.
     let vacant = Lookup {
         index: 0,
         at: 0,
         inserting: None,
+        behind: None,
         lead: 0,
         extras: OutcomeExtras::implied(0),
     };
     let mut slots = [vacant; WALKS_IN_FLIGHT];
-    let mut empty_slots = 0..width;
-    // The row dependencies of the caching worker's one lookup in flight.
-    let mut deps = Vec::new();
-    WalkGroup::new(width, scratch).run(walks.snapshot.routes(), |finished| {
+    let mut empty_slots = 0..walks.width;
+    WalkGroup::new(walks.width, scratch).run(walks.snapshot.routes(), move |finished| {
         let tag = match finished {
             Some(done) => {
                 let tag = done.walk.tag;
@@ -760,58 +996,75 @@ fn route_lockstep(
                 let outcome = &mut out[lookup.at];
                 walks.fold(lookup, outcome, &done);
                 if lookup.inserting.is_some() {
-                    deps.extend_from_slice(done.scratch.path());
+                    deps[tag].extend_from_slice(done.scratch.path());
                 }
                 if let Some(walk) = walks.next(lookup, outcome, done.walk.rng, tag) {
                     return Some(walk);
                 }
-                walks.finish(lookup, outcome, caches, &mut deps, extras);
+                walks.finish(
+                    lookup,
+                    outcome,
+                    caches,
+                    &mut deps[tag],
+                    extras,
+                    &mut parking,
+                );
                 tag
             }
             None => empty_slots.next()?,
         };
         loop {
-            let (index, shard) = lookups.next()?;
-            let (source, target) = walks.batch.pairs()[index];
-            let Some(cache) = caches.get_mut(shard) else {
-                out.push(unrouted(source, target));
-                continue;
+            let (index, shard, at, key_vacant) = match parking.next_ready() {
+                // A ready lookup's outcome is in its place already.
+                Some(ready) => match walks.probe_ready(ready, caches, out, extras) {
+                    Some(key_vacant) => (ready.index, ready.shard, ready.at, key_vacant),
+                    None => continue,
+                },
+                None => {
+                    let (index, shard) = lookups.next()?;
+                    let Some(cache) = caches.get_mut(shard) else {
+                        let (source, target) = walks.batch.pairs()[index];
+                        out.push(unrouted(source, target));
+                        continue;
+                    };
+                    if parking.is_out(walks.buckets[index])
+                        && parking.park(walks, &mut slots, index, shard, out)
+                    {
+                        continue;
+                    }
+                    let found = walks.probe(cache, index);
+                    if let Some(served) = walks.serve(index, found, extras) {
+                        out.push(served);
+                        continue;
+                    }
+                    let (source, target) = walks.batch.pairs()[index];
+                    out.push(unrouted(source, target));
+                    (index, shard, out.len() - 1, found.is_none())
+                }
             };
-            let (source_bucket, target_bucket) = walks.buckets[index];
-            let found = walks
-                .caching
-                .then(|| cache.get(u64::from(source_bucket), u64::from(target_bucket)))
-                .flatten();
-            if let Some(hit) = found.filter(|hit| hit.delivered) {
-                let served = OutcomeExtras {
-                    recoveries: hit.recoveries,
-                    ..OutcomeExtras::implied(hit.hops)
-                };
-                note(extras, index, hit.hops, served);
-                out.push(QueryOutcome {
-                    source,
-                    target,
-                    hops: hit.hops,
-                    attempts: 1,
-                    delivered: true,
-                    cached: true,
-                });
-                continue;
-            }
-            out.push(unrouted(source, target));
             let lookup = &mut slots[tag];
             *lookup = Lookup {
                 index,
-                at: out.len() - 1,
-                inserting: (walks.caching && found.is_none()).then_some(shard),
+                at,
+                inserting: (walks.caching && key_vacant).then_some(shard),
                 ..vacant
             };
-            let outcome = &mut out[lookup.at];
+            if lookup.inserting.is_some() {
+                parking.start(walks.buckets[index]);
+            }
+            let outcome = &mut out[at];
             let rng = SmallRng::seed_from_u64(seed_for_trial(walks.batch.seed(), index as u64));
             if let Some(walk) = walks.next(lookup, outcome, rng, tag) {
                 return Some(walk);
             }
-            walks.finish(lookup, outcome, caches, &mut deps, extras);
+            walks.finish(
+                lookup,
+                outcome,
+                caches,
+                &mut deps[tag],
+                extras,
+                &mut parking,
+            );
         }
     });
 }

@@ -202,3 +202,109 @@ fn cache_on_engine_replays_retries_on_a_damaged_overlay() {
         assert_engine_replays(&net, capacity, FailureSchedule::DEFAULT_RETRIES);
     }
 }
+
+/// A batch of `count` lookups that repeat keys close together: each lookup, with
+/// even odds, takes the key of one of the last eight (a group's reach) or a fresh
+/// one from `keys` random keys, and a fresh pair of nodes in that key's buckets.
+fn burst_batch(n: u64, count: usize, keys: usize, seed: u64) -> QueryBatch {
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let per_bucket = n / 64;
+    let pool: Vec<(u64, u64)> = (0..keys)
+        .map(|_| (rng.gen_range(0..64), rng.gen_range(0..64)))
+        .collect();
+    let mut recent: Vec<(u64, u64)> = Vec::new();
+    let pairs = (0..count)
+        .map(|_| {
+            let key = if !recent.is_empty() && rng.gen_bool(0.5) {
+                recent[rng.gen_range(0..recent.len())]
+            } else {
+                pool[rng.gen_range(0..pool.len())]
+            };
+            if recent.len() == 8 {
+                recent.remove(0);
+            }
+            recent.push(key);
+            let (source_bucket, target_bucket) = key;
+            (
+                source_bucket * per_bucket + rng.gen_range(0..per_bucket),
+                target_bucket * per_bucket + rng.gen_range(0..per_bucket),
+            )
+        })
+        .collect();
+    QueryBatch::from_pairs(seed, pairs)
+}
+
+/// Lookups of one key back to back, from a cold cache: a lookup fed while its
+/// key's first walk is out must probe only after that walk inserts, and probe
+/// once. On a 30%-failed overlay under `Terminate`, some of the inserted digests
+/// are undelivered, so some of the lookups behind them walk too.
+#[test]
+fn cache_on_engine_replays_same_key_bursts() {
+    let n = 1 << 10;
+    let mut net = Network::build(
+        &NetworkConfig::paper_default(n).fault_strategy(FaultStrategy::Terminate),
+        &mut StdRng::seed_from_u64(8),
+    );
+    net.apply_failure(&NodeFailure::fraction(0.3), &mut StdRng::seed_from_u64(9));
+    let batches = [
+        burst_batch(n, 3_000, 600, 51),
+        burst_batch(n, 3_000, 600, 52),
+    ];
+    let mut delta = ChurnDelta::new();
+    let mut dirty = RowSet::with_space(n);
+    for node in (0..n).step_by(61) {
+        delta.record(node, false, Vec::new());
+        dirty.insert(node as u32);
+    }
+    let view = net.view().freeze();
+    for capacity in [1024, 24] {
+        let mut caches: Vec<_> = (0..SHARDS).map(|_| RouteCache::new(capacity)).collect();
+        let mut expected = Vec::new();
+        for batch in &batches {
+            expected.push(replay(&view, &mut caches, batch, 0));
+            for cache in &mut caches {
+                cache.invalidate_rows(&dirty);
+            }
+        }
+        let expected_counters: ShardCounters = caches
+            .iter()
+            .map(RouteCache::counters)
+            .collect::<Vec<_>>()
+            .iter()
+            .sum();
+        assert!(expected_counters.hits > 0, "{expected_counters:?}");
+        assert_eq!(expected_counters.evictions > 0, capacity < 256);
+        // Some lookups walked behind an undelivered digest of their key.
+        let walked_again = expected
+            .iter()
+            .flatten()
+            .filter(|(outcome, _)| !outcome.cached && outcome.attempts > 0)
+            .count() as u64;
+        assert!(walked_again > expected_counters.misses, "{walked_again}");
+        assert!(expected
+            .iter()
+            .flatten()
+            .any(|(outcome, _)| !outcome.delivered));
+
+        for threads in [1usize, 4] {
+            let config = EngineConfig::default()
+                .threads(threads)
+                .cache_capacity(capacity);
+            let mut engine = QueryEngine::new(config);
+            for (round, (batch, expected)) in batches.iter().zip(&expected).enumerate() {
+                let lookups: Vec<_> = engine.run_batch(&net, batch).lookups().collect();
+                assert!(
+                    lookups == *expected,
+                    "burst {round} diverged from the replay at {threads} threads (capacity {capacity})"
+                );
+                engine.invalidate_delta(&delta, n);
+            }
+            let counters: ShardCounters = engine.cache_counters().iter().sum();
+            assert_eq!(
+                counters, expected_counters,
+                "cache counters at {threads} threads (capacity {capacity})"
+            );
+        }
+    }
+}

@@ -1,7 +1,9 @@
 //! The engine's spare outcome buffers, verified with a counting global allocator:
 //! once a call's reports are dropped, the next call's batches write into their
 //! buffers and allocate none of their own, a batch takes the smallest spare that
-//! fits, and the engine keeps no more spares than its last call handed out.
+//! fits, and the engine keeps no more spares than its last call handed out. A
+//! cache-on worker's parked lookups are held the same way: a call after
+//! `flush_caches`, when every key misses, reuses the list the last such call grew.
 //!
 //! This file intentionally holds a single test: the allocation counter is global to
 //! the test binary, and a concurrently running test would pollute the delta.
@@ -11,7 +13,7 @@ use faultline_engine::{
     ChurnMix, EngineConfig, EpochWorkload, InterleavedReport, QueryBatch, QueryEngine,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -132,5 +134,41 @@ fn dropped_reports_feed_the_next_call_and_spares_stay_bounded() {
             assert_eq!(fresh, 0, "{label}: a short batch took the long spare");
             drop(second);
         }
+    }
+    for threads in [1, 3] {
+        flushed_calls_reuse_the_feed_lists(&mut net, threads);
+    }
+}
+
+/// After `flush_caches` every key misses. A batch on four keys parks nearly every
+/// lookup behind its key's first walk, so a worker's parked list grows to an
+/// outcome buffer's size; every call after the first must reuse it and the
+/// outcome buffers, allocating nothing that large. (A slot's dependency list holds
+/// one lookup's paths, far below that size, so this cannot see it reallocate.)
+fn flushed_calls_reuse_the_feed_lists(net: &mut Network, threads: usize) {
+    let bucket = net.len() / 64;
+    let mut workload = |_: &Network, context: &EpochWorkload<'_>| {
+        let mut rng = StdRng::seed_from_u64(context.seed);
+        let pairs = (0..LOOKUPS)
+            .map(|_| (rng.gen_range(0..bucket), rng.gen_range(0..4 * bucket)))
+            .collect();
+        QueryBatch::from_pairs(context.seed, pairs)
+    };
+    let config = EngineConfig::default()
+        .threads(threads)
+        .cache_capacity(1024);
+    let mut engine = QueryEngine::new(config);
+    for round in 0..3 {
+        engine.flush_caches();
+        let before = LARGE_ALLOCATIONS.load(Ordering::Relaxed);
+        let report =
+            engine.run_interleaved_with(net, 1, LOOKUPS, ChurnMix::balanced(0), 9, &mut workload);
+        let fresh = LARGE_ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert_eq!(report.total_queries(), LOOKUPS);
+        // The first call grows the parked list as well as the outcome buffers: the
+        // report's, and with several workers the one worker's list it is merged from.
+        let grown = if round == 0 { 1 + threads.min(2) } else { 0 };
+        assert_eq!(fresh, grown as u64, "{threads} threads, call {round}");
+        drop(report);
     }
 }

@@ -42,6 +42,11 @@ use std::collections::VecDeque;
 
 /// Walks a [`WalkGroup`] keeps in flight per worker. A constant, not a knob: on an
 /// overlay far larger than L2 the cost per hop reads the same from 4 walks to 32.
+///
+/// The query engine runs every worker this wide unless a shard's route cache can
+/// evict (a capacity below the keys a shard owns), when it walks one lookup at a
+/// time. A cache-on worker parks a lookup whose key another lookup's walk is about
+/// to insert, and lets it probe the cache, in batch order, once that insert lands.
 pub const WALKS_IN_FLIGHT: usize = 8;
 
 /// The walk a [`RouteScratch`] is in the middle of: what a run-to-completion loop

@@ -66,8 +66,11 @@ impl ThreadPoolBuilder {
 /// A fork–join pool of OS threads.
 ///
 /// Workers are spawned per [`ThreadPool::scope`] call rather than kept alive between
-/// calls; for the engine's workload (one scope per batch, jobs of many milliseconds)
-/// the spawn cost is noise.
+/// calls. With one worker (or one job) the scope runs inline on the caller and
+/// spawns nothing. With two or more, every scope spawns its OS threads afresh: the
+/// engine opens one scope per batch, and a small warm batch can take well under a
+/// millisecond (a 4 096-lookup all-hit epoch about 0.08 ms), so the spawn cost may
+/// not be noise there. It has not been measured; see ROADMAP, "Persistent workers".
 #[derive(Debug, Clone)]
 pub struct ThreadPool {
     threads: usize,

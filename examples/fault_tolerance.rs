@@ -9,7 +9,10 @@
 //! disconnected leave the success denominator, so the printed survival rate
 //! isolates *routing* failures from *topology* failures — the honest version of
 //! the paper's Section 6 resilience claim. The run has no churn, which would
-//! make the next failure epoch build the oracle afresh.
+//! make the next failure epoch build the oracle afresh. The `evicted` column counts
+//! the cached routes the epoch's failure event flushed, and `walked` the lookups
+//! that walked instead of being served from the cache: a heal's evictions come
+//! back as a burst of walks.
 //!
 //! All routing runs through the frozen-snapshot kernel; failures and heals reach
 //! the snapshot as typed row deltas (patched in place, never recompiled), and
@@ -43,11 +46,13 @@ fn scenario(label: &str, schedule: FailureSchedule) {
 
     println!("## {label} (n = {n}, 25k queries/epoch, retry budget 2)");
     println!(
-        "{:<6} {:<22} {:<24} {:>7} {:>11} {:>10} {:>8} {:>8} {:>9}",
+        "{:<6} {:<22} {:<24} {:>7} {:>8} {:>7} {:>11} {:>10} {:>8} {:>8} {:>9}",
         "epoch",
         "event",
         "oracle",
         "alive",
+        "evicted",
+        "walked",
         "survivable",
         "delivered",
         "dropped",
@@ -71,11 +76,13 @@ fn scenario(label: &str, schedule: FailureSchedule) {
         };
         let split = epoch.survivability.expect("oracle classifies every epoch");
         println!(
-            "{:<6} {:<22} {:<24} {:>7} {:>11} {:>10} {:>8} {:>8} {:>9.4}",
+            "{:<6} {:<22} {:<24} {:>7} {:>8} {:>7} {:>11} {:>10} {:>8} {:>8} {:>9.4}",
             epoch.epoch,
             event,
             oracle,
             epoch.alive_after,
+            work.flushed_routes,
+            epoch.batch.queries() - epoch.batch.cache_hits(),
             split.predicted_survivable,
             split.survivable_delivered,
             split.survivable_dropped,
