@@ -218,7 +218,7 @@ impl NetworkMaintainer {
         let dangling: Vec<NodeId> = self
             .graph
             .links_into(position)
-            .filter(|(_, link)| link.alive && link.is_long())
+            .filter(|(_, link)| link.is_long())
             .map(|(src, _)| src)
             .collect();
         let ring_sources: Vec<NodeId> = [pred, succ].into_iter().flatten().collect();

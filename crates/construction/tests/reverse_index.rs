@@ -1,12 +1,14 @@
 //! The overlay's reverse adjacency against the whole-overlay scan it replaced.
 //!
-//! `NetworkMaintainer::leave` used to find the links dangling at a departing node by
-//! scanning every link table; it now asks [`OverlayGraph::links_into`]. The scan
-//! survives here as the oracle: after **every** event of an arbitrary interleaving of
-//! joins, leaves, link failures, crashes, revivals, unrepaired evictions and re-joins
-//! at vacated labels, the index query must equal the scan for every grid point — same
-//! sources, same order, same multiplicity, same link contents — and the O(1) alive
-//! counter must equal the alive list's length.
+//! `NetworkMaintainer::leave` used to find the live links dangling at a departing node
+//! by scanning every link table; it now asks [`OverlayGraph::links_into`], and a crash
+//! or heal reads its victims' in-neighbours off [`OverlayGraph::live_sources`]. The
+//! scan survives here as the oracle: after **every** event of an arbitrary
+//! interleaving of joins, leaves, single and mass link failures, crashes, revivals,
+//! unrepaired evictions and re-joins at vacated labels, the index query must equal the
+//! scan's live links for every grid point — same sources, same order, same
+//! multiplicity, same link contents — the index row must equal the scan's sources, and
+//! the O(1) alive counter must equal the alive list's length.
 //!
 //! A pinned adjacency digest (recorded on the commit *before* the index existed) shows
 //! that construction itself — every RNG draw, redirect and birth stamp of a seeded
@@ -18,15 +20,15 @@ use faultline_overlay::{Link, LinkKind, NodeId, OverlayGraph};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-/// The oracle: every link pointing at `target`, found by scanning all link tables in
-/// source order (what `leave` did before the reverse adjacency).
+/// The oracle: every live link pointing at `target`, found by scanning all link
+/// tables in source order (what `leave` did before the reverse adjacency).
 fn scan_links_into(graph: &OverlayGraph, target: NodeId) -> Vec<(NodeId, Link)> {
     (0..graph.len())
         .flat_map(|source| {
             graph
                 .links(source)
                 .iter()
-                .filter(move |l| l.target == target)
+                .filter(move |l| l.alive && l.target == target)
                 .map(move |l| (source, *l))
         })
         .collect()
@@ -34,11 +36,14 @@ fn scan_links_into(graph: &OverlayGraph, target: NodeId) -> Vec<(NodeId, Link)> 
 
 fn assert_index_matches_scan(graph: &OverlayGraph, after: &str) {
     for target in 0..graph.len() {
+        let scanned = scan_links_into(graph, target);
         let indexed: Vec<(NodeId, Link)> = graph.links_into(target).map(|(s, l)| (s, *l)).collect();
+        assert_eq!(indexed, scanned, "links into {target} after {after}");
+        let sources: Vec<u32> = scanned.iter().map(|&(s, _)| s as u32).collect();
         assert_eq!(
-            indexed,
-            scan_links_into(graph, target),
-            "links into {target} after {after}"
+            graph.live_sources(target),
+            sources,
+            "live sources of {target} after {after}"
         );
     }
     assert_eq!(
@@ -82,7 +87,7 @@ proptest! {
         // (and, after an eviction, still do).
         let mut vacated: Vec<NodeId> = Vec::new();
         for _ in 0..events {
-            let after = match rng.gen_range(0..7u32) {
+            let after = match rng.gen_range(0..8u32) {
                 0 => {
                     let p = rng.gen_range(0..n);
                     let _ = maintainer.join(p, &mut rng);
@@ -123,12 +128,17 @@ proptest! {
                             graph.revive_node(p);
                             format!("revive_node {p}")
                         }
-                        _ => {
+                        6 => {
                             // Eviction without repair: in-links keep dangling at `p`
                             // and a later re-join at `p` inherits them.
                             graph.remove_node(p);
                             vacated.push(p);
                             format!("remove_node {p}")
+                        }
+                        _ => {
+                            // A mass link failure, the way `LinkFailure` applies one.
+                            let failed = graph.fail_long_links_where(|_, _| rng.gen_bool(0.2));
+                            format!("fail_long_links_where ({failed} failed)")
                         }
                     }
                 }

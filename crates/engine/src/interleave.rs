@@ -706,19 +706,16 @@ impl QueryEngine {
         let started = Telemetry::start();
         let graph = network.graph();
         let alive = |p: u32| graph.is_alive(u64::from(p));
-        // A node's live-link targets, and the sources of the live links into it.
-        // The oracle drops dead ends against its own alive table, so nothing
-        // reads each neighbour's record the way `usable_neighbors` does.
+        // A node's live-link targets, and the sources of the live links into it:
+        // its reverse-adjacency row, which reads no link table. The oracle drops
+        // dead ends against its own alive table, so nothing reads each
+        // neighbour's record the way `usable_neighbors` does.
         let live_links = |p: u32| {
             (graph.links(u64::from(p)).iter())
                 .filter(|link| link.alive)
                 .map(|link| link.target as u32)
         };
-        let live_sources = |p: u32| {
-            (graph.links_into(u64::from(p)))
-                .filter(|(_, link)| link.alive)
-                .map(|(source, _)| source as u32)
-        };
+        let live_sources = |p: u32| graph.live_sources(u64::from(p)).iter().copied();
         let nodes = changed.iter().map(|&p| p as u32);
         let next = match oracle.take() {
             Some(kept) if work.heal => kept.revive(nodes, alive, live_links, live_sources),

@@ -5,8 +5,9 @@
 use faultline_core::{ConstructionMode, FrozenView, Network, NetworkConfig};
 use faultline_engine::{
     ChurnMix, EngineConfig, FailureEvent, FailureSchedule, InterleavedReport, OracleWork, Phase,
-    QueryBatch, QueryEngine, SurvivabilitySplit,
+    QueryBatch, QueryEngine, QueryOutcome, SurvivabilitySplit,
 };
+use faultline_failure::LinkFailure;
 use faultline_routing::{FaultStrategy, RouteScratch};
 use faultline_sim::seed_for_trial;
 use faultline_theory::ConnectivityOracle;
@@ -463,6 +464,105 @@ fn oracles_outlive_calls_until_the_overlay_moves() {
     let (third, fresh) = run_against_fresh(&mut engine, &mut net, 101);
     assert_eq!(third.epochs()[0].oracle, Some(OracleWork::Built));
     assert_eq!(splits(&third), fresh);
+}
+
+/// The split `oracle` gives one epoch's lookups: what the engine's own
+/// survivability accounting must equal.
+fn split_against(
+    oracle: &ConnectivityOracle,
+    batch: &QueryBatch,
+    outcomes: &[QueryOutcome],
+) -> SurvivabilitySplit {
+    let mut split = SurvivabilitySplit::default();
+    for (&(source, target), outcome) in batch.pairs().iter().zip(outcomes) {
+        split.retries_spent += u64::from(outcome.attempts.saturating_sub(1));
+        if oracle.survivable(source as u32, target as u32) {
+            split.predicted_survivable += 1;
+            split.survivable_delivered += usize::from(outcome.delivered);
+            split.survivable_dropped += usize::from(!outcome.delivered);
+        } else {
+            split.unsurvivable += 1;
+        }
+    }
+    split
+}
+
+/// Failed long links leave the overlay's reverse adjacency, which is where a
+/// carried oracle reads its in-neighbours: a failed link still listed there
+/// would put a node the damage cut off back on the oracle's tree. On sparse
+/// overlays (one long link a node) whose long links failed at presence 0.7
+/// before the call, the crashes cut pairs off, and every epoch's split — the
+/// first region's build, the quiet epoch's kept oracle, and the crashes and
+/// heals it is carried across — must equal the one a fresh oracle gives.
+#[test]
+fn carried_oracles_classify_like_a_fresh_one_over_failed_links() {
+    let events = vec![
+        FailureEvent::Region { width: 32 },
+        FailureEvent::Quiet,
+        FailureEvent::Heal,
+        FailureEvent::Partition { width: 32 },
+        FailureEvent::Heal,
+    ];
+    let mut cut_off = 0;
+    for seed in 11..19 {
+        for threads in [1usize, 2] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let config = NetworkConfig::paper_default(128)
+                .links_per_node(1)
+                .construction(ConstructionMode::incremental_default())
+                .fault_strategy(FaultStrategy::paper_backtrack());
+            let mut net = Network::build(&config, &mut rng);
+            let damage = net.apply_failure(&LinkFailure::with_presence(0.7), &mut rng);
+            assert!(!damage.failed_links.is_empty());
+            let schedule = FailureSchedule::from_events(events.clone());
+            let mut engine =
+                QueryEngine::new(EngineConfig::default().threads(threads).failures(schedule));
+            let mut fresh: Vec<(QueryBatch, ConnectivityOracle)> = Vec::new();
+            let report = engine.run_interleaved_with(
+                &mut net,
+                2 * events.len(),
+                1_500,
+                ChurnMix::balanced(0),
+                seed,
+                &mut |network, context| {
+                    let batch = QueryBatch::uniform(network, context.queries, context.seed);
+                    let graph = network.graph();
+                    let oracle = ConnectivityOracle::build(
+                        network.len() as u32,
+                        |p| graph.is_alive(u64::from(p)),
+                        |p| graph.usable_neighbors(u64::from(p)).map(|q| q as u32),
+                    );
+                    fresh.push((batch.clone(), oracle));
+                    batch
+                },
+            );
+            let at = format!("seed {seed}, {threads} threads");
+            for (epoch, (batch, oracle)) in report.epochs().iter().zip(&fresh) {
+                assert_eq!(
+                    epoch.survivability,
+                    Some(split_against(oracle, batch, epoch.batch.outcomes())),
+                    "{at}, epoch {}",
+                    epoch.epoch
+                );
+            }
+            let made: Vec<Option<OracleWork>> = report.epochs().iter().map(|e| e.oracle).collect();
+            assert!(
+                matches!(
+                    made[..5],
+                    [
+                        Some(OracleWork::Built),
+                        Some(OracleWork::Kept),
+                        Some(OracleWork::Revived { .. }),
+                        Some(OracleWork::Crashed { .. }) | Some(OracleWork::Built),
+                        Some(OracleWork::Revived { .. }),
+                    ]
+                ),
+                "{at}: {made:?}"
+            );
+            cut_off += report.survivability().map_or(0, |s| s.unsurvivable);
+        }
+    }
+    assert!(cut_off > 0, "the damage must cut pairs off");
 }
 
 /// What the grouped-walk test compares per lookup: `delivered`, `hops`,

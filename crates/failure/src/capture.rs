@@ -15,24 +15,26 @@
 //! [`OverlayGraph::delta_of`] and names their [`blast_radius`] stale
 //! ([`ChurnDelta::name_stale`]): the route cache evicts exactly the walks that
 //! could now differ, and the snapshot patch flips the victims' bits and reads no
-//! other row.
+//! other row. The in-neighbours come from the overlay's reverse adjacency, which
+//! lists the sources of live links only ([`OverlayGraph::live_sources`]): one
+//! index row per victim, and no in-neighbour's link table.
 
 use faultline_overlay::{ChurnDelta, NodeId, OverlayGraph};
 
 /// Every node whose greedy choice can change when `victims` flip liveness: the
 /// victims themselves plus all present nodes holding a live link (ring or long) to
-/// a victim. Sorted, deduplicated. Reads each victim's
-/// in-neighbours off the overlay's reverse adjacency, so the cost follows the
-/// victims' in-degree, not the size of the overlay.
+/// a victim. Sorted, deduplicated. Reads each victim's in-neighbours off the
+/// overlay's reverse adjacency ([`OverlayGraph::live_sources`]) and no link table,
+/// so the cost follows the victims' in-degree, not the size of the overlay.
 #[must_use]
 pub fn blast_radius(graph: &OverlayGraph, victims: &[NodeId]) -> Vec<NodeId> {
     let mut out: Vec<NodeId> = victims.to_vec();
     for &v in victims {
         out.extend(
             graph
-                .links_into(v)
-                .filter(|(_, l)| l.alive)
-                .map(|(source, _)| source),
+                .live_sources(v)
+                .iter()
+                .map(|&source| NodeId::from(source)),
         );
     }
     out.sort_unstable();
@@ -169,8 +171,8 @@ mod tests {
             assert!(!rd.alive);
         }
         assert!(delta.changed_nodes().eq([5, 6, 7]), "{delta:?}");
-        let in_neighbour = (g.links_into(6).find(|(_, l)| l.alive))
-            .map(|(source, _)| source)
+        let in_neighbour = (g.live_sources(6).first())
+            .map(|&source| NodeId::from(source))
             .expect("an interior node has its ring links' in-neighbours");
         assert!(row(&g, in_neighbour).contains(&6));
         assert!(g.usable_neighbors(in_neighbour).all(|q| q != 6));

@@ -42,9 +42,10 @@ impl NodeRecord {
 /// with all its incident links" while the rest of the graph is untouched.
 ///
 /// Besides the outgoing adjacency the graph keeps its *reverse*: per grid point, the
-/// sources holding a link to it ([`OverlayGraph::links_into`]). Every link mutation
-/// updates both sides, so a departure finds its dangling in-links in time proportional
-/// to their number instead of scanning every link table.
+/// sources holding a live link to it ([`OverlayGraph::live_sources`],
+/// [`OverlayGraph::links_into`]). Every link mutation updates both sides, so a
+/// departure finds its dangling in-links, and a crash or heal its victims'
+/// in-neighbours, in time proportional to their number instead of scanning link tables.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct OverlayGraph {
     geometry: Geometry,
@@ -53,10 +54,12 @@ pub struct OverlayGraph {
     /// Sorted list of present positions, for nearest-present queries.
     present_sorted: Vec<NodeId>,
     /// Reverse adjacency: `incoming[t]` holds, ascending and once per link, the source
-    /// of every link in `nodes` whose target is `t` — any kind, failed links and links
-    /// dangling at a departed `t` included. Kind and liveness are never stored here:
-    /// queries read them from the source's own table. Being sorted, a row is a function
-    /// of the node records alone, which keeps the derived `PartialEq` order-free.
+    /// of every *live* link in `nodes` whose target is `t` — any kind, links dangling
+    /// at a departed `t` included. Failing a link withdraws its entry, and since no
+    /// writer ever sets [`Link::alive`] back to `true`, a failed link never returns.
+    /// Kind and birth are not stored here: [`OverlayGraph::links_into`] reads them from
+    /// the source's own table. Being sorted, a row is a function of the node records
+    /// alone, which keeps the derived `PartialEq` order-free.
     incoming: Vec<Vec<u32>>,
     /// Number of alive nodes, kept in step by the four liveness mutators.
     alive: u64,
@@ -268,8 +271,9 @@ impl OverlayGraph {
             .iter()
             .position(|l| l.target == to && l.kind == kind)
         {
-            node.links.swap_remove(idx);
-            self.index_remove(to, from);
+            if node.links.swap_remove(idx).alive {
+                self.index_remove(to, from);
+            }
             true
         } else {
             false
@@ -339,6 +343,7 @@ impl OverlayGraph {
         };
         if let Some(link) = node.links.iter_mut().find(|l| l.alive && l.target == to) {
             link.alive = false;
+            self.index_remove(to, from);
             true
         } else {
             false
@@ -353,6 +358,7 @@ impl OverlayGraph {
             for link in node.links.iter_mut().filter(|l| l.alive && l.is_long()) {
                 if f(idx as NodeId, link) {
                     link.alive = false;
+                    row_remove(&mut self.incoming[link.target as usize], idx as NodeId);
                     failed += 1;
                 }
             }
@@ -423,15 +429,15 @@ impl OverlayGraph {
     }
 
     /// Permanently removes the node at `p`: it is no longer present and every other
-    /// node's links to it remain dangling (unusable) until repaired. Those dangling
-    /// links stay listed by [`OverlayGraph::links_into`], which is how the Section 5
+    /// node's links to it remain dangling (unusable) until repaired. The live ones
+    /// stay listed by [`OverlayGraph::links_into`], which is how the Section 5
     /// maintainer finds them.
     pub fn remove_node(&mut self, p: NodeId) -> bool {
         if !self.is_present(p) {
             return false;
         }
         let departed = std::mem::replace(&mut self.nodes[p as usize], NodeRecord::absent());
-        for link in &departed.links {
+        for link in departed.links.iter().filter(|l| l.alive) {
             self.index_remove(link.target, p);
         }
         if departed.alive {
@@ -452,31 +458,38 @@ impl OverlayGraph {
             .sum()
     }
 
-    /// Every link whose target is `target`, as `(source, link)` pairs: sources in
+    /// The sources of the live links into `target`: ascending, once per live link
+    /// (a source holding two live links to `target` is listed twice), and empty when
+    /// `target` is out of range. This is the reverse-adjacency row itself, so reading
+    /// it touches no link table.
+    #[must_use]
+    pub fn live_sources(&self, target: NodeId) -> &[u32] {
+        self.incoming
+            .get(target as usize)
+            .map_or(&[][..], Vec::as_slice)
+    }
+
+    /// Every live link whose target is `target`, as `(source, link)` pairs: sources in
     /// ascending order, a source's links in table order — the pairs a scan of all link
-    /// tables would yield, at the cost of `target`'s in-degree.
+    /// tables for live links would yield, at the cost of `target`'s live in-degree.
     ///
     /// The reverse adjacency only names the sources; each link is read from its source's
-    /// own table, so kind, liveness and birth are always current, failed links are
-    /// reported as failed, and links still dangling at a departed (or since re-occupied)
-    /// `target` are reported like any other.
+    /// own table, so kind and birth are always current, and live links still dangling
+    /// at a departed (or since re-occupied) `target` are reported like any other.
+    /// Callers that need the sources alone read [`OverlayGraph::live_sources`].
     pub fn links_into(&self, target: NodeId) -> impl Iterator<Item = (NodeId, &Link)> + '_ {
-        let row = self
-            .incoming
-            .get(target as usize)
-            .map_or(&[][..], Vec::as_slice);
-        // A source holding several links to `target` fills a run of the row; visit it
-        // once, since its table yields all of those links.
-        row.chunk_by(|a, b| a == b).flat_map(move |run| {
+        // A source holding several live links to `target` fills a run of the row;
+        // visit it once, since its table yields all of those links.
+        (self.live_sources(target).chunk_by(|a, b| a == b)).flat_map(move |run| {
             let source = NodeId::from(run[0]);
             self.links(source)
                 .iter()
-                .filter(move |l| l.target == target)
+                .filter(move |l| l.alive && l.target == target)
                 .map(move |l| (source, l))
         })
     }
 
-    /// Records one more link `source -> target` in the reverse adjacency.
+    /// Records one more live link `source -> target` in the reverse adjacency.
     fn index_insert(&mut self, target: NodeId, source: NodeId) {
         let source = source as u32;
         let row = &mut self.incoming[target as usize];
@@ -484,14 +497,9 @@ impl OverlayGraph {
         row.insert(at, source);
     }
 
-    /// Forgets one link `source -> target` from the reverse adjacency.
+    /// Forgets one live link `source -> target` from the reverse adjacency.
     fn index_remove(&mut self, target: NodeId, source: NodeId) {
-        let row = &mut self.incoming[target as usize];
-        let at = row
-            .binary_search(&(source as u32))
-            // xlint: allow(panic_policy) -- the link mutators are the index's only writers and mirror every link; a miss is a corrupted graph, not an input
-            .expect("every link is mirrored in the reverse adjacency");
-        row.remove(at);
+        row_remove(&mut self.incoming[target as usize], source);
     }
 
     /// Iterates over `(source, link)` pairs for every live long-distance link.
@@ -503,6 +511,15 @@ impl OverlayGraph {
                 .map(move |l| (idx as NodeId, l))
         })
     }
+}
+
+/// Forgets one live link from `source` in a reverse-adjacency row.
+fn row_remove(row: &mut Vec<u32>, source: NodeId) {
+    let at = row
+        .binary_search(&(source as u32))
+        // xlint: allow(panic_policy) -- the link mutators are the index's only writers and mirror every live link; a miss is a corrupted graph, not an input
+        .expect("every live link is mirrored in the reverse adjacency");
+    row.remove(at);
 }
 
 /// An all-empty reverse adjacency over `n` grid points.
@@ -619,7 +636,8 @@ mod tests {
         assert_eq!(g.total_long_links(), 1);
     }
 
-    /// The scan the reverse adjacency replaced, kept as the oracle.
+    /// The scan the reverse adjacency replaced, kept as the oracle: every live link
+    /// into `target`, in source order.
     fn scan_links_into(g: &OverlayGraph, target: NodeId) -> Vec<(NodeId, Link)> {
         g.nodes
             .iter()
@@ -627,7 +645,7 @@ mod tests {
             .flat_map(|(source, n)| {
                 n.links
                     .iter()
-                    .filter(move |l| l.target == target)
+                    .filter(move |l| l.alive && l.target == target)
                     .map(move |l| (source as NodeId, *l))
             })
             .collect()
@@ -635,8 +653,11 @@ mod tests {
 
     fn assert_index_matches_scan(g: &OverlayGraph) {
         for target in 0..g.len() {
+            let scanned = scan_links_into(g, target);
             let indexed: Vec<_> = g.links_into(target).map(|(s, l)| (s, *l)).collect();
-            assert_eq!(indexed, scan_links_into(g, target), "links into {target}");
+            assert_eq!(indexed, scanned, "links into {target}");
+            let sources: Vec<u32> = scanned.iter().map(|&(s, _)| s as u32).collect();
+            assert_eq!(g.live_sources(target), sources, "live sources of {target}");
         }
     }
 
@@ -655,9 +676,13 @@ mod tests {
         assert!(sources(&g, 5).is_empty());
         assert_index_matches_scan(&g);
 
-        // Failed links stay listed, reported as failed.
+        // A failed link leaves the index; the source's other links stay.
         assert!(g.fail_link(3, 9));
-        assert!(g.links_into(9).any(|(s, l)| s == 3 && !l.alive));
+        assert_eq!(sources(&g, 9), vec![0, 0]);
+        assert_eq!(g.live_sources(9), [0, 0]);
+        assert_index_matches_scan(&g);
+        assert_eq!(g.fail_long_links_where(|_, l| l.target == 9), 2);
+        assert!(sources(&g, 9).is_empty() && g.live_sources(9).is_empty());
         assert_index_matches_scan(&g);
 
         // A departed node takes its out-links with it; links *to* it keep dangling,
@@ -673,7 +698,13 @@ mod tests {
         assert!(!g.remove_link(1, 0, LinkKind::Ring));
         assert!(sources(&g, 0).is_empty());
         assert_index_matches_scan(&g);
+
+        // Removing a failed link has no entry to withdraw.
+        assert!(g.fail_link(1, 2));
+        assert!(g.remove_link(1, 2, LinkKind::Ring));
+        assert_index_matches_scan(&g);
         assert!(g.links_into(10).next().is_none(), "out of range is empty");
+        assert!(g.live_sources(10).is_empty(), "out of range is empty");
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //! that walked instead of being served from the cache: a heal's evictions come
 //! back as a burst of walks.
 //!
+//! The third scenario first fails each long link with probability 0.2 (Theorem
+//! 16's link-failure model), then runs the regional schedule: the carried oracle
+//! reads its in-neighbours off the overlay's reverse adjacency, which lists live
+//! links only, so every crash and heal it carries crosses withdrawn links.
+//!
 //! All routing runs through the frozen-snapshot kernel; failures and heals reach
 //! the snapshot as typed row deltas (patched in place, never recompiled), and
 //! dropped lookups retry with diversified walks while the overlay is damaged.
@@ -27,11 +32,14 @@
 use faultline::engine::{
     ChurnMix, EngineConfig, FailureSchedule, InterleavedReport, OracleWork, QueryEngine,
 };
+use faultline::failure::LinkFailure;
 use faultline::routing::FaultStrategy;
 use faultline::{ConstructionMode, Network, NetworkConfig};
 use rand::{rngs::StdRng, SeedableRng};
 
-fn scenario(label: &str, schedule: FailureSchedule) {
+/// Runs `schedule` on a fresh overlay whose long links each survived with
+/// probability `link_presence` before the first epoch (1.0: no link failed).
+fn scenario(label: &str, schedule: FailureSchedule, link_presence: f64) {
     let n = 1u64 << 12;
     // Incremental construction so heals replay the Section 5 maintainer; the
     // backtrack strategy so a dead end under damage is recoverable, not terminal.
@@ -40,6 +48,9 @@ fn scenario(label: &str, schedule: FailureSchedule) {
         .fault_strategy(FaultStrategy::paper_backtrack());
     let mut rng = StdRng::seed_from_u64(2002);
     let mut network = Network::build(&config, &mut rng);
+    if link_presence < 1.0 {
+        network.apply_failure(&LinkFailure::with_presence(link_presence), &mut rng);
+    }
 
     let mut engine = QueryEngine::new(EngineConfig::default().threads(4).failures(schedule));
     let report = engine.run_interleaved(&mut network, 6, 25_000, ChurnMix::balanced(0), 42);
@@ -112,10 +123,20 @@ fn print_totals(report: &InterleavedReport) {
 }
 
 fn main() {
-    scenario("regional crash-and-heal", FailureSchedule::regional(32));
+    scenario(
+        "regional crash-and-heal",
+        FailureSchedule::regional(32),
+        1.0,
+    );
     scenario(
         "partition-and-heal",
         FailureSchedule::partition_and_heal(16),
+        1.0,
+    );
+    scenario(
+        "regional crash-and-heal, long links at presence 0.8",
+        FailureSchedule::regional(32),
+        0.8,
     );
     println!("The survival split is the point: raw success rates blame routing for pairs");
     println!("no algorithm could serve, while the oracle-grounded rate stays near 1.0 —");
