@@ -92,10 +92,10 @@ impl ChordNetwork {
     #[must_use]
     pub fn route(&self, source: u64, target: u64) -> RouteResult {
         if !self.is_alive(source) {
-            return RouteResult::immediate_failure(FailureReason::DeadSource, false);
+            return RouteResult::immediate_failure(FailureReason::DeadSource);
         }
         if !self.is_alive(target) {
-            return RouteResult::immediate_failure(FailureReason::DeadTarget, false);
+            return RouteResult::immediate_failure(FailureReason::DeadTarget);
         }
         let mut current = source;
         let mut hops = 0u64;
@@ -106,7 +106,6 @@ impl ChordNetwork {
                     outcome: RouteOutcome::Failed(FailureReason::HopLimit),
                     hops,
                     recoveries: 0,
-                    path: None,
                 };
             }
             let remaining = clockwise_distance(self.n, current, target);
@@ -127,7 +126,6 @@ impl ChordNetwork {
                         outcome: RouteOutcome::Failed(FailureReason::Stuck),
                         hops,
                         recoveries: 0,
-                        path: None,
                     };
                 }
             }
@@ -136,7 +134,6 @@ impl ChordNetwork {
             outcome: RouteOutcome::Delivered,
             hops,
             recoveries: 0,
-            path: None,
         }
     }
 }

@@ -137,10 +137,10 @@ impl KleinbergGrid {
     #[must_use]
     pub fn route(&self, source: u64, target: u64) -> RouteResult {
         if !self.is_alive(source) {
-            return RouteResult::immediate_failure(FailureReason::DeadSource, false);
+            return RouteResult::immediate_failure(FailureReason::DeadSource);
         }
         if !self.is_alive(target) {
-            return RouteResult::immediate_failure(FailureReason::DeadTarget, false);
+            return RouteResult::immediate_failure(FailureReason::DeadTarget);
         }
         let target_point = self.torus.point_of_index(target);
         let mut current = source;
@@ -152,7 +152,6 @@ impl KleinbergGrid {
                     outcome: RouteOutcome::Failed(FailureReason::HopLimit),
                     hops,
                     recoveries: 0,
-                    path: None,
                 };
             }
             let p = self.torus.point_of_index(current);
@@ -184,7 +183,6 @@ impl KleinbergGrid {
                         outcome: RouteOutcome::Failed(FailureReason::Stuck),
                         hops,
                         recoveries: 0,
-                        path: None,
                     };
                 }
             }
@@ -193,7 +191,6 @@ impl KleinbergGrid {
             outcome: RouteOutcome::Delivered,
             hops,
             recoveries: 0,
-            path: None,
         }
     }
 }

@@ -111,10 +111,10 @@ impl PlaxtonNetwork {
     #[must_use]
     pub fn route(&self, source: u64, target: u64) -> RouteResult {
         if !self.is_alive(source) {
-            return RouteResult::immediate_failure(FailureReason::DeadSource, false);
+            return RouteResult::immediate_failure(FailureReason::DeadSource);
         }
         if !self.is_alive(target) {
-            return RouteResult::immediate_failure(FailureReason::DeadTarget, false);
+            return RouteResult::immediate_failure(FailureReason::DeadTarget);
         }
         let mut current = source;
         let mut hops = 0u64;
@@ -132,7 +132,6 @@ impl PlaxtonNetwork {
                     outcome: RouteOutcome::Failed(FailureReason::Stuck),
                     hops,
                     recoveries: 0,
-                    path: None,
                 };
             }
             current = next;
@@ -143,7 +142,6 @@ impl PlaxtonNetwork {
             outcome: RouteOutcome::Delivered,
             hops,
             recoveries: 0,
-            path: None,
         }
     }
 }

@@ -170,20 +170,22 @@ impl Network {
         self.graph().alive_count()
     }
 
-    /// The alive node responsible for a metric-space point (the closest alive node).
+    /// The alive node responsible for a metric-space point: the closest alive node,
+    /// the smaller label on a tie.
     #[must_use]
     pub fn responsible_node(&self, point: Position) -> Option<NodeId> {
         let graph = self.graph();
-        if graph.is_alive(point) {
-            return Some(point);
-        }
-        // Scan outward from the point among present nodes until an alive one is found on
-        // either side; the closest alive one wins.
+        // Scan outward from the point among present nodes, skipping dead ones, to the
+        // first alive node on either side; the closer of the two wins.
+        let present = graph.present_nodes();
+        let split = present.partition_point(|&p| p < point);
+        let alive = |&p: &NodeId| graph.is_alive(p);
+        let below = present[..split].iter().rev().copied().find(alive);
+        let above = present[split..].iter().copied().find(alive);
         let geometry = graph.geometry();
-        let alive = graph.alive_nodes();
-        alive
-            .iter()
-            .copied()
+        below
+            .into_iter()
+            .chain(above)
             .min_by_key(|&p| (geometry.distance(p, point), p))
     }
 
@@ -504,6 +506,38 @@ mod tests {
         moved(&net, "join");
         assert!(net.join(100, &mut rng).is_err(), "100 is occupied");
         moved(&net, "a refused join");
+    }
+
+    #[test]
+    fn responsible_node_is_the_closest_alive_node() {
+        use faultline_failure::RegionFailure;
+        let brute = |net: &Network, point: Position| {
+            let alive = net.graph().alive_nodes();
+            alive.into_iter().min_by_key(|&p| (p.abs_diff(point), p))
+        };
+        let mut net = network(1 << 9, 21);
+        let mut rng = StdRng::seed_from_u64(22);
+        // 9 and 15 are both 3 away from 12 once 10..15 crash: the smaller label wins.
+        net.apply_failure(&RegionFailure::at(10, 5), &mut rng);
+        assert_eq!(net.responsible_node(12), Some(9));
+        assert_eq!(net.responsible_node(13), Some(15));
+        // Crashes and departures (absent grid points) on top, checked at every point.
+        for _ in 0..3 {
+            net.apply_failure(&NodeFailure::fraction(0.4), &mut rng);
+            for position in [40, 41, 300, 301, 302] {
+                let _ = net.leave(position, &mut rng);
+            }
+            for point in 0..net.len() {
+                assert_eq!(
+                    net.responsible_node(point),
+                    brute(&net, point),
+                    "point {point}"
+                );
+            }
+        }
+        net.apply_failure(&NodeFailure::fraction(1.0), &mut rng);
+        assert_eq!(net.alive_count(), 0);
+        assert_eq!(net.responsible_node(12), None);
     }
 
     #[test]

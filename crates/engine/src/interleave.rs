@@ -348,12 +348,6 @@ impl InterleavedReport {
         }
     }
 
-    /// Cached routes flushed by churn, summed over all epochs.
-    #[must_use]
-    pub fn total_flushed_routes(&self) -> usize {
-        self.epochs.iter().map(|e| e.flushed_routes).sum()
-    }
-
     fn mean_nonzero<I: Iterator<Item = u64>>(values: I) -> f64 {
         let (mut sum, mut count) = (0u64, 0u64);
         for v in values.filter(|&v| v > 0) {

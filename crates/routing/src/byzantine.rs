@@ -172,18 +172,16 @@ impl RedundantRouter {
         // Route on the honest graph, then truncate the path at the first Byzantine node.
         // (The adversary accepts the message and drops it, so the honest prefix is what
         // actually got transmitted.)
-        let recorded = self.inner.with_path_recording(true);
-        let result = recorded.route(graph, start, target, rng);
-        let Some(path) = result.path.as_ref() else {
-            return (result, false);
-        };
+        let mut path = Vec::new();
+        let result = self
+            .inner
+            .route_recorded(graph, start, target, rng, &mut path);
         for (idx, &node) in path.iter().enumerate() {
             if node != start && node != target && adversaries.contains(node) {
                 let truncated = RouteResult {
                     outcome: RouteOutcome::Failed(FailureReason::Stuck),
                     hops: idx as u64,
                     recoveries: result.recoveries,
-                    path: Some(path[..=idx].to_vec()),
                 };
                 return (truncated, true);
             }
@@ -284,10 +282,9 @@ mod tests {
     #[test]
     fn single_walk_is_dropped_by_an_adversary_on_its_path() {
         let g = graph(1 << 10, 8, 3);
-        let plain = Router::new().with_path_recording(true);
         let mut rng = StdRng::seed_from_u64(4);
-        let baseline = plain.route(&g, 0, 1000, &mut rng);
-        let path = baseline.path.unwrap();
+        let mut path = Vec::new();
+        let baseline = Router::new().route_recorded(&g, 0, 1000, &mut rng, &mut path);
         assert!(path.len() > 3);
         // Make a mid-path node Byzantine; a single-walk redundant router must fail.
         let traitor = path[path.len() / 2];

@@ -33,6 +33,7 @@
 
 use crate::greedy::GreedyMode;
 use crate::result::{FailureReason, RouteOutcome, RouteResult};
+use crate::router::hop_budget;
 use crate::simd::{prefetch_slice, KernelIsa};
 use crate::strategy::FaultStrategy;
 use crate::Router;
@@ -61,9 +62,6 @@ struct WalkState {
     recoveries: u64,
     max_hops: u64,
     reroutes_used: u32,
-    /// Whether visited nodes go into the path buffer: the scratch's flag, or a
-    /// path-recording router (which needs the sequence to build its result).
-    record: bool,
 }
 
 /// Reusable per-walk buffers and state for the frozen walk.
@@ -116,7 +114,6 @@ impl Default for RouteScratch {
                 recoveries: 0,
                 max_hops: 0,
                 reroutes_used: 0,
-                record: false,
             },
         }
     }
@@ -145,8 +142,8 @@ impl RouteScratch {
     }
 
     /// Enables or disables recording of visited nodes into the scratch path buffer
-    /// (default: enabled). A router built `with_path_recording(true)` still records —
-    /// it needs the sequence to populate the result.
+    /// (default: enabled). The buffer is the only record a frozen walk leaves of its
+    /// path; a walk routes the same either way.
     #[must_use]
     pub fn with_path_recording(mut self, record: bool) -> Self {
         self.record_path = record;
@@ -381,9 +378,8 @@ impl RouteScratch {
             current_distance: 0,
             hops: 0,
             recoveries: 0,
-            max_hops: router.max_hops().unwrap_or(4 * frozen.len() + 16),
+            max_hops: hop_budget(frozen.len()),
             reroutes_used: 0,
-            record: self.record_path || router.records_path(),
         };
         if !frozen.is_alive(source) {
             return Some(RouteOutcome::Failed(FailureReason::DeadSource));
@@ -392,7 +388,7 @@ impl RouteScratch {
             return Some(RouteOutcome::Failed(FailureReason::DeadTarget));
         }
         self.walk.current_distance = distance(source, target);
-        if self.walk.record {
+        if self.record_path {
             self.path.push(source as u32);
         }
         self.history.clear();
@@ -407,7 +403,7 @@ impl RouteScratch {
         self.walk.current = node;
         self.walk.current_distance = distance;
         self.walk.hops += 1;
-        if self.walk.record {
+        if self.record_path {
             self.path.push(node as u32);
         }
         (node == self.walk.target).then_some(RouteOutcome::Delivered)
@@ -500,13 +496,10 @@ impl RouteScratch {
 
     /// The result of the walk `begin` or `hop` just reported over with `outcome`.
     fn finish(&self, outcome: RouteOutcome) -> RouteResult {
-        let record = self.walk.router.records_path();
         RouteResult {
             outcome,
             hops: self.walk.hops,
             recoveries: self.walk.recoveries,
-            // xlint: allow(no_alloc) -- the result path is opt-in: only a router built with_path_recording(true) reaches this collect, and the counting-allocator test pins the recording-off hot path at zero allocations
-            path: record.then(|| self.path.iter().map(|&p| u64::from(p)).collect()),
         }
     }
 
@@ -539,9 +532,8 @@ impl Router {
     /// snapshot was frozen from, for every greedy mode and fault strategy, provided the
     /// same RNG state is supplied (randomness is consumed identically; only the random
     /// re-route strategy draws any). All working memory comes from `scratch`, which is
-    /// reused across calls; the result's `path` field is only populated (and only then
-    /// allocates) when the router was built `with_path_recording(true)` — callers on
-    /// the hot path read [`RouteScratch::path`] instead.
+    /// reused across calls, and the walk's visited nodes are in [`RouteScratch::path`]
+    /// (the sequence [`Router::route_recorded`] records) until the next walk through it.
     pub fn route_frozen<R: Rng + ?Sized>(
         &self,
         frozen: &FrozenRoutes,
@@ -653,15 +645,25 @@ mod tests {
             .build(LinkSpec::paper_default(), &mut rng)
     }
 
+    fn scratch_path(scratch: &RouteScratch) -> Vec<u64> {
+        scratch.path().iter().map(|&p| u64::from(p)).collect()
+    }
+
     fn assert_parity(router: Router, graph: &OverlayGraph, pairs: &[(u64, u64)], seed: u64) {
         let frozen = graph.freeze();
         let mut scratch = RouteScratch::new();
+        let mut path = Vec::new();
         for &(s, t) in pairs {
             let mut rng_a = StdRng::seed_from_u64(seed);
             let mut rng_b = StdRng::seed_from_u64(seed);
-            let classic = router.route(graph, s, t, &mut rng_a);
+            let classic = router.route_recorded(graph, s, t, &mut rng_a, &mut path);
             let fast = router.route_frozen(&frozen, s, t, &mut rng_b, &mut scratch);
             assert_eq!(classic, fast, "{s}->{t} diverged");
+            assert_eq!(
+                path,
+                scratch_path(&scratch),
+                "{s}->{t} visited different nodes"
+            );
             assert_eq!(
                 rng_a.clone().next_u64(),
                 rng_b.clone().next_u64(),
@@ -675,8 +677,7 @@ mod tests {
         let graph = paper_graph(1 << 10, 6, 3);
         let pairs = [(0u64, 1023u64), (512, 3), (17, 18), (9, 9), (1000, 999)];
         for mode in [GreedyMode::TwoSided, GreedyMode::OneSided] {
-            let router = Router::new().with_mode(mode).with_path_recording(true);
-            assert_parity(router, &graph, &pairs, 11);
+            assert_parity(Router::new().with_mode(mode), &graph, &pairs, 11);
         }
     }
 
@@ -701,10 +702,7 @@ mod tests {
             FaultStrategy::paper_backtrack(),
             FaultStrategy::RandomReroute { max_attempts: 3 },
         ] {
-            let router = Router::new()
-                .with_strategy(strategy)
-                .with_path_recording(true);
-            assert_parity(router, &graph, &pairs, 77);
+            assert_parity(Router::new().with_strategy(strategy), &graph, &pairs, 77);
         }
     }
 
@@ -732,7 +730,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(14);
         let r = router.route_frozen(&frozen, 7, 200, &mut rng, &mut scratch);
         assert!(r.is_delivered());
-        assert!(r.path.is_none(), "hot path never allocates a result path");
         assert_eq!(scratch.path().first(), Some(&7));
         assert_eq!(scratch.path().last(), Some(&200));
         assert_eq!(scratch.path().len() as u64, r.hops + 1);
@@ -755,13 +752,6 @@ mod tests {
         assert_eq!(a, b);
         assert!(!recording.path().is_empty());
         assert!(silent.path().is_empty());
-        // A path-recording router overrides the scratch flag: it needs the sequence.
-        let recorder = Router::new().with_path_recording(true);
-        let r = recorder.route_frozen(&frozen, 3, 400, &mut rng_a, &mut silent);
-        assert_eq!(
-            r.path.as_deref().map(<[u64]>::len),
-            Some(silent.path().len())
-        );
     }
 
     #[test]
@@ -781,10 +771,7 @@ mod tests {
         graph.fail_node(3);
         let pairs = [(10u64, 0u64)];
         for strategy in [FaultStrategy::Terminate, FaultStrategy::paper_backtrack()] {
-            let router = Router::new()
-                .with_strategy(strategy)
-                .with_path_recording(true);
-            assert_parity(router, &graph, &pairs, 9);
+            assert_parity(Router::new().with_strategy(strategy), &graph, &pairs, 9);
         }
     }
 
@@ -813,10 +800,29 @@ mod tests {
         }
     }
 
+    /// The hop budget stops both walks alike. It is always `4·n + 16` from outside,
+    /// so the test sets it to one hop in the live loop's argument and the scratch's
+    /// walk state.
     #[test]
     fn hop_limit_parity() {
         let graph = paper_graph(1 << 10, 1, 11);
-        let router = Router::new().with_max_hops(1).with_path_recording(true);
-        assert_parity(router, &graph, &[(0, 1023)], 12);
+        let frozen = graph.freeze();
+        let router = Router::new();
+        let mut path = Vec::new();
+        let mut rng = StdRng::seed_from_u64(12);
+        let live = router.walk(&graph, 0, 1023, &mut rng, 1, Some(&mut path));
+
+        let mut scratch = RouteScratch::new();
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut over = scratch.begin(router, &frozen, 0, 1023);
+        scratch.walk.max_hops = 1;
+        while over.is_none() {
+            over = scratch.hop(&frozen, has_dead(&frozen), &mut rng);
+        }
+        let fast = scratch.finish(over.unwrap());
+        assert_eq!(fast.outcome, RouteOutcome::Failed(FailureReason::HopLimit));
+        assert_eq!(fast.hops, 1);
+        assert_eq!(live, fast);
+        assert_eq!(path, scratch_path(&scratch));
     }
 }

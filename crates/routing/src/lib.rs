@@ -10,9 +10,10 @@
 //! * [`FaultStrategy`] — the three recovery strategies compared in Section 6 when a node
 //!   has no live neighbour closer to the target: terminate, random re-route, and bounded
 //!   backtracking.
-//! * [`Router`] — the routing engine: given an overlay graph (possibly damaged by the
-//!   failure models) it walks a message from source to destination and reports the
-//!   outcome, the hop count and (optionally) the full path.
+//! * [`Router`] — the routing engine, a greedy mode and a fault strategy: given an
+//!   overlay graph (possibly damaged by the failure models) it walks a message from
+//!   source to destination and reports the outcome, the hop count and the recoveries;
+//!   [`Router::route_recorded`] also fills a caller's buffer with the visited nodes.
 //! * [`Router::route_frozen`] — the same walk compiled down: it runs over a
 //!   [`FrozenRoutes`](faultline_overlay::FrozenRoutes) CSR snapshot with caller-owned
 //!   [`RouteScratch`] buffers, bit-identical results and zero per-query heap

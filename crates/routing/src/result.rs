@@ -1,7 +1,5 @@
 //! Routing outcomes and results.
 
-use faultline_overlay::NodeId;
-
 /// Why a search failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum FailureReason {
@@ -46,7 +44,7 @@ impl RouteOutcome {
 }
 
 /// The result of routing one message.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RouteResult {
     /// Delivered or failed (with the reason).
     pub outcome: RouteOutcome,
@@ -56,8 +54,6 @@ pub struct RouteResult {
     pub hops: u64,
     /// Number of times the fault strategy had to intervene (0 on an undamaged overlay).
     pub recoveries: u64,
-    /// The sequence of nodes visited, if path recording was enabled on the router.
-    pub path: Option<Vec<NodeId>>,
 }
 
 impl RouteResult {
@@ -69,12 +65,11 @@ impl RouteResult {
 
     /// A failed result with zero hops (used for dead endpoints).
     #[must_use]
-    pub fn immediate_failure(reason: FailureReason, record_path: bool) -> Self {
+    pub fn immediate_failure(reason: FailureReason) -> Self {
         Self {
             outcome: RouteOutcome::Failed(reason),
             hops: 0,
             recoveries: 0,
-            path: record_path.then(Vec::new),
         }
     }
 }
@@ -87,10 +82,9 @@ mod tests {
     fn outcome_helpers() {
         assert!(RouteOutcome::Delivered.is_delivered());
         assert!(!RouteOutcome::Failed(FailureReason::Stuck).is_delivered());
-        let r = RouteResult::immediate_failure(FailureReason::DeadSource, true);
+        let r = RouteResult::immediate_failure(FailureReason::DeadSource);
         assert!(!r.is_delivered());
         assert_eq!(r.hops, 0);
-        assert_eq!(r.path, Some(vec![]));
     }
 
     #[test]

@@ -9,16 +9,14 @@ use std::collections::VecDeque;
 
 /// A greedy router over an overlay graph.
 ///
-/// The router is a small, reusable configuration object: greedy mode, fault strategy,
-/// hop budget and whether to record the full path. Routing itself borrows the graph
-/// immutably, so many messages (or many threads, each with its own RNG) can be routed
-/// over the same overlay.
+/// The router is the paper's two choices and nothing else: the greedy mode and the
+/// fault strategy. Every walk has a hop budget of `4·n + 16` (`n` grid points).
+/// Routing borrows the graph immutably, so many messages (or many threads, each with
+/// its own RNG) can be routed over the same overlay.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Router {
     mode: GreedyMode,
     strategy: FaultStrategy,
-    max_hops: Option<u64>,
-    record_path: bool,
 }
 
 impl Default for Router {
@@ -28,15 +26,12 @@ impl Default for Router {
 }
 
 impl Router {
-    /// A two-sided greedy router that terminates on the first dead end and uses a hop
-    /// budget of `4·n + 16`.
+    /// A two-sided greedy router that terminates on the first dead end.
     #[must_use]
     pub fn new() -> Self {
         Self {
             mode: GreedyMode::TwoSided,
             strategy: FaultStrategy::Terminate,
-            max_hops: None,
-            record_path: false,
         }
     }
 
@@ -54,21 +49,6 @@ impl Router {
         self
     }
 
-    /// Overrides the hop budget (default: `4·n + 16` where `n` is the number of grid
-    /// points in the routed graph).
-    #[must_use]
-    pub fn with_max_hops(mut self, max_hops: u64) -> Self {
-        self.max_hops = Some(max_hops);
-        self
-    }
-
-    /// Enables recording of the visited-node path in every [`RouteResult`].
-    #[must_use]
-    pub fn with_path_recording(mut self, record: bool) -> Self {
-        self.record_path = record;
-        self
-    }
-
     /// The configured greedy mode.
     #[must_use]
     pub fn mode(&self) -> GreedyMode {
@@ -79,18 +59,6 @@ impl Router {
     #[must_use]
     pub fn strategy(&self) -> FaultStrategy {
         self.strategy
-    }
-
-    /// The configured hop-budget override, if any (`None` = `4·n + 16`).
-    #[must_use]
-    pub fn max_hops(&self) -> Option<u64> {
-        self.max_hops
-    }
-
-    /// Whether this router records the visited-node path in every result.
-    #[must_use]
-    pub fn records_path(&self) -> bool {
-        self.record_path
     }
 
     /// Routes one message from `source` to `target` over `graph`.
@@ -104,18 +72,53 @@ impl Router {
         target: NodeId,
         rng: &mut R,
     ) -> RouteResult {
+        self.walk(graph, source, target, rng, hop_budget(graph.len()), None)
+    }
+
+    /// [`Router::route`], also recording the visited nodes into `path`: cleared first,
+    /// then the source and every node each hop moves to, in order. It stays empty if
+    /// an endpoint is dead. The walk and the randomness it consumes are those of
+    /// [`Router::route`].
+    pub fn route_recorded<R: Rng + ?Sized>(
+        &self,
+        graph: &OverlayGraph,
+        source: NodeId,
+        target: NodeId,
+        rng: &mut R,
+        path: &mut Vec<NodeId>,
+    ) -> RouteResult {
+        path.clear();
+        let budget = hop_budget(graph.len());
+        self.walk(graph, source, target, rng, budget, Some(path))
+    }
+
+    /// The one live walk: at most `max_hops` hops, each visited node pushed to `path`
+    /// when there is one.
+    pub(crate) fn walk<R: Rng + ?Sized>(
+        &self,
+        graph: &OverlayGraph,
+        source: NodeId,
+        target: NodeId,
+        rng: &mut R,
+        max_hops: u64,
+        mut path: Option<&mut Vec<NodeId>>,
+    ) -> RouteResult {
         if !graph.is_alive(source) {
-            return RouteResult::immediate_failure(FailureReason::DeadSource, self.record_path);
+            return RouteResult::immediate_failure(FailureReason::DeadSource);
         }
         if !graph.is_alive(target) {
-            return RouteResult::immediate_failure(FailureReason::DeadTarget, self.record_path);
+            return RouteResult::immediate_failure(FailureReason::DeadTarget);
         }
 
-        let max_hops = self.max_hops.unwrap_or(4 * graph.len() + 16);
         let mut hops = 0u64;
         let mut recoveries = 0u64;
         let mut current = source;
-        let mut path = self.record_path.then(|| vec![source]);
+        let mut visit = |node: NodeId| {
+            if let Some(path) = path.as_deref_mut() {
+                path.push(node);
+            }
+        };
+        visit(source);
 
         // Backtracking state: recently visited nodes and known dead ends.
         let backtrack_depth = match self.strategy {
@@ -126,103 +129,62 @@ impl Router {
         let mut dead_ends: Vec<NodeId> = Vec::new();
         let mut reroutes_used = 0u32;
 
-        loop {
+        let outcome = loop {
             if current == target {
-                return RouteResult {
-                    outcome: RouteOutcome::Delivered,
-                    hops,
-                    recoveries,
-                    path,
-                };
+                break RouteOutcome::Delivered;
             }
             if hops >= max_hops {
-                return RouteResult {
-                    outcome: RouteOutcome::Failed(FailureReason::HopLimit),
-                    hops,
-                    recoveries,
-                    path,
-                };
+                break RouteOutcome::Failed(FailureReason::HopLimit);
             }
 
             let excluded: &[NodeId] = if backtrack_depth > 0 { &dead_ends } else { &[] };
-            if let Some(next) = best_neighbor(graph, current, target, self.mode, excluded) {
-                if backtrack_depth > 0 {
-                    if history.len() == backtrack_depth {
-                        history.pop_front();
-                    }
-                    history.push_back(current);
-                }
-                current = next;
-                hops += 1;
-                if let Some(p) = path.as_mut() {
-                    p.push(current);
-                }
-                continue;
-            }
-
-            // Dead end: no live neighbour is closer to the target.
-            match self.strategy {
-                FaultStrategy::Terminate => {
-                    return RouteResult {
-                        outcome: RouteOutcome::Failed(FailureReason::Stuck),
-                        hops,
-                        recoveries,
-                        path,
-                    };
-                }
-                FaultStrategy::RandomReroute { max_attempts } => {
-                    if reroutes_used >= max_attempts {
-                        return RouteResult {
-                            outcome: RouteOutcome::Failed(FailureReason::Stuck),
-                            hops,
-                            recoveries,
-                            path,
-                        };
-                    }
-                    reroutes_used += 1;
-                    recoveries += 1;
-                    match random_alive_node(graph, current, rng) {
-                        Some(node) => {
-                            current = node;
-                            hops += 1;
-                            if let Some(p) = path.as_mut() {
-                                p.push(current);
-                            }
+            let next = match best_neighbor(graph, current, target, self.mode, excluded) {
+                Some(next) => {
+                    if backtrack_depth > 0 {
+                        if history.len() == backtrack_depth {
+                            history.pop_front();
                         }
-                        None => {
-                            return RouteResult {
-                                outcome: RouteOutcome::Failed(FailureReason::Stuck),
-                                hops,
-                                recoveries,
-                                path,
-                            };
+                        history.push_back(current);
+                    }
+                    Some(next)
+                }
+                // Dead end: no live neighbour is closer to the target.
+                None => match self.strategy {
+                    FaultStrategy::Terminate => None,
+                    FaultStrategy::RandomReroute { max_attempts } => {
+                        if reroutes_used >= max_attempts {
+                            None
+                        } else {
+                            reroutes_used += 1;
+                            recoveries += 1;
+                            random_alive_node(graph, current, rng)
                         }
                     }
-                }
-                FaultStrategy::Backtrack { .. } => {
-                    recoveries += 1;
-                    dead_ends.push(current);
-                    match history.pop_back() {
-                        Some(prev) => {
-                            current = prev;
-                            hops += 1;
-                            if let Some(p) = path.as_mut() {
-                                p.push(current);
-                            }
-                        }
-                        None => {
-                            return RouteResult {
-                                outcome: RouteOutcome::Failed(FailureReason::Stuck),
-                                hops,
-                                recoveries,
-                                path,
-                            };
-                        }
+                    FaultStrategy::Backtrack { .. } => {
+                        recoveries += 1;
+                        dead_ends.push(current);
+                        history.pop_back()
                     }
-                }
-            }
+                },
+            };
+            let Some(next) = next else {
+                break RouteOutcome::Failed(FailureReason::Stuck);
+            };
+            current = next;
+            hops += 1;
+            visit(current);
+        };
+        RouteResult {
+            outcome,
+            hops,
+            recoveries,
         }
     }
+}
+
+/// The hop budget of every walk, live or frozen, over a space of `points` grid points.
+pub(crate) fn hop_budget(points: u64) -> u64 {
+    4 * points + 16
 }
 
 /// Picks a uniformly random alive node different from `other`, if one exists.
@@ -299,12 +261,12 @@ mod tests {
     #[test]
     fn self_route_takes_zero_hops() {
         let graph = paper_graph(64, 3, 5);
-        let router = Router::new().with_path_recording(true);
         let mut rng = StdRng::seed_from_u64(6);
-        let r = router.route(&graph, 10, 10, &mut rng);
+        let mut path = Vec::new();
+        let r = Router::new().route_recorded(&graph, 10, 10, &mut rng, &mut path);
         assert!(r.is_delivered());
         assert_eq!(r.hops, 0);
-        assert_eq!(r.path, Some(vec![10]));
+        assert_eq!(path, vec![10]);
     }
 
     #[test]
@@ -400,20 +362,20 @@ mod tests {
     #[test]
     fn hop_limit_is_enforced() {
         let graph = paper_graph(1 << 10, 1, 11);
-        let router = Router::new().with_max_hops(1);
         let mut rng = StdRng::seed_from_u64(12);
-        let r = router.route(&graph, 0, 1023, &mut rng);
+        let mut path = Vec::new();
+        let r = Router::new().walk(&graph, 0, 1023, &mut rng, 1, Some(&mut path));
         assert_eq!(r.outcome, RouteOutcome::Failed(FailureReason::HopLimit));
         assert_eq!(r.hops, 1);
+        assert_eq!(path.len(), 2);
     }
 
     #[test]
     fn recorded_path_starts_and_ends_correctly() {
         let graph = paper_graph(256, 6, 13);
-        let router = Router::new().with_path_recording(true);
         let mut rng = StdRng::seed_from_u64(14);
-        let r = router.route(&graph, 7, 200, &mut rng);
-        let path = r.path.as_ref().unwrap();
+        let mut path = vec![999];
+        let r = Router::new().route_recorded(&graph, 7, 200, &mut rng, &mut path);
         assert_eq!(*path.first().unwrap(), 7);
         assert_eq!(*path.last().unwrap(), 200);
         assert_eq!(path.len() as u64, r.hops + 1);

@@ -3,8 +3,9 @@
 //! `Router::route_frozen` is an *optimisation*, not a second implementation of the
 //! semantics: over random graphs, random churn patterns (node failures, revivals, link
 //! failures, permanent departures), both greedy modes and every fault strategy, its
-//! [`RouteResult`]s — outcome, hops, recoveries and recorded path — must equal
-//! `Router::route`'s exactly, and both must consume the same amount of randomness.
+//! [`RouteResult`]s — outcome, hops and recoveries — must equal `Router::route`'s
+//! exactly, its scratch path must equal the nodes `Router::route_recorded` visits,
+//! and both must consume the same amount of randomness.
 //!
 //! The same contract covers the vectorized distance scan: every case routes the
 //! frozen snapshot twice — once with the auto-detected kernel (AVX2 where the CPU
@@ -107,9 +108,7 @@ fn delta_to(snapshot: &FrozenRoutes, graph: &OverlayGraph) -> ChurnDelta {
 /// pinned-scalar kernel and asserts bit-identical results and RNG consumption.
 fn check_kernel_parity(snapshot: &FrozenRoutes, seed: u64) -> Result<(), String> {
     let n = snapshot.len();
-    let router = Router::new()
-        .with_strategy(FaultStrategy::paper_backtrack())
-        .with_path_recording(true);
+    let router = Router::new().with_strategy(FaultStrategy::paper_backtrack());
     let mut scratch_auto = RouteScratch::new();
     let mut scratch_scalar = RouteScratch::new().with_kernel(KernelIsa::scalar());
     let mut pair_rng = StdRng::seed_from_u64(seed ^ 0x7A0D);
@@ -120,7 +119,8 @@ fn check_kernel_parity(snapshot: &FrozenRoutes, seed: u64) -> Result<(), String>
         let mut rng_scalar = StdRng::seed_from_u64(seed ^ trial);
         let auto = router.route_frozen(snapshot, s, t, &mut rng_auto, &mut scratch_auto);
         let scalar = router.route_frozen(snapshot, s, t, &mut rng_scalar, &mut scratch_scalar);
-        prop_assert_eq!(&auto, &scalar, "{} -> {} kernels diverged", s, t);
+        prop_assert_eq!(auto, scalar, "{} -> {} kernels diverged", s, t);
+        prop_assert_eq!(scratch_auto.path(), scratch_scalar.path());
         prop_assert_eq!(rng_auto.next_u64(), rng_scalar.next_u64());
     }
     Ok(())
@@ -155,12 +155,12 @@ proptest! {
         let mode = if one_sided { GreedyMode::OneSided } else { GreedyMode::TwoSided };
         let router = Router::new()
             .with_mode(mode)
-            .with_strategy(strategy_from(strategy_pick))
-            .with_path_recording(true);
+            .with_strategy(strategy_from(strategy_pick));
 
         let mut pair_rng = StdRng::seed_from_u64(seed ^ 0x9A17);
         let mut scratch = RouteScratch::new();
         let mut scratch_scalar = RouteScratch::new().with_kernel(KernelIsa::scalar());
+        let mut live_path = Vec::new();
         for trial in 0..8u64 {
             // Endpoints deliberately include dead and absent grid points: the immediate
             // failure paths must agree too.
@@ -169,22 +169,21 @@ proptest! {
             let mut rng_live = StdRng::seed_from_u64(seed ^ trial);
             let mut rng_frozen = StdRng::seed_from_u64(seed ^ trial);
             let mut rng_scalar = StdRng::seed_from_u64(seed ^ trial);
-            let live = router.route(&graph, s, t, &mut rng_live);
+            let live = router.route_recorded(&graph, s, t, &mut rng_live, &mut live_path);
             let fast = router.route_frozen(&frozen, s, t, &mut rng_frozen, &mut scratch);
             let slow = router.route_frozen(&frozen, s, t, &mut rng_scalar, &mut scratch_scalar);
-            prop_assert_eq!(&live, &fast, "{} -> {} diverged (live vs frozen)", s, t);
+            prop_assert_eq!(live, fast, "{} -> {} diverged (live vs frozen)", s, t);
             prop_assert_eq!(
-                &fast, &slow,
+                fast, slow,
                 "{} -> {} diverged (auto kernel vs forced scalar)", s, t
             );
             let (a, b, c) = (rng_live.next_u64(), rng_frozen.next_u64(), rng_scalar.next_u64());
             prop_assert_eq!(a, b, "{} -> {} consumed different randomness", s, t);
             prop_assert_eq!(b, c, "{} -> {} scalar kernel consumed different randomness", s, t);
-            // The scratch path always mirrors the recorded path (as u32s).
-            let scratch_path: Vec<u64> =
-                fast.path.clone().unwrap_or_default();
+            // Both kernels' scratch paths are the live walk's path (as u32s).
             let recorded: Vec<u64> = scratch.path().iter().map(|&p| u64::from(p)).collect();
-            prop_assert_eq!(scratch_path, recorded);
+            prop_assert_eq!(&live_path, &recorded, "{} -> {} visited different nodes", s, t);
+            prop_assert_eq!(scratch.path(), scratch_scalar.path());
         }
     }
 
@@ -262,8 +261,7 @@ proptest! {
         let mode = if one_sided { GreedyMode::OneSided } else { GreedyMode::TwoSided };
         let router = Router::new()
             .with_mode(mode)
-            .with_strategy(strategy_from(strategy_pick))
-            .with_path_recording(seed & 1 == 1);
+            .with_strategy(strategy_from(strategy_pick));
         // Every third walk routes as an engine retry would: randomized re-route.
         let router_of = |index: usize| {
             if index % 3 == 2 {

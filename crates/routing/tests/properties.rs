@@ -48,12 +48,11 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let graph = build(n, ell, seed);
-        let router = Router::new().with_path_recording(true);
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(1));
         let s = rng.gen_range(0..n);
         let t = rng.gen_range(0..n);
-        let result = router.route(&graph, s, t, &mut rng);
-        let path = result.path.unwrap();
+        let mut path = Vec::new();
+        Router::new().route_recorded(&graph, s, t, &mut rng, &mut path);
         let geometry = graph.geometry();
         for pair in path.windows(2) {
             prop_assert!(
@@ -72,13 +71,14 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let graph = build(n, ell, seed);
-        let router = Router::new().with_mode(GreedyMode::OneSided).with_path_recording(true);
+        let router = Router::new().with_mode(GreedyMode::OneSided);
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(2));
         let s = rng.gen_range(0..n);
         let t = rng.gen_range(0..n);
-        let result = router.route(&graph, s, t, &mut rng);
+        let mut path = Vec::new();
+        let result = router.route_recorded(&graph, s, t, &mut rng, &mut path);
         prop_assert_eq!(result.outcome, RouteOutcome::Delivered);
-        for &p in result.path.as_ref().unwrap() {
+        for &p in &path {
             if s >= t {
                 prop_assert!(p >= t, "overshot below target");
             } else {

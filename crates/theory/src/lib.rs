@@ -14,7 +14,8 @@
 //!   lower-bound machinery against measured behaviour.
 //! * [`oracle`] — an exact BFS shortest-path oracle over any caller-supplied adjacency.
 //!   It currently has no caller outside its tests; it is kept as the ground truth for
-//!   the ROADMAP's planned stretch contract (greedy hops ÷ optimal hops, direction 1).
+//!   the ROADMAP's planned stretch contract (greedy hops ÷ optimal hops, among the
+//!   Figure 6 and Table 1 conformance gates).
 //! * [`connectivity`] — exact connectivity structure of a failure-damaged overlay:
 //!   one-array (Pearce) SCCs plus a condensation walk for directed
 //!   `survivable(src, dst)` ground truth — the denominator of the engine's
