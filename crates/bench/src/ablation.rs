@@ -16,6 +16,7 @@ use faultline_failure::{NodeFailure, RegionFailure};
 use faultline_overlay::stats::LinkLengthDistribution;
 use faultline_routing::{FaultStrategy, RouteScratch};
 use faultline_sim::run_trials;
+use std::io::{self, Write};
 
 /// One row of the exponent sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -164,49 +165,77 @@ pub fn region_failure_probe(
         .collect()
 }
 
-/// Prints the exponent sweep.
-pub fn print_exponent(n: u64, ell: usize, rows: &[ExponentRow]) {
-    println!("# Ablation: link-distribution exponent sweep (n = {n}, l = {ell})");
-    println!("{:>10} {:>12} {:>10}", "exponent", "mean hops", "failed");
+/// Writes the exponent sweep to `out`.
+pub fn print_exponent(
+    out: &mut impl Write,
+    n: u64,
+    ell: usize,
+    rows: &[ExponentRow],
+) -> io::Result<()> {
+    writeln!(
+        out,
+        "# Ablation: link-distribution exponent sweep (n = {n}, l = {ell})"
+    )?;
+    writeln!(
+        out,
+        "{:>10} {:>12} {:>10}",
+        "exponent", "mean hops", "failed"
+    )?;
     for row in rows {
-        println!(
+        writeln!(
+            out,
             "{:>10.2} {:>12.2} {:>10.3}",
             row.exponent, row.mean_hops, row.failed_fraction
-        );
+        )?;
     }
+    Ok(())
 }
 
-/// Prints the replacement ablation.
-pub fn print_replacement(n: u64, ell: usize, rows: &[ReplacementRow]) {
-    println!("# Ablation: link replacement strategy (n = {n}, l = {ell})");
-    println!(
+/// Writes the replacement ablation to `out`.
+pub fn print_replacement(
+    out: &mut impl Write,
+    n: u64,
+    ell: usize,
+    rows: &[ReplacementRow],
+) -> io::Result<()> {
+    writeln!(
+        out,
+        "# Ablation: link replacement strategy (n = {n}, l = {ell})"
+    )?;
+    writeln!(
+        out,
         "{:<18} {:>16} {:>12} {:>14}",
         "strategy", "max |error|", "mean hops", "long degree"
-    );
+    )?;
     for row in rows {
-        println!(
+        writeln!(
+            out,
             "{:<18} {:>16.4} {:>12.2} {:>14.2}",
             row.strategy.label(),
             row.max_distribution_error,
             row.mean_hops,
             row.mean_long_degree
-        );
+        )?;
     }
+    Ok(())
 }
 
-/// Prints the region-failure probe.
-pub fn print_region(n: u64, rows: &[RegionRow]) {
-    println!("# Ablation: correlated region failures (n = {n})");
-    println!(
+/// Writes the region-failure probe to `out`.
+pub fn print_region(out: &mut impl Write, n: u64, rows: &[RegionRow]) -> io::Result<()> {
+    writeln!(out, "# Ablation: correlated region failures (n = {n})")?;
+    writeln!(
+        out,
         "{:>16} {:>14} {:>14}",
         "region fraction", "terminate", "backtracking"
-    );
+    )?;
     for row in rows {
-        println!(
+        writeln!(
+            out,
             "{:>16.2} {:>14.3} {:>14.3}",
             row.region_fraction, row.terminate_failed, row.backtrack_failed
-        );
+        )?;
     }
+    Ok(())
 }
 
 #[cfg(test)]

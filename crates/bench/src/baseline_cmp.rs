@@ -7,6 +7,7 @@ use faultline_core::{BatchStats, Network, NetworkConfig};
 use faultline_failure::NodeFailure;
 use faultline_routing::FaultStrategy;
 use faultline_sim::run_trials;
+use std::io::{self, Write};
 
 /// Which overlay a comparison row measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -131,22 +132,25 @@ pub fn comparison_sweep(
         .collect()
 }
 
-/// Prints the comparison table.
-pub fn print(log2_nodes: u32, rows: &[ComparisonRow]) {
-    println!("# Baseline comparison (2^{log2_nodes} nodes)");
-    println!(
+/// Writes the comparison table to `out`.
+pub fn print(out: &mut impl Write, log2_nodes: u32, rows: &[ComparisonRow]) -> io::Result<()> {
+    writeln!(out, "# Baseline comparison (2^{log2_nodes} nodes)")?;
+    writeln!(
+        out,
         "{:<24} {:>14} {:>16} {:>12}",
         "system", "failed nodes", "failed searches", "mean hops"
-    );
+    )?;
     for row in rows {
-        println!(
+        writeln!(
+            out,
             "{:<24} {:>14.2} {:>16.3} {:>12.2}",
             row.system.label(),
             row.failed_fraction,
             row.failed_searches,
             row.mean_hops
-        );
+        )?;
     }
+    Ok(())
 }
 
 #[cfg(test)]

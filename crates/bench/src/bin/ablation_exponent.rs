@@ -1,6 +1,6 @@
 //! Ablation: sweep the link-distribution exponent to show exponent 1 is the sweet spot.
 
-use faultline_bench::{ablation, BenchArgs};
+use faultline_bench::{ablation, emit, BenchArgs};
 
 fn main() {
     let args = BenchArgs::from_env();
@@ -10,5 +10,5 @@ fn main() {
     let messages = args.messages_or(200, 1000);
     let exponents = [0.0, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0];
     let rows = ablation::exponent_sweep(n, ell, &exponents, trials, messages, args.seed);
-    ablation::print_exponent(n, ell, &rows);
+    emit(|out| ablation::print_exponent(out, n, ell, &rows));
 }

@@ -1,7 +1,7 @@
 //! Compares the paper's overlay against Chord, Kleinberg's grid and Plaxton routing under
 //! identical node-failure levels.
 
-use faultline_bench::{baseline_cmp, BenchArgs};
+use faultline_bench::{baseline_cmp, emit, BenchArgs};
 
 fn main() {
     let args = BenchArgs::from_env();
@@ -14,5 +14,5 @@ fn main() {
     let messages = args.messages_or(300, 1000);
     let fractions = [0.0, 0.2, 0.4, 0.6];
     let rows = baseline_cmp::comparison_sweep(log2_nodes, &fractions, trials, messages, args.seed);
-    baseline_cmp::print(log2_nodes, &rows);
+    emit(|out| baseline_cmp::print(out, log2_nodes, &rows));
 }

@@ -1,6 +1,6 @@
 //! Regenerates Figure 5: constructed-network link distribution vs the ideal `1/d` law.
 
-use faultline_bench::{fig5, BenchArgs};
+use faultline_bench::{emit, fig5, BenchArgs};
 use faultline_construction::ReplacementStrategy;
 
 fn main() {
@@ -15,5 +15,5 @@ fn main() {
         ReplacementStrategy::InverseDistance,
         args.seed,
     );
-    fig5::print(&result);
+    emit(|out| fig5::print(out, &result));
 }

@@ -1,6 +1,6 @@
 //! Regenerates Figure 6: failed searches and delivery time vs fraction of failed nodes.
 
-use faultline_bench::{fig6, BenchArgs};
+use faultline_bench::{emit, fig6, BenchArgs};
 
 fn main() {
     let args = BenchArgs::from_env();
@@ -19,5 +19,5 @@ fn main() {
         c
     };
     let rows = fig6::node_failure_experiment(&config);
-    fig6::print(&config, &rows);
+    emit(|out| fig6::print(out, &config, &rows));
 }

@@ -1,6 +1,6 @@
 //! Regenerates Figure 7: failed searches of the constructed vs the ideal network.
 
-use faultline_bench::{fig7, BenchArgs};
+use faultline_bench::{emit, fig7, BenchArgs};
 
 fn main() {
     let args = BenchArgs::from_env();
@@ -19,5 +19,5 @@ fn main() {
         c
     };
     let rows = fig7::constructed_vs_ideal(&config);
-    fig7::print(&config, &rows);
+    emit(|out| fig7::print(out, &config, &rows));
 }

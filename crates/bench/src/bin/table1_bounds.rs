@@ -1,6 +1,6 @@
 //! Regenerates Table 1: measured delivery time against the analytic upper/lower bounds.
 
-use faultline_bench::{table1, BenchArgs};
+use faultline_bench::{emit, table1, BenchArgs};
 
 fn main() {
     let args = BenchArgs::from_env();
@@ -20,5 +20,5 @@ fn main() {
         config.sizes = vec![nodes];
     }
     let rows = table1::scaling_experiment(&config);
-    table1::print(&config, &rows);
+    emit(|out| table1::print(out, &config, &rows));
 }

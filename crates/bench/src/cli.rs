@@ -1,4 +1,7 @@
-//! Minimal command-line argument handling shared by every benchmark binary.
+//! Minimal command-line argument handling shared by every benchmark binary, and
+//! the one way they write their reports ([`emit`]).
+
+use std::io::{self, ErrorKind, StdoutLock, Write};
 
 /// Common knobs accepted by every figure/table binary.
 ///
@@ -127,6 +130,25 @@ impl BenchArgs {
     pub fn messages_or(&self, default: u64, paper: u64) -> u64 {
         self.messages
             .unwrap_or(if self.paper_scale { paper } else { default })
+    }
+}
+
+/// Writes a binary's report through one locked stdout handle. A reader that goes
+/// away before the end (`| head`) ends the process quietly with status 0, the
+/// rows it did not want unwritten; any other write error is reported on stderr
+/// and ends it with status 1.
+pub fn emit(report: impl FnOnce(&mut StdoutLock<'static>) -> io::Result<()>) {
+    let written = {
+        let mut out = io::stdout().lock();
+        report(&mut out).and_then(|()| out.flush())
+    };
+    match written {
+        Ok(()) => {}
+        Err(error) if error.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(error) => {
+            eprintln!("error: writing the report to stdout: {error}");
+            std::process::exit(1);
+        }
     }
 }
 

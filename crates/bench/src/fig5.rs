@@ -11,6 +11,7 @@ use faultline_construction::{IncrementalBuilder, ReplacementStrategy};
 use faultline_metric::Geometry;
 use faultline_overlay::stats::{LengthComparison, LinkLengthDistribution};
 use faultline_sim::run_trials;
+use std::io::{self, Write};
 
 /// One aggregated data point of Figure 5, at a given link length.
 pub type Fig5Row = LengthComparison;
@@ -77,28 +78,33 @@ pub fn log_spaced_lengths(max_length: u64) -> Vec<u64> {
     out
 }
 
-/// Prints the Figure 5 series in the same layout as the paper's plots.
-pub fn print(result: &Fig5Result) {
-    println!(
+/// Writes the Figure 5 series to `out`, in the same layout as the paper's plots.
+pub fn print(out: &mut impl Write, result: &Fig5Result) -> io::Result<()> {
+    writeln!(
+        out,
         "# Figure 5: constructed-network link distribution ({} networks, {} links total)",
         result.networks, result.total_links
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:>10} {:>14} {:>14} {:>14}",
         "length", "derived", "ideal", "abs error"
-    );
+    )?;
     let lengths = log_spaced_lengths(result.rows.len() as u64);
     for &d in &lengths {
         let row = &result.rows[(d - 1) as usize];
-        println!(
+        writeln!(
+            out,
             "{:>10} {:>14.6} {:>14.6} {:>14.6}",
             row.length, row.derived, row.ideal, row.absolute_error
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "# max |derived - ideal| = {:.4} at length {} (paper: ~0.022 at length 2)",
         result.max_absolute_error, result.max_error_length
-    );
+    )?;
+    Ok(())
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@ use crate::trial::{sweep, Step};
 use faultline_core::NetworkConfig;
 use faultline_failure::NodeFailure;
 use faultline_routing::FaultStrategy;
+use std::io::{self, Write};
 
 /// One data point of Figure 6: a (failure fraction, strategy) pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,22 +142,27 @@ pub fn node_failure_experiment(config: &Fig6Config) -> Vec<Fig6Row> {
     rows
 }
 
-/// Prints both Figure 6(a) (failed searches) and Figure 6(b) (delivery time) series.
-pub fn print(config: &Fig6Config, rows: &[Fig6Row]) {
-    println!(
+/// Writes both Figure 6(a) (failed searches) and Figure 6(b) (delivery time)
+/// series to `out`.
+pub fn print(out: &mut impl Write, config: &Fig6Config, rows: &[Fig6Row]) -> io::Result<()> {
+    writeln!(
+        out,
         "# Figure 6: n = {}, l = {}, {} trials x {} messages per point",
         config.nodes, config.links, config.trials, config.messages
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:>14} {:<18} {:>16} {:>18} {:>10}",
         "failed nodes", "strategy", "failed searches", "mean hops (ok)", "messages"
-    );
+    )?;
     for row in rows {
-        println!(
+        writeln!(
+            out,
             "{:>14.2} {:<18} {:>16.4} {:>18.2} {:>10}",
             row.failed_fraction, row.strategy, row.failed_searches, row.mean_hops, row.messages
-        );
+        )?;
     }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@ use crate::trial::{sweep, Step};
 use faultline_core::{ConstructionMode, NetworkConfig};
 use faultline_failure::NodeFailure;
 use faultline_routing::FaultStrategy;
+use std::io::{self, Write};
 
 /// One data point of Figure 7.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -125,22 +126,26 @@ pub fn constructed_vs_ideal(config: &Fig7Config) -> Vec<Fig7Row> {
         .collect()
 }
 
-/// Prints the Figure 7 series.
-pub fn print(config: &Fig7Config, rows: &[Fig7Row]) {
-    println!(
+/// Writes the Figure 7 series to `out`.
+pub fn print(out: &mut impl Write, config: &Fig7Config, rows: &[Fig7Row]) -> io::Result<()> {
+    writeln!(
+        out,
         "# Figure 7: n = {}, l = {}, {} constructions x {} messages per point",
         config.nodes, config.links, config.trials, config.messages
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:>18} {:>18} {:>22}",
         "failure prob", "ideal network", "constructed network"
-    );
+    )?;
     for row in rows {
-        println!(
+        writeln!(
+            out,
             "{:>18.2} {:>18.4} {:>22.4}",
             row.failure_probability, row.ideal_failed, row.constructed_failed
-        );
+        )?;
     }
+    Ok(())
 }
 
 #[cfg(test)]

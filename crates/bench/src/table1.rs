@@ -10,6 +10,7 @@ use crate::trial::{sweep, Step};
 use faultline_core::{LinkSpec, NetworkConfig};
 use faultline_failure::{LinkFailure, NodeFailure};
 use faultline_theory::ModelBounds;
+use std::io::{self, Write};
 
 /// Which Table 1 model a row belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -196,18 +197,25 @@ pub fn scaling_experiment(config: &Table1Config) -> Vec<Table1Measurement> {
     rows
 }
 
-/// Prints the measured-vs-bound table.
-pub fn print(config: &Table1Config, rows: &[Table1Measurement]) {
-    println!(
+/// Writes the measured-vs-bound table to `out`.
+pub fn print(
+    out: &mut impl Write,
+    config: &Table1Config,
+    rows: &[Table1Measurement],
+) -> io::Result<()> {
+    writeln!(
+        out,
         "# Table 1: measured delivery time vs analytic bounds ({} trials x {} messages per cell)",
         config.trials, config.messages
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:<46} {:>9} {:>6} {:>12} {:>12} {:>12} {:>10}",
         "model", "n", "links", "measured", "upper", "lower", "failed"
-    );
+    )?;
     for row in rows {
-        println!(
+        writeln!(
+            out,
             "{:<46} {:>9} {:>6} {:>12.2} {:>12.2} {:>12} {:>10.3}",
             row.model.description(),
             row.nodes,
@@ -218,8 +226,9 @@ pub fn print(config: &Table1Config, rows: &[Table1Measurement]) {
                 .map(|l| format!("{l:.2}"))
                 .unwrap_or_else(|| "-".to_owned()),
             row.failed_fraction,
-        );
+        )?;
     }
+    Ok(())
 }
 
 #[cfg(test)]

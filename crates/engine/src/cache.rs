@@ -47,7 +47,15 @@ const KEYS: usize = (NUM_BUCKETS * NUM_BUCKETS) as usize;
 const VACANT: u16 = u16::MAX;
 const _: () = assert!(KEYS < VACANT as usize);
 
-/// The bucket a metric-space position falls into (`0..NUM_BUCKETS`).
+/// The bucket a metric-space position falls into (`0..NUM_BUCKETS`):
+/// `⌊position · NUM_BUCKETS / n⌋`.
+///
+/// The engine keys its lookups with the same arithmetic and no hardware divide:
+/// per batch it takes the reciprocal `m = ⌊(2^64 − 1) / n⌋`, estimates the bucket
+/// as the high word of `position · NUM_BUCKETS · m`, which is the exact quotient or
+/// one below it, and corrects it with one multiply and compare. The two agree for
+/// every position of every space up to `2^58` points (the unit tests check it
+/// exhaustively at small and odd sizes and by sampling at `2^32`).
 ///
 /// # Panics
 ///
@@ -64,6 +72,44 @@ pub fn bucket_of(position: NodeId, n: u64) -> u64 {
         // Only positions of 2^58 and up get here.
         None => ((u128::from(position) * u128::from(NUM_BUCKETS)) / u128::from(n)) as u64,
     }
+}
+
+/// [`bucket_of`] over one space, without a divide: the per-batch reciprocal form
+/// its docs describe. A key derived in the engine's feed costs two multiplies
+/// where `bucket_of` costs a 64-bit divide.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Bucketing {
+    n: u64,
+    /// `⌊(2^64 − 1) / n⌋`, so `reciprocal · n < 2^64` and the estimate never
+    /// overshoots.
+    reciprocal: u64,
+}
+
+impl Bucketing {
+    /// The bucketing of an `n`-point space. Exact for `n ≤ 2^58`, where a
+    /// position times [`NUM_BUCKETS`] fits a word; an empty space has no
+    /// position to bucket.
+    pub(crate) fn new(n: u64) -> Self {
+        debug_assert!(n <= 1 << 58, "a {n}-point space overflows the bucket key");
+        Self {
+            n,
+            reciprocal: u64::MAX / n.max(1),
+        }
+    }
+
+    // xlint: begin(no_alloc)
+    /// `bucket_of(position, n)` for a `position < n`.
+    ///
+    /// With `x = position · NUM_BUCKETS` and `m` the reciprocal, `x·m / 2^64`
+    /// lies in `(x/n − 1, x/n]`, so its floor is the quotient or one below it,
+    /// and one compare of the remainder against `n` settles which.
+    #[inline(always)]
+    pub(crate) fn of(self, position: u64) -> u64 {
+        let scaled = position * NUM_BUCKETS;
+        let estimate = ((u128::from(scaled) * u128::from(self.reciprocal)) >> 64) as u64;
+        estimate + u64::from(scaled - estimate * self.n >= self.n)
+    }
+    // xlint: end(no_alloc)
 }
 
 /// The slot of a bucket pair, or `None` when either bucket is out of range. Slots
@@ -369,6 +415,41 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use std::collections::{BTreeMap, BTreeSet};
+
+    /// The engine's division-free key is `bucket_of` exactly: at every position
+    /// of small, odd and power-of-two spaces, and at 10^5 sampled positions (both
+    /// ends included) of the largest spaces a `u32` label can name, plus each
+    /// bucket's first position and the one before it, where an estimate one low
+    /// would show.
+    #[test]
+    fn division_free_buckets_equal_bucket_of() {
+        for n in [1, 2, 3, 63, 64, 65, 1000, 4097, 1 << 16, (1 << 16) + 1] {
+            let bucketing = Bucketing::new(n);
+            for position in 0..n {
+                assert_eq!(
+                    bucketing.of(position),
+                    bucket_of(position, n),
+                    "{position} of {n}"
+                );
+            }
+        }
+        let mut rng = SmallRng::seed_from_u64(41);
+        for n in [u64::from(u32::MAX), 1 << 32] {
+            let bucketing = Bucketing::new(n);
+            let sampled = (0..100_000 - 2).map(|_| rng.gen_range(0..n));
+            let edges = (1..NUM_BUCKETS).flat_map(|bucket| {
+                let first = (bucket * n).div_ceil(NUM_BUCKETS);
+                [first - 1, first]
+            });
+            for position in [0, n - 1].into_iter().chain(sampled).chain(edges) {
+                assert_eq!(
+                    bucketing.of(position),
+                    bucket_of(position, n),
+                    "{position} of {n}"
+                );
+            }
+        }
+    }
 
     /// The LRU the model test holds [`RouteCache`] to, written for clarity rather
     /// than speed: a `BTreeMap` from key to entry.

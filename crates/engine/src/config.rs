@@ -118,10 +118,10 @@ impl std::error::Error for ConfigError {}
 /// The number of shards: cache partitions, each a private route cache whose
 /// lookups one worker serves in batch order. A lookup's shard is its source
 /// bucket modulo this.
-const SHARDS: usize = 16;
+pub(crate) const SHARDS: usize = 16;
 // Queries are assigned to shards by source bucket, so a shard past the bucket
 // count could never receive work; and a shard key (one past the last shard for an
-// unroutable lookup) must fit the byte the batch stores it in.
+// unroutable lookup) must fit the byte a lookup's key stores it in.
 const _: () = assert!(SHARDS <= crate::cache::NUM_BUCKETS as usize);
 const _: () = assert!(SHARDS <= u8::MAX as usize);
 

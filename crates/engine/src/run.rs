@@ -3,14 +3,21 @@
 //! A lookup's source bucket picks its shard, a cache partition. Each worker owns a
 //! contiguous run of shards and walks the batch once, pushing the outcome of each of
 //! its own lookups in batch order: one worker's list is the report's, several are
-//! merged once.
+//! merged once. There is no key pass over the batch: a worker derives each lookup's
+//! shard and cache key, `(source bucket, target bucket)`, from its endpoints as it
+//! feeds it — `bucket_of`'s arithmetic with no divide (a per-batch reciprocal of
+//! the space's size and one correction step), the shard its source bucket modulo
+//! the constant shard count — and carries the key in the lookup's slot to its
+//! probe, its parking and its insert. A multi-worker merge keys each lookup again
+//! to name the worker whose list holds its outcome.
 //!
 //! There is one walk driver, `route_lockstep`: a worker feeds its lookups to a
 //! lockstep [`WalkGroup`], which advances the walks in flight one hop each in turn and
-//! prefetches the row each moved to. A lookup's walks (its first, the failure
-//! schedule's diversified retries, the byzantine lane's redundant walks) run one
-//! after another in its slot. The group is [`WALKS_IN_FLIGHT`] walks wide in every
-//! case but the last:
+//! prefetches the row each moved to. Each worker keeps its group, and the buffers
+//! its slots' scratches grew, from one batch to the next. A lookup's walks (its
+//! first, the failure schedule's diversified retries, the byzantine lane's
+//! redundant walks) run one after another in its slot. The group is
+//! [`WALKS_IN_FLIGHT`] walks wide in every case but the last:
 //!
 //! * **cache off, or the byzantine lane** (which bypasses the cache) — no lookup
 //!   depends on another.
@@ -19,7 +26,10 @@
 //!   marks the key in flight; a later lookup of that key parks behind its walk
 //!   without probing, and once the walk's insert lands the parked lookups probe in
 //!   batch order, before any new lookup. So every probe sees what a sequential loop
-//!   would have: the same hits, misses and inserts.
+//!   would have: the same hits, misses and inserts. While no inserting walk is out
+//!   nothing can park, and the feed takes its lean path: a delivered hit costs its
+//!   key, its probe and the push of its outcome, and the feed goes back to the
+//!   group only when a lookup must walk.
 //! * **cache on, a shard can evict** (its capacity is below the `NUM_BUCKETS² / 16`
 //!   keys a shard owns) — one walk: there an insert may evict the entry a later
 //!   lookup would have hit, so the walks go one at a time.
@@ -32,8 +42,8 @@
 //! outcomes are a function of (snapshot, batch, seed): identical at any thread count.
 
 use crate::batch::QueryBatch;
-use crate::cache::{bucket_of, CachedRoute, RouteCache, RowSet, NUM_BUCKETS};
-use crate::config::EngineConfig;
+use crate::cache::{Bucketing, CachedRoute, RouteCache, RowSet, NUM_BUCKETS};
+use crate::config::{EngineConfig, SHARDS};
 use crate::failures::FailureSchedule;
 use crate::stats::{BatchReport, OutcomeExtras, QueryOutcome, Spares};
 use faultline_core::{FrozenView, Network};
@@ -124,28 +134,26 @@ impl<T> Kept<T> {
     }
 }
 
-/// See [`QueryEngine::run_batch_with_snapshot`]: the shard key and the `(source
-/// bucket, target bucket)` of every lookup, each worker's [`WorkerLists`], and the
-/// nanoseconds each worker spent. Several workers' outcome lists stay here from
-/// batch to batch; one worker's outcomes and extras are the report's, its outcome
-/// buffer taken from the engine's spares like a multi-worker merge target, so a
-/// dropped report's pages come back to the next batch either way.
+/// See [`QueryEngine::run_batch_with_snapshot`]: each worker's [`WorkerLists`],
+/// and the nanoseconds each worker spent. Several workers' outcome lists stay here
+/// from batch to batch; one worker's outcomes and extras are the report's, its
+/// outcome buffer taken from the engine's spares like a multi-worker merge target,
+/// so a dropped report's pages come back to the next batch either way.
 #[derive(Debug, Default)]
 struct BatchScratch {
-    keys: Vec<u8>,
-    buckets: Vec<(u8, u8)>,
     served: Vec<WorkerLists>,
     worker_nanos: Vec<u64>,
 }
 
 /// One worker's lists: its outcomes in batch order and its [`Extras`], and what
-/// its feed keeps, from batch to batch, so that a burst of misses allocates
-/// nothing — the lookups parked behind an inserting walk, and each group slot's
-/// row dependencies.
+/// its feed keeps, from batch to batch, so that neither a batch nor a burst of
+/// misses allocates — its walk group, the lookups parked behind an inserting walk,
+/// and each group slot's row dependencies.
 #[derive(Debug, Default)]
 struct WorkerLists {
     out: Vec<QueryOutcome>,
     extras: Extras,
+    group: WalkGroup<SmallRng>,
     parked: Vec<Parked>,
     deps: [Vec<u32>; WALKS_IN_FLIGHT],
 }
@@ -421,38 +429,19 @@ impl QueryEngine {
             _ => None,
         };
 
-        // Key each lookup by its source bucket's shard. Queries whose endpoints are
-        // not even grid points fail up front — the router would report them as dead
-        // endpoints anyway, and bucketing must not panic on them — so they take one
-        // key past the last shard, which no cache serves. The shard count is at most
-        // `NUM_BUCKETS`, so a key fits a byte, and so does a bucket. The same pass
-        // buckets both endpoints for the cache probe.
-        const _: () = assert!(NUM_BUCKETS <= u8::MAX as u64);
-        let shard_count = self.caches.len();
         // Each worker owns a run of `per_worker` shards (the last run may be shorter;
-        // the last worker also owns the key past the last shard) and serves its keys
-        // in batch order, so outcomes and cache state are independent of the split.
+        // the last worker also owns the shard past the last, where a lookup with an
+        // endpoint outside the space goes) and serves its lookups in batch order, so
+        // outcomes and cache state are independent of the split. A worker keys each
+        // lookup as it feeds it (see `Walks::shard_and_key`).
+        let shard_count = self.caches.len();
+        debug_assert_eq!(shard_count, SHARDS);
         let per_worker = shard_count.div_ceil(self.threads().clamp(1, shard_count));
         let workers = shard_count.div_ceil(per_worker);
         let BatchScratch {
-            keys,
-            buckets,
             served,
             worker_nanos,
         } = &mut self.scratch;
-        keys.clear();
-        buckets.clear();
-        for &(source, target) in batch.pairs() {
-            if source >= n || target >= n {
-                keys.push(shard_count as u8);
-                buckets.push((0, 0));
-            } else {
-                let source_bucket = bucket_of(source, n) as u8;
-                keys.push(source_bucket % shard_count as u8);
-                buckets.push((source_bucket, bucket_of(target, n) as u8));
-            }
-        }
-        let keys = &*keys;
         let capacity = self.config.cache_capacity_entries();
         let caching = capacity > 0 && byzantine.is_none();
         // A shard owns the keys of its source buckets. A cache that holds them all
@@ -461,7 +450,8 @@ impl QueryEngine {
         let walks = Walks {
             snapshot,
             batch,
-            buckets,
+            n,
+            bucketing: Bucketing::new(n),
             caching,
             width: if caching && (capacity as u64) < shard_keys {
                 1
@@ -497,14 +487,24 @@ impl QueryEngine {
                     let mut own_lists = std::mem::take(lists);
                     own_lists.out.clear();
                     own_lists.extras.clear();
-                    // This worker's lookups, in batch order, each with its shard in
-                    // `caches` (`caches.len()` for an out-of-range lookup).
+                    // This worker's lookups, in batch order, each keyed and with its
+                    // shard in `caches` (`caches.len()` for an out-of-range lookup).
                     let first = worker * per_worker;
                     let span = caches.len() + usize::from(worker + 1 == workers);
-                    let own = keys.iter().enumerate().filter_map(|(index, &key)| {
-                        let shard = usize::from(key).wrapping_sub(first);
-                        (shard < span).then_some((index, shard))
-                    });
+                    let own = batch
+                        .pairs()
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(index, &pair)| {
+                            let (shard, key) = walks.shard_and_key(pair);
+                            let shard = usize::from(shard).wrapping_sub(first);
+                            (shard < span).then_some(Fed {
+                                index,
+                                pair,
+                                key,
+                                shard,
+                            })
+                        });
                     // Path recording only matters to a cache entry's row
                     // dependencies and to the adversary scan: otherwise the walk
                     // skips the per-hop stores. The kernel is the one the snapshot
@@ -512,7 +512,8 @@ impl QueryEngine {
                     let scratch = RouteScratch::new()
                         .with_path_recording(walks.caching || walks.byzantine.is_some())
                         .with_kernel(snapshot.kernel());
-                    route_lockstep(&walks, &scratch, own, caches, &mut own_lists);
+                    own_lists.group.reset(walks.width, &scratch);
+                    route_lockstep(&walks, own, caches, &mut own_lists);
                     // A group's walks finish out of order.
                     own_lists.extras.sort_unstable_by_key(|&(index, _)| index);
                     *nanos = worker_started.elapsed().as_nanos() as u64;
@@ -532,11 +533,13 @@ impl QueryEngine {
                 std::mem::take(&mut lists.extras),
             )
         } else {
-            // Each worker's list is its lookups in batch order: one cursor each.
+            // Each worker's list is its lookups in batch order: one cursor each, and
+            // each lookup's shard, keyed again, names its worker.
             let mut cursors: Vec<_> = served.iter().map(|lists| lists.out.iter()).collect();
             let mut outcomes = self.spares.take(batch.len());
-            outcomes.extend(keys.iter().filter_map(|&key| {
-                let worker = (usize::from(key) / per_worker).min(workers - 1);
+            outcomes.extend(batch.pairs().iter().filter_map(|&pair| {
+                let worker =
+                    (usize::from(walks.shard_and_key(pair).0) / per_worker).min(workers - 1);
                 cursors[worker].next().copied()
             }));
             // Each worker's extras are sorted by batch index, and no two share one.
@@ -560,7 +563,7 @@ impl QueryEngine {
 
 /// The outcome of a lookup no walk has been issued for (yet): what a lookup with an
 /// endpoint outside the space keeps, and what a grouped lookup starts from.
-fn unrouted(source: NodeId, target: NodeId) -> QueryOutcome {
+fn unrouted((source, target): (NodeId, NodeId)) -> QueryOutcome {
     QueryOutcome {
         source,
         target,
@@ -576,8 +579,9 @@ fn unrouted(source: NodeId, target: NodeId) -> QueryOutcome {
 struct Walks<'a> {
     snapshot: &'a FrozenView,
     batch: &'a QueryBatch,
-    /// Every lookup's `(source bucket, target bucket)`: its cache key.
-    buckets: &'a [(u8, u8)],
+    /// The space's size, and its buckets: a lookup's cache key and shard.
+    n: u64,
+    bucketing: Bucketing,
     /// Whether lookups probe and fill their shard's cache (honest lane, cache on).
     caching: bool,
     /// The walks a worker keeps in flight: one when a shard's cache can evict,
@@ -589,12 +593,30 @@ struct Walks<'a> {
     byzantine: Option<(RedundantRouter, &'a ByzantineSet)>,
 }
 
+/// A lookup's cache key, `(source bucket, target bucket)`. A bucket is below
+/// `NUM_BUCKETS`, so it fits a byte, and so does a shard.
+type Key = (u8, u8);
+const _: () = assert!(NUM_BUCKETS <= u8::MAX as u64);
+
+/// A lookup as a worker's feed hands it out: its batch index, its endpoints, its
+/// cache key and its shard in the worker's caches (`caches.len()` for a lookup with
+/// an endpoint outside the space).
+#[derive(Clone, Copy)]
+struct Fed {
+    index: usize,
+    pair: (NodeId, NodeId),
+    key: Key,
+    shard: usize,
+}
+
 /// One lookup's walks so far: the state of the group slot it walks in.
 #[derive(Clone, Copy)]
 struct Lookup {
     /// Its batch index, and the place of its outcome in the worker's list.
     index: usize,
     at: usize,
+    /// Its cache key.
+    key: Key,
     /// The worker's cache its digest goes into, when its key there was vacant.
     inserting: Option<usize>,
     /// The lookups of its key parked behind it, while it is inserting.
@@ -605,12 +627,13 @@ struct Lookup {
     extras: OutcomeExtras,
 }
 
-/// A lookup parked behind the walk that inserts its key: its batch index and shard,
-/// the place of its placeholder outcome, and the position of the lookup after it in
-/// its [`Chain`] (its own while it is the last).
+/// A lookup parked behind the walk that inserts its key: its batch index, key and
+/// shard, the place of its placeholder outcome, and the position of the lookup
+/// after it in its [`Chain`] (its own while it is the last).
 #[derive(Clone, Copy, Debug)]
 struct Parked {
     index: usize,
+    key: Key,
     shard: usize,
     at: usize,
     next: usize,
@@ -652,43 +675,35 @@ impl Parking<'_> {
 
     /// Whether an inserting walk is out for the key `(source bucket, target bucket)`.
     #[inline(always)]
-    fn is_out(&self, (source_bucket, target_bucket): (u8, u8)) -> bool {
+    fn is_out(&self, (source_bucket, target_bucket): Key) -> bool {
         self.inserting > 0 && self.in_flight[usize::from(source_bucket)] >> target_bucket & 1 == 1
     }
 
     /// Marks `key`'s inserting walk out.
     #[inline(always)]
-    fn start(&mut self, (source_bucket, target_bucket): (u8, u8)) {
+    fn start(&mut self, (source_bucket, target_bucket): Key) {
         self.in_flight[usize::from(source_bucket)] |= 1 << target_bucket;
         self.inserting += 1;
     }
 
-    /// Parks the lookup at `index` in `shard` at the end of the chain of the slot
-    /// whose walk inserts its key, its placeholder outcome pushed onto `out`; `false`
-    /// when no slot's walk does. Rare, so kept out of the feed's loop.
+    /// Parks the `fed` lookup at the end of the chain of the slot whose walk
+    /// inserts its key, its placeholder outcome pushed onto `out`; `false` when no
+    /// slot's walk does. Rare, so kept out of the feed's loop.
     #[cold]
     #[inline(never)]
-    fn park(
-        &mut self,
-        walks: &Walks<'_>,
-        slots: &mut [Lookup],
-        index: usize,
-        shard: usize,
-        out: &mut Vec<QueryOutcome>,
-    ) -> bool {
-        let key = walks.buckets[index];
-        let Some(inserter) = slots[..walks.width]
+    fn park(&mut self, slots: &mut [Lookup], fed: Fed, out: &mut Vec<QueryOutcome>) -> bool {
+        let Some(inserter) = slots
             .iter_mut()
-            .find(|slot| slot.inserting.is_some() && walks.buckets[slot.index] == key)
+            .find(|slot| slot.inserting.is_some() && slot.key == fed.key)
         else {
             return false;
         };
-        let (source, target) = walks.batch.pairs()[index];
-        out.push(unrouted(source, target));
+        out.push(unrouted(fed.pair));
         let next = self.parked.len();
         self.parked.push(Parked {
-            index,
-            shard,
+            index: fed.index,
+            key: fed.key,
+            shard: fed.shard,
             at: out.len() - 1,
             next,
         });
@@ -698,7 +713,7 @@ impl Parking<'_> {
 
     /// Notes that `key`'s insert has landed: the lookups `behind` it are ready.
     #[inline(always)]
-    fn landed(&mut self, (source_bucket, target_bucket): (u8, u8), behind: Option<Chain>) {
+    fn landed(&mut self, (source_bucket, target_bucket): Key, behind: Option<Chain>) {
         self.in_flight[usize::from(source_bucket)] &= !(1 << target_bucket);
         self.inserting -= 1;
         if let Some(behind) = behind {
@@ -735,22 +750,44 @@ fn lead_hop(routes: &FrozenRoutes, source: NodeId, rng: &mut impl Rng) -> Option
 // lookup's probe, `Parking::park`) stay calls: inlined too, they slowed
 // `walk-uniform` by 11 % (0 of 10 alternating pairs on a 2-vCPU Xeon VM).
 impl Walks<'_> {
-    /// The lookup at `index`'s probe of its shard's `cache`: its key's digest, or
-    /// `None` when the key is vacant (or the worker does not cache).
+    // xlint: begin(no_alloc)
+    /// A lookup's shard and cache key, derived from its endpoints with no divide
+    /// (`bucket_of`'s arithmetic; see [`Bucketing`]): the shard is its source
+    /// bucket modulo the constant [`SHARDS`]. A lookup with an endpoint outside
+    /// the space fails up front — the router would report a dead endpoint anyway,
+    /// and bucketing must not see it — so it takes the shard past the last, which
+    /// no cache serves.
     #[inline(always)]
-    fn probe(&self, cache: &mut RouteCache, index: usize) -> Option<CachedRoute> {
-        let (source_bucket, target_bucket) = self.buckets[index];
+    fn shard_and_key(&self, (source, target): (NodeId, NodeId)) -> (u8, Key) {
+        if source >= self.n || target >= self.n {
+            return (SHARDS as u8, (0, 0));
+        }
+        let source_bucket = self.bucketing.of(source) as u8;
+        let target_bucket = self.bucketing.of(target) as u8;
+        (source_bucket % SHARDS as u8, (source_bucket, target_bucket))
+    }
+    // xlint: end(no_alloc)
+
+    /// A probe of `key` in its shard's `cache`: the key's digest, or `None` when
+    /// the key is vacant (or the worker does not cache).
+    #[inline(always)]
+    fn probe(
+        &self,
+        cache: &mut RouteCache,
+        (source_bucket, target_bucket): Key,
+    ) -> Option<CachedRoute> {
         self.caching
             .then(|| cache.get(u64::from(source_bucket), u64::from(target_bucket)))
             .flatten()
     }
 
-    /// The outcome a delivered digest `found` serves the lookup at `index`, with
-    /// its extras noted; `None` when the lookup must walk.
+    /// The outcome a delivered digest `found` serves the lookup of `pair` at
+    /// `index`, with its extras noted; `None` when the lookup must walk.
     #[inline(always)]
     fn serve(
         &self,
         index: usize,
+        (source, target): (NodeId, NodeId),
         found: Option<CachedRoute>,
         extras: &mut Extras,
     ) -> Option<QueryOutcome> {
@@ -760,7 +797,6 @@ impl Walks<'_> {
             ..OutcomeExtras::implied(hit.hops)
         };
         note(extras, index, hit.hops, served);
-        let (source, target) = self.batch.pairs()[index];
         Some(QueryOutcome {
             source,
             target,
@@ -769,6 +805,40 @@ impl Walks<'_> {
             delivered: true,
             cached: true,
         })
+    }
+
+    /// Feeds `lookups` in batch order until one must walk, and returns it with its
+    /// probe's digest (`None` when its key is vacant or the worker does not cache);
+    /// `None` once they run dry. A lookup with an endpoint outside the space keeps
+    /// its [`unrouted`] outcome and a delivered hit its served one, each pushed in
+    /// its place. Given `parking` (and the group's slots), a lookup whose key an
+    /// inserting walk is out for parks behind that walk without a probe.
+    #[inline(always)]
+    fn feed(
+        &self,
+        lookups: &mut impl Iterator<Item = Fed>,
+        caches: &mut [RouteCache],
+        out: &mut Vec<QueryOutcome>,
+        extras: &mut Extras,
+        mut parking: Option<(&mut Parking<'_>, &mut [Lookup])>,
+    ) -> Option<(Fed, Option<CachedRoute>)> {
+        loop {
+            let fed = lookups.next()?;
+            let Some(cache) = caches.get_mut(fed.shard) else {
+                out.push(unrouted(fed.pair));
+                continue;
+            };
+            if let Some((parking, slots)) = parking.as_mut() {
+                if parking.is_out(fed.key) && parking.park(slots, fed, out) {
+                    continue;
+                }
+            }
+            let found = self.probe(cache, fed.key);
+            match self.serve(fed.index, fed.pair, found, extras) {
+                Some(served) => out.push(served),
+                None => return Some((fed, found)),
+            }
+        }
     }
 
     /// A ready lookup's one probe: serves it in its place, or returns whether its
@@ -783,8 +853,10 @@ impl Walks<'_> {
         out: &mut [QueryOutcome],
         extras: &mut Extras,
     ) -> Option<bool> {
-        let found = self.probe(&mut caches[ready.shard], ready.index);
-        match self.serve(ready.index, found, extras) {
+        let found = self.probe(&mut caches[ready.shard], ready.key);
+        let placeholder = out[ready.at];
+        let pair = (placeholder.source, placeholder.target);
+        match self.serve(ready.index, pair, found, extras) {
             Some(served) => {
                 out[ready.at] = served;
                 None
@@ -909,7 +981,7 @@ impl Walks<'_> {
         let Some(shard) = lookup.inserting else {
             return;
         };
-        let (source_bucket, target_bucket) = self.buckets[lookup.index];
+        let (source_bucket, target_bucket) = lookup.key;
         let (source_bucket, target_bucket) = (u64::from(source_bucket), u64::from(target_bucket));
         // The endpoints are dependencies even when the walk never reached them (a
         // failed lookup's digest goes stale the moment its target's liveness flips);
@@ -934,13 +1006,14 @@ impl Walks<'_> {
         };
         caches[shard].insert(source_bucket, target_bucket, digest, deps, volatile);
         deps.clear();
-        parking.landed(self.buckets[lookup.index], lookup.behind.take());
+        parking.landed(lookup.key, lookup.behind.take());
     }
 }
 
 /// The engine's one walk driver (see the module docs): walks a worker's `lookups`
-/// (batch index, shard in `caches`; `caches.len()` for an out-of-range lookup, which
-/// stays [`unrouted`]) through a lockstep group [`Walks::width`] wide, pushing their
+/// (each keyed, its shard in `caches`; `caches.len()` for an out-of-range lookup,
+/// which stays [`unrouted`]) through the worker's lockstep group, reset to
+/// [`Walks::width`], pushing their
 /// outcomes onto `lists.out` in that order and their extras onto `lists.extras` as
 /// each lookup finishes. A caching worker serves a delivered digest without a walk;
 /// an undelivered one speaks for the pair that walked it and no other, so its key's
@@ -958,14 +1031,14 @@ impl Walks<'_> {
 /// parks.
 fn route_lockstep(
     walks: &Walks<'_>,
-    scratch: &RouteScratch,
-    mut lookups: impl Iterator<Item = (usize, usize)>,
+    mut lookups: impl Iterator<Item = Fed>,
     caches: &mut [RouteCache],
     lists: &mut WorkerLists,
 ) {
     let WorkerLists {
         out,
         extras,
+        group,
         parked,
         deps,
     } = lists;
@@ -981,6 +1054,7 @@ fn route_lockstep(
     let vacant = Lookup {
         index: 0,
         at: 0,
+        key: (0, 0),
         inserting: None,
         behind: None,
         lead: 0,
@@ -988,7 +1062,7 @@ fn route_lockstep(
     };
     let mut slots = [vacant; WALKS_IN_FLIGHT];
     let mut empty_slots = 0..walks.width;
-    WalkGroup::new(walks.width, scratch).run(walks.snapshot.routes(), move |finished| {
+    group.run(walks.snapshot.routes(), move |finished| {
         let tag = match finished {
             Some(done) => {
                 let tag = done.walk.tag;
@@ -1014,43 +1088,42 @@ fn route_lockstep(
             None => empty_slots.next()?,
         };
         loop {
-            let (index, shard, at, key_vacant) = match parking.next_ready() {
+            let (index, key, shard, at, key_vacant) = match parking.next_ready() {
                 // A ready lookup's outcome is in its place already.
                 Some(ready) => match walks.probe_ready(ready, caches, out, extras) {
-                    Some(key_vacant) => (ready.index, ready.shard, ready.at, key_vacant),
+                    Some(key_vacant) => (ready.index, ready.key, ready.shard, ready.at, key_vacant),
                     None => continue,
                 },
                 None => {
-                    let (index, shard) = lookups.next()?;
-                    let Some(cache) = caches.get_mut(shard) else {
-                        let (source, target) = walks.batch.pairs()[index];
-                        out.push(unrouted(source, target));
-                        continue;
+                    // With no inserting walk out no lookup can park, so the feed
+                    // takes the lean path: a delivered hit is its key, its probe and
+                    // its outcome's push.
+                    let (fed, found) = if parking.inserting == 0 {
+                        walks.feed(&mut lookups, caches, out, extras, None)?
+                    } else {
+                        let parking = Some((&mut parking, &mut slots[..]));
+                        walks.feed(&mut lookups, caches, out, extras, parking)?
                     };
-                    if parking.is_out(walks.buckets[index])
-                        && parking.park(walks, &mut slots, index, shard, out)
-                    {
-                        continue;
-                    }
-                    let found = walks.probe(cache, index);
-                    if let Some(served) = walks.serve(index, found, extras) {
-                        out.push(served);
-                        continue;
-                    }
-                    let (source, target) = walks.batch.pairs()[index];
-                    out.push(unrouted(source, target));
-                    (index, shard, out.len() - 1, found.is_none())
+                    out.push(unrouted(fed.pair));
+                    (
+                        fed.index,
+                        fed.key,
+                        fed.shard,
+                        out.len() - 1,
+                        found.is_none(),
+                    )
                 }
             };
             let lookup = &mut slots[tag];
             *lookup = Lookup {
                 index,
                 at,
+                key,
                 inserting: (walks.caching && key_vacant).then_some(shard),
                 ..vacant
             };
             if lookup.inserting.is_some() {
-                parking.start(walks.buckets[index]);
+                parking.start(key);
             }
             let outcome = &mut out[at];
             let rng = SmallRng::seed_from_u64(seed_for_trial(walks.batch.seed(), index as u64));

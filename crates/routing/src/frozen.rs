@@ -199,9 +199,25 @@ struct Lane<R> {
 /// [`RouteScratch`] and RNG, and [`WalkGroup::run`] advances them round-robin through
 /// the one hop function [`Router::route_frozen`] runs, prefetching the row each walk
 /// moves to. See the module docs for why.
+///
+/// A group can be kept and [`reset`](WalkGroup::reset) from one run to the next,
+/// so that its slots and the buffers their scratches grew are allocated once.
 #[derive(Debug)]
 pub struct WalkGroup<R> {
+    /// Every slot the group has had; the first `width` run.
     lanes: Vec<Lane<R>>,
+    width: usize,
+}
+
+impl<R> Default for WalkGroup<R> {
+    /// A group with no slots, which runs nothing until
+    /// [`reset`](WalkGroup::reset) gives it its width.
+    fn default() -> Self {
+        Self {
+            lanes: Vec::new(),
+            width: 0,
+        }
+    }
 }
 
 impl<R: Rng> WalkGroup<R> {
@@ -210,12 +226,26 @@ impl<R: Rng> WalkGroup<R> {
     /// [`WALKS_IN_FLIGHT`].
     #[must_use]
     pub fn new(width: usize, scratch: &RouteScratch) -> Self {
-        let lane = |_| Lane {
-            scratch: scratch.clone(),
-            walk: None,
-        };
-        Self {
-            lanes: (0..width.max(1)).map(lane).collect(),
+        let mut group = Self::default();
+        group.reset(width, scratch);
+        group
+    }
+
+    /// Makes this group what [`WalkGroup::new`] would for `width` and `scratch`,
+    /// keeping the slots it has: each running slot takes `scratch`'s kernel and
+    /// path-recording setting, and a slot is added only when `width` exceeds every
+    /// width the group has run at.
+    pub fn reset(&mut self, width: usize, scratch: &RouteScratch) {
+        self.width = width.max(1);
+        for lane in &mut self.lanes {
+            lane.scratch.kernel = scratch.kernel;
+            lane.scratch.record_path = scratch.record_path;
+        }
+        if self.lanes.len() < self.width {
+            self.lanes.resize_with(self.width, || Lane {
+                scratch: scratch.clone(),
+                walk: None,
+            });
         }
     }
 }
@@ -596,13 +626,14 @@ impl<R: Rng> WalkGroup<R> {
         mut feed: impl FnMut(Option<FinishedWalk<'_, R>>) -> Option<Walk<R>>,
     ) {
         let any_dead = has_dead(frozen);
+        let lanes = &mut self.lanes[..self.width];
         let mut in_flight = 0usize;
-        for lane in &mut self.lanes {
+        for lane in lanes.iter_mut() {
             let first = feed(None);
             in_flight += usize::from(lane.admit(frozen, first, &mut feed));
         }
         while in_flight > 0 {
-            for lane in &mut self.lanes {
+            for lane in lanes.iter_mut() {
                 let Some(walk) = lane.walk.as_mut() else {
                     continue;
                 };

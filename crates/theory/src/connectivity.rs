@@ -70,8 +70,13 @@ const SEARCHING: u32 = u32::MAX - 1;
 pub struct ConnectivityOracle {
     n: u32,
     /// SCC id per node; [`NO_COMPONENT`] marks a dead node, and the pivot's
-    /// component is [`PIVOT_COMPONENT`].
+    /// component is [`PIVOT_COMPONENT`]. Written only through
+    /// [`ConnectivityOracle::assign`] once the oracle exists.
     scc: Vec<u32>,
+    /// One bit per node, set iff its `scc` entry is [`PIVOT_COMPONENT`]: 8 KiB at
+    /// 2^16 nodes where `scc` takes 256, so the common survivability query, both
+    /// endpoints in the giant component, reads two words that stay in L1.
+    pivot_members: Vec<u64>,
     scc_count: u32,
     /// Deduplicated out-edges between distinct SCC ids (the condensation DAG).
     condensation: Vec<Vec<u32>>,
@@ -197,9 +202,16 @@ impl ConnectivityOracle {
         let outside = (0..n)
             .filter(|&v| !matches!(scc[v as usize], NO_COMPONENT | PIVOT_COMPONENT))
             .collect();
+        let mut pivot_members = vec![0u64; (n as usize).div_ceil(64)];
+        for (word, ids) in pivot_members.iter_mut().zip(scc.chunks(64)) {
+            for (bit, &c) in ids.iter().enumerate() {
+                *word |= u64::from(c == PIVOT_COMPONENT) << bit;
+            }
+        }
         Self {
             n,
             scc,
+            pivot_members,
             scc_count: count,
             condensation,
             pivot,
@@ -252,11 +264,9 @@ impl ConnectivityOracle {
     {
         let mut dead = Vec::new();
         for x in victims {
-            if let Some(slot) = self.scc.get_mut(x as usize) {
-                if *slot != NO_COMPONENT && !alive(x) {
-                    *slot = NO_COMPONENT;
-                    dead.push(x);
-                }
+            if self.component_of(x).is_some() && !alive(x) {
+                self.assign(x, NO_COMPONENT);
+                dead.push(x);
             }
         }
         if dead.is_empty() {
@@ -321,11 +331,9 @@ impl ConnectivityOracle {
     {
         let mut searching = Vec::new();
         for r in revived {
-            if let Some(slot) = self.scc.get_mut(r as usize) {
-                if *slot == NO_COMPONENT && alive(r) {
-                    *slot = PIVOT_COMPONENT;
-                    searching.push(r);
-                }
+            if r < self.n && self.component_of(r).is_none() && alive(r) {
+                self.assign(r, PIVOT_COMPONENT);
+                searching.push(r);
             }
         }
         if searching.is_empty() {
@@ -337,7 +345,7 @@ impl ConnectivityOracle {
         }
         searching.append(&mut self.outside);
         for &v in &searching {
-            self.scc[v as usize] = PIVOT_COMPONENT;
+            self.assign(v, PIVOT_COMPONENT);
             self.from_pivot.parent[v as usize] = SEARCHING;
             self.to_pivot.parent[v as usize] = SEARCHING;
         }
@@ -403,8 +411,8 @@ impl ConnectivityOracle {
         let components = scc(&Csr { offsets, targets }, |_| true);
         let lead = components.of[0];
         let components = components.led_by(lead);
-        for (&p, &c) in self.outside.iter().zip(&components.of[1..]) {
-            self.scc[p as usize] = c;
+        for (at, &c) in components.of[1..].iter().enumerate() {
+            self.assign(self.outside[at], c);
         }
         self.scc_count = components.count;
         self.condensation = components.condensation;
@@ -443,11 +451,25 @@ impl ConnectivityOracle {
     /// Ground truth: does a directed path of usable links run `src → dst`?
     ///
     /// Dead or out-of-range endpoints are never survivable; a live node always
-    /// reaches itself. Same-SCC pairs answer in O(1); cross-SCC pairs walk the
-    /// condensation DAG (O(#SCCs), which stays tiny while the overlay holds one
-    /// giant component plus failure debris).
+    /// reaches itself. A pair with both endpoints in the pivot's component — the
+    /// giant one, so nearly every pair while the overlay holds together — answers
+    /// in O(1) from the member bitset ([`ConnectivityOracle::in_pivot_component`])
+    /// without reading the per-node component ids. Any other same-SCC pair answers
+    /// in O(1) from those ids; cross-SCC pairs walk the condensation DAG (O(#SCCs),
+    /// which stays tiny while the overlay holds one giant component plus failure
+    /// debris).
     #[must_use]
+    #[inline]
     pub fn survivable(&self, src: u32, dst: u32) -> bool {
+        if self.in_pivot_component(src) && self.in_pivot_component(dst) {
+            return true;
+        }
+        self.survivable_off_pivot(src, dst)
+    }
+
+    /// [`ConnectivityOracle::survivable`] for a pair with an endpoint outside the
+    /// pivot's component.
+    fn survivable_off_pivot(&self, src: u32, dst: u32) -> bool {
         let (Some(from), Some(to)) = (self.component_of(src), self.component_of(dst)) else {
             return false;
         };
@@ -471,6 +493,34 @@ impl ConnectivityOracle {
             }
         }
         false
+    }
+
+    /// The live node the oracle's two trees are rooted at (`None` while no node
+    /// lives): [`build`](ConnectivityOracle::build) picks it in a largest
+    /// strongly connected component, and a carry keeps it while it lives.
+    #[must_use]
+    pub fn pivot(&self) -> Option<u32> {
+        self.pivot
+    }
+
+    // xlint: begin(no_alloc)
+    /// Whether `p` is in the [pivot](ConnectivityOracle::pivot)'s strongly
+    /// connected component: one bit of an `n`-bit set the oracle keeps beside the
+    /// component ids (false for a dead or out-of-range node).
+    #[must_use]
+    #[inline]
+    pub fn in_pivot_component(&self, p: u32) -> bool {
+        self.pivot_members
+            .get(p as usize / 64)
+            .is_some_and(|&word| word >> (p % 64) & 1 == 1)
+    }
+    // xlint: end(no_alloc)
+
+    /// Puts `p` in component `c`, keeping the member bitset in step.
+    fn assign(&mut self, p: u32, c: u32) {
+        self.scc[p as usize] = c;
+        let (word, bit) = (&mut self.pivot_members[p as usize / 64], p % 64);
+        *word = *word & !(1 << bit) | u64::from(c == PIVOT_COMPONENT) << bit;
     }
 
     /// Strongly-connected-component id of `p` (`None` for dead or out-of-range

@@ -92,7 +92,7 @@ fn reachability(alive: &[bool], adj: &[Vec<u32>]) -> Vec<Vec<bool>> {
 
 /// Holds `oracle` to brute force on every pair: `survivable` is reachability,
 /// `component_of` names exactly the mutual-reachability classes, and
-/// `component_count` counts them.
+/// `component_count` counts them; and its pivot bitset to its components.
 fn assert_matches_brute_force(
     oracle: &ConnectivityOracle,
     alive: &[bool],
@@ -132,11 +132,32 @@ fn assert_matches_brute_force(
         }
     }
     prop_assert_eq!(oracle.component_count(), classes);
+    assert_pivot_members(oracle, "brute force");
     // Out-of-range endpoints are never survivable.
     prop_assert!(!oracle.survivable(n, 0));
     prop_assert!(!oracle.survivable(0, n + 7));
     prop_assert_eq!(oracle.component_of(n), None);
     Ok(())
+}
+
+/// Holds the oracle's pivot bitset to its component ids: `p` is a member iff it
+/// is in the pivot's component, for every node and for ids past the last, and
+/// the pivot, when there is one, is alive.
+fn assert_pivot_members(oracle: &ConnectivityOracle, what: &str) {
+    let pivot_component = oracle.pivot().and_then(|q| oracle.component_of(q));
+    assert_eq!(
+        pivot_component.is_some(),
+        oracle.pivot().is_some(),
+        "{what}: the pivot is alive"
+    );
+    for p in 0..oracle.len() + 70 {
+        let member = pivot_component.is_some() && oracle.component_of(p) == pivot_component;
+        assert_eq!(
+            oracle.in_pivot_component(p),
+            member,
+            "{what}: in_pivot_component({p})"
+        );
+    }
 }
 
 fn build(alive: &[bool], adj: &[Vec<u32>]) -> ConnectivityOracle {
@@ -383,7 +404,8 @@ fn kosaraju(alive: &[bool], clean: &[Vec<u32>]) -> (Vec<u32>, u32) {
 
 /// Holds `oracle` to Kosaraju on a 2^16-node graph: the same number of
 /// components, the same partition of the live nodes, and `survivable` equal to
-/// a breadth-first search on sampled pairs.
+/// a breadth-first search on sampled pairs; and its pivot bitset to its
+/// components.
 fn assert_matches_kosaraju(
     oracle: &ConnectivityOracle,
     alive: &[bool],
@@ -393,6 +415,7 @@ fn assert_matches_kosaraju(
     let clean = live_adj(alive, adj);
     let (label, count) = kosaraju(alive, &clean);
     assert_eq!(oracle.component_count(), count, "{what}: component count");
+    assert_pivot_members(oracle, what);
     // The partitions agree when each oracle id maps to one label and back.
     let mut label_of = vec![u32::MAX; count as usize];
     let mut id_of = vec![u32::MAX; count as usize];
