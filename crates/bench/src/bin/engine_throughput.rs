@@ -19,6 +19,7 @@
 
 use faultline_bench::kernel::{run_stream, Walker};
 use faultline_bench::scenario_run::{self, ScenarioOutcome};
+use faultline_bench::StdoutReport;
 use faultline_core::routing::{KernelIsa, RouteScratch};
 use faultline_core::{ConstructionMode, Network, NetworkConfig};
 use faultline_engine::{InterleavedReport, Phase, QueryBatch};
@@ -363,8 +364,11 @@ fn main() {
         eprintln!("{message}");
         std::process::exit(2);
     });
+    // A reader that leaves early (`| head`) stops the printing, not the run:
+    // the exit status still says whether the gates passed.
+    let mut out = StdoutReport::lock();
     for outcome in &outcomes {
-        scenario_run::print(outcome);
+        out.write(|out| scenario_run::print(out, outcome));
     }
 
     // The SIMD gate compares the dispatched kernel against the pinned scalar fold;
@@ -382,21 +386,21 @@ fn main() {
             ", {s:.2}x over the scalar fold on the {KERNEL_CELL_NODES}-node kernel cell"
         )),
     );
-    println!("{kernel_line}");
+    out.write(|out| writeln!(out, "{kernel_line}"));
     let readings = gate_readings(&outcomes, simd_speedup);
     write_step_summary(&readings, &kernel_line, &outcomes);
 
     for r in &readings {
         let status = if r.passed() { "ok" } else { "FAILED" };
         let (name, value, kind, bound) = (r.name, r.value, r.bound_kind(), r.bound);
-        println!("gate {status}: {name} {value:.4} ({kind} {bound:.4})");
+        out.write(|out| writeln!(out, "gate {status}: {name} {value:.4} ({kind} {bound:.4})"));
     }
     let failed = readings.iter().filter(|r| !r.passed()).count();
     if failed > 0 {
         eprintln!("{failed} of {} gates failed", readings.len());
         std::process::exit(1);
     }
-    println!("all {} gates passed", readings.len());
+    out.write(|out| writeln!(out, "all {} gates passed", readings.len()));
 }
 
 #[cfg(test)]

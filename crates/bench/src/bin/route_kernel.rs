@@ -25,13 +25,14 @@
 //! Writes `BENCH_route_kernel.json` to the working directory.
 
 use faultline_bench::kernel::{run_stream, StreamRun, Walker};
-use faultline_bench::BenchArgs;
+use faultline_bench::{BenchArgs, StdoutReport};
 use faultline_core::routing::{KernelIsa, RouteScratch, Router, WALKS_IN_FLIGHT};
 use faultline_linkdist::LinkSpec;
 use faultline_metric::Geometry;
 use faultline_overlay::GraphBuilder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::io::Write;
 
 /// Long links per node swept by the table: with the two ring neighbours they set
 /// the stride (2 → one 8-label step a scan; 16 → three).
@@ -85,16 +86,23 @@ fn main() {
     let queries = args.messages_or(if args.quick { 2_000 } else { 20_000 }, 1 << 17) as usize;
     let seed = args.seed;
     let detected = KernelIsa::detect();
-    println!(
-        "# route_kernel: n = {nodes}, {queries} queries/cell, dispatched isa {} ({} lanes), \
+    // A reader that leaves early (`| head`) stops the printing, not the run: the
+    // JSON file is still written.
+    let mut out = StdoutReport::lock();
+    out.write(|out| {
+        writeln!(
+            out,
+            "# route_kernel: n = {nodes}, {queries} queries/cell, dispatched isa {} ({} lanes), \
          {ROUNDS} rounds/side, ns/hop as median [min-max]",
-        detected.label(),
-        detected.lanes(),
-    );
-    println!(
-        "{:>6} {:>7}   {:>22} {:>22} {:>9}   {:>22}   {:>10}",
-        "links", "stride", "scalar ns/hop", "simd ns/hop", "speedup", "lockstep ns/hop", "hops"
-    );
+            detected.label(),
+            detected.lanes(),
+        )?;
+        writeln!(
+            out,
+            "{:>6} {:>7}   {:>22} {:>22} {:>9}   {:>22}   {:>10}",
+            "links", "stride", "scalar ns/hop", "simd ns/hop", "speedup", "lockstep ns/hop", "hops"
+        )
+    });
 
     let mut cells = Vec::new();
     for &links in &LINK_SWEEP {
@@ -151,16 +159,19 @@ fn main() {
         } else {
             0.0
         };
-        println!(
-            "{:>6} {:>7}   {:>22} {:>22} {:>8.2}x   {:>22}   {:>10}",
-            links,
-            frozen.stride(),
-            scalar.cell(),
-            simd.cell(),
-            speedup,
-            lockstep.cell(),
-            first.hops
-        );
+        out.write(|out| {
+            writeln!(
+                out,
+                "{:>6} {:>7}   {:>22} {:>22} {:>8.2}x   {:>22}   {:>10}",
+                links,
+                frozen.stride(),
+                scalar.cell(),
+                simd.cell(),
+                speedup,
+                lockstep.cell(),
+                first.hops
+            )
+        });
         cells.push(format!(
             "{{\"links\":{},\"stride\":{},{},{},\"speedup\":{:.3},{},\"hops\":{},\"delivered\":{}}}",
             links,
@@ -190,7 +201,7 @@ fn main() {
     );
     let path = "BENCH_route_kernel.json";
     match std::fs::write(path, json) {
-        Ok(()) => println!("wrote {path}"),
+        Ok(()) => out.write(|out| writeln!(out, "wrote {path}")),
         Err(error) => {
             eprintln!("failed to write {path}: {error}");
             std::process::exit(1);

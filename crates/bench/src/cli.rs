@@ -1,5 +1,6 @@
 //! Minimal command-line argument handling shared by every benchmark binary, and
-//! the one way they write their reports ([`emit`]).
+//! the one way they write their reports ([`emit`], or [`StdoutReport`] for a
+//! binary whose work goes on after its reader leaves).
 
 use std::io::{self, ErrorKind, StdoutLock, Write};
 
@@ -138,16 +139,48 @@ impl BenchArgs {
 /// rows it did not want unwritten; any other write error is reported on stderr
 /// and ends it with status 1.
 pub fn emit(report: impl FnOnce(&mut StdoutLock<'static>) -> io::Result<()>) {
-    let written = {
-        let mut out = io::stdout().lock();
-        report(&mut out).and_then(|()| out.flush())
-    };
-    match written {
-        Ok(()) => {}
-        Err(error) if error.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
-        Err(error) => {
-            eprintln!("error: writing the report to stdout: {error}");
-            std::process::exit(1);
+    let mut out = StdoutReport::lock();
+    out.write(report);
+    if out.reader_gone {
+        std::process::exit(0);
+    }
+}
+
+/// The stdout of a binary whose work goes on after its reader leaves: one that
+/// still writes a file, or whose exit status says whether its gates passed.
+/// Each [`write`](StdoutReport::write) goes through one locked handle. Once a
+/// write finds the reader gone (`| head`), it and every later write are skipped
+/// quietly; any other write error is reported on stderr and ends the process
+/// with status 1, as [`emit`] does.
+#[derive(Debug)]
+pub struct StdoutReport {
+    out: StdoutLock<'static>,
+    reader_gone: bool,
+}
+
+impl StdoutReport {
+    /// Locks stdout for the rest of the run.
+    #[must_use]
+    pub fn lock() -> Self {
+        Self {
+            out: io::stdout().lock(),
+            reader_gone: false,
+        }
+    }
+
+    /// Writes one part of the report and flushes it, unless the reader has
+    /// gone.
+    pub fn write(&mut self, part: impl FnOnce(&mut StdoutLock<'static>) -> io::Result<()>) {
+        if self.reader_gone {
+            return;
+        }
+        match part(&mut self.out).and_then(|()| self.out.flush()) {
+            Ok(()) => {}
+            Err(error) if error.kind() == ErrorKind::BrokenPipe => self.reader_gone = true,
+            Err(error) => {
+                eprintln!("error: writing the report to stdout: {error}");
+                std::process::exit(1);
+            }
         }
     }
 }

@@ -45,4 +45,4 @@ pub mod scenario_run;
 pub mod table1;
 pub mod trial;
 
-pub use cli::{emit, BenchArgs};
+pub use cli::{emit, BenchArgs, StdoutReport};

@@ -11,6 +11,7 @@
 
 use faultline_engine::InterleavedReport;
 use faultline_scenario::{ScenarioError, ScenarioSpec};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// One executed scenario: the resolved spec and its full trajectory.
@@ -103,37 +104,42 @@ pub fn run_all(args: &[String]) -> Result<Vec<ScenarioOutcome>, String> {
     Ok(outcomes)
 }
 
-/// Prints one scenario's terminal summary (mirrors the shape of the main bench
-/// phases: one headline line, then the trajectory readings that explain it).
-pub fn print(outcome: &ScenarioOutcome) {
+/// Writes one scenario's terminal summary (mirrors the shape of the main bench
+/// phases: one headline line, then the trajectory readings that explain it) to
+/// `out`.
+pub fn print(out: &mut impl Write, outcome: &ScenarioOutcome) -> io::Result<()> {
     let spec = &outcome.spec;
     let report = &outcome.report;
-    println!(
+    writeln!(
+        out,
         "scenario {name}: {skew} over {nodes} nodes, {epochs} epochs",
         name = spec.name,
         skew = spec.workload.skew.label(),
         nodes = spec.network.nodes,
         epochs = spec.workload.epochs,
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  {queries} queries at {qps:.0} q/s, success {success:.4}, warm hit rate {hit:.4}",
         queries = report.total_queries(),
         qps = report.routing_queries_per_sec(),
         success = report.overall_success_rate(),
         hit = report.warm_hit_rate(),
-    );
+    )?;
     if spec.engine.failures_config().is_some() {
-        println!(
+        writeln!(
+            out,
             "  survival {survival:.4}, {retries} retries spent, heal recovery {heal:.1} us",
             survival = report.survival_rate(),
             retries = report.total_retries_spent(),
             heal = report.mean_heal_recovery_nanos() / 1e3,
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "  snapshots: {fallbacks} rebuild fallbacks",
         fallbacks = report.rebuild_fallbacks(),
-    );
+    )
 }
 
 #[cfg(test)]

@@ -244,12 +244,6 @@ impl RouteCache {
         }
     }
 
-    /// Returns `true` if this cache can hold entries (capacity above zero).
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
     // xlint: begin(no_alloc)
     /// Looks up the route digest for a bucket pair, refreshing its recency.
     pub fn get(&mut self, source_bucket: u64, target_bucket: u64) -> Option<CachedRoute> {

@@ -12,9 +12,8 @@
 //! disconnected is excluded from the success denominator, while a dropped lookup
 //! the oracle proves survivable is a routing failure the resilience gate counts
 //! ([`SurvivabilitySplit`]). The oracle is built once per network and then
-//! carried: kept while the overlay holds still ([`OracleWork::Kept`]), carried
-//! across a failure event's crashes ([`OracleWork::Crashed`]) and a heal's
-//! revivals ([`OracleWork::Revived`]), and kept across calls as long as nothing
+//! carried across every failure epoch's crashes or heals, a quiet epoch being an
+//! empty flip ([`OracleWork::Carried`]), and kept across calls as long as nothing
 //! else moves the overlay. Churn drops it, so the next failure epoch builds one
 //! ([`OracleWork::Built`]).
 
@@ -201,23 +200,19 @@ pub struct FailureWork {
 /// queries were classified against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OracleWork {
-    /// The overlay had not moved since the oracle was made: it was reused.
-    Kept,
     /// Built from the whole live overlay: no oracle described the overlay
-    /// entering the epoch, or its crash took the oracle's pivot.
+    /// entering the epoch, or the event took the oracle's pivot down.
     Built,
-    /// Carried across this epoch's crashes from the oracle kept entering it.
-    Crashed {
-        /// Nodes the event crashed (the epoch's [`FailureWork::failed_nodes`]).
+    /// Carried across this epoch's event from the oracle kept entering it (a
+    /// quiet epoch is an empty flip, `Carried { nodes: 0, detached: 0 }`).
+    Carried {
+        /// Nodes the event crashed or revived (the epoch's
+        /// [`FailureWork::failed_nodes`] or [`FailureWork::healed_nodes`]).
         nodes: usize,
-        /// Live nodes the crash cut off from the oracle's pivot trees, each of
-        /// which searched its row for a way back.
+        /// Distinct live nodes that searched their rows for a way onto the
+        /// oracle's pivot trees: those a crash cut off from them, or on a heal
+        /// the revived nodes and those that were outside the pivot's component.
         detached: usize,
-    },
-    /// Carried across this epoch's heal from the oracle kept entering it.
-    Revived {
-        /// Nodes the heal revived (the epoch's [`FailureWork::healed_nodes`]).
-        nodes: usize,
     },
 }
 

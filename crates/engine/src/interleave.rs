@@ -469,7 +469,7 @@ impl QueryEngine {
                         epoch,
                         master_seed,
                     );
-                    let made = self.refresh_oracle(network, &mut oracle, &work, &changed);
+                    let made = self.refresh_oracle(network, &mut oracle, &changed);
                     (Some(work), Some(made))
                 }
                 None => (None, None),
@@ -616,29 +616,18 @@ impl QueryEngine {
         let mut delta = ChurnDelta::new();
         let mut changed = Vec::new();
         let mut fail_rng = trial_rng(master_seed ^ 0xFA17_0FA1_70FA_170F, epoch as u64);
-        match schedule.event_for(epoch) {
-            FailureEvent::Quiet => {}
-            FailureEvent::Region { width } => {
-                let plan = RegionFailure::random(width);
-                let (report, d) = network.apply_failure_delta(&plan, &mut fail_rng);
-                work.failed_nodes = report.failed_nodes.len();
-                downed.extend(&report.failed_nodes);
-                changed = report.failed_nodes;
-                delta.absorb(d);
-            }
+        let regions = match schedule.event_for(epoch) {
+            FailureEvent::Quiet => Vec::new(),
+            FailureEvent::Region { width } => vec![RegionFailure::random(width)],
             FailureEvent::Partition { width } => {
                 // Two regions half the line apart (the second start taken mod n):
                 // the survivors fall into up to three stretches that only long
                 // links over a crater join.
                 let start = fail_rng.gen_range(0..n.max(1));
-                for s in [start, (start + n / 2) % n.max(1)] {
-                    let plan = RegionFailure::at(s, width);
-                    let (report, d) = network.apply_failure_delta(&plan, &mut fail_rng);
-                    work.failed_nodes += report.failed_nodes.len();
-                    downed.extend(&report.failed_nodes);
-                    changed.extend(report.failed_nodes);
-                    delta.absorb(d);
-                }
+                vec![
+                    RegionFailure::at(start, width),
+                    RegionFailure::at((start + n / 2) % n.max(1), width),
+                ]
             }
             FailureEvent::Heal => {
                 work.heal = true;
@@ -651,7 +640,15 @@ impl QueryEngine {
                     delta.absorb(network.heal_nodes(&changed));
                     work.healed_nodes = changed.len();
                 }
+                Vec::new()
             }
+        };
+        for plan in &regions {
+            let (report, d) = network.apply_failure_delta(plan, &mut fail_rng);
+            work.failed_nodes += report.failed_nodes.len();
+            downed.extend(&report.failed_nodes);
+            changed.extend(report.failed_nodes);
+            delta.absorb(d);
         }
         work.delta_rows = delta.len();
         if !delta.is_empty() {
@@ -674,12 +671,12 @@ impl QueryEngine {
     /// Brings `oracle` to the overlay the epoch's batch routes — directed
     /// reachability over the post-event usable-neighbour graph of the live
     /// overlay, never the snapshot it audits. Only a failure event and churn
-    /// (which drops the oracle) move that graph, so an oracle that reached a
-    /// quiet epoch is kept. A failure event only crashes or revives the
-    /// `changed` nodes of the graph a kept oracle describes, so that oracle is
-    /// carried across it: what the work costs is the nodes the event cut off
-    /// from, or brought back to, the oracle's pivot trees. Only an epoch with
-    /// no oracle to carry, or a crash of the oracle's pivot, builds one.
+    /// (which drops the oracle) move that graph, and a failure event only
+    /// crashes or revives the `changed` nodes of the graph a kept oracle
+    /// describes, so that oracle is carried across them (a quiet epoch is an
+    /// empty flip): what the work costs is the nodes the event cut off from, or
+    /// brought back to, the oracle's pivot trees. Only an epoch with no oracle
+    /// to carry, or a crash of the oracle's pivot, builds one.
     ///
     /// A build reads every live node's link table once, in ascending node order,
     /// and those tables lie scattered over the heap, so nearly every read is a
@@ -690,13 +687,8 @@ impl QueryEngine {
         &mut self,
         network: &Network,
         oracle: &mut Option<ConnectivityOracle>,
-        work: &FailureWork,
         changed: &[NodeId],
     ) -> OracleWork {
-        let moved = work.failed_nodes > 0 || work.healed_nodes > 0 || work.delta_rows > 0;
-        if oracle.is_some() && !moved {
-            return OracleWork::Kept;
-        }
         let started = Telemetry::start();
         let graph = network.graph();
         let alive = |p: u32| graph.is_alive(u64::from(p));
@@ -710,10 +702,13 @@ impl QueryEngine {
                 .map(|link| link.target as u32)
         };
         let live_sources = |p: u32| graph.live_sources(u64::from(p)).iter().copied();
-        let nodes = changed.iter().map(|&p| p as u32);
         let next = match oracle.take() {
-            Some(kept) if work.heal => kept.revive(nodes, alive, live_links, live_sources),
-            Some(kept) => kept.crash(nodes, alive, live_links, live_sources),
+            Some(kept) => kept.carry(
+                changed.iter().map(|&p| p as u32),
+                alive,
+                live_links,
+                live_sources,
+            ),
             None => ConnectivityOracle::build(network.len() as u32, alive, |p| {
                 prefetch_slice(graph.links(u64::from(p) + LINK_PREFETCH_AHEAD));
                 live_links(p)
@@ -721,10 +716,7 @@ impl QueryEngine {
         };
         let made = match next.detached() {
             None => OracleWork::Built,
-            Some(_) if work.heal => OracleWork::Revived {
-                nodes: changed.len(),
-            },
-            Some(detached) => OracleWork::Crashed {
+            Some(detached) => OracleWork::Carried {
                 nodes: changed.len(),
                 detached,
             },

@@ -76,9 +76,10 @@
 //!   overlay ([`SurvivabilitySplit`]): lookups the oracle proves disconnected
 //!   leave the success denominator, and dropped-but-survivable lookups are the
 //!   routing failures the resilience gate counts. The oracle is built once per
-//!   network, carried across crashes and heals on two spanning trees rooted at
-//!   a pivot, kept across calls while nothing else moves the overlay, and
-//!   dropped by churn ([`OracleWork`] says which, per epoch). Failed lookups get a bounded diversified-retry budget while the overlay
+//!   network, carried by one call across each epoch's crashes or heals on two
+//!   spanning trees rooted at a pivot, kept across calls while nothing else moves
+//!   the overlay, and dropped by churn ([`OracleWork`] says which, per epoch).
+//!   Failed lookups get a bounded diversified-retry budget while the overlay
 //!   is damaged, and a failed digest is never served from the route cache.
 //! * **Percentile stats** — every batch reports p50/p95/p99 hop ladders, its wall
 //!   time and queries/sec. A lookup's [`QueryOutcome`] is the 32 bytes the paper

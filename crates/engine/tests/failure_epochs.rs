@@ -286,7 +286,7 @@ fn quiet_schedules_classify_without_damaging() {
     assert_eq!(report.total_retries_spent(), 0);
 }
 
-/// The engine keeps its oracle while the overlay has not moved, and carries it
+/// The engine carries its oracle across quiet epochs (an empty flip) and
 /// across a heal. Whatever it keeps or carries, every epoch's split must equal
 /// the one a fresh oracle gives: built in the workload callback, which sees the
 /// overlay exactly as the batch routes it.
@@ -342,24 +342,25 @@ fn kept_oracles_classify_like_a_fresh_one_every_epoch() {
                 assert_eq!(epoch.joins + epoch.leaves, churn, "{at}");
             }
             // With churn every epoch moves the graph, the quiet ones included, so
-            // each builds. Without it the first region builds, every later one
-            // carries that oracle across the nodes it crashed, the heal carries it
-            // across every node the region downed, and the quiet epochs keep what
-            // they inherit.
+            // each builds. Without it the first region builds, and every later
+            // epoch carries that oracle: a region across the nodes it crashed,
+            // the heal across every node the region downed, and a quiet epoch
+            // across none.
             let expected: Vec<Option<OracleWork>> = (report.epochs().iter())
                 .map(|e| match (churn, e.epoch % events.len()) {
-                    (0, 0) if e.epoch > 0 => OracleWork::Crashed {
-                        nodes: e.failure.map_or(0, |f| f.failed_nodes),
-                        detached: match e.oracle {
-                            Some(OracleWork::Crashed { detached, .. }) => detached,
+                    (0, 0) if e.epoch == 0 => OracleWork::Built,
+                    (0, slot) => OracleWork::Carried {
+                        nodes: match slot {
+                            0 => e.failure.map_or(0, |f| f.failed_nodes),
+                            2 => report.epochs()[e.epoch - 2]
+                                .failure
+                                .map_or(0, |f| f.failed_nodes),
                             _ => 0,
                         },
-                    },
-                    (0, 1 | 3) => OracleWork::Kept,
-                    (0, 2) => OracleWork::Revived {
-                        nodes: report.epochs()[e.epoch - 2]
-                            .failure
-                            .map_or(0, |f| f.failed_nodes),
+                        detached: match (slot, e.oracle) {
+                            (0 | 2, Some(OracleWork::Carried { detached, .. })) => detached,
+                            _ => 0,
+                        },
                     },
                     _ => OracleWork::Built,
                 })
@@ -449,14 +450,14 @@ fn oracles_outlive_calls_until_the_overlay_moves() {
     assert!(
         matches!(
             oracles(&second)[0],
-            Some(OracleWork::Crashed { nodes, .. }) if nodes == crashed
+            Some(OracleWork::Carried { nodes, .. }) if nodes == crashed
         ),
         "{:?}",
         oracles(&second)
     );
     assert!(matches!(
         oracles(&second)[1],
-        Some(OracleWork::Revived { .. })
+        Some(OracleWork::Carried { nodes, .. }) if nodes == crashed
     ));
     assert_eq!(splits(&second), fresh);
 
@@ -492,8 +493,8 @@ fn split_against(
 /// would put a node the damage cut off back on the oracle's tree. On sparse
 /// overlays (one long link a node) whose long links failed at presence 0.7
 /// before the call, the crashes cut pairs off, and every epoch's split — the
-/// first region's build, the quiet epoch's kept oracle, and the crashes and
-/// heals it is carried across — must equal the one a fresh oracle gives.
+/// first region's build, and the quiet epoch, crashes and heals it is carried
+/// across — must equal the one a fresh oracle gives.
 #[test]
 fn carried_oracles_classify_like_a_fresh_one_over_failed_links() {
     let events = vec![
@@ -551,10 +552,13 @@ fn carried_oracles_classify_like_a_fresh_one_over_failed_links() {
                     made[..5],
                     [
                         Some(OracleWork::Built),
-                        Some(OracleWork::Kept),
-                        Some(OracleWork::Revived { .. }),
-                        Some(OracleWork::Crashed { .. }) | Some(OracleWork::Built),
-                        Some(OracleWork::Revived { .. }),
+                        Some(OracleWork::Carried {
+                            nodes: 0,
+                            detached: 0
+                        }),
+                        Some(OracleWork::Carried { .. }),
+                        Some(OracleWork::Carried { .. }) | Some(OracleWork::Built),
+                        Some(OracleWork::Carried { .. }),
                     ]
                 ),
                 "{at}: {made:?}"

@@ -48,6 +48,6 @@ mod region;
 pub use capture::{blast_radius, revive_nodes_with_delta};
 pub use churn::{ChurnEvent, ChurnSchedule};
 pub use link::LinkFailure;
-pub use node::{binomial_present_set, NodeFailure, NodeFailureMode};
+pub use node::{NodeFailure, NodeFailureMode};
 pub use plan::{FailurePlan, FailureReport};
 pub use region::RegionFailure;

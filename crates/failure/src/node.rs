@@ -115,22 +115,6 @@ impl FailurePlan for NodeFailure {
     }
 }
 
-/// Samples the set of *present* grid points for Theorem 17's binomial-presence model:
-/// every grid point hosts a node independently with probability `p` (at least one node is
-/// always retained so that an overlay exists).
-#[must_use]
-pub fn binomial_present_set<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> Vec<NodeId> {
-    assert!(
-        (0.0..=1.0).contains(&p),
-        "presence probability must be in [0, 1]"
-    );
-    let mut present: Vec<NodeId> = (0..n).filter(|_| rng.gen_bool(p)).collect();
-    if present.is_empty() {
-        present.push(rng.gen_range(0..n));
-    }
-    present
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,15 +175,5 @@ mod tests {
         assert_eq!(first.failed_node_count(), 50);
         assert_eq!(second.failed_node_count(), 25);
         assert_eq!(g.alive_nodes().len(), 25);
-    }
-
-    #[test]
-    fn binomial_present_set_matches_probability() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let present = binomial_present_set(10_000, 0.7, &mut rng);
-        let frac = present.len() as f64 / 10_000.0;
-        assert!((frac - 0.7).abs() < 0.03, "presence fraction {frac}");
-        let empty_guard = binomial_present_set(10, 0.0, &mut rng);
-        assert_eq!(empty_guard.len(), 1);
     }
 }

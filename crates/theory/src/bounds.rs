@@ -2,28 +2,6 @@
 
 use faultline_linkdist::harmonic;
 
-/// Whether a bound is an upper or a lower bound on expected delivery time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
-pub enum BoundKind {
-    /// Upper bound (`O(·)` column of Table 1).
-    Upper,
-    /// Lower bound (`Ω(·)` column of Table 1).
-    Lower,
-}
-
-/// The analytic bounds for one row of Table 1, evaluated at concrete parameters.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct Table1Row {
-    /// Human-readable model description ("No failures, ℓ ∈ [1, lg n]", …).
-    pub model: String,
-    /// Number of links per node used for the evaluation.
-    pub links: f64,
-    /// Upper bound on the expected delivery time (hops).
-    pub upper: f64,
-    /// Lower bound on the expected delivery time (hops), when the paper states one.
-    pub lower: Option<f64>,
-}
-
 /// Evaluators for every bound in the paper, with the constants its proofs expose.
 ///
 /// All functions take natural logarithms where the paper writes `log` without a base; the
@@ -123,58 +101,6 @@ impl ModelBounds {
         assert!(ell > 1.0, "the fan-out bound needs ℓ > 1");
         (n as f64).ln() / ell.ln()
     }
-
-    /// Evaluates every row of Table 1 at the given parameters, in the paper's order.
-    #[must_use]
-    pub fn table1(
-        n: u64,
-        ell: f64,
-        base: u64,
-        link_presence: f64,
-        node_failure: f64,
-    ) -> Vec<Table1Row> {
-        vec![
-            Table1Row {
-                model: "no failures, ℓ = 1".to_owned(),
-                links: 1.0,
-                upper: Self::upper_single_link(n),
-                lower: Some(Self::lower_one_sided(n, 1.0)),
-            },
-            Table1Row {
-                model: "no failures, ℓ ∈ [1, lg n]".to_owned(),
-                links: ell,
-                upper: Self::upper_multi_link(n, ell),
-                lower: Some(Self::lower_one_sided(n, ell)),
-            },
-            Table1Row {
-                model: format!("no failures, deterministic base-{base} ladder"),
-                links: (base as f64 - 1.0) * ((n as f64).ln() / (base as f64).ln()).ceil(),
-                upper: Self::upper_deterministic(n, base),
-                lower: Some(Self::lower_large_ell(
-                    n,
-                    ((base as f64 - 1.0) * ((n as f64).ln() / (base as f64).ln()).ceil()).max(2.0),
-                )),
-            },
-            Table1Row {
-                model: format!("link failures (present w.p. {link_presence}), ℓ ∈ [1, lg n]"),
-                links: ell,
-                upper: Self::upper_link_failure(n, ell, link_presence),
-                lower: None,
-            },
-            Table1Row {
-                model: format!("link failures (present w.p. {link_presence}), base-{base} ladder"),
-                links: (n as f64).ln() / (base as f64).ln(),
-                upper: Self::upper_ladder_link_failure(n, base, link_presence),
-                lower: None,
-            },
-            Table1Row {
-                model: format!("node failures (fail w.p. {node_failure}), ℓ ∈ [1, lg n]"),
-                links: ell,
-                upper: Self::upper_node_failure(n, ell, node_failure),
-                lower: None,
-            },
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -236,22 +162,6 @@ mod tests {
         let n = 1000u64;
         let expected = 1.0 + 2.0 * (2.0 - 0.5) * harmonic(999) / 0.5;
         assert!((ModelBounds::upper_ladder_link_failure(n, 2, 0.5) - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn table1_has_six_rows_with_finite_values() {
-        let rows = ModelBounds::table1(1 << 17, 17.0, 2, 0.7, 0.3);
-        assert_eq!(rows.len(), 6);
-        for row in &rows {
-            assert!(row.upper.is_finite() && row.upper > 0.0, "{row:?}");
-            if let Some(lower) = row.lower {
-                assert!(lower.is_finite() && lower > 0.0);
-                assert!(
-                    lower <= row.upper * 10.0,
-                    "lower bound suspiciously above upper: {row:?}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! conflates two very different losses: queries the overlay could never carry
 //! (the failure disconnected source from target) and queries the router dropped
 //! despite an existing path. Separating them needs exact connectivity structure
-//! over the post-failure usable-neighbour graph — the same adjacency the stretch
-//! oracle walks — kept up to date with that graph and queried per pair.
+//! over the post-failure usable-neighbour graph, kept up to date with that graph
+//! and queried per pair.
 //!
 //! [`ConnectivityOracle`] answers **directed survivability**: strongly connected
 //! components plus a breadth-first walk over the condensation DAG answer
@@ -25,21 +25,20 @@
 //!   grows two breadth-first trees over that component from the same CSR: one
 //!   along which the pivot reaches every member, one along which every member
 //!   reaches the pivot.
-//! - [`ConnectivityOracle::crash`] carries it across nodes going down. Only the
-//!   victims' descendants in the two trees lose their path to or from the
-//!   pivot, and each searches its own row for a neighbour still on the tree —
-//!   the local tree repair of self-stabilising connectivity algorithms — so
-//!   the work is the size of what the crash detaches, not of the graph.
-//! - [`ConnectivityOracle::revive`] carries it across nodes coming back: the
-//!   revived nodes and the live nodes outside the pivot's component search the
-//!   same way.
+//! - [`ConnectivityOracle::carry`] carries it across any set of nodes flipping
+//!   liveness, in either direction. Only the down nodes' descendants in the two
+//!   trees lose their path to or from the pivot, and once a node comes up, it
+//!   and the live nodes outside the pivot's component may gain one; each of
+//!   these searches its own row for a neighbour still on the tree — the local
+//!   tree repair of self-stabilising connectivity algorithms — so the work is
+//!   the size of what the flip detaches or brings up, not of the graph.
 //!
 //! A node on both trees is in the pivot's component. The live nodes left
 //! outside it go through the same SCC search, on a graph where the pivot's
 //! whole component is one vertex, so a carried oracle answers exactly what a
-//! fresh build would, for any damage.
+//! fresh build would, for any damage or repair.
 //!
-//! Like the BFS oracle, everything is adjacency-generic: callers supply an
+//! Everything is adjacency-generic: callers supply an
 //! aliveness predicate and neighbour closures, so the same code audits the live
 //! overlay graph, a frozen CSR snapshot, or a synthetic test graph.
 //! Out-of-range neighbours are ignored; edges from or to dead nodes do not
@@ -63,9 +62,9 @@ const SEARCHING: u32 = u32::MAX - 1;
 /// Exact connectivity structure of a (possibly failure-damaged) overlay graph.
 ///
 /// Build once with [`ConnectivityOracle::build`], then carry it across crashes
-/// with [`ConnectivityOracle::crash`] and across heals with
-/// [`ConnectivityOracle::revive`]; survivability queries are cheap: same-component
-/// pairs answer in O(1), cross-component pairs walk the (small) condensation DAG.
+/// and heals with [`ConnectivityOracle::carry`]; survivability queries are cheap:
+/// same-component pairs answer in O(1), cross-component pairs walk the (small)
+/// condensation DAG.
 #[derive(Debug, Clone)]
 pub struct ConnectivityOracle {
     n: u32,
@@ -222,67 +221,88 @@ impl ConnectivityOracle {
         }
     }
 
-    /// The oracle of this oracle's graph after the live nodes `victims` go
-    /// down, exact without revisiting the rest of the graph.
+    /// The oracle of this oracle's graph after the nodes `changed` flip, exact
+    /// without revisiting the rest of the graph: a node live here and dead in
+    /// `alive` goes down, one dead here and live in `alive` comes up, and a call
+    /// may hold both kinds.
     ///
     /// `alive(p)`, `out_neighbors(p)` and `in_neighbors(p)` describe the graph
-    /// *after* the crash: a node's usable out-row, and the sources of the usable
+    /// *after* the flip: a node's usable out-row, and the sources of the usable
     /// links into it. The graph must differ from this oracle's only by the
-    /// victims and the edges incident to them — what a crash does. Ids that are
-    /// out of range, already dead here, alive after, or repeated are ignored,
-    /// so an empty crash returns an equal oracle. Neighbours are filtered like
-    /// [`ConnectivityOracle::build`]'s.
+    /// flipped nodes and the edges incident to them — what a crash or a heal
+    /// does. Ids that are out of range, repeated, or whose liveness did not
+    /// change are ignored, so an empty flip returns an equal oracle. Neighbours
+    /// are filtered like [`ConnectivityOracle::build`]'s.
     ///
-    /// The victims' descendants in the two pivot trees detach. Each searches
-    /// its own row for a neighbour still on the tree — `in_neighbors` for the
-    /// tree from the pivot, `out_neighbors` for the one to it — and a detached
-    /// node that finds one lets the detached nodes waiting on it follow. The
-    /// nodes left off either tree leave the pivot's component, and the
-    /// components outside it are found by the SCC search with that component
-    /// contracted to one vertex. O(detached · ℓ) while the pivot's component
-    /// holds almost every node; a crash of the pivot itself falls back to
+    /// The descendants of the down nodes in the two pivot trees detach, and if
+    /// a node came up, it and every live node outside the pivot's component
+    /// join them, since adding nodes can only grow that component. Each
+    /// searches its own row for a neighbour still on the tree — `in_neighbors`
+    /// for the tree from the pivot, `out_neighbors` for the one to it — and a
+    /// node that finds one lets the nodes waiting on it follow: the local tree
+    /// repair of self-stabilising connectivity algorithms, the same whichever
+    /// way a node flipped. The nodes left off either tree leave the pivot's
+    /// component, and the components outside it are found by the SCC search
+    /// with that component contracted to one vertex. O(detached · ℓ) for a
+    /// crash and O((up + outside) · ℓ) once a node comes up; a flip that takes
+    /// the pivot down, or brings a node up while none lives, falls back to
     /// [`ConnectivityOracle::build`].
     ///
     /// # Panics
     ///
     /// Panics if the graph has `2^32` edges or more.
     #[must_use]
-    pub fn crash<V, A, O, OI, N, NI>(
+    pub fn carry<C, A, O, OI, N, NI>(
         mut self,
-        victims: V,
+        changed: C,
         alive: A,
         out_neighbors: O,
         in_neighbors: N,
     ) -> Self
     where
-        V: IntoIterator<Item = u32>,
+        C: IntoIterator<Item = u32>,
         A: Fn(u32) -> bool,
         O: Fn(u32) -> OI,
         OI: IntoIterator<Item = u32>,
         N: Fn(u32) -> NI,
         NI: IntoIterator<Item = u32>,
     {
-        let mut dead = Vec::new();
-        for x in victims {
-            if self.component_of(x).is_some() && !alive(x) {
-                self.assign(x, NO_COMPONENT);
-                dead.push(x);
+        // Each flip is written at once, so a repeat of it reads as unchanged.
+        let (mut down, mut up) = (Vec::new(), Vec::new());
+        for x in changed {
+            match (self.is_alive(x), x < self.n && alive(x)) {
+                (true, false) => {
+                    self.assign(x, NO_COMPONENT);
+                    down.push(x);
+                }
+                (false, true) => {
+                    self.assign(x, PIVOT_COMPONENT);
+                    up.push(x);
+                }
+                _ => {}
             }
         }
-        if dead.is_empty() {
+        if down.is_empty() && up.is_empty() {
             self.detached = Some(0);
             return self;
         }
-        if self
-            .pivot
-            .is_some_and(|p| self.scc[p as usize] == NO_COMPONENT)
-        {
+        if !self.pivot.is_some_and(|p| self.is_alive(p)) {
             return Self::build(self.n, alive, out_neighbors);
         }
         self.outside
             .retain(|&v| self.scc[v as usize] != NO_COMPONENT);
-        let from_pivot = self.from_pivot.detach_below(&dead);
-        let to_pivot = self.to_pivot.detach_below(&dead);
+        let mut from_pivot = self.from_pivot.detach_below(&down);
+        let mut to_pivot = self.to_pivot.detach_below(&down);
+        if !up.is_empty() {
+            up.append(&mut self.outside);
+            for &v in &up {
+                self.assign(v, PIVOT_COMPONENT);
+                self.from_pivot.parent[v as usize] = SEARCHING;
+                self.to_pivot.parent[v as usize] = SEARCHING;
+            }
+            from_pivot.extend(&up);
+            to_pivot.extend(&up);
+        }
         let twice = to_pivot
             .iter()
             .filter(|&&v| self.from_pivot.parent[v as usize] == SEARCHING)
@@ -290,68 +310,6 @@ impl ConnectivityOracle {
         self.detached = Some(from_pivot.len() + to_pivot.len() - twice);
         let lost_from = self.from_pivot.search(&from_pivot, &in_neighbors);
         let lost_to = self.to_pivot.search(&to_pivot, &out_neighbors);
-        self.settle(lost_from, lost_to, out_neighbors, in_neighbors)
-    }
-
-    /// The oracle of this oracle's graph after the dead nodes `revived` come
-    /// back, exact without revisiting the rest of the graph.
-    ///
-    /// `alive(p)`, `out_neighbors(p)` and `in_neighbors(p)` describe the graph
-    /// *after* the revival: a node's usable out-row, and the sources of the
-    /// usable links into it. The graph must differ from this oracle's only by
-    /// the revived nodes and edges incident to them — what a heal does. Ids
-    /// that are out of range, already alive here, not alive after, or repeated
-    /// are ignored, so an empty revival returns an equal oracle. Neighbours are
-    /// filtered like [`ConnectivityOracle::build`]'s.
-    ///
-    /// Adding nodes and edges never takes a node out of the pivot's component,
-    /// so only the revived nodes and those outside the component search for a
-    /// way onto the two trees, as they do after a
-    /// [`crash`](ConnectivityOracle::crash), and those left off either tree go
-    /// through the same contracted SCC search. O((revived + outside) · ℓ).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph has `2^32` edges or more.
-    #[must_use]
-    pub fn revive<R, A, O, OI, N, NI>(
-        mut self,
-        revived: R,
-        alive: A,
-        out_neighbors: O,
-        in_neighbors: N,
-    ) -> Self
-    where
-        R: IntoIterator<Item = u32>,
-        A: Fn(u32) -> bool,
-        O: Fn(u32) -> OI,
-        OI: IntoIterator<Item = u32>,
-        N: Fn(u32) -> NI,
-        NI: IntoIterator<Item = u32>,
-    {
-        let mut searching = Vec::new();
-        for r in revived {
-            if r < self.n && self.component_of(r).is_none() && alive(r) {
-                self.assign(r, PIVOT_COMPONENT);
-                searching.push(r);
-            }
-        }
-        if searching.is_empty() {
-            self.detached = Some(0);
-            return self;
-        }
-        if self.pivot.is_none() {
-            return Self::build(self.n, alive, out_neighbors);
-        }
-        searching.append(&mut self.outside);
-        for &v in &searching {
-            self.assign(v, PIVOT_COMPONENT);
-            self.from_pivot.parent[v as usize] = SEARCHING;
-            self.to_pivot.parent[v as usize] = SEARCHING;
-        }
-        self.detached = Some(searching.len());
-        let lost_from = self.from_pivot.search(&searching, &in_neighbors);
-        let lost_to = self.to_pivot.search(&searching, &out_neighbors);
         self.settle(lost_from, lost_to, out_neighbors, in_neighbors)
     }
 
@@ -419,12 +377,12 @@ impl ConnectivityOracle {
         self
     }
 
-    /// How many live nodes the carry that made this oracle searched a tree
-    /// path for: those a [`crash`](ConnectivityOracle::crash) cut off from
-    /// either tree, or on a [`revive`](ConnectivityOracle::revive) the revived
-    /// nodes and those that were outside the pivot's component. `None` when the
-    /// oracle was built over the whole graph, by
-    /// [`build`](ConnectivityOracle::build) or by a crash that took the pivot.
+    /// How many distinct live nodes the [`carry`](ConnectivityOracle::carry)
+    /// that made this oracle searched a tree path for: those its down nodes cut
+    /// off from either tree, and once a node came up, the up nodes and those
+    /// that were outside the pivot's component (`Some(0)` for an empty flip).
+    /// `None` when the oracle was built over the whole graph, by
+    /// [`build`](ConnectivityOracle::build) or by a carry that fell back to it.
     #[must_use]
     pub fn detached(&self) -> Option<usize> {
         self.detached
@@ -960,11 +918,11 @@ mod tests {
         assert!(!before.survivable(3, 1));
 
         // Reviving 2 alone only chains 1 → 2 → 3 …
-        let half = before.revive([2], |p| p != 4, next, prev);
+        let half = before.carry([2], |p| p != 4, next, prev);
         assert_eq!(half.component_count(), 5);
         assert!(half.survivable(1, 3) && !half.survivable(3, 1));
         // … and reviving 4 as well closes the cycle into one component.
-        let whole = half.revive([4, 4, 2, 9], |_| true, next, prev);
+        let whole = half.carry([4, 4, 2, 9], |_| true, next, prev);
         assert_eq!(whole.component_count(), 1);
         assert!(whole.survivable(3, 1) && whole.is_alive(4));
         assert_eq!(whole.component_of(0), whole.component_of(5));

@@ -1,6 +1,6 @@
 //! Analytic machinery from Section 4 of the paper, as executable Rust.
 //!
-//! Five pieces:
+//! Four pieces:
 //!
 //! * [`bounds`] — every upper and lower bound of Table 1 as a function of the model
 //!   parameters (`n`, `ℓ`, `p`, `b`), with both the clean asymptotic form and, where the
@@ -12,17 +12,14 @@
 //! * [`chain`] — a Monte-Carlo simulator of the idealised greedy Markov chain analysed in
 //!   Section 4.2 (fresh `Δ` link sets at every step, target at 0), used to sanity-check the
 //!   lower-bound machinery against measured behaviour.
-//! * [`oracle`] — an exact BFS shortest-path oracle over any caller-supplied adjacency.
-//!   It currently has no caller outside its tests; it is kept as the ground truth for
-//!   the ROADMAP's planned stretch contract (greedy hops ÷ optimal hops, among the
-//!   Figure 6 and Table 1 conformance gates).
 //! * [`connectivity`] — exact connectivity structure of a failure-damaged overlay:
 //!   one-array (Pearce) SCCs plus a condensation walk for directed
 //!   `survivable(src, dst)` ground truth — the denominator of the engine's
-//!   survivability gate. Built once, an oracle is carried across node crashes and
-//!   revivals on two breadth-first trees through a pivot in the largest component
-//!   (one the pivot reaches every member along, one every member reaches it
-//!   along), so a crash costs the size of what it detaches, not of the graph.
+//!   survivability gate. Built once, an oracle is carried by one call across any
+//!   set of nodes going down or coming back, on two breadth-first trees through a
+//!   pivot in the largest component (one the pivot reaches every member along, one
+//!   every member reaches it along), so a crash costs the size of what it
+//!   detaches, not of the graph.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,10 +29,8 @@ pub mod bounds;
 pub mod chain;
 pub mod connectivity;
 pub mod kuw;
-pub mod oracle;
 
-pub use bounds::{BoundKind, ModelBounds, Table1Row};
+pub use bounds::ModelBounds;
 pub use chain::{ChainEstimate, GreedyChain, OffsetDistribution};
 pub use connectivity::ConnectivityOracle;
 pub use kuw::{kuw_upper_bound, kuw_upper_bound_discrete};
-pub use oracle::{bfs_distances, hop_distance, UNREACHABLE};

@@ -13,7 +13,7 @@
 //!   directed path as long as the graph) or ends in thousands of components.
 //!
 //! Every answer must agree exactly, whether the oracle was built or carried
-//! across crashes and revivals.
+//! across crashes, revivals, or both at once.
 
 use faultline_theory::ConnectivityOracle;
 use proptest::prelude::*;
@@ -183,7 +183,7 @@ proptest! {
     }
 
     /// A revival carried across on the pivot trees is the oracle a fresh
-    /// build of the healed graph gives, and junk in the revived list (live,
+    /// build of the healed graph gives, and junk in the flipped list (live,
     /// still-dead, out-of-range and repeated ids) changes nothing.
     #[test]
     fn revive_matches_a_fresh_build(
@@ -201,7 +201,8 @@ proptest! {
             .collect();
         let into = |p: u32| sources[p as usize].iter().copied();
 
-        let empty = oracle.clone().revive([], |p| before[p as usize], out_of, into);
+        let empty = oracle.clone().carry([], |p| before[p as usize], out_of, into);
+        prop_assert_eq!(empty.detached(), Some(0));
         assert_matches_brute_force(&empty, &before, &reachability(&before, &adj))?;
 
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
@@ -218,7 +219,7 @@ proptest! {
         noisy.extend([n, n + 3, u32::MAX]);
         noisy.extend((0..n).filter(|_| rng.gen_bool(0.2)));
         noisy.sort_by_key(|_| rng.gen::<u32>());
-        let carried = oracle.revive(noisy, |p| after[p as usize], out_of, into);
+        let carried = oracle.carry(noisy, |p| after[p as usize], out_of, into);
         assert_matches_brute_force(&carried, &after, &reachability(&after, &adj))?;
         let fresh = build(&after, &adj);
         prop_assert_eq!(carried.component_count(), fresh.component_count());
@@ -268,13 +269,13 @@ fn largest_classes(alive: &[bool], reach: &[Vec<bool>]) -> Vec<u32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// An oracle carried through a random sequence of crashes and heals
-    /// answers every pair as a fresh build of the same graph does, and as
-    /// brute force does. The first step crashes every largest component, the
-    /// pivot's included; the second crashes an arc right after it, with no heal
-    /// between; each later step crashes an arc or a random set, or revives a
-    /// random share of the dead. Every step's id list carries junk the carry
-    /// must ignore.
+    /// An oracle carried through a random sequence of crashes, heals and
+    /// mixed flips answers every pair as a fresh build of the same graph does,
+    /// and as brute force does. The first step crashes every largest component,
+    /// the pivot's included; the second crashes an arc right after it, with no
+    /// heal between; each later step crashes an arc or a random set, revives a
+    /// random share of the dead, or in one call revives a share of the dead and
+    /// crashes an arc. Every step's id list carries junk the carry must ignore.
     #[test]
     fn crashes_and_heals_carry_like_a_fresh_build(
         seed in any::<u64>(),
@@ -296,32 +297,41 @@ proptest! {
         for step in 0..8 {
             let reach = reachability(&alive, &adj);
             let dead: Vec<u32> = (0..n).filter(|&p| !alive[p as usize]).collect();
-            let heal = step > 1 && !dead.is_empty() && rng.gen_bool(0.4);
-            let mut changed: Vec<u32> = if heal {
+            // Kinds 0–3 heal, 4–6 heal and crash in one flip, 7–9 crash.
+            let kind = if step < 2 || dead.is_empty() { 9 } else { rng.gen_range(0..10) };
+            let (heal, crash) = (kind <= 6, kind >= 4);
+            let mut up: Vec<u32> = Vec::new();
+            if heal {
                 let share = rng.gen_range(0.2..1.0);
-                dead.iter().copied().filter(|_| rng.gen_bool(share)).collect()
+                up = dead.iter().copied().filter(|_| rng.gen_bool(share)).collect();
+            }
+            let mut down: Vec<u32> = if !crash {
+                Vec::new()
             } else if step == 0 {
                 largest_classes(&alive, &reach)
-            } else if rng.gen_bool(0.7) {
+            } else if heal || rng.gen_bool(0.7) {
                 let start = rng.gen_range(0..n);
                 let width = rng.gen_range(1..=n.div_ceil(4));
                 (0..width).map(|i| (start + i) % n).collect()
             } else {
                 (0..n).filter(|_| rng.gen_bool(0.2)).collect()
             };
-            for &p in &changed {
-                alive[p as usize] = heal;
+            // A node the arc covers that was dead stays dead rather than
+            // coming up and going down in one flip.
+            down.retain(|&p| alive[p as usize]);
+            for &p in &up {
+                alive[p as usize] = true;
             }
+            for &p in &down {
+                alive[p as usize] = false;
+            }
+            let mut changed = up;
+            changed.append(&mut down);
             changed.extend(changed.clone().iter().take(2));
             changed.extend([n, n + 5, u32::MAX]);
             changed.extend((0..n).filter(|_| rng.gen_bool(0.15)));
             changed.sort_by_cached_key(|_| rng.gen::<u32>());
-            let after = |p: u32| alive[p as usize];
-            oracle = if heal {
-                oracle.revive(changed, after, out_of, into)
-            } else {
-                oracle.crash(changed, after, out_of, into)
-            };
+            oracle = oracle.carry(changed, |p| alive[p as usize], out_of, into);
 
             let reach = reachability(&alive, &adj);
             assert_matches_brute_force(&oracle, &alive, &reach)?;
@@ -454,8 +464,10 @@ fn assert_matches_kosaraju(
 
 /// Holds the oracle of `adj` under the dead set `alive` to Kosaraju, then
 /// revives every dead node and holds the carried oracle, and a fresh build of the
-/// healed graph, to Kosaraju too; last, carries that fresh build across the
-/// crash of the same dead set and holds it to Kosaraju on the damaged graph.
+/// healed graph, to Kosaraju too; then carries that fresh build across the
+/// crash of the same dead set and holds it to Kosaraju on the damaged graph;
+/// last, in one flip, revives that set and crashes the arc of nodes after each
+/// of its members, and holds the result to Kosaraju as well.
 fn check_at_scale(alive: &[bool], adj: &[Vec<u32>], what: &str) {
     let damaged = build(alive, adj);
     assert_matches_kosaraju(&damaged, alive, adj, what);
@@ -468,7 +480,7 @@ fn check_at_scale(alive: &[bool], adj: &[Vec<u32>], what: &str) {
     }
     let dead = (0..adj.len() as u32).filter(|&v| !alive[v as usize]);
     let healed = vec![true; adj.len()];
-    let carried = damaged.revive(
+    let carried = damaged.carry(
         dead,
         |_| true,
         |p| adj[p as usize].iter().copied(),
@@ -483,13 +495,28 @@ fn check_at_scale(alive: &[bool], adj: &[Vec<u32>], what: &str) {
     assert_matches_kosaraju(&carried, &healed, adj, &format!("{what}, revived"));
     assert_matches_kosaraju(&fresh, &healed, adj, &format!("{what}, healed"));
 
-    let crashed = fresh.crash(
+    let crashed = fresh.carry(
         (0..adj.len() as u32).filter(|&v| !alive[v as usize]),
         |p| alive[p as usize],
         |p| adj[p as usize].iter().copied(),
         |p| sources[p as usize].iter().copied(),
     );
     assert_matches_kosaraju(&crashed, alive, adj, &format!("{what}, crashed again"));
+
+    let n = adj.len() as u32;
+    let mut swapped: Vec<bool> = alive.iter().map(|_| true).collect();
+    for v in (0..n).filter(|&v| !alive[v as usize]) {
+        for w in (1..=3).map(|i| (v + i) % n).filter(|&w| alive[w as usize]) {
+            swapped[w as usize] = false;
+        }
+    }
+    let flipped = crashed.carry(
+        (0..n).filter(|&v| alive[v as usize] != swapped[v as usize]),
+        |p| swapped[p as usize],
+        |p| adj[p as usize].iter().copied(),
+        |p| sources[p as usize].iter().copied(),
+    );
+    assert_matches_kosaraju(&flipped, &swapped, adj, &format!("{what}, swapped"));
 }
 
 /// A ring of [`BIG`] nodes, each with 16 directed long links whose lengths are

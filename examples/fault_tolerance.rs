@@ -80,10 +80,10 @@ fn scenario(label: &str, schedule: FailureSchedule, link_presence: f64) {
             "quiet".to_string()
         };
         let oracle = match epoch.oracle.expect("failure schedule is configured") {
-            OracleWork::Kept => "kept".to_string(),
             OracleWork::Built => "built".to_string(),
-            OracleWork::Crashed { detached, .. } => format!("crashed, {detached} detached"),
-            OracleWork::Revived { nodes } => format!("revived +{nodes}"),
+            OracleWork::Carried { nodes, detached } => {
+                format!("carried {nodes}, {detached} searched")
+            }
         };
         let split = epoch.survivability.expect("oracle classifies every epoch");
         println!(

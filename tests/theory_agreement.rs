@@ -17,12 +17,31 @@ fn measured_mean_hops(n: u64, ell: usize, seed: u64, messages: u64) -> f64 {
     stats.mean_hops_delivered().unwrap()
 }
 
+/// Measured mean hops ÷ (lg²n / ℓ) at ℓ = lg n, the constant Theorem 13's shape
+/// leaves open: this test's own readings (seed 42, 300 messages) are 0.562,
+/// 0.615 and 0.596 at n = 2^10, 2^12 and 2^14, and Table 1's golden output
+/// reads about 0.58 at the same cells.
+const HOPS_PER_LG2N_OVER_ELL: f64 = 0.59;
+
+/// How far a cell's ratio may stray from [`HOPS_PER_LG2N_OVER_ELL`], relative.
+const CONFORMANCE_BAND: f64 = 0.25;
+
 #[test]
 fn measured_hops_stay_below_theorem_13_and_above_theorem_10() {
     for (n, ell) in [(1u64 << 10, 10usize), (1 << 12, 12), (1 << 14, 14)] {
         let measured = measured_mean_hops(n, ell, 42, 300);
         let upper = ModelBounds::upper_multi_link(n, ell as f64);
         let lower = ModelBounds::lower_two_sided(n, ell as f64);
+        // The shape with its constant fitted once: a change that slows (or
+        // speeds) greedy routing by a quarter leaves this band long before it
+        // could reach either bound below.
+        let ratio = measured / ((n as f64).log2().powi(2) / ell as f64);
+        assert!(
+            (ratio / HOPS_PER_LG2N_OVER_ELL - 1.0).abs() <= CONFORMANCE_BAND,
+            "n={n}: measured {measured} hops is {ratio:.3} × lg²n/ℓ, outside \
+             {HOPS_PER_LG2N_OVER_ELL} ± {:.0} %",
+            CONFORMANCE_BAND * 100.0
+        );
         assert!(
             measured < upper,
             "n={n}: measured {measured} exceeds the Theorem 13 bound {upper}"
