@@ -1,9 +1,16 @@
 //! Ablation: sweep the link-distribution exponent to show exponent 1 is the sweet spot.
 
-use faultline_bench::{ablation, emit, BenchArgs};
+use faultline_bench::{ablation, emit, BenchArgs, Flag};
 
 fn main() {
-    let args = BenchArgs::from_env();
+    let args = BenchArgs::from_env(&[
+        Flag::Nodes,
+        Flag::Links,
+        Flag::Trials,
+        Flag::Messages,
+        Flag::Seed,
+        Flag::PaperScale,
+    ]);
     let n = args.nodes_or(1 << 12, 1 << 16);
     let ell = args.links_or(4, 8);
     let trials = args.trials_or(5, 20);

@@ -1,11 +1,18 @@
 //! Ablation: Section 5's inverse-distance link replacement vs the oldest-link variant,
 //! plus a correlated region-failure probe.
 
-use faultline_bench::{ablation, emit, BenchArgs};
+use faultline_bench::{ablation, emit, BenchArgs, Flag};
 use std::io::Write;
 
 fn main() {
-    let args = BenchArgs::from_env();
+    let args = BenchArgs::from_env(&[
+        Flag::Nodes,
+        Flag::Links,
+        Flag::Trials,
+        Flag::Messages,
+        Flag::Seed,
+        Flag::PaperScale,
+    ]);
     let n = args.nodes_or(1 << 11, 1 << 14);
     let ell = args.links_or(11, 14);
     let networks = args.trials_or(3, 10);

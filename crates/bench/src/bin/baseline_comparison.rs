@@ -1,10 +1,16 @@
 //! Compares the paper's overlay against Chord, Kleinberg's grid and Plaxton routing under
 //! identical node-failure levels.
 
-use faultline_bench::{baseline_cmp, emit, BenchArgs};
+use faultline_bench::{baseline_cmp, emit, BenchArgs, Flag};
 
 fn main() {
-    let args = BenchArgs::from_env();
+    let args = BenchArgs::from_env(&[
+        Flag::Nodes,
+        Flag::Trials,
+        Flag::Messages,
+        Flag::Seed,
+        Flag::PaperScale,
+    ]);
     let log2_nodes = match args.nodes {
         Some(n) => (63 - n.max(256).leading_zeros()).max(8),
         None if args.paper_scale => 14,

@@ -25,7 +25,7 @@
 //! Writes `BENCH_route_kernel.json` to the working directory.
 
 use faultline_bench::kernel::{run_stream, StreamRun, Walker};
-use faultline_bench::{BenchArgs, StdoutReport};
+use faultline_bench::{BenchArgs, Flag, StdoutReport};
 use faultline_core::routing::{KernelIsa, RouteScratch, Router, WALKS_IN_FLIGHT};
 use faultline_linkdist::LinkSpec;
 use faultline_metric::Geometry;
@@ -81,7 +81,13 @@ impl Spread {
 }
 
 fn main() {
-    let args = BenchArgs::from_env();
+    let args = BenchArgs::from_env(&[
+        Flag::Nodes,
+        Flag::Messages,
+        Flag::Seed,
+        Flag::PaperScale,
+        Flag::Quick,
+    ]);
     let nodes = args.nodes_or(if args.quick { 1 << 12 } else { 1 << 14 }, 1 << 16);
     let queries = args.messages_or(if args.quick { 2_000 } else { 20_000 }, 1 << 17) as usize;
     let seed = args.seed;

@@ -4,19 +4,75 @@
 
 use std::io::{self, ErrorKind, StdoutLock, Write};
 
-/// Common knobs accepted by every figure/table binary.
-///
-/// Flags:
-///
-/// * `--nodes N` — number of grid points (power of two recommended).
-/// * `--links L` — long-distance links per node.
-/// * `--trials T` — independent networks per data point.
-/// * `--messages M` — messages routed per network.
-/// * `--seed S` — master seed.
-/// * `--paper-scale` — use the paper's full-size configuration (overrides the defaults
-///   baked into each binary, not explicit flags).
-/// * `--quick` — a smaller smoke configuration that finishes in seconds in release
-///   builds (`route_kernel`).
+/// One of the flags the figure/table binaries share. Each binary names the ones it
+/// reads, and any other flag on its command line is an error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flag {
+    /// `--nodes N` — number of grid points (power of two recommended).
+    Nodes,
+    /// `--links L` — long-distance links per node, at least 1.
+    Links,
+    /// `--trials T` — independent networks per data point.
+    Trials,
+    /// `--messages M` — messages routed per network.
+    Messages,
+    /// `--seed S` — master seed.
+    Seed,
+    /// `--paper-scale` — use the paper's full-size configuration (overrides the
+    /// defaults baked into each binary, not explicit flags).
+    PaperScale,
+    /// `--quick` — a smaller smoke configuration that finishes in seconds in release
+    /// builds (`route_kernel`).
+    Quick,
+}
+
+impl Flag {
+    /// Every shared flag, in usage order.
+    const ALL: [Flag; 7] = [
+        Flag::Nodes,
+        Flag::Links,
+        Flag::Trials,
+        Flag::Messages,
+        Flag::Seed,
+        Flag::PaperScale,
+        Flag::Quick,
+    ];
+
+    /// The flag as it is typed.
+    fn name(self) -> &'static str {
+        match self {
+            Flag::Nodes => "--nodes",
+            Flag::Links => "--links",
+            Flag::Trials => "--trials",
+            Flag::Messages => "--messages",
+            Flag::Seed => "--seed",
+            Flag::PaperScale => "--paper-scale",
+            Flag::Quick => "--quick",
+        }
+    }
+
+    /// The flag's entry in a usage line.
+    fn usage(self) -> &'static str {
+        match self {
+            Flag::Nodes => "[--nodes N]",
+            Flag::Links => "[--links L]",
+            Flag::Trials => "[--trials T]",
+            Flag::Messages => "[--messages M]",
+            Flag::Seed => "[--seed S]",
+            Flag::PaperScale => "[--paper-scale]",
+            Flag::Quick => "[--quick]",
+        }
+    }
+}
+
+/// The usage line of a binary that reads `reads`.
+fn usage(reads: &[Flag]) -> String {
+    let flags: Vec<&str> = reads.iter().map(|flag| flag.usage()).collect();
+    format!("usage: {}", flags.join(" "))
+}
+
+/// Common knobs of the figure/table binaries (see [`Flag`]). A binary parses only
+/// the flags it reads: [`BenchArgs::from_env`] takes their list.
 ///
 /// `engine_throughput` takes none of these: its only flag is `--scenario PATH`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,52 +108,60 @@ impl Default for BenchArgs {
 }
 
 impl BenchArgs {
-    /// Parses arguments from an iterator of strings (excluding the program name).
-    ///
-    /// Unknown flags terminate the process with a usage message when parsed from the real
-    /// command line; from tests use [`BenchArgs::try_parse`] which returns an error.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
-        match Self::try_parse(args) {
+    /// Parses the real process arguments (excluding the program name) of a binary
+    /// that reads the flags `reads`. A bad value, or a flag outside `reads`, ends
+    /// the process with status 2 and the binary's usage line.
+    #[must_use]
+    pub fn from_env(reads: &[Flag]) -> Self {
+        match Self::try_parse(std::env::args().skip(1), reads) {
             Ok(parsed) => parsed,
             Err(message) => {
                 eprintln!("{message}");
-                eprintln!(
-                    "usage: [--nodes N] [--links L] [--trials T] [--messages M] [--seed S] [--paper-scale] [--quick]"
-                );
+                eprintln!("{}", usage(reads));
                 std::process::exit(2);
             }
         }
     }
 
-    /// Parses the real process arguments.
-    #[must_use]
-    pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
-    }
-
-    /// Fallible parser used by unit tests.
-    pub fn try_parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
+    /// Parses `args` for a binary that reads the flags `reads`: an error names a
+    /// bad value or a flag outside `reads`.
+    pub fn try_parse<I: IntoIterator<Item = String>>(
+        args: I,
+        reads: &[Flag],
+    ) -> Result<Self, String> {
         let mut out = Self::default();
         let mut iter = args.into_iter();
-        while let Some(flag) = iter.next() {
-            let mut grab = |name: &str| -> Result<String, String> {
-                iter.next()
-                    .ok_or_else(|| format!("missing value for {name}"))
+        while let Some(text) = iter.next() {
+            let flag = Flag::ALL
+                .into_iter()
+                .find(|flag| flag.name() == text)
+                .ok_or_else(|| format!("unknown flag: {text}"))?;
+            if !reads.contains(&flag) {
+                return Err(format!("{text} is not read by this binary"));
+            }
+            let mut value = || -> Result<u64, String> {
+                let value = iter
+                    .next()
+                    .ok_or_else(|| format!("missing value for {text}"))?;
+                parse_number(&value)
             };
-            match flag.as_str() {
-                "--nodes" => out.nodes = Some(parse_number(&grab("--nodes")?)?),
-                "--links" => out.links = Some(parse_number(&grab("--links")?)? as usize),
-                "--trials" => out.trials = Some(parse_number(&grab("--trials")?)?),
-                "--messages" => out.messages = Some(parse_number(&grab("--messages")?)?),
-                "--seed" => out.seed = parse_number(&grab("--seed")?)?,
-                "--paper-scale" => out.paper_scale = true,
-                "--quick" => out.quick = true,
-                other => return Err(format!("unknown flag: {other}")),
+            match flag {
+                Flag::Nodes => out.nodes = Some(value()?),
+                Flag::Links => out.links = Some(value()? as usize),
+                Flag::Trials => out.trials = Some(value()?),
+                Flag::Messages => out.messages = Some(value()?),
+                Flag::Seed => out.seed = value()?,
+                Flag::PaperScale => out.paper_scale = true,
+                Flag::Quick => out.quick = true,
             }
         }
-        // An overlay needs two grid points, and no trials or no messages average nothing.
+        // An overlay needs two grid points, `NetworkConfig` would clamp no links to
+        // one, and no trials or no messages average nothing.
         if out.nodes.is_some_and(|n| n < 2) {
             return Err("--nodes must be at least 2".to_owned());
+        }
+        if out.links == Some(0) {
+            return Err("--links must be at least 1".to_owned());
         }
         if out.trials == Some(0) || out.messages == Some(0) {
             return Err("--trials and --messages must be at least 1".to_owned());
@@ -201,8 +265,12 @@ fn parse_number(text: &str) -> Result<u64, String> {
 mod tests {
     use super::*;
 
+    fn try_parse(args: &[&str], reads: &[Flag]) -> Result<BenchArgs, String> {
+        BenchArgs::try_parse(args.iter().map(|s| s.to_string()), reads)
+    }
+
     fn parse(args: &[&str]) -> BenchArgs {
-        BenchArgs::try_parse(args.iter().map(|s| s.to_string())).unwrap()
+        try_parse(args, &Flag::ALL).unwrap()
     }
 
     #[test]
@@ -253,14 +321,44 @@ mod tests {
 
     #[test]
     fn bad_input_is_reported() {
-        assert!(BenchArgs::try_parse(vec!["--nodes".to_string()]).is_err());
-        assert!(BenchArgs::try_parse(vec!["--bogus".to_string()]).is_err());
+        assert!(try_parse(&["--nodes"], &Flag::ALL).is_err());
+        assert!(try_parse(&["--bogus"], &Flag::ALL).is_err());
         for value in ["x", "2^64", "2^63", "0", "1"] {
-            assert!(BenchArgs::try_parse(vec!["--nodes".to_string(), value.to_string()]).is_err());
+            assert!(try_parse(&["--nodes", value], &Flag::ALL).is_err());
         }
-        for flag in ["--trials", "--messages"] {
-            assert!(BenchArgs::try_parse(vec![flag.to_string(), "0".to_string()]).is_err());
-            assert!(BenchArgs::try_parse(vec![flag.to_string(), "1".to_string()]).is_ok());
+        for flag in ["--links", "--trials", "--messages"] {
+            assert!(try_parse(&[flag, "0"], &Flag::ALL).is_err());
+            assert!(try_parse(&[flag, "1"], &Flag::ALL).is_ok());
         }
+    }
+
+    /// A flag the binary does not read is an error naming it, even when its value
+    /// is good; the flags it reads still parse.
+    #[test]
+    fn a_flag_outside_the_binary_s_set_is_refused() {
+        let reads = [Flag::Nodes, Flag::Trials, Flag::Seed, Flag::PaperScale];
+        let refused = try_parse(&["--links", "3"], &reads).unwrap_err();
+        assert!(refused.contains("--links"), "{refused}");
+        assert!(try_parse(&["--quick"], &reads).is_err());
+        assert!(try_parse(&["--messages", "5"], &reads).is_err());
+        let args = try_parse(
+            &["--nodes", "2^9", "--trials", "2", "--paper-scale"],
+            &reads,
+        )
+        .unwrap();
+        assert_eq!(
+            (args.nodes, args.trials, args.paper_scale),
+            (Some(512), Some(2), true)
+        );
+        assert!(try_parse(&[], &[]).is_ok());
+        assert!(try_parse(&["--seed", "1"], &[]).is_err());
+    }
+
+    #[test]
+    fn the_usage_line_lists_only_the_flags_read() {
+        assert_eq!(
+            usage(&[Flag::Nodes, Flag::Seed, Flag::Quick]),
+            "usage: [--nodes N] [--seed S] [--quick]"
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! The seven paper binaries, pinned: each one's stdout at its default
-//! configuration must equal its file under `tests/golden/` byte for byte. And a
+//! configuration must equal its file under `tests/golden/` byte for byte. A
 //! reader that leaves early (`| head -1`) ends none of the bench binaries with a
-//! panic.
+//! panic, and a flag a binary does not read ends it with status 2.
 //!
 //! No binary prints a clock reading, and every result is a function of the seed,
 //! so a difference is a changed figure. The suite runs with the auto-detected
@@ -73,6 +73,29 @@ golden!(
     ablation_replacement,
     baseline_comparison,
 );
+
+/// A flag a binary does not read ends it with status 2 and its usage line, before
+/// it prints anything: `table1_bounds` sweeps ℓ itself, so `--links` would
+/// otherwise print the default table as if it had been honoured.
+#[test]
+fn a_flag_the_binary_ignores_exits_2_with_its_usage() {
+    let output = Command::new(env!("CARGO_BIN_EXE_table1_bounds"))
+        .args(["--links", "3"])
+        .output()
+        .expect("table1_bounds starts");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(
+        output.stdout.is_empty(),
+        "it printed before refusing the flag"
+    );
+    assert!(stderr.contains("--links is not read"), "{stderr}");
+    assert!(
+        stderr
+            .contains("usage: [--nodes N] [--trials T] [--messages M] [--seed S] [--paper-scale]"),
+        "{stderr}"
+    );
+}
 
 /// Starts `command` with both outputs piped, reads its first line, then drops
 /// the pipe's only read end (`| head -1`) and waits for the binary to end.

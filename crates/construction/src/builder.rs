@@ -57,9 +57,12 @@ impl IncrementalBuilder {
         let mut maintainer =
             NetworkMaintainer::new(self.geometry, self.ell, self.strategy).delta_capture(false);
         for &p in arrivals {
+            #[expect(
+                clippy::expect_used,
+                reason = "documented `# Panics`: a duplicate or out-of-range arrival is an experiment-setup bug, not a runtime condition"
+            )]
             maintainer
                 .join(p, rng)
-                // xlint: allow(panic_policy) -- documented `# Panics`: a duplicate or out-of-range arrival is an experiment-setup bug, not a runtime condition
                 .expect("arrival sequence must be duplicate-free and in range");
         }
         maintainer.into_graph()

@@ -2,8 +2,18 @@
 
 use faultline_metric::{Key, Position};
 use faultline_overlay::NodeId;
-// xlint: allow(determinism) -- the directory is a keyed store; its iterators feed order-insensitive operations only (each orphaned key re-homes independently, callers that surface lists sort them)
+#[expect(
+    clippy::disallowed_types,
+    reason = "the directory is a keyed store; its iterators feed order-insensitive operations only (each orphaned key re-homes independently, callers that surface lists sort them)"
+)]
 use std::collections::HashMap;
+
+// An alias, so that the derives below name it rather than `HashMap` itself.
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed get/insert/remove; iteration order cannot reach results: re-homing is per-key commutative and `iter` is documented arbitrary-order"
+)]
+type Entries = HashMap<Key, StoredResource>;
 
 /// A stored resource: the value plus the node that currently holds it.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -26,8 +36,7 @@ pub struct StoredResource {
 /// not data.
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct Directory {
-    // xlint: allow(determinism) -- keyed get/insert/remove; iteration order cannot reach results: re-homing is per-key commutative and `iter` is documented arbitrary-order
-    entries: HashMap<Key, StoredResource>,
+    entries: Entries,
 }
 
 impl Directory {

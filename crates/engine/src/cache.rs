@@ -97,19 +97,18 @@ impl Bucketing {
         }
     }
 
-    // xlint: begin(no_alloc)
     /// `bucket_of(position, n)` for a `position < n`.
     ///
     /// With `x = position · NUM_BUCKETS` and `m` the reciprocal, `x·m / 2^64`
     /// lies in `(x/n − 1, x/n]`, so its floor is the quotient or one below it,
     /// and one compare of the remainder against `n` settles which.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     #[inline(always)]
     pub(crate) fn of(self, position: u64) -> u64 {
         let scaled = position * NUM_BUCKETS;
         let estimate = ((u128::from(scaled) * u128::from(self.reciprocal)) >> 64) as u64;
         estimate + u64::from(scaled - estimate * self.n >= self.n)
     }
-    // xlint: end(no_alloc)
 }
 
 /// The slot of a bucket pair, or `None` when either bucket is out of range. Slots
@@ -244,8 +243,8 @@ impl RouteCache {
         }
     }
 
-    // xlint: begin(no_alloc)
     /// Looks up the route digest for a bucket pair, refreshing its recency.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     pub fn get(&mut self, source_bucket: u64, target_bucket: u64) -> Option<CachedRoute> {
         if self.capacity == 0 {
             return None;
@@ -276,11 +275,11 @@ impl RouteCache {
     }
 
     /// Where a bucket pair's entry sits in `entries`, if it has one.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     fn position(&self, source_bucket: u64, target_bucket: u64) -> Option<usize> {
         let at = *self.slots.get(slot_of(source_bucket, target_bucket)?)?;
         (at != VACANT).then_some(usize::from(at))
     }
-    // xlint: end(no_alloc)
 
     /// Inserts a route digest, evicting the least-recently-used entry if full.
     ///

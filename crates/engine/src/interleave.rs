@@ -24,7 +24,6 @@ use faultline_sim::{seed_for_trial, trial_rng};
 use faultline_telemetry::{Phase, PhaseNanos, Telemetry};
 use faultline_theory::ConnectivityOracle;
 use rand::Rng;
-use std::time::Instant;
 
 /// How many nodes ahead of the one it reads an oracle build prefetches a link
 /// table: far enough that the miss is served by the time the build gets there.
@@ -557,8 +556,11 @@ impl QueryEngine {
                 oracle = None;
             }
             let flushed_routes = self.invalidate_delta(&epoch_delta, n);
-            // xlint: allow(determinism) -- patch cost is reported in SnapshotWork only, never read by routing
-            let started = Instant::now();
+            #[expect(
+                clippy::disallowed_types,
+                reason = "patch cost is reported in SnapshotWork only, never read by routing"
+            )]
+            let started = std::time::Instant::now();
             let stats = live.apply_delta(network.graph(), &epoch_delta);
             work.patch_nanos = started.elapsed().as_nanos() as u64;
             work.rows_patched = stats.rows_patched;
@@ -609,8 +611,11 @@ impl QueryEngine {
         epoch: usize,
         master_seed: u64,
     ) -> (FailureWork, Vec<NodeId>) {
-        // xlint: allow(determinism) -- failure-phase wall time is reported in FailureWork only, never read by routing
-        let started = Instant::now();
+        #[expect(
+            clippy::disallowed_types,
+            reason = "failure-phase wall time is reported in FailureWork only, never read by routing"
+        )]
+        let started = std::time::Instant::now();
         let n = network.len();
         let mut work = FailureWork::default();
         let mut delta = ChurnDelta::new();
@@ -653,8 +658,11 @@ impl QueryEngine {
         work.delta_rows = delta.len();
         if !delta.is_empty() {
             if let Some(live) = snapshot.as_mut() {
-                // xlint: allow(determinism) -- delta-patch cost is reported in FailureWork only, never read by routing
-                let patch_started = Instant::now();
+                #[expect(
+                    clippy::disallowed_types,
+                    reason = "delta-patch cost is reported in FailureWork only, never read by routing"
+                )]
+                let patch_started = std::time::Instant::now();
                 let stats = live.apply_delta(network.graph(), &delta);
                 work.patch_nanos = patch_started.elapsed().as_nanos() as u64;
                 work.rows_patched = stats.rows_patched;

@@ -57,7 +57,6 @@ use faultline_telemetry::{Phase, PhaseNanos, ShardCounters, Telemetry};
 use faultline_theory::ConnectivityOracle;
 use rand::rngs::{SmallRng, StdRng};
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
 
 /// A reusable parallel query engine.
 ///
@@ -181,10 +180,13 @@ impl QueryEngine {
     pub fn new(config: EngineConfig) -> Self {
         let validation = config.validate();
         assert!(validation.is_ok(), "invalid EngineConfig: {validation:?}");
+        #[expect(
+            clippy::expect_used,
+            reason = "the vendored pool's build returns Ok for every thread count (0 means available parallelism), so this never fires"
+        )]
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(config.thread_count())
             .build()
-            // xlint: allow(panic_policy) -- the vendored pool's build returns Ok for every thread count (0 means available parallelism), so this never fires
             .expect("thread pool construction cannot fail");
         let caches = (0..config.shard_count())
             .map(|_| RouteCache::new(config.cache_capacity_entries()))
@@ -291,8 +293,11 @@ impl QueryEngine {
     /// engine's kernel, and returns it with the nanoseconds the compile took (also
     /// recorded as [`Phase::Freeze`]).
     pub(crate) fn freeze(&mut self, network: &Network) -> (FrozenView, u64) {
-        // xlint: allow(determinism) -- freeze cost is reported in telemetry and SnapshotWork only, never read by routing
-        let started = Instant::now();
+        #[expect(
+            clippy::disallowed_types,
+            reason = "freeze cost is reported in telemetry and SnapshotWork only, never read by routing"
+        )]
+        let started = std::time::Instant::now();
         let view = network.view().freeze().with_kernel(self.kernel);
         let nanos = started.elapsed().as_nanos() as u64;
         self.telemetry.record(Phase::Freeze, nanos);
@@ -469,8 +474,11 @@ impl QueryEngine {
         }
         worker_nanos.resize(workers, 0);
 
-        // xlint: allow(determinism) -- batch wall-time is reported in stats only, never read by routing
-        let started = Instant::now();
+        #[expect(
+            clippy::disallowed_types,
+            reason = "batch wall-time is reported in stats only, never read by routing"
+        )]
+        let started = std::time::Instant::now();
         self.pool.scope(|scope| {
             for (((worker, caches), lists), nanos) in self
                 .caches
@@ -750,13 +758,13 @@ fn lead_hop(routes: &FrozenRoutes, source: NodeId, rng: &mut impl Rng) -> Option
 // lookup's probe, `Parking::park`) stay calls: inlined too, they slowed
 // `walk-uniform` by 11 % (0 of 10 alternating pairs on a 2-vCPU Xeon VM).
 impl Walks<'_> {
-    // xlint: begin(no_alloc)
     /// A lookup's shard and cache key, derived from its endpoints with no divide
     /// (`bucket_of`'s arithmetic; see [`Bucketing`]): the shard is its source
     /// bucket modulo the constant [`SHARDS`]. A lookup with an endpoint outside
     /// the space fails up front — the router would report a dead endpoint anyway,
     /// and bucketing must not see it — so it takes the shard past the last, which
     /// no cache serves.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     #[inline(always)]
     fn shard_and_key(&self, (source, target): (NodeId, NodeId)) -> (u8, Key) {
         if source >= self.n || target >= self.n {
@@ -766,7 +774,6 @@ impl Walks<'_> {
         let target_bucket = self.bucketing.of(target) as u8;
         (source_bucket % SHARDS as u8, (source_bucket, target_bucket))
     }
-    // xlint: end(no_alloc)
 
     /// A probe of `key` in its shard's `cache`: the key's digest, or `None` when
     /// the key is vacant (or the worker does not cache).

@@ -37,6 +37,21 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+// Determinism and panic policy (see `[workspace.lints.clippy]` in the root
+// `Cargo.toml`): this crate can affect results, so its library code names no
+// hashed container or clock and does not panic on its inputs.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 mod capture;
 mod churn;

@@ -108,15 +108,23 @@ impl InversePowerLaw {
         } else {
             (right, Direction::Up)
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "a side with zero reach has zero weight and cannot be drawn, so its bound is positive"
+        )]
         let d = self
             .table
             .sample_distance(bound, rng)
-            // xlint: allow(panic_policy) -- a side with zero reach has zero weight and cannot be drawn, so its bound is positive
             .expect("bound is positive because its side was selected by weight");
-        self.geometry
+        #[expect(
+            clippy::expect_used,
+            reason = "`sample_distance` returns at most `bound`, the side's `max_reach`, so the step stays on the line"
+        )]
+        let to = self
+            .geometry
             .step(from, d, dir)
-            // xlint: allow(panic_policy) -- `sample_distance` returns at most `bound`, the side's `max_reach`, so the step stays on the line
-            .expect("sampled distance is within reach")
+            .expect("sampled distance is within reach");
+        to
     }
 }
 

@@ -515,9 +515,12 @@ impl OverlayGraph {
 
 /// Forgets one live link from `source` in a reverse-adjacency row.
 fn row_remove(row: &mut Vec<u32>, source: NodeId) {
+    #[expect(
+        clippy::expect_used,
+        reason = "the link mutators are the index's only writers and mirror every live link; a miss is a corrupted graph, not an input"
+    )]
     let at = row
         .binary_search(&(source as u32))
-        // xlint: allow(panic_policy) -- the link mutators are the index's only writers and mirror every live link; a miss is a corrupted graph, not an input
         .expect("every live link is mirrored in the reverse adjacency");
     row.remove(at);
 }

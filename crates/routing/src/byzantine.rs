@@ -20,8 +20,18 @@ use crate::result::{FailureReason, RouteOutcome, RouteResult};
 use crate::router::Router;
 use faultline_overlay::{NodeId, OverlayGraph};
 use rand::{seq::SliceRandom, Rng};
-// xlint: allow(determinism) -- membership is only ever probed (`contains`) on the hot path; the one iterator is order-insensitive at its call sites (engine tests sort, counts fold)
+#[expect(
+    clippy::disallowed_types,
+    reason = "membership is only ever probed (`contains`) on the hot path; the one iterator is order-insensitive at its call sites (engine tests sort, counts fold)"
+)]
 use std::collections::HashSet;
+
+// An alias, so that the derives below name it rather than `HashSet` itself.
+#[expect(
+    clippy::disallowed_types,
+    reason = "conviction membership: O(1) contains/insert/remove on the routing hot path; iteration order never reaches results (see `iter`'s contract)"
+)]
+type NodeSet = HashSet<NodeId>;
 
 /// A set of Byzantine (adversarial) nodes.
 ///
@@ -31,8 +41,7 @@ use std::collections::HashSet;
 /// literature reports lookup resilience).
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ByzantineSet {
-    // xlint: allow(determinism) -- conviction membership: O(1) contains/insert/remove on the routing hot path; iteration order never reaches results (see `iter`'s contract)
-    nodes: HashSet<NodeId>,
+    nodes: NodeSet,
 }
 
 impl ByzantineSet {

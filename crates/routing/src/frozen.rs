@@ -251,13 +251,13 @@ impl<R: Rng> WalkGroup<R> {
 }
 
 // The frozen kernel's zero-allocation contract, enforced two ways: dynamically by the
-// counting allocator in tests/zero_alloc.rs, and statically by xlint over this fenced
-// region — everything from the line's distance through the hop function to the
-// end of the group driver must not allocate (all per-walk state lives in a
-// RouteScratch).
-// xlint: begin(no_alloc)
+// counting allocator in tests/zero_alloc.rs, and statically by clippy's allocation
+// lists (root `clippy.toml`), denied on every item from here to the tests —
+// everything from the line's distance through the hop function to the end of the
+// group driver must not allocate (all per-walk state lives in a RouteScratch).
 
 /// Distance on the line: the absolute difference of the labels.
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 #[inline(always)]
 fn distance(a: u64, b: u64) -> u64 {
     a.abs_diff(b)
@@ -265,6 +265,7 @@ fn distance(a: u64, b: u64) -> u64 {
 
 /// The one-sided test: whether a hop from `current` to `neighbor` keeps to the side
 /// of `target` it starts on, never overshooting it.
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 #[inline(always)]
 fn same_side(current: u64, neighbor: u64, target: u64) -> bool {
     if neighbor == target {
@@ -305,8 +306,12 @@ fn same_side(current: u64, neighbor: u64, target: u64) -> bool {
 /// and exclusion-filtered scans run: over the logical row, each bit tested inline.
 /// `excluded` must be sorted ascending (the scratch keeps `dead_ends` that way):
 /// membership is a binary search.
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is one independent input of the hop, and the function is inlined into every walker; a bundling struct would only rename them"
+)]
 fn best_neighbor_csr(
     kernel: KernelIsa,
     frozen: &FrozenRoutes,
@@ -353,6 +358,7 @@ fn best_neighbor_csr(
 
 /// Whether some grid point of `frozen` is not alive, so a row may hold a dead
 /// target: a walk over a full, undamaged snapshot never tests a neighbour's bit.
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 fn has_dead(frozen: &FrozenRoutes) -> bool {
     frozen.alive_count() as u64 != frozen.len()
 }
@@ -361,6 +367,7 @@ fn has_dead(frozen: &FrozenRoutes) -> bool {
 /// exactly as `router::random_alive_node` does (64 rejection draws over the full space,
 /// then one indexed draw over the alive list) — but with no per-query allocation: the
 /// exact fallback indexes the snapshot's pre-sorted alive list directly.
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 fn random_alive_frozen<R: Rng + ?Sized>(
     frozen: &FrozenRoutes,
     other: NodeId,
@@ -389,6 +396,7 @@ fn random_alive_frozen<R: Rng + ?Sized>(
     Some(u64::from(alive[index]))
 }
 
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 impl RouteScratch {
     /// Starts a walk in this scratch. `Some` when it is over before its first hop: a
     /// dead endpoint, or a source that is the target.
@@ -554,6 +562,7 @@ impl RouteScratch {
     }
 }
 
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 impl Router {
     /// Routes one message over a compiled snapshot — the zero-allocation fast path:
     /// one walk through the hop function, run to completion.
@@ -576,6 +585,7 @@ impl Router {
     }
 }
 
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 impl<R: Rng> Lane<R> {
     /// Starts `next` in this slot. A walk that is over before its first hop goes
     /// straight back to `feed`, and whatever `feed` answers takes its place; returns
@@ -610,6 +620,7 @@ impl<R: Rng> Lane<R> {
     }
 }
 
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 impl<R: Rng> WalkGroup<R> {
     /// Runs every walk `feed` supplies over `frozen`, up to the group's width at a
     /// time, and returns once `feed` has run dry and the last walk has finished.
@@ -657,8 +668,6 @@ impl<R: Rng> WalkGroup<R> {
         }
     }
 }
-
-// xlint: end(no_alloc)
 
 #[cfg(test)]
 mod tests {

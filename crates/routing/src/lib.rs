@@ -40,13 +40,29 @@
 //! assert!(result.hops <= 1 << 10);
 //! ```
 
-// `deny`, not `forbid`: the SIMD kernel module opts back in with a scoped allow —
+// `deny`, not `forbid`: the SIMD kernel module opts back in with a scoped `expect` —
 // runtime-dispatched AVX2 intrinsics are unreachable without `unsafe`. Everything
-// else in the crate stays unsafe-free, and xlint's hygiene rule requires a SAFETY
-// comment on every unsafe block in `simd.rs`.
+// else in the crate stays unsafe-free, and clippy's `undocumented_unsafe_blocks`
+// (denied workspace-wide) requires a SAFETY comment on every unsafe block in
+// `simd.rs`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+// Determinism and panic policy (see `[workspace.lints.clippy]` in the root
+// `Cargo.toml`): this crate can affect results, so its library code names no
+// hashed container or clock and does not panic on its inputs.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod byzantine;
 mod frozen;

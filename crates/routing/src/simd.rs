@@ -40,10 +40,16 @@
 //! backed by a positive cpuid test.
 
 // The intrinsics below are the innermost hot loop of the frozen kernel: the
-// zero-allocation contract of `frozen.rs` extends through this entire module.
-// xlint: begin(no_alloc)
-
-#![allow(unsafe_code)]
+// zero-allocation contract of `frozen.rs` extends through this entire module, its
+// tests aside.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_macros))]
+#![cfg_attr(
+    target_arch = "x86_64",
+    expect(
+        unsafe_code,
+        reason = "runtime-dispatched AVX2 intrinsics and the prefetch hint are unreachable without `unsafe`"
+    )
+)]
 
 use faultline_overlay::ROW_STEP;
 
@@ -180,7 +186,10 @@ impl KernelIsa {
         match self.kind {
             // The scalar kernel never calls in here; `best_neighbor_csr` keeps
             // its own fold (over the logical row) as the reference.
-            // xlint: allow(panic_policy) -- `best_neighbor_csr` branches on `is_simd` before calling `scan`, so a scalar kernel reaching here is a dispatch bug, not an input
+            #[expect(
+                clippy::unreachable,
+                reason = "`best_neighbor_csr` branches on `is_simd` before calling `scan`, so a scalar kernel reaching here is a dispatch bug, not an input"
+            )]
             IsaKind::Scalar => unreachable!("scalar kernels fold in best_neighbor_csr"),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the Avx2 kind only comes from `KernelIsa::detect` after a
@@ -313,8 +322,6 @@ mod avx2 {
         best.reduce()
     }
 }
-
-// xlint: end(no_alloc)
 
 #[cfg(test)]
 mod tests {

@@ -44,6 +44,7 @@
 //! Out-of-range neighbours are ignored; edges from or to dead nodes do not
 //! exist; dead endpoints are never survivable.
 
+use std::cell::RefCell;
 use std::cmp::Ordering;
 
 /// Label reported for nodes outside every component (dead or out of range).
@@ -415,7 +416,8 @@ impl ConnectivityOracle {
     /// without reading the per-node component ids. Any other same-SCC pair answers
     /// in O(1) from those ids; cross-SCC pairs walk the condensation DAG (O(#SCCs),
     /// which stays tiny while the overlay holds one giant component plus failure
-    /// debris).
+    /// debris), in buffers the calling thread keeps, so that a query allocates
+    /// nothing once the thread has searched as far before.
     #[must_use]
     #[inline]
     pub fn survivable(&self, src: u32, dst: u32) -> bool {
@@ -434,23 +436,7 @@ impl ConnectivityOracle {
         if from == to {
             return true;
         }
-        // BFS over the condensation DAG.
-        let mut seen = vec![false; self.scc_count as usize];
-        let mut frontier = std::collections::VecDeque::with_capacity(8);
-        seen[from as usize] = true;
-        frontier.push_back(from);
-        while let Some(c) = frontier.pop_front() {
-            for &next in &self.condensation[c as usize] {
-                if next == to {
-                    return true;
-                }
-                if !seen[next as usize] {
-                    seen[next as usize] = true;
-                    frontier.push_back(next);
-                }
-            }
-        }
-        false
+        SEARCH.with_borrow_mut(|search| search.reaches(&self.condensation, from, to))
     }
 
     /// The live node the oracle's two trees are rooted at (`None` while no node
@@ -461,18 +447,17 @@ impl ConnectivityOracle {
         self.pivot
     }
 
-    // xlint: begin(no_alloc)
     /// Whether `p` is in the [pivot](ConnectivityOracle::pivot)'s strongly
     /// connected component: one bit of an `n`-bit set the oracle keeps beside the
     /// component ids (false for a dead or out-of-range node).
     #[must_use]
     #[inline]
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     pub fn in_pivot_component(&self, p: u32) -> bool {
         self.pivot_members
             .get(p as usize / 64)
             .is_some_and(|&word| word >> (p % 64) & 1 == 1)
     }
-    // xlint: end(no_alloc)
 
     /// Puts `p` in component `c`, keeping the member bitset in step.
     fn assign(&mut self, p: u32, c: u32) {
@@ -655,10 +640,61 @@ impl Csr {
 /// # Panics
 ///
 /// Panics past `u32::MAX` edges.
+#[expect(
+    clippy::expect_used,
+    reason = "documented `# Panics`: 2^32 edges are 16 GiB of targets, far past any overlay the oracle audits"
+)]
 fn edge_offset(edges: usize) -> u32 {
-    u32::try_from(edges)
-        // xlint: allow(panic_policy) -- documented `# Panics`: 2^32 edges are 16 GiB of targets, far past any overlay the oracle audits
-        .expect("the oracle's adjacency holds fewer than 2^32 edges")
+    u32::try_from(edges).expect("the oracle's adjacency holds fewer than 2^32 edges")
+}
+
+thread_local! {
+    /// This thread's scratch for [`ConnectivityOracle::survivable`]'s condensation
+    /// search: kept between queries, so that a query allocates nothing once the
+    /// thread has searched as far before.
+    static SEARCH: RefCell<Search> = RefCell::default();
+}
+
+/// A breadth-first search over a condensation DAG, with buffers that outlive it.
+#[derive(Default)]
+struct Search {
+    /// Per component: whether the current search has queued it. All false
+    /// between searches.
+    seen: Vec<bool>,
+    /// The components the current search has queued, in order.
+    queue: Vec<u32>,
+}
+
+impl Search {
+    /// Whether component `to` is reachable from component `from` along
+    /// `condensation`'s edges.
+    fn reaches(&mut self, condensation: &[Vec<u32>], from: u32, to: u32) -> bool {
+        if self.seen.len() < condensation.len() {
+            self.seen.resize(condensation.len(), false);
+        }
+        self.queue.clear();
+        self.seen[from as usize] = true;
+        self.queue.push(from);
+        let mut found = false;
+        let mut next = 0;
+        'search: while let Some(&c) = self.queue.get(next) {
+            next += 1;
+            for &d in &condensation[c as usize] {
+                if d == to {
+                    found = true;
+                    break 'search;
+                }
+                if !self.seen[d as usize] {
+                    self.seen[d as usize] = true;
+                    self.queue.push(d);
+                }
+            }
+        }
+        for &c in &self.queue {
+            self.seen[c as usize] = false;
+        }
+        found
+    }
 }
 
 /// Strongly connected components of a graph, with its condensation.

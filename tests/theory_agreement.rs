@@ -17,42 +17,62 @@ fn measured_mean_hops(n: u64, ell: usize, seed: u64, messages: u64) -> f64 {
     stats.mean_hops_delivered().unwrap()
 }
 
-/// Measured mean hops ÷ (lg²n / ℓ) at ℓ = lg n, the constant Theorem 13's shape
-/// leaves open: this test's own readings (seed 42, 300 messages) are 0.562,
-/// 0.615 and 0.596 at n = 2^10, 2^12 and 2^14, and Table 1's golden output
-/// reads about 0.58 at the same cells.
-const HOPS_PER_LG2N_OVER_ELL: f64 = 0.59;
+/// Measured mean hops ÷ (lg²n / ℓ), the constant Theorem 13's shape leaves open,
+/// fitted once per regime of ℓ from this test's own readings (seed 42, 300
+/// messages) at n = 2^8, 2^10, 2^12 and 2^14:
+///
+/// * ℓ = lg n: 0.563, 0.562, 0.615 and 0.596; Table 1's golden output reads
+///   0.56 to 0.59 at the same cells;
+/// * ℓ = ⌈lg n⌉ / 2: 0.417, 0.435, 0.453 and 0.439;
+/// * ℓ = 1: 0.225, 0.244, 0.267 and 0.271. The ratio climbs with n (Table 1's
+///   golden reads 0.22 to 0.27), but over these sizes it stays within 10 % of
+///   its constant, well inside the band.
+const HOPS_PER_LG2N_OVER_ELL: [(Links, f64); 3] = [
+    (|lg_n| lg_n, 0.59),
+    (|lg_n| lg_n.div_ceil(2), 0.44),
+    (|_| 1, 0.25),
+];
 
-/// How far a cell's ratio may stray from [`HOPS_PER_LG2N_OVER_ELL`], relative.
+/// A regime of ℓ: ℓ as a function of lg n.
+type Links = fn(usize) -> usize;
+
+/// How far a cell's ratio may stray from its regime's constant, relative.
 const CONFORMANCE_BAND: f64 = 0.25;
 
 #[test]
 fn measured_hops_stay_below_theorem_13_and_above_theorem_10() {
-    for (n, ell) in [(1u64 << 10, 10usize), (1 << 12, 12), (1 << 14, 14)] {
-        let measured = measured_mean_hops(n, ell, 42, 300);
-        let upper = ModelBounds::upper_multi_link(n, ell as f64);
-        let lower = ModelBounds::lower_two_sided(n, ell as f64);
-        // The shape with its constant fitted once: a change that slows (or
-        // speeds) greedy routing by a quarter leaves this band long before it
-        // could reach either bound below.
-        let ratio = measured / ((n as f64).log2().powi(2) / ell as f64);
-        assert!(
-            (ratio / HOPS_PER_LG2N_OVER_ELL - 1.0).abs() <= CONFORMANCE_BAND,
-            "n={n}: measured {measured} hops is {ratio:.3} × lg²n/ℓ, outside \
-             {HOPS_PER_LG2N_OVER_ELL} ± {:.0} %",
-            CONFORMANCE_BAND * 100.0
-        );
-        assert!(
-            measured < upper,
-            "n={n}: measured {measured} exceeds the Theorem 13 bound {upper}"
-        );
-        // The Ω-bound has an unknown constant; requiring measured > lower/8 checks the
-        // shape without pretending to know it.
-        assert!(
-            measured > lower / 8.0,
-            "n={n}: measured {measured} implausibly below the lower-bound shape {lower}"
-        );
+    for lg_n in [8usize, 10, 12, 14] {
+        for (links, constant) in HOPS_PER_LG2N_OVER_ELL {
+            conforms(1 << lg_n, links(lg_n), constant);
+        }
     }
+}
+
+/// Checks one cell against its fitted constant and the two theorems' bounds.
+fn conforms(n: u64, ell: usize, constant: f64) {
+    let measured = measured_mean_hops(n, ell, 42, 300);
+    let upper = ModelBounds::upper_multi_link(n, ell as f64);
+    let lower = ModelBounds::lower_two_sided(n, ell as f64);
+    // The shape with its constant fitted once: a change that slows (or speeds)
+    // greedy routing by a quarter leaves this band long before it could reach
+    // either bound below.
+    let ratio = measured / ((n as f64).log2().powi(2) / ell as f64);
+    assert!(
+        (ratio / constant - 1.0).abs() <= CONFORMANCE_BAND,
+        "n={n}, ℓ={ell}: measured {measured} hops is {ratio:.3} × lg²n/ℓ, outside \
+         {constant} ± {:.0} %",
+        CONFORMANCE_BAND * 100.0
+    );
+    assert!(
+        measured < upper,
+        "n={n}, ℓ={ell}: measured {measured} exceeds the Theorem 13 bound {upper}"
+    );
+    // The Ω-bound has an unknown constant; requiring measured > lower/8 checks the
+    // shape without pretending to know it.
+    assert!(
+        measured > lower / 8.0,
+        "n={n}, ℓ={ell}: measured {measured} implausibly below the lower-bound shape {lower}"
+    );
 }
 
 #[test]
